@@ -1256,3 +1256,91 @@ func BenchmarkSpilledFirstPage(b *testing.B) {
 		})
 	}
 }
+
+// pageScanRows is the corpus the sort and encode benchmarks run at: the
+// op-level benchmark's (bench/run.sh), so a go test -bench row and a
+// page_scan layer metric describe the same table.
+const pageScanRows = 38000
+
+// BenchmarkSortedView measures the sort op's ordering stage alone — one
+// SortedView over a prepared 38,000-row Papers table, no window, no
+// encode — on one arm per kernel (internal/etable/sort.go): a reference
+// count (int64 keys, counting sort), a dense integer attribute (the
+// same kernel fed from a value column), and a string attribute (the
+// comparison kernel). PERFORMANCE.md §12 records parent vs change.
+func BenchmarkSortedView(b *testing.B) {
+	tr := corpusAt(b, pageScanRows)
+	p, err := etable.Initiate(tr.Schema, "Papers")
+	if err != nil {
+		b.Fatal(err)
+	}
+	matched, err := etable.Match(tr.Instance, p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pres, err := etable.Prepare(tr.Instance, p, matched)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, arm := range []struct {
+		name string
+		spec etable.SortSpec
+	}{
+		{"count", etable.SortSpec{Column: "Authors", Desc: true}},
+		{"dense_int", etable.SortSpec{Attr: "year", Desc: true}},
+		{"string", etable.SortSpec{Attr: "title"}},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				v, err := pres.SortedView(arm.spec)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if v.NumRows() != pageScanRows {
+					b.Fatal("short view")
+				}
+			}
+		})
+	}
+}
+
+// discardResponse is an http.ResponseWriter that keeps nothing, so
+// BenchmarkStateEncode's B/op is the server's, not a recorder's.
+type discardResponse struct {
+	h      http.Header
+	status int
+	n      int
+}
+
+func (d *discardResponse) Header() http.Header         { return d.h }
+func (d *discardResponse) WriteHeader(status int)      { d.status = status }
+func (d *discardResponse) Write(p []byte) (int, error) { d.n += len(p); return len(p), nil }
+
+// BenchmarkStateEncode measures what is left of a page read once the
+// window is memoized: one GET of the same 100-row Papers window through
+// the serving core's handler, so each iteration is session lookup +
+// state encoding + the write, with no match, prepare or transform. MB/s
+// is response bytes; B/op is the encoder's garbage per page.
+func BenchmarkStateEncode(b *testing.B) {
+	tr := corpusAt(b, pageScanRows)
+	srv := server.NewWithOptions(tr.Schema, tr.Instance, server.Options{})
+	st := serverBenchClient{srv}.do(b, "POST", "/api/v1/sessions", map[string]any{
+		"ops": []map[string]any{{"op": "open", "table": "Papers"}},
+	})
+	target := fmt.Sprintf("/api/v1/sessions/%d?offset=19000&limit=100", st.ID)
+	get := func() *discardResponse {
+		w := &discardResponse{h: http.Header{}}
+		srv.ServeHTTP(w, httptest.NewRequest("GET", target, nil))
+		if w.status != http.StatusOK {
+			b.Fatalf("GET %s = %d", target, w.status)
+		}
+		return w
+	}
+	b.SetBytes(int64(get().n)) // also memoizes the window
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		get()
+	}
+}

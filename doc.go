@@ -142,10 +142,37 @@
 // same relation — a page fetch costs O(window), never a re-match or a
 // full re-render. Sort variants of one pattern share that single
 // prepared presentation: Presentation.SortedView reorders only the row
-// IDs (O(rows·log rows)) while sharing the column layout and neighbor
-// groupings, so toggling sort direction never re-prepares. Sorting
-// happens on the row order (no cells), so sort-then-page equals
-// full-render-then-slice by construction.
+// IDs while sharing the column layout and neighbor groupings, so
+// toggling sort direction never re-prepares. Sorting happens on the row
+// order (no cells), so sort-then-page equals full-render-then-slice by
+// construction.
+//
+// Sort contract: the sort op is extract-then-sort (internal/etable/
+// sort.go). One pass over the row order fills a typed key vector —
+// []int64 for reference counts and for attribute columns whose
+// presented values are all INT or all BOOL, []string when all STRING,
+// []value.V compared with value.Compare for NULLs, FLOATs and mixed
+// kinds — and no comparison goes back to the graph. Integer keys whose
+// range is at most four buckets per row (counts, years, page numbers,
+// foreign keys) take an O(n) counting sort; everything else a
+// comparison sort of (key, position) pairs. The sort is stable under
+// every kernel — equal keys keep their current order, Desc flips only
+// the key comparison — and the permutation equals sort.SliceStable by
+// value.Compare over the rendered table, fuzz-tested; NaN alone, which
+// value.Compare cannot order, lands in an unspecified position.
+// Neighbor counts and references are read through a tgm.Adjacency
+// handle resolved once per presentation; a deferred adjacency that
+// fails to load fails the sort or the window with its typed error
+// instead of reading as "no neighbours".
+//
+// Encoding: the server writes every state response straight from the
+// window's *etable.Result into a pooled buffer (internal/server/
+// encode.go) while the session's entry lock is held — recycled windows
+// are only valid until the next call on their session, so the Result is
+// fully read before the lock drops and only the bytes outlive it. The
+// bytes are exactly encoding/json's for the struct copy this replaced
+// (kept as the test reference), Content-Length is always set, and the
+// status is committed only after encoding succeeded.
 //
 // Cursor invalidation: HTTP cursors fingerprint the presentation state
 // they were issued against; any op that changes the table invalidates

@@ -60,13 +60,48 @@
 // greedy/cost split, and feedback replans; the server surfaces them at
 // /api/v1/stats.
 //
-// # Windowing and recycling
+// # Windowed presentation
 //
-// Presentation windows (Presentation.Window) draw their row/cell/ref
-// storage from a sync.Pool-backed arena (windowStore). Callers that can
-// guarantee sole ownership — the serving layer deep-copies windows into
-// response structs before releasing them — return the storage with
-// Result.Recycle, making steady-state paging allocation-free. Recycling
-// is strictly opt-in; a Result that is never recycled is garbage
-// collected like any other value.
+// Prepare computes what depends on the whole matched relation (row set,
+// column layout, per-column groupings) and no cells; Window materializes
+// any row range of it; Sort and SortedView reorder the row IDs between
+// the two.
+//
+// Sort contract (sort.go). A sort is extract-then-sort: one pass over
+// the current row order fills a typed key vector, and the keys — never
+// the graph — are what the sort compares. Key classes: []int64 for a
+// reference count (a participating column's prepared grouping, a
+// neighbor column's degree) and for an attribute column whose presented
+// values are all INT or all BOOL; []string when they are all STRING;
+// []value.V under value.Compare otherwise (NULLs, FLOATs, mixed kinds —
+// the only cases where kind rank or numeric cross-kind comparison
+// matters). Integer keys take an O(n + range) counting sort when their
+// range is below denseSpan (4) buckets per row, decided from the data:
+// counts, years, page numbers and foreign keys qualify, hashes and
+// timestamps do not. Everything else is slices.SortFunc over (key,
+// position, id) triples. Every kernel is stable — equal keys keep
+// their current relative order (ascending node ID on a fresh
+// presentation, whatever the previous sort left otherwise) — because
+// the counting sort scatters in position order and the comparison sort
+// breaks ties by position; Desc reverses keys, never ties. The result
+// is exactly the permutation of a stable sort by value.Compare over the
+// rendered table, which sort_test.go fuzzes against the oracle in
+// sort_oracle_test.go. NaN is the exception: value.Compare reports it
+// equal to everything, so no order is consistent with it and rows keyed
+// NaN land in an unspecified, deterministic position.
+//
+// Adjacency. Neighbor columns hold a tgm.Adjacency handle resolved at
+// Prepare; it loads nothing until a sort by that column or a non-empty
+// window calls Ensure, so preparing over an out-of-core graph faults no
+// adjacency in. A failed deferred load is returned from
+// Sort/SortedView/Window as the loader's typed error.
+//
+// Recycling. Windows draw their row/cell/ref storage from a
+// sync.Pool-backed arena (windowStore). Callers that can guarantee sole
+// ownership return the storage with Result.Recycle, making steady-state
+// paging allocation-free; the serving layer qualifies because it
+// encodes each window into its response buffer under the session's
+// entry lock, before any later call on the session can recycle it.
+// Recycling is strictly opt-in; a Result that is never recycled is
+// garbage collected like any other value.
 package etable

@@ -39,12 +39,12 @@ type Pattern struct {
 	Nodes   []PatternNode
 	Edges   []PatternEdge
 
-	// sig memoizes Signature. It is only ever set after the pattern has
-	// been fully built (operators and the SQL bridge mutate their private
-	// copy, then hand it off), so a stored value can never go stale.
-	// Concurrent first calls may both compute it; they store identical
-	// strings, so last-write-wins is harmless.
-	sig atomic.Pointer[string]
+	// sig and str memoize Signature and String. They are only ever set
+	// after the pattern has been fully built (operators and the SQL
+	// bridge mutate their private copy, then hand it off), so a stored
+	// value can never go stale. Concurrent first calls may both compute
+	// one; they store identical strings, so last-write-wins is harmless.
+	sig, str atomic.Pointer[string]
 }
 
 // Clone returns a deep-enough copy (conditions are immutable and shared).
@@ -144,8 +144,19 @@ func (p *Pattern) Validate(schema *tgm.SchemaGraph) error {
 
 // String renders the pattern in the diagrammatic notation of Figure 6,
 // e.g. "Conferences{acronym = 'SIGMOD'} —[Conf-Papers]→ *Papers{year > 2005}"
-// with the primary node marked by '*'.
+// with the primary node marked by '*'. The rendering is memoized — one
+// window read asks for it three times (the session's presentation key,
+// the response's pattern field, the cursor fingerprint).
 func (p *Pattern) String() string {
+	if s := p.str.Load(); s != nil {
+		return *s
+	}
+	s := p.render()
+	p.str.Store(&s)
+	return s
+}
+
+func (p *Pattern) render() string {
 	var b strings.Builder
 	for i, n := range p.Nodes {
 		if i > 0 {

@@ -3,7 +3,7 @@ package etable
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/graphrel"
@@ -396,7 +396,7 @@ func PrepareFromSource(g *tgm.InstanceGraph, p *Pattern, src graphrel.RowSource,
 	// construction, so the canonical order falls out of the merge.
 	var parts []groupSource
 	if ps == nil {
-		sort.Slice(rowIDs, func(i, j int) bool { return rowIDs[i] < rowIDs[j] })
+		slices.Sort(rowIDs)
 		pr.rowIDs = rowIDs
 		for _, f := range folds {
 			if err := graphrel.SortDedupGroups(opt.Ctx, opt.Pool, opt.Parallelism, f); err != nil {
@@ -459,7 +459,7 @@ func PrepareFromSource(g *tgm.InstanceGraph, p *Pattern, src graphrel.RowSource,
 		pr.columns = append(pr.columns, Column{
 			Kind: ColNeighbor, Name: et.Label, EdgeType: et.Name, TargetType: et.Target,
 		})
-		pr.neighbors = append(pr.neighbors, neighborCol{col: len(pr.columns) - 1, et: et})
+		pr.neighbors = append(pr.neighbors, neighborCol{col: len(pr.columns) - 1, adj: g.Adjacency(et.Name)})
 	}
 
 	if err := pr.finishPrepare(); err != nil {

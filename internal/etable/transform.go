@@ -3,7 +3,7 @@ package etable
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -189,10 +189,25 @@ type partCol struct {
 }
 
 // neighborCol is one neighbor node column (A_h): references are read
-// straight off the instance graph's adjacency at materialization time.
+// straight off the instance graph's adjacency at materialization time,
+// through a handle resolved once at prepare. The handle loads nothing
+// until a sort or a window first calls Ensure, so preparing over an
+// out-of-core graph faults no adjacency in.
 type neighborCol struct {
 	col int
-	et  *tgm.EdgeType
+	adj tgm.Adjacency
+}
+
+// ensureNeighbors materializes the adjacency behind every neighbor
+// column, returning a deferred load's typed error instead of letting a
+// failed load read as "no neighbors".
+func (pr *Presentation) ensureNeighbors() error {
+	for _, nc := range pr.neighbors {
+		if err := nc.adj.Ensure(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Prepare builds the presentation over a matched relation serially.
@@ -224,7 +239,7 @@ func PrepareOpts(g *tgm.InstanceGraph, p *Pattern, matched *graphrel.Relation, o
 	if err != nil {
 		return nil, err
 	}
-	sort.Slice(rowIDs, func(i, j int) bool { return rowIDs[i] < rowIDs[j] })
+	slices.Sort(rowIDs)
 	pr.rowIDs = rowIDs
 
 	// Base attribute columns A_b.
@@ -268,7 +283,7 @@ func PrepareOpts(g *tgm.InstanceGraph, p *Pattern, matched *graphrel.Relation, o
 		pr.columns = append(pr.columns, Column{
 			Kind: ColNeighbor, Name: et.Label, EdgeType: et.Name, TargetType: et.Target,
 		})
-		pr.neighbors = append(pr.neighbors, neighborCol{col: len(pr.columns) - 1, et: et})
+		pr.neighbors = append(pr.neighbors, neighborCol{col: len(pr.columns) - 1, adj: g.Adjacency(et.Name)})
 	}
 
 	if err := pr.finishPrepare(); err != nil {
@@ -309,98 +324,6 @@ func (pr *Presentation) NumRows() int { return len(pr.rowIDs) }
 // Columns returns the column layout. The returned slice must not be
 // modified; materialized Results alias it.
 func (pr *Presentation) Columns() []Column { return pr.columns }
-
-// sortKey resolves spec against the presentation's columns and returns
-// the per-row key extractor. It reads only column metadata and the
-// prepared groupings — no cells — which is what lets Sort reorder a
-// huge table without materializing it.
-func (pr *Presentation) sortKey(spec SortSpec) (func(id tgm.NodeID) value.V, error) {
-	switch {
-	case spec.Attr != "":
-		ai := -1
-		for i := range pr.columns {
-			if pr.columns[i].Kind == ColBase && pr.columns[i].Attr == spec.Attr {
-				ai = pr.primType.AttrIndex(spec.Attr)
-				break
-			}
-		}
-		if ai < 0 {
-			return nil, fmt.Errorf("etable: no base attribute %q to sort by", spec.Attr)
-		}
-		// Resolve the sort column once: on an out-of-core graph this
-		// faults the section in (typed errors propagate to the caller)
-		// and the whole sort then reads one resident column.
-		col, err := pr.g.AttrColumn(pr.primType.Name, ai)
-		if err != nil {
-			return nil, err
-		}
-		g := pr.g
-		return func(id tgm.NodeID) value.V { return col[g.Node(id).Row] }, nil
-	case spec.Column != "":
-		for _, pc := range pr.parts {
-			if pr.columns[pc.col].Name == spec.Column {
-				src := pc.src
-				// count is IO-free on every groupSource form, so sorting
-				// by reference count never faults spilled runs.
-				return func(id tgm.NodeID) value.V { return value.Int(int64(src.count(id))) }, nil
-			}
-		}
-		for _, nc := range pr.neighbors {
-			if pr.columns[nc.col].Name == spec.Column {
-				g, edge := pr.g, nc.et.Name
-				return func(id tgm.NodeID) value.V { return value.Int(int64(len(g.Neighbors(id, edge)))) }, nil
-			}
-		}
-		return nil, fmt.Errorf("etable: no entity-reference column %q to sort by", spec.Column)
-	default:
-		return nil, fmt.Errorf("etable: empty sort specification")
-	}
-}
-
-// ValidateSort reports whether spec can sort this presentation, without
-// reordering anything.
-func (pr *Presentation) ValidateSort(spec SortSpec) error {
-	_, err := pr.sortKey(spec)
-	return err
-}
-
-// Sort stably reorders the presentation's rows per spec without
-// materializing any cells. Windows materialized afterwards follow the
-// new order; the permutation is identical to materializing the full
-// table and calling Result.Sort (ties keep the canonical ID-ascending
-// order), which the sort-then-page equivalence test pins.
-func (pr *Presentation) Sort(spec SortSpec) error {
-	key, err := pr.sortKey(spec)
-	if err != nil {
-		return err
-	}
-	sort.SliceStable(pr.rowIDs, func(i, j int) bool {
-		d := value.Compare(key(pr.rowIDs[i]), key(pr.rowIDs[j]))
-		if spec.Desc {
-			return d > 0
-		}
-		return d < 0
-	})
-	return nil
-}
-
-// SortedView returns a presentation of the same prepared state in the
-// order spec dictates, leaving the receiver untouched. The view shares
-// the receiver's columns, per-column groupings, and neighbor layout —
-// the expensive products of Prepare — and owns only a freshly copied,
-// re-sorted row-ID slice, so every sort variant of one pattern costs
-// O(rows·log rows) on top of a single Prepare. Views and their base
-// may Window concurrently (each orders its own rowIDs; the shared
-// groupings are read-only), but Sort on any one of them must not race
-// that presentation's own Window calls.
-func (pr *Presentation) SortedView(spec SortSpec) (*Presentation, error) {
-	cp := *pr
-	cp.rowIDs = append([]tgm.NodeID(nil), pr.rowIDs...)
-	if err := cp.Sort(spec); err != nil {
-		return nil, err
-	}
-	return &cp, nil
-}
 
 // transformChunkRows is the row-range size Window fans out in; it
 // matches the matching kernels' morsel size, so a window smaller than
@@ -499,6 +422,9 @@ func (pr *Presentation) window(offset, limit int, opt ExecOptions, chunk int) (*
 		return nil, err
 	}
 	defer release()
+	if err := pr.ensureNeighbors(); err != nil {
+		return nil, err
+	}
 	if opt.Pool == nil || opt.Parallelism <= 1 || n <= chunk {
 		if err := ctxErr(opt.Ctx); err != nil {
 			return nil, err
@@ -572,7 +498,7 @@ func (pr *Presentation) transformRange(view *colView, lo, hi, base int, rows []R
 			refTotal += pc.src.count(id)
 		}
 		for _, nc := range pr.neighbors {
-			refTotal += len(g.Neighbors(id, nc.et.Name))
+			refTotal += nc.adj.Degree(id)
 		}
 	}
 	if cap(arena) < refTotal {
@@ -600,7 +526,7 @@ func (pr *Presentation) transformRange(view *colView, lo, hi, base int, rows []R
 		}
 		for _, nc := range pr.neighbors {
 			var refs []EntityRef
-			arena, refs = appendRefs(arena, g, view, intern, g.Neighbors(id, nc.et.Name))
+			arena, refs = appendRefs(arena, g, view, intern, nc.adj.Neighbors(id))
 			cs[nc.col] = Cell{Refs: refs}
 		}
 		rows[i-base] = Row{Node: id, Label: intern.label(view, n), Cells: cs}

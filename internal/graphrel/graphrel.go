@@ -41,7 +41,7 @@ package graphrel
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/expr"
 	"repro/internal/tgm"
@@ -495,13 +495,6 @@ func groupPairs(r *Relation, groupAttr, valueAttr string, lo, hi int) (map[tgm.N
 // sortDedup sorts ids ascending and removes adjacent duplicates in
 // place, returning the compacted slice.
 func sortDedup(ids []tgm.NodeID) []tgm.NodeID {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	w := 0
-	for i, id := range ids {
-		if i == 0 || id != ids[w-1] {
-			ids[w] = id
-			w++
-		}
-	}
-	return ids[:w]
+	slices.Sort(ids)
+	return slices.Compact(ids)
 }

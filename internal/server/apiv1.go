@@ -55,22 +55,9 @@ func (s *Server) handleV1Ops(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, err)
 		return
 	}
-	// The batch and the snapshot it returns are one atomic unit under
-	// the entry lock. Single ops go through the pipeline path too, so
-	// every failure envelope carries its op_index (0 for a single op).
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if err := e.sess.ApplyPipelineCtx(ctx, pl); err != nil {
-		s.writeErr(w, err)
-		return
-	}
-	st, err := s.stateOf(ctx, e.sess, p)
-	if err != nil {
-		s.writeErr(w, err)
-		return
-	}
-	st.ID = id
-	s.writeJSON(w, http.StatusOK, st)
+	// Single ops go through the pipeline path too, so every failure
+	// envelope carries its op_index (0 for a single op).
+	s.respondState(ctx, w, http.StatusOK, e, id, p, func() error { return e.sess.ApplyPipelineCtx(ctx, pl) })
 }
 
 // historyEntryJSON is one history item of the v1 history payload.
@@ -131,17 +118,5 @@ func (s *Server) handleV1Replay(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, err)
 		return
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if err := e.sess.ReplayCtx(ctx, log); err != nil {
-		s.writeErr(w, err)
-		return
-	}
-	st, err := s.stateOf(ctx, e.sess, page{})
-	if err != nil {
-		s.writeErr(w, err)
-		return
-	}
-	st.ID = id
-	s.writeJSON(w, http.StatusOK, st)
+	s.respondState(ctx, w, http.StatusOK, e, id, page{}, func() error { return e.sess.ReplayCtx(ctx, log) })
 }

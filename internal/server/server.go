@@ -915,9 +915,9 @@ func (s *Server) createSession(ctx context.Context, r *http.Request, ds *registr
 	sess.SetSpill(s.spillPolicy(ds))
 	sess.SetPlanner(s.opts.Planner)
 	// The server satisfies the recycling contract: every request on a
-	// session runs under its entry lock and stateOf copies the window
-	// into JSON structs before the lock is released, so no *etable.Result
-	// outlives the call that produced it.
+	// session runs under its entry lock and respondState encodes the
+	// window into its response buffer before the lock is released, so no
+	// *etable.Result outlives the call that produced it.
 	sess.SetWindowRecycling(true)
 	if len(initial) > 0 {
 		if err := sess.ApplyPipelineCtx(ctx, initial); err != nil {
@@ -978,15 +978,7 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, err)
 		return
 	}
-	e.mu.Lock()
-	st, serr := s.stateOf(ctx, e.sess, page{})
-	e.mu.Unlock()
-	if serr != nil {
-		s.writeErr(w, serr)
-		return
-	}
-	st.ID = id
-	s.writeJSON(w, http.StatusCreated, st)
+	s.respondState(ctx, w, http.StatusCreated, e, id, page{}, nil)
 }
 
 // entry resolves the {id} path segment: 400 for a non-numeric id, 404
@@ -1039,7 +1031,7 @@ type page struct {
 	limit    int
 	hasLimit bool
 	// cursor, when non-nil, overrides offset/limit and is verified
-	// against the current presentation state in stateOf.
+	// against the current presentation state in appendState.
 	cursor *cursorToken
 }
 
@@ -1142,124 +1134,6 @@ func (p page) validate() error {
 	return nil
 }
 
-// stateJSON is the main/schema/history view payload. Rows holds the
-// requested window; TotalRows/Offset support offset paging and
-// NextCursor opaque-cursor paging (present when more rows follow).
-type stateJSON struct {
-	ID         int64         `json:"id,omitempty"`
-	Pattern    string        `json:"pattern"`
-	Columns    []columnJSON  `json:"columns"`
-	Rows       []rowJSON     `json:"rows"`
-	TotalRows  int           `json:"totalRows"`
-	Offset     int           `json:"offset"`
-	NextCursor string        `json:"nextCursor,omitempty"`
-	History    []historyItem `json:"history"`
-	Cursor     int           `json:"cursor"`
-}
-
-type columnJSON struct {
-	Name string `json:"name"`
-	Kind string `json:"kind"`
-}
-
-type rowJSON struct {
-	Node  int64      `json:"node"`
-	Label string     `json:"label"`
-	Cells []cellJSON `json:"cells"`
-}
-
-type cellJSON struct {
-	Value string    `json:"value,omitempty"`
-	Refs  []refJSON `json:"refs,omitempty"`
-	Count int       `json:"count"`
-}
-
-type refJSON struct {
-	ID    int64  `json:"id"`
-	Label string `json:"label"`
-}
-
-type historyItem struct {
-	Action string `json:"action"`
-}
-
-// stateOf renders one consistent session snapshot, materializing and
-// encoding only the requested row window: the session's windowed
-// presentation memo keeps the matched relation pinned in the shared
-// cache and transforms just the requested rows, so the cost of a page
-// does not scale with the table. Cursor requests are verified against
-// the current presentation state (409 stale_cursor on mismatch — a
-// cursor addresses the pinned relation of the state it was issued
-// against, so a changed presentation invalidates it), and a NextCursor
-// is issued whenever rows remain past the window.
-//
-// The caller holds the session's entry lock for the whole request, so
-// the history read and the window render observe the same state.
-func (s *Server) stateOf(ctx context.Context, sess *session.Session, p page) (*stateJSON, error) {
-	entries, cursor := sess.Entries()
-	st := &stateJSON{Cursor: cursor}
-	for _, h := range entries {
-		st.History = append(st.History, historyItem{Action: h.Action})
-	}
-	if cursor < 0 {
-		if p.cursor != nil {
-			return nil, apiErr(http.StatusConflict, codeStaleCursor, "cursor refers to a closed table")
-		}
-		return st, nil
-	}
-	cur := entries[cursor]
-	st.Pattern = cur.Pattern.String()
-	sig := presentationSig(cur)
-	if p.cursor != nil {
-		if p.cursor.Sig != sig {
-			return nil, apiErr(http.StatusConflict, codeStaleCursor,
-				"cursor was issued against a different table state")
-		}
-		p.offset, p.limit, p.hasLimit = p.cursor.Offset, p.cursor.Limit, true
-	}
-	// Effective window size: the explicit limit, else the server's
-	// default page size, else the full table.
-	limit := -1
-	if p.hasLimit {
-		limit = p.limit
-	} else if s.opts.PageSize > 0 {
-		limit = s.opts.PageSize
-	}
-	res, err := sess.WindowCtx(ctx, p.offset, limit)
-	if err != nil {
-		return nil, err
-	}
-	for _, c := range res.Columns {
-		st.Columns = append(st.Columns, columnJSON{Name: c.Name, Kind: c.Kind.String()})
-	}
-	st.TotalRows = res.Total()
-	st.Offset = res.Offset
-	if end := res.Offset + len(res.Rows); end < st.TotalRows && limit > 0 {
-		// More rows follow: issue the opaque continuation cursor.
-		st.NextCursor = encodeCursor(cursorToken{Offset: end, Limit: limit, Sig: sig})
-	}
-	// Rows is always a JSON array once a table is open, even when the
-	// requested window is empty (limit 0, offset past the end).
-	st.Rows = make([]rowJSON, 0, len(res.Rows))
-	for _, row := range res.Rows {
-		rj := rowJSON{Node: int64(row.Node), Label: row.Label}
-		for ci := range res.Columns {
-			cell := &row.Cells[ci]
-			cj := cellJSON{Count: cell.Count()}
-			if res.Columns[ci].Kind == etable.ColBase {
-				cj.Value = cell.Value.Format()
-			} else {
-				for _, ref := range cell.Refs {
-					cj.Refs = append(cj.Refs, refJSON{ID: int64(ref.ID), Label: ref.Label})
-				}
-			}
-			rj.Cells = append(rj.Cells, cj)
-		}
-		st.Rows = append(st.Rows, rj)
-	}
-	return st, nil
-}
-
 func (s *Server) handleGetSession(w http.ResponseWriter, r *http.Request) {
 	e, id, err := s.entry(r)
 	if err != nil {
@@ -1276,15 +1150,7 @@ func (s *Server) handleGetSession(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, err)
 		return
 	}
-	e.mu.Lock()
-	st, err := s.stateOf(ctx, e.sess, p)
-	e.mu.Unlock()
-	if err != nil {
-		s.writeErr(w, err)
-		return
-	}
-	st.ID = id
-	s.writeJSON(w, http.StatusOK, st)
+	s.respondState(ctx, w, http.StatusOK, e, id, p, nil)
 }
 
 // actionJSON is the POST body for user-level actions.
@@ -1372,22 +1238,7 @@ func (s *Server) handleAction(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, err)
 		return
 	}
-	// The action and the snapshot it returns are one atomic unit under
-	// the entry lock: a concurrent request on the same session cannot
-	// interleave between them.
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if err := e.sess.ApplyCtx(ctx, op); err != nil {
-		s.writeErr(w, err)
-		return
-	}
-	st, err := s.stateOf(ctx, e.sess, p)
-	if err != nil {
-		s.writeErr(w, err)
-		return
-	}
-	st.ID = id
-	s.writeJSON(w, http.StatusOK, st)
+	s.respondState(ctx, w, http.StatusOK, e, id, p, func() error { return e.sess.ApplyCtx(ctx, op) })
 }
 
 func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {

@@ -183,6 +183,12 @@ type csrAdj struct {
 	srcs    []NodeID
 	offs    []int32
 	targets []NodeID
+	// dense marks sources forming one contiguous ID run starting at
+	// srcs[0] — every node of a type created in one block has an
+	// out-edge, e.g. each paper its authors — so the run's i-th ID sits
+	// at srcs[i] and an Adjacency handle indexes offs directly instead
+	// of searching.
+	dense bool
 	// load defers materialization (InstallAdjacencyDeferred): the first
 	// traversal fills the arrays through it, under once. Eagerly
 	// installed adjacency has a nil load and pays only the nil check.
@@ -200,8 +206,14 @@ func (a *csrAdj) ensure() error {
 	}
 	a.once.Do(func() {
 		a.srcs, a.offs, a.targets, a.err = a.load()
+		a.dense = contiguous(a.srcs)
 	})
 	return a.err
+}
+
+// contiguous reports whether ascending srcs cover one gap-free ID run.
+func contiguous(srcs []NodeID) bool {
+	return len(srcs) > 0 && int(srcs[len(srcs)-1]-srcs[0]) == len(srcs)-1
 }
 
 func (a *csrAdj) neighbors(id NodeID) []NodeID {
@@ -571,7 +583,7 @@ func (g *InstanceGraph) InstallAdjacency(edgeType string, srcs []NodeID, offs []
 	if g.csr == nil {
 		g.csr = make(map[string]*csrAdj)
 	}
-	g.csr[edgeType] = &csrAdj{srcs: srcs, offs: offs, targets: targets}
+	g.csr[edgeType] = &csrAdj{srcs: srcs, offs: offs, targets: targets, dense: contiguous(srcs)}
 	g.edgeCount += len(targets)
 	g.edgeTotals[edgeType] = len(targets)
 	return nil
@@ -589,10 +601,10 @@ type AdjacencyLoader func() (srcs []NodeID, offs []int32, targets []NodeID, err 
 // arrays), so NumEdges, EdgeTypeCount, and AvgOutDegree are exact
 // before any traversal. The loaded arrays pass exactly the validation
 // InstallAdjacency applies; a load or validation failure is cached and
-// leaves the type with empty adjacency — queries see no edges, never a
-// panic — which callers that CRC-verify the backing bytes up front
-// (the lazy snapshot open does) can treat as unreachable short of an
-// encoder bug.
+// leaves the type with empty adjacency — the name-keyed accessors
+// (Neighbors, Degree, HasEdge) see no edges, never a panic, while an
+// Adjacency handle's Ensure returns the failure, which is how the
+// presentation layer reports it instead of rendering zero counts.
 func (g *InstanceGraph) InstallAdjacencyDeferred(edgeType string, targetCount int, load AdjacencyLoader) error {
 	if g.frozen.Load() {
 		return fmt.Errorf("tgm: graph is frozen; cannot install adjacency for %q", edgeType)
@@ -737,6 +749,57 @@ func (g *InstanceGraph) Neighbors(id NodeID, edgeType string) []NodeID {
 func (g *InstanceGraph) Degree(id NodeID, edgeType string) int {
 	return len(g.Neighbors(id, edgeType))
 }
+
+// Adjacency is one edge type's out-adjacency with the edge-type name
+// already resolved: the handle loops over many nodes of one type (a
+// sort key extraction, a window's count and render passes) hold instead
+// of paying Neighbors' per-call name lookup. Unlike Neighbors it does
+// not swallow a failed deferred load: Ensure returns the loader's
+// error, and Degree/Neighbors may only be called once it returned nil.
+type Adjacency struct {
+	csr *csrAdj
+	m   map[NodeID][]NodeID
+}
+
+// Adjacency resolves edgeType's adjacency handle. Resolution loads
+// nothing — deferred adjacency materializes at the handle's first
+// Ensure — and an unknown edge type yields a handle with no edges.
+func (g *InstanceGraph) Adjacency(edgeType string) Adjacency {
+	if a := g.csr[edgeType]; a != nil {
+		return Adjacency{csr: a}
+	}
+	return Adjacency{m: g.adj[edgeType]}
+}
+
+// Ensure materializes deferred adjacency (InstallAdjacencyDeferred) and
+// returns its load error; it is a nil check for every other form.
+func (a Adjacency) Ensure() error {
+	if a.csr == nil {
+		return nil
+	}
+	return a.csr.ensure()
+}
+
+// Neighbors returns id's out-neighbors in insertion order; the slice
+// must not be modified. Sources forming one contiguous ID run index in
+// O(1), other CSR forms binary-search, AddEdge-built graphs map-look-up.
+func (a Adjacency) Neighbors(id NodeID) []NodeID {
+	c := a.csr
+	if c == nil {
+		return a.m[id]
+	}
+	if !c.dense {
+		return c.neighbors(id)
+	}
+	i := int(id - c.srcs[0])
+	if i < 0 || i >= len(c.srcs) {
+		return nil
+	}
+	return c.targets[c.offs[i]:c.offs[i+1]:c.offs[i+1]]
+}
+
+// Degree returns the number of out-neighbors of id.
+func (a Adjacency) Degree(id NodeID) int { return len(a.Neighbors(id)) }
 
 // HasEdge reports whether a directed edge of the given type exists.
 func (g *InstanceGraph) HasEdge(edgeType string, src, dst NodeID) bool {

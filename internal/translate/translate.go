@@ -590,8 +590,17 @@ func (tr *translator) buildInstance() error {
 		}
 	}
 
-	// Categorical attributes → attribute nodes + edges.
-	for table, cols := range tr.categoricals {
+	// Categorical attributes → attribute nodes + edges, table by table
+	// in name order: node IDs are handed out in insertion order, so map
+	// order here would give two translations of one database different
+	// IDs.
+	tables := make([]string, 0, len(tr.categoricals))
+	for table := range tr.categoricals {
+		tables = append(tables, table)
+	}
+	sort.Strings(tables)
+	for _, table := range tables {
+		cols := tr.categoricals[table]
 		t, _ := tr.db.Table(table)
 		s := t.Schema()
 		entIDs := tr.nodeIDs[table]

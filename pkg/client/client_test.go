@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -167,6 +168,59 @@ func TestRowIterator(t *testing.T) {
 	}
 	if len(st.Rows) != 2 || st.Offset != 4 {
 		t.Errorf("window: rows=%d offset=%d", len(st.Rows), st.Offset)
+	}
+}
+
+// TestSortedPagedRoundTrip reads a sorted table page by page through
+// the SDK — every response decoded from the server's hand-written state
+// encoder — and checks the pages concatenate to exactly the unpaged
+// sorted table: same rows, same cells, same order, counts descending
+// with ties in the table's unsorted order.
+func TestSortedPagedRoundTrip(t *testing.T) {
+	ts := newServer(t, server.Options{})
+	c := New(ts.URL)
+	ctx := context.Background()
+
+	sess, unsorted, err := c.NewSession(ctx, Open("Papers"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rank := map[int64]int{} // node → position before the sort
+	for i, r := range unsorted.Rows {
+		rank[r.Node] = i
+	}
+	full, err := sess.DoPaged(ctx, Limit(100), SortByCount("Authors", true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := -1
+	for i, cl := range full.Columns {
+		if cl.Name == "Authors" {
+			col = i
+		}
+	}
+	if col < 0 || len(full.Rows) != 6 || full.NextCursor != "" {
+		t.Fatalf("sorted table: %d rows, columns %+v, cursor %q", len(full.Rows), full.Columns, full.NextCursor)
+	}
+	for i := 1; i < len(full.Rows); i++ {
+		a, b := full.Rows[i-1], full.Rows[i]
+		if a.Cells[col].Count < b.Cells[col].Count ||
+			(a.Cells[col].Count == b.Cells[col].Count && rank[a.Node] > rank[b.Node]) {
+			t.Errorf("rows %d,%d out of order: %d authors (was #%d) before %d authors (was #%d)",
+				i-1, i, a.Cells[col].Count, rank[a.Node], b.Cells[col].Count, rank[b.Node])
+		}
+	}
+
+	var paged []Row
+	it := sess.Rows(ctx, 4) // 6 rows → a full page and a short one
+	for it.Next() {
+		paged = append(paged, it.Row())
+	}
+	if it.Err() != nil {
+		t.Fatal(it.Err())
+	}
+	if !reflect.DeepEqual(paged, full.Rows) {
+		t.Errorf("pages do not concatenate to the sorted table:\npaged %+v\nfull  %+v", paged, full.Rows)
 	}
 }
 
