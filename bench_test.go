@@ -22,7 +22,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/etable"
 	"repro/internal/exec"
-	"repro/internal/expr"
 	"repro/internal/graphrel"
 	"repro/internal/pager"
 	"repro/internal/relational"
@@ -195,31 +194,6 @@ func BenchmarkFigure8_FormatTransformation(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation_JoinPlanner compares the selectivity-ordered join
-// plan against the pre-planner declaration order on the Figure 7
-// pattern, where the naive order starts at the unfiltered Authors side
-// and the planner starts at the single SIGMOD conference.
-func BenchmarkAblation_JoinPlanner(b *testing.B) {
-	_, tr, _ := fixtures(b)
-	p := figure7Pattern(b, tr)
-	b.Run("planned", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := etable.Match(tr.Instance, p); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("declared", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := etable.MatchNaive(tr.Instance, p); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkTable1_Translation measures the Appendix A schema + instance
 // translation of the whole corpus.
 func BenchmarkTable1_Translation(b *testing.B) {
@@ -267,40 +241,6 @@ func BenchmarkAblation_PartitionedVsMonolithic(b *testing.B) {
 	b.Run("partitioned", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := st.ExecutePattern(p, storage.Partitioned); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkAblation_AdjacencyIndex compares the adjacency-indexed graph
-// join against the scan-based join on the full Papers ∗ Authors
-// many-to-many step (|Papers| × |Authors| candidate pairs), where the
-// index avoids a quadratic probe.
-func BenchmarkAblation_AdjacencyIndex(b *testing.B) {
-	_, tr, _ := fixtures(b)
-	papers, err := graphrel.Base(tr.Instance, "Papers")
-	if err != nil {
-		b.Fatal(err)
-	}
-	recent, err := graphrel.Select(papers, "Papers", expr.MustParse("year > 2010"))
-	if err != nil {
-		b.Fatal(err)
-	}
-	authors, err := graphrel.Base(tr.Instance, "Authors")
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("indexed", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := graphrel.Join(recent, authors, "Paper_Authors", "Papers", "Authors"); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("scan", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := graphrel.JoinScan(recent, authors, "Paper_Authors", "Papers", "Authors"); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -661,7 +601,11 @@ func BenchmarkFigure7Pipeline(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			res, err := etable.TransformWindow(tr.Instance, p, matched, offset, window)
+			pr, err := etable.Prepare(tr.Instance, p, matched)
+			if err != nil {
+				b.Fatal(err)
+			}
+			res, err := pr.Window(offset, window)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -766,9 +710,9 @@ func streamScalePatterns(b *testing.B, tr *translate.Result) (*etable.Pattern, *
 // (roughly 36k and 180k rows — the larger comfortably past 100k).
 // Arms, per scale (named rows=N with the measured result size):
 //
-//   - materializing: the eager path (StreamOff) — every join
-//     intermediate and the full result are built, then the first 10
-//     rows are read. B/op and ns/op grow with the relation.
+//   - materializing: MatchOpts — the pipeline drained into the full
+//     result, then the first 10 rows are read. B/op and ns/op grow
+//     with the relation.
 //   - streaming: MatchSource composed with StreamLimit(10) — the limit
 //     closes the pipeline after the first batch, so upstream production
 //     stops and only the base scans plus one morsel's worth of join
@@ -785,18 +729,18 @@ func BenchmarkStreamingFirstPage(b *testing.B) {
 	p1, p2 := streamScalePatterns(b, tr)
 
 	for i, p := range []*etable.Pattern{p1, p2} {
-		eager, err := etable.MatchOpts(tr.Instance, p, etable.ExecOptions{Stream: etable.StreamOff})
+		full, err := etable.MatchOpts(tr.Instance, p, etable.ExecOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		n := eager.Len()
+		n := full.Len()
 		if i == 1 && n < 100_000 {
 			b.Fatalf("large join chain yields %d rows, want >= 100k", n)
 		}
 		b.Run(fmt.Sprintf("materializing/rows=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				m, err := etable.MatchOpts(tr.Instance, p, etable.ExecOptions{Stream: etable.StreamOff})
+				m, err := etable.MatchOpts(tr.Instance, p, etable.ExecOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -1171,8 +1115,8 @@ func BenchmarkColdWindowFault(b *testing.B) {
 // BenchmarkSpilledFirstPage measures this PR's tentpole cost: time to
 // the first 10-row page of a large join result when the
 // materialization spills to disk behind the pager, against the same
-// prepare kept entirely on the heap. Both arms pay the full streamed
-// prepare (the spilled arm additionally writes its runs, folds its
+// prepare kept entirely on the heap. Both arms pay the full prepare
+// fold (the spilled arm additionally writes its runs, folds its
 // groupings externally, and faults the first window's runs back);
 // acceptance is spilled ≤ 3× in-memory, recorded in PERFORMANCE.md
 // §11.
@@ -1182,16 +1126,16 @@ func BenchmarkSpilledFirstPage(b *testing.B) {
 	p1, p2 := streamScalePatterns(b, tr)
 
 	for _, p := range []*etable.Pattern{p1, p2} {
-		eager, err := etable.MatchOpts(tr.Instance, p, etable.ExecOptions{Stream: etable.StreamOff})
+		full, err := etable.MatchOpts(tr.Instance, p, etable.ExecOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		n := eager.Len()
+		n := full.Len()
 
 		b.Run(fmt.Sprintf("inmemory/rows=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				opt := etable.ExecOptions{Stream: etable.StreamOn}
+				opt := etable.ExecOptions{}
 				src, err := etable.MatchSource(tr.Instance, p, opt)
 				if err != nil {
 					b.Fatal(err)
@@ -1230,7 +1174,7 @@ func BenchmarkSpilledFirstPage(b *testing.B) {
 					MaxBytes: maxBytes,
 					Pool:     pager.New(64),
 				}
-				opt := etable.ExecOptions{Stream: etable.StreamOn, MaxRows: 4096, Spill: pol}
+				opt := etable.ExecOptions{MaxRows: 4096, Spill: pol}
 				src, err := etable.MatchSource(tr.Instance, p, opt)
 				if err != nil {
 					b.Fatal(err)

@@ -78,22 +78,21 @@
 //     server-wide bound on helper goroutines — 100 concurrent sessions
 //     cannot spawn 100×Ncores workers. Each query additionally carries
 //     a per-request parallelism budget.
-//   - internal/graphrel: relations chunk into fixed 2048-row morsels
-//     (Relation.Partitions / Concat); SelectPar, JoinPar, and
-//     ProjectPar fan morsels out to the pool and splice per-morsel
-//     outputs into one arena through disjoint windows — no locks on the
-//     hot path, and output row-for-row identical to the serial kernels
-//     (property-tested under -race).
+//   - internal/graphrel: relations chunk into fixed 2048-row morsels;
+//     Select and the StreamJoin stages fan morsels out to the pool and
+//     splice per-morsel outputs in input order through disjoint
+//     windows — no locks on the hot path, and output row-for-row
+//     identical to a serial run (property-tested under -race).
 //   - internal/stats: per-edge-type out-degree histograms and
 //     per-node-type attribute NDV estimates, collected once at
 //     translate time and frozen with the graph (stats.For). They
 //     replace the single AvgOutDegree scalar in the planner's cost
 //     model and drive condition-selectivity estimates.
-//   - internal/etable: planJoins is a cost-based planner propagating
-//     estimated cardinalities (JoinStep.EstIn/EstOut) through the join
-//     tree; Execute takes an ExecOptions{Ctx, Pool, Parallelism}
-//     struct, and EstimatePattern gates tiny queries onto the serial
-//     path so interactive clicks never pay fan-out overhead.
+//   - internal/etable: the cost-based planner propagates estimated
+//     cardinalities (JoinStep.EstIn/EstOut) through the join tree;
+//     Execute takes an ExecOptions{Ctx, Pool, Parallelism} struct, and
+//     the plan's peak estimate gates tiny queries onto a budget of 1 so
+//     interactive clicks never pay fan-out overhead.
 //   - internal/session + internal/server: the per-request budget and
 //     the request context thread through ApplyCtx/ApplyPipelineCtx/
 //     StateCtx down to the kernels. Clients override the budget with
@@ -106,30 +105,30 @@
 //
 // # Adaptive planning
 //
-// Every execution entry point — eager, streaming, parallel, and the
-// estimator — resolves its strategy through one function,
-// etable.PlanFor: a per-frozen-graph, signature-keyed cache of fully
-// prepared plans (compiled predicates, start relation, ordered join
-// steps with cardinality estimates, parallel/streaming gate
-// decisions). Pattern signatures are memoized on the immutable
-// Pattern, so a warm lookup is a pointer load plus one map probe.
-// The planner is adaptive: below a corpus-size threshold it uses
-// greedy no-statistics ordering, above it the statistics-backed cost
-// model (ExecOptions.Planner forces either). Executions record actual
-// per-step cardinalities; when observed/estimated error exceeds a
-// bound, the cached plan is re-planned from the measured sizes.
-// /api/v1/stats exposes hits/misses/evictions, the greedy/cost split,
-// and feedback replans; PERFORMANCE.md §8 records the cache effect
-// and the greedy-vs-cost ablation that justifies the threshold.
+// There is one match engine (internal/etable/stream.go): every join
+// runs as a streamed pipeline, and draining, fanning out and spilling
+// are what a caller does with the stream, not separate code paths. The
+// engine resolves its plan through one function, etable.PlanFor: a
+// per-frozen-graph, signature-keyed cache of fully prepared plans
+// (compiled predicates, start relation, ordered join steps with
+// cardinality estimates, and the peak estimate that gates the
+// parallelism budget). Pattern signatures are memoized on the
+// immutable Pattern, so a warm lookup is a pointer load plus one map
+// probe. The planner is adaptive: below a corpus-size threshold it
+// uses greedy no-statistics ordering, above it the statistics-backed
+// cost model (ExecOptions.Planner forces either). /api/v1/stats
+// exposes hits/misses/evictions and the greedy/cost split;
+// PERFORMANCE.md §8 records the cache effect and the greedy-vs-cost
+// ablation that justifies the threshold, §13 why the eager join arm
+// and the feedback re-planner were removed.
 //
 // # Windowed presentation
 //
 // The format transformation (§5.4.2) is prepared and windowed rather
 // than monolithic: etable.Prepare computes the row set, column layout,
 // and per-column neighbor groupings without materializing a single
-// cell, and etable.Presentation.Window (or the one-shot
-// etable.TransformWindow) materializes any [offset, offset+limit) row
-// range on demand. Row materialization partitions cleanly by row
+// cell, and etable.Presentation.Window materializes any [offset,
+// offset+limit) row range on demand. Row materialization partitions cleanly by row
 // range, so Window fans the transformRange kernel out over the shared
 // worker pool with the same disjoint-window splice discipline as the
 // matching kernels — row- and cell-identical to the serial transform,

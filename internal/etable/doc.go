@@ -5,41 +5,46 @@
 // matching over the typed graph model followed by format transformation
 // into an enriched table (§5.4).
 //
-// # Execution modes
+// # Execution
 //
-// The matching core m(Q) runs in one of two modes over the same plan
-// (selectedBases + planJoins):
+// The matching core m(Q) has one engine (stream.go, matchPipeline): the
+// plan's join chain composed as pull-based morsel iterators
+// (graphrel.RowSource) over the selected base relations. No
+// intermediate ever exists in full; memory is proportional to the
+// in-flight batches. What a caller gets depends only on how it consumes
+// the stream:
 //
-//   - Materializing (the historical path): every join step produces a
-//     full intermediate relation. Cheapest for small results — one
-//     arena allocation per step, no per-batch bookkeeping.
-//   - Streaming: the join chain is composed as pull-based morsel
-//     iterators (graphrel.RowSource). No intermediate ever exists in
-//     full; memory is proportional to the in-flight batches, and a
-//     window or LIMIT consumer terminates upstream production after
-//     O(window) driving-side work (MatchSource, PrepareFromSource).
+//   - MatchOpts / Executor.MatchWithOpts drain it into one arena-backed
+//     relation — the value that is cached and pinned;
+//   - Executor.PrepareWithOpts folds the presentation's pipeline
+//     breakers off it batch by batch (PrepareFromSource), and with a
+//     spill policy the same fold writes to disk runs once the drain
+//     crosses MaxRows instead of failing;
+//   - MatchSource hands the stream out, so a window or LIMIT consumer
+//     terminates upstream production after O(window) driving-side work.
 //
-// ExecOptions.Stream selects the mode. The default, StreamAuto, streams
-// when the statistics-only cost estimate (EstimatePattern) predicts a
-// scan large enough to profit and the pattern has at least one join;
-// the gate is evaluated only inside cache-miss computes, so cache hits
-// never pay for it. Both modes produce byte-identical relations — the
-// streamed pipeline runs the same per-range kernels over contiguous
-// input runs consumed in order — so cache and pin semantics are
-// preserved by materializing lazily: the first full consumption splices
-// the retained batches into the one relation that gets cached.
+// ExecOptions.Parallelism is the budget each stage may fan its batches
+// out with; stages splice outputs in input order over contiguous input
+// runs, so the drained relation is the same, row for row, for every
+// budget and batch size — which is what lets one cached relation serve
+// requesters that asked under different budgets. A pattern without
+// joins runs nothing: its selected base relation is the match, served
+// zero-copy. MaxRows caps the drained result, never an intermediate.
+//
+// The engine's reference is the test-only oracle MatchNaive
+// (match_oracle_test.go): conditions compiled on the spot, declaration
+// join order, the algebra's materializing Join at every step.
 //
 // # Adaptive planning
 //
-// Both execution modes, the parallel kernels, and EstimatePattern
-// consume the same prepared plan, resolved through PlanFor: a
-// per-frozen-graph LRU cache keyed by the memoized pattern signature.
-// A cached Plan carries everything planning produces — compiled node
-// predicates, the start relation key, the ordered join steps with
-// cardinality estimates, and the streaming/parallel gate inputs — so a
-// repeat pattern (every page fetch, every history revert, every
-// session running the same query) skips planning entirely; a warm
-// lookup costs a pointer load and one map probe (BenchmarkPlanCache).
+// The engine and PlanForOpts resolve the prepared plan through one
+// function, planFor: a per-frozen-graph LRU cache keyed by the memoized
+// pattern signature. A cached Plan carries everything planning
+// produces — compiled node predicates, the start relation key, the
+// ordered join steps with cardinality estimates, and the peak-scan
+// estimate that gates the parallelism budget — so a repeat pattern
+// skips planning entirely; a warm lookup costs a pointer load and one
+// map probe (BenchmarkPlanCache).
 //
 // The ordering policy is adaptive (resolvePlannerMode): below
 // adaptiveStatsMinNodes the greedy no-statistics ordering is used —
@@ -48,17 +53,11 @@
 // cheaper policy wins — and above it the statistics-backed cost model,
 // where skewed fan-out can compound across multi-hop joins.
 // ExecOptions.Planner forces either policy; ExecOptions.NoPlanCache
-// bypasses the cache (with PlannerAuto it reproduces the legacy
-// plan-every-time path exactly, with a forced mode it builds a fresh
-// uncached plan under that policy — the ablation's measurement arm).
+// builds the plan without looking it up or inserting it, in every mode
+// (the plan-every-time arm of the planner benchmarks).
 //
-// Plans are corrected by runtime feedback: executions record actual
-// per-step output cardinalities, and when the worst observed/estimated
-// ratio exceeds feedbackReplanRatio the cached entry is re-planned
-// from the measured sizes (same join order → estimates are calibrated
-// in place). PlannerStatsFor exposes hits, misses, evictions, the
-// greedy/cost split, and feedback replans; the server surfaces them at
-// /api/v1/stats.
+// PlannerStatsFor exposes hits, misses, evictions and the greedy/cost
+// split; the server surfaces them at /api/v1/stats.
 //
 // # Windowed presentation
 //

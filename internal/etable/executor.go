@@ -106,22 +106,6 @@ func computeSignature(p *Pattern) string {
 	return strings.Join(nodes, "\x1e") + "\x1f" + strings.Join(edges, "\x1e")
 }
 
-// base returns σ_C(R^G) for one pattern node, cached. The compute path
-// runs under the caller's execution options; cache hits are option-
-// independent because parallel and serial kernels produce identical
-// relations.
-func (e *Executor) base(opt ExecOptions) func(n *PatternNode) (*graphrel.Relation, error) {
-	return func(n *PatternNode) (*graphrel.Relation, error) {
-		return getOrComputeLive(opt.Ctx, e.cache, basePrefix+nodeSignature(n), func() (*graphrel.Relation, error) {
-			r, err := graphrel.BaseNamed(e.g, n.Type, n.Key)
-			if err != nil {
-				return nil, err
-			}
-			return graphrel.SelectPar(opt.Ctx, opt.Pool, opt.Parallelism, r, n.Key, n.Cond)
-		})
-	}
-}
-
 // foreignCancellation classifies a cache-lookup error for a caller
 // whose own context is ctx: true means err is a cancellation that did
 // NOT originate from ctx (a singleflight leader's client disconnected
@@ -155,121 +139,29 @@ func (e *Executor) Match(p *Pattern) (*graphrel.Relation, error) {
 }
 
 // MatchWithOpts is the caching counterpart of the package-level
-// MatchOpts: it uses the same cost-based join plan, with base relations
-// additionally served from the per-(type, condition) cache. Nested
+// MatchOpts: the same engine, with the matched relation served from the
+// per-signature cache and the base relations from the per-(type,
+// condition) cache. Planning and execution happen inside the compute
+// path only — cache hits, the common case, pay nothing. Nested
 // GetOrCompute calls are safe: the cache holds no locks while
 // computing.
 //
 // Options and the cache compose: a signature is computed once no matter
-// which kernel (parallel or serial) any concurrent requester would have
-// used, because the kernels are output-identical. Cancellation composes
-// too: a singleflight leader canceled mid-compute hands its waiters the
-// cancellation error, but waiters whose own context is live retry and
-// recompute instead of surfacing another request's cancellation
-// (getOrComputeLive).
+// which budget any concurrent requester would have run it under,
+// because the drained relation does not depend on the budget.
+// Cancellation composes too: a singleflight leader canceled mid-compute
+// hands its waiters the cancellation error, but waiters whose own
+// context is live retry and recompute instead of surfacing another
+// request's cancellation (getOrComputeLive).
 func (e *Executor) MatchWithOpts(p *Pattern, opt ExecOptions) (*graphrel.Relation, error) {
-	if opt.Ctx != nil {
-		// Fail abandoned requests before they can become singleflight
-		// leaders whose cancellation would fail innocent waiters.
-		if err := opt.Ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-	return getOrComputeLive(opt.Ctx, e.cache, matchPrefix+Signature(p), e.matchCompute(p, opt))
-}
-
-// matchCompute builds the cache compute closure for one pattern match —
-// shared by the plain and the pinned lookup paths. When the options
-// select streaming, the join pipeline runs as a pull-based batch
-// stream and is materialized only at the end (identical relation,
-// bounded intermediates); either way the cached value is a fully
-// materialized relation.
-func (e *Executor) matchCompute(p *Pattern, opt ExecOptions) func() (*graphrel.Relation, error) {
-	return func() (*graphrel.Relation, error) {
-		// Plan resolution (estimates, compiled predicates, join order,
-		// mode gates) happens inside the compute path only — cache
-		// hits, the common case, pay nothing. The plan itself comes
-		// from the per-graph plan cache, so even repeated misses
-		// (distinct primaries over one signature, evicted relations)
-		// plan once.
-		if opt.NoPlanCache && opt.Planner == PlannerAuto {
-			o := opt.effectiveFresh(e.g, p)
-			if o.wantStreamFresh(e.g, p) {
-				src, err := matchSource(e.g, p, o, e.base(o))
-				if err != nil {
-					return nil, err
-				}
-				return materializeMax(src, o.MaxRows)
-			}
-			return e.matchEager(p, o)
-		}
-		pl, err := planFor(e.g, p, opt)
-		if err != nil {
-			return nil, err
-		}
-		o := opt.effectiveFor(pl)
-		if o.wantStreamFor(pl, p) {
-			src, err := matchSourcePlanned(e.g, p, pl, o, e.base(o))
-			if err != nil {
-				return nil, err
-			}
-			return materializeMax(src, o.MaxRows)
-		}
-		return e.matchEagerPlanned(p, pl, o)
-	}
-}
-
-// matchEager is the fresh-planning materializing match body: cached
-// bases, a cost plan over their exact sizes, eager join steps (the
-// NoPlanCache baseline).
-func (e *Executor) matchEager(p *Pattern, opt ExecOptions) (*graphrel.Relation, error) {
-	bases, sizes, err := selectedBases(p, e.base(opt))
-	if err != nil {
+	// Fail abandoned requests before they can become singleflight
+	// leaders whose cancellation would fail innocent waiters.
+	if err := ctxErr(opt.Ctx); err != nil {
 		return nil, err
 	}
-	start, steps, err := planJoins(e.g, p, sizes)
-	if err != nil {
-		return nil, err
-	}
-	return matchSteps(bases, start, steps, nil, opt)
-}
-
-// matchEagerPlanned is the planned materializing match body: cached
-// bases, the prepared plan's join order, and the executed step
-// cardinalities fed back to the plan cache.
-func (e *Executor) matchEagerPlanned(p *Pattern, pl *Plan, opt ExecOptions) (*graphrel.Relation, error) {
-	bases, sizes, err := selectedBases(p, e.base(opt))
-	if err != nil {
-		return nil, err
-	}
-	matched, actuals, err := matchStepsObserved(bases, pl.startKey, pl.steps, nil, opt)
-	if err != nil {
-		return nil, err
-	}
-	planObserve(e.g, p, pl, sizes, actuals)
-	return matched, nil
-}
-
-// MatchPinnedWithOpts is MatchWithOpts plus a Pin on the cached matched
-// relation: while the pin is held, the relation is exempt from cache
-// eviction, so a session paging through the result keeps addressing
-// the same relation. The caller must Release the pin when the last
-// window over it is dropped. Foreign-cancellation retry composes with
-// pinning the same way as with the plain lookup.
-func (e *Executor) MatchPinnedWithOpts(p *Pattern, opt ExecOptions) (*graphrel.Relation, *Pin, error) {
-	if opt.Ctx != nil {
-		if err := opt.Ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-	}
-	key := matchPrefix + Signature(p)
-	compute := e.matchCompute(p, opt)
-	for {
-		rel, pin, err := e.cache.GetOrComputePinned(key, compute)
-		if !foreignCancellation(opt.Ctx, err) {
-			return rel, pin, err
-		}
-	}
+	return getOrComputeLive(opt.Ctx, e.cache, matchPrefix+Signature(p), func() (*graphrel.Relation, error) {
+		return matchRelation(e.g, p, opt, e.cache)
+	})
 }
 
 // errSpilled signals, inside PrepareWithOpts' compute closure, that the
@@ -287,29 +179,29 @@ var errSpilled = errors.New("etable: result spilled to disk")
 // Presentation stays valid afterwards (relations are immutable), but
 // the cache may then recompute the match for other sessions.
 //
-// On a cache miss with streaming selected, the presentation is folded
-// directly off the streamed pipeline (PrepareFromSource): the match
-// never exists as a chain of materialized intermediates, only as the
-// final spliced relation that goes into the cache and under the pin.
-// The fold happens only when this caller is the compute leader —
-// singleflight waiters and cache hits receive the cached relation and
-// prepare from it eagerly, which yields an identical presentation (the
-// fold and the eager passes are both pure functions of the tuple set).
+// On a cache miss the presentation is folded directly off the engine's
+// stream (PrepareFromSource): the match never exists as a chain of
+// materialized intermediates, only as the final spliced relation that
+// goes into the cache and under the pin. The fold happens only when
+// this caller is the compute leader — singleflight waiters, cache hits
+// and joinless patterns (whose match is the cached base itself) receive
+// the relation and prepare from it with PrepareOpts, which yields an
+// identical presentation (the fold and the whole-relation passes are
+// both pure functions of the tuple set).
 //
 // With a spill policy in the options, a prepare whose match crosses
-// MaxRows comes back disk-resident instead of failing: the returned
-// Pin is nil (spilled relations are never cached — they are owned by
-// exactly one caller) and the caller must Close the presentation when
-// done paging. Pin.Release is nil-safe, so callers that treat the pair
-// uniformly need no special casing beyond the Close.
+// MaxRows comes back disk-resident instead of failing — the spill tier
+// is the drain's sink, not a second attempt: the returned Pin is nil
+// (spilled relations are never cached — they are owned by exactly one
+// caller) and the caller must Close the presentation when done paging.
+// Pin.Release is nil-safe, so callers that treat the pair uniformly
+// need no special casing beyond the Close.
 func (e *Executor) PrepareWithOpts(p *Pattern, opt ExecOptions) (*Presentation, *Pin, error) {
 	if err := p.Validate(e.g.Schema()); err != nil {
 		return nil, nil, err
 	}
-	if opt.Ctx != nil {
-		if err := opt.Ctx.Err(); err != nil {
-			return nil, nil, err
-		}
+	if err := ctxErr(opt.Ctx); err != nil {
+		return nil, nil, err
 	}
 	key := matchPrefix + Signature(p)
 	// streamed carries the presentation out of the compute closure when
@@ -318,46 +210,19 @@ func (e *Executor) PrepareWithOpts(p *Pattern, opt ExecOptions) (*Presentation, 
 	// not at all.
 	var streamed *Presentation
 	compute := func() (*graphrel.Relation, error) {
-		if opt.NoPlanCache && opt.Planner == PlannerAuto {
-			o := opt.effectiveFresh(e.g, p)
-			if o.wantStreamFresh(e.g, p) {
-				src, err := matchSource(e.g, p, o, e.base(o))
-				if err != nil {
-					return nil, err
-				}
-				pres, rel, err := PrepareFromSource(e.g, p, src, o)
-				if err != nil {
-					return nil, err
-				}
-				streamed = pres
-				if rel == nil {
-					return nil, errSpilled
-				}
-				return rel, nil
-			}
-			return e.matchEager(p, o)
+		rel, src, err := matchPipeline(e.g, p, opt, e.cache)
+		if err != nil || src == nil {
+			return rel, err
 		}
-		pl, err := planFor(e.g, p, opt)
+		pres, rel, err := PrepareFromSource(e.g, p, src, opt)
 		if err != nil {
 			return nil, err
 		}
-		o := opt.effectiveFor(pl)
-		if o.wantStreamFor(pl, p) {
-			src, err := matchSourcePlanned(e.g, p, pl, o, e.base(o))
-			if err != nil {
-				return nil, err
-			}
-			pres, rel, err := PrepareFromSource(e.g, p, src, o)
-			if err != nil {
-				return nil, err
-			}
-			streamed = pres
-			if rel == nil {
-				return nil, errSpilled
-			}
-			return rel, nil
+		streamed = pres
+		if rel == nil {
+			return nil, errSpilled
 		}
-		return e.matchEagerPlanned(p, pl, o)
+		return rel, nil
 	}
 	for {
 		streamed = nil
@@ -374,15 +239,6 @@ func (e *Executor) PrepareWithOpts(p *Pattern, opt ExecOptions) (*Presentation, 
 			continue
 		}
 		if err != nil {
-			var rle *graphrel.RowLimitError
-			if errors.As(err, &rle) && opt.Spill != nil && opt.MaxRows > 0 {
-				// The eager arm tripped the row cap before streaming could
-				// spill (an intermediate join step overflowed). Rerun the
-				// match as a stream so the spill machinery gets to absorb
-				// it; the result bypasses the cache like every spilled
-				// prepare.
-				return e.prepareSpillFallback(p, opt)
-			}
 			return nil, nil, err
 		}
 		if streamed != nil {
@@ -395,25 +251,6 @@ func (e *Executor) PrepareWithOpts(p *Pattern, opt ExecOptions) (*Presentation, 
 		}
 		return pr, pin, nil
 	}
-}
-
-// prepareSpillFallback reruns a row-capped eager prepare as a forced
-// stream with spilling, bypassing the cache entirely: the streamed
-// pipeline bounds the intermediates the eager arm materialized, and
-// the spill tier absorbs the oversized result. The returned Pin is
-// always nil; the caller owns the presentation's Close.
-func (e *Executor) prepareSpillFallback(p *Pattern, opt ExecOptions) (*Presentation, *Pin, error) {
-	o := opt
-	o.Stream = StreamOn
-	src, err := matchSource(e.g, p, o.effectiveFresh(e.g, p), e.base(o))
-	if err != nil {
-		return nil, nil, err
-	}
-	pres, _, err := PrepareFromSource(e.g, p, src, o)
-	if err != nil {
-		return nil, nil, err
-	}
-	return pres, nil, nil
 }
 
 // Execute runs the pattern with intermediate-result reuse (serial,

@@ -17,13 +17,13 @@ import (
 )
 
 // TestLazyEagerEquivalenceFuzz is the out-of-core correctness drill:
-// the same randomized patterns execute against an eagerly loaded graph
-// and a lazily loaded one whose pager budget (2–3 sections) is far
-// below the column count, across the eager, streaming, and
-// morsel-parallel arms — with the three lazy arms racing each other so
-// column faults interleave with evictions. Matched tuple sets and the
-// rendered windows must be byte-identical. The CI race shard runs this
-// under -race.
+// randomized patterns run through the oracle on an eagerly loaded
+// graph, and through the engine on a lazily loaded one whose pager
+// budget (2–3 sections) is far below the column count — a serial arm
+// and two pooled budgets racing each other so column faults interleave
+// with evictions. Matched tuple sets must be the oracle's
+// and the rendered windows byte-identical to the window over the
+// oracle's match. The CI race shard runs this under -race.
 func TestLazyEagerEquivalenceFuzz(t *testing.T) {
 	db, err := dataset.Generate(dataset.Config{Papers: 120, Seed: 11})
 	if err != nil {
@@ -45,6 +45,7 @@ func TestLazyEagerEquivalenceFuzz(t *testing.T) {
 		t.Fatal(err)
 	}
 	pool := exec.NewPool(4)
+	withParallelGate(t, 0)
 	for _, budget := range []int{2, 3} {
 		budget := budget
 		t.Run(fmt.Sprintf("pool=%d", budget), func(t *testing.T) {
@@ -58,16 +59,16 @@ func TestLazyEagerEquivalenceFuzz(t *testing.T) {
 				name string
 				opt  ExecOptions
 			}{
-				{"eager", ExecOptions{Stream: StreamOff}},
-				{"stream", ExecOptions{Stream: StreamOn}},
-				{"parallel", ExecOptions{Pool: pool, Parallelism: 4}},
+				{"serial", ExecOptions{}},
+				{"budget=2", ExecOptions{Pool: pool, Parallelism: 2}},
+				{"budget=4", ExecOptions{Pool: pool, Parallelism: 4}},
 			}
 			rng := rand.New(rand.NewSource(int64(100 + budget)))
 			for i := 0; i < 12; i++ {
 				p := randomPattern(t, rng, tr.Schema)
-				ref, err := MatchOpts(eager.Graph, p, ExecOptions{Stream: StreamOff})
+				ref, err := MatchNaive(eager.Graph, p)
 				if err != nil {
-					t.Fatalf("pattern %d (%s): eager baseline: %v", i, p, err)
+					t.Fatalf("pattern %d (%s): oracle on the eager load: %v", i, p, err)
 				}
 				wantTuples := canonMatch(ref)
 				wantWindow := renderWindow(t, eager.Graph, p, ref, ExecOptions{})

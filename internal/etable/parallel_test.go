@@ -8,12 +8,14 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/graphrel"
+	"repro/internal/stats"
 	"repro/internal/value"
 )
 
-// TestParallelExecuteEquivalence asserts the full parallel execution
-// path (morsel-parallel selects and joins, bypassing the size gate)
-// returns results identical to serial execution on the paper's Figure 1
+// TestParallelExecuteEquivalence asserts the full execution path under
+// a pool — with the size gate lowered so the budget survives on this
+// small corpus and the selects, join stages, grouping and render all
+// fan out — returns the oracle's enriched table on the paper's Figure 1
 // and Figure 7 patterns.
 func TestParallelExecuteEquivalence(t *testing.T) {
 	tr := planFixture(t)
@@ -22,31 +24,26 @@ func TestParallelExecuteEquivalence(t *testing.T) {
 		"figure1": figure1PlanPattern(t, tr),
 		"figure7": figure7PlanPattern(t, tr),
 	} {
-		want, err := Execute(tr.Instance, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, budget := range []int{2, 4} {
-			// matchColumnsOpts bypasses the EstimatePattern gate so the
-			// parallel kernels run even on this small test corpus.
-			matched, err := matchColumnsOpts(tr.Instance, p,
-				ExecOptions{Ctx: context.Background(), Pool: pool, Parallelism: budget})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := transform(tr.Instance, p, matched)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertSameResults(t, name, got, want)
-		}
-		// The public gated path must agree too (it may pick serial).
+		_, want := oracleTable(t, tr.Instance, p)
+		// The gated path first (on this corpus it clamps to serial).
 		got, err := ExecuteOpts(tr.Instance, p,
 			ExecOptions{Ctx: context.Background(), Pool: pool, Parallelism: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
 		assertSameResults(t, name+"/gated", got, want)
+		t.Run(name, func(t *testing.T) {
+			withParallelGate(t, 0)
+			withSmallStreamBatches(t, 16)
+			for _, budget := range []int{2, 4} {
+				got, err := ExecuteOpts(tr.Instance, p,
+					ExecOptions{Ctx: context.Background(), Pool: pool, Parallelism: budget})
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertSameResults(t, name, got, want)
+			}
+		})
 	}
 }
 
@@ -82,26 +79,33 @@ func assertSameResults(t *testing.T, name string, got, want *Result) {
 
 // TestSerialFallbackGate pins the statistics-driven gate: on the small
 // test corpus every pattern's peak estimated scan is far below two
-// morsels, so effective() must collapse the budget to 1 — tiny
+// morsels, so the plan must collapse the budget to 1 — tiny
 // interactive queries never pay fan-out overhead.
 func TestSerialFallbackGate(t *testing.T) {
 	tr := planFixture(t)
 	p := figure7PlanPattern(t, tr)
-	est := EstimatePattern(tr.Instance, p)
-	if est <= 0 {
-		t.Fatalf("EstimatePattern = %v, want > 0", est)
+	pl, err := PlanFor(tr.Instance, p)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if est >= parallelMinEstRows {
-		t.Skipf("test corpus grew past the gate (%v rows)", est)
+	if pl.estPeak <= 0 {
+		t.Fatalf("estPeak = %v, want > 0", pl.estPeak)
 	}
-	opt := ExecOptions{Pool: exec.NewPool(4), Parallelism: 8}
-	if got := opt.effective(tr.Instance, p); got.Parallelism != 1 {
-		t.Errorf("effective parallelism = %d, want 1 (est %v < %d)",
-			got.Parallelism, est, parallelMinEstRows)
+	if pl.estPeak >= parallelMinEstRows {
+		t.Skipf("test corpus grew past the gate (%v rows)", pl.estPeak)
 	}
-	// Without a pool the budget always collapses.
-	if got := (ExecOptions{Parallelism: 8}).effective(tr.Instance, p); got.Parallelism != 1 {
-		t.Errorf("pool-less effective parallelism = %d, want 1", got.Parallelism)
+	pooled := ExecOptions{Pool: exec.NewPool(4), Parallelism: 8}
+	if got := pl.budget(pooled); got != 1 {
+		t.Errorf("budget = %d, want 1 (est %v < %v)", got, pl.estPeak, parallelMinEstRows)
+	}
+	// Without a pool the budget always collapses; past the gate it
+	// survives.
+	withParallelGate(t, 0)
+	if got := pl.budget(ExecOptions{Parallelism: 8}); got != 1 {
+		t.Errorf("pool-less budget = %d, want 1", got)
+	}
+	if got := pl.budget(pooled); got != 8 {
+		t.Errorf("ungated budget = %d, want 8", got)
 	}
 }
 
@@ -134,16 +138,13 @@ func TestExecuteOptsCancellation(t *testing.T) {
 func TestPlanStepEstimates(t *testing.T) {
 	tr := planFixture(t)
 	p := figure7PlanPattern(t, tr)
-	_, sizes, err := selectedBases(p, baseRelation(tr.Instance, ExecOptions{}))
+	pl, err := PlanForOpts(tr.Instance, p, ExecOptions{Planner: PlannerCost})
 	if err != nil {
 		t.Fatal(err)
 	}
-	start, steps, err := planJoins(tr.Instance, p, sizes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prev := float64(sizes[start])
-	for i, s := range steps {
+	start := p.Node(pl.startKey)
+	prev := stats.For(tr.Instance).EstimateBaseRows(start.Type, start.Cond)
+	for i, s := range pl.steps {
 		if s.EstIn != prev {
 			t.Errorf("step %d EstIn = %v, want %v", i, s.EstIn, prev)
 		}

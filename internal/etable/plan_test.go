@@ -106,8 +106,8 @@ func canonMatch(r *graphrel.Relation) []string {
 }
 
 // TestPlannerMatchEquivalence asserts the planner-ordered Match produces
-// exactly the tuple set of the declaration-order MatchNaive on the
-// paper's Figure 1 and Figure 7 patterns.
+// exactly the tuple set of the declaration-order oracle (MatchNaive) on
+// the paper's Figure 1 and Figure 7 patterns.
 func TestPlannerMatchEquivalence(t *testing.T) {
 	tr := planFixture(t)
 	for name, build := range map[string]func(testing.TB, *translate.Result) *Pattern{
@@ -156,7 +156,7 @@ func TestPlannerExecuteEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		naive, err := transform(tr.Instance, p, naiveMatch)
+		naive, err := transformOpts(tr.Instance, p, naiveMatch, ExecOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -189,71 +189,21 @@ func TestPlannerExecuteEquivalence(t *testing.T) {
 	}
 }
 
-// TestPlannerStartsAtMostSelectiveNode pins the planner's greedy choice:
-// on Figure 7 the SIGMOD-filtered Conferences base (1 node) must be the
-// join start, not the primary Authors node the naive order uses.
+// TestPlannerStartsAtMostSelectiveNode pins the cost planner's choice:
+// on Figure 7 the SIGMOD-filtered Conferences base (estimated at one
+// node) must be the join start, not the primary Authors node the naive
+// order uses.
 func TestPlannerStartsAtMostSelectiveNode(t *testing.T) {
 	tr := planFixture(t)
 	p := figure7PlanPattern(t, tr)
-	bases, sizes, err := selectedBases(p, baseRelation(tr.Instance, ExecOptions{}))
+	pl, err := PlanForOpts(tr.Instance, p, ExecOptions{Planner: PlannerCost, NoPlanCache: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	start, steps, err := planJoins(tr.Instance, p, sizes)
-	if err != nil {
-		t.Fatal(err)
+	if pl.startKey != "Conferences" {
+		t.Errorf("planner start = %q, want Conferences", pl.startKey)
 	}
-	if start != "Conferences" {
-		t.Errorf("planner start = %q, want Conferences (size %d)", start, sizes[start])
-	}
-	if len(steps) != len(p.Nodes)-1 {
-		t.Errorf("planned %d steps, want %d", len(steps), len(p.Nodes)-1)
-	}
-	if bases[start].Len() != sizes[start] {
-		t.Errorf("base size bookkeeping inconsistent")
-	}
-}
-
-// TestMatchColumnsPushdown asserts the projected matcher returns exactly
-// the requested columns with the same distinct node sets as the full
-// match.
-func TestMatchColumnsPushdown(t *testing.T) {
-	tr := planFixture(t)
-	p := figure7PlanPattern(t, tr)
-	full, err := Match(tr.Instance, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	proj, err := MatchColumns(tr.Instance, p, "Authors", "Papers")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(proj.Attrs) != 2 || proj.Attrs[0].Name != "Authors" || proj.Attrs[1].Name != "Papers" {
-		t.Fatalf("projected attrs = %v", proj.Attrs)
-	}
-	for _, key := range []string{"Authors", "Papers"} {
-		want, err := graphrel.DistinctNodes(full, key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := graphrel.DistinctNodes(proj, key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ws := map[int32]bool{}
-		for _, id := range want {
-			ws[int32(id)] = true
-		}
-		if len(got) != len(want) {
-			t.Fatalf("%s: %d distinct nodes, want %d", key, len(got), len(want))
-		}
-		for _, id := range got {
-			if !ws[int32(id)] {
-				t.Fatalf("%s: unexpected node %v", key, id)
-			}
-		}
-	}
-	if _, err := MatchColumns(tr.Instance, p, "Nope"); err == nil {
-		t.Error("unknown projected key accepted")
+	if len(pl.steps) != len(p.Nodes)-1 {
+		t.Errorf("planned %d steps, want %d", len(pl.steps), len(p.Nodes)-1)
 	}
 }

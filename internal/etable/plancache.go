@@ -6,48 +6,33 @@ import (
 	"sync/atomic"
 
 	"repro/internal/expr"
-	"repro/internal/graphrel"
 	"repro/internal/stats"
 	"repro/internal/tgm"
 )
 
-// Adaptive planning: every execution path — Execute, the caching
-// Executor, MatchSource, EstimatePattern — resolves its plan through
-// one entry point, PlanFor, backed by a per-frozen-graph plan cache
-// keyed on the pattern's canonical signature. A cached Plan is the
-// fully prepared execution recipe: compiled per-node selection
-// predicates, the start base, the ordered join steps with their
-// cardinality estimates, and the peak-scan estimate that gates the
-// parallel and streaming modes. Sessions replay a small set of
-// signatures thousands of times; with the cache, the second and every
-// later execution of a signature skips estimation, condition
+// Adaptive planning: the match engine (matchPipeline) and PlanForOpts
+// resolve plans through one entry point, planFor, backed by a
+// per-frozen-graph plan cache keyed on the pattern's canonical
+// signature. A Plan is the fully prepared execution recipe: compiled
+// per-node selection predicates, the start base, the ordered join
+// steps with their cardinality estimates, and the peak-scan estimate
+// that gates the parallelism budget. With the cache, the second and
+// every later execution of a signature skips estimation, condition
 // compilation, and join ordering entirely.
 //
-// The planner is adaptive on two axes:
+// The ordering policy is adaptive. Below adaptiveStatsMinNodes instance
+// nodes the join order is chosen by a statistics-free greedy rule
+// (extend to the smallest raw base); above it, by the fan-out ×
+// selectivity cost model. Small corpora are where the cost model's
+// estimation error can exceed what optimal ordering saves ("When
+// Greedy Beats Optimal"); PERFORMANCE.md §8 measures the crossover that
+// picked the threshold. ExecOptions.Planner overrides the choice per
+// execution.
 //
-//   - Ordering policy. Below adaptiveStatsMinNodes instance nodes the
-//     join order is chosen by a statistics-free greedy rule (extend to
-//     the smallest raw base); above it, by the fan-out × selectivity
-//     cost model. Small corpora are where the cost model's estimation
-//     error can exceed what optimal ordering saves ("When Greedy Beats
-//     Optimal"); PERFORMANCE.md §8 measures the crossover that picked
-//     the threshold. ExecOptions.Planner overrides the choice per
-//     execution.
-//   - Runtime feedback. The eager execution path reports each step's
-//     actual output cardinality back to the cache (planObserve). When
-//     the worst observed/estimated ratio exceeds feedbackReplanRatio,
-//     the entry is re-planned from the observed truth and replaced, so
-//     a bad ordering cannot stay pinned in the cache. Re-planning
-//     converges: a replacement whose ordering already matches the
-//     truth-fed cost model gets its estimates calibrated to the
-//     observations instead, and a frozen graph's cardinalities are
-//     deterministic, so at most two replacements happen per signature.
-//
-// Plans are immutable after publication; feedback replaces whole
-// entries. The cache lives on the instance graph (tgm.PlanCache), so
-// plans share the graph's lifetime and can never be served for a
-// different graph. Unfrozen graphs plan fresh on every call, exactly
-// like statistics.
+// Plans are immutable after publication. The cache lives on the
+// instance graph (tgm.PlanCache), so plans share the graph's lifetime
+// and can never be served for a different graph. Unfrozen graphs plan
+// fresh on every call, exactly like statistics.
 
 // PlannerMode selects the join-ordering policy for one execution.
 type PlannerMode uint8
@@ -97,10 +82,6 @@ const (
 	// cost model starts paying for itself once skewed fan-outs have
 	// room to multiply intermediates.
 	adaptiveStatsMinNodes = 10_000
-	// feedbackReplanRatio bounds tolerated estimation error: when any
-	// step's actual output cardinality is off from its estimate by more
-	// than this factor (either direction), the cached plan is replaced.
-	feedbackReplanRatio = 8.0
 	// defaultPlanCacheEntries bounds each graph's plan cache. Plans are
 	// a few hundred bytes; the bound exists to keep pathological
 	// signature churn (e.g. fuzzed conditions) from growing without
@@ -110,77 +91,54 @@ const (
 
 // Plan is one fully prepared execution plan for a pattern signature:
 // everything derivable before base relations exist. Plans are immutable
-// once published — the feedback loop replaces entries instead of
-// mutating them — so concurrent executions share them freely.
+// once published, so concurrent executions share them freely.
 type Plan struct {
-	sig      string
-	mode     PlannerMode // resolved: PlannerGreedy or PlannerCost
 	startKey string
 	steps    []JoinStep
 	// estPeak is the statistics-only estimate of the largest relation
-	// any kernel will scan (EstimatePattern's answer); it feeds the
-	// parallel and streaming gates.
+	// any kernel will scan (planPeak); it gates the parallelism budget
+	// (Plan.budget).
 	estPeak float64
 	// preds holds each conditioned node's selection predicate, compiled
 	// once at plan time (nil entry = unconditioned node).
 	preds map[string]expr.Pred
-	// cached reports whether this plan lives in a plan cache — only
-	// cached plans participate in the feedback loop.
-	cached bool
-}
-
-// Mode returns the resolved ordering policy that built the plan.
-func (pl *Plan) Mode() PlannerMode { return pl.mode }
-
-// EstPeak returns the plan's peak-scan estimate (see EstimatePattern).
-func (pl *Plan) EstPeak() float64 { return pl.estPeak }
-
-// baseRelation is the planned counterpart of the package-level
-// baseRelation builder: selections run through the plan's compiled
-// predicates, so repeated executions skip condition compilation.
-func (pl *Plan) baseRelation(g *tgm.InstanceGraph, opt ExecOptions) func(*PatternNode) (*graphrel.Relation, error) {
-	return func(n *PatternNode) (*graphrel.Relation, error) {
-		r, err := graphrel.BaseNamed(g, n.Type, n.Key)
-		if err != nil {
-			return nil, err
-		}
-		return graphrel.SelectParPred(opt.Ctx, opt.Pool, opt.Parallelism, r, n.Key, pl.preds[n.Key])
-	}
 }
 
 // PlanFor returns the prepared execution plan for p over g under the
 // default (adaptive) planner mode, served from g's plan cache when g
-// is frozen. It is the single planning entry point: the estimate the
-// execution gates consult and the steps the kernels run always come
-// from the same object.
+// is frozen.
 func PlanFor(g *tgm.InstanceGraph, p *Pattern) (*Plan, error) {
 	return planFor(g, p, ExecOptions{})
 }
 
 // PlanForOpts is PlanFor under execution options: Planner forces an
 // ordering policy and NoPlanCache builds a fresh uncached plan — the
-// knobs BenchmarkPlanCache and the ablation arms drive, and the hook
-// for EXPLAIN-style tooling that wants the plan without executing it.
+// knobs BenchmarkPlanCache and the ablation arms drive, and how the
+// traced benchmark run times planning without executing.
 func PlanForOpts(g *tgm.InstanceGraph, p *Pattern, opt ExecOptions) (*Plan, error) {
 	return planFor(g, p, opt)
 }
 
-// planFor resolves the plan for one execution: cache lookup for frozen
-// graphs, fresh build otherwise. Two goroutines racing on the same
-// signature may both build; the insert is last-writer-wins and the
-// plans are interchangeable, so no singleflight is needed — planning
-// is a few microseconds of pure computation.
+// planFor resolves the plan for one execution — the single planning
+// entry point, so the estimate that gates the budget and the steps the
+// engine runs always come from the same object: cache lookup for frozen
+// graphs, fresh build otherwise or when the options say NoPlanCache
+// (built, never looked up, never inserted — in every planner mode).
+// Two goroutines racing on the same signature may both build; the
+// insert is last-writer-wins and the plans are interchangeable, so no
+// singleflight is needed — planning is a few microseconds of pure
+// computation.
 func planFor(g *tgm.InstanceGraph, p *Pattern, opt ExecOptions) (*Plan, error) {
 	mode := resolvePlannerMode(g, opt.Planner)
 	if opt.NoPlanCache || !g.Frozen() {
-		return buildPlan(g, p, mode, false)
+		return buildPlan(g, p, mode)
 	}
 	pc := planCacheFor(g)
 	key := planKey(mode, Signature(p))
 	if pl, ok := pc.get(key); ok {
 		return pl, nil
 	}
-	pl, err := buildPlan(g, p, mode, true)
+	pl, err := buildPlan(g, p, mode)
 	if err != nil {
 		return nil, err
 	}
@@ -209,10 +167,9 @@ func resolvePlannerMode(g *tgm.InstanceGraph, m PlannerMode) PlannerMode {
 // buildPlan prepares a plan from statistics alone (no base relation is
 // built): estimated base sizes, compiled predicates, the join order of
 // the resolved mode, and the peak-scan estimate. The peak estimate is
-// always derived from the cost-model ordering so EstimatePattern (and
-// both execution gates) see the same number regardless of which
-// ordering executes.
-func buildPlan(g *tgm.InstanceGraph, p *Pattern, mode PlannerMode, cached bool) (*Plan, error) {
+// always derived from the cost-model ordering so the budget gate sees
+// the same number regardless of which ordering executes.
+func buildPlan(g *tgm.InstanceGraph, p *Pattern, mode PlannerMode) (*Plan, error) {
 	st := stats.For(g)
 	estSizes := make(map[string]float64, len(p.Nodes))
 	preds := make(map[string]expr.Pred, len(p.Nodes))
@@ -242,13 +199,13 @@ func buildPlan(g *tgm.InstanceGraph, p *Pattern, mode PlannerMode, cached bool) 
 			return nil, err
 		}
 	}
-	return &Plan{sig: Signature(p), mode: mode, startKey: start, steps: steps,
-		estPeak: estPeak, preds: preds, cached: cached}, nil
+	return &Plan{startKey: start, steps: steps, estPeak: estPeak, preds: preds}, nil
 }
 
-// planPeak is EstimatePattern's formula over prepared steps: the
-// biggest unfiltered base (what Select scans) or the biggest estimated
-// intermediate (what each Join scans).
+// planPeak estimates, from statistics alone, the largest relation any
+// kernel of the plan's execution will scan: the biggest unfiltered base
+// (what Select scans) or the biggest estimated intermediate (what each
+// join stage scans).
 func planPeak(st *stats.Graph, p *Pattern, steps []JoinStep) float64 {
 	peak := 0.0
 	for i := range p.Nodes {
@@ -265,41 +222,6 @@ func planPeak(st *stats.Graph, p *Pattern, steps []JoinStep) float64 {
 		}
 	}
 	return peak
-}
-
-// planObserve feeds one eager execution's actual per-step output
-// cardinalities back to the plan cache. When the worst
-// observed/estimated ratio exceeds feedbackReplanRatio, the cached
-// entry is re-planned from the observed truth and replaced. Only
-// cache-resident plans participate; the streaming path never
-// materializes intermediates, so it reports nothing.
-func planObserve(g *tgm.InstanceGraph, p *Pattern, pl *Plan, sizes map[string]int, actuals []int) {
-	if pl == nil || !pl.cached || len(actuals) == 0 || len(actuals) != len(pl.steps) {
-		return
-	}
-	if stepErrRatio(pl.steps, actuals) <= feedbackReplanRatio {
-		return
-	}
-	if pc, ok := g.PlanCache().(*planCache); ok {
-		pc.replan(g, p, pl, sizes, actuals)
-	}
-}
-
-// stepErrRatio is the worst per-step estimation error, as a ratio ≥ 1
-// (+1 smoothing keeps empty steps finite).
-func stepErrRatio(steps []JoinStep, actuals []int) float64 {
-	worst := 1.0
-	for i, st := range steps {
-		est, act := st.EstOut+1, float64(actuals[i])+1
-		r := est / act
-		if r < 1 {
-			r = 1 / r
-		}
-		if r > worst {
-			worst = r
-		}
-	}
-	return worst
 }
 
 // planKey namespaces cache entries by resolved mode, so a forced
@@ -332,7 +254,6 @@ type planCache struct {
 
 	hits, misses, evictions atomic.Int64
 	greedyPlans, costPlans  atomic.Int64
-	replans                 atomic.Int64
 }
 
 type planElem struct {
@@ -410,50 +331,6 @@ func (pc *planCache) moveFront(el *planElem) {
 	pc.pushFront(el)
 }
 
-// replan replaces the cached plan for pl's signature with one built
-// from the observed truth: the exact post-selection base sizes feed
-// the cost model regardless of the original mode (feedback corrects
-// greedy orderings too). When the truth-fed ordering already matches
-// the plan's, only the estimates were wrong — they are calibrated to
-// the observed cardinalities instead, so the next execution is quiet;
-// without this, an optimally ordered plan over skewed data would
-// replan on every execution.
-func (pc *planCache) replan(g *tgm.InstanceGraph, p *Pattern, pl *Plan, sizes map[string]int, actuals []int) {
-	exact := make(map[string]float64, len(sizes))
-	for k, v := range sizes {
-		exact[k] = float64(v)
-	}
-	start, steps, err := planJoinsSized(g, p, exact)
-	if err != nil {
-		return
-	}
-	if start == pl.startKey && sameJoinOrder(steps, pl.steps) {
-		steps = append([]JoinStep(nil), pl.steps...)
-		in := exact[pl.startKey]
-		for i := range steps {
-			steps[i].EstIn = in
-			steps[i].EstOut = float64(actuals[i])
-			in = steps[i].EstOut
-		}
-	}
-	np := &Plan{sig: pl.sig, mode: pl.mode, startKey: start, steps: steps,
-		estPeak: planPeak(stats.For(g), p, steps), preds: pl.preds, cached: true}
-	pc.put(planKey(pl.mode, pl.sig), np)
-	pc.replans.Add(1)
-}
-
-func sameJoinOrder(a, b []JoinStep) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].AnchorKey != b[i].AnchorKey || a[i].NewKey != b[i].NewKey || a[i].EdgeName != b[i].EdgeName {
-			return false
-		}
-	}
-	return true
-}
-
 // PlannerStats is a point-in-time snapshot of one graph's planning
 // tier, surfaced by the server as the /api/v1/stats "planner" block.
 type PlannerStats struct {
@@ -462,8 +339,8 @@ type PlannerStats struct {
 	Hits, Misses, Evictions int64
 	Entries                 int
 	// GreedyPlans and CostPlans count plans built per resolved ordering
-	// policy; Replans counts feedback-driven replacements.
-	GreedyPlans, CostPlans, Replans int64
+	// policy.
+	GreedyPlans, CostPlans int64
 	// AdaptiveThreshold is the instance-node count at which PlannerAuto
 	// switches from greedy to cost-based ordering.
 	AdaptiveThreshold int
@@ -485,6 +362,5 @@ func PlannerStatsFor(g *tgm.InstanceGraph) PlannerStats {
 	s.Evictions = pc.evictions.Load()
 	s.GreedyPlans = pc.greedyPlans.Load()
 	s.CostPlans = pc.costPlans.Load()
-	s.Replans = pc.replans.Load()
 	return s
 }

@@ -244,7 +244,7 @@ func TestSortKernelMatchesStableSortFuzz(t *testing.T) {
 		withSmallStreamBatches(t, 64)
 		assertSortsLikeOracle(t, form.name+"/spilled", rng, func() *Presentation {
 			pol, _ := testSpillPolicy(t, 32)
-			opt := ExecOptions{Stream: StreamOn, MaxRows: 100, Spill: pol}
+			opt := ExecOptions{MaxRows: 100, Spill: pol}
 			src, err := MatchSource(g, joined, opt)
 			if err != nil {
 				t.Fatal(err)

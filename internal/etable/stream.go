@@ -11,194 +11,118 @@ import (
 	"repro/internal/tgm"
 )
 
-// Streaming execution: the matching pipeline composed as pull-based
-// morsel iterators (graphrel.RowSource) instead of fully materialized
-// intermediates. The planner's join order is unchanged — the same
-// selectedBases/planJoins plan drives both modes — but in streaming
-// mode each join step is a StreamJoin stage probing batches of the
-// driving side against a hash index over its (cached, materialized)
-// base relation, so no intermediate relation ever exists in full.
+// The match engine. Instance matching m(Q) has one implementation: the
+// plan's join chain composed as pull-based morsel iterators
+// (graphrel.RowSource). Each join step is a StreamJoin stage probing
+// batches of the driving side against a hash index over its (cached,
+// materialized) base relation, so no intermediate relation ever exists
+// in full. Eager, parallel and spilled are not modes of the engine but
+// what a caller does with the stream:
 //
-// Memory tracks the consumer: a window or LIMIT consumer pulls only
-// the batches it needs (graphrel.StreamLimit terminates upstream
-// production), and a full consumer holds at most one pipeline's worth
-// of in-flight batches plus the batches it has retained. The genuine
-// pipeline breakers — the distinct-row pass, the row-ID sort, and the
-// per-column groupings — are folded incrementally batch by batch
-// (PrepareFromSource), never by materializing first.
+//   - draining it: MatchOpts and Executor.MatchWithOpts splice the
+//     batches into one arena-backed relation (graphrel.Materialize) —
+//     the value that gets cached and pinned;
+//   - the budget the stages were given: a stage fans its batches out
+//     over the pool and splices the outputs in input order, so rows do
+//     not depend on the budget;
+//   - the sink the drain writes to: PrepareFromSource folds the
+//     pipeline breakers (distinct rows, row-ID sort, per-column
+//     groupings) batch by batch, and past MaxRows demotes its state to
+//     disk runs instead of failing when a policy is set;
+//   - a window or LIMIT consumer pulls only the batches it needs
+//     (graphrel.StreamLimit terminates upstream production).
 //
-// Cache and pin semantics are preserved by materializing lazily: the
-// first full consumption splices the retained batches into one
-// arena-backed relation (graphrel.ConcatAll), which is what gets
-// cached and pinned. Batches are contiguous runs of the driving base
-// consumed in order and every stage shares its per-range phase with
-// the eager kernel, so the spliced relation — and everything derived
-// from it — is identical to the eager path's output.
-
-// StreamMode selects how the matching core executes a query.
-type StreamMode uint8
-
-const (
-	// StreamAuto streams when the pattern's estimated peak scan is
-	// large enough to profit (streamMinEstRows) and the pattern has at
-	// least one join; small interactive queries stay on the eager path,
-	// whose single-relation materialization is cheaper than per-batch
-	// bookkeeping. The cost gate runs only on cache misses.
-	StreamAuto StreamMode = iota
-	// StreamOff always materializes every intermediate (the pre-PR-6
-	// behavior).
-	StreamOff
-	// StreamOn streams every query with at least one join, regardless
-	// of estimated size. Joinless patterns are a single cached base
-	// relation — streaming them would only copy it.
-	StreamOn
-)
-
-// streamMinEstRows is the streaming cost gate: below a few morsels of
-// estimated peak scan, the eager path's one-shot materialization is
-// cheaper than per-batch headers and queue bookkeeping. The estimate
-// is the same statistics-only EstimatePattern the parallelism gate
-// uses.
-const streamMinEstRows = 4 * graphrel.MorselRows
-
-// wantStream decides the execution mode for one compute. It is
-// consulted only inside cache-miss compute closures — cache hits never
-// pay for the estimate (which itself now comes from the plan cache;
-// the planned paths use wantStreamFor to read the already resolved
-// plan directly).
-func (o ExecOptions) wantStream(g *tgm.InstanceGraph, p *Pattern) bool {
-	if len(p.Edges) == 0 {
-		return false
-	}
-	switch o.Stream {
-	case StreamOff:
-		return false
-	case StreamOn:
-		return true
-	}
-	return EstimatePattern(g, p) >= streamMinEstRows
-}
-
-// wantStreamFor is wantStream against an already resolved plan.
-func (o ExecOptions) wantStreamFor(pl *Plan, p *Pattern) bool {
-	if len(p.Edges) == 0 {
-		return false
-	}
-	switch o.Stream {
-	case StreamOff:
-		return false
-	case StreamOn:
-		return true
-	}
-	return pl.estPeak >= streamMinEstRows
-}
-
-// wantStreamFresh is wantStream with the estimate recomputed from
-// scratch — the NoPlanCache baseline's gate.
-func (o ExecOptions) wantStreamFresh(g *tgm.InstanceGraph, p *Pattern) bool {
-	if len(p.Edges) == 0 {
-		return false
-	}
-	switch o.Stream {
-	case StreamOff:
-		return false
-	case StreamOn:
-		return true
-	}
-	return estimatePatternFresh(g, p) >= streamMinEstRows
-}
+// Batches are contiguous runs of the driving base consumed in order and
+// every stage runs the reference Join's per-range phases, so the
+// drained relation — and everything derived from it — is the same
+// whatever the batch size, the budget, or the sink.
 
 // streamBatchRows overrides the streamed pipeline's batch size; 0 uses
 // graphrel.MorselRows. Tests shrink it to exercise multi-batch
 // pipelines on hand-checkable fixtures.
 var streamBatchRows = 0
 
-// MatchSource returns the pattern's instance matching m(Q) as a
-// pull-based stream of morsel batches: the planner's base relations
-// are built (and their selections pushed down) exactly as in MatchOpts,
-// then the join chain starting from the planner's start base is
-// composed as StreamJoin stages instead of materializing joins.
-// Concatenating the stream's batches in order yields exactly
-// MatchOpts(g, p, opt); consuming only a window of it does only the
-// driving-side work that window needs. The caller must Close the
-// source (Materialize and PrepareFromSource do so themselves).
-func MatchSource(g *tgm.InstanceGraph, p *Pattern, opt ExecOptions) (graphrel.RowSource, error) {
-	if opt.NoPlanCache && opt.Planner == PlannerAuto {
-		opt = opt.effectiveFresh(g, p)
-		return matchSource(g, p, opt, baseRelation(g, opt))
+// matchPipeline is the engine's single entry: every path that needs
+// m(Q) — MatchOpts, MatchSource, and the caching Executor — calls it,
+// so how a match runs is decided here and nowhere else. It resolves the
+// plan (planFor), clamps the worker budget once against the plan's
+// peak estimate, selects every node's base through the plan's compiled
+// predicates — through cache when the caller has one, so a refined
+// branch reuses its siblings' selections — and composes the join steps
+// as a stream over the start base.
+//
+// Exactly one result is set. A pattern without joins has nothing to
+// run: its selected base is the match, returned as rel so callers hand
+// out the (cached, zero-copy) relation itself instead of draining a
+// copy of it — and since nothing is materialized for it, MaxRows does
+// not apply (the session bounds what it renders of such a table).
+// Otherwise src is the join chain; the caller must drain or Close it.
+func matchPipeline(g *tgm.InstanceGraph, p *Pattern, opt ExecOptions, cache *Cache) (rel *graphrel.Relation, src graphrel.RowSource, err error) {
+	if err := ctxErr(opt.Ctx); err != nil {
+		return nil, nil, err
+	}
+	if p.PrimaryNode() == nil {
+		return nil, nil, fmt.Errorf("etable: pattern has no primary node")
 	}
 	pl, err := planFor(g, p, opt)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	opt = opt.effectiveFor(pl)
-	return matchSourcePlanned(g, p, pl, opt, pl.baseRelation(g, opt))
-}
-
-// matchSource is MatchSource with fresh planning, parameterized by the
-// base-relation builder: the NoPlanCache baseline's streamed path.
-func matchSource(g *tgm.InstanceGraph, p *Pattern, opt ExecOptions, base func(*PatternNode) (*graphrel.Relation, error)) (graphrel.RowSource, error) {
-	if opt.Ctx != nil {
-		if err := opt.Ctx.Err(); err != nil {
-			return nil, err
+	opt.Parallelism = pl.budget(opt)
+	bases := make(map[string]*graphrel.Relation, len(p.Nodes))
+	for i := range p.Nodes {
+		n := &p.Nodes[i]
+		selectBase := func() (*graphrel.Relation, error) {
+			r, err := graphrel.BaseNamed(g, n.Type, n.Key)
+			if err != nil {
+				return nil, err
+			}
+			return graphrel.Select(opt.Ctx, opt.Pool, opt.Parallelism, r, n.Key, pl.preds[n.Key])
+		}
+		if cache == nil {
+			bases[n.Key], err = selectBase()
+		} else {
+			bases[n.Key], err = getOrComputeLive(opt.Ctx, cache, basePrefix+nodeSignature(n), selectBase)
+		}
+		if err != nil {
+			return nil, nil, err
 		}
 	}
-	if p.PrimaryNode() == nil {
-		return nil, fmt.Errorf("etable: pattern has no primary node")
+	if len(pl.steps) == 0 {
+		return bases[pl.startKey], nil, nil
 	}
-	bases, sizes, err := selectedBases(p, base)
-	if err != nil {
-		return nil, err
-	}
-	start, steps, err := planJoins(g, p, sizes)
-	if err != nil {
-		return nil, err
-	}
-	return composeStream(bases, start, steps, opt)
-}
-
-// matchSourcePlanned composes the streamed pipeline from a prepared
-// plan, parameterized by the base-relation builder so the executor's
-// cached bases slot in (Executor.base). The streaming path never
-// materializes intermediates, so it contributes nothing to the
-// feedback loop.
-func matchSourcePlanned(g *tgm.InstanceGraph, p *Pattern, pl *Plan, opt ExecOptions, base func(*PatternNode) (*graphrel.Relation, error)) (graphrel.RowSource, error) {
-	if opt.Ctx != nil {
-		if err := opt.Ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-	if p.PrimaryNode() == nil {
-		return nil, fmt.Errorf("etable: pattern has no primary node")
-	}
-	bases, _, err := selectedBases(p, base)
-	if err != nil {
-		return nil, err
-	}
-	return composeStream(bases, pl.startKey, pl.steps, opt)
-}
-
-// composeStream chains the join plan as StreamJoin stages over the
-// driving base's batch stream — the shared tail of both source paths.
-func composeStream(bases map[string]*graphrel.Relation, start string, steps []JoinStep, opt ExecOptions) (graphrel.RowSource, error) {
-	src := graphrel.StreamRelationBatch(bases[start], streamBatchRows)
-	for _, st := range steps {
-		var err error
+	src = graphrel.StreamRelationBatch(bases[pl.startKey], streamBatchRows)
+	for _, st := range pl.steps {
 		src, err = graphrel.StreamJoin(opt.Ctx, opt.Pool, opt.Parallelism, src, bases[st.NewKey], st.EdgeName, st.AnchorKey, st.NewKey)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
-	return src, nil
+	return nil, src, nil
 }
 
-// materializeMax drains a streamed match under the options' row cap
-// (MaxRows <= 0 = unbounded).
-func materializeMax(src graphrel.RowSource, maxRows int) (*graphrel.Relation, error) {
-	if maxRows > 0 {
-		return graphrel.MaterializeMax(src, maxRows)
+// matchRelation drains the engine into the one relation a match is
+// cached and returned as, under the options' row cap.
+func matchRelation(g *tgm.InstanceGraph, p *Pattern, opt ExecOptions, cache *Cache) (*graphrel.Relation, error) {
+	rel, src, err := matchPipeline(g, p, opt, cache)
+	if err != nil || src == nil {
+		return rel, err
 	}
-	return graphrel.Materialize(src)
+	return graphrel.MaterializeMax(src, opt.MaxRows)
+}
+
+// MatchSource returns the pattern's instance matching m(Q) as a
+// pull-based stream of morsel batches. Concatenating the stream's
+// batches in order yields exactly MatchOpts(g, p, opt); consuming only
+// a window of it does only the driving-side work that window needs.
+// The caller must Close the source (Materialize and PrepareFromSource
+// do so themselves).
+func MatchSource(g *tgm.InstanceGraph, p *Pattern, opt ExecOptions) (graphrel.RowSource, error) {
+	rel, src, err := matchPipeline(g, p, opt, nil)
+	if err != nil || src != nil {
+		return src, err
+	}
+	return graphrel.StreamRelationBatch(rel, streamBatchRows), nil
 }
 
 // spillErr translates a spill-layer write failure into the execution
@@ -290,10 +214,10 @@ func beginSpill(g *tgm.InstanceGraph, src graphrel.RowSource, pol *graphrel.Spil
 // groupings through incremental pair folds (graphrel.AppendGroupPairs),
 // and the batches themselves are retained and spliced into the
 // materialized relation on EOF — the lazy-materialization point that
-// preserves cache/pin semantics. The returned presentation and
-// relation are identical to PrepareOpts over the eager match: rows are
-// a pure function of the tuple set (ID-sorted), groups are sorted and
-// deduplicated by SortDedupGroups, and the splice preserves row order.
+// preserves cache/pin semantics. The returned presentation is identical
+// to PrepareOpts over the returned relation: rows are a pure function
+// of the tuple set (ID-sorted), groups are sorted and deduplicated by
+// SortDedupGroups, and the splice preserves row order.
 // The source is Closed before returning, success or not.
 //
 // With a spill policy set, crossing MaxRows does not fail: the heap
@@ -327,8 +251,8 @@ func PrepareFromSource(g *tgm.InstanceGraph, p *Pattern, src graphrel.RowSource,
 
 	// Single pass over the stream: retain batches for the final splice
 	// and fold rows and groups incrementally. Batches arrive in the
-	// eager relation's row order, so the folds accumulate exactly what
-	// the eager passes compute over the whole relation.
+	// spliced relation's row order, so the folds accumulate exactly what
+	// PrepareOpts' passes compute over the whole relation.
 	seen := graphrel.NewBitset(g.NumNodes())
 	var rowIDs []tgm.NodeID
 	var batches []*graphrel.Relation

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/exec"
@@ -18,6 +19,16 @@ func withSmallStreamBatches(t *testing.T, rows int) {
 	old := streamBatchRows
 	streamBatchRows = rows
 	t.Cleanup(func() { streamBatchRows = old })
+}
+
+// withParallelGate lowers the serial-fallback gate so pooled options
+// keep their budget on the small test corpora (whose plans all estimate
+// far below two morsels), restoring it on cleanup.
+func withParallelGate(t *testing.T, minEstRows float64) {
+	t.Helper()
+	old := parallelMinEstRows
+	parallelMinEstRows = minEstRows
+	t.Cleanup(func() { parallelMinEstRows = old })
 }
 
 // assertSameRelations asserts exact row-for-row equality through the
@@ -44,47 +55,53 @@ func assertSameRelations(t *testing.T, label string, got, want *graphrel.Relatio
 	}
 }
 
-// TestStreamMatchEquivalence asserts MatchOpts in streaming mode is
-// row-identical to the eager mode on the paper's figure patterns, with
-// batch sizes small enough that the pipeline spans many batches, both
-// serial and pooled.
+// TestStreamMatchEquivalence asserts the engine's match equals the
+// oracle's tuple set on the paper's figure patterns, and that it is the
+// same relation row for row whether the pipeline ran in 7-row batches
+// or morsels, serial or fanned out over a pool — the identity that
+// keeps responses byte-stable across budgets.
 func TestStreamMatchEquivalence(t *testing.T) {
 	tr := planFixture(t)
 	pool := exec.NewPool(4)
+	withParallelGate(t, 0)
 	for name, p := range map[string]*Pattern{
 		"figure1": figure1PlanPattern(t, tr),
 		"figure7": figure7PlanPattern(t, tr),
 	} {
-		want, err := MatchOpts(tr.Instance, p, ExecOptions{Stream: StreamOff})
-		if err != nil {
-			t.Fatal(err)
-		}
+		oracle := oracleTuples(t, tr.Instance, p)
+		var first *graphrel.Relation
 		for _, tc := range []struct {
 			label string
 			batch int
 			opt   ExecOptions
 		}{
-			{"serial_small_batches", 7, ExecOptions{Stream: StreamOn}},
-			{"serial_morsel", 0, ExecOptions{Stream: StreamOn}},
-			{"pooled", 13, ExecOptions{Ctx: context.Background(), Pool: pool, Parallelism: 4, Stream: StreamOn}},
+			{"serial_morsel", 0, ExecOptions{}},
+			{"serial_small_batches", 7, ExecOptions{}},
+			{"pooled", 13, ExecOptions{Ctx: context.Background(), Pool: pool, Parallelism: 4}},
 		} {
 			withSmallStreamBatches(t, tc.batch)
 			got, err := MatchOpts(tr.Instance, p, tc.opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertSameRelations(t, name+"/"+tc.label, got, want)
+			assertMatchesOracle(t, name+"/"+tc.label, got, oracle)
+			if first == nil {
+				first = got
+			}
+			assertSameRelations(t, name+"/"+tc.label, got, first)
 		}
 	}
 }
 
-// TestStreamMatchEquivalenceRandomized fuzzes the streamed match
-// against the eager one: random year thresholds vary the selectivity,
-// random batch sizes vary the pipeline's chunking, and random budgets
-// vary the fan-out — the result must stay row-identical throughout.
+// TestStreamMatchEquivalenceRandomized fuzzes the engine against the
+// oracle: random year thresholds vary the selectivity, random batch
+// sizes vary the pipeline's chunking, and random budgets vary the
+// fan-out — the tuple set must be the oracle's, and the rows identical
+// to the serial default-batch run, throughout.
 func TestStreamMatchEquivalenceRandomized(t *testing.T) {
 	tr := planFixture(t)
 	pool := exec.NewPool(4)
+	withParallelGate(t, 0)
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 8; trial++ {
 		year := 1995 + rng.Intn(20)
@@ -93,12 +110,15 @@ func TestStreamMatchEquivalenceRandomized(t *testing.T) {
 			opAdd(tr, "Paper_Authors"),
 			opAdd(tr, "Authors→Institutions"),
 		)
-		want, err := MatchOpts(tr.Instance, p, ExecOptions{Stream: StreamOff})
+		label := fmt.Sprintf("trial=%d year>%d", trial, year)
+		withSmallStreamBatches(t, 0)
+		want, err := MatchOpts(tr.Instance, p, ExecOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		assertMatchesOracle(t, label, want, oracleTuples(t, tr.Instance, p))
 		withSmallStreamBatches(t, 1+rng.Intn(64))
-		opt := ExecOptions{Stream: StreamOn}
+		var opt ExecOptions
 		if rng.Intn(2) == 0 {
 			opt.Ctx, opt.Pool, opt.Parallelism = context.Background(), pool, 2+rng.Intn(4)
 		}
@@ -106,35 +126,30 @@ func TestStreamMatchEquivalenceRandomized(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertSameRelations(t, fmt.Sprintf("trial=%d year>%d", trial, year), got, want)
+		assertSameRelations(t, label, got, want)
 	}
 }
 
-// TestPrepareFromSourceEquivalence asserts the streamed presentation
-// fold produces a presentation and a materialized relation identical
-// to the eager PrepareOpts path — full renders compare cell for cell.
+// TestPrepareFromSourceEquivalence asserts the presentation folded off
+// the engine's stream renders the oracle's enriched table cell for
+// cell — full renders and windows — under budgets 1 and 4, and that the
+// relation the fold splices is the one MatchOpts returns.
 func TestPrepareFromSourceEquivalence(t *testing.T) {
 	tr := planFixture(t)
 	pool := exec.NewPool(4)
+	withParallelGate(t, 0)
 	withSmallStreamBatches(t, 11)
 	for name, p := range map[string]*Pattern{
 		"figure1": figure1PlanPattern(t, tr),
 		"figure7": figure7PlanPattern(t, tr),
 	} {
-		eagerMatched, err := MatchOpts(tr.Instance, p, ExecOptions{Stream: StreamOff})
-		if err != nil {
-			t.Fatal(err)
-		}
-		eagerPr, err := Prepare(tr.Instance, p, eagerMatched)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := eagerPr.Window(0, -1)
+		oraclePr, want := oracleTable(t, tr.Instance, p)
+		drained, err := MatchOpts(tr.Instance, p, ExecOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, budget := range []int{1, 4} {
-			opt := ExecOptions{Stream: StreamOn}
+			var opt ExecOptions
 			if budget > 1 {
 				opt.Ctx, opt.Pool, opt.Parallelism = context.Background(), pool, budget
 			}
@@ -146,9 +161,9 @@ func TestPrepareFromSourceEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertSameRelations(t, name+"/matched", matched, eagerMatched)
-			if pr.NumRows() != eagerPr.NumRows() {
-				t.Fatalf("%s: %d rows, want %d", name, pr.NumRows(), eagerPr.NumRows())
+			assertSameRelations(t, name+"/matched", matched, drained)
+			if pr.NumRows() != oraclePr.NumRows() {
+				t.Fatalf("%s: %d rows, want %d", name, pr.NumRows(), oraclePr.NumRows())
 			}
 			got, err := pr.Window(0, -1)
 			if err != nil {
@@ -161,7 +176,7 @@ func TestPrepareFromSourceEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ww, err := eagerPr.Window(w[0], w[1])
+				ww, err := oraclePr.Window(w[0], w[1])
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -171,29 +186,19 @@ func TestPrepareFromSourceEquivalence(t *testing.T) {
 	}
 }
 
-// TestExecutorStreamingPreparePinned asserts the executor's streamed
-// prepare path: the compute leader folds the presentation off the
-// stream, the cached relation is identical to the eager path's, the
-// pin lands, and a second prepare (cache hit) yields an identical
-// presentation without streaming.
+// TestExecutorStreamingPreparePinned asserts the executor's prepare
+// path: the compute leader folds the presentation off the stream and
+// it renders the oracle's table, the cached relation holds the oracle's
+// tuples, the pin lands, and a second prepare (cache hit, PrepareOpts
+// over the cached relation) yields an identical presentation.
 func TestExecutorStreamingPreparePinned(t *testing.T) {
 	tr := planFixture(t)
 	withSmallStreamBatches(t, 17)
 	p := figure7PlanPattern(t, tr)
-
-	eager := NewExecutor(tr.Instance)
-	wantPr, wantPin, err := eager.PrepareWithOpts(p, ExecOptions{Stream: StreamOff})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer wantPin.Release()
-	want, err := wantPr.Window(0, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, want := oracleTable(t, tr.Instance, p)
 
 	e := NewExecutor(tr.Instance)
-	pr, pin, err := e.PrepareWithOpts(p, ExecOptions{Stream: StreamOn})
+	pr, pin, err := e.PrepareWithOpts(p, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,27 +207,23 @@ func TestExecutorStreamingPreparePinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameResults(t, "streamed-vs-eager", got, want)
+	assertSameResults(t, "streamed-vs-oracle", got, want)
 	if e.Cache().PinnedCount() != 1 {
 		t.Fatalf("pinned count = %d, want 1", e.Cache().PinnedCount())
 	}
 
-	// The cached (pinned) relation must be identical to the eager match.
+	// The cached (pinned) relation is the match.
 	rel, ok := e.Cache().Get(matchPrefix + Signature(p))
 	if !ok {
 		t.Fatal("streamed match not cached")
 	}
-	wantRel, err := MatchOpts(tr.Instance, p, ExecOptions{Stream: StreamOff})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameRelations(t, "cached", rel, wantRel)
+	assertMatchesOracle(t, "cached", rel, oracleTuples(t, tr.Instance, p))
 
-	// Cache hit: prepares eagerly from the cached relation, same output.
+	// Cache hit: prepares from the cached relation, same output.
 	if misses := e.Misses(); misses == 0 {
 		t.Fatal("expected at least one miss")
 	}
-	pr2, pin2, err := e.PrepareWithOpts(p, ExecOptions{Stream: StreamOn})
+	pr2, pin2, err := e.PrepareWithOpts(p, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,38 +232,33 @@ func TestExecutorStreamingPreparePinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameResults(t, "hit-vs-eager", got2, want)
+	assertSameResults(t, "hit-vs-oracle", got2, want)
 }
 
-// TestExecutorStreamingMatchCached asserts MatchWithOpts under
-// streaming caches the materialized relation and serves hits without
-// recomputation.
+// TestExecutorStreamingMatchCached asserts MatchWithOpts caches the
+// drained relation and serves hits without recomputation.
 func TestExecutorStreamingMatchCached(t *testing.T) {
 	tr := planFixture(t)
 	withSmallStreamBatches(t, 9)
 	p := figure1PlanPattern(t, tr)
 	e := NewExecutor(tr.Instance)
-	first, err := e.MatchWithOpts(p, ExecOptions{Stream: StreamOn})
+	first, err := e.MatchWithOpts(p, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := e.MatchWithOpts(p, ExecOptions{Stream: StreamOn})
+	second, err := e.MatchWithOpts(p, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if first != second {
 		t.Error("cache hit returned a different relation")
 	}
-	want, err := MatchOpts(tr.Instance, p, ExecOptions{Stream: StreamOff})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameRelations(t, "cached-stream-match", first, want)
+	assertMatchesOracle(t, "cached-stream-match", first, oracleTuples(t, tr.Instance, p))
 }
 
 // TestMaxRowsGuard asserts the MaxRows cap fails oversized
-// materializations with *graphrel.RowLimitError on both execution
-// modes, and admits results at or under the cap.
+// materializations with *graphrel.RowLimitError and admits results at
+// or under the cap.
 func TestMaxRowsGuard(t *testing.T) {
 	tr := planFixture(t)
 	withSmallStreamBatches(t, 9)
@@ -277,27 +273,25 @@ func TestMaxRowsGuard(t *testing.T) {
 	if full.Len() < 10 {
 		t.Fatalf("fixture too small: %d match rows", full.Len())
 	}
-	for _, mode := range []StreamMode{StreamOff, StreamOn} {
-		_, err := MatchOpts(tr.Instance, p, ExecOptions{Stream: mode, MaxRows: 5})
-		var rle *graphrel.RowLimitError
-		if !errors.As(err, &rle) || rle.Limit != 5 {
-			t.Fatalf("mode=%d: err = %v, want RowLimitError{5}", mode, err)
-		}
-		ok, err := MatchOpts(tr.Instance, p, ExecOptions{Stream: mode, MaxRows: full.Len()})
-		if err != nil {
-			t.Fatalf("mode=%d at-cap: %v", mode, err)
-		}
-		assertSameRelations(t, fmt.Sprintf("mode=%d at-cap", mode), ok, full)
-	}
-	// The streamed prepare fold enforces the cap too, and errors are
-	// never cached (a later uncapped prepare succeeds).
-	e := NewExecutor(tr.Instance)
-	_, _, err = e.PrepareWithOpts(p, ExecOptions{Stream: StreamOn, MaxRows: 5})
+	_, err = MatchOpts(tr.Instance, p, ExecOptions{MaxRows: 5})
 	var rle *graphrel.RowLimitError
-	if !errors.As(err, &rle) {
-		t.Fatalf("streamed prepare err = %v, want RowLimitError", err)
+	if !errors.As(err, &rle) || rle.Limit != 5 {
+		t.Fatalf("err = %v, want RowLimitError{5}", err)
 	}
-	pr, pin, err := e.PrepareWithOpts(p, ExecOptions{Stream: StreamOn})
+	ok, err := MatchOpts(tr.Instance, p, ExecOptions{MaxRows: full.Len()})
+	if err != nil {
+		t.Fatalf("at-cap: %v", err)
+	}
+	assertSameRelations(t, "at-cap", ok, full)
+	// The prepare fold enforces the cap too, and errors are never
+	// cached (a later uncapped prepare succeeds).
+	e := NewExecutor(tr.Instance)
+	_, _, err = e.PrepareWithOpts(p, ExecOptions{MaxRows: 5})
+	rle = nil
+	if !errors.As(err, &rle) {
+		t.Fatalf("capped prepare err = %v, want RowLimitError", err)
+	}
+	pr, pin, err := e.PrepareWithOpts(p, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,46 +301,87 @@ func TestMaxRowsGuard(t *testing.T) {
 	}
 }
 
-// TestWantStreamGate pins the streaming decision: joinless patterns and
-// StreamOff never stream, StreamOn streams any join, and StreamAuto is
-// cost-gated by EstimatePattern against streamMinEstRows.
-func TestWantStreamGate(t *testing.T) {
+// TestMaxRowsCapsTheResult is the -max-rows contract: the cap is on
+// the result, never on an intermediate, so the same query at the same
+// cap gets the same answer on every corpus size. Figure 7 on this
+// fixture has 14 result rows behind a wider intermediate; the engine
+// admits it at 14 and refuses it at 13, serial and pooled, match and
+// prepare. With a spill policy the same cap is a trigger, not a
+// failure: the capped prepare comes back disk-resident and renders the
+// oracle's table.
+func TestMaxRowsCapsTheResult(t *testing.T) {
 	tr := planFixture(t)
-	joinless := buildPattern(t, tr, "Papers", opSelect("year > 2000"))
-	joined := figure7PlanPattern(t, tr)
-	for _, tc := range []struct {
-		name string
-		p    *Pattern
-		mode StreamMode
-		want bool
-	}{
-		{"joinless_on", joinless, StreamOn, false},
-		{"joinless_auto", joinless, StreamAuto, false},
-		{"joined_on", joined, StreamOn, true},
-		{"joined_off", joined, StreamOff, false},
-	} {
-		opt := ExecOptions{Stream: tc.mode}
-		if got := opt.wantStream(tr.Instance, tc.p); got != tc.want {
-			t.Errorf("%s: wantStream = %v, want %v", tc.name, got, tc.want)
-		}
+	p := figure7PlanPattern(t, tr)
+	_, want := oracleTable(t, tr.Instance, p)
+	oracle := oracleTuples(t, tr.Instance, p)
+	pl, err := PlanFor(tr.Instance, p)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Auto on this corpus follows the estimate against the gate.
-	est := EstimatePattern(tr.Instance, joined)
-	opt := ExecOptions{Stream: StreamAuto}
-	if got, want := opt.wantStream(tr.Instance, joined), est >= streamMinEstRows; got != want {
-		t.Errorf("auto: wantStream = %v, want %v (est %v)", got, want, est)
+	widest := slices.Max(planIntermediates(t, tr.Instance, p, pl))
+	if len(oracle) != 14 || widest <= len(oracle) {
+		t.Fatalf("fixture drifted: %d result rows, widest intermediate %d (want 14 < widest)", len(oracle), widest)
+	}
+	withParallelGate(t, 0)
+	withSmallStreamBatches(t, 5)
+	for label, opt := range map[string]ExecOptions{
+		"serial": {},
+		"pooled": {Ctx: context.Background(), Pool: exec.NewPool(4), Parallelism: 4},
+	} {
+		opt.MaxRows = 14
+		got, err := MatchOpts(tr.Instance, p, opt)
+		if err != nil {
+			t.Fatalf("%s: match at the result's size: %v", label, err)
+		}
+		assertMatchesOracle(t, label, got, oracle)
+		pr, pin, err := NewExecutor(tr.Instance).PrepareWithOpts(p, opt)
+		if err != nil {
+			t.Fatalf("%s: prepare at the result's size: %v", label, err)
+		}
+		pin.Release()
+		if pr.Spilled() != nil {
+			t.Fatalf("%s: prepare at the cap spilled", label)
+		}
+
+		opt.MaxRows = 13
+		var rle *graphrel.RowLimitError
+		if _, err := MatchOpts(tr.Instance, p, opt); !errors.As(err, &rle) || rle.Limit != 13 {
+			t.Fatalf("%s: match err = %v, want RowLimitError{Limit: 13}", label, err)
+		}
+		rle = nil
+		if _, _, err := NewExecutor(tr.Instance).PrepareWithOpts(p, opt); !errors.As(err, &rle) || rle.Limit != 13 {
+			t.Fatalf("%s: prepare err = %v, want RowLimitError{Limit: 13}", label, err)
+		}
+
+		pol, _ := testSpillPolicy(t, 8)
+		opt.Spill = pol
+		spilled, _, err := NewExecutor(tr.Instance).PrepareWithOpts(p, opt)
+		if err != nil {
+			t.Fatalf("%s: capped prepare with a spill policy: %v", label, err)
+		}
+		if spilled.Spilled() == nil {
+			t.Fatalf("%s: prepare over the cap with a policy stayed on the heap", label)
+		}
+		res, err := spilled.Window(0, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameResults(t, label+"/spilled", res, want)
+		if err := spilled.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
 // TestStreamingCancellation asserts a canceled context surfaces
-// through the streamed match and the streamed prepare fold.
+// through the match's drain and the prepare fold.
 func TestStreamingCancellation(t *testing.T) {
 	tr := planFixture(t)
 	withSmallStreamBatches(t, 9)
 	p := figure7PlanPattern(t, tr)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	opt := ExecOptions{Ctx: ctx, Pool: exec.NewPool(2), Parallelism: 4, Stream: StreamOn}
+	opt := ExecOptions{Ctx: ctx, Pool: exec.NewPool(2), Parallelism: 4}
 	if _, err := MatchOpts(tr.Instance, p, opt); !errors.Is(err, context.Canceled) {
 		t.Errorf("MatchOpts err = %v, want Canceled", err)
 	}

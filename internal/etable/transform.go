@@ -24,7 +24,7 @@ import (
 //     presentation. Row materialization partitions cleanly by row
 //     range, so Window fans transformRange out over the shared worker
 //     pool with the same disjoint-window splice discipline as the
-//     matching kernels (graphrel.SelectPar): every range writes only
+//     matching kernels (graphrel.Select): every range writes only
 //     its own rows and its own cell-arena window, no locks.
 //
 // Splitting the phases is what makes paging cheap: a session pins the
@@ -573,27 +573,6 @@ func (li labelInterner) label(view *colView, n *tgm.Node) string {
 	s := v.Format()
 	li[n.ID] = s
 	return s
-}
-
-// TransformWindow prepares and materializes one row window of the
-// matched relation's enriched table in a single call: only the
-// [offset, offset+limit) rows are transformed (limit < 0 = to the
-// end), so a page fetch over a cached matched relation costs
-// O(prepare + window), not O(table). Callers fetching several windows
-// should Prepare once and call Window per page — which is what the
-// session layer's windowed presentation memo does.
-func TransformWindow(g *tgm.InstanceGraph, p *Pattern, matched *graphrel.Relation, offset, limit int) (*Result, error) {
-	return TransformWindowOpts(g, p, matched, offset, limit, ExecOptions{})
-}
-
-// TransformWindowOpts is TransformWindow under execution options
-// (cancellation and morsel-parallel fan-out).
-func TransformWindowOpts(g *tgm.InstanceGraph, p *Pattern, matched *graphrel.Relation, offset, limit int, opt ExecOptions) (*Result, error) {
-	pr, err := PrepareOpts(g, p, matched, opt)
-	if err != nil {
-		return nil, err
-	}
-	return pr.WindowOpts(offset, limit, opt)
 }
 
 // ctxErr reports a canceled or expired context (nil ctx = no error).

@@ -251,8 +251,9 @@ func TestRefsEmptyZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestTransformWindowOneShot covers the one-call convenience: prepare
-// plus window in one step, identical to the full render's slice.
+// TestTransformWindowOneShot covers the one-window caller: a single
+// window over a freshly prepared match is identical to the full
+// render's slice.
 func TestTransformWindowOneShot(t *testing.T) {
 	tr := planFixture(t)
 	p := figure7PlanPattern(t, tr)
@@ -264,7 +265,11 @@ func TestTransformWindowOneShot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := TransformWindow(tr.Instance, p, matched, 1, 2)
+	pr, err := Prepare(tr.Instance, p, matched)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := pr.Window(1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

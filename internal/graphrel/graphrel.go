@@ -40,12 +40,13 @@
 package graphrel
 
 import (
+	"context"
 	"fmt"
 	"slices"
 
+	"repro/internal/exec"
 	"repro/internal/expr"
 	"repro/internal/tgm"
-	"repro/internal/value"
 )
 
 // Attr is one attribute of a graph relation: a node type plus a unique
@@ -153,9 +154,8 @@ func gatherInto(dst, src []tgm.NodeID, rows []int32) {
 }
 
 // Retain returns r restricted to the named attributes without duplicate
-// elimination. Columns are shared with r (zero copy), which is what the
-// matcher's projection pushdown uses to drop attributes no longer needed
-// by later joins or the caller.
+// elimination. Columns are shared with r (zero copy); Project is Retain
+// followed by the dedup pass.
 func (r *Relation) Retain(attrNames ...string) (*Relation, error) {
 	out := &Relation{g: r.g, n: r.n,
 		Attrs: make([]Attr, len(attrNames)),
@@ -195,57 +195,18 @@ func BaseNamed(g *tgm.InstanceGraph, typeName, attrName string) (*Relation, erro
 	}, nil
 }
 
-// nodeEnv evaluates selection conditions against one node's attributes.
-// Dotted names fall back to their bare suffix, so conditions written as
-// either "year > 2005" or "Papers.year > 2005" work.
-type nodeEnv struct{ n *tgm.Node }
-
-// Lookup implements expr.Env.
-func (e nodeEnv) Lookup(name string) (value.V, bool) {
-	if i := e.n.Type.AttrIndex(name); i >= 0 {
-		return e.n.AttrAt(i), true
-	}
-	for j := len(name) - 1; j >= 0; j-- {
-		if name[j] == '.' {
-			if i := e.n.Type.AttrIndex(name[j+1:]); i >= 0 {
-				return e.n.AttrAt(i), true
-			}
-			break
-		}
-	}
-	return value.Null, false
-}
-
-// NodeEnv exposes a node's attributes as an expression environment; the
-// presentation layer reuses it for per-row condition evaluation.
-func NodeEnv(n *tgm.Node) expr.Env { return nodeEnv{n: n} }
-
 // Select returns the tuples whose node at the named attribute satisfies
-// cond (σ_Ci applied to attribute A_i). A nil condition returns r. The
-// condition is compiled against the attribute's node type once, so rows
-// evaluate without per-row attribute-name resolution; when the relation
-// has several attributes, results are memoized per node, since nodes
-// repeat after joins.
-func Select(r *Relation, attrName string, cond expr.Expr) (*Relation, error) {
-	if cond == nil {
-		return r, nil
-	}
-	ai := r.AttrIndex(attrName)
-	if ai < 0 {
-		return nil, fmt.Errorf("graphrel: no attribute %q", attrName)
-	}
-	pred, err := expr.Compile(cond, r.Attrs[ai].Type)
-	if err != nil {
-		return nil, err
-	}
-	return SelectPred(r, attrName, pred)
-}
-
-// SelectPred is Select with an already-compiled predicate: callers that
-// cache compiled conditions across executions (the etable plan cache)
-// skip the per-call Compile. pred must have been compiled against the
-// named attribute's node type; a nil pred returns r unchanged.
-func SelectPred(r *Relation, attrName string, pred expr.Pred) (*Relation, error) {
+// pred (σ_Ci applied to attribute A_i), a predicate already compiled
+// against that attribute's node type (expr.Compile) — callers that keep
+// compiled conditions across executions (the etable plan) never pay a
+// per-call compile. A nil pred returns r unchanged.
+//
+// Relations of more than one morsel fan out over pool under budget
+// (see parallel.go for the three-phase splice); a nil pool, a budget
+// <= 1, or a single-morsel input runs selectRange over [0, n) on the
+// calling goroutine. Either way the output is the same relation, row
+// for row, and ctx is checked between morsels.
+func Select(ctx context.Context, pool *exec.Pool, budget int, r *Relation, attrName string, pred expr.Pred) (*Relation, error) {
 	if pred == nil {
 		return r, nil
 	}
@@ -253,19 +214,56 @@ func SelectPred(r *Relation, attrName string, pred expr.Pred) (*Relation, error)
 	if ai < 0 {
 		return nil, fmt.Errorf("graphrel: no attribute %q", attrName)
 	}
-	keep, err := selectRange(r, r.cols[ai], pred, 0, r.n)
-	if err != nil {
+	col := r.cols[ai]
+	if pool == nil || budget <= 1 || r.n <= MorselRows {
+		if err := ctxErr(ctx); err != nil {
+			return nil, err
+		}
+		keep, err := selectRange(r, col, pred, 0, r.n)
+		if err != nil {
+			return nil, err
+		}
+		return r.gather(keep), nil
+	}
+	bounds := morselBounds(r.n, MorselRows)
+
+	// Phase 1: each morsel filters into its own keep list.
+	keeps := make([][]int32, len(bounds))
+	if err := pool.Map(ctx, len(bounds), budget, func(m int) error {
+		keep, err := selectRange(r, col, pred, bounds[m][0], bounds[m][1])
+		if err != nil {
+			return err
+		}
+		keeps[m] = keep
+		return nil
+	}); err != nil {
 		return nil, err
 	}
-	return r.gather(keep), nil
+
+	// Phase 2: prefix-sum morsel counts into disjoint output offsets.
+	offs, total := prefixOffsets(keeps)
+
+	// Phase 3: gather every morsel into its disjoint output window.
+	out := newRelation(r.g, r.Attrs, total)
+	if err := pool.Map(ctx, len(bounds), budget, func(m int) error {
+		rows := keeps[m]
+		lo := offs[m]
+		for c, src := range r.cols {
+			gatherInto(out.cols[c][lo:lo+len(rows)], src, rows)
+		}
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // selectRange evaluates pred over col's rows [lo, hi) and returns the
-// matching row indexes. It is the per-range phase shared by the serial
-// Select ([0, n) in one call) and the morsel-parallel SelectPar (one
-// call per morsel), so the kernels cannot drift apart. Multi-attribute
-// relations memoize per node, since nodes repeat after joins; base
-// relations have distinct nodes, so memoization would only add cost.
+// matching row indexes. It is Select's per-range phase: [0, n) in one
+// call when serial, one call per morsel when fanned out, so the two
+// cannot drift apart. Multi-attribute relations memoize per node, since
+// nodes repeat after joins; base relations have distinct nodes, so
+// memoization would only add cost.
 func selectRange(r *Relation, col []tgm.NodeID, pred func(*tgm.Node) (bool, error), lo, hi int) ([]int32, error) {
 	keep := make([]int32, 0, hi-lo)
 	if len(r.Attrs) == 1 {
@@ -300,7 +298,7 @@ func selectRange(r *Relation, col []tgm.NodeID, pred func(*tgm.Node) (bool, erro
 
 // checkJoin validates a join's edge type and attributes, returning the
 // resolved column ordinals.
-func checkJoin(r1, r2 *Relation, edgeType, leftAttr, rightAttr string, typed bool) (li, ri int, err error) {
+func checkJoin(r1, r2 *Relation, edgeType, leftAttr, rightAttr string) (li, ri int, err error) {
 	if r1.g != r2.g {
 		return 0, 0, fmt.Errorf("graphrel: joining relations from different graphs")
 	}
@@ -309,12 +307,6 @@ func checkJoin(r1, r2 *Relation, edgeType, leftAttr, rightAttr string, typed boo
 		return 0, 0, fmt.Errorf("graphrel: unknown edge type %q", edgeType)
 	}
 	li, ri = r1.AttrIndex(leftAttr), r2.AttrIndex(rightAttr)
-	if !typed {
-		if li < 0 || ri < 0 {
-			return 0, 0, fmt.Errorf("graphrel: bad join attributes %q, %q", leftAttr, rightAttr)
-		}
-		return li, ri, nil
-	}
 	if li < 0 {
 		return 0, 0, fmt.Errorf("graphrel: left relation has no attribute %q", leftAttr)
 	}
@@ -352,8 +344,12 @@ func joinOutput(r1, r2 *Relation, lrows, rrows []int32) *Relation {
 // index over r2 on the right, so cost is O(|r1|·deg + |r2|). The output
 // is materialized column-wise: matching first collects row-index pairs,
 // then each attribute column is gathered in one pass.
+//
+// Join is the algebra's reference join: the execution pipeline runs
+// StreamJoin, which applies the same probeRange + joinOutput phases per
+// batch and is tested row for row against this operator.
 func Join(r1, r2 *Relation, edgeType, leftAttr, rightAttr string) (*Relation, error) {
-	li, ri, err := checkJoin(r1, r2, edgeType, leftAttr, rightAttr, true)
+	li, ri, err := checkJoin(r1, r2, edgeType, leftAttr, rightAttr)
 	if err != nil {
 		return nil, err
 	}
@@ -375,9 +371,8 @@ func buildJoinIndex(r *Relation, ai int) map[tgm.NodeID][]int32 {
 
 // probeRange probes lcol's rows [lo, hi) through the adjacency index:
 // for each left row, every edge-connected right row joins. It is the
-// per-range phase shared by the serial Join ([0, n) in one call) and
-// the morsel-parallel JoinPar (one call per morsel), so the kernels
-// cannot drift apart.
+// per-range phase shared by Join ([0, n) in one call) and StreamJoin
+// (one call per batch), so the two cannot drift apart.
 func probeRange(g *tgm.InstanceGraph, lcol []tgm.NodeID, index map[tgm.NodeID][]int32, edgeType string, lo, hi int) (lrows, rrows []int32) {
 	for i := lo; i < hi; i++ {
 		for _, nb := range g.Neighbors(lcol[i], edgeType) {
@@ -390,37 +385,64 @@ func probeRange(g *tgm.InstanceGraph, lcol []tgm.NodeID, index map[tgm.NodeID][]
 	return lrows, rrows
 }
 
-// JoinScan is Join without the adjacency index: it nested-loops over
-// both relations probing HasEdge per pair. It exists as the ablation
-// baseline for BenchmarkAblation_AdjacencyIndex and must return the same
-// tuples as Join (possibly in a different order).
-func JoinScan(r1, r2 *Relation, edgeType, leftAttr, rightAttr string) (*Relation, error) {
-	li, ri, err := checkJoin(r1, r2, edgeType, leftAttr, rightAttr, false)
-	if err != nil {
-		return nil, err
-	}
-	var lrows, rrows []int32
-	for i, lid := range r1.cols[li] {
-		for j, rid := range r2.cols[ri] {
-			if r1.g.HasEdge(edgeType, lid, rid) {
-				lrows = append(lrows, int32(i))
-				rrows = append(rrows, int32(j))
-			}
-		}
-	}
-	return joinOutput(r1, r2, lrows, rrows), nil
-}
-
 // Project returns r restricted to the named attributes, eliminating
-// duplicate tuples (Π; the paper's projection removes duplicates). The
-// dedup pass is shared with ProjectPar's per-morsel phase (dedupRows),
-// so the serial and parallel kernels cannot drift apart.
+// duplicate tuples in first-occurrence order (Π; the paper's projection
+// removes duplicates).
 func Project(r *Relation, attrNames ...string) (*Relation, error) {
 	narrowed, err := r.Retain(attrNames...)
 	if err != nil {
 		return nil, err
 	}
-	return narrowed.gather(dedupRows(narrowed, 0, narrowed.n)), nil
+	return narrowed.gather(dedupRows(narrowed)), nil
+}
+
+// dedupRows returns the rows whose projection key occurs for the first
+// time, in ascending row order.
+func dedupRows(narrowed *Relation) []int32 {
+	var keep []int32
+	switch len(narrowed.cols) {
+	case 1:
+		seen := make(map[tgm.NodeID]bool, narrowed.n)
+		for i, id := range narrowed.cols[0] {
+			if !seen[id] {
+				seen[id] = true
+				keep = append(keep, int32(i))
+			}
+		}
+	case 2:
+		seen := make(map[uint64]bool, narrowed.n)
+		c0, c1 := narrowed.cols[0], narrowed.cols[1]
+		for i := range c0 {
+			key := uint64(uint32(c0[i]))<<32 | uint64(uint32(c1[i]))
+			if !seen[key] {
+				seen[key] = true
+				keep = append(keep, int32(i))
+			}
+		}
+	default:
+		seen := make(map[string]bool, narrowed.n)
+		key := make([]byte, 4*len(narrowed.cols))
+		for i := 0; i < narrowed.n; i++ {
+			rowKeyInto(key, narrowed.cols, i)
+			if !seen[string(key)] {
+				seen[string(key)] = true
+				keep = append(keep, int32(i))
+			}
+		}
+	}
+	return keep
+}
+
+// rowKeyInto serializes row i's IDs across cols into key (4 bytes per
+// column, little-endian).
+func rowKeyInto(key []byte, cols [][]tgm.NodeID, i int) {
+	for c, col := range cols {
+		id := uint32(col[i])
+		key[4*c] = byte(id)
+		key[4*c+1] = byte(id >> 8)
+		key[4*c+2] = byte(id >> 16)
+		key[4*c+3] = byte(id >> 24)
+	}
 }
 
 // DistinctNodes returns the distinct nodes at the named attribute in

@@ -1,6 +1,7 @@
 package graphrel
 
 import (
+	"math/rand"
 	"sort"
 	"sync"
 	"testing"
@@ -107,7 +108,7 @@ func TestBase(t *testing.T) {
 func TestSelect(t *testing.T) {
 	g, _ := figure8Graph(t)
 	papers, _ := Base(g, "Papers")
-	recent, err := Select(papers, "Papers", expr.MustParse("year > 2005"))
+	recent, err := selectCond(papers, "Papers", expr.MustParse("year > 2005"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,21 +116,25 @@ func TestSelect(t *testing.T) {
 		t.Errorf("year > 2005 papers = %d, want 4", recent.Len())
 	}
 	// Qualified condition names resolve too.
-	recent2, err := Select(papers, "Papers", expr.MustParse("Papers.year > 2005"))
+	recent2, err := selectCond(papers, "Papers", expr.MustParse("Papers.year > 2005"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if recent2.Len() != recent.Len() {
 		t.Error("qualified condition mismatch")
 	}
-	same, err := Select(papers, "Papers", nil)
+	same, err := Select(nil, nil, 1, papers, "Papers", nil)
 	if err != nil || same != papers {
-		t.Error("nil condition should return input")
+		t.Error("nil predicate should return input")
 	}
-	if _, err := Select(papers, "Nope", expr.MustParse("year > 2005")); err == nil {
+	pred, err := compileCond(papers, "Papers", expr.MustParse("year > 2005"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Select(nil, nil, 1, papers, "Nope", pred); err == nil {
 		t.Error("bad attribute accepted")
 	}
-	if _, err := Select(papers, "Papers", expr.MustParse("nope = 1")); err == nil {
+	if _, err := compileCond(papers, "Papers", expr.MustParse("nope = 1")); err == nil {
 		t.Error("unknown column accepted")
 	}
 }
@@ -137,7 +142,7 @@ func TestSelect(t *testing.T) {
 func TestJoin(t *testing.T) {
 	g, ids := figure8Graph(t)
 	confs, _ := Base(g, "Conferences")
-	sigmod, _ := Select(confs, "Conferences", expr.MustParse("acronym = 'SIGMOD'"))
+	sigmod, _ := selectCond(confs, "Conferences", expr.MustParse("acronym = 'SIGMOD'"))
 	papers, _ := Base(g, "Papers")
 
 	j, err := Join(sigmod, papers, "Conf-Papers", "Conferences", "Papers")
@@ -156,7 +161,7 @@ func TestJoin(t *testing.T) {
 		}
 	}
 	// Chain: filter papers by year, join to authors (Figure 8).
-	recent, _ := Select(j, "Papers", expr.MustParse("year > 2005"))
+	recent, _ := selectCond(j, "Papers", expr.MustParse("year > 2005"))
 	authors, _ := Base(g, "Authors")
 	j2, err := Join(recent, authors, "Papers-Authors", "Papers", "Authors")
 	if err != nil {
@@ -253,6 +258,68 @@ func TestProject(t *testing.T) {
 	}
 }
 
+// TestProjectKeyWidths drives Project's three dedup key encodings (one
+// column: node IDs; two: packed uint64; three and more: byte strings)
+// over a three-hop join, where every projected key repeats, against a
+// first-occurrence scan that shares no code with dedupRows.
+func TestProjectKeyWidths(t *testing.T) {
+	g := bigChainGraph(t, rand.New(rand.NewSource(3)))
+	as, _ := Base(g, "A")
+	bs, _ := Base(g, "B")
+	j1, err := Join(as, bs, "A-B", "A", "B")
+	if err != nil {
+		t.Fatal(err)
+	}
+	as2, err := BaseNamed(g, "A", "A#2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	j2, err := Join(j1, as2, "A-B_rev", "B", "A#2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bs2, err := BaseNamed(g, "B", "B#2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	j3, err := Join(j2, bs2, "A-B", "A#2", "B#2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cols := range [][]string{{"B"}, {"A", "B"}, {"A", "B", "A#2"}} {
+		got, err := Project(j3, cols...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		narrowed, err := j3.Retain(cols...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tuple := func(r *Relation, i int) (tup [3]tgm.NodeID) {
+			for c := range cols {
+				tup[c] = r.At(i, c)
+			}
+			return tup
+		}
+		seen := map[[3]tgm.NodeID]bool{}
+		var want [][3]tgm.NodeID
+		for i := 0; i < narrowed.Len(); i++ {
+			if tup := tuple(narrowed, i); !seen[tup] {
+				seen[tup] = true
+				want = append(want, tup)
+			}
+		}
+		if got.Len() != len(want) || got.Len() == narrowed.Len() {
+			t.Fatalf("%v: %d rows, want %d (of %d)", cols, got.Len(), len(want), narrowed.Len())
+		}
+		for i, tup := range want {
+			if tuple(got, i) != tup {
+				t.Fatalf("%v: row %d = %v, want %v", cols, i, tuple(got, i), tup)
+			}
+		}
+	}
+}
+
 func TestDistinctNodes(t *testing.T) {
 	g, ids := figure8Graph(t)
 	papers, _ := Base(g, "Papers")
@@ -302,9 +369,9 @@ func TestFigure8Pipeline(t *testing.T) {
 	// ∗ σ_{country like '%Korea%'}(Inst)
 	g, ids := figure8Graph(t)
 	confs, _ := Base(g, "Conferences")
-	sigmod, _ := Select(confs, "Conferences", expr.MustParse("acronym = 'SIGMOD'"))
+	sigmod, _ := selectCond(confs, "Conferences", expr.MustParse("acronym = 'SIGMOD'"))
 	papers, _ := Base(g, "Papers")
-	recent, _ := Select(papers, "Papers", expr.MustParse("year > 2005"))
+	recent, _ := selectCond(papers, "Papers", expr.MustParse("year > 2005"))
 	j1, err := Join(sigmod, recent, "Conf-Papers", "Conferences", "Papers")
 	if err != nil {
 		t.Fatal(err)
@@ -315,7 +382,7 @@ func TestFigure8Pipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	insts, _ := Base(g, "Institutions")
-	korea, _ := Select(insts, "Institutions", expr.MustParse("country like '%Korea%'"))
+	korea, _ := selectCond(insts, "Institutions", expr.MustParse("country like '%Korea%'"))
 	j3, err := Join(j2, korea, "Authors-Inst", "Authors", "Institutions")
 	if err != nil {
 		t.Fatal(err)
@@ -356,7 +423,7 @@ func TestConcurrentOperatorsOnSharedRelation(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				recent, err := Select(papers, "Papers", cond)
+				recent, err := selectCond(papers, "Papers", cond)
 				if err != nil {
 					t.Error(err)
 					return

@@ -43,29 +43,10 @@ func (r *Relation) slice(lo, hi int) *Relation {
 	return out
 }
 
-// Partitions chunks the relation into n contiguous morsels of
-// near-equal size, zero copy: each partition's columns re-slice r's
-// columns. Concat of the partitions in order reproduces r exactly.
-// Fewer than n partitions are returned when r has fewer than n rows;
-// an empty relation yields no partitions, and n <= 0 yields r itself
-// as the single partition.
-func (r *Relation) Partitions(n int) []*Relation {
-	if n <= 0 {
-		return []*Relation{r}
-	}
-	size := (r.n + n - 1) / n
-	bounds := morselBounds(r.n, size)
-	out := make([]*Relation, len(bounds))
-	for i, b := range bounds {
-		out[i] = r.slice(b[0], b[1])
-	}
-	return out
-}
-
 // Concat splices relations with identical attribute lists into one
 // relation backed by a fresh arena, preserving part order then row
-// order — the inverse of Partitions. All parts must come from the same
-// instance graph and agree on attribute names and types.
+// order. All parts must come from the same instance graph and agree on
+// attribute names and types.
 func Concat(parts ...*Relation) (*Relation, error) {
 	if len(parts) == 0 {
 		return nil, fmt.Errorf("graphrel: Concat of no relations")

@@ -5,238 +5,32 @@ import (
 	"fmt"
 
 	"repro/internal/exec"
-	"repro/internal/expr"
 	"repro/internal/tgm"
 )
 
-// Parallel kernels: SelectPar, JoinPar, and ProjectPar are the
-// morsel-driven counterparts of Select, Join, and Project. Each chunks
-// its input into MorselRows-row morsels, fans the morsels out to a
-// shared exec.Pool under a per-query budget, and splices the per-morsel
-// outputs into a single arena-backed relation without taking any lock
-// on the hot path:
+// Parallel kernels: Select (graphrel.go) and GroupNeighborsPar are
+// morsel-driven. Each chunks its input into MorselRows-row morsels,
+// fans the morsels out to a shared exec.Pool under a per-query budget,
+// and splices the per-morsel outputs into one result without taking
+// any lock on the hot path:
 //
-//   - phase 1 (parallel): every morsel writes match indexes into its
-//     own private slice — no sharing, no locks;
+//   - phase 1 (parallel): every morsel writes into its own private
+//     slice or map — no sharing, no locks;
 //   - phase 2 (serial, O(#morsels)): prefix-sum the per-morsel counts
-//     into disjoint output offsets;
+//     into disjoint output offsets (Select), or splice the per-morsel
+//     groups in morsel order (GroupNeighborsPar);
 //   - phase 3 (parallel): every morsel gathers its rows into its own
 //     disjoint window of the output arena — disjoint writes, no locks.
 //
-// The output is row-for-row identical to the serial kernel, not merely
+// The output is row-for-row identical to a serial run, not merely
 // set-equal: morsels are contiguous input runs and are spliced in input
-// order. Cancellation is checked between morsels (exec.Pool.Map), so an
-// abandoned request stops a scan or join mid-flight with ctx.Err().
-//
-// Each kernel degrades to its serial counterpart when the input is a
-// single morsel, the budget is <= 1, or the pool is nil — tiny
-// interactive queries never pay the fan-out overhead.
-//
-// The execution pipeline (internal/etable) drives SelectPar, JoinPar,
-// and GroupNeighborsPar (the transform-stage prep kernel); ProjectPar
-// and the Partitions/Concat morsel API are part of the same kernel
-// surface. Every parallel kernel shares its per-morsel phase with the
-// serial operator (selectRange, probeRange, dedupRows, groupPairs,
-// sortDedup) so the kernels cannot drift apart.
-
-// SelectPar is Select fanned out over morsels of r. It returns exactly
-// Select(r, attrName, cond), computed by at most budget workers drawn
-// from pool.
-func SelectPar(ctx context.Context, pool *exec.Pool, budget int, r *Relation, attrName string, cond expr.Expr) (*Relation, error) {
-	if cond == nil {
-		return r, nil
-	}
-	ai := r.AttrIndex(attrName)
-	if ai < 0 {
-		return nil, fmt.Errorf("graphrel: no attribute %q", attrName)
-	}
-	pred, err := expr.Compile(cond, r.Attrs[ai].Type)
-	if err != nil {
-		return nil, err
-	}
-	return SelectParPred(ctx, pool, budget, r, attrName, pred)
-}
-
-// SelectParPred is SelectPar with an already-compiled predicate (see
-// SelectPred). A nil pred returns r unchanged.
-func SelectParPred(ctx context.Context, pool *exec.Pool, budget int, r *Relation, attrName string, pred expr.Pred) (*Relation, error) {
-	if pred == nil {
-		return r, nil
-	}
-	if pool == nil || budget <= 1 || r.n <= MorselRows {
-		if err := ctxErr(ctx); err != nil {
-			return nil, err
-		}
-		return SelectPred(r, attrName, pred)
-	}
-	bounds := morselBounds(r.n, MorselRows)
-	ai := r.AttrIndex(attrName)
-	if ai < 0 {
-		return nil, fmt.Errorf("graphrel: no attribute %q", attrName)
-	}
-	col := r.cols[ai]
-
-	// Phase 1: each morsel filters into its own keep list, through the
-	// same selectRange phase the serial kernel runs over [0, n).
-	keeps := make([][]int32, len(bounds))
-	if err := pool.Map(ctx, len(bounds), budget, func(m int) error {
-		keep, err := selectRange(r, col, pred, bounds[m][0], bounds[m][1])
-		if err != nil {
-			return err
-		}
-		keeps[m] = keep
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-
-	// Phase 2: prefix-sum morsel counts into disjoint output offsets.
-	offs, total := prefixOffsets(keeps)
-
-	// Phase 3: gather every morsel into its disjoint output window.
-	out := newRelation(r.g, r.Attrs, total)
-	if err := pool.Map(ctx, len(bounds), budget, func(m int) error {
-		rows := keeps[m]
-		lo := offs[m]
-		for c, src := range r.cols {
-			gatherInto(out.cols[c][lo:lo+len(rows)], src, rows)
-		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// JoinPar is Join fanned out over morsels of r1. The hash index over r2
-// is built once on the calling goroutine (it is O(|r2|) and shared
-// read-only by every morsel); matching and output gathering then
-// parallelize over r1's morsels. It returns exactly
-// Join(r1, r2, edgeType, leftAttr, rightAttr).
-func JoinPar(ctx context.Context, pool *exec.Pool, budget int, r1, r2 *Relation, edgeType, leftAttr, rightAttr string) (*Relation, error) {
-	if pool == nil || budget <= 1 || r1.n <= MorselRows {
-		if err := ctxErr(ctx); err != nil {
-			return nil, err
-		}
-		return Join(r1, r2, edgeType, leftAttr, rightAttr)
-	}
-	bounds := morselBounds(r1.n, MorselRows)
-	li, ri, err := checkJoin(r1, r2, edgeType, leftAttr, rightAttr, true)
-	if err != nil {
-		return nil, err
-	}
-	// Index r2 rows by their node at rightAttr (read-only after this).
-	index := buildJoinIndex(r2, ri)
-	lcol := r1.cols[li]
-
-	// Phase 1: each morsel probes its run of r1 into private pair
-	// lists, through the same probeRange phase the serial kernel runs
-	// over [0, n).
-	lrows := make([][]int32, len(bounds))
-	rrows := make([][]int32, len(bounds))
-	if err := pool.Map(ctx, len(bounds), budget, func(m int) error {
-		lrows[m], rrows[m] = probeRange(r1.g, lcol, index, edgeType, bounds[m][0], bounds[m][1])
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-
-	// Phase 2: offsets.
-	offs, total := prefixOffsets(lrows)
-
-	// Phase 3: gather both sides into disjoint windows of one arena.
-	attrs := make([]Attr, 0, len(r1.Attrs)+len(r2.Attrs))
-	attrs = append(append(attrs, r1.Attrs...), r2.Attrs...)
-	out := newRelation(r1.g, attrs, total)
-	if err := pool.Map(ctx, len(bounds), budget, func(m int) error {
-		lo, n := offs[m], len(lrows[m])
-		for c, src := range r1.cols {
-			gatherInto(out.cols[c][lo:lo+n], src, lrows[m])
-		}
-		for c, src := range r2.cols {
-			gatherInto(out.cols[len(r1.cols)+c][lo:lo+n], src, rrows[m])
-		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ProjectPar is Project fanned out over morsels: each morsel
-// deduplicates its own run into a private candidate list (parallel),
-// a serial pass merges the candidates against a global seen set in
-// morsel order (preserving the serial kernel's first-occurrence
-// semantics), and the surviving rows are gathered. It returns exactly
-// Project(r, attrNames...).
-func ProjectPar(ctx context.Context, pool *exec.Pool, budget int, r *Relation, attrNames ...string) (*Relation, error) {
-	narrowed, err := r.Retain(attrNames...)
-	if err != nil {
-		return nil, err
-	}
-	if pool == nil || budget <= 1 || narrowed.n <= MorselRows {
-		if err := ctxErr(ctx); err != nil {
-			return nil, err
-		}
-		return Project(r, attrNames...)
-	}
-	bounds := morselBounds(narrowed.n, MorselRows)
-
-	// Phase 1: per-morsel local dedup. A row survives locally if its key
-	// was not seen earlier in the same morsel; cross-morsel duplicates
-	// are resolved by the serial merge below.
-	cands := make([][]int32, len(bounds))
-	if err := pool.Map(ctx, len(bounds), budget, func(m int) error {
-		lo, hi := bounds[m][0], bounds[m][1]
-		cands[m] = dedupRows(narrowed, lo, hi)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-
-	// Phase 2 (serial): merge candidates in morsel order against one
-	// global seen set — identical first-occurrence order to the serial
-	// kernel, because morsels are contiguous input runs.
-	var keep []int32
-	switch len(narrowed.cols) {
-	case 1:
-		seen := make(map[tgm.NodeID]bool, narrowed.n)
-		c0 := narrowed.cols[0]
-		for _, cand := range cands {
-			for _, i := range cand {
-				if id := c0[i]; !seen[id] {
-					seen[id] = true
-					keep = append(keep, i)
-				}
-			}
-		}
-	case 2:
-		seen := make(map[uint64]bool, narrowed.n)
-		c0, c1 := narrowed.cols[0], narrowed.cols[1]
-		for _, cand := range cands {
-			for _, i := range cand {
-				key := uint64(uint32(c0[i]))<<32 | uint64(uint32(c1[i]))
-				if !seen[key] {
-					seen[key] = true
-					keep = append(keep, i)
-				}
-			}
-		}
-	default:
-		seen := make(map[string]bool, narrowed.n)
-		key := make([]byte, 4*len(narrowed.cols))
-		for _, cand := range cands {
-			for _, i := range cand {
-				rowKeyInto(key, narrowed.cols, int(i))
-				if !seen[string(key)] {
-					seen[string(key)] = true
-					keep = append(keep, i)
-				}
-			}
-		}
-	}
-	return narrowed.gather(keep), nil
-}
+// order, and the serial run is the same per-range phase (selectRange,
+// groupPairs, sortDedup) over [0, n). Cancellation is checked between
+// morsels (exec.Pool.Map), so an abandoned request stops a scan
+// mid-flight with ctx.Err(). Both kernels run serially when the input
+// is a single morsel, the budget is <= 1, or the pool is nil — tiny
+// interactive queries never pay the fan-out overhead. Joins fan out per
+// batch inside StreamJoin's stage (stream.go), not here.
 
 // GroupNeighborsPar is GroupNeighbors fanned out over morsels of r: the
 // per-morsel pair collection runs in parallel into private group maps,
@@ -289,56 +83,6 @@ func GroupNeighborsPar(ctx context.Context, pool *exec.Pool, budget int, r *Rela
 		return nil, err
 	}
 	return out, nil
-}
-
-// dedupRows returns the rows of [lo, hi) whose projection key first
-// occurs in that window, in ascending row order.
-func dedupRows(narrowed *Relation, lo, hi int) []int32 {
-	var keep []int32
-	switch len(narrowed.cols) {
-	case 1:
-		seen := make(map[tgm.NodeID]bool, hi-lo)
-		c0 := narrowed.cols[0]
-		for i := lo; i < hi; i++ {
-			if id := c0[i]; !seen[id] {
-				seen[id] = true
-				keep = append(keep, int32(i))
-			}
-		}
-	case 2:
-		seen := make(map[uint64]bool, hi-lo)
-		c0, c1 := narrowed.cols[0], narrowed.cols[1]
-		for i := lo; i < hi; i++ {
-			key := uint64(uint32(c0[i]))<<32 | uint64(uint32(c1[i]))
-			if !seen[key] {
-				seen[key] = true
-				keep = append(keep, int32(i))
-			}
-		}
-	default:
-		seen := make(map[string]bool, hi-lo)
-		key := make([]byte, 4*len(narrowed.cols))
-		for i := lo; i < hi; i++ {
-			rowKeyInto(key, narrowed.cols, i)
-			if !seen[string(key)] {
-				seen[string(key)] = true
-				keep = append(keep, int32(i))
-			}
-		}
-	}
-	return keep
-}
-
-// rowKeyInto serializes row i's IDs across cols into key (4 bytes per
-// column, little-endian).
-func rowKeyInto(key []byte, cols [][]tgm.NodeID, i int) {
-	for c, col := range cols {
-		id := uint32(col[i])
-		key[4*c] = byte(id)
-		key[4*c+1] = byte(id >> 8)
-		key[4*c+2] = byte(id >> 16)
-		key[4*c+3] = byte(id >> 24)
-	}
 }
 
 // prefixOffsets turns per-morsel output slices into disjoint output

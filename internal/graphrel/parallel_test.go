@@ -90,6 +90,9 @@ func assertIdenticalRelations(t *testing.T, label string, got, want *Relation) {
 	}
 }
 
+// TestSelectParEquivalence asserts Select under a pool and budgets 1–8
+// returns exactly the serial Select's relation, on a base relation and
+// on a joined one (the memoizing selectRange arm).
 func TestSelectParEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	g := bigChainGraph(t, rng)
@@ -116,28 +119,38 @@ func TestSelectParEquivalence(t *testing.T) {
 		{"joined_multi_attr_memoized", joined, "A"},
 	} {
 		for _, budget := range []int{1, 2, 4, 8} {
-			cond := expr.MustParse(fmt.Sprintf("id %% %d = %d", 2+budget%3, budget%2))
-			want, err := Select(tc.rel, tc.attr, cond)
+			pred, err := compileCond(tc.rel, tc.attr, expr.MustParse(fmt.Sprintf("id %% %d = %d", 2+budget%3, budget%2)))
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := SelectPar(ctx, pool, budget, tc.rel, tc.attr, cond)
+			want, err := Select(nil, nil, 1, tc.rel, tc.attr, pred)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := Select(ctx, pool, budget, tc.rel, tc.attr, pred)
 			if err != nil {
 				t.Fatal(err)
 			}
 			assertIdenticalRelations(t, fmt.Sprintf("%s/budget=%d", tc.name, budget), got, want)
 		}
 	}
-	// Nil condition returns the input unchanged, like the serial kernel.
-	same, err := SelectPar(ctx, pool, 4, as, "A", nil)
+	// A nil predicate returns the input unchanged on the pooled path too.
+	same, err := Select(ctx, pool, 4, as, "A", nil)
 	if err != nil || same != as {
-		t.Fatalf("nil cond: got %p (err %v), want input %p", same, err, as)
+		t.Fatalf("nil pred: got %p (err %v), want input %p", same, err, as)
 	}
-	if _, err := SelectPar(ctx, pool, 4, as, "Nope", expr.MustParse("id = 1")); err == nil {
+	pred, err := compileCond(as, "A", expr.MustParse("id = 1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Select(ctx, pool, 4, as, "Nope", pred); err == nil {
 		t.Error("unknown attribute accepted")
 	}
 }
 
+// TestJoinParEquivalence asserts the parallel join — StreamJoin's stage
+// fanning batches out over a pool under budgets 1–8 — materializes to
+// exactly the reference Join's relation, in both edge directions.
 func TestJoinParEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	g := bigChainGraph(t, rng)
@@ -151,72 +164,31 @@ func TestJoinParEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	streamed := func(budget int, left, right *Relation, edge, la, ra string) *Relation {
+		t.Helper()
+		src, err := StreamJoin(ctx, pool, budget, StreamRelationBatch(left, 0), right, edge, la, ra)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Materialize(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
 	want, err := Join(as, bs, "A-B", "A", "B")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, budget := range []int{1, 2, 4, 8} {
-		got, err := JoinPar(ctx, pool, budget, as, bs, "A-B", "A", "B")
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertIdenticalRelations(t, fmt.Sprintf("budget=%d", budget), got, want)
+		assertIdenticalRelations(t, fmt.Sprintf("budget=%d", budget), streamed(budget, as, bs, "A-B", "A", "B"), want)
 	}
 	// The reverse direction joins through the bidirectional pair.
 	wantRev, err := Join(bs, as, "A-B_rev", "B", "A")
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotRev, err := JoinPar(ctx, pool, 4, bs, as, "A-B_rev", "B", "A")
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertIdenticalRelations(t, "reverse", gotRev, wantRev)
-	if _, err := JoinPar(ctx, pool, 4, as, bs, "Nope", "A", "B"); err == nil {
-		t.Error("unknown edge type accepted")
-	}
-}
-
-func TestProjectParEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	g := bigChainGraph(t, rng)
-	pool := exec.NewPool(4)
-	ctx := context.Background()
-	as, _ := Base(g, "A")
-	bs, _ := Base(g, "B")
-	j1, err := Join(as, bs, "A-B", "A", "B")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A second hop back to A gives three columns with heavy duplication.
-	as2, err := BaseNamed(g, "A", "A#2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	j2, err := Join(j1, as2, "A-B_rev", "B", "A#2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, cols := range [][]string{
-		{"B"},             // 1-column dedup (NodeID keys)
-		{"A", "B"},        // 2-column dedup (uint64 keys)
-		{"A", "B", "A#2"}, // 3-column dedup (byte-string keys)
-	} {
-		want, err := Project(j2, cols...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, budget := range []int{1, 2, 4} {
-			got, err := ProjectPar(ctx, pool, budget, j2, cols...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertIdenticalRelations(t, fmt.Sprintf("%v/budget=%d", cols, budget), got, want)
-		}
-	}
-	if _, err := ProjectPar(ctx, pool, 4, j2, "Nope"); err == nil {
-		t.Error("unknown attribute accepted")
-	}
+	assertIdenticalRelations(t, "reverse", streamed(4, bs, as, "A-B_rev", "B", "A"), wantRev)
 }
 
 func TestParallelKernelCancellation(t *testing.T) {
@@ -226,26 +198,40 @@ func TestParallelKernelCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	as, _ := Base(g, "A")
-	bs, _ := Base(g, "B")
-	if _, err := SelectPar(ctx, pool, 4, as, "A", expr.MustParse("id > 3")); !errors.Is(err, context.Canceled) {
-		t.Errorf("SelectPar err = %v, want Canceled", err)
-	}
-	if _, err := JoinPar(ctx, pool, 4, as, bs, "A-B", "A", "B"); !errors.Is(err, context.Canceled) {
-		t.Errorf("JoinPar err = %v, want Canceled", err)
-	}
-	j, err := Join(as, bs, "A-B", "A", "B")
+	pred, err := compileCond(as, "A", expr.MustParse("id > 3"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ProjectPar(ctx, pool, 4, j, "A", "B"); !errors.Is(err, context.Canceled) {
-		t.Errorf("ProjectPar err = %v, want Canceled", err)
+	if _, err := Select(ctx, pool, 4, as, "A", pred); !errors.Is(err, context.Canceled) {
+		t.Errorf("pooled Select err = %v, want Canceled", err)
 	}
-	// The serial degradation path must honor cancellation too.
-	if _, err := SelectPar(ctx, nil, 1, as, "A", expr.MustParse("id > 3")); !errors.Is(err, context.Canceled) {
-		t.Errorf("serial SelectPar err = %v, want Canceled", err)
+	// The serial path must honor cancellation too.
+	if _, err := Select(ctx, nil, 1, as, "A", pred); !errors.Is(err, context.Canceled) {
+		t.Errorf("serial Select err = %v, want Canceled", err)
 	}
 }
 
+// batches drains r through the pipeline's leaf source in batchRows-row
+// partitions.
+func batches(t *testing.T, r *Relation, batchRows int) []*Relation {
+	t.Helper()
+	var parts []*Relation
+	src := StreamRelationBatch(r, batchRows)
+	for {
+		b, err := src.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b == nil {
+			return parts
+		}
+		parts = append(parts, b)
+	}
+}
+
+// TestPartitionsConcatRoundtrip: partitioning a relation into the leaf
+// source's batches and splicing them back with Concat reproduces it
+// exactly, for batch sizes below, at, and above the row count.
 func TestPartitionsConcatRoundtrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g := bigChainGraph(t, rng)
@@ -255,26 +241,23 @@ func TestPartitionsConcatRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, n := range []int{1, 2, 3, 7, 16, j.Len(), j.Len() + 5} {
-		parts := j.Partitions(n)
+	for _, size := range []int{1000, MorselRows, 0, j.Len() / 3, j.Len(), j.Len() + 5} {
+		parts := batches(t, j, size)
 		total := 0
 		for _, p := range parts {
 			if len(p.Attrs) != len(j.Attrs) {
-				t.Fatalf("n=%d: partition attrs %d", n, len(p.Attrs))
+				t.Fatalf("size=%d: partition attrs %d", size, len(p.Attrs))
 			}
 			total += p.Len()
 		}
 		if total != j.Len() {
-			t.Fatalf("n=%d: partitions cover %d rows, want %d", n, total, j.Len())
-		}
-		if len(parts) > n {
-			t.Fatalf("n=%d: %d partitions", n, len(parts))
+			t.Fatalf("size=%d: partitions cover %d rows, want %d", size, total, j.Len())
 		}
 		back, err := Concat(parts...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertIdenticalRelations(t, fmt.Sprintf("roundtrip n=%d", n), back, j)
+		assertIdenticalRelations(t, fmt.Sprintf("roundtrip size=%d", size), back, j)
 	}
 }
 
@@ -282,20 +265,21 @@ func TestPartitionsEdgeCases(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	g := bigChainGraph(t, rng)
 	as, _ := Base(g, "A")
-	if parts := as.Partitions(0); len(parts) != 1 || parts[0] != as {
-		t.Errorf("Partitions(0) = %d parts", len(parts))
-	}
-	empty, err := Select(as, "A", expr.MustParse("id < 0"))
+	empty, err := selectCond(as, "A", expr.MustParse("id < 0"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if parts := empty.Partitions(4); len(parts) != 0 {
+	if parts := batches(t, empty, 4); len(parts) != 0 {
 		t.Errorf("empty relation yields %d partitions", len(parts))
 	}
+	// A non-positive batch size means one morsel per batch.
+	parts := batches(t, as, 0)
+	if parts[0].Len() != MorselRows {
+		t.Errorf("default batch = %d rows, want %d", parts[0].Len(), MorselRows)
+	}
 	// Partitions are zero-copy windows of the parent's columns.
-	parts := as.Partitions(4)
-	if &parts[0].Column(0)[0] != &as.Column(0)[0] {
-		t.Error("first partition does not alias the parent column")
+	if &parts[0].Column(0)[0] != &as.Column(0)[0] || &parts[1].Column(0)[0] != &as.Column(0)[MorselRows] {
+		t.Error("partitions do not alias the parent column")
 	}
 }
 

@@ -70,7 +70,7 @@ func TestJoinScanEquivalenceRandomized(t *testing.T) {
 		}
 		// Random selection on A thins the left side.
 		cond := expr.MustParse(fmt.Sprintf("id %% %d = %d", 2+rng.Intn(3), rng.Intn(2)))
-		if as, err = Select(as, "A", cond); err != nil {
+		if as, err = selectCond(as, "A", cond); err != nil {
 			t.Fatal(err)
 		}
 		bs, err := Base(g, "B")

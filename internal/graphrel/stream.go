@@ -5,26 +5,24 @@ import (
 	"fmt"
 
 	"repro/internal/exec"
-	"repro/internal/expr"
 	"repro/internal/tgm"
 )
 
-// Streaming kernels: pull-based, morsel-batched counterparts of Select,
-// Join, and Retain. A RowSource yields a relation's tuples as a sequence
-// of bounded batches (MorselRows rows each, the same morsel discipline
-// as the parallel kernels), so a pipeline composed of stream operators
+// Streaming kernels: the pull-based, morsel-batched join the execution
+// pipeline is composed of. A RowSource yields a relation's tuples as a
+// sequence of bounded batches (MorselRows rows each, the same morsel
+// discipline as the parallel kernels), so a chain of StreamJoin stages
 // holds at most a few morsels per stage in memory instead of every
 // intermediate relation in full.
 //
-// Three properties make the streamed pipeline interchangeable with the
-// materializing one:
+// Three properties hold for every pipeline:
 //
-//   - Row identity: every stream operator runs the same per-range phase
-//     as its eager counterpart (selectRange, probeRange + joinOutput)
-//     over batches that are contiguous input runs consumed in order, so
-//     concatenating a stream's batches reproduces the eager operator's
-//     output row for row — not merely set-equal. Materialize is that
-//     concatenation.
+//   - Row identity: StreamJoin runs the same per-range phases as the
+//     reference Join (probeRange + joinOutput) over batches that are
+//     contiguous input runs consumed in order, so concatenating a
+//     stream's batches reproduces Join's output row for row — not
+//     merely set-equal — whatever the batch size or the fan-out budget.
+//     Materialize is that concatenation.
 //   - Early termination: a consumer that stops pulling stops all
 //     upstream production; StreamLimit additionally Closes its upstream
 //     once satisfied, so a LIMIT or a first-page fetch does O(window)
@@ -60,17 +58,11 @@ type RowSource interface {
 	Close()
 }
 
-// StreamRelation streams an existing relation as zero-copy MorselRows
-// batches: each batch re-slices r's columns, no IDs are copied. It is
-// the leaf every streamed pipeline starts from.
-func StreamRelation(r *Relation) RowSource {
-	return StreamRelationBatch(r, 0)
-}
-
-// StreamRelationBatch is StreamRelation with an explicit batch size;
-// batchRows <= 0 uses MorselRows. Smaller batches exist for tests
-// (multi-batch pipelines over hand-checkable fixtures) and for callers
-// that want finer-grained cancellation.
+// StreamRelationBatch streams an existing relation as zero-copy
+// batches of batchRows rows (<= 0 uses MorselRows): each batch re-slices
+// r's columns, no IDs are copied. It is the leaf every streamed pipeline
+// starts from; smaller batches exist for tests (multi-batch pipelines
+// over hand-checkable fixtures).
 func StreamRelationBatch(r *Relation, batchRows int) RowSource {
 	if batchRows <= 0 {
 		batchRows = MorselRows
@@ -102,14 +94,13 @@ func (s *relationSource) Next() (*Relation, error) {
 	return b, nil
 }
 
-// stageSource is the shared machinery of the streaming operators: it
-// pulls a bounded run of input batches per refill, applies the
-// per-batch kernel to each — fanned out over the pool when a budget is
-// granted, serially otherwise — and hands the outputs downstream in
-// input order. The in-order splice is what keeps streamed pipelines
-// row-identical to the eager kernels; the bounded refill width is what
-// keeps memory proportional to the parallelism budget, not the
-// relation.
+// stageSource is StreamJoin's machinery: it pulls a bounded run of
+// input batches per refill, applies the per-batch kernel to each —
+// fanned out over the pool when a budget is granted, serially
+// otherwise — and hands the outputs downstream in input order. The
+// in-order splice is what keeps a pipeline's rows independent of its
+// budget; the bounded refill width is what keeps memory proportional
+// to the parallelism budget, not the relation.
 //
 // Two details serve first-page latency. The refill width ramps up —
 // 1, 2, 4, … capped at the budget — so the first Next on a cold
@@ -250,50 +241,16 @@ func header(src RowSource) *Relation {
 	return &Relation{g: src.Graph(), Attrs: attrs, cols: make([][]tgm.NodeID, len(attrs))}
 }
 
-// StreamSelect streams σ over src: batches pass through the same
-// selectRange phase the eager Select runs over [0, n), so the streamed
-// output concatenates to exactly Select(r, attrName, cond). A nil
-// condition returns src unchanged. The condition is compiled once at
-// construction; a budget > 1 fans batches out over the pool.
-func StreamSelect(ctx context.Context, pool *exec.Pool, budget int, src RowSource, attrName string, cond expr.Expr) (RowSource, error) {
-	if cond == nil {
-		return src, nil
-	}
-	hdr := header(src)
-	ai := hdr.AttrIndex(attrName)
-	if ai < 0 {
-		return nil, fmt.Errorf("graphrel: no attribute %q", attrName)
-	}
-	pred, err := expr.Compile(cond, hdr.Attrs[ai].Type)
-	if err != nil {
-		return nil, err
-	}
-	return &stageSource{
-		src: src, g: src.Graph(), attrs: src.Attrs(),
-		ctx: ctx, pool: pool, budget: budget,
-		apply: func(b *Relation) (*Relation, error) {
-			keep, err := selectRange(b, b.cols[ai], pred, 0, b.n)
-			if err != nil {
-				return nil, err
-			}
-			if len(keep) == 0 {
-				return nil, nil
-			}
-			return b.gather(keep), nil
-		},
-	}, nil
-}
-
 // StreamJoin streams src ∗_ρ right: the hash index over the (already
 // materialized) right side is built once at construction, and each
 // batch probes it through the same probeRange + joinOutput phases as
-// the eager Join, so the streamed output concatenates to exactly
+// the reference Join, so the streamed output concatenates to exactly
 // Join(left, right, …). The right side is the join's build side — in
 // the execution pipeline it is a cached base relation — so only the
 // probe side streams.
 func StreamJoin(ctx context.Context, pool *exec.Pool, budget int, src RowSource, right *Relation, edgeType, leftAttr, rightAttr string) (RowSource, error) {
 	hdr := header(src)
-	li, ri, err := checkJoin(hdr, right, edgeType, leftAttr, rightAttr, true)
+	li, ri, err := checkJoin(hdr, right, edgeType, leftAttr, rightAttr)
 	if err != nil {
 		return nil, err
 	}
@@ -309,23 +266,6 @@ func StreamJoin(ctx context.Context, pool *exec.Pool, budget int, src RowSource,
 				return nil, nil
 			}
 			return joinOutput(b, right, lrows, rrows), nil
-		},
-	}, nil
-}
-
-// StreamRetain streams Retain over src: each batch is restricted to the
-// named attributes zero-copy (columns are re-sliced, never copied). No
-// duplicate elimination is performed — like Retain, not Project; Π's
-// dedup is a pipeline breaker and belongs to the consumer.
-func StreamRetain(src RowSource, attrNames ...string) (RowSource, error) {
-	hdr, err := header(src).Retain(attrNames...)
-	if err != nil {
-		return nil, err
-	}
-	return &stageSource{
-		src: src, g: src.Graph(), attrs: hdr.Attrs,
-		apply: func(b *Relation) (*Relation, error) {
-			return b.Retain(attrNames...)
 		},
 	}, nil
 }
@@ -398,10 +338,10 @@ func (e *RowLimitError) Error() string {
 	return fmt.Sprintf("graphrel: result exceeds %d rows", e.Limit)
 }
 
-// LimitExceeded builds the row-cap error every enforcement point —
-// the eager per-step check, the streamed per-batch check, and the
-// session's pre-window check — routes through, so the surfaced payload
-// (cap, observed rows) is identical no matter which layer tripped.
+// LimitExceeded builds the row-cap error every enforcement point — the
+// drain's per-batch check and the session's pre-window check — routes
+// through, so the surfaced payload (cap, observed rows) is identical no
+// matter which layer tripped.
 func LimitExceeded(limit, rows int) *RowLimitError {
 	return &RowLimitError{Limit: limit, Rows: rows}
 }
@@ -409,8 +349,8 @@ func LimitExceeded(limit, rows int) *RowLimitError {
 // Materialize drains src and concatenates its batches into one
 // arena-backed relation — the lazy-materialization point where a
 // streamed pipeline becomes a shareable, cacheable Relation. Batches
-// are spliced in stream order, so the result is row-identical to the
-// eager pipeline's output. The source is Closed before returning,
+// are spliced in stream order, so the result does not depend on how
+// the stream was batched. The source is Closed before returning,
 // success or not.
 func Materialize(src RowSource) (*Relation, error) {
 	return materialize(src, 0)
@@ -462,8 +402,8 @@ func ConcatAll(g *tgm.InstanceGraph, attrs []Attr, parts []*Relation) (*Relation
 // AppendGroupPairs folds r's (groupAttr, valueAttr) co-occurrence pairs
 // into dst — the incremental form of GroupNeighbors' collection pass,
 // for consumers folding a streamed pipeline batch by batch. Appending
-// batches in stream order accumulates exactly the pair lists the eager
-// pass collects over the concatenated relation; finish with
+// batches in stream order accumulates exactly the pair lists
+// GroupNeighbors collects over the concatenated relation; finish with
 // SortDedupGroups to obtain GroupNeighbors' canonical result.
 func AppendGroupPairs(dst map[tgm.NodeID][]tgm.NodeID, r *Relation, groupAttr, valueAttr string) error {
 	gi := r.AttrIndex(groupAttr)

@@ -29,29 +29,31 @@ func (c *countingSource) Next() (*Relation, error) {
 	return c.src.Next()
 }
 
-// streamPipeline composes select → join → retain over the A–B chain
-// graph as streams, mirroring eagerPipeline batch for batch.
+// streamPipeline is the execution pipeline's shape over the A–B chain
+// graph: a selected base (Select under the given pool and budget)
+// streamed in batch-row batches through one StreamJoin stage.
 func streamPipeline(t *testing.T, ctx context.Context, pool *exec.Pool, budget int, as, bs *Relation, cond expr.Expr, batch int) RowSource {
 	t.Helper()
-	src := StreamRelationBatch(as, batch)
-	src, err := StreamSelect(ctx, pool, budget, src, "A", cond)
+	pred, err := compileCond(as, "A", cond)
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err = StreamJoin(ctx, pool, budget, src, bs, "A-B", "A", "B")
+	sel, err := Select(ctx, pool, budget, as, "A", pred)
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err = StreamRetain(src, "B", "A")
+	src, err := StreamJoin(ctx, pool, budget, StreamRelationBatch(sel, batch), bs, "A-B", "A", "B")
 	if err != nil {
 		t.Fatal(err)
 	}
 	return src
 }
 
-func eagerPipeline(t *testing.T, as, bs *Relation, cond expr.Expr) *Relation {
+// referencePipeline is the same query through the algebra's reference
+// operators: the serial Select, then Join.
+func referencePipeline(t *testing.T, as, bs *Relation, cond expr.Expr) *Relation {
 	t.Helper()
-	sel, err := Select(as, "A", cond)
+	sel, err := selectCond(as, "A", cond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,17 +61,13 @@ func eagerPipeline(t *testing.T, as, bs *Relation, cond expr.Expr) *Relation {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := j.Retain("B", "A")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
+	return j
 }
 
-// TestStreamEquivalenceRandomized is the streaming ≡ materializing
-// fuzz: random conditions, batch sizes, and budgets, with Materialize
-// of the streamed pipeline asserted row- and column-identical to the
-// eager kernels (not merely set-equal).
+// TestStreamEquivalenceRandomized is the streamed ≡ reference fuzz:
+// random conditions, batch sizes, and budgets, with Materialize of the
+// streamed pipeline asserted row- and column-identical to the
+// reference operators (not merely set-equal).
 func TestStreamEquivalenceRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	g := bigChainGraph(t, rng)
@@ -92,7 +90,7 @@ func TestStreamEquivalenceRandomized(t *testing.T) {
 		if rng.Intn(4) > 0 {
 			p = pool
 		}
-		want := eagerPipeline(t, as, bs, cond)
+		want := referencePipeline(t, as, bs, cond)
 		got, err := Materialize(streamPipeline(t, ctx, p, budget, as, bs, cond, batch))
 		if err != nil {
 			t.Fatal(err)
@@ -145,7 +143,7 @@ func TestStreamLimitEquivalence(t *testing.T) {
 	as, _ := Base(g, "A")
 	bs, _ := Base(g, "B")
 	cond := expr.MustParse("id % 2 = 0")
-	full := eagerPipeline(t, as, bs, cond)
+	full := referencePipeline(t, as, bs, cond)
 	for _, k := range []int{0, 1, 7, 100, full.Len(), full.Len() + 99} {
 		src := streamPipeline(t, context.Background(), nil, 1, as, bs, cond, 512)
 		got, err := Materialize(StreamLimit(src, k))
@@ -235,7 +233,7 @@ func TestStreamCancellation(t *testing.T) {
 	// Materialize surfaces cancellation from a canceled-at-start stream.
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	cancel2()
-	src2, err := StreamSelect(ctx2, pool, 4, StreamRelationBatch(as, 64), "A", expr.MustParse("id > 3"))
+	src2, err := StreamJoin(ctx2, pool, 4, StreamRelationBatch(as, 64), bs, "A-B", "A", "B")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,28 +242,24 @@ func TestStreamCancellation(t *testing.T) {
 	}
 }
 
-// TestStreamConstructionErrors mirrors the eager kernels' validation:
-// unknown attributes and edge types fail at construction, before any
-// batch is pulled.
+// TestStreamConstructionErrors mirrors Join's validation: unknown edge
+// types and attributes and mistyped endpoints fail at construction,
+// before any batch is pulled.
 func TestStreamConstructionErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	g := bigChainGraph(t, rng)
 	as, _ := Base(g, "A")
 	bs, _ := Base(g, "B")
-	src := StreamRelation(as)
-	if _, err := StreamSelect(nil, nil, 1, src, "Nope", expr.MustParse("id = 1")); err == nil {
-		t.Error("StreamSelect accepted unknown attribute")
-	}
-	if _, err := StreamJoin(nil, nil, 1, src, bs, "Nope", "A", "B"); err == nil {
-		t.Error("StreamJoin accepted unknown edge type")
-	}
-	if _, err := StreamRetain(src, "Nope"); err == nil {
-		t.Error("StreamRetain accepted unknown attribute")
-	}
-	// Nil condition passes the source through unchanged.
-	same, err := StreamSelect(nil, nil, 1, src, "A", nil)
-	if err != nil || same != src {
-		t.Fatalf("nil cond: got %p (err %v), want %p", same, err, src)
+	src := StreamRelationBatch(as, 0)
+	for _, tc := range []struct{ name, edge, left, right string }{
+		{"unknown edge type", "Nope", "A", "B"},
+		{"unknown left attribute", "A-B", "Nope", "B"},
+		{"unknown right attribute", "A-B", "A", "Nope"},
+		{"edge against its orientation", "A-B_rev", "A", "B"},
+	} {
+		if _, err := StreamJoin(nil, nil, 1, src, bs, tc.edge, tc.left, tc.right); err == nil {
+			t.Errorf("StreamJoin accepted %s", tc.name)
+		}
 	}
 }
 
@@ -278,7 +272,11 @@ func TestMaterializeEmptyAndMax(t *testing.T) {
 	as, _ := Base(g, "A")
 	bs, _ := Base(g, "B")
 
-	empty, err := StreamSelect(nil, nil, 1, StreamRelation(as), "A", expr.MustParse("id < 0"))
+	none, err := selectCond(as, "A", expr.MustParse("id < 0"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty, err := StreamJoin(nil, nil, 1, StreamRelationBatch(none, 0), bs, "A-B", "A", "B")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +284,7 @@ func TestMaterializeEmptyAndMax(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if er.Len() != 0 || len(er.Attrs) != 1 || er.Attrs[0].Name != "A" {
+	if er.Len() != 0 || len(er.Attrs) != 2 || er.Attrs[0].Name != "A" || er.Attrs[1].Name != "B" {
 		t.Fatalf("empty materialization: len=%d attrs=%v", er.Len(), er.Attrs)
 	}
 

@@ -609,10 +609,8 @@ type spillJSON struct {
 }
 
 // plannerJSON is the plan-cache telemetry block of /api/v1/stats: how
-// often queries reuse a prepared plan (hits vs misses), how the
-// adaptive planner split its decisions (greedy vs cost-model plans),
-// and how often the runtime feedback loop replaced a cached plan whose
-// estimates diverged from observed cardinalities.
+// often queries reuse a prepared plan (hits vs misses) and how the
+// adaptive planner split its decisions (greedy vs cost-model plans).
 type plannerJSON struct {
 	// Mode is the server-wide planner policy ("auto" unless forced for
 	// ablation).
@@ -627,9 +625,6 @@ type plannerJSON struct {
 	// policy (after adaptive resolution).
 	GreedyPlans int64 `json:"greedyPlans"`
 	CostPlans   int64 `json:"costPlans"`
-	// FeedbackReplans counts cached plans replaced (or recalibrated)
-	// because observed join cardinalities diverged from the estimates.
-	FeedbackReplans int64 `json:"feedbackReplans"`
 	// AdaptiveThresholdNodes is the corpus size at which PlannerAuto
 	// switches from greedy to cost-model ordering.
 	AdaptiveThresholdNodes int `json:"adaptiveThresholdNodes"`
@@ -726,7 +721,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			Evictions:              ps.Evictions,
 			GreedyPlans:            ps.GreedyPlans,
 			CostPlans:              ps.CostPlans,
-			FeedbackReplans:        ps.Replans,
 			AdaptiveThresholdNodes: ps.AdaptiveThreshold,
 		}
 		st := stats.For(def.Graph())

@@ -138,8 +138,8 @@ type limitEnvelope struct {
 }
 
 // TestResultTooLargePayloadUnified (satellite: unified 413 surfacing):
-// whichever layer rejects — the eager per-step cap with spilling off,
-// the spill byte budget, or the session pre-window guard — the client
+// whichever layer rejects — the match's drain with spilling off, the
+// spill byte budget, or the session pre-window guard — the client
 // sees the same payload shape: code result_too_large with the limit
 // and the observed row count.
 func TestResultTooLargePayloadUnified(t *testing.T) {
@@ -155,9 +155,9 @@ func TestResultTooLargePayloadUnified(t *testing.T) {
 		minRows int
 	}{
 		{
-			// Spilling off: the eager executor rejects mid-plan when the
-			// pivot's join exceeds the cap.
-			name: "eager step, spill off",
+			// Spilling off: the drain stops as soon as the pivot's result
+			// exceeds the cap.
+			name: "result over cap, spill off",
 			opts: Options{MaxRows: 2, SpillDir: "off"},
 			drive: func(t *testing.T, ts *httptest.Server, id int64) (int, limitEnvelope) {
 				var env limitEnvelope
@@ -166,7 +166,7 @@ func TestResultTooLargePayloadUnified(t *testing.T) {
 				return code, env
 			},
 			wantLimit: 2,
-			minRows:   3, // whatever join prefix first exceeded the cap
+			minRows:   3, // the first batch that crossed the cap
 		},
 		{
 			// Spill byte budget exhausted: the spill aborts mid-write and

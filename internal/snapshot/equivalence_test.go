@@ -101,8 +101,7 @@ func renderResult(res *etable.Result) string {
 
 // TestRandomRoundTripEquivalence: generate → translate → Save → Load,
 // then random patterns must render byte-identical results on the
-// loaded graph versus the fresh one across the eager, streaming, and
-// parallel execution arms.
+// loaded graph versus the fresh one, serial and under a pool.
 func TestRandomRoundTripEquivalence(t *testing.T) {
 	tr := testGraph(t)
 	snap, err := Decode(saveBytes(t, tr.Instance))
@@ -115,9 +114,8 @@ func TestRandomRoundTripEquivalence(t *testing.T) {
 		name string
 		opt  etable.ExecOptions
 	}{
-		{"eager", etable.ExecOptions{Stream: etable.StreamOff}},
-		{"streaming", etable.ExecOptions{Stream: etable.StreamOn}},
-		{"parallel", etable.ExecOptions{Stream: etable.StreamOff, Pool: pool, Parallelism: 4}},
+		{"serial", etable.ExecOptions{}},
+		{"pooled", etable.ExecOptions{Pool: pool, Parallelism: 4}},
 	}
 
 	rng := rand.New(rand.NewSource(99))
@@ -157,7 +155,7 @@ func TestRandomRoundTripEquivalence(t *testing.T) {
 }
 
 // TestConcurrentLoadedGraphQueries hammers one loaded graph from many
-// goroutines (distinct patterns, mixed arms) under -race: the loaded
+// goroutines (distinct patterns, serial and pooled) under -race: the loaded
 // graph must honor the same lock-free frozen-read contract as a
 // translated one, including its lazily-populated plan cache.
 func TestConcurrentLoadedGraphQueries(t *testing.T) {
@@ -186,9 +184,6 @@ func TestConcurrentLoadedGraphQueries(t *testing.T) {
 		go func(i int, p *etable.Pattern) {
 			defer wg.Done()
 			opt := etable.ExecOptions{}
-			if i%3 == 0 {
-				opt.Stream = etable.StreamOn
-			}
 			if i%2 == 0 {
 				opt.Pool, opt.Parallelism = pool, 2
 			}

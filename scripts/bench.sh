@@ -15,7 +15,9 @@
 #
 # Smoke mode (what CI runs) executes each benchmark for exactly one
 # iteration and writes no artifact: it proves every benchmark still
-# compiles and runs, without measuring anything.
+# compiles and runs, without measuring anything. It also covers the
+# package benchmarks that live beside their test-only oracle
+# (internal/etable, internal/graphrel).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -25,7 +27,7 @@ if [ "${1:-}" = "smoke" ] || [ "${1:-}" = "--smoke" ]; then
 	# vet first so CI's smoke shard fails on bench-code rot even when a
 	# benchmark would happen to run.
 	go vet .
-	exec go test -run '^$' -bench "$pattern" -benchtime 1x .
+	exec go test -run '^$' -bench "$pattern" -benchtime 1x . ./internal/etable ./internal/graphrel
 fi
 
 pattern="${1:-.}"
