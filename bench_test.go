@@ -27,6 +27,7 @@ import (
 	"repro/internal/relational"
 	"repro/internal/server"
 	"repro/internal/snapshot"
+	"repro/internal/spill"
 	"repro/internal/sqlexec"
 	"repro/internal/storage"
 	"repro/internal/study"
@@ -404,9 +405,9 @@ type serverState struct {
 // Open → Filter → Pivot → paged-Revert workload with overlapping
 // pattern signatures across sessions. Arms ablate the serving core:
 //
-//   - baseline_globalmutex: one mutex serializes every request, each
-//     session has a private execution cache, responses encode the full
-//     table — the pre-refactor serving core.
+//   - baseline_globalmutex: one mutex serializes every request and
+//     responses encode the full table — the lock is what this arm
+//     ablates.
 //   - shared_cache: per-session locking plus the shared cross-session
 //     cache, still full-table responses.
 //   - shared_cache_paged: the full new serving path — shared cache and
@@ -450,7 +451,7 @@ func BenchmarkServerConcurrentSessions(b *testing.B) {
 	}
 
 	b.Run("baseline_globalmutex", func(b *testing.B) {
-		srv := server.NewWithOptions(tr.Schema, tr.Instance, server.Options{PrivateCaches: true})
+		srv := server.NewWithOptions(tr.Schema, tr.Instance, server.Options{})
 		workload(b, &globalMutexHandler{h: srv}, false)
 	})
 	b.Run("shared_cache", func(b *testing.B) {
@@ -883,7 +884,7 @@ func BenchmarkPlanCache(b *testing.B) {
 	}
 
 	b.Run("plan/every-time", func(b *testing.B) {
-		opt := etable.ExecOptions{NoPlanCache: true, Planner: etable.PlannerCost}
+		opt := etable.ExecOptions{NoPlanCache: true}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := etable.PlanForOpts(tr.Instance, p, opt); err != nil {
@@ -945,31 +946,6 @@ func BenchmarkPlanCache(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkAblation_AdaptivePlanner runs the Figure 7 join chain under
-// both join-ordering policies across corpus sizes, with the plan cache
-// disabled so every iteration pays its policy's full planning cost —
-// the measurement behind the adaptive planner's corpus-size threshold
-// (PERFORMANCE.md §8). Greedy orders by raw instance counts alone;
-// cost runs the statistics-backed fanout × selectivity model.
-func BenchmarkAblation_AdaptivePlanner(b *testing.B) {
-	for _, papers := range []int{300, 1200, 4000} {
-		tr := corpusAt(b, papers)
-		p := figure7Pattern(b, tr)
-		nodes := tr.Instance.NumNodes()
-		for _, mode := range []etable.PlannerMode{etable.PlannerGreedy, etable.PlannerCost} {
-			b.Run(fmt.Sprintf("papers=%d/nodes=%d/%s", papers, nodes, mode), func(b *testing.B) {
-				opt := etable.ExecOptions{Planner: mode, NoPlanCache: true}
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := etable.MatchOpts(tr.Instance, p, opt); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
 }
 
 // BenchmarkBootTranslate is the cold-boot baseline: what etable-server
@@ -1167,12 +1143,14 @@ func BenchmarkSpilledFirstPage(b *testing.B) {
 					maxBytes = parsed
 				}
 			}
+			var metrics spill.Metrics
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				pol := &graphrel.SpillPolicy{
 					Dir:      dir,
 					MaxBytes: maxBytes,
 					Pool:     pager.New(64),
+					Metrics:  &metrics,
 				}
 				opt := etable.ExecOptions{MaxRows: 4096, Spill: pol}
 				src, err := etable.MatchSource(tr.Instance, p, opt)
@@ -1183,7 +1161,7 @@ func BenchmarkSpilledFirstPage(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if pr.Spilled() == nil {
+				if metrics.Snapshot().Spills == 0 {
 					b.Fatal("prepare did not spill")
 				}
 				res, err := pr.Window(0, window)

@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"repro/internal/dataset"
-	"repro/internal/etable"
 	"repro/internal/registry"
 	"repro/internal/server"
 	"repro/internal/snapshot"
@@ -62,13 +61,7 @@ func main() {
 	maxRows := flag.Int("max-rows", 0, "row threshold past which a result spills to disk, or fails with 413 result_too_large when spilling is off (0 = unbounded)")
 	spillDir := flag.String("spill-dir", "", "directory for spill run files (empty = system temp dir; \"off\" disables spilling and restores strict -max-rows rejection)")
 	maxSpillBytes := flag.Int64("max-spill-bytes", 0, "maximum bytes one query may spill to disk (0 = unbounded; exceeding fails with 413 result_too_large)")
-	plannerFlag := flag.String("planner", "auto", "join-ordering policy: auto (adaptive by corpus size), greedy, or cost")
 	flag.Parse()
-
-	planner, err := etable.ParsePlannerMode(*plannerFlag)
-	if err != nil {
-		log.Fatal(err)
-	}
 
 	reg := registry.New(registry.Options{CacheEntries: *cacheEntries})
 	snapOpt := registry.SnapshotOptions{Lazy: *lazy, PoolSections: *pagerSections}
@@ -144,7 +137,6 @@ func main() {
 		MaxRows:       *maxRows,
 		SpillDir:      *spillDir,
 		MaxSpillBytes: *maxSpillBytes,
-		Planner:       planner,
 	})
 	spillInfo := "off"
 	if *maxRows > 0 && *spillDir != "off" {
@@ -153,8 +145,8 @@ func main() {
 			spillInfo = os.TempDir()
 		}
 	}
-	fmt.Printf("ETable serving on http://%s/ (cache %d, ttl %s, max sessions %d, page size %d, workers %d, parallelism %d, max rows %d, spill %s, planner %s)\n",
-		*addr, *cacheEntries, *sessionTTL, *maxSessions, *pageSize, *maxWorkers, *parallelism, *maxRows, spillInfo, planner)
+	fmt.Printf("ETable serving on http://%s/ (cache %d, ttl %s, max sessions %d, page size %d, workers %d, parallelism %d, max rows %d, spill %s)\n",
+		*addr, *cacheEntries, *sessionTTL, *maxSessions, *pageSize, *maxWorkers, *parallelism, *maxRows, spillInfo)
 	fmt.Printf("API: /api/v1 (declarative ops; see docs/API.md) — legacy /api/* routes are deprecated aliases\n")
 	log.Fatal(http.ListenAndServe(*addr, srv))
 }

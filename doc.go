@@ -103,7 +103,7 @@
 // PERFORMANCE.md §5 records the scaling measurements
 // (BenchmarkParallelScaling).
 //
-// # Adaptive planning
+// # Planning
 //
 // There is one match engine (internal/etable/stream.go): every join
 // runs as a streamed pipeline, and draining, fanning out and spilling
@@ -114,13 +114,13 @@
 // cardinality estimates, and the peak estimate that gates the
 // parallelism budget). Pattern signatures are memoized on the
 // immutable Pattern, so a warm lookup is a pointer load plus one map
-// probe. The planner is adaptive: below a corpus-size threshold it
-// uses greedy no-statistics ordering, above it the statistics-backed
-// cost model (ExecOptions.Planner forces either). /api/v1/stats
-// exposes hits/misses/evictions and the greedy/cost split;
-// PERFORMANCE.md §8 records the cache effect and the greedy-vs-cost
-// ablation that justifies the threshold, §13 why the eager join arm
-// and the feedback re-planner were removed.
+// probe. Joins are ordered by one policy, the statistics-backed
+// fan-out × selectivity cost model, at every corpus size. /api/v1/stats
+// exposes the plan cache's hits/misses/evictions; PERFORMANCE.md §8
+// records the cache effect, §13 why the eager join arm and the feedback
+// re-planner were removed, §14 why the greedy ordering and its
+// corpus-size threshold were (no workload reached them; parity where
+// forced).
 //
 // # Windowed presentation
 //
@@ -134,12 +134,14 @@
 // matching kernels — row- and cell-identical to the serial transform,
 // equivalence-tested under -race.
 //
-// Pinning semantics: the session layer prepares one Presentation per
-// pattern and pins the matched relation in the shared execution cache
-// (etable.Cache.Pin via Executor.PrepareWithOpts). A pinned relation
-// is exempt from LRU eviction, so every page of a result addresses the
-// same relation — a page fetch costs O(window), never a re-match or a
-// full re-render. Sort variants of one pattern share that single
+// Ownership: a Presentation owns everything its windows read — row
+// IDs, column layout, groupings, adjacency handles. The matched
+// relation is an input of Prepare (Executor.PrepareWithOpts takes it
+// from the shared execution cache, or folds it off the engine's stream
+// and leaves it there) and is never read again, so the cache may evict
+// it at any time: a page fetch costs O(window), never a re-match or a
+// full re-render. The session layer prepares one Presentation per
+// pattern, and sort variants of one pattern share that single
 // prepared presentation: Presentation.SortedView reorders only the row
 // IDs while sharing the column layout and neighbor groupings, so
 // toggling sort direction never re-prepares. Sorting happens on the row
@@ -177,10 +179,9 @@
 // they were issued against; any op that changes the table invalidates
 // them (409 stale_cursor), and the client re-pages the new state.
 //
-// Memory bound: pins are released when the per-session presentation
-// memo (8 entries) evicts an entry, so at most sessions × 8 relations
-// are pinned beyond the cache capacity; /api/v1/stats reports the
-// current count as pinnedRelations.
+// Memory bound: a session holds at most 8 prepared presentations (its
+// presentation memo); relations are held by the cache alone, so -cache
+// is the number of relations resident, whatever the session count.
 //
 // Allocation discipline in the transform: all cells of a window share
 // one backing array, entity references are carved from one per-range
@@ -238,21 +239,22 @@
 // The out-of-core tier bounds memory on the way *in* (base columns page
 // from disk); the spill tier bounds it on the way *out*: a query whose
 // result crosses the row cap (ExecOptions.MaxRows, etable-server
-// -max-rows) no longer fails with 413 result_too_large — it
-// materializes through internal/spill into temporary run files
-// (snapshot NCOL column encoding, per-run CRC-32C, anonymous
-// O_TMPFILE/unlink-on-open so a crash leaks nothing) and pages back
-// through the same internal/pager buffer pool as lazy columns.
-// internal/graphrel provides the external operator forms: RunSink
-// accumulates streamed batches into fixed-size runs and exposes the
-// window-addressable SpilledRelation; ExternalGroupFold and
-// ExternalDistinct run sort-merge folds whose sorted-run flushes merge
-// with cross-run deduplication, so grouping and distinct results far
-// past the cap compute in bounded memory. Policy is per-dataset
-// (graphrel.SpillPolicy via server Options{SpillDir, MaxSpillBytes};
-// flags -spill-dir and -max-spill-bytes; "off" restores strict 413s),
-// the byte budget rejects with the same unified
-// {code, limit, rows} envelope as every other cap layer, damaged runs
+// -max-rows) no longer fails with 413 result_too_large — its prepare
+// folds through internal/spill into temporary run files (snapshot NCOL
+// column encoding, per-run CRC-32C, anonymous O_TMPFILE/unlink-on-open
+// so a crash leaks nothing) and pages back through the same
+// internal/pager buffer pool as lazy columns. Only what a presentation
+// reads back is written: internal/graphrel's ExternalGroupFold (one
+// per participating column) and ExternalDistinct (the row set) run
+// sort-merge folds whose sorted-run flushes merge with cross-run
+// deduplication, so grouping and distinct results far past the cap
+// compute in bounded memory; the matched batches themselves are folded
+// and dropped, and -max-spill-bytes is charged for the folds alone.
+// Policy is per-dataset (graphrel.SpillPolicy via server
+// Options{SpillDir, MaxSpillBytes}; flags -spill-dir and
+// -max-spill-bytes; "off" restores strict 413s), the byte budget
+// rejects with the same unified {code, limit, rows} envelope as every
+// other cap layer, damaged runs
 // surface as typed *spill.CorruptError values with the session
 // surviving, and files are reaped on session close, LRU eviction, and
 // a boot-time sweep of named spill directories. /api/v1/stats reports

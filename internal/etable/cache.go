@@ -64,11 +64,6 @@ type cacheItem struct {
 	key        string
 	rel        *graphrel.Relation
 	prev, next *cacheItem
-	// pins counts outstanding Pin handles on this entry. A pinned entry
-	// is exempt from LRU eviction, so a session paging through a large
-	// result keeps addressing the same matched relation instead of
-	// recomputing it after eviction. Guarded by the shard mutex.
-	pins int
 }
 
 // flightCall is one in-flight computation other callers can wait on.
@@ -159,102 +154,21 @@ func (c *Cache) GetOrCompute(key string, compute func() (*graphrel.Relation, err
 // panicked; the panic itself propagates on the leader's goroutine.
 var errComputePanicked = errors.New("etable: cache compute panicked")
 
-// Pin is an outstanding reference on a cached relation: while held,
-// the entry is exempt from LRU eviction. Pins back the windowed
-// presentation path — a cursor pages against the pinned matched
-// relation, so no page fetch ever recomputes the match. Release is
-// idempotent and must eventually be called (the session layer releases
-// when its presentation memo evicts the entry); the number of live
-// pins is therefore bounded by sessions × per-session memo size, which
-// bounds the memory pinned entries can hold beyond the cache capacity.
-type Pin struct {
-	c        *Cache
-	key      string
-	released atomic.Bool
-}
-
-// Release drops the pin, returning the entry to normal LRU discipline.
-// Safe to call more than once.
-func (p *Pin) Release() {
-	if p == nil || !p.released.CompareAndSwap(false, true) {
-		return
-	}
-	s := p.c.shardFor(p.key)
-	s.mu.Lock()
-	if it, ok := s.items[p.key]; ok && it.pins > 0 {
-		it.pins--
-	}
-	s.mu.Unlock()
-}
-
-// GetOrComputePinned is GetOrCompute plus a Pin on the resulting entry.
-// If the entry was evicted between the compute and the pin (possible
-// only under extreme concurrent insert pressure), it is re-inserted so
-// the pin always lands.
-func (c *Cache) GetOrComputePinned(key string, compute func() (*graphrel.Relation, error)) (*graphrel.Relation, *Pin, error) {
-	rel, err := c.GetOrCompute(key, compute)
-	if err != nil {
-		return nil, nil, err
-	}
-	s := c.shardFor(key)
-	s.mu.Lock()
-	it, ok := s.items[key]
-	if !ok {
-		s.insert(key, rel)
-		it = s.items[key]
-	}
-	it.pins++
-	s.mu.Unlock()
-	return rel, &Pin{c: c, key: key}, nil
-}
-
-// PinnedCount returns the number of cache entries currently pinned, for
-// the server's stats endpoint and tests.
-func (c *Cache) PinnedCount() int {
-	n := 0
+// ResidentBytes estimates the bytes of all cached relations
+// (graphrel.Relation.SizeBytes; column data, not Go object headers) for
+// the server's stats endpoint. It takes each shard lock briefly; the
+// result is a point-in-time snapshot, not a linearizable total.
+func (c *Cache) ResidentBytes() int64 {
+	var n int64
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
 		for it := s.head; it != nil; it = it.next {
-			if it.pins > 0 {
-				n++
-			}
+			n += it.rel.SizeBytes()
 		}
 		s.mu.Unlock()
 	}
 	return n
-}
-
-// MemStats is the cache's memory telemetry for the server's stats
-// endpoint: estimated resident bytes of every cached relation and the
-// subset held by pinned entries (the bytes session presentation memos
-// keep beyond LRU discipline).
-type MemStats struct {
-	// ResidentBytes estimates the bytes of all cached relations
-	// (graphrel.Relation.SizeBytes; column data, not Go object headers).
-	ResidentBytes int64
-	// PinnedBytes estimates the bytes of currently pinned relations.
-	PinnedBytes int64
-}
-
-// MemStatsNow sums the size estimates of the cached relations across
-// all shards. It takes each shard lock briefly; the result is a
-// point-in-time snapshot, not a linearizable total.
-func (c *Cache) MemStatsNow() MemStats {
-	var ms MemStats
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		for it := s.head; it != nil; it = it.next {
-			b := it.rel.SizeBytes()
-			ms.ResidentBytes += b
-			if it.pins > 0 {
-				ms.PinnedBytes += b
-			}
-		}
-		s.mu.Unlock()
-	}
-	return ms
 }
 
 // Get returns the cached relation for key without computing, for tests
@@ -304,19 +218,8 @@ func (s *cacheShard) insert(key string, rel *graphrel.Relation) {
 	it := &cacheItem{key: key, rel: rel}
 	s.items[key] = it
 	s.pushFront(it)
-	for len(s.items) > s.max {
-		// Evict the least recently used unpinned entry — but never the
-		// entry being inserted: when everything else is pinned the shard
-		// overflows instead (bounded by the number of live pins, see
-		// Pin). Self-eviction would make GetOrComputePinned's follow-up
-		// lookup miss the entry it just computed.
+	if len(s.items) > s.max {
 		lru := s.tail
-		for lru != nil && (lru.pins > 0 || lru == it) {
-			lru = lru.prev
-		}
-		if lru == nil {
-			break
-		}
 		s.unlink(lru)
 		delete(s.items, lru.key)
 	}

@@ -15,11 +15,11 @@
 // the stream:
 //
 //   - MatchOpts / Executor.MatchWithOpts drain it into one arena-backed
-//     relation — the value that is cached and pinned;
+//     relation — the value that is cached;
 //   - Executor.PrepareWithOpts folds the presentation's pipeline
 //     breakers off it batch by batch (PrepareFromSource), and with a
-//     spill policy the same fold writes to disk runs once the drain
-//     crosses MaxRows instead of failing;
+//     spill policy the folds — and only the folds — write to disk runs
+//     once the drain crosses MaxRows instead of failing;
 //   - MatchSource hands the stream out, so a window or LIMIT consumer
 //     terminates upstream production after O(window) driving-side work.
 //
@@ -35,7 +35,7 @@
 // (match_oracle_test.go): conditions compiled on the spot, declaration
 // join order, the algebra's materializing Join at every step.
 //
-// # Adaptive planning
+// # Planning
 //
 // The engine and PlanForOpts resolve the prepared plan through one
 // function, planFor: a per-frozen-graph LRU cache keyed by the memoized
@@ -46,25 +46,28 @@
 // skips planning entirely; a warm lookup costs a pointer load and one
 // map probe (BenchmarkPlanCache).
 //
-// The ordering policy is adaptive (resolvePlannerMode): below
-// adaptiveStatsMinNodes the greedy no-statistics ordering is used —
-// the measured ablation (PERFORMANCE.md §8) shows the cost model and
-// greedy ordering within noise of each other on small corpora, so the
-// cheaper policy wins — and above it the statistics-backed cost model,
-// where skewed fan-out can compound across multi-hop joins.
-// ExecOptions.Planner forces either policy; ExecOptions.NoPlanCache
-// builds the plan without looking it up or inserting it, in every mode
-// (the plan-every-time arm of the planner benchmarks).
+// There is one ordering policy, the statistics-backed fan-out ×
+// selectivity cost model (planJoinsSized), at every corpus size. A
+// statistics-free greedy ordering used to run below a 10,000-node
+// threshold: no benchmarked workload reached it, it measured no faster
+// where it ran, and planning computed the cost-model order for the
+// budget gate's peak estimate in either mode, so it saved nothing
+// (PERFORMANCE.md §14).
+// ExecOptions.NoPlanCache builds the plan without looking it up or
+// inserting it (the plan-every-time arm of BenchmarkPlanCache).
 //
-// PlannerStatsFor exposes hits, misses, evictions and the greedy/cost
-// split; the server surfaces them at /api/v1/stats.
+// PlannerStatsFor exposes hits, misses and evictions; the server
+// surfaces them at /api/v1/stats.
 //
 // # Windowed presentation
 //
 // Prepare computes what depends on the whole matched relation (row set,
 // column layout, per-column groupings) and no cells; Window materializes
 // any row range of it; Sort and SortedView reorder the row IDs between
-// the two.
+// the two. The matched relation is an input of Prepare, not a
+// possession of the Presentation: nothing reads it afterwards, so the
+// cache holds relations under plain LRU and a presentation stays valid
+// after its relation is evicted.
 //
 // Sort contract (sort.go). A sort is extract-then-sort: one pass over
 // the current row order fills a typed key vector, and the keys — never

@@ -11,8 +11,8 @@ import (
 
 // ExecOptions configures one execution: the cancellation context, the
 // intra-query parallelism budget, the row cap and its spill policy, and
-// the planning knobs. The zero value is serial, uncancellable, uncapped
-// execution under the adaptive planner. Each field names what exercises
+// the plan-cache bypass. The zero value is serial, uncancellable,
+// uncapped execution. Each field names what exercises
 // it — a bench/run.sh workload (the server sets the field from a flag
 // or per request) or a benchmark in bench_test.go.
 type ExecOptions struct {
@@ -45,25 +45,16 @@ type ExecOptions struct {
 	MaxRows int
 	// Spill turns MaxRows from a failure into a trigger for the
 	// browsable prepare path: a prepare whose drain crosses MaxRows
-	// demotes its materialization and its breaker folds to temp-file
-	// runs (internal/spill) and keeps going. The policy's MaxBytes stays
-	// a hard cap — exceeding it fails with the same
-	// *graphrel.RowLimitError. nil disables spilling. outofcore_mix runs
-	// with it (-spill-dir); BenchmarkSpilledFirstPage measures it.
+	// demotes its breaker folds to temp-file runs (internal/spill) and
+	// keeps going. The policy's MaxBytes stays a hard cap — exceeding it
+	// fails with the same *graphrel.RowLimitError. nil disables spilling.
+	// outofcore_mix runs with it (-spill-dir); BenchmarkSpilledFirstPage
+	// measures it.
 	Spill *graphrel.SpillPolicy
-	// Planner selects the join-ordering policy: PlannerAuto (the zero
-	// value) adapts to the corpus size, PlannerGreedy and PlannerCost
-	// force one arm. Forced modes cache under their own keys, so
-	// ablation runs never dislodge the adaptive plans. The workloads run
-	// PlannerAuto (-planner); BenchmarkAblation_AdaptivePlanner forces
-	// each arm.
-	Planner PlannerMode
 	// NoPlanCache builds the plan for this execution from scratch and
-	// neither looks it up in nor inserts it into the graph's plan cache,
-	// in every planner mode. It is the plan-every-time arm of
-	// BenchmarkPlanCache and BenchmarkAblation_AdaptivePlanner, and how
-	// the traced benchmark run (bench/run.sh --trace 1) times a cold
-	// plan.
+	// neither looks it up in nor inserts it into the graph's plan cache.
+	// It is the plan-every-time arm of BenchmarkPlanCache, and how the
+	// traced benchmark run (bench/run.sh --trace 1) times a cold plan.
 	NoPlanCache bool
 }
 

@@ -111,9 +111,9 @@ func computeSignature(p *Pattern) string {
 // NOT originate from ctx (a singleflight leader's client disconnected
 // mid-compute, this caller's did not) and the lookup should retry —
 // the error is never cached, and with the canceled leader gone the
-// caller computes the value itself on the next attempt. Both the plain
-// and the pinned lookup paths share this single classification, so the
-// retry rules cannot drift apart.
+// caller computes the value itself on the next attempt. The match and
+// the prepare lookups share this single classification, so the retry
+// rules cannot drift apart.
 func foreignCancellation(ctx context.Context, err error) bool {
 	if err == nil || !(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
 		return false
@@ -172,42 +172,41 @@ func (e *Executor) MatchWithOpts(p *Pattern, opt ExecOptions) (*graphrel.Relatio
 // retry — spilled results are per-caller, never shared.
 var errSpilled = errors.New("etable: result spilled to disk")
 
-// PrepareWithOpts builds the windowed presentation of a pattern: the
-// matched relation comes from the shared cache (pinned), and the
-// returned Presentation materializes any row window on demand. The
-// caller owns the Pin and must Release it when done paging; the
-// Presentation stays valid afterwards (relations are immutable), but
-// the cache may then recompute the match for other sessions.
+// PrepareWithOpts builds the windowed presentation of a pattern. The
+// matched relation is an input of the prepare, not a possession of its
+// product: it comes from (and stays in) the shared cache under plain
+// LRU, and the returned Presentation owns everything its windows read,
+// so it stays valid however soon the cache evicts the relation.
 //
 // On a cache miss the presentation is folded directly off the engine's
 // stream (PrepareFromSource): the match never exists as a chain of
 // materialized intermediates, only as the final spliced relation that
-// goes into the cache and under the pin. The fold happens only when
-// this caller is the compute leader — singleflight waiters, cache hits
-// and joinless patterns (whose match is the cached base itself) receive
-// the relation and prepare from it with PrepareOpts, which yields an
-// identical presentation (the fold and the whole-relation passes are
-// both pure functions of the tuple set).
+// goes into the cache. The fold happens only when this caller is the
+// compute leader — singleflight waiters, cache hits and joinless
+// patterns (whose match is the cached base itself) receive the relation
+// and prepare from it with PrepareOpts, which yields an identical
+// presentation (the fold and the whole-relation passes are both pure
+// functions of the tuple set).
 //
 // With a spill policy in the options, a prepare whose match crosses
 // MaxRows comes back disk-resident instead of failing — the spill tier
-// is the drain's sink, not a second attempt: the returned Pin is nil
-// (spilled relations are never cached — they are owned by exactly one
-// caller) and the caller must Close the presentation when done paging.
-// Pin.Release is nil-safe, so callers that treat the pair uniformly
-// need no special casing beyond the Close.
-func (e *Executor) PrepareWithOpts(p *Pattern, opt ExecOptions) (*Presentation, *Pin, error) {
+// is the drain's sink, not a second attempt. Nothing of a spilled
+// prepare is cached (its groupings are owned by exactly one caller),
+// and the caller must Close the presentation when done paging; Close is
+// a no-op on heap-resident presentations, so callers need no special
+// casing.
+func (e *Executor) PrepareWithOpts(p *Pattern, opt ExecOptions) (*Presentation, error) {
 	if err := p.Validate(e.g.Schema()); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if err := ctxErr(opt.Ctx); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	key := matchPrefix + Signature(p)
 	// streamed carries the presentation out of the compute closure when
 	// this call ends up being the singleflight leader. Unsynchronized by
-	// design: GetOrComputePinned runs the closure on this goroutine or
-	// not at all.
+	// design: GetOrCompute runs the closure on this goroutine or not at
+	// all.
 	var streamed *Presentation
 	compute := func() (*graphrel.Relation, error) {
 		rel, src, err := matchPipeline(e.g, p, opt, e.cache)
@@ -226,30 +225,25 @@ func (e *Executor) PrepareWithOpts(p *Pattern, opt ExecOptions) (*Presentation, 
 	}
 	for {
 		streamed = nil
-		rel, pin, err := e.cache.GetOrComputePinned(key, compute)
+		rel, err := e.cache.GetOrCompute(key, compute)
 		if foreignCancellation(opt.Ctx, err) {
 			continue
 		}
 		if errors.Is(err, errSpilled) {
 			if streamed != nil {
-				return streamed, nil, nil
+				return streamed, nil
 			}
 			// A waiter whose leader spilled: retry — next round this
 			// caller computes (and spills) for itself.
 			continue
 		}
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if streamed != nil {
-			return streamed, pin, nil
+			return streamed, nil
 		}
-		pr, err := PrepareOpts(e.g, p, rel, opt)
-		if err != nil {
-			pin.Release()
-			return nil, nil, err
-		}
-		return pr, pin, nil
+		return PrepareOpts(e.g, p, rel, opt)
 	}
 }
 

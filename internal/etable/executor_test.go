@@ -2,6 +2,8 @@ package etable
 
 import (
 	"testing"
+
+	"repro/internal/graphrel"
 )
 
 func TestExecutorMatchesPlainExecute(t *testing.T) {
@@ -176,6 +178,79 @@ func TestExecutorCacheBounded(t *testing.T) {
 	// per shard.
 	if got := cache.Len(); got > 16 {
 		t.Errorf("cache unbounded: %d entries", got)
+	}
+}
+
+// TestPresentationOutlivesRelation: the matched relation is an input
+// of Prepare, not a possession of its product. With one cache entry per
+// shard, unrelated traffic evicts the prepared pattern's relation, and
+// both prepare forms — folded off the stream by the compute leader,
+// prepared from the cached relation on a hit — still render the
+// oracle's table, sorted views included.
+func TestPresentationOutlivesRelation(t *testing.T) {
+	tr := planFixture(t)
+	p := figure7PlanPattern(t, tr)
+	oraclePr, want := oracleTable(t, tr.Instance, p)
+	cache := NewCache(cacheShards)
+	ex := NewSharedExecutor(tr.Instance, cache)
+	folded, err := ex.PrepareWithOpts(p, ExecOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	misses := ex.Misses()
+	fromCache, err := ex.PrepareWithOpts(p, ExecOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ex.Misses() != misses {
+		t.Fatal("second prepare recomputed the match instead of reading the cached relation")
+	}
+
+	key := matchPrefix + Signature(p)
+	for i := 0; i < 10000; i++ {
+		if _, ok := cache.Get(key); !ok {
+			break
+		}
+		if _, err := cache.GetOrCompute("filler-"+itoa(i), func() (*graphrel.Relation, error) { return dummyRel(), nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, ok := cache.Get(key); ok {
+		t.Fatal("flood did not evict the matched relation")
+	}
+
+	specs := []SortSpec{{Attr: want.Columns[0].Attr, Desc: true}}
+	for _, c := range want.Columns {
+		if c.Kind == ColParticipating {
+			specs = append(specs, SortSpec{Column: c.Name, Desc: true})
+			break
+		}
+	}
+	for name, pr := range map[string]*Presentation{"folded": folded, "from-cache": fromCache} {
+		got, err := pr.Window(0, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameResults(t, name, got, want)
+		for _, spec := range specs {
+			gv, err := pr.SortedView(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wv, err := oraclePr.SortedView(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gw, err := gv.Window(1, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ww, err := wv.Window(1, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameResults(t, name+"/sorted", gw, ww)
+		}
 	}
 }
 

@@ -138,7 +138,7 @@ func TestExecuteOptsCancellation(t *testing.T) {
 func TestPlanStepEstimates(t *testing.T) {
 	tr := planFixture(t)
 	p := figure7PlanPattern(t, tr)
-	pl, err := PlanForOpts(tr.Instance, p, ExecOptions{Planner: PlannerCost})
+	pl, err := PlanFor(tr.Instance, p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -88,53 +88,3 @@ func planJoinsSized(g *tgm.InstanceGraph, p *Pattern, sizes map[string]float64) 
 	}
 	return startKey, steps, nil
 }
-
-// greedyJoins is the statistics-free ordering policy: start at the
-// node with the smallest raw instance count and always extend to the
-// frontier node with the smallest raw count, ignoring edge fan-out,
-// NDV, and condition selectivity entirely. On small or low-skew
-// corpora this matches the cost-based order often enough that the
-// model's machinery doesn't pay for itself (PERFORMANCE.md §8); the
-// adaptive planner picks it below adaptiveStatsMinNodes. The emitted
-// steps still carry fanout-model estimates (computed along the chosen
-// order from estSizes) so telemetry reads numbers comparable to a
-// cost-ordered plan's.
-func greedyJoins(g *tgm.InstanceGraph, p *Pattern, estSizes map[string]float64) (startKey string, steps []JoinStep, err error) {
-	st := stats.For(g)
-	raw := make(map[string]float64, len(p.Nodes))
-	for i := range p.Nodes {
-		n := &p.Nodes[i]
-		raw[n.Key] = float64(len(g.NodesOfType(n.Type)))
-		if startKey == "" || raw[n.Key] < raw[startKey] {
-			startKey = n.Key
-		}
-	}
-	joined := map[string]bool{startKey: true}
-	est := estSizes[startKey]
-	for len(joined) < len(p.Nodes) {
-		found := false
-		var bestStep JoinStep
-		var bestSize float64
-		for _, e := range p.Edges {
-			anchorKey, newKey, edgeName, ok := orientEdge(g.Schema(), e, joined)
-			if !ok {
-				continue
-			}
-			if !found || raw[newKey] < bestSize {
-				found = true
-				bestSize = raw[newKey]
-				bestStep = JoinStep{AnchorKey: anchorKey, NewKey: newKey, EdgeName: edgeName,
-					EstIn: est, EstOut: est * st.Fanout(edgeName) * selFrac(st, p, newKey, estSizes)}
-			}
-		}
-		if !found {
-			return "", nil, errDisconnected
-		}
-		steps = append(steps, bestStep)
-		joined[bestStep.NewKey] = true
-		if est = bestStep.EstOut; est < 1 {
-			est = 1
-		}
-	}
-	return startKey, steps, nil
-}

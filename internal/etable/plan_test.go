@@ -189,14 +189,14 @@ func TestPlannerExecuteEquivalence(t *testing.T) {
 	}
 }
 
-// TestPlannerStartsAtMostSelectiveNode pins the cost planner's choice:
+// TestPlannerStartsAtMostSelectiveNode pins the planner's choice:
 // on Figure 7 the SIGMOD-filtered Conferences base (estimated at one
 // node) must be the join start, not the primary Authors node the naive
 // order uses.
 func TestPlannerStartsAtMostSelectiveNode(t *testing.T) {
 	tr := planFixture(t)
 	p := figure7PlanPattern(t, tr)
-	pl, err := PlanForOpts(tr.Instance, p, ExecOptions{Planner: PlannerCost, NoPlanCache: true})
+	pl, err := PlanForOpts(tr.Instance, p, ExecOptions{NoPlanCache: true})
 	if err != nil {
 		t.Fatal(err)
 	}

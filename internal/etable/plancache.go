@@ -10,84 +10,27 @@ import (
 	"repro/internal/tgm"
 )
 
-// Adaptive planning: the match engine (matchPipeline) and PlanForOpts
-// resolve plans through one entry point, planFor, backed by a
-// per-frozen-graph plan cache keyed on the pattern's canonical
-// signature. A Plan is the fully prepared execution recipe: compiled
-// per-node selection predicates, the start base, the ordered join
-// steps with their cardinality estimates, and the peak-scan estimate
-// that gates the parallelism budget. With the cache, the second and
-// every later execution of a signature skips estimation, condition
-// compilation, and join ordering entirely.
-//
-// The ordering policy is adaptive. Below adaptiveStatsMinNodes instance
-// nodes the join order is chosen by a statistics-free greedy rule
-// (extend to the smallest raw base); above it, by the fan-out ×
-// selectivity cost model. Small corpora are where the cost model's
-// estimation error can exceed what optimal ordering saves ("When
-// Greedy Beats Optimal"); PERFORMANCE.md §8 measures the crossover that
-// picked the threshold. ExecOptions.Planner overrides the choice per
-// execution.
+// Planning: the match engine (matchPipeline) and PlanForOpts resolve
+// plans through one entry point, planFor, backed by a per-frozen-graph
+// plan cache keyed on the pattern's canonical signature. A Plan is the
+// fully prepared execution recipe: compiled per-node selection
+// predicates, the start base, the join steps ordered by the fan-out ×
+// selectivity cost model (planJoinsSized) with their cardinality
+// estimates, and the peak-scan estimate that gates the parallelism
+// budget. With the cache, the second and every later execution of a
+// signature skips estimation, condition compilation, and join ordering
+// entirely.
 //
 // Plans are immutable after publication. The cache lives on the
 // instance graph (tgm.PlanCache), so plans share the graph's lifetime
 // and can never be served for a different graph. Unfrozen graphs plan
 // fresh on every call, exactly like statistics.
 
-// PlannerMode selects the join-ordering policy for one execution.
-type PlannerMode uint8
-
-const (
-	// PlannerAuto (the zero value) picks greedy below
-	// adaptiveStatsMinNodes instance nodes and cost-based at or above
-	// it.
-	PlannerAuto PlannerMode = iota
-	// PlannerGreedy forces the statistics-free greedy ordering.
-	PlannerGreedy
-	// PlannerCost forces the statistics-backed cost-model ordering.
-	PlannerCost
-)
-
-// String names the mode for telemetry and flags.
-func (m PlannerMode) String() string {
-	switch m {
-	case PlannerGreedy:
-		return "greedy"
-	case PlannerCost:
-		return "cost"
-	default:
-		return "auto"
-	}
-}
-
-// ParsePlannerMode parses a -planner flag value.
-func ParsePlannerMode(s string) (PlannerMode, error) {
-	switch s {
-	case "", "auto":
-		return PlannerAuto, nil
-	case "greedy":
-		return PlannerGreedy, nil
-	case "cost":
-		return PlannerCost, nil
-	}
-	return PlannerAuto, fmt.Errorf("etable: unknown planner mode %q (want auto, greedy, or cost)", s)
-}
-
-const (
-	// adaptiveStatsMinNodes is the adaptive threshold: PlannerAuto uses
-	// the greedy ordering below this many instance nodes and the cost
-	// model at or above it. Chosen from the PERFORMANCE.md §8 ablation:
-	// below ~10k nodes the two orderings execute within noise of each
-	// other on every measured pattern, so the simpler policy wins; the
-	// cost model starts paying for itself once skewed fan-outs have
-	// room to multiply intermediates.
-	adaptiveStatsMinNodes = 10_000
-	// defaultPlanCacheEntries bounds each graph's plan cache. Plans are
-	// a few hundred bytes; the bound exists to keep pathological
-	// signature churn (e.g. fuzzed conditions) from growing without
-	// limit, not to manage real memory pressure.
-	defaultPlanCacheEntries = 256
-)
+// defaultPlanCacheEntries bounds each graph's plan cache. Plans are a
+// few hundred bytes; the bound exists to keep pathological signature
+// churn (e.g. fuzzed conditions) from growing without limit, not to
+// manage real memory pressure.
+const defaultPlanCacheEntries = 256
 
 // Plan is one fully prepared execution plan for a pattern signature:
 // everything derivable before base relations exist. Plans are immutable
@@ -104,16 +47,14 @@ type Plan struct {
 	preds map[string]expr.Pred
 }
 
-// PlanFor returns the prepared execution plan for p over g under the
-// default (adaptive) planner mode, served from g's plan cache when g
-// is frozen.
+// PlanFor returns the prepared execution plan for p over g, served
+// from g's plan cache when g is frozen.
 func PlanFor(g *tgm.InstanceGraph, p *Pattern) (*Plan, error) {
 	return planFor(g, p, ExecOptions{})
 }
 
-// PlanForOpts is PlanFor under execution options: Planner forces an
-// ordering policy and NoPlanCache builds a fresh uncached plan — the
-// knobs BenchmarkPlanCache and the ablation arms drive, and how the
+// PlanForOpts is PlanFor under execution options: NoPlanCache builds a
+// fresh uncached plan — the knob BenchmarkPlanCache drives, and how the
 // traced benchmark run times planning without executing.
 func PlanForOpts(g *tgm.InstanceGraph, p *Pattern, opt ExecOptions) (*Plan, error) {
 	return planFor(g, p, opt)
@@ -123,53 +64,31 @@ func PlanForOpts(g *tgm.InstanceGraph, p *Pattern, opt ExecOptions) (*Plan, erro
 // entry point, so the estimate that gates the budget and the steps the
 // engine runs always come from the same object: cache lookup for frozen
 // graphs, fresh build otherwise or when the options say NoPlanCache
-// (built, never looked up, never inserted — in every planner mode).
-// Two goroutines racing on the same signature may both build; the
-// insert is last-writer-wins and the plans are interchangeable, so no
-// singleflight is needed — planning is a few microseconds of pure
-// computation.
+// (built, never looked up, never inserted). Two goroutines racing on
+// the same signature may both build; the insert is last-writer-wins and
+// the plans are interchangeable, so no singleflight is needed —
+// planning is a few microseconds of pure computation.
 func planFor(g *tgm.InstanceGraph, p *Pattern, opt ExecOptions) (*Plan, error) {
-	mode := resolvePlannerMode(g, opt.Planner)
 	if opt.NoPlanCache || !g.Frozen() {
-		return buildPlan(g, p, mode)
+		return buildPlan(g, p)
 	}
 	pc := planCacheFor(g)
-	key := planKey(mode, Signature(p))
-	if pl, ok := pc.get(key); ok {
+	sig := Signature(p)
+	if pl, ok := pc.get(sig); ok {
 		return pl, nil
 	}
-	pl, err := buildPlan(g, p, mode)
+	pl, err := buildPlan(g, p)
 	if err != nil {
 		return nil, err
 	}
-	pc.put(key, pl)
-	if mode == PlannerGreedy {
-		pc.greedyPlans.Add(1)
-	} else {
-		pc.costPlans.Add(1)
-	}
+	pc.put(sig, pl)
 	return pl, nil
 }
 
-// resolvePlannerMode collapses PlannerAuto to a concrete policy by the
-// corpus-size threshold.
-func resolvePlannerMode(g *tgm.InstanceGraph, m PlannerMode) PlannerMode {
-	switch m {
-	case PlannerGreedy, PlannerCost:
-		return m
-	}
-	if g.NumNodes() >= adaptiveStatsMinNodes {
-		return PlannerCost
-	}
-	return PlannerGreedy
-}
-
 // buildPlan prepares a plan from statistics alone (no base relation is
-// built): estimated base sizes, compiled predicates, the join order of
-// the resolved mode, and the peak-scan estimate. The peak estimate is
-// always derived from the cost-model ordering so the budget gate sees
-// the same number regardless of which ordering executes.
-func buildPlan(g *tgm.InstanceGraph, p *Pattern, mode PlannerMode) (*Plan, error) {
+// built): estimated base sizes, compiled predicates, the cost-model
+// join order, and the peak-scan estimate.
+func buildPlan(g *tgm.InstanceGraph, p *Pattern) (*Plan, error) {
 	st := stats.For(g)
 	estSizes := make(map[string]float64, len(p.Nodes))
 	preds := make(map[string]expr.Pred, len(p.Nodes))
@@ -193,13 +112,7 @@ func buildPlan(g *tgm.InstanceGraph, p *Pattern, mode PlannerMode) (*Plan, error
 	if err != nil {
 		return nil, err
 	}
-	estPeak := planPeak(st, p, steps)
-	if mode == PlannerGreedy {
-		if start, steps, err = greedyJoins(g, p, estSizes); err != nil {
-			return nil, err
-		}
-	}
-	return &Plan{startKey: start, steps: steps, estPeak: estPeak, preds: preds}, nil
+	return &Plan{startKey: start, steps: steps, estPeak: planPeak(st, p, steps), preds: preds}, nil
 }
 
 // planPeak estimates, from statistics alone, the largest relation any
@@ -224,16 +137,6 @@ func planPeak(st *stats.Graph, p *Pattern, steps []JoinStep) float64 {
 	return peak
 }
 
-// planKey namespaces cache entries by resolved mode, so a forced
-// PlannerGreedy execution never dislodges the adaptive plan (or vice
-// versa) while the ablation benchmark runs both arms.
-func planKey(mode PlannerMode, sig string) string {
-	if mode == PlannerGreedy {
-		return "g\x00" + sig
-	}
-	return "c\x00" + sig
-}
-
 // planCacheFor returns g's plan cache, publishing one on first use
 // (first-published-wins, like the statistics slot).
 func planCacheFor(g *tgm.InstanceGraph) *planCache {
@@ -253,7 +156,6 @@ type planCache struct {
 	tail    *planElem
 
 	hits, misses, evictions atomic.Int64
-	greedyPlans, costPlans  atomic.Int64
 }
 
 type planElem struct {
@@ -338,18 +240,12 @@ type PlannerStats struct {
 	// describe the cache's LRU discipline.
 	Hits, Misses, Evictions int64
 	Entries                 int
-	// GreedyPlans and CostPlans count plans built per resolved ordering
-	// policy.
-	GreedyPlans, CostPlans int64
-	// AdaptiveThreshold is the instance-node count at which PlannerAuto
-	// switches from greedy to cost-based ordering.
-	AdaptiveThreshold int
 }
 
 // PlannerStatsFor snapshots g's planner telemetry. A graph that has
 // never planned reports zeros.
 func PlannerStatsFor(g *tgm.InstanceGraph) PlannerStats {
-	s := PlannerStats{AdaptiveThreshold: adaptiveStatsMinNodes}
+	var s PlannerStats
 	pc, ok := g.PlanCache().(*planCache)
 	if !ok {
 		return s
@@ -360,7 +256,5 @@ func PlannerStatsFor(g *tgm.InstanceGraph) PlannerStats {
 	s.Hits = pc.hits.Load()
 	s.Misses = pc.misses.Load()
 	s.Evictions = pc.evictions.Load()
-	s.GreedyPlans = pc.greedyPlans.Load()
-	s.CostPlans = pc.costPlans.Load()
 	return s
 }

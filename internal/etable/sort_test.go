@@ -243,7 +243,7 @@ func TestSortKernelMatchesStableSortFuzz(t *testing.T) {
 		})
 		withSmallStreamBatches(t, 64)
 		assertSortsLikeOracle(t, form.name+"/spilled", rng, func() *Presentation {
-			pol, _ := testSpillPolicy(t, 32)
+			pol, metrics := testSpillPolicy(t, 32)
 			opt := ExecOptions{MaxRows: 100, Spill: pol}
 			src, err := MatchSource(g, joined, opt)
 			if err != nil {
@@ -253,7 +253,7 @@ func TestSortKernelMatchesStableSortFuzz(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if pr.Spilled() == nil {
+			if metrics.Snapshot().Spills == 0 {
 				t.Fatal("prepare did not spill")
 			}
 			t.Cleanup(func() { pr.Close() })

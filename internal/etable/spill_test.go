@@ -71,12 +71,9 @@ func TestSpilledPrepareEquivalenceRandomized(t *testing.T) {
 		if matched != nil {
 			t.Fatalf("trial %d: spilled prepare returned a heap relation", trial)
 		}
-		if pr.Spilled() == nil {
-			t.Fatalf("trial %d: %d match rows > trigger %d but nothing spilled",
-				trial, oracleMatched.Len(), trigger)
-		}
-		if pr.Spilled().Len() != oracleMatched.Len() {
-			t.Fatalf("trial %d: spilled %d rows, want %d", trial, pr.Spilled().Len(), oracleMatched.Len())
+		if st := metrics.Snapshot(); st.Spills == 0 || st.RunBytes == 0 {
+			t.Fatalf("trial %d: %d match rows > trigger %d but nothing spilled: %+v",
+				trial, oracleMatched.Len(), trigger, st)
 		}
 
 		got, err := pr.Window(0, -1)
@@ -132,9 +129,8 @@ func TestSpilledPrepareEquivalenceRandomized(t *testing.T) {
 			assertSameResults(t, fmt.Sprintf("trial%d/sort%d", trial, si), gw, ww)
 		}
 
-		st := metrics.Snapshot()
-		if st.Spills == 0 || st.RunBytes == 0 {
-			t.Fatalf("trial %d: spill metrics empty after forced spill: %+v", trial, st)
+		if metrics.Snapshot().Faults == 0 {
+			t.Fatalf("trial %d: windows over spilled groupings faulted nothing: %+v", trial, metrics.Snapshot())
 		}
 		if err := pr.Close(); err != nil {
 			t.Fatalf("trial %d: Close: %v", trial, err)
@@ -146,10 +142,10 @@ func TestSpilledPrepareEquivalenceRandomized(t *testing.T) {
 }
 
 // TestSpilledExecutorBrowsable pins the executor contract for spilled
-// results: the prepare succeeds past MaxRows, is never cached or
-// pinned (each caller owns its own disk-backed presentation and its
-// Close), and an uncapped prepare of the same pattern still computes
-// and caches the heap form.
+// results: the prepare succeeds past MaxRows, is never cached (each
+// caller owns its own disk-backed presentation and its Close), and an
+// uncapped prepare of the same pattern still computes and caches the
+// heap form.
 func TestSpilledExecutorBrowsable(t *testing.T) {
 	tr := planFixture(t)
 	p := figure7PlanPattern(t, tr)
@@ -161,13 +157,13 @@ func TestSpilledExecutorBrowsable(t *testing.T) {
 	e := NewExecutor(tr.Instance)
 	opt := ExecOptions{MaxRows: 2, Spill: pol}
 
-	pr, pin, err := e.PrepareWithOpts(p, opt)
+	pr, err := e.PrepareWithOpts(p, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pr.Close()
-	pin.Release() // spilled prepares return a nil-safe no-op pin
-	if pr.Spilled() == nil {
+	first := metrics.Snapshot().Spills
+	if first == 0 {
 		t.Fatal("prepare over MaxRows with a spill policy stayed on the heap")
 	}
 	got, err := pr.Window(0, -1)
@@ -178,34 +174,30 @@ func TestSpilledExecutorBrowsable(t *testing.T) {
 
 	// A second capped prepare spills again: disk-backed results are
 	// never shared through the cache.
-	pr2, _, err := e.PrepareWithOpts(p, opt)
+	pr2, err := e.PrepareWithOpts(p, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pr2.Spilled() == nil {
-		t.Fatal("second capped prepare did not spill (cached a spilled result?)")
-	}
-	if pr2.Spilled() == pr.Spilled() {
-		t.Fatal("two capped prepares share one spilled relation")
+	if got := metrics.Snapshot().Spills; got != 2*first {
+		t.Fatalf("second capped prepare opened %d spill files, want %d like the first (cached a spilled result?)", got-first, first)
 	}
 	if err := pr2.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	// The uncapped prepare is unaffected by the spilled traffic.
-	pr3, pin3, err := e.PrepareWithOpts(p, ExecOptions{})
+	pr3, err := e.PrepareWithOpts(p, ExecOptions{Spill: pol})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer pin3.Release()
-	if pr3.Spilled() != nil {
+	if got := metrics.Snapshot().Spills; got != 2*first {
 		t.Fatal("uncapped prepare spilled")
 	}
 	if pr3.NumRows() != full.NumRows() {
 		t.Fatalf("uncapped rows = %d, want %d", pr3.NumRows(), full.NumRows())
 	}
-	if metrics.Snapshot().Spills < 2 {
-		t.Fatalf("spill metrics = %+v, want ≥2 spills", metrics.Snapshot())
+	if _, ok := e.Cache().Get(matchPrefix + Signature(p)); !ok {
+		t.Fatal("uncapped prepare did not cache the heap relation")
 	}
 }
 
@@ -219,12 +211,91 @@ func TestSpillByteBudgetExceeded(t *testing.T) {
 	pol.MaxBytes = 128 // a single run exceeds this
 	pol.Named = true   // visible files so the cleanup assert can look
 	e := NewExecutor(tr.Instance)
-	_, _, err := e.PrepareWithOpts(p, ExecOptions{MaxRows: 2, Spill: pol})
+	_, err := e.PrepareWithOpts(p, ExecOptions{MaxRows: 2, Spill: pol})
 	var rle *graphrel.RowLimitError
 	if !errors.As(err, &rle) || rle.Limit != 2 {
 		t.Fatalf("err = %v, want RowLimitError{Limit: 2}", err)
 	}
 	if n, err := spill.SweepDir(pol.Dir); err != nil || n != 0 {
 		t.Fatalf("aborted spill left %d run file(s) in %s (sweep err %v)", n, pol.Dir, err)
+	}
+}
+
+// TestSpillBudgetChargesOnlyWhatIsReadBack: -max-spill-bytes pays for
+// the state a spilled presentation reads back — the external folds and
+// the distinct pass — and nothing else. The folds' cost is measured by
+// running graphrel's external operators by hand over the same match;
+// a capped, spilling prepare under exactly that budget succeeds and
+// renders the oracle's table (a second on-disk copy of the matched
+// relation would not fit), and one byte less still fails with the row
+// cap's typed error.
+func TestSpillBudgetChargesOnlyWhatIsReadBack(t *testing.T) {
+	tr := planFixture(t)
+	p := figure7PlanPattern(t, tr)
+	_, want := oracleTable(t, tr.Instance, p)
+	// MaxRows 2 under the default batch size: the first batch already
+	// crosses the cap, so the prepare demotes empty heap state and every
+	// row reaches the external operators through Append/Add — the same
+	// calls, in the same order, as the hand-run below.
+	matched, err := MatchOpts(tr.Instance, p, ExecOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prim := p.PrimaryNode().Key
+	pol, metrics := testSpillPolicy(t, 4)
+	for _, n := range p.Nodes {
+		if n.Key == prim {
+			continue
+		}
+		f, err := graphrel.NewExternalGroupFold(pol, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Append(matched, prim, n.Key); err != nil {
+			t.Fatal(err)
+		}
+		sg, err := f.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sg.Close()
+	}
+	d, err := graphrel.NewExternalDistinct(pol, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Add(matched.ColumnNamed(prim)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	foldBytes := metrics.Snapshot().RunBytes
+	if foldBytes == 0 {
+		t.Fatal("fixture folds spill nothing")
+	}
+
+	pol, metrics = testSpillPolicy(t, 4)
+	pol.MaxBytes = foldBytes
+	pr, err := NewExecutor(tr.Instance).PrepareWithOpts(p, ExecOptions{MaxRows: 2, Spill: pol})
+	if err != nil {
+		t.Fatalf("prepare under the folds' own budget (%d bytes): %v", foldBytes, err)
+	}
+	defer pr.Close()
+	if got := metrics.Snapshot().RunBytes; got != foldBytes {
+		t.Fatalf("prepare spilled %d bytes, its folds need %d", got, foldBytes)
+	}
+	got, err := pr.Window(0, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameResults(t, "budgeted", got, want)
+
+	pol, _ = testSpillPolicy(t, 4)
+	pol.MaxBytes = foldBytes - 1
+	_, err = NewExecutor(tr.Instance).PrepareWithOpts(p, ExecOptions{MaxRows: 2, Spill: pol})
+	var rle *graphrel.RowLimitError
+	if !errors.As(err, &rle) || rle.Limit != 2 {
+		t.Fatalf("one byte under the folds' budget: err = %v, want RowLimitError{Limit: 2}", err)
 	}
 }

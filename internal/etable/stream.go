@@ -21,7 +21,7 @@ import (
 //
 //   - draining it: MatchOpts and Executor.MatchWithOpts splice the
 //     batches into one arena-backed relation (graphrel.Materialize) —
-//     the value that gets cached and pinned;
+//     the value that gets cached;
 //   - the budget the stages were given: a stage fans its batches out
 //     over the pool and splices the outputs in input order, so rows do
 //     not depend on the budget;
@@ -138,12 +138,13 @@ func spillErr(err error, limit, rows int) error {
 	return err
 }
 
-// prepareSpill is the overflow state of one spilling prepare: the run
-// sink for the matched batches, one external fold per participating
-// column, and the external distinct pass for the primary rows. All
+// prepareSpill is the overflow state of one spilling prepare: one
+// external fold per participating column and the external distinct pass
+// for the primary rows — what the presentation's windows and row order
+// read back, and nothing else. The matched batches themselves are
+// dropped once folded: no window reads the relation after Prepare. All
 // files share one byte budget.
 type prepareSpill struct {
-	sink  *graphrel.RunSink
 	folds []*graphrel.ExternalGroupFold
 	dist  *graphrel.ExternalDistinct
 }
@@ -153,54 +154,37 @@ func (ps *prepareSpill) abort() {
 	if ps == nil {
 		return
 	}
-	ps.sink.Abort()
 	for _, f := range ps.folds {
 		f.Abort()
 	}
-	ps.dist.Abort()
+	if ps.dist != nil {
+		ps.dist.Abort()
+	}
 }
 
-// beginSpill opens the overflow state and demotes everything the heap
-// pass accumulated before the threshold tripped: retained batches into
-// the sink, heap folds into the external folds, the distinct row IDs
-// into the external distinct.
-func beginSpill(g *tgm.InstanceGraph, src graphrel.RowSource, pol *graphrel.SpillPolicy,
-	batches []*graphrel.Relation, folds []map[tgm.NodeID][]tgm.NodeID, rowIDs []tgm.NodeID) (*prepareSpill, error) {
+// beginSpill opens the overflow state and demotes what the heap pass
+// accumulated before the threshold tripped: heap folds into the
+// external folds, the distinct row IDs into the external distinct.
+func beginSpill(pol *graphrel.SpillPolicy, folds []map[tgm.NodeID][]tgm.NodeID, rowIDs []tgm.NodeID) (*prepareSpill, error) {
 	budget := pol.NewBudget()
-	sink, err := graphrel.NewRunSink(g, src.Attrs(), pol, budget)
-	if err != nil {
-		return nil, err
-	}
-	ps := &prepareSpill{sink: sink}
+	ps := &prepareSpill{}
 	fail := func(err error) (*prepareSpill, error) {
-		ps.sink.Abort()
-		for _, f := range ps.folds {
-			f.Abort()
-		}
-		if ps.dist != nil {
-			ps.dist.Abort()
-		}
+		ps.abort()
 		return nil, err
 	}
-	for range folds {
+	for _, m := range folds {
 		f, err := graphrel.NewExternalGroupFold(pol, budget)
 		if err != nil {
 			return fail(err)
 		}
 		ps.folds = append(ps.folds, f)
+		if err := f.AbsorbMap(m); err != nil {
+			return fail(err)
+		}
 	}
+	var err error
 	if ps.dist, err = graphrel.NewExternalDistinct(pol, budget); err != nil {
 		return fail(err)
-	}
-	for _, b := range batches {
-		if err := sink.Add(b); err != nil {
-			return fail(err)
-		}
-	}
-	for i, m := range folds {
-		if err := ps.folds[i].AbsorbMap(m); err != nil {
-			return fail(err)
-		}
 	}
 	if err := ps.dist.Add(rowIDs); err != nil {
 		return fail(err)
@@ -213,29 +197,27 @@ func beginSpill(g *tgm.InstanceGraph, src graphrel.RowSource, pol *graphrel.Spil
 // distinct primary rows accumulate through a bitset, the per-column
 // groupings through incremental pair folds (graphrel.AppendGroupPairs),
 // and the batches themselves are retained and spliced into the
-// materialized relation on EOF — the lazy-materialization point that
-// preserves cache/pin semantics. The returned presentation is identical
-// to PrepareOpts over the returned relation: rows are a pure function
-// of the tuple set (ID-sorted), groups are sorted and deduplicated by
-// SortDedupGroups, and the splice preserves row order.
+// materialized relation on EOF — the value the executor caches so later
+// prepares of the signature skip the match. The returned presentation
+// is identical to PrepareOpts over the returned relation: rows are a
+// pure function of the tuple set (ID-sorted), groups are sorted and
+// deduplicated by SortDedupGroups, and the splice preserves row order.
 // The source is Closed before returning, success or not.
 //
 // With a spill policy set, crossing MaxRows does not fail: the heap
-// state demotes to spill runs (beginSpill) and the pass continues with
-// bounded memory — batches flow into the run sink instead of being
-// retained, folds into external sort-merge folds, row IDs into the
-// external distinct. A spilled prepare returns a nil relation (there
-// is nothing heap-resident to cache); the presentation's groupings
-// fault through the policy's pager pool, its matched rows are
-// reachable as Spilled(), and the caller owns its Close.
+// folds demote to spill runs (beginSpill), the retained batches are
+// dropped, and the pass continues with bounded memory — folds into
+// external sort-merge folds, row IDs into the external distinct. A
+// spilled prepare returns a nil relation (there is nothing
+// heap-resident to cache); the presentation's groupings fault through
+// the policy's pager pool and the caller owns its Close.
 func PrepareFromSource(g *tgm.InstanceGraph, p *Pattern, src graphrel.RowSource, opt ExecOptions) (*Presentation, *graphrel.Relation, error) {
 	defer src.Close()
 	prim := p.PrimaryNode()
 	if prim == nil {
 		return nil, nil, fmt.Errorf("etable: pattern has no primary node")
 	}
-	primType := g.Schema().NodeType(prim.Type)
-	pr := &Presentation{g: g, pattern: p, primType: primType}
+	pr := &Presentation{g: g, pattern: p, primType: g.Schema().NodeType(prim.Type)}
 
 	// Participating columns fold in pattern order, like PrepareOpts.
 	partKeys := make([]string, 0, len(p.Nodes)-1)
@@ -260,6 +242,7 @@ func PrepareFromSource(g *tgm.InstanceGraph, p *Pattern, src graphrel.RowSource,
 	total := 0
 	fail := func(err error) (*Presentation, *graphrel.Relation, error) {
 		ps.abort()
+		pr.Close()
 		return nil, nil, spillErr(err, opt.MaxRows, total)
 	}
 	for {
@@ -277,21 +260,16 @@ func PrepareFromSource(g *tgm.InstanceGraph, p *Pattern, src graphrel.RowSource,
 			}
 			// Threshold crossed: demote the heap state to disk and keep
 			// draining with bounded memory.
-			ps, err = beginSpill(g, src, opt.Spill, batches, folds, rowIDs)
-			if err != nil {
-				return nil, nil, spillErr(err, opt.MaxRows, total)
+			if ps, err = beginSpill(opt.Spill, folds, rowIDs); err != nil {
+				return fail(err)
 			}
 			batches, folds, rowIDs, seen = nil, nil, nil, nil
 		}
 		primCol := b.ColumnNamed(prim.Key)
 		if primCol == nil {
-			ps.abort()
-			return nil, nil, fmt.Errorf("etable: stream has no attribute %q", prim.Key)
+			return fail(fmt.Errorf("etable: stream has no attribute %q", prim.Key))
 		}
 		if ps != nil {
-			if err := ps.sink.Add(b); err != nil {
-				return fail(err)
-			}
 			if err := ps.dist.Add(primCol); err != nil {
 				return fail(err)
 			}
@@ -318,7 +296,7 @@ func PrepareFromSource(g *tgm.InstanceGraph, p *Pattern, src graphrel.RowSource,
 	// Finish the breakers: canonical row order and canonical groups.
 	// The heap path sorts; the external passes are ascending by
 	// construction, so the canonical order falls out of the merge.
-	var parts []groupSource
+	parts := make([]groupSource, 0, len(partKeys))
 	if ps == nil {
 		slices.Sort(rowIDs)
 		pr.rowIDs = rowIDs
@@ -329,64 +307,24 @@ func PrepareFromSource(g *tgm.InstanceGraph, p *Pattern, src graphrel.RowSource,
 			parts = append(parts, mapGroups(f))
 		}
 	} else {
-		ids, err := ps.dist.Finish()
-		if err != nil {
-			ps.sink.Abort()
-			for _, f := range ps.folds {
-				f.Abort()
-			}
-			return nil, nil, spillErr(err, opt.MaxRows, total)
-		}
-		pr.rowIDs = ids
+		// A fold's files pass to the presentation as each Finish succeeds;
+		// fail releases both sides (run-file Close is idempotent).
 		pr.closeOnce = new(sync.Once)
-		for len(ps.folds) > 0 {
-			sg, err := ps.folds[0].Finish()
-			ps.folds = ps.folds[1:]
+		var err error
+		if pr.rowIDs, err = ps.dist.Finish(); err != nil {
+			return fail(err)
+		}
+		for _, f := range ps.folds {
+			sg, err := f.Finish()
 			if err != nil {
 				return fail(err)
 			}
 			pr.closers = append(pr.closers, sg)
 			parts = append(parts, spillGroups{sg})
 		}
-		sr, err := ps.sink.Finish()
-		if err != nil {
-			pr.Close()
-			return nil, nil, spillErr(err, opt.MaxRows, total)
-		}
-		pr.spilled = sr
-		pr.closers = append(pr.closers, sr)
 	}
 
-	// Column layout, identical to PrepareOpts.
-	for _, a := range primType.Attrs {
-		pr.columns = append(pr.columns, Column{Kind: ColBase, Name: a.Name, Attr: a.Name})
-	}
-	primEdges := primaryEdgeTypes(p, g.Schema())
-	for i, k := range partKeys {
-		n := p.Node(k)
-		pr.columns = append(pr.columns, Column{
-			Kind: ColParticipating, Name: n.Key, NodeKey: n.Key,
-			EdgeType: primEdges[n.Key], TargetType: n.Type,
-		})
-		pr.parts = append(pr.parts, partCol{col: len(pr.columns) - 1, src: parts[i]})
-	}
-	shown := map[string]bool{}
-	for _, en := range primEdges {
-		if en != "" {
-			shown[en] = true
-		}
-	}
-	for _, et := range g.Schema().OutEdges(prim.Type) {
-		if shown[et.Name] {
-			continue
-		}
-		pr.columns = append(pr.columns, Column{
-			Kind: ColNeighbor, Name: et.Label, EdgeType: et.Name, TargetType: et.Target,
-		})
-		pr.neighbors = append(pr.neighbors, neighborCol{col: len(pr.columns) - 1, adj: g.Adjacency(et.Name)})
-	}
-
-	if err := pr.finishPrepare(); err != nil {
+	if err := pr.layoutColumns(p, parts); err != nil {
 		pr.Close()
 		return nil, nil, err
 	}

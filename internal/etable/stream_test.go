@@ -186,33 +186,29 @@ func TestPrepareFromSourceEquivalence(t *testing.T) {
 	}
 }
 
-// TestExecutorStreamingPreparePinned asserts the executor's prepare
+// TestExecutorStreamingPrepareCached asserts the executor's prepare
 // path: the compute leader folds the presentation off the stream and
 // it renders the oracle's table, the cached relation holds the oracle's
-// tuples, the pin lands, and a second prepare (cache hit, PrepareOpts
-// over the cached relation) yields an identical presentation.
-func TestExecutorStreamingPreparePinned(t *testing.T) {
+// tuples, and a second prepare (cache hit, PrepareOpts over the cached
+// relation) yields an identical presentation.
+func TestExecutorStreamingPrepareCached(t *testing.T) {
 	tr := planFixture(t)
 	withSmallStreamBatches(t, 17)
 	p := figure7PlanPattern(t, tr)
 	_, want := oracleTable(t, tr.Instance, p)
 
 	e := NewExecutor(tr.Instance)
-	pr, pin, err := e.PrepareWithOpts(p, ExecOptions{})
+	pr, err := e.PrepareWithOpts(p, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer pin.Release()
 	got, err := pr.Window(0, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertSameResults(t, "streamed-vs-oracle", got, want)
-	if e.Cache().PinnedCount() != 1 {
-		t.Fatalf("pinned count = %d, want 1", e.Cache().PinnedCount())
-	}
 
-	// The cached (pinned) relation is the match.
+	// The cached relation is the match.
 	rel, ok := e.Cache().Get(matchPrefix + Signature(p))
 	if !ok {
 		t.Fatal("streamed match not cached")
@@ -223,11 +219,10 @@ func TestExecutorStreamingPreparePinned(t *testing.T) {
 	if misses := e.Misses(); misses == 0 {
 		t.Fatal("expected at least one miss")
 	}
-	pr2, pin2, err := e.PrepareWithOpts(p, ExecOptions{})
+	pr2, err := e.PrepareWithOpts(p, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer pin2.Release()
 	got2, err := pr2.Window(0, -1)
 	if err != nil {
 		t.Fatal(err)
@@ -286,16 +281,15 @@ func TestMaxRowsGuard(t *testing.T) {
 	// The prepare fold enforces the cap too, and errors are never
 	// cached (a later uncapped prepare succeeds).
 	e := NewExecutor(tr.Instance)
-	_, _, err = e.PrepareWithOpts(p, ExecOptions{MaxRows: 5})
+	_, err = e.PrepareWithOpts(p, ExecOptions{MaxRows: 5})
 	rle = nil
 	if !errors.As(err, &rle) {
 		t.Fatalf("capped prepare err = %v, want RowLimitError", err)
 	}
-	pr, pin, err := e.PrepareWithOpts(p, ExecOptions{})
+	pr, err := e.PrepareWithOpts(p, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer pin.Release()
 	if pr.NumRows() == 0 {
 		t.Error("uncapped prepare after capped failure returned no rows")
 	}
@@ -334,13 +328,8 @@ func TestMaxRowsCapsTheResult(t *testing.T) {
 			t.Fatalf("%s: match at the result's size: %v", label, err)
 		}
 		assertMatchesOracle(t, label, got, oracle)
-		pr, pin, err := NewExecutor(tr.Instance).PrepareWithOpts(p, opt)
-		if err != nil {
+		if _, err := NewExecutor(tr.Instance).PrepareWithOpts(p, opt); err != nil {
 			t.Fatalf("%s: prepare at the result's size: %v", label, err)
-		}
-		pin.Release()
-		if pr.Spilled() != nil {
-			t.Fatalf("%s: prepare at the cap spilled", label)
 		}
 
 		opt.MaxRows = 13
@@ -349,17 +338,17 @@ func TestMaxRowsCapsTheResult(t *testing.T) {
 			t.Fatalf("%s: match err = %v, want RowLimitError{Limit: 13}", label, err)
 		}
 		rle = nil
-		if _, _, err := NewExecutor(tr.Instance).PrepareWithOpts(p, opt); !errors.As(err, &rle) || rle.Limit != 13 {
+		if _, err := NewExecutor(tr.Instance).PrepareWithOpts(p, opt); !errors.As(err, &rle) || rle.Limit != 13 {
 			t.Fatalf("%s: prepare err = %v, want RowLimitError{Limit: 13}", label, err)
 		}
 
-		pol, _ := testSpillPolicy(t, 8)
+		pol, metrics := testSpillPolicy(t, 8)
 		opt.Spill = pol
-		spilled, _, err := NewExecutor(tr.Instance).PrepareWithOpts(p, opt)
+		spilled, err := NewExecutor(tr.Instance).PrepareWithOpts(p, opt)
 		if err != nil {
 			t.Fatalf("%s: capped prepare with a spill policy: %v", label, err)
 		}
-		if spilled.Spilled() == nil {
+		if metrics.Snapshot().Spills == 0 {
 			t.Fatalf("%s: prepare over the cap with a policy stayed on the heap", label)
 		}
 		res, err := spilled.Window(0, -1)
@@ -385,7 +374,7 @@ func TestStreamingCancellation(t *testing.T) {
 	if _, err := MatchOpts(tr.Instance, p, opt); !errors.Is(err, context.Canceled) {
 		t.Errorf("MatchOpts err = %v, want Canceled", err)
 	}
-	if _, _, err := NewExecutor(tr.Instance).PrepareWithOpts(p, opt); !errors.Is(err, context.Canceled) {
+	if _, err := NewExecutor(tr.Instance).PrepareWithOpts(p, opt); !errors.Is(err, context.Canceled) {
 		t.Errorf("PrepareWithOpts err = %v, want Canceled", err)
 	}
 }

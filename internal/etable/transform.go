@@ -27,9 +27,11 @@ import (
 //     matching kernels (graphrel.Select): every range writes only
 //     its own rows and its own cell-arena window, no locks.
 //
-// Splitting the phases is what makes paging cheap: a session pins the
-// matched relation and its Presentation once, then each page fetch
-// pays only for the rows it returns — O(window), not O(table).
+// Splitting the phases is what makes paging cheap: a session prepares
+// a Presentation once, then each page fetch pays only for the rows it
+// returns — O(window), not O(table). A Presentation owns everything its
+// windows read; the matched relation is an input of Prepare and is not
+// referenced afterwards.
 //
 // Allocation discipline: all cells of a window share one backing
 // array, each range's entity references are carved from one per-range
@@ -42,8 +44,8 @@ import (
 // per-column groupings, ready to materialize any row window.
 //
 // The zero value is unusable; build one with Prepare/PrepareOpts (or
-// Executor.PrepareWithOpts, which also pins the matched relation in
-// the shared cache). Sort reorders rows without materializing cells.
+// Executor.PrepareWithOpts, which takes the matched relation from the
+// shared cache). Sort reorders rows without materializing cells.
 // A Presentation is safe for concurrent Window calls once built, but
 // Sort must not race Window.
 type Presentation struct {
@@ -65,27 +67,21 @@ type Presentation struct {
 	// view (see pinColumns), keeping steady-state residency bounded by
 	// the pager budget instead of by presentation lifetime.
 	view *colView
-	// spilled is the matched relation's disk-resident form when the
-	// streamed prepare overflowed its spill threshold; nil on the heap
-	// path. It is lifecycle state (Close releases it) and telemetry —
-	// windows read the prepared groupings, not the relation.
-	closers []interface{ Close() error }
-	spilled *graphrel.SpilledRelation
+	// closers are the spilled groupings whose run files Close releases,
+	// when the streamed prepare overflowed its spill threshold; nil on
+	// the heap path.
+	closers []*graphrel.SpilledGroups
 	// closeOnce is shared by every SortedView of one prepare, so the
 	// spill files behind a family of views release exactly once no
 	// matter which copy is closed. nil when nothing spilled.
 	closeOnce *sync.Once
 }
 
-// Spilled returns the matched relation's spilled form, or nil when the
-// prepare stayed on the heap.
-func (pr *Presentation) Spilled() *graphrel.SpilledRelation { return pr.spilled }
-
-// Close releases any spill-backed state behind the presentation (run
-// files of the materialized relation and the external group folds).
-// Idempotent, shared across SortedViews, and a no-op for heap-resident
-// presentations. Windows already materialized stay valid; new Window
-// calls after Close fail on their first fault.
+// Close releases any spill-backed state behind the presentation (the
+// run files of the external group folds). Idempotent, shared across
+// SortedViews, and a no-op for heap-resident presentations. Windows
+// already materialized stay valid; new Window calls after Close fail on
+// their first fault.
 func (pr *Presentation) Close() error {
 	if pr.closeOnce == nil {
 		return nil
@@ -231,8 +227,7 @@ func PrepareOpts(g *tgm.InstanceGraph, p *Pattern, matched *graphrel.Relation, o
 	if prim == nil {
 		return nil, fmt.Errorf("etable: pattern has no primary node")
 	}
-	primType := g.Schema().NodeType(prim.Type)
-	pr := &Presentation{g: g, pattern: p, primType: primType}
+	pr := &Presentation{g: g, pattern: p, primType: g.Schema().NodeType(prim.Type)}
 
 	// Rows: Π_τa of the matched relation, canonically ordered.
 	rowIDs, err := graphrel.DistinctNodes(matched, prim.Key)
@@ -242,32 +237,51 @@ func PrepareOpts(g *tgm.InstanceGraph, p *Pattern, matched *graphrel.Relation, o
 	slices.Sort(rowIDs)
 	pr.rowIDs = rowIDs
 
-	// Base attribute columns A_b.
-	for _, a := range primType.Attrs {
-		pr.columns = append(pr.columns, Column{Kind: ColBase, Name: a.Name, Attr: a.Name})
-	}
-
-	// Participating node columns A_t: every pattern node except the
-	// primary, with values grouped in one pass over the relation.
-	primEdges := primaryEdgeTypes(p, g.Schema())
+	// One grouping per participating node, in one pass over the relation
+	// each. GroupNeighbors returns each group ID-ascending by contract,
+	// so the cell order is already canonical regardless of join order.
+	parts := make([]groupSource, 0, len(p.Nodes)-1)
 	for _, n := range p.Nodes {
 		if n.Key == prim.Key {
 			continue
 		}
-		// GroupNeighbors returns each group ID-ascending by contract, so
-		// the cell order is already canonical regardless of join order.
 		groups, err := graphrel.GroupNeighborsPar(opt.Ctx, opt.Pool, opt.Parallelism, matched, prim.Key, n.Key)
 		if err != nil {
 			return nil, err
+		}
+		parts = append(parts, mapGroups(groups))
+	}
+	if err := pr.layoutColumns(p, parts); err != nil {
+		return nil, err
+	}
+	return pr, nil
+}
+
+// layoutColumns lays out the columns of §5.4.2 — base attributes A_b,
+// participating node columns A_t, neighbor node columns A_h — and
+// finishes the prepare. parts holds the grouping of every pattern node
+// except the primary, in pattern order; both prepare forms (PrepareOpts
+// and PrepareFromSource) end here, so the layout cannot differ between
+// a folded stream and a whole relation.
+func (pr *Presentation) layoutColumns(p *Pattern, parts []groupSource) error {
+	schema := pr.g.Schema()
+	for _, a := range pr.primType.Attrs {
+		pr.columns = append(pr.columns, Column{Kind: ColBase, Name: a.Name, Attr: a.Name})
+	}
+
+	primEdges := primaryEdgeTypes(p, schema)
+	for _, n := range p.Nodes {
+		if n.Key == p.Primary {
+			continue
 		}
 		pr.columns = append(pr.columns, Column{
 			Kind: ColParticipating, Name: n.Key, NodeKey: n.Key,
 			EdgeType: primEdges[n.Key], TargetType: n.Type,
 		})
-		pr.parts = append(pr.parts, partCol{col: len(pr.columns) - 1, src: mapGroups(groups)})
+		pr.parts = append(pr.parts, partCol{col: len(pr.columns) - 1, src: parts[len(pr.parts)]})
 	}
 
-	// Neighbor node columns A_h: schema out-edges of the primary type,
+	// Neighbor columns are the schema out-edges of the primary type,
 	// skipping edges already shown as participating columns directly
 	// adjacent to the primary node (the paper notes the overlap).
 	shown := map[string]bool{}
@@ -276,27 +290,22 @@ func PrepareOpts(g *tgm.InstanceGraph, p *Pattern, matched *graphrel.Relation, o
 			shown[en] = true
 		}
 	}
-	for _, et := range g.Schema().OutEdges(prim.Type) {
+	for _, et := range schema.OutEdges(pr.primType.Name) {
 		if shown[et.Name] {
 			continue
 		}
 		pr.columns = append(pr.columns, Column{
 			Kind: ColNeighbor, Name: et.Label, EdgeType: et.Name, TargetType: et.Target,
 		})
-		pr.neighbors = append(pr.neighbors, neighborCol{col: len(pr.columns) - 1, adj: g.Adjacency(et.Name)})
+		pr.neighbors = append(pr.neighbors, neighborCol{col: len(pr.columns) - 1, adj: pr.g.Adjacency(et.Name)})
 	}
-
-	if err := pr.finishPrepare(); err != nil {
-		return nil, err
-	}
-	return pr, nil
+	return pr.finishPrepare()
 }
 
 // finishPrepare completes a presentation whose columns are laid out:
 // it records which label columns windows will need and, on
 // memory-resident graphs, resolves the whole column view now so the
-// per-window hot path does no column lookups at all. Both prepare
-// paths (PrepareOpts and PrepareFromSource) end here.
+// per-window hot path does no column lookups at all.
 func (pr *Presentation) finishPrepare() error {
 	seen := map[string]bool{pr.primType.Name: true}
 	pr.labelTypes = append(pr.labelTypes, pr.primType.Name)

@@ -11,14 +11,12 @@ import (
 )
 
 // Spill-to-disk execution: the pipeline breakers' external forms. When
-// a streamed materialization or a presentation fold crosses the row
-// threshold, its state overflows to temp-file runs (internal/spill)
-// and faults back through the pager instead of failing with a
-// RowLimitError:
+// a presentation fold crosses the row threshold, its state overflows to
+// temp-file runs (internal/spill) and faults back through the pager
+// instead of failing with a RowLimitError. Only what a presentation
+// reads back is written — the matched batches themselves are folded and
+// dropped:
 //
-//   - MaterializeSpill is MaterializeMax degrading to disk: batches
-//     past the threshold append to runs and the result is a
-//     window-addressable SpilledRelation instead of a heap Relation.
 //   - ExternalGroupFold is the sort-merge external form of
 //     AppendGroupPairs + SortDedupGroups: pair chunks are sorted with
 //     the same in-memory kernel, written as sorted runs, and k-way
@@ -46,10 +44,6 @@ const spillRunRows = 32768
 type SpillPolicy struct {
 	// Dir is the spill directory; "" uses the system temp directory.
 	Dir string
-	// TriggerRows is the row threshold past which a materialization
-	// overflows to disk when the caller does not supply its own (the
-	// execution layer passes its MaxRows here).
-	TriggerRows int
 	// MaxBytes caps the bytes one execution may spill (0 = unbounded).
 	// Exceeding it fails with *RowLimitError — the row cap's 413
 	// semantics, preserved at the disk tier.
@@ -89,268 +83,6 @@ func (p *SpillPolicy) fileOptions(cols int, budget *spill.Budget) spill.Options 
 		Dir: p.Dir, Cols: cols,
 		Metrics: p.Metrics, Budget: budget, Pool: p.Pool, Named: p.Named,
 	}
-}
-
-// spillFailure translates a spill-layer write failure: budget
-// exhaustion becomes the row cap's typed error (with the rows observed
-// so far), everything else passes through.
-func spillFailure(err error, limit, rows int) error {
-	if _, ok := err.(*spill.BudgetError); ok {
-		return LimitExceeded(limit, rows)
-	}
-	return err
-}
-
-// RunSink accumulates relation batches into spill runs: the write side
-// of a spilled materialization. Batches are coalesced into runs of the
-// policy's run size, so fault granularity does not depend on the
-// producer's batch size. Single-writer; Finish seals the sink into a
-// SpilledRelation.
-type RunSink struct {
-	g       *tgm.InstanceGraph
-	attrs   []Attr
-	rf      *spill.RunFile
-	buf     [][]tgm.NodeID
-	bufRows int
-	runRows int
-	rows    int
-}
-
-// NewRunSink opens a spill sink for relations with the given
-// attributes under the policy and shared budget.
-func NewRunSink(g *tgm.InstanceGraph, attrs []Attr, pol *SpillPolicy, budget *spill.Budget) (*RunSink, error) {
-	if pol == nil {
-		return nil, fmt.Errorf("graphrel: nil spill policy")
-	}
-	rf, err := spill.Create(pol.fileOptions(len(attrs), budget))
-	if err != nil {
-		return nil, err
-	}
-	return &RunSink{
-		g: g, attrs: attrs, rf: rf,
-		buf:     make([][]tgm.NodeID, len(attrs)),
-		runRows: pol.runRows(),
-	}, nil
-}
-
-// Add appends one batch to the sink, flushing full runs to disk.
-func (s *RunSink) Add(r *Relation) error {
-	if len(r.cols) != len(s.buf) {
-		return fmt.Errorf("graphrel: spill sink has %d columns, batch has %d", len(s.buf), len(r.cols))
-	}
-	for c := range s.buf {
-		s.buf[c] = append(s.buf[c], r.cols[c]...)
-	}
-	s.bufRows += r.n
-	s.rows += r.n
-	for s.bufRows >= s.runRows {
-		if err := s.flushRun(s.runRows); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// flushRun writes the first n buffered rows as one run.
-func (s *RunSink) flushRun(n int) error {
-	run := make([][]tgm.NodeID, len(s.buf))
-	for c := range s.buf {
-		run[c] = s.buf[c][:n]
-	}
-	if err := s.rf.AppendRun(run); err != nil {
-		return err
-	}
-	for c := range s.buf {
-		rest := copy(s.buf[c], s.buf[c][n:])
-		s.buf[c] = s.buf[c][:rest]
-	}
-	s.bufRows -= n
-	return nil
-}
-
-// Rows returns the rows accumulated so far.
-func (s *RunSink) Rows() int { return s.rows }
-
-// Finish flushes the tail and seals the sink into a window-addressable
-// SpilledRelation, which takes ownership of the file.
-func (s *RunSink) Finish() (*SpilledRelation, error) {
-	if s.bufRows > 0 {
-		if err := s.flushRun(s.bufRows); err != nil {
-			return nil, err
-		}
-	}
-	return &SpilledRelation{g: s.g, attrs: s.attrs, rf: s.rf, rows: s.rows}, nil
-}
-
-// Abort discards the sink and its file.
-func (s *RunSink) Abort() { s.rf.Close() }
-
-// SpilledRelation is a materialized match whose rows live in spill
-// runs instead of the heap: window-addressable — Window reads back
-// only the runs covering the requested row range — and explicitly
-// closed. It is the disk-tier counterpart of the *Relation a
-// non-spilled materialization returns; row order is the stream order,
-// identical to the heap path's splice.
-type SpilledRelation struct {
-	g     *tgm.InstanceGraph
-	attrs []Attr
-	rf    *spill.RunFile
-	rows  int
-}
-
-// Len returns the relation's row count (no IO).
-func (sr *SpilledRelation) Len() int { return sr.rows }
-
-// Attrs returns the attribute list. Must not be modified.
-func (sr *SpilledRelation) Attrs() []Attr { return sr.attrs }
-
-// Bytes returns the on-disk size of the backing runs.
-func (sr *SpilledRelation) Bytes() int64 { return sr.rf.Bytes() }
-
-// Name returns the backing file's path ("" for anonymous files).
-func (sr *SpilledRelation) Name() string { return sr.rf.Name() }
-
-// Window materializes rows [offset, offset+limit) as a heap Relation,
-// faulting in only the runs that cover the window (limit < 0 = to the
-// end; an offset past the end clamps to empty — the same contract as
-// the presentation's Window).
-func (sr *SpilledRelation) Window(offset, limit int) (*Relation, error) {
-	if offset < 0 {
-		return nil, fmt.Errorf("graphrel: negative window offset %d", offset)
-	}
-	start := min(offset, sr.rows)
-	end := sr.rows
-	if limit >= 0 && limit < end-start {
-		end = start + limit
-	}
-	out := newRelation(sr.g, sr.attrs, end-start)
-	if end == start {
-		return out, nil
-	}
-	for ri, row := sr.rf.RunForRow(start), start; row < end; ri++ {
-		meta := sr.rf.Run(ri)
-		cols, err := sr.rf.ReadRun(ri)
-		if err != nil {
-			return nil, err
-		}
-		lo := row - meta.StartRow
-		hi := min(meta.Rows, end-meta.StartRow)
-		for c := range out.cols {
-			copy(out.cols[c][row-start:], cols[c][lo:hi])
-		}
-		row = meta.StartRow + hi
-	}
-	return out, nil
-}
-
-// Source streams the spilled relation back as run-sized batches — a
-// RowSource over the runs, for consumers that want to re-drain the
-// materialized result.
-func (sr *SpilledRelation) Source() RowSource {
-	return &spilledSource{sr: sr}
-}
-
-// Close releases the backing file. The caller must guarantee no
-// concurrent Window/Source use; Windows already materialized stay
-// valid (they are heap relations).
-func (sr *SpilledRelation) Close() error { return sr.rf.Close() }
-
-// spilledSource iterates a SpilledRelation run by run.
-type spilledSource struct {
-	sr  *SpilledRelation
-	run int
-	err error
-}
-
-func (s *spilledSource) Graph() *tgm.InstanceGraph { return s.sr.g }
-func (s *spilledSource) Attrs() []Attr             { return s.sr.attrs }
-func (s *spilledSource) Close()                    {}
-
-func (s *spilledSource) Next() (*Relation, error) {
-	if s.err != nil {
-		return nil, s.err
-	}
-	if s.run >= s.sr.rf.NumRuns() {
-		return nil, nil
-	}
-	meta := s.sr.rf.Run(s.run)
-	b, err := s.sr.Window(meta.StartRow, meta.Rows)
-	if err != nil {
-		s.err = err
-		return nil, err
-	}
-	s.run++
-	return b, nil
-}
-
-// MaterializeSpill is MaterializeMax degrading to disk: batches are
-// retained on the heap until the drained row count exceeds trigger,
-// then everything retained (and everything after) overflows to spill
-// runs. Below the threshold the result is the usual spliced *Relation
-// and the spilled return is nil; above it the relation return is nil
-// and the result is a window-addressable *SpilledRelation. trigger <= 0
-// uses the policy's TriggerRows; a nil policy is exactly
-// MaterializeMax. The source is Closed before returning, success or
-// not.
-func MaterializeSpill(src RowSource, trigger int, pol *SpillPolicy) (*Relation, *SpilledRelation, error) {
-	if pol == nil {
-		rel, err := MaterializeMax(src, trigger)
-		return rel, nil, err
-	}
-	if trigger <= 0 {
-		trigger = pol.TriggerRows
-	}
-	defer src.Close()
-	budget := pol.NewBudget()
-	var parts []*Relation
-	var sink *RunSink
-	total := 0
-	fail := func(err error) (*Relation, *SpilledRelation, error) {
-		if sink != nil {
-			sink.Abort()
-		}
-		return nil, nil, spillFailure(err, trigger, total)
-	}
-	for {
-		b, err := src.Next()
-		if err != nil {
-			return fail(err)
-		}
-		if b == nil {
-			break
-		}
-		total += b.n
-		if sink == nil && trigger > 0 && total > trigger {
-			// Threshold crossed: open the sink and demote everything
-			// retained so far.
-			sink, err = NewRunSink(src.Graph(), src.Attrs(), pol, budget)
-			if err != nil {
-				return nil, nil, err
-			}
-			for _, p := range parts {
-				if err := sink.Add(p); err != nil {
-					return fail(err)
-				}
-			}
-			parts = nil
-		}
-		if sink != nil {
-			if err := sink.Add(b); err != nil {
-				return fail(err)
-			}
-		} else {
-			parts = append(parts, b)
-		}
-	}
-	if sink == nil {
-		rel, err := ConcatAll(src.Graph(), src.Attrs(), parts)
-		return rel, nil, err
-	}
-	sr, err := sink.Finish()
-	if err != nil {
-		return fail(err)
-	}
-	return nil, sr, nil
 }
 
 // groupLoc locates one group's values in a SpilledGroups values file.

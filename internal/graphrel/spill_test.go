@@ -2,7 +2,6 @@ package graphrel
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -44,104 +43,6 @@ func joined(t *testing.T, rng *rand.Rand) *Relation {
 		t.Fatal(err)
 	}
 	return j
-}
-
-// TestMaterializeSpillEquivalence checks the spilled materialization
-// against the heap path: full contents, random windows, and the
-// re-drained Source stream are all row- and column-identical.
-func TestMaterializeSpillEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	want := joined(t, rng)
-	for trial := 0; trial < 6; trial++ {
-		batch := 1 + rng.Intn(2*MorselRows)
-		runRows := 16 + rng.Intn(512)
-		pol := testPolicy(t, runRows)
-		trigger := 1 + rng.Intn(want.Len())
-		rel, sr, err := MaterializeSpill(StreamRelationBatch(want, batch), trigger, pol)
-		if err != nil {
-			t.Fatalf("trial %d: MaterializeSpill: %v", trial, err)
-		}
-		if rel != nil {
-			t.Fatalf("trial %d: expected spill (trigger %d < %d rows), got heap relation", trial, trigger, want.Len())
-		}
-		if sr.Len() != want.Len() {
-			t.Fatalf("trial %d: Len = %d, want %d", trial, sr.Len(), want.Len())
-		}
-		label := fmt.Sprintf("trial=%d batch=%d runRows=%d", trial, batch, runRows)
-
-		full, err := sr.Window(0, -1)
-		if err != nil {
-			t.Fatalf("%s: Window(0,-1): %v", label, err)
-		}
-		assertIdenticalRelations(t, label+" full", full, want)
-
-		for w := 0; w < 8; w++ {
-			off := rng.Intn(want.Len() + 10)
-			lim := rng.Intn(3 * runRows)
-			win, err := sr.Window(off, lim)
-			if err != nil {
-				t.Fatalf("%s: Window(%d,%d): %v", label, off, lim, err)
-			}
-			lo := min(off, want.Len())
-			hi := min(lo+lim, want.Len())
-			assertIdenticalRelations(t, fmt.Sprintf("%s window(%d,%d)", label, off, lim),
-				win, want.slice(lo, hi))
-		}
-
-		redrained, err := Materialize(sr.Source())
-		if err != nil {
-			t.Fatalf("%s: redrain: %v", label, err)
-		}
-		assertIdenticalRelations(t, label+" redrained", redrained, want)
-
-		if pol.Metrics.Snapshot().Spills == 0 || pol.Metrics.Snapshot().Faults == 0 {
-			t.Fatalf("%s: metrics did not register the spill: %+v", label, pol.Metrics.Snapshot())
-		}
-		if err := sr.Close(); err != nil {
-			t.Fatalf("%s: Close: %v", label, err)
-		}
-	}
-}
-
-// TestMaterializeSpillBelowThreshold stays on the heap when the stream
-// fits, and a nil policy reduces to MaterializeMax.
-func TestMaterializeSpillBelowThreshold(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	want := joined(t, rng)
-	pol := testPolicy(t, 64)
-	rel, sr, err := MaterializeSpill(StreamRelationBatch(want, 512), want.Len(), pol)
-	if err != nil {
-		t.Fatalf("MaterializeSpill: %v", err)
-	}
-	if sr != nil {
-		t.Fatal("spilled despite fitting under the trigger")
-	}
-	assertIdenticalRelations(t, "below threshold", rel, want)
-	if pol.Metrics.Snapshot().Spills != 0 {
-		t.Fatalf("spill counted without spilling: %+v", pol.Metrics.Snapshot())
-	}
-
-	// nil policy: plain MaterializeMax semantics, including the error.
-	if _, _, err := MaterializeSpill(StreamRelationBatch(want, 512), 1, nil); err == nil {
-		t.Fatal("nil policy should keep the row cap")
-	}
-}
-
-// TestMaterializeSpillBudget exhausts -max-spill-bytes mid-stream and
-// expects the row cap's typed error carrying the observed rows.
-func TestMaterializeSpillBudget(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	want := joined(t, rng)
-	pol := testPolicy(t, 64)
-	pol.MaxBytes = 2048
-	_, _, err := MaterializeSpill(StreamRelationBatch(want, 512), 1, pol)
-	var rle *RowLimitError
-	if !errors.As(err, &rle) {
-		t.Fatalf("want *RowLimitError on budget exhaustion, got %v", err)
-	}
-	if rle.Rows == 0 {
-		t.Fatalf("RowLimitError should carry observed rows: %+v", rle)
-	}
 }
 
 // TestExternalGroupFoldEquivalence folds the same batches through the
@@ -272,35 +173,5 @@ func TestExternalDistinctEquivalence(t *testing.T) {
 		if !sort.SliceIsSorted(got, func(i, j int) bool { return got[i] < got[j] }) {
 			t.Fatalf("runRows=%d: external distinct not ascending", runRows)
 		}
-	}
-}
-
-// TestSpilledRelationWindowClamps pins the Window contract at the
-// edges: negative offsets rejected, past-the-end clamped empty.
-func TestSpilledRelationWindowClamps(t *testing.T) {
-	rng := rand.New(rand.NewSource(26))
-	rel := joined(t, rng)
-	pol := testPolicy(t, 128)
-	_, sr, err := MaterializeSpill(StreamRelationBatch(rel, 512), 1, pol)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sr.Close()
-	if _, err := sr.Window(-1, 5); err == nil {
-		t.Fatal("negative offset accepted")
-	}
-	w, err := sr.Window(sr.Len()+100, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w.Len() != 0 {
-		t.Fatalf("past-the-end window has %d rows", w.Len())
-	}
-	w, err = sr.Window(sr.Len()-3, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w.Len() != 3 {
-		t.Fatalf("tail window has %d rows, want 3", w.Len())
 	}
 }

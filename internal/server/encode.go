@@ -71,11 +71,10 @@ func (s *Server) respondState(ctx context.Context, w http.ResponseWriter, status
 
 // appendState renders one consistent session snapshot, materializing
 // and encoding only the requested row window: the session's windowed
-// presentation memo keeps the matched relation pinned in the shared
-// cache and transforms just the requested rows, so the cost of a page
-// does not scale with the table. Cursor requests are verified against
-// the current presentation state (409 stale_cursor on mismatch — a
-// cursor addresses the pinned relation of the state it was issued
+// presentation memo transforms just the requested rows, so the cost of
+// a page does not scale with the table. Cursor requests are verified
+// against the current presentation state (409 stale_cursor on mismatch
+// — a cursor addresses the presentation of the state it was issued
 // against, so a changed presentation invalidates it), and a nextCursor
 // is issued whenever rows remain past the window.
 //

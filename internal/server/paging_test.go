@@ -150,27 +150,3 @@ func TestSortThenPageEqualsFullRenderSlice(t *testing.T) {
 		}
 	}
 }
-
-// TestPagedStatsReportPins: serving windows pins matched relations; the
-// stats endpoint surfaces the count.
-func TestPagedStatsReportPins(t *testing.T) {
-	tsrv, ts := newTestServerOpts(t, Options{})
-	st := openPapers(t, ts.URL)
-	var page v1State
-	u := fmt.Sprintf("%s/api/v1/sessions/%d?limit=2", ts.URL, st.ID)
-	if code := doJSON(t, "GET", u, nil, &page); code != 200 {
-		t.Fatalf("page = %d", code)
-	}
-	if got := tsrv.Cache().PinnedCount(); got < 1 {
-		t.Fatalf("PinnedCount = %d, want >= 1", got)
-	}
-	var stats struct {
-		PinnedRelations int `json:"pinnedRelations"`
-	}
-	if code := doJSON(t, "GET", ts.URL+"/api/v1/stats", nil, &stats); code != 200 {
-		t.Fatalf("stats = %d", code)
-	}
-	if stats.PinnedRelations < 1 {
-		t.Fatalf("stats pinnedRelations = %d, want >= 1", stats.PinnedRelations)
-	}
-}

@@ -159,59 +159,52 @@ func TestCreateSessionParallelismValidation(t *testing.T) {
 }
 
 // TestStatsPlannerBlock asserts /api/v1/stats carries the plan-cache
-// telemetry: after two sessions run the same query, the block reports
-// the mode, at least one miss (the first plan build) and one hit (the
-// second session reusing it), and the adaptive threshold. Private
-// result caches force the second session to actually execute — with
-// the shared relation cache it would hit the result and never consult
-// a plan (plan lookups live inside the compute closures).
+// telemetry: at least one miss (the first plan build) and one hit (a
+// second session re-running the query with its plan still cached). The
+// relation cache sits in front of the plan cache — plan lookups live
+// inside the compute closures — so the second session only consults a
+// plan because other signatures evicted its relation from a
+// one-entry-per-shard cache first.
 func TestStatsPlannerBlock(t *testing.T) {
 	tr, err := testdb.Figure3Translation()
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewWithOptions(tr.Schema, tr.Instance, Options{PrivateCaches: true})
+	srv := NewWithOptions(tr.Schema, tr.Instance, Options{CacheEntries: 16})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
-	for i := 0; i < 2; i++ {
+	query := func(cond string) {
+		t.Helper()
 		id := createSession(t, ts)
 		url := fmt.Sprintf("%s/api/v1/sessions/%d/ops", ts.URL, id)
 		var out json.RawMessage
 		if code := postJSON(t, url, map[string]any{"op": "open", "table": "Papers"}, &out); code != http.StatusOK {
 			t.Fatalf("open status %d", code)
 		}
-		if code := postJSON(t, url, map[string]any{"op": "filter", "cond": "year > 2000"}, &out); code != http.StatusOK {
-			t.Fatalf("filter status %d", code)
+		if code := postJSON(t, url, map[string]any{"op": "filter", "cond": cond}, &out); code != http.StatusOK {
+			t.Fatalf("filter %q status %d", cond, code)
 		}
 	}
+	query("year > 2000")
+	for year := 1900; year < 1964; year++ {
+		query(fmt.Sprintf("year > %d", year))
+	}
+	query("year > 2000")
 	var st struct {
 		Planner struct {
-			Mode                   string `json:"mode"`
-			Hits                   int64  `json:"hits"`
-			Misses                 int64  `json:"misses"`
-			Entries                int    `json:"entries"`
-			GreedyPlans            int64  `json:"greedyPlans"`
-			CostPlans              int64  `json:"costPlans"`
-			AdaptiveThresholdNodes int    `json:"adaptiveThresholdNodes"`
+			Hits    int64 `json:"hits"`
+			Misses  int64 `json:"misses"`
+			Entries int   `json:"entries"`
 		} `json:"planner"`
 	}
 	if code := getJSON(t, ts.URL+"/api/v1/stats", &st); code != http.StatusOK {
 		t.Fatalf("stats status %d", code)
 	}
 	p := st.Planner
-	if p.Mode != "auto" {
-		t.Errorf("planner mode %q, want auto", p.Mode)
-	}
 	if p.Misses == 0 || p.Entries == 0 {
 		t.Errorf("no plans were built: %+v", p)
 	}
 	if p.Hits == 0 {
 		t.Errorf("second session did not reuse a cached plan: %+v", p)
-	}
-	if p.GreedyPlans+p.CostPlans == 0 {
-		t.Errorf("no ordering policy recorded: %+v", p)
-	}
-	if p.AdaptiveThresholdNodes <= 0 {
-		t.Errorf("adaptive threshold %d, want > 0", p.AdaptiveThresholdNodes)
 	}
 }

@@ -115,16 +115,6 @@ type Options struct {
 	// like the row cap did before spilling — the disk tier is bounded
 	// too.
 	MaxSpillBytes int64
-	// Planner forces the join-ordering policy for every session's
-	// queries: etable.PlannerGreedy or etable.PlannerCost override the
-	// adaptive default (etable.PlannerAuto, which picks by corpus
-	// size). An ablation knob; production servers leave it at auto.
-	Planner etable.PlannerMode
-	// PrivateCaches gives each session its own execution cache instead
-	// of the shared one. It exists as the ablation baseline for
-	// BenchmarkServerConcurrentSessions (the pre-refactor serving core
-	// cached per session); it is not a production mode.
-	PrivateCaches bool
 }
 
 func (o Options) withDefaults() Options {
@@ -529,18 +519,14 @@ func (s *Server) handleSchema(w http.ResponseWriter, r *http.Request) {
 // statsJSON is the /api/stats payload: serving-core health counters,
 // the worker pool's state, and the planner's per-edge cost statistics.
 type statsJSON struct {
-	Sessions     int   `json:"sessions"`
-	CacheEntries int   `json:"cacheEntries"`
-	CacheHits    int64 `json:"cacheHits"`
-	CacheMisses  int64 `json:"cacheMisses"`
-	// PinnedRelations counts cache entries currently pinned by session
-	// presentation memos (exempt from eviction while paged against);
-	// bounded by sessions × per-session memo size.
-	PinnedRelations int            `json:"pinnedRelations"`
-	Memory          memoryJSON     `json:"memory"`
-	Workers         workerJSON     `json:"workers"`
-	Planner         plannerJSON    `json:"planner"`
-	EdgeStats       []edgeStatJSON `json:"edgeStats"`
+	Sessions     int            `json:"sessions"`
+	CacheEntries int            `json:"cacheEntries"`
+	CacheHits    int64          `json:"cacheHits"`
+	CacheMisses  int64          `json:"cacheMisses"`
+	Memory       memoryJSON     `json:"memory"`
+	Workers      workerJSON     `json:"workers"`
+	Planner      plannerJSON    `json:"planner"`
+	EdgeStats    []edgeStatJSON `json:"edgeStats"`
 	// Datasets reports every registered dataset, loaded or not. The
 	// top-level cache/planner/edge fields describe the default dataset
 	// (the pre-registry shape, kept for compatibility).
@@ -564,12 +550,10 @@ type datasetStatsJSON struct {
 	Nodes         int     `json:"nodes,omitempty"`
 	Edges         int     `json:"edges,omitempty"`
 	// Execution-cache telemetry, scoped to this dataset's cache.
-	CacheEntries        int   `json:"cacheEntries"`
-	CacheHits           int64 `json:"cacheHits"`
-	CacheMisses         int64 `json:"cacheMisses"`
-	PinnedRelations     int   `json:"pinnedRelations"`
-	CacheResidentBytes  int64 `json:"cacheResidentBytes"`
-	PinnedRelationBytes int64 `json:"pinnedRelationBytes"`
+	CacheEntries       int   `json:"cacheEntries"`
+	CacheHits          int64 `json:"cacheHits"`
+	CacheMisses        int64 `json:"cacheMisses"`
+	CacheResidentBytes int64 `json:"cacheResidentBytes"`
 	// Plan-cache telemetry, scoped to this dataset's graph.
 	PlanCacheHits   int64 `json:"planCacheHits"`
 	PlanCacheMisses int64 `json:"planCacheMisses"`
@@ -609,33 +593,20 @@ type spillJSON struct {
 }
 
 // plannerJSON is the plan-cache telemetry block of /api/v1/stats: how
-// often queries reuse a prepared plan (hits vs misses) and how the
-// adaptive planner split its decisions (greedy vs cost-model plans).
+// often queries reuse a prepared plan (hits vs misses).
 type plannerJSON struct {
-	// Mode is the server-wide planner policy ("auto" unless forced for
-	// ablation).
-	Mode string `json:"mode"`
 	// Hits and Misses count plan-cache lookups; Entries is the current
 	// cache population, Evictions the LRU casualties.
 	Hits      int64 `json:"hits"`
 	Misses    int64 `json:"misses"`
 	Entries   int   `json:"entries"`
 	Evictions int64 `json:"evictions"`
-	// GreedyPlans and CostPlans count plans built under each ordering
-	// policy (after adaptive resolution).
-	GreedyPlans int64 `json:"greedyPlans"`
-	CostPlans   int64 `json:"costPlans"`
-	// AdaptiveThresholdNodes is the corpus size at which PlannerAuto
-	// switches from greedy to cost-model ordering.
-	AdaptiveThresholdNodes int `json:"adaptiveThresholdNodes"`
 }
 
 // memoryJSON is the memory telemetry block of /api/v1/stats: process
 // heap gauges (runtime.ReadMemStats) next to the execution cache's
 // estimated footprint, so operators can see how much of the heap is
-// result cache versus everything else, and how much of the cache is
-// pinned by live paging sessions (unevictable until those sessions
-// move on or expire).
+// result cache versus everything else.
 type memoryJSON struct {
 	// HeapAllocBytes is the process's live heap (runtime MemStats
 	// HeapAlloc).
@@ -647,9 +618,6 @@ type memoryJSON struct {
 	// CacheResidentBytes estimates the column bytes of every relation in
 	// the shared execution cache.
 	CacheResidentBytes int64 `json:"cacheResidentBytes"`
-	// PinnedRelationBytes estimates the subset of CacheResidentBytes
-	// held by pinned (session-addressed, unevictable) relations.
-	PinnedRelationBytes int64 `json:"pinnedRelationBytes"`
 }
 
 type workerJSON struct {
@@ -695,7 +663,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			HeapAllocBytes: rms.HeapAlloc,
 			HeapInuseBytes: rms.HeapInuse,
 		},
-		Planner:  plannerJSON{Mode: s.opts.Planner.String()},
 		Datasets: []datasetStatsJSON{},
 	}
 	def := s.reg.Default()
@@ -703,25 +670,18 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	// meaning: they describe the default dataset (when it is resident).
 	if def != nil {
 		cache := def.Cache()
-		cms := cache.MemStatsNow()
 		out.CacheEntries = cache.Len()
 		out.CacheHits = cache.Hits()
 		out.CacheMisses = cache.Misses()
-		out.PinnedRelations = cache.PinnedCount()
-		out.Memory.CacheResidentBytes = cms.ResidentBytes
-		out.Memory.PinnedRelationBytes = cms.PinnedBytes
+		out.Memory.CacheResidentBytes = cache.ResidentBytes()
 	}
 	if def != nil && def.Loaded() {
 		ps := etable.PlannerStatsFor(def.Graph())
 		out.Planner = plannerJSON{
-			Mode:                   s.opts.Planner.String(),
-			Hits:                   ps.Hits,
-			Misses:                 ps.Misses,
-			Entries:                ps.Entries,
-			Evictions:              ps.Evictions,
-			GreedyPlans:            ps.GreedyPlans,
-			CostPlans:              ps.CostPlans,
-			AdaptiveThresholdNodes: ps.AdaptiveThreshold,
+			Hits:      ps.Hits,
+			Misses:    ps.Misses,
+			Entries:   ps.Entries,
+			Evictions: ps.Evictions,
 		}
 		st := stats.For(def.Graph())
 		names := make([]string, 0, len(st.Edges))
@@ -752,13 +712,10 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		d.SnapshotBytes = bytes
 		d.LoadMs = float64(dur.Microseconds()) / 1e3
 		cache := ds.Cache()
-		cms := cache.MemStatsNow()
 		d.CacheEntries = cache.Len()
 		d.CacheHits = cache.Hits()
 		d.CacheMisses = cache.Misses()
-		d.PinnedRelations = cache.PinnedCount()
-		d.CacheResidentBytes = cms.ResidentBytes
-		d.PinnedRelationBytes = cms.PinnedBytes
+		d.CacheResidentBytes = cache.ResidentBytes()
 		if d.Loaded {
 			g := ds.Graph()
 			d.Nodes = g.NumNodes()
@@ -814,7 +771,7 @@ func (s *Server) maybeSweep() {
 	closeSessions(evicted)
 }
 
-// closeSessions closes evicted sessions' pinned state. Called after
+// closeSessions releases evicted sessions' memoized state. Called after
 // s.mu is released — Close takes the session's own lock, and the lock
 // ordering never takes session.mu under server.mu.
 func closeSessions(evicted []*sessionEntry) {
@@ -897,17 +854,9 @@ func (s *Server) createSession(ctx context.Context, r *http.Request, ds *registr
 		}
 		initial = cb.Ops
 	}
-	var sess *session.Session
-	if s.opts.PrivateCaches {
-		// Ablation baseline: private cache, serial execution — the
-		// pre-refactor serving core.
-		sess = session.New(ds.Schema(), ds.Graph())
-	} else {
-		sess = session.NewWithExec(ds.Schema(), ds.Graph(), ds.Cache(), s.pool, s.defaultBudget())
-	}
+	sess := session.NewWithExec(ds.Schema(), ds.Graph(), ds.Cache(), s.pool, s.defaultBudget())
 	sess.SetMaxRows(s.opts.MaxRows)
 	sess.SetSpill(s.spillPolicy(ds))
-	sess.SetPlanner(s.opts.Planner)
 	// The server satisfies the recycling contract: every request on a
 	// session runs under its entry lock and respondState encodes the
 	// window into its response buffer before the lock is released, so no
@@ -940,11 +889,10 @@ func (s *Server) spillPolicy(ds *registry.Dataset) *graphrel.SpillPolicy {
 		return nil
 	}
 	return &graphrel.SpillPolicy{
-		Dir:         s.opts.SpillDir,
-		TriggerRows: s.opts.MaxRows,
-		MaxBytes:    s.opts.MaxSpillBytes,
-		Pool:        ds.SpillPool(),
-		Metrics:     ds.SpillMetrics(),
+		Dir:      s.opts.SpillDir,
+		MaxBytes: s.opts.MaxSpillBytes,
+		Pool:     ds.SpillPool(),
+		Metrics:  ds.SpillMetrics(),
 	}
 }
 

@@ -675,23 +675,18 @@ func TestMaxRowsResultTooLarge(t *testing.T) {
 }
 
 // TestStatsMemoryTelemetry: /api/v1/stats carries the memory block —
-// live heap gauges plus the execution cache's estimated resident and
-// pinned bytes, the latter nonzero while a session pages against a
-// pinned relation.
+// live heap gauges plus the execution cache's estimated resident bytes.
 func TestStatsMemoryTelemetry(t *testing.T) {
 	ts := newTestServer(t)
 	id := createSession(t, ts)
-	// Opening and windowing pins the matched relation for the session.
 	if _, code := act(t, ts, id, map[string]any{"action": "open", "table": "Papers", "limit": 2}); code != http.StatusOK {
 		t.Fatalf("open: code=%d", code)
 	}
 	var st struct {
-		PinnedRelations int `json:"pinnedRelations"`
-		Memory          struct {
-			HeapAllocBytes      uint64 `json:"heapAllocBytes"`
-			HeapInuseBytes      uint64 `json:"heapInuseBytes"`
-			CacheResidentBytes  int64  `json:"cacheResidentBytes"`
-			PinnedRelationBytes int64  `json:"pinnedRelationBytes"`
+		Memory struct {
+			HeapAllocBytes     uint64 `json:"heapAllocBytes"`
+			HeapInuseBytes     uint64 `json:"heapInuseBytes"`
+			CacheResidentBytes int64  `json:"cacheResidentBytes"`
 		} `json:"memory"`
 	}
 	if code := getJSON(t, ts.URL+"/api/v1/stats", &st); code != http.StatusOK {
@@ -702,13 +697,5 @@ func TestStatsMemoryTelemetry(t *testing.T) {
 	}
 	if st.Memory.CacheResidentBytes <= 0 {
 		t.Errorf("cacheResidentBytes = %d, want > 0 after a query", st.Memory.CacheResidentBytes)
-	}
-	if st.PinnedRelations < 1 || st.Memory.PinnedRelationBytes <= 0 {
-		t.Errorf("pinned: %d relations, %d bytes — want both positive while a session pages",
-			st.PinnedRelations, st.Memory.PinnedRelationBytes)
-	}
-	if st.Memory.PinnedRelationBytes > st.Memory.CacheResidentBytes {
-		t.Errorf("pinned bytes %d exceed resident bytes %d",
-			st.Memory.PinnedRelationBytes, st.Memory.CacheResidentBytes)
 	}
 }

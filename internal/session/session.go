@@ -22,15 +22,14 @@
 // server (NewShared).
 //
 // Presentation is windowed: the session keeps a small memo of prepared
-// presentations (etable.Presentation — row order, sort, column layout;
-// no cells), each pinning its matched relation in the shared cache
-// (etable.Pin), plus a bounded memo of materialized row windows per
+// presentations (etable.Presentation — row order, groupings, column
+// layout; no cells) plus a bounded memo of materialized row windows per
 // presentation, keyed by (offset, limit). A page fetch therefore costs
-// O(window): the match comes from the pinned relation, the row order
-// and groupings from the prepared presentation, and only the requested
-// rows are transformed. Pins are released when the presentation memo
-// evicts an entry, so the memory pinned beyond the cache capacity is
-// bounded by sessions × memoEntries relations.
+// O(window): the row order and groupings come from the prepared
+// presentation and only the requested rows are transformed. A
+// presentation owns everything its windows read, so the session holds
+// at most memoEntries prepared presentations and no relation — matched
+// relations are held by the shared cache alone, under its LRU.
 //
 // Every mutation flows through the declarative operation protocol of
 // internal/ops: Apply executes one validated ops.Op, ApplyPipeline
@@ -77,8 +76,7 @@ type Entry struct {
 
 // memoEntries bounds the per-session presentation memo. It only needs
 // to cover a short revert/redo window; the heavy lifting is in the
-// shared execution cache. It is also the per-session bound on pinned
-// cache relations (each memo entry holds one etable.Pin).
+// shared execution cache.
 const memoEntries = 8
 
 // windowMemoEntries bounds the materialized row windows kept per
@@ -97,17 +95,15 @@ const windowMemoRowCap = 4096
 
 // presEntry is one memoized presentation state: the prepared base
 // presentation (canonical ID-ascending row order, never sorted in
-// place), the pin holding its matched relation in the shared cache,
-// the bounded memo of sorted views over that base, and the bounded
-// window memo. Sort variants are etable.SortedView shallow copies —
-// they share the base's columns, groupings, and neighbor layout and
-// own only their row order — so switching sorts re-prepares nothing
-// and pins nothing new. windows values have hidden columns already
+// place), the bounded memo of sorted views over that base, and the
+// bounded window memo. Sort variants are etable.SortedView shallow
+// copies — they share the base's columns, groupings, and neighbor
+// layout and own only their row order — so switching sorts re-prepares
+// nothing. windows values have hidden columns already
 // applied — they are exactly what readers get — so the window key
 // carries the hidden set and sort alongside the row range.
 type presEntry struct {
 	base      *etable.Presentation
-	pin       *etable.Pin
 	sorted    map[string]*etable.Presentation
 	sortOrder []string
 	windows   map[winKey]*etable.Result
@@ -126,20 +122,10 @@ type winKey struct {
 	sort          string // sortKey of the entry's sort spec ("" = base order)
 }
 
-// release drops the entry's pin and any spill-backed state behind the
-// presentation (idempotent; both are no-ops on heap-resident entries —
-// spilled prepares carry a nil pin, pinned ones carry no spill files).
-// Sorted views share the base's spill state, so closing the base
-// releases every variant.
-func (pe *presEntry) release() {
-	pe.pin.Release()
-	pe.base.Close()
-}
-
 // variant returns the presentation ordered per the entry's sort spec:
 // the shared base when unsorted, otherwise a memoized SortedView over
 // it (built on first use, bounded FIFO). All variants share one
-// prepared presentation and one pin; only row order differs.
+// prepared presentation; only row order differs.
 func (pe *presEntry) variant(e Entry) (*etable.Presentation, error) {
 	if e.Sort == nil {
 		return pe.base, nil
@@ -161,15 +147,18 @@ func (pe *presEntry) variant(e Entry) (*etable.Presentation, error) {
 	return v, nil
 }
 
-// recycleAll returns every memoized window's arenas to the pool (see
-// Session.SetWindowRecycling) and empties the memo. Caller must hold
-// the session lock and must be discarding the entry or its windows.
-func (pe *presEntry) recycleAll() {
-	for _, res := range pe.windows {
-		res.Recycle()
+// discard drops a memo entry the session is done with: it closes any
+// spill-backed state behind the presentation (a no-op on heap-resident
+// entries; sorted views share the base's spill state, so closing the
+// base releases every variant) and, under SetWindowRecycling, returns
+// every memoized window's arenas to the pool. Caller holds s.mu.
+func (s *Session) discard(pe *presEntry) {
+	pe.base.Close()
+	if s.recycleWindows {
+		for _, res := range pe.windows {
+			res.Recycle()
+		}
 	}
-	clear(pe.windows)
-	pe.winOrder = pe.winOrder[:0]
 }
 
 // Session is one user's interactive exploration state.
@@ -194,10 +183,6 @@ type Session struct {
 	// (or mid-stream) with *graphrel.RowLimitError, and windowLocked
 	// rejects oversized window requests before transforming a cell.
 	maxRows int
-	// planner forces the join-ordering policy for this session's
-	// queries (etable.PlannerAuto, the zero value, is the adaptive
-	// default; see SetPlanner).
-	planner etable.PlannerMode
 	// spill enables spill-to-disk execution (see SetSpill): when set,
 	// maxRows becomes the spill trigger for the browsable prepare path
 	// instead of a hard failure, and oversized results page from
@@ -219,12 +204,9 @@ type Session struct {
 
 	// memo caches prepared presentations keyed by pattern alone
 	// (sorting is a memoized view per entry, hiding is per window),
-	// bounded FIFO; evicted entries release their cache pin.
+	// bounded FIFO; evicted entries release their spill files.
 	memo      map[string]*presEntry
 	memoOrder []string
-	// closed marks a session evicted by its server: its pins are
-	// released and later presentations no longer pin (see Close).
-	closed bool
 }
 
 // New starts an empty session over a TGDB with a private execution
@@ -275,27 +257,17 @@ func (s *Session) SetMaxRows(n int) {
 
 // SetSpill enables spill-to-disk execution for this session's queries:
 // with a policy set, a browsable prepare whose match crosses the
-// max-rows threshold overflows its materialization and breaker folds
-// to temp-file runs and stays pageable, instead of failing with the
-// 413 row-cap error. The policy's MaxBytes remains a hard cap (its
-// exhaustion fails with the same *graphrel.RowLimitError), and
-// explicit window requests larger than max-rows are still rejected —
-// spilling bounds memory, it does not unbound a single read. nil (the
-// default) keeps the strict cap. Call before serving requests.
+// max-rows threshold overflows its breaker folds to temp-file runs and
+// stays pageable, instead of failing with the 413 row-cap error. The
+// policy's MaxBytes remains a hard cap (its exhaustion fails with the
+// same *graphrel.RowLimitError), and explicit window requests larger
+// than max-rows are still rejected — spilling bounds memory, it does
+// not unbound a single read. nil (the default) keeps the strict cap.
+// Call before serving requests.
 func (s *Session) SetSpill(pol *graphrel.SpillPolicy) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.spill = pol
-}
-
-// SetPlanner forces the join-ordering policy for this session's
-// queries: etable.PlannerGreedy or etable.PlannerCost override the
-// adaptive default (etable.PlannerAuto, which picks by corpus size).
-// An ablation knob — production sessions leave it at auto.
-func (s *Session) SetPlanner(m etable.PlannerMode) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.planner = m
 }
 
 // SetWindowRecycling opts the session into window-arena recycling:
@@ -329,7 +301,6 @@ func (s *Session) execOptions(ctx context.Context) etable.ExecOptions {
 		Parallelism: exec.BudgetFrom(ctx, s.parallelism),
 		MaxRows:     s.maxRows,
 		Spill:       s.spill,
-		Planner:     s.planner,
 	}
 }
 
@@ -392,9 +363,9 @@ func (s *Session) StateCtx(ctx context.Context) (State, error) {
 // StateWindowCtx is StateCtx materializing only the [offset,
 // offset+limit) row window of the presented result (limit < 0 = all
 // rows from offset, limit 0 = metadata only). The window is served
-// from the session's windowed presentation memo: the matched relation
-// stays pinned in the shared cache and only the requested rows are
-// transformed, so the cost of a page does not scale with the table.
+// from the session's windowed presentation memo: only the requested
+// rows are transformed, so the cost of a page does not scale with the
+// table.
 func (s *Session) StateWindowCtx(ctx context.Context, offset, limit int) (State, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -871,9 +842,9 @@ func (s *Session) ReplayCtx(ctx context.Context, log Log) error {
 // independent of both. Sort variants are memoized per entry as
 // SortedView row orders over the one shared base (presEntry.variant),
 // and hideColumns applies per materialized window; both differentiate
-// windows via winKey. The result: one Prepare, one pin, and one set of
-// groupings per pattern across every sort/hide combination a session
-// toggles through.
+// windows via winKey. The result: one Prepare and one set of groupings
+// per pattern across every sort/hide combination a session toggles
+// through.
 func presentationKey(e Entry) string {
 	return e.Pattern.String()
 }
@@ -922,35 +893,22 @@ func (s *Session) resultLocked(ctx context.Context) (*etable.Result, error) {
 }
 
 // presentationLocked returns the memoized presentation for the current
-// entry, preparing (and pinning) it on first use. Caller holds s.mu.
+// entry, preparing it on first use. Caller holds s.mu.
 func (s *Session) presentationLocked(ctx context.Context, cur Entry) (*presEntry, error) {
 	key := presentationKey(cur)
 	if pe, ok := s.memo[key]; ok {
 		return pe, nil
 	}
-	pres, pin, err := s.exec.PrepareWithOpts(cur.Pattern, s.execOptions(ctx))
+	pres, err := s.exec.PrepareWithOpts(cur.Pattern, s.execOptions(ctx))
 	if err != nil {
 		return nil, err
 	}
-	pe := &presEntry{base: pres, pin: pin,
+	pe := &presEntry{base: pres,
 		sorted:  make(map[string]*etable.Presentation),
 		windows: make(map[winKey]*etable.Result)}
-	if s.closed {
-		// A request racing the server's eviction of this session must
-		// not leave a pin nobody will release; the presentation itself
-		// stays usable (relations are immutable regardless of pinning).
-		// A spilled presentation's run files are NOT closed here — this
-		// racing request is about to read them; they are anonymous
-		// (unlinked) files, so the descriptors' finalizers reclaim the
-		// storage when the presentation is collected.
-		pin.Release()
-	}
 	if len(s.memoOrder) >= memoEntries {
 		evict := s.memoOrder[0]
-		s.memo[evict].release()
-		if s.recycleWindows {
-			s.memo[evict].recycleAll()
-		}
+		s.discard(s.memo[evict])
 		delete(s.memo, evict)
 		s.memoOrder = s.memoOrder[1:]
 	}
@@ -1083,20 +1041,20 @@ func hideColumns(res *etable.Result, hidden map[string]bool) *etable.Result {
 	return &out
 }
 
-// Close releases the session's pinned cache relations and marks the
-// session closed: later reads still work (and re-prepare presentations
-// as needed) but no longer pin, so pins cannot outlive the session.
+// Close empties the presentation memo, releasing every spill file it
+// holds. History is untouched, so a later read still works: it
+// re-prepares what it needs (a request racing the server's eviction of
+// this session reads its own fresh presentation; a spilled one's
+// anonymous run files are reclaimed by the descriptors' finalizers).
 // Servers must Close a session when evicting it; Close is idempotent.
 func (s *Session) Close() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.closed = true
 	for _, pe := range s.memo {
-		pe.release()
-		if s.recycleWindows {
-			pe.recycleAll()
-		}
+		s.discard(pe)
 	}
+	clear(s.memo)
+	s.memoOrder = nil
 }
 
 // EntityTypes lists the node types shown in the default table list:

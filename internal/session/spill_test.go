@@ -28,12 +28,11 @@ func spillSession(t testing.TB, trigger int) (*Session, *graphrel.SpillPolicy) {
 	}
 	s := New(res.Schema, res.Instance)
 	pol := &graphrel.SpillPolicy{
-		Dir:         t.TempDir(),
-		TriggerRows: trigger,
-		Pool:        pager.New(4),
-		Metrics:     &spill.Metrics{},
-		Named:       true,
-		RunRows:     2,
+		Dir:     t.TempDir(),
+		Pool:    pager.New(4),
+		Metrics: &spill.Metrics{},
+		Named:   true,
+		RunRows: 2,
 	}
 	s.SetMaxRows(trigger)
 	s.SetSpill(pol)

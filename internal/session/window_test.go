@@ -12,14 +12,19 @@ import (
 )
 
 // newSharedSession builds a session over the Figure 3 corpus with an
-// externally visible shared cache, so tests can observe pinning.
+// externally visible shared cache, so tests can observe its traffic.
 func newSharedSession(t testing.TB) (*Session, *etable.Cache) {
+	return newCachedSession(t, 64)
+}
+
+// newCachedSession is newSharedSession with a chosen cache capacity.
+func newCachedSession(t testing.TB, entries int) (*Session, *etable.Cache) {
 	t.Helper()
 	res, err := testdb.Figure3Translation()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := etable.NewCache(64)
+	cache := etable.NewCache(entries)
 	return NewShared(res.Schema, res.Instance, cache), cache
 }
 
@@ -96,75 +101,108 @@ func TestWindowMatchesFullRender(t *testing.T) {
 	}
 }
 
-// TestWindowPinsMatchedRelation: rendering any window pins the matched
-// relation in the shared cache; cycling through more presentation
-// states than the memo holds releases the oldest pins, so the pinned
-// set stays bounded by memoEntries.
-func TestWindowPinsMatchedRelation(t *testing.T) {
-	s, cache := newSharedSession(t)
-	if err := s.Open("Papers"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.WindowCtx(context.Background(), 0, 2); err != nil {
-		t.Fatal(err)
-	}
-	if got := cache.PinnedCount(); got != 1 {
-		t.Fatalf("PinnedCount after first window = %d, want 1", got)
-	}
-	// Hiding a column is a per-window concern, not a new presentation:
-	// the prepared row order and pin are reused, not re-prepared.
-	if err := s.HideColumn("year"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.WindowCtx(context.Background(), 0, 2); err != nil {
-		t.Fatal(err)
-	}
-	if got := cache.PinnedCount(); got != 1 {
-		t.Fatalf("PinnedCount after hide = %d, want 1 (hide must not re-prepare)", got)
-	}
-	// Each distinct filter is a new presentation state; far more than
-	// memoEntries of them must not pin more than memoEntries relations.
-	for i := 0; i < memoEntries+6; i++ {
-		if err := s.Filter(fmt.Sprintf("year > %d", 1990+i)); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.WindowCtx(context.Background(), 0, 1); err != nil {
-			t.Fatal(err)
+// TestWindowOutlivesMatchedRelation: a memoized presentation owns
+// everything its windows read. With one cache entry per shard,
+// unrelated traffic evicts the joined pattern's matched relation; fresh
+// windows, a hide, a sort and a revert over the memoized presentation
+// still render what an undisturbed session renders — without ever
+// re-preparing, which the closing Match proves (a re-prepare would have
+// re-inserted the relation and the Match would hit).
+func TestWindowOutlivesMatchedRelation(t *testing.T) {
+	s, cache := newCachedSession(t, 16)
+	plain := newSession(t)
+	ctx := context.Background()
+	both := func(name string, apply func(*Session) error) {
+		t.Helper()
+		for _, sess := range []*Session{s, plain} {
+			if err := apply(sess); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
 		}
 	}
-	if got := cache.PinnedCount(); got > memoEntries {
-		t.Fatalf("PinnedCount = %d, want <= %d (evicted memo entries must release their pins)", got, memoEntries)
+	sameWindow := func(name string, offset, limit int) {
+		t.Helper()
+		got, err := s.WindowCtx(ctx, offset, limit)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want, err := plain.WindowCtx(ctx, offset, limit)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if rg, rw := renderWindow(got), renderWindow(want); rg != rw {
+			t.Fatalf("%s: window [%d,+%d) differs\ngot:\n%s\nwant:\n%s", name, offset, limit, rg, rw)
+		}
+	}
+	both("open", func(x *Session) error { return x.Open("Papers") })
+	both("pivot", func(x *Session) error { return x.Pivot("Authors") })
+	sameWindow("prepared", 0, 2)
+
+	// Evict everything the prepare left in the cache.
+	for i := 0; i < 1024; i++ {
+		if _, err := cache.GetOrCompute(fmt.Sprintf("filler-%d", i), func() (*graphrel.Relation, error) {
+			return &graphrel.Relation{}, nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	sameWindow("fresh window", 2, 3)
+	both("hide", func(x *Session) error { return x.HideColumn("id") })
+	sameWindow("hidden", 0, -1)
+	both("sort", func(x *Session) error { return x.SortBy(etable.SortSpec{Attr: "name", Desc: true}) })
+	sameWindow("sorted", 0, -1)
+	both("revert", func(x *Session) error { return x.Revert(1) })
+	sameWindow("reverted", 1, 2)
+
+	misses := cache.Misses()
+	if _, err := etable.NewSharedExecutor(s.Graph(), cache).Match(s.Pattern()); err != nil {
+		t.Fatal(err)
+	}
+	if cache.Misses() == misses {
+		t.Fatal("the matched relation was cached all along: the flood evicted nothing, or a read re-prepared")
 	}
 }
 
-// TestCloseReleasesPins: closing a session (what the server does on
-// eviction) releases every pinned relation, and later reads on the
-// closed session keep working without pinning anew.
-func TestCloseReleasesPins(t *testing.T) {
-	s, cache := newSharedSession(t)
+// TestCloseReleasesSpillFilesAndReprepares: closing a session (what
+// the server does on eviction) releases every spill file its memo
+// holds, and a later read on the closed session re-prepares and renders
+// the same window.
+func TestCloseReleasesSpillFilesAndReprepares(t *testing.T) {
+	s, pol := spillSession(t, 2)
+	ctx := context.Background()
 	if err := s.Open("Papers"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.WindowCtx(context.Background(), 0, 2); err != nil {
+	if err := s.Pivot("Authors"); err != nil {
 		t.Fatal(err)
 	}
-	if cache.PinnedCount() != 1 {
-		t.Fatalf("PinnedCount = %d, want 1", cache.PinnedCount())
+	before, err := s.WindowCtx(ctx, 0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := renderWindow(before)
+	if len(runFiles(t, pol.Dir)) == 0 {
+		t.Fatal("pivot did not spill")
 	}
 	s.Close()
 	s.Close() // idempotent
-	if cache.PinnedCount() != 0 {
-		t.Fatalf("PinnedCount after Close = %d, want 0", cache.PinnedCount())
+	if left := runFiles(t, pol.Dir); len(left) != 0 {
+		t.Fatalf("run files left after Close: %v", left)
 	}
-	// A closed session still serves reads — and doesn't re-pin.
-	if err := s.Filter("year > 2000"); err != nil {
-		t.Fatal(err)
+	after, err := s.WindowCtx(ctx, 0, 2)
+	if err != nil {
+		t.Fatalf("read after Close: %v", err)
 	}
-	if _, err := s.WindowCtx(context.Background(), 0, 2); err != nil {
-		t.Fatal(err)
+	if got := renderWindow(after); got != want {
+		t.Fatalf("window after Close differs\ngot:\n%s\nwant:\n%s", got, want)
 	}
-	if cache.PinnedCount() != 0 {
-		t.Fatalf("closed session pinned %d relations", cache.PinnedCount())
+	if len(runFiles(t, pol.Dir)) == 0 {
+		t.Fatal("read after Close did not re-prepare a spilled presentation")
+	}
+	s.Close()
+	if left := runFiles(t, pol.Dir); len(left) != 0 {
+		t.Fatalf("run files left after the second Close: %v", left)
 	}
 }
 
@@ -329,8 +367,8 @@ func TestSortValidationWithoutRender(t *testing.T) {
 // TestSortVariantsShareOnePreparedPresentation: sorting is a view over
 // the memoized base presentation, not a new presentation state — a
 // session toggling through many sort orders of one pattern holds ONE
-// memo entry and ONE cache pin, and each variant's windows render the
-// right order.
+// memo entry and prepares once (the cache sees no further lookups),
+// and each variant's windows render the right order.
 func TestSortVariantsShareOnePreparedPresentation(t *testing.T) {
 	s, cache := newSharedSession(t)
 	if err := s.Open("Papers"); err != nil {
@@ -342,6 +380,7 @@ func TestSortVariantsShareOnePreparedPresentation(t *testing.T) {
 		t.Fatal(err)
 	}
 	total := base.NumRows()
+	lookups := cache.Hits() + cache.Misses()
 
 	specs := []etable.SortSpec{
 		{Attr: "year"},
@@ -364,16 +403,13 @@ func TestSortVariantsShareOnePreparedPresentation(t *testing.T) {
 	if got := len(s.memo); got != 1 {
 		t.Fatalf("%d memo entries across %d sort variants, want 1 (sorts must share the prepared presentation)", got, len(specs))
 	}
-	if got := cache.PinnedCount(); got != 1 {
-		t.Fatalf("PinnedCount = %d across sort variants, want 1", got)
-	}
 	for _, pe := range s.memo {
 		if got := len(pe.sorted); got != len(specs) {
 			t.Fatalf("%d memoized sorted views, want %d", got, len(specs))
 		}
 	}
 	// Reverting through every sorted state (and the unsorted open) hits
-	// the memoized views: still one entry, one pin.
+	// the memoized views: still one entry, never re-prepared.
 	for i := len(specs); i >= 0; i-- {
 		if err := s.Revert(i); err != nil {
 			t.Fatal(err)
@@ -382,7 +418,10 @@ func TestSortVariantsShareOnePreparedPresentation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := cache.PinnedCount(); got != 1 {
-		t.Fatalf("PinnedCount after reverts = %d, want 1", got)
+	if got := len(s.memo); got != 1 {
+		t.Fatalf("%d memo entries after reverts, want 1", got)
+	}
+	if got := cache.Hits() + cache.Misses(); got != lookups {
+		t.Fatalf("%d cache lookups since the first window, want 0 (sorts and reverts must not re-prepare)", got-lookups)
 	}
 }

@@ -1,8 +1,7 @@
 // Package spill is the disk tier behind spill-to-disk execution: when
-// a materialized match or a presentation fold outgrows the row budget,
-// its batches overflow to runs in a temp file and fault back through
-// the same bounded buffer pool (internal/pager) that serves
-// out-of-core snapshot columns.
+// a presentation fold outgrows the row budget, its state overflows to
+// runs in a temp file and faults back through the same bounded buffer
+// pool (internal/pager) that serves out-of-core snapshot columns.
 //
 // A run is one self-contained chunk of ID columns — a fixed 16-byte
 // header (rows, columns, payload length, CRC-32C of the payload)
@@ -37,8 +36,8 @@ import (
 // a zero Metrics is ready to use. A nil *Metrics is accepted
 // everywhere and counts nothing.
 type Metrics struct {
-	// Spills counts spill events: operators (materializations, group
-	// folds, distinct passes) that overflowed to disk.
+	// Spills counts spill events: operators (group folds, distinct
+	// passes) that overflowed to disk.
 	Spills atomic.Int64
 	// RunBytes counts bytes written to spill runs (headers included).
 	RunBytes atomic.Int64
@@ -96,9 +95,9 @@ func (m *Metrics) addFault() {
 }
 
 // Budget is a byte budget shared by every run file of one execution:
-// the -max-spill-bytes hard cap. Reservations are atomic so the
-// materialization sink and the fold sinks of one query charge one
-// envelope. A nil *Budget is unbounded.
+// the -max-spill-bytes hard cap. Reservations are atomic so the fold
+// sinks and the distinct pass of one query charge one envelope. A nil
+// *Budget is unbounded.
 type Budget struct {
 	// Limit is the cap in bytes; <= 0 is unbounded.
 	Limit int64

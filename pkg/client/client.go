@@ -226,10 +226,6 @@ type Stats struct {
 	CacheEntries int   `json:"cacheEntries"`
 	CacheHits    int64 `json:"cacheHits"`
 	CacheMisses  int64 `json:"cacheMisses"`
-	// PinnedRelations counts execution-cache entries pinned by session
-	// presentation memos — relations being paged against, exempt from
-	// cache eviction until their sessions move on.
-	PinnedRelations int `json:"pinnedRelations"`
 }
 
 // DatasetInfo is one dataset in the GET /api/v1/datasets payload.
