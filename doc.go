@@ -82,7 +82,12 @@
 //     Select and the StreamJoin stages fan morsels out to the pool and
 //     splice per-morsel outputs in input order through disjoint
 //     windows — no locks on the hot path, and output row-for-row
-//     identical to a serial run (property-tested under -race).
+//     identical to a serial run (property-tested under -race). The
+//     kernels never hash a node ID: IDs are dense ordinals, so the
+//     join's build side is a counting-sort index over the build
+//     column's type span probed through a tgm.Adjacency handle, and
+//     the presentation's groupings are a serial counting sort into CSR
+//     arrays (graphrel.Groups).
 //   - internal/stats: per-edge-type out-degree histograms and
 //     per-node-type attribute NDV estimates, collected once at
 //     translate time and frozen with the graph (stats.For). They
@@ -185,9 +190,10 @@
 //
 // Allocation discipline in the transform: all cells of a window share
 // one backing array, entity references are carved from one per-range
-// arena (empty lists share a single slice), per-(group,value) hash
-// dedup was replaced by sort-side compaction and a dense-ID bitmap
-// (graphrel.Bitset), and non-string labels are interned per range so N
+// arena (empty lists share a single slice), the distinct rows come out
+// of a dense-ID bitmap already ordered (graphrel.DistinctSorted), each
+// column's grouping is three flat arrays whose segments are sorted and
+// compacted in place, and non-string labels are interned per range so N
 // rows referencing one node share one rendered string. PERFORMANCE.md
 // §6 records the page-fetch measurements (BenchmarkFigure7Pipeline).
 //

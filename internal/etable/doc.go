@@ -16,10 +16,12 @@
 //
 //   - MatchOpts / Executor.MatchWithOpts drain it into one arena-backed
 //     relation — the value that is cached;
-//   - Executor.PrepareWithOpts folds the presentation's pipeline
-//     breakers off it batch by batch (PrepareFromSource), and with a
-//     spill policy the folds — and only the folds — write to disk runs
-//     once the drain crosses MaxRows instead of failing;
+//   - Executor.PrepareWithOpts drains it under MaxRows and runs the one
+//     Prepare kernel over the spliced relation (PrepareFromSource =
+//     drain + PrepareOpts); with a spill policy, a drain that crosses
+//     MaxRows replays the batches it retained through the external
+//     folds, drops them, and keeps folding batch by batch — the folds,
+//     and only the folds, write to disk runs;
 //   - MatchSource hands the stream out, so a window or LIMIT consumer
 //     terminates upstream production after O(window) driving-side work.
 //
@@ -64,7 +66,15 @@
 // Prepare computes what depends on the whole matched relation (row set,
 // column layout, per-column groupings) and no cells; Window materializes
 // any row range of it; Sort and SortedView reorder the row IDs between
-// the two. The matched relation is an input of Prepare, not a
+// the two. There is one Prepare kernel, PrepareOpts: the rows are
+// graphrel.DistinctSorted (a transient bitset read back in order), each
+// participating column a graphrel.GroupNeighbors grouping in CSR form —
+// the sorted row IDs as keys, shared by every column, plus offsets and
+// one values array — so a presentation retains O(rows + deduplicated
+// pairs), nothing sized by a node type, and windows and sort keys read
+// a group by binary search on the row IDs. A spilled prepare holds
+// graphrel.SpilledGroups instead; groupSource has those two
+// implementations. The matched relation is an input of Prepare, not a
 // possession of the Presentation: nothing reads it afterwards, so the
 // cache holds relations under plain LRU and a presentation stays valid
 // after its relation is evicted.
@@ -96,7 +106,10 @@
 // Prepare; it loads nothing until a sort by that column or a non-empty
 // window calls Ensure, so preparing over an out-of-core graph faults no
 // adjacency in. A failed deferred load is returned from
-// Sort/SortedView/Window as the loader's typed error.
+// Sort/SortedView/Window as the loader's typed error — and from the
+// match itself when a join's edge type is the one that fails
+// (graphrel.StreamJoin loads its handle at construction), so an
+// unreadable section never reads as an empty, cacheable table.
 //
 // Recycling. Windows draw their row/cell/ref storage from a
 // sync.Pool-backed arena (windowStore). Callers that can guarantee sole

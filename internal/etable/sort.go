@@ -137,7 +137,7 @@ func (pr *Presentation) sorted(spec SortSpec) ([]tgm.NodeID, error) {
 	case sc.part != nil:
 		keys := make([]int64, len(ids))
 		for i, id := range ids {
-			keys[i] = int64(sc.part.count(id))
+			keys[i] = int64(sc.part.Count(id))
 		}
 		return sortInts(ids, keys, spec.Desc), nil
 	case sc.neighbor != nil:

@@ -3,7 +3,6 @@ package etable
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 
 	"repro/internal/graphrel"
@@ -14,10 +13,11 @@ import (
 // The match engine. Instance matching m(Q) has one implementation: the
 // plan's join chain composed as pull-based morsel iterators
 // (graphrel.RowSource). Each join step is a StreamJoin stage probing
-// batches of the driving side against a hash index over its (cached,
-// materialized) base relation, so no intermediate relation ever exists
-// in full. Eager, parallel and spilled are not modes of the engine but
-// what a caller does with the stream:
+// batches of the driving side, through the edge type's adjacency handle,
+// against a dense ID-keyed index over its (cached, materialized) base
+// relation, so no intermediate relation ever exists in full. Eager,
+// parallel and spilled are not modes of the engine but what a caller
+// does with the stream:
 //
 //   - draining it: MatchOpts and Executor.MatchWithOpts splice the
 //     batches into one arena-backed relation (graphrel.Materialize) —
@@ -25,10 +25,13 @@ import (
 //   - the budget the stages were given: a stage fans its batches out
 //     over the pool and splices the outputs in input order, so rows do
 //     not depend on the budget;
-//   - the sink the drain writes to: PrepareFromSource folds the
-//     pipeline breakers (distinct rows, row-ID sort, per-column
-//     groupings) batch by batch, and past MaxRows demotes its state to
-//     disk runs instead of failing when a policy is set;
+//   - the sink the drain writes to: PrepareFromSource retains the
+//     batches under MaxRows, splices them and runs the one Prepare
+//     kernel (PrepareOpts: distinct sorted rows, per-column CSR
+//     groupings); past MaxRows, when a policy is set, it replays the
+//     retained batches through the external folds, drops them, and
+//     folds the rest of the stream batch by batch into disk runs
+//     instead of failing;
 //   - a window or LIMIT consumer pulls only the batches it needs
 //     (graphrel.StreamLimit terminates upstream production).
 //
@@ -145,15 +148,14 @@ func spillErr(err error, limit, rows int) error {
 // dropped once folded: no window reads the relation after Prepare. All
 // files share one byte budget.
 type prepareSpill struct {
-	folds []*graphrel.ExternalGroupFold
-	dist  *graphrel.ExternalDistinct
+	primKey  string
+	partKeys []string
+	folds    []*graphrel.ExternalGroupFold
+	dist     *graphrel.ExternalDistinct
 }
 
 // abort discards every spill file of a failed prepare.
 func (ps *prepareSpill) abort() {
-	if ps == nil {
-		return
-	}
 	for _, f := range ps.folds {
 		f.Abort()
 	}
@@ -162,88 +164,127 @@ func (ps *prepareSpill) abort() {
 	}
 }
 
-// beginSpill opens the overflow state and demotes what the heap pass
-// accumulated before the threshold tripped: heap folds into the
-// external folds, the distinct row IDs into the external distinct.
-func beginSpill(pol *graphrel.SpillPolicy, folds []map[tgm.NodeID][]tgm.NodeID, rowIDs []tgm.NodeID) (*prepareSpill, error) {
+// beginSpill opens the overflow state for a pattern: one external fold
+// per pattern node other than the primary, in pattern order (the order
+// layoutColumns expects), plus the external distinct.
+func beginSpill(pol *graphrel.SpillPolicy, p *Pattern) (*prepareSpill, error) {
 	budget := pol.NewBudget()
-	ps := &prepareSpill{}
-	fail := func(err error) (*prepareSpill, error) {
-		ps.abort()
-		return nil, err
-	}
-	for _, m := range folds {
+	ps := &prepareSpill{primKey: p.Primary}
+	for _, n := range p.Nodes {
+		if n.Key == p.Primary {
+			continue
+		}
 		f, err := graphrel.NewExternalGroupFold(pol, budget)
 		if err != nil {
-			return fail(err)
+			ps.abort()
+			return nil, err
 		}
-		ps.folds = append(ps.folds, f)
-		if err := f.AbsorbMap(m); err != nil {
-			return fail(err)
-		}
+		ps.partKeys, ps.folds = append(ps.partKeys, n.Key), append(ps.folds, f)
 	}
 	var err error
 	if ps.dist, err = graphrel.NewExternalDistinct(pol, budget); err != nil {
-		return fail(err)
-	}
-	if err := ps.dist.Add(rowIDs); err != nil {
-		return fail(err)
+		ps.abort()
+		return nil, err
 	}
 	return ps, nil
 }
 
-// PrepareFromSource builds the windowed presentation directly from a
-// streamed match, folding the pipeline breakers batch by batch: the
-// distinct primary rows accumulate through a bitset, the per-column
-// groupings through incremental pair folds (graphrel.AppendGroupPairs),
-// and the batches themselves are retained and spliced into the
-// materialized relation on EOF — the value the executor caches so later
-// prepares of the signature skip the match. The returned presentation
-// is identical to PrepareOpts over the returned relation: rows are a
-// pure function of the tuple set (ID-sorted), groups are sorted and
-// deduplicated by SortDedupGroups, and the splice preserves row order.
-// The source is Closed before returning, success or not.
-//
-// With a spill policy set, crossing MaxRows does not fail: the heap
-// folds demote to spill runs (beginSpill), the retained batches are
-// dropped, and the pass continues with bounded memory — folds into
-// external sort-merge folds, row IDs into the external distinct. A
-// spilled prepare returns a nil relation (there is nothing
-// heap-resident to cache); the presentation's groupings fault through
-// the policy's pager pool and the caller owns its Close.
-func PrepareFromSource(g *tgm.InstanceGraph, p *Pattern, src graphrel.RowSource, opt ExecOptions) (*Presentation, *graphrel.Relation, error) {
-	defer src.Close()
-	prim := p.PrimaryNode()
-	if prim == nil {
-		return nil, nil, fmt.Errorf("etable: pattern has no primary node")
+// fold folds one batch of the match into the external passes.
+func (ps *prepareSpill) fold(b *graphrel.Relation) error {
+	primCol := b.ColumnNamed(ps.primKey)
+	if primCol == nil {
+		return fmt.Errorf("etable: stream has no attribute %q", ps.primKey)
 	}
-	pr := &Presentation{g: g, pattern: p, primType: g.Schema().NodeType(prim.Type)}
-
-	// Participating columns fold in pattern order, like PrepareOpts.
-	partKeys := make([]string, 0, len(p.Nodes)-1)
-	for _, n := range p.Nodes {
-		if n.Key != prim.Key {
-			partKeys = append(partKeys, n.Key)
+	if err := ps.dist.Add(primCol); err != nil {
+		return err
+	}
+	for i, k := range ps.partKeys {
+		if err := ps.folds[i].Append(b, ps.primKey, k); err != nil {
+			return err
 		}
 	}
-	folds := make([]map[tgm.NodeID][]tgm.NodeID, len(partKeys))
-	for i := range folds {
-		folds[i] = make(map[tgm.NodeID][]tgm.NodeID)
-	}
+	return nil
+}
 
-	// Single pass over the stream: retain batches for the final splice
-	// and fold rows and groups incrementally. Batches arrive in the
-	// spliced relation's row order, so the folds accumulate exactly what
-	// PrepareOpts' passes compute over the whole relation.
-	seen := graphrel.NewBitset(g.NumNodes())
-	var rowIDs []tgm.NodeID
+// PrepareFromSource builds the windowed presentation from a streamed
+// match. On the heap it is a drain and the one Prepare kernel: batches
+// are retained under MaxRows, spliced into the materialized relation on
+// EOF (graphrel.ConcatAll — the value the executor caches so later
+// prepares of the signature skip the match) and handed to PrepareOpts,
+// so the returned presentation is PrepareOpts over the returned relation
+// by construction. The source is Closed before returning, success or
+// not.
+//
+// With a spill policy set, crossing MaxRows does not fail: the retained
+// batches are replayed through the external folds and dropped, and the
+// drain continues with bounded memory (prepareSpilled). A spilled
+// prepare returns a nil relation (there is nothing heap-resident to
+// cache); the presentation's groupings fault through the policy's pager
+// pool and the caller owns its Close.
+func PrepareFromSource(g *tgm.InstanceGraph, p *Pattern, src graphrel.RowSource, opt ExecOptions) (*Presentation, *graphrel.Relation, error) {
+	defer src.Close()
+	if p.PrimaryNode() == nil {
+		return nil, nil, fmt.Errorf("etable: pattern has no primary node")
+	}
 	var batches []*graphrel.Relation
-	var ps *prepareSpill
 	total := 0
-	fail := func(err error) (*Presentation, *graphrel.Relation, error) {
+	for {
+		b, err := src.Next()
+		if err != nil {
+			return nil, nil, err
+		}
+		if b == nil {
+			break
+		}
+		batches = append(batches, b)
+		total += b.Len()
+		if opt.MaxRows > 0 && total > opt.MaxRows {
+			if opt.Spill == nil {
+				return nil, nil, graphrel.LimitExceeded(opt.MaxRows, total)
+			}
+			pr, err := prepareSpilled(g, p, src, opt, batches)
+			return pr, nil, err
+		}
+	}
+	matched, err := graphrel.ConcatAll(g, src.Attrs(), batches)
+	if err != nil {
+		return nil, nil, err
+	}
+	pr, err := PrepareOpts(g, p, matched, opt)
+	if err != nil {
+		return nil, nil, err
+	}
+	return pr, matched, nil
+}
+
+// prepareSpilled is the demoted prepare: head — the batches drained
+// before the cap tripped, the tripping one included — replays through
+// the external folds, then the rest of src folds batch by batch, so the
+// heap never holds more than the cap's worth of tuples. The external
+// passes are ascending by construction, so the canonical row order and
+// the canonical groups fall out of their merges.
+func prepareSpilled(g *tgm.InstanceGraph, p *Pattern, src graphrel.RowSource, opt ExecOptions, head []*graphrel.Relation) (*Presentation, error) {
+	total := 0 // rows drained so far: what a budget failure reports
+	for _, b := range head {
+		total += b.Len()
+	}
+	ps, err := beginSpill(opt.Spill, p)
+	if err != nil {
+		return nil, spillErr(err, opt.MaxRows, total)
+	}
+	pr := &Presentation{g: g, pattern: p, primType: g.Schema().NodeType(p.PrimaryNode().Type)}
+	// fail releases both sides: the folds still open and the files
+	// already handed to the presentation (run-file Close is idempotent).
+	fail := func(err error) (*Presentation, error) {
 		ps.abort()
 		pr.Close()
-		return nil, nil, spillErr(err, opt.MaxRows, total)
+		return nil, spillErr(err, opt.MaxRows, total)
+	}
+	for i, b := range head {
+		head[i] = nil // folded batches are dropped, not retained
+		if err := ps.fold(b); err != nil {
+			return fail(err)
+		}
 	}
 	for {
 		b, err := src.Next()
@@ -254,86 +295,25 @@ func PrepareFromSource(g *tgm.InstanceGraph, p *Pattern, src graphrel.RowSource,
 			break
 		}
 		total += b.Len()
-		if ps == nil && opt.MaxRows > 0 && total > opt.MaxRows {
-			if opt.Spill == nil {
-				return nil, nil, graphrel.LimitExceeded(opt.MaxRows, total)
-			}
-			// Threshold crossed: demote the heap state to disk and keep
-			// draining with bounded memory.
-			if ps, err = beginSpill(opt.Spill, folds, rowIDs); err != nil {
-				return fail(err)
-			}
-			batches, folds, rowIDs, seen = nil, nil, nil, nil
-		}
-		primCol := b.ColumnNamed(prim.Key)
-		if primCol == nil {
-			return fail(fmt.Errorf("etable: stream has no attribute %q", prim.Key))
-		}
-		if ps != nil {
-			if err := ps.dist.Add(primCol); err != nil {
-				return fail(err)
-			}
-			for i, k := range partKeys {
-				if err := ps.folds[i].Append(b, prim.Key, k); err != nil {
-					return fail(err)
-				}
-			}
-			continue
-		}
-		batches = append(batches, b)
-		for _, id := range primCol {
-			if !seen.TestAndSet(id) {
-				rowIDs = append(rowIDs, id)
-			}
-		}
-		for i, k := range partKeys {
-			if err := graphrel.AppendGroupPairs(folds[i], b, prim.Key, k); err != nil {
-				return nil, nil, err
-			}
-		}
-	}
-
-	// Finish the breakers: canonical row order and canonical groups.
-	// The heap path sorts; the external passes are ascending by
-	// construction, so the canonical order falls out of the merge.
-	parts := make([]groupSource, 0, len(partKeys))
-	if ps == nil {
-		slices.Sort(rowIDs)
-		pr.rowIDs = rowIDs
-		for _, f := range folds {
-			if err := graphrel.SortDedupGroups(opt.Ctx, opt.Pool, opt.Parallelism, f); err != nil {
-				return nil, nil, err
-			}
-			parts = append(parts, mapGroups(f))
-		}
-	} else {
-		// A fold's files pass to the presentation as each Finish succeeds;
-		// fail releases both sides (run-file Close is idempotent).
-		pr.closeOnce = new(sync.Once)
-		var err error
-		if pr.rowIDs, err = ps.dist.Finish(); err != nil {
+		if err := ps.fold(b); err != nil {
 			return fail(err)
 		}
-		for _, f := range ps.folds {
-			sg, err := f.Finish()
-			if err != nil {
-				return fail(err)
-			}
-			pr.closers = append(pr.closers, sg)
-			parts = append(parts, spillGroups{sg})
+	}
+	pr.closeOnce = new(sync.Once)
+	if pr.rowIDs, err = ps.dist.Finish(); err != nil {
+		return fail(err)
+	}
+	parts := make([]groupSource, 0, len(ps.folds))
+	for _, f := range ps.folds {
+		sg, err := f.Finish()
+		if err != nil {
+			return fail(err)
 		}
+		pr.closers = append(pr.closers, sg)
+		parts = append(parts, sg)
 	}
-
 	if err := pr.layoutColumns(p, parts); err != nil {
-		pr.Close()
-		return nil, nil, err
+		return fail(err)
 	}
-	if ps != nil {
-		return pr, nil, nil
-	}
-	matched, err := graphrel.ConcatAll(g, src.Attrs(), batches)
-	if err != nil {
-		return nil, nil, err
-	}
-	return pr, matched, nil
+	return pr, nil
 }

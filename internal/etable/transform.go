@@ -3,7 +3,6 @@ package etable
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -153,29 +152,16 @@ func (pr *Presentation) pinColumns() (*colView, func(), error) {
 }
 
 // groupSource is a participating column's row → related-nodes
-// grouping, abstracted over residency: heap maps for in-memory
-// prepares, spill-backed directories when the fold overflowed to disk.
-// count is IO-free on both forms — it is what the sort key and the
-// window's arena-sizing pass read — while refs may fault runs back in
+// grouping, abstracted over residency: *graphrel.Groups (CSR arrays on
+// the heap) for in-memory prepares, *graphrel.SpilledGroups (a
+// directory over a values file) when the prepare overflowed to disk.
+// Count is IO-free on both forms — it is what the sort key and the
+// window's arena-sizing pass read — while Refs may fault runs back in
 // and can therefore fail with a typed error.
 type groupSource interface {
-	count(id tgm.NodeID) int
-	refs(id tgm.NodeID) ([]tgm.NodeID, error)
+	Count(id tgm.NodeID) int
+	Refs(id tgm.NodeID) ([]tgm.NodeID, error)
 }
-
-// mapGroups is the heap-resident groupSource: the map GroupNeighbors /
-// SortDedupGroups produce.
-type mapGroups map[tgm.NodeID][]tgm.NodeID
-
-func (m mapGroups) count(id tgm.NodeID) int                  { return len(m[id]) }
-func (m mapGroups) refs(id tgm.NodeID) ([]tgm.NodeID, error) { return m[id], nil }
-
-// spillGroups adapts a spilled group directory: counts from the
-// in-memory directory, refs faulted from the values file.
-type spillGroups struct{ sg *graphrel.SpilledGroups }
-
-func (s spillGroups) count(id tgm.NodeID) int                  { return s.sg.Count(id) }
-func (s spillGroups) refs(id tgm.NodeID) ([]tgm.NodeID, error) { return s.sg.Refs(id) }
 
 // partCol is one participating node column (A_t) with its precomputed
 // row → related-nodes grouping.
@@ -216,9 +202,10 @@ func Prepare(g *tgm.InstanceGraph, p *Pattern, matched *graphrel.Relation) (*Pre
 // nodes of the matched relation ordered ascending by ID (the canonical
 // order — independent of the join plan), columns are the base
 // attributes A_b, participating node columns A_t, and neighbor node
-// columns A_h of §5.4.2. The per-column groupings (the bulk
-// Π_type σ_{τa=r}(m(Q)) evaluation) run through the morsel-parallel
-// GroupNeighborsPar kernel when the options grant a budget.
+// columns A_h of §5.4.2. It is the one Prepare kernel: a streamed match
+// is drained and prepared here too (PrepareFromSource), so the rows and
+// the per-column groupings (the bulk Π_type σ_{τa=r}(m(Q)) evaluation,
+// graphrel.GroupNeighbors) have a single heap implementation.
 func PrepareOpts(g *tgm.InstanceGraph, p *Pattern, matched *graphrel.Relation, opt ExecOptions) (*Presentation, error) {
 	if err := ctxErr(opt.Ctx); err != nil {
 		return nil, err
@@ -230,26 +217,24 @@ func PrepareOpts(g *tgm.InstanceGraph, p *Pattern, matched *graphrel.Relation, o
 	pr := &Presentation{g: g, pattern: p, primType: g.Schema().NodeType(prim.Type)}
 
 	// Rows: Π_τa of the matched relation, canonically ordered.
-	rowIDs, err := graphrel.DistinctNodes(matched, prim.Key)
-	if err != nil {
+	var err error
+	if pr.rowIDs, err = graphrel.DistinctSorted(matched, prim.Key); err != nil {
 		return nil, err
 	}
-	slices.Sort(rowIDs)
-	pr.rowIDs = rowIDs
 
-	// One grouping per participating node, in one pass over the relation
-	// each. GroupNeighbors returns each group ID-ascending by contract,
-	// so the cell order is already canonical regardless of join order.
+	// One grouping per participating node, keyed by the rows just
+	// computed. GroupNeighbors returns each group ID-ascending by
+	// contract, so the cell order is canonical regardless of join order.
 	parts := make([]groupSource, 0, len(p.Nodes)-1)
 	for _, n := range p.Nodes {
 		if n.Key == prim.Key {
 			continue
 		}
-		groups, err := graphrel.GroupNeighborsPar(opt.Ctx, opt.Pool, opt.Parallelism, matched, prim.Key, n.Key)
+		groups, err := graphrel.GroupNeighbors(opt.Ctx, matched, pr.rowIDs, prim.Key, n.Key)
 		if err != nil {
 			return nil, err
 		}
-		parts = append(parts, mapGroups(groups))
+		parts = append(parts, groups)
 	}
 	if err := pr.layoutColumns(p, parts); err != nil {
 		return nil, err
@@ -260,9 +245,9 @@ func PrepareOpts(g *tgm.InstanceGraph, p *Pattern, matched *graphrel.Relation, o
 // layoutColumns lays out the columns of §5.4.2 — base attributes A_b,
 // participating node columns A_t, neighbor node columns A_h — and
 // finishes the prepare. parts holds the grouping of every pattern node
-// except the primary, in pattern order; both prepare forms (PrepareOpts
-// and PrepareFromSource) end here, so the layout cannot differ between
-// a folded stream and a whole relation.
+// except the primary, in pattern order; the heap prepare (PrepareOpts)
+// and the spilled one (prepareSpilled) both end here, so the layout
+// cannot differ between residencies.
 func (pr *Presentation) layoutColumns(p *Pattern, parts []groupSource) error {
 	schema := pr.g.Schema()
 	for _, a := range pr.primType.Attrs {
@@ -504,7 +489,7 @@ func (pr *Presentation) transformRange(view *colView, lo, hi, base int, rows []R
 	for i := lo; i < hi; i++ {
 		id := pr.rowIDs[i]
 		for _, pc := range pr.parts {
-			refTotal += pc.src.count(id)
+			refTotal += pc.src.Count(id)
 		}
 		for _, nc := range pr.neighbors {
 			refTotal += nc.adj.Degree(id)
@@ -525,7 +510,7 @@ func (pr *Presentation) transformRange(view *colView, lo, hi, base int, rows []R
 			cs[ai] = Cell{Value: view.base[ai][row]}
 		}
 		for _, pc := range pr.parts {
-			ids, err := pc.src.refs(id)
+			ids, err := pc.src.Refs(id)
 			if err != nil {
 				return arena, err
 			}

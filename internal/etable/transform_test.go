@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/exec"
+	"repro/internal/graphrel"
 	"repro/internal/tgm"
 	"repro/internal/value"
 )
@@ -435,8 +436,8 @@ func TestPresentationCancellation(t *testing.T) {
 }
 
 // TestSortedViewSharesPreparedState: SortedView is an O(rows) reorder
-// over the base presentation's prepared state — the columns, grouping
-// maps, and neighbor layout are shared by identity, only the row-ID
+// over the base presentation's prepared state — the columns, groupings,
+// and neighbor layout are shared by identity, only the row-ID
 // order is private — and building one never mutates the base.
 func TestSortedViewSharesPreparedState(t *testing.T) {
 	tr := planFixture(t)
@@ -462,10 +463,8 @@ func TestSortedViewSharesPreparedState(t *testing.T) {
 		t.Fatalf("view has %d participating columns, base %d", len(v.parts), len(pres.parts))
 	}
 	for i := range v.parts {
-		vm := reflect.ValueOf(v.parts[i].src.(mapGroups)).Pointer()
-		bm := reflect.ValueOf(pres.parts[i].src.(mapGroups)).Pointer()
-		if vm != bm {
-			t.Fatalf("participating column %d: view rebuilt the grouping map instead of sharing it", i)
+		if _, heap := pres.parts[i].src.(*graphrel.Groups); !heap || v.parts[i].src != pres.parts[i].src {
+			t.Fatalf("participating column %d: view rebuilt the grouping (%T) instead of sharing the base's *graphrel.Groups", i, pres.parts[i].src)
 		}
 	}
 	if len(v.columns) != len(pres.columns) || len(v.neighbors) != len(pres.neighbors) {

@@ -4,10 +4,10 @@ import "repro/internal/tgm"
 
 // Bitset is a fixed-size bit set over dense non-negative IDs. Node IDs
 // are dense ordinals assigned at insertion (tgm.NodeID), so a bitset
-// sized to the instance graph's node count replaces the hash-map dedup
-// the presentation kernels used to pay on every query: one bit per
-// node instead of one map entry per distinct ID, no hashing, no
-// per-entry allocation.
+// over a column's ID span replaces hash-map dedup (DistinctSorted): one
+// bit per node instead of one map entry per distinct ID, no hashing, no
+// per-entry allocation, and reading the words back in order yields the
+// members ascending.
 type Bitset []uint64
 
 // NewBitset returns a bitset able to hold IDs in [0, n).
@@ -21,7 +21,7 @@ func NewBitset(n int) Bitset {
 // TestAndSet sets bit i and reports whether it was already set. IDs
 // outside the allocated range report true (treated as "seen") rather
 // than panicking, so a mis-sized bitset degrades to dropping rows, not
-// crashing; size bitsets with NewBitset(g.NumNodes()) to avoid it.
+// crashing.
 func (b Bitset) TestAndSet(i tgm.NodeID) bool {
 	w := int(i) >> 6
 	if i < 0 || w >= len(b) {

@@ -16,6 +16,16 @@
 // a join is two index slices plus one arena allocation instead of one
 // tuple slice per output row.
 //
+// Node IDs are dense int32 ordinals and a type's nodes lie in one ID
+// span (tgm.TypeIDRange), so no kernel hashes them. The join's build
+// side is a counting-sort index keyed by id − lo over the build
+// column's type span (joinIndex), probed through a tgm.Adjacency handle
+// that is resolved and loaded once per join; the distinct rows of a
+// column are a bitset read back in order (DistinctSorted); a grouping
+// is a counting sort into CSR arrays (GroupNeighbors → Groups). The
+// ID-indexed arrays are transient — they live for the join's stream or
+// the grouping call — and what is returned is sized by the result.
+//
 // # Immutability and sharing contract
 //
 // A Relation is immutable once an operator returns it, and every
@@ -297,31 +307,41 @@ func selectRange(r *Relation, col []tgm.NodeID, pred func(*tgm.Node) (bool, erro
 }
 
 // checkJoin validates a join's edge type and attributes, returning the
-// resolved column ordinals.
-func checkJoin(r1, r2 *Relation, edgeType, leftAttr, rightAttr string) (li, ri int, err error) {
+// resolved column ordinals and the edge type's adjacency handle, loaded:
+// a deferred adjacency that fails to load fails the join with the
+// loader's typed error instead of probing as "no neighbors" — an empty
+// relation that would then be cached for every session.
+func checkJoin(r1, r2 *Relation, edgeType, leftAttr, rightAttr string) (li, ri int, adj tgm.Adjacency, err error) {
+	fail := func(format string, args ...any) (int, int, tgm.Adjacency, error) {
+		return 0, 0, tgm.Adjacency{}, fmt.Errorf("graphrel: "+format, args...)
+	}
 	if r1.g != r2.g {
-		return 0, 0, fmt.Errorf("graphrel: joining relations from different graphs")
+		return fail("joining relations from different graphs")
 	}
 	et := r1.g.Schema().EdgeType(edgeType)
 	if et == nil {
-		return 0, 0, fmt.Errorf("graphrel: unknown edge type %q", edgeType)
+		return fail("unknown edge type %q", edgeType)
 	}
 	li, ri = r1.AttrIndex(leftAttr), r2.AttrIndex(rightAttr)
 	if li < 0 {
-		return 0, 0, fmt.Errorf("graphrel: left relation has no attribute %q", leftAttr)
+		return fail("left relation has no attribute %q", leftAttr)
 	}
 	if ri < 0 {
-		return 0, 0, fmt.Errorf("graphrel: right relation has no attribute %q", rightAttr)
+		return fail("right relation has no attribute %q", rightAttr)
 	}
 	if r1.Attrs[li].Type.Name != et.Source {
-		return 0, 0, fmt.Errorf("graphrel: edge %q requires source type %q, attribute %q has %q",
+		return fail("edge %q requires source type %q, attribute %q has %q",
 			edgeType, et.Source, leftAttr, r1.Attrs[li].Type.Name)
 	}
 	if r2.Attrs[ri].Type.Name != et.Target {
-		return 0, 0, fmt.Errorf("graphrel: edge %q requires target type %q, attribute %q has %q",
+		return fail("edge %q requires target type %q, attribute %q has %q",
 			edgeType, et.Target, rightAttr, r2.Attrs[ri].Type.Name)
 	}
-	return li, ri, nil
+	adj = r1.g.Adjacency(edgeType)
+	if err := adj.Ensure(); err != nil {
+		return fail("edge %q adjacency: %w", edgeType, err)
+	}
+	return li, ri, adj, nil
 }
 
 // joinOutput materializes a join result from matched row-index pairs.
@@ -340,43 +360,87 @@ func joinOutput(r1, r2 *Relation, lrows, rrows []int32) *Relation {
 
 // Join computes r1 ∗_ρ r2: the tuples (t1, t2) such that an edge of type
 // edgeType connects t1's node at leftAttr to t2's node at rightAttr. It
-// uses the instance graph's adjacency index on the left side and a hash
-// index over r2 on the right, so cost is O(|r1|·deg + |r2|). The output
-// is materialized column-wise: matching first collects row-index pairs,
-// then each attribute column is gathered in one pass.
+// walks the instance graph's adjacency on the left side and a dense
+// index over r2 on the right, so cost is O(|r1|·deg + |r2| + |type|)
+// with no hashing. The output is materialized column-wise: matching
+// first collects row-index pairs, then each attribute column is
+// gathered in one pass.
 //
 // Join is the algebra's reference join: the execution pipeline runs
-// StreamJoin, which applies the same probeRange + joinOutput phases per
-// batch and is tested row for row against this operator.
+// StreamJoin, which applies the same joinIndex.probe + joinOutput phases
+// per batch and is tested row for row against this operator.
 func Join(r1, r2 *Relation, edgeType, leftAttr, rightAttr string) (*Relation, error) {
-	li, ri, err := checkJoin(r1, r2, edgeType, leftAttr, rightAttr)
+	li, ri, adj, err := checkJoin(r1, r2, edgeType, leftAttr, rightAttr)
 	if err != nil {
 		return nil, err
 	}
-	lrows, rrows := probeRange(r1.g, r1.cols[li], buildJoinIndex(r2, ri), edgeType, 0, r1.n)
+	lrows, rrows := buildJoinIndex(r2, ri).probe(adj, r1.cols[li])
 	return joinOutput(r1, r2, lrows, rrows), nil
 }
 
-// buildJoinIndex indexes r's rows by their node at attribute ordinal
-// ai — the hash side of the graph join, built once and shared
-// read-only by every probe range.
-func buildJoinIndex(r *Relation, ai int) map[tgm.NodeID][]int32 {
-	col := r.cols[ai]
-	index := make(map[tgm.NodeID][]int32, r.n)
-	for i, id := range col {
-		index[id] = append(index[id], int32(i))
-	}
-	return index
+// joinIndex is the build side of the graph join: a relation's rows
+// counting-sorted by their node at one attribute. Node IDs are dense
+// ordinals and an attribute's nodes all lie in its type's ID span, so
+// the index is two flat arrays keyed by id − lo: rows[offs[k]:offs[k+1]]
+// are the rows holding node lo+k, ascending. It is built once per join,
+// shared read-only by every probe range, and dropped with the stream.
+type joinIndex struct {
+	lo   tgm.NodeID
+	offs []int32
+	rows []int32
 }
 
-// probeRange probes lcol's rows [lo, hi) through the adjacency index:
-// for each left row, every edge-connected right row joins. It is the
-// per-range phase shared by Join ([0, n) in one call) and StreamJoin
-// (one call per batch), so the two cannot drift apart.
-func probeRange(g *tgm.InstanceGraph, lcol []tgm.NodeID, index map[tgm.NodeID][]int32, edgeType string, lo, hi int) (lrows, rrows []int32) {
-	for i := lo; i < hi; i++ {
-		for _, nb := range g.Neighbors(lcol[i], edgeType) {
-			for _, j := range index[nb] {
+// buildJoinIndex indexes r's rows by their node at attribute ordinal
+// ai. The fill runs backwards through the end offsets, which needs no
+// cursor array and is stable: each node's rows stay ascending.
+func buildJoinIndex(r *Relation, ai int) joinIndex {
+	lo, hi, _ := r.g.TypeIDRange(r.Attrs[ai].Type.Name)
+	col := r.cols[ai]
+	offs := make([]int32, int(hi-lo)+2)
+	for _, id := range col {
+		offs[id-lo]++
+	}
+	endOffsets(offs)
+	rows := make([]int32, len(col))
+	for i := len(col) - 1; i >= 0; i-- {
+		k := col[i] - lo
+		offs[k]--
+		rows[offs[k]] = int32(i)
+	}
+	return joinIndex{lo: lo, offs: offs, rows: rows}
+}
+
+// endOffsets turns per-key counts into each key's end offset in place
+// (inclusive prefix sums) — the middle step of both counting sorts, the
+// join index and the grouping. Filling backwards from the ends leaves
+// each key's start offset behind and keeps equal keys in input order.
+func endOffsets(counts []int32) {
+	var end int32
+	for k, n := range counts {
+		end += n
+		counts[k] = end
+	}
+}
+
+// rowsOf returns the indexed rows holding node id (none for an ID
+// outside the indexed type's span).
+func (ix joinIndex) rowsOf(id tgm.NodeID) []int32 {
+	k := int(id) - int(ix.lo)
+	if k < 0 || k >= len(ix.offs)-1 {
+		return nil
+	}
+	return ix.rows[ix.offs[k]:ix.offs[k+1]]
+}
+
+// probe joins lcol's rows through the adjacency handle: for each left
+// row, every edge-connected indexed row joins, in adjacency then
+// ascending right-row order. It is the per-range phase shared by Join
+// (the whole left column) and StreamJoin (one call per batch), so the
+// two cannot drift apart.
+func (ix joinIndex) probe(adj tgm.Adjacency, lcol []tgm.NodeID) (lrows, rrows []int32) {
+	for i, id := range lcol {
+		for _, nb := range adj.Neighbors(id) {
+			for _, j := range ix.rowsOf(nb) {
 				lrows = append(lrows, int32(i))
 				rrows = append(rrows, j)
 			}
@@ -443,75 +507,6 @@ func rowKeyInto(key []byte, cols [][]tgm.NodeID, i int) {
 		key[4*c+2] = byte(id >> 16)
 		key[4*c+3] = byte(id >> 24)
 	}
-}
-
-// DistinctNodes returns the distinct nodes at the named attribute in
-// first-occurrence order. It is Π over a single attribute returned as a
-// flat node list, which is what the ETable format transformation needs
-// for its row set (§5.4.2). Node IDs are dense ordinals, so dedup is a
-// bitset over the graph's node count — one bit per node instead of a
-// hash-map entry per distinct ID.
-func DistinctNodes(r *Relation, attrName string) ([]tgm.NodeID, error) {
-	ai := r.AttrIndex(attrName)
-	if ai < 0 {
-		return nil, fmt.Errorf("graphrel: no attribute %q", attrName)
-	}
-	seen := NewBitset(r.g.NumNodes())
-	var out []tgm.NodeID
-	for _, id := range r.cols[ai] {
-		if !seen.TestAndSet(id) {
-			out = append(out, id)
-		}
-	}
-	return out, nil
-}
-
-// GroupNeighbors computes, for every distinct node at groupAttr, the
-// distinct co-occurring nodes at valueAttr, each group sorted ascending
-// by node ID. This is the bulk form of Π_type σ_{τa=r}(m(Q)) that the
-// format transformation evaluates once per participating node column
-// instead of once per row (§5.4.2).
-//
-// The per-group order is deterministic by contract: the relation's row
-// order depends on the join order the planner picked, and encounter
-// order would leak that plan choice into the presentation (and into
-// memoized results computed under a different plan). Sorting by ID
-// makes the result a pure function of the tuple set.
-//
-// Duplicate (group, value) pairs are eliminated on the sort, not
-// through the per-pair hash map earlier versions kept: groups collect
-// every co-occurrence, then each group is sorted and compacted in
-// place. The map cost (one hashed entry per relation row) was the
-// dominant allocation of the format transformation.
-func GroupNeighbors(r *Relation, groupAttr, valueAttr string) (map[tgm.NodeID][]tgm.NodeID, error) {
-	groups, err := groupPairs(r, groupAttr, valueAttr, 0, r.n)
-	if err != nil {
-		return nil, err
-	}
-	for g, ids := range groups {
-		groups[g] = sortDedup(ids)
-	}
-	return groups, nil
-}
-
-// groupPairs collects, for rows [lo, hi), every value co-occurring with
-// each group node — duplicates included, insertion order. It is the
-// per-morsel phase shared by GroupNeighbors and GroupNeighborsPar.
-func groupPairs(r *Relation, groupAttr, valueAttr string, lo, hi int) (map[tgm.NodeID][]tgm.NodeID, error) {
-	gi := r.AttrIndex(groupAttr)
-	if gi < 0 {
-		return nil, fmt.Errorf("graphrel: no attribute %q", groupAttr)
-	}
-	vi := r.AttrIndex(valueAttr)
-	if vi < 0 {
-		return nil, fmt.Errorf("graphrel: no attribute %q", valueAttr)
-	}
-	out := make(map[tgm.NodeID][]tgm.NodeID)
-	gcol, vcol := r.cols[gi], r.cols[vi]
-	for i := lo; i < hi; i++ {
-		out[gcol[i]] = append(out[gcol[i]], vcol[i])
-	}
-	return out, nil
 }
 
 // sortDedup sorts ids ascending and removes adjacent duplicates in

@@ -1,7 +1,9 @@
 package graphrel
 
 import (
+	"context"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -325,17 +327,25 @@ func TestDistinctNodes(t *testing.T) {
 	papers, _ := Base(g, "Papers")
 	authors, _ := Base(g, "Authors")
 	j, _ := Join(papers, authors, "Papers-Authors", "Papers", "Authors")
-	rows, err := DistinctNodes(j, "Papers")
+	rows, err := DistinctSorted(j, "Papers")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != 4 { // p9 has no authors
 		t.Errorf("papers with authors = %d, want 4", len(rows))
 	}
-	if rows[0] != ids["p1"] {
-		t.Errorf("first row = %v, want p1 (encounter order)", rows[0])
+	if !slices.IsSorted(rows) || rows[0] != ids["p1"] {
+		t.Errorf("rows = %v, want ascending from p1", rows)
 	}
-	if _, err := DistinctNodes(j, "Nope"); err == nil {
+	if !slices.Equal(rows, distinctOracle(j.ColumnNamed("Papers"))) {
+		t.Errorf("rows = %v, oracle %v", rows, distinctOracle(j.ColumnNamed("Papers")))
+	}
+	// The reverse join reaches the same papers in another row order.
+	rev, _ := Join(authors, papers, "Papers-Authors_rev", "Authors", "Papers")
+	if back, _ := DistinctSorted(rev, "Papers"); !slices.Equal(back, rows) {
+		t.Errorf("reverse join rows = %v, want %v", back, rows)
+	}
+	if _, err := DistinctSorted(j, "Nope"); err == nil {
 		t.Error("bad attribute accepted")
 	}
 }
@@ -345,20 +355,20 @@ func TestGroupNeighbors(t *testing.T) {
 	papers, _ := Base(g, "Papers")
 	authors, _ := Base(g, "Authors")
 	j, _ := Join(papers, authors, "Papers-Authors", "Papers", "Authors")
-	groups, err := GroupNeighbors(j, "Papers", "Authors")
-	if err != nil {
-		t.Fatal(err)
+	groups := groupBoth(t, "papers→authors", j, "Papers", "Authors")
+	if groups.Count(ids["p4"]) != 3 {
+		t.Errorf("p4 has %d authors, want 3", groups.Count(ids["p4"]))
 	}
-	if len(groups[ids["p4"]]) != 3 {
-		t.Errorf("p4 authors = %v", groups[ids["p4"]])
+	if refs, _ := groups.Refs(ids["p1"]); len(refs) != 1 || refs[0] != ids["bob"] {
+		t.Errorf("p1 authors = %v", refs)
 	}
-	if len(groups[ids["p1"]]) != 1 || groups[ids["p1"]][0] != ids["bob"] {
-		t.Errorf("p1 authors = %v", groups[ids["p1"]])
+	if groups.Count(ids["p9"]) != 0 { // p9 has no authors: not a row
+		t.Errorf("p9 has %d authors, want none", groups.Count(ids["p9"]))
 	}
-	if _, err := GroupNeighbors(j, "Nope", "Authors"); err == nil {
+	if _, err := GroupNeighbors(context.Background(), j, groups.keys, "Nope", "Authors"); err == nil {
 		t.Error("bad group attr accepted")
 	}
-	if _, err := GroupNeighbors(j, "Papers", "Nope"); err == nil {
+	if _, err := GroupNeighbors(context.Background(), j, groups.keys, "Papers", "Nope"); err == nil {
 		t.Error("bad value attr accepted")
 	}
 }
@@ -389,7 +399,7 @@ func TestFigure8Pipeline(t *testing.T) {
 	}
 	// Authors in Korea with recent SIGMOD papers: bob (p1, p4, p5) and
 	// mark (p4) — chad is at UW.
-	got, _ := DistinctNodes(j3, "Authors")
+	got, _ := DistinctSorted(j3, "Authors")
 	names := map[string]bool{}
 	for _, id := range got {
 		names[g.Node(id).Label()] = true

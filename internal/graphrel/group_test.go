@@ -2,41 +2,21 @@ package graphrel
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
-	"repro/internal/exec"
 	"repro/internal/tgm"
+	"repro/internal/value"
 )
 
-// assertSameGroups asserts two group maps are identical: same group
-// set, and per group the exact same (sorted) value list.
-func assertSameGroups(t *testing.T, label string, got, want map[tgm.NodeID][]tgm.NodeID) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: %d groups, want %d", label, len(got), len(want))
-	}
-	for g, w := range want {
-		gv, ok := got[g]
-		if !ok {
-			t.Fatalf("%s: missing group %d", label, g)
-		}
-		if len(gv) != len(w) {
-			t.Fatalf("%s: group %d has %d values, want %d", label, g, len(gv), len(w))
-		}
-		for i := range w {
-			if gv[i] != w[i] {
-				t.Fatalf("%s: group %d value %d = %d, want %d", label, g, i, gv[i], w[i])
-			}
-		}
-	}
-}
-
-// TestGroupNeighborsParEquivalence asserts the morsel-parallel grouping
-// kernel returns exactly the serial GroupNeighbors result (groups
-// ID-sorted, duplicates eliminated) across budgets, on a joined
-// relation big enough to span many morsels.
-func TestGroupNeighborsParEquivalence(t *testing.T) {
+// TestGroupNeighborsEquivalence asserts the CSR grouping kernel agrees
+// with the map oracle group for group: on a joined relation spanning
+// many morsels (in both row orders, with heavy duplication once the
+// pair is projected from a wider join), and on the scattered-ID graph
+// where no type's IDs are contiguous.
+func TestGroupNeighborsEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := bigChainGraph(t, rng)
 	a, err := Base(g, "A")
@@ -54,30 +34,49 @@ func TestGroupNeighborsParEquivalence(t *testing.T) {
 	if joined.Len() <= MorselRows {
 		t.Fatalf("joined relation too small to span morsels: %d rows", joined.Len())
 	}
-	want, err := GroupNeighbors(joined, "A", "B")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := exec.NewPool(4)
-	for _, budget := range []int{1, 2, 4, 8} {
-		got, err := GroupNeighborsPar(context.Background(), pool, budget, joined, "A", "B")
-		if err != nil {
-			t.Fatal(err)
+	groupBoth(t, "A→B", joined, "A", "B")
+	groupBoth(t, "B→A", joined, "B", "A")
+	groupBoth(t, "A→A", joined, "A", "A")
+
+	for trial := 0; trial < 20; trial++ {
+		sg := scatteredGraph(t, rng)
+		rel := scatteredJoin(t, sg)
+		for _, pair := range [][2]string{{"X", "Y"}, {"Y", "X"}, {"X", "Y#2"}, {"Y#2", "Y"}} {
+			groupBoth(t, fmt.Sprintf("scattered trial=%d %v", trial, pair), rel, pair[0], pair[1])
 		}
-		assertSameGroups(t, "budget="+string(rune('0'+budget)), got, want)
 	}
-	// Attribute errors surface identically.
-	if _, err := GroupNeighborsPar(context.Background(), pool, 4, joined, "nope", "B"); err == nil {
+
+	// An empty relation groups to nothing.
+	empty := newRelation(g, joined.Attrs, 0)
+	if gs := groupBoth(t, "empty", empty, "A", "B"); len(gs.keys) != 0 {
+		t.Fatalf("empty relation: %d keys", len(gs.keys))
+	}
+
+	// Attribute errors surface, and keys that miss a group node are a
+	// reported error rather than a silently misfiled value.
+	keys, _ := DistinctSorted(joined, "A")
+	if _, err := GroupNeighbors(context.Background(), joined, keys, "nope", "B"); err == nil {
 		t.Error("bad group attribute: want error")
 	}
-	if _, err := GroupNeighborsPar(context.Background(), pool, 4, joined, "A", "nope"); err == nil {
+	if _, err := GroupNeighbors(context.Background(), joined, keys, "A", "nope"); err == nil {
 		t.Error("bad value attribute: want error")
+	}
+	if _, err := DistinctSorted(joined, "nope"); err == nil {
+		t.Error("DistinctSorted: bad attribute accepted")
+	}
+	for name, bad := range map[string][]tgm.NodeID{
+		"none": nil, "first missing": keys[1:], "last missing": keys[:len(keys)-1],
+		"inner missing": append(append([]tgm.NodeID(nil), keys[:5]...), keys[6:]...),
+	} {
+		if _, err := GroupNeighbors(context.Background(), joined, bad, "A", "B"); err == nil {
+			t.Errorf("keys with %s: want error", name)
+		}
 	}
 }
 
-// TestGroupNeighborsParCancellation: a canceled context stops the
-// fan-out path with ctx.Err (the serial fallback checks up front too).
-func TestGroupNeighborsParCancellation(t *testing.T) {
+// TestGroupNeighborsCancellation: a canceled context stops the kernel
+// before it touches the relation.
+func TestGroupNeighborsCancellation(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	g := bigChainGraph(t, rng)
 	a, _ := Base(g, "A")
@@ -86,18 +85,51 @@ func TestGroupNeighborsParCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	keys, err := DistinctSorted(joined, "A")
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := GroupNeighborsPar(ctx, exec.NewPool(2), 4, joined, "A", "B"); err == nil {
-		t.Error("canceled fan-out: want error")
-	}
-	if _, err := GroupNeighborsPar(ctx, nil, 1, joined, "A", "B"); err == nil {
-		t.Error("canceled serial fallback: want error")
+	if _, err := GroupNeighbors(ctx, joined, keys, "A", "B"); !errors.Is(err, context.Canceled) {
+		t.Errorf("canceled grouping: err = %v, want context.Canceled", err)
 	}
 }
 
-// TestBitset pins the dense-ID dedup primitive the presentation
-// kernels use instead of hash maps.
+// BenchmarkGroups measures the presentation's two pipeline breakers at
+// the size of study_mix's largest pivot: 17k groups over 170k (group,
+// value) tuples, values few enough that the dedup pass has work to do.
+func BenchmarkGroups(b *testing.B) {
+	const groups, rows, values = 17_000, 170_000, 200
+	s := tgm.NewSchemaGraph()
+	for _, name := range []string{"G", "V"} {
+		if _, err := s.AddNodeType(tgm.NodeType{Name: name, Label: "id",
+			Attrs: []tgm.Attr{{Name: "id", Type: value.KindInt}}}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	g := tgm.NewInstanceGraph(s)
+	rng := rand.New(rand.NewSource(1))
+	rel := newRelation(g, []Attr{{Name: "G", Type: s.NodeType("G")}, {Name: "V", Type: s.NodeType("V")}}, rows)
+	for i := 0; i < rows; i++ {
+		rel.cols[0][i] = tgm.NodeID(rng.Intn(groups))
+		rel.cols[1][i] = tgm.NodeID(groups + rng.Intn(values))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		keys, err := DistinctSorted(rel, "G")
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := GroupNeighbors(context.Background(), rel, keys, "G", "V"); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestBitset pins the dense-ID dedup primitive DistinctSorted uses
+// instead of a hash set.
 func TestBitset(t *testing.T) {
 	b := NewBitset(130)
 	for _, id := range []tgm.NodeID{0, 1, 63, 64, 129} {

@@ -18,11 +18,11 @@ import (
 // dropped:
 //
 //   - ExternalGroupFold is the sort-merge external form of
-//     AppendGroupPairs + SortDedupGroups: pair chunks are sorted with
-//     the same in-memory kernel, written as sorted runs, and k-way
-//     merged with dedup into a values file plus an in-memory group
-//     directory (SpilledGroups) — Count is memory-only, Refs faults.
-//   - ExternalDistinct is the external DistinctNodes: chunks sorted
+//     GroupNeighbors: pair chunks are sorted, written as sorted runs,
+//     and k-way merged with dedup into a values file plus an in-memory
+//     group directory (SpilledGroups) — Count is memory-only, Refs
+//     faults.
+//   - ExternalDistinct is the external DistinctSorted: chunks sorted
 //     and deduped with the in-memory kernel (sortDedup), merged with
 //     dedup on read. Its output is ascending by construction, which is
 //     exactly the canonical row order the presentation wants.
@@ -92,7 +92,7 @@ type groupLoc struct {
 }
 
 // SpilledGroups is the external form of a per-column grouping
-// (GroupNeighbors' map): an in-memory directory from group node to its
+// (GroupNeighbors' Groups): an in-memory directory from group node to its
 // value span, and a values file read through the pager. Count is
 // memory-only (the sort layer pays no IO); Refs faults in the covering
 // runs.
@@ -135,10 +135,9 @@ func (sg *SpilledGroups) Refs(id tgm.NodeID) ([]tgm.NodeID, error) {
 // Close releases the values file.
 func (sg *SpilledGroups) Close() error { return sg.rf.Close() }
 
-// ExternalGroupFold is the sort-merge external form of
-// AppendGroupPairs + SortDedupGroups: (group, value) pairs accumulate
-// in a bounded chunk, each full chunk is sorted with the in-memory
-// kernel and written as one sorted run, and Finish k-way merges the
+// ExternalGroupFold is the sort-merge external form of GroupNeighbors:
+// (group, value) pairs accumulate in a bounded chunk, each full chunk
+// is sorted and written as one sorted run, and Finish k-way merges the
 // runs with duplicate elimination into a SpilledGroups. Single-writer.
 type ExternalGroupFold struct {
 	pol     *SpillPolicy
@@ -162,26 +161,8 @@ func NewExternalGroupFold(pol *SpillPolicy, budget *spill.Budget) (*ExternalGrou
 	return &ExternalGroupFold{pol: pol, budget: budget, rf: rf, runRows: pol.runRows()}, nil
 }
 
-// AbsorbMap folds an in-memory pair map (the heap fold accumulated
-// before the spill threshold) into the external state — the demotion
-// step when a fold outgrows its budget mid-stream.
-func (f *ExternalGroupFold) AbsorbMap(m map[tgm.NodeID][]tgm.NodeID) error {
-	for g, vals := range m {
-		for _, v := range vals {
-			f.bufG = append(f.bufG, g)
-			f.bufV = append(f.bufV, v)
-		}
-		if len(f.bufG) >= f.runRows {
-			if err := f.flush(); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// Append folds r's (groupAttr, valueAttr) co-occurrence pairs — the
-// external mirror of AppendGroupPairs.
+// Append folds r's (groupAttr, valueAttr) co-occurrence pairs, one
+// batch of the stream at a time.
 func (f *ExternalGroupFold) Append(r *Relation, groupAttr, valueAttr string) error {
 	gi := r.AttrIndex(groupAttr)
 	if gi < 0 {
@@ -331,11 +312,10 @@ func (p *pairSort) Swap(i, j int) {
 	p.v[i], p.v[j] = p.v[j], p.v[i]
 }
 
-// ExternalDistinct is the external DistinctNodes: ID chunks are sorted
+// ExternalDistinct is the external DistinctSorted: ID chunks are sorted
 // and deduplicated with the in-memory kernel (sortDedup), written as
 // sorted runs, and merged with dedup at Finish. The merged output is
-// ascending — the canonical presentation row order, so the finishing
-// sort of the heap path is free here.
+// ascending — the canonical presentation row order.
 type ExternalDistinct struct {
 	rf      *spill.RunFile
 	buf     []tgm.NodeID

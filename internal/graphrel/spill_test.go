@@ -1,9 +1,9 @@
 package graphrel
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -45,69 +45,43 @@ func joined(t *testing.T, rng *rand.Rand) *Relation {
 	return j
 }
 
-// TestExternalGroupFoldEquivalence folds the same batches through the
-// heap kernels (AppendGroupPairs + SortDedupGroups) and the external
-// sort-merge form, asserting identical counts and refs for every group
-// — including the AbsorbMap demotion step and multi-run merges.
+// TestExternalGroupFoldEquivalence folds a relation's batches through
+// the external sort-merge form and asserts identical counts and refs
+// for every group against the map oracle — and against the heap kernel,
+// the other residency a presentation reads — including multi-run
+// merges.
 func TestExternalGroupFoldEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	rel := joined(t, rng)
+	want, err := GroupNeighborsOracle(rel, "A", "B")
+	if err != nil {
+		t.Fatal(err)
+	}
+	heap := groupBoth(t, "heap", rel, "A", "B")
 	for trial := 0; trial < 4; trial++ {
 		batch := 1 + rng.Intn(2*MorselRows)
 		runRows := 32 + rng.Intn(256)
-		absorb := rng.Intn(2) == 0
 		pol := testPolicy(t, runRows)
-
-		want := make(map[tgm.NodeID][]tgm.NodeID)
 		ext, err := NewExternalGroupFold(pol, pol.NewBudget())
 		if err != nil {
 			t.Fatal(err)
 		}
-
-		src := StreamRelationBatch(rel, batch)
-		first := true
-		for {
-			b, err := src.Next()
-			if err != nil {
+		for _, b := range batches(t, rel, batch) {
+			if err := ext.Append(b, "A", "B"); err != nil {
 				t.Fatal(err)
 			}
-			if b == nil {
-				break
-			}
-			if err := AppendGroupPairs(want, b, "A", "B"); err != nil {
-				t.Fatal(err)
-			}
-			if absorb && first {
-				// Demote a pre-accumulated heap fold, as the execution
-				// layer does when the threshold trips mid-stream.
-				m := make(map[tgm.NodeID][]tgm.NodeID)
-				if err := AppendGroupPairs(m, b, "A", "B"); err != nil {
-					t.Fatal(err)
-				}
-				if err := ext.AbsorbMap(m); err != nil {
-					t.Fatal(err)
-				}
-			} else {
-				if err := ext.Append(b, "A", "B"); err != nil {
-					t.Fatal(err)
-				}
-			}
-			first = false
-		}
-		if err := SortDedupGroups(context.Background(), nil, 1, want); err != nil {
-			t.Fatal(err)
 		}
 		sg, err := ext.Finish()
 		if err != nil {
 			t.Fatal(err)
 		}
-		label := fmt.Sprintf("trial=%d batch=%d runRows=%d absorb=%v", trial, batch, runRows, absorb)
+		label := fmt.Sprintf("trial=%d batch=%d runRows=%d", trial, batch, runRows)
 		if sg.Groups() != len(want) {
 			t.Fatalf("%s: %d groups, want %d", label, sg.Groups(), len(want))
 		}
 		for gid, wantRefs := range want {
-			if got := sg.Count(gid); got != len(wantRefs) {
-				t.Fatalf("%s: Count(%d) = %d, want %d", label, gid, got, len(wantRefs))
+			if got := sg.Count(gid); got != len(wantRefs) || got != heap.Count(gid) {
+				t.Fatalf("%s: Count(%d) = %d, want %d (heap %d)", label, gid, got, len(wantRefs), heap.Count(gid))
 			}
 			gotRefs, err := sg.Refs(gid)
 			if err != nil {
@@ -129,8 +103,7 @@ func TestExternalGroupFoldEquivalence(t *testing.T) {
 }
 
 // TestExternalDistinctEquivalence checks the external distinct against
-// the heap DistinctNodes (order-normalized: the external form is
-// ascending, the bitset form first-occurrence).
+// the hash-set oracle and the heap DistinctSorted: all three ascending.
 func TestExternalDistinctEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	rel := joined(t, rng)
@@ -157,11 +130,10 @@ func TestExternalDistinctEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := DistinctNodes(rel, "B")
-		if err != nil {
-			t.Fatal(err)
+		want := distinctOracle(rel.ColumnNamed("B"))
+		if heap, err := DistinctSorted(rel, "B"); err != nil || !slices.Equal(heap, want) {
+			t.Fatalf("runRows=%d: DistinctSorted disagrees with the oracle (err %v)", runRows, err)
 		}
-		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
 		if len(got) != len(want) {
 			t.Fatalf("runRows=%d: %d distinct, want %d", runRows, len(got), len(want))
 		}

@@ -18,7 +18,7 @@ import (
 // Three properties hold for every pipeline:
 //
 //   - Row identity: StreamJoin runs the same per-range phases as the
-//     reference Join (probeRange + joinOutput) over batches that are
+//     reference Join (joinIndex.probe + joinOutput) over batches that are
 //     contiguous input runs consumed in order, so concatenating a
 //     stream's batches reproduces Join's output row for row — not
 //     merely set-equal — whatever the batch size or the fan-out budget.
@@ -30,9 +30,9 @@ import (
 //   - Bounded buffering: a stage buffers at most its fan-out width in
 //     input batches (the per-query parallelism budget) plus their
 //     outputs. Genuine pipeline breakers — sort, GroupNeighbors,
-//     DistinctNodes — are not stream operators; consumers that need
-//     them fold batches incrementally (see etable.PrepareFromSource)
-//     or Materialize first.
+//     DistinctSorted — are not stream operators; consumers that need
+//     them Materialize first (see etable.PrepareFromSource), or fold
+//     batches into their external forms (spill.go).
 //
 // Cancellation is checked between batches: a canceled context fails the
 // next Next call, and every operator propagates Close upstream so an
@@ -241,16 +241,17 @@ func header(src RowSource) *Relation {
 	return &Relation{g: src.Graph(), Attrs: attrs, cols: make([][]tgm.NodeID, len(attrs))}
 }
 
-// StreamJoin streams src ∗_ρ right: the hash index over the (already
-// materialized) right side is built once at construction, and each
-// batch probes it through the same probeRange + joinOutput phases as
-// the reference Join, so the streamed output concatenates to exactly
-// Join(left, right, …). The right side is the join's build side — in
-// the execution pipeline it is a cached base relation — so only the
-// probe side streams.
+// StreamJoin streams src ∗_ρ right: the adjacency handle is resolved and
+// loaded and the dense index over the (already materialized) right side
+// built once at construction, and each batch probes them through the
+// same joinIndex.probe + joinOutput phases as the reference Join, so the
+// streamed output concatenates to exactly Join(left, right, …). The
+// right side is the join's build side — in the execution pipeline it is
+// a cached base relation — so only the probe side streams; the index
+// lives as long as the stream does.
 func StreamJoin(ctx context.Context, pool *exec.Pool, budget int, src RowSource, right *Relation, edgeType, leftAttr, rightAttr string) (RowSource, error) {
 	hdr := header(src)
-	li, ri, err := checkJoin(hdr, right, edgeType, leftAttr, rightAttr)
+	li, ri, adj, err := checkJoin(hdr, right, edgeType, leftAttr, rightAttr)
 	if err != nil {
 		return nil, err
 	}
@@ -261,7 +262,7 @@ func StreamJoin(ctx context.Context, pool *exec.Pool, budget int, src RowSource,
 		src: src, g: src.Graph(), attrs: attrs,
 		ctx: ctx, pool: pool, budget: budget,
 		apply: func(b *Relation) (*Relation, error) {
-			lrows, rrows := probeRange(b.g, b.cols[li], index, edgeType, 0, b.n)
+			lrows, rrows := index.probe(adj, b.cols[li])
 			if len(lrows) == 0 {
 				return nil, nil
 			}
@@ -397,67 +398,4 @@ func ConcatAll(g *tgm.InstanceGraph, attrs []Attr, parts []*Relation) (*Relation
 		return parts[0], nil
 	}
 	return Concat(parts...)
-}
-
-// AppendGroupPairs folds r's (groupAttr, valueAttr) co-occurrence pairs
-// into dst — the incremental form of GroupNeighbors' collection pass,
-// for consumers folding a streamed pipeline batch by batch. Appending
-// batches in stream order accumulates exactly the pair lists
-// GroupNeighbors collects over the concatenated relation; finish with
-// SortDedupGroups to obtain GroupNeighbors' canonical result.
-func AppendGroupPairs(dst map[tgm.NodeID][]tgm.NodeID, r *Relation, groupAttr, valueAttr string) error {
-	gi := r.AttrIndex(groupAttr)
-	if gi < 0 {
-		return fmt.Errorf("graphrel: no attribute %q", groupAttr)
-	}
-	vi := r.AttrIndex(valueAttr)
-	if vi < 0 {
-		return fmt.Errorf("graphrel: no attribute %q", valueAttr)
-	}
-	gcol, vcol := r.cols[gi], r.cols[vi]
-	for i := 0; i < r.n; i++ {
-		dst[gcol[i]] = append(dst[gcol[i]], vcol[i])
-	}
-	return nil
-}
-
-// SortDedupGroups sorts every group ascending by node ID and removes
-// duplicates in place — GroupNeighbors' finishing pass, exported for
-// streamed folds. The per-group passes fan out over the pool when a
-// budget is granted; the result is a pure function of the accumulated
-// pair multiset either way.
-func SortDedupGroups(ctx context.Context, pool *exec.Pool, budget int, groups map[tgm.NodeID][]tgm.NodeID) error {
-	if pool == nil || budget <= 1 || len(groups) == 0 {
-		if err := ctxErr(ctx); err != nil {
-			return err
-		}
-		for g, ids := range groups {
-			groups[g] = sortDedup(ids)
-		}
-		return nil
-	}
-	// Workers write into a slice aligned with keys — never into the map,
-	// whose internals are not safe for concurrent writes — and a serial
-	// pass stores the compacted groups back (same discipline as
-	// GroupNeighborsPar phase 3).
-	keys := make([]tgm.NodeID, 0, len(groups))
-	for g := range groups {
-		keys = append(keys, g)
-	}
-	vals := make([][]tgm.NodeID, len(keys))
-	for i, g := range keys {
-		vals[i] = groups[g]
-	}
-	if err := pool.MapRanges(ctx, len(keys), 64, budget, func(lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			vals[i] = sortDedup(vals[i])
-		}
-		return nil
-	}); err != nil {
-		return err
-	}
-	for i, g := range keys {
-		groups[g] = vals[i]
-	}
-	return nil
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/expr"
 	"repro/internal/tgm"
+	"repro/internal/value"
 )
 
 // countingSource wraps a RowSource and records how many batches were
@@ -263,6 +264,54 @@ func TestStreamConstructionErrors(t *testing.T) {
 	}
 }
 
+// TestJoinOverUnreadableAdjacency: a deferred adjacency whose load
+// fails used to probe as "no neighbors" — Join and StreamJoin returned
+// an empty relation and a nil error. Both now resolve and load the
+// adjacency handle at construction and return the loader's error,
+// while the healthy reverse direction of the same edge joins.
+func TestJoinOverUnreadableAdjacency(t *testing.T) {
+	s := tgm.NewSchemaGraph()
+	for _, name := range []string{"A", "B"} {
+		if _, err := s.AddNodeType(tgm.NodeType{Name: name, Label: "id",
+			Attrs: []tgm.Attr{{Name: "id", Type: value.KindInt}}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.AddBidirectional(tgm.EdgeType{Name: "A-B", Source: "A", Target: "B"}); err != nil {
+		t.Fatal(err)
+	}
+	g := tgm.NewInstanceGraph(s)
+	for _, name := range []string{"A", "A", "B"} { // A: 0, 1; B: 2
+		if _, err := g.AddNode(name, []value.V{value.Int(0)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	boom := errors.New("adjacency section unreadable")
+	if err := g.InstallAdjacencyDeferred("A-B", 2, func() ([]tgm.NodeID, []int32, []tgm.NodeID, error) {
+		return nil, nil, nil, boom
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.InstallAdjacencyDeferred("A-B_rev", 2, func() ([]tgm.NodeID, []int32, []tgm.NodeID, error) {
+		return []tgm.NodeID{2}, []int32{0, 2}, []tgm.NodeID{0, 1}, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	g.Freeze()
+	as, _ := Base(g, "A")
+	bs, _ := Base(g, "B")
+	if r, err := Join(as, bs, "A-B", "A", "B"); !errors.Is(err, boom) {
+		t.Errorf("Join over the failed load: relation %v, err %v; want the loader's error", r, err)
+	}
+	if src, err := StreamJoin(context.Background(), nil, 1, StreamRelationBatch(as, 0), bs, "A-B", "A", "B"); !errors.Is(err, boom) {
+		t.Errorf("StreamJoin over the failed load: source %v, err %v; want the loader's error at construction", src, err)
+	}
+	rev, err := Join(bs, as, "A-B_rev", "B", "A")
+	if err != nil || rev.Len() != 2 {
+		t.Fatalf("Join over the healthy reverse: %v rows, err %v", rev, err)
+	}
+}
+
 // TestMaterializeEmptyAndMax covers Materialize of a stream that
 // produces nothing (well-formed empty relation, attrs preserved) and
 // the MaterializeMax row cap.
@@ -319,10 +368,11 @@ func TestMaterializeEmptyAndMax(t *testing.T) {
 	assertIdenticalRelations(t, "at-cap", ok, full)
 }
 
-// TestGroupFoldEquivalence asserts the incremental grouping fold
-// (AppendGroupPairs batch by batch + SortDedupGroups) equals the eager
-// GroupNeighbors over the materialized relation — the pipeline-breaker
-// fold the streamed Prepare path relies on.
+// TestGroupFoldEquivalence asserts the pipeline breakers over a drained
+// stream — the streamed join's batches spliced by Materialize, then
+// DistinctSorted + GroupNeighbors — equal the map oracle over the
+// reference Join, whatever the batch size and budget: the shape of the
+// streamed Prepare path.
 func TestGroupFoldEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	g := bigChainGraph(t, rng)
@@ -333,45 +383,21 @@ func TestGroupFoldEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := GroupNeighbors(joined, "A", "B")
+	want, err := GroupNeighborsOracle(joined, "A", "B")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, budget := range []int{1, 4} {
-		got := make(map[tgm.NodeID][]tgm.NodeID)
-		src := StreamRelationBatch(joined, 777)
-		for {
-			b, err := src.Next()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if b == nil {
-				break
-			}
-			if err := AppendGroupPairs(got, b, "A", "B"); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := SortDedupGroups(context.Background(), pool, budget, got); err != nil {
+		src, err := StreamJoin(context.Background(), pool, budget, StreamRelationBatch(as, 777), bs, "A-B", "A", "B")
+		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got) != len(want) {
-			t.Fatalf("budget=%d: %d groups, want %d", budget, len(got), len(want))
+		drained, err := Materialize(src)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for id, w := range want {
-			gv := got[id]
-			if len(gv) != len(w) {
-				t.Fatalf("budget=%d group %d: %d values, want %d", budget, id, len(gv), len(w))
-			}
-			for i := range w {
-				if gv[i] != w[i] {
-					t.Fatalf("budget=%d group %d[%d] = %d, want %d", budget, id, i, gv[i], w[i])
-				}
-			}
-		}
-	}
-	if err := AppendGroupPairs(map[tgm.NodeID][]tgm.NodeID{}, joined, "Nope", "B"); err == nil {
-		t.Error("AppendGroupPairs accepted unknown attribute")
+		got := groupBoth(t, fmt.Sprintf("budget=%d", budget), drained, "A", "B")
+		assertGroupsMatchOracle(t, fmt.Sprintf("budget=%d vs reference join", budget), got, want)
 	}
 }
 

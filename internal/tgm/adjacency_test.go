@@ -26,63 +26,88 @@ func adjacencyGraph(t *testing.T, nPapers, nAuthors int) *InstanceGraph {
 	return g
 }
 
-// TestAdjacencyHandleMatchesNeighbors checks the handle against the
-// name-keyed accessors on every representation: AddEdge maps, CSR over
-// one contiguous source run (the O(1) index), CSR with gaps (binary
-// search), deferred CSR, and an edge type with no edges at all —
-// including IDs outside the source run on either side.
+// TestAdjacencyHandleMatchesNeighbors checks the handle and the
+// name-keyed accessors (Neighbors, Degree, HasEdge) against the edges
+// each form was built from, on every representation: AddEdge maps, CSR
+// over one gap-free source run (the installed offsets serve as they
+// are), CSR with gaps (a dense offset table over the run), both of them
+// deferred, and an edge type with no edges at all — probing IDs below
+// the source run, inside its gaps, and above it.
 func TestAdjacencyHandleMatchesNeighbors(t *testing.T) {
 	const edge = "Papers→Authors"
-	authors := func(ids ...NodeID) []NodeID { return ids } // author IDs start at 4
-	forms := map[string]func(g *InstanceGraph){
-		"map": func(g *InstanceGraph) {
-			for _, e := range [][2]NodeID{{0, 4}, {0, 5}, {2, 6}, {3, 4}} {
+	const nPapers, nAuthors = 8, 3 // papers 0–7, authors 8–10
+	type csr struct {
+		srcs    []NodeID
+		offs    []int32
+		targets []NodeID
+	}
+	eager := func(c csr) func(*testing.T, *InstanceGraph) {
+		return func(t *testing.T, g *InstanceGraph) {
+			if err := g.InstallAdjacency(edge, c.srcs, c.offs, c.targets); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	deferred := func(c csr) func(*testing.T, *InstanceGraph) {
+		return func(t *testing.T, g *InstanceGraph) {
+			if err := g.InstallAdjacencyDeferred(edge, len(c.targets), func() ([]NodeID, []int32, []NodeID, error) {
+				return c.srcs, c.offs, c.targets, nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	dense := csr{[]NodeID{0, 1, 2, 3, 4, 5, 6, 7}, []int32{0, 2, 2, 3, 4, 4, 4, 4, 4}, []NodeID{8, 9, 10, 8}}
+	offsetRun := csr{[]NodeID{1, 2}, []int32{0, 1, 3}, []NodeID{10, 8, 9}}
+	sparse := csr{[]NodeID{0, 2, 3}, []int32{0, 2, 3, 4}, []NodeID{8, 9, 10, 8}}
+	wideGaps := csr{[]NodeID{1, 4, 7}, []int32{0, 1, 3, 4}, []NodeID{9, 8, 10, 9}}
+	forms := []struct {
+		name    string
+		install func(*testing.T, *InstanceGraph)
+		want    map[NodeID][]NodeID
+	}{
+		{"map", func(t *testing.T, g *InstanceGraph) {
+			for _, e := range [][2]NodeID{{0, 8}, {0, 9}, {2, 10}, {3, 8}} {
 				if err := g.AddEdge(edge, e[0], e[1]); err != nil {
 					t.Fatal(err)
 				}
 			}
-		},
-		"csr dense": func(g *InstanceGraph) {
-			if err := g.InstallAdjacency(edge, []NodeID{0, 1, 2, 3}, []int32{0, 2, 2, 3, 4}, authors(4, 5, 6, 4)); err != nil {
-				t.Fatal(err)
-			}
-		},
-		"csr dense, offset run": func(g *InstanceGraph) {
-			if err := g.InstallAdjacency(edge, []NodeID{1, 2}, []int32{0, 1, 3}, authors(6, 4, 5)); err != nil {
-				t.Fatal(err)
-			}
-		},
-		"csr sparse": func(g *InstanceGraph) {
-			if err := g.InstallAdjacency(edge, []NodeID{0, 2, 3}, []int32{0, 2, 3, 4}, authors(4, 5, 6, 4)); err != nil {
-				t.Fatal(err)
-			}
-		},
-		"csr deferred": func(g *InstanceGraph) {
-			if err := g.InstallAdjacencyDeferred(edge, 4, func() ([]NodeID, []int32, []NodeID, error) {
-				return []NodeID{0, 1, 2, 3}, []int32{0, 2, 2, 3, 4}, authors(4, 5, 6, 4), nil
-			}); err != nil {
-				t.Fatal(err)
-			}
-		},
-		"no edges": func(*InstanceGraph) {},
+		}, map[NodeID][]NodeID{0: {8, 9}, 2: {10}, 3: {8}}},
+		{"csr dense", eager(dense), map[NodeID][]NodeID{0: {8, 9}, 2: {10}, 3: {8}}},
+		{"csr dense, offset run", eager(offsetRun), map[NodeID][]NodeID{1: {10}, 2: {8, 9}}},
+		{"csr sparse", eager(sparse), map[NodeID][]NodeID{0: {8, 9}, 2: {10}, 3: {8}}},
+		{"csr sparse, wide gaps", eager(wideGaps), map[NodeID][]NodeID{1: {9}, 4: {8, 10}, 7: {9}}},
+		{"csr deferred", deferred(dense), map[NodeID][]NodeID{0: {8, 9}, 2: {10}, 3: {8}}},
+		{"csr deferred, sparse", deferred(wideGaps), map[NodeID][]NodeID{1: {9}, 4: {8, 10}, 7: {9}}},
+		{"no edges", func(*testing.T, *InstanceGraph) {}, nil},
 	}
-	for name, install := range forms {
-		t.Run(name, func(t *testing.T) {
-			g := adjacencyGraph(t, 4, 3)
-			install(g)
+	for _, form := range forms {
+		t.Run(form.name, func(t *testing.T) {
+			g := adjacencyGraph(t, nPapers, nAuthors)
+			form.install(t, g)
 			g.Freeze()
 			a := g.Adjacency(edge)
 			if err := a.Ensure(); err != nil {
 				t.Fatal(err)
 			}
-			for id := NodeID(-1); id <= 8; id++ {
-				want := g.Neighbors(id, edge)
-				got := a.Neighbors(id)
-				if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
-					t.Errorf("Neighbors(%d) = %v, want %v", id, got, want)
+			for id := NodeID(-2); id <= nPapers+nAuthors+2; id++ {
+				want := form.want[id]
+				for how, got := range map[string][]NodeID{"handle": a.Neighbors(id), "Neighbors": g.Neighbors(id, edge)} {
+					if !reflect.DeepEqual(got, want) { // no out-edges reads as nil on every form
+						t.Errorf("%s(%d) = %#v, want %#v", how, id, got, want)
+					}
 				}
-				if a.Degree(id) != len(want) {
-					t.Errorf("Degree(%d) = %d, want %d", id, a.Degree(id), len(want))
+				if a.Degree(id) != len(want) || g.Degree(id, edge) != len(want) {
+					t.Errorf("Degree(%d) = %d (handle) / %d (graph), want %d", id, a.Degree(id), g.Degree(id, edge), len(want))
+				}
+				for dst := NodeID(nPapers); dst < nPapers+nAuthors; dst++ {
+					wantEdge := false
+					for _, w := range want {
+						wantEdge = wantEdge || w == dst
+					}
+					if g.HasEdge(edge, id, dst) != wantEdge {
+						t.Errorf("HasEdge(%d, %d) = %v, want %v", id, dst, !wantEdge, wantEdge)
+					}
 				}
 			}
 		})

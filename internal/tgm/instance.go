@@ -176,25 +176,51 @@ type InstanceGraph struct {
 	planCache atomic.Value
 }
 
-// csrAdj is one edge type's adjacency in compressed-sparse-row form:
-// srcs ascending, targets[offs[i]:offs[i+1]] the i-th source's
-// out-neighbors in insertion order.
+// csrAdj is one edge type's adjacency in compressed-sparse-row form,
+// indexed densely by node ID: node base+i's out-neighbors are
+// targets[offs[i]:offs[i+1]] in insertion order. base is the lowest
+// source ID and offs spans the sources' ID run, so a lookup is one
+// subtraction and two loads whatever the sources look like — IDs inside
+// the run that have no out-edge own an empty segment.
 type csrAdj struct {
-	srcs    []NodeID
+	base    NodeID
 	offs    []int32
 	targets []NodeID
-	// dense marks sources forming one contiguous ID run starting at
-	// srcs[0] — every node of a type created in one block has an
-	// out-edge, e.g. each paper its authors — so the run's i-th ID sits
-	// at srcs[i] and an Adjacency handle indexes offs directly instead
-	// of searching.
-	dense bool
 	// load defers materialization (InstallAdjacencyDeferred): the first
 	// traversal fills the arrays through it, under once. Eagerly
 	// installed adjacency has a nil load and pays only the nil check.
 	load AdjacencyLoader
 	once sync.Once
 	err  error
+}
+
+// install indexes validated CSR arrays (srcs ascending, offs of
+// len(srcs)+1) by node ID. Gap-free sources — every node of a type
+// created in one block has an out-edge, e.g. each paper its authors —
+// keep the installed offsets as they are; gapped sources (citation
+// edges, reverse edges of optional relationships) get one offset per ID
+// of their run instead, 4 bytes × the run once per edge type, so no
+// reader ever searches.
+func (a *csrAdj) install(srcs []NodeID, offs []int32, targets []NodeID) {
+	a.targets = targets
+	if len(srcs) == 0 {
+		return
+	}
+	a.base = srcs[0]
+	span := int(srcs[len(srcs)-1]-srcs[0]) + 1
+	if span == len(srcs) {
+		a.offs = offs
+		return
+	}
+	a.offs = make([]int32, span+1)
+	j := 0
+	for i, s := range srcs {
+		// IDs in the gap before s end where s starts: empty segments.
+		for ; j <= int(s-a.base); j++ {
+			a.offs[j] = offs[i]
+		}
+	}
+	a.offs[span] = offs[len(srcs)]
 }
 
 // ensure materializes deferred adjacency. Concurrent first traversals
@@ -205,31 +231,20 @@ func (a *csrAdj) ensure() error {
 		return nil
 	}
 	a.once.Do(func() {
-		a.srcs, a.offs, a.targets, a.err = a.load()
-		a.dense = contiguous(a.srcs)
+		srcs, offs, targets, err := a.load()
+		if a.err = err; err == nil {
+			a.install(srcs, offs, targets)
+		}
 	})
 	return a.err
 }
 
-// contiguous reports whether ascending srcs cover one gap-free ID run.
-func contiguous(srcs []NodeID) bool {
-	return len(srcs) > 0 && int(srcs[len(srcs)-1]-srcs[0]) == len(srcs)-1
-}
-
 func (a *csrAdj) neighbors(id NodeID) []NodeID {
-	lo, hi := 0, len(a.srcs)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if a.srcs[mid] < id {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+	i := int(id) - int(a.base)
+	if i < 0 || i >= len(a.offs)-1 || a.offs[i] == a.offs[i+1] {
+		return nil // as the AddEdge form answers for a node without out-edges
 	}
-	if lo == len(a.srcs) || a.srcs[lo] != id {
-		return nil
-	}
-	return a.targets[a.offs[lo]:a.offs[lo+1]:a.offs[lo+1]]
+	return a.targets[a.offs[i]:a.offs[i+1]:a.offs[i+1]]
 }
 
 // NewInstanceGraph returns an empty instance graph over schema.
@@ -583,7 +598,9 @@ func (g *InstanceGraph) InstallAdjacency(edgeType string, srcs []NodeID, offs []
 	if g.csr == nil {
 		g.csr = make(map[string]*csrAdj)
 	}
-	g.csr[edgeType] = &csrAdj{srcs: srcs, offs: offs, targets: targets, dense: contiguous(srcs)}
+	a := &csrAdj{}
+	a.install(srcs, offs, targets)
+	g.csr[edgeType] = a
 	g.edgeCount += len(targets)
 	g.edgeTotals[edgeType] = len(targets)
 	return nil
@@ -658,7 +675,7 @@ func (g *InstanceGraph) validateCSR(et *EdgeType, srcs []NodeID, offs []int32, t
 		return fmt.Errorf("tgm: edge type %q: offsets do not span targets", et.Name)
 	}
 	srcType, tgtType := g.schema.NodeType(et.Source), g.schema.NodeType(et.Target)
-	srcLo, srcHi, srcContig := g.typeIDRange(et.Source)
+	srcLo, srcHi, srcContig := g.TypeIDRange(et.Source)
 	prev := NodeID(-1)
 	for i, src := range srcs {
 		if src <= prev {
@@ -676,7 +693,7 @@ func (g *InstanceGraph) validateCSR(et *EdgeType, srcs []NodeID, offs []int32, t
 			return fmt.Errorf("tgm: edge %q source %d is not a %q node", et.Name, src, et.Source)
 		}
 	}
-	if tgtLo, tgtHi, tgtContig := g.typeIDRange(et.Target); tgtContig {
+	if tgtLo, tgtHi, tgtContig := g.TypeIDRange(et.Target); tgtContig {
 		for _, dst := range targets {
 			if dst < tgtLo || dst > tgtHi {
 				return fmt.Errorf("tgm: edge %q target %d is not a %q node", et.Name, dst, et.Target)
@@ -693,14 +710,16 @@ func (g *InstanceGraph) validateCSR(et *EdgeType, srcs []NodeID, offs []int32, t
 	return nil
 }
 
-// typeIDRange reports the named type's node-ID span and whether that
-// span is contiguous, i.e. every ID in [lo, hi] belongs to the type.
-// byType lists are ascending (IDs are assigned in insertion order), so
-// the check is O(1).
-func (g *InstanceGraph) typeIDRange(name string) (lo, hi NodeID, contiguous bool) {
+// TypeIDRange reports the named type's node-ID span [lo, hi] and
+// whether that span is contiguous, i.e. every ID in it belongs to the
+// type. Kernels that key a dense array by a column's nodes index it by
+// id − lo over hi − lo + 1 slots; a type with no nodes has the empty
+// span [0, -1]. byType lists are ascending (IDs are assigned in
+// insertion order), so the check is O(1).
+func (g *InstanceGraph) TypeIDRange(name string) (lo, hi NodeID, contiguous bool) {
 	ids := g.byType[name]
 	if len(ids) == 0 {
-		return 0, 0, false
+		return 0, -1, false
 	}
 	lo, hi = ids[0], ids[len(ids)-1]
 	return lo, hi, int(hi-lo) == len(ids)-1
@@ -752,10 +771,11 @@ func (g *InstanceGraph) Degree(id NodeID, edgeType string) int {
 
 // Adjacency is one edge type's out-adjacency with the edge-type name
 // already resolved: the handle loops over many nodes of one type (a
-// sort key extraction, a window's count and render passes) hold instead
-// of paying Neighbors' per-call name lookup. Unlike Neighbors it does
-// not swallow a failed deferred load: Ensure returns the loader's
-// error, and Degree/Neighbors may only be called once it returned nil.
+// join probe, a sort key extraction, a window's count and render
+// passes) hold instead of paying Neighbors' per-call name lookup. Unlike
+// Neighbors it does not swallow a failed deferred load: Ensure returns
+// the loader's error, and Degree/Neighbors may only be called once it
+// returned nil.
 type Adjacency struct {
 	csr *csrAdj
 	m   map[NodeID][]NodeID
@@ -781,21 +801,13 @@ func (a Adjacency) Ensure() error {
 }
 
 // Neighbors returns id's out-neighbors in insertion order; the slice
-// must not be modified. Sources forming one contiguous ID run index in
-// O(1), other CSR forms binary-search, AddEdge-built graphs map-look-up.
+// must not be modified. CSR adjacency indexes in O(1), AddEdge-built
+// graphs map-look-up.
 func (a Adjacency) Neighbors(id NodeID) []NodeID {
-	c := a.csr
-	if c == nil {
+	if a.csr == nil {
 		return a.m[id]
 	}
-	if !c.dense {
-		return c.neighbors(id)
-	}
-	i := int(id - c.srcs[0])
-	if i < 0 || i >= len(c.srcs) {
-		return nil
-	}
-	return c.targets[c.offs[i]:c.offs[i+1]:c.offs[i+1]]
+	return a.csr.neighbors(id)
 }
 
 // Degree returns the number of out-neighbors of id.
