@@ -23,6 +23,7 @@ import (
 	"repro/internal/etable"
 	"repro/internal/exec"
 	"repro/internal/graphrel"
+	"repro/internal/ops"
 	"repro/internal/pager"
 	"repro/internal/relational"
 	"repro/internal/server"
@@ -423,26 +424,29 @@ func BenchmarkServerConcurrentSessions(b *testing.B) {
 		b.ReportAllocs()
 		b.RunParallel(func(pb *testing.PB) {
 			c := serverBenchClient{h: h}
-			id := c.do(b, "POST", "/api/session", nil).ID
-			actURL := fmt.Sprintf("/api/session/%d/action", id)
-			var limit *int
+			id := c.do(b, "POST", "/api/v1/sessions", nil).ID
+			opsURL := fmt.Sprintf("/api/v1/sessions/%d/ops", id)
+			window := ""
 			if paged {
-				n := 50
-				limit = &n
+				window = "?limit=50"
 			}
 			i := 0
 			for pb.Next() {
 				cond := conds[i%len(conds)]
-				if st := c.do(b, "POST", actURL, map[string]any{"action": "open", "table": "Papers", "limit": limit}); st.TotalRows == 0 {
+				if st := c.do(b, "POST", opsURL+window, ops.Open("Papers")); st.TotalRows == 0 {
 					b.Fatal("open returned no rows")
 				}
-				if st := c.do(b, "POST", actURL, map[string]any{"action": "filter", "condition": cond, "limit": limit}); st.TotalRows == 0 {
+				if st := c.do(b, "POST", opsURL+window, ops.Filter(cond)); st.TotalRows == 0 {
 					b.Fatalf("filter %q returned no rows", cond)
 				}
-				if st := c.do(b, "POST", actURL, map[string]any{"action": "pivot", "column": "Authors", "limit": limit}); st.TotalRows == 0 {
+				if st := c.do(b, "POST", opsURL+window, ops.Pivot("Authors")); st.TotalRows == 0 {
 					b.Fatal("pivot returned no rows")
 				}
-				if st := c.do(b, "POST", actURL, map[string]any{"action": "revert", "index": 0, "offset": 5, "limit": limit}); st.TotalRows == 0 {
+				revertURL := opsURL + "?offset=5"
+				if paged {
+					revertURL += "&limit=50"
+				}
+				if st := c.do(b, "POST", revertURL, ops.Revert(0)); st.TotalRows == 0 {
 					b.Fatal("revert returned no rows")
 				}
 				i++

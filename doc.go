@@ -59,8 +59,8 @@
 //     POST .../replay restores it, and errors use structured
 //     {code, message, op_index} envelopes with proper 400/404/410
 //     statuses. Results page by offset/limit or by opaque cursors that
-//     detect staleness across state changes. The legacy unversioned
-//     routes remain as deprecated aliases over the same core.
+//     detect staleness across state changes. There is no other route
+//     family: the unversioned /api/* aliases were deleted in PR 25.
 //   - pkg/client: the typed Go SDK (the first public package) with
 //     per-op builders, retry/backoff, pagination iterators, and
 //     history export/replay. docs/API.md documents every route.
@@ -89,21 +89,21 @@
 //     the presentation's groupings are a serial counting sort into CSR
 //     arrays (graphrel.Groups).
 //   - internal/stats: per-edge-type out-degree histograms and
-//     per-node-type attribute NDV estimates, collected once at
-//     translate time and frozen with the graph (stats.For). They
-//     replace the single AvgOutDegree scalar in the planner's cost
-//     model and drive condition-selectivity estimates.
-//   - internal/etable: the cost-based planner propagates estimated
-//     cardinalities (JoinStep.EstIn/EstOut) through the join tree;
-//     Execute takes an ExecOptions{Ctx, Pool, Parallelism} struct, and
-//     the plan's peak estimate gates tiny queries onto a budget of 1 so
-//     interactive clicks never pay fan-out overhead.
+//     per-node-type attribute NDV counts, collected once at translate
+//     time, frozen with the graph (stats.For) and persisted in the
+//     snapshot's STAT section. /api/v1/stats reports them as
+//     edgeStats; no planner reads them.
+//   - internal/etable: Execute takes an ExecOptions{Ctx, Pool,
+//     Parallelism} struct and hands the budget to the kernels as given;
+//     a kernel whose input is one morsel (Select) or one batch (a
+//     StreamJoin refill) runs serially, so interactive clicks never pay
+//     fan-out overhead without any estimate deciding it.
 //   - internal/session + internal/server: the per-request budget and
 //     the request context thread through ApplyCtx/ApplyPipelineCtx/
 //     StateCtx down to the kernels. Clients override the budget with
 //     ?parallelism=N; a disconnected client cancels its context and the
 //     query stops between morsels (HTTP 499 in logs). /api/v1/stats
-//     reports the pool and the per-edge planner statistics.
+//     reports the pool and the per-edge graph statistics.
 //
 // PERFORMANCE.md §5 records the scaling measurements
 // (BenchmarkParallelScaling).
@@ -114,18 +114,19 @@
 // runs as a streamed pipeline, and draining, fanning out and spilling
 // are what a caller does with the stream, not separate code paths. The
 // engine resolves its plan through one function, etable.PlanFor: a
-// per-frozen-graph, signature-keyed cache of fully prepared plans
-// (compiled predicates, start relation, ordered join steps with
-// cardinality estimates, and the peak estimate that gates the
-// parallelism budget). Pattern signatures are memoized on the
-// immutable Pattern, so a warm lookup is a pointer load plus one map
-// probe. Joins are ordered by one policy, the statistics-backed
-// fan-out × selectivity cost model, at every corpus size. /api/v1/stats
-// exposes the plan cache's hits/misses/evictions; PERFORMANCE.md §8
-// records the cache effect, §13 why the eager join arm and the feedback
-// re-planner were removed, §14 why the greedy ordering and its
-// corpus-size threshold were (no workload reached them; parity where
-// forced).
+// per-frozen-graph, signature-keyed cache of compiled node predicates.
+// Pattern signatures are memoized on the immutable Pattern, so a warm
+// lookup is a pointer load plus one map probe. The join order is not
+// planned in advance: the engine selects every base first and orders
+// the joins by the bases' exact sizes — smallest base first, then
+// greedily by |current| × AvgOutDegree(edge) × |σ(new)| / |type(new)| —
+// so no cardinality is estimated anywhere. /api/v1/stats exposes the
+// plan cache's hits/misses/evictions; PERFORMANCE.md §8 records the
+// cache effect, §13 why the eager join arm and the feedback re-planner
+// were removed, §14 why the greedy ordering and its corpus-size
+// threshold were (no workload reached them; parity where forced), and
+// §16 the census behind ordering by measured sizes and dropping the
+// plan-level parallelism gate.
 //
 // # Windowed presentation
 //
@@ -200,7 +201,7 @@
 // # Persistence and datasets
 //
 // internal/snapshot serializes a frozen TGDB — schema, node columns,
-// both adjacency directions, and the planner statistics — into a
+// both adjacency directions, and the graph statistics — into a
 // versioned columnar file (.etsnap) with per-section CRC-32C
 // checksums; Load rebuilds a frozen graph that serves byte-identical
 // query results without re-running translation (corrupt or
@@ -210,8 +211,8 @@
 // plan cache, and statistics, lazy snapshot datasets load on first
 // request (singleflight), and sessions bind to one dataset at
 // creation. The HTTP surface grows /api/v1/datasets (list/inspect) and
-// /api/v1/datasets/{name}/sessions/... routing, with the legacy
-// unscoped routes serving the registry's default dataset unchanged.
+// /api/v1/datasets/{name}/sessions/... routing, with the unscoped
+// /api/v1 routes serving the registry's default dataset.
 // etable-translate -o writes a snapshot; etable-server -snapshot
 // boots from one (3.8× faster than regenerate+translate at the
 // 5k-paper default, PERFORMANCE.md §9) and repeatable -dataset

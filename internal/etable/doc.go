@@ -39,27 +39,25 @@
 //
 // # Planning
 //
-// The engine and PlanForOpts resolve the prepared plan through one
-// function, planFor: a per-frozen-graph LRU cache keyed by the memoized
-// pattern signature. A cached Plan carries everything planning
-// produces — compiled node predicates, the start relation key, the
-// ordered join steps with cardinality estimates, and the peak-scan
-// estimate that gates the parallelism budget — so a repeat pattern
-// skips planning entirely; a warm lookup costs a pointer load and one
-// map probe (BenchmarkPlanCache).
+// The engine plans from what it has measured. A Plan holds only what
+// exists before any base relation does — the compiled node predicates —
+// and the engine and PlanForOpts resolve it through one function,
+// planFor: a per-frozen-graph LRU cache keyed by the memoized pattern
+// signature (a warm lookup costs a pointer load and one map probe,
+// BenchmarkPlanCache). ExecOptions.NoPlanCache builds the plan without
+// looking it up or inserting it (the plan-every-time arm of
+// BenchmarkPlanCache). PlannerStatsFor exposes hits, misses and
+// evictions; the server surfaces them at /api/v1/stats.
 //
-// There is one ordering policy, the statistics-backed fan-out ×
-// selectivity cost model (planJoinsSized), at every corpus size. A
-// statistics-free greedy ordering used to run below a 10,000-node
-// threshold: no benchmarked workload reached it, it measured no faster
-// where it ran, and planning computed the cost-model order for the
-// budget gate's peak estimate in either mode, so it saved nothing
-// (PERFORMANCE.md §14).
-// ExecOptions.NoPlanCache builds the plan without looking it up or
-// inserting it (the plan-every-time arm of BenchmarkPlanCache).
-//
-// PlannerStatsFor exposes hits, misses and evictions; the server
-// surfaces them at /api/v1/stats.
+// The join order is chosen inside matchPipeline, after every base is
+// selected, from the bases' exact sizes (orderJoins): start at the
+// smallest selected base, then extend greedily by
+// |current| × tgm.AvgOutDegree(edge) × |σ(new)| / |type(new)|. No
+// statistic is estimated for it — the package does not import
+// internal/stats — and the worker budget passes through as the caller
+// gave it: a Select over one morsel and a StreamJoin refill of one
+// batch run serially whatever the budget, so a small query pays no
+// fan-out without a plan-level gate (PERFORMANCE.md §16).
 //
 // # Windowed presentation
 //

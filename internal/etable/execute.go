@@ -30,8 +30,9 @@ type ExecOptions struct {
 	// Parallelism is this query's worker budget (the per-request knob):
 	// at most this many workers — the calling goroutine plus helpers
 	// drawn from Pool — cooperate on each kernel. Values <= 1 are
-	// serial, and the engine lowers it to 1 for plans too small to
-	// profit (Plan.budget). cold_explore and study_mix are the workloads
+	// serial, and so is any kernel whose input is one morsel (Select) or
+	// one batch (a StreamJoin refill), so tiny interactive queries never
+	// pay fan-out overhead. cold_explore and study_mix are the workloads
 	// whose cache-miss matches spend it; BenchmarkParallelScaling sweeps
 	// it.
 	Parallelism int
@@ -58,25 +59,6 @@ type ExecOptions struct {
 	NoPlanCache bool
 }
 
-// parallelMinEstRows is the serial-fallback gate: when the plan's peak
-// estimated scan is below two morsels, the fan-out bookkeeping costs
-// more than it buys and the query runs serially no matter the budget.
-// A variable only so tests can lower it and run real fan-out on
-// hand-checkable fixtures (like streamBatchRows).
-var parallelMinEstRows = float64(2 * graphrel.MorselRows)
-
-// budget is the worker budget this plan's execution gets out of the
-// caller's options: 1 without a pool or a budget, and 1 for plans
-// whose peak estimated scan is under the gate — tiny interactive
-// queries (the common case in a browsing session) never pay fan-out
-// overhead.
-func (pl *Plan) budget(opt ExecOptions) int {
-	if opt.Pool == nil || opt.Parallelism <= 1 || pl.estPeak < parallelMinEstRows {
-		return 1
-	}
-	return opt.Parallelism
-}
-
 // Execute runs a query pattern over an instance graph: instance matching
 // (Definition 4) followed by format transformation (§5.4.2). It is
 // ExecuteOpts with zero options (serial, uncancellable).
@@ -101,7 +83,7 @@ func ExecuteOpts(g *tgm.InstanceGraph, p *Pattern, opt ExecOptions) (*Result, er
 
 // Match implements the instance matching function m(Q): it joins the
 // per-node base graph relations (with their selection conditions pushed
-// down) along the pattern's tree edges, in the order the plan chose —
+// down) along the pattern's tree edges, in the order orderJoins chose —
 // the same tuple set as any other order, with smaller intermediates.
 // The resulting graph relation has one attribute per pattern node,
 // named by the node's key. It is MatchOpts with zero options.

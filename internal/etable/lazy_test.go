@@ -45,7 +45,6 @@ func TestLazyEagerEquivalenceFuzz(t *testing.T) {
 		t.Fatal(err)
 	}
 	pool := exec.NewPool(4)
-	withParallelGate(t, 0)
 	for _, budget := range []int{2, 3} {
 		budget := budget
 		t.Run(fmt.Sprintf("pool=%d", budget), func(t *testing.T) {

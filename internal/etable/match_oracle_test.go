@@ -81,11 +81,14 @@ func declaredSteps(schema *tgm.SchemaGraph, p *Pattern) (startKey string, steps 
 	return prim.Key, steps, nil
 }
 
-// planIntermediates materializes pl's join steps one by one with the
-// reference operators and returns each step's output cardinality — the
-// intermediates the engine never holds in full.
-func planIntermediates(t testing.TB, g *tgm.InstanceGraph, p *Pattern, pl *Plan) []int {
+// selectedBases selects every pattern node's base through its plan's
+// compiled predicate, as the engine does before it orders the joins.
+func selectedBases(t testing.TB, g *tgm.InstanceGraph, p *Pattern) map[string]*graphrel.Relation {
 	t.Helper()
+	pl, err := PlanForOpts(g, p, ExecOptions{NoPlanCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	bases := make(map[string]*graphrel.Relation, len(p.Nodes))
 	for i := range p.Nodes {
 		n := &p.Nodes[i]
@@ -97,9 +100,21 @@ func planIntermediates(t testing.TB, g *tgm.InstanceGraph, p *Pattern, pl *Plan)
 			t.Fatal(err)
 		}
 	}
-	cur, rows := bases[pl.startKey], make([]int, 0, len(pl.steps))
-	for _, st := range pl.steps {
-		var err error
+	return bases
+}
+
+// planIntermediates materializes the engine's join steps one by one
+// with the reference operators and returns each step's output
+// cardinality — the intermediates the engine never holds in full.
+func planIntermediates(t testing.TB, g *tgm.InstanceGraph, p *Pattern) []int {
+	t.Helper()
+	bases := selectedBases(t, g, p)
+	start, steps, err := orderJoins(g, p, bases)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur, rows := bases[start], make([]int, 0, len(steps))
+	for _, st := range steps {
 		if cur, err = graphrel.Join(cur, bases[st.NewKey], st.EdgeName, st.AnchorKey, st.NewKey); err != nil {
 			t.Fatal(err)
 		}

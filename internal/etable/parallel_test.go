@@ -8,15 +8,14 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/graphrel"
-	"repro/internal/stats"
 	"repro/internal/value"
 )
 
 // TestParallelExecuteEquivalence asserts the full execution path under
-// a pool — with the size gate lowered so the budget survives on this
-// small corpus and the selects, join stages, grouping and render all
-// fan out — returns the oracle's enriched table on the paper's Figure 1
-// and Figure 7 patterns.
+// a pool returns the oracle's enriched table on the paper's Figure 1
+// and Figure 7 patterns: at the default batch size (every input of this
+// small corpus is one morsel, so the kernels run serially) and at
+// 16-row batches, where the join stages, grouping and render fan out.
 func TestParallelExecuteEquivalence(t *testing.T) {
 	tr := planFixture(t)
 	pool := exec.NewPool(4)
@@ -25,15 +24,13 @@ func TestParallelExecuteEquivalence(t *testing.T) {
 		"figure7": figure7PlanPattern(t, tr),
 	} {
 		_, want := oracleTable(t, tr.Instance, p)
-		// The gated path first (on this corpus it clamps to serial).
 		got, err := ExecuteOpts(tr.Instance, p,
 			ExecOptions{Ctx: context.Background(), Pool: pool, Parallelism: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertSameResults(t, name+"/gated", got, want)
+		assertSameResults(t, name+"/one-morsel", got, want)
 		t.Run(name, func(t *testing.T) {
-			withParallelGate(t, 0)
 			withSmallStreamBatches(t, 16)
 			for _, budget := range []int{2, 4} {
 				got, err := ExecuteOpts(tr.Instance, p,
@@ -77,38 +74,6 @@ func assertSameResults(t *testing.T, name string, got, want *Result) {
 	}
 }
 
-// TestSerialFallbackGate pins the statistics-driven gate: on the small
-// test corpus every pattern's peak estimated scan is far below two
-// morsels, so the plan must collapse the budget to 1 — tiny
-// interactive queries never pay fan-out overhead.
-func TestSerialFallbackGate(t *testing.T) {
-	tr := planFixture(t)
-	p := figure7PlanPattern(t, tr)
-	pl, err := PlanFor(tr.Instance, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pl.estPeak <= 0 {
-		t.Fatalf("estPeak = %v, want > 0", pl.estPeak)
-	}
-	if pl.estPeak >= parallelMinEstRows {
-		t.Skipf("test corpus grew past the gate (%v rows)", pl.estPeak)
-	}
-	pooled := ExecOptions{Pool: exec.NewPool(4), Parallelism: 8}
-	if got := pl.budget(pooled); got != 1 {
-		t.Errorf("budget = %d, want 1 (est %v < %v)", got, pl.estPeak, parallelMinEstRows)
-	}
-	// Without a pool the budget always collapses; past the gate it
-	// survives.
-	withParallelGate(t, 0)
-	if got := pl.budget(ExecOptions{Parallelism: 8}); got != 1 {
-		t.Errorf("pool-less budget = %d, want 1", got)
-	}
-	if got := pl.budget(pooled); got != 8 {
-		t.Errorf("ungated budget = %d, want 8", got)
-	}
-}
-
 // TestExecuteOptsCancellation asserts a canceled request context stops
 // execution with context.Canceled through both the plain and the
 // caching executors.
@@ -129,32 +94,6 @@ func TestExecuteOptsCancellation(t *testing.T) {
 	// succeeds once the context is live again.
 	if _, err := ex.ExecuteWithOpts(p, ExecOptions{Ctx: context.Background()}); err != nil {
 		t.Errorf("post-cancel execute failed: %v", err)
-	}
-}
-
-// TestPlanStepEstimates pins the planner's propagated cardinalities:
-// every step carries finite EstIn/EstOut, chained EstIn(i+1) =
-// max(EstOut(i), 1).
-func TestPlanStepEstimates(t *testing.T) {
-	tr := planFixture(t)
-	p := figure7PlanPattern(t, tr)
-	pl, err := PlanFor(tr.Instance, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := p.Node(pl.startKey)
-	prev := stats.For(tr.Instance).EstimateBaseRows(start.Type, start.Cond)
-	for i, s := range pl.steps {
-		if s.EstIn != prev {
-			t.Errorf("step %d EstIn = %v, want %v", i, s.EstIn, prev)
-		}
-		if s.EstOut < 0 {
-			t.Errorf("step %d EstOut = %v", i, s.EstOut)
-		}
-		prev = s.EstOut
-		if prev < 1 {
-			prev = 1
-		}
 	}
 }
 
@@ -181,8 +120,7 @@ func TestCacheMixedParallelSerialSingleflight(t *testing.T) {
 			<-start
 			var opt ExecOptions
 			if i%2 == 0 {
-				// Parallel caller (gate bypassed at kernel level is not
-				// needed; identical output either way).
+				// Parallel caller (identical output either way).
 				opt = ExecOptions{Ctx: context.Background(), Pool: pool, Parallelism: 4}
 			}
 			rels[i], errs[i] = ex.MatchWithOpts(p, opt)

@@ -189,21 +189,25 @@ func TestPlannerExecuteEquivalence(t *testing.T) {
 	}
 }
 
-// TestPlannerStartsAtMostSelectiveNode pins the planner's choice:
-// on Figure 7 the SIGMOD-filtered Conferences base (estimated at one
-// node) must be the join start, not the primary Authors node the naive
-// order uses.
+// TestPlannerStartsAtMostSelectiveNode pins the join order's choice:
+// on Figure 7 the SIGMOD-filtered Conferences base (exactly one node
+// once selected) must be the join start, not the primary Authors node
+// the naive order uses.
 func TestPlannerStartsAtMostSelectiveNode(t *testing.T) {
 	tr := planFixture(t)
 	p := figure7PlanPattern(t, tr)
-	pl, err := PlanForOpts(tr.Instance, p, ExecOptions{NoPlanCache: true})
+	bases := selectedBases(t, tr.Instance, p)
+	if n := bases["Conferences"].Len(); n != 1 {
+		t.Fatalf("fixture drifted: %d SIGMOD conferences, want 1", n)
+	}
+	start, steps, err := orderJoins(tr.Instance, p, bases)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pl.startKey != "Conferences" {
-		t.Errorf("planner start = %q, want Conferences", pl.startKey)
+	if start != "Conferences" {
+		t.Errorf("join start = %q, want Conferences", start)
 	}
-	if len(pl.steps) != len(p.Nodes)-1 {
-		t.Errorf("planned %d steps, want %d", len(pl.steps), len(p.Nodes)-1)
+	if len(steps) != len(p.Nodes)-1 {
+		t.Errorf("ordered %d steps, want %d", len(steps), len(p.Nodes)-1)
 	}
 }

@@ -6,25 +6,21 @@ import (
 	"sync/atomic"
 
 	"repro/internal/expr"
-	"repro/internal/stats"
 	"repro/internal/tgm"
 )
 
 // Planning: the match engine (matchPipeline) and PlanForOpts resolve
 // plans through one entry point, planFor, backed by a per-frozen-graph
-// plan cache keyed on the pattern's canonical signature. A Plan is the
-// fully prepared execution recipe: compiled per-node selection
-// predicates, the start base, the join steps ordered by the fan-out ×
-// selectivity cost model (planJoinsSized) with their cardinality
-// estimates, and the peak-scan estimate that gates the parallelism
-// budget. With the cache, the second and every later execution of a
-// signature skips estimation, condition compilation, and join ordering
-// entirely.
+// plan cache keyed on the pattern's canonical signature. A Plan is what
+// can be prepared before any base relation exists: the compiled
+// per-node selection predicates. The join order is not part of it —
+// matchPipeline derives it from the selected bases' exact sizes
+// (orderJoins).
 //
 // Plans are immutable after publication. The cache lives on the
 // instance graph (tgm.PlanCache), so plans share the graph's lifetime
 // and can never be served for a different graph. Unfrozen graphs plan
-// fresh on every call, exactly like statistics.
+// fresh on every call.
 
 // defaultPlanCacheEntries bounds each graph's plan cache. Plans are a
 // few hundred bytes; the bound exists to keep pathological signature
@@ -32,16 +28,10 @@ import (
 // manage real memory pressure.
 const defaultPlanCacheEntries = 256
 
-// Plan is one fully prepared execution plan for a pattern signature:
+// Plan is one prepared execution plan for a pattern signature:
 // everything derivable before base relations exist. Plans are immutable
 // once published, so concurrent executions share them freely.
 type Plan struct {
-	startKey string
-	steps    []JoinStep
-	// estPeak is the statistics-only estimate of the largest relation
-	// any kernel will scan (planPeak); it gates the parallelism budget
-	// (Plan.budget).
-	estPeak float64
 	// preds holds each conditioned node's selection predicate, compiled
 	// once at plan time (nil entry = unconditioned node).
 	preds map[string]expr.Pred
@@ -61,13 +51,12 @@ func PlanForOpts(g *tgm.InstanceGraph, p *Pattern, opt ExecOptions) (*Plan, erro
 }
 
 // planFor resolves the plan for one execution — the single planning
-// entry point, so the estimate that gates the budget and the steps the
-// engine runs always come from the same object: cache lookup for frozen
-// graphs, fresh build otherwise or when the options say NoPlanCache
-// (built, never looked up, never inserted). Two goroutines racing on
-// the same signature may both build; the insert is last-writer-wins and
-// the plans are interchangeable, so no singleflight is needed —
-// planning is a few microseconds of pure computation.
+// entry point: cache lookup for frozen graphs, fresh build otherwise or
+// when the options say NoPlanCache (built, never looked up, never
+// inserted). Two goroutines racing on the same signature may both
+// build; the insert is last-writer-wins and the plans are
+// interchangeable, so no singleflight is needed — planning is a few
+// microseconds of pure computation.
 func planFor(g *tgm.InstanceGraph, p *Pattern, opt ExecOptions) (*Plan, error) {
 	if opt.NoPlanCache || !g.Frozen() {
 		return buildPlan(g, p)
@@ -85,16 +74,11 @@ func planFor(g *tgm.InstanceGraph, p *Pattern, opt ExecOptions) (*Plan, error) {
 	return pl, nil
 }
 
-// buildPlan prepares a plan from statistics alone (no base relation is
-// built): estimated base sizes, compiled predicates, the cost-model
-// join order, and the peak-scan estimate.
+// buildPlan compiles every conditioned node's predicate.
 func buildPlan(g *tgm.InstanceGraph, p *Pattern) (*Plan, error) {
-	st := stats.For(g)
-	estSizes := make(map[string]float64, len(p.Nodes))
 	preds := make(map[string]expr.Pred, len(p.Nodes))
 	for i := range p.Nodes {
 		n := &p.Nodes[i]
-		estSizes[n.Key] = st.EstimateBaseRows(n.Type, n.Cond)
 		if n.Cond == nil {
 			continue
 		}
@@ -108,37 +92,11 @@ func buildPlan(g *tgm.InstanceGraph, p *Pattern) (*Plan, error) {
 		}
 		preds[n.Key] = pred
 	}
-	start, steps, err := planJoinsSized(g, p, estSizes)
-	if err != nil {
-		return nil, err
-	}
-	return &Plan{startKey: start, steps: steps, estPeak: planPeak(st, p, steps), preds: preds}, nil
-}
-
-// planPeak estimates, from statistics alone, the largest relation any
-// kernel of the plan's execution will scan: the biggest unfiltered base
-// (what Select scans) or the biggest estimated intermediate (what each
-// join stage scans).
-func planPeak(st *stats.Graph, p *Pattern, steps []JoinStep) float64 {
-	peak := 0.0
-	for i := range p.Nodes {
-		if cnt := float64(st.Nodes[p.Nodes[i].Type].Count); cnt > peak {
-			peak = cnt
-		}
-	}
-	for _, s := range steps {
-		if s.EstIn > peak {
-			peak = s.EstIn
-		}
-		if s.EstOut > peak {
-			peak = s.EstOut
-		}
-	}
-	return peak
+	return &Plan{preds: preds}, nil
 }
 
 // planCacheFor returns g's plan cache, publishing one on first use
-// (first-published-wins, like the statistics slot).
+// (first-published-wins).
 func planCacheFor(g *tgm.InstanceGraph) *planCache {
 	if v := g.PlanCache(); v != nil {
 		return v.(*planCache)

@@ -77,7 +77,6 @@ func TestPlanCacheEquivalenceFuzz(t *testing.T) {
 	g := tr.Instance
 	rng := rand.New(rand.NewSource(42))
 	pool := exec.NewPool(4)
-	withParallelGate(t, 0)
 	arms := []struct {
 		name string
 		opt  ExecOptions

@@ -115,7 +115,6 @@ func assertCellsMatchRelation(t *testing.T, label string, res *Result, p *Patter
 func TestPrepareScatteredIDs(t *testing.T) {
 	rng := rand.New(rand.NewSource(20261004))
 	pool := exec.NewPool(4)
-	withParallelGate(t, 0)
 	for trial := 0; trial < 8; trial++ {
 		schema, g := scatteredFixture(t, rng)
 		build := func(steps ...func(*Pattern) (*Pattern, error)) *Pattern {

@@ -11,7 +11,7 @@ import (
 )
 
 // The match engine. Instance matching m(Q) has one implementation: the
-// plan's join chain composed as pull-based morsel iterators
+// pattern's join chain composed as pull-based morsel iterators
 // (graphrel.RowSource). Each join step is a StreamJoin stage probing
 // batches of the driving side, through the edge type's adjacency handle,
 // against a dense ID-keyed index over its (cached, materialized) base
@@ -48,11 +48,13 @@ var streamBatchRows = 0
 // matchPipeline is the engine's single entry: every path that needs
 // m(Q) — MatchOpts, MatchSource, and the caching Executor — calls it,
 // so how a match runs is decided here and nowhere else. It resolves the
-// plan (planFor), clamps the worker budget once against the plan's
-// peak estimate, selects every node's base through the plan's compiled
+// plan (planFor), selects every node's base through the plan's compiled
 // predicates — through cache when the caller has one, so a refined
-// branch reuses its siblings' selections — and composes the join steps
-// as a stream over the start base.
+// branch reuses its siblings' selections — orders the joins by the
+// selected bases' exact sizes (orderJoins), and composes them as a
+// stream over the start base. The worker budget passes through as
+// given: a kernel whose input is one morsel (Select) or one batch (a
+// StreamJoin refill) runs serially whatever the budget.
 //
 // Exactly one result is set. A pattern without joins has nothing to
 // run: its selected base is the match, returned as rel so callers hand
@@ -71,7 +73,6 @@ func matchPipeline(g *tgm.InstanceGraph, p *Pattern, opt ExecOptions, cache *Cac
 	if err != nil {
 		return nil, nil, err
 	}
-	opt.Parallelism = pl.budget(opt)
 	bases := make(map[string]*graphrel.Relation, len(p.Nodes))
 	for i := range p.Nodes {
 		n := &p.Nodes[i]
@@ -91,11 +92,15 @@ func matchPipeline(g *tgm.InstanceGraph, p *Pattern, opt ExecOptions, cache *Cac
 			return nil, nil, err
 		}
 	}
-	if len(pl.steps) == 0 {
-		return bases[pl.startKey], nil, nil
+	start, steps, err := orderJoins(g, p, bases)
+	if err != nil {
+		return nil, nil, err
 	}
-	src = graphrel.StreamRelationBatch(bases[pl.startKey], streamBatchRows)
-	for _, st := range pl.steps {
+	if len(steps) == 0 {
+		return bases[start], nil, nil
+	}
+	src = graphrel.StreamRelationBatch(bases[start], streamBatchRows)
+	for _, st := range steps {
 		src, err = graphrel.StreamJoin(opt.Ctx, opt.Pool, opt.Parallelism, src, bases[st.NewKey], st.EdgeName, st.AnchorKey, st.NewKey)
 		if err != nil {
 			return nil, nil, err

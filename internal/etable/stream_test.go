@@ -21,16 +21,6 @@ func withSmallStreamBatches(t *testing.T, rows int) {
 	t.Cleanup(func() { streamBatchRows = old })
 }
 
-// withParallelGate lowers the serial-fallback gate so pooled options
-// keep their budget on the small test corpora (whose plans all estimate
-// far below two morsels), restoring it on cleanup.
-func withParallelGate(t *testing.T, minEstRows float64) {
-	t.Helper()
-	old := parallelMinEstRows
-	parallelMinEstRows = minEstRows
-	t.Cleanup(func() { parallelMinEstRows = old })
-}
-
 // assertSameRelations asserts exact row-for-row equality through the
 // exported accessors (the etable-level mirror of graphrel's identity
 // assertion).
@@ -63,7 +53,6 @@ func assertSameRelations(t *testing.T, label string, got, want *graphrel.Relatio
 func TestStreamMatchEquivalence(t *testing.T) {
 	tr := planFixture(t)
 	pool := exec.NewPool(4)
-	withParallelGate(t, 0)
 	for name, p := range map[string]*Pattern{
 		"figure1": figure1PlanPattern(t, tr),
 		"figure7": figure7PlanPattern(t, tr),
@@ -101,7 +90,6 @@ func TestStreamMatchEquivalence(t *testing.T) {
 func TestStreamMatchEquivalenceRandomized(t *testing.T) {
 	tr := planFixture(t)
 	pool := exec.NewPool(4)
-	withParallelGate(t, 0)
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 8; trial++ {
 		year := 1995 + rng.Intn(20)
@@ -137,7 +125,6 @@ func TestStreamMatchEquivalenceRandomized(t *testing.T) {
 func TestPrepareFromSourceEquivalence(t *testing.T) {
 	tr := planFixture(t)
 	pool := exec.NewPool(4)
-	withParallelGate(t, 0)
 	withSmallStreamBatches(t, 11)
 	for name, p := range map[string]*Pattern{
 		"figure1": figure1PlanPattern(t, tr),
@@ -308,15 +295,10 @@ func TestMaxRowsCapsTheResult(t *testing.T) {
 	p := figure7PlanPattern(t, tr)
 	_, want := oracleTable(t, tr.Instance, p)
 	oracle := oracleTuples(t, tr.Instance, p)
-	pl, err := PlanFor(tr.Instance, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	widest := slices.Max(planIntermediates(t, tr.Instance, p, pl))
+	widest := slices.Max(planIntermediates(t, tr.Instance, p))
 	if len(oracle) != 14 || widest <= len(oracle) {
 		t.Fatalf("fixture drifted: %d result rows, widest intermediate %d (want 14 < widest)", len(oracle), widest)
 	}
-	withParallelGate(t, 0)
 	withSmallStreamBatches(t, 5)
 	for label, opt := range map[string]ExecOptions{
 		"serial": {},

@@ -191,6 +191,63 @@ func TestJoinParEquivalence(t *testing.T) {
 	assertIdenticalRelations(t, "reverse", streamed(4, bs, as, "A-B_rev", "B", "A"), wantRev)
 }
 
+// TestSmallInputsRunSerial pins what lets the engine pass a request's
+// budget through unchanged: a Select over one morsel and a StreamJoin
+// whose input is one batch take the serial path under a pool and budget
+// 8 — the same allocations as the pool-less call and the same rows —
+// while a many-morsel Select under the same budget does fan out.
+func TestSmallInputsRunSerial(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	g := bigChainGraph(t, rng)
+	pool := exec.NewPool(4)
+	ctx := context.Background()
+	as, err := Base(g, "A")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bs, err := Base(g, "B")
+	if err != nil {
+		t.Fatal(err)
+	}
+	morsel := as.slice(0, MorselRows)
+	pred, err := compileCond(as, "A", expr.MustParse("id % 3 = 1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel := func(p *exec.Pool, budget int, r *Relation) *Relation {
+		got, err := Select(ctx, p, budget, r, "A", pred)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	join := func(p *exec.Pool, budget int) *Relation {
+		src, err := StreamJoin(ctx, p, budget, StreamRelationBatch(morsel, 0), bs, "A-B", "A", "B")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Materialize(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	allocs := func(f func()) float64 { return testing.AllocsPerRun(20, f) }
+
+	assertIdenticalRelations(t, "one-morsel select", sel(pool, 8, morsel), sel(nil, 1, morsel))
+	if pooled, serial := allocs(func() { sel(pool, 8, morsel) }), allocs(func() { sel(nil, 1, morsel) }); pooled != serial {
+		t.Errorf("one-morsel Select: %v allocs under pool+budget 8, %v serial — it fanned out", pooled, serial)
+	}
+	assertIdenticalRelations(t, "one-batch join", join(pool, 8), join(nil, 1))
+	if pooled, serial := allocs(func() { join(pool, 8) }), allocs(func() { join(nil, 1) }); pooled != serial {
+		t.Errorf("one-batch StreamJoin: %v allocs under pool+budget 8, %v serial — it fanned out", pooled, serial)
+	}
+	// The control: the measurement sees a real fan-out.
+	if pooled, serial := allocs(func() { sel(pool, 8, as) }), allocs(func() { sel(nil, 1, as) }); pooled <= serial {
+		t.Errorf("%d-row Select: %v allocs under pool+budget 8, %v serial — expected the fan-out's extra allocations", as.Len(), pooled, serial)
+	}
+}
+
 func TestParallelKernelCancellation(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	g := bigChainGraph(t, rng)

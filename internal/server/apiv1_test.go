@@ -385,79 +385,57 @@ func TestV1DefaultPageSizeCursor(t *testing.T) {
 	}
 }
 
+// TestV1DeprecatedAliases: the deprecated unversioned /api/* aliases
+// are gone — none of them is routed any more — and /api/v1 answers
+// without a Deprecation header.
 func TestV1DeprecatedAliases(t *testing.T) {
 	ts := newTestServer(t)
-	resp, err := http.Get(ts.URL + "/api/schema")
+	for _, r := range []struct{ method, path string }{
+		{"GET", "/api/schema"}, {"GET", "/api/stats"}, {"POST", "/api/session"},
+		{"GET", "/api/session/1"}, {"POST", "/api/session/1/action"},
+	} {
+		if code := doJSON(t, r.method, ts.URL+r.path, nil, nil); code != http.StatusNotFound && code != http.StatusMethodNotAllowed {
+			t.Errorf("%s %s = %d, want it unrouted (404/405)", r.method, r.path, code)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/api/v1/schema")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("legacy schema = %d", resp.StatusCode)
-	}
-	if resp.Header.Get("Deprecation") != "true" {
-		t.Error("legacy route missing Deprecation header")
-	}
-	resp2, err := http.Get(ts.URL + "/api/v1/schema")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusOK || resp2.Header.Get("Deprecation") != "" {
-		t.Errorf("v1 schema: code=%d deprecation=%q", resp2.StatusCode, resp2.Header.Get("Deprecation"))
-	}
-
-	// The legacy create endpoint accepts initial ops too (satellite:
-	// create+open in one round trip), and rejects unknown fields.
-	var st v1State
-	if code := doJSON(t, "POST", ts.URL+"/api/session",
-		map[string]any{"ops": []ops.Op{ops.Open("Papers")}}, &st); code != http.StatusCreated {
-		t.Fatalf("legacy create with ops = %d", code)
-	}
-	if st.ID == 0 || st.TotalRows != 6 {
-		t.Errorf("legacy create state = %+v", st)
-	}
-	var env v1Error
-	if code := doJSON(t, "POST", ts.URL+"/api/session", map[string]any{"zap": 1}, &env); code != http.StatusBadRequest {
-		t.Errorf("legacy create unknown field = %d", code)
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("Deprecation") != "" {
+		t.Errorf("v1 schema: code=%d deprecation=%q", resp.StatusCode, resp.Header.Get("Deprecation"))
 	}
 }
 
-// TestV1LegacyEquivalence: the same exploration through the legacy
-// action route and the v1 ops route produces identical table state —
+// TestV1SingleOpsEqualBatch: the same exploration applied one op per
+// request and as one batch pipeline produces identical table state —
 // both are thin shells over the same op protocol.
-func TestV1LegacyEquivalence(t *testing.T) {
+func TestV1SingleOpsEqualBatch(t *testing.T) {
 	ts := newTestServer(t)
 
-	var legacy, v1 v1State
-	doJSON(t, "POST", ts.URL+"/api/session", nil, &legacy)
-	doJSON(t, "POST", ts.URL+"/api/v1/sessions", nil, &v1)
+	var single, batch v1State
+	doJSON(t, "POST", ts.URL+"/api/v1/sessions", nil, &single)
+	doJSON(t, "POST", ts.URL+"/api/v1/sessions", nil, &batch)
 
-	actions := []map[string]any{
-		{"action": "open", "table": "Papers"},
-		{"action": "filter", "condition": "year > 2010"},
-		{"action": "pivot", "column": "Authors"},
-		{"action": "sort", "column": "Papers", "desc": true},
-		{"action": "hide", "column": "name"},
-	}
 	v1ops := []ops.Op{
 		ops.Open("Papers"), ops.Filter("year > 2010"), ops.Pivot("Authors"),
 		ops.SortByCount("Papers", true), ops.Hide("name"),
 	}
-	for _, a := range actions {
-		if code := doJSON(t, "POST", fmt.Sprintf("%s/api/session/%d/action", ts.URL, legacy.ID), a, &legacy); code != http.StatusOK {
-			t.Fatalf("legacy %v = %d", a, code)
+	for _, op := range v1ops {
+		if code := doJSON(t, "POST", fmt.Sprintf("%s/api/v1/sessions/%d/ops", ts.URL, single.ID), op, &single); code != http.StatusOK {
+			t.Fatalf("single %v = %d", op, code)
 		}
 	}
 	var st v1State
-	if code := doJSON(t, "POST", fmt.Sprintf("%s/api/v1/sessions/%d/ops", ts.URL, v1.ID), v1ops, &st); code != http.StatusOK {
+	if code := doJSON(t, "POST", fmt.Sprintf("%s/api/v1/sessions/%d/ops", ts.URL, batch.ID), v1ops, &st); code != http.StatusOK {
 		t.Fatalf("v1 batch = %d", code)
 	}
-	legacy.ID, st.ID = 0, 0
-	lj, _ := json.Marshal(legacy)
-	vj, _ := json.Marshal(st)
-	if !bytes.Equal(lj, vj) {
-		t.Errorf("legacy and v1 states differ:\n%s\n%s", lj, vj)
+	single.ID, st.ID = 0, 0
+	sj, _ := json.Marshal(single)
+	bj, _ := json.Marshal(st)
+	if !bytes.Equal(sj, bj) {
+		t.Errorf("single-op and batch states differ:\n%s\n%s", sj, bj)
 	}
 }
 

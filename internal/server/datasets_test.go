@@ -151,7 +151,7 @@ func TestDatasetLazyLoadOnFirstRequest(t *testing.T) {
 
 // TestSessionDatasetBinding: a session lives in exactly one dataset's
 // namespace — reaching it through another dataset's URL (or the wrong
-// name entirely) is a 404, while the legacy unscoped route still finds
+// name entirely) is a 404, while the unscoped route still finds
 // any session by id.
 func TestSessionDatasetBinding(t *testing.T) {
 	ts, _ := newMultiServer(t)
@@ -183,7 +183,7 @@ func TestSessionDatasetBinding(t *testing.T) {
 	if code := getJSON(t, fmt.Sprintf("%s/api/v1/datasets/zzz/sessions/%d", ts.URL, id), &env); code != http.StatusNotFound || env.Code != "dataset_not_found" {
 		t.Fatalf("unknown-dataset get = %d %q", code, env.Code)
 	}
-	// The legacy unscoped route resolves any session regardless of its
+	// The unscoped route resolves any session regardless of its
 	// dataset.
 	if code := getJSON(t, fmt.Sprintf("%s/api/v1/sessions/%d", ts.URL, id), &st); code != http.StatusOK || st.ID != id {
 		t.Fatalf("unscoped get = %d %+v", code, st)

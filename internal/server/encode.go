@@ -12,7 +12,7 @@ import (
 )
 
 // This file is the state encoder: every state-bearing response (session
-// create, ops, legacy actions, GET session, replay) is written straight
+// create, ops, GET session, replay) is written straight
 // from the session's *etable.Result into a pooled byte buffer — no
 // intermediate structs, no reflection. The bytes are exactly what
 // encoding/json produced for the struct copy this replaced (field

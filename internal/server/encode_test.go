@@ -305,7 +305,7 @@ func TestStateResponsesMatchReference(t *testing.T) {
 	check("empty window", do("GET", base+"?limit=0", ""), id, 0, 0)
 	check("past the end", do("GET", base+"?offset=99", ""), id, 99, 2)
 	check("hide", do("POST", base+"/ops", `{"op":"hide","column":"title"}`), id, 0, 2)
-	check("legacy action", do("POST", fmt.Sprintf("/api/session/%d/action", id), `{"action":"sort","attr":"year"}`), id, 0, 2)
+	check("sort by attribute", do("POST", base+"/ops", `{"op":"sort","attr":"year"}`), id, 0, 2)
 
 	hist := do("GET", base+"/history", "")
 	var log struct {

@@ -13,8 +13,7 @@
 // tier landed it serves many datasets from one process: a
 // registry.Registry names each dataset, sessions bind to one dataset at
 // creation, and /api/v1/datasets/{name}/... scopes every session route.
-// The legacy unscoped routes keep working against the registry's
-// default dataset.
+// The unscoped /api/v1 routes resolve the registry's default dataset.
 //
 //   - One etable.Cache per dataset is shared by every session bound to
 //     it, so N users executing the same pattern signature compute it
@@ -58,7 +57,6 @@ import (
 	"runtime"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -166,7 +164,7 @@ type sessionEntry struct {
 
 // Server is the HTTP application server.
 type Server struct {
-	// reg names the served datasets; the "default" one backs the legacy
+	// reg names the served datasets; the "default" one backs the
 	// unscoped routes.
 	reg  *registry.Registry
 	opts Options
@@ -211,7 +209,7 @@ func NewWithOptions(schema *tgm.SchemaGraph, graph *tgm.InstanceGraph, opts Opti
 }
 
 // NewFromRegistry creates a server over a dataset registry. The
-// registry's default dataset backs the legacy unscoped routes; every
+// registry's default dataset backs the unscoped routes; every
 // dataset is reachable under /api/v1/datasets/{name}/. Lazy datasets
 // stay on disk until their first request.
 func NewFromRegistry(reg *registry.Registry, opts Options) *Server {
@@ -257,13 +255,6 @@ func NewFromRegistry(reg *registry.Registry, opts Options) *Server {
 	s.mux.HandleFunc("POST /api/v1/datasets/{ds}/sessions/{id}/ops", s.handleV1Ops)
 	s.mux.HandleFunc("GET /api/v1/datasets/{ds}/sessions/{id}/history", s.handleV1History)
 	s.mux.HandleFunc("POST /api/v1/datasets/{ds}/sessions/{id}/replay", s.handleV1Replay)
-	// Legacy unversioned routes, kept as deprecated aliases. They share
-	// the op-protocol core; new clients should use /api/v1.
-	s.mux.HandleFunc("GET /api/schema", s.deprecated(s.handleSchema))
-	s.mux.HandleFunc("GET /api/stats", s.deprecated(s.handleStats))
-	s.mux.HandleFunc("POST /api/session", s.deprecated(s.handleCreateSession))
-	s.mux.HandleFunc("GET /api/session/{id}", s.deprecated(s.handleGetSession))
-	s.mux.HandleFunc("POST /api/session/{id}/action", s.deprecated(s.handleAction))
 	return s
 }
 
@@ -294,16 +285,6 @@ func (s *Server) datasetFor(ctx context.Context, r *http.Request) (*registry.Dat
 			"dataset %q failed to load", ds.Name())
 	}
 	return ds, nil
-}
-
-// deprecated marks a legacy route's responses with a Deprecation header
-// pointing clients at /api/v1.
-func (s *Server) deprecated(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", `</api/v1>; rel="successor-version"`)
-		h(w, r)
-	}
 }
 
 // Cache returns the default dataset's execution cache (for stats and
@@ -467,7 +448,7 @@ func (s *Server) writeErr(w http.ResponseWriter, err error) {
 	s.writeJSON(w, ae.status, env)
 }
 
-// schemaJSON is the /api/schema payload.
+// schemaJSON is the /api/v1/schema payload.
 type schemaJSON struct {
 	NodeTypes []nodeTypeJSON `json:"nodeTypes"`
 	EdgeTypes []edgeTypeJSON `json:"edgeTypes"`
@@ -516,7 +497,7 @@ func (s *Server) handleSchema(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, out)
 }
 
-// statsJSON is the /api/stats payload: serving-core health counters,
+// statsJSON is the /api/v1/stats payload: serving-core health counters,
 // the worker pool's state, and the planner's per-edge cost statistics.
 type statsJSON struct {
 	Sessions     int            `json:"sessions"`
@@ -630,9 +611,10 @@ type workerJSON struct {
 	DefaultParallelism int `json:"defaultParallelism"`
 }
 
-// edgeStatJSON surfaces the translate-time degree statistics the
-// cost-based planner runs on, for capacity planning and debugging
-// ("why did this query go serial?").
+// edgeStatJSON reports the degree statistics translation collected
+// (internal/stats), for capacity planning and debugging. The planner
+// reads none of them: joins are ordered by the exact sizes of the
+// selected bases.
 type edgeStatJSON struct {
 	Edge         string  `json:"edge"`
 	Count        int     `json:"count"`
@@ -896,11 +878,10 @@ func (s *Server) spillPolicy(ds *registry.Dataset) *graphrel.SpillPolicy {
 	}
 }
 
-// handleCreateSession serves both POST /api/v1/sessions and the legacy
-// POST /api/session: create a session, optionally applying a body of
+// handleCreateSession serves POST /api/v1/sessions (and its
+// dataset-scoped form): create a session, optionally applying a body of
 // initial ops ({"ops": [...]}) so create+open is one round trip. The
-// response is the session state with its id (a superset of the legacy
-// {"id": n} shape).
+// response is the session state with its id.
 func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	// The ?parallelism= override validates and applies here too — the
 	// initial-ops pipeline is the request most likely to replay a long
@@ -1093,94 +1074,6 @@ func (s *Server) handleGetSession(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.respondState(ctx, w, http.StatusOK, e, id, p, nil)
-}
-
-// actionJSON is the POST body for user-level actions.
-type actionJSON struct {
-	Action string `json:"action"`
-	// Table names the node type for "open".
-	Table string `json:"table,omitempty"`
-	// Condition is the filter text for "filter"/"filterNeighbor".
-	Condition string `json:"condition,omitempty"`
-	// Column names the target column for "pivot", "seeall",
-	// "filterNeighbor", "sort", "hide", "show".
-	Column string `json:"column,omitempty"`
-	// Node is the clicked entity for "single"/"seeall".
-	Node int64 `json:"node,omitempty"`
-	// Desc selects descending order for "sort".
-	Desc bool `json:"desc,omitempty"`
-	// Attr names a base attribute for "sort".
-	Attr string `json:"attr,omitempty"`
-	// Index selects the history entry for "revert".
-	Index int `json:"index,omitempty"`
-	// Offset and Limit select the result-row window to return (Limit
-	// nil = the server's default page size).
-	Offset int  `json:"offset,omitempty"`
-	Limit  *int `json:"limit,omitempty"`
-}
-
-// opFromAction translates the legacy action body to its declarative op.
-func opFromAction(a actionJSON) (ops.Op, error) {
-	switch strings.ToLower(a.Action) {
-	case "open":
-		return ops.Open(a.Table), nil
-	case "filter":
-		return ops.Filter(a.Condition), nil
-	case "filterneighbor":
-		return ops.FilterByNeighbor(a.Column, a.Condition), nil
-	case "pivot":
-		return ops.Pivot(a.Column), nil
-	case "single":
-		return ops.Single(a.Node), nil
-	case "seeall":
-		return ops.Seeall(a.Node, a.Column), nil
-	case "sort":
-		return ops.Op{Op: ops.KindSort, Attr: a.Attr, Column: a.Column, Desc: a.Desc}, nil
-	case "hide":
-		return ops.Hide(a.Column), nil
-	case "show":
-		return ops.Show(a.Column), nil
-	case "revert":
-		return ops.Revert(a.Index), nil
-	default:
-		return ops.Op{}, apiErr(http.StatusBadRequest, ops.CodeInvalidOp, "unknown action %q", a.Action)
-	}
-}
-
-// handleAction is the legacy action endpoint: the action body is
-// translated to an ops.Op and applied through the same protocol core as
-// /api/v1 — the switch statement is gone, the op algebra is the single
-// source of truth.
-func (s *Server) handleAction(w http.ResponseWriter, r *http.Request) {
-	e, id, err := s.entry(r)
-	if err != nil {
-		s.writeErr(w, err)
-		return
-	}
-	var a actionJSON
-	if err := json.NewDecoder(r.Body).Decode(&a); err != nil {
-		s.writeErr(w, apiErr(http.StatusBadRequest, codeBadBody, "bad action body: %v", err))
-		return
-	}
-	p := page{offset: a.Offset}
-	if a.Limit != nil {
-		p.limit, p.hasLimit = *a.Limit, true
-	}
-	if err := p.validate(); err != nil {
-		s.writeErr(w, err)
-		return
-	}
-	op, err := opFromAction(a)
-	if err != nil {
-		s.writeErr(w, err)
-		return
-	}
-	ctx, err := s.requestCtx(r)
-	if err != nil {
-		s.writeErr(w, err)
-		return
-	}
-	s.respondState(ctx, w, http.StatusOK, e, id, p, func() error { return e.sess.ApplyCtx(ctx, op) })
 }
 
 func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {

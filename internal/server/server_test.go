@@ -65,7 +65,7 @@ func createSession(t *testing.T, ts *httptest.Server) int64 {
 	var created struct {
 		ID int64 `json:"id"`
 	}
-	if code := postJSON(t, ts.URL+"/api/session", nil, &created); code != http.StatusCreated {
+	if code := postJSON(t, ts.URL+"/api/v1/sessions", nil, &created); code != http.StatusCreated {
 		t.Fatalf("create session status = %d", code)
 	}
 	return created.ID
@@ -82,7 +82,7 @@ func TestSchemaEndpoint(t *testing.T) {
 			Name string `json:"name"`
 		} `json:"edgeTypes"`
 	}
-	if code := getJSON(t, ts.URL+"/api/schema", &schema); code != http.StatusOK {
+	if code := getJSON(t, ts.URL+"/api/v1/schema", &schema); code != http.StatusOK {
 		t.Fatalf("status = %d", code)
 	}
 	if len(schema.NodeTypes) != 7 {
@@ -124,29 +124,41 @@ type state struct {
 	Cursor int `json:"cursor"`
 }
 
-func act(t *testing.T, ts *httptest.Server, id int64, action map[string]any) (state, int) {
+// act applies one op through POST /api/v1/sessions/{id}/ops and
+// returns the server's default window of the resulting state.
+func act(t *testing.T, ts *httptest.Server, id int64, op map[string]any) (state, int) {
+	t.Helper()
+	return actWindow(t, ts, id, "", op)
+}
+
+// actWindow is act with an offset/limit query selecting the window.
+func actWindow(t *testing.T, ts *httptest.Server, id int64, query string, op map[string]any) (state, int) {
 	t.Helper()
 	var st state
-	code := postJSON(t, fmt.Sprintf("%s/api/session/%d/action", ts.URL, id), action, &st)
+	code := postJSON(t, opsURL(ts, id)+query, op, &st)
 	return st, code
+}
+
+func opsURL(ts *httptest.Server, id int64) string {
+	return fmt.Sprintf("%s/api/v1/sessions/%d/ops", ts.URL, id)
 }
 
 func TestOpenFilterPivotFlow(t *testing.T) {
 	ts := newTestServer(t)
 	id := createSession(t, ts)
 
-	st, code := act(t, ts, id, map[string]any{"action": "open", "table": "Papers"})
+	st, code := act(t, ts, id, map[string]any{"op": "open", "table": "Papers"})
 	if code != http.StatusOK {
 		t.Fatalf("open status = %d", code)
 	}
 	if len(st.Rows) != 6 {
 		t.Errorf("rows = %d", len(st.Rows))
 	}
-	st, code = act(t, ts, id, map[string]any{"action": "filter", "condition": "year > 2010"})
+	st, code = act(t, ts, id, map[string]any{"op": "filter", "cond": "year > 2010"})
 	if code != http.StatusOK || len(st.Rows) != 4 {
 		t.Errorf("filter: code=%d rows=%d", code, len(st.Rows))
 	}
-	st, code = act(t, ts, id, map[string]any{"action": "pivot", "column": "Authors"})
+	st, code = act(t, ts, id, map[string]any{"op": "pivot", "column": "Authors"})
 	if code != http.StatusOK {
 		t.Fatalf("pivot status = %d", code)
 	}
@@ -157,7 +169,7 @@ func TestOpenFilterPivotFlow(t *testing.T) {
 		t.Errorf("history = %d entries, cursor %d", len(st.History), st.Cursor)
 	}
 	// Sort authors by paper count.
-	st, code = act(t, ts, id, map[string]any{"action": "sort", "column": "Papers", "desc": true})
+	st, code = act(t, ts, id, map[string]any{"op": "sort", "column": "Papers", "desc": true})
 	if code != http.StatusOK {
 		t.Fatalf("sort status = %d", code)
 	}
@@ -169,7 +181,7 @@ func TestOpenFilterPivotFlow(t *testing.T) {
 func TestSingleAndSeeall(t *testing.T) {
 	ts := newTestServer(t)
 	id := createSession(t, ts)
-	st, _ := act(t, ts, id, map[string]any{"action": "open", "table": "Papers"})
+	st, _ := act(t, ts, id, map[string]any{"op": "open", "table": "Papers"})
 	// Find the Authors column and paper 1's first author ref.
 	authorsCol := -1
 	for i, c := range st.Columns {
@@ -187,14 +199,14 @@ func TestSingleAndSeeall(t *testing.T) {
 	ref := row.Cells[authorsCol].Refs[0]
 
 	// Single: click the author's name.
-	st2, code := act(t, ts, id, map[string]any{"action": "single", "node": ref.ID})
+	st2, code := act(t, ts, id, map[string]any{"op": "single", "node": ref.ID})
 	if code != http.StatusOK || len(st2.Rows) != 1 || st2.Rows[0].Label != ref.Label {
 		t.Errorf("single: code=%d rows=%+v", code, st2.Rows)
 	}
 
 	// Back to papers, then Seeall on the author count.
-	act(t, ts, id, map[string]any{"action": "open", "table": "Papers"})
-	st3, code := act(t, ts, id, map[string]any{"action": "seeall", "node": row.Node, "column": "Authors"})
+	act(t, ts, id, map[string]any{"op": "open", "table": "Papers"})
+	st3, code := act(t, ts, id, map[string]any{"op": "seeall", "node": row.Node, "column": "Authors"})
 	if code != http.StatusOK || len(st3.Rows) != 2 {
 		t.Errorf("seeall: code=%d rows=%d", code, len(st3.Rows))
 	}
@@ -203,13 +215,13 @@ func TestSingleAndSeeall(t *testing.T) {
 func TestRevertAndHide(t *testing.T) {
 	ts := newTestServer(t)
 	id := createSession(t, ts)
-	act(t, ts, id, map[string]any{"action": "open", "table": "Papers"})
-	act(t, ts, id, map[string]any{"action": "filter", "condition": "year = 2011"})
-	st, code := act(t, ts, id, map[string]any{"action": "revert", "index": 0})
+	act(t, ts, id, map[string]any{"op": "open", "table": "Papers"})
+	act(t, ts, id, map[string]any{"op": "filter", "cond": "year = 2011"})
+	st, code := act(t, ts, id, map[string]any{"op": "revert", "index": 0})
 	if code != http.StatusOK || len(st.Rows) != 6 {
 		t.Errorf("revert: code=%d rows=%d", code, len(st.Rows))
 	}
-	st, code = act(t, ts, id, map[string]any{"action": "hide", "column": "page_start"})
+	st, code = act(t, ts, id, map[string]any{"op": "hide", "column": "page_start"})
 	if code != http.StatusOK {
 		t.Fatalf("hide status = %d", code)
 	}
@@ -218,7 +230,7 @@ func TestRevertAndHide(t *testing.T) {
 			t.Error("hidden column still in payload")
 		}
 	}
-	if _, code := act(t, ts, id, map[string]any{"action": "show", "column": "page_start"}); code != http.StatusOK {
+	if _, code := act(t, ts, id, map[string]any{"op": "show", "column": "page_start"}); code != http.StatusOK {
 		t.Errorf("show status = %d", code)
 	}
 }
@@ -227,26 +239,26 @@ func TestErrorStatuses(t *testing.T) {
 	ts := newTestServer(t)
 	id := createSession(t, ts)
 
-	if _, code := act(t, ts, 9999, map[string]any{"action": "open", "table": "Papers"}); code != http.StatusNotFound {
+	if _, code := act(t, ts, 9999, map[string]any{"op": "open", "table": "Papers"}); code != http.StatusNotFound {
 		t.Errorf("missing session status = %d", code)
 	}
-	if _, code := act(t, ts, id, map[string]any{"action": "zap"}); code != http.StatusBadRequest {
+	if _, code := act(t, ts, id, map[string]any{"op": "zap"}); code != http.StatusBadRequest {
 		t.Errorf("unknown action status = %d", code)
 	}
 	// Validation failures (schema-checkable before touching the session)
 	// are 400 invalid_op; only state-dependent failures are 422.
-	if _, code := act(t, ts, id, map[string]any{"action": "open", "table": "Nope"}); code != http.StatusBadRequest {
+	if _, code := act(t, ts, id, map[string]any{"op": "open", "table": "Nope"}); code != http.StatusBadRequest {
 		t.Errorf("bad table status = %d", code)
 	}
-	if _, code := act(t, ts, id, map[string]any{"action": "filter", "condition": "(("}); code != http.StatusBadRequest {
+	if _, code := act(t, ts, id, map[string]any{"op": "filter", "cond": "(("}); code != http.StatusBadRequest {
 		t.Errorf("bad condition status = %d", code)
 	}
 	// State-dependent failure: filter with no open table is 422.
-	if _, code := act(t, ts, id, map[string]any{"action": "filter", "condition": "year > 2000"}); code != http.StatusUnprocessableEntity {
+	if _, code := act(t, ts, id, map[string]any{"op": "filter", "cond": "year > 2000"}); code != http.StatusUnprocessableEntity {
 		t.Errorf("filter before open status = %d", code)
 	}
 	// Malformed body.
-	resp, err := http.Post(fmt.Sprintf("%s/api/session/%d/action", ts.URL, id), "application/json",
+	resp, err := http.Post(opsURL(ts, id), "application/json",
 		strings.NewReader("{not json"))
 	if err != nil {
 		t.Fatal(err)
@@ -256,7 +268,7 @@ func TestErrorStatuses(t *testing.T) {
 		t.Errorf("malformed body status = %d", resp.StatusCode)
 	}
 	// Non-numeric session id in the path is a client error, not a 404.
-	resp2, err := http.Get(ts.URL + "/api/session/abc")
+	resp2, err := http.Get(ts.URL + "/api/v1/sessions/abc")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +292,7 @@ func TestGetSessionState(t *testing.T) {
 	ts := newTestServer(t)
 	id := createSession(t, ts)
 	var st state
-	if code := getJSON(t, fmt.Sprintf("%s/api/session/%d", ts.URL, id), &st); code != http.StatusOK {
+	if code := getJSON(t, fmt.Sprintf("%s/api/v1/sessions/%d", ts.URL, id), &st); code != http.StatusOK {
 		t.Fatalf("status = %d", code)
 	}
 	if st.Cursor != -1 || len(st.History) != 0 {
@@ -328,12 +340,12 @@ func newTestServerOpts(t testing.TB, opts Options) (*Server, *httptest.Server) {
 func TestPagination(t *testing.T) {
 	ts := newTestServer(t)
 	id := createSession(t, ts)
-	act(t, ts, id, map[string]any{"action": "open", "table": "Papers"})
+	act(t, ts, id, map[string]any{"op": "open", "table": "Papers"})
 
 	get := func(query string) (state, int) {
 		t.Helper()
 		var st state
-		code := getJSON(t, fmt.Sprintf("%s/api/session/%d%s", ts.URL, id, query), &st)
+		code := getJSON(t, fmt.Sprintf("%s/api/v1/sessions/%d%s", ts.URL, id, query), &st)
 		return st, code
 	}
 
@@ -382,8 +394,8 @@ func TestPagination(t *testing.T) {
 		t.Errorf("junk limit: code=%d", code)
 	}
 
-	// Pagination through an action POST body.
-	st, code = act(t, ts, id, map[string]any{"action": "filter", "condition": "year > 2000", "offset": 1, "limit": 3})
+	// Pagination of an op's response.
+	st, code = actWindow(t, ts, id, "?offset=1&limit=3", map[string]any{"op": "filter", "cond": "year > 2000"})
 	if code != http.StatusOK || len(st.Rows) != 3 || st.TotalRows != 6 || st.Offset != 1 {
 		t.Errorf("action paging: code=%d rows=%d total=%d offset=%d", code, len(st.Rows), st.TotalRows, st.Offset)
 	}
@@ -392,13 +404,13 @@ func TestPagination(t *testing.T) {
 func TestDefaultPageSize(t *testing.T) {
 	_, ts := newTestServerOpts(t, Options{PageSize: 2})
 	id := createSession(t, ts)
-	st, _ := act(t, ts, id, map[string]any{"action": "open", "table": "Papers"})
+	st, _ := act(t, ts, id, map[string]any{"op": "open", "table": "Papers"})
 	if len(st.Rows) != 2 || st.TotalRows != 6 {
 		t.Errorf("default page: rows=%d total=%d", len(st.Rows), st.TotalRows)
 	}
 	// An explicit limit overrides the default.
 	var big state
-	getJSON(t, fmt.Sprintf("%s/api/session/%d?limit=100", ts.URL, id), &big)
+	getJSON(t, fmt.Sprintf("%s/api/v1/sessions/%d?limit=100", ts.URL, id), &big)
 	if len(big.Rows) != 6 {
 		t.Errorf("explicit limit: rows=%d", len(big.Rows))
 	}
@@ -415,21 +427,21 @@ func TestSessionTTLEviction(t *testing.T) {
 
 	// An evicted (but once-allocated) session is 410 Gone, telling the
 	// client to replay its log into a new session rather than fix its URL.
-	if _, code := act(t, ts, stale, map[string]any{"action": "open", "table": "Papers"}); code != http.StatusGone {
+	if _, code := act(t, ts, stale, map[string]any{"op": "open", "table": "Papers"}); code != http.StatusGone {
 		t.Errorf("stale session still served: code=%d", code)
 	}
-	if _, code := act(t, ts, fresh, map[string]any{"action": "open", "table": "Papers"}); code != http.StatusOK {
+	if _, code := act(t, ts, fresh, map[string]any{"op": "open", "table": "Papers"}); code != http.StatusOK {
 		t.Errorf("fresh session evicted: code=%d", code)
 	}
 
 	// Touching a session keeps it alive across eviction sweeps.
 	clock = clock.Add(50 * time.Second)
-	if _, code := act(t, ts, fresh, map[string]any{"action": "filter", "condition": "year > 2000"}); code != http.StatusOK {
+	if _, code := act(t, ts, fresh, map[string]any{"op": "filter", "cond": "year > 2000"}); code != http.StatusOK {
 		t.Fatalf("touch failed")
 	}
 	clock = clock.Add(50 * time.Second) // 100s since creation, 50s since touch
 	createSession(t, ts)                // sweep
-	if _, code := act(t, ts, fresh, map[string]any{"action": "revert", "index": 0}); code != http.StatusOK {
+	if _, code := act(t, ts, fresh, map[string]any{"op": "revert", "index": 0}); code != http.StatusOK {
 		t.Errorf("recently touched session evicted: code=%d", code)
 	}
 }
@@ -443,14 +455,14 @@ func TestMaxSessionsEviction(t *testing.T) {
 	b := createSession(t, ts)
 	c := createSession(t, ts)
 	// Touch a so b becomes LRU, then create a fourth.
-	act(t, ts, a, map[string]any{"action": "open", "table": "Papers"})
+	act(t, ts, a, map[string]any{"op": "open", "table": "Papers"})
 	d := createSession(t, ts)
 
-	if _, code := act(t, ts, b, map[string]any{"action": "open", "table": "Papers"}); code != http.StatusGone {
+	if _, code := act(t, ts, b, map[string]any{"op": "open", "table": "Papers"}); code != http.StatusGone {
 		t.Errorf("LRU session b still served: code=%d", code)
 	}
 	for _, id := range []int64{a, c, d} {
-		if _, code := act(t, ts, id, map[string]any{"action": "open", "table": "Papers"}); code != http.StatusOK {
+		if _, code := act(t, ts, id, map[string]any{"op": "open", "table": "Papers"}); code != http.StatusOK {
 			t.Errorf("session %d evicted, want kept: code=%d", id, code)
 		}
 	}
@@ -459,15 +471,15 @@ func TestMaxSessionsEviction(t *testing.T) {
 func TestStatsEndpoint(t *testing.T) {
 	ts := newTestServer(t)
 	id := createSession(t, ts)
-	act(t, ts, id, map[string]any{"action": "open", "table": "Papers"})
-	act(t, ts, id, map[string]any{"action": "sort", "attr": "year"})
+	act(t, ts, id, map[string]any{"op": "open", "table": "Papers"})
+	act(t, ts, id, map[string]any{"op": "sort", "attr": "year"})
 
 	var st struct {
 		Sessions    int   `json:"sessions"`
 		CacheHits   int64 `json:"cacheHits"`
 		CacheMisses int64 `json:"cacheMisses"`
 	}
-	if code := getJSON(t, ts.URL+"/api/stats", &st); code != http.StatusOK {
+	if code := getJSON(t, ts.URL+"/api/v1/stats", &st); code != http.StatusOK {
 		t.Fatalf("stats status = %d", code)
 	}
 	if st.Sessions != 1 {
@@ -494,7 +506,7 @@ func TestConcurrentSessionsSharedCache(t *testing.T) {
 			var created struct {
 				ID int64 `json:"id"`
 			}
-			if err := postJSONE(ts.URL+"/api/session", nil, &created); err != nil {
+			if err := postJSONE(ts.URL+"/api/v1/sessions", nil, &created); err != nil {
 				errs <- err
 				return
 			}
@@ -505,8 +517,8 @@ func TestConcurrentSessionsSharedCache(t *testing.T) {
 			wants := []int{5, 4, 3}
 			for i := 0; i < 10; i++ {
 				var st state
-				if err := postJSONE(fmt.Sprintf("%s/api/session/%d/action", ts.URL, id),
-					map[string]any{"action": "open", "table": "Papers"}, &st); err != nil {
+				if err := postJSONE(opsURL(ts, id),
+					map[string]any{"op": "open", "table": "Papers"}, &st); err != nil {
 					errs <- err
 					return
 				}
@@ -515,8 +527,8 @@ func TestConcurrentSessionsSharedCache(t *testing.T) {
 					return
 				}
 				c := (w + i) % len(conds)
-				if err := postJSONE(fmt.Sprintf("%s/api/session/%d/action", ts.URL, id),
-					map[string]any{"action": "filter", "condition": conds[c]}, &st); err != nil {
+				if err := postJSONE(opsURL(ts, id),
+					map[string]any{"op": "filter", "cond": conds[c]}, &st); err != nil {
 					errs <- err
 					return
 				}
@@ -525,8 +537,8 @@ func TestConcurrentSessionsSharedCache(t *testing.T) {
 					return
 				}
 				// Paginate the filtered table.
-				if err := postJSONE(fmt.Sprintf("%s/api/session/%d/action", ts.URL, id),
-					map[string]any{"action": "revert", "index": 0, "offset": 1, "limit": 2}, &st); err != nil {
+				if err := postJSONE(opsURL(ts, id)+"?offset=1&limit=2",
+					map[string]any{"op": "revert", "index": 0}, &st); err != nil {
 					errs <- err
 					return
 				}
@@ -613,13 +625,13 @@ func TestTTLSweepWithoutCreation(t *testing.T) {
 
 	// A lookup (even of a live-looking id) triggers the sweep; both
 	// expired sessions disappear without any create.
-	if _, code := act(t, ts, a, map[string]any{"action": "open", "table": "Papers"}); code != http.StatusGone {
+	if _, code := act(t, ts, a, map[string]any{"op": "open", "table": "Papers"}); code != http.StatusGone {
 		t.Errorf("expired session a: code=%d", code)
 	}
 	var st struct {
 		Sessions int `json:"sessions"`
 	}
-	getJSON(t, ts.URL+"/api/stats", &st)
+	getJSON(t, ts.URL+"/api/v1/stats", &st)
 	if st.Sessions != 0 {
 		t.Errorf("sessions after sweep = %d, want 0 (b=%d leaked)", st.Sessions, b)
 	}
@@ -633,7 +645,7 @@ func TestNegativeMaxSessions(t *testing.T) {
 	go func() { done <- createSession(t, ts) }()
 	select {
 	case id := <-done:
-		if _, code := act(t, ts, id, map[string]any{"action": "open", "table": "Papers"}); code != http.StatusOK {
+		if _, code := act(t, ts, id, map[string]any{"op": "open", "table": "Papers"}); code != http.StatusOK {
 			t.Errorf("open: code=%d", code)
 		}
 	case <-time.After(5 * time.Second):
@@ -648,7 +660,7 @@ func TestNegativeMaxSessions(t *testing.T) {
 func TestMaxRowsResultTooLarge(t *testing.T) {
 	_, ts := newTestServerOpts(t, Options{MaxRows: 4})
 	id := createSession(t, ts)
-	if _, code := act(t, ts, id, map[string]any{"action": "open", "table": "Papers", "limit": 2}); code != http.StatusOK {
+	if _, code := actWindow(t, ts, id, "?limit=2", map[string]any{"op": "open", "table": "Papers"}); code != http.StatusOK {
 		t.Fatalf("open: code=%d", code)
 	}
 
@@ -679,7 +691,7 @@ func TestMaxRowsResultTooLarge(t *testing.T) {
 func TestStatsMemoryTelemetry(t *testing.T) {
 	ts := newTestServer(t)
 	id := createSession(t, ts)
-	if _, code := act(t, ts, id, map[string]any{"action": "open", "table": "Papers", "limit": 2}); code != http.StatusOK {
+	if _, code := actWindow(t, ts, id, "?limit=2", map[string]any{"op": "open", "table": "Papers"}); code != http.StatusOK {
 		t.Fatalf("open: code=%d", code)
 	}
 	var st struct {

@@ -43,12 +43,12 @@ func TestServerSpillPagingAndStats(t *testing.T) {
 	_, ts := newTestServerOpts(t, Options{MaxRows: 2, SpillDir: dir})
 	id := createSession(t, ts)
 
-	if _, code := act(t, ts, id, map[string]any{"action": "open", "table": "Papers", "limit": 2}); code != http.StatusOK {
+	if _, code := actWindow(t, ts, id, "?limit=2", map[string]any{"op": "open", "table": "Papers"}); code != http.StatusOK {
 		t.Fatalf("open: code=%d", code)
 	}
 	// The pivot's join crosses the 2-row cap: without spilling this is a
 	// 413; with it the result lands on disk and the first page renders.
-	st, code := act(t, ts, id, map[string]any{"action": "pivot", "column": "Authors", "limit": 2})
+	st, code := actWindow(t, ts, id, "?limit=2", map[string]any{"op": "pivot", "column": "Authors"})
 	if code != http.StatusOK {
 		t.Fatalf("pivot over cap: code=%d (spill did not engage)", code)
 	}
@@ -106,10 +106,10 @@ func TestServerSpillEvictionCleanup(t *testing.T) {
 	dir := t.TempDir()
 	_, ts := newTestServerOpts(t, Options{MaxRows: 2, SpillDir: dir, MaxSessions: 1, SessionTTL: -1})
 	id := createSession(t, ts)
-	if _, code := act(t, ts, id, map[string]any{"action": "open", "table": "Papers", "limit": 2}); code != http.StatusOK {
+	if _, code := actWindow(t, ts, id, "?limit=2", map[string]any{"op": "open", "table": "Papers"}); code != http.StatusOK {
 		t.Fatalf("open: code=%d", code)
 	}
-	if _, code := act(t, ts, id, map[string]any{"action": "pivot", "column": "Authors", "limit": 2}); code != http.StatusOK {
+	if _, code := actWindow(t, ts, id, "?limit=2", map[string]any{"op": "pivot", "column": "Authors"}); code != http.StatusOK {
 		t.Fatalf("pivot: code=%d", code)
 	}
 	if len(spillFDs(t, dir)) == 0 {
@@ -161,8 +161,7 @@ func TestResultTooLargePayloadUnified(t *testing.T) {
 			opts: Options{MaxRows: 2, SpillDir: "off"},
 			drive: func(t *testing.T, ts *httptest.Server, id int64) (int, limitEnvelope) {
 				var env limitEnvelope
-				url := fmt.Sprintf("%s/api/session/%d/action", ts.URL, id)
-				code := postJSON(t, url, map[string]any{"action": "pivot", "column": "Authors", "limit": 2}, &env)
+				code := postJSON(t, opsURL(ts, id)+"?limit=2", map[string]any{"op": "pivot", "column": "Authors"}, &env)
 				return code, env
 			},
 			wantLimit: 2,
@@ -175,8 +174,7 @@ func TestResultTooLargePayloadUnified(t *testing.T) {
 			opts: Options{MaxRows: 2, MaxSpillBytes: 8},
 			drive: func(t *testing.T, ts *httptest.Server, id int64) (int, limitEnvelope) {
 				var env limitEnvelope
-				url := fmt.Sprintf("%s/api/session/%d/action", ts.URL, id)
-				code := postJSON(t, url, map[string]any{"action": "pivot", "column": "Authors", "limit": 2}, &env)
+				code := postJSON(t, opsURL(ts, id)+"?limit=2", map[string]any{"op": "pivot", "column": "Authors"}, &env)
 				return code, env
 			},
 			wantLimit: 2,
@@ -203,7 +201,7 @@ func TestResultTooLargePayloadUnified(t *testing.T) {
 			}
 			_, ts := newTestServerOpts(t, tc.opts)
 			id := createSession(t, ts)
-			if _, code := act(t, ts, id, map[string]any{"action": "open", "table": "Papers", "limit": 2}); code != http.StatusOK {
+			if _, code := actWindow(t, ts, id, "?limit=2", map[string]any{"op": "open", "table": "Papers"}); code != http.StatusOK {
 				t.Fatalf("open: code=%d", code)
 			}
 			code, env := tc.drive(t, ts, id)

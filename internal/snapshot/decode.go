@@ -500,7 +500,7 @@ func decodeEdgesDeferred(buf []byte, g *tgm.InstanceGraph, order []*tgm.EdgeType
 	return d.done()
 }
 
-// decodeStats rebuilds the planner statistics and attaches them to the
+// decodeStats rebuilds the graph statistics and attaches them to the
 // (already frozen) graph, so stats.For never recollects after a load.
 func decodeStats(buf []byte, g *tgm.InstanceGraph, order []*tgm.EdgeType) error {
 	d := &dec{buf: buf, sec: secStats}

@@ -211,7 +211,7 @@ func encodeEdges(g *tgm.InstanceGraph) []byte {
 	return e.buf
 }
 
-// encodeStats writes the planner statistics: per node type (schema
+// encodeStats writes the graph statistics: per node type (schema
 // order) the instance count and per-attribute NDVs (attribute order
 // implied by the type), per edge type (edgeTypeOrder) the degree
 // summary and log2 histogram.

@@ -1,15 +1,13 @@
 package stats
 
-// Planner statistics over a TGDB instance graph. Where the rest of this
+// Graph statistics over a TGDB instance graph. Where the rest of this
 // package reproduces the paper's *evaluation* statistics (t-tests,
-// confidence intervals), this file computes the *cost-model* statistics
-// the join planner consumes: per-edge-type out-degree histograms and
-// per-node-type attribute NDV (number-of-distinct-values) estimates.
-// They replace the single tgm.AvgOutDegree scalar the planner used
-// before: a per-edge fan-out plus NDV-based condition selectivities let
-// the planner estimate intermediate cardinalities well enough to order
-// joins and to decide when a query is too small to be worth fanning out
-// to the worker pool.
+// confidence intervals), this file summarizes the graph itself:
+// per-edge-type out-degree histograms and per-node-type attribute NDV
+// (number-of-distinct-values) counts. No planner reads them — the
+// etable engine orders joins by the exact sizes of its selected bases —
+// they are what /api/v1/stats reports as edgeStats, and what the
+// snapshot format's STAT section persists (kept for v2 compatibility).
 //
 // Statistics are computed once per graph — translate.Translate collects
 // them right after freezing the instance graph — and are immutable
@@ -18,9 +16,7 @@ package stats
 
 import (
 	"math"
-	"strings"
 
-	"repro/internal/expr"
 	"repro/internal/tgm"
 )
 
@@ -169,9 +165,8 @@ func Collect(g *tgm.InstanceGraph) *Graph {
 // For a nil graph it returns nil.
 //
 // Performance note: on an UNFROZEN graph every call recollects — a full
-// O(nodes×attrs + edges) pass. Callers that execute queries repeatedly
-// over a hand-built graph should Freeze it first (the etable planner
-// calls For once per planned query).
+// O(nodes×attrs + edges) pass. Callers that read statistics repeatedly
+// over a hand-built graph should Freeze it first.
 func For(g *tgm.InstanceGraph) *Graph {
 	if g == nil {
 		return nil
@@ -204,151 +199,4 @@ func Attach(g *tgm.InstanceGraph, s *Graph) *Graph {
 		return g.SetStatsCache(s).(*Graph)
 	}
 	return s
-}
-
-// Fanout returns the expected neighbors-per-source of an edge type,
-// 0 for unknown edge types or empty source types (never NaN).
-func (s *Graph) Fanout(edgeType string) float64 {
-	if s == nil {
-		return 0
-	}
-	return s.Edges[edgeType].Fanout
-}
-
-// ndv resolves an attribute's NDV for a node type, accepting dotted
-// names ("Papers.year") like the expression environment does. The
-// second result reports whether the attribute is known.
-func (s *Graph) ndv(nodeType, attr string) (int, bool) {
-	ns, ok := s.Nodes[nodeType]
-	if !ok {
-		return 0, false
-	}
-	if n, ok := ns.NDV[attr]; ok {
-		return n, true
-	}
-	if i := strings.LastIndexByte(attr, '.'); i >= 0 {
-		if n, ok := ns.NDV[attr[i+1:]]; ok {
-			return n, true
-		}
-	}
-	return 0, false
-}
-
-// Textbook default selectivities for predicates the NDV cannot refine.
-const (
-	defaultEqSel    = 0.1 // equality on an unknown attribute
-	defaultRangeSel = 1.0 / 3
-	defaultLikeSel  = 0.1
-	defaultNullSel  = 0.1
-)
-
-// CondSelectivity estimates the fraction of nodeType's instances that
-// satisfy cond, from NDV statistics and textbook defaults, clamped to
-// [0, 1]. A nil condition is 1. Every division is guarded: empty types
-// and zero NDVs yield finite estimates, never NaN or Inf.
-func (s *Graph) CondSelectivity(nodeType string, cond expr.Expr) float64 {
-	if cond == nil {
-		return 1
-	}
-	if s == nil {
-		return defaultRangeSel
-	}
-	sel := s.condSel(nodeType, cond)
-	if sel < 0 {
-		return 0
-	}
-	if sel > 1 {
-		return 1
-	}
-	return sel
-}
-
-func (s *Graph) condSel(nodeType string, cond expr.Expr) float64 {
-	switch c := cond.(type) {
-	case expr.Cmp:
-		attr, isAttrConst := attrConstCmp(c)
-		switch c.Op {
-		case expr.OpEq:
-			if isAttrConst {
-				if n, ok := s.ndv(nodeType, attr); ok && n > 0 {
-					return 1 / float64(n)
-				}
-			}
-			return defaultEqSel
-		case expr.OpNe:
-			if isAttrConst {
-				if n, ok := s.ndv(nodeType, attr); ok && n > 0 {
-					return 1 - 1/float64(n)
-				}
-			}
-			return 1 - defaultEqSel
-		default:
-			return defaultRangeSel
-		}
-	case expr.Like:
-		return defaultLikeSel
-	case expr.Between:
-		return defaultRangeSel * defaultRangeSel * 2 // narrower than one-sided range
-	case expr.In:
-		sel := defaultEqSel * float64(len(c.List))
-		if attr := colName(c.Left); attr != "" {
-			if n, ok := s.ndv(nodeType, attr); ok && n > 0 {
-				sel = float64(len(c.List)) / float64(n)
-			}
-		}
-		if sel > 1 {
-			sel = 1
-		}
-		if c.Negate {
-			return 1 - sel
-		}
-		return sel
-	case expr.IsNull:
-		if c.Negate {
-			return 1 - defaultNullSel
-		}
-		return defaultNullSel
-	case expr.And:
-		return s.condSel(nodeType, c.Left) * s.condSel(nodeType, c.Right)
-	case expr.Or:
-		a, b := s.condSel(nodeType, c.Left), s.condSel(nodeType, c.Right)
-		return a + b - a*b
-	case expr.Not:
-		return 1 - s.condSel(nodeType, c.Inner)
-	default:
-		return defaultRangeSel
-	}
-}
-
-// attrConstCmp reports whether a comparison is column-vs-constant (in
-// either order) and returns the column name.
-func attrConstCmp(c expr.Cmp) (attr string, ok bool) {
-	if n := colName(c.Left); n != "" {
-		if _, isConst := c.Right.(expr.Const); isConst {
-			return n, true
-		}
-	}
-	if n := colName(c.Right); n != "" {
-		if _, isConst := c.Left.(expr.Const); isConst {
-			return n, true
-		}
-	}
-	return "", false
-}
-
-func colName(e expr.Expr) string {
-	if c, ok := e.(expr.Col); ok {
-		return c.Name
-	}
-	return ""
-}
-
-// EstimateBaseRows estimates |σ_cond(R^G_nodeType)| without executing
-// the selection: instance count × condition selectivity. Empty types
-// estimate 0.
-func (s *Graph) EstimateBaseRows(nodeType string, cond expr.Expr) float64 {
-	if s == nil {
-		return 0
-	}
-	return float64(s.Nodes[nodeType].Count) * s.CondSelectivity(nodeType, cond)
 }

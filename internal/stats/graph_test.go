@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/expr"
 	"repro/internal/tgm"
 	"repro/internal/value"
 )
@@ -105,26 +104,8 @@ func TestEmptyTypeGuards(t *testing.T) {
 	if math.IsNaN(es.Fanout) || es.Fanout != 0 {
 		t.Errorf("empty-source fanout = %v, want 0", es.Fanout)
 	}
-	if got := s.Fanout("Empty-B"); got != 0 || math.IsNaN(got) {
-		t.Errorf("Fanout(Empty-B) = %v", got)
-	}
-	if got := s.Fanout("no-such-edge"); got != 0 {
-		t.Errorf("Fanout(unknown) = %v", got)
-	}
 	if q := es.DegreeQuantile(0.9); q != 0 {
 		t.Errorf("empty quantile = %d", q)
-	}
-	if got := s.EstimateBaseRows("Empty", expr.MustParse("id = 3")); got != 0 || math.IsNaN(got) {
-		t.Errorf("EstimateBaseRows(Empty) = %v", got)
-	}
-	sel := s.CondSelectivity("Empty", expr.MustParse("id = 3"))
-	if math.IsNaN(sel) || sel < 0 || sel > 1 {
-		t.Errorf("CondSelectivity over empty type = %v", sel)
-	}
-	// A nil statistics object (nil graph) degrades, never panics.
-	var nils *Graph
-	if got := nils.Fanout("A-B"); got != 0 {
-		t.Errorf("nil stats fanout = %v", got)
 	}
 	if For(nil) != nil {
 		t.Error("For(nil) != nil")
@@ -142,44 +123,6 @@ func TestNodeNDV(t *testing.T) {
 	}
 	if s.Nodes["Empty"].Count != 0 {
 		t.Errorf("Empty count = %d", s.Nodes["Empty"].Count)
-	}
-}
-
-func TestCondSelectivity(t *testing.T) {
-	s := Collect(statGraph(t))
-	cases := []struct {
-		cond string
-		want float64
-	}{
-		{"k = 2", 1.0 / 4},       // NDV(k)=4
-		{"u = 2", 1.0 / 8},       // NDV(u)=8
-		{"2 = k", 1.0 / 4},       // constant on the left
-		{"k <> 2", 1 - 1.0/4},    //
-		{"k > 1", 1.0 / 3},       // range default
-		{"u like '%x%'", 0.1},    // like default
-		{"k in (1, 2)", 2.0 / 4}, // |list|/NDV
-		{"k = 1 and u = 1", 1.0 / 32},
-		{"k = 1 or k = 2", 1.0/4 + 1.0/4 - 1.0/16},
-	}
-	for _, tc := range cases {
-		got := s.CondSelectivity("A", expr.MustParse(tc.cond))
-		if math.Abs(got-tc.want) > 1e-12 {
-			t.Errorf("sel(%q) = %v, want %v", tc.cond, got, tc.want)
-		}
-	}
-	if got := s.CondSelectivity("A", nil); got != 1 {
-		t.Errorf("sel(nil) = %v", got)
-	}
-	// Selectivities always land in [0, 1], even for stacked NOTs and
-	// unknown attributes.
-	for _, cond := range []string{"not (k = 1)", "nope = 3", "k = 1 and k = 2 and u > 3"} {
-		got := s.CondSelectivity("A", expr.MustParse(cond))
-		if got < 0 || got > 1 || math.IsNaN(got) {
-			t.Errorf("sel(%q) = %v out of range", cond, got)
-		}
-	}
-	if got := s.EstimateBaseRows("A", expr.MustParse("k = 2")); math.Abs(got-2) > 1e-12 {
-		t.Errorf("EstimateBaseRows(A, k=2) = %v, want 2", got)
 	}
 }
 

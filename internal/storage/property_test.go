@@ -1,12 +1,14 @@
 package storage
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
 
 	"repro/internal/dataset"
 	"repro/internal/etable"
+	"repro/internal/exec"
 	"repro/internal/translate"
 )
 
@@ -60,10 +62,13 @@ func randomPattern(rng *rand.Rand, tr *translate.Result) (*etable.Pattern, error
 	return etable.Shift(p, target)
 }
 
-// TestRandomPatternEquivalence cross-validates three independent
-// execution paths — the in-memory graph execution, the monolithic
-// translated SQL, and the partitioned translated SQL — on randomly
-// generated patterns over a small generated corpus.
+// TestRandomPatternEquivalence cross-validates the graph engine against
+// the paper's §6.2 SQL backend — the monolithic and the partitioned
+// translation, an independent oracle — on randomly generated patterns
+// over a small generated corpus. The engine runs three ways: serial,
+// pooled at budget 4, and through one shared executor whose cache spans
+// every trial, so later trials order their joins around bases earlier
+// trials cached. Every run must match both SQL tables cell for cell.
 func TestRandomPatternEquivalence(t *testing.T) {
 	db, err := dataset.Generate(dataset.Config{Papers: 120, Authors: 60, Institutions: 20, Seed: 5})
 	if err != nil {
@@ -80,6 +85,8 @@ func TestRandomPatternEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	pooled := etable.ExecOptions{Ctx: context.Background(), Pool: exec.NewPool(4), Parallelism: 4}
+	shared := etable.NewSharedExecutor(tr.Instance, etable.NewCache(256))
 	rng := rand.New(rand.NewSource(1234))
 	trials := 40
 	for i := 0; i < trials; i++ {
@@ -89,10 +96,6 @@ func TestRandomPatternEquivalence(t *testing.T) {
 		}
 		name := fmt.Sprintf("trial%02d", i)
 		t.Run(name, func(t *testing.T) {
-			mem, err := etable.Execute(tr.Instance, p)
-			if err != nil {
-				t.Fatalf("in-memory: %v\npattern: %s", err, p)
-			}
 			mono, err := st.ExecutePattern(p, Monolithic)
 			if err != nil {
 				t.Fatalf("monolithic: %v\npattern: %s", err, p)
@@ -101,8 +104,23 @@ func TestRandomPatternEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("partitioned: %v\npattern: %s", err, p)
 			}
-			assertEquivalent(t, mem, mono)
-			assertEquivalent(t, mem, part)
+			for _, run := range []struct {
+				name string
+				exec func() (*etable.Result, error)
+			}{
+				{"serial", func() (*etable.Result, error) { return etable.Execute(tr.Instance, p) }},
+				{"pooled", func() (*etable.Result, error) { return etable.ExecuteOpts(tr.Instance, p, pooled) }},
+				{"shared", func() (*etable.Result, error) { return shared.ExecuteWithOpts(p, pooled) }},
+			} {
+				t.Run(run.name, func(t *testing.T) {
+					mem, err := run.exec()
+					if err != nil {
+						t.Fatalf("%v\npattern: %s", err, p)
+					}
+					assertEquivalent(t, mem, mono)
+					assertEquivalent(t, mem, part)
+				})
+			}
 			if t.Failed() {
 				t.Logf("pattern: %s", p)
 			}

@@ -92,7 +92,8 @@ type ColumnSource interface {
 // colBlock is one node type's column-major attribute storage: cols[ai]
 // holds the attribute's values aligned with the type's row order. A nil
 // column is unresolved — its values live out of core and fault in
-// through src on first access.
+// through src on first access — unless the type has no nodes, which the
+// graph's accessors answer with an empty column before asking the block.
 type colBlock struct {
 	typeName string
 	cols     [][]value.V
@@ -433,8 +434,9 @@ func (g *InstanceGraph) ColumnSourceAttached() bool { return g.colSrc != nil }
 // AttrColumn returns the values of attribute ordinal ai of typeName,
 // aligned with NodesOfType(typeName). For out-of-core graphs the column
 // is faulted in through the ColumnSource (typed errors propagate); for
-// memory-resident graphs this is a direct slice return. The returned
-// slice must not be modified.
+// memory-resident graphs this is a direct slice return. A type with no
+// nodes has empty columns, whatever backs the graph. The returned slice
+// must not be modified.
 func (g *InstanceGraph) AttrColumn(typeName string, ai int) ([]value.V, error) {
 	nt := g.schema.NodeType(typeName)
 	if nt == nil {
@@ -442,6 +444,9 @@ func (g *InstanceGraph) AttrColumn(typeName string, ai int) ([]value.V, error) {
 	}
 	if ai < 0 || ai >= len(nt.Attrs) {
 		return nil, fmt.Errorf("tgm: type %q has no attribute ordinal %d", typeName, ai)
+	}
+	if len(g.byType[typeName]) == 0 {
+		return nil, nil
 	}
 	return g.block(nt).column(ai)
 }
@@ -462,8 +467,8 @@ func (g *InstanceGraph) PinAttrColumn(typeName string, ai int) ([]value.V, func(
 		return nil, nil, fmt.Errorf("tgm: type %q has no attribute ordinal %d", typeName, ai)
 	}
 	b := g.block(nt)
-	if col := b.cols[ai]; col != nil {
-		return col, noopRelease, nil
+	if col := b.cols[ai]; col != nil || len(g.byType[typeName]) == 0 {
+		return col, noopRelease, nil // resident, or empty: nothing to pin
 	}
 	if b.src == nil {
 		return nil, nil, fmt.Errorf("tgm: type %q attribute %d has no column data and no column source", typeName, ai)
@@ -732,8 +737,9 @@ func (g *InstanceGraph) EdgeTypeCount(edgeType string) int {
 
 // AvgOutDegree returns the mean out-degree of the named edge type over
 // all nodes of its source type (0 for unknown types or empty sources).
-// It is the cheap cardinality statistic the join planner uses to order
-// pattern joins by estimated selectivity.
+// It is the fan-out factor the etable engine orders pattern joins by,
+// and it is exact before any adjacency loads: deferred edge types know
+// their totals from the snapshot directory.
 func (g *InstanceGraph) AvgOutDegree(edgeType string) float64 {
 	et := g.schema.EdgeType(edgeType)
 	if et == nil {
