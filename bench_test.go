@@ -322,10 +322,22 @@ func BenchmarkStorage_FromGraph(b *testing.B) {
 	}
 }
 
+// executeCached is the caching executor's full render — the prepared
+// presentation's all-rows window, which is what the server serves for
+// an unpaged read.
+func executeCached(ex *etable.Executor, p *etable.Pattern) (*etable.Result, error) {
+	pr, err := ex.PrepareWithOpts(p, etable.ExecOptions{})
+	if err != nil {
+		return nil, err
+	}
+	return pr.Window(0, -1)
+}
+
 // BenchmarkAblation_MatchCache compares plain re-execution against the
 // Executor's intermediate-result reuse (§9 future work 2) on the access
 // pattern a session produces: the same query re-executed after
-// presentation-only actions (Sort, Hide, Revert).
+// presentation-only actions (Sort, Hide, Revert). The cached arm is the
+// server's path: a prepare over the cached match, then a full window.
 func BenchmarkAblation_MatchCache(b *testing.B) {
 	_, tr, _ := fixtures(b)
 	p := figure7Pattern(b, tr)
@@ -339,7 +351,7 @@ func BenchmarkAblation_MatchCache(b *testing.B) {
 	b.Run("cached", func(b *testing.B) {
 		ex := etable.NewExecutor(tr.Instance)
 		for i := 0; i < b.N; i++ {
-			if _, err := ex.Execute(p); err != nil {
+			if _, err := executeCached(ex, p); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -544,14 +556,15 @@ func BenchmarkParallelScaling(b *testing.B) {
 // the matched result. Arms ablate the presentation pipeline:
 //
 //   - page_full_render: the pre-windowing serving path — the match is
-//     cached, but every page fetch re-renders the ENTIRE result and
-//     slices 10 rows out. Cost scales with the table.
+//     cached, but every page fetch re-prepares over it, renders the
+//     ENTIRE result (WindowOpts(0, -1)) and slices 10 rows out. Cost
+//     scales with the table.
 //   - page_windowed: the windowed path in steady state — the session
-//     memoizes the prepared presentation (pinned matched relation, row
-//     order, groupings) and each fetch transforms only the requested
-//     10 rows. Cost scales with the window.
-//   - page_windowed_cold: a cold fetch through TransformWindow (prepare
-//   - window in one call) — what the first page after an op costs.
+//     memoizes the prepared presentation (row order, groupings) and each
+//     fetch transforms only the requested 10 rows. Cost scales with the
+//     window.
+//   - page_windowed_cold: a cold fetch — Prepare over the matched
+//     relation plus one window — what the first page after an op costs.
 //
 // The acceptance target is >= 2x latency and allocs/op between the
 // first two arms; PERFORMANCE.md §6 records the measured numbers.
@@ -574,13 +587,13 @@ func BenchmarkFigure7Pipeline(b *testing.B) {
 
 	b.Run("page_full_render", func(b *testing.B) {
 		ex := etable.NewExecutor(tr.Instance)
-		if _, err := ex.Execute(p); err != nil { // warm the match cache
+		if _, err := executeCached(ex, p); err != nil { // warm the match cache
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			res, err := ex.Execute(p)
+			res, err := executeCached(ex, p)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -638,13 +651,13 @@ func BenchmarkFigure7Pipeline(b *testing.B) {
 	offPapers := presPapers.NumRows() / 2
 	b.Run("bigtable_full_render", func(b *testing.B) {
 		ex := etable.NewExecutor(tr.Instance)
-		if _, err := ex.Execute(pPapers); err != nil {
+		if _, err := executeCached(ex, pPapers); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			res, err := ex.Execute(pPapers)
+			res, err := executeCached(ex, pPapers)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -681,7 +694,7 @@ func (g *globalMutexHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	g.h.ServeHTTP(w, r)
 }
 
-// streamScalePatterns builds the streaming benchmark's two join chains
+// streamScalePatterns builds the spill benchmark's two join chains
 // over the scale corpus: Papers⋈Authors (~3 rows per paper) and
 // Papers⋈Authors⋈Keywords (~5× that) — two result scales over the same
 // base relations, so "flat across relation sizes" isolates the join
@@ -705,72 +718,6 @@ func streamScalePatterns(b *testing.B, tr *translate.Result) (*etable.Pattern, *
 		b.Fatal(err)
 	}
 	return p1, p2
-}
-
-// BenchmarkStreamingFirstPage measures the PR's tentpole claim: the
-// memory and latency of serving the FIRST PAGE of a large join result
-// are proportional to the page, not the relation.
-//
-// Two join chains over the 12k-paper corpus give two result scales
-// (roughly 36k and 180k rows — the larger comfortably past 100k).
-// Arms, per scale (named rows=N with the measured result size):
-//
-//   - materializing: MatchOpts — the pipeline drained into the full
-//     result, then the first 10 rows are read. B/op and ns/op grow
-//     with the relation.
-//   - streaming: MatchSource composed with StreamLimit(10) — the limit
-//     closes the pipeline after the first batch, so upstream production
-//     stops and only the base scans plus one morsel's worth of join
-//     work happen. B/op and ns/op stay (nearly) flat as the result
-//     grows 5×.
-//
-// Acceptance (PERFORMANCE.md §7 records the measured artifacts):
-// streaming B/op ≥ 50% below materializing at the ≥100k-row scale, and
-// streaming ns/op flat across the two scales while materializing grows
-// with the result.
-func BenchmarkStreamingFirstPage(b *testing.B) {
-	tr := scaleFixtures(b)
-	const window = 10
-	p1, p2 := streamScalePatterns(b, tr)
-
-	for i, p := range []*etable.Pattern{p1, p2} {
-		full, err := etable.MatchOpts(tr.Instance, p, etable.ExecOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		n := full.Len()
-		if i == 1 && n < 100_000 {
-			b.Fatalf("large join chain yields %d rows, want >= 100k", n)
-		}
-		b.Run(fmt.Sprintf("materializing/rows=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				m, err := etable.MatchOpts(tr.Instance, p, etable.ExecOptions{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if m.Len() != n {
-					b.Fatalf("matched %d rows, want %d", m.Len(), n)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("streaming/rows=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				src, err := etable.MatchSource(tr.Instance, p, etable.ExecOptions{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				page, err := graphrel.Materialize(graphrel.StreamLimit(src, window))
-				if err != nil {
-					b.Fatal(err)
-				}
-				if page.Len() != window {
-					b.Fatalf("first page of %d rows, want %d", page.Len(), window)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkStreamingWindowRecycle measures the window-arena recycling
@@ -1092,14 +1039,15 @@ func BenchmarkColdWindowFault(b *testing.B) {
 	b.ReportMetric(float64(total), "total-sections")
 }
 
-// BenchmarkSpilledFirstPage measures this PR's tentpole cost: time to
+// BenchmarkSpilledFirstPage measures the spill tier's cost: time to
 // the first 10-row page of a large join result when the
 // materialization spills to disk behind the pager, against the same
-// prepare kept entirely on the heap. Both arms pay the full prepare
-// fold (the spilled arm additionally writes its runs, folds its
-// groupings externally, and faults the first window's runs back);
-// acceptance is spilled ≤ 3× in-memory, recorded in PERFORMANCE.md
-// §11.
+// prepare kept entirely on the heap. Both arms are a cold
+// Executor.PrepareWithOpts — the server's path, bases selected and the
+// match folded fresh — plus one window (the spilled arm additionally
+// writes its runs, folds its groupings externally, and faults the first
+// window's runs back); acceptance is spilled ≤ 3× in-memory, recorded
+// in PERFORMANCE.md §11.
 func BenchmarkSpilledFirstPage(b *testing.B) {
 	tr := scaleFixtures(b)
 	const window = 10
@@ -1115,12 +1063,7 @@ func BenchmarkSpilledFirstPage(b *testing.B) {
 		b.Run(fmt.Sprintf("inmemory/rows=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				opt := etable.ExecOptions{}
-				src, err := etable.MatchSource(tr.Instance, p, opt)
-				if err != nil {
-					b.Fatal(err)
-				}
-				pr, _, err := etable.PrepareFromSource(tr.Instance, p, src, opt)
+				pr, err := etable.NewExecutor(tr.Instance).PrepareWithOpts(p, etable.ExecOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -1157,11 +1100,7 @@ func BenchmarkSpilledFirstPage(b *testing.B) {
 					Metrics:  &metrics,
 				}
 				opt := etable.ExecOptions{MaxRows: 4096, Spill: pol}
-				src, err := etable.MatchSource(tr.Instance, p, opt)
-				if err != nil {
-					b.Fatal(err)
-				}
-				pr, _, err := etable.PrepareFromSource(tr.Instance, p, src, opt)
+				pr, err := etable.NewExecutor(tr.Instance).PrepareWithOpts(p, opt)
 				if err != nil {
 					b.Fatal(err)
 				}

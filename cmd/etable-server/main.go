@@ -57,7 +57,7 @@ func main() {
 	maxSessions := flag.Int("max-sessions", 1024, "maximum live sessions (LRU-evicted beyond)")
 	pageSize := flag.Int("page-size", 0, "default result rows per response (0 = all; clients may page with offset/limit)")
 	maxWorkers := flag.Int("max-workers", 0, "server-wide worker cap for intra-query parallelism (0 = GOMAXPROCS, negative = serial)")
-	parallelism := flag.Int("parallelism", 0, "default per-request parallelism budget (0 = min(4, GOMAXPROCS); requests may override with ?parallelism=)")
+	parallelism := flag.Int("parallelism", 0, "every session's parallelism budget for its base selections (0 = min(4, GOMAXPROCS), negative = serial)")
 	maxRows := flag.Int("max-rows", 0, "row threshold past which a result spills to disk, or fails with 413 result_too_large when spilling is off (0 = unbounded)")
 	spillDir := flag.String("spill-dir", "", "directory for spill run files (empty = system temp dir; \"off\" disables spilling and restores strict -max-rows rejection)")
 	maxSpillBytes := flag.Int64("max-spill-bytes", 0, "maximum bytes one query may spill to disk (0 = unbounded; exceeding fails with 413 result_too_large)")
@@ -147,6 +147,6 @@ func main() {
 	}
 	fmt.Printf("ETable serving on http://%s/ (cache %d, ttl %s, max sessions %d, page size %d, workers %d, parallelism %d, max rows %d, spill %s)\n",
 		*addr, *cacheEntries, *sessionTTL, *maxSessions, *pageSize, *maxWorkers, *parallelism, *maxRows, spillInfo)
-	fmt.Printf("API: /api/v1 (declarative ops; see docs/API.md) — legacy /api/* routes are deprecated aliases\n")
+	fmt.Printf("API: /api/v1 (declarative ops; see docs/API.md)\n")
 	log.Fatal(http.ListenAndServe(*addr, srv))
 }

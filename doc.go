@@ -76,14 +76,17 @@
 //     pool busy degrades to serial on its own goroutine, so the pool
 //     capacity (Options.MaxWorkers, default GOMAXPROCS) is a hard
 //     server-wide bound on helper goroutines — 100 concurrent sessions
-//     cannot spawn 100×Ncores workers. Each query additionally carries
-//     a per-request parallelism budget.
+//     cannot spawn 100×Ncores workers. Each session additionally
+//     carries one parallelism budget, fixed when it is built.
 //   - internal/graphrel: relations chunk into fixed 2048-row morsels;
-//     Select and the StreamJoin stages fan morsels out to the pool and
-//     splice per-morsel outputs in input order through disjoint
+//     Select — the one kernel that fans out — sends morsels to the pool
+//     and splices per-morsel outputs in input order through disjoint
 //     windows — no locks on the hot path, and output row-for-row
-//     identical to a serial run (property-tested under -race). The
-//     kernels never hash a node ID: IDs are dense ordinals, so the
+//     identical to a serial run (property-tested under -race). A
+//     StreamJoin stage probes one batch at a time, and a window is one
+//     serial pass: a census of the four benchmark workloads found their
+//     fan-outs idle or unpaid (PERFORMANCE.md §17). The kernels never
+//     hash a node ID: IDs are dense ordinals, so the
 //     join's build side is a counting-sort index over the build
 //     column's type span probed through a tgm.Adjacency handle, and
 //     the presentation's groupings are a serial counting sort into CSR
@@ -94,16 +97,17 @@
 //     snapshot's STAT section. /api/v1/stats reports them as
 //     edgeStats; no planner reads them.
 //   - internal/etable: Execute takes an ExecOptions{Ctx, Pool,
-//     Parallelism} struct and hands the budget to the kernels as given;
-//     a kernel whose input is one morsel (Select) or one batch (a
-//     StreamJoin refill) runs serially, so interactive clicks never pay
-//     fan-out overhead without any estimate deciding it.
-//   - internal/session + internal/server: the per-request budget and
-//     the request context thread through ApplyCtx/ApplyPipelineCtx/
-//     StateCtx down to the kernels. Clients override the budget with
-//     ?parallelism=N; a disconnected client cancels its context and the
-//     query stops between morsels (HTTP 499 in logs). /api/v1/stats
-//     reports the pool and the per-edge graph statistics.
+//     Parallelism} struct and hands the budget to the selections as
+//     given; a Select whose input is one morsel runs serially, so
+//     interactive clicks never pay fan-out overhead without any
+//     estimate deciding it.
+//   - internal/session + internal/server: the session's budget (the
+//     server's -parallelism) and the request context thread through
+//     ApplyCtx/ApplyPipelineCtx/StateCtx down to the kernels; there is
+//     no per-request override (a ?parallelism= query parameter is
+//     ignored). A disconnected client cancels its context and the query
+//     stops between morsels (HTTP 499 in logs). /api/v1/stats reports
+//     the pool and the per-edge graph statistics.
 //
 // PERFORMANCE.md §5 records the scaling measurements
 // (BenchmarkParallelScaling).
@@ -111,8 +115,9 @@
 // # Planning
 //
 // There is one match engine (internal/etable/stream.go): every join
-// runs as a streamed pipeline, and draining, fanning out and spilling
-// are what a caller does with the stream, not separate code paths. The
+// runs as a streamed pipeline drained whole, and materializing and
+// spilling are the sink the drain writes to, not separate code paths.
+// The server's one path is Executor.PrepareWithOpts plus a window. The
 // engine resolves its plan through one function, etable.PlanFor: a
 // per-frozen-graph, signature-keyed cache of compiled node predicates.
 // Pattern signatures are memoized on the immutable Pattern, so a warm
@@ -134,11 +139,8 @@
 // than monolithic: etable.Prepare computes the row set, column layout,
 // and per-column neighbor groupings without materializing a single
 // cell, and etable.Presentation.Window materializes any [offset,
-// offset+limit) row range on demand. Row materialization partitions cleanly by row
-// range, so Window fans the transformRange kernel out over the shared
-// worker pool with the same disjoint-window splice discipline as the
-// matching kernels — row- and cell-identical to the serial transform,
-// equivalence-tested under -race.
+// offset+limit) row range on demand, in one serial transformRange pass
+// — a window is a page, never a morsel's worth of rows.
 //
 // Ownership: a Presentation owns everything its windows read — row
 // IDs, column layout, groupings, adjacency handles. The matched
@@ -148,9 +150,10 @@
 // it at any time: a page fetch costs O(window), never a re-match or a
 // full re-render. The session layer prepares one Presentation per
 // pattern, and sort variants of one pattern share that single
-// prepared presentation: Presentation.SortedView reorders only the row
-// IDs while sharing the column layout and neighbor groupings, so
-// toggling sort direction never re-prepares. Sorting happens on the row
+// prepared presentation: Presentation.SortedView — the one sort —
+// reorders only the row IDs while sharing the column layout and
+// neighbor groupings, so toggling sort direction never re-prepares and
+// a prepared presentation is immutable. Sorting happens on the row
 // order (no cells), so sort-then-page equals full-render-then-slice by
 // construction.
 //
@@ -190,11 +193,11 @@
 // is the number of relations resident, whatever the session count.
 //
 // Allocation discipline in the transform: all cells of a window share
-// one backing array, entity references are carved from one per-range
-// arena (empty lists share a single slice), the distinct rows come out
+// one backing array, entity references are carved from one arena
+// (empty lists share a single slice), the distinct rows come out
 // of a dense-ID bitmap already ordered (graphrel.DistinctSorted), each
 // column's grouping is three flat arrays whose segments are sorted and
-// compacted in place, and non-string labels are interned per range so N
+// compacted in place, and non-string labels are interned per window so N
 // rows referencing one node share one rendered string. PERFORMANCE.md
 // §6 records the page-fetch measurements (BenchmarkFigure7Pipeline).
 //

@@ -188,7 +188,7 @@ func TestCacheConcurrentExecutors(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				r, err := ex.Execute(p)
+				r, err := executeCached(ex, p)
 				if err != nil {
 					t.Error(err)
 					return

@@ -9,27 +9,26 @@
 //
 // The matching core m(Q) has one engine (stream.go, matchPipeline): the
 // plan's join chain composed as pull-based morsel iterators
-// (graphrel.RowSource) over the selected base relations. No
-// intermediate ever exists in full; memory is proportional to the
-// in-flight batches. What a caller gets depends only on how it consumes
-// the stream:
+// (graphrel.RowSource) over the selected base relations, each join
+// stage probing one batch at a time. No intermediate ever exists in
+// full; memory is proportional to the in-flight batches. The stream is
+// always drained whole, into one of two sinks:
 //
-//   - MatchOpts / Executor.MatchWithOpts drain it into one arena-backed
-//     relation — the value that is cached;
-//   - Executor.PrepareWithOpts drains it under MaxRows and runs the one
-//     Prepare kernel over the spliced relation (PrepareFromSource =
+//   - MatchOpts splices it into one arena-backed relation;
+//   - Executor.PrepareWithOpts — the server's one path — drains it
+//     under MaxRows and runs the one Prepare kernel over the spliced
+//     relation, which is the value the cache holds (prepareFromSource =
 //     drain + PrepareOpts); with a spill policy, a drain that crosses
 //     MaxRows replays the batches it retained through the external
 //     folds, drops them, and keeps folding batch by batch — the folds,
-//     and only the folds, write to disk runs;
-//   - MatchSource hands the stream out, so a window or LIMIT consumer
-//     terminates upstream production after O(window) driving-side work.
+//     and only the folds, write to disk runs. A full render is the
+//     prepared presentation's WindowOpts(0, -1).
 //
-// ExecOptions.Parallelism is the budget each stage may fan its batches
-// out with; stages splice outputs in input order over contiguous input
-// runs, so the drained relation is the same, row for row, for every
-// budget and batch size — which is what lets one cached relation serve
-// requesters that asked under different budgets. A pattern without
+// Stages consume contiguous input runs in order, so the drained
+// relation is the same, row for row, for every batch size and budget —
+// which is what lets one cached relation serve every requester.
+// ExecOptions.Parallelism reaches only the base selections
+// (graphrel.Select, the one kernel that fans out). A pattern without
 // joins runs nothing: its selected base relation is the match, served
 // zero-copy. MaxRows caps the drained result, never an intermediate.
 //
@@ -55,16 +54,19 @@
 // |current| × tgm.AvgOutDegree(edge) × |σ(new)| / |type(new)|. No
 // statistic is estimated for it — the package does not import
 // internal/stats — and the worker budget passes through as the caller
-// gave it: a Select over one morsel and a StreamJoin refill of one
-// batch run serially whatever the budget, so a small query pays no
-// fan-out without a plan-level gate (PERFORMANCE.md §16).
+// gave it: a Select over one morsel runs serially whatever the budget,
+// so a small query pays no fan-out without a plan-level gate
+// (PERFORMANCE.md §16, §17).
 //
 // # Windowed presentation
 //
 // Prepare computes what depends on the whole matched relation (row set,
 // column layout, per-column groupings) and no cells; Window materializes
-// any row range of it; Sort and SortedView reorder the row IDs between
-// the two. There is one Prepare kernel, PrepareOpts: the rows are
+// any row range of it in one serial pass; SortedView reorders the row
+// IDs between the two. A prepared Presentation is immutable — SortedView
+// returns a copy owning a fresh row-ID slice, and a view of a view
+// stacks sorts — so any number of windows may read one concurrently.
+// There is one Prepare kernel, PrepareOpts: the rows are
 // graphrel.DistinctSorted (a transient bitset read back in order), each
 // participating column a graphrel.GroupNeighbors grouping in CSR form —
 // the sorted row IDs as keys, shared by every column, plus offsets and
@@ -91,7 +93,7 @@
 // timestamps do not. Everything else is slices.SortFunc over (key,
 // position, id) triples. Every kernel is stable — equal keys keep
 // their current relative order (ascending node ID on a fresh
-// presentation, whatever the previous sort left otherwise) — because
+// presentation, the receiver's order on a view of a view) — because
 // the counting sort scatters in position order and the comparison sort
 // breaks ties by position; Desc reverses keys, never ties. The result
 // is exactly the permutation of a stable sort by value.Compare over the
@@ -104,7 +106,7 @@
 // Prepare; it loads nothing until a sort by that column or a non-empty
 // window calls Ensure, so preparing over an out-of-core graph faults no
 // adjacency in. A failed deferred load is returned from
-// Sort/SortedView/Window as the loader's typed error — and from the
+// SortedView/Window as the loader's typed error — and from the
 // match itself when a join's edge type is the one that fails
 // (graphrel.StreamJoin loads its handle at construction), so an
 // unreadable section never reads as an empty, cacheable table.

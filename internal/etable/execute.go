@@ -27,14 +27,14 @@ type ExecOptions struct {
 	// All four workloads run against the server's pool (-max-workers);
 	// BenchmarkParallelScaling sweeps it.
 	Pool *exec.Pool
-	// Parallelism is this query's worker budget (the per-request knob):
-	// at most this many workers — the calling goroutine plus helpers
-	// drawn from Pool — cooperate on each kernel. Values <= 1 are
-	// serial, and so is any kernel whose input is one morsel (Select) or
-	// one batch (a StreamJoin refill), so tiny interactive queries never
-	// pay fan-out overhead. cold_explore and study_mix are the workloads
-	// whose cache-miss matches spend it; BenchmarkParallelScaling sweeps
-	// it.
+	// Parallelism is this query's worker budget (the session's, fixed
+	// when it is built): at most this many workers — the calling
+	// goroutine plus helpers drawn from Pool — cooperate on a base
+	// selection (graphrel.Select, the one kernel that fans out). Values
+	// <= 1 are serial, and so is a selection whose input is one morsel,
+	// so tiny interactive queries never pay fan-out overhead.
+	// cold_explore and study_mix are the workloads whose cache-miss
+	// matches spend it; BenchmarkParallelScaling sweeps it.
 	Parallelism int
 	// MaxRows caps the rows the match's drain may materialize; 0 is
 	// unbounded. The cap applies to the result — intermediates never
@@ -70,6 +70,13 @@ func Execute(g *tgm.InstanceGraph, p *Pattern) (*Result, error) {
 // budget. Parallel and serial execution return identical results (the
 // morsel kernels are splice-order deterministic); options only affect
 // latency and cancellation.
+//
+// The format transformation is a full-table render through the
+// windowed presentation pipeline (see transform.go): PrepareOpts
+// computes the row set and groupings, WindowOpts(0, -1) materializes
+// every row. The enriched table is canonical: rows ascend by primary
+// node ID and the entity references of participating cells ascend by
+// node ID, so the output does not depend on the join order.
 func ExecuteOpts(g *tgm.InstanceGraph, p *Pattern, opt ExecOptions) (*Result, error) {
 	if err := p.Validate(g.Schema()); err != nil {
 		return nil, err
@@ -78,7 +85,11 @@ func ExecuteOpts(g *tgm.InstanceGraph, p *Pattern, opt ExecOptions) (*Result, er
 	if err != nil {
 		return nil, err
 	}
-	return transformOpts(g, p, matched, opt)
+	pr, err := PrepareOpts(g, p, matched, opt)
+	if err != nil {
+		return nil, err
+	}
+	return pr.WindowOpts(0, -1, opt)
 }
 
 // Match implements the instance matching function m(Q): it joins the
@@ -95,7 +106,11 @@ func Match(g *tgm.InstanceGraph, p *Pattern) (*graphrel.Relation, error) {
 // stream.go) drained into one relation, under the options' budget,
 // cancellation and row cap.
 func MatchOpts(g *tgm.InstanceGraph, p *Pattern, opt ExecOptions) (*graphrel.Relation, error) {
-	return matchRelation(g, p, opt, nil)
+	rel, src, err := matchPipeline(g, p, opt, nil)
+	if err != nil || src == nil {
+		return rel, err
+	}
+	return graphrel.MaterializeMax(src, opt.MaxRows)
 }
 
 // errDisconnected reports a pattern whose edges do not connect all nodes
@@ -120,26 +135,6 @@ func orientEdge(schema *tgm.SchemaGraph, e PatternEdge, joined map[string]bool) 
 	default:
 		return "", "", "", false
 	}
-}
-
-// transformOpts implements the format transformation (§5.4.2) as a
-// full-table render through the windowed presentation pipeline (see
-// transform.go): PrepareOpts computes the row set and groupings,
-// WindowOpts(0, -1) materializes every row. The grouping passes and the
-// row materialization fan out over the shared pool in morsel-sized row
-// ranges (transformRange), splice-order deterministic and row-identical
-// to a serial run.
-//
-// The enriched table is canonical: rows ascend by primary node ID and
-// the entity references of participating cells ascend by node ID, so
-// Execute's output does not depend on the join order the planner
-// picked.
-func transformOpts(g *tgm.InstanceGraph, p *Pattern, matched *graphrel.Relation, opt ExecOptions) (*Result, error) {
-	pr, err := PrepareOpts(g, p, matched, opt)
-	if err != nil {
-		return nil, err
-	}
-	return pr.WindowOpts(0, -1, opt)
 }
 
 // primaryEdgeTypes maps each pattern node key adjacent to the primary

@@ -22,6 +22,9 @@ import (
 //     Shift, and history Revert — operations that change presentation or
 //     primary type but not the match.
 //
+// Its one entry is PrepareWithOpts; a full render is that presentation's
+// WindowOpts(0, -1, opt).
+//
 // The instance graph is immutable after translation, so cached relations
 // never go stale. Executor itself is a stateless per-session view: all
 // cached state lives in a Cache, which may be private to this executor
@@ -111,7 +114,7 @@ func computeSignature(p *Pattern) string {
 // NOT originate from ctx (a singleflight leader's client disconnected
 // mid-compute, this caller's did not) and the lookup should retry —
 // the error is never cached, and with the canceled leader gone the
-// caller computes the value itself on the next attempt. The match and
+// caller computes the value itself on the next attempt. The base and
 // the prepare lookups share this single classification, so the retry
 // rules cannot drift apart.
 func foreignCancellation(ctx context.Context, err error) bool {
@@ -132,38 +135,6 @@ func getOrComputeLive(ctx context.Context, c *Cache, key string, compute func() 
 	}
 }
 
-// Match is the caching counterpart of the package-level Match (serial,
-// uncancellable). See MatchWithOpts.
-func (e *Executor) Match(p *Pattern) (*graphrel.Relation, error) {
-	return e.MatchWithOpts(p, ExecOptions{})
-}
-
-// MatchWithOpts is the caching counterpart of the package-level
-// MatchOpts: the same engine, with the matched relation served from the
-// per-signature cache and the base relations from the per-(type,
-// condition) cache. Planning and execution happen inside the compute
-// path only — cache hits, the common case, pay nothing. Nested
-// GetOrCompute calls are safe: the cache holds no locks while
-// computing.
-//
-// Options and the cache compose: a signature is computed once no matter
-// which budget any concurrent requester would have run it under,
-// because the drained relation does not depend on the budget.
-// Cancellation composes too: a singleflight leader canceled mid-compute
-// hands its waiters the cancellation error, but waiters whose own
-// context is live retry and recompute instead of surfacing another
-// request's cancellation (getOrComputeLive).
-func (e *Executor) MatchWithOpts(p *Pattern, opt ExecOptions) (*graphrel.Relation, error) {
-	// Fail abandoned requests before they can become singleflight
-	// leaders whose cancellation would fail innocent waiters.
-	if err := ctxErr(opt.Ctx); err != nil {
-		return nil, err
-	}
-	return getOrComputeLive(opt.Ctx, e.cache, matchPrefix+Signature(p), func() (*graphrel.Relation, error) {
-		return matchRelation(e.g, p, opt, e.cache)
-	})
-}
-
 // errSpilled signals, inside PrepareWithOpts' compute closure, that the
 // streamed prepare overflowed to disk: there is no heap relation to
 // cache, so the closure fails the cache fill on purpose (errors are
@@ -179,7 +150,7 @@ var errSpilled = errors.New("etable: result spilled to disk")
 // so it stays valid however soon the cache evicts the relation.
 //
 // On a cache miss the presentation is folded directly off the engine's
-// stream (PrepareFromSource): the match never exists as a chain of
+// stream (prepareFromSource): the match never exists as a chain of
 // materialized intermediates, only as the final spliced relation that
 // goes into the cache. The fold happens only when this caller is the
 // compute leader — singleflight waiters, cache hits and joinless
@@ -213,7 +184,7 @@ func (e *Executor) PrepareWithOpts(p *Pattern, opt ExecOptions) (*Presentation, 
 		if err != nil || src == nil {
 			return rel, err
 		}
-		pres, rel, err := PrepareFromSource(e.g, p, src, opt)
+		pres, rel, err := prepareFromSource(e.g, p, src, opt)
 		if err != nil {
 			return nil, err
 		}
@@ -245,24 +216,4 @@ func (e *Executor) PrepareWithOpts(p *Pattern, opt ExecOptions) (*Presentation, 
 		}
 		return PrepareOpts(e.g, p, rel, opt)
 	}
-}
-
-// Execute runs the pattern with intermediate-result reuse (serial,
-// uncancellable). See ExecuteWithOpts.
-func (e *Executor) Execute(p *Pattern) (*Result, error) {
-	return e.ExecuteWithOpts(p, ExecOptions{})
-}
-
-// ExecuteWithOpts runs the pattern with intermediate-result reuse under
-// execution options. The returned Result is freshly transformed and
-// owned by the caller; only the matched relation behind it is shared.
-func (e *Executor) ExecuteWithOpts(p *Pattern, opt ExecOptions) (*Result, error) {
-	if err := p.Validate(e.g.Schema()); err != nil {
-		return nil, err
-	}
-	matched, err := e.MatchWithOpts(p, opt)
-	if err != nil {
-		return nil, err
-	}
-	return transformOpts(e.g, p, matched, opt)
 }

@@ -6,6 +6,17 @@ import (
 	"repro/internal/graphrel"
 )
 
+// executeCached is the caching executor's full render — the prepared
+// presentation's all-rows window, which is what the server serves for
+// an unpaged read.
+func executeCached(ex *Executor, p *Pattern) (*Result, error) {
+	pr, err := ex.PrepareWithOpts(p, ExecOptions{})
+	if err != nil {
+		return nil, err
+	}
+	return pr.Window(0, -1)
+}
+
 func TestExecutorMatchesPlainExecute(t *testing.T) {
 	res := fixture(t)
 	ex := NewExecutor(res.Instance)
@@ -19,7 +30,7 @@ func TestExecutorMatchesPlainExecute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cached, err := ex.Execute(p)
+	cached, err := executeCached(ex, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +50,7 @@ func TestExecutorCacheHits(t *testing.T) {
 	p, _ := Initiate(res.Schema, "Papers")
 	p, _ = Select(p, "year > 2005")
 
-	if _, err := ex.Execute(p); err != nil {
+	if _, err := executeCached(ex, p); err != nil {
 		t.Fatal(err)
 	}
 	missesAfterFirst := ex.Misses()
@@ -47,7 +58,7 @@ func TestExecutorCacheHits(t *testing.T) {
 		t.Errorf("hits on cold cache = %d", ex.Hits())
 	}
 	// Same pattern again: full match cache hit.
-	if _, err := ex.Execute(p); err != nil {
+	if _, err := executeCached(ex, p); err != nil {
 		t.Fatal(err)
 	}
 	if ex.Hits() == 0 || ex.Misses() != missesAfterFirst {
@@ -59,7 +70,7 @@ func TestExecutorCacheHits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ex.Execute(p2); err != nil {
+	if _, err := executeCached(ex, p2); err != nil {
 		t.Fatal(err)
 	}
 	shifted, err := Shift(p2, "Papers")
@@ -67,7 +78,7 @@ func TestExecutorCacheHits(t *testing.T) {
 		t.Fatal(err)
 	}
 	hitsBefore := ex.Hits()
-	if _, err := ex.Execute(shifted); err != nil {
+	if _, err := executeCached(ex, shifted); err != nil {
 		t.Fatal(err)
 	}
 	if ex.Hits() <= hitsBefore {
@@ -100,7 +111,7 @@ func TestExecutorBaseReuseAcrossPatterns(t *testing.T) {
 	a, _ := Initiate(res.Schema, "Conferences")
 	a, _ = Select(a, "acronym = 'SIGMOD'")
 	a, _ = Add(res.Schema, a, "Papers→Conferences_rev")
-	if _, err := ex.Execute(a); err != nil {
+	if _, err := executeCached(ex, a); err != nil {
 		t.Fatal(err)
 	}
 	b, _ := Initiate(res.Schema, "Conferences")
@@ -108,7 +119,7 @@ func TestExecutorBaseReuseAcrossPatterns(t *testing.T) {
 	b, _ = Add(res.Schema, b, "Papers→Conferences_rev")
 	bb, _ := Select(b, "year > 2005")
 	hitsBefore := ex.Hits()
-	if _, err := ex.Execute(bb); err != nil {
+	if _, err := executeCached(ex, bb); err != nil {
 		t.Fatal(err)
 	}
 	// The σ(Conferences) base relation is shared even though the full
@@ -129,12 +140,12 @@ func TestExecutorsShareCache(t *testing.T) {
 
 	p, _ := Initiate(res.Schema, "Papers")
 	p, _ = Select(p, "year > 2005")
-	r1, err := ex1.Execute(p)
+	r1, err := executeCached(ex1, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	missesAfterFirst := shared.Misses()
-	r2, err := ex2.Execute(p)
+	r2, err := executeCached(ex2, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,18 +158,16 @@ func TestExecutorsShareCache(t *testing.T) {
 	if r1.NumRows() != r2.NumRows() {
 		t.Errorf("rows differ across sessions: %d vs %d", r1.NumRows(), r2.NumRows())
 	}
-	// The matched relation behind both results is the same object.
-	m1, _ := ex1.Match(p)
-	m2, _ := ex2.Match(p)
-	if m1 != m2 {
-		t.Error("matched relation not shared between executors")
+	// The matched relation behind both results is the one cache entry.
+	if _, ok := shared.Get(matchPrefix + Signature(p)); !ok {
+		t.Error("matched relation not in the shared cache")
 	}
 }
 
 func TestExecutorValidation(t *testing.T) {
 	res := fixture(t)
 	ex := NewExecutor(res.Instance)
-	if _, err := ex.Execute(&Pattern{}); err == nil {
+	if _, err := executeCached(ex, &Pattern{}); err == nil {
 		t.Error("invalid pattern accepted")
 	}
 }
@@ -170,7 +179,7 @@ func TestExecutorCacheBounded(t *testing.T) {
 	for year := 2000; year < 2020; year++ {
 		p, _ := Initiate(res.Schema, "Papers")
 		p, _ = Select(p, "year > "+itoa(year))
-		if _, err := ex.Execute(p); err != nil {
+		if _, err := executeCached(ex, p); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -3,6 +3,7 @@ package etable
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -13,9 +14,9 @@ import (
 
 // TestParallelExecuteEquivalence asserts the full execution path under
 // a pool returns the oracle's enriched table on the paper's Figure 1
-// and Figure 7 patterns: at the default batch size (every input of this
-// small corpus is one morsel, so the kernels run serially) and at
-// 16-row batches, where the join stages, grouping and render fan out.
+// and Figure 7 patterns — through ExecuteOpts and through the caching
+// executor's prepare plus full window — at the default batch size and
+// at 16-row batches, where the join stages refill many times.
 func TestParallelExecuteEquivalence(t *testing.T) {
 	tr := planFixture(t)
 	pool := exec.NewPool(4)
@@ -33,12 +34,20 @@ func TestParallelExecuteEquivalence(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			withSmallStreamBatches(t, 16)
 			for _, budget := range []int{2, 4} {
-				got, err := ExecuteOpts(tr.Instance, p,
-					ExecOptions{Ctx: context.Background(), Pool: pool, Parallelism: budget})
+				opt := ExecOptions{Ctx: context.Background(), Pool: pool, Parallelism: budget}
+				got, err := ExecuteOpts(tr.Instance, p, opt)
 				if err != nil {
 					t.Fatal(err)
 				}
 				assertSameResults(t, name, got, want)
+				pr, err := NewExecutor(tr.Instance).PrepareWithOpts(p, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, err = pr.WindowOpts(0, -1, opt); err != nil {
+					t.Fatal(err)
+				}
+				assertSameResults(t, name+"/executor", got, want)
 			}
 		})
 	}
@@ -87,20 +96,21 @@ func TestExecuteOptsCancellation(t *testing.T) {
 		t.Errorf("ExecuteOpts err = %v, want Canceled", err)
 	}
 	ex := NewExecutor(tr.Instance)
-	if _, err := ex.ExecuteWithOpts(p, opt); !errors.Is(err, context.Canceled) {
+	if _, err := ex.PrepareWithOpts(p, opt); !errors.Is(err, context.Canceled) {
 		t.Errorf("Executor err = %v, want Canceled", err)
 	}
 	// The cancellation error must not be cached: the same executor
 	// succeeds once the context is live again.
-	if _, err := ex.ExecuteWithOpts(p, ExecOptions{Ctx: context.Background()}); err != nil {
-		t.Errorf("post-cancel execute failed: %v", err)
+	if _, err := ex.PrepareWithOpts(p, ExecOptions{Ctx: context.Background()}); err != nil {
+		t.Errorf("post-cancel prepare failed: %v", err)
 	}
 }
 
 // TestCacheMixedParallelSerialSingleflight is the cache satellite: a
-// signature computed concurrently by parallel-kernel and serial-kernel
-// callers must execute exactly once (all callers share one relation
-// pointer), and the hit/miss counters must account for every call.
+// signature prepared concurrently by pooled and serial callers must be
+// matched exactly once — one miss for the match and one per base, every
+// other lookup a hit — and every caller's presentation renders the same
+// table.
 func TestCacheMixedParallelSerialSingleflight(t *testing.T) {
 	tr := planFixture(t)
 	cache := NewCache(64)
@@ -110,7 +120,7 @@ func TestCacheMixedParallelSerialSingleflight(t *testing.T) {
 	const callers = 16
 	var wg sync.WaitGroup
 	start := make(chan struct{})
-	rels := make([]*graphrel.Relation, callers)
+	prs := make([]*Presentation, callers)
 	errs := make([]error, callers)
 	for i := 0; i < callers; i++ {
 		wg.Add(1)
@@ -123,39 +133,46 @@ func TestCacheMixedParallelSerialSingleflight(t *testing.T) {
 				// Parallel caller (identical output either way).
 				opt = ExecOptions{Ctx: context.Background(), Pool: pool, Parallelism: 4}
 			}
-			rels[i], errs[i] = ex.MatchWithOpts(p, opt)
+			prs[i], errs[i] = ex.PrepareWithOpts(p, opt)
 		}(i)
 	}
 	close(start)
 	wg.Wait()
+	var want *Result
 	for i := 0; i < callers; i++ {
 		if errs[i] != nil {
 			t.Fatalf("caller %d: %v", i, errs[i])
 		}
-		if rels[i] != rels[0] {
-			t.Fatalf("caller %d got a different relation pointer: singleflight failed to dedupe", i)
+		got, err := prs[i].Window(0, -1)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if want == nil {
+			want = got
+		}
+		assertSameResults(t, fmt.Sprintf("caller %d", i), got, want)
 	}
-	// Counter consistency: every GetOrCompute call lands in exactly one
-	// counter, so hits+misses is stable across the concurrency schedule.
-	hits, misses := cache.Hits(), cache.Misses()
-	if hits+misses == 0 {
-		t.Fatal("no cache traffic recorded")
+	if got, want := cache.Misses(), int64(1+len(p.Nodes)); got != want {
+		t.Fatalf("%d cache misses, want %d (the match and each base once): singleflight failed to dedupe", got, want)
+	}
+	key := matchPrefix + Signature(p)
+	rel, ok := cache.Get(key)
+	if !ok {
+		t.Fatal("match not cached")
 	}
 	// A second, all-serial wave must be pure hits for the match key.
 	preMisses := cache.Misses()
 	for i := 0; i < 4; i++ {
 		ex := NewSharedExecutor(tr.Instance, cache)
-		rel, err := ex.Match(p)
-		if err != nil {
+		if _, err := ex.PrepareWithOpts(p, ExecOptions{}); err != nil {
 			t.Fatal(err)
-		}
-		if rel != rels[0] {
-			t.Fatal("serial re-read returned a different relation")
 		}
 	}
 	if cache.Misses() != preMisses {
 		t.Errorf("warm re-reads missed: %d → %d", preMisses, cache.Misses())
+	}
+	if again, _ := cache.Get(key); again != rel {
+		t.Error("warm re-reads replaced the cached relation")
 	}
 }
 

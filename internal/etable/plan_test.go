@@ -152,14 +152,7 @@ func TestPlannerExecuteEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		naiveMatch, err := MatchNaive(tr.Instance, p)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		naive, err := transformOpts(tr.Instance, p, naiveMatch, ExecOptions{})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
+		_, naive := oracleTable(t, tr.Instance, p)
 		if planned.NumRows() == 0 || planned.NumRows() != naive.NumRows() {
 			t.Fatalf("%s: rows %d vs %d", name, planned.NumRows(), naive.NumRows())
 		}

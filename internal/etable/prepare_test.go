@@ -108,7 +108,7 @@ func assertCellsMatchRelation(t *testing.T, label string, res *Result, p *Patter
 
 // TestPrepareScatteredIDs is the one-Prepare-kernel equivalence where
 // dense indexing could go wrong (no type contiguous, a repeated type, a
-// selection leaving gaps): PrepareOpts, PrepareFromSource at batch 7 and
+// selection leaving gaps): PrepareOpts, prepareFromSource at batch 7 and
 // the default under budgets 1 and 4, and a spill demotion tripping
 // after the first tuple, mid-stream and one short of the end all render
 // the oracle's table cell for cell. Run under -race by scripts/check.sh.
@@ -164,15 +164,11 @@ func TestPrepareScatteredIDs(t *testing.T) {
 				withSmallStreamBatches(t, batch)
 				for _, budget := range []int{1, 4} {
 					opt := ExecOptions{Ctx: context.Background(), Pool: pool, Parallelism: budget}
-					src, err := MatchSource(g, p, opt)
-					if err != nil {
-						t.Fatal(err)
-					}
-					pr, rel, err := PrepareFromSource(g, p, src, opt)
+					pr, rel, err := prepareStreamed(g, p, opt)
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
-					sub := fmt.Sprintf("PrepareFromSource batch=%d budget=%d", batch, budget)
+					sub := fmt.Sprintf("prepareFromSource batch=%d budget=%d", batch, budget)
 					assertSameRelations(t, label+"/"+sub, rel, matched)
 					render(sub, pr)
 				}
@@ -188,11 +184,7 @@ func TestPrepareScatteredIDs(t *testing.T) {
 				}
 				pol, metrics := testSpillPolicy(t, 5)
 				opt := ExecOptions{MaxRows: maxRows, Spill: pol}
-				src, err := MatchSource(g, p, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				pr, rel, err := PrepareFromSource(g, p, src, opt)
+				pr, rel, err := prepareStreamed(g, p, opt)
 				if err != nil {
 					t.Fatalf("%s MaxRows=%d: %v", label, maxRows, err)
 				}

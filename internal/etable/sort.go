@@ -88,30 +88,17 @@ func (pr *Presentation) ValidateSort(spec SortSpec) error {
 	return err
 }
 
-// Sort stably reorders the presentation's rows per spec without
-// materializing any cells. Windows materialized afterwards follow the
-// new order; the permutation is the one a stable sort of the fully
-// materialized table by value.Compare yields (ties keep their current
-// order — the canonical ID-ascending order on a fresh presentation),
-// which the sort equivalence fuzz pins.
-func (pr *Presentation) Sort(spec SortSpec) error {
-	ids, err := pr.sorted(spec)
-	if err != nil {
-		return err
-	}
-	pr.rowIDs = ids
-	return nil
-}
-
-// SortedView returns a presentation of the same prepared state in the
-// order spec dictates, leaving the receiver untouched. The view shares
-// the receiver's columns, per-column groupings, and neighbor layout —
-// the expensive products of Prepare — and owns only a fresh row-ID
-// slice, so every sort variant of one pattern costs one key extraction
-// and one sort on top of a single Prepare. Views and their base may
-// Window concurrently (each orders its own rowIDs; the shared groupings
-// are read-only), but Sort on any one of them must not race that
-// presentation's own Window calls.
+// SortedView returns a presentation of the same prepared state stably
+// reordered per spec, leaving the receiver untouched — the one sort.
+// The permutation is the one a stable sort of the fully materialized
+// table by value.Compare yields (ties keep the receiver's order: the
+// canonical ID-ascending order on a fresh presentation, the previous
+// sort's on a view of a view), which the sort equivalence fuzz pins.
+// The view shares the receiver's columns, per-column groupings, and
+// neighbor layout — the expensive products of Prepare — and owns only a
+// fresh row-ID slice, so every sort variant of one pattern costs one
+// key extraction and one sort on top of a single Prepare. Views and
+// their base are immutable and may Window concurrently.
 func (pr *Presentation) SortedView(spec SortSpec) (*Presentation, error) {
 	ids, err := pr.sorted(spec)
 	if err != nil {

@@ -133,10 +133,11 @@ func nodesOf(res *Result) []tgm.NodeID {
 }
 
 // assertSortsLikeOracle checks, for every sort spec and for pairs of
-// sorts applied back to back, that the kernel's row order equals the
-// oracle's: the fully rendered table under sort.SliceStable and
-// value.Compare. The second sort of a pair is what tells a position
-// tie-break from an ID tie-break — after the first sort the two differ.
+// sorts stacked as a SortedView of a SortedView, that the kernel's row
+// order equals the oracle's: the fully rendered table under
+// sort.SliceStable and value.Compare. The second sort of a pair is what
+// tells a position tie-break from an ID tie-break — after the first
+// sort the two differ. Every view leaves its receiver's order alone.
 func assertSortsLikeOracle(t *testing.T, label string, rng *rand.Rand, build func() *Presentation) {
 	t.Helper()
 	specs := sortSpecsOf(build())
@@ -151,25 +152,19 @@ func assertSortsLikeOracle(t *testing.T, label string, rng *rand.Rand, build fun
 			if err := want.Sort(spec); err != nil {
 				t.Fatal(err)
 			}
-			if err := pr.Sort(spec); err != nil {
+			before := append([]tgm.NodeID(nil), pr.rowIDs...)
+			v, err := pr.SortedView(spec)
+			if err != nil {
 				t.Fatalf("%s: sort %+v: %v", label, spec, err)
 			}
-			if !reflect.DeepEqual(pr.rowIDs, nodesOf(want)) {
+			if !reflect.DeepEqual(v.rowIDs, nodesOf(want)) {
 				t.Fatalf("%s: sort %+v then %+v, step %d: kernel order differs from sort.SliceStable + value.Compare",
 					label, first, second, step)
 			}
-		}
-		// SortedView is the same kernel leaving its receiver alone.
-		before := append([]tgm.NodeID(nil), pr.rowIDs...)
-		v, err := pr.SortedView(first)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := want.Sort(first); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(v.rowIDs, nodesOf(want)) || !reflect.DeepEqual(pr.rowIDs, before) {
-			t.Fatalf("%s: SortedView(%+v) differs from Sort, or reordered its receiver", label, first)
+			if !reflect.DeepEqual(pr.rowIDs, before) {
+				t.Fatalf("%s: SortedView(%+v) reordered its receiver", label, spec)
+			}
+			pr = v
 		}
 	}
 }
@@ -245,11 +240,7 @@ func TestSortKernelMatchesStableSortFuzz(t *testing.T) {
 		assertSortsLikeOracle(t, form.name+"/spilled", rng, func() *Presentation {
 			pol, metrics := testSpillPolicy(t, 32)
 			opt := ExecOptions{MaxRows: 100, Spill: pol}
-			src, err := MatchSource(g, joined, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pr, _, err := PrepareFromSource(g, joined, src, opt)
+			pr, _, err := prepareStreamed(g, joined, opt)
 			if err != nil {
 				t.Fatal(err)
 			}

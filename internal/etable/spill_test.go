@@ -60,11 +60,7 @@ func TestSpilledPrepareEquivalenceRandomized(t *testing.T) {
 		pol, metrics := testSpillPolicy(t, 1+rng.Intn(32))
 		trigger := 1 + rng.Intn(oracleMatched.Len()-1)
 		opt := ExecOptions{MaxRows: trigger, Spill: pol}
-		src, err := MatchSource(tr.Instance, p, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pr, matched, err := PrepareFromSource(tr.Instance, p, src, opt)
+		pr, matched, err := prepareStreamed(tr.Instance, p, opt)
 		if err != nil {
 			t.Fatalf("trial %d (year>%d trigger=%d): %v", trial, year, trigger, err)
 		}

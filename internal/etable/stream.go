@@ -13,32 +13,27 @@ import (
 // The match engine. Instance matching m(Q) has one implementation: the
 // pattern's join chain composed as pull-based morsel iterators
 // (graphrel.RowSource). Each join step is a StreamJoin stage probing
-// batches of the driving side, through the edge type's adjacency handle,
-// against a dense ID-keyed index over its (cached, materialized) base
-// relation, so no intermediate relation ever exists in full. Eager,
-// parallel and spilled are not modes of the engine but what a caller
-// does with the stream:
+// one batch of the driving side at a time, through the edge type's
+// adjacency handle, against a dense ID-keyed index over its (cached,
+// materialized) base relation, so no intermediate relation ever exists
+// in full. Eager and spilled are not modes of the engine but the sink
+// the drain writes to:
 //
-//   - draining it: MatchOpts and Executor.MatchWithOpts splice the
-//     batches into one arena-backed relation (graphrel.Materialize) —
-//     the value that gets cached;
-//   - the budget the stages were given: a stage fans its batches out
-//     over the pool and splices the outputs in input order, so rows do
-//     not depend on the budget;
-//   - the sink the drain writes to: PrepareFromSource retains the
-//     batches under MaxRows, splices them and runs the one Prepare
-//     kernel (PrepareOpts: distinct sorted rows, per-column CSR
-//     groupings); past MaxRows, when a policy is set, it replays the
-//     retained batches through the external folds, drops them, and
-//     folds the rest of the stream batch by batch into disk runs
-//     instead of failing;
-//   - a window or LIMIT consumer pulls only the batches it needs
-//     (graphrel.StreamLimit terminates upstream production).
+//   - MatchOpts splices the batches into one arena-backed relation
+//     (graphrel.MaterializeMax);
+//   - the executor's prepare (prepareFromSource) retains the batches
+//     under MaxRows, splices them — the value that gets cached — and
+//     runs the one Prepare kernel (PrepareOpts: distinct sorted rows,
+//     per-column CSR groupings); past MaxRows, when a policy is set, it
+//     replays the retained batches through the external folds, drops
+//     them, and folds the rest of the stream batch by batch into disk
+//     runs instead of failing.
 //
 // Batches are contiguous runs of the driving base consumed in order and
 // every stage runs the reference Join's per-range phases, so the
 // drained relation — and everything derived from it — is the same
-// whatever the batch size, the budget, or the sink.
+// whatever the batch size or the sink. The worker budget reaches only
+// the base selections (graphrel.Select), the one kernel that fans out.
 
 // streamBatchRows overrides the streamed pipeline's batch size; 0 uses
 // graphrel.MorselRows. Tests shrink it to exercise multi-batch
@@ -46,15 +41,15 @@ import (
 var streamBatchRows = 0
 
 // matchPipeline is the engine's single entry: every path that needs
-// m(Q) — MatchOpts, MatchSource, and the caching Executor — calls it,
-// so how a match runs is decided here and nowhere else. It resolves the
-// plan (planFor), selects every node's base through the plan's compiled
+// m(Q) — MatchOpts and the caching Executor — calls it, so how a match
+// runs is decided here and nowhere else. It resolves the plan
+// (planFor), selects every node's base through the plan's compiled
 // predicates — through cache when the caller has one, so a refined
 // branch reuses its siblings' selections — orders the joins by the
 // selected bases' exact sizes (orderJoins), and composes them as a
-// stream over the start base. The worker budget passes through as
-// given: a kernel whose input is one morsel (Select) or one batch (a
-// StreamJoin refill) runs serially whatever the budget.
+// stream over the start base. The worker budget passes through to the
+// selections as given: a Select whose input is one morsel runs serially
+// whatever the budget.
 //
 // Exactly one result is set. A pattern without joins has nothing to
 // run: its selected base is the match, returned as rel so callers hand
@@ -101,36 +96,12 @@ func matchPipeline(g *tgm.InstanceGraph, p *Pattern, opt ExecOptions, cache *Cac
 	}
 	src = graphrel.StreamRelationBatch(bases[start], streamBatchRows)
 	for _, st := range steps {
-		src, err = graphrel.StreamJoin(opt.Ctx, opt.Pool, opt.Parallelism, src, bases[st.NewKey], st.EdgeName, st.AnchorKey, st.NewKey)
+		src, err = graphrel.StreamJoin(opt.Ctx, src, bases[st.NewKey], st.EdgeName, st.AnchorKey, st.NewKey)
 		if err != nil {
 			return nil, nil, err
 		}
 	}
 	return nil, src, nil
-}
-
-// matchRelation drains the engine into the one relation a match is
-// cached and returned as, under the options' row cap.
-func matchRelation(g *tgm.InstanceGraph, p *Pattern, opt ExecOptions, cache *Cache) (*graphrel.Relation, error) {
-	rel, src, err := matchPipeline(g, p, opt, cache)
-	if err != nil || src == nil {
-		return rel, err
-	}
-	return graphrel.MaterializeMax(src, opt.MaxRows)
-}
-
-// MatchSource returns the pattern's instance matching m(Q) as a
-// pull-based stream of morsel batches. Concatenating the stream's
-// batches in order yields exactly MatchOpts(g, p, opt); consuming only
-// a window of it does only the driving-side work that window needs.
-// The caller must Close the source (Materialize and PrepareFromSource
-// do so themselves).
-func MatchSource(g *tgm.InstanceGraph, p *Pattern, opt ExecOptions) (graphrel.RowSource, error) {
-	rel, src, err := matchPipeline(g, p, opt, nil)
-	if err != nil || src != nil {
-		return src, err
-	}
-	return graphrel.StreamRelationBatch(rel, streamBatchRows), nil
 }
 
 // spillErr translates a spill-layer write failure into the execution
@@ -211,9 +182,10 @@ func (ps *prepareSpill) fold(b *graphrel.Relation) error {
 	return nil
 }
 
-// PrepareFromSource builds the windowed presentation from a streamed
-// match. On the heap it is a drain and the one Prepare kernel: batches
-// are retained under MaxRows, spliced into the materialized relation on
+// prepareFromSource builds the windowed presentation from a streamed
+// match; Executor.PrepareWithOpts calls it as the compute leader. On
+// the heap it is a drain and the one Prepare kernel: batches are
+// retained under MaxRows, spliced into the materialized relation on
 // EOF (graphrel.ConcatAll — the value the executor caches so later
 // prepares of the signature skip the match) and handed to PrepareOpts,
 // so the returned presentation is PrepareOpts over the returned relation
@@ -226,7 +198,7 @@ func (ps *prepareSpill) fold(b *graphrel.Relation) error {
 // prepare returns a nil relation (there is nothing heap-resident to
 // cache); the presentation's groupings fault through the policy's pager
 // pool and the caller owns its Close.
-func PrepareFromSource(g *tgm.InstanceGraph, p *Pattern, src graphrel.RowSource, opt ExecOptions) (*Presentation, *graphrel.Relation, error) {
+func prepareFromSource(g *tgm.InstanceGraph, p *Pattern, src graphrel.RowSource, opt ExecOptions) (*Presentation, *graphrel.Relation, error) {
 	defer src.Close()
 	if p.PrimaryNode() == nil {
 		return nil, nil, fmt.Errorf("etable: pattern has no primary node")

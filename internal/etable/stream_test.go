@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/graphrel"
+	"repro/internal/tgm"
 )
 
 // withSmallStreamBatches shrinks the streamed pipeline's batch size so
@@ -19,6 +20,20 @@ func withSmallStreamBatches(t *testing.T, rows int) {
 	old := streamBatchRows
 	streamBatchRows = rows
 	t.Cleanup(func() { streamBatchRows = old })
+}
+
+// prepareStreamed is the executor's compute-leader prepare without a
+// cache: the engine's stream (a joinless pattern's base streamed as
+// is) folded by prepareFromSource.
+func prepareStreamed(g *tgm.InstanceGraph, p *Pattern, opt ExecOptions) (*Presentation, *graphrel.Relation, error) {
+	rel, src, err := matchPipeline(g, p, opt, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	if src == nil {
+		src = graphrel.StreamRelationBatch(rel, streamBatchRows)
+	}
+	return prepareFromSource(g, p, src, opt)
 }
 
 // assertSameRelations asserts exact row-for-row equality through the
@@ -48,8 +63,8 @@ func assertSameRelations(t *testing.T, label string, got, want *graphrel.Relatio
 // TestStreamMatchEquivalence asserts the engine's match equals the
 // oracle's tuple set on the paper's figure patterns, and that it is the
 // same relation row for row whether the pipeline ran in 7-row batches
-// or morsels, serial or fanned out over a pool — the identity that
-// keeps responses byte-stable across budgets.
+// or morsels, serial or with its selections under a pool — the identity
+// that keeps responses byte-stable across budgets.
 func TestStreamMatchEquivalence(t *testing.T) {
 	tr := planFixture(t)
 	pool := exec.NewPool(4)
@@ -85,8 +100,8 @@ func TestStreamMatchEquivalence(t *testing.T) {
 // TestStreamMatchEquivalenceRandomized fuzzes the engine against the
 // oracle: random year thresholds vary the selectivity, random batch
 // sizes vary the pipeline's chunking, and random budgets vary the
-// fan-out — the tuple set must be the oracle's, and the rows identical
-// to the serial default-batch run, throughout.
+// selections' fan-out — the tuple set must be the oracle's, and the
+// rows identical to the serial default-batch run, throughout.
 func TestStreamMatchEquivalenceRandomized(t *testing.T) {
 	tr := planFixture(t)
 	pool := exec.NewPool(4)
@@ -119,7 +134,7 @@ func TestStreamMatchEquivalenceRandomized(t *testing.T) {
 }
 
 // TestPrepareFromSourceEquivalence asserts the presentation folded off
-// the engine's stream renders the oracle's enriched table cell for
+// the engine's stream (prepareFromSource) renders the oracle's enriched table cell for
 // cell — full renders and windows — under budgets 1 and 4, and that the
 // relation the fold splices is the one MatchOpts returns.
 func TestPrepareFromSourceEquivalence(t *testing.T) {
@@ -140,11 +155,7 @@ func TestPrepareFromSourceEquivalence(t *testing.T) {
 			if budget > 1 {
 				opt.Ctx, opt.Pool, opt.Parallelism = context.Background(), pool, budget
 			}
-			src, err := MatchSource(tr.Instance, p, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pr, matched, err := PrepareFromSource(tr.Instance, p, src, opt)
+			pr, matched, err := prepareStreamed(tr.Instance, p, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -217,22 +228,30 @@ func TestExecutorStreamingPrepareCached(t *testing.T) {
 	assertSameResults(t, "hit-vs-oracle", got2, want)
 }
 
-// TestExecutorStreamingMatchCached asserts MatchWithOpts caches the
-// drained relation and serves hits without recomputation.
+// TestExecutorStreamingMatchCached asserts the executor caches the
+// drained relation and serves later prepares of the signature from it
+// without recomputation.
 func TestExecutorStreamingMatchCached(t *testing.T) {
 	tr := planFixture(t)
 	withSmallStreamBatches(t, 9)
 	p := figure1PlanPattern(t, tr)
 	e := NewExecutor(tr.Instance)
-	first, err := e.MatchWithOpts(p, ExecOptions{})
-	if err != nil {
+	if _, err := e.PrepareWithOpts(p, ExecOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	second, err := e.MatchWithOpts(p, ExecOptions{})
-	if err != nil {
+	key := matchPrefix + Signature(p)
+	first, ok := e.Cache().Get(key)
+	if !ok {
+		t.Fatal("streamed match not cached")
+	}
+	misses := e.Misses()
+	if _, err := e.PrepareWithOpts(p, ExecOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if first != second {
+	if e.Misses() != misses {
+		t.Error("second prepare recomputed the match")
+	}
+	if second, _ := e.Cache().Get(key); second != first {
 		t.Error("cache hit returned a different relation")
 	}
 	assertMatchesOracle(t, "cached-stream-match", first, oracleTuples(t, tr.Instance, p))

@@ -12,7 +12,7 @@ import (
 )
 
 // This file is the presentation pipeline: the format transformation of
-// §5.4.2 rebuilt as a prepared, windowed, morsel-parallel kernel.
+// §5.4.2 rebuilt as a prepared, windowed kernel.
 //
 // The transformation has two phases with very different costs:
 //
@@ -20,11 +20,10 @@ import (
 //     relation — the distinct primary rows, the column layout, and the
 //     per-column neighbor groupings — but materializes no cells.
 //   - Window materializes any [offset, offset+limit) row range of the
-//     presentation. Row materialization partitions cleanly by row
-//     range, so Window fans transformRange out over the shared worker
-//     pool with the same disjoint-window splice discipline as the
-//     matching kernels (graphrel.Select): every range writes only
-//     its own rows and its own cell-arena window, no locks.
+//     presentation in one transformRange call on the caller's
+//     goroutine. The serving path's windows are pages — at most 100
+//     rows on every benchmark workload (PERFORMANCE.md §17) — so there
+//     is no morsel to fan out.
 //
 // Splitting the phases is what makes paging cheap: a session prepares
 // a Presentation once, then each page fetch pays only for the rows it
@@ -33,10 +32,10 @@ import (
 // referenced afterwards.
 //
 // Allocation discipline: all cells of a window share one backing
-// array, each range's entity references are carved from one per-range
-// arena, empty reference lists share a single package-level slice, and
-// non-string labels are interned per range so N references to one node
-// share one rendered string.
+// array, its entity references are carved from one arena, empty
+// reference lists share a single package-level slice, and non-string
+// labels are interned per window so N references to one node share one
+// rendered string.
 
 // Presentation is a prepared format transformation over one matched
 // relation: the canonical row order, the column layout, and the
@@ -44,15 +43,15 @@ import (
 //
 // The zero value is unusable; build one with Prepare/PrepareOpts (or
 // Executor.PrepareWithOpts, which takes the matched relation from the
-// shared cache). Sort reorders rows without materializing cells.
-// A Presentation is safe for concurrent Window calls once built, but
-// Sort must not race Window.
+// shared cache). A prepared Presentation is immutable: SortedView
+// returns a reordered copy, so any number of goroutines may Window a
+// presentation and its views concurrently.
 type Presentation struct {
 	g         *tgm.InstanceGraph
 	pattern   *Pattern
 	primType  *tgm.NodeType
 	columns   []Column
-	rowIDs    []tgm.NodeID // current row order; ID-ascending until Sort
+	rowIDs    []tgm.NodeID // row order; ID-ascending unless a SortedView
 	parts     []partCol
 	neighbors []neighborCol
 	// labelTypes names every node type whose label a window can render
@@ -203,7 +202,7 @@ func Prepare(g *tgm.InstanceGraph, p *Pattern, matched *graphrel.Relation) (*Pre
 // order — independent of the join plan), columns are the base
 // attributes A_b, participating node columns A_t, and neighbor node
 // columns A_h of §5.4.2. It is the one Prepare kernel: a streamed match
-// is drained and prepared here too (PrepareFromSource), so the rows and
+// is drained and prepared here too (prepareFromSource), so the rows and
 // the per-column groupings (the bulk Π_type σ_{τa=r}(m(Q)) evaluation,
 // graphrel.GroupNeighbors) have a single heap implementation.
 func PrepareOpts(g *tgm.InstanceGraph, p *Pattern, matched *graphrel.Relation, opt ExecOptions) (*Presentation, error) {
@@ -319,30 +318,8 @@ func (pr *Presentation) NumRows() int { return len(pr.rowIDs) }
 // modified; materialized Results alias it.
 func (pr *Presentation) Columns() []Column { return pr.columns }
 
-// transformChunkRows is the row-range size Window fans out in; it
-// matches the matching kernels' morsel size, so a window smaller than
-// one morsel never pays fan-out overhead.
-const transformChunkRows = graphrel.MorselRows
-
-// Window materializes the [offset, offset+limit) row window serially.
-// See WindowOpts.
-func (pr *Presentation) Window(offset, limit int) (*Result, error) {
-	return pr.WindowOpts(offset, limit, ExecOptions{})
-}
-
-// WindowOpts materializes one row window of the presentation. limit < 0
-// means "all rows from offset"; limit 0 returns a row-less result that
-// still carries the table metadata (columns, TotalRows). An offset past
-// the end clamps to an empty window — paging past a table that shrank
-// is not an error. The returned Result's TotalRows and Offset locate
-// the window; Rows is row- and cell-identical to the same slice of a
-// full render.
-func (pr *Presentation) WindowOpts(offset, limit int, opt ExecOptions) (*Result, error) {
-	return pr.window(offset, limit, opt, transformChunkRows)
-}
-
 // windowStore is one window's recyclable backing: the shared cell
-// arena, the row headers, and the per-range entity-reference arenas.
+// arena, the row headers, and the entity-reference arena.
 // Stores circulate through windowStorePool so steady-state paging —
 // the session's page-up/page-down loop — reuses the previous window's
 // allocations instead of growing the heap on every fetch.
@@ -355,7 +332,7 @@ func (pr *Presentation) WindowOpts(offset, limit int, opt ExecOptions) (*Result,
 type windowStore struct {
 	cells []Cell
 	rows  []Row
-	refs  [][]EntityRef
+	refs  []EntityRef
 	// recycled guards against double-Put: two Results can share one
 	// store (session.hideColumns copies the struct), and returning a
 	// store twice would hand the same arenas to two live windows.
@@ -364,10 +341,21 @@ type windowStore struct {
 
 var windowStorePool = sync.Pool{New: func() any { return new(windowStore) }}
 
-// window is WindowOpts with an explicit fan-out chunk size, so tests
-// can exercise the parallel path (including windows straddling a final
-// partial chunk) on corpora far smaller than a real morsel.
-func (pr *Presentation) window(offset, limit int, opt ExecOptions, chunk int) (*Result, error) {
+// Window materializes the [offset, offset+limit) row window. See
+// WindowOpts.
+func (pr *Presentation) Window(offset, limit int) (*Result, error) {
+	return pr.WindowOpts(offset, limit, ExecOptions{})
+}
+
+// WindowOpts materializes one row window of the presentation. limit < 0
+// means "all rows from offset"; limit 0 returns a row-less result that
+// still carries the table metadata (columns, TotalRows). An offset past
+// the end clamps to an empty window — paging past a table that shrank
+// is not an error. The returned Result's TotalRows and Offset locate
+// the window; Rows is row- and cell-identical to the same slice of a
+// full render. Of the options only Ctx is read: the window is one
+// transformRange call on the caller's goroutine.
+func (pr *Presentation) WindowOpts(offset, limit int, opt ExecOptions) (*Result, error) {
 	if offset < 0 {
 		return nil, fmt.Errorf("etable: negative window offset %d", offset)
 	}
@@ -396,21 +384,20 @@ func (pr *Presentation) window(offset, limit int, opt ExecOptions, chunk int) (*
 	} else {
 		ws.rows = ws.rows[:n]
 	}
-	// All cells of the window share one backing array; each range slices
+	// All cells of the window share one backing array; each row slices
 	// its own disjoint piece (full-capacity sub-slices, so no append can
-	// cross range boundaries).
+	// cross row boundaries).
 	if need := n * len(pr.columns); cap(ws.cells) < need {
 		ws.cells = make([]Cell, need)
 	} else {
 		ws.cells = ws.cells[:need]
 	}
 	res.Rows, res.store = ws.rows, ws
-	cells := ws.cells
 	// Pin the window's columns for the duration of materialization: on
 	// an out-of-core graph this faults in exactly the columns the window
-	// renders and guards them against eviction until every range has
-	// been written; a corrupt section fails the whole window here with
-	// its typed error before any row materializes.
+	// renders and guards them against eviction until every row has been
+	// written; a corrupt section fails the whole window here with its
+	// typed error before any row materializes.
 	view, release, err := pr.pinColumns()
 	if err != nil {
 		return nil, err
@@ -419,69 +406,36 @@ func (pr *Presentation) window(offset, limit int, opt ExecOptions, chunk int) (*
 	if err := pr.ensureNeighbors(); err != nil {
 		return nil, err
 	}
-	if opt.Pool == nil || opt.Parallelism <= 1 || n <= chunk {
-		if err := ctxErr(opt.Ctx); err != nil {
-			return nil, err
-		}
-		ws.ensureRanges(1)
-		arena, err := pr.transformRange(view, start, end, start, res.Rows, cells, ws.refs[0])
-		ws.refs[0] = arena
-		if err != nil {
-			return nil, err
-		}
-		return res, nil
+	if err := ctxErr(opt.Ctx); err != nil {
+		return nil, err
 	}
-	// Each range owns one recycled ref arena, indexed by range ordinal —
-	// disjoint slots, so the parallel ranges write without locks.
-	ws.ensureRanges((n + chunk - 1) / chunk)
-	if err := opt.Pool.MapRanges(opt.Ctx, n, chunk, opt.Parallelism, func(lo, hi int) error {
-		ri := lo / chunk
-		arena, err := pr.transformRange(view, start+lo, start+hi, start, res.Rows, cells, ws.refs[ri])
-		ws.refs[ri] = arena
-		return err
-	}); err != nil {
+	ws.refs, err = pr.transformRange(view, start, end, res.Rows, ws.cells, ws.refs)
+	if err != nil {
 		return nil, err
 	}
 	return res, nil
 }
 
-// ensureRanges sizes the per-range arena table, keeping already-grown
-// arenas in their slots.
-func (ws *windowStore) ensureRanges(n int) {
-	if cap(ws.refs) < n {
-		refs := make([][]EntityRef, n)
-		copy(refs, ws.refs)
-		ws.refs = refs
-		return
-	}
-	ws.refs = ws.refs[:n]
-}
-
 // transformRange is the row-range transform kernel (§5.4.2 restricted
 // to rows [lo, hi) of the presentation order): it writes rows into
-// rows[lo-base:hi-base] and carves their cells from the shared arena.
-// Ranges touch disjoint row and cell windows, so concurrent calls on
-// distinct ranges need no synchronization — the same splice discipline
-// as graphrel's morsel kernels.
+// rows[0:hi-lo] and carves their cells from the shared cell arena.
 //
-// arena is the range's entity-reference backing, recycled across
+// arena is the window's entity-reference backing, recycled across
 // windows (windowStore): it is re-sliced to zero and grown only when
-// the range needs more capacity than any previous occupant. The
-// (possibly re-allocated) arena is returned for the caller to store.
-// Every cell of the range is assigned whole — recycled arenas carry
-// stale cells from earlier windows, and a partial field write would
-// leak them.
+// the window needs more capacity than any previous occupant. Every cell
+// of the range is assigned whole — recycled arenas carry stale cells
+// from earlier windows, and a partial field write would leak them.
 //
 // The (possibly re-allocated) arena is returned even on error so the
 // caller can keep recycling it; a failed refs fault (a corrupt spill
 // run, a closed file) aborts the range with its typed error.
-func (pr *Presentation) transformRange(view *colView, lo, hi, base int, rows []Row, cells []Cell, arena []EntityRef) ([]EntityRef, error) {
+func (pr *Presentation) transformRange(view *colView, lo, hi int, rows []Row, cells []Cell, arena []EntityRef) ([]EntityRef, error) {
 	ncols := len(pr.columns)
 	nattrs := len(pr.primType.Attrs)
 	g := pr.g
 
 	// Count the range's entity references first, then carve every cell's
-	// Refs from one arena: at most one allocation per range, none once
+	// Refs from one arena: at most one allocation per window, none once
 	// the recycled arena has grown to the window working set. Counts are
 	// IO-free on every groupSource form — only the refs reads below can
 	// fault spilled runs.
@@ -505,7 +459,7 @@ func (pr *Presentation) transformRange(view *colView, lo, hi, base int, rows []R
 		id := pr.rowIDs[i]
 		n := g.Node(id)
 		row := int(n.Row)
-		cs := cells[(i-base)*ncols : (i-base+1)*ncols : (i-base+1)*ncols]
+		cs := cells[(i-lo)*ncols : (i-lo+1)*ncols : (i-lo+1)*ncols]
 		for ai := 0; ai < nattrs; ai++ {
 			cs[ai] = Cell{Value: view.base[ai][row]}
 		}
@@ -523,7 +477,7 @@ func (pr *Presentation) transformRange(view *colView, lo, hi, base int, rows []R
 			arena, refs = appendRefs(arena, g, view, intern, nc.adj.Neighbors(id))
 			cs[nc.col] = Cell{Refs: refs}
 		}
-		rows[i-base] = Row{Node: id, Label: intern.label(view, n), Cells: cs}
+		rows[i-lo] = Row{Node: id, Label: intern.label(view, n), Cells: cs}
 	}
 	return arena, nil
 }
@@ -548,7 +502,7 @@ func appendRefs(arena []EntityRef, g *tgm.InstanceGraph, view *colView, intern l
 	return arena, arena[start:len(arena):len(arena)]
 }
 
-// labelInterner dedups rendered node labels within one transform range:
+// labelInterner dedups rendered node labels within one window:
 // N references to one node share one string instead of re-rendering
 // per ref. String-valued labels bypass the map entirely — Format
 // returns the stored string without allocating, so interning them

@@ -2,6 +2,7 @@ package etable
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"runtime/debug"
 	"testing"
@@ -57,12 +58,11 @@ func assertSameWindow(t *testing.T, label string, got, want *Result) {
 	assertSameResults(t, label, got, want)
 }
 
-// TestTransformRangeEquivalence is the tentpole equivalence test: the
-// morsel-parallel transform fan-out (forced multi-range via a tiny
-// chunk size) is row- and cell-identical to the serial transform, on
-// the Figure 1 and Figure 7 patterns, across budgets. Run under -race
-// by scripts/check.sh, which also exercises the disjoint-window splice
-// discipline.
+// TestTransformRangeEquivalence: a window is one transformRange call
+// on the caller's goroutine whatever the options carry — under a pool
+// and budgets 2 and 4, every window (the full render, the first rows,
+// the last rows) is row- and cell-identical to the serial render, on
+// the Figure 1 and Figure 7 patterns.
 func TestTransformRangeEquivalence(t *testing.T) {
 	tr := planFixture(t)
 	pool := exec.NewPool(4)
@@ -78,19 +78,24 @@ func TestTransformRangeEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		total := len(want.Rows)
 		for _, budget := range []int{2, 4} {
-			pr, err := PrepareOpts(tr.Instance, p, matched,
-				ExecOptions{Ctx: context.Background(), Pool: pool, Parallelism: budget})
+			opt := ExecOptions{Ctx: context.Background(), Pool: pool, Parallelism: budget}
+			pr, err := PrepareOpts(tr.Instance, p, matched, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			// chunk=3 forces many ranges (with a final partial one) even
-			// on this small corpus, so the fan-out path really runs.
-			got, err := pr.window(0, -1, ExecOptions{Ctx: context.Background(), Pool: pool, Parallelism: budget}, 3)
-			if err != nil {
-				t.Fatal(err)
+			for _, w := range [][2]int{{0, -1}, {0, 3}, {max(total-3, 0), -1}} {
+				got, err := pr.WindowOpts(w[0], w[1], opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				end := total
+				if w[1] >= 0 {
+					end = min(w[0]+w[1], total)
+				}
+				assertSameWindow(t, fmt.Sprintf("%s/budget=%d/window=%v", name, budget, w), got, sliceOf(want, w[0], end))
 			}
-			assertSameResults(t, name, got, want)
 		}
 		// The public full-render path under options must agree too.
 		got, err := ExecuteOpts(tr.Instance, p,
@@ -103,9 +108,8 @@ func TestTransformRangeEquivalence(t *testing.T) {
 }
 
 // TestPresentationWindowEdgeCases pins the window clamping rules:
-// offsets beyond the table, zero and negative limits, windows
-// straddling the final partial chunk, and empty windows still carrying
-// table metadata.
+// offsets beyond the table, zero and negative limits, and empty windows
+// still carrying table metadata.
 func TestPresentationWindowEdgeCases(t *testing.T) {
 	pr, full := windowFixture(t)
 	total := len(full.Rows)
@@ -132,28 +136,15 @@ func TestPresentationWindowEdgeCases(t *testing.T) {
 		assertSameWindow(t, tc.name, got, sliceOf(full, tc.start, tc.end))
 	}
 
-	// A window straddling the final partial chunk of the parallel path:
-	// chunk=4 over a window ending at the table's last row exercises the
-	// short tail range.
-	if total >= 6 {
-		pool := exec.NewPool(4)
-		opt := ExecOptions{Ctx: context.Background(), Pool: pool, Parallelism: 4}
-		got, err := pr.window(total-6, -1, opt, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertSameWindow(t, "straddle_final_partial_chunk", got, sliceOf(full, total-6, total))
-	}
-
 	if _, err := pr.Window(-1, 5); err == nil {
 		t.Error("negative offset: want error")
 	}
 }
 
-// TestSortThenPageEquivalence is the satellite equivalence test:
-// sorting the presentation and materializing a window must equal
-// rendering the full table, Result.Sort-ing it, and slicing — for base
-// attribute sorts and entity-reference count sorts, both directions.
+// TestSortThenPageEquivalence is the satellite equivalence test: a
+// sorted view's window must equal rendering the full table,
+// Result.Sort-ing it, and slicing — for base attribute sorts and
+// entity-reference count sorts, both directions.
 func TestSortThenPageEquivalence(t *testing.T) {
 	tr := planFixture(t)
 	p := figure7PlanPattern(t, tr)
@@ -197,7 +188,7 @@ func TestSortThenPageEquivalence(t *testing.T) {
 		if err := pr.ValidateSort(spec); err != nil {
 			t.Fatal(err)
 		}
-		if err := pr.Sort(spec); err != nil {
+		if pr, err = pr.SortedView(spec); err != nil {
 			t.Fatal(err)
 		}
 		for _, win := range [][2]int{{0, -1}, {0, 3}, {2, 3}, {total - 2, 5}} {
@@ -320,10 +311,9 @@ func TestLabelInterner(t *testing.T) {
 // satellite: Recycle returns a window's backing arrays to the pool, the
 // next materialization reuses them (asserted by backing-array identity,
 // with GC disabled so the pool cannot be cleared mid-test), and windows
-// built on recycled arenas — smaller than the previous occupant, and
-// through the parallel multi-range path — are cell-identical to fresh
-// ones (recycled arenas carry stale cells; transformRange must fully
-// assign every cell).
+// built on recycled arenas — smaller and larger than the previous
+// occupant — are cell-identical to fresh ones (recycled arenas carry
+// stale cells; transformRange must fully assign every cell).
 func TestWindowRecycleReuseAndEquivalence(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	pr, full := windowFixture(t)
@@ -360,15 +350,12 @@ func TestWindowRecycleReuseAndEquivalence(t *testing.T) {
 	}
 	res2.Recycle()
 
-	// The parallel multi-range path over a recycled store (chunk=3
-	// forces several ranges, growing the per-range arena table).
-	pool := exec.NewPool(4)
-	opt := ExecOptions{Ctx: context.Background(), Pool: pool, Parallelism: 4}
-	res3, err := pr.window(0, -1, opt, 3)
+	// A window larger than the recycled store grows its arenas.
+	res3, err := pr.Window(0, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameWindow(t, "recycled parallel", res3, sliceOf(full, 0, total))
+	assertSameWindow(t, "recycled larger", res3, sliceOf(full, 0, total))
 	res3.Recycle()
 
 	// Results without a store (hand-built, zero-row windows) no-op.
@@ -474,15 +461,15 @@ func TestSortedViewSharesPreparedState(t *testing.T) {
 		t.Fatalf("view has %d rows, base %d", len(v.rowIDs), len(baseOrder))
 	}
 
-	// The view renders exactly what sorting a fresh presentation renders.
-	want, err := Prepare(tr.Instance, p, matched)
+	// The view renders exactly what sorting the full render renders.
+	want, err := pres.Window(0, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := want.Sort(SortSpec{Attr: "year", Desc: true}); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(v.rowIDs, want.rowIDs) {
-		t.Fatal("view's row order differs from an in-place Sort")
+	if !reflect.DeepEqual(v.rowIDs, nodesOf(want)) {
+		t.Fatal("view's row order differs from the sorted full render")
 	}
 }

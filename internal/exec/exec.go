@@ -1,7 +1,7 @@
 // Package exec provides the shared worker pool behind intra-query
-// parallelism (the morsel-driven execution of internal/graphrel and
-// internal/etable, after the morsel-driven parallelism line of modern
-// analytical engines).
+// parallelism, after the morsel-driven parallelism line of modern
+// analytical engines. Its one user is graphrel.Select, the only kernel
+// that fans out.
 //
 // Design:
 //
@@ -17,8 +17,8 @@
 //     its own work, so Map makes progress even with zero pool tokens —
 //     there is no deadlock and no priority inversion between queries.
 //   - Each Map call carries a per-query parallelism budget (the
-//     per-request knob plumbed down from the HTTP layer) on top of the
-//     pool cap: workers used = min(budget, tasks, 1+tokens available).
+//     session's, fixed when the session is built) on top of the pool
+//     cap: workers used = min(budget, tasks, 1+tokens available).
 //   - Cancellation is cooperative: workers recheck the context between
 //     tasks (between morsels, in the kernels built on top), so an
 //     abandoned HTTP request stops a long join mid-flight.
@@ -159,55 +159,4 @@ func (p *Pool) Map(ctx context.Context, tasks, budget int, f func(i int) error) 
 	worker()
 	wg.Wait()
 	return firstErr
-}
-
-// MapRanges fans f out over contiguous chunks of [0, n): f(lo, hi) is
-// called once per chunk of at most chunkSize rows, with the same
-// worker admission, budget, cancellation, and panic-recovery rules as
-// Map. Chunks are claimed in order but may run concurrently; callers
-// writing into disjoint output windows per chunk need no locks. It is
-// the range-task helper behind the morsel kernels (graphrel) and the
-// presentation transform (etable), so every kernel chunks identically
-// instead of each computing its own bounds.
-//
-// n <= 0 is a no-op; chunkSize <= 0 runs everything as one chunk.
-func (p *Pool) MapRanges(ctx context.Context, n, chunkSize, budget int, f func(lo, hi int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	if chunkSize <= 0 || chunkSize > n {
-		chunkSize = n
-	}
-	chunks := (n + chunkSize - 1) / chunkSize
-	return p.Map(ctx, chunks, budget, func(i int) error {
-		lo := i * chunkSize
-		hi := lo + chunkSize
-		if hi > n {
-			hi = n
-		}
-		return f(lo, hi)
-	})
-}
-
-// budgetKey carries the per-request parallelism budget through a
-// context, so the knob crosses layers (HTTP handler → session →
-// executor → kernels) without widening every signature in between.
-type budgetKey struct{}
-
-// WithBudget returns a context carrying a per-request parallelism
-// budget. Budgets <= 0 are stored as-is and resolve to the fallback in
-// BudgetFrom.
-func WithBudget(ctx context.Context, budget int) context.Context {
-	return context.WithValue(ctx, budgetKey{}, budget)
-}
-
-// BudgetFrom extracts the per-request parallelism budget from ctx,
-// falling back to def when absent or non-positive.
-func BudgetFrom(ctx context.Context, def int) int {
-	if ctx != nil {
-		if b, ok := ctx.Value(budgetKey{}).(int); ok && b > 0 {
-			return b
-		}
-	}
-	return def
 }

@@ -208,22 +208,6 @@ func TestNewPoolDefaultsToGOMAXPROCS(t *testing.T) {
 	}
 }
 
-func TestBudgetContext(t *testing.T) {
-	ctx := context.Background()
-	if got := BudgetFrom(ctx, 7); got != 7 {
-		t.Fatalf("absent budget = %d, want fallback 7", got)
-	}
-	if got := BudgetFrom(nil, 3); got != 3 {
-		t.Fatalf("nil ctx budget = %d, want fallback 3", got)
-	}
-	if got := BudgetFrom(WithBudget(ctx, 12), 7); got != 12 {
-		t.Fatalf("budget = %d, want 12", got)
-	}
-	if got := BudgetFrom(WithBudget(ctx, 0), 7); got != 7 {
-		t.Fatalf("non-positive budget = %d, want fallback 7", got)
-	}
-}
-
 func TestMapPreCanceledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

@@ -21,8 +21,9 @@ import "context"
 // so an abandoned request stops a scan mid-flight with ctx.Err(). The
 // kernel runs serially when the input is a single morsel, the budget is
 // <= 1, or the pool is nil — tiny interactive queries never pay the
-// fan-out overhead. Joins fan out per batch inside StreamJoin's stage
-// (stream.go); the grouping kernels (group.go) run serial.
+// fan-out overhead. Select is the only kernel that fans out: StreamJoin
+// (stream.go) probes one batch at a time and the grouping kernels
+// (group.go) run serial.
 
 // prefixOffsets turns per-morsel output slices into disjoint output
 // offsets, returning the offsets and the total length.

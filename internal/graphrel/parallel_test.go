@@ -148,13 +148,12 @@ func TestSelectParEquivalence(t *testing.T) {
 	}
 }
 
-// TestJoinParEquivalence asserts the parallel join — StreamJoin's stage
-// fanning batches out over a pool under budgets 1–8 — materializes to
-// exactly the reference Join's relation, in both edge directions.
+// TestJoinParEquivalence asserts the streamed join — StreamJoin over
+// probe batches of 1 row to past a morsel — materializes to exactly the
+// reference Join's relation, in both edge directions.
 func TestJoinParEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	g := bigChainGraph(t, rng)
-	pool := exec.NewPool(4)
 	ctx := context.Background()
 	as, err := Base(g, "A")
 	if err != nil {
@@ -164,9 +163,9 @@ func TestJoinParEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	streamed := func(budget int, left, right *Relation, edge, la, ra string) *Relation {
+	streamed := func(batch int, left, right *Relation, edge, la, ra string) *Relation {
 		t.Helper()
-		src, err := StreamJoin(ctx, pool, budget, StreamRelationBatch(left, 0), right, edge, la, ra)
+		src, err := StreamJoin(ctx, StreamRelationBatch(left, batch), right, edge, la, ra)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,32 +179,28 @@ func TestJoinParEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, budget := range []int{1, 2, 4, 8} {
-		assertIdenticalRelations(t, fmt.Sprintf("budget=%d", budget), streamed(budget, as, bs, "A-B", "A", "B"), want)
+	for _, batch := range []int{1, 100, 0, 3 * MorselRows} {
+		assertIdenticalRelations(t, fmt.Sprintf("batch=%d", batch), streamed(batch, as, bs, "A-B", "A", "B"), want)
 	}
 	// The reverse direction joins through the bidirectional pair.
 	wantRev, err := Join(bs, as, "A-B_rev", "B", "A")
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertIdenticalRelations(t, "reverse", streamed(4, bs, as, "A-B_rev", "B", "A"), wantRev)
+	assertIdenticalRelations(t, "reverse", streamed(0, bs, as, "A-B_rev", "B", "A"), wantRev)
 }
 
 // TestSmallInputsRunSerial pins what lets the engine pass a request's
-// budget through unchanged: a Select over one morsel and a StreamJoin
-// whose input is one batch take the serial path under a pool and budget
-// 8 — the same allocations as the pool-less call and the same rows —
-// while a many-morsel Select under the same budget does fan out.
+// budget through unchanged: a Select over one morsel takes the serial
+// path under a pool and budget 8 — the same allocations as the
+// pool-less call and the same rows — while a many-morsel Select under
+// the same budget does fan out.
 func TestSmallInputsRunSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g := bigChainGraph(t, rng)
 	pool := exec.NewPool(4)
 	ctx := context.Background()
 	as, err := Base(g, "A")
-	if err != nil {
-		t.Fatal(err)
-	}
-	bs, err := Base(g, "B")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,26 +216,11 @@ func TestSmallInputsRunSerial(t *testing.T) {
 		}
 		return got
 	}
-	join := func(p *exec.Pool, budget int) *Relation {
-		src, err := StreamJoin(ctx, p, budget, StreamRelationBatch(morsel, 0), bs, "A-B", "A", "B")
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := Materialize(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return got
-	}
 	allocs := func(f func()) float64 { return testing.AllocsPerRun(20, f) }
 
 	assertIdenticalRelations(t, "one-morsel select", sel(pool, 8, morsel), sel(nil, 1, morsel))
 	if pooled, serial := allocs(func() { sel(pool, 8, morsel) }), allocs(func() { sel(nil, 1, morsel) }); pooled != serial {
 		t.Errorf("one-morsel Select: %v allocs under pool+budget 8, %v serial — it fanned out", pooled, serial)
-	}
-	assertIdenticalRelations(t, "one-batch join", join(pool, 8), join(nil, 1))
-	if pooled, serial := allocs(func() { join(pool, 8) }), allocs(func() { join(nil, 1) }); pooled != serial {
-		t.Errorf("one-batch StreamJoin: %v allocs under pool+budget 8, %v serial — it fanned out", pooled, serial)
 	}
 	// The control: the measurement sees a real fan-out.
 	if pooled, serial := allocs(func() { sel(pool, 8, as) }), allocs(func() { sel(nil, 1, as) }); pooled <= serial {

@@ -4,16 +4,14 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/exec"
 	"repro/internal/tgm"
 )
 
 // Streaming kernels: the pull-based, morsel-batched join the execution
 // pipeline is composed of. A RowSource yields a relation's tuples as a
-// sequence of bounded batches (MorselRows rows each, the same morsel
-// discipline as the parallel kernels), so a chain of StreamJoin stages
-// holds at most a few morsels per stage in memory instead of every
-// intermediate relation in full.
+// sequence of bounded batches (MorselRows rows each), so a chain of
+// StreamJoin stages holds one batch per stage in memory instead of
+// every intermediate relation in full.
 //
 // Three properties hold for every pipeline:
 //
@@ -21,18 +19,17 @@ import (
 //     reference Join (joinIndex.probe + joinOutput) over batches that are
 //     contiguous input runs consumed in order, so concatenating a
 //     stream's batches reproduces Join's output row for row — not
-//     merely set-equal — whatever the batch size or the fan-out budget.
-//     Materialize is that concatenation.
+//     merely set-equal — whatever the batch size. Materialize is that
+//     concatenation.
 //   - Early termination: a consumer that stops pulling stops all
-//     upstream production; StreamLimit additionally Closes its upstream
-//     once satisfied, so a LIMIT or a first-page fetch does O(window)
-//     work on the driving side instead of O(relation).
-//   - Bounded buffering: a stage buffers at most its fan-out width in
-//     input batches (the per-query parallelism budget) plus their
-//     outputs. Genuine pipeline breakers — sort, GroupNeighbors,
-//     DistinctSorted — are not stream operators; consumers that need
-//     them Materialize first (see etable.PrepareFromSource), or fold
-//     batches into their external forms (spill.go).
+//     upstream production, and Close propagates upstream (MaterializeMax
+//     closes the pipeline the moment its row cap trips).
+//   - Bounded buffering: a stage buffers the output of one input batch,
+//     re-split into morsel-sized slices. Genuine pipeline breakers —
+//     sort, GroupNeighbors, DistinctSorted — are not stream operators;
+//     consumers that need them Materialize first (see the etable
+//     executor's prepare), or fold batches into their external forms
+//     (spill.go).
 //
 // Cancellation is checked between batches: a canceled context fails the
 // next Next call, and every operator propagates Close upstream so an
@@ -94,43 +91,29 @@ func (s *relationSource) Next() (*Relation, error) {
 	return b, nil
 }
 
-// stageSource is StreamJoin's machinery: it pulls a bounded run of
-// input batches per refill, applies the per-batch kernel to each —
-// fanned out over the pool when a budget is granted, serially
-// otherwise — and hands the outputs downstream in input order. The
-// in-order splice is what keeps a pipeline's rows independent of its
-// budget; the bounded refill width is what keeps memory proportional
-// to the parallelism budget, not the relation.
-//
-// Two details serve first-page latency. The refill width ramps up —
-// 1, 2, 4, … capped at the budget — so the first Next on a cold
-// pipeline costs one upstream batch per stage instead of prefetching a
-// full fan-out a LIMIT consumer will never read, while a full drain
-// still reaches the budgeted width within a few refills. And outputs
-// larger than MorselRows (a join batch inherits its probe batch's
-// fan-out) are re-split into morsel-sized zero-copy slices before
-// queuing, so downstream refills stay morsel-grained instead of
-// amplifying by the join's expansion factor.
-type stageSource struct {
-	src    RowSource
-	g      *tgm.InstanceGraph
-	attrs  []Attr
-	ctx    context.Context
-	pool   *exec.Pool
-	budget int
-	apply  func(*Relation) (*Relation, error)
+// joinSource is StreamJoin's stage: each refill pulls one batch from
+// upstream, probes it, and queues the output re-split into morsel-sized
+// zero-copy slices, so one high-fan-out probe batch does not become one
+// giant downstream batch.
+type joinSource struct {
+	src   RowSource
+	ctx   context.Context
+	attrs []Attr
+	right *Relation
+	index joinIndex
+	adj   tgm.Adjacency
+	li    int
 
 	queue  []*Relation
-	width  int // current refill width, ramping 1 → budget
 	done   bool
 	err    error
 	closed bool
 }
 
-func (s *stageSource) Graph() *tgm.InstanceGraph { return s.g }
-func (s *stageSource) Attrs() []Attr             { return s.attrs }
+func (s *joinSource) Graph() *tgm.InstanceGraph { return s.src.Graph() }
+func (s *joinSource) Attrs() []Attr             { return s.attrs }
 
-func (s *stageSource) Close() {
+func (s *joinSource) Close() {
 	if s.closed {
 		return
 	}
@@ -140,13 +123,13 @@ func (s *stageSource) Close() {
 }
 
 // fail records a sticky error and releases the upstream.
-func (s *stageSource) fail(err error) (*Relation, error) {
+func (s *joinSource) fail(err error) (*Relation, error) {
 	s.err = err
 	s.Close()
 	return nil, err
 }
 
-func (s *stageSource) Next() (*Relation, error) {
+func (s *joinSource) Next() (*Relation, error) {
 	for {
 		if s.err != nil {
 			return nil, s.err
@@ -163,72 +146,25 @@ func (s *stageSource) Next() (*Relation, error) {
 		if err := ctxErr(s.ctx); err != nil {
 			return s.fail(err)
 		}
-		// Refill: pull up to width batches, then apply the kernel to the
-		// whole pull — one pool fan-out per refill instead of per batch.
-		max := s.budget
-		if s.pool == nil || max < 1 {
-			max = 1
-		}
-		if s.width < 1 {
-			s.width = 1
-		}
-		width := s.width
-		if width > max {
-			width = max
-		}
-		s.width = width * 2 // ramp toward the budget for the next refill
-		in := make([]*Relation, 0, width)
-		for len(in) < width {
-			b, err := s.src.Next()
-			if err != nil {
-				return s.fail(err)
-			}
-			if b == nil {
-				s.done = true
-				break
-			}
-			in = append(in, b)
-		}
-		if len(in) == 0 {
-			continue
-		}
-		out := make([]*Relation, len(in))
-		if s.pool == nil || s.budget <= 1 || len(in) == 1 {
-			for i, b := range in {
-				r, err := s.apply(b)
-				if err != nil {
-					return s.fail(err)
-				}
-				out[i] = r
-			}
-		} else if err := s.pool.Map(s.ctx, len(in), s.budget, func(i int) error {
-			r, err := s.apply(in[i])
-			if err != nil {
-				return err
-			}
-			out[i] = r
-			return nil
-		}); err != nil {
+		b, err := s.src.Next()
+		if err != nil {
 			return s.fail(err)
 		}
-		for _, b := range out {
-			if b == nil || b.n == 0 {
-				continue
-			}
-			// Re-split oversized outputs into morsel-sized zero-copy
-			// slices so one high-fan-out probe batch does not become one
-			// giant downstream batch.
-			if b.n <= MorselRows {
-				s.queue = append(s.queue, b)
-				continue
-			}
-			for lo := 0; lo < b.n; lo += MorselRows {
-				hi := lo + MorselRows
-				if hi > b.n {
-					hi = b.n
-				}
-				s.queue = append(s.queue, b.slice(lo, hi))
-			}
+		if b == nil {
+			s.done = true
+			continue
+		}
+		lrows, rrows := s.index.probe(s.adj, b.cols[s.li])
+		if len(lrows) == 0 {
+			continue
+		}
+		out := joinOutput(b, s.right, lrows, rrows)
+		if out.n <= MorselRows {
+			s.queue = append(s.queue, out)
+			continue
+		}
+		for lo := 0; lo < out.n; lo += MorselRows {
+			s.queue = append(s.queue, out.slice(lo, min(lo+MorselRows, out.n)))
 		}
 	}
 }
@@ -249,72 +185,18 @@ func header(src RowSource) *Relation {
 // right side is the join's build side — in the execution pipeline it is
 // a cached base relation — so only the probe side streams; the index
 // lives as long as the stream does.
-func StreamJoin(ctx context.Context, pool *exec.Pool, budget int, src RowSource, right *Relation, edgeType, leftAttr, rightAttr string) (RowSource, error) {
+func StreamJoin(ctx context.Context, src RowSource, right *Relation, edgeType, leftAttr, rightAttr string) (RowSource, error) {
 	hdr := header(src)
 	li, ri, adj, err := checkJoin(hdr, right, edgeType, leftAttr, rightAttr)
 	if err != nil {
 		return nil, err
 	}
-	index := buildJoinIndex(right, ri)
 	attrs := make([]Attr, 0, len(hdr.Attrs)+len(right.Attrs))
 	attrs = append(append(attrs, hdr.Attrs...), right.Attrs...)
-	return &stageSource{
-		src: src, g: src.Graph(), attrs: attrs,
-		ctx: ctx, pool: pool, budget: budget,
-		apply: func(b *Relation) (*Relation, error) {
-			lrows, rrows := index.probe(adj, b.cols[li])
-			if len(lrows) == 0 {
-				return nil, nil
-			}
-			return joinOutput(b, right, lrows, rrows), nil
-		},
+	return &joinSource{
+		src: src, ctx: ctx, attrs: attrs, right: right,
+		index: buildJoinIndex(right, ri), adj: adj, li: li,
 	}, nil
-}
-
-// StreamLimit truncates src to at most n rows. Once satisfied it
-// Closes the upstream, which is the early-termination path: a LIMIT or
-// a first-page fetch stops every producer above it instead of letting
-// the pipeline compute rows nobody will read. The final batch is
-// trimmed zero-copy, so the limited stream is row-identical to the
-// first n rows of src.
-func StreamLimit(src RowSource, n int) RowSource {
-	return &limitSource{src: src, remaining: n}
-}
-
-type limitSource struct {
-	src       RowSource
-	remaining int
-	err       error
-}
-
-func (l *limitSource) Graph() *tgm.InstanceGraph { return l.src.Graph() }
-func (l *limitSource) Attrs() []Attr             { return l.src.Attrs() }
-func (l *limitSource) Close()                    { l.src.Close() }
-
-func (l *limitSource) Next() (*Relation, error) {
-	if l.err != nil {
-		return nil, l.err
-	}
-	if l.remaining <= 0 {
-		return nil, nil
-	}
-	b, err := l.src.Next()
-	if err != nil {
-		l.err = err
-		return nil, err
-	}
-	if b == nil {
-		l.remaining = 0
-		return nil, nil
-	}
-	if b.n >= l.remaining {
-		b = b.slice(0, l.remaining)
-		l.remaining = 0
-		l.src.Close() // satisfied: stop upstream production
-		return b, nil
-	}
-	l.remaining -= b.n
-	return b, nil
 }
 
 // RowLimitError reports a streamed materialization that exceeded the

@@ -43,7 +43,7 @@ func streamPipeline(t *testing.T, ctx context.Context, pool *exec.Pool, budget i
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := StreamJoin(ctx, pool, budget, StreamRelationBatch(sel, batch), bs, "A-B", "A", "B")
+	src, err := StreamJoin(ctx, StreamRelationBatch(sel, batch), bs, "A-B", "A", "B")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestStreamBatchBounds(t *testing.T) {
 	g := bigChainGraph(t, rng)
 	as, _ := Base(g, "A")
 	bs, _ := Base(g, "B")
-	src, err := StreamJoin(nil, nil, 1, StreamRelationBatch(as, 256), bs, "A-B", "A", "B")
+	src, err := StreamJoin(nil, StreamRelationBatch(as, 256), bs, "A-B", "A", "B")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,75 +135,17 @@ func TestStreamBatchBounds(t *testing.T) {
 	}
 }
 
-// TestStreamLimitEquivalence asserts StreamLimit(src, k) produces
-// exactly the first k rows of the unlimited stream, for limits below,
-// at, and beyond the full row count.
-func TestStreamLimitEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	g := bigChainGraph(t, rng)
-	as, _ := Base(g, "A")
-	bs, _ := Base(g, "B")
-	cond := expr.MustParse("id % 2 = 0")
-	full := referencePipeline(t, as, bs, cond)
-	for _, k := range []int{0, 1, 7, 100, full.Len(), full.Len() + 99} {
-		src := streamPipeline(t, context.Background(), nil, 1, as, bs, cond, 512)
-		got, err := Materialize(StreamLimit(src, k))
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantN := k
-		if wantN > full.Len() {
-			wantN = full.Len()
-		}
-		want := full.slice(0, wantN)
-		assertIdenticalRelations(t, fmt.Sprintf("limit=%d", k), got, want)
-	}
-}
-
-// TestStreamLimitStopsUpstream asserts the early-termination path: a
-// satisfied limit pulls no further upstream batches and propagates
-// Close, so LIMIT/window consumption does O(window) upstream work.
-func TestStreamLimitStopsUpstream(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	g := bigChainGraph(t, rng)
-	as, _ := Base(g, "A")
-	bs, _ := Base(g, "B")
-	counter := &countingSource{src: StreamRelationBatch(as, 64)}
-	src, err := StreamJoin(nil, nil, 1, counter, bs, "A-B", "A", "B")
-	if err != nil {
-		t.Fatal(err)
-	}
-	lim := StreamLimit(src, 10)
-	got, err := Materialize(lim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != 10 {
-		t.Fatalf("limited rows = %d, want 10", got.Len())
-	}
-	if !counter.closed {
-		t.Error("limit did not propagate Close upstream")
-	}
-	// The early A nodes have heavy fan-out (bigChainGraph skew), so 10
-	// join rows come out of the first few 64-row batches; pulling
-	// anywhere near all ~80 batches means production did not stop.
-	if maxPulls := 8; counter.pulls > maxPulls {
-		t.Errorf("upstream pulled %d batches for a 10-row window (want <= %d)", counter.pulls, maxPulls)
-	}
-}
-
 // TestStreamCancellation covers the mid-stream cancellation path: a
 // context canceled between pulls fails the next Next with ctx.Err(),
 // the error is sticky, and Close propagates upstream.
 func TestStreamCancellation(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	g := bigChainGraph(t, rng)
-	pool := exec.NewPool(2)
 	as, _ := Base(g, "A")
 	bs, _ := Base(g, "B")
 	ctx, cancel := context.WithCancel(context.Background())
 	counter := &countingSource{src: StreamRelationBatch(as, 64)}
-	src, err := StreamJoin(ctx, pool, 4, counter, bs, "A-B", "A", "B")
+	src, err := StreamJoin(ctx, counter, bs, "A-B", "A", "B")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,8 +153,9 @@ func TestStreamCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 	cancel()
-	// The stage may hold already-computed batches from the first refill;
-	// drain them — cancellation is checked before the next upstream pull.
+	// The stage may hold already-computed slices of the first probe
+	// batch; drain them — cancellation is checked before the next
+	// upstream pull.
 	for {
 		b, err := src.Next()
 		if errors.Is(err, context.Canceled) {
@@ -234,7 +177,7 @@ func TestStreamCancellation(t *testing.T) {
 	// Materialize surfaces cancellation from a canceled-at-start stream.
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	cancel2()
-	src2, err := StreamJoin(ctx2, pool, 4, StreamRelationBatch(as, 64), bs, "A-B", "A", "B")
+	src2, err := StreamJoin(ctx2, StreamRelationBatch(as, 64), bs, "A-B", "A", "B")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +201,7 @@ func TestStreamConstructionErrors(t *testing.T) {
 		{"unknown right attribute", "A-B", "A", "Nope"},
 		{"edge against its orientation", "A-B_rev", "A", "B"},
 	} {
-		if _, err := StreamJoin(nil, nil, 1, src, bs, tc.edge, tc.left, tc.right); err == nil {
+		if _, err := StreamJoin(nil, src, bs, tc.edge, tc.left, tc.right); err == nil {
 			t.Errorf("StreamJoin accepted %s", tc.name)
 		}
 	}
@@ -303,7 +246,7 @@ func TestJoinOverUnreadableAdjacency(t *testing.T) {
 	if r, err := Join(as, bs, "A-B", "A", "B"); !errors.Is(err, boom) {
 		t.Errorf("Join over the failed load: relation %v, err %v; want the loader's error", r, err)
 	}
-	if src, err := StreamJoin(context.Background(), nil, 1, StreamRelationBatch(as, 0), bs, "A-B", "A", "B"); !errors.Is(err, boom) {
+	if src, err := StreamJoin(context.Background(), StreamRelationBatch(as, 0), bs, "A-B", "A", "B"); !errors.Is(err, boom) {
 		t.Errorf("StreamJoin over the failed load: source %v, err %v; want the loader's error at construction", src, err)
 	}
 	rev, err := Join(bs, as, "A-B_rev", "B", "A")
@@ -325,7 +268,7 @@ func TestMaterializeEmptyAndMax(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	empty, err := StreamJoin(nil, nil, 1, StreamRelationBatch(none, 0), bs, "A-B", "A", "B")
+	empty, err := StreamJoin(nil, StreamRelationBatch(none, 0), bs, "A-B", "A", "B")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +281,7 @@ func TestMaterializeEmptyAndMax(t *testing.T) {
 	}
 
 	join := func() RowSource {
-		src, err := StreamJoin(nil, nil, 1, StreamRelationBatch(as, 128), bs, "A-B", "A", "B")
+		src, err := StreamJoin(nil, StreamRelationBatch(as, 128), bs, "A-B", "A", "B")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -349,7 +292,7 @@ func TestMaterializeEmptyAndMax(t *testing.T) {
 		t.Fatal(err)
 	}
 	counter := &countingSource{src: StreamRelationBatch(as, 128)}
-	capped, err := StreamJoin(nil, nil, 1, counter, bs, "A-B", "A", "B")
+	capped, err := StreamJoin(nil, counter, bs, "A-B", "A", "B")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,12 +314,11 @@ func TestMaterializeEmptyAndMax(t *testing.T) {
 // TestGroupFoldEquivalence asserts the pipeline breakers over a drained
 // stream — the streamed join's batches spliced by Materialize, then
 // DistinctSorted + GroupNeighbors — equal the map oracle over the
-// reference Join, whatever the batch size and budget: the shape of the
-// streamed Prepare path.
+// reference Join, whatever the batch size: the shape of the streamed
+// Prepare path.
 func TestGroupFoldEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	g := bigChainGraph(t, rng)
-	pool := exec.NewPool(4)
 	as, _ := Base(g, "A")
 	bs, _ := Base(g, "B")
 	joined, err := Join(as, bs, "A-B", "A", "B")
@@ -387,8 +329,8 @@ func TestGroupFoldEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, budget := range []int{1, 4} {
-		src, err := StreamJoin(context.Background(), pool, budget, StreamRelationBatch(as, 777), bs, "A-B", "A", "B")
+	for _, batch := range []int{777, 0} {
+		src, err := StreamJoin(context.Background(), StreamRelationBatch(as, batch), bs, "A-B", "A", "B")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -396,8 +338,8 @@ func TestGroupFoldEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := groupBoth(t, fmt.Sprintf("budget=%d", budget), drained, "A", "B")
-		assertGroupsMatchOracle(t, fmt.Sprintf("budget=%d vs reference join", budget), got, want)
+		got := groupBoth(t, fmt.Sprintf("batch=%d", batch), drained, "A", "B")
+		assertGroupsMatchOracle(t, fmt.Sprintf("batch=%d vs reference join", batch), got, want)
 	}
 }
 

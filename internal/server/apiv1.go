@@ -50,11 +50,7 @@ func (s *Server) handleV1Ops(w http.ResponseWriter, r *http.Request) {
 			"cursor cannot page an op response; use offset/limit"))
 		return
 	}
-	ctx, err := s.requestCtx(r)
-	if err != nil {
-		s.writeErr(w, err)
-		return
-	}
+	ctx := r.Context()
 	// Single ops go through the pipeline path too, so every failure
 	// envelope carries its op_index (0 for a single op).
 	s.respondState(ctx, w, http.StatusOK, e, id, p, func() error { return e.sess.ApplyPipelineCtx(ctx, pl) })
@@ -113,10 +109,6 @@ func (s *Server) handleV1Replay(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, err)
 		return
 	}
-	ctx, err := s.requestCtx(r)
-	if err != nil {
-		s.writeErr(w, err)
-		return
-	}
+	ctx := r.Context()
 	s.respondState(ctx, w, http.StatusOK, e, id, page{}, func() error { return e.sess.ReplayCtx(ctx, log) })
 }

@@ -1,61 +1,79 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"repro/internal/testdb"
 )
 
-// TestParallelismQueryParam exercises the per-request budget override:
-// valid values work on GET and op POSTs, malformed ones are rejected
-// with bad_parallelism before any op applies.
+// TestParallelismQueryParam: ?parallelism= is not read. A session
+// create, an ops POST and a GET read that carry a malformed value
+// answer with the status and the bytes of the same request without it
+// — a session's budget is the one the server built it with. (The
+// parameter used to set a per-request budget, and a malformed value was
+// 400 bad_parallelism.)
 func TestParallelismQueryParam(t *testing.T) {
-	ts := newTestServer(t)
-	id := createSession(t, ts)
-	base := fmt.Sprintf("%s/api/v1/sessions/%d", ts.URL, id)
+	// Two fresh servers take the same requests, one with the parameter;
+	// both number their first session 1, so the responses compare byte
+	// for byte.
+	plain, withParam := newTestServer(t), newTestServer(t)
+	open := map[string]any{"ops": []map[string]any{{"op": "open", "table": "Papers"}}}
+	for _, step := range []struct {
+		method, path string
+		body         any
+		status       int
+	}{
+		{"POST", "/api/v1/sessions", open, http.StatusCreated},
+		{"POST", "/api/v1/sessions/1/ops", map[string]any{"op": "filter", "cond": "year > 2000"}, http.StatusOK},
+		{"GET", "/api/v1/sessions/1", nil, http.StatusOK},
+		{"GET", "/api/v1/sessions/1?offset=1&limit=2", nil, http.StatusOK},
+	} {
+		sep := "?"
+		if strings.Contains(step.path, "?") {
+			sep = "&"
+		}
+		wantCode, want := rawRequest(t, step.method, plain.URL+step.path, step.body)
+		code, got := rawRequest(t, step.method, withParam.URL+step.path+sep+"parallelism=nope", step.body)
+		if wantCode != step.status || code != step.status {
+			t.Fatalf("%s %s: status %d with ?parallelism=nope, %d without; want %d\n%s",
+				step.method, step.path, code, wantCode, step.status, got)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s %s: ?parallelism=nope changed the response\ngot:  %s\nwant: %s", step.method, step.path, got, want)
+		}
+	}
+}
 
-	var st struct {
-		TotalRows int `json:"totalRows"`
-	}
-	if code := postJSON(t, base+"/ops?parallelism=4", map[string]any{"op": "open", "table": "Papers"}, &st); code != http.StatusOK {
-		t.Fatalf("open with parallelism: status %d", code)
-	}
-	if st.TotalRows == 0 {
-		t.Fatal("no rows")
-	}
-	if code := getJSON(t, base+"?parallelism=2", &st); code != http.StatusOK {
-		t.Fatalf("get with parallelism: status %d", code)
-	}
-	for _, bad := range []string{"0", "-3", "x", "1.5"} {
-		var e struct {
-			Code string `json:"code"`
-		}
-		code := getJSON(t, base+"?parallelism="+bad, &e)
-		if code != http.StatusBadRequest || e.Code != "bad_parallelism" {
-			t.Errorf("parallelism=%q: status %d code %q", bad, code, e.Code)
-		}
-		// On an op POST the bad budget must reject before applying.
-		code = postJSON(t, base+"/ops?parallelism="+bad, map[string]any{"op": "filter", "cond": "year > 2000"}, &e)
-		if code != http.StatusBadRequest || e.Code != "bad_parallelism" {
-			t.Errorf("op parallelism=%q: status %d code %q", bad, code, e.Code)
+// rawRequest sends one request and returns its status and body bytes.
+func rawRequest(t *testing.T, method, url string, body any) (int, []byte) {
+	t.Helper()
+	var buf bytes.Buffer
+	if body != nil {
+		if err := json.NewEncoder(&buf).Encode(body); err != nil {
+			t.Fatal(err)
 		}
 	}
-	// The rejected filters must not have applied.
-	var hist struct {
-		Entries []struct {
-			Action string `json:"action"`
-		} `json:"entries"`
+	req, err := http.NewRequest(method, url, &buf)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if code := getJSON(t, base+"/history", &hist); code != http.StatusOK {
-		t.Fatalf("history status %d", code)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(hist.Entries) != 1 {
-		t.Errorf("history has %d entries, want 1 (bad-parallelism ops applied?)", len(hist.Entries))
+	defer resp.Body.Close()
+	out, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return resp.StatusCode, out
 }
 
 // TestStatsWorkers asserts /api/v1/stats reports the worker pool and
@@ -121,7 +139,7 @@ func TestSerialServerOption(t *testing.T) {
 	var st struct {
 		TotalRows int `json:"totalRows"`
 	}
-	url := fmt.Sprintf("%s/api/v1/sessions/%d/ops?parallelism=8", ts.URL, id)
+	url := fmt.Sprintf("%s/api/v1/sessions/%d/ops", ts.URL, id)
 	if code := postJSON(t, url, map[string]any{"op": "open", "table": "Papers"}, &st); code != http.StatusOK {
 		t.Fatalf("serial server op status %d", code)
 	}
@@ -135,26 +153,35 @@ func TestSerialServerOption(t *testing.T) {
 }
 
 // TestCreateSessionParallelismValidation pins the create path to the
-// same ?parallelism= contract as every other endpoint: malformed values
-// are 400 bad_parallelism and no session is created.
+// same ?parallelism= contract as every other endpoint: the parameter is
+// not read, so a malformed or a well-formed value creates the session a
+// plain create would, with the same rows. (A malformed value used to be
+// 400 bad_parallelism with no session created.)
 func TestCreateSessionParallelismValidation(t *testing.T) {
 	ts := newTestServer(t)
-	var e struct {
-		Code string `json:"code"`
+	open := map[string]any{"ops": []map[string]any{{"op": "open", "table": "Papers"}}}
+	var plain struct {
+		TotalRows int `json:"totalRows"`
 	}
-	code := postJSON(t, ts.URL+"/api/v1/sessions?parallelism=nope",
-		map[string]any{"ops": []map[string]any{{"op": "open", "table": "Papers"}}}, &e)
-	if code != http.StatusBadRequest || e.Code != "bad_parallelism" {
-		t.Fatalf("create with bad parallelism: status %d code %q", code, e.Code)
+	if code := postJSON(t, ts.URL+"/api/v1/sessions", open, &plain); code != http.StatusCreated || plain.TotalRows == 0 {
+		t.Fatalf("plain create: status %d rows %d", code, plain.TotalRows)
 	}
-	var created struct {
-		ID        int64 `json:"id"`
-		TotalRows int   `json:"totalRows"`
-	}
-	code = postJSON(t, ts.URL+"/api/v1/sessions?parallelism=2",
-		map[string]any{"ops": []map[string]any{{"op": "open", "table": "Papers"}}}, &created)
-	if code != http.StatusCreated || created.TotalRows == 0 {
-		t.Fatalf("create with parallelism=2: status %d rows %d", code, created.TotalRows)
+	for _, v := range []string{"nope", "0", "-3", "2"} {
+		var created struct {
+			ID        int64 `json:"id"`
+			TotalRows int   `json:"totalRows"`
+		}
+		code := postJSON(t, ts.URL+"/api/v1/sessions?parallelism="+v, open, &created)
+		if code != http.StatusCreated || created.ID == 0 || created.TotalRows != plain.TotalRows {
+			t.Fatalf("create with parallelism=%s: status %d id %d rows %d, want %d %d rows",
+				v, code, created.ID, created.TotalRows, http.StatusCreated, plain.TotalRows)
+		}
+		var st struct {
+			TotalRows int `json:"totalRows"`
+		}
+		if code := getJSON(t, fmt.Sprintf("%s/api/v1/sessions/%d", ts.URL, created.ID), &st); code != http.StatusOK || st.TotalRows != plain.TotalRows {
+			t.Fatalf("session created with parallelism=%s: GET status %d rows %d", v, code, st.TotalRows)
+		}
 	}
 }
 

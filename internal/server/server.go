@@ -33,13 +33,13 @@
 //     body fields on POST) select the row window that is encoded, so a
 //     request on a huge table pays for the window, not the table.
 //   - Queries parallelize internally: one exec.Pool (capacity
-//     Options.MaxWorkers) is shared by every session, each request
-//     carries a parallelism budget (Options.Parallelism, overridable
-//     per request with ?parallelism=), and the request context cancels
-//     execution mid-join when the client disconnects. Pool admission is
-//     try-acquire, so a busy pool degrades queries to serial instead of
-//     queueing them — the worker cap bounds goroutines server-wide no
-//     matter how many sessions are live.
+//     Options.MaxWorkers) is shared by every session, each session runs
+//     its base selections under one budget (Options.Parallelism), and
+//     the request context cancels execution mid-join when the client
+//     disconnects. Pool admission is try-acquire, so a busy pool
+//     degrades queries to serial instead of queueing them — the worker
+//     cap bounds goroutines server-wide no matter how many sessions are
+//     live.
 package server
 
 import (
@@ -90,10 +90,8 @@ type Options struct {
 	// every query runs serially). The cap is global: N concurrent
 	// sessions share these workers, they do not multiply them.
 	MaxWorkers int
-	// Parallelism is the default per-request worker budget (default
-	// min(4, GOMAXPROCS); negative forces serial). Requests may override
-	// it per call with the ?parallelism= query parameter, still bounded
-	// by the pool.
+	// Parallelism is every session's worker budget (default
+	// min(4, GOMAXPROCS); negative forces serial), bounded by the pool.
 	Parallelism int
 	// MaxRows caps the rows any single request may materialize (0 =
 	// unbounded): a match growing past the cap aborts mid-execution and
@@ -331,7 +329,6 @@ const (
 	codeSessionNotFound = "session_not_found" // 404: id was never allocated
 	codeSessionExpired  = "session_expired"   // 410: id existed but was evicted
 	codeBadPage         = "bad_page"          // 400: malformed offset/limit
-	codeBadParallelism  = "bad_parallelism"   // 400: malformed ?parallelism=
 	codeInvalidCursor   = "invalid_cursor"    // 400: undecodable pagination cursor
 	codeStaleCursor     = "stale_cursor"      // 409: cursor from a different table state
 	codeBadBody         = "bad_body"          // 400: malformed request body
@@ -348,31 +345,14 @@ const (
 // nowhere; the status exists for access logs and tests.
 const statusClientClosedRequest = 499
 
-// defaultBudget resolves the server's per-request parallelism default
-// against the pool (no pool or negative option → serial).
+// defaultBudget resolves the server's parallelism budget against the
+// pool (no pool or negative option → serial); every session is built
+// with it.
 func (s *Server) defaultBudget() int {
 	if s.pool == nil || s.opts.Parallelism < 0 {
 		return 1
 	}
 	return s.opts.Parallelism
-}
-
-// requestCtx builds the execution context for one request: the
-// request's own context (canceled when the client disconnects, which
-// stops a running join mid-morsel) plus any per-request parallelism
-// override from the ?parallelism= query parameter. parallelism=1 forces
-// one request serial; values above the pool capacity are admitted but
-// effectively capped by the pool.
-func (s *Server) requestCtx(r *http.Request) (context.Context, error) {
-	ctx := r.Context()
-	if v := r.URL.Query().Get("parallelism"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 1 {
-			return nil, apiErr(http.StatusBadRequest, codeBadParallelism, "bad parallelism %q", v)
-		}
-		ctx = exec.WithBudget(ctx, n)
-	}
-	return ctx, nil
 }
 
 // apiError is a failure with its HTTP status, stable machine-readable
@@ -606,8 +586,7 @@ type workerJSON struct {
 	Cap int `json:"cap"`
 	// InFlight is the instantaneous helper count (racy snapshot).
 	InFlight int `json:"inFlight"`
-	// DefaultParallelism is the per-request budget when a request names
-	// none.
+	// DefaultParallelism is the budget every session runs under.
 	DefaultParallelism int `json:"defaultParallelism"`
 }
 
@@ -883,14 +862,7 @@ func (s *Server) spillPolicy(ds *registry.Dataset) *graphrel.SpillPolicy {
 // initial ops ({"ops": [...]}) so create+open is one round trip. The
 // response is the session state with its id.
 func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
-	// The ?parallelism= override validates and applies here too — the
-	// initial-ops pipeline is the request most likely to replay a long
-	// op log.
-	ctx, err := s.requestCtx(r)
-	if err != nil {
-		s.writeErr(w, err)
-		return
-	}
+	ctx := r.Context()
 	ds, err := s.datasetFor(ctx, r)
 	if err != nil {
 		s.writeErr(w, err)
@@ -1068,11 +1040,7 @@ func (s *Server) handleGetSession(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, err)
 		return
 	}
-	ctx, err := s.requestCtx(r)
-	if err != nil {
-		s.writeErr(w, err)
-		return
-	}
+	ctx := r.Context()
 	s.respondState(ctx, w, http.StatusOK, e, id, p, nil)
 }
 

@@ -97,28 +97,3 @@ func TestApplyCtxCancellation(t *testing.T) {
 		t.Errorf("ResultCtx err = %v, want Canceled", err)
 	}
 }
-
-// TestBudgetOverrideViaContext asserts exec.WithBudget on the request
-// context overrides the session's default budget (observable only
-// indirectly: execution still succeeds and stays equivalent).
-func TestBudgetOverrideViaContext(t *testing.T) {
-	s := newExecSession(t, exec.NewPool(4), 1) // default serial
-	if err := s.Open("Papers"); err != nil {
-		t.Fatal(err)
-	}
-	ctx := exec.WithBudget(context.Background(), 4)
-	res, err := s.ResultCtx(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.NumRows() == 0 {
-		t.Fatal("no rows")
-	}
-	opt := s.execOptions(ctx)
-	if opt.Parallelism != 4 {
-		t.Errorf("context budget = %d, want 4", opt.Parallelism)
-	}
-	if opt := s.execOptions(context.Background()); opt.Parallelism != 1 {
-		t.Errorf("default budget = %d, want 1", opt.Parallelism)
-	}
-}

@@ -94,9 +94,8 @@ const windowMemoEntries = 8
 const windowMemoRowCap = 4096
 
 // presEntry is one memoized presentation state: the prepared base
-// presentation (canonical ID-ascending row order, never sorted in
-// place), the bounded memo of sorted views over that base, and the
-// bounded window memo. Sort variants are etable.SortedView shallow
+// presentation (canonical ID-ascending row order), the bounded memo of
+// sorted views over that base, and the bounded window memo. Sort variants are etable.SortedView shallow
 // copies — they share the base's columns, groupings, and neighbor
 // layout and own only their row order — so switching sorts re-prepares
 // nothing. windows values have hidden columns already
@@ -172,8 +171,7 @@ type Session struct {
 	exec *etable.Executor
 	// pool and parallelism configure intra-query parallel execution:
 	// pool is the (usually server-wide) worker pool, parallelism the
-	// default per-request budget. A request context carrying
-	// exec.WithBudget overrides the default per call. Both zero values
+	// budget every request on this session runs under. Both zero values
 	// mean serial execution. Pool admission is try-acquire, so holding
 	// mu while executing never blocks on another session's work.
 	pool        *exec.Pool
@@ -223,11 +221,12 @@ func NewShared(schema *tgm.SchemaGraph, graph *tgm.InstanceGraph, cache *etable.
 	return NewWithExec(schema, graph, cache, nil, 0)
 }
 
-// NewWithExec is NewShared plus intra-query parallel execution: queries
-// fan out to at most parallelism workers drawn from pool (both may be
-// zero/nil for serial execution). The pool is typically owned by the
-// server and shared by every session, so the pool capacity — not the
-// session count — bounds total helper goroutines.
+// NewWithExec is NewShared plus intra-query parallel execution: base
+// selections fan out to at most parallelism workers drawn from pool
+// (both may be zero/nil for serial execution), on every request of the
+// session. The pool is typically owned by the server and shared by
+// every session, so the pool capacity — not the session count — bounds
+// total helper goroutines.
 func NewWithExec(schema *tgm.SchemaGraph, graph *tgm.InstanceGraph, cache *etable.Cache, pool *exec.Pool, parallelism int) *Session {
 	return &Session{
 		schema:      schema,
@@ -291,14 +290,13 @@ func (s *Session) SetWindowRecycling(on bool) {
 }
 
 // execOptions resolves the execution options for one request: the
-// request context (cancellation), the session's worker pool, and the
-// per-request budget (context override via exec.WithBudget, else the
-// session default).
+// request context (cancellation) plus the session's worker pool,
+// budget, row cap and spill policy.
 func (s *Session) execOptions(ctx context.Context) etable.ExecOptions {
 	return etable.ExecOptions{
 		Ctx:         ctx,
 		Pool:        s.pool,
-		Parallelism: exec.BudgetFrom(ctx, s.parallelism),
+		Parallelism: s.parallelism,
 		MaxRows:     s.maxRows,
 		Spill:       s.spill,
 	}
@@ -353,9 +351,9 @@ type State struct {
 func (s *Session) State() (State, error) { return s.StateCtx(context.Background()) }
 
 // StateCtx is State under a request context: rendering the snapshot may
-// execute the current pattern, which honors ctx's cancellation and any
-// exec.WithBudget parallelism override it carries. The result is the
-// full render; servers paging large tables use StateWindowCtx instead.
+// execute the current pattern, which honors ctx's cancellation. The
+// result is the full render; servers paging large tables use
+// StateWindowCtx instead.
 func (s *Session) StateCtx(ctx context.Context) (State, error) {
 	return s.StateWindowCtx(ctx, 0, -1)
 }
@@ -415,9 +413,8 @@ func (s *Session) current() (Entry, error) {
 func (s *Session) Apply(op ops.Op) error { return s.ApplyCtx(context.Background(), op) }
 
 // ApplyCtx is Apply under a request context: ops that execute the
-// pattern (pivot, seeall, sort, …) honor ctx's cancellation and any
-// exec.WithBudget parallelism override it carries. A canceled ctx
-// leaves the session unchanged.
+// pattern (pivot, seeall, sort, …) honor ctx's cancellation. A canceled
+// ctx leaves the session unchanged.
 func (s *Session) ApplyCtx(ctx context.Context, op ops.Op) error {
 	c, err := op.Compile(s.schema)
 	if err != nil {
@@ -879,8 +876,8 @@ func (s *Session) Result() (*etable.Result, error) {
 	return s.ResultCtx(context.Background())
 }
 
-// ResultCtx is Result under a request context (cancellation and
-// parallelism budget; see StateCtx).
+// ResultCtx is Result under a request context (cancellation; see
+// StateCtx).
 func (s *Session) ResultCtx(ctx context.Context) (*etable.Result, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

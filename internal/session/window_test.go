@@ -106,8 +106,8 @@ func TestWindowMatchesFullRender(t *testing.T) {
 // unrelated traffic evicts the joined pattern's matched relation; fresh
 // windows, a hide, a sort and a revert over the memoized presentation
 // still render what an undisturbed session renders — without ever
-// re-preparing, which the closing Match proves (a re-prepare would have
-// re-inserted the relation and the Match would hit).
+// re-preparing, which the closing prepare proves (a re-prepare would
+// have re-inserted the relation and the closing prepare would hit).
 func TestWindowOutlivesMatchedRelation(t *testing.T) {
 	s, cache := newCachedSession(t, 16)
 	plain := newSession(t)
@@ -156,7 +156,7 @@ func TestWindowOutlivesMatchedRelation(t *testing.T) {
 	sameWindow("reverted", 1, 2)
 
 	misses := cache.Misses()
-	if _, err := etable.NewSharedExecutor(s.Graph(), cache).Match(s.Pattern()); err != nil {
+	if _, err := etable.NewSharedExecutor(s.Graph(), cache).PrepareWithOpts(s.Pattern(), etable.ExecOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if cache.Misses() == misses {

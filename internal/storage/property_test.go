@@ -66,9 +66,11 @@ func randomPattern(rng *rand.Rand, tr *translate.Result) (*etable.Pattern, error
 // the paper's §6.2 SQL backend — the monolithic and the partitioned
 // translation, an independent oracle — on randomly generated patterns
 // over a small generated corpus. The engine runs three ways: serial,
-// pooled at budget 4, and through one shared executor whose cache spans
-// every trial, so later trials order their joins around bases earlier
-// trials cached. Every run must match both SQL tables cell for cell.
+// pooled at budget 4, and the way the server serves a table — one
+// shared executor's PrepareWithOpts plus a full window — whose cache
+// spans every trial, so later trials order their joins around bases
+// earlier trials cached and re-prepare signatures they matched. Every
+// run must match both SQL tables cell for cell.
 func TestRandomPatternEquivalence(t *testing.T) {
 	db, err := dataset.Generate(dataset.Config{Papers: 120, Authors: 60, Institutions: 20, Seed: 5})
 	if err != nil {
@@ -110,7 +112,14 @@ func TestRandomPatternEquivalence(t *testing.T) {
 			}{
 				{"serial", func() (*etable.Result, error) { return etable.Execute(tr.Instance, p) }},
 				{"pooled", func() (*etable.Result, error) { return etable.ExecuteOpts(tr.Instance, p, pooled) }},
-				{"shared", func() (*etable.Result, error) { return shared.ExecuteWithOpts(p, pooled) }},
+				{"shared", func() (*etable.Result, error) {
+					// The server's path: the cached prepare, then a window.
+					pr, err := shared.PrepareWithOpts(p, pooled)
+					if err != nil {
+						return nil, err
+					}
+					return pr.WindowOpts(0, -1, pooled)
+				}},
 			} {
 				t.Run(run.name, func(t *testing.T) {
 					mem, err := run.exec()
