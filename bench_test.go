@@ -23,6 +23,7 @@ import (
 	"repro/internal/etable"
 	"repro/internal/exec"
 	"repro/internal/graphrel"
+	"repro/internal/lru"
 	"repro/internal/ops"
 	"repro/internal/pager"
 	"repro/internal/relational"
@@ -32,6 +33,7 @@ import (
 	"repro/internal/sqlexec"
 	"repro/internal/storage"
 	"repro/internal/study"
+	"repro/internal/tgm"
 	"repro/internal/translate"
 )
 
@@ -356,23 +358,6 @@ func BenchmarkAblation_MatchCache(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkRankColumns measures the §9 future-work column-importance
-// ranking over the Figure 1 result.
-func BenchmarkRankColumns(b *testing.B) {
-	_, tr, _ := fixtures(b)
-	p := figure1Pattern(b, tr)
-	res, err := etable.Execute(tr.Instance, p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if got := etable.RankColumns(res); len(got) != len(res.Columns) {
-			b.Fatal("bad ranking")
-		}
-	}
 }
 
 // serverBenchClient drives the HTTP application server in-process
@@ -1029,7 +1014,7 @@ func BenchmarkColdWindowFault(b *testing.B) {
 		}
 		res.Recycle()
 		st, tot := ls.PagerStats()
-		resident, total = st.Resident, tot
+		resident, total = st.Len, tot
 		if resident >= tot {
 			b.Fatalf("first page faulted every section (%d of %d): not out of core", resident, tot)
 		}
@@ -1096,7 +1081,7 @@ func BenchmarkSpilledFirstPage(b *testing.B) {
 				pol := &graphrel.SpillPolicy{
 					Dir:      dir,
 					MaxBytes: maxBytes,
-					Pool:     pager.New(64),
+					Pool:     lru.New[pager.Key, [][]tgm.NodeID](64),
 					Metrics:  &metrics,
 				}
 				opt := etable.ExecOptions{MaxRows: 4096, Spill: pol}

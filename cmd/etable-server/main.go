@@ -52,7 +52,7 @@ func main() {
 	pagerSections := flag.Int("pager-sections", 0, "resident column-section budget per lazy dataset (0 = default; only with -lazy)")
 	var extra datasetFlag
 	flag.Var(&extra, "dataset", "register a named snapshot dataset as name=path (repeatable; loaded on first request)")
-	cacheEntries := flag.Int("cache", 1024, "per-dataset execution cache capacity (relations)")
+	cacheEntries := flag.Int("cache", 1024, "relations each dataset's execution cache holds, least recently used evicted beyond (minimum 1)")
 	sessionTTL := flag.Duration("session-ttl", 30*time.Minute, "evict sessions idle longer than this (negative disables)")
 	maxSessions := flag.Int("max-sessions", 1024, "maximum live sessions (LRU-evicted beyond)")
 	pageSize := flag.Int("page-size", 0, "default result rows per response (0 = all; clients may page with offset/limit)")

@@ -17,22 +17,25 @@
 //     for unsynchronized concurrent use because nothing mutates.
 //   - internal/graphrel: relations are immutable once built and shared
 //     without copying (the package documents the sharing contract).
-//   - internal/etable: one etable.Cache — sharded, mutex-per-shard,
-//     true LRU, with singleflight deduplication — is shared by every
+//   - internal/lru: the one cache implementation — a mutex-guarded LRU
+//     of exact capacity with singleflight loads, pins and hit/miss/
+//     eviction counters. Every cache below is an lru.Cache.
+//   - internal/etable: one etable.Cache — an LRU of exactly -cache
+//     relations with singleflight deduplication — is shared by every
 //     session, so N users executing the same pattern signature compute
 //     it once. Executor is a thin per-session view over the cache.
-//   - internal/session: each Session has its own mutex and a small
-//     presentation memo (sorted/hidden results), so concurrent requests
-//     on one session serialize per session, not per server.
-//   - internal/server: an RWMutex guards only the session map; sessions
-//     are bounded by TTL and max-session LRU eviction; responses are
-//     paginated (offset/limit) so a request encodes a row window, not
-//     the whole table.
+//   - internal/session: each Session has its own mutex and small LRU
+//     memos of presentations, sorted views and windows, so concurrent
+//     requests on one session serialize per session, not per server.
+//   - internal/server: the session table is an LRU of -max-sessions,
+//     also swept by TTL; responses are paginated (offset/limit) so a
+//     request encodes a row window, not the whole table.
 //
-// Lock ordering is strictly server.mu → server entry.mu (per-session
-// request serialization) → session.mu → cache shard mu
-// (each released before the next is taken where possible, and never
-// acquired in reverse), which makes deadlock impossible by
+// Lock ordering is strictly the session table's lru mutex → server
+// entry.mu (per-session request serialization) → session.mu → the
+// execution cache's lru mutex (each released before the next is taken
+// where possible, and never acquired in reverse); every lru mutex is a
+// leaf that no load runs under, which makes deadlock impossible by
 // construction. PERFORMANCE.md records the measured effect versus the
 // previous global-mutex serving core.
 //
@@ -189,8 +192,9 @@
 // them (409 stale_cursor), and the client re-pages the new state.
 //
 // Memory bound: a session holds at most 8 prepared presentations (its
-// presentation memo); relations are held by the cache alone, so -cache
-// is the number of relations resident, whatever the session count.
+// presentation memo, least recently read evicted first); relations are
+// held by the cache alone, so -cache is the number of relations
+// resident, whatever the session count.
 //
 // Allocation discipline in the transform: all cells of a window share
 // one backing array, entity references are carved from one arena
@@ -228,10 +232,11 @@
 // section table, and skeleton sections only — O(section table), not
 // O(corpus) — leaving every attribute column as an unresolved handle
 // and every edge type's CSR arrays as a deferred conversion. Columns
-// fault in through internal/pager, a bounded buffer pool (budget
-// -pager-sections, default 64) with CRC verification on first fault,
-// LRU eviction of unpinned sections, singleflight fault collapsing, and
-// pin/unpin tied to the window-materialization discipline, so
+// fault in through a bounded buffer pool — an lru.Cache keyed by
+// pager.Key (budget -pager-sections, default 64) — with CRC
+// verification on first fault, LRU eviction of unpinned sections,
+// singleflight fault collapsing, and pin/unpin tied to the
+// window-materialization discipline, so
 // steady-state memory is the skeleton plus the pool budget regardless
 // of corpus size. Damaged columns surface as typed *CorruptError values
 // from the faulting query — never a panic, never poisoning the pool
@@ -252,8 +257,8 @@
 // -max-rows) no longer fails with 413 result_too_large — its prepare
 // folds through internal/spill into temporary run files (snapshot NCOL
 // column encoding, per-run CRC-32C, anonymous O_TMPFILE/unlink-on-open
-// so a crash leaks nothing) and pages back through the same
-// internal/pager buffer pool as lazy columns. Only what a presentation
+// so a crash leaks nothing) and pages back through a pager.Key-keyed
+// lru.Cache like lazy columns. Only what a presentation
 // reads back is written: internal/graphrel's ExternalGroupFold (one
 // per participating column) and ExternalDistinct (the row set) run
 // sort-merge folds whose sorted-run flushes merge with cross-run

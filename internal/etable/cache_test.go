@@ -15,34 +15,29 @@ import (
 // the cache never inspects the relation.
 func dummyRel() *graphrel.Relation { return &graphrel.Relation{} }
 
-// TestCacheLRUOrder drives one shard directly: eviction must drop the
-// least recently *used* entry, not the least recently inserted.
-func TestCacheLRUOrder(t *testing.T) {
-	s := &cacheShard{max: 3, items: make(map[string]*cacheItem), flight: make(map[string]*flightCall)}
-	ra, rb, rc, rd := dummyRel(), dummyRel(), dummyRel(), dummyRel()
-	s.mu.Lock()
-	s.insert("a", ra)
-	s.insert("b", rb)
-	s.insert("c", rc)
-	// Touch "a": it becomes most recent, so "b" is now LRU.
-	s.moveToFront(s.items["a"])
-	s.insert("d", rd)
-	s.mu.Unlock()
-
-	if _, ok := s.items["b"]; ok {
-		t.Error(`FIFO eviction: "b" should have been evicted (LRU), not kept`)
+// TestCacheExactCapacity: NewCache(n) holds exactly n relations and
+// evicts the least recently used key of the whole cache, whatever the
+// keys hash to.
+func TestCacheExactCapacity(t *testing.T) {
+	c := NewCache(3)
+	compute := func() (*graphrel.Relation, error) { return dummyRel(), nil }
+	for _, k := range []string{"a", "b", "c"} {
+		if _, err := c.GetOrCompute(k, compute); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, ok := s.items["a"]; !ok {
-		t.Error(`"a" was touched and must survive eviction`)
+	if _, ok := c.Get("a"); !ok { // "b" is now least recently used
+		t.Fatal(`"a" missing`)
 	}
-	want := []string{"d", "a", "c"}
-	got := s.keys()
-	if len(got) != len(want) {
-		t.Fatalf("keys = %v, want %v", got, want)
+	if _, err := c.GetOrCompute("d", compute); err != nil {
+		t.Fatal(err)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("recency order = %v, want %v", got, want)
+	if c.Len() != 3 {
+		t.Fatalf("NewCache(3) holds %d relations, want 3", c.Len())
+	}
+	for k, want := range map[string]bool{"a": true, "b": false, "c": true, "d": true} {
+		if _, ok := c.Get(k); ok != want {
+			t.Errorf("%q cached = %v, want %v", k, ok, want)
 		}
 	}
 }
@@ -90,7 +85,8 @@ func TestCacheErrorsNotCached(t *testing.T) {
 }
 
 // TestCacheSingleflight proves that N concurrent requests for one key
-// run the compute function exactly once and all receive its result.
+// run the compute function exactly once, all receive its result, and
+// the waiters count as hits.
 func TestCacheSingleflight(t *testing.T) {
 	c := NewCache(64)
 	r := dummyRel()
@@ -205,53 +201,5 @@ func TestCacheConcurrentExecutors(t *testing.T) {
 	}
 	if shared.Hits() == 0 {
 		t.Error("no shared-cache hits under concurrent identical load")
-	}
-}
-
-// TestCacheComputePanic: a panicking compute must propagate to its
-// caller, hand waiters an error instead of hanging them, and leave the
-// key computable afterwards.
-func TestCacheComputePanic(t *testing.T) {
-	c := NewCache(64)
-
-	waiterErr := make(chan error, 1)
-	leaderIn := make(chan struct{})
-	go func() {
-		// Waiter: joins the flight while the leader is computing.
-		<-leaderIn
-		_, err := c.GetOrCompute("k", func() (*graphrel.Relation, error) {
-			t.Error("waiter should not compute while the flight is open")
-			return dummyRel(), nil
-		})
-		waiterErr <- err
-	}()
-
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("panic did not propagate to the leader")
-			}
-		}()
-		c.GetOrCompute("k", func() (*graphrel.Relation, error) {
-			close(leaderIn)
-			time.Sleep(50 * time.Millisecond) // let the waiter join
-			panic("boom")
-		})
-	}()
-
-	select {
-	case err := <-waiterErr:
-		if err == nil {
-			t.Error("waiter got nil error from a panicked flight")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("waiter hung on a panicked flight")
-	}
-
-	// The key must be computable again (no stale flight, nothing cached).
-	r := dummyRel()
-	got, err := c.GetOrCompute("k", func() (*graphrel.Relation, error) { return r, nil })
-	if err != nil || got != r {
-		t.Errorf("retry after panic = %v, %v", got, err)
 	}
 }

@@ -41,9 +41,9 @@
 // The engine plans from what it has measured. A Plan holds only what
 // exists before any base relation does — the compiled node predicates —
 // and the engine and PlanForOpts resolve it through one function,
-// planFor: a per-frozen-graph LRU cache keyed by the memoized pattern
-// signature (a warm lookup costs a pointer load and one map probe,
-// BenchmarkPlanCache). ExecOptions.NoPlanCache builds the plan without
+// planFor: a per-frozen-graph lru.Cache of 256 plans keyed by the
+// memoized pattern signature (a warm lookup costs a pointer load and one
+// map probe, BenchmarkPlanCache; concurrent misses share one build). ExecOptions.NoPlanCache builds the plan without
 // looking it up or inserting it (the plan-every-time arm of
 // BenchmarkPlanCache). PlannerStatsFor exposes hits, misses and
 // evictions; the server surfaces them at /api/v1/stats.
@@ -78,6 +78,12 @@
 // possession of the Presentation: nothing reads it afterwards, so the
 // cache holds relations under plain LRU and a presentation stays valid
 // after its relation is evicted.
+//
+// Caching. Cache is one lru.Cache of exactly its capacity, shared by
+// every executor over a graph: bases and matches are keyed by signature,
+// the least recently used relation of the whole cache is evicted first,
+// and concurrent misses on one key share one computation (its waiters
+// count as hits; an error or a panic caches nothing).
 //
 // Sort contract (sort.go). A sort is extract-then-sort: one pass over
 // the current row order fills a typed key vector, and the keys — never

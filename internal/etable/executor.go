@@ -30,7 +30,7 @@ import (
 // cached state lives in a Cache, which may be private to this executor
 // (NewExecutor) or shared across every session of a server
 // (NewSharedExecutor). Either way the executor is safe for concurrent
-// use — the cache carries its own sharded locking and singleflight
+// use — the cache carries its own locking and singleflight
 // deduplication, so N sessions executing the same pattern signature
 // compute it once and share the resulting relation.
 type Executor struct {

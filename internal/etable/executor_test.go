@@ -174,7 +174,7 @@ func TestExecutorValidation(t *testing.T) {
 
 func TestExecutorCacheBounded(t *testing.T) {
 	res := fixture(t)
-	cache := NewCache(16) // one entry per shard
+	cache := NewCache(16)
 	ex := NewSharedExecutor(res.Instance, cache)
 	for year := 2000; year < 2020; year++ {
 		p, _ := Initiate(res.Schema, "Papers")
@@ -183,16 +183,15 @@ func TestExecutorCacheBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// 20 base + 20 match signatures went in; at most one entry survives
-	// per shard.
-	if got := cache.Len(); got > 16 {
-		t.Errorf("cache unbounded: %d entries", got)
+	// 20 base + 20 match signatures went in; exactly the capacity stays.
+	if got := cache.Len(); got != 16 {
+		t.Errorf("cache holds %d entries, want 16", got)
 	}
 }
 
 // TestPresentationOutlivesRelation: the matched relation is an input
-// of Prepare, not a possession of its product. With one cache entry per
-// shard, unrelated traffic evicts the prepared pattern's relation, and
+// of Prepare, not a possession of its product. In a small cache,
+// unrelated traffic evicts the prepared pattern's relation, and
 // both prepare forms — folded off the stream by the compute leader,
 // prepared from the cached relation on a hit — still render the
 // oracle's table, sorted views included.
@@ -200,7 +199,7 @@ func TestPresentationOutlivesRelation(t *testing.T) {
 	tr := planFixture(t)
 	p := figure7PlanPattern(t, tr)
 	oraclePr, want := oracleTable(t, tr.Instance, p)
-	cache := NewCache(cacheShards)
+	cache := NewCache(16)
 	ex := NewSharedExecutor(tr.Instance, cache)
 	folded, err := ex.PrepareWithOpts(p, ExecOptions{})
 	if err != nil {
@@ -216,10 +215,7 @@ func TestPresentationOutlivesRelation(t *testing.T) {
 	}
 
 	key := matchPrefix + Signature(p)
-	for i := 0; i < 10000; i++ {
-		if _, ok := cache.Get(key); !ok {
-			break
-		}
+	for i := 0; i < 16; i++ {
 		if _, err := cache.GetOrCompute("filler-"+itoa(i), func() (*graphrel.Relation, error) { return dummyRel(), nil }); err != nil {
 			t.Fatal(err)
 		}

@@ -104,10 +104,10 @@ func TestLazyEagerEquivalenceFuzz(t *testing.T) {
 				}
 			}
 			st, total := lazy.PagerStats()
-			if st.Resident > st.Budget {
-				t.Fatalf("resident %d exceeds budget %d after fuzz", st.Resident, st.Budget)
+			if st.Len > st.Capacity {
+				t.Fatalf("resident %d exceeds budget %d after fuzz", st.Len, st.Capacity)
 			}
-			if st.Faults == 0 || st.Evictions == 0 {
+			if st.Misses == 0 || st.Evictions == 0 {
 				t.Fatalf("fuzz exercised no fault/eviction traffic: %+v (total %d)", st, total)
 			}
 		})

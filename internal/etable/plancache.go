@@ -2,10 +2,9 @@ package etable
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/expr"
+	"repro/internal/lru"
 	"repro/internal/tgm"
 )
 
@@ -53,25 +52,12 @@ func PlanForOpts(g *tgm.InstanceGraph, p *Pattern, opt ExecOptions) (*Plan, erro
 // planFor resolves the plan for one execution — the single planning
 // entry point: cache lookup for frozen graphs, fresh build otherwise or
 // when the options say NoPlanCache (built, never looked up, never
-// inserted). Two goroutines racing on the same signature may both
-// build; the insert is last-writer-wins and the plans are
-// interchangeable, so no singleflight is needed — planning is a few
-// microseconds of pure computation.
+// inserted). Concurrent misses on one signature share one build.
 func planFor(g *tgm.InstanceGraph, p *Pattern, opt ExecOptions) (*Plan, error) {
 	if opt.NoPlanCache || !g.Frozen() {
 		return buildPlan(g, p)
 	}
-	pc := planCacheFor(g)
-	sig := Signature(p)
-	if pl, ok := pc.get(sig); ok {
-		return pl, nil
-	}
-	pl, err := buildPlan(g, p)
-	if err != nil {
-		return nil, err
-	}
-	pc.put(sig, pl)
-	return pl, nil
+	return planCacheFor(g).Get(Signature(p), func() (*Plan, error) { return buildPlan(g, p) })
 }
 
 // buildPlan compiles every conditioned node's predicate.
@@ -97,98 +83,11 @@ func buildPlan(g *tgm.InstanceGraph, p *Pattern) (*Plan, error) {
 
 // planCacheFor returns g's plan cache, publishing one on first use
 // (first-published-wins).
-func planCacheFor(g *tgm.InstanceGraph) *planCache {
+func planCacheFor(g *tgm.InstanceGraph) *lru.Cache[string, *Plan] {
 	if v := g.PlanCache(); v != nil {
-		return v.(*planCache)
+		return v.(*lru.Cache[string, *Plan])
 	}
-	return g.SetPlanCache(newPlanCache(defaultPlanCacheEntries)).(*planCache)
-}
-
-// planCache is one graph's bounded LRU of prepared plans plus the
-// planner telemetry counters surfaced by PlannerStatsFor.
-type planCache struct {
-	mu      sync.Mutex
-	cap     int
-	entries map[string]*planElem
-	head    *planElem // most recently used
-	tail    *planElem
-
-	hits, misses, evictions atomic.Int64
-}
-
-type planElem struct {
-	key        string
-	plan       *Plan
-	prev, next *planElem
-}
-
-func newPlanCache(capacity int) *planCache {
-	return &planCache{cap: capacity, entries: make(map[string]*planElem, 16)}
-}
-
-func (pc *planCache) get(key string) (*Plan, bool) {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	el, ok := pc.entries[key]
-	if !ok {
-		pc.misses.Add(1)
-		return nil, false
-	}
-	pc.hits.Add(1)
-	pc.moveFront(el)
-	return el.plan, true
-}
-
-func (pc *planCache) put(key string, pl *Plan) {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	if el, ok := pc.entries[key]; ok {
-		el.plan = pl
-		pc.moveFront(el)
-		return
-	}
-	el := &planElem{key: key, plan: pl}
-	pc.entries[key] = el
-	pc.pushFront(el)
-	if len(pc.entries) > pc.cap {
-		last := pc.tail
-		pc.unlink(last)
-		delete(pc.entries, last.key)
-		pc.evictions.Add(1)
-	}
-}
-
-func (pc *planCache) pushFront(el *planElem) {
-	el.prev, el.next = nil, pc.head
-	if pc.head != nil {
-		pc.head.prev = el
-	}
-	pc.head = el
-	if pc.tail == nil {
-		pc.tail = el
-	}
-}
-
-func (pc *planCache) unlink(el *planElem) {
-	if el.prev != nil {
-		el.prev.next = el.next
-	} else {
-		pc.head = el.next
-	}
-	if el.next != nil {
-		el.next.prev = el.prev
-	} else {
-		pc.tail = el.prev
-	}
-	el.prev, el.next = nil, nil
-}
-
-func (pc *planCache) moveFront(el *planElem) {
-	if pc.head == el {
-		return
-	}
-	pc.unlink(el)
-	pc.pushFront(el)
+	return g.SetPlanCache(lru.New[string, *Plan](defaultPlanCacheEntries)).(*lru.Cache[string, *Plan])
 }
 
 // PlannerStats is a point-in-time snapshot of one graph's planning
@@ -203,16 +102,10 @@ type PlannerStats struct {
 // PlannerStatsFor snapshots g's planner telemetry. A graph that has
 // never planned reports zeros.
 func PlannerStatsFor(g *tgm.InstanceGraph) PlannerStats {
-	var s PlannerStats
-	pc, ok := g.PlanCache().(*planCache)
+	pc, ok := g.PlanCache().(*lru.Cache[string, *Plan])
 	if !ok {
-		return s
+		return PlannerStats{}
 	}
-	pc.mu.Lock()
-	s.Entries = len(pc.entries)
-	pc.mu.Unlock()
-	s.Hits = pc.hits.Load()
-	s.Misses = pc.misses.Load()
-	s.Evictions = pc.evictions.Load()
-	return s
+	st := pc.Stats()
+	return PlannerStats{Hits: st.Hits, Misses: st.Misses, Evictions: st.Evictions, Entries: st.Len}
 }

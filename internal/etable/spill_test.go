@@ -7,8 +7,10 @@ import (
 	"testing"
 
 	"repro/internal/graphrel"
+	"repro/internal/lru"
 	"repro/internal/pager"
 	"repro/internal/spill"
+	"repro/internal/tgm"
 )
 
 // testSpillPolicy builds a policy over a per-test temp directory with
@@ -18,7 +20,7 @@ func testSpillPolicy(t testing.TB, runRows int) (*graphrel.SpillPolicy, *spill.M
 	m := &spill.Metrics{}
 	return &graphrel.SpillPolicy{
 		Dir:     t.TempDir(),
-		Pool:    pager.New(4),
+		Pool:    lru.New[pager.Key, [][]tgm.NodeID](4),
 		Metrics: m,
 		RunRows: runRows,
 	}, m

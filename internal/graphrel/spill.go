@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/lru"
 	"repro/internal/pager"
 	"repro/internal/spill"
 	"repro/internal/tgm"
@@ -50,7 +51,7 @@ type SpillPolicy struct {
 	MaxBytes int64
 	// Pool bounds the decoded-run residency of everything spilled
 	// under this policy; nil decodes on every fault.
-	Pool *pager.Pool
+	Pool *lru.Cache[pager.Key, [][]tgm.NodeID]
 	// Metrics receives spill telemetry; nil counts nothing.
 	Metrics *spill.Metrics
 	// Named keeps spill files visibly on disk until closed (tests and

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/lru"
 	"repro/internal/pager"
 	"repro/internal/spill"
 	"repro/internal/tgm"
@@ -19,7 +20,7 @@ func testPolicy(t *testing.T, runRows int) *SpillPolicy {
 	return &SpillPolicy{
 		Dir:     t.TempDir(),
 		RunRows: runRows,
-		Pool:    pager.New(3),
+		Pool:    lru.New[pager.Key, [][]tgm.NodeID](3),
 		Metrics: &spill.Metrics{},
 		Named:   true,
 	}

@@ -1,247 +1,26 @@
-// Package pager provides the buffer pool behind out-of-core snapshot
-// loading: a fixed budget of resident column sections, faulted in on
-// first touch, evicted LRU when the budget is exceeded, and pinnable
-// for the duration of a window materialization.
+// Package pager holds what out-of-core reads share: File, a read-only
+// random-access view of a snapshot file, and Key, the name of one
+// faultable section. The buffer pools in front of them — a lazy
+// snapshot's decoded columns, a dataset's spill-run pages — are
+// lru.Caches keyed by Key: a fixed budget of resident sections, faulted
+// in on first touch, evicted least recently used first, and pinnable for
+// the duration of a window materialization.
 //
-// The pool bounds *residency*, not validity: evicting an entry only
-// drops the pool's reference to the decoded column, so slices already
-// loaned to callers stay valid (the garbage collector keeps them alive
-// until the caller drops them). Pins therefore exist to bound rework —
-// a pinned section cannot be evicted and re-faulted while a window is
+// A pool bounds *residency*, not validity: evicting a section only drops
+// the pool's reference to the decoded column, so slices already loaned
+// to callers stay valid (the garbage collector keeps them alive until
+// the caller drops them). Pins therefore exist to bound rework — a
+// pinned section cannot be evicted and re-faulted while a window is
 // mid-materialization — not to prevent use-after-free, which the
 // runtime already rules out.
 package pager
 
-import (
-	"container/list"
-	"sync"
-	"time"
-)
-
 // Key identifies one faultable section: an attribute column of a node
-// type.
+// type, or a run of a spill file.
 type Key struct {
-	// Type is the owning node type's name.
+	// Type is the owning node type's name (or the spill file's
+	// namespace).
 	Type string
-	// Attr is the attribute ordinal within the type.
+	// Attr is the attribute ordinal within the type (or the run index).
 	Attr int
-}
-
-// Stats is a snapshot of the pool's telemetry counters.
-type Stats struct {
-	// Budget is the configured maximum of resident sections (pins may
-	// force a temporary overshoot).
-	Budget int
-	// Resident is the number of sections currently held by the pool.
-	Resident int
-	// Pinned is the number of resident sections with at least one pin.
-	Pinned int
-	// Faults counts loads performed (singleflighted concurrent faults
-	// for one section count once).
-	Faults int64
-	// Evictions counts sections dropped to enforce the budget.
-	Evictions int64
-	// FaultNanos is the cumulative wall time spent in loaders.
-	FaultNanos int64
-}
-
-// entry is one resident section.
-type entry struct {
-	val  any
-	pins int
-	elem *list.Element // position in the LRU list; nil while pinned
-}
-
-// call is an in-flight fault, shared by every goroutine requesting the
-// same section concurrently.
-type call struct {
-	done chan struct{}
-	val  any
-	err  error
-}
-
-// Pool is a bounded buffer pool of decoded sections. The zero value is
-// not usable; construct with New. All methods are safe for concurrent
-// use.
-type Pool struct {
-	mu       sync.Mutex
-	budget   int
-	entries  map[Key]*entry
-	lru      *list.List // unpinned entries, front = most recently used
-	inflight map[Key]*call
-
-	faults     int64
-	evictions  int64
-	faultNanos int64
-}
-
-// New returns a pool that keeps at most budget sections resident
-// (minimum 1). Pinned sections never count against evictability, so
-// the resident count can exceed the budget while more than budget
-// sections are simultaneously pinned; it falls back under the budget
-// as pins release.
-func New(budget int) *Pool {
-	if budget < 1 {
-		budget = 1
-	}
-	return &Pool{
-		budget:   budget,
-		entries:  make(map[Key]*entry),
-		lru:      list.New(),
-		inflight: make(map[Key]*call),
-	}
-}
-
-// Get returns the section for key, faulting it in via load if it is
-// not resident. Concurrent Gets for one key share a single load
-// (singleflight). A load error is returned to every waiter and is NOT
-// cached: the section is simply absent afterwards, so a later Get
-// retries the load — a transient or since-repaired failure does not
-// poison the pool.
-func (p *Pool) Get(key Key, load func() (any, error)) (any, error) {
-	v, release, err := p.acquire(key, load, false)
-	if release != nil {
-		release()
-	}
-	return v, err
-}
-
-// Pin is Get plus a residency guarantee: until the returned release is
-// called, the section is exempt from eviction. release must be called
-// exactly once; it is safe to call from a different goroutine.
-func (p *Pool) Pin(key Key, load func() (any, error)) (any, func(), error) {
-	return p.acquire(key, load, true)
-}
-
-func (p *Pool) acquire(key Key, load func() (any, error), pin bool) (any, func(), error) {
-	for {
-		p.mu.Lock()
-		if e, ok := p.entries[key]; ok {
-			var release func()
-			if pin {
-				p.pinLocked(e)
-				release = func() { p.unpin(key) }
-			} else {
-				p.touchLocked(e)
-			}
-			v := e.val
-			p.mu.Unlock()
-			return v, release, nil
-		}
-		if c, ok := p.inflight[key]; ok {
-			p.mu.Unlock()
-			<-c.done
-			if c.err != nil {
-				return nil, nil, c.err
-			}
-			// The loader succeeded, but between its insert and our
-			// re-lock the section may already have been evicted (tiny
-			// budgets under churn). Loop: the re-check either finds the
-			// entry or re-faults it.
-			continue
-		}
-		c := &call{done: make(chan struct{})}
-		p.inflight[key] = c
-		p.mu.Unlock()
-
-		start := time.Now()
-		v, err := load()
-		elapsed := time.Since(start).Nanoseconds()
-
-		p.mu.Lock()
-		p.faults++
-		p.faultNanos += elapsed
-		delete(p.inflight, key)
-		c.val, c.err = v, err
-		if err != nil {
-			p.mu.Unlock()
-			close(c.done)
-			return nil, nil, err
-		}
-		e := &entry{val: v}
-		p.entries[key] = e
-		var release func()
-		if pin {
-			e.pins = 1
-			release = func() { p.unpin(key) }
-		} else {
-			e.elem = p.lru.PushFront(lruKey(key))
-		}
-		p.evictLocked()
-		p.mu.Unlock()
-		close(c.done)
-		return v, release, nil
-	}
-}
-
-// lruKey is the value stored in LRU elements (just the key; the entry
-// lives in the map).
-type lruKey = Key
-
-// pinLocked marks e pinned, removing it from the eviction order.
-func (p *Pool) pinLocked(e *entry) {
-	e.pins++
-	if e.elem != nil {
-		p.lru.Remove(e.elem)
-		e.elem = nil
-	}
-}
-
-// touchLocked moves an unpinned entry to most-recently-used.
-func (p *Pool) touchLocked(e *entry) {
-	if e.elem != nil {
-		p.lru.MoveToFront(e.elem)
-	}
-}
-
-// unpin decrements a pin and, at zero, returns the entry to the LRU
-// order (most-recently-used — the window just read it) and re-enforces
-// the budget.
-func (p *Pool) unpin(key Key) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	e, ok := p.entries[key]
-	if !ok || e.pins == 0 {
-		return
-	}
-	e.pins--
-	if e.pins == 0 {
-		e.elem = p.lru.PushFront(lruKey(key))
-		p.evictLocked()
-	}
-}
-
-// evictLocked drops least-recently-used unpinned entries until the
-// resident count is within budget (or nothing evictable remains).
-func (p *Pool) evictLocked() {
-	for len(p.entries) > p.budget {
-		back := p.lru.Back()
-		if back == nil {
-			return // everything resident is pinned; overshoot until release
-		}
-		key := back.Value.(lruKey)
-		p.lru.Remove(back)
-		delete(p.entries, key)
-		p.evictions++
-	}
-}
-
-// Stats returns a consistent snapshot of the pool's counters.
-func (p *Pool) Stats() Stats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	pinned := 0
-	for _, e := range p.entries {
-		if e.pins > 0 {
-			pinned++
-		}
-	}
-	return Stats{
-		Budget:     p.budget,
-		Resident:   len(p.entries),
-		Pinned:     pinned,
-		Faults:     p.faults,
-		Evictions:  p.evictions,
-		FaultNanos: p.faultNanos,
-	}
 }

@@ -30,6 +30,7 @@ import (
 	"time"
 
 	"repro/internal/etable"
+	"repro/internal/lru"
 	"repro/internal/pager"
 	"repro/internal/snapshot"
 	"repro/internal/spill"
@@ -218,7 +219,7 @@ type Dataset struct {
 	// another's resident runs.
 	spillOnce    sync.Once
 	spillMetrics *spill.Metrics
-	spillPool    *pager.Pool
+	spillPool    *lru.Cache[pager.Key, [][]tgm.NodeID]
 }
 
 // spillRunPoolEntries bounds each dataset's decoded spill-run
@@ -231,7 +232,7 @@ const spillRunPoolEntries = 32
 func (d *Dataset) initSpill() {
 	d.spillOnce.Do(func() {
 		d.spillMetrics = &spill.Metrics{}
-		d.spillPool = pager.New(spillRunPoolEntries)
+		d.spillPool = lru.New[pager.Key, [][]tgm.NodeID](spillRunPoolEntries)
 	})
 }
 
@@ -244,7 +245,7 @@ func (d *Dataset) SpillMetrics() *spill.Metrics {
 
 // SpillPool returns the buffer pool the dataset's spilled runs fault
 // through, bounding total decoded-run residency across all sessions.
-func (d *Dataset) SpillPool() *pager.Pool {
+func (d *Dataset) SpillPool() *lru.Cache[pager.Key, [][]tgm.NodeID] {
 	d.initSpill()
 	return d.spillPool
 }
@@ -312,11 +313,11 @@ func (d *Dataset) FileInfo() (snapshot.Info, bool) {
 // PagerStats reports the lazy pager's telemetry and the snapshot's
 // total column-section count. ok is false for eager datasets and for
 // lazy datasets that have not loaded yet.
-func (d *Dataset) PagerStats() (st pager.Stats, totalSections int, ok bool) {
+func (d *Dataset) PagerStats() (st lru.Stats, totalSections int, ok bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.lazySnap == nil {
-		return pager.Stats{}, 0, false
+		return lru.Stats{}, 0, false
 	}
 	st, totalSections = d.lazySnap.PagerStats()
 	return st, totalSections, true

@@ -265,11 +265,11 @@ func TestOutOfCoreDataset(t *testing.T) {
 		t.Fatal("lazy dataset not resident after Ensure")
 	}
 	ps, total, ok := d.PagerStats()
-	if !ok || ps.Budget != 2 || total == 0 {
+	if !ok || ps.Capacity != 2 || total == 0 {
 		t.Fatalf("PagerStats = %+v, %d, %v", ps, total, ok)
 	}
-	if ps.Faults != 0 {
-		t.Fatalf("boot faulted %d columns before any query", ps.Faults)
+	if ps.Misses != 0 {
+		t.Fatalf("boot faulted %d columns before any query", ps.Misses)
 	}
 
 	// Query an attribute column; the fault shows up in telemetry and the
@@ -287,7 +287,7 @@ func TestOutOfCoreDataset(t *testing.T) {
 	if got != want {
 		t.Fatalf("lazy attr = %v, want %v", got, want)
 	}
-	if ps, _, _ := d.PagerStats(); ps.Faults == 0 || ps.Resident == 0 {
+	if ps, _, _ := d.PagerStats(); ps.Misses == 0 || ps.Len == 0 {
 		t.Fatalf("query faulted nothing: %+v", ps)
 	}
 

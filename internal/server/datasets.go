@@ -71,13 +71,11 @@ func (s *Server) datasetInfo(name string) (datasetJSON, bool) {
 		d.Nodes = g.NumNodes()
 		d.Edges = g.NumEdges()
 	}
-	s.mu.RLock()
-	for _, e := range s.sessions {
+	for _, e := range s.sessions.Values() {
 		if e.ds == ds {
 			d.Sessions++
 		}
 	}
-	s.mu.RUnlock()
 	return d, true
 }
 

@@ -259,9 +259,8 @@ func TestStateResponsesMatchReference(t *testing.T) {
 	// session (same window, so the memoized Result) and compares.
 	check := func(name string, got []byte, id int64, offset, limit int) string {
 		t.Helper()
-		srv.mu.RLock()
-		sess := srv.sessions[id].sess
-		srv.mu.RUnlock()
+		e, _ := srv.sessions.Lookup(id)
+		sess := e.sess
 		entries, cursor := sess.Entries()
 		var res *etable.Result
 		next := ""

@@ -190,8 +190,8 @@ func TestCreateSessionParallelismValidation(t *testing.T) {
 // second session re-running the query with its plan still cached). The
 // relation cache sits in front of the plan cache — plan lookups live
 // inside the compute closures — so the second session only consults a
-// plan because other signatures evicted its relation from a
-// one-entry-per-shard cache first.
+// plan because other signatures evicted its relation from a 16-entry
+// cache first.
 func TestStatsPlannerBlock(t *testing.T) {
 	tr, err := testdb.Figure3Translation()
 	if err != nil {

@@ -17,18 +17,20 @@
 //
 //   - One etable.Cache per dataset is shared by every session bound to
 //     it, so N users executing the same pattern signature compute it
-//     once (sharded LRU + singleflight; see internal/etable), while two
+//     once (LRU + singleflight; see internal/etable), while two
 //     datasets can never evict each other's entries.
-//   - The session map is guarded by an RWMutex taken only to look up or
-//     create entries; request work runs under a per-session entry lock
-//     (which also makes an action and its response snapshot atomic), so
-//     requests on different sessions never serialize.
-//   - Lock ordering: server.mu → (released) → entry.mu → session.mu →
-//     cache shard mu. No lock is ever taken in the opposite direction,
-//     and server.mu is never held across query execution.
+//   - The session table is an lru.Cache whose lock is held only to look
+//     up, add or sweep entries; request work runs under a per-session
+//     entry lock (which also makes an action and its response snapshot
+//     atomic), so requests on different sessions never serialize.
+//   - Lock ordering: session table lock → (released) → entry.mu →
+//     session.mu → the execution cache's lock. No lock is ever taken in
+//     the opposite direction, and the table's lock is never held across
+//     query execution.
 //   - Sessions are bounded: idle sessions past Options.SessionTTL are
-//     evicted, and when MaxSessions is reached the least recently used
-//     session is dropped, so the map cannot grow without bound.
+//     evicted, and the table holds at most MaxSessions, dropping the
+//     least recently used session beyond it. Evicted sessions are
+//     closed after the table's lock is released.
 //   - Results are paginated: offset/limit (query parameters on GET,
 //     body fields on POST) select the row window that is encoded, so a
 //     request on a huge table pays for the window, not the table.
@@ -64,6 +66,7 @@ import (
 	"repro/internal/etable"
 	"repro/internal/exec"
 	"repro/internal/graphrel"
+	"repro/internal/lru"
 	"repro/internal/ops"
 	"repro/internal/registry"
 	"repro/internal/session"
@@ -79,8 +82,8 @@ type Options struct {
 	// SessionTTL evicts sessions idle longer than this (default 30m;
 	// negative disables TTL eviction).
 	SessionTTL time.Duration
-	// MaxSessions bounds the session map; creating a session beyond it
-	// evicts the least recently used one (default 1024).
+	// MaxSessions bounds the session table; creating a session beyond
+	// it evicts the least recently used one (default 1024).
 	MaxSessions int
 	// PageSize is the default result-row window when a request names no
 	// limit (0 = return all rows unless the request pages explicitly).
@@ -121,8 +124,7 @@ func (o Options) withDefaults() Options {
 		o.SessionTTL = 30 * time.Minute
 	}
 	if o.MaxSessions <= 0 {
-		// A non-positive cap would make the eviction loop spin on an
-		// empty map; there is no "unbounded" mode.
+		// There is no "unbounded" mode.
 		o.MaxSessions = 1024
 	}
 	if o.MaxWorkers == 0 {
@@ -145,7 +147,7 @@ func (o Options) spillEnabled() bool {
 }
 
 // sessionEntry pairs a session with the dataset it is bound to and its
-// last-use time (unix nanos, atomic so touches need no lock).
+// last-use time (unix nanos, read by the TTL sweep).
 type sessionEntry struct {
 	// mu serializes request handling on this session, making each
 	// action and its rendered response snapshot atomic — two tabs on
@@ -175,11 +177,11 @@ type Server struct {
 	logf func(format string, args ...any)
 	now  func() time.Time
 
-	// mu guards sessions and nextID only; it is never held while a
-	// session executes a query.
-	mu       sync.RWMutex
-	sessions map[int64]*sessionEntry
-	nextID   int64
+	// sessions is the live session table, keyed by id. lastID is the
+	// last id allocated, which tells an evicted id (410) from one never
+	// issued (404).
+	sessions *lru.Cache[int64, *sessionEntry]
+	lastID   atomic.Int64
 
 	// lastSweep (unix nanos) rate-limits TTL sweeps triggered by
 	// session lookups.
@@ -217,8 +219,7 @@ func NewFromRegistry(reg *registry.Registry, opts Options) *Server {
 		opts:     opts,
 		logf:     log.Printf,
 		now:      time.Now,
-		sessions: make(map[int64]*sessionEntry),
-		nextID:   1,
+		sessions: lru.New[int64, *sessionEntry](opts.MaxSessions),
 		mux:      http.NewServeMux(),
 	}
 	if opts.MaxWorkers > 0 {
@@ -603,14 +604,13 @@ type edgeStatJSON struct {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	// Per-dataset session counts in one pass under the read lock.
-	s.mu.RLock()
-	n := len(s.sessions)
+	// Per-dataset session counts from one snapshot of the table.
+	live := s.sessions.Values()
+	n := len(live)
 	perDS := make(map[*registry.Dataset]int)
-	for _, e := range s.sessions {
+	for _, e := range live {
 		perDS[e.ds]++
 	}
-	s.mu.RUnlock()
 	var rms runtime.MemStats
 	runtime.ReadMemStats(&rms)
 	out := statsJSON{
@@ -687,13 +687,13 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		}
 		if pst, total, ok := ds.PagerStats(); ok {
 			d.Pager = &pagerJSON{
-				BudgetSections:   pst.Budget,
-				ResidentSections: pst.Resident,
+				BudgetSections:   pst.Capacity,
+				ResidentSections: pst.Len,
 				PinnedSections:   pst.Pinned,
 				TotalSections:    total,
-				Faults:           pst.Faults,
+				Faults:           pst.Misses,
 				Evictions:        pst.Evictions,
-				FaultMs:          float64(pst.FaultNanos) / 1e6,
+				FaultMs:          float64(pst.LoadNanos) / 1e6,
 			}
 		}
 		if sst := ds.SpillMetrics().Snapshot(); sst.Spills > 0 {
@@ -726,56 +726,28 @@ func (s *Server) maybeSweep() {
 	if now-last < int64(interval) || !s.lastSweep.CompareAndSwap(last, now) {
 		return
 	}
-	s.mu.Lock()
-	evicted := s.evictExpiredLocked(now)
-	s.mu.Unlock()
-	closeSessions(evicted)
+	closeSessions(s.evictExpired(now))
 }
 
 // closeSessions releases evicted sessions' memoized state. Called after
-// s.mu is released — Close takes the session's own lock, and the lock
-// ordering never takes session.mu under server.mu.
+// the table's lock is released — Close takes the session's own lock,
+// and the lock ordering never takes session.mu under the table's.
 func closeSessions(evicted []*sessionEntry) {
 	for _, e := range evicted {
 		e.sess.Close()
 	}
 }
 
-// evictExpiredLocked drops sessions idle past the TTL, returning them
-// for the caller to Close once s.mu is released. Caller holds s.mu
-// (write).
-func (s *Server) evictExpiredLocked(now int64) []*sessionEntry {
-	var evicted []*sessionEntry
-	if ttl := s.opts.SessionTTL; ttl > 0 {
-		for id, e := range s.sessions {
-			if now-e.lastUsed.Load() > int64(ttl) {
-				delete(s.sessions, id)
-				evicted = append(evicted, e)
-			}
-		}
+// evictExpired drops sessions idle past the TTL from the table,
+// returning them for the caller to Close.
+func (s *Server) evictExpired(now int64) []*sessionEntry {
+	ttl := int64(s.opts.SessionTTL)
+	if ttl <= 0 {
+		return nil
 	}
-	return evicted
-}
-
-// evictLocked drops expired sessions and, if the map would still exceed
-// MaxSessions, the least recently used ones, returning the evicted
-// entries for the caller to Close once s.mu is released. Caller holds
-// s.mu (write).
-func (s *Server) evictLocked() []*sessionEntry {
-	evicted := s.evictExpiredLocked(s.now().UnixNano())
-	for len(s.sessions) >= s.opts.MaxSessions && len(s.sessions) > 0 {
-		var lruID int64
-		var lruAt int64
-		first := true
-		for id, e := range s.sessions {
-			if at := e.lastUsed.Load(); first || at < lruAt {
-				lruID, lruAt, first = id, at, false
-			}
-		}
-		evicted = append(evicted, s.sessions[lruID])
-		delete(s.sessions, lruID)
-	}
-	return evicted
+	return s.sessions.RemoveFunc(func(_ int64, e *sessionEntry) bool {
+		return now-e.lastUsed.Load() > ttl
+	})
 }
 
 // strictDecode decodes one JSON value into v, rejecting unknown fields
@@ -829,14 +801,11 @@ func (s *Server) createSession(ctx context.Context, r *http.Request, ds *registr
 		}
 	}
 	e := &sessionEntry{sess: sess, ds: ds}
-	e.lastUsed.Store(s.now().UnixNano())
-	s.mu.Lock()
-	evicted := s.evictLocked()
-	id := s.nextID
-	s.nextID++
-	s.sessions[id] = e
-	s.mu.Unlock()
-	closeSessions(evicted)
+	now := s.now().UnixNano()
+	e.lastUsed.Store(now)
+	evicted := s.evictExpired(now)
+	id := s.lastID.Add(1)
+	closeSessions(append(evicted, s.sessions.Add(id, e)...))
 	return id, e, nil
 }
 
@@ -894,23 +863,19 @@ func (s *Server) entry(r *http.Request) (*sessionEntry, int64, error) {
 		}
 	}
 	s.maybeSweep()
-	s.mu.RLock()
-	e, ok := s.sessions[id]
-	if ok {
-		// Touch under the RLock: eviction sweeps hold the write lock,
-		// so a just-looked-up session cannot be swept before its
-		// lastUsed reflects this request.
-		e.lastUsed.Store(s.now().UnixNano())
-	}
-	nextID := s.nextID
-	s.mu.RUnlock()
+	e, ok := s.sessions.Lookup(id)
 	if !ok {
-		if id > 0 && id < nextID {
+		if id > 0 && id <= s.lastID.Load() {
 			return nil, 0, apiErr(http.StatusGone, codeSessionExpired,
 				"session %d expired or was evicted; export/replay or create a new one", id)
 		}
 		return nil, 0, apiErr(http.StatusNotFound, codeSessionNotFound, "no session %d", id)
 	}
+	// The stamp follows the lookup outside the table's lock: a TTL sweep
+	// landing in between sees the old stamp and may evict the session,
+	// which still serves this request (a closed session re-prepares what
+	// it reads) and is 410 from the next one on.
+	e.lastUsed.Store(s.now().UnixNano())
 	if name := r.PathValue("ds"); name != "" && e.ds.Name() != name {
 		return nil, 0, apiErr(http.StatusNotFound, codeSessionNotFound,
 			"no session %d in dataset %q", id, name)

@@ -21,15 +21,17 @@
 // etable.Executor whose cache may be shared across every session of a
 // server (NewShared).
 //
-// Presentation is windowed: the session keeps a small memo of prepared
-// presentations (etable.Presentation — row order, groupings, column
-// layout; no cells) plus a bounded memo of materialized row windows per
-// presentation, keyed by (offset, limit). A page fetch therefore costs
-// O(window): the row order and groupings come from the prepared
-// presentation and only the requested rows are transformed. A
-// presentation owns everything its windows read, so the session holds
-// at most memoEntries prepared presentations and no relation — matched
-// relations are held by the shared cache alone, under its LRU.
+// Presentation is windowed: the session keeps a small LRU memo of
+// prepared presentations (etable.Presentation — row order, groupings,
+// column layout; no cells) plus, per presentation, LRU memos of sorted
+// views and of materialized row windows keyed by (offset, limit). A
+// page fetch therefore costs O(window): the row order and groupings
+// come from the prepared presentation and only the requested rows are
+// transformed. A presentation owns everything its windows read, so the
+// session holds at most memoEntries prepared presentations and no
+// relation — matched relations are held by the shared cache alone,
+// under its LRU. Every memo is an lru.Cache, so a presentation the user
+// keeps re-reading stays while newer ones come and go.
 //
 // Every mutation flows through the declarative operation protocol of
 // internal/ops: Apply executes one validated ops.Op, ApplyPipeline
@@ -52,6 +54,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/expr"
 	"repro/internal/graphrel"
+	"repro/internal/lru"
 	"repro/internal/ops"
 	"repro/internal/tgm"
 	"repro/internal/value"
@@ -102,11 +105,9 @@ const windowMemoRowCap = 4096
 // applied — they are exactly what readers get — so the window key
 // carries the hidden set and sort alongside the row range.
 type presEntry struct {
-	base      *etable.Presentation
-	sorted    map[string]*etable.Presentation
-	sortOrder []string
-	windows   map[winKey]*etable.Result
-	winOrder  []winKey
+	base    *etable.Presentation
+	sorted  *lru.Cache[string, *etable.Presentation]
+	windows *lru.Cache[winKey, *etable.Result]
 }
 
 // sortMemoEntries bounds the sorted views kept per presentation. A
@@ -123,27 +124,16 @@ type winKey struct {
 
 // variant returns the presentation ordered per the entry's sort spec:
 // the shared base when unsorted, otherwise a memoized SortedView over
-// it (built on first use, bounded FIFO). All variants share one
-// prepared presentation; only row order differs.
+// it (built on first use). All variants share one prepared
+// presentation; only row order differs, so an evicted view needs no
+// release.
 func (pe *presEntry) variant(e Entry) (*etable.Presentation, error) {
 	if e.Sort == nil {
 		return pe.base, nil
 	}
-	sk := sortKey(e.Sort)
-	if v, ok := pe.sorted[sk]; ok {
-		return v, nil
-	}
-	v, err := pe.base.SortedView(*e.Sort)
-	if err != nil {
-		return nil, err
-	}
-	if len(pe.sortOrder) >= sortMemoEntries {
-		delete(pe.sorted, pe.sortOrder[0])
-		pe.sortOrder = pe.sortOrder[1:]
-	}
-	pe.sorted[sk] = v
-	pe.sortOrder = append(pe.sortOrder, sk)
-	return v, nil
+	return pe.sorted.Get(sortKey(e.Sort), func() (*etable.Presentation, error) {
+		return pe.base.SortedView(*e.Sort)
+	})
 }
 
 // discard drops a memo entry the session is done with: it closes any
@@ -154,7 +144,7 @@ func (pe *presEntry) variant(e Entry) (*etable.Presentation, error) {
 func (s *Session) discard(pe *presEntry) {
 	pe.base.Close()
 	if s.recycleWindows {
-		for _, res := range pe.windows {
+		for _, res := range pe.windows.Values() {
 			res.Recycle()
 		}
 	}
@@ -195,16 +185,16 @@ type Session struct {
 
 	// mu serializes all state-changing actions and snapshot reads on
 	// this session. Lock ordering: session.mu may be held while the
-	// executor takes cache shard locks, never the reverse.
+	// memos and the executor take their lru.Cache locks, never the
+	// reverse.
 	mu      sync.Mutex
 	history []Entry
 	cursor  int // index into history of the current state; -1 = empty
 
 	// memo caches prepared presentations keyed by pattern alone
-	// (sorting is a memoized view per entry, hiding is per window),
-	// bounded FIFO; evicted entries release their spill files.
-	memo      map[string]*presEntry
-	memoOrder []string
+	// (sorting is a memoized view per entry, hiding is per window);
+	// evicted entries release their spill files.
+	memo *lru.Cache[string, *presEntry]
 }
 
 // New starts an empty session over a TGDB with a private execution
@@ -235,7 +225,7 @@ func NewWithExec(schema *tgm.SchemaGraph, graph *tgm.InstanceGraph, cache *etabl
 		pool:        pool,
 		parallelism: parallelism,
 		cursor:      -1,
-		memo:        make(map[string]*presEntry),
+		memo:        lru.New[string, *presEntry](memoEntries),
 	}
 }
 
@@ -893,7 +883,7 @@ func (s *Session) resultLocked(ctx context.Context) (*etable.Result, error) {
 // entry, preparing it on first use. Caller holds s.mu.
 func (s *Session) presentationLocked(ctx context.Context, cur Entry) (*presEntry, error) {
 	key := presentationKey(cur)
-	if pe, ok := s.memo[key]; ok {
+	if pe, ok := s.memo.Lookup(key); ok {
 		return pe, nil
 	}
 	pres, err := s.exec.PrepareWithOpts(cur.Pattern, s.execOptions(ctx))
@@ -901,16 +891,11 @@ func (s *Session) presentationLocked(ctx context.Context, cur Entry) (*presEntry
 		return nil, err
 	}
 	pe := &presEntry{base: pres,
-		sorted:  make(map[string]*etable.Presentation),
-		windows: make(map[winKey]*etable.Result)}
-	if len(s.memoOrder) >= memoEntries {
-		evict := s.memoOrder[0]
-		s.discard(s.memo[evict])
-		delete(s.memo, evict)
-		s.memoOrder = s.memoOrder[1:]
+		sorted:  lru.New[string, *etable.Presentation](sortMemoEntries),
+		windows: lru.New[winKey, *etable.Result](windowMemoEntries)}
+	for _, old := range s.memo.Add(key, pe) {
+		s.discard(old)
 	}
-	s.memo[key] = pe
-	s.memoOrder = append(s.memoOrder, key)
 	return pe, nil
 }
 
@@ -948,7 +933,7 @@ func (s *Session) windowLocked(ctx context.Context, offset, limit int) (*etable.
 	}
 	wkey := winKey{offset: offset, limit: limit,
 		hidden: hiddenKey(cur.Hidden), sort: sortKey(cur.Sort)}
-	if res, ok := pe.windows[wkey]; ok {
+	if res, ok := pe.windows.Lookup(wkey); ok {
 		return res, nil
 	}
 	res, err := pres.WindowOpts(offset, limit, s.execOptions(ctx))
@@ -961,18 +946,14 @@ func (s *Session) windowLocked(ctx context.Context, offset, limit int) (*etable.
 	if !(offset == 0 && limit < 0) && len(res.Rows) > windowMemoRowCap {
 		return res, nil // oversized partial window: serve, don't retain
 	}
-	if len(pe.winOrder) >= windowMemoEntries {
+	for _, old := range pe.windows.Add(wkey, res) {
 		if s.recycleWindows {
 			// The evicted window's arenas feed the next materialization.
 			// Sole ownership holds under the recycling contract: any
 			// Result handed out by an earlier call is dead by now.
-			pe.windows[pe.winOrder[0]].Recycle()
+			old.Recycle()
 		}
-		delete(pe.windows, pe.winOrder[0])
-		pe.winOrder = pe.winOrder[1:]
 	}
-	pe.windows[wkey] = res
-	pe.winOrder = append(pe.winOrder, wkey)
 	return res, nil
 }
 
@@ -1047,11 +1028,9 @@ func hideColumns(res *etable.Result, hidden map[string]bool) *etable.Result {
 func (s *Session) Close() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, pe := range s.memo {
+	for _, pe := range s.memo.RemoveFunc(func(string, *presEntry) bool { return true }) {
 		s.discard(pe)
 	}
-	clear(s.memo)
-	s.memoOrder = nil
 }
 
 // EntityTypes lists the node types shown in the default table list:

@@ -11,9 +11,11 @@ import (
 
 	"repro/internal/etable"
 	"repro/internal/graphrel"
+	"repro/internal/lru"
 	"repro/internal/pager"
 	"repro/internal/spill"
 	"repro/internal/testdb"
+	"repro/internal/tgm"
 	"repro/internal/value"
 )
 
@@ -29,7 +31,7 @@ func spillSession(t testing.TB, trigger int) (*Session, *graphrel.SpillPolicy) {
 	s := New(res.Schema, res.Instance)
 	pol := &graphrel.SpillPolicy{
 		Dir:     t.TempDir(),
-		Pool:    pager.New(4),
+		Pool:    lru.New[pager.Key, [][]tgm.NodeID](4),
 		Metrics: &spill.Metrics{},
 		Named:   true,
 		RunRows: 2,

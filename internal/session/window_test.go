@@ -102,8 +102,8 @@ func TestWindowMatchesFullRender(t *testing.T) {
 }
 
 // TestWindowOutlivesMatchedRelation: a memoized presentation owns
-// everything its windows read. With one cache entry per shard,
-// unrelated traffic evicts the joined pattern's matched relation; fresh
+// everything its windows read. In a 16-entry cache, unrelated
+// traffic evicts the joined pattern's matched relation; fresh
 // windows, a hide, a sort and a revert over the memoized presentation
 // still render what an undisturbed session renders — without ever
 // re-preparing, which the closing prepare proves (a re-prepare would
@@ -400,11 +400,11 @@ func TestSortVariantsShareOnePreparedPresentation(t *testing.T) {
 			t.Fatalf("sort %+v: %d rows, want %d", spec, res.NumRows(), total)
 		}
 	}
-	if got := len(s.memo); got != 1 {
+	if got := s.memo.Len(); got != 1 {
 		t.Fatalf("%d memo entries across %d sort variants, want 1 (sorts must share the prepared presentation)", got, len(specs))
 	}
-	for _, pe := range s.memo {
-		if got := len(pe.sorted); got != len(specs) {
+	for _, pe := range s.memo.Values() {
+		if got := pe.sorted.Len(); got != len(specs) {
 			t.Fatalf("%d memoized sorted views, want %d", got, len(specs))
 		}
 	}
@@ -418,10 +418,44 @@ func TestSortVariantsShareOnePreparedPresentation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := len(s.memo); got != 1 {
+	if got := s.memo.Len(); got != 1 {
 		t.Fatalf("%d memo entries after reverts, want 1", got)
 	}
 	if got := cache.Hits() + cache.Misses(); got != lookups {
 		t.Fatalf("%d cache lookups since the first window, want 0 (sorts and reverts must not re-prepare)", got-lookups)
+	}
+}
+
+// TestPresentationMemoIsLRU: a presentation the user keeps re-reading
+// stays memoized while newer patterns come and go. Eight new patterns,
+// with the first re-read after each, never evict it, so no re-read
+// prepares it again and the executor's cache sees no lookup.
+func TestPresentationMemoIsLRU(t *testing.T) {
+	s, cache := newSharedSession(t)
+	ctx := context.Background()
+	if err := s.Open("Papers"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.WindowCtx(ctx, 0, 2); err != nil {
+		t.Fatal(err)
+	}
+	for year := 2001; year <= 2008; year++ {
+		if err := s.Filter(fmt.Sprintf("year > %d", year)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.WindowCtx(ctx, 0, 2); err != nil {
+			t.Fatal(err)
+		}
+		lookups := cache.Hits() + cache.Misses()
+		if err := s.Revert(0); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.WindowCtx(ctx, 0, 2); err != nil {
+			t.Fatal(err)
+		}
+		if got := cache.Hits() + cache.Misses(); got != lookups {
+			t.Fatalf("re-reading the first presentation after pattern %d made %d cache lookups, want 0 (it was evicted and re-prepared)",
+				year-2000, got-lookups)
+		}
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"hash/crc32"
 
+	"repro/internal/lru"
 	"repro/internal/pager"
 	"repro/internal/value"
 )
@@ -31,7 +32,7 @@ type LazyOptions struct {
 	// PoolSections is the pager budget: the maximum number of decoded
 	// attribute columns kept resident at once (DefaultPoolSections if
 	// zero; minimum 1). Pinned columns may push residency past the
-	// budget transiently — see pager.Pool.
+	// budget transiently — see package pager.
 	PoolSections int
 }
 
@@ -108,7 +109,7 @@ func lazyDecode(f *pager.File, opt LazyOptions) (*LazySnapshot, error) {
 	}
 	src := &columnSource{
 		file:    f,
-		pool:    pager.New(budget),
+		pool:    lru.New[pager.Key, []value.V](budget),
 		ncolOff: ncolOff,
 		ncolLen: uint64(len(sections[secCols])),
 		types:   make(map[string]typeCols, len(dir)),
@@ -139,10 +140,10 @@ func lazyDecode(f *pager.File, opt LazyOptions) (*LazySnapshot, error) {
 	}, nil
 }
 
-// PagerStats reports the pager's residency and fault telemetry plus
-// the file's total column-section count (the denominator for the
-// resident gauge).
-func (ls *LazySnapshot) PagerStats() (pager.Stats, int) {
+// PagerStats reports the pager's residency and fault telemetry (a
+// fault is a Misses load) plus the file's total column-section count
+// (the denominator for the resident gauge).
+func (ls *LazySnapshot) PagerStats() (lru.Stats, int) {
 	return ls.src.pool.Stats(), ls.src.totalSections
 }
 
@@ -159,7 +160,7 @@ func (ls *LazySnapshot) Close() error {
 // CRC-32C, decodes it, and caches the decoded column in the pager pool.
 type columnSource struct {
 	file          *pager.File
-	pool          *pager.Pool
+	pool          *lru.Cache[pager.Key, []value.V]
 	ncolOff       uint64 // NCOL payload's offset within the file
 	ncolLen       uint64
 	types         map[string]typeCols
@@ -168,31 +169,23 @@ type columnSource struct {
 
 // Column implements tgm.ColumnSource.
 func (cs *columnSource) Column(typeName string, ai int) ([]value.V, error) {
-	v, err := cs.pool.Get(pager.Key{Type: typeName, Attr: ai}, func() (any, error) {
+	return cs.pool.Get(pager.Key{Type: typeName, Attr: ai}, func() ([]value.V, error) {
 		return cs.load(typeName, ai)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return v.([]value.V), nil
 }
 
 // PinColumn implements tgm.ColumnSource.
 func (cs *columnSource) PinColumn(typeName string, ai int) ([]value.V, func(), error) {
-	v, release, err := cs.pool.Pin(pager.Key{Type: typeName, Attr: ai}, func() (any, error) {
+	return cs.pool.Pin(pager.Key{Type: typeName, Attr: ai}, func() ([]value.V, error) {
 		return cs.load(typeName, ai)
 	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return v.([]value.V), release, nil
 }
 
 // load is the fault path: read the column's bytes, checksum, decode.
 // Load errors are not cached by the pool, so a transient failure (or a
 // since-repaired corruption) does not poison the section — the next
 // fault retries from the file.
-func (cs *columnSource) load(typeName string, ai int) (any, error) {
+func (cs *columnSource) load(typeName string, ai int) ([]value.V, error) {
 	tc, ok := cs.types[typeName]
 	if !ok {
 		return nil, fmt.Errorf("snapshot: no column directory for node type %q", typeName)

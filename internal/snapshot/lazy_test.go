@@ -44,7 +44,7 @@ func TestLazyLoadFidelity(t *testing.T) {
 		t.Fatalf("counts (%d, %d) != (%d, %d)",
 			lg.NumNodes(), lg.NumEdges(), g.NumNodes(), g.NumEdges())
 	}
-	if st, total := ls.PagerStats(); st.Faults != 0 || st.Resident != 0 || total == 0 {
+	if st, total := ls.PagerStats(); st.Misses != 0 || st.Len != 0 || total == 0 {
 		t.Fatalf("open already faulted columns: %+v (total %d)", st, total)
 	}
 
@@ -77,23 +77,23 @@ func TestLazyLoadFidelity(t *testing.T) {
 	// The sweep touched more columns than the budget: the pool must have
 	// faulted them all, evicted down to the budget, and stayed bounded.
 	st, total := ls.PagerStats()
-	if st.Budget != 2 {
-		t.Fatalf("Budget = %d, want 2", st.Budget)
+	if st.Capacity != 2 {
+		t.Fatalf("Capacity = %d, want 2", st.Capacity)
 	}
-	if st.Resident > st.Budget {
-		t.Fatalf("Resident %d exceeds budget %d", st.Resident, st.Budget)
+	if st.Len > st.Capacity {
+		t.Fatalf("Len %d exceeds capacity %d", st.Len, st.Capacity)
 	}
-	if st.Resident >= total {
-		t.Fatalf("Resident %d not out-of-core (total %d sections)", st.Resident, total)
+	if st.Len >= total {
+		t.Fatalf("Len %d not out-of-core (total %d sections)", st.Len, total)
 	}
-	if int(st.Faults) < total {
-		t.Fatalf("Faults = %d, want >= %d (every section touched)", st.Faults, total)
+	if int(st.Misses) < total {
+		t.Fatalf("Misses = %d, want >= %d (every section touched)", st.Misses, total)
 	}
 	if st.Evictions == 0 {
 		t.Fatal("sweep past the budget caused no evictions")
 	}
-	if st.FaultNanos <= 0 {
-		t.Fatal("FaultNanos not accounted")
+	if st.LoadNanos <= 0 {
+		t.Fatal("LoadNanos not accounted")
 	}
 }
 
@@ -110,8 +110,8 @@ func TestLazyLoadStats(t *testing.T) {
 	if ls.Graph.StatsCache() == nil {
 		t.Fatal("lazy graph has no attached statistics")
 	}
-	if st, _ := ls.PagerStats(); st.Faults != 0 {
-		t.Fatalf("attaching statistics faulted %d columns", st.Faults)
+	if st, _ := ls.PagerStats(); st.Misses != 0 {
+		t.Fatalf("attaching statistics faulted %d columns", st.Misses)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/lru"
 	"repro/internal/pager"
 	"repro/internal/snapshot/idcol"
 	"repro/internal/tgm"
@@ -53,7 +54,7 @@ type RunFile struct {
 
 	m      *Metrics
 	budget *Budget
-	pool   *pager.Pool
+	pool   *lru.Cache[pager.Key, [][]tgm.NodeID]
 
 	mu     sync.Mutex // guards the write path and the directory
 	runs   []RunMeta
@@ -77,7 +78,7 @@ type Options struct {
 	Budget *Budget
 	// Pool is the buffer pool run payloads fault through; nil reads
 	// decode on every access (tests).
-	Pool *pager.Pool
+	Pool *lru.Cache[pager.Key, [][]tgm.NodeID]
 	// Named keeps the file visibly on disk (prefix "etspill-") until
 	// Close instead of using an anonymous temp file. For tests and
 	// debugging; anonymous files cannot leak names on crash.
@@ -253,13 +254,9 @@ func (rf *RunFile) ReadRun(i int) ([][]tgm.NodeID, error) {
 	if rf.pool == nil {
 		return rf.loadRun(i)
 	}
-	v, err := rf.pool.Get(pager.Key{Type: rf.id, Attr: i}, func() (any, error) {
+	return rf.pool.Get(pager.Key{Type: rf.id, Attr: i}, func() ([][]tgm.NodeID, error) {
 		return rf.loadRun(i)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return v.([][]tgm.NodeID), nil
 }
 
 // loadRun reads, verifies, and decodes one run from disk.

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/lru"
 	"repro/internal/pager"
 	"repro/internal/tgm"
 )
@@ -22,9 +23,9 @@ func ids(vals ...int) []tgm.NodeID {
 // every one back byte-identical, through the pool and without one.
 func TestRunFileRoundTrip(t *testing.T) {
 	for _, usePool := range []bool{false, true} {
-		var pool *pager.Pool
+		var pool *lru.Cache[pager.Key, [][]tgm.NodeID]
 		if usePool {
-			pool = pager.New(2)
+			pool = lru.New[pager.Key, [][]tgm.NodeID](2)
 		}
 		m := &Metrics{}
 		rf, err := Create(Options{Dir: t.TempDir(), Cols: 2, Metrics: m, Pool: pool})

@@ -42,6 +42,15 @@ if grep -rnwE 'MapRanges|WithBudget|BudgetFrom|StreamLimit|MatchSource|bad_paral
 	exit 1
 fi
 
+# Every cache is an lru.Cache: no other recency list may appear outside
+# internal/lru (ROADMAP 6; the harness module is exempt).
+echo "==> one LRU implementation"
+if grep -rnE '"container/list"|prev, *next +\*' \
+	--include='*.go' --exclude='*_test.go' --exclude-dir=lru --exclude-dir=etable-load --exclude-dir=.bench_build .; then
+	echo "a recency list outside internal/lru (see above)" >&2
+	exit 1
+fi
+
 echo "==> go test -race ./..."
 go test -race -run "$pattern" ./...
 
