@@ -705,54 +705,8 @@ func streamScalePatterns(b *testing.B, tr *translate.Result) (*etable.Pattern, *
 	return p1, p2
 }
 
-// BenchmarkStreamingWindowRecycle measures the window-arena recycling
-// satellite on the serving path's unit of work: materializing a 10-row
-// page of a prepared presentation. The recycled arm returns each
-// window's arenas to the pool before fetching the next (what the
-// server's session memo does on eviction); steady state allocates only
-// fixed per-page bookkeeping, no O(window) arenas.
-func BenchmarkStreamingWindowRecycle(b *testing.B) {
-	tr := scaleFixtures(b)
-	p := figure7Pattern(b, tr)
-	matched, err := etable.Match(tr.Instance, p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pres, err := etable.Prepare(tr.Instance, p, matched)
-	if err != nil {
-		b.Fatal(err)
-	}
-	offset := pres.NumRows() / 2
-	const window = 10
-	b.Run("gc", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			res, err := pres.Window(offset, window)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res.NumRows() != window {
-				b.Fatal("short window")
-			}
-		}
-	})
-	b.Run("recycled", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			res, err := pres.Window(offset, window)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res.NumRows() != window {
-				b.Fatal("short window")
-			}
-			res.Recycle()
-		}
-	})
-}
-
 // corpusAt memoizes translated corpora by paper count for the
-// planner-tier benchmarks, which sweep corpus sizes.
+// benchmarks that size their corpus to the workload they model.
 var (
 	corpusMu sync.Mutex
 	corpusBy = map[int]*translate.Result{}
@@ -777,111 +731,6 @@ func corpusAt(b *testing.B, papers int) *translate.Result {
 	}
 	corpusBy[papers] = tr
 	return tr
-}
-
-// BenchmarkPlanCache measures the plan cache at both granularities.
-//
-// The plan/* arms time plan resolution itself — what the cache
-// actually accelerates: a fresh build runs estimation, join ordering,
-// and predicate compilation; a warm hit is a signature lookup. The
-// acceptance bar (PERFORMANCE.md §8) is plan/warm ≥ 2× faster than
-// plan/every-time, with plan/cold (every lookup missing) ≈ every-time,
-// so the cache never taxes first-touch queries.
-//
-// The match/* arms time the same three regimes end-to-end through
-// MatchOpts on a small corpus — the interactive case where planning
-// overhead is proportionally largest — showing what the cache is worth
-// when execution cost is included.
-func BenchmarkPlanCache(b *testing.B) {
-	tr := corpusAt(b, 300)
-	p := figure7Pattern(b, tr)
-
-	// coldVariants: more distinct signatures than the 256-entry plan
-	// cache holds, so cycling them defeats the LRU and every resolution
-	// is a miss + build + insert + eviction.
-	coldVariants := func(b *testing.B) []*etable.Pattern {
-		b.Helper()
-		base, err := etable.Initiate(tr.Schema, "Papers")
-		if err != nil {
-			b.Fatal(err)
-		}
-		variants := make([]*etable.Pattern, 300)
-		for i := range variants {
-			v, err := etable.Select(base, fmt.Sprintf("year > %d", 1600+i))
-			if err != nil {
-				b.Fatal(err)
-			}
-			if v, err = etable.Add(tr.Schema, v, "Paper_Authors"); err != nil {
-				b.Fatal(err)
-			}
-			variants[i] = v
-		}
-		return variants
-	}
-
-	b.Run("plan/every-time", func(b *testing.B) {
-		opt := etable.ExecOptions{NoPlanCache: true}
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := etable.PlanForOpts(tr.Instance, p, opt); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("plan/cold", func(b *testing.B) {
-		variants := coldVariants(b)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := etable.PlanForOpts(tr.Instance, variants[i%len(variants)], etable.ExecOptions{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("plan/warm", func(b *testing.B) {
-		if _, err := etable.PlanFor(tr.Instance, p); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := etable.PlanFor(tr.Instance, p); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
-	b.Run("match/plan-every-time", func(b *testing.B) {
-		opt := etable.ExecOptions{NoPlanCache: true}
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := etable.MatchOpts(tr.Instance, p, opt); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("match/cold", func(b *testing.B) {
-		variants := coldVariants(b)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := etable.MatchOpts(tr.Instance, variants[i%len(variants)], etable.ExecOptions{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("match/warm", func(b *testing.B) {
-		if _, err := etable.MatchOpts(tr.Instance, p, etable.ExecOptions{}); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := etable.MatchOpts(tr.Instance, p, etable.ExecOptions{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkBootTranslate is the cold-boot baseline: what etable-server
@@ -1012,7 +861,6 @@ func BenchmarkColdWindowFault(b *testing.B) {
 		if len(res.Rows) == 0 {
 			b.Fatal("empty first page")
 		}
-		res.Recycle()
 		st, tot := ls.PagerStats()
 		resident, total = st.Len, tot
 		if resident >= tot {

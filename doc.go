@@ -120,21 +120,19 @@
 // There is one match engine (internal/etable/stream.go): every join
 // runs as a streamed pipeline drained whole, and materializing and
 // spilling are the sink the drain writes to, not separate code paths.
-// The server's one path is Executor.PrepareWithOpts plus a window. The
-// engine resolves its plan through one function, etable.PlanFor: a
-// per-frozen-graph, signature-keyed cache of compiled node predicates.
-// Pattern signatures are memoized on the immutable Pattern, so a warm
-// lookup is a pointer load plus one map probe. The join order is not
-// planned in advance: the engine selects every base first and orders
-// the joins by the bases' exact sizes — smallest base first, then
-// greedily by |current| × AvgOutDegree(edge) × |σ(new)| / |type(new)| —
-// so no cardinality is estimated anywhere. /api/v1/stats exposes the
-// plan cache's hits/misses/evictions; PERFORMANCE.md §8 records the
-// cache effect, §13 why the eager join arm and the feedback re-planner
-// were removed, §14 why the greedy ordering and its corpus-size
-// threshold were (no workload reached them; parity where forced), and
-// §16 the census behind ordering by measured sizes and dropping the
-// plan-level parallelism gate.
+// The server's one path is Executor.PrepareWithOpts plus a window. A
+// plan is the pattern's compiled node predicates, built on the
+// match-cache miss that needs it and not cached: a repeated query hits
+// its cached match, or its siblings' cached bases, first. The join
+// order is not planned in advance: the engine selects every base first
+// and orders the joins by the bases' exact sizes — smallest base first,
+// then greedily by |current| × AvgOutDegree(edge) × |σ(new)| /
+// |type(new)| — so no cardinality is estimated anywhere. PERFORMANCE.md
+// §13 records why the eager join arm and the feedback re-planner were
+// removed, §14 why the greedy ordering and its corpus-size threshold
+// were (no workload reached them; parity where forced), §16 the census
+// behind ordering by measured sizes and dropping the plan-level
+// parallelism gate, and §18–§19 why the plan cache went.
 //
 // # Windowed presentation
 //
@@ -180,12 +178,14 @@
 //
 // Encoding: the server writes every state response straight from the
 // window's *etable.Result into a pooled buffer (internal/server/
-// encode.go) while the session's entry lock is held — recycled windows
-// are only valid until the next call on their session, so the Result is
-// fully read before the lock drops and only the bytes outlive it. The
-// bytes are exactly encoding/json's for the struct copy this replaced
-// (kept as the test reference), Content-Length is always set, and the
-// status is committed only after encoding succeeded.
+// encode.go) while the session's entry lock is held, so an op and the
+// state it returns are one atomic unit. A Result is an ordinary value
+// that owns exactly the rows, cells and references it holds; later
+// calls on the session never touch it. The bytes are exactly
+// encoding/json's for the struct copy this replaced (kept as the test
+// reference), Content-Length is always set, and the status is
+// committed only after encoding succeeded. Every request body is read
+// through one bound (1 MiB); a longer one is 413 body_too_large.
 //
 // Cursor invalidation: HTTP cursors fingerprint the presentation state
 // they were issued against; any op that changes the table invalidates
@@ -214,8 +214,8 @@
 // query results without re-running translation (corrupt or
 // version-skewed files fail with typed errors, never panics; see
 // docs/SNAPSHOT.md for the format). internal/registry names many such
-// datasets in one server process: each owns its own execution cache,
-// plan cache, and statistics, lazy snapshot datasets load on first
+// datasets in one server process: each owns its own execution cache
+// and statistics, lazy snapshot datasets load on first
 // request (singleflight), and sessions bind to one dataset at
 // creation. The HTTP surface grows /api/v1/datasets (list/inspect) and
 // /api/v1/datasets/{name}/sessions/... routing, with the unscoped

@@ -40,13 +40,10 @@
 //
 // The engine plans from what it has measured. A Plan holds only what
 // exists before any base relation does — the compiled node predicates —
-// and the engine and PlanForOpts resolve it through one function,
-// planFor: a per-frozen-graph lru.Cache of 256 plans keyed by the
-// memoized pattern signature (a warm lookup costs a pointer load and one
-// map probe, BenchmarkPlanCache; concurrent misses share one build). ExecOptions.NoPlanCache builds the plan without
-// looking it up or inserting it (the plan-every-time arm of
-// BenchmarkPlanCache). PlannerStatsFor exposes hits, misses and
-// evictions; the server surfaces them at /api/v1/stats.
+// and matchPipeline builds it (buildPlan) on the match-cache miss that
+// needs it. Plans are not cached: a repeated query hits its cached
+// match, and a refined one its siblings' cached bases, before any
+// predicate would be compiled (PERFORMANCE.md §18, §19).
 //
 // The join order is chosen inside matchPipeline, after every base is
 // selected, from the bases' exact sizes (orderJoins): start at the
@@ -62,7 +59,9 @@
 //
 // Prepare computes what depends on the whole matched relation (row set,
 // column layout, per-column groupings) and no cells; Window materializes
-// any row range of it in one serial pass; SortedView reorders the row
+// any row range of it in one serial pass, allocating exactly the rows,
+// cells and references it fills into a Result the caller owns for as
+// long as it likes; SortedView reorders the row
 // IDs between the two. A prepared Presentation is immutable — SortedView
 // returns a copy owning a fresh row-ID slice, and a view of a view
 // stacks sorts — so any number of windows may read one concurrently.
@@ -116,13 +115,4 @@
 // match itself when a join's edge type is the one that fails
 // (graphrel.StreamJoin loads its handle at construction), so an
 // unreadable section never reads as an empty, cacheable table.
-//
-// Recycling. Windows draw their row/cell/ref storage from a
-// sync.Pool-backed arena (windowStore). Callers that can guarantee sole
-// ownership return the storage with Result.Recycle, making steady-state
-// paging allocation-free; the serving layer qualifies because it
-// encodes each window into its response buffer under the session's
-// entry lock, before any later call on the session can recycle it.
-// Recycling is strictly opt-in; a Result that is never recycled is
-// garbage collected like any other value.
 package etable

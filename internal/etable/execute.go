@@ -10,11 +10,11 @@ import (
 )
 
 // ExecOptions configures one execution: the cancellation context, the
-// intra-query parallelism budget, the row cap and its spill policy, and
-// the plan-cache bypass. The zero value is serial, uncancellable,
-// uncapped execution. Each field names what exercises
-// it — a bench/run.sh workload (the server sets the field from a flag
-// or per request) or a benchmark in bench_test.go.
+// intra-query parallelism budget, and the row cap and its spill policy.
+// The zero value is serial, uncancellable, uncapped execution. Each
+// field names what exercises it — a bench/run.sh workload (the server
+// sets the field from a flag or per request) or a benchmark in
+// bench_test.go.
 type ExecOptions struct {
 	// Ctx cancels execution between morsels and join steps; nil never
 	// cancels. An abandoned HTTP request propagates its context here so
@@ -52,10 +52,11 @@ type ExecOptions struct {
 	// outofcore_mix runs with it (-spill-dir); BenchmarkSpilledFirstPage
 	// measures it.
 	Spill *graphrel.SpillPolicy
-	// NoPlanCache builds the plan for this execution from scratch and
-	// neither looks it up in nor inserts it into the graph's plan cache.
-	// It is the plan-every-time arm of BenchmarkPlanCache, and how the
-	// traced benchmark run (bench/run.sh --trace 1) times a cold plan.
+	// NoPlanCache is ignored.
+	//
+	// Deprecated: there is no plan cache; every match miss compiles its
+	// plan. The field stays because the benchmark harness in
+	// cmd/etable-load still sets it.
 	NoPlanCache bool
 }
 

@@ -16,14 +16,59 @@ import (
 	"repro/internal/translate"
 )
 
-// TestLazyEagerEquivalenceFuzz is the out-of-core correctness drill:
-// randomized patterns run through the oracle on an eagerly loaded
-// graph, and through the engine on a lazily loaded one whose pager
-// budget (2–3 sections) is far below the column count — a serial arm
-// and two pooled budgets racing each other so column faults interleave
-// with evictions. Matched tuple sets must be the oracle's
-// and the rendered windows byte-identical to the window over the
-// oracle's match. The CI race shard runs this under -race.
+// randomPattern builds a random but valid pattern by walking the
+// schema from a random starting type: each step Adds a random out-edge
+// of the current primary and sometimes Selects a random condition on
+// the node it landed on. The walk skips steps the operators reject
+// (duplicate node keys), so every emitted pattern is executable.
+func randomPattern(t *testing.T, rng *rand.Rand, schema *tgm.SchemaGraph) *Pattern {
+	t.Helper()
+	conds := map[string][]string{
+		"Papers":       {"year > 2000", "year > 1990", "title like '%a%'"},
+		"Conferences":  {"acronym = 'SIGMOD'", "acronym like '%S%'"},
+		"Institutions": {"country like '%Korea%'", "country like '%a%'"},
+		"Authors":      {"name like '%a%'"},
+		"keyword":      {"keyword like '%user%'", "keyword like '%a%'"},
+	}
+	starts := []string{"Papers", "Authors", "Conferences"}
+	p, err := Initiate(schema, starts[rng.Intn(len(starts))])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for steps := rng.Intn(4); steps > 0; steps-- {
+		prim := p.PrimaryNode()
+		outs := schema.OutEdges(prim.Type)
+		if len(outs) == 0 {
+			break
+		}
+		np, err := Add(schema, p, outs[rng.Intn(len(outs))].Name)
+		if err != nil {
+			continue // key collision; try the next step
+		}
+		p = np
+		if pool := conds[p.PrimaryNode().Type]; len(pool) > 0 && rng.Intn(2) == 0 {
+			if np, err := Select(p, pool[rng.Intn(len(pool))]); err == nil {
+				p = np
+			}
+		}
+		if rng.Intn(3) == 0 {
+			if np, err := Shift(p, p.Nodes[rng.Intn(len(p.Nodes))].Key); err == nil {
+				p = np
+			}
+		}
+	}
+	return p
+}
+
+// TestLazyEagerEquivalenceFuzz is the engine's randomized correctness
+// drill: randomized patterns run through the oracle on an eagerly
+// loaded graph, and through the engine twice — on that eager graph,
+// serial and pooled, and on a lazily loaded one whose pager budget
+// (2–3 sections) is far below the column count, a serial arm and two
+// pooled budgets racing each other so column faults interleave with
+// evictions. Matched tuple sets must be the oracle's and the lazy
+// rendered windows byte-identical to the window over the oracle's
+// match. The CI race shard runs this under -race.
 func TestLazyEagerEquivalenceFuzz(t *testing.T) {
 	db, err := dataset.Generate(dataset.Config{Papers: 120, Seed: 11})
 	if err != nil {
@@ -71,6 +116,13 @@ func TestLazyEagerEquivalenceFuzz(t *testing.T) {
 				}
 				wantTuples := canonMatch(ref)
 				wantWindow := renderWindow(t, eager.Graph, p, ref, ExecOptions{})
+				for _, arm := range arms {
+					got, err := MatchOpts(eager.Graph, p, arm.opt)
+					if err != nil {
+						t.Fatalf("pattern %d (%s): eager arm %s: %v", i, p, arm.name, err)
+					}
+					assertMatchesOracle(t, fmt.Sprintf("pattern %d (%s) eager arm %s", i, p, arm.name), got, wantTuples)
+				}
 
 				// The three lazy arms run concurrently so their faults
 				// contend for the tiny pool while evictions churn it.
@@ -127,7 +179,5 @@ func renderWindow(t *testing.T, g *tgm.InstanceGraph, p *Pattern, rel *graphrel.
 	if err != nil {
 		t.Fatalf("WindowOpts: %v", err)
 	}
-	out := fmt.Sprintf("cols=%+v total=%d rows=%+v", res.Columns, res.Total(), res.Rows)
-	res.Recycle()
-	return out
+	return fmt.Sprintf("cols=%+v total=%d rows=%+v", res.Columns, res.Total(), res.Rows)
 }

@@ -10,8 +10,8 @@ import (
 	"repro/internal/tgm"
 )
 
-// MatchNaive is the match oracle: m(Q) with no planner, no plan cache
-// and no streamed pipeline. Every node's condition is compiled on the
+// MatchNaive is the match oracle: m(Q) with no planner and no streamed
+// pipeline. Every node's condition is compiled on the
 // spot and applied with the serial Select, and the pattern's edges are
 // joined in declaration order, starting at the primary node, with the
 // algebra's reference Join — each step a fully materialized
@@ -85,7 +85,7 @@ func declaredSteps(schema *tgm.SchemaGraph, p *Pattern) (startKey string, steps 
 // compiled predicate, as the engine does before it orders the joins.
 func selectedBases(t testing.TB, g *tgm.InstanceGraph, p *Pattern) map[string]*graphrel.Relation {
 	t.Helper()
-	pl, err := PlanForOpts(g, p, ExecOptions{NoPlanCache: true})
+	pl, err := buildPlan(g, p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,54 @@
 package etable
 
 import (
+	"fmt"
+
+	"repro/internal/expr"
 	"repro/internal/graphrel"
 	"repro/internal/tgm"
 )
+
+// Plan is what can be prepared for a pattern before any base relation
+// exists: its compiled per-node selection predicates. The join order is
+// not part of it — matchPipeline derives it from the selected bases'
+// exact sizes (orderJoins). A plan is built on the match-cache miss
+// that needs it and is not cached: a repeated query hits the cached
+// match or its cached bases first.
+type Plan struct {
+	// preds holds each conditioned node's selection predicate (no entry
+	// = unconditioned node).
+	preds map[string]expr.Pred
+}
+
+// PlanForOpts compiles p's plan over g.
+//
+// Deprecated: plans are no longer cached, so this is a fresh compile
+// whatever the options; the benchmark harness in cmd/etable-load still
+// calls it to time planning on its own.
+func PlanForOpts(g *tgm.InstanceGraph, p *Pattern, _ ExecOptions) (*Plan, error) {
+	return buildPlan(g, p)
+}
+
+// buildPlan compiles every conditioned node's predicate.
+func buildPlan(g *tgm.InstanceGraph, p *Pattern) (*Plan, error) {
+	preds := make(map[string]expr.Pred, len(p.Nodes))
+	for i := range p.Nodes {
+		n := &p.Nodes[i]
+		if n.Cond == nil {
+			continue
+		}
+		nt := g.Schema().NodeType(n.Type)
+		if nt == nil {
+			return nil, fmt.Errorf("etable: pattern node %q has unknown type %q", n.Key, n.Type)
+		}
+		pred, err := expr.Compile(n.Cond, nt)
+		if err != nil {
+			return nil, err
+		}
+		preds[n.Key] = pred
+	}
+	return &Plan{preds: preds}, nil
+}
 
 // JoinStep is one join of the instance-matching pipeline: extend the
 // matched relation from AnchorKey (already joined) to NewKey along

@@ -84,7 +84,9 @@ type Row struct {
 // Result is an executed enriched table, or — when produced by the
 // windowed presentation path (TransformWindow, Presentation.Window) —
 // one row window of it. Rows always holds exactly the materialized
-// window; TotalRows and Offset locate it within the full table.
+// window; TotalRows and Offset locate it within the full table. A
+// Result is an ordinary immutable value: it owns its rows, cells and
+// references, and stays valid for as long as anyone holds it.
 type Result struct {
 	// Pattern is the query pattern that produced this table.
 	Pattern *Pattern
@@ -100,28 +102,6 @@ type Result struct {
 	// Offset is the index of Rows[0] within the full table (0 for full
 	// renders).
 	Offset int
-	// store is the recyclable arena backing Rows and their Cells when the
-	// result came from the windowed presentation path; nil otherwise.
-	store *windowStore
-}
-
-// Recycle returns the result's window arenas to the package pool so the
-// next window materialization reuses them instead of allocating. It is
-// strictly opt-in and demands sole ownership: after Recycle returns, the
-// Result, its Rows, and every Cell and EntityRef reached through them
-// are invalid — the caller must guarantee no other reference survives
-// (results that were shared, serialized-and-dropped, or memoized-and-
-// evicted under a lock qualify; anything still addressable does not).
-// Recycle is idempotent and a no-op for results without a store (full
-// renders, zero-row windows, hand-built Results).
-func (r *Result) Recycle() {
-	ws := r.store
-	if ws == nil || !ws.recycled.CompareAndSwap(false, true) {
-		return
-	}
-	r.store = nil
-	r.Rows = nil
-	windowStorePool.Put(ws)
 }
 
 // ColumnIndex returns the ordinal of the column with the given display

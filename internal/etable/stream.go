@@ -42,8 +42,8 @@ var streamBatchRows = 0
 
 // matchPipeline is the engine's single entry: every path that needs
 // m(Q) — MatchOpts and the caching Executor — calls it, so how a match
-// runs is decided here and nowhere else. It resolves the plan
-// (planFor), selects every node's base through the plan's compiled
+// runs is decided here and nowhere else. It compiles the plan
+// (buildPlan), selects every node's base through the plan's compiled
 // predicates — through cache when the caller has one, so a refined
 // branch reuses its siblings' selections — orders the joins by the
 // selected bases' exact sizes (orderJoins), and composes them as a
@@ -64,7 +64,7 @@ func matchPipeline(g *tgm.InstanceGraph, p *Pattern, opt ExecOptions, cache *Cac
 	if p.PrimaryNode() == nil {
 		return nil, nil, fmt.Errorf("etable: pattern has no primary node")
 	}
-	pl, err := planFor(g, p, opt)
+	pl, err := buildPlan(g, p)
 	if err != nil {
 		return nil, nil, err
 	}

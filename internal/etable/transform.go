@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/graphrel"
 	"repro/internal/tgm"
@@ -318,29 +317,6 @@ func (pr *Presentation) NumRows() int { return len(pr.rowIDs) }
 // modified; materialized Results alias it.
 func (pr *Presentation) Columns() []Column { return pr.columns }
 
-// windowStore is one window's recyclable backing: the shared cell
-// arena, the row headers, and the entity-reference arena.
-// Stores circulate through windowStorePool so steady-state paging —
-// the session's page-up/page-down loop — reuses the previous window's
-// allocations instead of growing the heap on every fetch.
-//
-// Recycling is strictly opt-in (Result.Recycle) and sole-owner: a
-// store returns to the pool only when the caller guarantees no
-// reference to the Result, its Rows, or any Cell survives. Callers
-// that never call Recycle get the pre-pooling behavior — the store is
-// garbage collected with the Result.
-type windowStore struct {
-	cells []Cell
-	rows  []Row
-	refs  []EntityRef
-	// recycled guards against double-Put: two Results can share one
-	// store (session.hideColumns copies the struct), and returning a
-	// store twice would hand the same arenas to two live windows.
-	recycled atomic.Bool
-}
-
-var windowStorePool = sync.Pool{New: func() any { return new(windowStore) }}
-
 // Window materializes the [offset, offset+limit) row window. See
 // WindowOpts.
 func (pr *Presentation) Window(offset, limit int) (*Result, error) {
@@ -368,31 +344,14 @@ func (pr *Presentation) WindowOpts(offset, limit int, opt ExecOptions) (*Result,
 	if limit >= 0 && limit < total-start {
 		end = start + limit
 	}
-	n := end - start
 	res := &Result{
 		Pattern: pr.pattern, PrimaryType: pr.primType, Columns: pr.columns,
 		TotalRows: total, Offset: start,
 	}
-	if n == 0 {
+	if start == end {
 		res.Rows = make([]Row, 0)
 		return res, ctxErr(opt.Ctx)
 	}
-	ws := windowStorePool.Get().(*windowStore)
-	ws.recycled.Store(false)
-	if cap(ws.rows) < n {
-		ws.rows = make([]Row, n)
-	} else {
-		ws.rows = ws.rows[:n]
-	}
-	// All cells of the window share one backing array; each row slices
-	// its own disjoint piece (full-capacity sub-slices, so no append can
-	// cross row boundaries).
-	if need := n * len(pr.columns); cap(ws.cells) < need {
-		ws.cells = make([]Cell, need)
-	} else {
-		ws.cells = ws.cells[:need]
-	}
-	res.Rows, res.store = ws.rows, ws
 	// Pin the window's columns for the duration of materialization: on
 	// an out-of-core graph this faults in exactly the columns the window
 	// renders and guards them against eviction until every row has been
@@ -409,36 +368,30 @@ func (pr *Presentation) WindowOpts(offset, limit int, opt ExecOptions) (*Result,
 	if err := ctxErr(opt.Ctx); err != nil {
 		return nil, err
 	}
-	ws.refs, err = pr.transformRange(view, start, end, res.Rows, ws.cells, ws.refs)
-	if err != nil {
+	if res.Rows, err = pr.transformRange(view, start, end); err != nil {
 		return nil, err
 	}
 	return res, nil
 }
 
 // transformRange is the row-range transform kernel (§5.4.2 restricted
-// to rows [lo, hi) of the presentation order): it writes rows into
-// rows[0:hi-lo] and carves their cells from the shared cell arena.
-//
-// arena is the window's entity-reference backing, recycled across
-// windows (windowStore): it is re-sliced to zero and grown only when
-// the window needs more capacity than any previous occupant. Every cell
-// of the range is assigned whole — recycled arenas carry stale cells
-// from earlier windows, and a partial field write would leak them.
-//
-// The (possibly re-allocated) arena is returned even on error so the
-// caller can keep recycling it; a failed refs fault (a corrupt spill
-// run, a closed file) aborts the range with its typed error.
-func (pr *Presentation) transformRange(view *colView, lo, hi int, rows []Row, cells []Cell, arena []EntityRef) ([]EntityRef, error) {
+// to rows [lo, hi) of the presentation order). It allocates exactly
+// what the range fills: the rows, one cell array they all slice, and
+// one entity-reference arena. A failed refs fault (a corrupt spill run,
+// a closed file) aborts the range with its typed error.
+func (pr *Presentation) transformRange(view *colView, lo, hi int) ([]Row, error) {
 	ncols := len(pr.columns)
 	nattrs := len(pr.primType.Attrs)
 	g := pr.g
+	rows := make([]Row, hi-lo)
+	// All cells of the window share one backing array; each row slices
+	// its own disjoint piece (full-capacity sub-slices, so no append can
+	// cross row boundaries).
+	cells := make([]Cell, (hi-lo)*ncols)
 
 	// Count the range's entity references first, then carve every cell's
-	// Refs from one arena: at most one allocation per window, none once
-	// the recycled arena has grown to the window working set. Counts are
-	// IO-free on every groupSource form — only the refs reads below can
-	// fault spilled runs.
+	// Refs from one arena sized to them. Counts are IO-free on every
+	// groupSource form — only the refs reads below can fault spilled runs.
 	refTotal := 0
 	for i := lo; i < hi; i++ {
 		id := pr.rowIDs[i]
@@ -449,11 +402,7 @@ func (pr *Presentation) transformRange(view *colView, lo, hi int, rows []Row, ce
 			refTotal += nc.adj.Degree(id)
 		}
 	}
-	if cap(arena) < refTotal {
-		arena = make([]EntityRef, 0, refTotal)
-	} else {
-		arena = arena[:0]
-	}
+	arena := make([]EntityRef, 0, refTotal)
 	intern := labelInterner{}
 	for i := lo; i < hi; i++ {
 		id := pr.rowIDs[i]
@@ -466,7 +415,7 @@ func (pr *Presentation) transformRange(view *colView, lo, hi int, rows []Row, ce
 		for _, pc := range pr.parts {
 			ids, err := pc.src.Refs(id)
 			if err != nil {
-				return arena, err
+				return nil, err
 			}
 			var refs []EntityRef
 			arena, refs = appendRefs(arena, g, view, intern, ids)
@@ -479,7 +428,7 @@ func (pr *Presentation) transformRange(view *colView, lo, hi int, rows []Row, ce
 		}
 		rows[i-lo] = Row{Node: id, Label: intern.label(view, n), Cells: cs}
 	}
-	return arena, nil
+	return rows, nil
 }
 
 // emptyRefs is the shared zero-length reference list: cells with no
@@ -490,7 +439,7 @@ var emptyRefs = make([]EntityRef, 0)
 // appendRefs renders ids' entity references into the arena and returns
 // the grown arena plus the full-capacity window just written. The
 // arena must have been sized by the caller's counting pass, so appends
-// never reallocate and earlier windows stay valid.
+// never reallocate and earlier cells' references stay valid.
 func appendRefs(arena []EntityRef, g *tgm.InstanceGraph, view *colView, intern labelInterner, ids []tgm.NodeID) ([]EntityRef, []EntityRef) {
 	if len(ids) == 0 {
 		return arena, emptyRefs

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"reflect"
-	"runtime/debug"
 	"testing"
 
 	"repro/internal/exec"
@@ -304,98 +303,6 @@ func TestLabelInterner(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("interned label allocated %.1f objects/op, want 0", allocs)
-	}
-}
-
-// TestWindowRecycleReuseAndEquivalence pins the window-arena recycling
-// satellite: Recycle returns a window's backing arrays to the pool, the
-// next materialization reuses them (asserted by backing-array identity,
-// with GC disabled so the pool cannot be cleared mid-test), and windows
-// built on recycled arenas — smaller and larger than the previous
-// occupant — are cell-identical to fresh ones (recycled arenas carry
-// stale cells; transformRange must fully assign every cell).
-func TestWindowRecycleReuseAndEquivalence(t *testing.T) {
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	pr, full := windowFixture(t)
-	total := len(full.Rows)
-	if total < 4 {
-		t.Fatalf("fixture too small: %d rows", total)
-	}
-
-	// Largest window first, so every later window fits its capacity.
-	res, err := pr.Window(0, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameWindow(t, "fresh full", res, sliceOf(full, 0, total))
-	firstRow := &res.Rows[0]
-	res.Recycle()
-	if res.Rows != nil || res.store != nil {
-		t.Fatal("Recycle must sever the result from its arenas")
-	}
-	res.Recycle() // idempotent: a second call must not double-Put
-
-	// A smaller window on the recycled store: identical cells, same
-	// backing array.
-	res2, err := pr.Window(1, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameWindow(t, "recycled smaller", res2, sliceOf(full, 1, 4))
-	// Reuse identity cannot be asserted under -race: the race-mode
-	// sync.Pool randomly drops Puts (see race_enabled_test.go). The
-	// cell-equivalence assertions above and below still run.
-	if !raceDetectorEnabled && &res2.Rows[0] != firstRow {
-		t.Error("window did not reuse the recycled row arena")
-	}
-	res2.Recycle()
-
-	// A window larger than the recycled store grows its arenas.
-	res3, err := pr.Window(0, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameWindow(t, "recycled larger", res3, sliceOf(full, 0, total))
-	res3.Recycle()
-
-	// Results without a store (hand-built, zero-row windows) no-op.
-	(&Result{}).Recycle()
-	empty, err := pr.Window(total+5, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	empty.Recycle()
-}
-
-// TestWindowRecycleSteadyStateAllocs is the satellite's allocation
-// claim: a paging loop that recycles each window before fetching the
-// next allocates only O(1) bookkeeping per page (Result header, label
-// interner), never the O(window) cell/row/ref arenas — those come from
-// the pool.
-func TestWindowRecycleSteadyStateAllocs(t *testing.T) {
-	pr, full := windowFixture(t)
-	total := len(full.Rows)
-	// Warm the pool with a full-size window so the loop never grows.
-	warm, err := pr.Window(0, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm.Recycle()
-	off := 0
-	allocs := testing.AllocsPerRun(200, func() {
-		res, err := pr.Window(off%total, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		off++
-		res.Recycle()
-	})
-	// Fixed per-page bookkeeping, independent of the window size:
-	// the Result, the interner map, and pool internals. Not asserted
-	// under -race, where dropped pool Puts force arena reallocations
-	// (see race_enabled_test.go).
-	if !raceDetectorEnabled && allocs > 6 {
-		t.Errorf("steady-state paging allocated %.1f objects/page, want <= 6", allocs)
 	}
 }
 

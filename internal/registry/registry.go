@@ -1,8 +1,7 @@
 // Package registry holds the multi-dataset serving state: a set of
 // named datasets, each owning one frozen TGDB plus the mutable serving
-// state scoped to it — an execution cache, the graph's plan cache and
-// statistics (which live on the graph itself), and snapshot load
-// metrics. The server routes /api/v1/datasets/{name}/... through here.
+// state scoped to it — an execution cache, the graph's statistics
+// (which live on the graph itself), and snapshot load metrics. The server routes /api/v1/datasets/{name}/... through here.
 //
 // Datasets come in two flavors:
 //
@@ -17,9 +16,9 @@
 //     a transient I/O error does not poison the dataset forever.
 //
 // Isolation is the point: every dataset has its own etable.Cache, and
-// the plan cache and statistics are attached to the dataset's own
-// graph, so queries against one dataset can never pollute another's
-// caches or skew its planner telemetry.
+// the statistics are attached to the dataset's own graph, so queries
+// against one dataset can never pollute another's cache or skew its
+// telemetry.
 package registry
 
 import (

@@ -179,7 +179,7 @@ func TestFailedLoadRetries(t *testing.T) {
 }
 
 // TestDatasetIsolation: queries on one dataset leave the other's
-// execution cache, plan cache, and stats untouched.
+// execution cache and stats untouched.
 func TestDatasetIsolation(t *testing.T) {
 	trA := buildCorpus(t, 80, 10)
 	trB := buildCorpus(t, 80, 11)
@@ -205,19 +205,16 @@ func TestDatasetIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ex := etable.NewSharedExecutor(a.Graph(), a.Cache())
 	for i := 0; i < 2; i++ {
-		if _, err := etable.ExecuteOpts(a.Graph(), p, etable.ExecOptions{}); err != nil {
+		if _, err := ex.PrepareWithOpts(p, etable.ExecOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	// Dataset a's planner saw traffic; dataset b's saw none.
-	if etable.PlannerStatsFor(a.Graph()).Misses == 0 {
-		t.Fatal("dataset a plan cache saw no traffic")
-	}
-	bst := etable.PlannerStatsFor(b.Graph())
-	if bst.Hits != 0 || bst.Misses != 0 {
-		t.Fatalf("dataset b plan cache polluted: %+v", bst)
+	// Dataset a's cache saw traffic; dataset b's saw none.
+	if a.Cache().Misses() == 0 || a.Cache().Hits() == 0 {
+		t.Fatalf("dataset a execution cache: %d hits, %d misses, want both > 0", a.Cache().Hits(), a.Cache().Misses())
 	}
 	if b.Cache().Hits() != 0 || b.Cache().Misses() != 0 {
 		t.Fatal("dataset b execution cache polluted")

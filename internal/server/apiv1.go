@@ -9,7 +9,6 @@ package server
 // every route with examples.
 
 import (
-	"io"
 	"net/http"
 
 	"repro/internal/ops"
@@ -27,9 +26,9 @@ func (s *Server) handleV1Ops(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, err)
 		return
 	}
-	body, rerr := io.ReadAll(r.Body)
-	if rerr != nil {
-		s.writeErr(w, apiErr(http.StatusBadRequest, codeBadBody, "reading body: %v", rerr))
+	body, err := readBody(w, r)
+	if err != nil {
+		s.writeErr(w, err)
 		return
 	}
 	pl, err := ops.DecodePipeline(body)
@@ -99,9 +98,9 @@ func (s *Server) handleV1Replay(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, err)
 		return
 	}
-	body, rerr := io.ReadAll(r.Body)
-	if rerr != nil {
-		s.writeErr(w, apiErr(http.StatusBadRequest, codeBadBody, "reading body: %v", rerr))
+	body, err := readBody(w, r)
+	if err != nil {
+		s.writeErr(w, err)
 		return
 	}
 	var log session.Log

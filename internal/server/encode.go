@@ -20,10 +20,8 @@ import (
 // HTML-safe string escapes); encode_test.go keeps those structs as the
 // reference and fuzzes the two against each other.
 //
-// The encoder runs while the session's entry lock is held. With window
-// recycling on (see createSession) a Result is only valid until the
-// next call on its session, so it must be fully read before the lock is
-// released; the buffer, not the Result, is what outlives the lock.
+// The encoder runs while the session's entry lock is held, so an op and
+// the state it returns are one atomic unit (see respondState).
 
 // stateBufs recycles response buffers between requests. A buffer that
 // grew past maxPooledStateBuf (an unpaged read of a huge table) is

@@ -333,6 +333,7 @@ const (
 	codeInvalidCursor   = "invalid_cursor"    // 400: undecodable pagination cursor
 	codeStaleCursor     = "stale_cursor"      // 409: cursor from a different table state
 	codeBadBody         = "bad_body"          // 400: malformed request body
+	codeBodyTooLarge    = "body_too_large"    // 413: body exceeds maxBodyBytes
 	codeCanceled        = "request_canceled"  // 499: client went away mid-query
 	codeResultTooLarge  = "result_too_large"  // 413: result exceeds Options.MaxRows
 	codeInternal        = "internal"          // 500
@@ -479,7 +480,7 @@ func (s *Server) handleSchema(w http.ResponseWriter, r *http.Request) {
 }
 
 // statsJSON is the /api/v1/stats payload: serving-core health counters,
-// the worker pool's state, and the planner's per-edge cost statistics.
+// the worker pool's state, and the per-edge graph statistics.
 type statsJSON struct {
 	Sessions     int            `json:"sessions"`
 	CacheEntries int            `json:"cacheEntries"`
@@ -487,17 +488,16 @@ type statsJSON struct {
 	CacheMisses  int64          `json:"cacheMisses"`
 	Memory       memoryJSON     `json:"memory"`
 	Workers      workerJSON     `json:"workers"`
-	Planner      plannerJSON    `json:"planner"`
 	EdgeStats    []edgeStatJSON `json:"edgeStats"`
 	// Datasets reports every registered dataset, loaded or not. The
-	// top-level cache/planner/edge fields describe the default dataset
+	// top-level cache/edge fields describe the default dataset
 	// (the pre-registry shape, kept for compatibility).
 	Datasets []datasetStatsJSON `json:"datasets"`
 }
 
 // datasetStatsJSON is one dataset's entry in the /api/v1/stats
 // "datasets" block: residency, snapshot load cost, and the dataset's
-// own cache and planner telemetry — per dataset because caches are.
+// own cache telemetry — per dataset because caches are.
 type datasetStatsJSON struct {
 	Name    string `json:"name"`
 	Default bool   `json:"default"`
@@ -516,9 +516,6 @@ type datasetStatsJSON struct {
 	CacheHits          int64 `json:"cacheHits"`
 	CacheMisses        int64 `json:"cacheMisses"`
 	CacheResidentBytes int64 `json:"cacheResidentBytes"`
-	// Plan-cache telemetry, scoped to this dataset's graph.
-	PlanCacheHits   int64 `json:"planCacheHits"`
-	PlanCacheMisses int64 `json:"planCacheMisses"`
 	// Pager is the out-of-core buffer-pool telemetry, present only for
 	// lazy (paged) datasets that have loaded.
 	Pager *pagerJSON `json:"pager,omitempty"`
@@ -552,17 +549,6 @@ type spillJSON struct {
 	RunBytes    int64 `json:"runBytes"`
 	MergePasses int64 `json:"mergePasses"`
 	Faults      int64 `json:"faults"`
-}
-
-// plannerJSON is the plan-cache telemetry block of /api/v1/stats: how
-// often queries reuse a prepared plan (hits vs misses).
-type plannerJSON struct {
-	// Hits and Misses count plan-cache lookups; Entries is the current
-	// cache population, Evictions the LRU casualties.
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Entries   int   `json:"entries"`
-	Evictions int64 `json:"evictions"`
 }
 
 // memoryJSON is the memory telemetry block of /api/v1/stats: process
@@ -627,7 +613,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		Datasets: []datasetStatsJSON{},
 	}
 	def := s.reg.Default()
-	// Top-level cache/planner/edge blocks keep their pre-registry
+	// Top-level cache/edge blocks keep their pre-registry
 	// meaning: they describe the default dataset (when it is resident).
 	if def != nil {
 		cache := def.Cache()
@@ -637,13 +623,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		out.Memory.CacheResidentBytes = cache.ResidentBytes()
 	}
 	if def != nil && def.Loaded() {
-		ps := etable.PlannerStatsFor(def.Graph())
-		out.Planner = plannerJSON{
-			Hits:      ps.Hits,
-			Misses:    ps.Misses,
-			Entries:   ps.Entries,
-			Evictions: ps.Evictions,
-		}
 		st := stats.For(def.Graph())
 		names := make([]string, 0, len(st.Edges))
 		for name := range st.Edges {
@@ -681,9 +660,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			g := ds.Graph()
 			d.Nodes = g.NumNodes()
 			d.Edges = g.NumEdges()
-			ps := etable.PlannerStatsFor(g)
-			d.PlanCacheHits = ps.Hits
-			d.PlanCacheMisses = ps.Misses
 		}
 		if pst, total, ok := ds.PagerStats(); ok {
 			d.Pager = &pagerJSON{
@@ -750,6 +726,26 @@ func (s *Server) evictExpired(now int64) []*sessionEntry {
 	})
 }
 
+// maxBodyBytes bounds every request body. The largest body a client
+// sends is an exported op log for replay, and 1 MiB holds thousands of
+// ops.
+const maxBodyBytes = 1 << 20
+
+// readBody reads the request body, at most maxBodyBytes of it: a longer
+// body is 413 body_too_large, any other read failure 400 bad_body.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		return nil, apiErr(http.StatusRequestEntityTooLarge, codeBodyTooLarge,
+			"request body exceeds %d bytes", maxBodyBytes)
+	case err != nil:
+		return nil, apiErr(http.StatusBadRequest, codeBadBody, "reading body: %v", err)
+	}
+	return body, nil
+}
+
 // strictDecode decodes one JSON value into v, rejecting unknown fields
 // and trailing data — the body-parsing policy of every POST endpoint.
 func strictDecode(data []byte, v any) error {
@@ -772,12 +768,13 @@ type createSessionBody struct {
 }
 
 // createSession builds a session bound to ds, applies any initial ops
-// from the request body, and registers it. If the initial ops fail, no
-// session is created. Returns the new id and entry.
-func (s *Server) createSession(ctx context.Context, r *http.Request, ds *registry.Dataset) (int64, *sessionEntry, error) {
-	body, err := io.ReadAll(r.Body)
+// from the request body (bounded by readBody), and registers it. If the
+// initial ops fail, no session is created. Returns the new id and
+// entry.
+func (s *Server) createSession(ctx context.Context, w http.ResponseWriter, r *http.Request, ds *registry.Dataset) (int64, *sessionEntry, error) {
+	body, err := readBody(w, r)
 	if err != nil {
-		return 0, nil, apiErr(http.StatusBadRequest, codeBadBody, "reading body: %v", err)
+		return 0, nil, err
 	}
 	var initial ops.Pipeline
 	if len(bytes.TrimSpace(body)) > 0 {
@@ -790,11 +787,6 @@ func (s *Server) createSession(ctx context.Context, r *http.Request, ds *registr
 	sess := session.NewWithExec(ds.Schema(), ds.Graph(), ds.Cache(), s.pool, s.defaultBudget())
 	sess.SetMaxRows(s.opts.MaxRows)
 	sess.SetSpill(s.spillPolicy(ds))
-	// The server satisfies the recycling contract: every request on a
-	// session runs under its entry lock and respondState encodes the
-	// window into its response buffer before the lock is released, so no
-	// *etable.Result outlives the call that produced it.
-	sess.SetWindowRecycling(true)
 	if len(initial) > 0 {
 		if err := sess.ApplyPipelineCtx(ctx, initial); err != nil {
 			return 0, nil, err
@@ -837,7 +829,7 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, err)
 		return
 	}
-	id, e, err := s.createSession(ctx, r, ds)
+	id, e, err := s.createSession(ctx, w, r, ds)
 	if err != nil {
 		s.writeErr(w, err)
 		return

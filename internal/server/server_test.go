@@ -288,6 +288,40 @@ func TestErrorStatuses(t *testing.T) {
 	}
 }
 
+// TestOversizedBodyIs413: every route that reads a body stops at
+// maxBodyBytes and answers 413 body_too_large instead of reading the
+// rest, and the session it named still serves afterwards.
+func TestOversizedBodyIs413(t *testing.T) {
+	ts := newTestServer(t)
+	id := createSession(t, ts)
+	body := bytes.Repeat([]byte("x"), 2<<20)
+	for _, tc := range []struct{ name, url string }{
+		{"create", ts.URL + "/api/v1/sessions"},
+		{"ops", opsURL(ts, id)},
+		{"replay", fmt.Sprintf("%s/api/v1/sessions/%d/replay", ts.URL, id)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, err := http.Post(tc.url, "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var env struct {
+				Code string `json:"code"`
+			}
+			if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusRequestEntityTooLarge || env.Code != "body_too_large" {
+				t.Fatalf("status %d code %q, want 413 body_too_large", resp.StatusCode, env.Code)
+			}
+		})
+	}
+	if _, code := act(t, ts, id, map[string]any{"op": "open", "table": "Papers"}); code != http.StatusOK {
+		t.Fatalf("open after the oversized bodies: status %d", code)
+	}
+}
+
 func TestGetSessionState(t *testing.T) {
 	ts := newTestServer(t)
 	id := createSession(t, ts)

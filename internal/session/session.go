@@ -31,7 +31,9 @@
 // session holds at most memoEntries prepared presentations and no
 // relation — matched relations are held by the shared cache alone,
 // under its LRU. Every memo is an lru.Cache, so a presentation the user
-// keeps re-reading stays while newer ones come and go.
+// keeps re-reading stays while newer ones come and go. A window the
+// session returns is an ordinary *etable.Result: it stays valid after
+// later calls, evictions and Close, for as long as the caller holds it.
 //
 // Every mutation flows through the declarative operation protocol of
 // internal/ops: Apply executes one validated ops.Op, ApplyPipeline
@@ -101,7 +103,8 @@ const windowMemoRowCap = 4096
 // sorted views over that base, and the bounded window memo. Sort variants are etable.SortedView shallow
 // copies — they share the base's columns, groupings, and neighbor
 // layout and own only their row order — so switching sorts re-prepares
-// nothing. windows values have hidden columns already
+// nothing, and closing the base releases the spill files behind every
+// variant. windows values have hidden columns already
 // applied — they are exactly what readers get — so the window key
 // carries the hidden set and sort alongside the row range.
 type presEntry struct {
@@ -136,20 +139,6 @@ func (pe *presEntry) variant(e Entry) (*etable.Presentation, error) {
 	})
 }
 
-// discard drops a memo entry the session is done with: it closes any
-// spill-backed state behind the presentation (a no-op on heap-resident
-// entries; sorted views share the base's spill state, so closing the
-// base releases every variant) and, under SetWindowRecycling, returns
-// every memoized window's arenas to the pool. Caller holds s.mu.
-func (s *Session) discard(pe *presEntry) {
-	pe.base.Close()
-	if s.recycleWindows {
-		for _, res := range pe.windows.Values() {
-			res.Recycle()
-		}
-	}
-}
-
 // Session is one user's interactive exploration state.
 type Session struct {
 	schema *tgm.SchemaGraph
@@ -176,12 +165,6 @@ type Session struct {
 	// instead of a hard failure, and oversized results page from
 	// temp-file runs. nil keeps the strict pre-spill cap.
 	spill *graphrel.SpillPolicy
-	// recycleWindows opts materialized windows into arena recycling
-	// (see SetWindowRecycling): evicted window-memo entries return
-	// their cell/row/ref arenas to the package pool instead of
-	// garbage-collecting them, so steady-state paging allocates
-	// (almost) nothing.
-	recycleWindows bool
 
 	// mu serializes all state-changing actions and snapshot reads on
 	// this session. Lock ordering: session.mu may be held while the
@@ -259,25 +242,12 @@ func (s *Session) SetSpill(pol *graphrel.SpillPolicy) {
 	s.spill = pol
 }
 
-// SetWindowRecycling opts the session into window-arena recycling:
-// materialized row windows evicted from the session's window memo (and
-// windows dropped by Close or presentation-memo eviction) return their
-// backing arenas to a pool for the next window to reuse, so a client
-// paging steadily allocates near-zero bytes per page.
+// SetWindowRecycling does nothing: every *etable.Result a session
+// returns is a plain value that stays valid across later calls.
 //
-// The contract is strict: with recycling on, every *etable.Result the
-// session returns (WindowCtx, StateWindowCtx, ResultCtx, …) is valid
-// only until the caller's next call on this session — a later call may
-// recycle it and reuse its cells. Callers that serialize each result
-// before issuing the next call (the HTTP server renders each response
-// to JSON under its per-session request lock) satisfy this; callers
-// that retain Results across calls must leave recycling off (the
-// default, which preserves the prior fully-GC'd behavior).
-func (s *Session) SetWindowRecycling(on bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.recycleWindows = on
-}
+// Deprecated: window arenas are no longer recycled. The method stays
+// because the benchmark harness in cmd/etable-load still calls it.
+func (s *Session) SetWindowRecycling(bool) {}
 
 // execOptions resolves the execution options for one request: the
 // request context (cancellation) plus the session's worker pool,
@@ -894,7 +864,7 @@ func (s *Session) presentationLocked(ctx context.Context, cur Entry) (*presEntry
 		sorted:  lru.New[string, *etable.Presentation](sortMemoEntries),
 		windows: lru.New[winKey, *etable.Result](windowMemoEntries)}
 	for _, old := range s.memo.Add(key, pe) {
-		s.discard(old)
+		old.base.Close()
 	}
 	return pe, nil
 }
@@ -946,14 +916,7 @@ func (s *Session) windowLocked(ctx context.Context, offset, limit int) (*etable.
 	if !(offset == 0 && limit < 0) && len(res.Rows) > windowMemoRowCap {
 		return res, nil // oversized partial window: serve, don't retain
 	}
-	for _, old := range pe.windows.Add(wkey, res) {
-		if s.recycleWindows {
-			// The evicted window's arenas feed the next materialization.
-			// Sole ownership holds under the recycling contract: any
-			// Result handed out by an earlier call is dead by now.
-			old.Recycle()
-		}
-	}
+	pe.windows.Add(wkey, res)
 	return res, nil
 }
 
@@ -1029,7 +992,7 @@ func (s *Session) Close() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, pe := range s.memo.RemoveFunc(func(string, *presEntry) bool { return true }) {
-		s.discard(pe)
+		pe.base.Close()
 	}
 }
 

@@ -170,11 +170,6 @@ type InstanceGraph struct {
 	// graph so the statistics share its lifetime instead of pinning the
 	// graph in a process-global registry.
 	statsCache atomic.Value
-	// planCache holds prepared query plans keyed by pattern signature
-	// (an opaque value owned by internal/etable). Like statsCache it
-	// lives on the graph so plans share the graph's lifetime — and so
-	// that plans for one graph can never be served for another.
-	planCache atomic.Value
 }
 
 // csrAdj is one edge type's adjacency in compressed-sparse-row form,
@@ -282,19 +277,6 @@ func (g *InstanceGraph) SetStatsCache(v any) any {
 		return v
 	}
 	return g.statsCache.Load()
-}
-
-// PlanCache returns the plan cache published by SetPlanCache, or nil.
-func (g *InstanceGraph) PlanCache() any { return g.planCache.Load() }
-
-// SetPlanCache publishes a plan cache for the graph. If two callers
-// race, the first published value wins; the winner is returned either
-// way. Callers must always pass the same concrete type.
-func (g *InstanceGraph) SetPlanCache(v any) any {
-	if g.planCache.CompareAndSwap(nil, v) {
-		return v
-	}
-	return g.planCache.Load()
 }
 
 // Frozen reports whether Freeze has been called.

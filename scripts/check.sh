@@ -51,6 +51,16 @@ if grep -rnE '"container/list"|prev, *next +\*' \
 	exit 1
 fi
 
+# A window is a plain value and a plan is compiled on the match miss
+# that needs it: window-arena recycling and the plan cache stay deleted
+# (ROADMAP 1a, 1c; the harness module is exempt).
+echo "==> no window recycling, no plan cache"
+if grep -rnE 'windowStore|\.Recycle\(|PlannerStats|SetPlanCache|planCacheFor' \
+	--include='*.go' --exclude='*_test.go' --exclude-dir=etable-load --exclude-dir=.bench_build .; then
+	echo "window recycling or the plan cache reappeared (see above)" >&2
+	exit 1
+fi
+
 echo "==> go test -race ./..."
 go test -race -run "$pattern" ./...
 
