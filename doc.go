@@ -201,9 +201,13 @@
 // (empty lists share a single slice), the distinct rows come out
 // of a dense-ID bitmap already ordered (graphrel.DistinctSorted), each
 // column's grouping is three flat arrays whose segments are sorted and
-// compacted in place, and non-string labels are interned per window so N
-// rows referencing one node share one rendered string. PERFORMANCE.md
-// §6 records the page-fetch measurements (BenchmarkFigure7Pipeline).
+// compacted in place. Each reference column reads its target type's
+// label column directly — at id-lo when the type's node IDs are one
+// contiguous run, through the node's row otherwise — and non-string
+// labels are interned per window so N references to one node share one
+// rendered string. PERFORMANCE.md §6 records the page-fetch
+// measurements (BenchmarkFigure7Pipeline), §20 the label and encoder
+// fast paths.
 //
 // # Persistence and datasets
 //

@@ -34,7 +34,12 @@ import (
 // array, its entity references are carved from one arena, empty
 // reference lists share a single package-level slice, and non-string
 // labels are interned per window so N references to one node share one
-// rendered string.
+// rendered string (string labels are the stored strings themselves).
+//
+// Label reads: every reference column carries its target type's label
+// column, bound to that type's ID layout when the view is resolved
+// (labelCol). Where the type's node IDs are one contiguous run, a
+// reference's label is vals[id-lo] — no node lookup, no map probe.
 
 // Presentation is a prepared format transformation over one matched
 // relation: the canonical row order, the column layout, and the
@@ -53,11 +58,6 @@ type Presentation struct {
 	rowIDs    []tgm.NodeID // row order; ID-ascending unless a SortedView
 	parts     []partCol
 	neighbors []neighborCol
-	// labelTypes names every node type whose label a window can render
-	// (the primary type plus all reference-column target types); it is
-	// the exact set of label columns a window must pin on an
-	// out-of-core graph.
-	labelTypes []string
 	// view caches the resolved columns for memory-resident graphs, set
 	// once at Prepare so windows pay no column resolution at all. For
 	// out-of-core graphs it stays nil and every window pins its own
@@ -95,27 +95,56 @@ func (pr *Presentation) Close() error {
 }
 
 // colView is the set of resolved attribute columns one window reads:
-// the primary type's base columns (indexed [attr][row]) and the label
-// column of every type the window's entity references can point at.
+// the primary type's base columns (indexed [attr][row]) and, per
+// reference column, the label column of the column's target type (refs
+// is indexed like the presentation's columns; base columns leave their
+// slot zero).
 type colView struct {
-	base   [][]value.V
-	labels map[string][]value.V
+	base [][]value.V
+	refs []labelCol
+}
+
+// labelCol is one reference column's label source: the label column of
+// its target type, bound to how that type's node IDs map to rows. When
+// the IDs are one contiguous run (tgm.InstanceGraph.TypeIDRange) the
+// row is id-lo; otherwise it is the node's Row, read through the graph.
+type labelCol struct {
+	vals  []value.V
+	g     *tgm.InstanceGraph
+	lo    tgm.NodeID
+	dense bool
+}
+
+func newLabelCol(g *tgm.InstanceGraph, typeName string, vals []value.V) labelCol {
+	lo, _, dense := g.TypeIDRange(typeName)
+	return labelCol{vals: vals, g: g, lo: lo, dense: dense}
+}
+
+// value returns the label value of node id, which must be of the
+// column's target type.
+func (lc *labelCol) value(id tgm.NodeID) value.V {
+	if lc.dense {
+		return lc.vals[id-lc.lo]
+	}
+	return lc.vals[lc.g.Node(id).Row]
 }
 
 // pinColumns resolves (and, on out-of-core graphs, pins) every column a
-// window materialization reads. The release must be called exactly once
-// after the window's rows are written; on memory-resident graphs both
-// the pins and the release are no-ops and the cached Prepare-time view
-// is returned. A column fault failure — e.g. a *snapshot.CorruptError
-// on a damaged section — aborts the window before any row is rendered.
+// window materialization reads: the primary type's base columns and the
+// label column behind each reference column, pinned once per type. The
+// release must be called exactly once after the window's rows are
+// written; on memory-resident graphs both the pins and the release are
+// no-ops and the cached Prepare-time view is returned. A column fault
+// failure — e.g. a *snapshot.CorruptError on a damaged section — aborts
+// the window before any row is rendered.
 func (pr *Presentation) pinColumns() (*colView, func(), error) {
 	if pr.view != nil {
 		return pr.view, func() {}, nil
 	}
 	g := pr.g
 	view := &colView{
-		base:   make([][]value.V, len(pr.primType.Attrs)),
-		labels: make(map[string][]value.V, len(pr.labelTypes)),
+		base: make([][]value.V, len(pr.primType.Attrs)),
+		refs: make([]labelCol, len(pr.columns)),
 	}
 	var releases []func()
 	releaseAll := func() {
@@ -132,19 +161,25 @@ func (pr *Presentation) pinColumns() (*colView, func(), error) {
 		releases = append(releases, rel)
 		view.base[ai] = col
 	}
-	view.labels[pr.primType.Name] = view.base[pr.primType.LabelIndex()]
-	for _, tn := range pr.labelTypes {
-		if _, ok := view.labels[tn]; ok {
+	labels := map[string][]value.V{pr.primType.Name: view.base[pr.primType.LabelIndex()]}
+	for ci := range pr.columns {
+		if pr.columns[ci].Kind == ColBase {
 			continue
 		}
-		nt := g.Schema().NodeType(tn)
-		col, rel, err := g.PinAttrColumn(tn, nt.LabelIndex())
-		if err != nil {
-			releaseAll()
-			return nil, nil, err
+		tn := pr.columns[ci].TargetType
+		col, ok := labels[tn]
+		if !ok {
+			var rel func()
+			var err error
+			col, rel, err = g.PinAttrColumn(tn, g.Schema().NodeType(tn).LabelIndex())
+			if err != nil {
+				releaseAll()
+				return nil, nil, err
+			}
+			releases = append(releases, rel)
+			labels[tn] = col
 		}
-		releases = append(releases, rel)
-		view.labels[tn] = col
+		view.refs[ci] = newLabelCol(g, tn, col)
 	}
 	return view, releaseAll, nil
 }
@@ -286,19 +321,9 @@ func (pr *Presentation) layoutColumns(p *Pattern, parts []groupSource) error {
 }
 
 // finishPrepare completes a presentation whose columns are laid out:
-// it records which label columns windows will need and, on
-// memory-resident graphs, resolves the whole column view now so the
-// per-window hot path does no column lookups at all.
+// on memory-resident graphs it resolves the whole column view now, so
+// the per-window hot path does no column lookups at all.
 func (pr *Presentation) finishPrepare() error {
-	seen := map[string]bool{pr.primType.Name: true}
-	pr.labelTypes = append(pr.labelTypes, pr.primType.Name)
-	for i := range pr.columns {
-		c := &pr.columns[i]
-		if (c.Kind == ColParticipating || c.Kind == ColNeighbor) && !seen[c.TargetType] {
-			seen[c.TargetType] = true
-			pr.labelTypes = append(pr.labelTypes, c.TargetType)
-		}
-	}
 	if !pr.g.ColumnSourceAttached() {
 		view, _, err := pr.pinColumns()
 		if err != nil {
@@ -382,7 +407,6 @@ func (pr *Presentation) WindowOpts(offset, limit int, opt ExecOptions) (*Result,
 func (pr *Presentation) transformRange(view *colView, lo, hi int) ([]Row, error) {
 	ncols := len(pr.columns)
 	nattrs := len(pr.primType.Attrs)
-	g := pr.g
 	rows := make([]Row, hi-lo)
 	// All cells of the window share one backing array; each row slices
 	// its own disjoint piece (full-capacity sub-slices, so no append can
@@ -404,10 +428,10 @@ func (pr *Presentation) transformRange(view *colView, lo, hi int) ([]Row, error)
 	}
 	arena := make([]EntityRef, 0, refTotal)
 	intern := labelInterner{}
+	primLabels := view.base[pr.primType.LabelIndex()]
 	for i := lo; i < hi; i++ {
 		id := pr.rowIDs[i]
-		n := g.Node(id)
-		row := int(n.Row)
+		row := pr.g.Node(id).Row
 		cs := cells[(i-lo)*ncols : (i-lo+1)*ncols : (i-lo+1)*ncols]
 		for ai := 0; ai < nattrs; ai++ {
 			cs[ai] = Cell{Value: view.base[ai][row]}
@@ -418,15 +442,15 @@ func (pr *Presentation) transformRange(view *colView, lo, hi int) ([]Row, error)
 				return nil, err
 			}
 			var refs []EntityRef
-			arena, refs = appendRefs(arena, g, view, intern, ids)
+			arena, refs = appendRefs(arena, &view.refs[pc.col], intern, ids)
 			cs[pc.col] = Cell{Refs: refs}
 		}
 		for _, nc := range pr.neighbors {
 			var refs []EntityRef
-			arena, refs = appendRefs(arena, g, view, intern, nc.adj.Neighbors(id))
+			arena, refs = appendRefs(arena, &view.refs[nc.col], intern, nc.adj.Neighbors(id))
 			cs[nc.col] = Cell{Refs: refs}
 		}
-		rows[i-lo] = Row{Node: id, Label: intern.label(view, n), Cells: cs}
+		rows[i-lo] = Row{Node: id, Label: intern.label(id, primLabels[row]), Cells: cs}
 	}
 	return rows, nil
 }
@@ -436,39 +460,39 @@ func (pr *Presentation) transformRange(view *colView, lo, hi int) ([]Row, error)
 // carving arena) — asserted zero-alloc by test.
 var emptyRefs = make([]EntityRef, 0)
 
-// appendRefs renders ids' entity references into the arena and returns
-// the grown arena plus the full-capacity window just written. The
-// arena must have been sized by the caller's counting pass, so appends
-// never reallocate and earlier cells' references stay valid.
-func appendRefs(arena []EntityRef, g *tgm.InstanceGraph, view *colView, intern labelInterner, ids []tgm.NodeID) ([]EntityRef, []EntityRef) {
+// appendRefs renders ids' entity references, labelled from lc, into the
+// arena and returns the grown arena plus the full-capacity window just
+// written. The arena must have been sized by the caller's counting
+// pass, so appends never reallocate and earlier cells' references stay
+// valid.
+func appendRefs(arena []EntityRef, lc *labelCol, intern labelInterner, ids []tgm.NodeID) ([]EntityRef, []EntityRef) {
 	if len(ids) == 0 {
 		return arena, emptyRefs
 	}
 	start := len(arena)
 	for _, id := range ids {
-		arena = append(arena, EntityRef{ID: id, Label: intern.label(view, g.Node(id))})
+		arena = append(arena, EntityRef{ID: id, Label: intern.label(id, lc.value(id))})
 	}
 	return arena, arena[start:len(arena):len(arena)]
 }
 
-// labelInterner dedups rendered node labels within one window:
+// labelInterner dedups the rendered non-string labels of one window:
 // N references to one node share one string instead of re-rendering
-// per ref. String-valued labels bypass the map entirely — Format
-// returns the stored string without allocating, so interning them
-// would only add map traffic; the map holds only labels that require
-// rendering (ints, floats, bools).
+// per ref. String labels bypass the map — the stored string is the
+// label, so interning it would only add map traffic; the map holds
+// only labels that need rendering (ints, floats, bools, NULL).
 type labelInterner map[tgm.NodeID]string
 
-func (li labelInterner) label(view *colView, n *tgm.Node) string {
-	v := view.labels[n.Type.Name][n.Row]
+// label returns node id's rendered label, v being its label value.
+func (li labelInterner) label(id tgm.NodeID, v value.V) string {
 	if v.Kind() == value.KindString {
-		return v.Format()
+		return v.AsString()
 	}
-	if s, ok := li[n.ID]; ok {
+	if s, ok := li[id]; ok {
 		return s
 	}
 	s := v.Format()
-	li[n.ID] = s
+	li[id] = s
 	return s
 }
 

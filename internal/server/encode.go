@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"math/bits"
 	"net/http"
 	"strconv"
 	"sync"
@@ -9,6 +10,7 @@ import (
 
 	"repro/internal/etable"
 	"repro/internal/session"
+	"repro/internal/value"
 )
 
 // This file is the state encoder: every state-bearing response (session
@@ -203,7 +205,9 @@ func appendColumns(dst []byte, cols []etable.Column) []byte {
 
 // appendRow appends one row: base cells carry their formatted value
 // (omitted when empty), entity-reference cells their refs (omitted when
-// none), and every cell its reference count.
+// none), and every cell its reference count. A non-string base value is
+// formatted straight into dst: its text (digits, sign, '.', 'e', NaN,
+// ±Inf, true, false, NULL) is never empty and never needs escaping.
 func appendRow(dst []byte, cols []etable.Column, row *etable.Row) []byte {
 	dst = append(dst, `{"node":`...)
 	dst = strconv.AppendInt(dst, int64(row.Node), 10)
@@ -217,9 +221,13 @@ func appendRow(dst []byte, cols []etable.Column, row *etable.Row) []byte {
 		cell := &row.Cells[ci]
 		dst = append(dst, sep(ci), '{')
 		if cols[ci].Kind == etable.ColBase {
-			if v := cell.Value.Format(); v != "" {
+			if v := cell.Value; v.Kind() != value.KindString {
+				dst = append(dst, `"value":"`...)
+				dst = v.AppendFormat(dst)
+				dst = append(dst, '"', ',')
+			} else if s := v.AsString(); s != "" {
 				dst = append(dst, `"value":`...)
-				dst = appendJSONString(dst, v)
+				dst = appendJSONString(dst, s)
 				dst = append(dst, ',')
 			}
 		} else if len(cell.Refs) > 0 {
@@ -243,15 +251,70 @@ func appendRow(dst []byte, cols []etable.Column, row *etable.Row) []byte {
 
 const hexDigits = "0123456789abcdef"
 
+// Word-at-a-time escape scan. A byte needs the byte loop of
+// appendJSONString when it is a control byte, ", \, <, >, & or ≥ 0x80
+// (the start of a multi-byte rune, which may be U+2028/9 or invalid).
+// hasLess and hasByte are the classic SWAR tests: a borrow can only
+// start at a matching byte, so the lowest set bit of their result lies
+// exactly in the first matching byte of the word (0 when none matches).
+const (
+	lsb = 0x0101010101010101
+	msb = 0x8080808080808080
+)
+
+func hasLess(w uint64, n byte) uint64 { return (w - lsb*uint64(n)) &^ w & msb }
+
+func hasByte(w uint64, c byte) uint64 { return hasLess(w^(lsb*uint64(c)), 1) }
+
+// escapeMask tests the first eight bytes of s, read little-endian (the
+// eight byte loads combine into one 64-bit load): its lowest set bit
+// lies in the first byte that needs the byte loop, and it is 0 when
+// none does.
+func escapeMask(s string) uint64 {
+	_ = s[7]
+	w := uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+		uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
+	return w&msb | hasLess(w, ' ') | hasByte(w, '"') | hasByte(w, '\\') |
+		hasByte(w, '<') | hasByte(w, '>') | hasByte(w, '&')
+}
+
+// cleanPrefix returns the length of the longest prefix of s that passes
+// through unescaped, for len(s) ≥ 8, eight bytes at a time. A last
+// partial word is tested as the final eight bytes of s: the bytes it
+// shares with the previous word are clean, so they neither match nor
+// borrow.
+func cleanPrefix(s string) int {
+	i := 0
+	for ; i+8 <= len(s); i += 8 {
+		if m := escapeMask(s[i:]); m != 0 {
+			return i + bits.TrailingZeros64(m)>>3
+		}
+	}
+	if i < len(s) {
+		t := len(s) - 8
+		if m := escapeMask(s[t:]); m != 0 {
+			return t + bits.TrailingZeros64(m)>>3
+		}
+	}
+	return len(s)
+}
+
 // appendJSONString appends s as a JSON string exactly as encoding/json
 // does with HTML escaping on (its default): ", \ and the control bytes
 // escaped (\b \f \n \r \t by name, the rest as \u00XX), <, > and & as
 // \u00XX, U+2028/U+2029 as \u2028/\u2029, and each invalid UTF-8 byte
-// replaced by \ufffd.
+// replaced by \ufffd. While eight or more bytes remain, clean runs are
+// skipped a word at a time (cleanPrefix) straight to the next byte
+// that needs the byte loop; shorter strings and tails go byte by byte.
 func appendJSONString(dst []byte, s string) []byte {
 	dst = append(dst, '"')
 	start := 0
 	for i := 0; i < len(s); {
+		if len(s)-i >= 8 {
+			if i += cleanPrefix(s[i:]); i == len(s) {
+				break
+			}
+		}
 		b := s[i]
 		if b < utf8.RuneSelf {
 			if b >= ' ' && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {

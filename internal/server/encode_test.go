@@ -203,18 +203,64 @@ func TestEncoderMatchesEncodingJSON(t *testing.T) {
 
 // TestAppendJSONStringEveryByte pins the escape table itself: every
 // single byte, and every byte after a multi-byte lead, encodes as
-// encoding/json encodes it.
+// encoding/json encodes it — alone, and at every offset 0..24 of a
+// 24-byte clean ASCII string, so each byte lands in every lane of the
+// word-at-a-time scan: in a full word, in the overlapping last word
+// and in the byte-loop tail.
 func TestAppendJSONStringEveryByte(t *testing.T) {
+	const clean = "abcdefghijklmnopqrstuvwx"
 	for b := 0; b < 256; b++ {
-		for _, s := range []string{string([]byte{byte(b)}), "é" + string([]byte{byte(b)}) + "z", "\xe2\x80" + string([]byte{byte(b)})} {
-			want, err := json.Marshal(s)
-			if err != nil {
-				t.Fatal(err)
+		for _, probe := range []string{string([]byte{byte(b)}), "é" + string([]byte{byte(b)}) + "z", "\xe2\x80" + string([]byte{byte(b)})} {
+			probes := []string{probe}
+			for off := 0; off <= len(clean); off++ {
+				probes = append(probes, clean[:off]+probe+clean[off:])
 			}
-			if got := appendJSONString(nil, s); !bytes.Equal(got, want) {
-				t.Errorf("%q: encoder %s, encoding/json %s", s, got, want)
+			for _, s := range probes {
+				want, err := json.Marshal(s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := appendJSONString(nil, s); !bytes.Equal(got, want) {
+					t.Errorf("%q: encoder %s, encoding/json %s", s, got, want)
+				}
 			}
 		}
+	}
+}
+
+// TestAppendStateJSONAllocs: encoding a materialized window into a
+// buffer with room for it allocates nothing, whatever the kinds of its
+// base cells — INT, FLOAT, BOOL and NULL are formatted in place, STRING
+// and every label are copied.
+func TestAppendStateJSONAllocs(t *testing.T) {
+	pat := &etable.Pattern{Primary: "P", Nodes: []etable.PatternNode{{Key: "P", Type: "T"}}}
+	entries := []session.Entry{{Action: "open T", Pattern: pat}}
+	res := &etable.Result{Pattern: pat, Columns: []etable.Column{
+		{Kind: etable.ColBase, Name: "i"}, {Kind: etable.ColBase, Name: "f"},
+		{Kind: etable.ColBase, Name: "b"}, {Kind: etable.ColBase, Name: "n"},
+		{Kind: etable.ColBase, Name: "s"}, {Kind: etable.ColNeighbor, Name: "U"},
+	}}
+	for r := 0; r < 20; r++ {
+		res.Rows = append(res.Rows, etable.Row{Node: tgm.NodeID(r), Label: fmt.Sprintf("row <%d>", r), Cells: []etable.Cell{
+			{Value: value.Int(int64(r) * 1234567)}, {Value: value.Float(float64(r) / 7)},
+			{Value: value.Bool(r%2 == 0)}, {Value: value.Null}, {Value: value.Str(fmt.Sprintf("title %d — \"quoted\"", r))},
+			{Refs: []etable.EntityRef{{ID: tgm.NodeID(100 + r), Label: "Zoë & co"}, {ID: 7, Label: "plain label text"}}},
+		}})
+	}
+	res.TotalRows = 50
+	buf := appendStateJSON(nil, 3, entries, 0, res, "next")
+	want, err := json.Marshal(referenceState(3, entries, 0, res, "next"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf, want) {
+		t.Fatalf("encoder %s\nreference %s", buf, want)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		buf = appendStateJSON(buf[:0], 3, entries, 0, res, "next")
+	})
+	if allocs != 0 {
+		t.Errorf("appendStateJSON allocated %.1f objects/op, want 0", allocs)
 	}
 }
 

@@ -155,6 +155,28 @@ func (v V) Format() string {
 	}
 }
 
+// AppendFormat appends Format's rendering of the value to dst without
+// allocating a string for it.
+func (v V) AppendFormat(dst []byte) []byte {
+	switch v.kind {
+	case KindNull:
+		return append(dst, "NULL"...)
+	case KindInt:
+		return strconv.AppendInt(dst, v.i, 10)
+	case KindFloat:
+		return strconv.AppendFloat(dst, v.f, 'g', -1, 64)
+	case KindString:
+		return append(dst, v.s...)
+	case KindBool:
+		if v.i != 0 {
+			return append(dst, "true"...)
+		}
+		return append(dst, "false"...)
+	default:
+		return append(dst, '?')
+	}
+}
+
 // SQL renders the value as a SQL literal.
 func (v V) SQL() string {
 	switch v.kind {

@@ -96,6 +96,25 @@ func TestFormat(t *testing.T) {
 	}
 }
 
+// TestAppendFormat: AppendFormat appends exactly Format's bytes for every
+// kind and its edge values, after whatever dst already holds.
+func TestAppendFormat(t *testing.T) {
+	vals := []V{
+		Null, Bool(true), Bool(false), Str(""), Str("abc"), Str("日本\x00\xff"),
+		Int(0), Int(7), Int(-5), Int(99), Int(100), Int(math.MaxInt64), Int(math.MinInt64),
+		Float(0), Float(math.Copysign(0, -1)), Float(1.25), Float(-3), Float(1e20), Float(1e21),
+		Float(1e-7), Float(math.SmallestNonzeroFloat64), Float(math.MaxFloat64),
+		Float(math.NaN()), Float(math.Inf(1)), Float(math.Inf(-1)),
+		{kind: Kind(99)},
+	}
+	for _, v := range vals {
+		got := v.AppendFormat([]byte("prefix|"))
+		if want := "prefix|" + v.Format(); string(got) != want {
+			t.Errorf("AppendFormat(%v kind %v) = %q, want %q", v, v.Kind(), got, want)
+		}
+	}
+}
+
 func TestSQL(t *testing.T) {
 	if got := Str("it's").SQL(); got != "'it''s'" {
 		t.Errorf("SQL quoting = %q", got)

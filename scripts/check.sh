@@ -13,6 +13,16 @@ pattern="${1:-.}"
 echo "==> go build ./..."
 go build ./...
 
+# Every tracked Go file is gofmt-clean (the harness build cache under
+# .bench_build is not tracked and not checked).
+echo "==> gofmt -l"
+unformatted=$(git ls-files -z -- '*.go' ':!:.bench_build/**' | xargs -0 -r gofmt -l)
+if [ -n "$unformatted" ]; then
+	echo "gofmt would reformat:" >&2
+	echo "$unformatted" >&2
+	exit 1
+fi
+
 echo "==> go vet ./..."
 go vet ./...
 
