@@ -39,11 +39,13 @@
 // # Planning
 //
 // The engine plans from what it has measured. A Plan holds only what
-// exists before any base relation does — the compiled node predicates —
-// and matchPipeline builds it (buildPlan) on the match-cache miss that
-// needs it. Plans are not cached: a repeated query hits its cached
-// match, and a refined one its siblings' cached bases, before any
-// predicate would be compiled (PERFORMANCE.md §18, §19).
+// exists before any base relation does — each conditioned node's
+// condition compiled to column kernels (expr.Compile → *expr.Pred),
+// which graphrel.Select runs over the node type's pinned attribute
+// columns — and matchPipeline builds it (buildPlan) on the match-cache
+// miss that needs it. Plans are not cached: a repeated query hits its
+// cached match, and a refined one its siblings' cached bases, before
+// any predicate would be compiled (PERFORMANCE.md §18, §19, §21).
 //
 // The join order is chosen inside matchPipeline, after every base is
 // selected, from the bases' exact sizes (orderJoins): start at the

@@ -9,15 +9,16 @@ import (
 )
 
 // Plan is what can be prepared for a pattern before any base relation
-// exists: its compiled per-node selection predicates. The join order is
+// exists: its per-node selection conditions, compiled to column kernels
+// (expr.Compile) that graphrel.Select runs. The join order is
 // not part of it — matchPipeline derives it from the selected bases'
 // exact sizes (orderJoins). A plan is built on the match-cache miss
 // that needs it and is not cached: a repeated query hits the cached
 // match or its cached bases first.
 type Plan struct {
-	// preds holds each conditioned node's selection predicate (no entry
+	// preds holds each conditioned node's compiled condition (no entry
 	// = unconditioned node).
-	preds map[string]expr.Pred
+	preds map[string]*expr.Pred
 }
 
 // PlanForOpts compiles p's plan over g.
@@ -31,7 +32,7 @@ func PlanForOpts(g *tgm.InstanceGraph, p *Pattern, _ ExecOptions) (*Plan, error)
 
 // buildPlan compiles every conditioned node's predicate.
 func buildPlan(g *tgm.InstanceGraph, p *Pattern) (*Plan, error) {
-	preds := make(map[string]expr.Pred, len(p.Nodes))
+	preds := make(map[string]*expr.Pred, len(p.Nodes))
 	for i := range p.Nodes {
 		n := &p.Nodes[i]
 		if n.Cond == nil {

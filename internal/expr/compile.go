@@ -2,311 +2,291 @@ package expr
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/tgm"
 	"repro/internal/value"
 )
 
-// Pred is a selection predicate compiled against one node type: it
-// evaluates a condition on a node of that type with WHERE-clause
-// truthiness (non-NULL true).
-type Pred func(n *tgm.Node) (bool, error)
+// Pred is a selection condition compiled against one node type to run a
+// column at a time. Column names are resolved to attribute ordinals
+// once, NOT is pushed to the leaves, and every leaf of the shape
+// Col op Const, Col [NOT] [I]LIKE Const, Col [NOT] IN (consts),
+// Col [NOT] BETWEEN Const AND Const or Col IS [NOT] NULL is a kernel: a
+// loop over one attribute column that keeps the rows whose value makes
+// the leaf TRUE. AND and OR combine the kept rows (Kleene logic needs
+// only the TRUE sets once NOT is at the leaves). Any other leaf shape
+// runs the interpreted Eval per row, over the same columns.
+//
+// A Pred holds no graph: Bind pins the columns it reads on one, and the
+// returned Bound selects rows.
+type Pred struct {
+	nt *tgm.NodeType
+	// attrs lists the attribute ordinals the condition reads; kernels
+	// name a column by its slot in this list.
+	attrs []int
+	root  kernel
+}
 
-// evalFn is a compiled sub-expression evaluated against a node, with
-// all column names resolved to attribute ordinals at compile time.
-// Column reads go through Node.TryAttrAt, so out-of-core column fault
-// failures (e.g. snapshot corruption) propagate as errors instead of
-// masquerading as NULLs.
-type evalFn func(n *tgm.Node) (value.V, error)
-
-// Compile binds e's column references to attribute indices of nt once,
-// returning a predicate that evaluates rows without per-row string
-// resolution. Names resolve like the interpreted path: the bare name
-// first, then the unqualified suffix of a dotted name. Unknown columns
-// are reported at compile time rather than on the first row.
-func Compile(e Expr, nt *tgm.NodeType) (Pred, error) {
-	fn, err := compile(e, nt)
+// Compile binds e's column references to attribute ordinals of nt and
+// builds its kernels. Names resolve like the interpreted path: the bare
+// name first, then the unqualified suffix of a dotted name. Unknown
+// columns are reported here rather than on the first row.
+func Compile(e Expr, nt *tgm.NodeType) (*Pred, error) {
+	c := &compiler{nt: nt}
+	root, err := c.compile(e)
 	if err != nil {
 		return nil, err
 	}
-	return func(n *tgm.Node) (bool, error) {
-		v, err := fn(n)
-		if err != nil {
-			return false, err
-		}
-		return !v.IsNull() && v.AsBool(), nil
-	}, nil
+	return &Pred{nt: nt, attrs: c.attrs, root: root}, nil
 }
 
-// resolveAttr mirrors the lookup order of graphrel's node environment.
+// NodeType returns the node type p was compiled against.
+func (p *Pred) NodeType() *tgm.NodeType { return p.nt }
+
+// resolveAttr mirrors MapEnv's lookup order.
 func resolveAttr(nt *tgm.NodeType, name string) int {
 	if i := nt.AttrIndex(name); i >= 0 {
 		return i
 	}
-	for j := len(name) - 1; j >= 0; j-- {
-		if name[j] == '.' {
-			return nt.AttrIndex(name[j+1:])
-		}
+	if j := strings.LastIndexByte(name, '.'); j >= 0 {
+		return nt.AttrIndex(name[j+1:])
 	}
 	return -1
 }
 
-func compile(e Expr, nt *tgm.NodeType) (evalFn, error) {
+type compiler struct {
+	nt    *tgm.NodeType
+	attrs []int
+}
+
+// slot resolves a column name to its column slot, adding one on first
+// use.
+func (c *compiler) slot(name string) (int, error) {
+	ai := resolveAttr(c.nt, name)
+	if ai < 0 {
+		return 0, fmt.Errorf("expr: unknown column %q", name)
+	}
+	for s, a := range c.attrs {
+		if a == ai {
+			return s, nil
+		}
+	}
+	c.attrs = append(c.attrs, ai)
+	return len(c.attrs) - 1, nil
+}
+
+func (c *compiler) compile(e Expr) (kernel, error) {
 	switch ex := e.(type) {
-	case Const:
-		v := ex.Val
-		return func(*tgm.Node) (value.V, error) { return v, nil }, nil
-	case Col:
-		i := resolveAttr(nt, ex.Name)
-		if i < 0 {
-			return nil, fmt.Errorf("expr: unknown column %q", ex.Name)
+	case And:
+		l, r, err := c.compile2(ex.Left, ex.Right)
+		return and{l, r}, err
+	case Or:
+		l, r, err := c.compile2(ex.Left, ex.Right)
+		return or{l, r}, err
+	case Not:
+		if n, ok := negate(ex.Inner); ok {
+			return c.compile(n)
 		}
-		return func(n *tgm.Node) (value.V, error) { return n.TryAttrAt(i) }, nil
 	case Cmp:
-		l, r, err := compile2(ex.Left, ex.Right, nt)
-		if err != nil {
-			return nil, err
-		}
 		op := ex.Op
-		return func(n *tgm.Node) (value.V, error) {
-			lv, rv, err := eval2(l, r, n)
-			if err != nil || lv.IsNull() || rv.IsNull() {
-				return value.Null, err
-			}
-			d := value.Compare(lv, rv)
-			var out bool
-			switch op {
-			case OpEq:
-				out = d == 0
-			case OpNe:
-				out = d != 0
-			case OpLt:
-				out = d < 0
-			case OpLe:
-				out = d <= 0
-			case OpGt:
-				out = d > 0
-			case OpGe:
-				out = d >= 0
-			}
-			return value.Bool(out), nil
-		}, nil
-	case Like:
-		l, p, err := compile2(ex.Left, ex.Pattern, nt)
-		if err != nil {
-			return nil, err
+		col, okL := ex.Left.(Col)
+		k, okR := ex.Right.(Const)
+		if !okL || !okR {
+			// Const op Col is Col op' Const with the operands swapped.
+			col, okL = ex.Right.(Col)
+			k, okR = ex.Left.(Const)
+			op = mirror(op)
 		}
-		fold, negate := ex.CaseFold, ex.Negate
-		return func(n *tgm.Node) (value.V, error) {
-			lv, pv, err := eval2(l, p, n)
-			if err != nil || lv.IsNull() || pv.IsNull() {
-				return value.Null, err
-			}
-			ok := MatchLike(lv.AsString(), pv.AsString(), fold)
-			if negate {
-				ok = !ok
-			}
-			return value.Bool(ok), nil
-		}, nil
-	case In:
-		l, err := compile(ex.Left, nt)
-		if err != nil {
-			return nil, err
-		}
-		list := make([]evalFn, len(ex.List))
-		for i, le := range ex.List {
-			if list[i], err = compile(le, nt); err != nil {
+		if okL && okR {
+			s, err := c.slot(col.Name)
+			if err != nil {
 				return nil, err
 			}
+			return cmpKernel(s, op, k.Val), nil
 		}
-		negate := ex.Negate
-		return func(n *tgm.Node) (value.V, error) {
-			lv, err := l(n)
+	case Like:
+		col, okL := ex.Left.(Col)
+		k, okR := ex.Pattern.(Const)
+		if okL && okR {
+			s, err := c.slot(col.Name)
 			if err != nil {
-				return value.Null, err
+				return nil, err
 			}
-			if lv.IsNull() {
-				return value.Null, nil
-			}
-			found := false
-			for _, fe := range list {
-				rv, err := fe(n)
+			return likeKernel(s, k.Val, ex.CaseFold, ex.Negate), nil
+		}
+	case In:
+		if col, ok := ex.Left.(Col); ok {
+			if list, ok := consts(ex.List); ok {
+				s, err := c.slot(col.Name)
 				if err != nil {
-					return value.Null, err
+					return nil, err
 				}
-				if value.Equal(lv, rv) {
-					found = true
-					break
-				}
+				return inKernel(s, list, ex.Negate), nil
 			}
-			if negate {
-				found = !found
-			}
-			return value.Bool(found), nil
-		}, nil
+		}
 	case Between:
-		l, err := compile(ex.Left, nt)
-		if err != nil {
-			return nil, err
-		}
-		lo, hi, err := compile2(ex.Low, ex.High, nt)
-		if err != nil {
-			return nil, err
-		}
-		negate := ex.Negate
-		return func(n *tgm.Node) (value.V, error) {
-			lv, err := l(n)
+		col, okC := ex.Left.(Col)
+		lo, okL := ex.Low.(Const)
+		hi, okH := ex.High.(Const)
+		if okC && okL && okH {
+			s, err := c.slot(col.Name)
 			if err != nil {
-				return value.Null, err
+				return nil, err
 			}
-			lov, hiv, err := eval2(lo, hi, n)
-			if err != nil || lv.IsNull() || lov.IsNull() || hiv.IsNull() {
-				return value.Null, err
+			if lo.Val.IsNull() || hi.Val.IsNull() {
+				return never{}, nil
 			}
-			ok := value.Compare(lv, lov) >= 0 && value.Compare(lv, hiv) <= 0
-			if negate {
-				ok = !ok
-			}
-			return value.Bool(ok), nil
-		}, nil
+			return between{slot: s, lo: lo.Val, hi: hi.Val, negate: ex.Negate}, nil
+		}
 	case IsNull:
-		l, err := compile(ex.Left, nt)
-		if err != nil {
+		if col, ok := ex.Left.(Col); ok {
+			s, err := c.slot(col.Name)
+			if err != nil {
+				return nil, err
+			}
+			return isNull{slot: s, negate: ex.Negate}, nil
+		}
+	}
+	// Every other shape runs the interpreted Eval per row. Its columns
+	// are resolved and pinned like a kernel's.
+	for _, name := range e.Columns(nil) {
+		if _, err := c.slot(name); err != nil {
 			return nil, err
 		}
-		negate := ex.Negate
-		return func(n *tgm.Node) (value.V, error) {
-			lv, err := l(n)
-			if err != nil {
-				return value.Null, err
-			}
-			ok := lv.IsNull()
-			if negate {
-				ok = !ok
-			}
-			return value.Bool(ok), nil
-		}, nil
-	case And:
-		l, r, err := compile2(ex.Left, ex.Right, nt)
-		if err != nil {
-			return nil, err
-		}
-		return func(n *tgm.Node) (value.V, error) {
-			lv, err := l(n)
-			if err != nil {
-				return value.Null, err
-			}
-			if !lv.IsNull() && !lv.AsBool() {
-				return value.Bool(false), nil
-			}
-			rv, err := r(n)
-			if err != nil {
-				return value.Null, err
-			}
-			if !rv.IsNull() && !rv.AsBool() {
-				return value.Bool(false), nil
-			}
-			if lv.IsNull() || rv.IsNull() {
-				return value.Null, nil
-			}
-			return value.Bool(true), nil
-		}, nil
-	case Or:
-		l, r, err := compile2(ex.Left, ex.Right, nt)
-		if err != nil {
-			return nil, err
-		}
-		return func(n *tgm.Node) (value.V, error) {
-			lv, err := l(n)
-			if err != nil {
-				return value.Null, err
-			}
-			if !lv.IsNull() && lv.AsBool() {
-				return value.Bool(true), nil
-			}
-			rv, err := r(n)
-			if err != nil {
-				return value.Null, err
-			}
-			if !rv.IsNull() && rv.AsBool() {
-				return value.Bool(true), nil
-			}
-			if lv.IsNull() || rv.IsNull() {
-				return value.Null, nil
-			}
-			return value.Bool(false), nil
-		}, nil
+	}
+	return evalRows{e}, nil
+}
+
+func (c *compiler) compile2(a, b Expr) (kernel, kernel, error) {
+	ka, err := c.compile(a)
+	if err != nil {
+		return nil, nil, err
+	}
+	kb, err := c.compile(b)
+	if err != nil {
+		return nil, nil, err
+	}
+	return ka, kb, nil
+}
+
+// negate returns the expression that is TRUE exactly where e is FALSE
+// (and so NULL exactly where e is NULL), for the shapes that have one:
+// De Morgan for the connectives, the inverse operator for a comparison
+// and the Negate flag for the rest. ok is false for any other shape.
+func negate(e Expr) (Expr, bool) {
+	switch ex := e.(type) {
 	case Not:
-		inner, err := compile(ex.Inner, nt)
+		return ex.Inner, true
+	case And:
+		return Or{Left: Not{ex.Left}, Right: Not{ex.Right}}, true
+	case Or:
+		return And{Left: Not{ex.Left}, Right: Not{ex.Right}}, true
+	case Cmp:
+		ex.Op = [...]CmpOp{OpEq: OpNe, OpNe: OpEq, OpLt: OpGe, OpLe: OpGt, OpGt: OpLe, OpGe: OpLt}[ex.Op]
+		return ex, true
+	case Like:
+		ex.Negate = !ex.Negate
+		return ex, true
+	case In:
+		ex.Negate = !ex.Negate
+		return ex, true
+	case Between:
+		ex.Negate = !ex.Negate
+		return ex, true
+	case IsNull:
+		ex.Negate = !ex.Negate
+		return ex, true
+	}
+	return nil, false
+}
+
+// mirror returns op' with a op b ⇔ b op' a.
+func mirror(op CmpOp) CmpOp {
+	return [...]CmpOp{OpEq: OpEq, OpNe: OpNe, OpLt: OpGt, OpLe: OpGe, OpGt: OpLt, OpGe: OpLe}[op]
+}
+
+// consts returns the values of a list made only of constants.
+func consts(list []Expr) ([]value.V, bool) {
+	vals := make([]value.V, len(list))
+	for i, e := range list {
+		k, ok := e.(Const)
+		if !ok {
+			return nil, false
+		}
+		vals[i] = k.Val
+	}
+	return vals, true
+}
+
+// Bound is a Pred bound to one graph: the columns it reads are pinned
+// resident until Release. Select may be called concurrently on
+// disjoint or overlapping row ranges.
+type Bound struct {
+	p        *Pred
+	g        *tgm.InstanceGraph
+	cols     [][]value.V
+	releases []func()
+	// lo is the type's first node ID; when contiguous, a node's column
+	// row is its ID − lo, and otherwise it is read from the node.
+	lo         tgm.NodeID
+	contiguous bool
+}
+
+// Bind pins every column p reads on g. A column that fails to fault in
+// returns the column source's typed error (a *snapshot.CorruptError,
+// say) with nothing left pinned. The caller must Release the Bound.
+func (p *Pred) Bind(g *tgm.InstanceGraph) (*Bound, error) {
+	b := &Bound{p: p, g: g, cols: make([][]value.V, len(p.attrs)), releases: make([]func(), 0, len(p.attrs))}
+	for s, ai := range p.attrs {
+		col, release, err := g.PinAttrColumn(p.nt.Name, ai)
 		if err != nil {
+			b.Release()
 			return nil, err
 		}
-		return func(n *tgm.Node) (value.V, error) {
-			v, err := inner(n)
-			if err != nil || v.IsNull() {
-				return value.Null, err
-			}
-			return value.Bool(!v.AsBool()), nil
-		}, nil
-	case Arith:
-		l, r, err := compile2(ex.Left, ex.Right, nt)
-		if err != nil {
-			return nil, err
+		b.cols[s] = col
+		b.releases = append(b.releases, release)
+	}
+	b.lo, _, b.contiguous = g.TypeIDRange(p.nt.Name)
+	return b, nil
+}
+
+// Release unpins the Bound's columns. It is idempotent.
+func (b *Bound) Release() {
+	for _, release := range b.releases {
+		release()
+	}
+	b.releases = nil
+}
+
+// Select returns, ascending, the indexes i in [lo, hi) whose node ids[i]
+// (of the Pred's type) satisfies the condition: its value is TRUE, not
+// FALSE or NULL.
+func (b *Bound) Select(ids []tgm.NodeID, lo, hi int) ([]int32, error) {
+	if hi <= lo {
+		return nil, nil
+	}
+	in := batch{p: b.p, cols: b.cols, ids: ids[lo:hi], base: b.lo}
+	if !b.contiguous {
+		rows := make([]tgm.NodeID, hi-lo)
+		for k, id := range in.ids {
+			rows[k] = tgm.NodeID(b.g.Node(id).Row)
 		}
-		op := ex.Op
-		return func(n *tgm.Node) (value.V, error) {
-			lv, rv, err := eval2(l, r, n)
-			if err != nil {
-				return value.Null, err
-			}
-			return arithApply(op, lv, rv)
-		}, nil
-	default:
-		// Unknown expression types fall back to the interpreted path
-		// through a node-backed environment.
-		return func(n *tgm.Node) (value.V, error) {
-			return e.Eval(nodeFallbackEnv{nt: nt, n: n})
-		}, nil
+		in.ids, in.base = rows, 0
 	}
-}
-
-func compile2(a, b Expr, nt *tgm.NodeType) (evalFn, evalFn, error) {
-	fa, err := compile(a, nt)
+	sel := make([]int32, hi-lo)
+	for k := range sel {
+		sel[k] = int32(k)
+	}
+	n, err := b.p.root.filter(&in, sel, sel)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	fb, err := compile(b, nt)
-	if err != nil {
-		return nil, nil, err
+	keep := sel[:n]
+	if lo != 0 {
+		for k := range keep {
+			keep[k] += int32(lo)
+		}
 	}
-	return fa, fb, nil
-}
-
-func eval2(a, b evalFn, n *tgm.Node) (value.V, value.V, error) {
-	av, err := a(n)
-	if err != nil {
-		return value.Null, value.Null, err
-	}
-	bv, err := b(n)
-	if err != nil {
-		return value.Null, value.Null, err
-	}
-	return av, bv, nil
-}
-
-// nodeFallbackEnv adapts a node to Env for the interpreted fallback.
-// Env.Lookup cannot return an error, so a column fault failure on an
-// out-of-core graph surfaces here as NULL; the compiled leaves above —
-// which every planner-built predicate uses — propagate it instead.
-type nodeFallbackEnv struct {
-	nt *tgm.NodeType
-	n  *tgm.Node
-}
-
-// Lookup implements Env.
-func (e nodeFallbackEnv) Lookup(name string) (value.V, bool) {
-	if i := resolveAttr(e.nt, name); i >= 0 {
-		return e.n.AttrAt(i), true
-	}
-	return value.Null, false
+	return keep, nil
 }

@@ -7,7 +7,7 @@ import (
 	"repro/internal/value"
 )
 
-func compileFixture(t testing.TB) (*tgm.NodeType, *tgm.Node, *tgm.Node) {
+func compileFixture(t testing.TB) (*tgm.InstanceGraph, *tgm.NodeType, *tgm.Node, *tgm.Node) {
 	t.Helper()
 	s := tgm.NewSchemaGraph()
 	nt, err := s.AddNodeType(tgm.NodeType{Name: "Papers", Label: "title",
@@ -32,14 +32,40 @@ func compileFixture(t testing.TB) (*tgm.NodeType, *tgm.Node, *tgm.Node) {
 		t.Fatal(err)
 	}
 	g.Freeze()
-	return nt, g.Node(id1), g.Node(id2)
+	return g, nt, g.Node(id1), g.Node(id2)
 }
 
-// TestCompileParityWithEval asserts the compiled predicate agrees with
-// the interpreted Truthy path across the operator surface, including
-// three-valued logic over NULL attributes.
+// selected runs pred over nodes and reports, per node, whether it was
+// kept.
+func selected(t *testing.T, pred *Pred, g *tgm.InstanceGraph, nodes ...*tgm.Node) []bool {
+	t.Helper()
+	ids := make([]tgm.NodeID, len(nodes))
+	for i, n := range nodes {
+		ids[i] = n.ID
+	}
+	b, err := pred.Bind(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Release()
+	keep, err := b.Select(ids, 0, len(ids))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]bool, len(nodes))
+	for _, i := range keep {
+		out[i] = true
+	}
+	return out
+}
+
+// TestCompileParityWithEval asserts the compiled predicate keeps exactly
+// the nodes on which the interpreted Truthy path holds, across the
+// operator surface, including three-valued logic over NULL attributes,
+// NOT pushed through every connective and leaf, and constants on either
+// side of a comparison.
 func TestCompileParityWithEval(t *testing.T) {
-	nt, n1, n2 := compileFixture(t)
+	g, nt, n1, n2 := compileFixture(t)
 	conds := []string{
 		"year > 2005",
 		"Papers.year > 2005",
@@ -58,6 +84,29 @@ func TestCompileParityWithEval(t *testing.T) {
 		"year % 2 = 1",
 		"score * 2 = 1",
 		"year > 2005 AND score is null",
+		// Constant on the left, NOT over each leaf kind and connective.
+		"2005 < year",
+		"0.5 >= score",
+		"NOT (title like '%data%')",
+		"NOT (year in (2007))",
+		"NOT (year between 2000 and 2010)",
+		"NOT (year is null)",
+		"NOT (year = 2007 AND score > 0.1)",
+		"NOT (year = 2007 OR title = 'SkewTune')",
+		"NOT (NOT (year = 2007))",
+		"NOT (year + 1 = 2008)",
+		// NULL in an IN list: no match is UNKNOWN, so NOT IN never holds.
+		"year in (1999, null)",
+		"year not in (1999, null)",
+		"NOT (year in (1999, null))",
+		// Cross-kind and NULL constants.
+		"year = 2007.0",
+		"score < 1",
+		"title > 5",
+		"year = null",
+		"title like null",
+		"year between null and 2010",
+		"year = id",
 	}
 	for _, src := range conds {
 		e := MustParse(src)
@@ -65,14 +114,14 @@ func TestCompileParityWithEval(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: compile: %v", src, err)
 		}
-		for _, n := range []*tgm.Node{n1, n2} {
-			want, werr := Truthy(e, mapEnvFor(n))
-			got, gerr := pred(n)
-			if (werr == nil) != (gerr == nil) {
-				t.Fatalf("%s on node %d: err %v vs %v", src, n.ID, werr, gerr)
+		got := selected(t, pred, g, n1, n2)
+		for i, n := range []*tgm.Node{n1, n2} {
+			want, err := Truthy(e, mapEnvFor(n))
+			if err != nil {
+				t.Fatalf("%s on node %d: %v", src, n.ID, err)
 			}
-			if want != got {
-				t.Errorf("%s on node %d: compiled %v, interpreted %v", src, n.ID, got, want)
+			if want != got[i] {
+				t.Errorf("%s on node %d: compiled %v, interpreted %v", src, n.ID, got[i], want)
 			}
 		}
 	}
@@ -88,7 +137,7 @@ func mapEnvFor(n *tgm.Node) Env {
 }
 
 func TestCompileUnknownColumn(t *testing.T) {
-	nt, _, _ := compileFixture(t)
+	_, nt, _, _ := compileFixture(t)
 	if _, err := Compile(MustParse("nope = 1"), nt); err == nil {
 		t.Error("unknown column compiled")
 	}
@@ -113,15 +162,25 @@ func (stubExpr) String() string                { return "stub" }
 func (stubExpr) Columns(dst []string) []string { return append(dst, "year") }
 
 func TestCompileFallback(t *testing.T) {
-	nt, n1, n2 := compileFixture(t)
+	g, nt, n1, n2 := compileFixture(t)
 	pred, err := Compile(stubExpr{}, nt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ok, err := pred(n1); err != nil || !ok {
-		t.Errorf("fallback on n1 = %v, %v", ok, err)
+	got := selected(t, pred, g, n1, n2)
+	if !got[0] {
+		t.Error("fallback on n1 = false, want true")
 	}
-	if ok, err := pred(n2); err != nil || ok {
-		t.Errorf("fallback on n2 = %v, %v (NULL year must be false)", ok, err)
+	if got[1] {
+		t.Error("fallback on n2 = true (NULL year must be false)")
+	}
+	// NOT over an unknown type has no exact negation to push down: it
+	// runs per row too, and NOT NULL stays not-TRUE.
+	pred, err = Compile(Not{stubExpr{}}, nt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := selected(t, pred, g, n1, n2); got[0] || got[1] {
+		t.Errorf("NOT fallback = %v, want neither node", got)
 	}
 }

@@ -7,7 +7,19 @@
 // An expression evaluates against an Env, which resolves column names to
 // values. Expressions support comparisons, SQL LIKE/ILIKE patterns,
 // IN lists, BETWEEN, IS [NOT] NULL, boolean connectives, and the four
-// arithmetic operators.
+// arithmetic operators, with SQL's three-valued logic: a NULL operand
+// makes a comparison NULL, and a WHERE clause keeps only TRUE (Truthy).
+//
+// There are two ways to run a condition. Expr.Eval interprets it over
+// one Env and is the reference: the relational engine's WHERE and the
+// §6.2 SQL oracle use it. Compile turns a condition on one node type
+// into a Pred that runs a column at a time (compile.go, kernel.go):
+// NOT is pushed to the leaves, each leaf of a known shape is a loop over
+// one pinned attribute column that keeps the rows where it is TRUE, and
+// AND/OR narrow and merge those row vectors. graphrel.Select is its one
+// caller. Leaves of any other shape run Eval per row over the same
+// columns, so the two ways agree row for row, which
+// graphrel.FuzzSelectParity checks.
 package expr
 
 import (
@@ -208,7 +220,11 @@ func (l Like) Columns(dst []string) []string {
 	return l.Pattern.Columns(l.Left.Columns(dst))
 }
 
-// In tests membership of Left in a literal list.
+// In tests membership of Left in a literal list with SQL semantics: a
+// NULL Left is NULL, a match is TRUE, and no match is NULL (UNKNOWN)
+// when any list element is NULL, FALSE otherwise. Negate inverts TRUE
+// and FALSE and keeps NULL, so NOT IN over a list holding a NULL is
+// never TRUE.
 type In struct {
 	Left   Expr
 	List   []Expr
@@ -224,16 +240,21 @@ func (in In) Eval(env Env) (value.V, error) {
 	if lv.IsNull() {
 		return value.Null, nil
 	}
-	found := false
+	found, sawNull := false, false
 	for _, e := range in.List {
 		rv, err := e.Eval(env)
 		if err != nil {
 			return value.Null, err
 		}
-		if value.Equal(lv, rv) {
+		if rv.IsNull() {
+			sawNull = true
+		} else if value.Equal(lv, rv) {
 			found = true
 			break
 		}
+	}
+	if !found && sawNull {
+		return value.Null, nil
 	}
 	if in.Negate {
 		found = !found

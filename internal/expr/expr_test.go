@@ -123,6 +123,74 @@ func TestInBetweenIsNull(t *testing.T) {
 	}
 }
 
+// TestInNullSemantics pins SQL's IN over a list holding a NULL: a match
+// is TRUE, no match is NULL (UNKNOWN) rather than FALSE, so NOT IN and
+// NOT (… IN …) never hold there; a NULL left side is NULL either way.
+func TestInNullSemantics(t *testing.T) {
+	e := env("year", value.Int(2007), "x", value.Null)
+	cases := []struct {
+		src  string
+		want value.V
+	}{
+		{"year in (1999, null)", value.Null},
+		{"year not in (1999, null)", value.Null},
+		{"NOT (year in (1999, null))", value.Null},
+		{"year in (2007, null)", value.Bool(true)},
+		{"year not in (2007, null)", value.Bool(false)},
+		{"year in (null)", value.Null},
+		{"year in (1999, 2007.0)", value.Bool(true)},
+		{"year not in (1999)", value.Bool(true)},
+		{"x in (1, null)", value.Null},
+		{"x not in (1)", value.Null},
+	}
+	for _, c := range cases {
+		got, err := MustParse(c.src).Eval(e)
+		if err != nil {
+			t.Fatalf("%s: %v", c.src, err)
+		}
+		if got.IsNull() != c.want.IsNull() || !c.want.IsNull() && got.AsBool() != c.want.AsBool() {
+			t.Errorf("%s = %v, want %v", c.src, got, c.want)
+		}
+	}
+}
+
+// TestLikeRunes pins '_' to one character, not one byte, and '%' to
+// whole characters, over multi-byte UTF-8; escaped '\_' and '\%'
+// stay literal.
+func TestLikeRunes(t *testing.T) {
+	cases := []struct {
+		s, p string
+		want bool
+	}{
+		{"é", "_", true},
+		{"é", "__", false},
+		{"aé", "a_", true},
+		{"éa", "_a", true},
+		{"日本語", "___", true},
+		{"日本語", "__", false},
+		{"日本語", "%_", true},
+		{"日本語", "_%_", true},
+		{"日本語", "%本_", true},
+		{"日本語", "%_本", false},
+		{"Zürich", "Z_rich", true},
+		{"Zürich", "%_rich", true},
+		{"Zürich", "%ü%", true},
+		{"é_", "_\\_", true},
+		{"éx", "_\\_", false},
+		{"é%", "_\\%", true},
+		{"éé", "_\\%", false},
+		{"", "%_", false},
+	}
+	for _, c := range cases {
+		if got := MatchLike(c.s, c.p, false); got != c.want {
+			t.Errorf("MatchLike(%q, %q) = %v, want %v", c.s, c.p, got, c.want)
+		}
+	}
+	if !MatchLike("ÉCOLE", "_cole", true) {
+		t.Error("ILIKE over a multi-byte first character")
+	}
+}
+
 func TestBooleanConnectives(t *testing.T) {
 	e := env("a", value.Int(1), "b", value.Int(0))
 	cases := []struct {

@@ -1,6 +1,9 @@
 package expr
 
-import "strings"
+import (
+	"strings"
+	"unicode/utf8"
+)
 
 // MatchLike reports whether s matches the SQL LIKE pattern. '%' matches
 // any run of characters (including empty), '_' matches exactly one
@@ -15,9 +18,10 @@ func MatchLike(s, pattern string, fold bool) bool {
 }
 
 // likeMatch implements iterative wildcard matching with backtracking on
-// the most recent '%'. Operating on bytes is correct for '%' and escape
-// handling; '_' consumes one byte, which matches one character for ASCII
-// data (the dataset used here).
+// the most recent '%'. Literal pattern bytes compare byte for byte,
+// which for UTF-8 text is character for character; '_' consumes one
+// UTF-8 rune of s, and '%' backtracks by whole runes, so a wildcard
+// never splits a multi-byte character.
 func likeMatch(s, p string) bool {
 	var si, pi int
 	star, match := -1, 0
@@ -29,7 +33,7 @@ func likeMatch(s, p string) bool {
 				pi++
 				continue
 			case '_':
-				si++
+				si += runeLen(s, si)
 				pi++
 				continue
 			case '\\':
@@ -47,8 +51,8 @@ func likeMatch(s, p string) bool {
 			}
 		}
 		if star >= 0 {
-			// Backtrack: let the last '%' absorb one more byte.
-			match++
+			// Backtrack: let the last '%' absorb one more rune.
+			match += runeLen(s, match)
 			si = match
 			pi = star + 1
 			continue
@@ -59,4 +63,47 @@ func likeMatch(s, p string) bool {
 		pi++
 	}
 	return pi == len(p)
+}
+
+// runeLen is the byte length of the rune starting at s[i] (1 for an
+// invalid byte), for i < len(s).
+func runeLen(s string, i int) int {
+	if s[i] < utf8.RuneSelf {
+		return 1
+	}
+	_, n := utf8.DecodeRuneInString(s[i:])
+	return n
+}
+
+// likeShape is a LIKE pattern's literal fast path.
+type likeShape uint8
+
+const (
+	likeGeneral  likeShape = iota // anything else: MatchLike
+	likeEqual                     // lit
+	likePrefix                    // lit%
+	likeSuffix                    // %lit
+	likeContains                  // %lit%
+)
+
+// classifyLike reports which literal fast path pattern takes, and its
+// literal. Only a valid UTF-8 literal free of '%', '_' and '\' qualifies:
+// such a literal can only match at rune boundaries, so the byte-exact
+// strings functions agree with likeMatch.
+func classifyLike(pattern string) (likeShape, string) {
+	lit, lead := strings.CutPrefix(pattern, "%")
+	lit, trail := strings.CutSuffix(lit, "%")
+	if strings.ContainsAny(lit, `%_\`) || !utf8.ValidString(lit) {
+		return likeGeneral, ""
+	}
+	switch {
+	case lead && trail:
+		return likeContains, lit
+	case lead:
+		return likeSuffix, lit
+	case trail:
+		return likePrefix, lit
+	default:
+		return likeEqual, lit
+	}
 }

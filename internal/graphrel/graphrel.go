@@ -7,8 +7,9 @@
 // A graph relation is like a relation in the relational model, except
 // that each attribute's domain is the node set of one node type: a tuple
 // is a list of node IDs. Node attribute values stay in the instance
-// graph; selection conditions are evaluated against them through an
-// expression environment.
+// graph; a selection condition is compiled to kernels that scan those
+// attribute columns directly (expr.Compile), and Select runs it over a
+// relation's ID column without touching a node.
 //
 // Relations are stored column-major: one node-ID column per attribute,
 // all columns of a relation carved from a single shared arena. Operators
@@ -206,17 +207,23 @@ func BaseNamed(g *tgm.InstanceGraph, typeName, attrName string) (*Relation, erro
 }
 
 // Select returns the tuples whose node at the named attribute satisfies
-// pred (σ_Ci applied to attribute A_i), a predicate already compiled
+// pred (σ_Ci applied to attribute A_i), a condition already compiled
 // against that attribute's node type (expr.Compile) — callers that keep
 // compiled conditions across executions (the etable plan) never pay a
 // per-call compile. A nil pred returns r unchanged.
 //
+// The condition runs a column at a time: Select pins the attribute
+// columns pred reads once (expr.Pred.Bind), every row range scans them
+// directly, and every pin is released before Select returns. A column
+// that fails to fault in fails the selection with the column source's
+// typed error; it never reads as NULL.
+//
 // Relations of more than one morsel fan out over pool under budget
 // (see parallel.go for the three-phase splice); a nil pool, a budget
-// <= 1, or a single-morsel input runs selectRange over [0, n) on the
-// calling goroutine. Either way the output is the same relation, row
-// for row, and ctx is checked between morsels.
-func Select(ctx context.Context, pool *exec.Pool, budget int, r *Relation, attrName string, pred expr.Pred) (*Relation, error) {
+// <= 1, or a single-morsel input runs over [0, n) on the calling
+// goroutine. Either way the output is the same relation, row for row,
+// and ctx is checked between morsels.
+func Select(ctx context.Context, pool *exec.Pool, budget int, r *Relation, attrName string, pred *expr.Pred) (*Relation, error) {
 	if pred == nil {
 		return r, nil
 	}
@@ -224,12 +231,21 @@ func Select(ctx context.Context, pool *exec.Pool, budget int, r *Relation, attrN
 	if ai < 0 {
 		return nil, fmt.Errorf("graphrel: no attribute %q", attrName)
 	}
+	if nt := r.Attrs[ai].Type; nt.Name != pred.NodeType().Name {
+		return nil, fmt.Errorf("graphrel: condition compiled for %q selects attribute %q of type %q",
+			pred.NodeType().Name, attrName, nt.Name)
+	}
+	if err := ctxErr(ctx); err != nil {
+		return nil, err
+	}
+	bound, err := pred.Bind(r.g)
+	if err != nil {
+		return nil, err
+	}
+	defer bound.Release()
 	col := r.cols[ai]
 	if pool == nil || budget <= 1 || r.n <= MorselRows {
-		if err := ctxErr(ctx); err != nil {
-			return nil, err
-		}
-		keep, err := selectRange(r, col, pred, 0, r.n)
+		keep, err := bound.Select(col, 0, r.n)
 		if err != nil {
 			return nil, err
 		}
@@ -240,7 +256,7 @@ func Select(ctx context.Context, pool *exec.Pool, budget int, r *Relation, attrN
 	// Phase 1: each morsel filters into its own keep list.
 	keeps := make([][]int32, len(bounds))
 	if err := pool.Map(ctx, len(bounds), budget, func(m int) error {
-		keep, err := selectRange(r, col, pred, bounds[m][0], bounds[m][1])
+		keep, err := bound.Select(col, bounds[m][0], bounds[m][1])
 		if err != nil {
 			return err
 		}
@@ -266,44 +282,6 @@ func Select(ctx context.Context, pool *exec.Pool, budget int, r *Relation, attrN
 		return nil, err
 	}
 	return out, nil
-}
-
-// selectRange evaluates pred over col's rows [lo, hi) and returns the
-// matching row indexes. It is Select's per-range phase: [0, n) in one
-// call when serial, one call per morsel when fanned out, so the two
-// cannot drift apart. Multi-attribute relations memoize per node, since
-// nodes repeat after joins; base relations have distinct nodes, so
-// memoization would only add cost.
-func selectRange(r *Relation, col []tgm.NodeID, pred func(*tgm.Node) (bool, error), lo, hi int) ([]int32, error) {
-	keep := make([]int32, 0, hi-lo)
-	if len(r.Attrs) == 1 {
-		for i := lo; i < hi; i++ {
-			ok, err := pred(r.g.Node(col[i]))
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				keep = append(keep, int32(i))
-			}
-		}
-		return keep, nil
-	}
-	memo := make(map[tgm.NodeID]bool, 64)
-	for i := lo; i < hi; i++ {
-		id := col[i]
-		ok, seen := memo[id]
-		if !seen {
-			var err error
-			if ok, err = pred(r.g.Node(id)); err != nil {
-				return nil, err
-			}
-			memo[id] = ok
-		}
-		if ok {
-			keep = append(keep, int32(i))
-		}
-	}
-	return keep, nil
 }
 
 // checkJoin validates a join's edge type and attributes, returning the

@@ -46,7 +46,7 @@ func selectCond(r *Relation, attrName string, cond expr.Expr) (*Relation, error)
 
 // compileCond compiles cond for r's named attribute (nil cond → nil
 // pred, which Select passes through).
-func compileCond(r *Relation, attrName string, cond expr.Expr) (expr.Pred, error) {
+func compileCond(r *Relation, attrName string, cond expr.Expr) (*expr.Pred, error) {
 	if cond == nil {
 		return nil, nil
 	}

@@ -16,8 +16,8 @@ import "context"
 //
 // The output is row-for-row identical to a serial run, not merely
 // set-equal: morsels are contiguous input runs and are spliced in input
-// order, and the serial run is the same per-range phase (selectRange)
-// over [0, n). Cancellation is checked between morsels (exec.Pool.Map),
+// order, and the serial run is the same per-range phase
+// (expr.Bound.Select) over [0, n). Cancellation is checked between morsels (exec.Pool.Map),
 // so an abandoned request stops a scan mid-flight with ctx.Err(). The
 // kernel runs serially when the input is a single morsel, the budget is
 // <= 1, or the pool is nil — tiny interactive queries never pay the

@@ -92,7 +92,7 @@ func assertIdenticalRelations(t *testing.T, label string, got, want *Relation) {
 
 // TestSelectParEquivalence asserts Select under a pool and budgets 1–8
 // returns exactly the serial Select's relation, on a base relation and
-// on a joined one (the memoizing selectRange arm).
+// on a joined one whose attribute column repeats nodes.
 func TestSelectParEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	g := bigChainGraph(t, rng)
@@ -116,7 +116,7 @@ func TestSelectParEquivalence(t *testing.T) {
 		attr string
 	}{
 		{"base_single_attr", as, "A"},
-		{"joined_multi_attr_memoized", joined, "A"},
+		{"joined_multi_attr", joined, "A"},
 	} {
 		for _, budget := range []int{1, 2, 4, 8} {
 			pred, err := compileCond(tc.rel, tc.attr, expr.MustParse(fmt.Sprintf("id %% %d = %d", 2+budget%3, budget%2)))

@@ -294,6 +294,40 @@ func cmpFloat(a, b float64) int {
 	}
 }
 
+// NumOrder is a numeric constant prepared for ordering many values
+// against it, as a column-at-a-time selection does.
+type NumOrder struct {
+	i     int64
+	f     float64
+	isInt bool
+}
+
+// NewNumOrder prepares c, which must be INT or FLOAT.
+func NewNumOrder(c V) NumOrder {
+	return NumOrder{i: c.i, f: c.AsFloat(), isInt: c.kind == KindInt}
+}
+
+// Order returns Compare(*v, c) as two flags, lt for -1 and gt for +1
+// (neither for 0), reading v in place; null reports a NULL v, which a
+// SQL comparison leaves unordered.
+func (c *NumOrder) Order(v *V) (lt, gt, null bool) {
+	switch v.kind {
+	case KindInt:
+		if c.isInt {
+			return v.i < c.i, v.i > c.i, false
+		}
+		x := float64(v.i)
+		return x < c.f, x > c.f, false
+	case KindFloat:
+		return v.f < c.f, v.f > c.f, false
+	case KindNull:
+		return false, false, true
+	case KindBool:
+		return true, false, false
+	}
+	return false, true, false
+}
+
 // Equal reports whether two values are equal under Compare semantics.
 func Equal(v, o V) bool { return Compare(v, o) == 0 }
 

@@ -257,3 +257,38 @@ func TestParseRoundTripInt(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestNumOrderMatchesCompare holds NumOrder.Order to Compare for every
+// pair of a value against a numeric constant, over the edges Compare
+// distinguishes: INT against FLOAT, NaN (equal to everything), ±0,
+// ±Inf, the int64 extremes and integers past float64's precision,
+// BOOL below and STRING above every number, and NULL.
+func TestNumOrderMatchesCompare(t *testing.T) {
+	nums := []V{
+		Int(0), Int(1), Int(-1), Int(math.MinInt64), Int(math.MaxInt64), Int(1 << 53), Int(1<<53 + 1),
+		Float(0), Float(math.Copysign(0, -1)), Float(1), Float(-1.5), Float(math.NaN()),
+		Float(math.Inf(1)), Float(math.Inf(-1)), Float(1 << 53), Float(9.223372036854776e18),
+	}
+	vals := append([]V{Null, Bool(true), Bool(false), Str(""), Str("1")}, nums...)
+	for _, c := range nums {
+		o := NewNumOrder(c)
+		for _, v := range vals {
+			lt, gt, null := o.Order(&v)
+			if null != v.IsNull() {
+				t.Fatalf("Order(%v) against %v: null = %v", v, c, null)
+			}
+			if null {
+				continue
+			}
+			got := 0
+			if lt {
+				got = -1
+			} else if gt {
+				got = 1
+			}
+			if want := Compare(v, c); got != want || lt && gt {
+				t.Errorf("Order(%v) against %v = (%v, %v), Compare = %d", v, c, lt, gt, want)
+			}
+		}
+	}
+}

@@ -71,6 +71,17 @@ if grep -rnE 'windowStore|\.Recycle\(|PlannerStats|SetPlanCache|planCacheFor' \
 	exit 1
 fi
 
+# A selection condition runs a column at a time: expr.Compile builds
+# kernels over pinned attribute columns and graphrel.Select runs them
+# over ID ranges. The per-node closure compiler and its node-backed
+# fallback environment stay deleted (ROADMAP 2b).
+echo "==> no per-node predicate closures"
+if grep -rnE 'nodeFallbackEnv|evalFn|func\(([A-Za-z_][A-Za-z0-9_]* )?\*tgm\.Node\) \(bool, error\)' \
+	--include='*.go' --exclude='*_test.go' internal/expr internal/graphrel; then
+	echo "a per-node predicate closure reappeared (see above)" >&2
+	exit 1
+fi
+
 echo "==> go test -race ./..."
 go test -race -run "$pattern" ./...
 
