@@ -72,8 +72,9 @@
 // participating column a graphrel.GroupNeighbors grouping in CSR form —
 // the sorted row IDs as keys, shared by every column, plus offsets and
 // one values array — so a presentation retains O(rows + deduplicated
-// pairs), nothing sized by a node type, and windows and sort keys read
-// a group by binary search on the row IDs. A spilled prepare holds
+// pairs), nothing sized by a node type, and windows read a group by
+// binary search on the row IDs (a sort of the prepared order reads
+// group i as row i). A spilled prepare holds
 // graphrel.SpilledGroups instead; groupSource has those two
 // implementations. The matched relation is an input of Prepare, not a
 // possession of the Presentation: nothing reads it afterwards, so the
@@ -87,27 +88,32 @@
 // count as hits; an error or a panic caches nothing).
 //
 // Sort contract (sort.go). A sort is extract-then-sort: one pass over
-// the current row order fills a typed key vector, and the keys — never
-// the graph — are what the sort compares. Key classes: []int64 for a
-// reference count (a participating column's prepared grouping, a
-// neighbor column's degree) and for an attribute column whose presented
-// values are all INT or all BOOL; []string when they are all STRING;
-// []value.V under value.Compare otherwise (NULLs, FLOATs, mixed kinds —
-// the only cases where kind rank or numeric cross-kind comparison
-// matters). Integer keys take an O(n + range) counting sort when their
-// range is below denseSpan (4) buckets per row, decided from the data:
-// counts, years, page numbers and foreign keys qualify, hashes and
-// timestamps do not. Everything else is slices.SortFunc over (key,
-// position, id) triples. Every kernel is stable — equal keys keep
-// their current relative order (ascending node ID on a fresh
-// presentation, the receiver's order on a view of a view) — because
-// the counting sort scatters in position order and the comparison sort
-// breaks ties by position; Desc reverses keys, never ties. The result
-// is exactly the permutation of a stable sort by value.Compare over the
-// rendered table, which sort_test.go fuzzes against the oracle in
-// sort_oracle_test.go. NaN is the exception: value.Compare reports it
-// equal to everything, so no order is consistent with it and rows keyed
-// NaN land in an unspecified, deterministic position.
+// the current row order fills an []int64 key vector, and the keys —
+// never the graph — are what the sort compares. A reference column's
+// key is its count: on the prepared order the heap grouping's group i
+// is row i, so the count is two offset loads; a view of a view (or a
+// spilled grouping) looks the row up. A base attribute's key is the
+// row's rank in its column (tgm.InstanceGraph.AttrRank): the column's
+// value.Compare order, built on the graph's first sort by that
+// attribute and kept for the graph's lifetime, so no sort compares a
+// string or a value. Keys take an O(n + range) counting sort when
+// their range is below denseSpan (4) buckets per row — counts and the
+// ranks of a table holding most of its type qualify — and otherwise
+// slices.SortFunc over (key, position, id) triples, as the ranks of a
+// selective filter do. Both kernels are stable — equal keys keep their
+// current relative order (ascending node ID on a fresh presentation,
+// the receiver's order on a view of a view) — because the counting
+// sort scatters in position order and the comparison sort breaks ties
+// by position; Desc reverses keys, never ties. The result is exactly
+// the permutation of a stable sort by value.Compare over the rendered
+// table, which sort_test.go fuzzes against the oracle in
+// sort_oracle_test.go, with the rank's two exceptions: NaN, which
+// value.Compare calls equal to every number, sorts as one block just
+// below the column's lowest number, and a column mixing INTs and
+// FLOATs past ±2^53, where value.Compare is not transitive, gets a
+// total order that may disagree with it there. ValidateSort reads
+// column names only; the rank, its column and any deferred adjacency
+// are left for SortedView.
 //
 // Adjacency. Neighbor columns hold a tgm.Adjacency handle resolved at
 // Prepare; it loads nothing until a sort by that column or a non-empty

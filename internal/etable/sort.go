@@ -4,34 +4,39 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"strings"
 
+	"repro/internal/graphrel"
 	"repro/internal/tgm"
-	"repro/internal/value"
 )
 
 // This file is the sort op: "Sort table by …" reorders a presentation's
-// rows as extract-then-sort. One pass over the row order fills a typed
-// key vector — no comparison ever goes back to the graph — and the
-// (key, position) pairs are then ordered by the cheapest kernel the
-// data admits:
+// rows as extract-then-sort. One pass over the row order fills an
+// []int64 key vector — no comparison ever goes back to the graph — and
+// sortInts orders the (key, position) pairs. Every key is an integer:
 //
-//   - []int64 keys (reference counts; attribute columns whose presented
-//     values are all INT or all BOOL) take an O(n) counting sort when
-//     their range is dense (denseSpan), a comparison sort otherwise;
-//   - []string keys (all STRING) and the []value.V fallback (NULLs,
-//     FLOATs, mixed kinds, ordered by value.Compare) take the
-//     comparison sort.
+//   - a reference column's key is its count (the participating
+//     column's group size, or the neighbor column's degree);
+//   - a base attribute's key is the row's rank in its column
+//     (tgm.InstanceGraph.AttrRank): the column's value.Compare order,
+//     computed once per graph on the first sort by that attribute, so a
+//     string or mixed-kind sort compares int32 ranks, never values.
+//
+// sortInts takes an O(n + range) counting sort when the keys' range is
+// dense (denseSpan) — counts, and the ranks of an unfiltered table,
+// whose range is at most its row count — and a comparison sort over the
+// integer keys otherwise (a selective filter's ranks, sparse counts).
 //
 // The sort is stable — rows with equal keys keep their current relative
-// order — under every kernel: the counting sort scatters in position
-// order, and the comparison sort breaks key ties by position, which
-// makes the unstable slices.SortFunc produce the one permutation a
-// stable sort by value.Compare produces. Desc flips the key comparison
-// only, never the tie-break. The one exception is NaN, which
-// value.Compare reports equal to everything: no order is consistent
-// with that, so rows keyed NaN land in an unspecified (but
-// deterministic) position.
+// order — under both arms: the counting sort scatters in position
+// order, and the comparison sort breaks key ties by position. Desc
+// flips the key comparison only, never the tie-break. Equal ranks are
+// exactly value.Compare-equal values, so the permutation is the one a
+// stable sort of the rendered table by value.Compare yields. The rank's
+// two exceptions carry over: rows keyed NaN (which value.Compare calls
+// equal to every number) sort together just below the column's lowest
+// number, and a column mixing INTs and FLOATs past ±2^53, where
+// value.Compare is not transitive, gets a total order that may disagree
+// with it on such pairs.
 
 // SortSpec orders result rows. Exactly one of Attr or Column is set:
 // Attr sorts by a base attribute value; Column sorts an entity-reference
@@ -42,25 +47,23 @@ type SortSpec struct {
 	Desc   bool
 }
 
-// sortColumn is a resolved sort target; exactly one field is set.
+// sortColumn is a resolved sort target: one of the two reference-column
+// forms, or, when neither is set, the base attribute at ordinal attr.
 type sortColumn struct {
-	attr     []value.V   // the base attribute's column, indexed by node row
+	attr     int
 	part     groupSource // a participating column's grouping
 	neighbor *tgm.Adjacency
 }
 
-// resolveSort resolves spec against the presentation's columns. It
-// reads only column metadata, except that a base attribute's column is
-// resolved here: on an out-of-core graph that faults the section in
-// (typed errors propagate to the caller) and the sort then reads one
-// resident column.
+// resolveSort resolves spec against the presentation's column metadata.
+// It reads no column, rank or adjacency, so validating a sort faults
+// nothing in on an out-of-core graph.
 func (pr *Presentation) resolveSort(spec SortSpec) (sortColumn, error) {
 	switch {
 	case spec.Attr != "":
 		for i := range pr.columns {
 			if pr.columns[i].Kind == ColBase && pr.columns[i].Attr == spec.Attr {
-				col, err := pr.g.AttrColumn(pr.primType.Name, pr.primType.AttrIndex(spec.Attr))
-				return sortColumn{attr: col}, err
+				return sortColumn{attr: pr.primType.AttrIndex(spec.Attr)}, nil
 			}
 		}
 		return sortColumn{}, fmt.Errorf("etable: no base attribute %q to sort by", spec.Attr)
@@ -82,7 +85,8 @@ func (pr *Presentation) resolveSort(spec SortSpec) (sortColumn, error) {
 }
 
 // ValidateSort reports whether spec can sort this presentation, without
-// reordering anything.
+// reordering anything. It checks column names only: the rank, the
+// column behind it and any deferred adjacency are left for SortedView.
 func (pr *Presentation) ValidateSort(spec SortSpec) error {
 	_, err := pr.resolveSort(spec)
 	return err
@@ -93,12 +97,17 @@ func (pr *Presentation) ValidateSort(spec SortSpec) error {
 // The permutation is the one a stable sort of the fully materialized
 // table by value.Compare yields (ties keep the receiver's order: the
 // canonical ID-ascending order on a fresh presentation, the previous
-// sort's on a view of a view), which the sort equivalence fuzz pins.
-// The view shares the receiver's columns, per-column groupings, and
-// neighbor layout — the expensive products of Prepare — and owns only a
-// fresh row-ID slice, so every sort variant of one pattern costs one
-// key extraction and one sort on top of a single Prepare. Views and
-// their base are immutable and may Window concurrently.
+// sort's on a view of a view), which the sort equivalence fuzz pins;
+// NaN keys and INT/FLOAT mixes past ±2^53 are ordered as the file
+// header describes. The first sort by an attribute builds that
+// column's rank (and, on an out-of-core graph, faults the column in;
+// a fault is the sort's typed error); later sorts by it only read the
+// rank. The view shares the receiver's columns, per-column groupings,
+// and neighbor layout — the expensive products of Prepare — and owns
+// only a fresh row-ID slice, so every sort variant of one pattern
+// costs one key extraction and one integer sort on top of a single
+// Prepare. Views and their base are immutable and may Window
+// concurrently.
 func (pr *Presentation) SortedView(spec SortSpec) (*Presentation, error) {
 	ids, err := pr.sorted(spec)
 	if err != nil {
@@ -106,6 +115,7 @@ func (pr *Presentation) SortedView(spec SortSpec) (*Presentation, error) {
 	}
 	cp := *pr
 	cp.rowIDs = ids
+	cp.reordered = true
 	return &cp, nil
 }
 
@@ -120,89 +130,62 @@ func (pr *Presentation) sorted(spec SortSpec) ([]tgm.NodeID, error) {
 		return nil, err
 	}
 	ids := pr.rowIDs
+	keys := make([]int64, len(ids))
 	switch {
 	case sc.part != nil:
-		keys := make([]int64, len(ids))
-		for i, id := range ids {
-			keys[i] = int64(sc.part.Count(id))
+		// On the prepared order the rows are the grouping's keys, so row
+		// i's count is group i's size; a view of a view looks rows up.
+		if gs, ok := sc.part.(*graphrel.Groups); ok && !pr.reordered {
+			for i := range keys {
+				keys[i] = int64(gs.CountAt(i))
+			}
+		} else {
+			for i, id := range ids {
+				keys[i] = int64(sc.part.Count(id))
+			}
 		}
-		return sortInts(ids, keys, spec.Desc), nil
 	case sc.neighbor != nil:
 		if err := sc.neighbor.Ensure(); err != nil {
 			return nil, err
 		}
-		keys := make([]int64, len(ids))
 		for i, id := range ids {
 			keys[i] = int64(sc.neighbor.Degree(id))
 		}
-		return sortInts(ids, keys, spec.Desc), nil
-	}
-	return pr.sortedByAttr(sc.attr, spec.Desc), nil
-}
-
-// sortedByAttr orders the rows by one attribute column. The first key's
-// kind picks the typed vector to try; a key of any other kind abandons
-// it for the value.V fallback, so the typed arms only ever see the
-// uniform-kind columns for which a native comparison equals
-// value.Compare (INT against BOOL, or either against NULL or FLOAT,
-// orders by kind rank, which no native comparison reproduces).
-func (pr *Presentation) sortedByAttr(col []value.V, desc bool) []tgm.NodeID {
-	ids, g := pr.rowIDs, pr.g
-	if len(ids) == 0 {
-		return nil
-	}
-	switch kind := col[g.Node(ids[0]).Row].Kind(); kind {
-	case value.KindInt, value.KindBool:
-		keys := make([]int64, len(ids))
-		for i, id := range ids {
-			v := &col[g.Node(id).Row]
-			if v.Kind() != kind {
-				keys = nil
-				break
+	default:
+		rank, err := pr.g.AttrRank(pr.primType.Name, sc.attr)
+		if err != nil {
+			return nil, err
+		}
+		if lo, _, contiguous := pr.g.TypeIDRange(pr.primType.Name); contiguous {
+			for i, id := range ids {
+				keys[i] = int64(rank[id-lo])
 			}
-			keys[i] = v.AsInt()
-		}
-		if keys != nil {
-			return sortInts(ids, keys, desc)
-		}
-	case value.KindString:
-		keys := make([]string, len(ids))
-		for i, id := range ids {
-			v := &col[g.Node(id).Row]
-			if v.Kind() != kind {
-				keys = nil
-				break
+		} else {
+			for i, id := range ids {
+				keys[i] = int64(rank[pr.g.Node(id).Row])
 			}
-			keys[i] = v.AsString()
-		}
-		if keys != nil {
-			return sortKeyed(ids, keys, strings.Compare, desc)
 		}
 	}
-	keys := make([]value.V, len(ids))
-	for i, id := range ids {
-		keys[i] = col[g.Node(id).Row]
-	}
-	return sortKeyed(ids, keys, value.Compare, desc)
+	return sortInts(ids, keys, spec.Desc), nil
 }
 
 // keyed is one row of a comparison sort: its extracted key, its
 // position in the current order (the stability tie-break), and its ID.
-type keyed[K any] struct {
-	key K
+type keyed struct {
+	key int64
 	pos int32
 	id  tgm.NodeID
 }
 
-// sortKeyed is the comparison kernel: ids reordered by keys under
-// compare, ties by position.
-func sortKeyed[K any](ids []tgm.NodeID, keys []K, compare func(a, b K) int, desc bool) []tgm.NodeID {
-	rows := make([]keyed[K], len(ids))
+// sortCompared is the comparison kernel: ids reordered by keys, ties by
+// position.
+func sortCompared(ids []tgm.NodeID, keys []int64, desc bool) []tgm.NodeID {
+	rows := make([]keyed, len(ids))
 	for i, id := range ids {
-		rows[i] = keyed[K]{key: keys[i], pos: int32(i), id: id}
+		rows[i] = keyed{key: keys[i], pos: int32(i), id: id}
 	}
-	slices.SortFunc(rows, func(a, b keyed[K]) int {
-		c := compare(a.key, b.key)
+	slices.SortFunc(rows, func(a, b keyed) int {
+		c := cmp.Compare(a.key, b.key)
 		if desc {
 			c = -c
 		}
@@ -219,9 +202,10 @@ func sortKeyed[K any](ids []tgm.NodeID, keys []K, compare func(a, b K) int, desc
 }
 
 // denseSpan bounds the counting sort: integer keys whose range is at
-// most denseSpan buckets per row — reference counts, years, page
-// numbers, foreign keys — sort in O(n + range) with a bucket table no
-// larger than a few row-ID slices; anything sparser compares.
+// most denseSpan buckets per row — reference counts, the ranks of a
+// table that keeps most of its type's rows — sort in O(n + range) with
+// a bucket table no larger than a few row-ID slices; anything sparser
+// compares.
 const denseSpan = 4
 
 // sortInts orders ids by integer keys, choosing the kernel from the
@@ -237,7 +221,7 @@ func sortInts(ids []tgm.NodeID, keys []int64, desc bool) []tgm.NodeID {
 	// hi-lo as unsigned: exact even when the difference overflows int64.
 	span := uint64(hi) - uint64(lo)
 	if span >= uint64(denseSpan*len(keys)) {
-		return sortKeyed(ids, keys, cmp.Compare[int64], desc)
+		return sortCompared(ids, keys, desc)
 	}
 	// Counting sort. bucket maps a key to its rank among the distinct
 	// key values in output order, so Desc reverses buckets, not rows:

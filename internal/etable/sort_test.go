@@ -1,12 +1,15 @@
 package etable
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/snapshot"
@@ -19,10 +22,12 @@ import (
 // floats, strings, a column with NULLs and a column of mixed kinds, all
 // with heavy duplicates — and two neighbor edge types: every row has a
 // Tag (contiguous CSR sources once snapshot-loaded: the O(1) index),
-// only some rows have Marks (gaps: binary search). NaN is deliberately
-// absent: value.Compare calls it equal to everything, so no order —
-// stable or otherwise — is defined for it and the kernel promises only
-// a permutation (see sort.go).
+// only some rows have Marks (gaps: binary search). A "Spread" type has
+// the same columns, but its node IDs interleave with a "Gaps" type's,
+// so its rank is read through each node's Row instead of at id − lo.
+// NaN is deliberately absent: value.Compare calls it equal to every
+// number, so no stable sort by it is defined; TestSortNaNKeepsOrder
+// pins what the kernel does with it (tgm/rank.go).
 func sortFuzzGraph(t *testing.T, rng *rand.Rand, rows int) *tgm.InstanceGraph {
 	t.Helper()
 	schema := tgm.NewSchemaGraph()
@@ -31,16 +36,20 @@ func sortFuzzGraph(t *testing.T, rng *rand.Rand, rows int) *tgm.InstanceGraph {
 			t.Fatal(err)
 		}
 	}
-	nt("Rows",
-		tgm.Attr{Name: "id", Type: value.KindInt}, tgm.Attr{Name: "dense", Type: value.KindInt},
-		tgm.Attr{Name: "sparse", Type: value.KindInt}, tgm.Attr{Name: "flag", Type: value.KindBool},
-		tgm.Attr{Name: "score", Type: value.KindFloat}, tgm.Attr{Name: "name", Type: value.KindString},
-		tgm.Attr{Name: "holes", Type: value.KindInt}, tgm.Attr{Name: "mixed", Type: value.KindString})
+	rowAttrs := []tgm.Attr{
+		{Name: "id", Type: value.KindInt}, {Name: "dense", Type: value.KindInt},
+		{Name: "sparse", Type: value.KindInt}, {Name: "flag", Type: value.KindBool},
+		{Name: "score", Type: value.KindFloat}, {Name: "name", Type: value.KindString},
+		{Name: "holes", Type: value.KindInt}, {Name: "mixed", Type: value.KindString}}
+	nt("Rows", rowAttrs...)
+	nt("Spread", rowAttrs...)
 	nt("Tags", tgm.Attr{Name: "tag", Type: value.KindString})
 	nt("Marks", tgm.Attr{Name: "mark", Type: value.KindString})
+	nt("Gaps", tgm.Attr{Name: "gap", Type: value.KindString})
 	for _, et := range []tgm.EdgeType{
 		{Name: "Rows→Tags", Source: "Rows", Target: "Tags", Kind: tgm.EdgeManyToMany},
 		{Name: "Rows→Marks", Source: "Rows", Target: "Marks", Kind: tgm.EdgeManyToMany},
+		{Name: "Spread→Tags", Source: "Spread", Target: "Tags", Kind: tgm.EdgeManyToMany},
 	} {
 		if _, err := schema.AddBidirectional(et); err != nil {
 			t.Fatal(err)
@@ -75,16 +84,19 @@ func sortFuzzGraph(t *testing.T, rng *rand.Rand, rows int) *tgm.InstanceGraph {
 			return value.Str(names[rng.Intn(len(names))])
 		}
 	}
-	rowIDs := make([]tgm.NodeID, rows)
-	for i := range rowIDs {
+	addRow := func(typ string, i int) tgm.NodeID {
 		holes := value.Null
 		if rng.Intn(3) > 0 {
 			holes = value.Int(int64(rng.Intn(5)))
 		}
-		rowIDs[i] = add("Rows", value.Int(int64(i)), value.Int(int64(1990+rng.Intn(12))),
+		return add(typ, value.Int(int64(i)), value.Int(int64(1990+rng.Intn(12))),
 			value.Int(sparse[rng.Intn(len(sparse))]), value.Bool(rng.Intn(2) == 0),
 			value.Float(scores[rng.Intn(len(scores))]), value.Str(names[rng.Intn(len(names))]),
 			holes, mixed())
+	}
+	rowIDs := make([]tgm.NodeID, rows)
+	for i := range rowIDs {
+		rowIDs[i] = addRow("Rows", i)
 	}
 	var tags, marks []tgm.NodeID
 	for i := 0; i < 9; i++ {
@@ -102,6 +114,15 @@ func sortFuzzGraph(t *testing.T, rng *rand.Rand, rows int) *tgm.InstanceGraph {
 				t.Fatal(err)
 			}
 		}
+	}
+	for i := 0; i < rows/4; i++ {
+		id := addRow("Spread", i)
+		for n := rng.Intn(3); n > 0; n-- {
+			if err := g.AddEdge("Spread→Tags", id, tags[rng.Intn(len(tags))]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		add("Gaps", value.Str(fmt.Sprintf("gap%d", i)))
 	}
 	g.Freeze()
 	return g
@@ -170,12 +191,15 @@ func assertSortsLikeOracle(t *testing.T, label string, rng *rand.Rand, build fun
 }
 
 // TestSortKernelMatchesStableSortFuzz is the sort equivalence fuzz:
-// the typed-key kernel (counting and comparison arms, every key class,
-// Asc and Desc, sorts stacked on sorts) yields exactly the permutation
-// of a stable sort by value.Compare — on the graph as built (map
-// adjacency), eagerly loaded from a snapshot (CSR) and lazily loaded
-// (deferred CSR, out-of-core columns), for neighbor counts and for
-// participating-column counts over heap and spilled groupings.
+// the integer kernel over counts and attribute ranks (counting and
+// comparison arms, every key class, Asc and Desc, sorts stacked on
+// sorts) yields exactly the permutation of a stable sort by
+// value.Compare — on the graph as built (map adjacency), eagerly loaded
+// from a snapshot (CSR) and lazily loaded (deferred CSR, out-of-core
+// columns), for neighbor counts and for participating-column counts
+// over heap and spilled groupings, over a type with interleaved node
+// IDs, and over a filtered table whose ranks are too sparse for the
+// counting sort.
 func TestSortKernelMatchesStableSortFuzz(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	built := sortFuzzGraph(t, rng, 700)
@@ -198,22 +222,56 @@ func TestSortKernelMatchesStableSortFuzz(t *testing.T) {
 		g    *tgm.InstanceGraph
 	}{{"built", built}, {"eager", eager.Graph}, {"lazy", lazy.Graph}} {
 		g := form.g
+		prepare := func(p *Pattern) func() *Presentation {
+			return func() *Presentation {
+				matched, err := Match(g, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pr, err := Prepare(g, p, matched)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return pr
+			}
+		}
 		// Rows alone: base attributes plus the two neighbor columns.
 		open, err := Initiate(g.Schema(), "Rows")
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertSortsLikeOracle(t, form.name+"/open", rng, func() *Presentation {
-			matched, err := Match(g, open)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pr, err := Prepare(g, open, matched)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return pr
-		})
+		assertSortsLikeOracle(t, form.name+"/open", rng, prepare(open))
+
+		// Spread: every rank is read at the node's Row.
+		spread, err := Initiate(g.Schema(), "Spread")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, contiguous := g.TypeIDRange("Spread"); contiguous {
+			t.Fatal("Spread node IDs are contiguous")
+		}
+		assertSortsLikeOracle(t, form.name+"/interleaved", rng, prepare(spread))
+
+		// One year of Rows: the id ranks of the rows kept span the whole
+		// column, far over denseSpan per row, so they compare.
+		filtered, err := Select(open, "dense = 1995")
+		if err != nil {
+			t.Fatal(err)
+		}
+		pr := prepare(filtered)()
+		rank, err := g.AttrRank("Rows", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lo, hi := int32(len(rank)), int32(-1)
+		for _, id := range pr.rowIDs {
+			r := rank[g.Node(id).Row]
+			lo, hi = min(lo, r), max(hi, r)
+		}
+		if int(hi-lo) < denseSpan*pr.NumRows() {
+			t.Fatalf("filtered id ranks span %d over %d rows: the counting sort would take them", hi-lo, pr.NumRows())
+		}
+		assertSortsLikeOracle(t, form.name+"/filtered", rng, prepare(filtered))
 
 		// Rows joined to Tags, pivoted back: Tags is a participating
 		// column, counted from the prepared grouping — on the heap, and
@@ -225,17 +283,7 @@ func TestSortKernelMatchesStableSortFuzz(t *testing.T) {
 		if joined, err = Shift(joined, "Rows"); err != nil {
 			t.Fatal(err)
 		}
-		assertSortsLikeOracle(t, form.name+"/joined", rng, func() *Presentation {
-			matched, err := Match(g, joined)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pr, err := Prepare(g, joined, matched)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return pr
-		})
+		assertSortsLikeOracle(t, form.name+"/joined", rng, prepare(joined))
 		withSmallStreamBatches(t, 64)
 		assertSortsLikeOracle(t, form.name+"/spilled", rng, func() *Presentation {
 			pol, metrics := testSpillPolicy(t, 32)
@@ -311,4 +359,232 @@ func TestSortIntsBothArms(t *testing.T) {
 		check(fmt.Sprintf("n=%d sparse", n), spread(n, 1<<50))
 	}
 	check("full range", []int64{math.MaxInt64, 0, math.MinInt64, -1, math.MaxInt64, math.MinInt64})
+}
+
+// prepareOpen prepares the unfiltered table of one node type.
+func prepareOpen(t *testing.T, g *tgm.InstanceGraph, typeName string) *Presentation {
+	t.Helper()
+	p, err := Initiate(g.Schema(), typeName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	matched, err := Match(g, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr, err := Prepare(g, p, matched)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pr
+}
+
+// TestSortNaNKeepsOrder: a column with NaN sorts every other row exactly
+// as the stable value.Compare sort does, and keeps its NaN rows together
+// in their receiver order, in both directions.
+func TestSortNaNKeepsOrder(t *testing.T) {
+	schema := tgm.NewSchemaGraph()
+	if _, err := schema.AddNodeType(tgm.NodeType{Name: "T", Kind: tgm.NodeEntity, Label: "x",
+		Attrs: []tgm.Attr{{Name: "x", Type: value.KindFloat}}}); err != nil {
+		t.Fatal(err)
+	}
+	g := tgm.NewInstanceGraph(schema)
+	rng := rand.New(rand.NewSource(3))
+	pool := []value.V{value.Float(math.NaN()), value.Float(math.Inf(-1)), value.Float(-1), value.Float(0),
+		value.Float(2.5), value.Int(2), value.Int(7), value.Null, value.Bool(true), value.Str("s")}
+	for i := 0; i < 400; i++ {
+		if _, err := g.AddNode("T", []value.V{pool[rng.Intn(len(pool))]}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g.Freeze()
+	pr := prepareOpen(t, g, "T")
+	isNaN := func(id tgm.NodeID) bool {
+		v := g.Node(id).AttrAt(0)
+		return v.Kind() == value.KindFloat && math.IsNaN(v.AsFloat())
+	}
+	for _, desc := range []bool{false, true} {
+		v, err := pr.SortedView(SortSpec{Attr: "x", Desc: desc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got, nans, want []tgm.NodeID
+		first, last := -1, -1
+		for i, id := range v.rowIDs {
+			if isNaN(id) {
+				nans = append(nans, id)
+				if first < 0 {
+					first = i
+				}
+				last = i
+			} else {
+				got = append(got, id)
+			}
+		}
+		for _, id := range pr.rowIDs {
+			if !isNaN(id) {
+				want = append(want, id)
+			}
+		}
+		sort.SliceStable(want, func(i, j int) bool {
+			c := value.Compare(g.Node(want[i]).AttrAt(0), g.Node(want[j]).AttrAt(0))
+			if desc {
+				return c > 0
+			}
+			return c < 0
+		})
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("desc=%v: non-NaN rows leave the stable value.Compare order", desc)
+		}
+		if len(nans) == 0 || last-first+1 != len(nans) || !sort.SliceIsSorted(nans, func(i, j int) bool { return nans[i] < nans[j] }) {
+			t.Fatalf("desc=%v: %d NaN rows at positions %d…%d, not one block in receiver order", desc, len(nans), first, last)
+		}
+	}
+}
+
+// TestConcurrentFirstSortsShareOneRank: eight goroutines taking their
+// first sort by one attribute at once get one permutation, and the graph
+// keeps one rank for them all. Run under -race by scripts/check.sh.
+func TestConcurrentFirstSortsShareOneRank(t *testing.T) {
+	g := sortFuzzGraph(t, rand.New(rand.NewSource(8)), 500)
+	pr := prepareOpen(t, g, "Rows")
+	ai := pr.primType.AttrIndex("name")
+	views := make([][]tgm.NodeID, 8)
+	ranks := make([][]int32, len(views))
+	errs := make([]error, len(views))
+	var start, done sync.WaitGroup
+	start.Add(1)
+	for i := range views {
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			start.Wait()
+			v, err := pr.SortedView(SortSpec{Attr: "name", Desc: true})
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			views[i] = v.rowIDs
+			ranks[i], errs[i] = g.AttrRank("Rows", ai)
+		}()
+	}
+	start.Done()
+	done.Wait()
+	for i := range views {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if !reflect.DeepEqual(views[i], views[0]) {
+			t.Fatalf("goroutine %d sorted differently", i)
+		}
+		if &ranks[i][0] != &ranks[0][0] {
+			t.Fatalf("goroutine %d sees a rank of its own", i)
+		}
+	}
+}
+
+// corruptLastColumn saves g to a snapshot and flips the last byte of its
+// last column section (the last attribute of the last type), returning
+// the path.
+func corruptLastColumn(t *testing.T, g *tgm.InstanceGraph) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "corrupt.etsnap")
+	if _, err := snapshot.SaveFile(path, g); err != nil {
+		t.Fatal(err)
+	}
+	info, err := snapshot.ReadInfo(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var off int64 = -1
+	for _, sec := range info.Sections {
+		if sec.Tag == "NCOL" {
+			off = int64(sec.Offset + sec.Length - 1)
+		}
+	}
+	if off < 0 {
+		t.Fatal("no NCOL section")
+	}
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	b := make([]byte, 1)
+	if _, err := f.ReadAt(b, off); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte{b[0] ^ 0x5a}, off); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestSortCorruptColumn: on a lazily loaded snapshot whose sorted column
+// is damaged, SortedView fails with the typed *snapshot.CorruptError —
+// on every try, since a failed rank build is not kept — and leaves
+// nothing pinned; a sort by an intact column of the same table runs.
+func TestSortCorruptColumn(t *testing.T) {
+	schema := tgm.NewSchemaGraph()
+	if _, err := schema.AddNodeType(tgm.NodeType{Name: "A", Kind: tgm.NodeEntity, Label: "k",
+		Attrs: []tgm.Attr{{Name: "k", Type: value.KindInt}, {Name: "s", Type: value.KindString}}}); err != nil {
+		t.Fatal(err)
+	}
+	g := tgm.NewInstanceGraph(schema)
+	for i := 0; i < 300; i++ {
+		if _, err := g.AddNode("A", []value.V{value.Int(int64(i % 17)), value.Str(fmt.Sprintf("name %d", i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g.Freeze()
+	ls, err := snapshot.LazyLoad(corruptLastColumn(t, g), snapshot.LazyOptions{PoolSections: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ls.Close()
+	pr := prepareOpen(t, ls.Graph, "A")
+	for try := 0; try < 2; try++ {
+		_, err := pr.SortedView(SortSpec{Attr: "s"})
+		var ce *snapshot.CorruptError
+		if !errors.As(err, &ce) {
+			t.Fatalf("try %d: sort by a corrupt column = %v, want *snapshot.CorruptError", try, err)
+		}
+		if st, _ := ls.PagerStats(); st.Pinned != 0 {
+			t.Fatalf("try %d: %d columns left pinned", try, st.Pinned)
+		}
+	}
+	if _, err := pr.SortedView(SortSpec{Attr: "k", Desc: true}); err != nil {
+		t.Fatalf("sort by an intact column: %v", err)
+	}
+}
+
+// TestValidateSortReadsMetadataOnly: validating a sort faults nothing in
+// on an out-of-core graph — the column and its rank wait for the sort.
+func TestValidateSortReadsMetadataOnly(t *testing.T) {
+	built := sortFuzzGraph(t, rand.New(rand.NewSource(9)), 200)
+	path := filepath.Join(t.TempDir(), "validate.etsnap")
+	if _, err := snapshot.SaveFile(path, built); err != nil {
+		t.Fatal(err)
+	}
+	ls, err := snapshot.LazyLoad(path, snapshot.LazyOptions{PoolSections: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ls.Close()
+	pr := prepareOpen(t, ls.Graph, "Rows")
+	before, _ := ls.PagerStats()
+	for _, spec := range sortSpecsOf(pr) {
+		if err := pr.ValidateSort(spec); err != nil {
+			t.Fatalf("ValidateSort(%+v): %v", spec, err)
+		}
+	}
+	if after, _ := ls.PagerStats(); after.Misses != before.Misses {
+		t.Fatalf("ValidateSort faulted %d columns in", after.Misses-before.Misses)
+	}
+	if _, err := pr.SortedView(SortSpec{Attr: "name"}); err != nil {
+		t.Fatal(err)
+	}
+	if after, _ := ls.PagerStats(); after.Misses == before.Misses {
+		t.Fatal("the sort itself faulted nothing in: the check above proves nothing")
+	}
 }

@@ -55,7 +55,8 @@ type Presentation struct {
 	pattern   *Pattern
 	primType  *tgm.NodeType
 	columns   []Column
-	rowIDs    []tgm.NodeID // row order; ID-ascending unless a SortedView
+	rowIDs    []tgm.NodeID // row order; ID-ascending unless reordered
+	reordered bool         // a SortedView: rowIDs no longer match the groupings' keys
 	parts     []partCol
 	neighbors []neighborCol
 	// view caches the resolved columns for memory-resident graphs, set

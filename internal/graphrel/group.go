@@ -74,6 +74,11 @@ func (gs *Groups) segment(id tgm.NodeID) []tgm.NodeID {
 // Count returns the number of distinct values grouped under id.
 func (gs *Groups) Count(id tgm.NodeID) int { return len(gs.segment(id)) }
 
+// CountAt returns the number of distinct values grouped under keys[k],
+// the k-th group in key order: two loads, where Count searches for the
+// key first.
+func (gs *Groups) CountAt(k int) int { return int(gs.offs[k+1] - gs.offs[k]) }
+
 // Refs returns id's values, ascending and deduplicated; the slice must
 // not be modified. The error is always nil: the signature is
 // SpilledGroups.Refs', so a consumer reads a grouping of either

@@ -98,6 +98,8 @@ type colBlock struct {
 	typeName string
 	cols     [][]value.V
 	src      ColumnSource
+	// ranks[ai] memoizes column ai's order (AttrRank).
+	ranks []rankMemo
 }
 
 func (b *colBlock) column(ai int) ([]value.V, error) {
@@ -121,12 +123,14 @@ func (b *colBlock) column(ai int) ([]value.V, error) {
 // read forever; the serving stack depends on this. Freeze marks the end
 // of the build phase: after Freeze, mutators fail and every read
 // accessor — Node, NodesOfType, Neighbors, Degree, HasEdge,
-// AvgOutDegree, EdgeTypeCount, ComputeStats, FindNode, AttrColumn — is
-// safe for unsynchronized concurrent use, because nothing writes. All
-// indexes (adjacency, per-type node lists, edge totals) are maintained
-// eagerly at insertion time; the one deliberately lazy state is
-// out-of-core attribute columns, whose residency is owned by the
-// attached ColumnSource (which must itself be concurrency-safe).
+// AvgOutDegree, EdgeTypeCount, ComputeStats, FindNode, AttrColumn,
+// AttrRank — is safe for unsynchronized concurrent use. All indexes
+// (adjacency, per-type node lists, edge totals) are maintained eagerly
+// at insertion time; the deliberately lazy state is out-of-core
+// attribute columns, whose residency is owned by the attached
+// ColumnSource (which must itself be concurrency-safe), deferred
+// adjacency (built once under a sync.Once) and attribute ranks (built
+// once per column under a mutex, see AttrRank).
 // translate.Translate freezes the graph before returning it, which is
 // what lets the server share one execution cache of graphrel.Relations
 // (whose base columns alias these node lists) across all sessions.
@@ -286,7 +290,8 @@ func (g *InstanceGraph) Frozen() bool { return g.frozen.Load() }
 func (g *InstanceGraph) block(nt *NodeType) *colBlock {
 	b := g.blocks[nt.Name]
 	if b == nil {
-		b = &colBlock{typeName: nt.Name, cols: make([][]value.V, len(nt.Attrs)), src: g.colSrc}
+		b = &colBlock{typeName: nt.Name, cols: make([][]value.V, len(nt.Attrs)), src: g.colSrc,
+			ranks: make([]rankMemo, len(nt.Attrs))}
 		g.blocks[nt.Name] = b
 	}
 	return b

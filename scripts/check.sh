@@ -82,6 +82,17 @@ if grep -rnE 'nodeFallbackEnv|evalFn|func\(([A-Za-z_][A-Za-z0-9_]* )?\*tgm\.Node
 	exit 1
 fi
 
+# A sort compares integers: attribute sorts read the column's rank
+# (tgm.InstanceGraph.AttrRank), built once per graph, so no per-sort
+# comparison over strings or values may come back into the engine
+# (ROADMAP 2b). Comment lines are exempt.
+echo "==> no per-sort string or value comparison in internal/etable"
+if grep -rnE '\b(strings|value)\.Compare\b|cmp\.Compare\[string\]|sortKeyed\(' \
+	--include='*.go' --exclude='*_test.go' internal/etable | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'; then
+	echo "a per-sort string or value comparison reappeared in internal/etable (see above)" >&2
+	exit 1
+fi
+
 echo "==> go test -race ./..."
 go test -race -run "$pattern" ./...
 
