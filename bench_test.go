@@ -1084,11 +1084,14 @@ func (d *discardResponse) Header() http.Header         { return d.h }
 func (d *discardResponse) WriteHeader(status int)      { d.status = status }
 func (d *discardResponse) Write(p []byte) (int, error) { d.n += len(p); return len(p), nil }
 
-// BenchmarkStateEncode measures what is left of a page read once the
-// window is memoized: one GET of the same 100-row Papers window through
-// the serving core's handler, so each iteration is session lookup +
-// state encoding + the write, with no match, prepare or transform. MB/s
-// is response bytes; B/op is the encoder's garbage per page.
+// BenchmarkStateEncode measures a page read once the presentation is
+// prepared: one GET of the same 100-row Papers window through the
+// serving core's handler, so each iteration is session lookup, the
+// window's cursor read straight into the response from the label
+// fragments, and the write — no match, prepare or Result. MB/s is
+// response bytes; B/op is the request's garbage per page (the handler
+// and the write; the encoder itself allocates nothing, see
+// internal/server BenchmarkWindowEncode).
 func BenchmarkStateEncode(b *testing.B) {
 	tr := corpusAt(b, pageScanRows)
 	srv := server.NewWithOptions(tr.Schema, tr.Instance, server.Options{})
@@ -1104,7 +1107,7 @@ func BenchmarkStateEncode(b *testing.B) {
 		}
 		return w
 	}
-	b.SetBytes(int64(get().n)) // also memoizes the window
+	b.SetBytes(int64(get().n)) // also builds the label fragments
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -60,19 +60,26 @@
 // # Windowed presentation
 //
 // Prepare computes what depends on the whole matched relation (row set,
-// column layout, per-column groupings) and no cells; Window materializes
-// any row range of it in one serial pass, allocating exactly the rows,
-// cells and references it fills into a Result the caller owns for as
-// long as it likes; SortedView reorders the row
-// IDs between the two. A prepared Presentation is immutable — SortedView
-// returns a copy owning a fresh row-ID slice, and a view of a view
-// stacks sorts — so any number of windows may read one concurrently.
+// column layout, per-column groupings) and no cells. A Cursor reads any
+// row range of it, over any subset of its columns, in one serial pass —
+// per row the primary node ID, per cell a base value or the reference
+// IDs (a CSR segment, an adjacency list, or a spilled run read into one
+// reused buffer) — pinning only the primary type's base columns it
+// reads and no label column. Its two consumers are the server's state
+// encoder, which writes bytes straight from it, and Window (WindowOpts,
+// WindowColumns), which materializes a Result the caller owns for as
+// long as it likes, allocating exactly the rows, cells and references
+// it fills and reading the label columns. SortedView reorders the row
+// IDs between the two phases. A prepared Presentation is immutable —
+// SortedView returns a copy owning a fresh row-ID slice, and a view of
+// a view stacks sorts — so any number of cursors may read one
+// concurrently.
 // There is one Prepare kernel, PrepareOpts: the rows are
 // graphrel.DistinctSorted (a transient bitset read back in order), each
 // participating column a graphrel.GroupNeighbors grouping in CSR form —
 // the sorted row IDs as keys, shared by every column, plus offsets and
 // one values array — so a presentation retains O(rows + deduplicated
-// pairs), nothing sized by a node type, and windows read a group by
+// pairs), nothing sized by a node type, and cursors read a group by
 // binary search on the row IDs (a sort of the prepared order reads
 // group i as row i). A spilled prepare holds
 // graphrel.SpilledGroups instead; groupSource has those two

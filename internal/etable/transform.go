@@ -18,28 +18,37 @@ import (
 //   - Prepare computes everything that depends on the whole matched
 //     relation — the distinct primary rows, the column layout, and the
 //     per-column neighbor groupings — but materializes no cells.
-//   - Window materializes any [offset, offset+limit) row range of the
-//     presentation in one transformRange call on the caller's
-//     goroutine. The serving path's windows are pages — at most 100
-//     rows on every benchmark workload (PERFORMANCE.md §17) — so there
-//     is no morsel to fan out.
+//   - A Cursor reads any [lo, hi) row range of the presentation, over
+//     any subset of its columns, on the caller's goroutine: per row the
+//     primary node ID, per cell a base value or the reference IDs. It
+//     has two consumers. The server's state encoder writes the cells
+//     straight to response bytes, and transformRange (Window,
+//     WindowOpts, WindowColumns) materializes them as a Result for
+//     cmd/etable, render, the examples and the tests. The serving
+//     path's windows are pages — at most 100 rows on every benchmark
+//     workload (PERFORMANCE.md §17) — so there is no morsel to fan out.
 //
 // Splitting the phases is what makes paging cheap: a session prepares
 // a Presentation once, then each page fetch pays only for the rows it
-// returns — O(window), not O(table). A Presentation owns everything its
-// windows read; the matched relation is an input of Prepare and is not
-// referenced afterwards.
+// returns — O(window), not O(table). Hidden columns are skipped before
+// anything is read: a cursor pins and reads only the columns it lists.
+// A Presentation owns everything its windows read; the matched
+// relation is an input of Prepare and is not referenced afterwards.
 //
-// Allocation discipline: all cells of a window share one backing
-// array, its entity references are carved from one arena, empty
-// reference lists share a single package-level slice, and non-string
-// labels are interned per window so N references to one node share one
-// rendered string (string labels are the stored strings themselves).
+// Allocation discipline: a cursor over a memory-resident graph
+// allocates nothing, and reads a spilled grouping into one buffer it
+// reuses for every cell. transformRange allocates exactly what its
+// Result holds: all cells of a window share one backing array, its
+// entity references are carved from one arena, empty reference lists
+// share a single package-level slice, and non-string labels are
+// interned per window so N references to one node share one rendered
+// string (string labels are the stored strings themselves).
 //
-// Label reads: every reference column carries its target type's label
-// column, bound to that type's ID layout when the view is resolved
-// (labelCol). Where the type's node IDs are one contiguous run, a
-// reference's label is vals[id-lo] — no node lookup, no map probe.
+// Label reads: the cursor reads no label. transformRange, the only
+// reader of label columns, binds every reference column to its target
+// type's label column and ID layout (labelCol). Where the type's node
+// IDs are one contiguous run, a reference's label is vals[id-lo] — no
+// node lookup, no map probe.
 
 // Presentation is a prepared format transformation over one matched
 // relation: the canonical row order, the column layout, and the
@@ -59,6 +68,8 @@ type Presentation struct {
 	reordered bool         // a SortedView: rowIDs no longer match the groupings' keys
 	parts     []partCol
 	neighbors []neighborCol
+	// allCols lists every column ordinal, the cursor's nil column list.
+	allCols []int
 	// view caches the resolved columns for memory-resident graphs, set
 	// once at Prepare so windows pay no column resolution at all. For
 	// out-of-core graphs it stays nil and every window pins its own
@@ -95,13 +106,15 @@ func (pr *Presentation) Close() error {
 	return err
 }
 
-// colView is the set of resolved attribute columns one window reads:
-// the primary type's base columns (indexed [attr][row]) and, per
-// reference column, the label column of the column's target type (refs
-// is indexed like the presentation's columns; base columns leave their
-// slot zero).
+// colView is the set of resolved attribute columns a materialized
+// window reads: the primary type's base columns (indexed [attr][row]),
+// its label column, and, per reference column, the label column of the
+// column's target type (refs is indexed like the presentation's
+// columns; base columns leave their slot zero). The cursor reads base
+// only; labels are transformRange's.
 type colView struct {
 	base [][]value.V
+	prim []value.V
 	refs []labelCol
 }
 
@@ -130,59 +143,81 @@ func (lc *labelCol) value(id tgm.NodeID) value.V {
 	return lc.vals[lc.g.Node(id).Row]
 }
 
-// pinColumns resolves (and, on out-of-core graphs, pins) every column a
-// window materialization reads: the primary type's base columns and the
-// label column behind each reference column, pinned once per type. The
-// release must be called exactly once after the window's rows are
-// written; on memory-resident graphs both the pins and the release are
-// no-ops and the cached Prepare-time view is returned. A column fault
-// failure — e.g. a *snapshot.CorruptError on a damaged section — aborts
-// the window before any row is rendered.
-func (pr *Presentation) pinColumns() (*colView, func(), error) {
+// pins collects the releases of the columns one window pinned.
+type pins []func()
+
+// pin resolves attribute ai of typeName — pinned against eviction on an
+// out-of-core graph — and records its release.
+func (p *pins) pin(g *tgm.InstanceGraph, typeName string, ai int) ([]value.V, error) {
+	col, rel, err := g.PinAttrColumn(typeName, ai)
+	if err != nil {
+		return nil, err
+	}
+	*p = append(*p, rel)
+	return col, nil
+}
+
+// release releases every recorded pin.
+func (p pins) release() {
+	for _, r := range p {
+		r()
+	}
+}
+
+// pinBase resolves the primary type's base columns that cols (column
+// ordinals) reads, pinning each on an out-of-core
+// graph; unread attributes stay nil. On memory-resident graphs the
+// Prepare-time view is returned and nothing is pinned.
+func (pr *Presentation) pinBase(cols []int, p *pins) ([][]value.V, error) {
 	if pr.view != nil {
-		return pr.view, func() {}, nil
+		return pr.view.base, nil
+	}
+	base := make([][]value.V, len(pr.primType.Attrs))
+	for _, ci := range cols {
+		if ci < len(base) {
+			col, err := p.pin(pr.g, pr.primType.Name, ci)
+			if err != nil {
+				return nil, err
+			}
+			base[ci] = col
+		}
+	}
+	return base, nil
+}
+
+// pinLabels resolves the label columns a materialized window reads —
+// the primary type's, for the row labels, and the target type's of each
+// reference column in cols (column ordinals) — pinning each type's
+// once. On memory-resident graphs the Prepare-time view is returned.
+func (pr *Presentation) pinLabels(cols []int, p *pins) (*colView, error) {
+	if pr.view != nil {
+		return pr.view, nil
 	}
 	g := pr.g
-	view := &colView{
-		base: make([][]value.V, len(pr.primType.Attrs)),
-		refs: make([]labelCol, len(pr.columns)),
+	label := func(tn string) ([]value.V, error) {
+		return p.pin(g, tn, g.Schema().NodeType(tn).LabelIndex())
 	}
-	var releases []func()
-	releaseAll := func() {
-		for _, r := range releases {
-			r()
-		}
+	prim, err := label(pr.primType.Name)
+	if err != nil {
+		return nil, err
 	}
-	for ai := range pr.primType.Attrs {
-		col, rel, err := g.PinAttrColumn(pr.primType.Name, ai)
-		if err != nil {
-			releaseAll()
-			return nil, nil, err
-		}
-		releases = append(releases, rel)
-		view.base[ai] = col
-	}
-	labels := map[string][]value.V{pr.primType.Name: view.base[pr.primType.LabelIndex()]}
-	for ci := range pr.columns {
+	view := &colView{prim: prim, refs: make([]labelCol, len(pr.columns))}
+	byType := map[string][]value.V{pr.primType.Name: prim}
+	for _, ci := range cols {
 		if pr.columns[ci].Kind == ColBase {
 			continue
 		}
 		tn := pr.columns[ci].TargetType
-		col, ok := labels[tn]
+		col, ok := byType[tn]
 		if !ok {
-			var rel func()
-			var err error
-			col, rel, err = g.PinAttrColumn(tn, g.Schema().NodeType(tn).LabelIndex())
-			if err != nil {
-				releaseAll()
-				return nil, nil, err
+			if col, err = label(tn); err != nil {
+				return nil, err
 			}
-			releases = append(releases, rel)
-			labels[tn] = col
+			byType[tn] = col
 		}
 		view.refs[ci] = newLabelCol(g, tn, col)
 	}
-	return view, releaseAll, nil
+	return view, nil
 }
 
 // groupSource is a participating column's row → related-nodes
@@ -191,10 +226,11 @@ func (pr *Presentation) pinColumns() (*colView, func(), error) {
 // directory over a values file) when the prepare overflowed to disk.
 // Count is IO-free on both forms — it is what the sort key and the
 // window's arena-sizing pass read — while Refs may fault runs back in
-// and can therefore fail with a typed error.
+// and can therefore fail with a typed error. Refs returns the heap
+// form's CSR segment itself and reads the spilled form into *buf.
 type groupSource interface {
 	Count(id tgm.NodeID) int
-	Refs(id tgm.NodeID) ([]tgm.NodeID, error)
+	Refs(buf *[]tgm.NodeID, id tgm.NodeID) ([]tgm.NodeID, error)
 }
 
 // partCol is one participating node column (A_t) with its precomputed
@@ -215,13 +251,33 @@ type neighborCol struct {
 }
 
 // ensureNeighbors materializes the adjacency behind every neighbor
-// column, returning a deferred load's typed error instead of letting a
-// failed load read as "no neighbors".
-func (pr *Presentation) ensureNeighbors() error {
-	for _, nc := range pr.neighbors {
-		if err := nc.adj.Ensure(); err != nil {
-			return err
+// column in cols (column ordinals), returning a deferred load's typed
+// error instead of letting a failed load read as "no neighbors".
+func (pr *Presentation) ensureNeighbors(cols []int) error {
+	for _, ci := range cols {
+		if nc := pr.neighborAt(ci); nc != nil {
+			if err := nc.adj.Ensure(); err != nil {
+				return err
+			}
 		}
+	}
+	return nil
+}
+
+// partAt and neighborAt map a column ordinal to its reference source.
+// The layout is fixed — base attributes, then participating columns,
+// then neighbor columns — so the lookup is arithmetic; each returns nil
+// for a column of another family.
+func (pr *Presentation) partAt(ci int) *partCol {
+	if k := ci - len(pr.primType.Attrs); k >= 0 && k < len(pr.parts) {
+		return &pr.parts[k]
+	}
+	return nil
+}
+
+func (pr *Presentation) neighborAt(ci int) *neighborCol {
+	if k := ci - len(pr.primType.Attrs) - len(pr.parts); k >= 0 && k < len(pr.neighbors) {
+		return &pr.neighbors[k]
 	}
 	return nil
 }
@@ -325,15 +381,29 @@ func (pr *Presentation) layoutColumns(p *Pattern, parts []groupSource) error {
 // on memory-resident graphs it resolves the whole column view now, so
 // the per-window hot path does no column lookups at all.
 func (pr *Presentation) finishPrepare() error {
-	if !pr.g.ColumnSourceAttached() {
-		view, _, err := pr.pinColumns()
-		if err != nil {
-			return err
-		}
-		pr.view = view
+	pr.allCols = make([]int, len(pr.columns))
+	for i := range pr.allCols {
+		pr.allCols[i] = i
 	}
+	if pr.g.ColumnSourceAttached() {
+		return nil
+	}
+	var p pins // memory-resident: every release is a no-op
+	base, err := pr.pinBase(pr.allCols, &p)
+	if err != nil {
+		return err
+	}
+	view, err := pr.pinLabels(pr.allCols, &p)
+	if err != nil {
+		return err
+	}
+	view.base = base
+	pr.view = view
 	return nil
 }
+
+// PrimaryType returns the node type of the presentation's rows.
+func (pr *Presentation) PrimaryType() *tgm.NodeType { return pr.primType }
 
 // NumRows returns the full table's row count (no rows need be
 // materialized to know it).
@@ -343,115 +413,236 @@ func (pr *Presentation) NumRows() int { return len(pr.rowIDs) }
 // modified; materialized Results alias it.
 func (pr *Presentation) Columns() []Column { return pr.columns }
 
+// Bounds clamps the [offset, offset+limit) window to the table: limit
+// < 0 means "all rows from offset", and an offset past the end clamps
+// to an empty window at the end — paging past a table that shrank is
+// not an error. offset must not be negative.
+func (pr *Presentation) Bounds(offset, limit int) (lo, hi int) {
+	total := len(pr.rowIDs)
+	lo = min(offset, total)
+	hi = total
+	if limit >= 0 && limit < total-lo {
+		hi = lo + limit
+	}
+	return lo, hi
+}
+
 // Window materializes the [offset, offset+limit) row window. See
 // WindowOpts.
 func (pr *Presentation) Window(offset, limit int) (*Result, error) {
 	return pr.WindowOpts(offset, limit, ExecOptions{})
 }
 
-// WindowOpts materializes one row window of the presentation. limit < 0
-// means "all rows from offset"; limit 0 returns a row-less result that
-// still carries the table metadata (columns, TotalRows). An offset past
-// the end clamps to an empty window — paging past a table that shrank
-// is not an error. The returned Result's TotalRows and Offset locate
-// the window; Rows is row- and cell-identical to the same slice of a
-// full render. Of the options only Ctx is read: the window is one
-// transformRange call on the caller's goroutine.
+// WindowOpts materializes one row window of every column. See
+// WindowColumns.
 func (pr *Presentation) WindowOpts(offset, limit int, opt ExecOptions) (*Result, error) {
+	return pr.WindowColumns(offset, limit, nil, opt)
+}
+
+// WindowColumns materializes one row window of the presentation,
+// restricted to the columns whose ordinals visible lists (nil = every
+// column). The window is Bounds(offset, limit); limit 0 returns a
+// row-less result that still carries the table metadata (columns,
+// TotalRows). The returned Result's TotalRows and Offset locate the
+// window; Rows is row- and cell-identical to the same slice of a full
+// render with the other columns dropped. Of the options only Ctx is
+// read: the window is one transformRange pass over a Cursor on the
+// caller's goroutine.
+func (pr *Presentation) WindowColumns(offset, limit int, visible []int, opt ExecOptions) (*Result, error) {
 	if offset < 0 {
 		return nil, fmt.Errorf("etable: negative window offset %d", offset)
 	}
-	total := len(pr.rowIDs)
-	start := offset
-	if start > total {
-		start = total
-	}
-	end := total
-	if limit >= 0 && limit < total-start {
-		end = start + limit
+	lo, hi := pr.Bounds(offset, limit)
+	cols := pr.columns
+	if visible != nil {
+		cols = make([]Column, len(visible))
+		for k, ci := range visible {
+			cols[k] = pr.columns[ci]
+		}
 	}
 	res := &Result{
-		Pattern: pr.pattern, PrimaryType: pr.primType, Columns: pr.columns,
-		TotalRows: total, Offset: start,
+		Pattern: pr.pattern, PrimaryType: pr.primType, Columns: cols,
+		TotalRows: len(pr.rowIDs), Offset: lo,
 	}
-	if start == end {
+	if lo == hi {
 		res.Rows = make([]Row, 0)
 		return res, ctxErr(opt.Ctx)
 	}
-	// Pin the window's columns for the duration of materialization: on
-	// an out-of-core graph this faults in exactly the columns the window
-	// renders and guards them against eviction until every row has been
-	// written; a corrupt section fails the whole window here with its
-	// typed error before any row materializes.
-	view, release, err := pr.pinColumns()
+	// The cursor pins the window's base columns and pinLabels its label
+	// columns for the duration of materialization: on an out-of-core
+	// graph this faults in exactly the columns the window renders and
+	// guards them against eviction until every row has been written; a
+	// corrupt section fails the whole window here with its typed error
+	// before any row materializes.
+	c, err := pr.Cursor(lo, hi, visible)
 	if err != nil {
 		return nil, err
 	}
-	defer release()
-	if err := pr.ensureNeighbors(); err != nil {
+	defer c.Close()
+	var p pins
+	defer func() { p.release() }()
+	view, err := pr.pinLabels(c.cols, &p)
+	if err != nil {
 		return nil, err
 	}
 	if err := ctxErr(opt.Ctx); err != nil {
 		return nil, err
 	}
-	if res.Rows, err = pr.transformRange(view, start, end); err != nil {
+	if res.Rows, err = pr.transformRange(&c, view); err != nil {
 		return nil, err
 	}
 	return res, nil
 }
 
+// Cursor reads rows [lo, hi) of a presentation in order without
+// materializing them: per row the primary node ID, per column either a
+// base value or the reference IDs. It is the one row reader of the
+// format transformation; transformRange (a Result) and the server's
+// state encoder (bytes) are its consumers.
+//
+// A cursor pins only the primary type's base columns that its columns
+// read, and reads no label: a consumer that renders labels resolves
+// them itself. On memory-resident graphs opening, reading and closing
+// a cursor allocate nothing; a spilled grouping's references are read
+// into one buffer the cursor reuses for every cell.
+type Cursor struct {
+	pr   *Presentation
+	cols []int
+	base [][]value.V
+	pins pins
+	pos  int
+	hi   int
+	id   tgm.NodeID
+	row  int32
+	buf  *[]tgm.NodeID // spilled groupings' read buffer; nil when nothing spilled
+}
+
+// Cursor opens a cursor over rows [lo, hi), which must lie within
+// [0, NumRows()] (see Bounds), reading the columns whose ordinals
+// visible lists (nil = every column; the slice is retained, not
+// copied). A non-empty window faults its base columns in and loads the
+// adjacency behind its neighbor columns here, so a corrupt section or a
+// failed load is this call's typed error and nothing is left pinned.
+// The caller must Close the cursor.
+func (pr *Presentation) Cursor(lo, hi int, visible []int) (Cursor, error) {
+	if lo < 0 || lo > hi || hi > len(pr.rowIDs) {
+		return Cursor{}, fmt.Errorf("etable: cursor range [%d, %d) outside %d rows", lo, hi, len(pr.rowIDs))
+	}
+	if visible == nil {
+		visible = pr.allCols
+	}
+	c := Cursor{pr: pr, cols: visible, pos: lo - 1, hi: hi}
+	if lo == hi {
+		return c, nil
+	}
+	if len(pr.closers) > 0 {
+		c.buf = new([]tgm.NodeID)
+	}
+	base, err := pr.pinBase(visible, &c.pins)
+	if err == nil {
+		err = pr.ensureNeighbors(visible)
+	}
+	if err != nil {
+		c.pins.release()
+		return Cursor{}, err
+	}
+	c.base = base
+	return c, nil
+}
+
+// Columns returns the column ordinals the cursor reads, in order.
+func (c *Cursor) Columns() []int { return c.cols }
+
+// Next advances to the next row, reporting false past the last one.
+func (c *Cursor) Next() bool {
+	c.pos++
+	if c.pos >= c.hi {
+		return false
+	}
+	c.id = c.pr.rowIDs[c.pos]
+	c.row = c.pr.g.Node(c.id).Row
+	return true
+}
+
+// Node returns the current row's primary node.
+func (c *Cursor) Node() tgm.NodeID { return c.id }
+
+// Value returns the current row's value in base column ci.
+func (c *Cursor) Value(ci int) value.V { return c.base[ci][c.row] }
+
+// Refs returns the current row's references in reference column ci:
+// ascending for a participating column, in adjacency order for a
+// neighbor column. The slice is the grouping's CSR segment or the
+// adjacency list itself, or, for a spilled grouping, the cursor's
+// buffer; it must not be modified and is valid until the next Refs
+// call. Reading a spilled run can fail with its typed error.
+func (c *Cursor) Refs(ci int) ([]tgm.NodeID, error) {
+	if pc := c.pr.partAt(ci); pc != nil {
+		return pc.src.Refs(c.buf, c.id)
+	}
+	return c.pr.neighborAt(ci).adj.Neighbors(c.id), nil
+}
+
+// refCount returns node id's reference count in reference column ci
+// without reading the references: IO-free on every grouping.
+func (pr *Presentation) refCount(ci int, id tgm.NodeID) int {
+	if pc := pr.partAt(ci); pc != nil {
+		return pc.src.Count(id)
+	}
+	return pr.neighborAt(ci).adj.Degree(id)
+}
+
+// Close releases the cursor's pins. Idempotent.
+func (c *Cursor) Close() {
+	c.pins.release()
+	c.pins = nil
+}
+
 // transformRange is the row-range transform kernel (§5.4.2 restricted
-// to rows [lo, hi) of the presentation order). It allocates exactly
-// what the range fills: the rows, one cell array they all slice, and
-// one entity-reference arena. A failed refs fault (a corrupt spill run,
-// a closed file) aborts the range with its typed error.
-func (pr *Presentation) transformRange(view *colView, lo, hi int) ([]Row, error) {
-	ncols := len(pr.columns)
-	nattrs := len(pr.primType.Attrs)
-	rows := make([]Row, hi-lo)
+// to the cursor's rows and columns), the cursor's Result consumer and
+// the only reader of label columns. It allocates exactly what the range
+// fills: the rows, one cell array they all slice, and one
+// entity-reference arena. A failed refs fault (a corrupt spill run, a
+// closed file) aborts the range with its typed error.
+func (pr *Presentation) transformRange(c *Cursor, view *colView) ([]Row, error) {
+	ncols := len(c.cols)
+	nrows := c.hi - c.pos - 1
+	rows := make([]Row, 0, nrows)
 	// All cells of the window share one backing array; each row slices
 	// its own disjoint piece (full-capacity sub-slices, so no append can
 	// cross row boundaries).
-	cells := make([]Cell, (hi-lo)*ncols)
+	cells := make([]Cell, nrows*ncols)
 
 	// Count the range's entity references first, then carve every cell's
 	// Refs from one arena sized to them. Counts are IO-free on every
 	// groupSource form — only the refs reads below can fault spilled runs.
 	refTotal := 0
-	for i := lo; i < hi; i++ {
-		id := pr.rowIDs[i]
-		for _, pc := range pr.parts {
-			refTotal += pc.src.Count(id)
-		}
-		for _, nc := range pr.neighbors {
-			refTotal += nc.adj.Degree(id)
+	for _, id := range pr.rowIDs[c.pos+1 : c.hi] {
+		for _, ci := range c.cols {
+			if pr.columns[ci].Kind != ColBase {
+				refTotal += pr.refCount(ci, id)
+			}
 		}
 	}
 	arena := make([]EntityRef, 0, refTotal)
 	intern := labelInterner{}
-	primLabels := view.base[pr.primType.LabelIndex()]
-	for i := lo; i < hi; i++ {
-		id := pr.rowIDs[i]
-		row := pr.g.Node(id).Row
-		cs := cells[(i-lo)*ncols : (i-lo+1)*ncols : (i-lo+1)*ncols]
-		for ai := 0; ai < nattrs; ai++ {
-			cs[ai] = Cell{Value: view.base[ai][row]}
-		}
-		for _, pc := range pr.parts {
-			ids, err := pc.src.Refs(id)
+	for r := 0; c.Next(); r++ {
+		id := c.Node()
+		cs := cells[r*ncols : (r+1)*ncols : (r+1)*ncols]
+		for k, ci := range c.cols {
+			if pr.columns[ci].Kind == ColBase {
+				cs[k] = Cell{Value: c.Value(ci)}
+				continue
+			}
+			ids, err := c.Refs(ci)
 			if err != nil {
 				return nil, err
 			}
 			var refs []EntityRef
-			arena, refs = appendRefs(arena, &view.refs[pc.col], intern, ids)
-			cs[pc.col] = Cell{Refs: refs}
+			arena, refs = appendRefs(arena, &view.refs[ci], intern, ids)
+			cs[k] = Cell{Refs: refs}
 		}
-		for _, nc := range pr.neighbors {
-			var refs []EntityRef
-			arena, refs = appendRefs(arena, &view.refs[nc.col], intern, nc.adj.Neighbors(id))
-			cs[nc.col] = Cell{Refs: refs}
-		}
-		rows[i-lo] = Row{Node: id, Label: intern.label(id, primLabels[row]), Cells: cs}
+		rows = append(rows, Row{Node: id, Label: intern.label(id, view.prim[c.row]), Cells: cs})
 	}
 	return rows, nil
 }

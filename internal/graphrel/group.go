@@ -79,11 +79,13 @@ func (gs *Groups) Count(id tgm.NodeID) int { return len(gs.segment(id)) }
 // key first.
 func (gs *Groups) CountAt(k int) int { return int(gs.offs[k+1] - gs.offs[k]) }
 
-// Refs returns id's values, ascending and deduplicated; the slice must
-// not be modified. The error is always nil: the signature is
-// SpilledGroups.Refs', so a consumer reads a grouping of either
-// residency through one interface.
-func (gs *Groups) Refs(id tgm.NodeID) ([]tgm.NodeID, error) { return gs.segment(id), nil }
+// Refs returns id's values, ascending and deduplicated: the CSR
+// segment itself, which must not be modified. buf is ignored and the
+// error is always nil: the signature is SpilledGroups.Refs', so a
+// consumer reads a grouping of either residency through one interface.
+func (gs *Groups) Refs(_ *[]tgm.NodeID, id tgm.NodeID) ([]tgm.NodeID, error) {
+	return gs.segment(id), nil
+}
 
 // GroupNeighbors computes, for every node of keys — the distinct nodes
 // at groupAttr, ascending (DistinctSorted) — the distinct co-occurring

@@ -82,7 +82,7 @@ func assertGroupsMatchOracle(t *testing.T, label string, got *Groups, want map[t
 		if got.Count(id) != len(w) {
 			t.Fatalf("%s: Count(%d) = %d, want %d", label, id, got.Count(id), len(w))
 		}
-		if refs, err := got.Refs(id); err != nil || !slices.Equal(refs, w) {
+		if refs, err := got.Refs(new([]tgm.NodeID), id); err != nil || !slices.Equal(refs, w) {
 			t.Fatalf("%s: Refs(%d) = %v (err %v), want %v", label, id, refs, err, w)
 		}
 	}
@@ -91,7 +91,7 @@ func assertGroupsMatchOracle(t *testing.T, label string, got *Groups, want map[t
 			label, len(got.vals), cap(got.vals), pairs)
 	}
 	for _, absent := range []tgm.NodeID{-1, 1 << 30} {
-		if refs, _ := got.Refs(absent); got.Count(absent) != 0 || len(refs) != 0 {
+		if refs, _ := got.Refs(new([]tgm.NodeID), absent); got.Count(absent) != 0 || len(refs) != 0 {
 			t.Fatalf("%s: absent node %d has %d values", label, absent, got.Count(absent))
 		}
 	}

@@ -111,26 +111,30 @@ func (sg *SpilledGroups) Count(id tgm.NodeID) int { return int(sg.dir[id].n) }
 func (sg *SpilledGroups) Groups() int { return len(sg.dir) }
 
 // Refs reads id's values (ascending, deduplicated — the same contract
-// as GroupNeighbors' groups) from the values file.
-func (sg *SpilledGroups) Refs(id tgm.NodeID) ([]tgm.NodeID, error) {
+// as GroupNeighbors' groups) from the values file into *buf, growing it
+// as needed, and returns them. A caller that passes the same buffer
+// back for every cell reads a window's groups without allocating once
+// the buffer has grown to the largest group.
+func (sg *SpilledGroups) Refs(buf *[]tgm.NodeID, id tgm.NodeID) ([]tgm.NodeID, error) {
+	dst := (*buf)[:0]
+	defer func() { *buf = dst }()
 	loc, ok := sg.dir[id]
 	if !ok {
-		return nil, nil
+		return dst, nil
 	}
-	out := make([]tgm.NodeID, loc.n)
 	end := loc.off + int(loc.n)
 	for ri, row := sg.rf.RunForRow(loc.off), loc.off; row < end; ri++ {
 		meta := sg.rf.Run(ri)
 		cols, err := sg.rf.ReadRun(ri)
 		if err != nil {
-			return nil, err
+			return dst, err
 		}
 		lo := row - meta.StartRow
 		hi := min(meta.Rows, end-meta.StartRow)
-		copy(out[row-loc.off:], cols[sg.col][lo:hi])
+		dst = append(dst, cols[sg.col][lo:hi]...)
 		row = meta.StartRow + hi
 	}
-	return out, nil
+	return dst, nil
 }
 
 // Close releases the values file.

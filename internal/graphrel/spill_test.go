@@ -84,7 +84,7 @@ func TestExternalGroupFoldEquivalence(t *testing.T) {
 			if got := sg.Count(gid); got != len(wantRefs) || got != heap.Count(gid) {
 				t.Fatalf("%s: Count(%d) = %d, want %d (heap %d)", label, gid, got, len(wantRefs), heap.Count(gid))
 			}
-			gotRefs, err := sg.Refs(gid)
+			gotRefs, err := sg.Refs(new([]tgm.NodeID), gid)
 			if err != nil {
 				t.Fatalf("%s: Refs(%d): %v", label, gid, err)
 			}
@@ -94,7 +94,7 @@ func TestExternalGroupFoldEquivalence(t *testing.T) {
 				}
 			}
 		}
-		if refs, err := sg.Refs(tgm.NodeID(1 << 30)); err != nil || refs != nil {
+		if refs, err := sg.Refs(new([]tgm.NodeID), tgm.NodeID(1<<30)); err != nil || refs != nil {
 			t.Fatalf("%s: absent group: refs=%v err=%v", label, refs, err)
 		}
 		if err := sg.Close(); err != nil {

@@ -14,13 +14,17 @@ import (
 )
 
 // This file is the state encoder: every state-bearing response (session
-// create, ops, GET session, replay) is written straight
-// from the session's *etable.Result into a pooled byte buffer — no
-// intermediate structs, no reflection. The bytes are exactly what
-// encoding/json produced for the struct copy this replaced (field
-// order, omitempty on id/value/refs/nextCursor, null for absent slices,
+// create, ops, GET session, replay) is written straight from the
+// session's current window, read through an etable.Cursor, into a
+// pooled byte buffer — no etable.Result, no intermediate structs, no
+// reflection. Rows and references are copies of label fragments
+// encoded once per graph (frags.go); base cells are formatted in
+// place. The bytes are exactly what encoding/json produced for the
+// struct copy of the session's materialized window (field order,
+// omitempty on id/value/refs/nextCursor, null for absent slices,
 // HTML-safe string escapes); encode_test.go keeps those structs as the
-// reference and fuzzes the two against each other.
+// reference and checks the two against each other over generated
+// graphs.
 //
 // The encoder runs while the session's entry lock is held, so an op and
 // the state it returns are one atomic unit (see respondState).
@@ -69,14 +73,15 @@ func (s *Server) respondState(ctx context.Context, w http.ResponseWriter, status
 	}
 }
 
-// appendState renders one consistent session snapshot, materializing
-// and encoding only the requested row window: the session's windowed
-// presentation memo transforms just the requested rows, so the cost of
-// a page does not scale with the table. Cursor requests are verified
-// against the current presentation state (409 stale_cursor on mismatch
-// — a cursor addresses the presentation of the state it was issued
-// against, so a changed presentation invalidates it), and a nextCursor
-// is issued whenever rows remain past the window.
+// appendState renders one consistent session snapshot, reading and
+// encoding only the requested row window: the session hands over its
+// current window (sorted view, visible columns, clamped rows) under its
+// lock and the encoder reads just those rows, so the cost of a page
+// does not scale with the table. Cursor requests are verified against
+// the current presentation state (409 stale_cursor on mismatch — a
+// cursor addresses the presentation of the state it was issued against,
+// so a changed presentation invalidates it), and a nextCursor is issued
+// whenever rows remain past the window.
 //
 // The caller holds the session's entry lock, so the history read and
 // the window render observe the same state.
@@ -86,7 +91,7 @@ func (s *Server) appendState(ctx context.Context, dst []byte, id int64, sess *se
 		if p.cursor != nil {
 			return dst, apiErr(http.StatusConflict, codeStaleCursor, "cursor refers to a closed table")
 		}
-		return appendStateJSON(dst, id, entries, cursor, nil, ""), nil
+		return appendStateJSON(dst, id, entries, cursor, nil, nil, "")
 	}
 	sig := presentationSig(entries[cursor])
 	if p.cursor != nil {
@@ -104,25 +109,28 @@ func (s *Server) appendState(ctx context.Context, dst []byte, id int64, sess *se
 	} else if s.opts.PageSize > 0 {
 		limit = s.opts.PageSize
 	}
-	res, err := sess.WindowCtx(ctx, p.offset, limit)
-	if err != nil {
-		return dst, err
-	}
-	next := ""
-	if end := res.Offset + len(res.Rows); end < res.Total() && limit > 0 {
-		// More rows follow: issue the opaque continuation cursor.
-		next = encodeCursor(cursorToken{Offset: end, Limit: limit, Sig: sig})
-	}
-	return appendStateJSON(dst, id, entries, cursor, res, next), nil
+	lf := labelFragsOf(sess.Graph())
+	err := sess.ReadWindow(ctx, p.offset, limit, func(w session.Window) error {
+		next := ""
+		if w.Hi < w.Pres.NumRows() && limit > 0 {
+			// More rows follow: issue the opaque continuation cursor.
+			next = encodeCursor(cursorToken{Offset: w.Hi, Limit: limit, Sig: sig})
+		}
+		var err error
+		dst, err = appendStateJSON(dst, id, entries, cursor, &w, lf, next)
+		return err
+	})
+	return dst, err
 }
 
 // appendStateJSON appends the main/schema/history view payload: the
 // pattern, the column layout, the window's rows (totalRows/offset
 // support offset paging, nextCursor opaque-cursor paging), and the
-// history with its cursor. res is nil while no table is open; columns
+// history with its cursor. w is nil while no table is open; columns
 // and rows are then null, whereas an open table's rows are always an
-// array, even for an empty window (limit 0, offset past the end).
-func appendStateJSON(dst []byte, id int64, entries []session.Entry, cursor int, res *etable.Result, nextCursor string) []byte {
+// array, even for an empty window (limit 0, offset past the end). lf
+// holds the label fragments of w's graph.
+func appendStateJSON(dst []byte, id int64, entries []session.Entry, cursor int, w *session.Window, lf *labelFrags, nextCursor string) ([]byte, error) {
 	dst = append(dst, '{')
 	if id != 0 {
 		dst = append(dst, `"id":`...)
@@ -136,18 +144,16 @@ func appendStateJSON(dst []byte, id int64, entries []session.Entry, cursor int, 
 	}
 	dst = appendJSONString(dst, pattern)
 	total, offset := 0, 0
-	if res == nil {
+	if w == nil {
 		dst = append(dst, `,"columns":null,"rows":null`...)
 	} else {
-		total, offset = res.Total(), res.Offset
+		total, offset = w.Pres.NumRows(), w.Lo
 		dst = append(dst, `,"columns":`...)
-		dst = appendColumns(dst, res.Columns)
+		dst = appendColumns(dst, w.Columns)
 		dst = append(dst, `,"rows":[`...)
-		for i := range res.Rows {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = appendRow(dst, res.Columns, &res.Rows[i])
+		var err error
+		if dst, err = appendRows(dst, w, lf); err != nil {
+			return dst, err
 		}
 		dst = append(dst, ']')
 	}
@@ -173,7 +179,7 @@ func appendStateJSON(dst []byte, id int64, entries []session.Entry, cursor int, 
 	}
 	dst = append(dst, `,"cursor":`...)
 	dst = strconv.AppendInt(dst, int64(cursor), 10)
-	return append(dst, '}')
+	return append(dst, '}'), nil
 }
 
 // sep opens a JSON array before its first element and separates the
@@ -203,50 +209,97 @@ func appendColumns(dst []byte, cols []etable.Column) []byte {
 	return append(dst, ']')
 }
 
-// appendRow appends one row: base cells carry their formatted value
-// (omitted when empty), entity-reference cells their refs (omitted when
-// none), and every cell its reference count. A non-string base value is
-// formatted straight into dst: its text (digits, sign, '.', 'e', NaN,
-// ±Inf, true, false, NULL) is never empty and never needs escaping.
-func appendRow(dst []byte, cols []etable.Column, row *etable.Row) []byte {
-	dst = append(dst, `{"node":`...)
-	dst = strconv.AppendInt(dst, int64(row.Node), 10)
-	dst = append(dst, `,"label":`...)
-	dst = appendJSONString(dst, row.Label)
-	dst = append(dst, `,"cells":`...)
-	if len(cols) == 0 {
-		return append(dst, "null}"...)
+// maxStackCols is how many columns appendRows resolves without
+// allocating; wider layouts allocate one slice per window.
+const maxStackCols = 16
+
+// appendRows appends the window's rows, read through a cursor over its
+// visible columns. A row is {"node": plus the primary node's fragment;
+// base cells carry their formatted value (omitted when empty),
+// entity-reference cells their refs (omitted when none), each
+// {"id": plus the referenced node's fragment, and every cell its
+// reference count. A non-string base value is formatted straight into
+// dst: its text (digits, sign, '.', 'e', NaN, ±Inf, true, false, NULL)
+// is never empty and never needs escaping. The fragment tables are
+// resolved once per window, before the cursor pins anything; a table
+// build's fault or a spilled run's read error aborts the window.
+func appendRows(dst []byte, w *session.Window, lf *labelFrags) ([]byte, error) {
+	if w.Lo == w.Hi {
+		return dst, nil
 	}
-	for ci := range cols {
-		cell := &row.Cells[ci]
-		dst = append(dst, sep(ci), '{')
-		if cols[ci].Kind == etable.ColBase {
-			if v := cell.Value; v.Kind() != value.KindString {
-				dst = append(dst, `"value":"`...)
-				dst = v.AppendFormat(dst)
-				dst = append(dst, '"', ',')
-			} else if s := v.AsString(); s != "" {
-				dst = append(dst, `"value":`...)
-				dst = appendJSONString(dst, s)
-				dst = append(dst, ',')
+	prim, err := lf.table(w.Pres.PrimaryType().Name)
+	if err != nil {
+		return dst, err
+	}
+	// tabs[k] is visible column k's target fragments, nil for a base
+	// column.
+	var stack [maxStackCols]*fragTable
+	tabs := stack[:0]
+	if len(w.Columns) > maxStackCols {
+		tabs = make([]*fragTable, 0, len(w.Columns))
+	}
+	for k := range w.Columns {
+		var t *fragTable
+		if w.Columns[k].Kind != etable.ColBase {
+			if t, err = lf.table(w.Columns[k].TargetType); err != nil {
+				return dst, err
 			}
-		} else if len(cell.Refs) > 0 {
-			dst = append(dst, `"refs":`...)
-			for ri := range cell.Refs {
-				dst = append(dst, sep(ri))
-				dst = append(dst, `{"id":`...)
-				dst = strconv.AppendInt(dst, int64(cell.Refs[ri].ID), 10)
-				dst = append(dst, `,"label":`...)
-				dst = appendJSONString(dst, cell.Refs[ri].Label)
-				dst = append(dst, '}')
-			}
-			dst = append(dst, ']', ',')
 		}
-		dst = append(dst, `"count":`...)
-		dst = strconv.AppendInt(dst, int64(cell.Count()), 10)
-		dst = append(dst, '}')
+		tabs = append(tabs, t)
 	}
-	return append(dst, ']', '}')
+	c, err := w.Pres.Cursor(w.Lo, w.Hi, w.Visible)
+	if err != nil {
+		return dst, err
+	}
+	defer c.Close()
+	cols := c.Columns()
+	for r := 0; c.Next(); r++ {
+		if r > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, `{"node":`...)
+		dst = append(dst, prim.frag(c.Node())...)
+		dst = append(dst, `,"cells":`...)
+		if len(cols) == 0 {
+			dst = append(dst, "null}"...)
+			continue
+		}
+		for k, ci := range cols {
+			dst = append(dst, sep(k), '{')
+			if tabs[k] == nil {
+				if v := c.Value(ci); v.Kind() != value.KindString {
+					dst = append(dst, `"value":"`...)
+					dst = v.AppendFormat(dst)
+					dst = append(dst, '"', ',')
+				} else if s := v.AsString(); s != "" {
+					dst = append(dst, `"value":`...)
+					dst = appendJSONString(dst, s)
+					dst = append(dst, ',')
+				}
+				dst = append(dst, `"count":0}`...)
+				continue
+			}
+			ids, err := c.Refs(ci)
+			if err != nil {
+				return dst, err
+			}
+			if len(ids) > 0 {
+				dst = append(dst, `"refs":`...)
+				for ri, id := range ids {
+					dst = append(dst, sep(ri))
+					dst = append(dst, `{"id":`...)
+					dst = append(dst, tabs[k].frag(id)...)
+					dst = append(dst, '}')
+				}
+				dst = append(dst, ']', ',')
+			}
+			dst = append(dst, `"count":`...)
+			dst = strconv.AppendInt(dst, int64(len(ids)), 10)
+			dst = append(dst, '}')
+		}
+		dst = append(dst, ']', '}')
+	}
+	return dst, nil
 }
 
 const hexDigits = "0123456789abcdef"

@@ -5,15 +5,18 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/etable"
 	"repro/internal/session"
+	"repro/internal/snapshot"
 	"repro/internal/testdb"
 	"repro/internal/tgm"
 	"repro/internal/value"
@@ -133,11 +136,281 @@ func nastyValue(rng *rand.Rand) value.V {
 	}
 }
 
-// randomState builds one state's encoder inputs: a history of nasty
-// actions over a nasty pattern and a window with random column layout
-// (possibly none — every column hidden), random rows (possibly none)
-// and cells of every shape.
-func randomState(rng *rand.Rand) (entries []session.Entry, cursor int, res *etable.Result, next string) {
+// oracleGraph generates a graph for the byte oracle. Its labels cover
+// every escape class — control bytes, quotes, backslashes, HTML
+// characters, U+2028/9, invalid UTF-8 and the empty string — and every
+// non-string kind: Venues are labelled by INT, FLOAT (NaN, ±Inf, −0),
+// BOOL and NULL values. Authors and Venues are added alternately, so
+// each type's IDs interleave with the other's; Papers and Tags are
+// contiguous. Papers carry base attributes of every kind, including a
+// mixed-kind one.
+func oracleGraph(t testing.TB, rng *rand.Rand) *tgm.InstanceGraph {
+	t.Helper()
+	schema := tgm.NewSchemaGraph()
+	for _, nt := range []tgm.NodeType{
+		{Name: "Papers", Kind: tgm.NodeEntity, Label: "title", Attrs: []tgm.Attr{
+			{Name: "key", Type: value.KindInt}, {Name: "title", Type: value.KindString},
+			{Name: "f", Type: value.KindFloat}, {Name: "b", Type: value.KindBool},
+			{Name: "mixed", Type: value.KindString}}},
+		{Name: "Authors", Kind: tgm.NodeEntity, Label: "name", Attrs: []tgm.Attr{
+			{Name: "key", Type: value.KindInt}, {Name: "name", Type: value.KindString}}},
+		{Name: "Venues", Kind: tgm.NodeEntity, Label: "code", Attrs: []tgm.Attr{
+			{Name: "key", Type: value.KindInt}, {Name: "code", Type: value.KindFloat}}},
+		{Name: "Tags", Kind: tgm.NodeEntity, Label: "tag", Attrs: []tgm.Attr{
+			{Name: "tag", Type: value.KindString}}},
+	} {
+		if _, err := schema.AddNodeType(nt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, et := range []tgm.EdgeType{
+		{Name: "written_by", Source: "Papers", Target: "Authors", Kind: tgm.EdgeManyToMany},
+		{Name: "venue", Source: "Papers", Target: "Venues", Kind: tgm.EdgeOneToMany},
+		{Name: "tagged", Source: "Papers", Target: "Tags", Kind: tgm.EdgeMultiValued},
+	} {
+		if _, err := schema.AddBidirectional(et); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g := tgm.NewInstanceGraph(schema)
+	add := func(typ string, attrs ...value.V) tgm.NodeID {
+		id, err := g.AddNode(typ, attrs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+	specials := []value.V{value.Null, value.Bool(true), value.Bool(false), value.Int(-7), value.Int(1 << 40),
+		value.Float(math.NaN()), value.Float(math.Inf(1)), value.Float(math.Inf(-1)),
+		value.Float(math.Copysign(0, -1)), value.Float(2.5e-9), value.Str("")}
+	var papers, authors, venues, tags []tgm.NodeID
+	for i := 0; i < 60; i++ {
+		papers = append(papers, add("Papers", value.Int(int64(i)), value.Str(nastyString(rng)),
+			value.Float(rng.NormFloat64()), value.Bool(rng.Intn(2) == 0), nastyValue(rng)))
+	}
+	for i := 0; i < 24; i++ {
+		authors = append(authors, add("Authors", value.Int(int64(i)), value.Str(nastyString(rng))))
+		venues = append(venues, add("Venues", value.Int(int64(i)), specials[i%len(specials)]))
+	}
+	for i := 0; i < 10; i++ {
+		tags = append(tags, add("Tags", value.Str(nastyString(rng))))
+	}
+	edge := func(et string, src, dst tgm.NodeID) {
+		if err := g.AddEdge(et, src, dst); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, p := range papers {
+		for n := rng.Intn(4); n > 0; n-- {
+			edge("written_by", p, authors[rng.Intn(len(authors))])
+		}
+		if rng.Intn(5) > 0 {
+			edge("venue", p, venues[rng.Intn(len(venues))])
+		}
+		for n := rng.Intn(3); n > 0; n-- {
+			edge("tagged", p, tags[rng.Intn(len(tags))])
+		}
+	}
+	g.Freeze()
+	return g
+}
+
+// stateClient drives one in-process server over HTTP and checks every
+// state response against the reference encoding of the same state.
+type stateClient struct {
+	t   *testing.T
+	srv *Server
+	ts  *httptest.Server
+}
+
+func newStateClient(t *testing.T, srv *Server) *stateClient {
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+	return &stateClient{t: t, srv: srv, ts: ts}
+}
+
+// do sends one request, requiring a 2xx status and a right
+// Content-Length, and returns the body.
+func (c *stateClient) do(method, path, body string) []byte {
+	t := c.t
+	t.Helper()
+	req, err := http.NewRequest(method, c.ts.URL+path, strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var buf bytes.Buffer
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode/100 != 2 {
+		t.Fatalf("%s %s: %d %s", method, path, resp.StatusCode, buf.Bytes())
+	}
+	if cl := resp.Header.Get("Content-Length"); cl != strconv.Itoa(buf.Len()) {
+		t.Errorf("%s %s: Content-Length %q for %d body bytes", method, path, cl, buf.Len())
+	}
+	return buf.Bytes()
+}
+
+// check re-derives the state the server just encoded from the live
+// session — the same window, materialized by the Result consumer of
+// the presentation's cursor — and compares got with encoding/json over
+// its reference structs. It returns the nextCursor it expects.
+func (c *stateClient) check(name string, got []byte, id int64, offset, limit int) string {
+	t := c.t
+	t.Helper()
+	e, _ := c.srv.sessions.Lookup(id)
+	sess := e.sess
+	entries, cursor := sess.Entries()
+	var res *etable.Result
+	next := ""
+	if cursor >= 0 {
+		var err error
+		if res, err = sess.WindowCtx(context.Background(), offset, limit); err != nil {
+			t.Fatal(err)
+		}
+		if end := res.Offset + len(res.Rows); end < res.Total() && limit > 0 {
+			next = encodeCursor(cursorToken{Offset: end, Limit: limit, Sig: presentationSig(entries[cursor])})
+		}
+	}
+	want, err := json.Marshal(referenceState(id, entries, cursor, res, next))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%s differs\nserver: %s\nreference: %s", name, got, want)
+	}
+	return next
+}
+
+// create opens a session with initial ops and returns its id.
+func (c *stateClient) create(ops string) (int64, []byte) {
+	body := c.do("POST", "/api/v1/sessions", ops)
+	var created struct {
+		ID int64 `json:"id"`
+	}
+	if err := json.Unmarshal(body, &created); err != nil {
+		c.t.Fatal(err)
+	}
+	return created.ID, body
+}
+
+// TestEncoderMatchesEncodingJSON is the independent byte oracle of the
+// state encoder. Over generated graphs (oracleGraph), served eager and
+// lazily behind a two-section pager, with results past 40 rows spilling
+// to disk, a session walks through sorts by every kind of key, hidden
+// columns, and pivots onto the interleaved types, reading random
+// windows; every response — rows from label fragments and the cursor —
+// must equal encoding/json over the reference structs of the window
+// the Result consumer materializes for the same state.
+func TestEncoderMatchesEncodingJSON(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		g := oracleGraph(t, rand.New(rand.NewSource(seed)))
+		path := filepath.Join(t.TempDir(), "oracle.etsnap")
+		if _, err := snapshot.SaveFile(path, g); err != nil {
+			t.Fatal(err)
+		}
+		ls, err := snapshot.LazyLoad(path, snapshot.LazyOptions{PoolSections: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ls.Close() })
+		for _, served := range []struct {
+			name string
+			g    *tgm.InstanceGraph
+		}{{"eager", g}, {"lazy", ls.Graph}} {
+			t.Run(fmt.Sprintf("seed=%d/%s", seed, served.name), func(t *testing.T) {
+				srv := NewWithOptions(served.g.Schema(), served.g, Options{PageSize: 10, MaxRows: 40, SpillDir: t.TempDir()})
+				walkOracleStates(newStateClient(t, srv), rand.New(rand.NewSource(seed)))
+				if st := srv.Registry().Default().SpillMetrics().Snapshot(); st.Spills == 0 {
+					t.Fatal("no presentation spilled")
+				}
+			})
+		}
+	}
+}
+
+// walkOracleStates drives one session of the oracle through its states,
+// checking random windows of each.
+func walkOracleStates(c *stateClient, rng *rand.Rand) {
+	id, body := c.create(`{"ops":[{"op":"open","table":"Papers"}]}`)
+	c.check("create", body, id, 0, 10)
+	base := fmt.Sprintf("/api/v1/sessions/%d", id)
+	windows := func(state string) {
+		for i := 0; i < 6; i++ {
+			offset, limit := rng.Intn(70), rng.Intn(25)
+			got := c.do("GET", fmt.Sprintf("%s?offset=%d&limit=%d", base, offset, limit), "")
+			next := c.check(fmt.Sprintf("%s [%d,+%d)", state, offset, limit), got, id, offset, limit)
+			if next != "" {
+				c.check(state+" next page", c.do("GET", base+"?cursor="+next, ""), id, offset+limit, limit)
+			}
+		}
+	}
+	windows("open")
+	// A condition full of nasty bytes, which every row passes: the
+	// pattern text and the history action carry it.
+	filter, err := json.Marshal(map[string]string{"op": "filter",
+		"cond": "mixed <> '" + strings.Join(nastyPieces, "") + "'"})
+	if err != nil {
+		c.t.Fatal(err)
+	}
+	got := c.do("POST", base+"/ops?limit=7", string(filter))
+	c.check("nasty filter", got, id, 0, 7)
+	var st struct {
+		Pattern   string `json:"pattern"`
+		TotalRows int    `json:"totalRows"`
+	}
+	if err := json.Unmarshal(got, &st); err != nil {
+		c.t.Fatal(err)
+	}
+	if !strings.Contains(st.Pattern, "<script>&amp;</script>\x00") || !strings.Contains(st.Pattern, "\u2028\u2029") || st.TotalRows == 0 {
+		c.t.Fatalf("nasty filter: pattern %q over %d rows; want the condition in the pattern and rows left", st.Pattern, st.TotalRows)
+	}
+	windows("nasty filter")
+	for _, op := range []string{
+		`{"op":"sort","attr":"mixed","desc":true}`,
+		`{"op":"sort","attr":"title"}`,
+		`{"op":"sort","column":"Authors","desc":true}`,
+		`{"op":"hide","column":"f"}`,
+		`{"op":"hide","column":"Venues"}`,
+		`{"op":"hide","column":"title"}`,
+		`{"op":"pivot","column":"Authors"}`,
+		`{"op":"sort","column":"Papers"}`,
+		`{"op":"revert","index":5}`,
+		`{"op":"pivot","column":"Venues"}`,
+		`{"op":"sort","attr":"code","desc":true}`,
+	} {
+		c.check(op, c.do("POST", base+"/ops?limit=7", op), id, 0, 7)
+		windows(op)
+	}
+	// Hide every column, one at a time, down to the column-less layout:
+	// "columns":null and rows whose "cells" are null.
+	e, _ := c.srv.sessions.Lookup(id)
+	res, err := e.sess.WindowCtx(context.Background(), 0, 0)
+	if err != nil {
+		c.t.Fatal(err)
+	}
+	for _, col := range res.Columns {
+		op, err := json.Marshal(map[string]string{"op": "hide", "column": col.Name})
+		if err != nil {
+			c.t.Fatal(err)
+		}
+		c.check("hide "+col.Name, c.do("POST", base+"/ops?limit=7", string(op)), id, 0, 7)
+	}
+	windows("every column hidden")
+	if res, err = e.sess.WindowCtx(context.Background(), 0, 0); err != nil || len(res.Columns) != 0 || res.Total() == 0 {
+		c.t.Fatalf("after hiding every column: %d columns and %d rows left, err %v", len(res.Columns), res.Total(), err)
+	}
+}
+
+// randomHistory builds a history of nasty actions over a pattern whose
+// condition, node key and edge type are nasty too, and a cursor into
+// it: -1 (no open table) for an empty history and one time in eight.
+func randomHistory(rng *rand.Rand) (entries []session.Entry, cursor int) {
 	pat := &etable.Pattern{Primary: "P", Nodes: []etable.PatternNode{
 		{Key: "P", Type: "T", CondSrc: nastyString(rng)},
 		{Key: nastyString(rng), Type: "U"},
@@ -145,58 +418,56 @@ func randomState(rng *rand.Rand) (entries []session.Entry, cursor int, res *etab
 	for n := rng.Intn(4); n > 0; n-- {
 		entries = append(entries, session.Entry{Action: nastyString(rng), Pattern: pat})
 	}
-	cursor = len(entries) - 1
-	if cursor < 0 || rng.Intn(8) == 0 {
-		return entries, -1, nil, "" // closed table
+	if len(entries) == 0 || rng.Intn(8) == 0 {
+		return entries, -1
 	}
-	cursor = rng.Intn(len(entries))
-	res = &etable.Result{Pattern: pat}
-	for n := rng.Intn(5); n > 0; n-- {
-		res.Columns = append(res.Columns, etable.Column{
-			Kind: etable.ColumnKind(rng.Intn(3)), Name: nastyString(rng)})
-	}
-	res.Rows = make([]etable.Row, rng.Intn(4))
-	for ri := range res.Rows {
-		row := etable.Row{Node: tgm.NodeID(rng.Int31()), Label: nastyString(rng)}
-		for _, c := range res.Columns {
-			var cell etable.Cell
-			if c.Kind == etable.ColBase {
-				cell.Value = nastyValue(rng)
-			} else {
-				for n := rng.Intn(3); n > 0; n-- {
-					cell.Refs = append(cell.Refs, etable.EntityRef{ID: tgm.NodeID(rng.Int31()), Label: nastyString(rng)})
-				}
-			}
-			row.Cells = append(row.Cells, cell)
-		}
-		res.Rows[ri] = row
-	}
-	res.Offset = rng.Intn(3)
-	res.TotalRows = res.Offset + len(res.Rows) + rng.Intn(3)
-	if rng.Intn(2) == 0 {
-		next = encodeCursor(cursorToken{Offset: res.Offset + len(res.Rows), Limit: 1 + rng.Intn(9), Sig: rng.Uint32()})
-	}
-	return entries, cursor, res, next
+	return entries, rng.Intn(len(entries))
 }
 
-// TestEncoderMatchesEncodingJSON is the encoder fuzz: over random
-// states full of quotes, backslashes, HTML characters, control bytes,
-// U+2028/9, invalid UTF-8, empty strings, empty windows, empty column
-// layouts and closed tables, appendStateJSON's bytes equal json.Marshal
-// of the reference structs.
-func TestEncoderMatchesEncodingJSON(t *testing.T) {
+// TestEncoderStateFuzz is the encoder fuzz over what a state carries
+// besides its rows: over random states whose history actions and
+// pattern text are full of quotes, backslashes, HTML characters,
+// control bytes, U+2028/9, invalid UTF-8 and empty strings — with id 0
+// (omitted), empty and closed histories, and with and without a
+// nextCursor — appendStateJSON's bytes, appended to a dirty reused
+// destination, equal json.Marshal of the reference structs. The column
+// layout encoder is checked the same way over random nasty layouts,
+// the empty one (every column hidden) included. The rows themselves
+// are TestEncoderMatchesEncodingJSON's.
+func TestEncoderStateFuzz(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for i := 0; i < 3000; i++ {
-		entries, cursor, res, next := randomState(rng)
+		entries, cursor := randomHistory(rng)
 		id := int64(rng.Intn(3)) // 0 exercises omitempty
-		want, err := json.Marshal(referenceState(id, entries, cursor, res, next))
+		next := ""
+		if rng.Intn(2) == 0 {
+			next = encodeCursor(cursorToken{Offset: rng.Intn(50), Limit: 1 + rng.Intn(9), Sig: rng.Uint32()})
+		}
+		want, err := json.Marshal(referenceState(id, entries, cursor, nil, next))
 		if err != nil {
 			t.Fatal(err)
 		}
 		// A dirty, reused destination: the encoder must append, not assume.
-		got := appendStateJSON([]byte("junk"), id, entries, cursor, res, next)[len("junk"):]
-		if !bytes.Equal(got, want) {
+		got, err := appendStateJSON([]byte("junk"), id, entries, cursor, nil, nil, next)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got = got[len("junk"):]; !bytes.Equal(got, want) {
 			t.Fatalf("state %d differs\nencoder: %s\nreference: %s", i, got, want)
+		}
+
+		var cols []etable.Column
+		var ref []columnJSON
+		for n := rng.Intn(5); n > 0; n-- {
+			c := etable.Column{Kind: etable.ColumnKind(rng.Intn(3)), Name: nastyString(rng)}
+			cols = append(cols, c)
+			ref = append(ref, columnJSON{Name: c.Name, Kind: c.Kind.String()})
+		}
+		if want, err = json.Marshal(ref); err != nil {
+			t.Fatal(err)
+		}
+		if got := appendColumns([]byte("junk"), cols)[len("junk"):]; !bytes.Equal(got, want) {
+			t.Fatalf("layout %d differs\nencoder: %s\nreference: %s", i, got, want)
 		}
 	}
 }
@@ -228,39 +499,50 @@ func TestAppendJSONStringEveryByte(t *testing.T) {
 	}
 }
 
-// TestAppendStateJSONAllocs: encoding a materialized window into a
-// buffer with room for it allocates nothing, whatever the kinds of its
-// base cells — INT, FLOAT, BOOL and NULL are formatted in place, STRING
-// and every label are copied.
+// TestAppendStateJSONAllocs: encoding a window straight from the
+// cursor into a buffer with room for it allocates nothing once the
+// label fragments are built, whatever the kinds of its base cells —
+// INT, FLOAT, BOOL and NULL are formatted in place, STRING copied — and
+// whatever its references' label kinds.
 func TestAppendStateJSONAllocs(t *testing.T) {
-	pat := &etable.Pattern{Primary: "P", Nodes: []etable.PatternNode{{Key: "P", Type: "T"}}}
-	entries := []session.Entry{{Action: "open T", Pattern: pat}}
-	res := &etable.Result{Pattern: pat, Columns: []etable.Column{
-		{Kind: etable.ColBase, Name: "i"}, {Kind: etable.ColBase, Name: "f"},
-		{Kind: etable.ColBase, Name: "b"}, {Kind: etable.ColBase, Name: "n"},
-		{Kind: etable.ColBase, Name: "s"}, {Kind: etable.ColNeighbor, Name: "U"},
-	}}
-	for r := 0; r < 20; r++ {
-		res.Rows = append(res.Rows, etable.Row{Node: tgm.NodeID(r), Label: fmt.Sprintf("row <%d>", r), Cells: []etable.Cell{
-			{Value: value.Int(int64(r) * 1234567)}, {Value: value.Float(float64(r) / 7)},
-			{Value: value.Bool(r%2 == 0)}, {Value: value.Null}, {Value: value.Str(fmt.Sprintf("title %d — \"quoted\"", r))},
-			{Refs: []etable.EntityRef{{ID: tgm.NodeID(100 + r), Label: "Zoë & co"}, {ID: 7, Label: "plain label text"}}},
-		}})
-	}
-	res.TotalRows = 50
-	buf := appendStateJSON(nil, 3, entries, 0, res, "next")
-	want, err := json.Marshal(referenceState(3, entries, 0, res, "next"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf, want) {
-		t.Fatalf("encoder %s\nreference %s", buf, want)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		buf = appendStateJSON(buf[:0], 3, entries, 0, res, "next")
-	})
-	if allocs != 0 {
-		t.Errorf("appendStateJSON allocated %.1f objects/op, want 0", allocs)
+	g := oracleGraph(t, rand.New(rand.NewSource(4)))
+	sess := session.New(g.Schema(), g)
+	for _, table := range []string{"Papers", "Venues"} {
+		if err := sess.Open(table); err != nil {
+			t.Fatal(err)
+		}
+		entries, cursor := sess.Entries()
+		lf := labelFragsOf(g)
+		res, err := sess.WindowCtx(context.Background(), 3, 20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = sess.ReadWindow(context.Background(), 3, 20, func(w session.Window) error {
+			buf, err := appendStateJSON(nil, 3, entries, cursor, &w, lf, "next")
+			if err != nil {
+				return err
+			}
+			want, err := json.Marshal(referenceState(3, entries, cursor, res, "next"))
+			if err != nil {
+				return err
+			}
+			if !bytes.Equal(buf, want) {
+				t.Fatalf("%s: encoder %s\nreference %s", table, buf, want)
+			}
+			allocs := testing.AllocsPerRun(100, func() {
+				buf, err = appendStateJSON(buf[:0], 3, entries, cursor, &w, lf, "next")
+			})
+			if err != nil {
+				return err
+			}
+			if allocs != 0 {
+				t.Errorf("%s: appendStateJSON allocated %.1f objects/op, want 0", table, allocs)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -274,61 +556,8 @@ func TestStateResponsesMatchReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewWithOptions(tr.Schema, tr.Instance, Options{PageSize: 2})
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-
-	do := func(method, path, body string) []byte {
-		t.Helper()
-		req, err := http.NewRequest(method, ts.URL+path, strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var buf bytes.Buffer
-		if _, err := buf.ReadFrom(resp.Body); err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode/100 != 2 {
-			t.Fatalf("%s %s: %d %s", method, path, resp.StatusCode, buf.Bytes())
-		}
-		if cl := resp.Header.Get("Content-Length"); cl != strconv.Itoa(buf.Len()) {
-			t.Errorf("%s %s: Content-Length %q for %d body bytes", method, path, cl, buf.Len())
-		}
-		return buf.Bytes()
-	}
-	// check re-derives the state the server just encoded from the live
-	// session (same window, so the memoized Result) and compares.
-	check := func(name string, got []byte, id int64, offset, limit int) string {
-		t.Helper()
-		e, _ := srv.sessions.Lookup(id)
-		sess := e.sess
-		entries, cursor := sess.Entries()
-		var res *etable.Result
-		next := ""
-		if cursor >= 0 {
-			var err error
-			if res, err = sess.WindowCtx(context.Background(), offset, limit); err != nil {
-				t.Fatal(err)
-			}
-			if end := res.Offset + len(res.Rows); end < res.Total() && limit > 0 {
-				next = encodeCursor(cursorToken{Offset: end, Limit: limit, Sig: presentationSig(entries[cursor])})
-			}
-		}
-		want, err := json.Marshal(referenceState(id, entries, cursor, res, next))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("%s differs\nserver: %s\nreference: %s", name, got, want)
-		}
-		return next
-	}
-
+	c := newStateClient(t, NewWithOptions(tr.Schema, tr.Instance, Options{PageSize: 2}))
+	do, check := c.do, c.check
 	body := do("POST", "/api/v1/sessions", "")
 	var created struct {
 		ID int64 `json:"id"`

@@ -511,6 +511,10 @@ type datasetStatsJSON struct {
 	Sessions      int     `json:"sessions"`
 	Nodes         int     `json:"nodes,omitempty"`
 	Edges         int     `json:"edges,omitempty"`
+	// LabelFragmentBytes is the resident size of the dataset's label
+	// fragment tables (frags.go): built on first use, kept for the
+	// graph's lifetime, and outside the pager budget.
+	LabelFragmentBytes int64 `json:"labelFragmentBytes"`
 	// Execution-cache telemetry, scoped to this dataset's cache.
 	CacheEntries       int   `json:"cacheEntries"`
 	CacheHits          int64 `json:"cacheHits"`
@@ -660,6 +664,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			g := ds.Graph()
 			d.Nodes = g.NumNodes()
 			d.Edges = g.NumEdges()
+			d.LabelFragmentBytes = labelFragsOf(g).size()
 		}
 		if pst, total, ok := ds.PagerStats(); ok {
 			d.Pager = &pagerJSON{

@@ -23,17 +23,21 @@
 //
 // Presentation is windowed: the session keeps a small LRU memo of
 // prepared presentations (etable.Presentation — row order, groupings,
-// column layout; no cells) plus, per presentation, LRU memos of sorted
-// views and of materialized row windows keyed by (offset, limit). A
-// page fetch therefore costs O(window): the row order and groupings
-// come from the prepared presentation and only the requested rows are
-// transformed. A presentation owns everything its windows read, so the
-// session holds at most memoEntries prepared presentations and no
-// relation — matched relations are held by the shared cache alone,
-// under its LRU. Every memo is an lru.Cache, so a presentation the user
-// keeps re-reading stays while newer ones come and go. A window the
-// session returns is an ordinary *etable.Result: it stays valid after
-// later calls, evictions and Close, for as long as the caller holds it.
+// column layout; no cells) plus, per presentation, an LRU memo of
+// sorted views. A page fetch therefore costs O(window): the row order
+// and groupings come from the prepared presentation and only the
+// requested rows are read. No window is memoized: ReadWindow hands its
+// caller the current window — the sorted view, the visible column
+// ordinals and the clamped row range — to read through an
+// etable.Cursor under the session lock (the server encodes it straight
+// to bytes), and WindowCtx materializes it as an *etable.Result, an
+// ordinary value that stays valid after later calls, evictions and
+// Close, for as long as the caller holds it. A presentation owns
+// everything its windows read, so the session holds at most
+// memoEntries prepared presentations and no relation — matched
+// relations are held by the shared cache alone, under its LRU. Every
+// memo is an lru.Cache, so a presentation the user keeps re-reading
+// stays while newer ones come and go.
 //
 // Every mutation flows through the declarative operation protocol of
 // internal/ops: Apply executes one validated ops.Op, ApplyPipeline
@@ -48,8 +52,6 @@ import (
 	"cmp"
 	"context"
 	"fmt"
-	"sort"
-	"strings"
 	"sync"
 
 	"repro/internal/etable"
@@ -84,46 +86,23 @@ type Entry struct {
 // shared execution cache.
 const memoEntries = 8
 
-// windowMemoEntries bounds the materialized row windows kept per
-// presentation (a paging client re-reads its current and adjacent
-// windows; anything older is cheap to rebuild from the presentation).
-const windowMemoEntries = 8
-
-// windowMemoRowCap bounds the rows of any memoized partial window, so
-// a client requesting 8 near-full windows cannot hold 8 full renders'
-// worth of cells per presentation. Only the canonical full render
-// (offset 0, no limit) is exempt — it is one entry, matching the
-// pre-windowing memo's footprint; oversized partial windows (including
-// unlimited reads at a nonzero offset) are simply rebuilt per read,
-// which is still O(window).
-const windowMemoRowCap = 4096
-
 // presEntry is one memoized presentation state: the prepared base
-// presentation (canonical ID-ascending row order), the bounded memo of
-// sorted views over that base, and the bounded window memo. Sort variants are etable.SortedView shallow
-// copies — they share the base's columns, groupings, and neighbor
-// layout and own only their row order — so switching sorts re-prepares
-// nothing, and closing the base releases the spill files behind every
-// variant. windows values have hidden columns already
-// applied — they are exactly what readers get — so the window key
-// carries the hidden set and sort alongside the row range.
+// presentation (canonical ID-ascending row order) and the bounded memo
+// of sorted views over that base. Sort variants are etable.SortedView
+// shallow copies — they share the base's columns, groupings, and
+// neighbor layout and own only their row order — so switching sorts
+// re-prepares nothing, and closing the base releases the spill files
+// behind every variant. Hidden columns are not part of the entry: a
+// window reads only the visible columns' ordinals.
 type presEntry struct {
-	base    *etable.Presentation
-	sorted  *lru.Cache[string, *etable.Presentation]
-	windows *lru.Cache[winKey, *etable.Result]
+	base   *etable.Presentation
+	sorted *lru.Cache[string, *etable.Presentation]
 }
 
 // sortMemoEntries bounds the sorted views kept per presentation. A
 // view is O(rows) row IDs (everything else is shared with the base),
 // so the bound is about row-ID slices, not prepared state.
 const sortMemoEntries = 8
-
-// winKey identifies one materialized window of a presentation.
-type winKey struct {
-	offset, limit int
-	hidden        string // hiddenKey of the entry's hidden-column set
-	sort          string // sortKey of the entry's sort spec ("" = base order)
-}
 
 // variant returns the presentation ordered per the entry's sort spec:
 // the shared base when unsorted, otherwise a memoized SortedView over
@@ -158,7 +137,7 @@ type Session struct {
 	// maxRows caps the rows any single request may materialize (0 =
 	// unbounded): the execution core aborts oversized matches mid-join
 	// (or mid-stream) with *graphrel.RowLimitError, and windowLocked
-	// rejects oversized window requests before transforming a cell.
+	// rejects oversized window requests before reading a cell.
 	maxRows int
 	// spill enables spill-to-disk execution (see SetSpill): when set,
 	// maxRows becomes the spill trigger for the browsable prepare path
@@ -175,8 +154,8 @@ type Session struct {
 	cursor  int // index into history of the current state; -1 = empty
 
 	// memo caches prepared presentations keyed by pattern alone
-	// (sorting is a memoized view per entry, hiding is per window);
-	// evicted entries release their spill files.
+	// (sorting is a memoized view per entry, hiding picks the columns a
+	// window reads); evicted entries release their spill files.
 	memo *lru.Cache[string, *presEntry]
 }
 
@@ -243,7 +222,8 @@ func (s *Session) SetSpill(pol *graphrel.SpillPolicy) {
 }
 
 // SetWindowRecycling does nothing: every *etable.Result a session
-// returns is a plain value that stays valid across later calls.
+// returns is a plain value that stays valid across later calls, and no
+// window is memoized for it to recycle.
 //
 // Deprecated: window arenas are no longer recycled. The method stays
 // because the benchmark harness in cmd/etable-load still calls it.
@@ -320,10 +300,9 @@ func (s *Session) StateCtx(ctx context.Context) (State, error) {
 
 // StateWindowCtx is StateCtx materializing only the [offset,
 // offset+limit) row window of the presented result (limit < 0 = all
-// rows from offset, limit 0 = metadata only). The window is served
-// from the session's windowed presentation memo: only the requested
-// rows are transformed, so the cost of a page does not scale with the
-// table.
+// rows from offset, limit 0 = metadata only). The window is read from
+// the session's memoized presentation: only the requested rows are
+// transformed, so the cost of a page does not scale with the table.
 func (s *Session) StateWindowCtx(ctx context.Context, offset, limit int) (State, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -332,7 +311,7 @@ func (s *Session) StateWindowCtx(ctx context.Context, offset, limit int) (State,
 		return st, nil
 	}
 	st.Pattern = s.history[s.cursor].Pattern
-	res, err := s.windowLocked(ctx, offset, limit)
+	res, err := s.resultLocked(ctx, offset, limit)
 	if err != nil {
 		return State{}, err
 	}
@@ -341,12 +320,44 @@ func (s *Session) StateWindowCtx(ctx context.Context, offset, limit int) (State,
 }
 
 // WindowCtx returns the [offset, offset+limit) row window of the
-// current presented result (limit < 0 = all rows from offset). See
-// StateWindowCtx for the cost model.
+// current presented result (limit < 0 = all rows from offset),
+// materialized. See StateWindowCtx for the cost model; ReadWindow reads
+// the same window without materializing it.
 func (s *Session) WindowCtx(ctx context.Context, offset, limit int) (*etable.Result, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.windowLocked(ctx, offset, limit)
+	return s.resultLocked(ctx, offset, limit)
+}
+
+// Window is one row window of the current presentation state, described
+// rather than materialized: the presentation in the state's sort order,
+// the visible columns, and the row range [Lo, Hi) — already clamped to
+// the table and checked against the session's row cap. Read its cells
+// through Pres.Cursor(Lo, Hi, Visible).
+type Window struct {
+	Pres *etable.Presentation
+	// Columns is the visible column layout, in order; Visible holds
+	// their ordinals in Pres.Columns(), nil when no column is hidden.
+	Columns []etable.Column
+	Visible []int
+	Lo, Hi  int
+}
+
+// ReadWindow calls read with the current state's [offset,
+// offset+limit) row window (limit < 0 = all rows from offset) under the
+// session lock, so the state cannot change, and no Close can release
+// the presentation's spill files, while read runs. read must not call
+// back into the session. The window's errors — no open table, a
+// failed prepare or sort, the row cap, a done ctx — are returned
+// without calling read.
+func (s *Session) ReadWindow(ctx context.Context, offset, limit int, read func(Window) error) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	w, err := s.windowLocked(ctx, offset, limit)
+	if err != nil {
+		return err
+	}
+	return read(w)
 }
 
 func (s *Session) push(op ops.Op, action string, p *etable.Pattern, sort *etable.SortSpec, hidden map[string]bool) {
@@ -798,16 +809,14 @@ func (s *Session) ReplayCtx(ctx context.Context, log Log) error {
 // prepared state (distinct rows, groupings, column layout) is
 // independent of both. Sort variants are memoized per entry as
 // SortedView row orders over the one shared base (presEntry.variant),
-// and hideColumns applies per materialized window; both differentiate
-// windows via winKey. The result: one Prepare and one set of groupings
-// per pattern across every sort/hide combination a session toggles
-// through.
+// and hiding selects the column ordinals a window reads. The result:
+// one Prepare and one set of groupings per pattern across every
+// sort/hide combination a session toggles through.
 func presentationKey(e Entry) string {
 	return e.Pattern.String()
 }
 
-// sortKey canonicalizes a sort spec for the sorted-view and window
-// memo keys.
+// sortKey canonicalizes a sort spec for the sorted-view memo key.
 func sortKey(sp *etable.SortSpec) string {
 	if sp == nil {
 		return ""
@@ -815,23 +824,10 @@ func sortKey(sp *etable.SortSpec) string {
 	return fmt.Sprintf("%s\x01%s\x01%v", sp.Attr, sp.Column, sp.Desc)
 }
 
-// hiddenKey canonicalizes a hidden-column set for the window memo key.
-func hiddenKey(hidden map[string]bool) string {
-	if len(hidden) == 0 {
-		return ""
-	}
-	names := make([]string, 0, len(hidden))
-	for k := range hidden {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return strings.Join(names, "\x01")
-}
-
 // Result executes the current pattern and applies the presentation state
 // (sort, hidden columns), returning the full render. Identical
 // presentation states are served from the session's memo without
-// re-sorting or re-transforming; paged readers should prefer WindowCtx.
+// re-preparing or re-sorting; paged readers should prefer WindowCtx.
 func (s *Session) Result() (*etable.Result, error) {
 	return s.ResultCtx(context.Background())
 }
@@ -841,12 +837,17 @@ func (s *Session) Result() (*etable.Result, error) {
 func (s *Session) ResultCtx(ctx context.Context) (*etable.Result, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.resultLocked(ctx)
+	return s.resultLocked(ctx, 0, -1)
 }
 
-// resultLocked is the full render with s.mu held: the all-rows window.
-func (s *Session) resultLocked(ctx context.Context) (*etable.Result, error) {
-	return s.windowLocked(ctx, 0, -1)
+// resultLocked materializes one row window of the current presentation
+// with hidden columns left out. Caller holds s.mu.
+func (s *Session) resultLocked(ctx context.Context, offset, limit int) (*etable.Result, error) {
+	w, err := s.windowLocked(ctx, offset, limit)
+	if err != nil {
+		return nil, err
+	}
+	return w.Pres.WindowColumns(w.Lo, w.Hi-w.Lo, w.Visible, s.execOptions(ctx))
 }
 
 // presentationLocked returns the memoized presentation for the current
@@ -860,64 +861,57 @@ func (s *Session) presentationLocked(ctx context.Context, cur Entry) (*presEntry
 	if err != nil {
 		return nil, err
 	}
-	pe := &presEntry{base: pres,
-		sorted:  lru.New[string, *etable.Presentation](sortMemoEntries),
-		windows: lru.New[winKey, *etable.Result](windowMemoEntries)}
+	pe := &presEntry{base: pres, sorted: lru.New[string, *etable.Presentation](sortMemoEntries)}
 	for _, old := range s.memo.Add(key, pe) {
 		old.base.Close()
 	}
 	return pe, nil
 }
 
-// windowLocked materializes (or re-reads) one row window of the current
-// presentation, with hidden columns applied. Caller holds s.mu.
-func (s *Session) windowLocked(ctx context.Context, offset, limit int) (*etable.Result, error) {
+// windowLocked resolves one row window of the current presentation:
+// its sort variant, visible columns and clamped row range. Caller holds
+// s.mu.
+func (s *Session) windowLocked(ctx context.Context, offset, limit int) (Window, error) {
+	if offset < 0 {
+		return Window{}, fmt.Errorf("session: negative window offset %d", offset)
+	}
 	cur, err := s.current()
 	if err != nil {
-		return nil, err
+		return Window{}, err
 	}
 	pe, err := s.presentationLocked(ctx, cur)
 	if err != nil {
-		return nil, err
+		return Window{}, err
 	}
 	pres, err := pe.variant(cur)
 	if err != nil {
-		return nil, err
+		return Window{}, err
 	}
+	w := Window{Pres: pres, Columns: pres.Columns()}
+	w.Lo, w.Hi = pres.Bounds(offset, limit)
 	// The max-rows guard, window side: the match itself passed (or was
 	// computed under) the cap, but an unbounded read of a huge table
-	// would still materialize result-sized cells — reject it before
-	// transforming anything. Computed from the prepared presentation's
-	// row count, so the check is O(1).
-	if s.maxRows > 0 {
-		eff := pres.NumRows() - offset
-		if eff < 0 {
-			eff = 0
-		}
-		if limit >= 0 && limit < eff {
-			eff = limit
-		}
-		if eff > s.maxRows {
-			return nil, graphrel.LimitExceeded(s.maxRows, eff)
-		}
-	}
-	wkey := winKey{offset: offset, limit: limit,
-		hidden: hiddenKey(cur.Hidden), sort: sortKey(cur.Sort)}
-	if res, ok := pe.windows.Lookup(wkey); ok {
-		return res, nil
-	}
-	res, err := pres.WindowOpts(offset, limit, s.execOptions(ctx))
-	if err != nil {
-		return nil, err
+	// would still read result-sized cells — reject it before reading
+	// anything. Computed from the prepared presentation's row count, so
+	// the check is O(1).
+	if n := w.Hi - w.Lo; s.maxRows > 0 && n > s.maxRows {
+		return Window{}, graphrel.LimitExceeded(s.maxRows, n)
 	}
 	if len(cur.Hidden) > 0 {
-		res = hideColumns(res, cur.Hidden)
+		w.Columns = visibleColumns(w.Columns, cur.Hidden)
+		w.Visible = make([]int, 0, len(w.Columns))
+		for ci, c := range pres.Columns() {
+			if !cur.Hidden[c.Name] {
+				w.Visible = append(w.Visible, ci)
+			}
+		}
 	}
-	if !(offset == 0 && limit < 0) && len(res.Rows) > windowMemoRowCap {
-		return res, nil // oversized partial window: serve, don't retain
+	// A request whose client is gone reads nothing: a window can be up
+	// to the row cap.
+	if err := ctxErr(ctx); err != nil {
+		return Window{}, err
 	}
-	pe.windows.Add(wkey, res)
-	return res, nil
+	return w, nil
 }
 
 // visibleColumnsLocked returns the current entry's presented column
@@ -960,28 +954,6 @@ func findColumn(cols []etable.Column, name string) int {
 	return -1
 }
 
-func hideColumns(res *etable.Result, hidden map[string]bool) *etable.Result {
-	out := *res
-	out.Columns = nil
-	keep := make([]int, 0, len(res.Columns))
-	for i, c := range res.Columns {
-		if !hidden[c.Name] {
-			out.Columns = append(out.Columns, c)
-			keep = append(keep, i)
-		}
-	}
-	out.Rows = make([]etable.Row, len(res.Rows))
-	for ri, row := range res.Rows {
-		nr := row
-		nr.Cells = make([]etable.Cell, len(keep))
-		for i, ci := range keep {
-			nr.Cells[i] = row.Cells[ci]
-		}
-		out.Rows[ri] = nr
-	}
-	return &out
-}
-
 // Close empties the presentation memo, releasing every spill file it
 // holds. History is untouched, so a later read still works: it
 // re-prepares what it needs (a request racing the server's eviction of
@@ -1015,7 +987,7 @@ func (s *Session) EntityTypes() []*tgm.NodeType {
 func (s *Session) LookupValue(rowLabel, attr string) (value.V, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	res, err := s.resultLocked(context.Background())
+	res, err := s.resultLocked(context.Background(), 0, -1)
 	if err != nil {
 		return value.Null, err
 	}

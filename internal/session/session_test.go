@@ -38,10 +38,10 @@ func TestOpenAndResult(t *testing.T) {
 	if res.NumRows() != 6 {
 		t.Errorf("rows = %d", res.NumRows())
 	}
-	// Cached result identity.
+	// A second read renders the memoized presentation again.
 	res2, _ := s.Result()
-	if res != res2 {
-		t.Error("result should be cached")
+	if renderWindow(res) != renderWindow(res2) || s.memo.Len() != 1 {
+		t.Errorf("second read differs or re-prepared (%d memo entries)", s.memo.Len())
 	}
 	if err := s.Open("Nope"); err == nil {
 		t.Error("unknown table accepted")
@@ -530,8 +530,8 @@ func TestSharedCacheAcrossSessions(t *testing.T) {
 }
 
 // TestPresentationMemo checks that presentation-identical states share
-// one Result object across Revert, and that different presentation
-// states do not.
+// one prepared presentation across Revert and render the same table,
+// and that a sort is a view over it, not a second presentation.
 func TestPresentationMemo(t *testing.T) {
 	s := newSession(t)
 	s.Open("Papers")
@@ -539,13 +539,14 @@ func TestPresentationMemo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pe := s.memo.Values()[0]
 	s.SortBy(etable.SortSpec{Attr: "year", Desc: true})
 	sorted, err := s.Result()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sorted == first {
-		t.Error("sorted result aliases unsorted memo entry")
+	if renderWindow(sorted) == renderWindow(first) {
+		t.Error("sorted result renders the unsorted order")
 	}
 	if err := s.Revert(0); err != nil {
 		t.Fatal(err)
@@ -554,7 +555,10 @@ func TestPresentationMemo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again != first {
+	if renderWindow(again) != renderWindow(first) {
+		t.Error("revert to identical presentation state renders a different table")
+	}
+	if s.memo.Len() != 1 || s.memo.Values()[0] != pe {
 		t.Error("revert to identical presentation state missed the memo")
 	}
 }

@@ -89,14 +89,6 @@ func TestWindowMatchesFullRender(t *testing.T) {
 					}
 				}
 			}
-			// Re-reading the same window hits the memo (same pointer).
-			again, err := s.WindowCtx(ctx, win[0], win[1])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if again != res {
-				t.Errorf("%s window %v: not served from the window memo", st.name, win)
-			}
 		}
 	}
 }
@@ -232,6 +224,29 @@ func TestStateWindowCtx(t *testing.T) {
 	}
 }
 
+// TestReadWindowHonorsCtx: a read whose context is done fails with the
+// context's error without reading a row, even when the presentation is
+// already prepared and nothing else would look at the context.
+func TestReadWindowHonorsCtx(t *testing.T) {
+	s, _ := newSharedSession(t)
+	if err := s.Open("Papers"); err != nil {
+		t.Fatal(err)
+	}
+	read := 0
+	count := func(Window) error { read++; return nil }
+	if err := s.ReadWindow(context.Background(), 0, -1, count); err != nil || read != 1 {
+		t.Fatalf("live read: err %v, %d reads", err, read)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := s.ReadWindow(ctx, 0, -1, count); !errors.Is(err, context.Canceled) || read != 1 {
+		t.Fatalf("canceled read: err %v, %d reads; want context.Canceled and no read", err, read)
+	}
+	if _, err := s.WindowCtx(ctx, 0, -1); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled WindowCtx: err %v, want context.Canceled", err)
+	}
+}
+
 // TestSessionMaxRows pins the window side of the max-rows guard: an
 // unbounded read of a table larger than the cap fails up front with a
 // structured *graphrel.RowLimitError (before any cell is transformed),
@@ -278,10 +293,9 @@ func TestSessionMaxRows(t *testing.T) {
 }
 
 // TestWindowsOutliveLaterCalls: a window the session returned is a
-// plain value. Held across more distinct windows than the window memo
-// keeps (so it is evicted) and a Close, it still renders exactly what an
-// untouched session renders — even with the deprecated recycling
-// switch turned on.
+// plain value. Held across a dozen later windows and a Close, it still
+// renders exactly what an untouched session renders — even with the
+// deprecated recycling switch turned on.
 func TestWindowsOutliveLaterCalls(t *testing.T) {
 	base, _ := newSharedSession(t)
 	if err := base.Open("Papers"); err != nil {
@@ -302,9 +316,7 @@ func TestWindowsOutliveLaterCalls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Varying limits make each window a distinct memo key, so the held
-	// window's entry is evicted well before the loop ends.
-	for l := 4; l <= 4+windowMemoEntries+4; l++ {
+	for l := 4; l <= 16; l++ {
 		if _, err := s.WindowCtx(ctx, 1, l); err != nil {
 			t.Fatal(err)
 		}

@@ -99,7 +99,7 @@ type colBlock struct {
 	cols     [][]value.V
 	src      ColumnSource
 	// ranks[ai] memoizes column ai's order (AttrRank).
-	ranks []rankMemo
+	ranks []Memo[[]int32]
 }
 
 func (b *colBlock) column(ai int) ([]value.V, error) {
@@ -174,6 +174,10 @@ type InstanceGraph struct {
 	// graph so the statistics share its lifetime instead of pinning the
 	// graph in a process-global registry.
 	statsCache atomic.Value
+	// fragCache holds the label fragments a server encodes once per
+	// graph (an opaque value owned by internal/server), stored here for
+	// the same reason as statsCache.
+	fragCache atomic.Value
 }
 
 // csrAdj is one edge type's adjacency in compressed-sparse-row form,
@@ -283,6 +287,20 @@ func (g *InstanceGraph) SetStatsCache(v any) any {
 	return g.statsCache.Load()
 }
 
+// FragmentCache returns the label fragments published by
+// SetFragmentCache, or nil.
+func (g *InstanceGraph) FragmentCache() any { return g.fragCache.Load() }
+
+// SetFragmentCache publishes the graph's label fragments, on the terms
+// of SetStatsCache: the first published value wins and is returned
+// either way, and callers must always pass the same concrete type.
+func (g *InstanceGraph) SetFragmentCache(v any) any {
+	if g.fragCache.CompareAndSwap(nil, v) {
+		return v
+	}
+	return g.fragCache.Load()
+}
+
 // Frozen reports whether Freeze has been called.
 func (g *InstanceGraph) Frozen() bool { return g.frozen.Load() }
 
@@ -291,7 +309,7 @@ func (g *InstanceGraph) block(nt *NodeType) *colBlock {
 	b := g.blocks[nt.Name]
 	if b == nil {
 		b = &colBlock{typeName: nt.Name, cols: make([][]value.V, len(nt.Attrs)), src: g.colSrc,
-			ranks: make([]rankMemo, len(nt.Attrs))}
+			ranks: make([]Memo[[]int32], len(nt.Attrs))}
 		g.blocks[nt.Name] = b
 	}
 	return b

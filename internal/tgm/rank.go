@@ -6,7 +6,6 @@ import (
 	"math"
 	"slices"
 	"strings"
-	"sync"
 
 	"repro/internal/value"
 )
@@ -37,15 +36,6 @@ import (
 // comparison; sparser ones sort.
 const rankDenseSpan = 4
 
-// rankMemo is one attribute column's rank, built on the first AttrRank
-// of a frozen graph and kept for the graph's lifetime. The mutex
-// collapses concurrent first calls into one build; a failed build (a
-// column fault) stores nothing, so the next call retries.
-type rankMemo struct {
-	mu   sync.Mutex
-	rank []int32
-}
-
 // AttrRank returns the order-preserving rank of attribute ordinal ai of
 // typeName, aligned with NodesOfType(typeName): rank[a] < rank[b]
 // exactly when value.Compare orders row a's value before row b's, and
@@ -74,24 +64,13 @@ func (g *InstanceGraph) AttrRank(typeName string, ai int) ([]int32, error) {
 		return nil, nil
 	}
 	b := g.block(nt)
-	if !g.frozen.Load() {
+	return b.ranks[ai].Get(g, func() ([]int32, error) {
 		col, err := b.column(ai)
 		if err != nil {
 			return nil, err
 		}
 		return buildRank(col), nil
-	}
-	m := &b.ranks[ai]
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.rank == nil {
-		col, err := b.column(ai)
-		if err != nil {
-			return nil, err
-		}
-		m.rank = buildRank(col)
-	}
-	return m.rank, nil
+	})
 }
 
 // buildRank ranks one non-empty column with the cheapest kernel its

@@ -93,6 +93,26 @@ if grep -rnE '\b(strings|value)\.Compare\b|cmp\.Compare\[string\]|sortKeyed\(' \
 	exit 1
 fi
 
+# A session keeps no window memo: the server reads the current window
+# through a cursor and a Result is materialized only for callers that
+# ask for one (ROADMAP 12).
+echo "==> no window memo in internal/session"
+if grep -rnwE 'winKey|hideColumns|windowMemoRowCap' \
+	--include='*.go' --exclude='*_test.go' internal/session; then
+	echo "the session window memo reappeared (see above)" >&2
+	exit 1
+fi
+
+# A reference label is escaped once per graph, into the label fragment
+# tables (internal/server/frags.go); a state response copies fragments
+# and never escapes a row's or a reference's label again (ROADMAP 12).
+echo "==> no per-response label escaping in internal/server"
+if grep -rnE 'appendJSONString\([^)]*\.Label\b' \
+	--include='*.go' --exclude='*_test.go' internal/server; then
+	echo "a state response escapes a reference label again (see above)" >&2
+	exit 1
+fi
+
 echo "==> go test -race ./..."
 go test -race -run "$pattern" ./...
 
