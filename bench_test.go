@@ -1062,8 +1062,8 @@ func BenchmarkAttrRank(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if len(rank) != len(col) {
-					b.Fatalf("rank of %d rows for a column of %d", len(rank), len(col))
+				if len(rank) != col.Len() {
+					b.Fatalf("rank of %d rows for a column of %d", len(rank), col.Len())
 				}
 				release()
 				ls.Close()

@@ -113,8 +113,8 @@ func (pr *Presentation) Close() error {
 // columns; base columns leave their slot zero). The cursor reads base
 // only; labels are transformRange's.
 type colView struct {
-	base [][]value.V
-	prim []value.V
+	base []value.Column
+	prim value.Column
 	refs []labelCol
 }
 
@@ -123,24 +123,24 @@ type colView struct {
 // the IDs are one contiguous run (tgm.InstanceGraph.TypeIDRange) the
 // row is id-lo; otherwise it is the node's Row, read through the graph.
 type labelCol struct {
-	vals  []value.V
+	vals  value.Column
 	g     *tgm.InstanceGraph
 	lo    tgm.NodeID
 	dense bool
 }
 
-func newLabelCol(g *tgm.InstanceGraph, typeName string, vals []value.V) labelCol {
+func newLabelCol(g *tgm.InstanceGraph, typeName string, vals value.Column) labelCol {
 	lo, _, dense := g.TypeIDRange(typeName)
 	return labelCol{vals: vals, g: g, lo: lo, dense: dense}
 }
 
-// value returns the label value of node id, which must be of the
+// row returns the label column's row of node id, which must be of the
 // column's target type.
-func (lc *labelCol) value(id tgm.NodeID) value.V {
+func (lc *labelCol) row(id tgm.NodeID) int {
 	if lc.dense {
-		return lc.vals[id-lc.lo]
+		return int(id - lc.lo)
 	}
-	return lc.vals[lc.g.Node(id).Row]
+	return int(lc.g.Node(id).Row)
 }
 
 // pins collects the releases of the columns one window pinned.
@@ -148,10 +148,10 @@ type pins []func()
 
 // pin resolves attribute ai of typeName — pinned against eviction on an
 // out-of-core graph — and records its release.
-func (p *pins) pin(g *tgm.InstanceGraph, typeName string, ai int) ([]value.V, error) {
+func (p *pins) pin(g *tgm.InstanceGraph, typeName string, ai int) (value.Column, error) {
 	col, rel, err := g.PinAttrColumn(typeName, ai)
 	if err != nil {
-		return nil, err
+		return value.Column{}, err
 	}
 	*p = append(*p, rel)
 	return col, nil
@@ -166,13 +166,13 @@ func (p pins) release() {
 
 // pinBase resolves the primary type's base columns that cols (column
 // ordinals) reads, pinning each on an out-of-core
-// graph; unread attributes stay nil. On memory-resident graphs the
+// graph; unread attributes stay empty. On memory-resident graphs the
 // Prepare-time view is returned and nothing is pinned.
-func (pr *Presentation) pinBase(cols []int, p *pins) ([][]value.V, error) {
+func (pr *Presentation) pinBase(cols []int, p *pins) ([]value.Column, error) {
 	if pr.view != nil {
 		return pr.view.base, nil
 	}
-	base := make([][]value.V, len(pr.primType.Attrs))
+	base := make([]value.Column, len(pr.primType.Attrs))
 	for _, ci := range cols {
 		if ci < len(base) {
 			col, err := p.pin(pr.g, pr.primType.Name, ci)
@@ -194,7 +194,7 @@ func (pr *Presentation) pinLabels(cols []int, p *pins) (*colView, error) {
 		return pr.view, nil
 	}
 	g := pr.g
-	label := func(tn string) ([]value.V, error) {
+	label := func(tn string) (value.Column, error) {
 		return p.pin(g, tn, g.Schema().NodeType(tn).LabelIndex())
 	}
 	prim, err := label(pr.primType.Name)
@@ -202,7 +202,7 @@ func (pr *Presentation) pinLabels(cols []int, p *pins) (*colView, error) {
 		return nil, err
 	}
 	view := &colView{prim: prim, refs: make([]labelCol, len(pr.columns))}
-	byType := map[string][]value.V{pr.primType.Name: prim}
+	byType := map[string]value.Column{pr.primType.Name: prim}
 	for _, ci := range cols {
 		if pr.columns[ci].Kind == ColBase {
 			continue
@@ -508,7 +508,7 @@ func (pr *Presentation) WindowColumns(offset, limit int, visible []int, opt Exec
 type Cursor struct {
 	pr   *Presentation
 	cols []int
-	base [][]value.V
+	base []value.Column
 	pins pins
 	pos  int
 	hi   int
@@ -568,7 +568,7 @@ func (c *Cursor) Next() bool {
 func (c *Cursor) Node() tgm.NodeID { return c.id }
 
 // Value returns the current row's value in base column ci.
-func (c *Cursor) Value(ci int) value.V { return c.base[ci][c.row] }
+func (c *Cursor) Value(ci int) value.V { return c.base[ci].At(int(c.row)) }
 
 // Refs returns the current row's references in reference column ci:
 // ascending for a participating column, in adjacency order for a
@@ -642,7 +642,7 @@ func (pr *Presentation) transformRange(c *Cursor, view *colView) ([]Row, error) 
 			arena, refs = appendRefs(arena, &view.refs[ci], intern, ids)
 			cs[k] = Cell{Refs: refs}
 		}
-		rows = append(rows, Row{Node: id, Label: intern.label(id, view.prim[c.row]), Cells: cs})
+		rows = append(rows, Row{Node: id, Label: intern.label(id, &view.prim, int(c.row)), Cells: cs})
 	}
 	return rows, nil
 }
@@ -663,7 +663,7 @@ func appendRefs(arena []EntityRef, lc *labelCol, intern labelInterner, ids []tgm
 	}
 	start := len(arena)
 	for _, id := range ids {
-		arena = append(arena, EntityRef{ID: id, Label: intern.label(id, lc.value(id))})
+		arena = append(arena, EntityRef{ID: id, Label: intern.label(id, &lc.vals, lc.row(id))})
 	}
 	return arena, arena[start:len(arena):len(arena)]
 }
@@ -675,15 +675,16 @@ func appendRefs(arena []EntityRef, lc *labelCol, intern labelInterner, ids []tgm
 // only labels that need rendering (ints, floats, bools, NULL).
 type labelInterner map[tgm.NodeID]string
 
-// label returns node id's rendered label, v being its label value.
-func (li labelInterner) label(id tgm.NodeID, v value.V) string {
-	if v.Kind() == value.KindString {
-		return v.AsString()
+// label returns node id's rendered label, read from row of its type's
+// label column.
+func (li labelInterner) label(id tgm.NodeID, col *value.Column, row int) string {
+	if col.Kind(row) == value.KindString {
+		return col.Str(row)
 	}
 	if s, ok := li[id]; ok {
 		return s
 	}
-	s := v.Format()
+	s := col.At(row).Format()
 	li[id] = s
 	return s
 }

@@ -290,7 +290,7 @@ func TestLabelInterner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b := li.label(id, col[n.Row]), li.label(id, col[n.Row])
+	a, b := li.label(id, &col, int(n.Row)), li.label(id, &col, int(n.Row))
 	if a != "2016" || b != "2016" {
 		t.Fatalf("labels = %q, %q", a, b)
 	}
@@ -298,14 +298,15 @@ func TestLabelInterner(t *testing.T) {
 		t.Fatalf("interner holds %d entries, want 1", len(li))
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if li.label(id, col[n.Row]) != "2016" {
+		if li.label(id, &col, int(n.Row)) != "2016" {
 			t.Fatal("bad label")
 		}
 	})
 	if allocs != 0 {
 		t.Errorf("interned label allocated %.1f objects/op, want 0", allocs)
 	}
-	if s := li.label(id+1, value.Str("Zoë")); s != "Zoë" || len(li) != 1 {
+	zoe := value.NewColumn([]value.V{value.Str("Zoë")})
+	if s := li.label(id+1, &zoe, 0); s != "Zoë" || len(li) != 1 {
 		t.Errorf("string label = %q with %d interned, want it passed through uninterned", s, len(li))
 	}
 }

@@ -225,7 +225,7 @@ func consts(list []Expr) ([]value.V, bool) {
 type Bound struct {
 	p        *Pred
 	g        *tgm.InstanceGraph
-	cols     [][]value.V
+	cols     []value.Column
 	releases []func()
 	// lo is the type's first node ID; when contiguous, a node's column
 	// row is its ID − lo, and otherwise it is read from the node.
@@ -237,7 +237,7 @@ type Bound struct {
 // returns the column source's typed error (a *snapshot.CorruptError,
 // say) with nothing left pinned. The caller must Release the Bound.
 func (p *Pred) Bind(g *tgm.InstanceGraph) (*Bound, error) {
-	b := &Bound{p: p, g: g, cols: make([][]value.V, len(p.attrs)), releases: make([]func(), 0, len(p.attrs))}
+	b := &Bound{p: p, g: g, cols: make([]value.Column, len(p.attrs)), releases: make([]func(), 0, len(p.attrs))}
 	for s, ai := range p.attrs {
 		col, release, err := g.PinAttrColumn(p.nt.Name, ai)
 		if err != nil {

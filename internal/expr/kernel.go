@@ -11,15 +11,14 @@ import (
 // indexes into ids; the column row of position k is ids[k] − base.
 type batch struct {
 	p    *Pred
-	cols [][]value.V
+	cols []value.Column
 	ids  []tgm.NodeID
 	base tgm.NodeID
 }
 
 // column returns column slot s with the batch's ids and base, for a
-// leaf loop to hold in registers: position k's value is
-// vals[ids[k]-base].
-func (b *batch) column(s int) (vals []value.V, ids []tgm.NodeID, base tgm.NodeID) {
+// leaf loop to hold in registers: position k's row is ids[k]-base.
+func (b *batch) column(s int) (col value.Column, ids []tgm.NodeID, base tgm.NodeID) {
 	return b.cols[s], b.ids, b.base
 }
 
@@ -114,7 +113,7 @@ func cmpKernel(s int, op CmpOp, c value.V) kernel {
 }
 
 // cmpNum is Col op c for a numeric c, in value.Compare's order
-// (value.NumOrder reads each cell in place).
+// (value.NumOrder reads each row's kind and payload word).
 type cmpNum struct {
 	slot int
 	mask uint8
@@ -122,10 +121,12 @@ type cmpNum struct {
 }
 
 func (k cmpNum) filter(b *batch, sel, out []int32) (int, error) {
-	vals, ids, base := b.column(k.slot)
+	col, ids, base := b.column(k.slot)
+	kinds, nums := col.Kinds(), col.Nums()
 	n := 0
 	for _, p := range sel {
-		lt, gt, null := k.c.Order(&vals[ids[p]-base])
+		r := ids[p] - base
+		lt, gt, null := k.c.Order(kinds[r], nums[r])
 		if null {
 			continue
 		}
@@ -146,17 +147,20 @@ type cmpStr struct {
 }
 
 func (k cmpStr) filter(b *batch, sel, out []int32) (int, error) {
-	vals, ids, base := b.column(k.slot)
+	col, ids, base := b.column(k.slot)
+	kinds, nums := col.Kinds(), col.Nums()
 	n := 0
 	for _, p := range sel {
-		v := &vals[ids[p]-base]
+		r := ids[p] - base
 		var lt, gt bool
-		switch v.Kind() {
+		switch kinds[r] {
 		case value.KindString:
 			if k.eqOnly {
-				lt = v.AsString() != k.s // d != 0 is all = and <> read
+				// d != 0 is all = and <> read; the payload word's low
+				// half is the length.
+				lt = uint32(nums[r]) != uint32(len(k.s)) || col.Str(int(r)) != k.s
 			} else {
-				d := strings.Compare(v.AsString(), k.s)
+				d := strings.Compare(col.Str(int(r)), k.s)
 				lt, gt = d < 0, d > 0
 			}
 		case value.KindNull:
@@ -178,15 +182,15 @@ type cmpAny struct {
 }
 
 func (k cmpAny) filter(b *batch, sel, out []int32) (int, error) {
-	vals, ids, base := b.column(k.slot)
+	col, ids, base := b.column(k.slot)
 	n := 0
 	for _, p := range sel {
-		v := &vals[ids[p]-base]
+		v := col.At(int(ids[p] - base))
 		if v.IsNull() {
 			continue
 		}
 		out[n] = p
-		n += int(k.mask>>(1+value.Compare(*v, k.c))) & 1
+		n += int(k.mask>>(1+value.Compare(v, k.c))) & 1
 	}
 	return n, nil
 }
@@ -216,14 +220,20 @@ type like struct {
 }
 
 func (k like) filter(b *batch, sel, out []int32) (int, error) {
-	vals, ids, base := b.column(k.slot)
+	col, ids, base := b.column(k.slot)
+	kinds := col.Kinds()
 	n := 0
 	for _, p := range sel {
-		v := &vals[ids[p]-base]
-		if v.IsNull() {
+		r := int(ids[p] - base)
+		var s string
+		switch kinds[r] {
+		case value.KindNull:
 			continue
+		case value.KindString:
+			s = col.Str(r)
+		default:
+			s = col.At(r).AsString()
 		}
-		s := v.AsString()
 		if k.fold {
 			s = strings.ToLower(s)
 		}
@@ -269,16 +279,16 @@ func inKernel(s int, list []value.V, negate bool) kernel {
 }
 
 func (k inList) filter(b *batch, sel, out []int32) (int, error) {
-	vals, ids, base := b.column(k.slot)
+	col, ids, base := b.column(k.slot)
 	n := 0
 	for _, p := range sel {
-		v := &vals[ids[p]-base]
+		v := col.At(int(ids[p] - base))
 		if v.IsNull() {
 			continue
 		}
 		found := false
 		for _, c := range k.vals {
-			if value.Equal(*v, c) {
+			if value.Equal(v, c) {
 				found = true
 				break
 			}
@@ -300,14 +310,14 @@ type between struct {
 }
 
 func (k between) filter(b *batch, sel, out []int32) (int, error) {
-	vals, ids, base := b.column(k.slot)
+	col, ids, base := b.column(k.slot)
 	n := 0
 	for _, p := range sel {
-		v := &vals[ids[p]-base]
+		v := col.At(int(ids[p] - base))
 		if v.IsNull() {
 			continue
 		}
-		ok := value.Compare(*v, k.lo) >= 0 && value.Compare(*v, k.hi) <= 0
+		ok := value.Compare(v, k.lo) >= 0 && value.Compare(v, k.hi) <= 0
 		out[n] = p
 		n += b2i(ok != k.negate)
 	}
@@ -321,11 +331,12 @@ type isNull struct {
 }
 
 func (k isNull) filter(b *batch, sel, out []int32) (int, error) {
-	vals, ids, base := b.column(k.slot)
+	col, ids, base := b.column(k.slot)
+	kinds := col.Kinds()
 	n := 0
 	for _, p := range sel {
 		out[n] = p
-		n += b2i(vals[ids[p]-base].IsNull() != k.negate)
+		n += b2i((kinds[ids[p]-base] == value.KindNull) != k.negate)
 	}
 	return n, nil
 }
@@ -364,8 +375,8 @@ func (e *rowEnv) Lookup(name string) (value.V, bool) {
 	if ai := resolveAttr(e.b.p.nt, name); ai >= 0 {
 		for s, a := range e.b.p.attrs {
 			if a == ai {
-				vals, ids, base := e.b.column(s)
-				return vals[ids[e.pos]-base], true
+				col, ids, base := e.b.column(s)
+				return col.At(int(ids[e.pos] - base)), true
 			}
 		}
 	}

@@ -322,6 +322,18 @@ func (d *Dataset) PagerStats() (st lru.Stats, totalSections int, ok bool) {
 	return st, totalSections, true
 }
 
+// PagerResidentBytes is the decoded size of the lazy pager's resident
+// columns (snapshot.LazySnapshot.ResidentBytes); 0 when PagerStats
+// reports no pager.
+func (d *Dataset) PagerResidentBytes() int64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.lazySnap == nil {
+		return 0
+	}
+	return d.lazySnap.ResidentBytes()
+}
+
 // Ensure makes the graph resident, loading the snapshot on first need.
 // Concurrent calls singleflight: one loads, the rest block until it
 // finishes and share its error. ctx cancellation releases a *waiter*

@@ -59,10 +59,10 @@ func buildFragTable(g *tgm.InstanceGraph, nt *tgm.NodeType) (*fragTable, error) 
 	for r, id := range ids {
 		buf = strconv.AppendInt(buf, int64(id), 10)
 		buf = append(buf, `,"label":`...)
-		if v := col[r]; v.Kind() == value.KindString {
-			buf = appendJSONString(buf, v.AsString())
+		if col.Kind(r) == value.KindString {
+			buf = appendJSONString(buf, col.Str(r))
 		} else {
-			buf = appendJSONString(buf, v.Format())
+			buf = appendJSONString(buf, col.At(r).Format())
 		}
 		t.offs[r+1] = int32(len(buf))
 	}

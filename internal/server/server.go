@@ -57,6 +57,7 @@ import (
 	"net/http"
 	"os"
 	"runtime"
+	"runtime/metrics"
 	"sort"
 	"strconv"
 	"sync"
@@ -529,13 +530,15 @@ type datasetStatsJSON struct {
 }
 
 // pagerJSON is one lazy dataset's buffer-pool telemetry: how many
-// column sections are resident versus the snapshot's total, how many
-// disk faults and evictions the workload has caused, and the
-// cumulative fault latency. ResidentSections < TotalSections is the
-// out-of-core invariant: only the touched working set is in memory.
+// column sections are resident versus the snapshot's total and their
+// decoded bytes, how many disk faults and evictions the workload has
+// caused, and the cumulative fault latency. ResidentSections <
+// TotalSections is the out-of-core invariant: only the touched working
+// set is in memory.
 type pagerJSON struct {
 	BudgetSections   int     `json:"budgetSections"`
 	ResidentSections int     `json:"residentSections"`
+	ResidentBytes    int64   `json:"residentBytes"`
 	PinnedSections   int     `json:"pinnedSections"`
 	TotalSections    int     `json:"totalSections"`
 	Faults           int64   `json:"faults"`
@@ -556,12 +559,12 @@ type spillJSON struct {
 }
 
 // memoryJSON is the memory telemetry block of /api/v1/stats: process
-// heap gauges (runtime.ReadMemStats) next to the execution cache's
-// estimated footprint, so operators can see how much of the heap is
-// result cache versus everything else.
+// heap gauges (runtime/metrics, read without stopping the world) next
+// to the execution cache's estimated footprint, so operators can see
+// how much of the heap is result cache versus everything else.
 type memoryJSON struct {
-	// HeapAllocBytes is the process's live heap (runtime MemStats
-	// HeapAlloc).
+	// HeapAllocBytes is the process's heap objects, live and not yet
+	// swept (runtime MemStats HeapAlloc).
 	HeapAllocBytes uint64 `json:"heapAllocBytes"`
 	// HeapInuseBytes is the heap memory held from the OS for live spans
 	// (runtime MemStats HeapInuse); the gap to HeapAllocBytes is
@@ -601,8 +604,9 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	for _, e := range live {
 		perDS[e.ds]++
 	}
-	var rms runtime.MemStats
-	runtime.ReadMemStats(&rms)
+	heap := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}, {Name: "/memory/classes/heap/unused:bytes"}}
+	metrics.Read(heap)
+	alloc, unused := sampleBytes(heap[0]), sampleBytes(heap[1])
 	out := statsJSON{
 		Sessions: n,
 		Workers: workerJSON{
@@ -611,8 +615,8 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			DefaultParallelism: s.defaultBudget(),
 		},
 		Memory: memoryJSON{
-			HeapAllocBytes: rms.HeapAlloc,
-			HeapInuseBytes: rms.HeapInuse,
+			HeapAllocBytes: alloc,
+			HeapInuseBytes: alloc + unused, // as MemStats derives HeapInuse
 		},
 		Datasets: []datasetStatsJSON{},
 	}
@@ -670,6 +674,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			d.Pager = &pagerJSON{
 				BudgetSections:   pst.Capacity,
 				ResidentSections: pst.Len,
+				ResidentBytes:    ds.PagerResidentBytes(),
 				PinnedSections:   pst.Pinned,
 				TotalSections:    total,
 				Faults:           pst.Misses,
@@ -688,6 +693,15 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		out.Datasets = append(out.Datasets, d)
 	}
 	s.writeJSON(w, http.StatusOK, out)
+}
+
+// sampleBytes is a runtime/metrics byte gauge, or 0 if this runtime
+// does not support it.
+func sampleBytes(s metrics.Sample) uint64 {
+	if s.Value.Kind() != metrics.KindUint64 {
+		return 0
+	}
+	return s.Value.Uint64()
 }
 
 // maybeSweep runs a TTL sweep if one has not run recently (quarter-TTL

@@ -675,7 +675,9 @@ func (s *Session) applyLocked(ctx context.Context, c ops.Compiled) error {
 // Seeall: key attribute = node's key value.
 func keyCondition(n *tgm.Node) (expr.Expr, string) {
 	nt := n.Type
-	keyVal := n.Attr(nt.Key)
+	// The condition lives in the session's history and the cached
+	// patterns: a clone keeps no evicted column's strings reachable.
+	keyVal := n.Attr(nt.Key).Clone()
 	cond := expr.Cmp{Op: expr.OpEq, Left: expr.Col{Name: nt.Key}, Right: expr.Const{Val: keyVal}}
 	return cond, fmt.Sprintf("%s = %s", nt.Key, keyVal.SQL())
 }

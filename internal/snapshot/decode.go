@@ -31,7 +31,7 @@ type dec struct {
 func (d *dec) remaining() int { return len(d.buf) - d.off }
 
 func (d *dec) u() (uint64, error) {
-	v, n := binary.Uvarint(d.buf[d.off:])
+	v, n := uvarint(d.buf[d.off:])
 	if n <= 0 {
 		return 0, corrupt(d.sec, "truncated or malformed varint at offset %d", d.off)
 	}
@@ -39,13 +39,32 @@ func (d *dec) u() (uint64, error) {
 	return v, nil
 }
 
-func (d *dec) i() (int64, error) {
-	v, n := binary.Varint(d.buf[d.off:])
-	if n <= 0 {
-		return 0, corrupt(d.sec, "truncated or malformed varint at offset %d", d.off)
+// uvarint is binary.Uvarint that also rejects a varint padded with a
+// trailing 0x00 byte (n == 0), so every value has exactly one
+// encoding. One- and two-byte varints — most column payloads — decode
+// inline.
+func uvarint(buf []byte) (uint64, int) {
+	if len(buf) > 1 && buf[0] >= 0x80 && buf[1]-1 < 0x7f {
+		return uint64(buf[0]&0x7f) | uint64(buf[1])<<7, 2
 	}
-	d.off += n
-	return v, nil
+	if len(buf) > 0 && buf[0] < 0x80 {
+		return uint64(buf[0]), 1
+	}
+	return uvarintLong(buf)
+}
+
+func uvarintLong(buf []byte) (uint64, int) {
+	v, n := binary.Uvarint(buf)
+	if n > 1 && buf[n-1] == 0 {
+		return 0, 0
+	}
+	return v, n
+}
+
+// varint is binary.Varint, minimal as uvarint.
+func varint(buf []byte) (int64, int) {
+	x, n := uvarint(buf)
+	return int64(x>>1) ^ -int64(x&1), n
 }
 
 func (d *dec) b() (byte, error) {
@@ -318,62 +337,83 @@ func decodeSkeleton(buf []byte, schema *tgm.SchemaGraph, m meta) (*tgm.InstanceG
 }
 
 // decodeColumn decodes one column payload (tag array, then non-null
-// payloads) into a freshly allocated value slice of the given row
-// count. Decoded values copy every byte they keep, so the payload (and
-// any mmap view behind it) is not retained.
-func decodeColumn(payload []byte, rows int, typeName string, ai int) ([]value.V, error) {
-	d := &dec{buf: payload, sec: secCols}
-	col := make([]value.V, rows)
-	if d.remaining() < rows {
-		return nil, corrupt(secCols, "type %q attr %d: truncated tag array", typeName, ai)
+// payloads) of the given row count into a value.Column in one pass:
+// each tag becomes the row's kind and each payload its word. The blob is
+// one copy of the payload's bytes from the first string to the end of
+// the last, so a STRING row's word locates its bytes in place and no
+// string is copied on its own; the length prefixes and any non-string
+// payloads between strings ride along. The result copies every byte it
+// keeps, so the payload (and any mmap view behind it) is not retained.
+// Every check makes decoding the inverse of encodeColumn: a payload that
+// decodes re-encodes to the same bytes.
+func decodeColumn(payload []byte, rows int, typeName string, ai int) (value.Column, error) {
+	if len(payload) < rows {
+		return value.Column{}, corrupt(secCols, "type %q attr %d: truncated tag array", typeName, ai)
 	}
-	tags := d.buf[d.off : d.off+rows]
-	d.off += rows
-	for i := 0; i < rows; i++ {
-		v, err := decodeValuePayload(d, value.Kind(tags[i]))
-		if err != nil {
-			return nil, err
+	kinds := make([]value.Kind, rows)
+	nums := make([]uint64, rows)
+	first, last := -1, 0 // the strings' span of the payload
+	off := rows
+	for i, tag := range payload[:rows] {
+		k := value.Kind(tag)
+		kinds[i] = k
+		switch k {
+		case value.KindNull:
+		case value.KindInt:
+			x, n := varint(payload[off:])
+			if n <= 0 {
+				return value.Column{}, corrupt(secCols, "truncated or malformed varint at offset %d", off)
+			}
+			nums[i] = uint64(x)
+			off += n
+		case value.KindFloat:
+			if len(payload)-off < 8 {
+				return value.Column{}, corrupt(secCols, "truncated float at offset %d", off)
+			}
+			nums[i] = binary.LittleEndian.Uint64(payload[off:])
+			off += 8
+		case value.KindString:
+			x, n := uvarint(payload[off:])
+			if n <= 0 {
+				return value.Column{}, corrupt(secCols, "truncated or malformed varint at offset %d", off)
+			}
+			off += n
+			if x > uint64(len(payload)-off) {
+				return value.Column{}, corrupt(secCols, "string length %d exceeds remaining %d bytes", x, len(payload)-off)
+			}
+			if first < 0 {
+				first = off
+			}
+			if uint64(off-first)+x > value.MaxBlob {
+				return value.Column{}, corrupt(secCols, "type %q attr %d: strings past %d bytes", typeName, ai, uint64(value.MaxBlob))
+			}
+			nums[i] = uint64(off-first)<<32 | x
+			off += int(x)
+			last = off
+		case value.KindBool:
+			if off >= len(payload) {
+				return value.Column{}, corrupt(secCols, "truncated at offset %d", off)
+			}
+			if nums[i] = uint64(payload[off]); nums[i] > 1 {
+				return value.Column{}, corrupt(secCols, "type %q attr %d: BOOL byte %d", typeName, ai, nums[i])
+			}
+			off++
+		default:
+			return value.Column{}, corrupt(secCols, "unknown value kind %d", k)
 		}
-		col[i] = v
 	}
-	if err := d.done(); err != nil {
-		return nil, err
+	if off != len(payload) {
+		return value.Column{}, corrupt(secCols, "%d trailing bytes after payload", len(payload)-off)
+	}
+	var blob string
+	if first >= 0 {
+		blob = string(payload[first:last])
+	}
+	col, err := value.MakeColumn(kinds, nums, blob)
+	if err != nil {
+		return value.Column{}, corrupt(secCols, "type %q attr %d: %v", typeName, ai, err)
 	}
 	return col, nil
-}
-
-// decodeValuePayload reads one value of the tagged kind.
-func decodeValuePayload(d *dec, k value.Kind) (value.V, error) {
-	switch k {
-	case value.KindNull:
-		return value.Null, nil
-	case value.KindInt:
-		v, err := d.i()
-		if err != nil {
-			return value.Null, err
-		}
-		return value.Int(v), nil
-	case value.KindFloat:
-		v, err := d.f64()
-		if err != nil {
-			return value.Null, err
-		}
-		return value.Float(v), nil
-	case value.KindString:
-		v, err := d.str()
-		if err != nil {
-			return value.Null, err
-		}
-		return value.Str(v), nil
-	case value.KindBool:
-		v, err := d.b()
-		if err != nil {
-			return value.Null, err
-		}
-		return value.Bool(v != 0), nil
-	default:
-		return value.Null, corrupt(d.sec, "unknown value kind %d", k)
-	}
 }
 
 // decodeEdges rebuilds every adjacency list in CSR form and installs

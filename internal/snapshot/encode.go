@@ -130,14 +130,7 @@ func encodeNodeSections(g *tgm.InstanceGraph) (nskl, ncol []byte, err error) {
 				return nil, nil, err
 			}
 			start := len(cols.buf)
-			// Tag array: one kind byte per row.
-			for _, v := range col {
-				cols.b(byte(v.Kind()))
-			}
-			// Payloads for the non-null rows, in row order.
-			for _, v := range col {
-				encodeValuePayload(cols, v)
-			}
+			encodeColumn(cols, col)
 			payload := cols.buf[start:]
 			skel.u(uint64(start))
 			skel.u(uint64(len(payload)))
@@ -147,21 +140,24 @@ func encodeNodeSections(g *tgm.InstanceGraph) (nskl, ncol []byte, err error) {
 	return skel.buf, cols.buf, nil
 }
 
-// encodeValuePayload writes a value's payload (its kind having been
-// written in the column's tag array). NULL has no payload.
-func encodeValuePayload(e *enc, v value.V) {
-	switch v.Kind() {
-	case value.KindInt:
-		e.i(v.AsInt())
-	case value.KindFloat:
-		e.f64(v.AsFloat())
-	case value.KindString:
-		e.str(v.AsString())
-	case value.KindBool:
-		if v.AsBool() {
-			e.b(1)
-		} else {
-			e.b(0)
+// encodeColumn writes one column payload: the tag array, one kind byte
+// per row, then the non-null rows' payloads in row order, read straight
+// from the column's payload words.
+func encodeColumn(e *enc, col value.Column) {
+	kinds, nums := col.Kinds(), col.Nums()
+	for _, k := range kinds {
+		e.b(byte(k))
+	}
+	for i, k := range kinds {
+		switch k {
+		case value.KindInt:
+			e.i(int64(nums[i]))
+		case value.KindFloat:
+			e.buf = binary.LittleEndian.AppendUint64(e.buf, nums[i])
+		case value.KindString:
+			e.str(col.Str(i))
+		case value.KindBool:
+			e.b(byte(nums[i]))
 		}
 	}
 }

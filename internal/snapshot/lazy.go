@@ -109,7 +109,7 @@ func lazyDecode(f *pager.File, opt LazyOptions) (*LazySnapshot, error) {
 	}
 	src := &columnSource{
 		file:    f,
-		pool:    lru.New[pager.Key, []value.V](budget),
+		pool:    lru.New[pager.Key, value.Column](budget),
 		ncolOff: ncolOff,
 		ncolLen: uint64(len(sections[secCols])),
 		types:   make(map[string]typeCols, len(dir)),
@@ -147,6 +147,16 @@ func (ls *LazySnapshot) PagerStats() (lru.Stats, int) {
 	return ls.src.pool.Stats(), ls.src.totalSections
 }
 
+// ResidentBytes is the decoded size of every column the pager holds,
+// pinned ones included (value.Column.Bytes).
+func (ls *LazySnapshot) ResidentBytes() int64 {
+	var n int64
+	for _, col := range ls.src.pool.Values() {
+		n += col.Bytes()
+	}
+	return n
+}
+
 // Close releases the snapshot file (and any mmap view). The graph must
 // not be queried after Close: columns and adjacency already decoded
 // remain valid, but faulting in a new column — or first-traversing an
@@ -160,7 +170,7 @@ func (ls *LazySnapshot) Close() error {
 // CRC-32C, decodes it, and caches the decoded column in the pager pool.
 type columnSource struct {
 	file          *pager.File
-	pool          *lru.Cache[pager.Key, []value.V]
+	pool          *lru.Cache[pager.Key, value.Column]
 	ncolOff       uint64 // NCOL payload's offset within the file
 	ncolLen       uint64
 	types         map[string]typeCols
@@ -168,15 +178,15 @@ type columnSource struct {
 }
 
 // Column implements tgm.ColumnSource.
-func (cs *columnSource) Column(typeName string, ai int) ([]value.V, error) {
-	return cs.pool.Get(pager.Key{Type: typeName, Attr: ai}, func() ([]value.V, error) {
+func (cs *columnSource) Column(typeName string, ai int) (value.Column, error) {
+	return cs.pool.Get(pager.Key{Type: typeName, Attr: ai}, func() (value.Column, error) {
 		return cs.load(typeName, ai)
 	})
 }
 
 // PinColumn implements tgm.ColumnSource.
-func (cs *columnSource) PinColumn(typeName string, ai int) ([]value.V, func(), error) {
-	return cs.pool.Pin(pager.Key{Type: typeName, Attr: ai}, func() ([]value.V, error) {
+func (cs *columnSource) PinColumn(typeName string, ai int) (value.Column, func(), error) {
+	return cs.pool.Pin(pager.Key{Type: typeName, Attr: ai}, func() (value.Column, error) {
 		return cs.load(typeName, ai)
 	})
 }
@@ -185,25 +195,25 @@ func (cs *columnSource) PinColumn(typeName string, ai int) ([]value.V, func(), e
 // Load errors are not cached by the pool, so a transient failure (or a
 // since-repaired corruption) does not poison the section — the next
 // fault retries from the file.
-func (cs *columnSource) load(typeName string, ai int) ([]value.V, error) {
+func (cs *columnSource) load(typeName string, ai int) (value.Column, error) {
 	tc, ok := cs.types[typeName]
 	if !ok {
-		return nil, fmt.Errorf("snapshot: no column directory for node type %q", typeName)
+		return value.Column{}, fmt.Errorf("snapshot: no column directory for node type %q", typeName)
 	}
 	if ai < 0 || ai >= len(tc.cols) {
-		return nil, fmt.Errorf("snapshot: node type %q has no attribute ordinal %d", typeName, ai)
+		return value.Column{}, fmt.Errorf("snapshot: node type %q has no attribute ordinal %d", typeName, ai)
 	}
 	cm := tc.cols[ai]
 	if cm.off > cs.ncolLen || cm.length > cs.ncolLen-cm.off {
-		return nil, corrupt(secSkel, "column %s[%d] range [%d,+%d) exceeds NCOL size %d",
+		return value.Column{}, corrupt(secSkel, "column %s[%d] range [%d,+%d) exceeds NCOL size %d",
 			typeName, ai, cm.off, cm.length, cs.ncolLen)
 	}
 	payload, err := cs.file.Slice(int64(cs.ncolOff+cm.off), int64(cm.length))
 	if err != nil {
-		return nil, fmt.Errorf("snapshot: reading column %s[%d]: %w", typeName, ai, err)
+		return value.Column{}, fmt.Errorf("snapshot: reading column %s[%d]: %w", typeName, ai, err)
 	}
 	if got := crc32.Checksum(payload, castagnoli); got != cm.crc {
-		return nil, corrupt(secCols, "column %s[%d] checksum mismatch: stored %08x, computed %08x",
+		return value.Column{}, corrupt(secCols, "column %s[%d] checksum mismatch: stored %08x, computed %08x",
 			typeName, ai, cm.crc, got)
 	}
 	return decodeColumn(payload, tc.rows, typeName, ai)

@@ -18,6 +18,7 @@ import (
 	"math"
 
 	"repro/internal/tgm"
+	"repro/internal/value"
 )
 
 // HistBuckets is the number of log2 out-degree buckets per edge type.
@@ -116,11 +117,11 @@ func Collect(g *tgm.InstanceGraph) *Graph {
 				continue
 			}
 			distinct := make(map[string]struct{}, len(ids))
-			for _, v := range col {
-				if v.IsNull() {
+			for r := 0; r < col.Len(); r++ {
+				if col.Kind(r) == value.KindNull {
 					continue
 				}
-				distinct[v.Key()] = struct{}{}
+				distinct[col.At(r).Key()] = struct{}{}
 			}
 			ns.NDV[a.Name] = len(distinct)
 		}

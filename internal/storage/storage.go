@@ -141,13 +141,13 @@ func FromGraph(g *tgm.InstanceGraph) (*Store, error) {
 	for i := 0; i < g.NumNodes(); i++ {
 		n := g.Node(tgm.NodeID(i))
 		if _, err := nodes.InsertValues(
-			value.Int(int64(n.ID)), value.Str(n.Type.Name), value.Str(n.Label()),
+			value.Int(int64(n.ID)), value.Str(n.Type.Name), value.Str(strings.Clone(n.Label())),
 		); err != nil {
 			return nil, err
 		}
 		for ai, a := range n.Type.Attrs {
 			if _, err := attrs.InsertValues(
-				value.Int(int64(n.ID)), value.Str(a.Name), n.AttrAt(ai),
+				value.Int(int64(n.ID)), value.Str(a.Name), n.AttrAt(ai).Clone(),
 			); err != nil {
 				return nil, err
 			}

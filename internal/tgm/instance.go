@@ -55,14 +55,11 @@ func (n *Node) TryAttrAt(i int) (value.V, error) {
 	if i < 0 || i >= len(b.cols) {
 		return value.Null, fmt.Errorf("tgm: type %q has no attribute ordinal %d", n.Type.Name, i)
 	}
-	if col := b.cols[i]; col != nil {
-		return col[n.Row], nil
-	}
 	col, err := b.column(i)
 	if err != nil {
 		return value.Null, err
 	}
-	return col[n.Row], nil
+	return col.At(int(n.Row)), nil
 }
 
 // Label returns label(v) = v[β_i]: the label attribute rendered as text.
@@ -78,38 +75,55 @@ type ColumnSource interface {
 	// Column returns the values of attribute ordinal ai of typeName,
 	// aligned with NodesOfType(typeName). The call may fault the column
 	// in from disk; failures carry the implementation's typed error
-	// (e.g. *snapshot.CorruptError). The returned slice must not be
-	// modified and stays valid even if the source later evicts the
-	// column from residency.
-	Column(typeName string, ai int) ([]value.V, error)
+	// (e.g. *snapshot.CorruptError). The column is immutable and stays
+	// valid even if the source later evicts it from residency.
+	Column(typeName string, ai int) (value.Column, error)
 	// PinColumn is Column plus a residency guarantee: until release is
 	// called, the source must keep the column resident (exempt from
 	// eviction). Windows pin the columns they render so an eviction
 	// storm cannot thrash sections out mid-materialization.
-	PinColumn(typeName string, ai int) (vals []value.V, release func(), err error)
+	PinColumn(typeName string, ai int) (col value.Column, release func(), err error)
 }
 
 // colBlock is one node type's column-major attribute storage: cols[ai]
-// holds the attribute's values aligned with the type's row order. A nil
-// column is unresolved — its values live out of core and fault in
-// through src on first access — unless the type has no nodes, which the
-// graph's accessors answer with an empty column before asking the block.
+// holds the attribute's values aligned with the type's row order. A
+// column with no rows is unresolved — its values live out of core and
+// fault in through src on first access — unless the type has no nodes,
+// which the graph's accessors answer with an empty column before asking
+// the block.
 type colBlock struct {
 	typeName string
-	cols     [][]value.V
-	src      ColumnSource
+	cols     []value.Column
+	// bld[ai] appends AddNode's values to cols[ai]; nil until the first
+	// AddNode of the type.
+	bld []value.Builder
+	src ColumnSource
 	// ranks[ai] memoizes column ai's order (AttrRank).
 	ranks []Memo[[]int32]
 }
 
-func (b *colBlock) column(ai int) ([]value.V, error) {
-	if col := b.cols[ai]; col != nil {
+func (b *colBlock) column(ai int) (value.Column, error) {
+	if col := b.cols[ai]; col.Len() > 0 {
 		return col, nil
 	}
 	if b.src == nil {
-		return nil, fmt.Errorf("tgm: type %q attribute %d has no column data and no column source", b.typeName, ai)
+		return value.Column{}, fmt.Errorf("tgm: type %q attribute %d has no column data and no column source", b.typeName, ai)
 	}
 	return b.src.Column(b.typeName, ai)
+}
+
+// builders returns the block's AddNode builders, seeded with any column
+// installed before them.
+func (b *colBlock) builders() []value.Builder {
+	if b.bld == nil {
+		b.bld = make([]value.Builder, len(b.cols))
+		for ai, col := range b.cols {
+			for r := 0; r < col.Len(); r++ {
+				b.bld[ai].Append(col.At(r))
+			}
+		}
+	}
+	return b.bld
 }
 
 // InstanceGraph is G_I = (V, E) from Definition 2, with per-edge-type
@@ -137,11 +151,16 @@ func (b *colBlock) column(ai int) ([]value.V, error) {
 //
 // # Storage layout
 //
-// Attribute values are stored column-major per node type (colBlock):
-// the in-memory shape matches the snapshot format's per-attribute
-// column sections, so a snapshot decode installs columns wholesale
-// (InstallColumn) and an out-of-core graph leaves them unresolved,
-// faulting each column in through its ColumnSource on first touch.
+// Attribute values are stored column-major per node type (colBlock),
+// one value.Column per attribute — a kind byte and a payload word per
+// row plus one string blob, whether the column is eager, faulted in or
+// built by AddNode (through a value.Builder). The in-memory shape
+// matches the snapshot format's per-attribute column sections, so a
+// snapshot decode installs columns wholesale (InstallColumn) and an
+// out-of-core graph leaves them unresolved, faulting each column in
+// through its ColumnSource on first touch. A string read from a column
+// shares the column's blob: whatever keeps one past a fault clones it
+// (value.V.Clone), or an evicted column stays reachable.
 // Adjacency has two interchangeable representations: the map-of-slices
 // built incrementally by AddEdge, and the packed CSR arrays installed
 // wholesale by InstallAdjacency (the snapshot decode path). Readers
@@ -308,7 +327,7 @@ func (g *InstanceGraph) Frozen() bool { return g.frozen.Load() }
 func (g *InstanceGraph) block(nt *NodeType) *colBlock {
 	b := g.blocks[nt.Name]
 	if b == nil {
-		b = &colBlock{typeName: nt.Name, cols: make([][]value.V, len(nt.Attrs)), src: g.colSrc,
+		b = &colBlock{typeName: nt.Name, cols: make([]value.Column, len(nt.Attrs)), src: g.colSrc,
 			ranks: make([]Memo[[]int32], len(nt.Attrs))}
 		g.blocks[nt.Name] = b
 	}
@@ -317,7 +336,8 @@ func (g *InstanceGraph) block(nt *NodeType) *colBlock {
 
 // AddNode inserts a node of the named type with the given attribute
 // values (aligned with the type's Attrs) and returns its ID. Values are
-// copied into the type's columns.
+// copied into the type's columns; a string that would take its column's
+// string bytes past value.MaxBlob is an error.
 func (g *InstanceGraph) AddNode(typeName string, attrs []value.V) (NodeID, error) {
 	if g.frozen.Load() {
 		return 0, fmt.Errorf("tgm: graph is frozen; cannot add node of type %q", typeName)
@@ -331,13 +351,20 @@ func (g *InstanceGraph) AddNode(typeName string, attrs []value.V) (NodeID, error
 			typeName, len(nt.Attrs), len(attrs))
 	}
 	b := g.block(nt)
+	bld := b.builders()
+	for ai, v := range attrs {
+		if v.Kind() == value.KindString && uint64(len(v.AsString())) > value.MaxBlob-uint64(bld[ai].BlobLen()) {
+			return 0, fmt.Errorf("tgm: column %s.%s holds more than %d string bytes", typeName, nt.Attrs[ai].Name, uint64(value.MaxBlob))
+		}
+	}
 	id := NodeID(len(g.nodes))
 	row := int32(len(g.byType[typeName]))
 	n := &Node{ID: id, Type: nt, Row: row, blk: b}
 	g.nodes = append(g.nodes, n)
 	g.byType[typeName] = append(g.byType[typeName], id)
 	for ai, v := range attrs {
-		b.cols[ai] = append(b.cols[ai], v)
+		bld[ai].Append(v)
+		b.cols[ai] = bld[ai].Column()
 	}
 	return id, nil
 }
@@ -393,11 +420,10 @@ func (g *InstanceGraph) InstallNodes(owner []int32) error {
 }
 
 // InstallColumn provides the dense values of one attribute column,
-// aligned with NodesOfType(typeName). The graph takes ownership of
-// vals: the caller must not modify the slice afterwards (the snapshot
-// decoder hands over freshly decoded columns, so eager loads pay no
-// second copy).
-func (g *InstanceGraph) InstallColumn(typeName string, ai int, vals []value.V) error {
+// aligned with NodesOfType(typeName). Columns are immutable, so the
+// graph shares col (the snapshot decoder hands over freshly decoded
+// columns, and eager loads pay no second copy).
+func (g *InstanceGraph) InstallColumn(typeName string, ai int, col value.Column) error {
 	if g.frozen.Load() {
 		return fmt.Errorf("tgm: graph is frozen; cannot install column %s[%d]", typeName, ai)
 	}
@@ -408,11 +434,13 @@ func (g *InstanceGraph) InstallColumn(typeName string, ai int, vals []value.V) e
 	if ai < 0 || ai >= len(nt.Attrs) {
 		return fmt.Errorf("tgm: type %q has no attribute ordinal %d", typeName, ai)
 	}
-	if len(vals) != len(g.byType[typeName]) {
+	if col.Len() != len(g.byType[typeName]) {
 		return fmt.Errorf("tgm: column %s[%d] has %d values for %d nodes",
-			typeName, ai, len(vals), len(g.byType[typeName]))
+			typeName, ai, col.Len(), len(g.byType[typeName]))
 	}
-	g.block(nt).cols[ai] = vals
+	b := g.block(nt)
+	b.cols[ai] = col
+	b.bld = nil // a later AddNode re-seeds its builders from cols
 	return nil
 }
 
@@ -439,19 +467,18 @@ func (g *InstanceGraph) ColumnSourceAttached() bool { return g.colSrc != nil }
 // AttrColumn returns the values of attribute ordinal ai of typeName,
 // aligned with NodesOfType(typeName). For out-of-core graphs the column
 // is faulted in through the ColumnSource (typed errors propagate); for
-// memory-resident graphs this is a direct slice return. A type with no
-// nodes has empty columns, whatever backs the graph. The returned slice
-// must not be modified.
-func (g *InstanceGraph) AttrColumn(typeName string, ai int) ([]value.V, error) {
+// memory-resident graphs this returns the stored column. A type with no
+// nodes has empty columns, whatever backs the graph.
+func (g *InstanceGraph) AttrColumn(typeName string, ai int) (value.Column, error) {
 	nt := g.schema.NodeType(typeName)
 	if nt == nil {
-		return nil, fmt.Errorf("tgm: unknown node type %q", typeName)
+		return value.Column{}, fmt.Errorf("tgm: unknown node type %q", typeName)
 	}
 	if ai < 0 || ai >= len(nt.Attrs) {
-		return nil, fmt.Errorf("tgm: type %q has no attribute ordinal %d", typeName, ai)
+		return value.Column{}, fmt.Errorf("tgm: type %q has no attribute ordinal %d", typeName, ai)
 	}
 	if len(g.byType[typeName]) == 0 {
-		return nil, nil
+		return value.Column{}, nil
 	}
 	return g.block(nt).column(ai)
 }
@@ -463,20 +490,20 @@ func noopRelease() {}
 // the column stays resident (exempt from buffer-pool eviction) until
 // release is called. For memory-resident graphs release is a no-op.
 // Callers must call release exactly once.
-func (g *InstanceGraph) PinAttrColumn(typeName string, ai int) ([]value.V, func(), error) {
+func (g *InstanceGraph) PinAttrColumn(typeName string, ai int) (value.Column, func(), error) {
 	nt := g.schema.NodeType(typeName)
 	if nt == nil {
-		return nil, nil, fmt.Errorf("tgm: unknown node type %q", typeName)
+		return value.Column{}, nil, fmt.Errorf("tgm: unknown node type %q", typeName)
 	}
 	if ai < 0 || ai >= len(nt.Attrs) {
-		return nil, nil, fmt.Errorf("tgm: type %q has no attribute ordinal %d", typeName, ai)
+		return value.Column{}, nil, fmt.Errorf("tgm: type %q has no attribute ordinal %d", typeName, ai)
 	}
 	b := g.block(nt)
-	if col := b.cols[ai]; col != nil || len(g.byType[typeName]) == 0 {
+	if col := b.cols[ai]; col.Len() > 0 || len(g.byType[typeName]) == 0 {
 		return col, noopRelease, nil // resident, or empty: nothing to pin
 	}
 	if b.src == nil {
-		return nil, nil, fmt.Errorf("tgm: type %q attribute %d has no column data and no column source", typeName, ai)
+		return value.Column{}, nil, fmt.Errorf("tgm: type %q attribute %d has no column data and no column source", typeName, ai)
 	}
 	return b.src.PinColumn(typeName, ai)
 }
@@ -866,7 +893,7 @@ func (g *InstanceGraph) FindNode(typeName, attr string, v value.V) (*Node, bool)
 		return nil, false
 	}
 	for row, id := range ids {
-		if value.Equal(col[row], v) {
+		if value.Equal(col.At(row), v) {
 			return g.nodes[id], true
 		}
 	}

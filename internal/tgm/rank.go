@@ -74,56 +74,49 @@ func (g *InstanceGraph) AttrRank(typeName string, ai int) ([]int32, error) {
 }
 
 // buildRank ranks one non-empty column with the cheapest kernel its
-// kinds admit: a counting or integer sort for uniform INT or BOOL, a
-// string sort for uniform STRING, and the comparator only for FLOAT,
-// NULL or mixed kinds — the columns where a native comparison would
-// differ from value.Compare.
-func buildRank(col []value.V) []int32 {
-	rank := make([]int32, len(col))
-	kind := col[0].Kind()
-	for i := range col {
-		if col[i].Kind() != kind {
-			rankSorted(col, identity, compareForRank, rank)
-			return rank
-		}
-	}
-	switch kind {
-	case value.KindInt, value.KindBool:
-		rankInts(col, rank)
-	case value.KindString:
+// kinds admit: a counting or integer sort over the payload words for
+// uniform INT or BOOL, a string sort for uniform STRING, and the
+// comparator only for FLOAT, NULL or mixed kinds — the columns where a
+// native comparison would differ from value.Compare.
+func buildRank(col value.Column) []int32 {
+	rank := make([]int32, col.Len())
+	switch k := col.Kind(0); {
+	case (k == value.KindInt || k == value.KindBool) && col.Uniform(k):
+		rankInts(col.Nums(), rank)
+	case k == value.KindString && col.Uniform(k):
 		rankStrings(col, rank)
 	default:
-		rankSorted(col, identity, compareForRank, rank)
+		rankSorted(col.Len(), col.At, compareForRank, rank)
 	}
 	return rank
 }
 
-// rankInts ranks a column of one integer kind. A dense range marks each
-// present value in a slot table and prefix-counts the marks into ranks;
-// a sparse one sorts.
-func rankInts(col []value.V, rank []int32) {
-	lo, hi := col[0].AsInt(), col[0].AsInt()
-	for i := range col {
-		k := col[i].AsInt()
+// rankInts ranks a column of one integer kind from its payload words.
+// A dense range marks each present value in a slot table and
+// prefix-counts the marks into ranks; a sparse one sorts.
+func rankInts(nums []uint64, rank []int32) {
+	lo, hi := int64(nums[0]), int64(nums[0])
+	for _, n := range nums {
+		k := int64(n)
 		lo, hi = min(lo, k), max(hi, k)
 	}
 	// hi-lo as unsigned: exact even when the difference overflows int64.
 	span := uint64(hi) - uint64(lo)
-	if span >= uint64(rankDenseSpan*len(col)) {
-		rankSorted(col, value.V.AsInt, cmp.Compare[int64], rank)
+	if span >= uint64(rankDenseSpan*len(nums)) {
+		rankSorted(len(nums), func(i int) int64 { return int64(nums[i]) }, cmp.Compare[int64], rank)
 		return
 	}
 	slot := make([]int32, span+1)
-	for i := range col {
-		slot[uint64(col[i].AsInt())-uint64(lo)] = 1
+	for _, n := range nums {
+		slot[n-uint64(lo)] = 1
 	}
 	next := int32(0)
 	for s, present := range slot {
 		slot[s] = next
 		next += present
 	}
-	for i := range col {
-		rank[i] = slot[uint64(col[i].AsInt())-uint64(lo)]
+	for i, n := range nums {
+		rank[i] = slot[n-uint64(lo)]
 	}
 }
 
@@ -131,14 +124,14 @@ func rankInts(col []value.V, rank []int32) {
 // strings.Compare. It is rankSorted with the comparison called
 // directly: the title column's build is the costliest, and the
 // indirect call costs it about 15%.
-func rankStrings(col []value.V, rank []int32) {
+func rankStrings(col value.Column, rank []int32) {
 	type pair struct {
 		s   string
 		row int32
 	}
-	ps := make([]pair, len(col))
-	for i := range col {
-		ps[i] = pair{col[i].AsString(), int32(i)}
+	ps := make([]pair, col.Len())
+	for i := range ps {
+		ps[i] = pair{col.Str(i), int32(i)}
 	}
 	slices.SortFunc(ps, func(a, b pair) int { return strings.Compare(a.s, b.s) })
 	r := int32(0)
@@ -156,13 +149,13 @@ type rankPair[K any] struct {
 	row int32
 }
 
-// rankSorted sorts the column's (key, row) pairs by compare and walks
-// them in order, handing each row its dense rank: the previous row's,
-// or one more when the keys differ.
-func rankSorted[K any](col []value.V, key func(value.V) K, compare func(a, b K) int, rank []int32) {
-	ps := make([]rankPair[K], len(col))
-	for i := range col {
-		ps[i] = rankPair[K]{key(col[i]), int32(i)}
+// rankSorted sorts the (key(row), row) pairs of an n-row column by
+// compare and walks them in order, handing each row its dense rank: the
+// previous row's, or one more when the keys differ.
+func rankSorted[K any](n int, key func(row int) K, compare func(a, b K) int, rank []int32) {
+	ps := make([]rankPair[K], n)
+	for i := range ps {
+		ps[i] = rankPair[K]{key(i), int32(i)}
 	}
 	slices.SortFunc(ps, func(a, b rankPair[K]) int { return compare(a.key, b.key) })
 	r := int32(0)
@@ -189,7 +182,5 @@ func compareForRank(a, b value.V) int {
 	}
 	return value.Compare(a, b)
 }
-
-func identity(v value.V) value.V { return v }
 
 func isNaN(v value.V) bool { return v.Kind() == value.KindFloat && math.IsNaN(v.AsFloat()) }

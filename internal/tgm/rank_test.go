@@ -191,22 +191,22 @@ var errFault = errors.New("column fault")
 // countingSource serves one column and counts its reads and pins; while
 // failing is set every read fails.
 type countingSource struct {
-	col     []value.V
+	col     value.Column
 	reads   atomic.Int32
 	pins    atomic.Int32
 	failing atomic.Bool
 }
 
-func (s *countingSource) Column(string, int) ([]value.V, error) {
+func (s *countingSource) Column(string, int) (value.Column, error) {
 	s.reads.Add(1)
 	time.Sleep(time.Millisecond) // widen the window for concurrent first calls
 	if s.failing.Load() {
-		return nil, errFault
+		return value.Column{}, errFault
 	}
 	return s.col, nil
 }
 
-func (s *countingSource) PinColumn(typeName string, ai int) ([]value.V, func(), error) {
+func (s *countingSource) PinColumn(typeName string, ai int) (value.Column, func(), error) {
 	s.pins.Add(1)
 	col, err := s.Column(typeName, ai)
 	return col, func() { s.pins.Add(-1) }, err
@@ -216,7 +216,7 @@ func (s *countingSource) PinColumn(typeName string, ai int) ([]value.V, func(), 
 func sourcedGraph(t *testing.T, src *countingSource) *InstanceGraph {
 	t.Helper()
 	g := NewInstanceGraph(rankGraph(t, nil).Schema())
-	if err := g.InstallNodes(make([]int32, len(src.col))); err != nil {
+	if err := g.InstallNodes(make([]int32, src.col.Len())); err != nil {
 		t.Fatal(err)
 	}
 	if err := g.SetColumnSource(src); err != nil {
@@ -234,7 +234,7 @@ func TestAttrRankConcurrentFirstCallsBuildOnce(t *testing.T) {
 	for i := range col {
 		col[i] = value.Str(fmt.Sprintf("row %d", (i*37)%500))
 	}
-	src := &countingSource{col: col}
+	src := &countingSource{col: value.NewColumn(col)}
 	g := sourcedGraph(t, src)
 	ranks := make([][]int32, 8)
 	errs := make([]error, len(ranks))
@@ -271,7 +271,7 @@ func TestAttrRankConcurrentFirstCallsBuildOnce(t *testing.T) {
 // error and is not kept — the next call reads again and builds — while
 // a built rank is.
 func TestAttrRankFaultIsNotMemoized(t *testing.T) {
-	src := &countingSource{col: []value.V{value.Int(3), value.Int(1), value.Int(2)}}
+	src := &countingSource{col: value.NewColumn([]value.V{value.Int(3), value.Int(1), value.Int(2)})}
 	src.failing.Store(true)
 	g := sourcedGraph(t, src)
 	if _, err := g.AttrRank("T", 0); !errors.Is(err, errFault) {

@@ -4,6 +4,11 @@
 // query patterns are evaluated over these graphs rather than over the
 // relational database directly; internal/translate builds them from a
 // relational schema following Appendix A.
+//
+// An instance graph keeps its node attributes column-major, one
+// value.Column per (node type, attribute): AttrColumn and PinAttrColumn
+// hand a column out whole, an out-of-core graph faults columns in
+// through a ColumnSource, and AttrRank orders a column once per graph.
 package tgm
 
 import (

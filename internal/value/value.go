@@ -6,6 +6,15 @@
 // semantics: NULL sorts before everything, numeric kinds compare across
 // INT/FLOAT, and comparisons between incompatible kinds fall back to a
 // stable kind ordering so sorting is always total.
+//
+// A V is the unit of one value; a Column is the unit of an attribute's
+// values. A Column stores no V: each row is one kind byte and one 64-bit
+// payload word (an INT's or a FLOAT's exact bits, a BOOL's 0/1, or a
+// STRING's offset and length), and every string lives in one shared
+// blob, so a column of any size is three pointer-free blocks — what the
+// snapshot decoder fills in one pass and what column kernels scan.
+// Column.At rebuilds the exact V of a row. Builder appends rows one at
+// a time; MakeColumn adopts decoded parts after checking them.
 package value
 
 import (
@@ -76,6 +85,16 @@ func Bool(b bool) V {
 
 // Kind reports the value's kind.
 func (v V) Kind() Kind { return v.kind }
+
+// Clone returns v holding its own copy of a STRING's bytes. A value read
+// from a Column shares the column's string blob; one kept past the
+// column's residency is cloned, so it does not keep the blob reachable.
+func (v V) Clone() V {
+	if v.kind == KindString {
+		v.s = strings.Clone(v.s)
+	}
+	return v
+}
 
 // IsNull reports whether the value is NULL.
 func (v V) IsNull() bool { return v.kind == KindNull }
@@ -294,7 +313,7 @@ func cmpFloat(a, b float64) int {
 	}
 }
 
-// NumOrder is a numeric constant prepared for ordering many values
+// NumOrder is a numeric constant prepared for ordering many column rows
 // against it, as a column-at-a-time selection does.
 type NumOrder struct {
 	i     int64
@@ -307,19 +326,21 @@ func NewNumOrder(c V) NumOrder {
 	return NumOrder{i: c.i, f: c.AsFloat(), isInt: c.kind == KindInt}
 }
 
-// Order returns Compare(*v, c) as two flags, lt for -1 and gt for +1
-// (neither for 0), reading v in place; null reports a NULL v, which a
-// SQL comparison leaves unordered.
-func (c *NumOrder) Order(v *V) (lt, gt, null bool) {
-	switch v.kind {
+// Order returns Compare(v, c) as two flags, lt for -1 and gt for +1
+// (neither for 0), for the column row v of kind k and payload word n
+// (see Column); null reports a NULL v, which a SQL comparison leaves
+// unordered.
+func (c *NumOrder) Order(k Kind, n uint64) (lt, gt, null bool) {
+	switch k {
 	case KindInt:
 		if c.isInt {
-			return v.i < c.i, v.i > c.i, false
+			return int64(n) < c.i, int64(n) > c.i, false
 		}
-		x := float64(v.i)
+		x := float64(int64(n))
 		return x < c.f, x > c.f, false
 	case KindFloat:
-		return v.f < c.f, v.f > c.f, false
+		x := math.Float64frombits(n)
+		return x < c.f, x > c.f, false
 	case KindNull:
 		return false, false, true
 	case KindBool:

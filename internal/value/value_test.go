@@ -259,7 +259,7 @@ func TestParseRoundTripInt(t *testing.T) {
 }
 
 // TestNumOrderMatchesCompare holds NumOrder.Order to Compare for every
-// pair of a value against a numeric constant, over the edges Compare
+// pair of a column row against a numeric constant, over the edges Compare
 // distinguishes: INT against FLOAT, NaN (equal to everything), ±0,
 // ±Inf, the int64 extremes and integers past float64's precision,
 // BOOL below and STRING above every number, and NULL.
@@ -270,10 +270,11 @@ func TestNumOrderMatchesCompare(t *testing.T) {
 		Float(math.Inf(1)), Float(math.Inf(-1)), Float(1 << 53), Float(9.223372036854776e18),
 	}
 	vals := append([]V{Null, Bool(true), Bool(false), Str(""), Str("1")}, nums...)
+	col := NewColumn(vals)
 	for _, c := range nums {
 		o := NewNumOrder(c)
-		for _, v := range vals {
-			lt, gt, null := o.Order(&v)
+		for i, v := range vals {
+			lt, gt, null := o.Order(col.Kind(i), col.Nums()[i])
 			if null != v.IsNull() {
 				t.Fatalf("Order(%v) against %v: null = %v", v, c, null)
 			}

@@ -18,7 +18,7 @@
 # compiles and runs, without measuring anything. It also covers the
 # package benchmarks that live beside their test-only oracle
 # (internal/etable, internal/graphrel) or the unexported kernel they
-# measure (internal/server).
+# measure (internal/server, internal/snapshot).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -28,7 +28,7 @@ if [ "${1:-}" = "smoke" ] || [ "${1:-}" = "--smoke" ]; then
 	# vet first so CI's smoke shard fails on bench-code rot even when a
 	# benchmark would happen to run.
 	go vet .
-	exec go test -run '^$' -bench "$pattern" -benchtime 1x . ./internal/etable ./internal/graphrel ./internal/server
+	exec go test -run '^$' -bench "$pattern" -benchtime 1x . ./internal/etable ./internal/graphrel ./internal/server ./internal/snapshot
 fi
 
 pattern="${1:-.}"

@@ -113,6 +113,21 @@ if grep -rnE 'appendJSONString\([^)]*\.Label\b' \
 	exit 1
 fi
 
+# An attribute column is one value.Column — kinds, payload words and one
+# string blob, no pointer per row — wherever a graph stores or hands one
+# out: the column source interface, the per-type block, the graph's
+# column accessors and the snapshot decoder that fills them (ROADMAP 2b).
+echo "==> attribute columns are value.Column"
+if awk '
+	/^type (ColumnSource interface|colBlock struct) \{/ { blk = 1 }
+	blk { print FILENAME ":" FNR ": " $0 }
+	blk && /^\}/ { blk = 0 }
+	/^func (\([^)]*\) )?(AttrColumn|PinAttrColumn|column|decodeColumn)\(/ { print FILENAME ":" FNR ": " $0 }
+' internal/tgm/instance.go internal/snapshot/decode.go | grep -F '[]value.V'; then
+	echo "an attribute column signature holds []value.V again (see above)" >&2
+	exit 1
+fi
+
 echo "==> go test -race ./..."
 go test -race -run "$pattern" ./...
 
