@@ -17,15 +17,16 @@ import (
 )
 
 // scatteredFixture builds the graph dense ID indexing could get wrong:
-// X and Y nodes are added alternately, so neither type's IDs are
-// contiguous and each type's span covers the other's nodes. X–Y edges
-// are random and many-to-many. (The type with no nodes at all is
+// a filler type F is added first, then X's run, then Y's, so every
+// type's run starts at a distinct non-zero ID and an index read at id
+// instead of id − lo lands on another row or outside the column. X–Y
+// edges are random and many-to-many. (The type with no nodes at all is
 // graphrel's TestJoinScatteredIDs: a table over one cannot be rendered
 // from an AddNode-built graph, which has no column to label it with.)
 func scatteredFixture(t *testing.T, rng *rand.Rand) (*tgm.SchemaGraph, *tgm.InstanceGraph) {
 	t.Helper()
 	s := tgm.NewSchemaGraph()
-	for _, name := range []string{"X", "Y"} {
+	for _, name := range []string{"F", "X", "Y"} {
 		if _, err := s.AddNodeType(tgm.NodeType{Name: name, Kind: tgm.NodeEntity, Label: "id",
 			Attrs: []tgm.Attr{{Name: "id", Type: value.KindInt}}}); err != nil {
 			t.Fatal(err)
@@ -36,14 +37,16 @@ func scatteredFixture(t *testing.T, rng *rand.Rand) (*tgm.SchemaGraph, *tgm.Inst
 	}
 	g := tgm.NewInstanceGraph(s)
 	ids := map[string][]tgm.NodeID{}
-	for i, n := 0, 10+rng.Intn(30); i < n; i++ {
-		name := []string{"X", "Y"}[i%2]
-		for run := 1 + rng.Intn(2); run > 0; run-- {
-			id, err := g.AddNode(name, []value.V{value.Int(int64(len(ids[name])))})
+	for _, run := range []struct {
+		name string
+		n    int
+	}{{"F", 1 + rng.Intn(3)}, {"X", 5 + rng.Intn(20)}, {"Y", 5 + rng.Intn(20)}} {
+		for i := 0; i < run.n; i++ {
+			id, err := g.AddNode(run.name, []value.V{value.Int(int64(i))})
 			if err != nil {
 				t.Fatal(err)
 			}
-			ids[name] = append(ids[name], id)
+			ids[run.name] = append(ids[run.name], id)
 		}
 	}
 	for _, x := range ids["X"] {
@@ -56,11 +59,6 @@ func scatteredFixture(t *testing.T, rng *rand.Rand) (*tgm.SchemaGraph, *tgm.Inst
 		}
 	}
 	g.Freeze()
-	for _, name := range []string{"X", "Y"} {
-		if _, _, contiguous := g.TypeIDRange(name); contiguous {
-			t.Fatalf("type %s came out contiguous: %v", name, ids[name])
-		}
-	}
 	return s, g
 }
 
@@ -107,11 +105,11 @@ func assertCellsMatchRelation(t *testing.T, label string, res *Result, p *Patter
 }
 
 // TestPrepareScatteredIDs is the one-Prepare-kernel equivalence where
-// dense indexing could go wrong (no type contiguous, a repeated type, a
-// selection leaving gaps): PrepareOpts, prepareFromSource at batch 7 and
-// the default under budgets 1 and 4, and a spill demotion tripping
-// after the first tuple, mid-stream and one short of the end all render
-// the oracle's table cell for cell. Run under -race by scripts/check.sh.
+// dense indexing could go wrong (ID runs starting at distinct non-zero
+// IDs, a repeated type, a selection leaving gaps): PrepareOpts,
+// prepareFromSource at batch 7 and the default under budgets 1 and 4,
+// and a spill demotion tripping after the first tuple, mid-stream and
+// one short of the end all render the oracle's table cell for cell. Run under -race by scripts/check.sh.
 func TestPrepareScatteredIDs(t *testing.T) {
 	rng := rand.New(rand.NewSource(20261004))
 	pool := exec.NewPool(4)

@@ -156,14 +156,9 @@ func (pr *Presentation) sorted(spec SortSpec) ([]tgm.NodeID, error) {
 		if err != nil {
 			return nil, err
 		}
-		if lo, _, contiguous := pr.g.TypeIDRange(pr.primType.Name); contiguous {
-			for i, id := range ids {
-				keys[i] = int64(rank[id-lo])
-			}
-		} else {
-			for i, id := range ids {
-				keys[i] = int64(rank[pr.g.Node(id).Row])
-			}
+		lo, _ := pr.g.TypeIDRange(pr.primType.Name)
+		for i, id := range ids {
+			keys[i] = int64(rank[id-lo])
 		}
 	}
 	return sortInts(ids, keys, spec.Desc), nil

@@ -46,9 +46,9 @@ import (
 //
 // Label reads: the cursor reads no label. transformRange, the only
 // reader of label columns, binds every reference column to its target
-// type's label column and ID layout (labelCol). Where the type's node
-// IDs are one contiguous run, a reference's label is vals[id-lo] — no
-// node lookup, no map probe.
+// type's label column and first node ID (labelCol): a type's node IDs
+// are one run, so a reference's label is vals[id-lo] — no node lookup,
+// no map probe.
 
 // Presentation is a prepared format transformation over one matched
 // relation: the canonical row order, the column layout, and the
@@ -119,28 +119,16 @@ type colView struct {
 }
 
 // labelCol is one reference column's label source: the label column of
-// its target type, bound to how that type's node IDs map to rows. When
-// the IDs are one contiguous run (tgm.InstanceGraph.TypeIDRange) the
-// row is id-lo; otherwise it is the node's Row, read through the graph.
+// its target type and the type's first node ID, so node id's row is
+// id-lo (tgm.InstanceGraph.TypeIDRange).
 type labelCol struct {
-	vals  value.Column
-	g     *tgm.InstanceGraph
-	lo    tgm.NodeID
-	dense bool
+	vals value.Column
+	lo   tgm.NodeID
 }
 
 func newLabelCol(g *tgm.InstanceGraph, typeName string, vals value.Column) labelCol {
-	lo, _, dense := g.TypeIDRange(typeName)
-	return labelCol{vals: vals, g: g, lo: lo, dense: dense}
-}
-
-// row returns the label column's row of node id, which must be of the
-// column's target type.
-func (lc *labelCol) row(id tgm.NodeID) int {
-	if lc.dense {
-		return int(id - lc.lo)
-	}
-	return int(lc.g.Node(id).Row)
+	lo, _ := g.TypeIDRange(typeName)
+	return labelCol{vals: vals, lo: lo}
 }
 
 // pins collects the releases of the columns one window pinned.
@@ -514,6 +502,9 @@ type Cursor struct {
 	hi   int
 	id   tgm.NodeID
 	row  int32
+	// idLo is the primary type's first node ID: node id's column row is
+	// id − idLo.
+	idLo tgm.NodeID
 	buf  *[]tgm.NodeID // spilled groupings' read buffer; nil when nothing spilled
 }
 
@@ -535,6 +526,7 @@ func (pr *Presentation) Cursor(lo, hi int, visible []int) (Cursor, error) {
 	if lo == hi {
 		return c, nil
 	}
+	c.idLo, _ = pr.g.TypeIDRange(pr.primType.Name)
 	if len(pr.closers) > 0 {
 		c.buf = new([]tgm.NodeID)
 	}
@@ -560,7 +552,7 @@ func (c *Cursor) Next() bool {
 		return false
 	}
 	c.id = c.pr.rowIDs[c.pos]
-	c.row = c.pr.g.Node(c.id).Row
+	c.row = int32(c.id - c.idLo)
 	return true
 }
 
@@ -663,7 +655,7 @@ func appendRefs(arena []EntityRef, lc *labelCol, intern labelInterner, ids []tgm
 	}
 	start := len(arena)
 	for _, id := range ids {
-		arena = append(arena, EntityRef{ID: id, Label: intern.label(id, &lc.vals, lc.row(id))})
+		arena = append(arena, EntityRef{ID: id, Label: intern.label(id, &lc.vals, int(id-lc.lo))})
 	}
 	return arena, arena[start:len(arena):len(arena)]
 }

@@ -3,13 +3,11 @@ package etable
 import (
 	"context"
 	"fmt"
-	"path/filepath"
 	"reflect"
 	"testing"
 
 	"repro/internal/exec"
 	"repro/internal/graphrel"
-	"repro/internal/snapshot"
 	"repro/internal/tgm"
 	"repro/internal/value"
 )
@@ -224,10 +222,9 @@ func TestSortThenPageEquivalence(t *testing.T) {
 // reference lists share one package-level slice — materializing them
 // allocates nothing and never carves arena.
 func TestRefsEmptyZeroAlloc(t *testing.T) {
-	tr := planFixture(t)
 	var arena []EntityRef
 	intern := labelInterner{}
-	lc := &labelCol{g: tr.Instance}
+	lc := &labelCol{}
 	allocs := testing.AllocsPerRun(100, func() {
 		var w []EntityRef
 		arena, w = appendRefs(arena, lc, intern, nil)
@@ -285,12 +282,11 @@ func TestLabelInterner(t *testing.T) {
 	}
 	g.Freeze()
 	li := labelInterner{}
-	n := g.Node(id)
 	col, err := g.AttrColumn("Y", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b := li.label(id, &col, int(n.Row)), li.label(id, &col, int(n.Row))
+	a, b := li.label(id, &col, 0), li.label(id, &col, 0)
 	if a != "2016" || b != "2016" {
 		t.Fatalf("labels = %q, %q", a, b)
 	}
@@ -298,7 +294,7 @@ func TestLabelInterner(t *testing.T) {
 		t.Fatalf("interner holds %d entries, want 1", len(li))
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if li.label(id, &col, int(n.Row)) != "2016" {
+		if li.label(id, &col, 0) != "2016" {
 			t.Fatal("bad label")
 		}
 	})
@@ -383,150 +379,5 @@ func TestSortedViewSharesPreparedState(t *testing.T) {
 	}
 	if !reflect.DeepEqual(v.rowIDs, nodesOf(want)) {
 		t.Fatal("view's row order differs from the sorted full render")
-	}
-}
-
-// TestLabelsOverInterleavedIDs renders reference labels whose target
-// types' node IDs are not one contiguous run, so every label read takes
-// the node-row fallback of labelCol.value instead of id-lo. A and B are added
-// alternately (both scattered) and C after them (contiguous); labels
-// are derived from the node ID, not the row, so reading the wrong row
-// shows. Every row and reference label must be its node's own label
-// attribute, and windows — on the heap graph and on the out-of-core
-// load of the same snapshot, which pins a view per window — must equal
-// the slices of the full Execute render.
-func TestLabelsOverInterleavedIDs(t *testing.T) {
-	s := tgm.NewSchemaGraph()
-	for _, nt := range []tgm.NodeType{
-		{Name: "A", Kind: tgm.NodeEntity, Label: "name", Attrs: []tgm.Attr{{Name: "n", Type: value.KindInt}, {Name: "name", Type: value.KindString}}},
-		{Name: "B", Kind: tgm.NodeEntity, Label: "title", Attrs: []tgm.Attr{{Name: "title", Type: value.KindString}}},
-		{Name: "C", Kind: tgm.NodeEntity, Label: "year", Attrs: []tgm.Attr{{Name: "year", Type: value.KindInt}}},
-	} {
-		if _, err := s.AddNodeType(nt); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, et := range []tgm.EdgeType{
-		{Name: "A→B", Source: "A", Target: "B", Kind: tgm.EdgeManyToMany},
-		{Name: "A→C", Source: "A", Target: "C", Kind: tgm.EdgeManyToMany},
-	} {
-		if _, err := s.AddBidirectional(et); err != nil {
-			t.Fatal(err)
-		}
-	}
-	g := tgm.NewInstanceGraph(s)
-	add := func(typ string, attrs ...value.V) tgm.NodeID {
-		id, err := g.AddNode(typ, attrs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return id
-	}
-	var as, bs, cs []tgm.NodeID
-	for i := 0; i < 24; i++ {
-		id := tgm.NodeID(g.NumNodes())
-		if i%2 == 0 {
-			as = append(as, add("A", value.Int(int64(i)), value.Str(fmt.Sprintf("a<%d>", 3*id))))
-		} else {
-			bs = append(bs, add("B", value.Str(fmt.Sprintf("b%d", 5*id))))
-		}
-	}
-	for i := 0; i < 6; i++ {
-		cs = append(cs, add("C", value.Int(int64(1000+7*g.NumNodes()))))
-	}
-	for i, a := range as {
-		for j, b := range bs {
-			if (i+j)%3 != 0 {
-				if err := g.AddEdge("A→B", a, b); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		if err := g.AddEdge("A→C", a, cs[i%len(cs)]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	g.Freeze()
-	for typ, want := range map[string]bool{"A": false, "B": false, "C": true} {
-		if _, _, contiguous := g.TypeIDRange(typ); contiguous != want {
-			t.Fatalf("type %s contiguous = %v, want %v", typ, contiguous, want)
-		}
-	}
-	path := filepath.Join(t.TempDir(), "interleaved.etsnap")
-	if _, err := snapshot.SaveFile(path, g); err != nil {
-		t.Fatal(err)
-	}
-	lazy, err := snapshot.LazyLoad(path, snapshot.LazyOptions{PoolSections: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lazy.Close()
-
-	labelOf := func(id tgm.NodeID) string {
-		n := g.Node(id)
-		return n.AttrAt(n.Type.LabelIndex()).Format()
-	}
-	open := func(typ string, edges ...string) *Pattern {
-		p, err := Initiate(s, typ)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range edges {
-			if p, err = Add(s, p, e); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return p
-	}
-	for name, p := range map[string]*Pattern{
-		"A":       open("A"),
-		"B":       open("B"),
-		"A*B@B":   open("A", "A→B"),
-		"A*B@A":   open("A", "A→B", "A→B_rev"),
-		"A*C*A@A": open("A", "A→C", "A→C_rev"),
-	} {
-		full, err := Execute(g, p)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		refs := 0
-		for _, row := range full.Rows {
-			if want := labelOf(row.Node); row.Label != want {
-				t.Fatalf("%s: row %d label %q, want %q", name, row.Node, row.Label, want)
-			}
-			for _, c := range row.Cells {
-				for _, r := range c.Refs {
-					refs++
-					if want := labelOf(r.ID); r.Label != want {
-						t.Fatalf("%s: row %d ref %d label %q, want %q", name, row.Node, r.ID, r.Label, want)
-					}
-				}
-			}
-		}
-		if len(full.Rows) < 5 || refs == 0 {
-			t.Fatalf("%s: %d rows and %d refs; the fixture should render both", name, len(full.Rows), refs)
-		}
-		for graphName, gr := range map[string]*tgm.InstanceGraph{"heap": g, "out-of-core": lazy.Graph} {
-			matched, err := Match(gr, p)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", name, graphName, err)
-			}
-			pr, err := Prepare(gr, p, matched)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", name, graphName, err)
-			}
-			n := len(full.Rows)
-			for _, w := range [][2]int{{0, -1}, {0, 3}, {2, 5}, {n - 2, 10}} {
-				got, err := pr.Window(w[0], w[1])
-				if err != nil {
-					t.Fatalf("%s/%s window %v: %v", name, graphName, w, err)
-				}
-				end := n
-				if w[1] >= 0 {
-					end = min(n, w[0]+w[1])
-				}
-				assertSameWindow(t, fmt.Sprintf("%s/%s window %v", name, graphName, w), got, sliceOf(full, w[0], end))
-			}
-		}
 	}
 }

@@ -224,20 +224,17 @@ func consts(list []Expr) ([]value.V, bool) {
 // disjoint or overlapping row ranges.
 type Bound struct {
 	p        *Pred
-	g        *tgm.InstanceGraph
 	cols     []value.Column
 	releases []func()
-	// lo is the type's first node ID; when contiguous, a node's column
-	// row is its ID − lo, and otherwise it is read from the node.
-	lo         tgm.NodeID
-	contiguous bool
+	// lo is the type's first node ID: a node's column row is its ID − lo.
+	lo tgm.NodeID
 }
 
 // Bind pins every column p reads on g. A column that fails to fault in
 // returns the column source's typed error (a *snapshot.CorruptError,
 // say) with nothing left pinned. The caller must Release the Bound.
 func (p *Pred) Bind(g *tgm.InstanceGraph) (*Bound, error) {
-	b := &Bound{p: p, g: g, cols: make([]value.Column, len(p.attrs)), releases: make([]func(), 0, len(p.attrs))}
+	b := &Bound{p: p, cols: make([]value.Column, len(p.attrs)), releases: make([]func(), 0, len(p.attrs))}
 	for s, ai := range p.attrs {
 		col, release, err := g.PinAttrColumn(p.nt.Name, ai)
 		if err != nil {
@@ -247,7 +244,7 @@ func (p *Pred) Bind(g *tgm.InstanceGraph) (*Bound, error) {
 		b.cols[s] = col
 		b.releases = append(b.releases, release)
 	}
-	b.lo, _, b.contiguous = g.TypeIDRange(p.nt.Name)
+	b.lo, _ = g.TypeIDRange(p.nt.Name)
 	return b, nil
 }
 
@@ -267,13 +264,6 @@ func (b *Bound) Select(ids []tgm.NodeID, lo, hi int) ([]int32, error) {
 		return nil, nil
 	}
 	in := batch{p: b.p, cols: b.cols, ids: ids[lo:hi], base: b.lo}
-	if !b.contiguous {
-		rows := make([]tgm.NodeID, hi-lo)
-		for k, id := range in.ids {
-			rows[k] = tgm.NodeID(b.g.Node(id).Row)
-		}
-		in.ids, in.base = rows, 0
-	}
 	sel := make([]int32, hi-lo)
 	for k := range sel {
 		sel[k] = int32(k)

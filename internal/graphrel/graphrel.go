@@ -372,7 +372,7 @@ type joinIndex struct {
 // ai. The fill runs backwards through the end offsets, which needs no
 // cursor array and is stable: each node's rows stay ascending.
 func buildJoinIndex(r *Relation, ai int) joinIndex {
-	lo, hi, _ := r.g.TypeIDRange(r.Attrs[ai].Type.Name)
+	lo, hi := r.g.TypeIDRange(r.Attrs[ai].Type.Name)
 	col := r.cols[ai]
 	offs := make([]int32, int(hi-lo)+2)
 	for _, id := range col {

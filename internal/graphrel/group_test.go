@@ -15,7 +15,7 @@ import (
 // with the map oracle group for group: on a joined relation spanning
 // many morsels (in both row orders, with heavy duplication once the
 // pair is projected from a wider join), and on the scattered-ID graph
-// where no type's IDs are contiguous.
+// whose ID runs start at distinct non-zero IDs.
 func TestGroupNeighborsEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := bigChainGraph(t, rng)

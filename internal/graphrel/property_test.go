@@ -120,13 +120,15 @@ func assertSameTuples(t *testing.T, trial int, label string, a, b *Relation) {
 }
 
 // scatteredGraph builds the graph dense ID indexing could get wrong:
-// X and Y nodes are added alternately (with random runs), so neither
-// type's IDs are contiguous and each type's span covers the other's
-// nodes; Z has no nodes at all. X–Y edges are random and many-to-many.
+// a filler type F is added first, then Y's run, then X's, so every
+// populated type's run starts at a distinct non-zero ID and an index
+// read at id instead of id − lo lands on another node's slot or outside
+// the index; Z has no nodes at all. X–Y edges are random and
+// many-to-many.
 func scatteredGraph(t *testing.T, rng *rand.Rand) *tgm.InstanceGraph {
 	t.Helper()
 	s := tgm.NewSchemaGraph()
-	for _, name := range []string{"X", "Y", "Z"} {
+	for _, name := range []string{"F", "X", "Y", "Z"} {
 		if _, err := s.AddNodeType(tgm.NodeType{Name: name, Label: "id",
 			Attrs: []tgm.Attr{{Name: "id", Type: value.KindInt}}}); err != nil {
 			t.Fatal(err)
@@ -142,19 +144,16 @@ func scatteredGraph(t *testing.T, rng *rand.Rand) *tgm.InstanceGraph {
 	}
 	g := tgm.NewInstanceGraph(s)
 	ids := map[string][]tgm.NodeID{}
-	for i, n := 0, 8+rng.Intn(40); i < n; i++ {
-		name := []string{"X", "Y"}[i%2]
-		for run := 1 + rng.Intn(2); run > 0; run-- {
-			id, err := g.AddNode(name, []value.V{value.Int(int64(len(ids[name])))})
+	for _, run := range []struct {
+		name string
+		n    int
+	}{{"F", 1 + rng.Intn(3)}, {"Y", 4 + rng.Intn(30)}, {"X", 4 + rng.Intn(30)}} {
+		for i := 0; i < run.n; i++ {
+			id, err := g.AddNode(run.name, []value.V{value.Int(int64(i))})
 			if err != nil {
 				t.Fatal(err)
 			}
-			ids[name] = append(ids[name], id)
-		}
-	}
-	for _, name := range []string{"X", "Y"} {
-		if _, _, contiguous := g.TypeIDRange(name); contiguous {
-			t.Fatalf("type %s came out contiguous: %v", name, ids[name])
+			ids[run.name] = append(ids[run.name], id)
 		}
 	}
 	for _, x := range ids["X"] {
@@ -189,9 +188,10 @@ func scatteredJoin(t *testing.T, g *tgm.InstanceGraph) *Relation {
 }
 
 // TestJoinScatteredIDs pins the dense join index where it could go
-// wrong: no type contiguous, a type with no nodes, and a multi-column
-// build side whose join column repeats nodes. StreamJoin must equal Join
-// row for row at every batch size, and Join must hold JoinScan's tuples.
+// wrong: ID runs starting at distinct non-zero IDs, a type with no
+// nodes, and a multi-column build side whose join column repeats nodes.
+// StreamJoin must equal Join row for row at every batch size, and Join
+// must hold JoinScan's tuples.
 func TestJoinScatteredIDs(t *testing.T) {
 	rng := rand.New(rand.NewSource(20261004))
 	ctx := context.Background()

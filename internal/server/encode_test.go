@@ -140,14 +140,16 @@ func nastyValue(rng *rand.Rand) value.V {
 // every escape class — control bytes, quotes, backslashes, HTML
 // characters, U+2028/9, invalid UTF-8 and the empty string — and every
 // non-string kind: Venues are labelled by INT, FLOAT (NaN, ±Inf, −0),
-// BOOL and NULL values. Authors and Venues are added alternately, so
-// each type's IDs interleave with the other's; Papers and Tags are
-// contiguous. Papers carry base attributes of every kind, including a
-// mixed-kind one.
+// BOOL and NULL values. A filler type Pad is added first and every
+// other type after it in one run, so each type's IDs start at a
+// distinct non-zero ID and a fragment or label read at id instead of
+// id − lo shows. Papers carry base attributes of every kind, including
+// a mixed-kind one.
 func oracleGraph(t testing.TB, rng *rand.Rand) *tgm.InstanceGraph {
 	t.Helper()
 	schema := tgm.NewSchemaGraph()
 	for _, nt := range []tgm.NodeType{
+		{Name: "Pad", Kind: tgm.NodeEntity, Label: "pad", Attrs: []tgm.Attr{{Name: "pad", Type: value.KindInt}}},
 		{Name: "Papers", Kind: tgm.NodeEntity, Label: "title", Attrs: []tgm.Attr{
 			{Name: "key", Type: value.KindInt}, {Name: "title", Type: value.KindString},
 			{Name: "f", Type: value.KindFloat}, {Name: "b", Type: value.KindBool},
@@ -184,12 +186,17 @@ func oracleGraph(t testing.TB, rng *rand.Rand) *tgm.InstanceGraph {
 		value.Float(math.NaN()), value.Float(math.Inf(1)), value.Float(math.Inf(-1)),
 		value.Float(math.Copysign(0, -1)), value.Float(2.5e-9), value.Str("")}
 	var papers, authors, venues, tags []tgm.NodeID
+	for i := 0; i < 3; i++ {
+		add("Pad", value.Int(int64(i)))
+	}
 	for i := 0; i < 60; i++ {
 		papers = append(papers, add("Papers", value.Int(int64(i)), value.Str(nastyString(rng)),
 			value.Float(rng.NormFloat64()), value.Bool(rng.Intn(2) == 0), nastyValue(rng)))
 	}
 	for i := 0; i < 24; i++ {
 		authors = append(authors, add("Authors", value.Int(int64(i)), value.Str(nastyString(rng))))
+	}
+	for i := 0; i < 24; i++ {
 		venues = append(venues, add("Venues", value.Int(int64(i)), specials[i%len(specials)]))
 	}
 	for i := 0; i < 10; i++ {
@@ -303,7 +310,7 @@ func (c *stateClient) create(ops string) (int64, []byte) {
 // state encoder. Over generated graphs (oracleGraph), served eager and
 // lazily behind a two-section pager, with results past 40 rows spilling
 // to disk, a session walks through sorts by every kind of key, hidden
-// columns, and pivots onto the interleaved types, reading random
+// columns, and pivots onto the other types, reading random
 // windows; every response — rows from label fragments and the cursor —
 // must equal encoding/json over the reference structs of the window
 // the Result consumer materializes for the same state.

@@ -19,23 +19,17 @@ import (
 // way).
 
 // fragTable is one node type's fragments, aligned with
-// NodesOfType: row r's fragment is buf[offs[r]:offs[r+1]]. A node's row
-// is id-lo when the type's IDs are one contiguous run
-// (tgm.InstanceGraph.TypeIDRange), else the node's Row.
+// NodesOfType: row r's fragment is buf[offs[r]:offs[r+1]], and node
+// id's row is id-lo (tgm.InstanceGraph.TypeIDRange).
 type fragTable struct {
-	buf   []byte
-	offs  []int32
-	g     *tgm.InstanceGraph
-	lo    tgm.NodeID
-	dense bool
+	buf  []byte
+	offs []int32
+	lo   tgm.NodeID
 }
 
 // frag returns node id's fragment; id must be of the table's type.
 func (t *fragTable) frag(id tgm.NodeID) []byte {
 	r := int(id - t.lo)
-	if !t.dense {
-		r = int(t.g.Node(id).Row)
-	}
 	return t.buf[t.offs[r]:t.offs[r+1]]
 }
 
@@ -53,8 +47,8 @@ func buildFragTable(g *tgm.InstanceGraph, nt *tgm.NodeType) (*fragTable, error) 
 		return nil, err
 	}
 	ids := g.NodesOfType(nt.Name)
-	lo, _, dense := g.TypeIDRange(nt.Name)
-	t := &fragTable{offs: make([]int32, len(ids)+1), g: g, lo: lo, dense: dense}
+	lo, _ := g.TypeIDRange(nt.Name)
+	t := &fragTable{offs: make([]int32, len(ids)+1), lo: lo}
 	var buf []byte
 	for r, id := range ids {
 		buf = strconv.AppendInt(buf, int64(id), 10)

@@ -59,11 +59,13 @@ func TestFragTableConcurrentFirstCalls(t *testing.T) {
 // corruptLabelGraph saves a graph whose last node type's last attribute
 // is its label, and flips a byte of that column in the NCOL section: on
 // a lazy load, exactly the label column of "Damaged" fails its
-// checksum. "Intact" shares no edge with it.
+// checksum. "Intact" shares no edge with it. A filler type Pad comes
+// first, so both types' ID runs start at distinct non-zero IDs.
 func corruptLabelGraph(t *testing.T) string {
 	t.Helper()
 	schema := tgm.NewSchemaGraph()
 	for _, nt := range []tgm.NodeType{
+		{Name: "Pad", Kind: tgm.NodeEntity, Label: "key", Attrs: []tgm.Attr{{Name: "key", Type: value.KindInt}}},
 		{Name: "Intact", Kind: tgm.NodeEntity, Label: "name", Attrs: []tgm.Attr{
 			{Name: "key", Type: value.KindInt}, {Name: "name", Type: value.KindString}}},
 		{Name: "Damaged", Kind: tgm.NodeEntity, Label: "name", Attrs: []tgm.Attr{
@@ -74,8 +76,13 @@ func corruptLabelGraph(t *testing.T) string {
 		}
 	}
 	g := tgm.NewInstanceGraph(schema)
-	for i := 0; i < 40; i++ {
-		for _, typ := range []string{"Intact", "Damaged"} {
+	for i := 0; i < 2; i++ {
+		if _, err := g.AddNode("Pad", []value.V{value.Int(int64(i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, typ := range []string{"Intact", "Damaged"} {
+		for i := 0; i < 40; i++ {
 			if _, err := g.AddNode(typ, []value.V{value.Int(int64(i)), value.Str(strings.Repeat("<n>", i%4))}); err != nil {
 				t.Fatal(err)
 			}

@@ -10,20 +10,19 @@ import (
 )
 
 // NodeID identifies a node in an instance graph. IDs are dense ordinals
-// assigned at insertion.
+// assigned at insertion, and each node type's IDs are one contiguous
+// run [lo, hi] (TypeIDRange): a graph is built type by type, and the
+// constructors reject a node that would reopen a closed run. So a
+// node's row in its type's columns, and in NodesOfType, is id − lo.
 type NodeID int32
 
-// Node is one entity instance (Definition 2): its type and its position
-// within the type's column block. Attribute values live column-major on
-// the graph (see colBlock); Row is the node's index into every one of
-// its type's columns, aligned with NodesOfType.
+// Node is one entity instance (Definition 2): its ID and type. Attribute
+// values live column-major on the graph (see colBlock), at row ID − lo
+// of the node's type.
 type Node struct {
 	ID   NodeID
 	Type *NodeType
-	// Row is the node's ordinal within its type: the index into
-	// NodesOfType(Type.Name) and into each attribute column.
-	Row int32
-	blk *colBlock
+	blk  *colBlock
 }
 
 // Attr returns the named attribute's value (NULL if absent, or if an
@@ -59,7 +58,7 @@ func (n *Node) TryAttrAt(i int) (value.V, error) {
 	if err != nil {
 		return value.Null, err
 	}
-	return col.At(int(n.Row)), nil
+	return col.At(int(n.ID - b.lo)), nil
 }
 
 // Label returns label(v) = v[β_i]: the label attribute rendered as text.
@@ -86,13 +85,15 @@ type ColumnSource interface {
 }
 
 // colBlock is one node type's column-major attribute storage: cols[ai]
-// holds the attribute's values aligned with the type's row order. A
+// holds the attribute's values aligned with the type's row order, and
+// lo is the type's first node ID, so node id's row is id − lo. A
 // column with no rows is unresolved — its values live out of core and
 // fault in through src on first access — unless the type has no nodes,
 // which the graph's accessors answer with an empty column before asking
 // the block.
 type colBlock struct {
 	typeName string
+	lo       NodeID
 	cols     []value.Column
 	// bld[ai] appends AddNode's values to cols[ai]; nil until the first
 	// AddNode of the type.
@@ -134,7 +135,10 @@ func (b *colBlock) builders() []value.Builder {
 //
 // An instance graph is built once (AddNode/AddEdge during translation,
 // or the Install* bulk constructors during a snapshot load) and then
-// read forever; the serving stack depends on this. Freeze marks the end
+// read forever; the serving stack depends on this. Nodes are created
+// type by type: each type's IDs are one contiguous run, which AddNode
+// and InstallNodes enforce, so every reader addresses a node's column
+// row as ID − lo with no per-node lookup. Freeze marks the end
 // of the build phase: after Freeze, mutators fail and every read
 // accessor — Node, NodesOfType, Neighbors, Degree, HasEdge,
 // AvgOutDegree, EdgeTypeCount, ComputeStats, FindNode, AttrColumn,
@@ -337,7 +341,10 @@ func (g *InstanceGraph) block(nt *NodeType) *colBlock {
 // AddNode inserts a node of the named type with the given attribute
 // values (aligned with the type's Attrs) and returns its ID. Values are
 // copied into the type's columns; a string that would take its column's
-// string bytes past value.MaxBlob is an error.
+// string bytes past value.MaxBlob is an error. A type's run closes when
+// a node of another type is added: adding to a closed type is an error
+// (node IDs are public, so the graph never renumbers), and a failed
+// AddNode leaves the graph unchanged.
 func (g *InstanceGraph) AddNode(typeName string, attrs []value.V) (NodeID, error) {
 	if g.frozen.Load() {
 		return 0, fmt.Errorf("tgm: graph is frozen; cannot add node of type %q", typeName)
@@ -350,6 +357,11 @@ func (g *InstanceGraph) AddNode(typeName string, attrs []value.V) (NodeID, error
 		return 0, fmt.Errorf("tgm: node type %q expects %d attributes, got %d",
 			typeName, len(nt.Attrs), len(attrs))
 	}
+	id := NodeID(len(g.nodes))
+	ids := g.byType[typeName]
+	if len(ids) > 0 && ids[len(ids)-1] != id-1 {
+		return 0, fmt.Errorf("tgm: node type %q was closed by a later type; its IDs must be one run", typeName)
+	}
 	b := g.block(nt)
 	bld := b.builders()
 	for ai, v := range attrs {
@@ -357,11 +369,11 @@ func (g *InstanceGraph) AddNode(typeName string, attrs []value.V) (NodeID, error
 			return 0, fmt.Errorf("tgm: column %s.%s holds more than %d string bytes", typeName, nt.Attrs[ai].Name, uint64(value.MaxBlob))
 		}
 	}
-	id := NodeID(len(g.nodes))
-	row := int32(len(g.byType[typeName]))
-	n := &Node{ID: id, Type: nt, Row: row, blk: b}
-	g.nodes = append(g.nodes, n)
-	g.byType[typeName] = append(g.byType[typeName], id)
+	if len(ids) == 0 {
+		b.lo = id
+	}
+	g.nodes = append(g.nodes, &Node{ID: id, Type: nt, blk: b})
+	g.byType[typeName] = append(ids, id)
 	for ai, v := range attrs {
 		bld[ai].Append(v)
 		b.cols[ai] = bld[ai].Column()
@@ -371,11 +383,12 @@ func (g *InstanceGraph) AddNode(typeName string, attrs []value.V) (NodeID, error
 
 // InstallNodes bulk-creates every node of the graph at once: owner[gid]
 // is the index (into Schema().NodeTypes() order) of the type that owns
-// global ID gid. It is the snapshot decode path's constructor — one
-// arena allocation for all nodes instead of one per AddNode — and
-// leaves every attribute column unresolved: provide values with
-// InstallColumn (eager decode) or SetColumnSource (out-of-core). The
-// graph must be empty and unfrozen.
+// global ID gid. Each type's IDs must be one run, so an owner array in
+// which a type reappears after another type's run is an error. It is
+// the snapshot decode path's constructor — one arena allocation for all
+// nodes instead of one per AddNode — and leaves every attribute column
+// unresolved: provide values with InstallColumn (eager decode) or
+// SetColumnSource (out-of-core). The graph must be empty and unfrozen.
 func (g *InstanceGraph) InstallNodes(owner []int32) error {
 	if g.frozen.Load() {
 		return fmt.Errorf("tgm: graph is frozen; cannot install nodes")
@@ -389,11 +402,13 @@ func (g *InstanceGraph) InstallNodes(owner []int32) error {
 		if ti < 0 || int(ti) >= len(nts) {
 			return fmt.Errorf("tgm: node %d owner type index %d out of range [0,%d)", gid, ti, len(nts))
 		}
+		if counts[ti] > 0 && owner[gid-1] != ti {
+			return fmt.Errorf("tgm: node %d reopens type %q; its IDs must be one run", gid, nts[ti].Name)
+		}
 		counts[ti]++
 	}
 	arena := make([]Node, len(owner))
 	nodes := make([]*Node, len(owner))
-	rows := make([]int32, len(nts))
 	// Per-type state is indexed by ti inside the hot loop; the map
 	// writes happen once per type, not once per node.
 	perType := make([][]NodeID, len(nts))
@@ -405,10 +420,12 @@ func (g *InstanceGraph) InstallNodes(owner []int32) error {
 		blks[ti] = g.block(nt)
 	}
 	for gid, ti := range owner {
-		arena[gid] = Node{ID: NodeID(gid), Type: nts[ti], Row: rows[ti], blk: blks[ti]}
+		if len(perType[ti]) == 0 {
+			blks[ti].lo = NodeID(gid)
+		}
+		arena[gid] = Node{ID: NodeID(gid), Type: nts[ti], blk: blks[ti]}
 		nodes[gid] = &arena[gid]
 		perType[ti] = append(perType[ti], NodeID(gid))
-		rows[ti]++
 	}
 	for ti, nt := range nts {
 		if len(perType[ti]) > 0 {
@@ -697,13 +714,9 @@ func (g *InstanceGraph) InstallAdjacencyDeferred(edgeType string, targetCount in
 
 // validateCSR checks one edge type's CSR arrays: offsets span targets
 // monotonically, sources are ascending, and every endpoint is a node
-// of the declared type. Endpoint types are validated by canonical
-// *NodeType identity — schema types are interned, so pointer equality
-// is the same test as comparing names without the per-edge string
-// compare. When a type's node IDs form one contiguous run (the common
-// case: IDs are handed out in insertion order and loaders create nodes
-// type by type), membership is two integer compares per endpoint with
-// no node dereference at all.
+// of the declared type. A type's node IDs are one run (TypeIDRange), so
+// membership is two integer compares per endpoint with no node
+// dereference at all.
 func (g *InstanceGraph) validateCSR(et *EdgeType, srcs []NodeID, offs []int32, targets []NodeID) error {
 	if len(offs) != len(srcs)+1 {
 		return fmt.Errorf("tgm: edge type %q: %d offsets for %d sources", et.Name, len(offs), len(srcs))
@@ -711,8 +724,7 @@ func (g *InstanceGraph) validateCSR(et *EdgeType, srcs []NodeID, offs []int32, t
 	if len(srcs) > 0 && (offs[0] != 0 || int(offs[len(srcs)]) != len(targets)) {
 		return fmt.Errorf("tgm: edge type %q: offsets do not span targets", et.Name)
 	}
-	srcType, tgtType := g.schema.NodeType(et.Source), g.schema.NodeType(et.Target)
-	srcLo, srcHi, srcContig := g.TypeIDRange(et.Source)
+	srcLo, srcHi := g.TypeIDRange(et.Source)
 	prev := NodeID(-1)
 	for i, src := range srcs {
 		if src <= prev {
@@ -722,44 +734,29 @@ func (g *InstanceGraph) validateCSR(et *EdgeType, srcs []NodeID, offs []int32, t
 		if offs[i+1] < offs[i] {
 			return fmt.Errorf("tgm: edge type %q: offsets not monotonic at %d", et.Name, i)
 		}
-		if srcContig {
-			if src < srcLo || src > srcHi {
-				return fmt.Errorf("tgm: edge %q source %d is not a %q node", et.Name, src, et.Source)
-			}
-		} else if sn := g.Node(src); sn == nil || sn.Type != srcType {
+		if src < srcLo || src > srcHi {
 			return fmt.Errorf("tgm: edge %q source %d is not a %q node", et.Name, src, et.Source)
 		}
 	}
-	if tgtLo, tgtHi, tgtContig := g.TypeIDRange(et.Target); tgtContig {
-		for _, dst := range targets {
-			if dst < tgtLo || dst > tgtHi {
-				return fmt.Errorf("tgm: edge %q target %d is not a %q node", et.Name, dst, et.Target)
-			}
-		}
-	} else {
-		for _, dst := range targets {
-			dn := g.Node(dst)
-			if dn == nil || dn.Type != tgtType {
-				return fmt.Errorf("tgm: edge %q target %d is not a %q node", et.Name, dst, et.Target)
-			}
+	tgtLo, tgtHi := g.TypeIDRange(et.Target)
+	for _, dst := range targets {
+		if dst < tgtLo || dst > tgtHi {
+			return fmt.Errorf("tgm: edge %q target %d is not a %q node", et.Name, dst, et.Target)
 		}
 	}
 	return nil
 }
 
-// TypeIDRange reports the named type's node-ID span [lo, hi] and
-// whether that span is contiguous, i.e. every ID in it belongs to the
-// type. Kernels that key a dense array by a column's nodes index it by
-// id − lo over hi − lo + 1 slots; a type with no nodes has the empty
-// span [0, -1]. byType lists are ascending (IDs are assigned in
-// insertion order), so the check is O(1).
-func (g *InstanceGraph) TypeIDRange(name string) (lo, hi NodeID, contiguous bool) {
+// TypeIDRange reports the named type's node-ID run [lo, hi]: every ID
+// in it belongs to the type (the graph's one-run invariant), and node
+// id's row in the type's columns and in NodesOfType is id − lo. A type
+// with no nodes has the empty run [0, -1].
+func (g *InstanceGraph) TypeIDRange(name string) (lo, hi NodeID) {
 	ids := g.byType[name]
 	if len(ids) == 0 {
-		return 0, -1, false
+		return 0, -1
 	}
-	lo, hi = ids[0], ids[len(ids)-1]
-	return lo, hi, int(hi-lo) == len(ids)-1
+	return ids[0], ids[len(ids)-1]
 }
 
 // EdgeTypeCount returns the number of edges of the named type.

@@ -239,6 +239,58 @@ func TestAddNodeValidation(t *testing.T) {
 	}
 }
 
+// TestOneRunPerType pins the graph's row-address invariant: each node
+// type's IDs are one run [lo, hi], so a node's row is id − lo. AddNode
+// into a type whose run a later type closed fails and leaves the graph
+// as it was, InstallNodes rejects an owner array that reopens a type,
+// and a type with no nodes has the empty run [0, -1].
+func TestOneRunPerType(t *testing.T) {
+	g, ids := buildInstance(t)
+	before := g.NumNodes()
+	if _, err := g.AddNode("Papers", []value.V{value.Int(4), value.Str("late"), value.Int(2020)}); err == nil {
+		t.Fatal("AddNode reopened the closed Papers run")
+	}
+	if g.NumNodes() != before || len(g.NodesOfType("Papers")) != 3 {
+		t.Fatalf("failed AddNode changed the graph: %d nodes, %d papers", g.NumNodes(), len(g.NodesOfType("Papers")))
+	}
+	if col, err := g.AttrColumn("Papers", 1); err != nil || col.Len() != 3 {
+		t.Fatalf("failed AddNode changed the title column: %d values, %v", col.Len(), err)
+	}
+	if lo, hi := g.TypeIDRange("Papers"); lo != 0 || hi != 2 {
+		t.Fatalf("Papers run [%d, %d], want [0, 2]", lo, hi)
+	}
+	// The open run still grows, and rows are read at id − lo.
+	id, err := g.AddNode("Paper_Keywords: keyword", []value.V{value.Str("provenance")})
+	if err != nil || id != NodeID(before) {
+		t.Fatalf("AddNode to the open run = %d, %v; want %d", id, err, before)
+	}
+	if got := g.Node(id).Attr("keyword").AsString(); got != "provenance" {
+		t.Fatalf("new keyword reads %q", got)
+	}
+	if got := g.Node(ids["a2"]).Attr("name").AsString(); got != "Nandi" {
+		t.Fatalf("a2 (row 1 of a run at %d) reads %q", ids["a1"], got)
+	}
+
+	empty := NewInstanceGraph(paperSchema(t))
+	if lo, hi := empty.TypeIDRange("Authors"); lo != 0 || hi != -1 {
+		t.Fatalf("empty type's run [%d, %d], want [0, -1]", lo, hi)
+	}
+	if err := empty.InstallNodes([]int32{0, 0, 1, 0}); err == nil {
+		t.Fatal("InstallNodes accepted an interleaved owner array")
+	}
+	if empty.NumNodes() != 0 || len(empty.NodesOfType("Papers")) != 0 {
+		t.Fatalf("rejected InstallNodes left %d nodes", empty.NumNodes())
+	}
+	if err := empty.InstallNodes([]int32{2, 2, 0, 0, 0, 1}); err != nil {
+		t.Fatal(err)
+	}
+	for typ, want := range map[string][2]NodeID{"Conferences": {0, 1}, "Papers": {2, 4}, "Authors": {5, 5}} {
+		if lo, hi := empty.TypeIDRange(typ); lo != want[0] || hi != want[1] {
+			t.Errorf("%s run [%d, %d], want %v", typ, lo, hi, want)
+		}
+	}
+}
+
 func TestFindNode(t *testing.T) {
 	g, ids := buildInstance(t)
 	n, ok := g.FindNode("Authors", "name", value.Str("Nandi"))

@@ -128,6 +128,17 @@ if awk '
 	exit 1
 fi
 
+# A node type's IDs are one run, so a node's column row is id − lo
+# everywhere: no per-node row field, no read of a row through the node,
+# no second "interleaved" arm beside the id − lo one (ROADMAP 14; the
+# harness module lives outside internal/).
+echo "==> one row address"
+if grep -rnE 'Node\([^)]*\)\.Row\b|\bRow:|\bdense bool\b|\bcontiguous bool\b' \
+	--include='*.go' --exclude='*_test.go' internal; then
+	echo "a second row address reappeared (see above)" >&2
+	exit 1
+fi
+
 echo "==> go test -race ./..."
 go test -race -run "$pattern" ./...
 
