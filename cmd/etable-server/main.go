@@ -21,7 +21,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/registry"
 	"repro/internal/server"
-	"repro/internal/snapshot"
 	"repro/internal/translate"
 )
 
@@ -48,8 +47,8 @@ func main() {
 	papers := flag.Int("papers", 5000, "papers in the generated corpus")
 	seed := flag.Int64("seed", 1, "generator seed")
 	snapPath := flag.String("snapshot", "", "boot the default dataset from this .etsnap file instead of generating a corpus")
-	lazy := flag.Bool("lazy", false, "load snapshots out-of-core: boot decodes only the skeleton, attribute columns fault in on demand through a bounded buffer pool")
-	pagerSections := flag.Int("pager-sections", 0, "resident column-section budget per lazy dataset (0 = default; only with -lazy)")
+	lazy := flag.Bool("lazy", false, "open snapshots paged instead of resident: boot decodes only the skeleton and each attribute column faults in on demand through a bounded pool (without -lazy every column is decoded at boot and the file's bytes released)")
+	pagerSections := flag.Int("pager-sections", 0, "decoded column sections each paged dataset keeps at once (0 = default 64; ignored without -lazy)")
 	var extra datasetFlag
 	flag.Var(&extra, "dataset", "register a named snapshot dataset as name=path (repeatable; loaded on first request)")
 	cacheEntries := flag.Int("cache", 1024, "relations each dataset's execution cache holds, least recently used evicted beyond (minimum 1)")
@@ -66,9 +65,11 @@ func main() {
 	reg := registry.New(registry.Options{CacheEntries: *cacheEntries})
 	snapOpt := registry.SnapshotOptions{Lazy: *lazy, PoolSections: *pagerSections}
 	switch {
-	case *snapPath != "" && *lazy:
-		// Out-of-core boot: decode only the skeleton now; columns fault
-		// in on demand through the bounded pager.
+	case *snapPath != "":
+		// Boot the default dataset from disk: no generation, no
+		// translation — the snapshot was both. Resident by default; with
+		// -lazy only the skeleton decodes now and columns fault in on
+		// demand through the bounded pager.
 		start := time.Now()
 		ds, err := reg.AddSnapshotOpts("default", *snapPath, snapOpt)
 		if err != nil {
@@ -78,22 +79,12 @@ func main() {
 			log.Fatal(err)
 		}
 		g := ds.Graph()
-		log.Printf("opened %s out-of-core in %s: %d nodes, %d edges (columns page in on demand)",
-			*snapPath, time.Since(start).Round(time.Millisecond), g.NumNodes(), g.NumEdges())
-	case *snapPath != "":
-		// Boot the default dataset from disk: no generation, no
-		// translation — the snapshot was both.
-		start := time.Now()
-		snap, err := snapshot.Load(*snapPath)
-		if err != nil {
-			log.Fatal(err)
+		mode := "resident"
+		if *lazy {
+			mode = "paged: columns fault in on demand"
 		}
-		if _, err := reg.AddGraph("default", snap.Schema, snap.Graph); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("loaded %s in %s: %d nodes, %d edges (%d bytes)",
-			*snapPath, time.Since(start).Round(time.Millisecond),
-			snap.Info.Nodes, snap.Info.Edges, snap.Info.Bytes)
+		log.Printf("loaded %s in %s: %d nodes, %d edges (%s)",
+			*snapPath, time.Since(start).Round(time.Millisecond), g.NumNodes(), g.NumEdges(), mode)
 	case len(extra.names) > 0:
 		// Only -dataset flags: the first named dataset is the default;
 		// nothing loads until traffic arrives.

@@ -106,7 +106,7 @@
 //     estimate deciding it.
 //   - internal/session + internal/server: the session's budget (the
 //     server's -parallelism) and the request context thread through
-//     ApplyCtx/ApplyPipelineCtx/StateCtx down to the kernels; there is
+//     ApplyCtx/ApplyPipelineCtx/WindowCtx down to the kernels; there is
 //     no per-request override (a ?parallelism= query parameter is
 //     ignored). A disconnected client cancels its context and the query
 //     stops between morsels (HTTP 499 in logs). /api/v1/stats reports
@@ -231,11 +231,16 @@
 //
 // # Out-of-core snapshots
 //
-// The snapshot tier also loads without materializing: snapshot.LazyLoad
-// (etable-server -lazy) opens an .etsnap file by validating the header,
+// The snapshot tier has one decoder with two residency policies.
+// snapshot.Load/Decode are resident: every section's checksum is
+// verified, every column is decoded and every edge type converted at
+// boot, and the file's bytes are released. snapshot.LazyLoad
+// (etable-server -lazy) is paged: the same open validates the header,
 // section table, and skeleton sections only — O(section table), not
 // O(corpus) — leaving every attribute column as an unresolved handle
-// and every edge type's CSR arrays as a deferred conversion. Columns
+// and every edge type's CSR arrays as a deferred conversion. Both
+// resolve a column through one routine: range check, per-column
+// CRC-32C, decode. Paged columns
 // fault in through a bounded buffer pool — an lru.Cache keyed by
 // pager.Key (budget -pager-sections, default 64) — with CRC
 // verification on first fault, LRU eviction of unpinned sections,
@@ -245,10 +250,12 @@
 // of corpus size. Damaged columns surface as typed *CorruptError values
 // from the faulting query — never a panic, never poisoning the pool
 // (repairing the file heals the next fault in place). The registry
-// chooses eager or lazy boot per dataset (registry.SnapshotOptions),
-// GET /api/v1/datasets describes snapshot files from their headers
-// alone (fileBytes, fileSections), and /api/v1/stats exports per-
-// dataset pager telemetry. PERFORMANCE.md §10 records the boot-latency
+// chooses the policy per dataset (registry.SnapshotOptions), and
+// etable-server -snapshot boots the default dataset through the
+// registry either way (AddSnapshotOpts + Ensure). GET
+// /api/v1/datasets describes snapshot files from their headers alone
+// (fileBytes, fileSections), and /api/v1/stats exports pager telemetry
+// for each paged dataset (a resident one has no pager block). PERFORMANCE.md §10 records the boot-latency
 // and cold-window measurements (BenchmarkLazyBoot,
 // BenchmarkColdWindowFault); a lazy-vs-eager fuzz and a GOMEMLIMIT
 // smoke job in CI hold the equivalence and memory-bound claims.
@@ -263,11 +270,11 @@
 // column encoding, per-run CRC-32C, anonymous O_TMPFILE/unlink-on-open
 // so a crash leaks nothing) and pages back through a pager.Key-keyed
 // lru.Cache like lazy columns. Only what a presentation
-// reads back is written: internal/graphrel's ExternalGroupFold (one
-// per participating column) and ExternalDistinct (the row set) run
-// sort-merge folds whose sorted-run flushes merge with cross-run
-// deduplication, so grouping and distinct results far past the cap
-// compute in bounded memory; the matched batches themselves are folded
+// reads back is written: internal/graphrel's ExternalGroupFold, one
+// per participating column, grouped by the primary — sort-merge folds
+// whose sorted-run flushes merge with cross-run deduplication, so
+// grouping results far past the cap compute in bounded memory, and the
+// first fold's group keys, ascending, are the presentation's rows; the matched batches themselves are folded
 // and dropped, and -max-spill-bytes is charged for the folds alone.
 // Policy is per-dataset (graphrel.SpillPolicy via server
 // Options{SpillDir, MaxSpillBytes}; flags -spill-dir and

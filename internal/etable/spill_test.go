@@ -220,8 +220,8 @@ func TestSpillByteBudgetExceeded(t *testing.T) {
 }
 
 // TestSpillBudgetChargesOnlyWhatIsReadBack: -max-spill-bytes pays for
-// the state a spilled presentation reads back — the external folds and
-// the distinct pass — and nothing else. The folds' cost is measured by
+// the state a spilled presentation reads back — the external folds,
+// whose group keys are its rows — and nothing else. The folds' cost is measured by
 // running graphrel's external operators by hand over the same match;
 // a capped, spilling prepare under exactly that budget succeeds and
 // renders the oracle's table (a second on-disk copy of the matched
@@ -252,21 +252,11 @@ func TestSpillBudgetChargesOnlyWhatIsReadBack(t *testing.T) {
 		if err := f.Append(matched, prim, n.Key); err != nil {
 			t.Fatal(err)
 		}
-		sg, err := f.Finish()
+		sg, _, err := f.Finish()
 		if err != nil {
 			t.Fatal(err)
 		}
 		sg.Close()
-	}
-	d, err := graphrel.NewExternalDistinct(pol, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Add(matched.ColumnNamed(prim)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.Finish(); err != nil {
-		t.Fatal(err)
 	}
 	foldBytes := metrics.Snapshot().RunBytes
 	if foldBytes == 0 {

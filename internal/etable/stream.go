@@ -118,16 +118,16 @@ func spillErr(err error, limit, rows int) error {
 }
 
 // prepareSpill is the overflow state of one spilling prepare: one
-// external fold per participating column and the external distinct pass
-// for the primary rows — what the presentation's windows and row order
-// read back, and nothing else. The matched batches themselves are
-// dropped once folded: no window reads the relation after Prepare. All
-// files share one byte budget.
+// external fold per participating column, grouped by the primary — what
+// the presentation's windows read back, and nothing else. Every matched
+// tuple carries the primary, so each fold's group keys are exactly the
+// distinct primary rows: the first fold's keys are the row order. The
+// matched batches themselves are dropped once folded: no window reads
+// the relation after Prepare. All files share one byte budget.
 type prepareSpill struct {
 	primKey  string
 	partKeys []string
 	folds    []*graphrel.ExternalGroupFold
-	dist     *graphrel.ExternalDistinct
 }
 
 // abort discards every spill file of a failed prepare.
@@ -135,14 +135,12 @@ func (ps *prepareSpill) abort() {
 	for _, f := range ps.folds {
 		f.Abort()
 	}
-	if ps.dist != nil {
-		ps.dist.Abort()
-	}
 }
 
 // beginSpill opens the overflow state for a pattern: one external fold
 // per pattern node other than the primary, in pattern order (the order
-// layoutColumns expects), plus the external distinct.
+// layoutColumns expects). Only a pattern with a join streams, so there
+// is at least one.
 func beginSpill(pol *graphrel.SpillPolicy, p *Pattern) (*prepareSpill, error) {
 	budget := pol.NewBudget()
 	ps := &prepareSpill{primKey: p.Primary}
@@ -157,23 +155,14 @@ func beginSpill(pol *graphrel.SpillPolicy, p *Pattern) (*prepareSpill, error) {
 		}
 		ps.partKeys, ps.folds = append(ps.partKeys, n.Key), append(ps.folds, f)
 	}
-	var err error
-	if ps.dist, err = graphrel.NewExternalDistinct(pol, budget); err != nil {
-		ps.abort()
-		return nil, err
+	if len(ps.folds) == 0 {
+		return nil, fmt.Errorf("etable: a spilled pattern has no participating column")
 	}
 	return ps, nil
 }
 
 // fold folds one batch of the match into the external passes.
 func (ps *prepareSpill) fold(b *graphrel.Relation) error {
-	primCol := b.ColumnNamed(ps.primKey)
-	if primCol == nil {
-		return fmt.Errorf("etable: stream has no attribute %q", ps.primKey)
-	}
-	if err := ps.dist.Add(primCol); err != nil {
-		return err
-	}
 	for i, k := range ps.partKeys {
 		if err := ps.folds[i].Append(b, ps.primKey, k); err != nil {
 			return err
@@ -238,7 +227,7 @@ func prepareFromSource(g *tgm.InstanceGraph, p *Pattern, src graphrel.RowSource,
 // before the cap tripped, the tripping one included — replays through
 // the external folds, then the rest of src folds batch by batch, so the
 // heap never holds more than the cap's worth of tuples. The external
-// passes are ascending by construction, so the canonical row order and
+// folds are ascending by construction, so the canonical row order and
 // the canonical groups fall out of their merges.
 func prepareSpilled(g *tgm.InstanceGraph, p *Pattern, src graphrel.RowSource, opt ExecOptions, head []*graphrel.Relation) (*Presentation, error) {
 	total := 0 // rows drained so far: what a budget failure reports
@@ -277,14 +266,14 @@ func prepareSpilled(g *tgm.InstanceGraph, p *Pattern, src graphrel.RowSource, op
 		}
 	}
 	pr.closeOnce = new(sync.Once)
-	if pr.rowIDs, err = ps.dist.Finish(); err != nil {
-		return fail(err)
-	}
 	parts := make([]groupSource, 0, len(ps.folds))
-	for _, f := range ps.folds {
-		sg, err := f.Finish()
+	for i, f := range ps.folds {
+		sg, keys, err := f.Finish()
 		if err != nil {
 			return fail(err)
+		}
+		if i == 0 {
+			pr.rowIDs = keys
 		}
 		pr.closers = append(pr.closers, sg)
 		parts = append(parts, sg)

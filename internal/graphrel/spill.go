@@ -22,11 +22,9 @@ import (
 //     GroupNeighbors: pair chunks are sorted, written as sorted runs,
 //     and k-way merged with dedup into a values file plus an in-memory
 //     group directory (SpilledGroups) — Count is memory-only, Refs
-//     faults.
-//   - ExternalDistinct is the external DistinctSorted: chunks sorted
-//     and deduped with the in-memory kernel (sortDedup), merged with
-//     dedup on read. Its output is ascending by construction, which is
-//     exactly the canonical row order the presentation wants.
+//     faults. The merge visits groups in ascending order, so Finish
+//     also returns the group keys ascending: for a fold grouped by the
+//     primary, exactly the canonical row order the presentation wants.
 //
 // All files of one execution share one byte budget (the
 // -max-spill-bytes hard cap); exhausting it surfaces as the same
@@ -208,13 +206,14 @@ func (f *ExternalGroupFold) flush() error {
 }
 
 // Finish merges the sorted runs with duplicate elimination and returns
-// the grouped result. The pair file is released; the returned
-// SpilledGroups owns the values file.
-func (f *ExternalGroupFold) Finish() (*SpilledGroups, error) {
+// the grouped result and its group keys, ascending. The pair file is
+// released; the returned SpilledGroups owns the values file.
+func (f *ExternalGroupFold) Finish() (*SpilledGroups, []tgm.NodeID, error) {
 	if err := f.flush(); err != nil {
 		f.rf.Close()
-		return nil, err
+		return nil, nil, err
 	}
+	var keys []tgm.NodeID
 	if f.rf.NumRuns() <= 1 {
 		// A single run is already globally sorted and deduplicated:
 		// serve values straight from it (column 1), no merge pass.
@@ -223,18 +222,19 @@ func (f *ExternalGroupFold) Finish() (*SpilledGroups, error) {
 			cols, err := f.rf.ReadRun(0)
 			if err != nil {
 				f.rf.Close()
-				return nil, err
+				return nil, nil, err
 			}
 			for i, g := range cols[0] {
 				loc, ok := dir[g]
 				if !ok {
 					loc = groupLoc{off: i}
+					keys = append(keys, g)
 				}
 				loc.n++
 				dir[g] = loc
 			}
 		}
-		return &SpilledGroups{rf: f.rf, col: 1, dir: dir}, nil
+		return &SpilledGroups{rf: f.rf, col: 1, dir: dir}, keys, nil
 	}
 
 	// K-way merge with dedup into a fresh values file; the directory
@@ -242,7 +242,7 @@ func (f *ExternalGroupFold) Finish() (*SpilledGroups, error) {
 	out, err := spill.Create(f.pol.fileOptions(1, f.budget))
 	if err != nil {
 		f.rf.Close()
-		return nil, err
+		return nil, nil, err
 	}
 	if f.pol.Metrics != nil {
 		f.pol.Metrics.MergePasses.Add(1)
@@ -253,10 +253,10 @@ func (f *ExternalGroupFold) Finish() (*SpilledGroups, error) {
 	var curG, lastV tgm.NodeID
 	var curN int32
 	haveCur := false
-	fail := func(err error) (*SpilledGroups, error) {
+	fail := func(err error) (*SpilledGroups, []tgm.NodeID, error) {
 		f.rf.Close()
 		out.Close()
-		return nil, err
+		return nil, nil, err
 	}
 	flushVals := func() error {
 		if len(vals) == 0 {
@@ -274,9 +274,12 @@ func (f *ExternalGroupFold) Finish() (*SpilledGroups, error) {
 		if haveCur && g == curG && v == lastV {
 			return nil // duplicate pair straddling two runs
 		}
-		if haveCur && g != curG {
-			dir[curG] = groupLoc{off: written + len(vals) - int(curN), n: curN}
-			curN = 0
+		if !haveCur || g != curG {
+			if haveCur {
+				dir[curG] = groupLoc{off: written + len(vals) - int(curN), n: curN}
+				curN = 0
+			}
+			keys = append(keys, g)
 		}
 		curG, lastV, haveCur = g, v, true
 		curN++
@@ -296,7 +299,7 @@ func (f *ExternalGroupFold) Finish() (*SpilledGroups, error) {
 		return fail(err)
 	}
 	f.rf.Close()
-	return &SpilledGroups{rf: out, col: 0, dir: dir}, nil
+	return &SpilledGroups{rf: out, col: 0, dir: dir}, keys, nil
 }
 
 // Abort discards the fold and its file.
@@ -316,81 +319,6 @@ func (p *pairSort) Swap(i, j int) {
 	p.g[i], p.g[j] = p.g[j], p.g[i]
 	p.v[i], p.v[j] = p.v[j], p.v[i]
 }
-
-// ExternalDistinct is the external DistinctSorted: ID chunks are sorted
-// and deduplicated with the in-memory kernel (sortDedup), written as
-// sorted runs, and merged with dedup at Finish. The merged output is
-// ascending — the canonical presentation row order.
-type ExternalDistinct struct {
-	rf      *spill.RunFile
-	buf     []tgm.NodeID
-	runRows int
-}
-
-// NewExternalDistinct opens an external distinct pass under the policy
-// and shared budget.
-func NewExternalDistinct(pol *SpillPolicy, budget *spill.Budget) (*ExternalDistinct, error) {
-	if pol == nil {
-		return nil, fmt.Errorf("graphrel: nil spill policy")
-	}
-	rf, err := spill.Create(pol.fileOptions(1, budget))
-	if err != nil {
-		return nil, err
-	}
-	return &ExternalDistinct{rf: rf, runRows: pol.runRows()}, nil
-}
-
-// Add accumulates ids (duplicates welcome), spilling full chunks as
-// sorted runs.
-func (d *ExternalDistinct) Add(ids []tgm.NodeID) error {
-	d.buf = append(d.buf, ids...)
-	if len(d.buf) >= d.runRows {
-		return d.flush()
-	}
-	return nil
-}
-
-func (d *ExternalDistinct) flush() error {
-	if len(d.buf) == 0 {
-		return nil
-	}
-	compact := sortDedup(d.buf)
-	if err := d.rf.AppendRun([][]tgm.NodeID{compact}); err != nil {
-		return err
-	}
-	d.buf = d.buf[:0]
-	return nil
-}
-
-// Finish merges the runs with duplicate elimination and returns the
-// distinct IDs, ascending. The backing file is released.
-func (d *ExternalDistinct) Finish() ([]tgm.NodeID, error) {
-	defer d.rf.Close()
-	if err := d.flush(); err != nil {
-		return nil, err
-	}
-	if d.rf.NumRuns() == 1 {
-		cols, err := d.rf.ReadRun(0)
-		if err != nil {
-			return nil, err
-		}
-		return append([]tgm.NodeID(nil), cols[0]...), nil
-	}
-	var out []tgm.NodeID
-	err := mergeRuns(d.rf, func(row []tgm.NodeID) error {
-		if len(out) == 0 || row[0] != out[len(out)-1] {
-			out = append(out, row[0])
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// Abort discards the pass and its file.
-func (d *ExternalDistinct) Abort() { d.rf.Close() }
 
 // runCursor is one sorted run's position in a k-way merge.
 type runCursor struct {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
 	"testing"
 
 	"repro/internal/lru"
@@ -49,8 +48,8 @@ func joined(t *testing.T, rng *rand.Rand) *Relation {
 // TestExternalGroupFoldEquivalence folds a relation's batches through
 // the external sort-merge form and asserts identical counts and refs
 // for every group against the map oracle — and against the heap kernel,
-// the other residency a presentation reads — including multi-run
-// merges.
+// the other residency a presentation reads — and group keys equal to
+// the distinct oracle, ascending, over multi-run merges and one run.
 func TestExternalGroupFoldEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	rel := joined(t, rng)
@@ -59,9 +58,13 @@ func TestExternalGroupFoldEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	heap := groupBoth(t, "heap", rel, "A", "B")
+	distinctKeys := distinctOracle(rel.ColumnNamed("A"))
 	for trial := 0; trial < 4; trial++ {
 		batch := 1 + rng.Intn(2*MorselRows)
 		runRows := 32 + rng.Intn(256)
+		if trial == 3 {
+			runRows = 1 << 20 // one run: no merge pass
+		}
 		pol := testPolicy(t, runRows)
 		ext, err := NewExternalGroupFold(pol, pol.NewBudget())
 		if err != nil {
@@ -72,11 +75,14 @@ func TestExternalGroupFoldEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		sg, err := ext.Finish()
+		sg, keys, err := ext.Finish()
 		if err != nil {
 			t.Fatal(err)
 		}
 		label := fmt.Sprintf("trial=%d batch=%d runRows=%d", trial, batch, runRows)
+		if !slices.Equal(keys, distinctKeys) {
+			t.Fatalf("%s: group keys %v, want %v", label, keys, distinctKeys)
+		}
 		if sg.Groups() != len(want) {
 			t.Fatalf("%s: %d groups, want %d", label, sg.Groups(), len(want))
 		}
@@ -99,52 +105,6 @@ func TestExternalGroupFoldEquivalence(t *testing.T) {
 		}
 		if err := sg.Close(); err != nil {
 			t.Fatalf("%s: Close: %v", label, err)
-		}
-	}
-}
-
-// TestExternalDistinctEquivalence checks the external distinct against
-// the hash-set oracle and the heap DistinctSorted: all three ascending.
-func TestExternalDistinctEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(25))
-	rel := joined(t, rng)
-	for _, runRows := range []int{16, 301, 1 << 20} {
-		pol := testPolicy(t, runRows)
-		ext, err := NewExternalDistinct(pol, pol.NewBudget())
-		if err != nil {
-			t.Fatal(err)
-		}
-		src := StreamRelationBatch(rel, 777)
-		for {
-			b, err := src.Next()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if b == nil {
-				break
-			}
-			if err := ext.Add(b.ColumnNamed("B")); err != nil {
-				t.Fatal(err)
-			}
-		}
-		got, err := ext.Finish()
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := distinctOracle(rel.ColumnNamed("B"))
-		if heap, err := DistinctSorted(rel, "B"); err != nil || !slices.Equal(heap, want) {
-			t.Fatalf("runRows=%d: DistinctSorted disagrees with the oracle (err %v)", runRows, err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("runRows=%d: %d distinct, want %d", runRows, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("runRows=%d: [%d] = %d, want %d", runRows, i, got[i], want[i])
-			}
-		}
-		if !sort.SliceIsSorted(got, func(i, j int) bool { return got[i] < got[j] }) {
-			t.Fatalf("runRows=%d: external distinct not ascending", runRows)
 		}
 	}
 }

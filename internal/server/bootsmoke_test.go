@@ -9,6 +9,8 @@ package server
 
 import (
 	"context"
+	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"testing"
@@ -90,5 +92,39 @@ func TestSnapshotBootServeQuery(t *testing.T) {
 	}
 	if !snapLoaded[0].Loaded || snapLoaded[0].SnapshotBytes <= 0 || snapLoaded[0].Nodes == 0 {
 		t.Fatalf("post-query listing = %+v", snapLoaded[0])
+	}
+}
+
+// TestResidentSnapshotBootHasNoPager boots the default dataset the way
+// `etable-server -snapshot` does (AddSnapshotOpts + Ensure) under both
+// residency policies: without -lazy the graph is fully decoded, so
+// /api/v1/stats must report no pager block — an in-memory benchmark run
+// treats one as out-of-core activity — and with -lazy it reports one.
+func TestResidentSnapshotBootHasNoPager(t *testing.T) {
+	path := snapshotFile(t, 60, 35)
+	for _, lazy := range []bool{false, true} {
+		reg := registry.New(registry.Options{})
+		ds, err := reg.AddSnapshotOpts("default", path, registry.SnapshotOptions{Lazy: lazy, PoolSections: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ds.Ensure(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if got := ds.Graph().ColumnSourceAttached(); got != lazy {
+			t.Fatalf("lazy=%v: column source attached = %v", lazy, got)
+		}
+		ts := httptest.NewServer(NewFromRegistry(reg, Options{}))
+		var stats struct {
+			Datasets []map[string]json.RawMessage `json:"datasets"`
+		}
+		code := getJSON(t, ts.URL+"/api/v1/stats", &stats)
+		ts.Close()
+		if code != http.StatusOK || len(stats.Datasets) != 1 {
+			t.Fatalf("lazy=%v: stats %d, %d datasets", lazy, code, len(stats.Datasets))
+		}
+		if _, paged := stats.Datasets[0]["pager"]; paged != lazy {
+			t.Fatalf("lazy=%v: pager block present = %v", lazy, paged)
+		}
 	}
 }

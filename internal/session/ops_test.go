@@ -1,6 +1,7 @@
 package session
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -13,32 +14,33 @@ import (
 	"repro/internal/value"
 )
 
-// renderState flattens a State into a canonical string: pattern, sorted
-// presentation, every visible cell, and the history. Two sessions with
-// equal renderings are observably identical to any client.
+// renderState flattens a session into a canonical string: pattern,
+// sorted presentation, every visible cell, and the history. Two sessions
+// with equal renderings are observably identical to any client.
 func renderState(t *testing.T, s *Session) string {
 	t.Helper()
-	st, err := s.State()
+	var b strings.Builder
+	cursor := s.Cursor()
+	fmt.Fprintf(&b, "cursor=%d\n", cursor)
+	for i, h := range s.History() {
+		fmt.Fprintf(&b, "h%d: %s | %s\n", i, h.Action, h.Pattern)
+	}
+	if cursor < 0 {
+		return b.String()
+	}
+	fmt.Fprintf(&b, "pattern: %s\n", s.Pattern())
+	res, err := s.WindowCtx(context.Background(), 0, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "cursor=%d\n", st.Cursor)
-	for i, h := range st.History {
-		fmt.Fprintf(&b, "h%d: %s | %s\n", i, h.Action, h.Pattern)
-	}
-	if st.Pattern == nil {
-		return b.String()
-	}
-	fmt.Fprintf(&b, "pattern: %s\n", st.Pattern)
-	for _, c := range st.Result.Columns {
+	for _, c := range res.Columns {
 		fmt.Fprintf(&b, "col: %s (%s)\n", c.Name, c.Kind)
 	}
-	for _, row := range st.Result.Rows {
+	for _, row := range res.Rows {
 		fmt.Fprintf(&b, "row %d %q:", row.Node, row.Label)
-		for ci := range st.Result.Columns {
+		for ci := range res.Columns {
 			cell := &row.Cells[ci]
-			if st.Result.Columns[ci].Kind == etable.ColBase {
+			if res.Columns[ci].Kind == etable.ColBase {
 				fmt.Fprintf(&b, " %s", cell.Value.Format())
 			} else {
 				fmt.Fprintf(&b, " [")

@@ -274,54 +274,11 @@ func (s *Session) Pattern() *etable.Pattern {
 	return s.history[s.cursor].Pattern
 }
 
-// State is a consistent snapshot of a session: the pattern, the
-// presented result (nil before any Open), and the history. The server
-// encodes one State per request instead of reading pattern, result, and
-// history through separate locks that could interleave with a
-// concurrent action. Windowed snapshots (StateWindowCtx) carry only the
-// requested rows in Result; Result.TotalRows/Offset locate the window.
-type State struct {
-	Pattern *etable.Pattern
-	Result  *etable.Result
-	History []Entry
-	Cursor  int
-}
-
-// State snapshots the session under one lock acquisition.
-func (s *Session) State() (State, error) { return s.StateCtx(context.Background()) }
-
-// StateCtx is State under a request context: rendering the snapshot may
-// execute the current pattern, which honors ctx's cancellation. The
-// result is the full render; servers paging large tables use
-// StateWindowCtx instead.
-func (s *Session) StateCtx(ctx context.Context) (State, error) {
-	return s.StateWindowCtx(ctx, 0, -1)
-}
-
-// StateWindowCtx is StateCtx materializing only the [offset,
-// offset+limit) row window of the presented result (limit < 0 = all
-// rows from offset, limit 0 = metadata only). The window is read from
-// the session's memoized presentation: only the requested rows are
-// transformed, so the cost of a page does not scale with the table.
-func (s *Session) StateWindowCtx(ctx context.Context, offset, limit int) (State, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := State{Cursor: s.cursor, History: append([]Entry(nil), s.history...)}
-	if s.cursor < 0 {
-		return st, nil
-	}
-	st.Pattern = s.history[s.cursor].Pattern
-	res, err := s.resultLocked(ctx, offset, limit)
-	if err != nil {
-		return State{}, err
-	}
-	st.Result = res
-	return st, nil
-}
-
 // WindowCtx returns the [offset, offset+limit) row window of the
-// current presented result (limit < 0 = all rows from offset),
-// materialized. See StateWindowCtx for the cost model; ReadWindow reads
+// current presented result (limit < 0 = all rows from offset, limit 0 =
+// metadata only), materialized. The window is read from the session's
+// memoized presentation: only the requested rows are transformed, so
+// the cost of a page does not scale with the table. ReadWindow reads
 // the same window without materializing it.
 func (s *Session) WindowCtx(ctx context.Context, offset, limit int) (*etable.Result, error) {
 	s.mu.Lock()
@@ -834,8 +791,8 @@ func (s *Session) Result() (*etable.Result, error) {
 	return s.ResultCtx(context.Background())
 }
 
-// ResultCtx is Result under a request context (cancellation; see
-// StateCtx).
+// ResultCtx is Result under a request context: rendering may execute
+// the current pattern, which honors ctx's cancellation.
 func (s *Session) ResultCtx(ctx context.Context) (*etable.Result, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -1,6 +1,7 @@
 package session
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -470,17 +471,21 @@ func TestConcurrentSessionActions(t *testing.T) {
 				case 3:
 					_ = s.SortBy(etable.SortSpec{Attr: "year", Desc: true})
 				case 4:
-					st, err := s.State()
+					// No action here reverts, so the history only
+					// grows: a cursor read before it stays inside it.
+					cursor := s.Cursor()
+					history := s.History()
+					res, err := s.WindowCtx(context.Background(), 0, -1)
 					if err != nil {
 						t.Error(err)
 						return
 					}
-					if st.Cursor >= 0 && st.Result == nil {
-						t.Error("state with open table but nil result")
+					if cursor >= 0 && res == nil {
+						t.Error("open table but nil window")
 						return
 					}
-					if st.Cursor >= len(st.History) {
-						t.Errorf("cursor %d outside history of %d", st.Cursor, len(st.History))
+					if cursor >= len(history) {
+						t.Errorf("cursor %d outside history of %d", cursor, len(history))
 						return
 					}
 				}

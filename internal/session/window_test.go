@@ -198,13 +198,13 @@ func TestCloseReleasesSpillFilesAndReprepares(t *testing.T) {
 	}
 }
 
-// TestStateWindowCtx: the snapshot carries the windowed result plus
-// consistent history, and a session with no open table still snapshots.
-func TestStateWindowCtx(t *testing.T) {
+// TestWindowCtxHistory: a window carries the requested rows and
+// locates them in the table, the history and cursor read alongside it
+// are consistent, and a session with no open table has no window.
+func TestWindowCtxHistory(t *testing.T) {
 	s, _ := newSharedSession(t)
-	st, err := s.StateWindowCtx(context.Background(), 0, 5)
-	if err != nil || st.Result != nil || st.Cursor != -1 {
-		t.Fatalf("empty session snapshot: %+v, %v", st, err)
+	if _, err := s.WindowCtx(context.Background(), 0, 5); err == nil || s.Cursor() != -1 {
+		t.Fatalf("empty session: window err %v, cursor %d", err, s.Cursor())
 	}
 	if err := s.Open("Papers"); err != nil {
 		t.Fatal(err)
@@ -212,15 +212,15 @@ func TestStateWindowCtx(t *testing.T) {
 	if err := s.Filter("year > 2000"); err != nil {
 		t.Fatal(err)
 	}
-	st, err = s.StateWindowCtx(context.Background(), 1, 2)
+	res, err := s.WindowCtx(context.Background(), 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Result == nil || st.Result.Offset != 1 || len(st.Result.Rows) > 2 {
-		t.Fatalf("windowed snapshot: %+v", st.Result)
+	if res.Offset != 1 || len(res.Rows) > 2 {
+		t.Fatalf("window: %+v", res)
 	}
-	if len(st.History) != 2 || st.Cursor != 1 {
-		t.Fatalf("history %d entries, cursor %d", len(st.History), st.Cursor)
+	if h := s.History(); len(h) != 2 || s.Cursor() != 1 {
+		t.Fatalf("history %d entries, cursor %d", len(h), s.Cursor())
 	}
 }
 
@@ -277,13 +277,9 @@ func TestSessionMaxRows(t *testing.T) {
 	if res, err := s.WindowCtx(ctx, total-1, -1); err != nil || len(res.Rows) != 1 {
 		t.Fatalf("tail window: %v (%d rows)", err, len(res.Rows))
 	}
-	// Metadata-only reads never trip the cap, and the error surfaces
-	// through snapshots identically.
+	// Metadata-only reads never trip the cap.
 	if _, err := s.WindowCtx(ctx, 0, 0); err != nil {
 		t.Fatalf("metadata read: %v", err)
-	}
-	if _, err := s.StateWindowCtx(ctx, 0, -1); !errors.As(err, &rl) {
-		t.Fatalf("snapshot: err = %v", err)
 	}
 	// Lifting the cap restores unbounded reads.
 	s.SetMaxRows(0)

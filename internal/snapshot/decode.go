@@ -244,14 +244,6 @@ type colMeta struct {
 	crc         uint32
 }
 
-// slice returns the column's payload bytes out of the NCOL section.
-func (cm colMeta) slice(ncol []byte) ([]byte, error) {
-	if cm.off > uint64(len(ncol)) || cm.length > uint64(len(ncol))-cm.off {
-		return nil, corrupt(secSkel, "column range [%d,+%d) exceeds NCOL size %d", cm.off, cm.length, len(ncol))
-	}
-	return ncol[cm.off : cm.off+cm.length : cm.off+cm.length], nil
-}
-
 // typeCols is one node type's column directory.
 type typeCols struct {
 	typeName string
@@ -263,8 +255,8 @@ type typeCols struct {
 // global IDs: each type's ID list fixes which type owns each dense ID,
 // and InstallNodes assigns the same IDs in one bulk pass. No attribute
 // values are decoded — the returned directory locates each column's
-// payload within NCOL for the caller to install eagerly (Decode) or
-// fault in on demand (LazyLoad).
+// payload within NCOL for columnSource.load to resolve, all at open
+// (resident) or on demand (paged).
 func decodeSkeleton(buf []byte, schema *tgm.SchemaGraph, m meta) (*tgm.InstanceGraph, []typeCols, error) {
 	d := &dec{buf: buf, sec: secSkel}
 	nts := schema.NodeTypes()
@@ -416,128 +408,71 @@ func decodeColumn(payload []byte, rows int, typeName string, ai int) (value.Colu
 	return col, nil
 }
 
-// decodeEdges rebuilds every adjacency list in CSR form and installs
-// each edge type wholesale (InstallAdjacency) — three array
-// installations per type instead of one map insert per edge, and
-// Neighbors still returns exactly the serialized sequences. The
-// on-disk arrays are fixed-width little-endian uint32, so each decode
-// is one exact allocation plus a tight conversion loop — the boot
-// path's cost is O(edges) with a constant small enough that the
-// skeleton open stays far below a column decode.
-func decodeEdges(buf []byte, g *tgm.InstanceGraph, order []*tgm.EdgeType, m meta) error {
-	d := &dec{buf: buf, sec: secEdges}
-	nET, err := d.count("edge type")
-	if err != nil {
-		return err
-	}
-	if nET != len(order) {
-		return corrupt(secEdges, "edge type count %d does not match schema %d", nET, len(order))
-	}
-	for _, et := range order {
-		name, err := d.str()
-		if err != nil {
-			return err
-		}
-		if name != et.Name {
-			return corrupt(secEdges, "edge type order mismatch: got %q, want %q", name, et.Name)
-		}
-		nSrc, err := d.count("source")
-		if err != nil {
-			return err
-		}
-		nTgt, err := d.count("target")
-		if err != nil {
-			return err
-		}
-		srcBytes, err := d.raw(4*nSrc, "source array")
-		if err != nil {
-			return err
-		}
-		offBytes, err := d.raw(4*(nSrc+1), "offset array")
-		if err != nil {
-			return err
-		}
-		tgtBytes, err := d.raw(4*nTgt, "target array")
-		if err != nil {
-			return err
-		}
-		// Pure width conversion (the shared ID-column codec): endpoint
-		// ranges, types, and offset monotonicity are validated once by
-		// InstallAdjacency below, so the loops carry no branches.
-		srcs := idcol.Decode(srcBytes, nSrc)
-		offs := make([]int32, nSrc+1)
-		for i := range offs {
-			offs[i] = int32(binary.LittleEndian.Uint32(offBytes[4*i:]))
-		}
-		targets := idcol.Decode(tgtBytes, nTgt)
-		if err := g.InstallAdjacency(name, srcs, offs, targets); err != nil {
-			return corrupt(secEdges, "installing %q adjacency: %v", name, err)
-		}
-	}
-	return d.done()
+// edgeLoader is one edge type's EDGE directory entry: its name, its
+// edge count, and a loader converting its three fixed-width arrays.
+type edgeLoader struct {
+	name    string
+	targets int
+	load    tgm.AdjacencyLoader
 }
 
-// decodeEdgesDeferred walks the EDGE section's per-type directory —
-// name, counts, and the byte spans of the three fixed-width arrays,
-// O(edge types), no per-edge work — and registers each type's CSR
-// arrays as a deferred load: conversion, validation, and installation
-// run on the first traversal of that edge type. The section's
-// whole-section CRC was verified at open, so deferral moves only the
-// O(edges) materialization cost off the boot path, not any integrity
-// check. The captured sub-slices alias the open snapshot file (mmap),
-// so a first traversal after LazySnapshot.Close would read a closed
-// mapping — the same lifetime contract column faults already have.
-func decodeEdgesDeferred(buf []byte, g *tgm.InstanceGraph, order []*tgm.EdgeType, m meta) error {
+// decodeEdgeDir walks the EDGE section's per-type directory — name,
+// counts, and the byte spans of the three fixed-width CSR arrays,
+// O(edge types), no per-edge work — into one loader per edge type, in
+// schema order. A loader is a pure width conversion (the shared
+// ID-column codec) into exact allocations; endpoint ranges, types and
+// offset monotonicity are validated by InstallAdjacency or
+// InstallAdjacencyDeferred, whichever the residency policy hands it to.
+// A loader aliases buf: the resident open runs each one before
+// returning, the paged one keeps them until each type's first
+// traversal, over the open snapshot file.
+func decodeEdgeDir(buf []byte, order []*tgm.EdgeType) ([]edgeLoader, error) {
 	d := &dec{buf: buf, sec: secEdges}
 	nET, err := d.count("edge type")
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if nET != len(order) {
-		return corrupt(secEdges, "edge type count %d does not match schema %d", nET, len(order))
+		return nil, corrupt(secEdges, "edge type count %d does not match schema %d", nET, len(order))
 	}
+	out := make([]edgeLoader, 0, nET)
 	for _, et := range order {
 		name, err := d.str()
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if name != et.Name {
-			return corrupt(secEdges, "edge type order mismatch: got %q, want %q", name, et.Name)
+			return nil, corrupt(secEdges, "edge type order mismatch: got %q, want %q", name, et.Name)
 		}
 		nSrc, err := d.count("source")
 		if err != nil {
-			return err
+			return nil, err
 		}
 		nTgt, err := d.count("target")
 		if err != nil {
-			return err
+			return nil, err
 		}
 		srcBytes, err := d.raw(4*nSrc, "source array")
 		if err != nil {
-			return err
+			return nil, err
 		}
 		offBytes, err := d.raw(4*(nSrc+1), "offset array")
 		if err != nil {
-			return err
+			return nil, err
 		}
 		tgtBytes, err := d.raw(4*nTgt, "target array")
 		if err != nil {
-			return err
+			return nil, err
 		}
-		load := func() ([]tgm.NodeID, []int32, []tgm.NodeID, error) {
-			srcs := idcol.Decode(srcBytes, nSrc)
+		out = append(out, edgeLoader{name: name, targets: nTgt, load: func() ([]tgm.NodeID, []int32, []tgm.NodeID, error) {
 			offs := make([]int32, nSrc+1)
 			for i := range offs {
 				offs[i] = int32(binary.LittleEndian.Uint32(offBytes[4*i:]))
 			}
-			targets := idcol.Decode(tgtBytes, nTgt)
-			return srcs, offs, targets, nil
-		}
-		if err := g.InstallAdjacencyDeferred(name, nTgt, load); err != nil {
-			return corrupt(secEdges, "registering %q adjacency: %v", name, err)
-		}
+			return idcol.Decode(srcBytes, nSrc), offs, idcol.Decode(tgtBytes, nTgt), nil
+		}})
 	}
-	return d.done()
+	return out, d.done()
 }
 
 // decodeStats rebuilds the graph statistics and attaches them to the

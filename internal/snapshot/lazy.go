@@ -1,7 +1,8 @@
 package snapshot
 
-// The out-of-core load path. LazyLoad opens an .etsnap file without
-// decoding its attribute columns or adjacency arrays: the header,
+// The out-of-core load path: the paged policy of the one open (open,
+// in snapshot.go). LazyLoad maps an .etsnap file without decoding its
+// attribute columns or adjacency arrays: the header,
 // section table, and skeleton sections (META, SCHM, NSKL, EDGE, STAT)
 // are CRC-verified at open, but only the skeleton proper — node IDs,
 // column directory, statistics, and the EDGE per-type directory — is
@@ -58,86 +59,21 @@ func LazyLoad(path string, opt LazyOptions) (*LazySnapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: opening %s: %w", path, err)
 	}
-	ls, err := lazyDecode(f, opt)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	return ls, nil
-}
-
-func lazyDecode(f *pager.File, opt LazyOptions) (*LazySnapshot, error) {
 	data, err := f.Slice(0, f.Size())
 	if err != nil {
+		f.Close()
 		return nil, fmt.Errorf("snapshot: reading header: %w", err)
-	}
-	// Skip the NCOL whole-section checksum: verifying it would read
-	// every column byte, exactly the O(corpus) work a lazy open exists
-	// to avoid. Integrity of each column is re-established from its
-	// NSKL per-column checksum at fault time.
-	sections, info, err := parseSections(data, func(tag string) bool { return tag == secCols })
-	if err != nil {
-		return nil, err
-	}
-	m, err := decodeMeta(sections[secMeta])
-	if err != nil {
-		return nil, err
-	}
-	schema, edgeTypeOrder, err := decodeSchema(sections[secSchema], m)
-	if err != nil {
-		return nil, err
-	}
-	graph, dir, err := decodeSkeleton(sections[secSkel], schema, m)
-	if err != nil {
-		return nil, err
-	}
-	// Adjacency is registered, not materialized: the EDGE section's CRC
-	// was just verified, its per-type directory is scanned (O(edge
-	// types)), and each type's CSR arrays convert in on first traversal.
-	if err := decodeEdgesDeferred(sections[secEdges], graph, edgeTypeOrder, m); err != nil {
-		return nil, err
 	}
 	budget := opt.PoolSections
 	if budget == 0 {
 		budget = DefaultPoolSections
 	}
-	var ncolOff uint64
-	for _, s := range info.Sections {
-		if s.Tag == secCols {
-			ncolOff = s.Offset
-		}
-	}
-	src := &columnSource{
-		file:    f,
-		pool:    lru.New[pager.Key, value.Column](budget),
-		ncolOff: ncolOff,
-		ncolLen: uint64(len(sections[secCols])),
-		types:   make(map[string]typeCols, len(dir)),
-	}
-	total := 0
-	for _, tc := range dir {
-		src.types[tc.typeName] = tc
-		total += len(tc.cols)
-	}
-	src.totalSections = total
-	if err := graph.SetColumnSource(src); err != nil {
-		return nil, corrupt(secSkel, "attaching column source: %v", err)
-	}
-	graph.Freeze()
-	if err := decodeStats(sections[secStats], graph, edgeTypeOrder); err != nil {
+	snap, src, err := open(data, f, budget)
+	if err != nil {
+		f.Close()
 		return nil, err
 	}
-	if n := graph.NumNodes(); n != m.nodes {
-		return nil, corrupt(secMeta, "node count mismatch: META says %d, NSKL decoded %d", m.nodes, n)
-	}
-	if n := graph.NumEdges(); n != m.edges {
-		return nil, corrupt(secMeta, "edge count mismatch: META says %d, EDGE decoded %d", m.edges, n)
-	}
-	info.Nodes, info.Edges = m.nodes, m.edges
-	return &LazySnapshot{
-		Snapshot: Snapshot{Schema: schema, Graph: graph, Info: info},
-		src:      src,
-	}, nil
+	return &LazySnapshot{Snapshot: *snap, src: src}, nil
 }
 
 // PagerStats reports the pager's residency and fault telemetry (a
@@ -165,13 +101,17 @@ func (ls *LazySnapshot) Close() error {
 	return ls.src.file.Close()
 }
 
-// columnSource implements tgm.ColumnSource over the snapshot file: it
-// locates a column's payload via the NSKL directory, verifies its
-// CRC-32C, decodes it, and caches the decoded column in the pager pool.
+// columnSource resolves attribute columns out of NCOL: it locates a
+// column's payload via the NSKL directory, verifies its CRC-32C, and
+// decodes it. On the paged policy it implements tgm.ColumnSource over
+// the snapshot file and caches decoded columns in the pager pool; on
+// the resident policy it reads the in-memory NCOL bytes once per
+// column and is dropped when the open returns.
 type columnSource struct {
-	file          *pager.File
+	file          *pager.File // paged: the open snapshot file
 	pool          *lru.Cache[pager.Key, value.Column]
-	ncolOff       uint64 // NCOL payload's offset within the file
+	ncolOff       uint64 // paged: NCOL payload's offset within the file
+	ncol          []byte // resident: the NCOL payload
 	ncolLen       uint64
 	types         map[string]typeCols
 	totalSections int
@@ -191,7 +131,8 @@ func (cs *columnSource) PinColumn(typeName string, ai int) (value.Column, func()
 	})
 }
 
-// load is the fault path: read the column's bytes, checksum, decode.
+// load is the one route from a directory entry to a column, on both
+// policies: range check, read the column's bytes, checksum, decode.
 // Load errors are not cached by the pool, so a transient failure (or a
 // since-repaired corruption) does not poison the section — the next
 // fault retries from the file.
@@ -208,7 +149,7 @@ func (cs *columnSource) load(typeName string, ai int) (value.Column, error) {
 		return value.Column{}, corrupt(secSkel, "column %s[%d] range [%d,+%d) exceeds NCOL size %d",
 			typeName, ai, cm.off, cm.length, cs.ncolLen)
 	}
-	payload, err := cs.file.Slice(int64(cs.ncolOff+cm.off), int64(cm.length))
+	payload, err := cs.payload(cm)
 	if err != nil {
 		return value.Column{}, fmt.Errorf("snapshot: reading column %s[%d]: %w", typeName, ai, err)
 	}
@@ -217,4 +158,13 @@ func (cs *columnSource) load(typeName string, ai int) (value.Column, error) {
 			typeName, ai, cm.crc, got)
 	}
 	return decodeColumn(payload, tc.rows, typeName, ai)
+}
+
+// payload returns a column's bytes: a sub-slice of the resident NCOL,
+// or a fresh read of the paged file (so an in-place repair is seen).
+func (cs *columnSource) payload(cm colMeta) ([]byte, error) {
+	if cs.file == nil {
+		return cs.ncol[cm.off : cm.off+cm.length], nil
+	}
+	return cs.file.Slice(int64(cs.ncolOff+cm.off), int64(cm.length))
 }

@@ -6,11 +6,13 @@
 // — same node IDs, same adjacency order, same statistics — without
 // re-running generation or translation, which is what lets a server
 // boot from disk and a registry serve many datasets it never paid to
-// translate. LazyLoad opens the same file out of core: only the
-// skeleton (schema, node ownership, the adjacency directory,
-// statistics) is decoded at open; attribute columns fault in one at a
-// time through a bounded internal/pager buffer pool, and each edge
-// type's adjacency arrays materialize on its first traversal.
+// translate. Load, Decode and LazyLoad share one open that differs
+// only in residency: Load and Decode are resident (every column and
+// edge type decoded at open, the file's bytes released); LazyLoad is
+// paged: only the skeleton (schema, node ownership, the adjacency
+// directory, statistics) is decoded at open, attribute columns fault
+// in one at a time through a bounded internal/pager buffer pool, and
+// each edge type's adjacency arrays materialize on its first traversal.
 //
 // # File layout
 //
@@ -26,7 +28,7 @@
 // a line-oriented tool) is caught at the first eight bytes. The section
 // table makes the format mmap-friendly: every section's byte range is
 // known before any payload is read, sections can be verified and
-// decoded independently, and the lazy loader maps the file and defers
+// decoded independently, and the paged open maps the file and defers
 // column materialization per column payload.
 //
 // Six sections, all present in version 2:
@@ -46,8 +48,8 @@
 //	      lists in CSR form: ascending sources, offsets, and the
 //	      concatenated target runs (targets in insertion order), each
 //	      array fixed-width uint32 LE so a load is a bulk conversion
-//	      with exact preallocation — immediate on the eager path,
-//	      deferred to each edge type's first traversal on the lazy one
+//	      with exact preallocation — at open when resident, deferred
+//	      to each edge type's first traversal when paged
 //	STAT  internal/stats statistics: per-type counts and attribute
 //	      NDVs, per-edge degree histograms
 //
@@ -56,11 +58,12 @@
 // with *VersionError; a snapshot whose bytes do not decode — bad
 // checksum, truncated section, out-of-range reference, impossible count
 // — fails with *CorruptError naming the section and reason. Decoding
-// never panics on hostile input. The eager path verifies every
-// section's checksum before decoding; the lazy path verifies every
-// section it decodes at open and defers NCOL integrity to per-column
-// checksums at fault time, so damage in a column that is never queried
-// is never even read. The version is a single ratchet: readers refuse
+// never panics on hostile input. Every column is checked against its
+// own checksum when it is resolved. A resident open also verifies
+// every section's checksum, NCOL's included, before decoding; a paged
+// open verifies every section it decodes at open and defers NCOL
+// integrity to the per-column checksums at fault time, so damage in a
+// column that is never queried is never even read. The version is a single ratchet: readers refuse
 // versions they do not know rather than guessing, and format changes
 // bump it (see docs/SNAPSHOT.md for the compat policy).
 package snapshot
@@ -72,7 +75,10 @@ import (
 	"io"
 	"os"
 
+	"repro/internal/lru"
+	"repro/internal/pager"
 	"repro/internal/tgm"
+	"repro/internal/value"
 )
 
 // Version is the current snapshot format version. Version 2 split the
@@ -239,74 +245,131 @@ func Load(path string) (*Snapshot, error) {
 }
 
 // Decode reconstructs a snapshot from its serialized bytes (the
-// in-memory form of Load; Load is ReadFile + Decode).
+// in-memory form of Load; Load is ReadFile + Decode). It is the
+// resident policy of the one open: every section's checksum is
+// verified, NCOL's included, and every column and edge type is decoded
+// before Decode returns.
 //
 // Aliasing contract: decoding reads directly from sub-slices of data —
 // there is no intermediate per-section copy — and everything the
 // returned Snapshot retains is freshly built (string values copy their
-// bytes, columns are newly decoded slices). The caller may therefore
-// reuse or discard data as soon as Decode returns; nothing in the
-// result aliases it.
+// bytes, columns and adjacency arrays are newly decoded slices). The
+// caller may therefore reuse or discard data as soon as Decode returns;
+// nothing in the result aliases it.
 func Decode(data []byte) (*Snapshot, error) {
-	sections, info, err := parseSections(data, nil)
+	snap, _, err := open(data, nil, 0)
+	return snap, err
+}
+
+// open is the one decoder behind Decode, Load and LazyLoad. It verifies
+// and decodes META, SCHM, NSKL and STAT, walks the EDGE directory once
+// into one loader per edge type, and resolves a column only through
+// columnSource.load (range check, per-column CRC-32C, decodeColumn).
+// What remains is the residency policy, chosen by file:
+//
+//   - resident (file nil): NCOL's whole-section checksum is verified
+//     too, every column is installed and every edge type converted now,
+//     and nothing returned references data.
+//   - paged: the column source over file stays attached, faulting
+//     columns through a pool of budget sections, and each edge type's
+//     loader runs on its first traversal (the loaders alias data).
+//
+// The returned columnSource is nil on the resident policy.
+func open(data []byte, file *pager.File, budget int) (*Snapshot, *columnSource, error) {
+	paged := file != nil
+	// A paged open skips the NCOL whole-section checksum: verifying it
+	// would read every column byte, exactly the O(corpus) work paging
+	// exists to avoid. Each column's own checksum is verified whenever
+	// it is resolved, on both policies.
+	sections, info, err := parseSections(data, func(tag string) bool { return paged && tag == secCols })
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	meta, err := decodeMeta(sections[secMeta])
+	m, err := decodeMeta(sections[secMeta])
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	schema, edgeTypeOrder, err := decodeSchema(sections[secSchema], meta)
+	schema, edgeTypeOrder, err := decodeSchema(sections[secSchema], m)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	graph, dir, err := decodeSkeleton(sections[secSkel], schema, meta)
+	graph, dir, err := decodeSkeleton(sections[secSkel], schema, m)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	// Install every column eagerly, decoding each payload in place from
-	// the NCOL sub-slice (whole-section checksum already verified, so
-	// the per-column checksums are not re-checked here).
-	ncol := sections[secCols]
+	edges, err := decodeEdgeDir(sections[secEdges], edgeTypeOrder)
+	if err != nil {
+		return nil, nil, err
+	}
+	src := &columnSource{
+		ncolLen: uint64(len(sections[secCols])),
+		types:   make(map[string]typeCols, len(dir)),
+	}
 	for _, tc := range dir {
-		for ai, cm := range tc.cols {
-			payload, err := cm.slice(ncol)
-			if err != nil {
-				return nil, err
-			}
-			col, err := decodeColumn(payload, tc.rows, tc.typeName, ai)
-			if err != nil {
-				return nil, err
-			}
-			if err := graph.InstallColumn(tc.typeName, ai, col); err != nil {
-				return nil, corrupt(secCols, "installing column %s[%d]: %v", tc.typeName, ai, err)
+		src.types[tc.typeName] = tc
+		src.totalSections += len(tc.cols)
+	}
+	if paged {
+		src.file = file
+		src.pool = lru.New[pager.Key, value.Column](budget)
+		for _, s := range info.Sections {
+			if s.Tag == secCols {
+				src.ncolOff = s.Offset
 			}
 		}
-	}
-	if err := decodeEdges(sections[secEdges], graph, edgeTypeOrder, meta); err != nil {
-		return nil, err
+		if err := graph.SetColumnSource(src); err != nil {
+			return nil, nil, corrupt(secSkel, "attaching column source: %v", err)
+		}
+		for _, e := range edges {
+			if err := graph.InstallAdjacencyDeferred(e.name, e.targets, e.load); err != nil {
+				return nil, nil, corrupt(secEdges, "registering %q adjacency: %v", e.name, err)
+			}
+		}
+	} else {
+		src.ncol = sections[secCols]
+		for _, tc := range dir {
+			for ai := range tc.cols {
+				col, err := src.load(tc.typeName, ai)
+				if err != nil {
+					return nil, nil, err
+				}
+				if err := graph.InstallColumn(tc.typeName, ai, col); err != nil {
+					return nil, nil, corrupt(secCols, "installing column %s[%d]: %v", tc.typeName, ai, err)
+				}
+			}
+		}
+		for _, e := range edges {
+			srcs, offs, targets, err := e.load()
+			if err == nil {
+				err = graph.InstallAdjacency(e.name, srcs, offs, targets)
+			}
+			if err != nil {
+				return nil, nil, corrupt(secEdges, "installing %q adjacency: %v", e.name, err)
+			}
+		}
+		src = nil
 	}
 	// The graph is complete: freeze before attaching statistics (Attach
 	// only caches on frozen graphs) and before anyone can observe it.
 	graph.Freeze()
 	if err := decodeStats(sections[secStats], graph, edgeTypeOrder); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if n := graph.NumNodes(); n != meta.nodes {
-		return nil, corrupt(secMeta, "node count mismatch: META says %d, NSKL decoded %d", meta.nodes, n)
+	if n := graph.NumNodes(); n != m.nodes {
+		return nil, nil, corrupt(secMeta, "node count mismatch: META says %d, NSKL decoded %d", m.nodes, n)
 	}
-	if n := graph.NumEdges(); n != meta.edges {
-		return nil, corrupt(secMeta, "edge count mismatch: META says %d, EDGE decoded %d", meta.edges, n)
+	if n := graph.NumEdges(); n != m.edges {
+		return nil, nil, corrupt(secMeta, "edge count mismatch: META says %d, EDGE decoded %d", m.edges, n)
 	}
-	info.Nodes, info.Edges = meta.nodes, meta.edges
-	return &Snapshot{Schema: schema, Graph: graph, Info: info}, nil
+	info.Nodes, info.Edges = m.nodes, m.edges
+	return &Snapshot{Schema: schema, Graph: graph, Info: info}, src, nil
 }
 
 // parseSections validates magic, version, and the section table, and
 // returns the payload byte ranges (aliases of data). Each section's
 // checksum is verified unless skipCRC reports the tag should be
-// deferred — the lazy open skips the bulk NCOL section, whose integrity
-// is re-established per column at fault time.
+// deferred — the paged open skips the bulk NCOL section, whose
+// integrity is re-established per column at fault time.
 func parseSections(data []byte, skipCRC func(tag string) bool) (map[string][]byte, Info, error) {
 	info := Info{Bytes: int64(len(data))}
 	if len(data) < headerFixed {

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
+	"weak"
 
 	"repro/internal/dataset"
 	"repro/internal/stats"
@@ -154,6 +156,32 @@ func TestSaveFileLoad(t *testing.T) {
 	if snap.Graph.NumNodes() != tr.Instance.NumNodes() {
 		t.Fatalf("node count %d != %d", snap.Graph.NumNodes(), tr.Instance.NumNodes())
 	}
+}
+
+// TestResidentLoadRetainsNoFileBytes pins Decode's aliasing contract:
+// once it returns, nothing the snapshot holds — a column, an adjacency
+// array, an edge loader, a column source — references the input bytes,
+// so they are collectable while the graph serves.
+func TestResidentLoadRetainsNoFileBytes(t *testing.T) {
+	tr := testGraph(t)
+	data := saveBytes(t, tr.Instance)
+	wp := weak.Make(&data[0])
+	snap, err := Decode(data)
+	if err != nil {
+		t.Fatalf("Decode: %v", err)
+	}
+	data = nil
+	runtime.GC()
+	if wp.Value() != nil {
+		t.Fatal("the decoded snapshot still references the file's bytes")
+	}
+	if snap.Graph.ColumnSourceAttached() {
+		t.Fatal("a resident graph has a column source attached")
+	}
+	if snap.Graph.NumEdges() != tr.Instance.NumEdges() {
+		t.Fatalf("edges %d != %d", snap.Graph.NumEdges(), tr.Instance.NumEdges())
+	}
+	runtime.KeepAlive(snap)
 }
 
 // TestSaveRejectsUnfrozen: snapshotting a mutable graph is an error,

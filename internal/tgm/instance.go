@@ -595,43 +595,13 @@ func (g *InstanceGraph) insertEdge(edgeType string, src, dst NodeID) bool {
 	return true
 }
 
-// AddDirectedEdge inserts exactly one directed edge of the named type,
-// without the automatic reverse-edge insertion AddEdge performs. It
-// exists for restore paths (internal/snapshot) that serialize every
-// edge type's adjacency — forward and reverse types alike — and must
-// rebuild each list exactly as stored; mixing it with AddEdge on
-// reverse-paired types would desynchronize the two directions.
-// Duplicate edges are ignored; endpoint types are checked.
-func (g *InstanceGraph) AddDirectedEdge(edgeType string, src, dst NodeID) error {
-	if g.frozen.Load() {
-		return fmt.Errorf("tgm: graph is frozen; cannot add edge of type %q", edgeType)
-	}
-	et := g.schema.EdgeType(edgeType)
-	if et == nil {
-		return fmt.Errorf("tgm: unknown edge type %q", edgeType)
-	}
-	sn, dn := g.Node(src), g.Node(dst)
-	if sn == nil || dn == nil {
-		return fmt.Errorf("tgm: edge %q endpoints out of range (%d→%d)", edgeType, src, dst)
-	}
-	if sn.Type.Name != et.Source {
-		return fmt.Errorf("tgm: edge %q source must be %q, got %q", edgeType, et.Source, sn.Type.Name)
-	}
-	if dn.Type.Name != et.Target {
-		return fmt.Errorf("tgm: edge %q target must be %q, got %q", edgeType, et.Target, dn.Type.Name)
-	}
-	g.insertEdge(et.Name, src, dst)
-	return nil
-}
-
 // InstallAdjacency installs one edge type's entire adjacency wholesale
 // in CSR form: srcs ascending, offs of length len(srcs)+1, and
 // targets[offs[i]:offs[i+1]] the i-th source's out-neighbors in the
 // order Neighbors must return them. It is the snapshot decode path's
-// bulk alternative to per-edge AddDirectedEdge — three array
-// installations instead of O(edges) map inserts — and must not be mixed
-// with AddEdge/AddDirectedEdge for the same edge type. Endpoint types
-// and ID ranges are validated.
+// bulk install — three array installations instead of O(edges) map
+// inserts — and must not be mixed with AddEdge for the same edge type.
+// Endpoint types and ID ranges are validated.
 func (g *InstanceGraph) InstallAdjacency(edgeType string, srcs []NodeID, offs []int32, targets []NodeID) error {
 	if g.frozen.Load() {
 		return fmt.Errorf("tgm: graph is frozen; cannot install adjacency for %q", edgeType)

@@ -139,6 +139,26 @@ if grep -rnE 'Node\([^)]*\)\.Row\b|\bRow:|\bdense bool\b|\bcontiguous bool\b' \
 	exit 1
 fi
 
+# One snapshot decoder: Decode, Load and LazyLoad reach one open and
+# one EDGE directory walk, differing only in residency, and a column is
+# resolved only through the pager's fault routine (columnSource.load),
+# so decodeColumn has exactly one call site. The second open, the eager
+# edge decoder, the unused per-edge restore path and the external
+# distinct stay deleted (ROADMAP 13; the harness module is exempt).
+echo "==> one snapshot decoder"
+calls=$(grep -rnE 'decodeColumn\(' --include='*.go' --exclude='*_test.go' internal/snapshot |
+	grep -vE '^[^:]*:[0-9]+:[[:space:]]*(//|func decodeColumn\()' || true)
+if [ "$(printf '%s' "$calls" | grep -c .)" -ne 1 ]; then
+	echo "decodeColumn must have exactly one non-test call site in internal/snapshot:" >&2
+	echo "$calls" >&2
+	exit 1
+fi
+if grep -rnwE 'decodeEdges|decodeEdgesDeferred|lazyDecode|AddDirectedEdge|ExternalDistinct' \
+	--include='*.go' --exclude='*_test.go' --exclude-dir=etable-load --exclude-dir=.bench_build .; then
+	echo "a second snapshot decoder or a deleted restore path reappeared (see above)" >&2
+	exit 1
+fi
+
 echo "==> go test -race ./..."
 go test -race -run "$pattern" ./...
 
