@@ -123,16 +123,23 @@
 // The server's one path is Executor.PrepareWithOpts plus a window. A
 // plan is the pattern's compiled node predicates, built on the
 // match-cache miss that needs it and not cached: a repeated query hits
-// its cached match, or its siblings' cached bases, first. The join
-// order is not planned in advance: the engine selects every base first
-// and orders the joins by the bases' exact sizes — smallest base first,
-// then greedily by |current| × AvgOutDegree(edge) × |σ(new)| /
+// its cached match, or its siblings' cached bases, first. A miss derived
+// through the §5.3 operators from a pattern whose match is resident
+// reuses that intermediate result (§9, future work 2): the ancestor's
+// match, narrowed by the conjuncts it lacks, is one join unit covering
+// its nodes, and only the nodes it lacks are selected from their bases
+// — after a structural sub-pattern check, never on the derivation link
+// alone. Derived and from-bases matches run one join loop. The join
+// order is not planned in advance: the engine gathers every unit first
+// and orders the joins by the units' exact sizes — smallest unit first,
+// then greedily by |current| × AvgOutDegree(edge) × |unit(new)| /
 // |type(new)| — so no cardinality is estimated anywhere. PERFORMANCE.md
 // §13 records why the eager join arm and the feedback re-planner were
 // removed, §14 why the greedy ordering and its corpus-size threshold
 // were (no workload reached them; parity where forced), §16 the census
 // behind ordering by measured sizes and dropping the plan-level
-// parallelism gate, and §18–§19 why the plan cache went.
+// parallelism gate, §18–§19 why the plan cache went, and §25 the
+// census and the pairs behind derivation.
 //
 // # Windowed presentation
 //

@@ -60,8 +60,10 @@ func (c *Cache) ResidentBytes() int64 {
 	return n
 }
 
-// Get returns the cached relation for key without computing, for tests
-// and introspection. It counts neither a hit nor a miss.
+// Get returns the cached relation for key without computing: the
+// derivation walk's lookup for a resident ancestor match (deriveFrom),
+// and tests. It loads nothing and counts neither a hit nor a miss; a
+// found entry becomes the most recently used.
 func (c *Cache) Get(key string) (*graphrel.Relation, bool) { return c.lru.Lookup(key) }
 
 // Len returns the number of cached relations.

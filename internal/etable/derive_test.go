@@ -1,0 +1,282 @@
+package etable
+
+import (
+	"reflect"
+	"testing"
+
+	"repro/internal/dataset"
+	"repro/internal/expr"
+	"repro/internal/translate"
+)
+
+// Derives reports whether the engine would match p from a resident
+// ancestor in c rather than from the bases (for the external oracle
+// test in derive_oracle_test.go).
+func Derives(p *Pattern, c *Cache) bool { return deriveFrom(p, c) != nil }
+
+func TestExtraConjuncts(t *testing.T) {
+	parse := func(src string) expr.Expr {
+		e, err := expr.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	a, b, c := parse("year > 2005"), parse("year <= 2010"), parse("page_start < 500")
+	for _, tc := range []struct {
+		name       string
+		cond, base expr.Expr
+		want       string // "" with ok: nothing to add
+		ok         bool
+	}{
+		{"unchanged", a, a, "", true},
+		{"no base", expr.And{Left: a, Right: b}, nil, "(year > 2005 AND year <= 2010)", true},
+		{"both nil", nil, nil, "", true},
+		{"one conjunct", expr.And{Left: a, Right: b}, a, "year <= 2010", true},
+		{"two conjuncts", expr.And{Left: expr.And{Left: a, Right: b}, Right: c}, a, "(year <= 2010 AND page_start < 500)", true},
+		{"replaced", b, a, "", false},
+		{"removed", nil, a, "", false},
+		{"base on the right", expr.And{Left: b, Right: a}, a, "", false},
+	} {
+		got, ok := extraConjuncts(tc.cond, tc.base)
+		if ok != tc.ok {
+			t.Errorf("%s: ok = %v, want %v", tc.name, ok, tc.ok)
+			continue
+		}
+		gotStr := ""
+		if got != nil {
+			gotStr = got.String()
+		}
+		if gotStr != tc.want {
+			t.Errorf("%s: extra = %q, want %q", tc.name, gotStr, tc.want)
+		}
+	}
+}
+
+// TestForgedDerivationLinksFallBack: a derivation link is a hint. A
+// resident pattern that is not a structural sub-pattern — unrelated, a
+// replaced or removed condition, a missing edge — must not be derived
+// from, and the match from the bases must equal the oracle's.
+func TestForgedDerivationLinksFallBack(t *testing.T) {
+	tr := planFixture(t)
+	ex := NewExecutor(tr.Instance)
+	resident := func(p *Pattern) *Pattern {
+		t.Helper()
+		if _, err := ex.PrepareWithOpts(p, ExecOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := ex.Cache().Get(matchPrefix + Signature(p)); !ok {
+			t.Fatalf("%s: match not resident", p)
+		}
+		return p
+	}
+	sigmodPapers := func() *Pattern {
+		return buildPattern(t, tr, "Conferences", opSelect("acronym = 'SIGMOD'"), opAdd(tr, "Papers→Conferences_rev"))
+	}
+	recentPapers := resident(buildPattern(t, tr, "Papers", opSelect("year > 2005"), opAdd(tr, "Papers→Conferences")))
+	for _, tc := range []struct {
+		name   string
+		p, anc *Pattern
+	}{
+		{"unrelated", sigmodPapers(),
+			resident(buildPattern(t, tr, "Authors", opSelect("name like '%a%'"), opAdd(tr, "Authors→Institutions")))},
+		{"replaced condition",
+			buildPattern(t, tr, "Papers", opSelect("year <= 2010"), opAdd(tr, "Papers→Conferences")), recentPapers},
+		{"removed condition",
+			buildPattern(t, tr, "Papers", opAdd(tr, "Papers→Conferences")), recentPapers},
+		{"missing edge",
+			// The same two nodes, joined through the edge's other
+			// orientation: a's edge is not among p's.
+			buildPattern(t, tr, "Conferences", opSelect("acronym = 'SIGMOD'"), opAdd(tr, "Papers→Conferences_rev"),
+				opSelect("year > 2005"), opShift("Conferences")),
+			resident(buildPattern(t, tr, "Papers", opSelect("year > 2005"), opAdd(tr, "Papers→Conferences"),
+				opSelect("acronym = 'SIGMOD'")))},
+	} {
+		p := tc.p.Clone()
+		p.from = tc.anc
+		if deriveFrom(p, ex.Cache()) != nil {
+			t.Errorf("%s: derived from a forged link", tc.name)
+			continue
+		}
+		pr, err := ex.PrepareWithOpts(p, ExecOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		got, err := pr.Window(0, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, want := oracleTable(t, tr.Instance, p)
+		assertSameResults(t, tc.name, got, want)
+	}
+
+	// The positive control: the same check admits a true ancestor,
+	// reached past a link with p's own signature (a Shift).
+	anc := resident(sigmodPapers())
+	p, err := Select(anc, "year > 2005")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p, err = Shift(p, "Conferences"); err != nil {
+		t.Fatal(err)
+	}
+	d := deriveFrom(p, ex.Cache())
+	if d == nil {
+		t.Fatal("a resident true ancestor was not derived from")
+	}
+	if want := map[string]string{"Conferences": "", "Papers": "year > 2005"}; !reflect.DeepEqual(residualStrings(d), want) {
+		t.Errorf("residual = %v, want %v", residualStrings(d), want)
+	}
+}
+
+func residualStrings(d *derived) map[string]string {
+	out := make(map[string]string, len(d.residual))
+	for k, e := range d.residual {
+		out[k] = ""
+		if e != nil {
+			out[k] = e.String()
+		}
+	}
+	return out
+}
+
+// TestDerivedMatchSpillsLikeFromBases: a derived match is capped and
+// spilled exactly like one from the bases — also when the ancestor
+// covers every node and the pattern only adds a condition (no join
+// step is left, but the pattern has edges, so its match still streams
+// into the capped drain).
+func TestDerivedMatchSpillsLikeFromBases(t *testing.T) {
+	tr := planFixture(t)
+	full := figure7PlanPattern(t, tr)
+	chain := []*Pattern{}
+	for a := full; a != nil; a = a.from {
+		chain = append(chain, a)
+	}
+	// chain[3] is Conferences{SIGMOD} → Papers{year > 2005} → Authors.
+	anc := chain[3]
+	if len(anc.Nodes) != 3 || len(anc.Edges) != 2 {
+		t.Fatalf("fixture drifted: ancestor %s", anc)
+	}
+	selectOnly, err := SelectNode(anc, "Authors", "name like '%a%'")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []*Pattern{full, selectOnly} {
+		_, want := oracleTable(t, tr.Instance, p)
+		if want.NumRows() < 3 {
+			t.Fatalf("fixture too small: %d rows", want.NumRows())
+		}
+		ex := NewExecutor(tr.Instance)
+		if _, err := ex.PrepareWithOpts(anc, ExecOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		if deriveFrom(p, ex.Cache()) == nil {
+			t.Fatalf("%s: not derived", p)
+		}
+		pol, metrics := testSpillPolicy(t, 4)
+		pr, err := ex.PrepareWithOpts(p, ExecOptions{MaxRows: 2, Spill: pol})
+		if err != nil {
+			t.Fatalf("%s: %v", p, err)
+		}
+		if metrics.Snapshot().Spills == 0 {
+			t.Fatalf("%s: derived prepare over the cap stayed on the heap", p)
+		}
+		got, err := pr.Window(0, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameResults(t, p.String(), got, want)
+		if err := pr.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestJoinlessSelectAfterOpenUnderSpill: a Select after Open has no
+// edges, so it never derives and its match is its selected base — not
+// capped, not spilled (a spill needs a participating column), whatever
+// MaxRows and the policy say.
+func TestJoinlessSelectAfterOpenUnderSpill(t *testing.T) {
+	tr := planFixture(t)
+	ex := NewExecutor(tr.Instance)
+	pol, metrics := testSpillPolicy(t, 4)
+	opt := ExecOptions{MaxRows: 2, Spill: pol}
+	open := buildPattern(t, tr, "Papers")
+	if _, err := ex.PrepareWithOpts(open, opt); err != nil {
+		t.Fatal(err)
+	}
+	p, err := Select(open, "year > 2005")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if deriveFrom(p, ex.Cache()) != nil {
+		t.Fatal("a pattern without edges derived")
+	}
+	pr, err := ex.PrepareWithOpts(p, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pr.Close()
+	if metrics.Snapshot().Spills != 0 {
+		t.Fatal("a joinless prepare spilled")
+	}
+	got, err := pr.Window(0, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, want := oracleTable(t, tr.Instance, p)
+	if got.NumRows() <= opt.MaxRows {
+		t.Fatalf("fixture too small: %d rows", got.NumRows())
+	}
+	assertSameResults(t, "joinless", got, want)
+}
+
+// BenchmarkDerivedMatch times one match miss of a three-node pivot —
+// Papers{page_start} → Authors{name} → Institutions, cold_explore's
+// shape — drained into its presentation, two ways over the same warm
+// cache (every base resident): from_bases selects nothing but joins
+// all three bases; derived extends the resident two-node match by the
+// Institutions join alone.
+func BenchmarkDerivedMatch(b *testing.B) {
+	db, err := dataset.Generate(dataset.Config{Papers: 6000, Seed: 7})
+	if err != nil {
+		b.Fatal(err)
+	}
+	tr, err := translate.Translate(db, translate.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	anc := buildPattern(b, tr, "Papers", opSelect("page_start >= 300"), opAdd(tr, "Paper_Authors"), opSelect("name like '%a%'"))
+	p, err := Add(tr.Schema, anc, "Authors→Institutions")
+	if err != nil {
+		b.Fatal(err)
+	}
+	unlinked := p.Clone()
+	unlinked.from = nil
+	ex := NewExecutor(tr.Instance)
+	for _, warm := range []*Pattern{anc, unlinked} {
+		if _, err := ex.PrepareWithOpts(warm, ExecOptions{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, arm := range []struct {
+		name string
+		p    *Pattern
+	}{{"from_bases", unlinked}, {"derived", p}} {
+		b.Run(arm.name, func(b *testing.B) {
+			if derives := deriveFrom(arm.p, ex.Cache()) != nil; derives != (arm.p == p) {
+				b.Fatalf("derives = %v", derives)
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_, src, err := matchPipeline(tr.Instance, arm.p, ExecOptions{}, ex.Cache())
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, _, err := prepareFromSource(tr.Instance, arm.p, src, ExecOptions{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -7,11 +7,18 @@
 //
 // # Execution
 //
-// The matching core m(Q) has one engine (stream.go, matchPipeline): the
-// plan's join chain composed as pull-based morsel iterators
-// (graphrel.RowSource) over the selected base relations, each join
-// stage probing one batch at a time. No intermediate ever exists in
-// full; memory is proportional to the in-flight batches. The stream is
+// The matching core m(Q) has one engine (stream.go, matchPipeline): one
+// join loop composed as pull-based morsel iterators (graphrel.RowSource)
+// over the pattern's join units, each join stage probing one batch at a
+// time against a unit as its build side. A unit is a node's selected
+// base relation or, on a cache miss whose ancestor's match is resident,
+// that match narrowed by the conjuncts the ancestor lacks and covering
+// all its keys (derive.go): the operators of §5.3 are pattern deltas,
+// so a miss derived through Select and Add joins only what its resident
+// ancestor's match lacks. The pattern's derivation links (set by
+// Pattern.Clone) are a hint; an ancestor is used only after a
+// structural sub-pattern check. No intermediate ever exists in full;
+// memory is proportional to the in-flight batches. The stream is
 // always drained whole, into one of two sinks:
 //
 //   - MatchOpts splices it into one arena-backed relation;
@@ -29,8 +36,13 @@
 // which is what lets one cached relation serve every requester.
 // ExecOptions.Parallelism reaches only the base selections
 // (graphrel.Select, the one kernel that fans out). A pattern without
-// joins runs nothing: its selected base relation is the match, served
-// zero-copy. MaxRows caps the drained result, never an intermediate.
+// edges runs nothing and never derives: its selected base relation is
+// the match, served zero-copy, and its prepared rows are that base's
+// column itself (ascending and distinct by construction). A pattern
+// with edges always streams — also when a derived ancestor covers every
+// node — so MaxRows and the spill tier treat derived and from-bases
+// matches alike. MaxRows caps the drained result, never an
+// intermediate.
 //
 // The engine's reference is the test-only oracle MatchNaive
 // (match_oracle_test.go): conditions compiled on the spot, declaration
@@ -39,18 +51,20 @@
 // # Planning
 //
 // The engine plans from what it has measured. A Plan holds only what
-// exists before any base relation does — each conditioned node's
-// condition compiled to column kernels (expr.Compile → *expr.Pred),
-// which graphrel.Select runs over the node type's pinned attribute
-// columns — and matchPipeline builds it (buildPlan) on the match-cache
-// miss that needs it. Plans are not cached: a repeated query hits its
+// exists before any input relation does — per node, the condition its
+// input still has to apply (the whole condition over a base, the added
+// conjuncts over a derived ancestor's match), compiled to column
+// kernels (expr.Compile → *expr.Pred), which graphrel.Select runs over
+// the node type's pinned attribute columns — and matchPipeline builds
+// it (buildPlan) on the match-cache miss that needs it. Plans are not cached: a repeated query hits its
 // cached match, and a refined one its siblings' cached bases, before
 // any predicate would be compiled (PERFORMANCE.md §18, §19, §21).
 //
-// The join order is chosen inside matchPipeline, after every base is
-// selected, from the bases' exact sizes (orderJoins): start at the
-// smallest selected base, then extend greedily by
-// |current| × tgm.AvgOutDegree(edge) × |σ(new)| / |type(new)|. No
+// The join order is chosen inside matchPipeline, after every unit is
+// in hand, from the units' exact sizes (orderJoins): start at the
+// smallest unit — a derived ancestor's match is not always it: a
+// selective new node's base usually is — then extend greedily by
+// |current| × tgm.AvgOutDegree(edge) × |unit(new)| / |type(new)|. No
 // statistic is estimated for it — the package does not import
 // internal/stats — and the worker budget passes through as the caller
 // gave it: a Select over one morsel runs serially whatever the budget,
@@ -75,7 +89,8 @@
 // a view stacks sorts — so any number of cursors may read one
 // concurrently.
 // There is one Prepare kernel, PrepareOpts: the rows are
-// graphrel.DistinctSorted (a transient bitset read back in order), each
+// graphrel.DistinctSorted (a transient bitset read back in order; a
+// joinless match's base column as it is), each
 // participating column a graphrel.GroupNeighbors grouping in CSR form —
 // the sorted row IDs as keys, shared by every column, plus offsets and
 // one values array — so a presentation retains O(rows + deduplicated
@@ -92,7 +107,10 @@
 // every executor over a graph: bases and matches are keyed by signature,
 // the least recently used relation of the whole cache is evicted first,
 // and concurrent misses on one key share one computation (its waiters
-// count as hits; an error or a panic caches nothing).
+// count as hits; an error or a panic caches nothing). A resident match
+// also serves as an ancestor: the derivation walk finds it with a
+// lookup that loads and counts nothing, so a derived miss makes no base
+// lookups for the ancestor's nodes.
 //
 // Sort contract (sort.go). A sort is extract-then-sort: one pass over
 // the current row order fills an []int64 key vector, and the keys —

@@ -22,6 +22,11 @@ import (
 //     Shift, and history Revert — operations that change presentation or
 //     primary type but not the match.
 //
+// A matched relation m(Q) also serves as an ancestor: a miss on a
+// pattern derived from Q by Select and Add (its derivation links, see
+// deriveFrom) starts from the resident m(Q), narrowed by the added
+// conjuncts, and joins only the nodes Q lacks.
+//
 // Its one entry is PrepareWithOpts; a full render is that presentation's
 // WindowOpts(0, -1, opt).
 //

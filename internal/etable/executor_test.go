@@ -1,6 +1,7 @@
 package etable
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/graphrel"
@@ -114,10 +115,13 @@ func TestExecutorBaseReuseAcrossPatterns(t *testing.T) {
 	if _, err := executeCached(ex, a); err != nil {
 		t.Fatal(err)
 	}
-	b, _ := Initiate(res.Schema, "Conferences")
-	b, _ = Select(b, "acronym = 'SIGMOD'")
-	b, _ = Add(res.Schema, b, "Papers→Conferences_rev")
-	bb, _ := Select(b, "year > 2005")
+	// The second pattern is built from Papers so that none of its
+	// ancestors' matches is resident: it matches from the bases, not by
+	// deriving from a's match.
+	b, _ := Initiate(res.Schema, "Papers")
+	b, _ = Select(b, "year > 2005")
+	b, key, _ := AddBetween(res.Schema, b, "Papers", "Papers→Conferences")
+	bb, _ := SelectNode(b, key, "acronym = 'SIGMOD'")
 	hitsBefore := ex.Hits()
 	if _, err := executeCached(ex, bb); err != nil {
 		t.Fatal(err)
@@ -127,6 +131,50 @@ func TestExecutorBaseReuseAcrossPatterns(t *testing.T) {
 	if ex.Hits() <= hitsBefore {
 		t.Error("shared filtered base relation not reused")
 	}
+}
+
+// TestExecutorDerivesFromAncestor: a miss whose ancestor's match is
+// resident extends that match — narrowed by the added condition —
+// instead of selecting the ancestor's nodes from their bases, and
+// matches the same tuples as a match from the bases.
+func TestExecutorDerivesFromAncestor(t *testing.T) {
+	res := fixture(t)
+	ex := NewExecutor(res.Instance)
+	a, _ := Initiate(res.Schema, "Conferences")
+	a, _ = Select(a, "acronym = 'SIGMOD'")
+	a, _ = Add(res.Schema, a, "Papers→Conferences_rev")
+	if _, err := executeCached(ex, a); err != nil {
+		t.Fatal(err)
+	}
+	d, _ := Select(a, "year > 2005")
+	d, _ = Add(res.Schema, d, "Paper_Authors")
+	hits, misses := ex.Hits(), ex.Misses()
+	got, err := executeCached(ex, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One miss for d's match and one for the new Authors base; no
+	// lookup at all for the Conferences and Papers bases.
+	if ex.Hits() != hits || ex.Misses() != misses+2 {
+		t.Errorf("hits %d → %d, misses %d → %d; want no hit and two misses",
+			hits, ex.Hits(), misses, ex.Misses())
+	}
+	if _, ok := ex.Cache().Get(basePrefix + nodeSignature(d.Node("Papers"))); ok {
+		t.Error("derived match selected σ(Papers) from its base")
+	}
+	rel, ok := ex.Cache().Get(matchPrefix + Signature(d))
+	if !ok {
+		t.Fatal("derived match not cached")
+	}
+	fromBases, err := Match(res.Instance, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(canonMatch(rel), canonMatch(fromBases)) {
+		t.Fatalf("derived tuples differ from the from-bases match (%d vs %d rows)", rel.Len(), fromBases.Len())
+	}
+	_, want := oracleTable(t, res.Instance, d)
+	assertSameResults(t, "derived", got, want)
 }
 
 // TestExecutorsShareCache is the cross-session reuse the server relies

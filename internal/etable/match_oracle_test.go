@@ -85,7 +85,7 @@ func declaredSteps(schema *tgm.SchemaGraph, p *Pattern) (startKey string, steps 
 // compiled predicate, as the engine does before it orders the joins.
 func selectedBases(t testing.TB, g *tgm.InstanceGraph, p *Pattern) map[string]*graphrel.Relation {
 	t.Helper()
-	pl, err := buildPlan(g, p)
+	pl, err := buildPlan(g, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,19 +103,28 @@ func selectedBases(t testing.TB, g *tgm.InstanceGraph, p *Pattern) map[string]*g
 	return bases
 }
 
+// baseUnits makes every node its own join unit, its selected base, in
+// pattern order: the engine's units for a match from the bases.
+func baseUnits(p *Pattern, bases map[string]*graphrel.Relation) []unit {
+	units := make([]unit, len(p.Nodes))
+	for i, n := range p.Nodes {
+		units[i] = unit{keys: []string{n.Key}, rel: bases[n.Key]}
+	}
+	return units
+}
+
 // planIntermediates materializes the engine's join steps one by one
 // with the reference operators and returns each step's output
 // cardinality — the intermediates the engine never holds in full.
 func planIntermediates(t testing.TB, g *tgm.InstanceGraph, p *Pattern) []int {
 	t.Helper()
-	bases := selectedBases(t, g, p)
-	start, steps, err := orderJoins(g, p, bases)
+	start, steps, err := orderJoins(g, p, baseUnits(p, selectedBases(t, g, p)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cur, rows := bases[start], make([]int, 0, len(steps))
+	cur, rows := start.rel, make([]int, 0, len(steps))
 	for _, st := range steps {
-		if cur, err = graphrel.Join(cur, bases[st.NewKey], st.EdgeName, st.AnchorKey, st.NewKey); err != nil {
+		if cur, err = graphrel.Join(cur, st.right, st.EdgeName, st.AnchorKey, st.NewKey); err != nil {
 			t.Fatal(err)
 		}
 		rows = append(rows, cur.Len())

@@ -45,11 +45,20 @@ type Pattern struct {
 	// value can never go stale. Concurrent first calls may both compute
 	// one; they store identical strings, so last-write-wins is harmless.
 	sig, str atomic.Pointer[string]
+
+	// from is the pattern this one was cloned from — the state an
+	// operator applied its delta to. It is a hint for the match engine
+	// (a resident ancestor's match can be extended instead of re-joined
+	// from the bases, see deriveFrom) and is never trusted without a
+	// structural check. Patterns built by hand have none.
+	from *Pattern
 }
 
-// Clone returns a deep-enough copy (conditions are immutable and shared).
+// Clone returns a deep-enough copy (conditions are immutable and shared)
+// that remembers p as the pattern it was derived from. Every operator
+// goes through Clone.
 func (p *Pattern) Clone() *Pattern {
-	cp := &Pattern{Primary: p.Primary}
+	cp := &Pattern{Primary: p.Primary, from: p}
 	cp.Nodes = append([]PatternNode(nil), p.Nodes...)
 	cp.Edges = append([]PatternEdge(nil), p.Edges...)
 	return cp

@@ -193,12 +193,12 @@ func TestPlannerStartsAtMostSelectiveNode(t *testing.T) {
 	if n := bases["Conferences"].Len(); n != 1 {
 		t.Fatalf("fixture drifted: %d SIGMOD conferences, want 1", n)
 	}
-	start, steps, err := orderJoins(tr.Instance, p, bases)
+	start, steps, err := orderJoins(tr.Instance, p, baseUnits(p, bases))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if start != "Conferences" {
-		t.Errorf("join start = %q, want Conferences", start)
+	if len(start.keys) != 1 || start.keys[0] != "Conferences" {
+		t.Errorf("join start = %q, want Conferences", start.keys)
 	}
 	if len(steps) != len(p.Nodes)-1 {
 		t.Errorf("ordered %d steps, want %d", len(steps), len(p.Nodes)-1)

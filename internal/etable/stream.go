@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/expr"
 	"repro/internal/graphrel"
 	"repro/internal/spill"
 	"repro/internal/tgm"
@@ -42,21 +43,31 @@ var streamBatchRows = 0
 
 // matchPipeline is the engine's single entry: every path that needs
 // m(Q) — MatchOpts and the caching Executor — calls it, so how a match
-// runs is decided here and nowhere else. It compiles the plan
-// (buildPlan), selects every node's base through the plan's compiled
-// predicates — through cache when the caller has one, so a refined
-// branch reuses its siblings' selections — orders the joins by the
-// selected bases' exact sizes (orderJoins), and composes them as a
-// stream over the start base. The worker budget passes through to the
-// selections as given: a Select whose input is one morsel runs serially
-// whatever the budget.
+// runs is decided here and nowhere else. It gathers the join's units
+// and composes one join loop over them:
 //
-// Exactly one result is set. A pattern without joins has nothing to
-// run: its selected base is the match, returned as rel so callers hand
+//   - with a cache, when a resident ancestor's match covers part of the
+//     pattern (deriveFrom), that match — narrowed by the conjuncts it
+//     lacks — is one unit covering the ancestor's keys;
+//   - every other node's unit is its base, selected through the plan's
+//     compiled predicate (buildPlan) — through cache when the caller
+//     has one, so a refined branch reuses its siblings' selections.
+//
+// It then orders the joins by the units' exact sizes (orderJoins) and
+// streams them from the smallest unit, each step probing the joined
+// unit's relation as the build side. Derived and from-bases matches run
+// the same loop. The worker budget passes through to the selections as
+// given: a Select whose input is one morsel runs serially whatever the
+// budget.
+//
+// Exactly one result is set. A pattern without edges has nothing to
+// join: its selected base is the match, returned as rel so callers hand
 // out the (cached, zero-copy) relation itself instead of draining a
 // copy of it — and since nothing is materialized for it, MaxRows does
 // not apply (the session bounds what it renders of such a table).
-// Otherwise src is the join chain; the caller must drain or Close it.
+// Otherwise src is the join loop's stream — also when a derived
+// ancestor covers every node, so a pattern with edges is always capped
+// and spilled the same way; the caller must drain or Close it.
 func matchPipeline(g *tgm.InstanceGraph, p *Pattern, opt ExecOptions, cache *Cache) (rel *graphrel.Relation, src graphrel.RowSource, err error) {
 	if err := ctxErr(opt.Ctx); err != nil {
 		return nil, nil, err
@@ -64,13 +75,30 @@ func matchPipeline(g *tgm.InstanceGraph, p *Pattern, opt ExecOptions, cache *Cac
 	if p.PrimaryNode() == nil {
 		return nil, nil, fmt.Errorf("etable: pattern has no primary node")
 	}
-	pl, err := buildPlan(g, p)
+	d := deriveFrom(p, cache)
+	var residual map[string]expr.Expr
+	if d != nil {
+		residual = d.residual
+	}
+	pl, err := buildPlan(g, p, residual)
 	if err != nil {
 		return nil, nil, err
 	}
-	bases := make(map[string]*graphrel.Relation, len(p.Nodes))
+	units := make([]unit, 0, len(p.Nodes))
+	if d != nil {
+		anc := d.rel
+		for _, k := range d.keys {
+			if anc, err = graphrel.Select(opt.Ctx, opt.Pool, opt.Parallelism, anc, k, pl.preds[k]); err != nil {
+				return nil, nil, err
+			}
+		}
+		units = append(units, unit{keys: d.keys, rel: anc})
+	}
 	for i := range p.Nodes {
 		n := &p.Nodes[i]
+		if _, covered := residual[n.Key]; covered {
+			continue
+		}
 		selectBase := func() (*graphrel.Relation, error) {
 			r, err := graphrel.BaseNamed(g, n.Type, n.Key)
 			if err != nil {
@@ -78,25 +106,27 @@ func matchPipeline(g *tgm.InstanceGraph, p *Pattern, opt ExecOptions, cache *Cac
 			}
 			return graphrel.Select(opt.Ctx, opt.Pool, opt.Parallelism, r, n.Key, pl.preds[n.Key])
 		}
+		var base *graphrel.Relation
 		if cache == nil {
-			bases[n.Key], err = selectBase()
+			base, err = selectBase()
 		} else {
-			bases[n.Key], err = getOrComputeLive(opt.Ctx, cache, basePrefix+nodeSignature(n), selectBase)
+			base, err = getOrComputeLive(opt.Ctx, cache, basePrefix+nodeSignature(n), selectBase)
 		}
 		if err != nil {
 			return nil, nil, err
 		}
+		units = append(units, unit{keys: []string{n.Key}, rel: base})
 	}
-	start, steps, err := orderJoins(g, p, bases)
+	if len(p.Nodes) == 1 {
+		return units[0].rel, nil, nil
+	}
+	start, steps, err := orderJoins(g, p, units)
 	if err != nil {
 		return nil, nil, err
 	}
-	if len(steps) == 0 {
-		return bases[start], nil, nil
-	}
-	src = graphrel.StreamRelationBatch(bases[start], streamBatchRows)
+	src = graphrel.StreamRelationBatch(start.rel, streamBatchRows)
 	for _, st := range steps {
-		src, err = graphrel.StreamJoin(opt.Ctx, src, bases[st.NewKey], st.EdgeName, st.AnchorKey, st.NewKey)
+		src, err = graphrel.StreamJoin(opt.Ctx, src, st.right, st.EdgeName, st.AnchorKey, st.NewKey)
 		if err != nil {
 			return nil, nil, err
 		}

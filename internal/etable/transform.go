@@ -294,10 +294,17 @@ func PrepareOpts(g *tgm.InstanceGraph, p *Pattern, matched *graphrel.Relation, o
 	}
 	pr := &Presentation{g: g, pattern: p, primType: g.Schema().NodeType(prim.Type)}
 
-	// Rows: Π_τa of the matched relation, canonically ordered.
-	var err error
-	if pr.rowIDs, err = graphrel.DistinctSorted(matched, prim.Key); err != nil {
-		return nil, err
+	// Rows: Π_τa of the matched relation, canonically ordered. A
+	// joinless match is its selected base, whose one column is already
+	// ascending and distinct (a type's node list, filtered in order):
+	// the rows are that column, shared, not a copy of it.
+	if col := matched.ColumnNamed(prim.Key); len(p.Nodes) == 1 && strictlyAscending(col) {
+		pr.rowIDs = col
+	} else {
+		var err error
+		if pr.rowIDs, err = graphrel.DistinctSorted(matched, prim.Key); err != nil {
+			return nil, err
+		}
 	}
 
 	// One grouping per participating node, keyed by the rows just
@@ -318,6 +325,16 @@ func PrepareOpts(g *tgm.InstanceGraph, p *Pattern, matched *graphrel.Relation, o
 		return nil, err
 	}
 	return pr, nil
+}
+
+// strictlyAscending reports whether ids ascend with no repeats.
+func strictlyAscending(ids []tgm.NodeID) bool {
+	for i := 1; i < len(ids); i++ {
+		if ids[i] <= ids[i-1] {
+			return false
+		}
+	}
+	return true
 }
 
 // layoutColumns lays out the columns of §5.4.2 — base attributes A_b,

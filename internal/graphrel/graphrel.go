@@ -415,12 +415,26 @@ func (ix joinIndex) rowsOf(id tgm.NodeID) []int32 {
 // ascending right-row order. It is the per-range phase shared by Join
 // (the whole left column) and StreamJoin (one call per batch), so the
 // two cannot drift apart.
+//
+// A count pass sizes both outputs first, so the fill writes into
+// exactly-sized slices instead of growing them by appending.
 func (ix joinIndex) probe(adj tgm.Adjacency, lcol []tgm.NodeID) (lrows, rrows []int32) {
+	n := 0
+	for _, id := range lcol {
+		for _, nb := range adj.Neighbors(id) {
+			n += len(ix.rowsOf(nb))
+		}
+	}
+	if n == 0 {
+		return nil, nil
+	}
+	lrows, rrows = make([]int32, n), make([]int32, n)
+	k := 0
 	for i, id := range lcol {
 		for _, nb := range adj.Neighbors(id) {
 			for _, j := range ix.rowsOf(nb) {
-				lrows = append(lrows, int32(i))
-				rrows = append(rrows, j)
+				lrows[k], rrows[k] = int32(i), j
+				k++
 			}
 		}
 	}

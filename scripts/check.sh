@@ -159,6 +159,18 @@ if grep -rnwE 'decodeEdges|decodeEdgesDeferred|lazyDecode|AddDirectedEdge|Extern
 	exit 1
 fi
 
+# One join loop: a derived match (a resident ancestor's match as one
+# join unit) and a match from the bases run the same StreamJoin chain
+# in matchPipeline, not a fork of it (ROADMAP 3).
+echo "==> one join loop"
+calls=$(grep -rnE 'graphrel\.StreamJoin\(' --include='*.go' --exclude='*_test.go' internal/etable |
+	grep -vE '^[^:]*:[0-9]+:[[:space:]]*//' || true)
+if [ "$(printf '%s' "$calls" | grep -c .)" -ne 1 ]; then
+	echo "graphrel.StreamJoin must have exactly one non-test call site in internal/etable:" >&2
+	echo "$calls" >&2
+	exit 1
+fi
+
 echo "==> go test -race ./..."
 go test -race -run "$pattern" ./...
 
