@@ -95,10 +95,11 @@
 //     the presentation's groupings are a serial counting sort into CSR
 //     arrays (graphrel.Groups).
 //   - internal/stats: per-edge-type out-degree histograms and
-//     per-node-type attribute NDV counts, collected once at translate
-//     time, frozen with the graph (stats.For) and persisted in the
-//     snapshot's STAT section. /api/v1/stats reports them as
-//     edgeStats; no planner reads them.
+//     per-node-type attribute NDV counts — derived state in the frozen
+//     graph's one registry (tgm.Derive), built on first use (stats.For)
+//     or published by a snapshot load from its STAT section, which a
+//     save persists. /api/v1/stats reports them as edgeStats; no
+//     planner reads them.
 //   - internal/etable: Execute takes an ExecOptions{Ctx, Pool,
 //     Parallelism} struct and hands the budget to the selections as
 //     given; a Select whose input is one morsel runs serially, so

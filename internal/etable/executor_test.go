@@ -133,6 +133,26 @@ func TestExecutorBaseReuseAcrossPatterns(t *testing.T) {
 	}
 }
 
+// TestJoinlessMatchCachedOnce: a joinless pattern's selected base is
+// its match, so a prepare on a fresh executor caches that one relation
+// once — under its match key — and the resident bytes count it once.
+func TestJoinlessMatchCachedOnce(t *testing.T) {
+	res := fixture(t)
+	ex := NewExecutor(res.Instance)
+	p, _ := Initiate(res.Schema, "Papers")
+	p, _ = Select(p, "year > 2005")
+	if _, err := ex.PrepareWithOpts(p, ExecOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	rel, ok := ex.Cache().Get(matchPrefix + Signature(p))
+	if !ok {
+		t.Fatal("joinless match not cached")
+	}
+	if n, b := ex.Cache().Len(), ex.Cache().ResidentBytes(); n != 1 || b != rel.SizeBytes() {
+		t.Fatalf("%d entries of %d bytes cached, want 1 of the match's %d", n, b, rel.SizeBytes())
+	}
+}
+
 // TestExecutorDerivesFromAncestor: a miss whose ancestor's match is
 // resident extends that match — narrowed by the added condition —
 // instead of selecting the ancestor's nodes from their bases, and

@@ -51,7 +51,8 @@ var streamBatchRows = 0
 //     lacks — is one unit covering the ancestor's keys;
 //   - every other node's unit is its base, selected through the plan's
 //     compiled predicate (buildPlan) — through cache when the caller
-//     has one, so a refined branch reuses its siblings' selections.
+//     has one and the pattern joins, so a refined branch reuses its
+//     siblings' selections.
 //
 // It then orders the joins by the units' exact sizes (orderJoins) and
 // streams them from the smallest unit, each step probing the joined
@@ -106,8 +107,11 @@ func matchPipeline(g *tgm.InstanceGraph, p *Pattern, opt ExecOptions, cache *Cac
 			}
 			return graphrel.Select(opt.Ctx, opt.Pool, opt.Parallelism, r, n.Key, pl.preds[n.Key])
 		}
+		// A joinless pattern's base is its match, which the caller
+		// caches under the match key: a second entry under the base
+		// key would hold the same relation twice.
 		var base *graphrel.Relation
-		if cache == nil {
+		if cache == nil || len(p.Nodes) == 1 {
 			base, err = selectBase()
 		} else {
 			base, err = getOrComputeLive(opt.Ctx, cache, basePrefix+nodeSignature(n), selectBase)

@@ -138,16 +138,6 @@ func (r *Relation) ColumnNamed(name string) []tgm.NodeID {
 // At returns the node at (row, attribute ordinal).
 func (r *Relation) At(row, ai int) tgm.NodeID { return r.cols[ai][row] }
 
-// Tuple materializes row i as a fresh node-ID slice, in attribute order.
-// It allocates; iterate columns directly on hot paths.
-func (r *Relation) Tuple(i int) []tgm.NodeID {
-	out := make([]tgm.NodeID, len(r.cols))
-	for c, col := range r.cols {
-		out[c] = col[i]
-	}
-	return out
-}
-
 // gather materializes the listed rows into a fresh relation, copying
 // column-wise from the source.
 func (r *Relation) gather(rows []int32) *Relation {
@@ -165,8 +155,7 @@ func gatherInto(dst, src []tgm.NodeID, rows []int32) {
 }
 
 // Retain returns r restricted to the named attributes without duplicate
-// elimination. Columns are shared with r (zero copy); Project is Retain
-// followed by the dedup pass.
+// elimination. Columns are shared with r (zero copy).
 func (r *Relation) Retain(attrNames ...string) (*Relation, error) {
 	out := &Relation{g: r.g, n: r.n,
 		Attrs: make([]Attr, len(attrNames)),
@@ -439,66 +428,6 @@ func (ix joinIndex) probe(adj tgm.Adjacency, lcol []tgm.NodeID) (lrows, rrows []
 		}
 	}
 	return lrows, rrows
-}
-
-// Project returns r restricted to the named attributes, eliminating
-// duplicate tuples in first-occurrence order (Π; the paper's projection
-// removes duplicates).
-func Project(r *Relation, attrNames ...string) (*Relation, error) {
-	narrowed, err := r.Retain(attrNames...)
-	if err != nil {
-		return nil, err
-	}
-	return narrowed.gather(dedupRows(narrowed)), nil
-}
-
-// dedupRows returns the rows whose projection key occurs for the first
-// time, in ascending row order.
-func dedupRows(narrowed *Relation) []int32 {
-	var keep []int32
-	switch len(narrowed.cols) {
-	case 1:
-		seen := make(map[tgm.NodeID]bool, narrowed.n)
-		for i, id := range narrowed.cols[0] {
-			if !seen[id] {
-				seen[id] = true
-				keep = append(keep, int32(i))
-			}
-		}
-	case 2:
-		seen := make(map[uint64]bool, narrowed.n)
-		c0, c1 := narrowed.cols[0], narrowed.cols[1]
-		for i := range c0 {
-			key := uint64(uint32(c0[i]))<<32 | uint64(uint32(c1[i]))
-			if !seen[key] {
-				seen[key] = true
-				keep = append(keep, int32(i))
-			}
-		}
-	default:
-		seen := make(map[string]bool, narrowed.n)
-		key := make([]byte, 4*len(narrowed.cols))
-		for i := 0; i < narrowed.n; i++ {
-			rowKeyInto(key, narrowed.cols, i)
-			if !seen[string(key)] {
-				seen[string(key)] = true
-				keep = append(keep, int32(i))
-			}
-		}
-	}
-	return keep
-}
-
-// rowKeyInto serializes row i's IDs across cols into key (4 bytes per
-// column, little-endian).
-func rowKeyInto(key []byte, cols [][]tgm.NodeID, i int) {
-	for c, col := range cols {
-		id := uint32(col[i])
-		key[4*c] = byte(id)
-		key[4*c+1] = byte(id >> 8)
-		key[4*c+2] = byte(id >> 16)
-		key[4*c+3] = byte(id >> 24)
-	}
 }
 
 // sortDedup sorts ids ascending and removes adjacent duplicates in

@@ -2,7 +2,6 @@ package graphrel
 
 import (
 	"context"
-	"math/rand"
 	"slices"
 	"sort"
 	"sync"
@@ -222,104 +221,27 @@ func TestJoinScanEquivalence(t *testing.T) {
 	}
 }
 
+// distinctCount is the number of distinct IDs in ids.
+func distinctCount(ids []tgm.NodeID) int {
+	seen := map[tgm.NodeID]bool{}
+	for _, id := range ids {
+		seen[id] = true
+	}
+	return len(seen)
+}
+
 // canonTuples renders a relation's tuple set order-insensitively.
 func canonTuples(r *Relation) []string {
 	out := make([]string, r.Len())
 	for i := 0; i < r.Len(); i++ {
 		key := ""
-		for _, id := range r.Tuple(i) {
-			key += string(rune(id)) + ","
+		for c := range r.Attrs {
+			key += string(rune(r.At(i, c))) + ","
 		}
 		out[i] = key
 	}
 	sort.Strings(out)
 	return out
-}
-
-func TestProject(t *testing.T) {
-	g, _ := figure8Graph(t)
-	papers, _ := Base(g, "Papers")
-	authors, _ := Base(g, "Authors")
-	j, _ := Join(papers, authors, "Papers-Authors", "Papers", "Authors")
-	// Π over authors: distinct author nodes, dropping duplicates from the
-	// many-to-many join (bob appears 4 times).
-	p, err := Project(j, "Authors")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Len() != 3 {
-		t.Errorf("distinct authors = %d, want 3", p.Len())
-	}
-	if _, err := Project(j, "Nope"); err == nil {
-		t.Error("bad attribute accepted")
-	}
-	// Projection to multiple attrs keeps pairs distinct.
-	pp, _ := Project(j, "Papers", "Authors")
-	if pp.Len() != j.Len() {
-		t.Errorf("pairs = %d, want %d (no duplicate pairs in source)", pp.Len(), j.Len())
-	}
-}
-
-// TestProjectKeyWidths drives Project's three dedup key encodings (one
-// column: node IDs; two: packed uint64; three and more: byte strings)
-// over a three-hop join, where every projected key repeats, against a
-// first-occurrence scan that shares no code with dedupRows.
-func TestProjectKeyWidths(t *testing.T) {
-	g := bigChainGraph(t, rand.New(rand.NewSource(3)))
-	as, _ := Base(g, "A")
-	bs, _ := Base(g, "B")
-	j1, err := Join(as, bs, "A-B", "A", "B")
-	if err != nil {
-		t.Fatal(err)
-	}
-	as2, err := BaseNamed(g, "A", "A#2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	j2, err := Join(j1, as2, "A-B_rev", "B", "A#2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	bs2, err := BaseNamed(g, "B", "B#2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	j3, err := Join(j2, bs2, "A-B", "A#2", "B#2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, cols := range [][]string{{"B"}, {"A", "B"}, {"A", "B", "A#2"}} {
-		got, err := Project(j3, cols...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		narrowed, err := j3.Retain(cols...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tuple := func(r *Relation, i int) (tup [3]tgm.NodeID) {
-			for c := range cols {
-				tup[c] = r.At(i, c)
-			}
-			return tup
-		}
-		seen := map[[3]tgm.NodeID]bool{}
-		var want [][3]tgm.NodeID
-		for i := 0; i < narrowed.Len(); i++ {
-			if tup := tuple(narrowed, i); !seen[tup] {
-				seen[tup] = true
-				want = append(want, tup)
-			}
-		}
-		if got.Len() != len(want) || got.Len() == narrowed.Len() {
-			t.Fatalf("%v: %d rows, want %d (of %d)", cols, got.Len(), len(want), narrowed.Len())
-		}
-		for i, tup := range want {
-			if tuple(got, i) != tup {
-				t.Fatalf("%v: row %d = %v, want %v", cols, i, tuple(got, i), tup)
-			}
-		}
-	}
 }
 
 func TestDistinctNodes(t *testing.T) {
@@ -410,8 +332,8 @@ func TestFigure8Pipeline(t *testing.T) {
 	_ = ids
 }
 
-// TestConcurrentOperatorsOnSharedRelation runs Select/Join/Project/
-// Retain from many goroutines over the same shared relations; with
+// TestConcurrentOperatorsOnSharedRelation runs Select/Join/Retain
+// from many goroutines over the same shared relations; with
 // -race this verifies the package's immutability and sharing contract
 // (cached relations are handed to every session without copying).
 func TestConcurrentOperatorsOnSharedRelation(t *testing.T) {
@@ -448,12 +370,7 @@ func TestConcurrentOperatorsOnSharedRelation(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				distinct, err := Project(narrowed, "Authors")
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				lens[w] = distinct.Len()
+				lens[w] = distinctCount(narrowed.ColumnNamed("Authors"))
 			}
 		}(w)
 	}

@@ -169,7 +169,7 @@ func TestJoinParEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Materialize(src)
+		got, err := MaterializeMax(src, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

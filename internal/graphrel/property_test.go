@@ -232,7 +232,7 @@ func TestJoinScatteredIDs(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := Materialize(src)
+				got, err := MaterializeMax(src, 0)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -19,15 +19,15 @@ import (
 //     reference Join (joinIndex.probe + joinOutput) over batches that are
 //     contiguous input runs consumed in order, so concatenating a
 //     stream's batches reproduces Join's output row for row — not
-//     merely set-equal — whatever the batch size. Materialize is that
-//     concatenation.
+//     merely set-equal — whatever the batch size. MaterializeMax is
+//     that concatenation.
 //   - Early termination: a consumer that stops pulling stops all
 //     upstream production, and Close propagates upstream (MaterializeMax
 //     closes the pipeline the moment its row cap trips).
 //   - Bounded buffering: a stage buffers the output of one input batch,
 //     re-split into morsel-sized slices. Genuine pipeline breakers —
 //     sort, GroupNeighbors, DistinctSorted — are not stream operators;
-//     consumers that need them Materialize first (see the etable
+//     consumers that need them materialize first (see the etable
 //     executor's prepare), or fold batches into their external forms
 //     (spill.go).
 //
@@ -229,24 +229,15 @@ func LimitExceeded(limit, rows int) *RowLimitError {
 	return &RowLimitError{Limit: limit, Rows: rows}
 }
 
-// Materialize drains src and concatenates its batches into one
+// MaterializeMax drains src and concatenates its batches into one
 // arena-backed relation — the lazy-materialization point where a
 // streamed pipeline becomes a shareable, cacheable Relation. Batches
 // are spliced in stream order, so the result does not depend on how
-// the stream was batched. The source is Closed before returning,
-// success or not.
-func Materialize(src RowSource) (*Relation, error) {
-	return materialize(src, 0)
-}
-
-// MaterializeMax is Materialize with a row cap: as soon as the drained
-// row count exceeds max, the source is Closed (terminating upstream
-// production) and a *RowLimitError is returned. max <= 0 means no cap.
+// the stream was batched. As soon as the drained row count exceeds max,
+// the source is Closed (terminating upstream production) and a
+// *RowLimitError is returned; max <= 0 means no cap. The source is
+// Closed before returning, success or not.
 func MaterializeMax(src RowSource, max int) (*Relation, error) {
-	return materialize(src, max)
-}
-
-func materialize(src RowSource, max int) (*Relation, error) {
 	defer src.Close()
 	var parts []*Relation
 	total := 0

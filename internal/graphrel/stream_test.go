@@ -66,7 +66,7 @@ func referencePipeline(t *testing.T, as, bs *Relation, cond expr.Expr) *Relation
 }
 
 // TestStreamEquivalenceRandomized is the streamed ≡ reference fuzz:
-// random conditions, batch sizes, and budgets, with Materialize of the
+// random conditions, batch sizes, and budgets, with MaterializeMax of the
 // streamed pipeline asserted row- and column-identical to the
 // reference operators (not merely set-equal).
 func TestStreamEquivalenceRandomized(t *testing.T) {
@@ -92,7 +92,7 @@ func TestStreamEquivalenceRandomized(t *testing.T) {
 			p = pool
 		}
 		want := referencePipeline(t, as, bs, cond)
-		got, err := Materialize(streamPipeline(t, ctx, p, budget, as, bs, cond, batch))
+		got, err := MaterializeMax(streamPipeline(t, ctx, p, budget, as, bs, cond, batch), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,15 +174,15 @@ func TestStreamCancellation(t *testing.T) {
 	if !counter.closed {
 		t.Error("cancellation did not propagate Close upstream")
 	}
-	// Materialize surfaces cancellation from a canceled-at-start stream.
+	// MaterializeMax surfaces cancellation from a canceled-at-start stream.
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	cancel2()
 	src2, err := StreamJoin(ctx2, StreamRelationBatch(as, 64), bs, "A-B", "A", "B")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Materialize(src2); !errors.Is(err, context.Canceled) {
-		t.Errorf("Materialize err = %v, want Canceled", err)
+	if _, err := MaterializeMax(src2, 0); !errors.Is(err, context.Canceled) {
+		t.Errorf("MaterializeMax err = %v, want Canceled", err)
 	}
 }
 
@@ -255,7 +255,7 @@ func TestJoinOverUnreadableAdjacency(t *testing.T) {
 	}
 }
 
-// TestMaterializeEmptyAndMax covers Materialize of a stream that
+// TestMaterializeEmptyAndMax covers MaterializeMax of a stream that
 // produces nothing (well-formed empty relation, attrs preserved) and
 // the MaterializeMax row cap.
 func TestMaterializeEmptyAndMax(t *testing.T) {
@@ -272,7 +272,7 @@ func TestMaterializeEmptyAndMax(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	er, err := Materialize(empty)
+	er, err := MaterializeMax(empty, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestMaterializeEmptyAndMax(t *testing.T) {
 		}
 		return src
 	}
-	full, err := Materialize(join())
+	full, err := MaterializeMax(join(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestMaterializeEmptyAndMax(t *testing.T) {
 }
 
 // TestGroupFoldEquivalence asserts the pipeline breakers over a drained
-// stream — the streamed join's batches spliced by Materialize, then
+// stream — the streamed join's batches spliced by MaterializeMax, then
 // DistinctSorted + GroupNeighbors — equal the map oracle over the
 // reference Join, whatever the batch size: the shape of the streamed
 // Prepare path.
@@ -334,7 +334,7 @@ func TestGroupFoldEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		drained, err := Materialize(src)
+		drained, err := MaterializeMax(src, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -99,7 +99,8 @@ func TestSnapshotBootServeQuery(t *testing.T) {
 // `etable-server -snapshot` does (AddSnapshotOpts + Ensure) under both
 // residency policies: without -lazy the graph is fully decoded, so
 // /api/v1/stats must report no pager block — an in-memory benchmark run
-// treats one as out-of-core activity — and with -lazy it reports one.
+// treats one as out-of-core activity — and with -lazy it reports one
+// with no fault: its edgeStats are the statistics the load published.
 func TestResidentSnapshotBootHasNoPager(t *testing.T) {
 	path := snapshotFile(t, 60, 35)
 	for _, lazy := range []bool{false, true} {
@@ -123,8 +124,15 @@ func TestResidentSnapshotBootHasNoPager(t *testing.T) {
 		if code != http.StatusOK || len(stats.Datasets) != 1 {
 			t.Fatalf("lazy=%v: stats %d, %d datasets", lazy, code, len(stats.Datasets))
 		}
-		if _, paged := stats.Datasets[0]["pager"]; paged != lazy {
+		pager, paged := stats.Datasets[0]["pager"]
+		if paged != lazy {
 			t.Fatalf("lazy=%v: pager block present = %v", lazy, paged)
+		}
+		var pst struct {
+			Faults int64 `json:"faults"`
+		}
+		if paged && (json.Unmarshal(pager, &pst) != nil || pst.Faults != 0) {
+			t.Fatalf("lazy=%v: /api/v1/stats faulted columns: pager %s", lazy, pager)
 		}
 	}
 }

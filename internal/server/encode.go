@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/etable"
 	"repro/internal/session"
+	"repro/internal/tgm"
 	"repro/internal/value"
 )
 
@@ -109,7 +110,7 @@ func (s *Server) appendState(ctx context.Context, dst []byte, id int64, sess *se
 	} else if s.opts.PageSize > 0 {
 		limit = s.opts.PageSize
 	}
-	lf := labelFragsOf(sess.Graph())
+	g := sess.Graph()
 	err := sess.ReadWindow(ctx, p.offset, limit, func(w session.Window) error {
 		next := ""
 		if w.Hi < w.Pres.NumRows() && limit > 0 {
@@ -117,7 +118,7 @@ func (s *Server) appendState(ctx context.Context, dst []byte, id int64, sess *se
 			next = encodeCursor(cursorToken{Offset: w.Hi, Limit: limit, Sig: sig})
 		}
 		var err error
-		dst, err = appendStateJSON(dst, id, entries, cursor, &w, lf, next)
+		dst, err = appendStateJSON(dst, id, entries, cursor, &w, g, next)
 		return err
 	})
 	return dst, err
@@ -128,9 +129,9 @@ func (s *Server) appendState(ctx context.Context, dst []byte, id int64, sess *se
 // support offset paging, nextCursor opaque-cursor paging), and the
 // history with its cursor. w is nil while no table is open; columns
 // and rows are then null, whereas an open table's rows are always an
-// array, even for an empty window (limit 0, offset past the end). lf
-// holds the label fragments of w's graph.
-func appendStateJSON(dst []byte, id int64, entries []session.Entry, cursor int, w *session.Window, lf *labelFrags, nextCursor string) ([]byte, error) {
+// array, even for an empty window (limit 0, offset past the end). g is
+// w's graph, whose label fragments the rows copy.
+func appendStateJSON(dst []byte, id int64, entries []session.Entry, cursor int, w *session.Window, g *tgm.InstanceGraph, nextCursor string) ([]byte, error) {
 	dst = append(dst, '{')
 	if id != 0 {
 		dst = append(dst, `"id":`...)
@@ -152,7 +153,7 @@ func appendStateJSON(dst []byte, id int64, entries []session.Entry, cursor int, 
 		dst = appendColumns(dst, w.Columns)
 		dst = append(dst, `,"rows":[`...)
 		var err error
-		if dst, err = appendRows(dst, w, lf); err != nil {
+		if dst, err = appendRows(dst, w, g); err != nil {
 			return dst, err
 		}
 		dst = append(dst, ']')
@@ -223,11 +224,11 @@ const maxStackCols = 16
 // is never empty and never needs escaping. The fragment tables are
 // resolved once per window, before the cursor pins anything; a table
 // build's fault or a spilled run's read error aborts the window.
-func appendRows(dst []byte, w *session.Window, lf *labelFrags) ([]byte, error) {
+func appendRows(dst []byte, w *session.Window, g *tgm.InstanceGraph) ([]byte, error) {
 	if w.Lo == w.Hi {
 		return dst, nil
 	}
-	prim, err := lf.table(w.Pres.PrimaryType().Name)
+	prim, err := fragTableOf(g, w.Pres.PrimaryType().Name)
 	if err != nil {
 		return dst, err
 	}
@@ -241,7 +242,7 @@ func appendRows(dst []byte, w *session.Window, lf *labelFrags) ([]byte, error) {
 	for k := range w.Columns {
 		var t *fragTable
 		if w.Columns[k].Kind != etable.ColBase {
-			if t, err = lf.table(w.Columns[k].TargetType); err != nil {
+			if t, err = fragTableOf(g, w.Columns[k].TargetType); err != nil {
 				return dst, err
 			}
 		}

@@ -41,7 +41,6 @@ func BenchmarkWindowEncode(b *testing.B) {
 		b.Fatal(err)
 	}
 	g := snap.Graph
-	lf := labelFragsOf(g)
 	for _, arm := range []struct {
 		name, table string
 		offset      int
@@ -53,7 +52,7 @@ func BenchmarkWindowEncode(b *testing.B) {
 			}
 			entries, cursor := sess.Entries()
 			err := sess.ReadWindow(context.Background(), arm.offset, 100, func(w session.Window) error {
-				buf, err := appendStateJSON(nil, 1, entries, cursor, &w, lf, "")
+				buf, err := appendStateJSON(nil, 1, entries, cursor, &w, g, "")
 				if err != nil {
 					return err
 				}
@@ -61,7 +60,7 @@ func BenchmarkWindowEncode(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if buf, err = appendStateJSON(buf[:0], 1, entries, cursor, &w, lf, ""); err != nil {
+					if buf, err = appendStateJSON(buf[:0], 1, entries, cursor, &w, g, ""); err != nil {
 						return err
 					}
 				}

@@ -519,13 +519,12 @@ func TestAppendStateJSONAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		entries, cursor := sess.Entries()
-		lf := labelFragsOf(g)
 		res, err := sess.WindowCtx(context.Background(), 3, 20)
 		if err != nil {
 			t.Fatal(err)
 		}
 		err = sess.ReadWindow(context.Background(), 3, 20, func(w session.Window) error {
-			buf, err := appendStateJSON(nil, 3, entries, cursor, &w, lf, "next")
+			buf, err := appendStateJSON(nil, 3, entries, cursor, &w, g, "next")
 			if err != nil {
 				return err
 			}
@@ -537,7 +536,7 @@ func TestAppendStateJSONAllocs(t *testing.T) {
 				t.Fatalf("%s: encoder %s\nreference %s", table, buf, want)
 			}
 			allocs := testing.AllocsPerRun(100, func() {
-				buf, err = appendStateJSON(buf[:0], 3, entries, cursor, &w, lf, "next")
+				buf, err = appendStateJSON(buf[:0], 3, entries, cursor, &w, g, "next")
 			})
 			if err != nil {
 				return err

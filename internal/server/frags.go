@@ -12,11 +12,11 @@ import (
 // and every row opens {"node":<id>,"label":<l>, where <l> is the node's
 // label as a JSON string. A frozen graph's labels never change, so the
 // part both share — <id>,"label":<l> — is encoded once per node, into
-// one fragment table per node type, and a row or a reference is one
-// copy of it. The bytes are exactly what escaping each label per
-// response produced: a string label is escaped as it is stored, any
-// other label as value.V.Format renders it (appendJSONString either
-// way).
+// one fragment table per node type, held in the graph's derived-state
+// registry (fragTableOf), and a row or a reference is one copy of it.
+// The bytes are exactly what escaping each label per response produced:
+// a string label is escaped as it is stored, any other label as
+// value.V.Format renders it (appendJSONString either way).
 
 // fragTable is one node type's fragments, aligned with
 // NodesOfType: row r's fragment is buf[offs[r]:offs[r+1]], and node
@@ -64,46 +64,29 @@ func buildFragTable(g *tgm.InstanceGraph, nt *tgm.NodeType) (*fragTable, error) 
 	return t, nil
 }
 
-// labelFrags holds one graph's fragment tables, one per node type,
-// each built on first use and kept for the graph's lifetime under
-// tgm.Memo's contract — AttrRank's: concurrent first calls share one
-// build, a failed build memoizes nothing, and an unfrozen graph, which
-// may still change, builds per call. The set lives on the graph itself
-// (labelFragsOf), so it dies with the graph. On an out-of-core graph
-// the tables live outside the column source's residency budget: the
-// pager neither counts nor evicts them (the 38,000-paper corpus holds
-// about 3.4 MB of them).
-type labelFrags struct {
-	g     *tgm.InstanceGraph
-	types map[string]*tgm.Memo[*fragTable] // every node type, fixed at construction
-}
+// fragKey is a node type's fragment table's key in the graph's
+// derived-state registry (tgm.Derive).
+type fragKey string
 
-// labelFragsOf returns graph g's fragment tables, publishing the
-// (empty) set on the graph on the first request over g.
-func labelFragsOf(g *tgm.InstanceGraph) *labelFrags {
-	if lf := g.FragmentCache(); lf != nil {
-		return lf.(*labelFrags)
-	}
-	lf := &labelFrags{g: g, types: map[string]*tgm.Memo[*fragTable]{}}
-	for _, nt := range g.Schema().NodeTypes() {
-		lf.types[nt.Name] = new(tgm.Memo[*fragTable])
-	}
-	return g.SetFragmentCache(lf).(*labelFrags)
-}
-
-// table returns the fragment table of the named node type, building it
-// on first use.
-func (lf *labelFrags) table(typeName string) (*fragTable, error) {
-	return lf.types[typeName].Get(lf.g, func() (*fragTable, error) {
-		return buildFragTable(lf.g, lf.g.Schema().NodeType(typeName))
+// fragTableOf returns the fragment table of g's node type typeName:
+// derived state, built on first use and kept for the graph's lifetime —
+// concurrent first calls share one build, a failed build keeps nothing,
+// and an unfrozen graph, which may still change, builds per call. On an
+// out-of-core graph the tables live outside the column source's
+// residency budget: the pager neither counts nor evicts them (the
+// 38,000-paper corpus holds about 3.4 MB of them).
+func fragTableOf(g *tgm.InstanceGraph, typeName string) (*fragTable, error) {
+	return tgm.Derive(g, fragKey(typeName), func() (*fragTable, error) {
+		return buildFragTable(g, g.Schema().NodeType(typeName))
 	})
 }
 
-// size is the resident bytes of the built tables.
-func (lf *labelFrags) size() int64 {
+// labelFragmentBytes is the resident bytes of g's built fragment
+// tables; it builds none.
+func labelFragmentBytes(g *tgm.InstanceGraph) int64 {
 	var n int64
-	for _, m := range lf.types {
-		if t, ok := m.Peek(); ok {
+	for _, nt := range g.Schema().NodeTypes() {
+		if t, ok := tgm.Peek[*fragTable](g, fragKey(nt.Name)); ok {
 			n += t.size()
 		}
 	}

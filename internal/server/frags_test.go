@@ -20,11 +20,10 @@ import (
 
 // TestFragTableConcurrentFirstCalls: eight goroutines asking for one
 // type's fragment table at once share one build — every caller gets the
-// same table, and the resident bytes count it once. Run under -race by
-// scripts/check.sh.
+// same table, the one the registry holds, and the resident bytes count
+// it once. Run under -race by scripts/check.sh.
 func TestFragTableConcurrentFirstCalls(t *testing.T) {
 	g := oracleGraph(t, rand.New(rand.NewSource(5)))
-	lf := labelFragsOf(g)
 	const callers = 8
 	tabs := make([]*fragTable, callers)
 	var start, done sync.WaitGroup
@@ -34,7 +33,7 @@ func TestFragTableConcurrentFirstCalls(t *testing.T) {
 		go func() {
 			defer done.Done()
 			start.Wait()
-			tab, err := lf.table("Authors")
+			tab, err := fragTableOf(g, "Authors")
 			if err != nil {
 				t.Error(err)
 			}
@@ -48,7 +47,10 @@ func TestFragTableConcurrentFirstCalls(t *testing.T) {
 			t.Fatalf("caller %d got table %p, caller 0 %p: more than one build", i, tab, tabs[0])
 		}
 	}
-	if got, want := lf.size(), tabs[0].size(); got != want {
+	if kept, ok := tgm.Peek[*fragTable](g, fragKey("Authors")); !ok || kept != tabs[0] {
+		t.Fatal("the shared table is not the registry's")
+	}
+	if got, want := labelFragmentBytes(g), tabs[0].size(); got != want {
 		t.Fatalf("resident fragment bytes %d, want one table's %d", got, want)
 	}
 	if n := len(g.NodesOfType("Authors")); len(tabs[0].offs) != n+1 {
@@ -121,20 +123,23 @@ func corruptLabelGraph(t *testing.T) string {
 	return path
 }
 
-// TestFragTableCorruptLabelColumn: on a lazy snapshot whose label
-// column is damaged, every try to build that type's fragments returns
-// the typed *snapshot.CorruptError, memoizes nothing and leaves nothing
-// pinned — directly and through a page read, which fails as a 500 —
-// while an intact type of the same graph still renders byte-exact and
-// /api/v1/stats reports its resident fragment bytes.
+// TestFragTableCorruptLabelColumn: a type's fragment table is derived
+// state in the graph's registry (tgm.Derive, whose contract
+// internal/tgm tests). On a lazy snapshot whose label column is
+// damaged, every try to build that type's fragments returns the typed
+// *snapshot.CorruptError, keeps nothing and leaves nothing pinned —
+// directly and through a page read, which fails as a 500 — while an
+// intact type of the same graph still renders byte-exact, its one
+// table is the one the registry holds, and /api/v1/stats reports that
+// table's bytes.
 func TestFragTableCorruptLabelColumn(t *testing.T) {
 	ls, err := snapshot.LazyLoad(corruptLabelGraph(t), snapshot.LazyOptions{PoolSections: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ls.Close()
-	srv := NewWithOptions(ls.Schema, ls.Graph, Options{PageSize: 5})
-	lf := labelFragsOf(ls.Graph)
+	g := ls.Graph
+	srv := NewWithOptions(ls.Schema, g, Options{PageSize: 5})
 	pinned := func(what string) {
 		t.Helper()
 		if st, _ := ls.PagerStats(); st.Pinned != 0 {
@@ -142,12 +147,12 @@ func TestFragTableCorruptLabelColumn(t *testing.T) {
 		}
 	}
 	for try := 0; try < 3; try++ {
-		_, err := lf.table("Damaged")
+		_, err := fragTableOf(g, "Damaged")
 		var ce *snapshot.CorruptError
 		if !errors.As(err, &ce) {
 			t.Fatalf("try %d: fragments of a corrupt label column = %v, want *snapshot.CorruptError", try, err)
 		}
-		if _, ok := lf.types["Damaged"].Peek(); ok || lf.size() != 0 {
+		if _, ok := tgm.Peek[*fragTable](g, fragKey("Damaged")); ok || labelFragmentBytes(g) != 0 {
 			t.Fatalf("try %d: a failed build was memoized", try)
 		}
 		pinned("direct build")
@@ -172,8 +177,18 @@ func TestFragTableCorruptLabelColumn(t *testing.T) {
 	c.check("intact type", body, id, 0, 5)
 	c.check("intact page", c.do("GET", fmt.Sprintf("/api/v1/sessions/%d?offset=7&limit=9", id), ""), id, 7, 9)
 	pinned("intact type")
-	if lf.size() == 0 {
-		t.Fatal("the intact type's fragments were not counted")
+	tab, ok := tgm.Peek[*fragTable](g, fragKey("Intact"))
+	if !ok {
+		t.Fatal("the intact type's fragments are not in the registry")
+	}
+	if again, err := fragTableOf(g, "Intact"); err != nil || again != tab {
+		t.Fatalf("a second fragTableOf = %p, %v; want the registry's %p", again, err, tab)
+	}
+	if n := len(g.NodesOfType("Intact")); len(tab.offs) != n+1 {
+		t.Fatalf("table of %d offsets for %d nodes", len(tab.offs), n)
+	}
+	if labelFragmentBytes(g) != tab.size() {
+		t.Fatalf("resident fragment bytes %d, want the one table's %d", labelFragmentBytes(g), tab.size())
 	}
 	var st struct {
 		Datasets []struct {
@@ -183,7 +198,7 @@ func TestFragTableCorruptLabelColumn(t *testing.T) {
 	if err := json.Unmarshal(c.do("GET", "/api/v1/stats", ""), &st); err != nil {
 		t.Fatal(err)
 	}
-	if len(st.Datasets) != 1 || st.Datasets[0].LabelFragmentBytes != lf.size() {
-		t.Fatalf("/api/v1/stats reports %+v, want labelFragmentBytes %d", st.Datasets, lf.size())
+	if len(st.Datasets) != 1 || st.Datasets[0].LabelFragmentBytes != tab.size() {
+		t.Fatalf("/api/v1/stats reports %+v, want labelFragmentBytes %d", st.Datasets, tab.size())
 	}
 }

@@ -668,7 +668,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			g := ds.Graph()
 			d.Nodes = g.NumNodes()
 			d.Edges = g.NumEdges()
-			d.LabelFragmentBytes = labelFragsOf(g).size()
+			d.LabelFragmentBytes = labelFragmentBytes(g)
 		}
 		if pst, total, ok := ds.PagerStats(); ok {
 			d.Pager = &pagerJSON{

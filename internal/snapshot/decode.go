@@ -475,8 +475,8 @@ func decodeEdgeDir(buf []byte, order []*tgm.EdgeType) ([]edgeLoader, error) {
 	return out, d.done()
 }
 
-// decodeStats rebuilds the graph statistics and attaches them to the
-// (already frozen) graph, so stats.For never recollects after a load.
+// decodeStats rebuilds the graph statistics and publishes them as the
+// (already frozen) graph's (stats.Attach), so no load recollects them.
 func decodeStats(buf []byte, g *tgm.InstanceGraph, order []*tgm.EdgeType) error {
 	d := &dec{buf: buf, sec: secStats}
 	sg := &stats.Graph{

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/stats"
 	"repro/internal/tgm"
 )
 
@@ -98,7 +99,8 @@ func TestLazyLoadFidelity(t *testing.T) {
 }
 
 // TestLazyLoadStats: the statistics section decodes on the lazy path
-// too, so planning needs no column faults.
+// too and is published as the graph's statistics, so reading them
+// faults no column.
 func TestLazyLoadStats(t *testing.T) {
 	tr := testGraph(t)
 	path := saveTempSnapshot(t, tr.Instance)
@@ -107,8 +109,13 @@ func TestLazyLoadStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ls.Close()
-	if ls.Graph.StatsCache() == nil {
-		t.Fatal("lazy graph has no attached statistics")
+	// Attach returns the statistics a graph already holds: the
+	// sentinel comes back only if the load published none.
+	if sentinel := new(stats.Graph); stats.Attach(ls.Graph, sentinel) == sentinel {
+		t.Fatal("lazy graph has no published statistics")
+	}
+	if !reflect.DeepEqual(stats.For(ls.Graph), stats.For(tr.Instance)) {
+		t.Error("lazy-loaded statistics differ from fresh statistics")
 	}
 	if st, _ := ls.PagerStats(); st.Misses != 0 {
 		t.Fatalf("attaching statistics faulted %d columns", st.Misses)

@@ -129,9 +129,11 @@ func TestRoundTripGraphFidelity(t *testing.T) {
 		}
 	}
 
-	// Statistics: pre-attached (no recollection) and identical.
-	if lg.StatsCache() == nil {
-		t.Fatal("loaded graph has no attached statistics")
+	// Statistics: published by the load (no recollection) and
+	// identical. Attach returns the statistics a graph already holds:
+	// the sentinel comes back only if the load published none.
+	if sentinel := new(stats.Graph); stats.Attach(lg, sentinel) == sentinel {
+		t.Fatal("loaded graph has no published statistics")
 	}
 	if !reflect.DeepEqual(stats.For(g), stats.For(lg)) {
 		t.Error("loaded statistics differ from fresh statistics")

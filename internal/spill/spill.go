@@ -36,8 +36,8 @@ import (
 // a zero Metrics is ready to use. A nil *Metrics is accepted
 // everywhere and counts nothing.
 type Metrics struct {
-	// Spills counts spill events: operators (group folds, distinct
-	// passes) that overflowed to disk.
+	// Spills counts spill events: group folds that overflowed to
+	// disk.
 	Spills atomic.Int64
 	// RunBytes counts bytes written to spill runs (headers included).
 	RunBytes atomic.Int64
@@ -82,12 +82,6 @@ func (m *Metrics) addRunBytes(n int64) {
 	}
 }
 
-func (m *Metrics) addMergePass() {
-	if m != nil {
-		m.MergePasses.Add(1)
-	}
-}
-
 func (m *Metrics) addFault() {
 	if m != nil {
 		m.Faults.Add(1)
@@ -95,9 +89,8 @@ func (m *Metrics) addFault() {
 }
 
 // Budget is a byte budget shared by every run file of one execution:
-// the -max-spill-bytes hard cap. Reservations are atomic so the fold
-// sinks and the distinct pass of one query charge one envelope. A nil
-// *Budget is unbounded.
+// the -max-spill-bytes hard cap. Reservations are atomic so every fold
+// sink of one query charges one envelope. A nil *Budget is unbounded.
 type Budget struct {
 	// Limit is the cap in bytes; <= 0 is unbounded.
 	Limit int64

@@ -9,10 +9,9 @@ package stats
 // they are what /api/v1/stats reports as edgeStats, and what the
 // snapshot format's STAT section persists (kept for v2 compatibility).
 //
-// Statistics are computed once per graph — translate.Translate collects
-// them right after freezing the instance graph — and are immutable
-// afterwards, like the graph itself. For returns the frozen graph's
-// cached statistics without recomputation.
+// Statistics are computed once per frozen graph, on first use (For),
+// or published by a snapshot load from its STAT section (Attach), and
+// are immutable afterwards, like the graph itself.
 
 import (
 	"math"
@@ -95,8 +94,7 @@ type Graph struct {
 }
 
 // Collect computes fresh statistics for g in one pass over its nodes
-// and adjacency lists. Call it once per graph (For caches the result
-// for frozen graphs).
+// and adjacency lists. For keeps the result for a frozen graph.
 func Collect(g *tgm.InstanceGraph) *Graph {
 	s := &Graph{
 		Nodes: make(map[string]NodeStats),
@@ -109,10 +107,10 @@ func Collect(g *tgm.InstanceGraph) *Graph {
 		for ai, a := range nt.Attrs {
 			col, err := g.AttrColumn(nt.Name, ai)
 			if err != nil {
-				// Collection runs at translate time over memory-resident
-				// graphs; out-of-core graphs restore stats from their
-				// snapshot's STAT section instead of recollecting. A
-				// fault failure here degrades to NDV 0 for the column.
+				// A snapshot-loaded graph holds its STAT section's
+				// statistics, so only a graph with no snapshot behind
+				// it is collected. A fault failure here degrades to
+				// NDV 0 for the column.
 				ns.NDV[a.Name] = 0
 				continue
 			}
@@ -157,47 +155,33 @@ func Collect(g *tgm.InstanceGraph) *Graph {
 	return s
 }
 
-// For returns g's statistics, computing and caching them on first use.
-// The cache lives on the graph itself (InstanceGraph.StatsCache), so
-// statistics share the graph's lifetime — no global registry pinning
-// graphs for the life of the process. Only frozen graphs are cached (an
-// unfrozen graph could still change); translate.Translate calls For
-// right after freezing, so serving-path lookups always hit the cache.
-// For a nil graph it returns nil.
-//
-// Performance note: on an UNFROZEN graph every call recollects — a full
-// O(nodes×attrs + edges) pass. Callers that read statistics repeatedly
-// over a hand-built graph should Freeze it first.
+// statsKey is the statistics' key in the graph's derived-state
+// registry (tgm.Derive): one set per graph.
+type statsKey struct{}
+
+// For returns g's statistics: derived state (tgm.Derive), collected on
+// the first call over a frozen graph — unless a snapshot load published
+// the persisted ones first (Attach) — and shared for the graph's
+// lifetime. An unfrozen graph, which may still change, recollects on
+// every call: a full O(nodes×attrs + edges) pass. For a nil graph it
+// returns nil.
 func For(g *tgm.InstanceGraph) *Graph {
 	if g == nil {
 		return nil
 	}
-	if v := g.StatsCache(); v != nil {
-		return v.(*Graph)
-	}
-	s := Collect(g)
-	if g.Frozen() {
-		// A concurrent collector may have landed first; the first
-		// published value wins so every caller shares one object.
-		return g.SetStatsCache(s).(*Graph)
-	}
+	s, _ := tgm.Derive(g, statsKey{}, func() (*Graph, error) { return Collect(g), nil })
 	return s
 }
 
-// Attach publishes precomputed statistics for a frozen graph so later
-// For calls return them without a collection pass. It exists for
-// restore paths (internal/snapshot) that persisted the statistics next
-// to the graph: booting from a snapshot must not pay the O(nodes×attrs
-// + edges) Collect cost translation already paid. If statistics were
-// already published (a concurrent For raced ahead), the first published
-// value wins and is returned; for an unfrozen graph s is returned
-// unpublished, mirroring For's caching rule.
+// Attach publishes statistics persisted next to the graph (the
+// snapshot's STAT section) as g's, so a restore never pays the Collect
+// pass the save already paid. The first statistics a frozen graph
+// holds win and are returned; an unfrozen graph keeps nothing, and s is
+// returned as it is.
 func Attach(g *tgm.InstanceGraph, s *Graph) *Graph {
 	if g == nil || s == nil {
 		return s
 	}
-	if g.Frozen() {
-		return g.SetStatsCache(s).(*Graph)
-	}
+	s, _ = tgm.Derive(g, statsKey{}, func() (*Graph, error) { return s, nil })
 	return s
 }

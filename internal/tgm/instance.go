@@ -99,8 +99,6 @@ type colBlock struct {
 	// AddNode of the type.
 	bld []value.Builder
 	src ColumnSource
-	// ranks[ai] memoizes column ai's order (AttrRank).
-	ranks []Memo[[]int32]
 }
 
 func (b *colBlock) column(ai int) (value.Column, error) {
@@ -142,13 +140,15 @@ func (b *colBlock) builders() []value.Builder {
 // of the build phase: after Freeze, mutators fail and every read
 // accessor — Node, NodesOfType, Neighbors, Degree, HasEdge,
 // AvgOutDegree, EdgeTypeCount, ComputeStats, FindNode, AttrColumn,
-// AttrRank — is safe for unsynchronized concurrent use. All indexes
-// (adjacency, per-type node lists, edge totals) are maintained eagerly
-// at insertion time; the deliberately lazy state is out-of-core
-// attribute columns, whose residency is owned by the attached
-// ColumnSource (which must itself be concurrency-safe), deferred
-// adjacency (built once under a sync.Once) and attribute ranks (built
-// once per column under a mutex, see AttrRank).
+// AttrRank, Derive, Peek — is safe for unsynchronized concurrent use.
+// All indexes (adjacency, per-type node lists, edge totals) are
+// maintained eagerly at insertion time; the deliberately lazy state is
+// out-of-core attribute columns, whose residency is owned by the
+// attached ColumnSource (which must itself be concurrency-safe),
+// deferred adjacency (built once under a sync.Once, its load error
+// kept) and derived state — attribute ranks, label fragments, graph
+// statistics — built once per key in the graph's one registry
+// (Derive).
 // translate.Translate freezes the graph before returning it, which is
 // what lets the server share one execution cache of graphrel.Relations
 // (whose base columns alias these node lists) across all sessions.
@@ -192,15 +192,10 @@ type InstanceGraph struct {
 	// above). Atomic so concurrent readers may assert it without racing
 	// a late Freeze call.
 	frozen atomic.Bool
-	// statsCache holds derived statistics computed over the frozen
-	// graph (an opaque value owned by internal/stats). Stored on the
-	// graph so the statistics share its lifetime instead of pinning the
-	// graph in a process-global registry.
-	statsCache atomic.Value
-	// fragCache holds the label fragments a server encodes once per
-	// graph (an opaque value owned by internal/server), stored here for
-	// the same reason as statsCache.
-	fragCache atomic.Value
+	// derived is the registry of state derived from the frozen graph
+	// (Derive): key → *derivedEntry. On the graph, so the state shares
+	// its lifetime instead of pinning it in a process-global registry.
+	derived sync.Map
 }
 
 // csrAdj is one edge type's adjacency in compressed-sparse-row form,
@@ -295,35 +290,6 @@ func (g *InstanceGraph) Schema() *SchemaGraph { return g.schema }
 // contract).
 func (g *InstanceGraph) Freeze() { g.frozen.Store(true) }
 
-// StatsCache returns the derived statistics published by
-// SetStatsCache, or nil.
-func (g *InstanceGraph) StatsCache() any { return g.statsCache.Load() }
-
-// SetStatsCache publishes derived statistics for the graph. If two
-// collectors race, the first published value wins; the winner is
-// returned either way. Callers must always pass the same concrete
-// type.
-func (g *InstanceGraph) SetStatsCache(v any) any {
-	if g.statsCache.CompareAndSwap(nil, v) {
-		return v
-	}
-	return g.statsCache.Load()
-}
-
-// FragmentCache returns the label fragments published by
-// SetFragmentCache, or nil.
-func (g *InstanceGraph) FragmentCache() any { return g.fragCache.Load() }
-
-// SetFragmentCache publishes the graph's label fragments, on the terms
-// of SetStatsCache: the first published value wins and is returned
-// either way, and callers must always pass the same concrete type.
-func (g *InstanceGraph) SetFragmentCache(v any) any {
-	if g.fragCache.CompareAndSwap(nil, v) {
-		return v
-	}
-	return g.fragCache.Load()
-}
-
 // Frozen reports whether Freeze has been called.
 func (g *InstanceGraph) Frozen() bool { return g.frozen.Load() }
 
@@ -331,8 +297,7 @@ func (g *InstanceGraph) Frozen() bool { return g.frozen.Load() }
 func (g *InstanceGraph) block(nt *NodeType) *colBlock {
 	b := g.blocks[nt.Name]
 	if b == nil {
-		b = &colBlock{typeName: nt.Name, cols: make([]value.Column, len(nt.Attrs)), src: g.colSrc,
-			ranks: make([]Memo[[]int32], len(nt.Attrs))}
+		b = &colBlock{typeName: nt.Name, cols: make([]value.Column, len(nt.Attrs)), src: g.colSrc}
 		g.blocks[nt.Name] = b
 	}
 	return b

@@ -36,17 +36,24 @@ import (
 // comparison; sparser ones sort.
 const rankDenseSpan = 4
 
+// rankKey is an attribute rank's key in the graph's derived-state
+// registry: the node type and the attribute ordinal.
+type rankKey struct {
+	typeName string
+	ai       int
+}
+
 // AttrRank returns the order-preserving rank of attribute ordinal ai of
 // typeName, aligned with NodesOfType(typeName): rank[a] < rank[b]
 // exactly when value.Compare orders row a's value before row b's, and
 // the ranks are dense (0 … distinct values − 1). NaN and INT/FLOAT
 // mixes past 2^53 are the two exceptions, documented above.
 //
-// On a frozen graph the rank is built on the first call — from the
-// column, which an out-of-core graph faults in unpinned — and memoized
-// for the graph's lifetime; concurrent first calls share one build. A
-// fault returns the column source's typed error and memoizes nothing.
-// An unfrozen graph may still change, so it ranks on every call.
+// The rank is derived state (Derive): on a frozen graph it is built on
+// the first call — from the column, which an out-of-core graph faults
+// in unpinned — and kept for the graph's lifetime; concurrent first
+// calls share one build. A fault returns the column source's typed
+// error and keeps nothing. An unfrozen graph ranks on every call.
 //
 // A rank costs 4 bytes per row, and only for columns that are actually
 // ranked. On an out-of-core graph it lives outside the column source's
@@ -63,9 +70,8 @@ func (g *InstanceGraph) AttrRank(typeName string, ai int) ([]int32, error) {
 	if len(g.byType[typeName]) == 0 {
 		return nil, nil
 	}
-	b := g.block(nt)
-	return b.ranks[ai].Get(g, func() ([]int32, error) {
-		col, err := b.column(ai)
+	return Derive(g, rankKey{typeName, ai}, func() ([]int32, error) {
+		col, err := g.block(nt).column(ai)
 		if err != nil {
 			return nil, err
 		}

@@ -228,7 +228,7 @@ func sourcedGraph(t *testing.T, src *countingSource) *InstanceGraph {
 
 // TestAttrRankConcurrentFirstCallsBuildOnce: eight goroutines asking
 // for a column's rank at once share one build — one column read, one
-// backing array — and pin nothing.
+// backing array, the one the registry then holds — and pin nothing.
 func TestAttrRankConcurrentFirstCallsBuildOnce(t *testing.T) {
 	col := make([]value.V, 500)
 	for i := range col {
@@ -264,18 +264,26 @@ func TestAttrRankConcurrentFirstCallsBuildOnce(t *testing.T) {
 	if n := src.pins.Load(); n != 0 {
 		t.Fatalf("rank build left %d pins", n)
 	}
+	if kept, ok := Peek[[]int32](g, rankKey{"T", 0}); !ok || &kept[0] != &ranks[0][0] {
+		t.Fatal("the shared rank is not the registry's")
+	}
 	assertRankOrders(t, "concurrent", col, ranks[0], all)
 }
 
-// TestAttrRankFaultIsNotMemoized: a failed column read is the call's
-// error and is not kept — the next call reads again and builds — while
-// a built rank is.
+// TestAttrRankFaultIsNotMemoized: a rank is derived state in the
+// graph's registry (Derive, whose contract derived_test.go tests). A
+// failed column read is the call's error and is not kept — the next
+// call reads again and builds — while a built rank is the registry's,
+// read without a pin.
 func TestAttrRankFaultIsNotMemoized(t *testing.T) {
 	src := &countingSource{col: value.NewColumn([]value.V{value.Int(3), value.Int(1), value.Int(2)})}
 	src.failing.Store(true)
 	g := sourcedGraph(t, src)
 	if _, err := g.AttrRank("T", 0); !errors.Is(err, errFault) {
 		t.Fatalf("AttrRank over a failing column = %v, want the source's error", err)
+	}
+	if _, ok := Peek[[]int32](g, rankKey{"T", 0}); ok {
+		t.Fatal("a failed rank build was kept")
 	}
 	src.failing.Store(false)
 	rank, err := g.AttrRank("T", 0)
@@ -292,6 +300,12 @@ func TestAttrRankFaultIsNotMemoized(t *testing.T) {
 	}
 	if want := []int32{2, 0, 1}; fmt.Sprint(rank) != fmt.Sprint(want) {
 		t.Fatalf("rank %v, want %v", rank, want)
+	}
+	if kept, ok := Peek[[]int32](g, rankKey{"T", 0}); !ok || &kept[0] != &rank[0] {
+		t.Fatal("the built rank is not the registry's")
+	}
+	if n := src.pins.Load(); n != 0 {
+		t.Fatalf("rank builds left %d pins", n)
 	}
 }
 

@@ -18,7 +18,6 @@ import (
 	"strings"
 
 	"repro/internal/relational"
-	"repro/internal/stats"
 	"repro/internal/tgm"
 	"repro/internal/value"
 )
@@ -116,10 +115,6 @@ func Translate(db *relational.DB, opts Options) (*Result, error) {
 	// serves an unchanging TGDB); freezing makes the contract checkable
 	// and unlocks lock-free concurrent reads in the serving stack.
 	tr.res.Instance.Freeze()
-	// Collect the planner's cost statistics (per-edge degree histograms,
-	// per-attribute NDVs) while the data is cache-hot; they are frozen
-	// with the graph and served from stats.For's registry ever after.
-	stats.For(tr.res.Instance)
 	return tr.res, nil
 }
 

@@ -171,6 +171,19 @@ if [ "$(printf '%s' "$calls" | grep -c .)" -ne 1 ]; then
 	exit 1
 fi
 
+# Derived state is one mechanism: an attribute rank, a label fragment
+# table and the graph statistics are each built once per frozen graph
+# through tgm.Derive, the graph's one registry (internal/tgm/derived.go).
+# No second build-once slot may appear beside it (ROADMAP 15; the
+# harness module is exempt).
+echo "==> one derived-state mechanism"
+if grep -rnE 'atomic\.Value|StatsCache|FragmentCache|labelFragsOf|\bMemo\[' \
+	--include='*.go' --exclude='*_test.go' --exclude-dir=etable-load --exclude-dir=.bench_build . |
+	grep -v '^\./internal/tgm/derived\.go:'; then
+	echo "a second derived-state slot reappeared (see above)" >&2
+	exit 1
+fi
+
 echo "==> go test -race ./..."
 go test -race -run "$pattern" ./...
 
