@@ -94,12 +94,13 @@
 //     column's type span probed through a tgm.Adjacency handle, and
 //     the presentation's groupings are a serial counting sort into CSR
 //     arrays (graphrel.Groups).
-//   - internal/stats: per-edge-type out-degree histograms and
-//     per-node-type attribute NDV counts — derived state in the frozen
-//     graph's one registry (tgm.Derive), built on first use (stats.For)
-//     or published by a snapshot load from its STAT section, which a
-//     save persists. /api/v1/stats reports them as edgeStats; no
-//     planner reads them.
+//   - internal/stats: per-edge-type out-degree histograms, read
+//     through one tgm.Adjacency handle per edge type — derived state
+//     in the frozen graph's one registry (tgm.Derive), built on first
+//     use (stats.For) or published by a snapshot load from its STAT
+//     section, which a save persists. /api/v1/stats reports them as
+//     edgeStats; no planner reads them. STAT's per-attribute NDV slot
+//     is written by internal/snapshot alone and read by nothing.
 //   - internal/etable: Execute takes an ExecOptions{Ctx, Pool,
 //     Parallelism} struct and hands the budget to the selections as
 //     given; a Select whose input is one morsel runs serially, so

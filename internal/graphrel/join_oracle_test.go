@@ -3,14 +3,16 @@ package graphrel
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/expr"
 )
 
 // JoinScan is the join oracle: Join without the adjacency index or the
-// hash side. It nested-loops over both relations probing HasEdge per
-// pair, so it shares no code with probeRange/buildJoinIndex and must
+// hash side. It nested-loops over both relations, scanning the left
+// node's Neighbors for each pair, so it shares no code with
+// probeRange/buildJoinIndex and must
 // return the same tuples as Join (possibly in a different order). The
 // join operators are tested against it and
 // BenchmarkAblation_AdjacencyIndex measures what the index buys.
@@ -25,7 +27,7 @@ func JoinScan(r1, r2 *Relation, edgeType, leftAttr, rightAttr string) (*Relation
 	var lrows, rrows []int32
 	for i, lid := range r1.cols[li] {
 		for j, rid := range r2.cols[ri] {
-			if r1.g.HasEdge(edgeType, lid, rid) {
+			if slices.Contains(r1.g.Neighbors(lid, edgeType), rid) {
 				lrows = append(lrows, int32(i))
 				rrows = append(rrows, int32(j))
 			}

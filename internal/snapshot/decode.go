@@ -475,28 +475,18 @@ func decodeEdgeDir(buf []byte, order []*tgm.EdgeType) ([]edgeLoader, error) {
 	return out, d.done()
 }
 
-// decodeStats rebuilds the graph statistics and publishes them as the
+// decodeStats rebuilds the edge statistics and publishes them as the
 // (already frozen) graph's (stats.Attach), so no load recollects them.
+// The node part — counts and NDVs — is read past: nothing uses it.
 func decodeStats(buf []byte, g *tgm.InstanceGraph, order []*tgm.EdgeType) error {
 	d := &dec{buf: buf, sec: secStats}
-	sg := &stats.Graph{
-		Nodes: make(map[string]stats.NodeStats),
-		Edges: make(map[string]stats.EdgeStats),
-	}
+	sg := &stats.Graph{Edges: make(map[string]stats.EdgeStats)}
 	for _, nt := range g.Schema().NodeTypes() {
-		cnt, err := d.u()
-		if err != nil {
-			return err
-		}
-		ns := stats.NodeStats{Count: int(cnt), NDV: make(map[string]int, len(nt.Attrs))}
-		for _, a := range nt.Attrs {
-			ndv, err := d.u()
-			if err != nil {
+		for range 1 + len(nt.Attrs) {
+			if _, err := d.u(); err != nil {
 				return err
 			}
-			ns.NDV[a.Name] = int(ndv)
 		}
-		sg.Nodes[nt.Name] = ns
 	}
 	for _, et := range order {
 		var es stats.EdgeStats

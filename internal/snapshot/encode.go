@@ -168,59 +168,64 @@ func encodeColumn(e *enc, col value.Column) {
 // Neighbors must return after a load). The three arrays are
 // fixed-width little-endian uint32 so loading is a bulk conversion
 // with exact preallocation instead of a varint decode per edge; boot
-// latency buys the ~2× byte cost back many times over.
-func encodeEdges(g *tgm.InstanceGraph) []byte {
+// latency buys the ~2× byte cost back many times over. Saving a paged
+// graph loads each edge type, so a damaged backing snapshot surfaces
+// here as a typed error.
+func encodeEdges(g *tgm.InstanceGraph) ([]byte, error) {
 	e := &enc{}
 	ets := edgeTypeOrder(g.Schema())
 	e.u(uint64(len(ets)))
 	for _, et := range ets {
-		e.str(et.Name)
-		srcs := g.NodesOfType(et.Source)
-		withOut, total := 0, 0
-		for _, src := range srcs {
-			if d := g.Degree(src, et.Name); d > 0 {
-				withOut++
+		adj := g.Adjacency(et.Name)
+		if err := adj.Ensure(); err != nil {
+			return nil, err
+		}
+		var srcs []tgm.NodeID
+		total := 0
+		for _, src := range g.NodesOfType(et.Source) {
+			if d := adj.Degree(src); d > 0 {
+				srcs = append(srcs, src)
 				total += d
 			}
 		}
-		e.u(uint64(withOut))
+		e.str(et.Name)
+		e.u(uint64(len(srcs)))
 		e.u(uint64(total))
 		for _, src := range srcs {
-			if g.Degree(src, et.Name) > 0 {
-				e.u32(uint32(src))
-			}
+			e.u32(uint32(src))
 		}
 		off := uint32(0)
 		e.u32(0)
 		for _, src := range srcs {
-			if d := g.Degree(src, et.Name); d > 0 {
-				off += uint32(d)
-				e.u32(off)
-			}
+			off += uint32(adj.Degree(src))
+			e.u32(off)
 		}
 		for _, src := range srcs {
-			for _, dst := range g.Neighbors(src, et.Name) {
+			for _, dst := range adj.Neighbors(src) {
 				e.u32(uint32(dst))
 			}
 		}
 	}
-	return e.buf
+	return e.buf, nil
 }
 
 // encodeStats writes the graph statistics: per node type (schema
 // order) the instance count and per-attribute NDVs (attribute order
 // implied by the type), per edge type (edgeTypeOrder) the degree
 // summary and log2 histogram.
-func encodeStats(g *tgm.InstanceGraph) []byte {
-	st := stats.For(g)
+func encodeStats(g *tgm.InstanceGraph) ([]byte, error) {
 	e := &enc{}
 	for _, nt := range g.Schema().NodeTypes() {
-		ns := st.Nodes[nt.Name]
-		e.u(uint64(ns.Count))
-		for _, a := range nt.Attrs {
-			e.u(uint64(ns.NDV[a.Name]))
+		ndv, err := countNDV(g, nt)
+		if err != nil {
+			return nil, err
+		}
+		e.u(uint64(len(g.NodesOfType(nt.Name))))
+		for _, n := range ndv {
+			e.u(uint64(n))
 		}
 	}
+	st := stats.For(g)
 	for _, et := range edgeTypeOrder(g.Schema()) {
 		es := st.Edges[et.Name]
 		e.u(uint64(es.Count))
@@ -232,5 +237,26 @@ func encodeStats(g *tgm.InstanceGraph) []byte {
 			e.u(uint64(h))
 		}
 	}
-	return e.buf
+	return e.buf, nil
+}
+
+// countNDV returns the number of distinct non-null values of each of
+// nt's attributes, in attribute order: STAT's node part, which format
+// version 2 keeps and no reader uses (decodeStats skips it).
+func countNDV(g *tgm.InstanceGraph, nt *tgm.NodeType) ([]int, error) {
+	ndv := make([]int, len(nt.Attrs))
+	for ai := range nt.Attrs {
+		col, err := g.AttrColumn(nt.Name, ai)
+		if err != nil {
+			return nil, err
+		}
+		distinct := make(map[string]struct{}, col.Len())
+		for r := 0; r < col.Len(); r++ {
+			if col.Kind(r) != value.KindNull {
+				distinct[col.At(r).Key()] = struct{}{}
+			}
+		}
+		ndv[ai] = len(distinct)
+	}
+	return ndv, nil
 }

@@ -50,8 +50,9 @@
 //	      array fixed-width uint32 LE so a load is a bulk conversion
 //	      with exact preallocation — at open when resident, deferred
 //	      to each edge type's first traversal when paged
-//	STAT  internal/stats statistics: per-type counts and attribute
-//	      NDVs, per-edge degree histograms
+//	STAT  per-type counts and attribute NDVs (written, read by
+//	      nothing), then internal/stats' per-edge degree summaries
+//	      and histograms
 //
 // Integrity and compatibility: a file that is not a snapshot fails with
 // ErrBadMagic; a snapshot written by a different format version fails
@@ -155,6 +156,14 @@ func Save(w io.Writer, g *tgm.InstanceGraph) (int64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("snapshot: encoding node columns: %w", err)
 	}
+	edges, err := encodeEdges(g)
+	if err != nil {
+		return 0, fmt.Errorf("snapshot: encoding edges: %w", err)
+	}
+	stat, err := encodeStats(g)
+	if err != nil {
+		return 0, fmt.Errorf("snapshot: encoding statistics: %w", err)
+	}
 	type section struct {
 		tag     string
 		payload []byte
@@ -164,8 +173,8 @@ func Save(w io.Writer, g *tgm.InstanceGraph) (int64, error) {
 		{secSchema, encodeSchema(g.Schema())},
 		{secSkel, nskl},
 		{secCols, ncol},
-		{secEdges, encodeEdges(g)},
-		{secStats, encodeStats(g)},
+		{secEdges, edges},
+		{secStats, stat},
 	}
 
 	header := make([]byte, 0, headerFixed+len(sections)*sectionEntrySize)

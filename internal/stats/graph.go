@@ -3,8 +3,7 @@ package stats
 // Graph statistics over a TGDB instance graph. Where the rest of this
 // package reproduces the paper's *evaluation* statistics (t-tests,
 // confidence intervals), this file summarizes the graph itself:
-// per-edge-type out-degree histograms and per-node-type attribute NDV
-// (number-of-distinct-values) counts. No planner reads them — the
+// per-edge-type out-degree histograms. No planner reads them — the
 // etable engine orders joins by the exact sizes of its selected bases —
 // they are what /api/v1/stats reports as edgeStats, and what the
 // snapshot format's STAT section persists (kept for v2 compatibility).
@@ -15,9 +14,9 @@ package stats
 
 import (
 	"math"
+	"math/bits"
 
 	"repro/internal/tgm"
-	"repro/internal/value"
 )
 
 // HistBuckets is the number of log2 out-degree buckets per edge type.
@@ -77,59 +76,27 @@ func (e EdgeStats) DegreeQuantile(q float64) int {
 	return e.MaxOutDegree
 }
 
-// NodeStats summarizes one node type.
-type NodeStats struct {
-	// Count is the number of instances.
-	Count int
-	// NDV maps attribute name → number of distinct non-null values.
-	NDV map[string]int
-}
-
 // Graph is the full statistics set of one instance graph.
 type Graph struct {
-	// Nodes maps node type name → NodeStats.
-	Nodes map[string]NodeStats
 	// Edges maps edge type name → EdgeStats.
 	Edges map[string]EdgeStats
 }
 
-// Collect computes fresh statistics for g in one pass over its nodes
-// and adjacency lists. For keeps the result for a frozen graph.
+// Collect computes fresh statistics for g: one pass over each edge
+// type's source nodes, reading degrees through one adjacency handle.
+// For keeps the result for a frozen graph.
 func Collect(g *tgm.InstanceGraph) *Graph {
-	s := &Graph{
-		Nodes: make(map[string]NodeStats),
-		Edges: make(map[string]EdgeStats),
-	}
-	schema := g.Schema()
-	for _, nt := range schema.NodeTypes() {
-		ids := g.NodesOfType(nt.Name)
-		ns := NodeStats{Count: len(ids), NDV: make(map[string]int, len(nt.Attrs))}
-		for ai, a := range nt.Attrs {
-			col, err := g.AttrColumn(nt.Name, ai)
-			if err != nil {
-				// A snapshot-loaded graph holds its STAT section's
-				// statistics, so only a graph with no snapshot behind
-				// it is collected. A fault failure here degrades to
-				// NDV 0 for the column.
-				ns.NDV[a.Name] = 0
-				continue
-			}
-			distinct := make(map[string]struct{}, len(ids))
-			for r := 0; r < col.Len(); r++ {
-				if col.Kind(r) == value.KindNull {
-					continue
-				}
-				distinct[col.At(r).Key()] = struct{}{}
-			}
-			ns.NDV[a.Name] = len(distinct)
-		}
-		s.Nodes[nt.Name] = ns
-	}
-	for _, et := range schema.EdgeTypes() {
+	s := &Graph{Edges: make(map[string]EdgeStats)}
+	for _, et := range g.Schema().EdgeTypes() {
+		adj := g.Adjacency(et.Name)
+		// A snapshot-loaded graph holds its STAT section's statistics,
+		// so only a graph with no snapshot behind it is collected; a
+		// failed deferred load reads as no edges, as Degree does.
+		_ = adj.Ensure()
 		srcIDs := g.NodesOfType(et.Source)
 		es := EdgeStats{Sources: len(srcIDs)}
 		for _, id := range srcIDs {
-			d := g.Degree(id, et.Name)
+			d := adj.Degree(id)
 			if d == 0 {
 				continue
 			}
@@ -138,14 +105,7 @@ func Collect(g *tgm.InstanceGraph) *Graph {
 			if d > es.MaxOutDegree {
 				es.MaxOutDegree = d
 			}
-			b := 0
-			for v := d; v > 1; v >>= 1 {
-				b++
-			}
-			if b >= HistBuckets {
-				b = HistBuckets - 1
-			}
-			es.Hist[b]++
+			es.Hist[min(bits.Len(uint(d))-1, HistBuckets-1)]++
 		}
 		if es.Sources > 0 {
 			es.Fanout = float64(es.Count) / float64(es.Sources)
@@ -163,8 +123,8 @@ type statsKey struct{}
 // the first call over a frozen graph — unless a snapshot load published
 // the persisted ones first (Attach) — and shared for the graph's
 // lifetime. An unfrozen graph, which may still change, recollects on
-// every call: a full O(nodes×attrs + edges) pass. For a nil graph it
-// returns nil.
+// every call: one degree read per source node of each edge type. For a
+// nil graph it returns nil.
 func For(g *tgm.InstanceGraph) *Graph {
 	if g == nil {
 		return nil

@@ -9,8 +9,8 @@ import (
 	"repro/internal/value"
 )
 
-// statGraph builds a small two-type graph: 8 As (attr "k" cycling over
-// 4 values, attr "u" unique), 4 Bs, and A→B edges with known degrees
+// statGraph builds a small two-type graph: 8 As, 4 Bs, and A→B edges
+// with known degrees
 // (A0: 4 edges, A1: 2, A2: 1, A3: 1, A4–A7: 0). The type "Empty" has no
 // instances — the division-by-zero guard case.
 func statGraph(t testing.TB) *tgm.InstanceGraph {
@@ -112,20 +112,6 @@ func TestEmptyTypeGuards(t *testing.T) {
 	}
 }
 
-func TestNodeNDV(t *testing.T) {
-	s := Collect(statGraph(t))
-	ns := s.Nodes["A"]
-	if ns.Count != 8 {
-		t.Fatalf("A count = %d", ns.Count)
-	}
-	if ns.NDV["k"] != 4 || ns.NDV["u"] != 8 {
-		t.Errorf("NDV = %v", ns.NDV)
-	}
-	if s.Nodes["Empty"].Count != 0 {
-		t.Errorf("Empty count = %d", s.Nodes["Empty"].Count)
-	}
-}
-
 func TestForCachesFrozenGraphs(t *testing.T) {
 	g := statGraph(t)
 	var wg sync.WaitGroup
@@ -145,5 +131,50 @@ func TestForCachesFrozenGraphs(t *testing.T) {
 	}
 	if For(g) != results[0] {
 		t.Fatal("For did not cache the frozen graph's statistics")
+	}
+}
+
+// TestHistBucketRule pins the log2 bucket rule — degree d lands in
+// bucket b with 2^b <= d < 2^(b+1), the last bucket taking every larger
+// degree — on degrees between the powers of two and past the last one.
+func TestHistBucketRule(t *testing.T) {
+	degrees := []int{1, 2, 3, 4, 7, 8, 9, 1 << 15, 1<<16 + 5}
+	s := tgm.NewSchemaGraph()
+	for _, name := range []string{"A", "B"} {
+		if _, err := s.AddNodeType(tgm.NodeType{Name: name, Label: "id",
+			Attrs: []tgm.Attr{{Name: "id", Type: value.KindInt}}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.AddEdgeType(tgm.EdgeType{Name: "A-B", Source: "A", Target: "B"}); err != nil {
+		t.Fatal(err)
+	}
+	g := tgm.NewInstanceGraph(s)
+	for i := range degrees {
+		if _, err := g.AddNode("A", []value.V{value.Int(int64(i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 1<<16+5; i++ {
+		if _, err := g.AddNode("B", []value.V{value.Int(int64(i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var want [HistBuckets]int
+	for a, d := range degrees {
+		for b := 0; b < d; b++ {
+			if err := g.AddEdge("A-B", tgm.NodeID(a), tgm.NodeID(len(degrees)+b)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		b := 0
+		for v := d; v > 1; v >>= 1 {
+			b++
+		}
+		want[min(b, HistBuckets-1)]++
+	}
+	g.Freeze()
+	if got := Collect(g).Edges["A-B"].Hist; got != want {
+		t.Errorf("hist = %v, want %v", got, want)
 	}
 }

@@ -2,6 +2,8 @@ package tgm
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -27,12 +29,12 @@ func adjacencyGraph(t *testing.T, nPapers, nAuthors int) *InstanceGraph {
 }
 
 // TestAdjacencyHandleMatchesNeighbors checks the handle and the
-// name-keyed accessors (Neighbors, Degree, HasEdge) against the edges
-// each form was built from, on every representation: AddEdge maps, CSR
-// over one gap-free source run (the installed offsets serve as they
-// are), CSR with gaps (a dense offset table over the run), both of them
-// deferred, and an edge type with no edges at all — probing IDs below
-// the source run, inside its gaps, and above it.
+// name-keyed accessors (Neighbors, Degree) against the arrays each
+// install was given: CSR over one gap-free source run (the installed
+// offsets serve as they are), CSR with gaps (a dense offset table over
+// the run), both of them deferred, and an edge type with no edges at
+// all — probing IDs below the source run, inside its gaps, and above
+// it. TestAddEdgeMatchesReference covers adjacency AddEdge builds.
 func TestAdjacencyHandleMatchesNeighbors(t *testing.T) {
 	const edge = "Papers→Authors"
 	const nPapers, nAuthors = 8, 3 // papers 0–7, authors 8–10
@@ -66,13 +68,6 @@ func TestAdjacencyHandleMatchesNeighbors(t *testing.T) {
 		install func(*testing.T, *InstanceGraph)
 		want    map[NodeID][]NodeID
 	}{
-		{"map", func(t *testing.T, g *InstanceGraph) {
-			for _, e := range [][2]NodeID{{0, 8}, {0, 9}, {2, 10}, {3, 8}} {
-				if err := g.AddEdge(edge, e[0], e[1]); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}, map[NodeID][]NodeID{0: {8, 9}, 2: {10}, 3: {8}}},
 		{"csr dense", eager(dense), map[NodeID][]NodeID{0: {8, 9}, 2: {10}, 3: {8}}},
 		{"csr dense, offset run", eager(offsetRun), map[NodeID][]NodeID{1: {10}, 2: {8, 9}}},
 		{"csr sparse", eager(sparse), map[NodeID][]NodeID{0: {8, 9}, 2: {10}, 3: {8}}},
@@ -99,15 +94,6 @@ func TestAdjacencyHandleMatchesNeighbors(t *testing.T) {
 				}
 				if a.Degree(id) != len(want) || g.Degree(id, edge) != len(want) {
 					t.Errorf("Degree(%d) = %d (handle) / %d (graph), want %d", id, a.Degree(id), g.Degree(id, edge), len(want))
-				}
-				for dst := NodeID(nPapers); dst < nPapers+nAuthors; dst++ {
-					wantEdge := false
-					for _, w := range want {
-						wantEdge = wantEdge || w == dst
-					}
-					if g.HasEdge(edge, id, dst) != wantEdge {
-						t.Errorf("HasEdge(%d, %d) = %v, want %v", id, dst, !wantEdge, wantEdge)
-					}
 				}
 			}
 		})
@@ -159,5 +145,141 @@ func TestAdjacencyEnsureReportsLoadFailure(t *testing.T) {
 	}
 	if err := g2.Adjacency(edge).Ensure(); err == nil {
 		t.Fatal("Ensure accepted a load with the wrong edge count")
+	}
+}
+
+// refAdjacency is AddEdge's contract kept the plain way, as a map of
+// neighbor lists with a seen-set per edge type: a new edge appends to
+// its source's list, a duplicate is ignored, and a new forward edge
+// adds its reverse the same way.
+type refAdjacency struct {
+	schema *SchemaGraph
+	lists  map[string]map[NodeID][]NodeID
+	seen   map[string]map[[2]NodeID]bool
+}
+
+func (r *refAdjacency) add(edgeType string, src, dst NodeID) {
+	if r.insert(edgeType, src, dst) {
+		if rev := r.schema.EdgeType(edgeType).Reverse; rev != "" {
+			r.insert(rev, dst, src)
+		}
+	}
+}
+
+func (r *refAdjacency) insert(edgeType string, src, dst NodeID) bool {
+	if r.seen[edgeType] == nil {
+		r.seen[edgeType] = map[[2]NodeID]bool{}
+		r.lists[edgeType] = map[NodeID][]NodeID{}
+	}
+	if r.seen[edgeType][[2]NodeID{src, dst}] {
+		return false
+	}
+	r.seen[edgeType][[2]NodeID{src, dst}] = true
+	r.lists[edgeType][src] = append(r.lists[edgeType][src], dst)
+	return true
+}
+
+// TestAddEdgeMatchesReference holds the packed adjacency AddEdge builds
+// to refAdjacency: duplicates, a reverse twin added directly before and
+// after its forward edge, AddEdge after a read of the unfrozen graph
+// (which packs, so the next read re-packs), edge types whose source or
+// target type has no nodes, and an edge type the schema does not know.
+// Every read — both Neighbors, both Degrees, NumEdges, EdgeTypeCount,
+// AvgOutDegree — is compared before and after Freeze, over IDs below,
+// inside and above every type's run.
+func TestAddEdgeMatchesReference(t *testing.T) {
+	const nPapers, nAuthors = 10, 6 // papers 0–9, authors 10–15; no conferences or keywords
+	g := adjacencyGraph(t, nPapers, nAuthors)
+	ref := &refAdjacency{schema: g.Schema(), lists: map[string]map[NodeID][]NodeID{}, seen: map[string]map[[2]NodeID]bool{}}
+	add := func(edgeType string, src, dst NodeID) {
+		t.Helper()
+		if err := g.AddEdge(edgeType, src, dst); err != nil {
+			t.Fatal(err)
+		}
+		ref.add(edgeType, src, dst)
+	}
+	edgeTypes := []string{"nope"}
+	for _, et := range g.Schema().EdgeTypes() {
+		edgeTypes = append(edgeTypes, et.Name)
+	}
+	check := func(when string) {
+		t.Helper()
+		total := 0
+		for _, et := range edgeTypes {
+			a := g.Adjacency(et)
+			if err := a.Ensure(); err != nil {
+				t.Fatalf("%s: Ensure(%q) = %v", when, et, err)
+			}
+			count := 0
+			for id := NodeID(-2); id < nPapers+nAuthors+2; id++ {
+				want := ref.lists[et][id]
+				count += len(want)
+				for how, got := range map[string][]NodeID{"handle": a.Neighbors(id), "Neighbors": g.Neighbors(id, et)} {
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("%s: %s(%d, %q) = %v, want %v", when, how, id, et, got, want)
+					}
+				}
+				if a.Degree(id) != len(want) || g.Degree(id, et) != len(want) {
+					t.Errorf("%s: Degree(%d, %q) = %d (handle) / %d (graph), want %d", when, id, et, a.Degree(id), g.Degree(id, et), len(want))
+				}
+			}
+			total += count
+			if got := g.EdgeTypeCount(et); got != count {
+				t.Errorf("%s: EdgeTypeCount(%q) = %d, want %d", when, et, got, count)
+			}
+			var wantAvg float64
+			if et := g.Schema().EdgeType(et); et != nil && len(g.NodesOfType(et.Source)) > 0 {
+				wantAvg = float64(count) / float64(len(g.NodesOfType(et.Source)))
+			}
+			if got := g.AvgOutDegree(et); got != wantAvg {
+				t.Errorf("%s: AvgOutDegree(%q) = %v, want %v", when, et, got, wantAvg)
+			}
+		}
+		if g.NumEdges() != total || g.ComputeStats().Edges != total {
+			t.Errorf("%s: NumEdges = %d, ComputeStats().Edges = %d, want %d", when, g.NumEdges(), g.ComputeStats().Edges, total)
+		}
+	}
+	const fwd, rev, cite = "Papers→Authors", "Papers→Authors_rev", "Papers→Papers"
+	check("empty")
+	add(rev, 10, 1) // the reverse twin first: Papers→Authors gains 1→10
+	add(fwd, 1, 10) // ... so its forward edge is a duplicate
+	add(fwd, 2, 11)
+	add(rev, 11, 2) // the forward edge first: the twin is a duplicate
+	add(fwd, 2, 12)
+	add(fwd, 2, 11)
+	add(cite, 3, 3)
+	add(cite, 3, 3)
+	add(cite, 4, 3) // a self-pair type has no reverse
+	check("scenarios")
+	add(fwd, 0, 15) // after a read: the next read re-packs
+	add(rev, 11, 0)
+	check("after a read")
+	rng := rand.New(rand.NewSource(1))
+	for round := 0; round < 3; round++ {
+		for i := 0; i < 60; i++ {
+			p, a := NodeID(rng.Intn(nPapers)), NodeID(nPapers+rng.Intn(nAuthors))
+			switch rng.Intn(3) {
+			case 0:
+				add(fwd, p, a)
+			case 1:
+				add(rev, a, p)
+			default:
+				add(cite, p, NodeID(rng.Intn(nPapers)))
+			}
+		}
+		check(fmt.Sprintf("random round %d", round))
+	}
+	g.Freeze()
+	check("frozen")
+	if err := g.AddEdge(fwd, 0, 10); err == nil {
+		t.Error("AddEdge accepted on a frozen graph")
+	}
+	// An edge type has one adjacency: no install over AddEdge's edges.
+	g2 := adjacencyGraph(t, 2, 2)
+	if err := g2.AddEdge(fwd, 0, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := g2.InstallAdjacency(rev, []NodeID{2}, []int32{0, 1}, []NodeID{0}); err == nil {
+		t.Error("InstallAdjacency over AddEdge's reverse edges accepted")
 	}
 }

@@ -138,11 +138,12 @@ func (b *colBlock) builders() []value.Builder {
 // and InstallNodes enforce, so every reader addresses a node's column
 // row as ID − lo with no per-node lookup. Freeze marks the end
 // of the build phase: after Freeze, mutators fail and every read
-// accessor — Node, NodesOfType, Neighbors, Degree, HasEdge,
+// accessor — Node, NodesOfType, Neighbors, Degree, Adjacency,
 // AvgOutDegree, EdgeTypeCount, ComputeStats, FindNode, AttrColumn,
 // AttrRank, Derive, Peek — is safe for unsynchronized concurrent use.
-// All indexes (adjacency, per-type node lists, edge totals) are
-// maintained eagerly at insertion time; the deliberately lazy state is
+// Before Freeze a graph belongs to one goroutine: a read packs the
+// edges AddEdge logged since the previous read. Freeze packs what is
+// left and drops the logs; the deliberately lazy state after it is
 // out-of-core attribute columns, whose residency is owned by the
 // attached ColumnSource (which must itself be concurrency-safe),
 // deferred adjacency (built once under a sync.Once, its load error
@@ -165,29 +166,19 @@ func (b *colBlock) builders() []value.Builder {
 // through its ColumnSource on first touch. A string read from a column
 // shares the column's blob: whatever keeps one past a fault clones it
 // (value.V.Clone), or an evicted column stays reachable.
-// Adjacency has two interchangeable representations: the map-of-slices
-// built incrementally by AddEdge, and the packed CSR arrays installed
-// wholesale by InstallAdjacency (the snapshot decode path). Readers
-// cannot tell them apart.
+// Adjacency has one form, packed CSR arrays per edge type (csrAdj),
+// whoever builds it: InstallAdjacency installs the snapshot's arrays,
+// InstallAdjacencyDeferred loads them on first traversal, and AddEdge
+// logs pairs that a read or Freeze packs into the same arrays.
 type InstanceGraph struct {
 	schema *SchemaGraph
 	nodes  []*Node
 	byType map[string][]NodeID
 	blocks map[string]*colBlock
 	colSrc ColumnSource
-	// adj maps edge type name → source node → ordered target nodes
-	// (the incremental AddEdge representation).
-	adj map[string]map[NodeID][]NodeID
-	// csr holds adjacency installed wholesale as packed arrays
-	// (InstallAdjacency); a given edge type lives in exactly one of
-	// adj or csr.
-	csr map[string]*csrAdj
-	// edgeSeen deduplicates edges per edge type: key = src<<32|dst.
-	edgeSeen  map[string]map[uint64]bool
-	edgeCount int
-	// edgeTotals counts edges per edge type, maintained incrementally so
-	// the query planner's degree statistic is O(1) per lookup.
-	edgeTotals map[string]int
+	// adj maps edge type name → the type's adjacency, however it was
+	// built (see csrAdj).
+	adj map[string]*csrAdj
 	// frozen marks the graph immutable (see the immutability contract
 	// above). Atomic so concurrent readers may assert it without racing
 	// a late Freeze call.
@@ -208,12 +199,63 @@ type csrAdj struct {
 	base    NodeID
 	offs    []int32
 	targets []NodeID
+	n       int // edge count, known before a deferred load
+	// log is AddEdge's pairs in call order, duplicates included; stale
+	// marks pairs logged since the last pack. It lives until Freeze, so
+	// an AddEdge after an unfrozen read re-packs from all of it.
+	log   [][2]NodeID
+	stale bool
 	// load defers materialization (InstallAdjacencyDeferred): the first
 	// traversal fills the arrays through it, under once. Eagerly
 	// installed adjacency has a nil load and pays only the nil check.
 	load AdjacencyLoader
 	once sync.Once
 	err  error
+}
+
+var noEdges = &csrAdj{} // the adjacency of an edge type with no edges
+
+// pack builds the arrays from the log: a stable counting sort by
+// source over the log's source run keeps each source's targets in call
+// order, and a first-occurrence pass over the target run drops repeats
+// — the order and "duplicates ignored" AddEdge promises.
+func (a *csrAdj) pack() {
+	a.stale = false
+	srcLo, srcHi, tgtLo, tgtHi := a.log[0][0], a.log[0][0], a.log[0][1], a.log[0][1]
+	for _, e := range a.log {
+		srcLo, srcHi = min(srcLo, e[0]), max(srcHi, e[0])
+		tgtLo, tgtHi = min(tgtLo, e[1]), max(tgtHi, e[1])
+	}
+	span := int(srcHi-srcLo) + 1
+	offs := make([]int32, span+1)
+	for _, e := range a.log {
+		offs[e[0]-srcLo+1]++
+	}
+	for i := 1; i <= span; i++ {
+		offs[i] += offs[i-1]
+	}
+	targets := make([]NodeID, len(a.log))
+	for _, e := range a.log { // offs[i] walks segment i, ending where i+1 starts
+		targets[offs[e[0]-srcLo]] = e[1]
+		offs[e[0]-srcLo]++
+	}
+	// seen[t−tgtLo] is 1 + the last source index that kept t.
+	seen := make([]int32, int(tgtHi-tgtLo)+1)
+	start, w := int32(0), int32(0)
+	for i := 0; i < span; i++ {
+		end := offs[i]
+		offs[i] = w
+		for _, t := range targets[start:end] {
+			if seen[t-tgtLo] != int32(i+1) {
+				seen[t-tgtLo] = int32(i + 1)
+				targets[w] = t
+				w++
+			}
+		}
+		start = end
+	}
+	offs[span] = w
+	a.base, a.offs, a.targets, a.n = srcLo, offs, targets[:w:w], int(w)
 }
 
 // install indexes validated CSR arrays (srcs ascending, offs of
@@ -264,7 +306,7 @@ func (a *csrAdj) ensure() error {
 func (a *csrAdj) neighbors(id NodeID) []NodeID {
 	i := int(id) - int(a.base)
 	if i < 0 || i >= len(a.offs)-1 || a.offs[i] == a.offs[i+1] {
-		return nil // as the AddEdge form answers for a node without out-edges
+		return nil // no out-edges reads as nil, inside the run or outside it
 	}
 	return a.targets[a.offs[i]:a.offs[i+1]:a.offs[i+1]]
 }
@@ -272,12 +314,10 @@ func (a *csrAdj) neighbors(id NodeID) []NodeID {
 // NewInstanceGraph returns an empty instance graph over schema.
 func NewInstanceGraph(schema *SchemaGraph) *InstanceGraph {
 	return &InstanceGraph{
-		schema:     schema,
-		byType:     make(map[string][]NodeID),
-		blocks:     make(map[string]*colBlock),
-		adj:        make(map[string]map[NodeID][]NodeID),
-		edgeSeen:   make(map[string]map[uint64]bool),
-		edgeTotals: make(map[string]int),
+		schema: schema,
+		byType: make(map[string][]NodeID),
+		blocks: make(map[string]*colBlock),
+		adj:    make(map[string]*csrAdj),
 	}
 }
 
@@ -285,10 +325,18 @@ func NewInstanceGraph(schema *SchemaGraph) *InstanceGraph {
 func (g *InstanceGraph) Schema() *SchemaGraph { return g.schema }
 
 // Freeze marks the graph immutable: subsequent AddNode/AddEdge/Install*
-// calls fail. Freezing is idempotent. Once frozen, the graph is safe
+// calls fail. It packs the edges AddEdge logged since the last read and
+// drops the logs. Freezing is idempotent. Once frozen, the graph is safe
 // for unsynchronized concurrent reads (see the type's immutability
 // contract).
-func (g *InstanceGraph) Freeze() { g.frozen.Store(true) }
+func (g *InstanceGraph) Freeze() {
+	for name, a := range g.adj {
+		if a.log != nil { // a frozen graph has none: a second Freeze writes nothing
+			g.adjOf(name).log = nil
+		}
+	}
+	g.frozen.Store(true)
+}
 
 // Frozen reports whether Freeze has been called.
 func (g *InstanceGraph) Frozen() bool { return g.frozen.Load() }
@@ -503,7 +551,13 @@ func (g *InstanceGraph) NumNodes() int { return len(g.nodes) }
 
 // NumEdges returns the number of directed edges added (including
 // automatically added reverse edges).
-func (g *InstanceGraph) NumEdges() int { return g.edgeCount }
+func (g *InstanceGraph) NumEdges() int {
+	n := 0
+	for name := range g.adj {
+		n += g.adjOf(name).n
+	}
+	return n
+}
 
 // NodesOfType returns the IDs of all nodes of the named type, in
 // insertion order. The returned slice must not be modified.
@@ -513,7 +567,8 @@ func (g *InstanceGraph) NodesOfType(typeName string) []NodeID {
 
 // AddEdge inserts a directed edge of the named type and, when the type
 // has a registered reverse, the corresponding reverse edge. Duplicate
-// edges are ignored. Node types of the endpoints are checked.
+// edges are ignored. Node types of the endpoints are checked. The pair
+// goes to the type's build log; the next read or Freeze packs it.
 func (g *InstanceGraph) AddEdge(edgeType string, src, dst NodeID) error {
 	if g.frozen.Load() {
 		return fmt.Errorf("tgm: graph is frozen; cannot add edge of type %q", edgeType)
@@ -532,41 +587,42 @@ func (g *InstanceGraph) AddEdge(edgeType string, src, dst NodeID) error {
 	if dn.Type.Name != et.Target {
 		return fmt.Errorf("tgm: edge %q target must be %q, got %q", edgeType, et.Target, dn.Type.Name)
 	}
-	if g.insertEdge(et.Name, src, dst) && et.Reverse != "" {
-		g.insertEdge(et.Reverse, dst, src)
+	g.logEdge(et.Name, src, dst)
+	if et.Reverse != "" {
+		g.logEdge(et.Reverse, dst, src)
 	}
 	return nil
 }
 
-func (g *InstanceGraph) insertEdge(edgeType string, src, dst NodeID) bool {
-	seen := g.edgeSeen[edgeType]
-	if seen == nil {
-		seen = make(map[uint64]bool)
-		g.edgeSeen[edgeType] = seen
+func (g *InstanceGraph) logEdge(edgeType string, src, dst NodeID) {
+	a := g.adj[edgeType]
+	if a == nil {
+		a = &csrAdj{}
+		g.adj[edgeType] = a
 	}
-	key := uint64(uint32(src))<<32 | uint64(uint32(dst))
-	if seen[key] {
-		return false
+	a.log = append(a.log, [2]NodeID{src, dst})
+	a.stale = true
+}
+
+// adjOf returns edgeType's adjacency (noEdges for a type with none),
+// packing the pairs AddEdge logged since the last read.
+func (g *InstanceGraph) adjOf(edgeType string) *csrAdj {
+	a := g.adj[edgeType]
+	if a == nil {
+		a = noEdges
+	} else if a.stale {
+		a.pack()
 	}
-	seen[key] = true
-	m := g.adj[edgeType]
-	if m == nil {
-		m = make(map[NodeID][]NodeID)
-		g.adj[edgeType] = m
-	}
-	m[src] = append(m[src], dst)
-	g.edgeCount++
-	g.edgeTotals[edgeType]++
-	return true
+	return a
 }
 
 // InstallAdjacency installs one edge type's entire adjacency wholesale
 // in CSR form: srcs ascending, offs of length len(srcs)+1, and
 // targets[offs[i]:offs[i+1]] the i-th source's out-neighbors in the
 // order Neighbors must return them. It is the snapshot decode path's
-// bulk install — three array installations instead of O(edges) map
-// inserts — and must not be mixed with AddEdge for the same edge type.
-// Endpoint types and ID ranges are validated.
+// bulk install, and an edge type has one adjacency: installing over
+// AddEdge's edges, or installing twice, is an error. Endpoint types and
+// ID ranges are validated.
 func (g *InstanceGraph) InstallAdjacency(edgeType string, srcs []NodeID, offs []int32, targets []NodeID) error {
 	if g.frozen.Load() {
 		return fmt.Errorf("tgm: graph is frozen; cannot install adjacency for %q", edgeType)
@@ -575,23 +631,15 @@ func (g *InstanceGraph) InstallAdjacency(edgeType string, srcs []NodeID, offs []
 	if et == nil {
 		return fmt.Errorf("tgm: unknown edge type %q", edgeType)
 	}
-	if len(g.adj[edgeType]) > 0 {
-		return fmt.Errorf("tgm: edge type %q already has incrementally added edges", edgeType)
-	}
-	if g.csr != nil && g.csr[edgeType] != nil {
+	if g.adj[edgeType] != nil {
 		return fmt.Errorf("tgm: edge type %q adjacency already installed", edgeType)
 	}
 	if err := g.validateCSR(et, srcs, offs, targets); err != nil {
 		return err
 	}
-	if g.csr == nil {
-		g.csr = make(map[string]*csrAdj)
-	}
-	a := &csrAdj{}
+	a := &csrAdj{n: len(targets)}
 	a.install(srcs, offs, targets)
-	g.csr[edgeType] = a
-	g.edgeCount += len(targets)
-	g.edgeTotals[edgeType] = len(targets)
+	g.adj[edgeType] = a
 	return nil
 }
 
@@ -600,7 +648,7 @@ func (g *InstanceGraph) InstallAdjacency(edgeType string, srcs []NodeID, offs []
 type AdjacencyLoader func() (srcs []NodeID, offs []int32, targets []NodeID, err error)
 
 // InstallAdjacencyDeferred registers an edge type whose CSR arrays are
-// materialized by load on the first Neighbors/Degree/HasEdge touching
+// materialized by load on the first Neighbors/Degree/Ensure touching
 // the type, instead of at install time — the out-of-core open's bulk
 // alternative to InstallAdjacency. targetCount is the type's edge
 // count (known from the snapshot directory without decoding the
@@ -608,7 +656,7 @@ type AdjacencyLoader func() (srcs []NodeID, offs []int32, targets []NodeID, err 
 // before any traversal. The loaded arrays pass exactly the validation
 // InstallAdjacency applies; a load or validation failure is cached and
 // leaves the type with empty adjacency — the name-keyed accessors
-// (Neighbors, Degree, HasEdge) see no edges, never a panic, while an
+// (Neighbors, Degree) see no edges, never a panic, while an
 // Adjacency handle's Ensure returns the failure, which is how the
 // presentation layer reports it instead of rendering zero counts.
 func (g *InstanceGraph) InstallAdjacencyDeferred(edgeType string, targetCount int, load AdjacencyLoader) error {
@@ -619,16 +667,10 @@ func (g *InstanceGraph) InstallAdjacencyDeferred(edgeType string, targetCount in
 	if et == nil {
 		return fmt.Errorf("tgm: unknown edge type %q", edgeType)
 	}
-	if len(g.adj[edgeType]) > 0 {
-		return fmt.Errorf("tgm: edge type %q already has incrementally added edges", edgeType)
-	}
-	if g.csr != nil && g.csr[edgeType] != nil {
+	if g.adj[edgeType] != nil {
 		return fmt.Errorf("tgm: edge type %q adjacency already installed", edgeType)
 	}
-	if g.csr == nil {
-		g.csr = make(map[string]*csrAdj)
-	}
-	g.csr[edgeType] = &csrAdj{load: func() ([]NodeID, []int32, []NodeID, error) {
+	g.adj[edgeType] = &csrAdj{n: targetCount, load: func() ([]NodeID, []int32, []NodeID, error) {
 		srcs, offs, targets, err := load()
 		if err != nil {
 			return nil, nil, nil, err
@@ -642,8 +684,6 @@ func (g *InstanceGraph) InstallAdjacencyDeferred(edgeType string, targetCount in
 		}
 		return srcs, offs, targets, nil
 	}}
-	g.edgeCount += targetCount
-	g.edgeTotals[edgeType] = targetCount
 	return nil
 }
 
@@ -696,7 +736,7 @@ func (g *InstanceGraph) TypeIDRange(name string) (lo, hi NodeID) {
 
 // EdgeTypeCount returns the number of edges of the named type.
 func (g *InstanceGraph) EdgeTypeCount(edgeType string) int {
-	return g.edgeTotals[edgeType]
+	return g.adjOf(edgeType).n
 }
 
 // AvgOutDegree returns the mean out-degree of the named edge type over
@@ -713,7 +753,7 @@ func (g *InstanceGraph) AvgOutDegree(edgeType string) float64 {
 	if n == 0 {
 		return 0
 	}
-	return float64(g.edgeTotals[edgeType]) / float64(n)
+	return float64(g.EdgeTypeCount(edgeType)) / float64(n)
 }
 
 // Neighbors returns the targets of the given node's out-edges of the
@@ -721,17 +761,11 @@ func (g *InstanceGraph) AvgOutDegree(edgeType string) float64 {
 // neighbor-lookup" the paper relies on for entity-reference columns.
 // The returned slice must not be modified.
 func (g *InstanceGraph) Neighbors(id NodeID, edgeType string) []NodeID {
-	if a := g.csr[edgeType]; a != nil {
-		if a.ensure() != nil {
-			return nil
-		}
-		return a.neighbors(id)
-	}
-	m := g.adj[edgeType]
-	if m == nil {
+	a := g.adjOf(edgeType)
+	if a.ensure() != nil {
 		return nil
 	}
-	return m[id]
+	return a.neighbors(id)
 }
 
 // Degree returns the number of out-neighbors of id along edgeType.
@@ -748,60 +782,25 @@ func (g *InstanceGraph) Degree(id NodeID, edgeType string) int {
 // returned nil.
 type Adjacency struct {
 	csr *csrAdj
-	m   map[NodeID][]NodeID
 }
 
 // Adjacency resolves edgeType's adjacency handle. Resolution loads
 // nothing — deferred adjacency materializes at the handle's first
 // Ensure — and an unknown edge type yields a handle with no edges.
 func (g *InstanceGraph) Adjacency(edgeType string) Adjacency {
-	if a := g.csr[edgeType]; a != nil {
-		return Adjacency{csr: a}
-	}
-	return Adjacency{m: g.adj[edgeType]}
+	return Adjacency{g.adjOf(edgeType)}
 }
 
 // Ensure materializes deferred adjacency (InstallAdjacencyDeferred) and
-// returns its load error; it is a nil check for every other form.
-func (a Adjacency) Ensure() error {
-	if a.csr == nil {
-		return nil
-	}
-	return a.csr.ensure()
-}
+// returns its load error; it is a nil check for every other edge type.
+func (a Adjacency) Ensure() error { return a.csr.ensure() }
 
 // Neighbors returns id's out-neighbors in insertion order; the slice
-// must not be modified. CSR adjacency indexes in O(1), AddEdge-built
-// graphs map-look-up.
-func (a Adjacency) Neighbors(id NodeID) []NodeID {
-	if a.csr == nil {
-		return a.m[id]
-	}
-	return a.csr.neighbors(id)
-}
+// must not be modified. A lookup is one subtraction and two loads.
+func (a Adjacency) Neighbors(id NodeID) []NodeID { return a.csr.neighbors(id) }
 
 // Degree returns the number of out-neighbors of id.
 func (a Adjacency) Degree(id NodeID) int { return len(a.Neighbors(id)) }
-
-// HasEdge reports whether a directed edge of the given type exists.
-func (g *InstanceGraph) HasEdge(edgeType string, src, dst NodeID) bool {
-	if a := g.csr[edgeType]; a != nil {
-		if a.ensure() != nil {
-			return false
-		}
-		for _, t := range a.neighbors(src) {
-			if t == dst {
-				return true
-			}
-		}
-		return false
-	}
-	seen := g.edgeSeen[edgeType]
-	if seen == nil {
-		return false
-	}
-	return seen[uint64(uint32(src))<<32|uint64(uint32(dst))]
-}
 
 // FindNode returns the first node of the named type whose attribute
 // equals v. It scans the type's nodes; callers needing repeated lookups
@@ -847,13 +846,13 @@ func (g *InstanceGraph) ComputeStats() Stats {
 		NodesByType: make(map[string]int),
 		EdgesByType: make(map[string]int),
 		Nodes:       len(g.nodes),
-		Edges:       g.edgeCount,
 	}
 	for t, ids := range g.byType {
 		s.NodesByType[t] = len(ids)
 	}
-	for et, n := range g.edgeTotals {
-		s.EdgesByType[et] = n
+	for et := range g.adj {
+		s.EdgesByType[et] = g.adjOf(et).n
+		s.Edges += s.EdgesByType[et]
 	}
 	return s
 }

@@ -184,6 +184,30 @@ if grep -rnE 'atomic\.Value|StatsCache|FragmentCache|labelFragsOf|\bMemo\[' \
 	exit 1
 fi
 
+# One adjacency form: every edge type's adjacency is tgm's packed CSR
+# arrays, whether a snapshot installs them or Freeze packs AddEdge's
+# log into them. The map-of-slices form, its per-edge seen-set and
+# HasEdge stay deleted (ROADMAP aim 2).
+echo "==> one adjacency form"
+if grep -rnE 'edgeSeen|map\[NodeID\]\[\]NodeID|HasEdge' \
+	--include='*.go' --exclude='*_test.go' internal; then
+	echo "a second adjacency form reappeared (see above)" >&2
+	exit 1
+fi
+
+# NDV stays in the snapshot: per-attribute distinct counts are written
+# to STAT only because format version 2 has a slot for them, by a
+# snapshot-private helper; no statistics, planner or serving code may
+# count or read them again (ROADMAP 20a; the harness module is exempt).
+# Comment lines are exempt.
+echo "==> NDV stays in the snapshot"
+if grep -rnwE 'NDV' --include='*.go' --exclude='*_test.go' \
+	--exclude-dir=etable-load --exclude-dir=.bench_build . |
+	grep -v '^\./internal/snapshot/' | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'; then
+	echo "NDV reappeared outside internal/snapshot (see above)" >&2
+	exit 1
+fi
+
 echo "==> go test -race ./..."
 go test -race -run "$pattern" ./...
 
