@@ -15,15 +15,17 @@
 //   - internal/tgm: the instance graph is frozen after translation
 //     (InstanceGraph.Freeze); every read accessor is lock-free and safe
 //     for unsynchronized concurrent use because nothing mutates.
-//   - internal/graphrel: relations are immutable once built and shared
-//     without copying (the package documents the sharing contract).
+//   - internal/graphrel: relations and node sets are immutable once
+//     built and shared without copying (the package documents the
+//     sharing contract).
 //   - internal/lru: the one cache implementation — a mutex-guarded LRU
 //     of exact capacity with singleflight loads, pins and hit/miss/
 //     eviction counters. Every cache below is an lru.Cache.
 //   - internal/etable: one etable.Cache — an LRU of exactly -cache
-//     relations with singleflight deduplication — is shared by every
-//     session, so N users executing the same pattern signature compute
-//     it once. Executor is a thin per-session view over the cache.
+//     reduced matches and base node sets with singleflight
+//     deduplication — is shared by every session, so N users executing
+//     the same pattern signature compute it once. Executor is a thin
+//     per-session view over the cache.
 //   - internal/session: each Session has its own mutex and small LRU
 //     memos of presentations, sorted views and windows, so concurrent
 //     requests on one session serialize per session, not per server.
@@ -119,45 +121,43 @@
 //
 // # Planning
 //
-// There is one match engine (internal/etable/stream.go): every join
-// runs as a streamed pipeline drained whole, and materializing and
-// spilling are the sink the drain writes to, not separate code paths.
-// The server's one path is Executor.PrepareWithOpts plus a window. A
-// plan is the pattern's compiled node predicates, built on the
-// match-cache miss that needs it and not cached: a repeated query hits
-// its cached match, or its siblings' cached bases, first. A miss derived
-// through the §5.3 operators from a pattern whose match is resident
-// reuses that intermediate result (§9, future work 2): the ancestor's
-// match, narrowed by the conjuncts it lacks, is one join unit covering
-// its nodes, and only the nodes it lacks are selected from their bases
-// — after a structural sub-pattern check, never on the derivation link
-// alone. Derived and from-bases matches run one join loop. The join
-// order is not planned in advance: the engine gathers every unit first
-// and orders the joins by the units' exact sizes — smallest unit first,
-// then greedily by |current| × AvgOutDegree(edge) × |unit(new)| /
-// |type(new)| — so no cardinality is estimated anywhere. PERFORMANCE.md
-// §13 records why the eager join arm and the feedback re-planner were
-// removed, §14 why the greedy ordering and its corpus-size threshold
-// were (no workload reached them; parity where forced), §16 the census
-// behind ordering by measured sizes and dropping the plan-level
-// parallelism gate, §18–§19 why the plan cache went, and §25 the
-// census and the pairs behind derivation.
+// There is one match engine (internal/etable/stream.go), and it does
+// not join. A pattern is a tree, and the format transformation reads
+// one thing per participating column: each row's related nodes. So a
+// miss selects each node's starting set, runs a full semi-join
+// reduction over the tree (Yannakakis 1981; graphrel.Reduce: a
+// bottom-up and a top-down pass of bitset semi-joins) and counts
+// |m(Q)| exactly by a saturating product-sum; the cache holds those
+// node sets, and a prepare groups each column's adjacency along its
+// tree path inside them (graphrel.GroupPath). m(Q) is enumerated only
+// where tuples are the product — etable.MatchOpts, and the spill tier
+// past -max-rows — by a StreamJoin chain over the reduced sets; without
+// a spill policy a result past -max-rows fails with its exact size
+// before anything is enumerated. The server's one path is
+// Executor.PrepareWithOpts plus a window. A plan is the pattern's
+// compiled node predicates, built on the miss that needs it and not
+// cached. A miss derived through the §5.3 operators from a pattern
+// whose match is resident reuses that intermediate result (§9, future
+// work 2): the ancestor's reduced sets, narrowed by the conjuncts it
+// lacks, start its nodes — after a structural sub-pattern check, never
+// on the derivation link alone. There is no join order and no cost
+// model. PERFORMANCE.md §13–§19 record how the join planner, the plan
+// cache and the parallelism gate went, §25 the census and the pairs
+// behind derivation, and §26 the semi-join engine.
 //
 // # Windowed presentation
 //
 // The format transformation (§5.4.2) is prepared and windowed rather
-// than monolithic: etable.Prepare computes the row set, column layout,
-// and per-column neighbor groupings without materializing a single
-// cell, and etable.Presentation.Window materializes any [offset,
+// than monolithic: a prepare computes the row set, column layout,
+// and per-column groupings without materializing a single cell, and etable.Presentation.Window materializes any [offset,
 // offset+limit) row range on demand, in one serial transformRange pass
 // — a window is a page, never a morsel's worth of rows.
 //
 // Ownership: a Presentation owns everything its windows read — row
-// IDs, column layout, groupings, adjacency handles. The matched
-// relation is an input of Prepare (Executor.PrepareWithOpts takes it
-// from the shared execution cache, or folds it off the engine's stream
-// and leaves it there) and is never read again, so the cache may evict
-// it at any time: a page fetch costs O(window), never a re-match or a
+// IDs, column layout, groupings, adjacency handles. The reduced match
+// is an input of the prepare (Executor.PrepareWithOpts takes it from
+// the shared execution cache) and is never read again, so the cache
+// may evict it at any time: a page fetch costs O(window), never a re-match or a
 // full re-render. The session layer prepares one Presentation per
 // pattern, and sort variants of one pattern share that single
 // prepared presentation: Presentation.SortedView — the one sort —
@@ -201,16 +201,15 @@
 // them (409 stale_cursor), and the client re-pages the new state.
 //
 // Memory bound: a session holds at most 8 prepared presentations (its
-// presentation memo, least recently read evicted first); relations are
-// held by the cache alone, so -cache is the number of relations
-// resident, whatever the session count.
+// presentation memo, least recently read evicted first); node sets are
+// held by the cache alone, so -cache is the number of reduced matches
+// and base sets resident, whatever the session count.
 //
 // Allocation discipline in the transform: all cells of a window share
 // one backing array, entity references are carved from one arena
-// (empty lists share a single slice), the distinct rows come out
-// of a dense-ID bitmap already ordered (graphrel.DistinctSorted), each
-// column's grouping is three flat arrays whose segments are sorted and
-// compacted in place. Each reference column reads its target type's
+// (empty lists share a single slice), the rows come out of the
+// primary's reduced bitset already ordered, and each column's grouping
+// is three flat arrays filled by a counting sort. Each reference column reads its target type's
 // label column directly — at id-lo when the type's node IDs are one
 // contiguous run, through the node's row otherwise — and non-string
 // labels are interned per window so N references to one node share one

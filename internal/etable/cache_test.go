@@ -7,20 +7,18 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"repro/internal/graphrel"
 )
 
-// dummyRel returns a distinct non-nil relation pointer for cache tests;
-// the cache never inspects the relation.
-func dummyRel() *graphrel.Relation { return &graphrel.Relation{} }
+// dummyRel returns a distinct non-nil cache value for cache tests;
+// the cache never inspects the value.
+func dummyRel() *Reduced { return &Reduced{} }
 
 // TestCacheExactCapacity: NewCache(n) holds exactly n relations and
 // evicts the least recently used key of the whole cache, whatever the
 // keys hash to.
 func TestCacheExactCapacity(t *testing.T) {
 	c := NewCache(3)
-	compute := func() (*graphrel.Relation, error) { return dummyRel(), nil }
+	compute := func() (*Reduced, error) { return dummyRel(), nil }
 	for _, k := range []string{"a", "b", "c"} {
 		if _, err := c.GetOrCompute(k, compute); err != nil {
 			t.Fatal(err)
@@ -46,7 +44,7 @@ func TestCacheGetOrComputeHitMiss(t *testing.T) {
 	c := NewCache(64)
 	r := dummyRel()
 	calls := 0
-	compute := func() (*graphrel.Relation, error) { calls++; return r, nil }
+	compute := func() (*Reduced, error) { calls++; return r, nil }
 
 	got, err := c.GetOrCompute("k", compute)
 	if err != nil || got != r {
@@ -68,14 +66,14 @@ func TestCacheErrorsNotCached(t *testing.T) {
 	c := NewCache(64)
 	boom := errors.New("boom")
 	calls := 0
-	if _, err := c.GetOrCompute("k", func() (*graphrel.Relation, error) {
+	if _, err := c.GetOrCompute("k", func() (*Reduced, error) {
 		calls++
 		return nil, boom
 	}); !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
 	r := dummyRel()
-	got, err := c.GetOrCompute("k", func() (*graphrel.Relation, error) { calls++; return r, nil })
+	got, err := c.GetOrCompute("k", func() (*Reduced, error) { calls++; return r, nil })
 	if err != nil || got != r {
 		t.Fatalf("retry = %v, %v", got, err)
 	}
@@ -96,13 +94,13 @@ func TestCacheSingleflight(t *testing.T) {
 	var start, done sync.WaitGroup
 	start.Add(workers)
 	done.Add(workers)
-	results := make([]*graphrel.Relation, workers)
+	results := make([]*Reduced, workers)
 	for i := 0; i < workers; i++ {
 		go func(i int) {
 			defer done.Done()
 			start.Done()
 			start.Wait() // all workers release together
-			rel, err := c.GetOrCompute("shared", func() (*graphrel.Relation, error) {
+			rel, err := c.GetOrCompute("shared", func() (*Reduced, error) {
 				computes.Add(1)
 				time.Sleep(50 * time.Millisecond) // hold the flight open
 				return r, nil
@@ -142,7 +140,7 @@ func TestCacheConcurrentHammer(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				key := fmt.Sprintf("k%d", (w+i)%48)
-				rel, err := c.GetOrCompute(key, func() (*graphrel.Relation, error) {
+				rel, err := c.GetOrCompute(key, func() (*Reduced, error) {
 					return dummyRel(), nil
 				})
 				if err != nil || rel == nil {

@@ -1,27 +1,25 @@
 package etable
 
-import (
-	"repro/internal/expr"
-	"repro/internal/graphrel"
-)
+import "repro/internal/expr"
 
 // Derivation: the operators of §5.3 are pattern deltas — Select
 // conjoins a condition, Add joins one node — so a pattern's match is
 // its ancestor's match narrowed and extended by the delta. When the
-// ancestor's match is resident in the cache, a miss starts from it
-// (one join unit covering the ancestor's keys, filtered by the
-// conjuncts it lacks) instead of re-selecting and re-joining every
-// base: the reuse of intermediate results §9 lists as future work (2).
+// ancestor's reduced sets are resident in the cache, a miss starts
+// each ancestor node from its reduced set, filtered by the conjuncts
+// it lacks, instead of re-selecting its base: the reuse of
+// intermediate results §9 lists as future work (2). Every tuple of the
+// pattern's match restricted to the ancestor's keys is a tuple of the
+// ancestor's match, so those sets hold every node the reduction keeps.
 
 // maxDeriveLinks bounds the walk up a pattern's derivation links.
 const maxDeriveLinks = 8
 
 // derived is a resident ancestor a pattern can be matched from: its
-// match, and per ancestor key the conjuncts the pattern adds to that
-// node's condition (nil when the condition is unchanged).
+// reduced match, and per ancestor key the conjuncts the pattern adds
+// to that node's condition (nil when the condition is unchanged).
 type derived struct {
-	keys     []string
-	rel      *graphrel.Relation
+	red      *Reduced
 	residual map[string]expr.Expr
 }
 
@@ -44,7 +42,7 @@ func deriveFrom(p *Pattern, cache *Cache) *derived {
 		if s == sig {
 			continue
 		}
-		rel, ok := cache.Get(matchPrefix + s)
+		red, ok := cache.Get(matchPrefix + s)
 		if !ok {
 			continue
 		}
@@ -52,11 +50,7 @@ func deriveFrom(p *Pattern, cache *Cache) *derived {
 		if !ok {
 			return nil
 		}
-		keys := make([]string, len(a.Nodes))
-		for j := range a.Nodes {
-			keys[j] = a.Nodes[j].Key
-		}
-		return &derived{keys: keys, rel: rel, residual: residual}
+		return &derived{red: red, residual: residual}
 	}
 	return nil
 }

@@ -54,7 +54,7 @@ func TestDerivedMatchesOracles(t *testing.T) {
 					defer wg.Done()
 					rng := rand.New(rand.NewSource(seed))
 					for s := 0; s < sequences; s++ {
-						for _, p := range randomSequence(rng, tr, steps) {
+						for _, p := range randomSequence(rng, tr, steps, 4) {
 							// Skipping states leaves the nearest
 							// resident ancestor several links up.
 							if rng.Intn(3) == 0 {
@@ -79,9 +79,78 @@ func TestDerivedMatchesOracles(t *testing.T) {
 	}
 }
 
+// TestReducedMatchesOracles is the engine's differential test: random
+// tree patterns of up to five nodes (depth ≤ 4), built by Select,
+// SelectNode, Add, AddBetween and Shift with conditions on random nodes
+// and the primary anywhere, run by two goroutines through one shared
+// Executor at cache sizes 1, 2 and 1024, so derivation from resident
+// reduced sets fires. Every table must equal, cell for cell, the one
+// the fold oracle renders over MatchNaive and the SQL backend's, and
+// the cached |m(Q)| must equal MatchNaive's tuple count; an empty
+// selection joined in empties the table. The scratch arrays behind it
+// are span-sized (ScratchIsSpanSized). Run under -race by
+// scripts/check.sh.
+func TestReducedMatchesOracles(t *testing.T) {
+	t.Run("scratch_is_span_sized", etable.ScratchIsSpanSized)
+	db, err := dataset.Generate(dataset.Config{Papers: 90, Authors: 45, Institutions: 12, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := translate.Translate(db, translate.Options{
+		CategoricalAttrs: []string{"Papers.year", "Institutions.country"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := storage.FromGraph(tr.Instance)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stMu sync.Mutex
+	sequences, steps := 4, 12
+	if testing.Short() {
+		sequences = 1
+	}
+	empty, err := etable.Initiate(tr.Schema, "Authors")
+	if err == nil {
+		empty, err = etable.Add(tr.Schema, empty, "Paper_Authors_rev")
+	}
+	if err == nil {
+		empty, err = etable.SelectNode(empty, "Papers", "year > 3000")
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, size := range []int{1, 2, 1024} {
+		t.Run(fmt.Sprintf("cache%d", size), func(t *testing.T) {
+			ex := etable.NewSharedExecutor(tr.Instance, etable.NewCache(size))
+			if err := checkState(ex, tr, st, &stMu, empty); err != nil {
+				t.Fatalf("empty: %v", err)
+			}
+			var wg sync.WaitGroup
+			for w := 0; w < 2; w++ {
+				wg.Add(1)
+				go func(seed int64) {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(seed))
+					for s := 0; s < sequences; s++ {
+						for _, p := range randomSequence(rng, tr, steps, 5) {
+							if err := checkState(ex, tr, st, &stMu, p); err != nil {
+								t.Errorf("cache %d, seed %d: %s: %v", size, seed, p, err)
+								return
+							}
+						}
+					}
+				}(int64(7*size + w))
+			}
+			wg.Wait()
+		})
+	}
+}
+
 // randomSequence applies steps random operators from a random Open and
 // returns every state, in order, each cloned from the one before.
-func randomSequence(rng *rand.Rand, tr *translate.Result, steps int) []*etable.Pattern {
+func randomSequence(rng *rand.Rand, tr *translate.Result, steps, maxNodes int) []*etable.Pattern {
 	schema := tr.Schema
 	conds := map[string][]string{
 		"Papers":       {"year > 2005", "year <= 2010", "page_start < 500"},
@@ -109,11 +178,11 @@ func randomSequence(rng *rand.Rand, tr *translate.Result, steps int) []*etable.P
 				np, err = etable.SelectNode(p, key, pool[rng.Intn(len(pool))])
 			}
 		case 2:
-			if outs := schema.OutEdges(p.PrimaryNode().Type); len(outs) > 0 && len(p.Nodes) < 4 {
+			if outs := schema.OutEdges(p.PrimaryNode().Type); len(outs) > 0 && len(p.Nodes) < maxNodes {
 				np, err = etable.Add(schema, p, outs[rng.Intn(len(outs))].Name)
 			}
 		case 3:
-			if outs := schema.OutEdges(typ); len(outs) > 0 && len(p.Nodes) < 4 {
+			if outs := schema.OutEdges(typ); len(outs) > 0 && len(p.Nodes) < maxNodes {
 				np, _, err = etable.AddBetween(schema, p, key, outs[rng.Intn(len(outs))].Name)
 			}
 		case 4:
@@ -129,7 +198,9 @@ func randomSequence(rng *rand.Rand, tr *translate.Result, steps int) []*etable.P
 }
 
 // checkState renders p through the shared executor and compares it
-// with the table over MatchNaive and with the SQL backend's.
+// with the table the fold oracle renders over MatchNaive and with the
+// SQL backend's, and the cached |m(Q)|, when resident, with
+// MatchNaive's tuple count.
 func checkState(ex *etable.Executor, tr *translate.Result, st *storage.Store, stMu *sync.Mutex, p *etable.Pattern) error {
 	pr, err := ex.PrepareWithOpts(p, etable.ExecOptions{})
 	if err != nil {
@@ -143,16 +214,15 @@ func checkState(ex *etable.Executor, tr *translate.Result, st *storage.Store, st
 	if err != nil {
 		return err
 	}
-	npr, err := etable.Prepare(tr.Instance, p, naive)
-	if err != nil {
-		return err
-	}
-	want, err := npr.Window(0, -1)
+	want, err := etable.FoldTable(tr.Instance, p, naive)
 	if err != nil {
 		return err
 	}
 	if g, w := fmt.Sprintf("%+v|%+v", got.Columns, got.Rows), fmt.Sprintf("%+v|%+v", want.Columns, want.Rows); g != w {
-		return fmt.Errorf("table differs from the one over MatchNaive (%d vs %d rows)", got.NumRows(), want.NumRows())
+		return fmt.Errorf("table differs from the one folded over MatchNaive (%d vs %d rows)", got.NumRows(), want.NumRows())
+	}
+	if n, ok := etable.CachedRows(ex.Cache(), p); ok && n != naive.Len() {
+		return fmt.Errorf("|m(Q)| = %d, MatchNaive has %d tuples", n, naive.Len())
 	}
 	stMu.Lock()
 	sql, err := st.ExecutePattern(p, storage.Monolithic)

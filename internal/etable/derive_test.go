@@ -6,6 +6,8 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/expr"
+	"repro/internal/graphrel"
+	"repro/internal/tgm"
 	"repro/internal/translate"
 )
 
@@ -13,6 +15,25 @@ import (
 // ancestor in c rather than from the bases (for the external oracle
 // test in derive_oracle_test.go).
 func Derives(p *Pattern, c *Cache) bool { return deriveFrom(p, c) != nil }
+
+// CachedRows returns the |m(Q)| of p's match resident in c.
+func CachedRows(c *Cache, p *Pattern) (int, bool) {
+	red, ok := c.Get(matchPrefix + Signature(p))
+	if !ok {
+		return 0, false
+	}
+	return red.Rows(), true
+}
+
+// FoldTable renders p's table from a matched relation with the fold
+// oracle (foldOracle), sharing no kernel with the engine's prepare.
+func FoldTable(g *tgm.InstanceGraph, p *Pattern, matched *graphrel.Relation) (*Result, error) {
+	pr, err := foldOracle(g, p, matched)
+	if err != nil {
+		return nil, err
+	}
+	return pr.Window(0, -1)
+}
 
 func TestExtraConjuncts(t *testing.T) {
 	parse := func(src string) expr.Expr {
@@ -233,10 +254,11 @@ func TestJoinlessSelectAfterOpenUnderSpill(t *testing.T) {
 
 // BenchmarkDerivedMatch times one match miss of a three-node pivot —
 // Papers{page_start} → Authors{name} → Institutions, cold_explore's
-// shape — drained into its presentation, two ways over the same warm
-// cache (every base resident): from_bases selects nothing but joins
-// all three bases; derived extends the resident two-node match by the
-// Institutions join alone.
+// shape — prepared into its presentation, two ways over the same warm
+// cache (every base resident): from_bases reduces all three selected
+// bases; derived starts Papers and Authors from the resident two-node
+// match's reduced sets. pivot_hit is the Shift after it: a hit that
+// prepares the cached sets under another primary.
 func BenchmarkDerivedMatch(b *testing.B) {
 	db, err := dataset.Generate(dataset.Config{Papers: 6000, Seed: 7})
 	if err != nil {
@@ -248,6 +270,10 @@ func BenchmarkDerivedMatch(b *testing.B) {
 	}
 	anc := buildPattern(b, tr, "Papers", opSelect("page_start >= 300"), opAdd(tr, "Paper_Authors"), opSelect("name like '%a%'"))
 	p, err := Add(tr.Schema, anc, "Authors→Institutions")
+	if err != nil {
+		b.Fatal(err)
+	}
+	shifted, err := Shift(p, "Papers")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -269,14 +295,30 @@ func BenchmarkDerivedMatch(b *testing.B) {
 			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				_, src, err := matchPipeline(tr.Instance, arm.p, ExecOptions{}, ex.Cache())
+				t, err := treeOf(tr.Instance, arm.p)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, _, err := prepareFromSource(tr.Instance, arm.p, src, ExecOptions{}); err != nil {
+				red, err := matchPipeline(tr.Instance, arm.p, t, ExecOptions{}, ex.Cache())
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := prepareReduced(tr.Instance, arm.p, t, red, ExecOptions{}); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 	}
+	b.Run("pivot_hit", func(b *testing.B) {
+		misses := ex.Misses()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := ex.PrepareWithOpts(shifted, ExecOptions{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if ex.Misses() != misses {
+			b.Fatal("the Shift missed the cache")
+		}
+	})
 }

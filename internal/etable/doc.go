@@ -7,69 +7,46 @@
 //
 // # Execution
 //
-// The matching core m(Q) has one engine (stream.go, matchPipeline): one
-// join loop composed as pull-based morsel iterators (graphrel.RowSource)
-// over the pattern's join units, each join stage probing one batch at a
-// time against a unit as its build side. A unit is a node's selected
-// base relation or, on a cache miss whose ancestor's match is resident,
-// that match narrowed by the conjuncts the ancestor lacks and covering
-// all its keys (derive.go): the operators of §5.3 are pattern deltas,
-// so a miss derived through Select and Add joins only what its resident
-// ancestor's match lacks. The pattern's derivation links (set by
-// Pattern.Clone) are a hint; an ancestor is used only after a
-// structural sub-pattern check. No intermediate ever exists in full;
-// memory is proportional to the in-flight batches. The stream is
-// always drained whole, into one of two sinks:
+// The matching core has one engine (stream.go, matchPipeline), and it
+// does not build m(Q). Patterns are trees, and the format
+// transformation reads one thing per participating column: the nodes
+// related to each row. So a miss computes reduced node sets — each
+// node's starting set (its selected base or, when an ancestor's match
+// is resident, the ancestor's reduced set narrowed by the conjuncts it
+// lacks: derive.go) reduced by a bottom-up and a top-down semi-join
+// pass over the tree (graphrel.Reduce, Yannakakis 1981) — plus the
+// exact |m(Q)| from a saturating product-sum. After a full reduction
+// every member of a set extends to a full match, so a prepare groups
+// each column's adjacency along its tree path inside the sets
+// (graphrel.GroupPath). The derivation links set by Pattern.Clone are a
+// hint; an ancestor is used only after a structural sub-pattern check.
 //
-//   - MatchOpts splices it into one arena-backed relation;
-//   - Executor.PrepareWithOpts — the server's one path — drains it
-//     under MaxRows and runs the one Prepare kernel over the spliced
-//     relation, which is the value the cache holds (prepareFromSource =
-//     drain + PrepareOpts); with a spill policy, a drain that crosses
-//     MaxRows replays the batches it retained through the external
-//     folds, drops them, and keeps folding batch by batch — the folds,
-//     and only the folds, write to disk runs. A full render is the
-//     prepared presentation's WindowOpts(0, -1).
-//
-// Stages consume contiguous input runs in order, so the drained
-// relation is the same, row for row, for every batch size and budget —
-// which is what lets one cached relation serve every requester.
+// m(Q) is enumerated only where tuples are the product: MatchOpts, and
+// a prepare past MaxRows under a spill policy, whose external folds
+// read tuples. Both run the StreamJoin chain over the reduced sets from
+// the primary (enumerate); without a policy a prepare past MaxRows
+// fails before any enumeration, with the exact count. A pattern
+// without edges never derives: its selected base is its match.
 // ExecOptions.Parallelism reaches only the base selections
-// (graphrel.Select, the one kernel that fans out). A pattern without
-// edges runs nothing and never derives: its selected base relation is
-// the match, served zero-copy, and its prepared rows are that base's
-// column itself (ascending and distinct by construction). A pattern
-// with edges always streams — also when a derived ancestor covers every
-// node — so MaxRows and the spill tier treat derived and from-bases
-// matches alike. MaxRows caps the drained result, never an
-// intermediate.
+// (graphrel.Select, the one kernel that fans out).
 //
 // The engine's reference is the test-only oracle MatchNaive
 // (match_oracle_test.go): conditions compiled on the spot, declaration
-// join order, the algebra's materializing Join at every step.
+// join order, the algebra's materializing Join at every step, and a
+// map-based fold (foldOracle).
 //
 // # Planning
 //
-// The engine plans from what it has measured. A Plan holds only what
-// exists before any input relation does — per node, the condition its
-// input still has to apply (the whole condition over a base, the added
-// conjuncts over a derived ancestor's match), compiled to column
-// kernels (expr.Compile → *expr.Pred), which graphrel.Select runs over
-// the node type's pinned attribute columns — and matchPipeline builds
-// it (buildPlan) on the match-cache miss that needs it. Plans are not cached: a repeated query hits its
-// cached match, and a refined one its siblings' cached bases, before
-// any predicate would be compiled (PERFORMANCE.md §18, §19, §21).
-//
-// The join order is chosen inside matchPipeline, after every unit is
-// in hand, from the units' exact sizes (orderJoins): start at the
-// smallest unit — a derived ancestor's match is not always it: a
-// selective new node's base usually is — then extend greedily by
-// |current| × tgm.AvgOutDegree(edge) × |unit(new)| / |type(new)|. No
-// statistic is estimated for it — the package does not import
-// internal/stats — and the worker budget passes through as the caller
-// gave it: a Select over one morsel runs serially whatever the budget,
-// so a small query pays no fan-out without a plan-level gate
-// (PERFORMANCE.md §16, §17).
+// A Plan holds per node the condition its starting set still has to
+// apply (the whole condition over a base, the added conjuncts over a
+// derived ancestor's set), compiled to column kernels (expr.Compile →
+// *expr.Pred) that graphrel.Select runs over the node type's pinned
+// attribute columns. matchPipeline builds it (buildPlan) on the miss
+// that needs it; plans are not cached (PERFORMANCE.md §18, §19, §21).
+// There is no join order and no cost model: the reduction visits the
+// tree the same way whatever the sets' sizes, each semi-join walking
+// from its side with fewer nodes. The package does not import
+// internal/stats.
 //
 // # Windowed presentation
 //
@@ -88,29 +65,26 @@
 // SortedView returns a copy owning a fresh row-ID slice, and a view of
 // a view stacks sorts — so any number of cursors may read one
 // concurrently.
-// There is one Prepare kernel, PrepareOpts: the rows are
-// graphrel.DistinctSorted (a transient bitset read back in order; a
-// joinless match's base column as it is), each
-// participating column a graphrel.GroupNeighbors grouping in CSR form —
-// the sorted row IDs as keys, shared by every column, plus offsets and
-// one values array — so a presentation retains O(rows + deduplicated
-// pairs), nothing sized by a node type, and cursors read a group by
-// binary search on the row IDs (a sort of the prepared order reads
-// group i as row i). A spilled prepare holds
-// graphrel.SpilledGroups instead; groupSource has those two
-// implementations. The matched relation is an input of Prepare, not a
-// possession of the Presentation: nothing reads it afterwards, so the
-// cache holds relations under plain LRU and a presentation stays valid
-// after its relation is evicted.
+// There is one heap prepare, prepareSets: the rows are the primary's
+// reduced set read ascending (the type's node list itself when the set
+// holds every node), and each participating column a graphrel.Groups
+// in CSR form — the row IDs as keys, shared by every column, plus
+// offsets and one values array — so a presentation retains O(rows +
+// deduplicated pairs), nothing sized by a node type. PrepareOpts
+// prepares a matched relation through it, from the relation's
+// projections. A spilled prepare holds graphrel.SpilledGroups instead;
+// groupSource has those two implementations. Nothing reads the reduced
+// match after the prepare, so a presentation stays valid after the
+// cache evicts it.
 //
 // Caching. Cache is one lru.Cache of exactly its capacity, shared by
-// every executor over a graph: bases and matches are keyed by signature,
-// the least recently used relation of the whole cache is evicted first,
-// and concurrent misses on one key share one computation (its waiters
-// count as hits; an error or a panic caches nothing). A resident match
-// also serves as an ancestor: the derivation walk finds it with a
-// lookup that loads and counts nothing, so a derived miss makes no base
-// lookups for the ancestor's nodes.
+// every executor over a graph, holding node sets (Reduced) for base
+// and match keys alike: a few words per node instead of a tuple per
+// match. The least recently used entry of the whole cache is evicted
+// first, and concurrent misses on one key share one computation (its
+// waiters count as hits; an error or a panic caches nothing). A
+// resident match also serves as an ancestor: the derivation walk finds
+// it with a lookup that loads and counts nothing.
 //
 // Sort contract (sort.go). A sort is extract-then-sort: one pass over
 // the current row order fills an []int64 key vector, and the keys —
@@ -145,7 +119,7 @@
 // window calls Ensure, so preparing over an out-of-core graph faults no
 // adjacency in. A failed deferred load is returned from
 // SortedView/Window as the loader's typed error — and from the
-// match itself when a join's edge type is the one that fails
-// (graphrel.StreamJoin loads its handle at construction), so an
-// unreadable section never reads as an empty, cacheable table.
+// match itself when a pattern edge's type is the one that fails
+// (treeOf loads both directions of every edge), so an unreadable
+// section never reads as an empty, cacheable table.
 package etable

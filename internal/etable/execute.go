@@ -36,19 +36,18 @@ type ExecOptions struct {
 	// cold_explore and study_mix are the workloads whose cache-miss
 	// matches spend it; BenchmarkParallelScaling sweeps it.
 	Parallelism int
-	// MaxRows caps the rows the match's drain may materialize; 0 is
-	// unbounded. The cap applies to the result — intermediates never
-	// exist in full — and is enforced batch by batch, terminating
-	// upstream production with *graphrel.RowLimitError instead of
-	// allocating without limit (the server's -max-rows guard). A
-	// joinless match materializes nothing and is never capped. Errors
-	// are never cached. outofcore_mix runs at -max-rows 5000.
+	// MaxRows caps |m(Q)|, the rows a match may have; 0 is unbounded.
+	// The cap applies to the result, whose exact size the reduction
+	// counts before anything is enumerated: past it a match or a
+	// prepare fails with *graphrel.RowLimitError carrying that size (the
+	// server's -max-rows guard). A joinless match is never capped.
+	// Errors are never cached. outofcore_mix runs at -max-rows 5000.
 	MaxRows int
 	// Spill turns MaxRows from a failure into a trigger for the
-	// browsable prepare path: a prepare whose drain crosses MaxRows
-	// demotes its breaker folds to temp-file runs (internal/spill) and
-	// keeps going. The policy's MaxBytes stays a hard cap — exceeding it
-	// fails with the same *graphrel.RowLimitError. nil disables spilling.
+	// browsable prepare path: a prepare past MaxRows enumerates its
+	// match into external folds over temp-file runs (internal/spill).
+	// The policy's MaxBytes stays a hard cap — exceeding it fails with
+	// the same *graphrel.RowLimitError. nil disables spilling.
 	// outofcore_mix runs with it (-spill-dir); BenchmarkSpilledFirstPage
 	// measures it.
 	Spill *graphrel.SpillPolicy
@@ -67,51 +66,64 @@ func Execute(g *tgm.InstanceGraph, p *Pattern) (*Result, error) {
 	return ExecuteOpts(g, p, ExecOptions{})
 }
 
-// ExecuteOpts is Execute with a cancellation context and a parallelism
-// budget. Parallel and serial execution return identical results (the
-// morsel kernels are splice-order deterministic); options only affect
-// latency and cancellation.
-//
-// The format transformation is a full-table render through the
-// windowed presentation pipeline (see transform.go): PrepareOpts
-// computes the row set and groupings, WindowOpts(0, -1) materializes
-// every row. The enriched table is canonical: rows ascend by primary
-// node ID and the entity references of participating cells ascend by
-// node ID, so the output does not depend on the join order.
+// ExecuteOpts is Execute under execution options, which affect only
+// latency, cancellation and the row cap: the prepare of the reduced
+// match rendered in full (WindowOpts(0, -1)). The enriched table is
+// canonical: rows and the references of participating cells ascend by
+// node ID.
 func ExecuteOpts(g *tgm.InstanceGraph, p *Pattern, opt ExecOptions) (*Result, error) {
 	if err := p.Validate(g.Schema()); err != nil {
 		return nil, err
 	}
-	matched, err := MatchOpts(g, p, opt)
+	t, err := treeOf(g, p)
 	if err != nil {
 		return nil, err
 	}
-	pr, err := PrepareOpts(g, p, matched, opt)
+	red, err := matchPipeline(g, p, t, opt, nil)
 	if err != nil {
 		return nil, err
 	}
+	pr, err := prepareReduced(g, p, t, red, opt)
+	if err != nil {
+		return nil, err
+	}
+	defer pr.Close()
 	return pr.WindowOpts(0, -1, opt)
 }
 
-// Match implements the instance matching function m(Q): it joins the
-// per-node base graph relations (with their selection conditions pushed
-// down) along the pattern's tree edges, in the order orderJoins chose —
-// the same tuple set as any other order, with smaller intermediates.
-// The resulting graph relation has one attribute per pattern node,
-// named by the node's key. It is MatchOpts with zero options.
+// Match implements the instance matching function m(Q): the tuples of
+// the per-node base graph relations (with their selection conditions
+// pushed down) joined along the pattern's tree edges. The resulting
+// graph relation has one attribute per pattern node, named by the
+// node's key. It is MatchOpts with zero options.
 func Match(g *tgm.InstanceGraph, p *Pattern) (*graphrel.Relation, error) {
 	return MatchOpts(g, p, ExecOptions{})
 }
 
-// MatchOpts is Match under execution options: the engine's stream (see
-// stream.go) drained into one relation, under the options' budget,
-// cancellation and row cap.
+// MatchOpts is Match under execution options: the reduced match (see
+// stream.go), enumerated into one relation from the primary in tree
+// order, under the options' budget and cancellation. Past MaxRows it
+// fails before enumerating, with the exact count.
 func MatchOpts(g *tgm.InstanceGraph, p *Pattern, opt ExecOptions) (*graphrel.Relation, error) {
-	rel, src, err := matchPipeline(g, p, opt, nil)
-	if err != nil || src == nil {
-		return rel, err
+	t, err := treeOf(g, p)
+	if err != nil {
+		return nil, err
 	}
-	return graphrel.MaterializeMax(src, opt.MaxRows)
+	red, err := matchPipeline(g, p, t, opt, nil)
+	if err != nil {
+		return nil, err
+	}
+	if len(p.Nodes) == 1 {
+		return graphrel.SetRelation(g, t.nodes[0].Type, t.keys[0], red.sets[0])
+	}
+	if opt.MaxRows > 0 && red.rows > opt.MaxRows {
+		return nil, graphrel.LimitExceeded(opt.MaxRows, red.rows)
+	}
+	src, err := enumerate(g, t, red, opt)
+	if err != nil {
+		return nil, err
+	}
+	return graphrel.MaterializeMax(src, 0)
 }
 
 // errDisconnected reports a pattern whose edges do not connect all nodes

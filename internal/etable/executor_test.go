@@ -1,10 +1,7 @@
 package etable
 
 import (
-	"reflect"
 	"testing"
-
-	"repro/internal/graphrel"
 )
 
 // executeCached is the caching executor's full render — the prepared
@@ -134,8 +131,8 @@ func TestExecutorBaseReuseAcrossPatterns(t *testing.T) {
 }
 
 // TestJoinlessMatchCachedOnce: a joinless pattern's selected base is
-// its match, so a prepare on a fresh executor caches that one relation
-// once — under its match key — and the resident bytes count it once.
+// its match, so a prepare on a fresh executor caches that one set once
+// — under its match key — and the resident bytes count it once.
 func TestJoinlessMatchCachedOnce(t *testing.T) {
 	res := fixture(t)
 	ex := NewExecutor(res.Instance)
@@ -154,9 +151,9 @@ func TestJoinlessMatchCachedOnce(t *testing.T) {
 }
 
 // TestExecutorDerivesFromAncestor: a miss whose ancestor's match is
-// resident extends that match — narrowed by the added condition —
-// instead of selecting the ancestor's nodes from their bases, and
-// matches the same tuples as a match from the bases.
+// resident starts the ancestor's nodes from its reduced sets — narrowed
+// by the added condition — instead of selecting them from their bases,
+// and reduces to the oracle's projections and count.
 func TestExecutorDerivesFromAncestor(t *testing.T) {
 	res := fixture(t)
 	ex := NewExecutor(res.Instance)
@@ -186,13 +183,11 @@ func TestExecutorDerivesFromAncestor(t *testing.T) {
 	if !ok {
 		t.Fatal("derived match not cached")
 	}
-	fromBases, err := Match(res.Instance, d)
+	naive, err := MatchNaive(res.Instance, d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(canonMatch(rel), canonMatch(fromBases)) {
-		t.Fatalf("derived tuples differ from the from-bases match (%d vs %d rows)", rel.Len(), fromBases.Len())
-	}
+	assertReducedMatches(t, "derived", rel, naive)
 	_, want := oracleTable(t, res.Instance, d)
 	assertSameResults(t, "derived", got, want)
 }
@@ -257,11 +252,10 @@ func TestExecutorCacheBounded(t *testing.T) {
 	}
 }
 
-// TestPresentationOutlivesRelation: the matched relation is an input
-// of Prepare, not a possession of its product. In a small cache,
-// unrelated traffic evicts the prepared pattern's relation, and
-// both prepare forms — folded off the stream by the compute leader,
-// prepared from the cached relation on a hit — still render the
+// TestPresentationOutlivesRelation: the reduced match is an input of
+// the prepare, not a possession of its product. In a small cache,
+// unrelated traffic evicts the prepared pattern's sets, and both
+// prepares — the compute leader's and a hit's — still render the
 // oracle's table, sorted views included.
 func TestPresentationOutlivesRelation(t *testing.T) {
 	tr := planFixture(t)
@@ -284,7 +278,7 @@ func TestPresentationOutlivesRelation(t *testing.T) {
 
 	key := matchPrefix + Signature(p)
 	for i := 0; i < 16; i++ {
-		if _, err := cache.GetOrCompute("filler-"+itoa(i), func() (*graphrel.Relation, error) { return dummyRel(), nil }); err != nil {
+		if _, err := cache.GetOrCompute("filler-"+itoa(i), func() (*Reduced, error) { return dummyRel(), nil }); err != nil {
 			t.Fatal(err)
 		}
 	}

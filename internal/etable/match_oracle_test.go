@@ -3,6 +3,7 @@ package etable
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/expr"
@@ -10,16 +11,16 @@ import (
 	"repro/internal/tgm"
 )
 
-// MatchNaive is the match oracle: m(Q) with no planner and no streamed
-// pipeline. Every node's condition is compiled on the
-// spot and applied with the serial Select, and the pattern's edges are
-// joined in declaration order, starting at the primary node, with the
-// algebra's reference Join — each step a fully materialized
-// intermediate. It shares no code with
-// matchPipeline beyond graphrel's per-range phases, so the engine
-// (whatever plan, batch size, budget, or sink it ran under) is tested
-// against it as a canonical tuple set (canonMatch), and
-// BenchmarkAblation_JoinPlanner measures what the planner buys over it.
+// MatchNaive is the match oracle: m(Q) with no reduction and no
+// streamed pipeline. Every node's condition is compiled on the spot and
+// applied with the serial Select, and the pattern's edges are joined in
+// declaration order, starting at the primary node, with the algebra's
+// reference Join — each step a fully materialized intermediate. It
+// shares no code with matchPipeline beyond graphrel's per-range phases,
+// so the engine (whatever batch size, budget, or sink it ran under) is
+// tested against it as a canonical tuple set (canonMatch), and
+// BenchmarkAblation_JoinPlanner measures what the reduction buys over
+// it.
 func MatchNaive(g *tgm.InstanceGraph, p *Pattern) (*graphrel.Relation, error) {
 	if p.PrimaryNode() == nil {
 		return nil, fmt.Errorf("etable: pattern has no primary node")
@@ -55,10 +56,17 @@ func MatchNaive(g *tgm.InstanceGraph, p *Pattern) (*graphrel.Relation, error) {
 	return cur, nil
 }
 
-// declaredSteps reproduces the pre-planner join order: start at the
-// primary node and take pattern edges in declaration order as they
-// become connected.
-func declaredSteps(schema *tgm.SchemaGraph, p *Pattern) (startKey string, steps []JoinStep, err error) {
+// joinStep is one join of the oracle: extend the joined relation from
+// AnchorKey (already joined) to NewKey along EdgeName, which is
+// oriented anchor → new.
+type joinStep struct {
+	AnchorKey, NewKey, EdgeName string
+}
+
+// declaredSteps is the oracle's join order: start at the primary node
+// and take pattern edges in declaration order as they become
+// connected.
+func declaredSteps(schema *tgm.SchemaGraph, p *Pattern) (startKey string, steps []joinStep, err error) {
 	prim := p.PrimaryNode()
 	joined := map[string]bool{prim.Key: true}
 	remaining := len(p.Nodes) - 1
@@ -69,7 +77,7 @@ func declaredSteps(schema *tgm.SchemaGraph, p *Pattern) (startKey string, steps 
 			if !ok {
 				continue
 			}
-			steps = append(steps, JoinStep{AnchorKey: anchorKey, NewKey: newKey, EdgeName: edgeName})
+			steps = append(steps, joinStep{AnchorKey: anchorKey, NewKey: newKey, EdgeName: edgeName})
 			joined[newKey] = true
 			remaining--
 			progressed = true
@@ -81,50 +89,28 @@ func declaredSteps(schema *tgm.SchemaGraph, p *Pattern) (startKey string, steps 
 	return prim.Key, steps, nil
 }
 
-// selectedBases selects every pattern node's base through its plan's
-// compiled predicate, as the engine does before it orders the joins.
-func selectedBases(t testing.TB, g *tgm.InstanceGraph, p *Pattern) map[string]*graphrel.Relation {
+// planIntermediates materializes the oracle's declared join steps one
+// by one with the reference operators and returns each step's output
+// cardinality — the intermediates of a join-then-fold engine, which the
+// reduction never builds.
+func planIntermediates(t testing.TB, g *tgm.InstanceGraph, p *Pattern) []int {
 	t.Helper()
-	pl, err := buildPlan(g, p, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	bases := make(map[string]*graphrel.Relation, len(p.Nodes))
 	for i := range p.Nodes {
 		n := &p.Nodes[i]
-		r, err := graphrel.BaseNamed(g, n.Type, n.Key)
+		r, err := MatchNaive(g, &Pattern{Nodes: []PatternNode{*n}, Primary: n.Key})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if bases[n.Key], err = graphrel.Select(nil, nil, 1, r, n.Key, pl.preds[n.Key]); err != nil {
-			t.Fatal(err)
-		}
+		bases[n.Key] = r
 	}
-	return bases
-}
-
-// baseUnits makes every node its own join unit, its selected base, in
-// pattern order: the engine's units for a match from the bases.
-func baseUnits(p *Pattern, bases map[string]*graphrel.Relation) []unit {
-	units := make([]unit, len(p.Nodes))
-	for i, n := range p.Nodes {
-		units[i] = unit{keys: []string{n.Key}, rel: bases[n.Key]}
-	}
-	return units
-}
-
-// planIntermediates materializes the engine's join steps one by one
-// with the reference operators and returns each step's output
-// cardinality — the intermediates the engine never holds in full.
-func planIntermediates(t testing.TB, g *tgm.InstanceGraph, p *Pattern) []int {
-	t.Helper()
-	start, steps, err := orderJoins(g, p, baseUnits(p, selectedBases(t, g, p)))
+	start, steps, err := declaredSteps(g.Schema(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cur, rows := start.rel, make([]int, 0, len(steps))
+	cur, rows := bases[start], make([]int, 0, len(steps))
 	for _, st := range steps {
-		if cur, err = graphrel.Join(cur, st.right, st.EdgeName, st.AnchorKey, st.NewKey); err != nil {
+		if cur, err = graphrel.Join(cur, bases[st.NewKey], st.EdgeName, st.AnchorKey, st.NewKey); err != nil {
 			t.Fatal(err)
 		}
 		rows = append(rows, cur.Len())
@@ -151,17 +137,38 @@ func assertMatchesOracle(t testing.TB, label string, got *graphrel.Relation, wan
 	}
 }
 
+// assertReducedMatches asserts a cached reduced match holds exactly
+// what the oracle's m(Q) projects: |m(Q)| rows, and per attribute the
+// distinct nodes of its column.
+func assertReducedMatches(t testing.TB, label string, red *Reduced, want *graphrel.Relation) {
+	t.Helper()
+	if red.Rows() != want.Len() {
+		t.Fatalf("%s: |m(Q)| = %d, oracle %d", label, red.Rows(), want.Len())
+	}
+	for _, a := range want.Attrs {
+		set, ok := red.Set(a.Name)
+		if !ok {
+			t.Fatalf("%s: no set for %q", label, a.Name)
+		}
+		proj := slices.Clone(want.ColumnNamed(a.Name))
+		slices.Sort(proj)
+		if got, wantIDs := set.IDs(), slices.Compact(proj); !slices.Equal(got, wantIDs) {
+			t.Fatalf("%s: set %q = %d nodes, oracle projects %d", label, a.Name, len(got), len(wantIDs))
+		}
+	}
+}
+
 // oracleTable is the oracle's enriched table for p: the presentation
-// prepared over MatchNaive's relation, rendered in full. The enriched
-// table is canonical (rows and references ascend by node ID), so the
-// engine's renders must equal it cell for cell.
+// folded from MatchNaive's relation by foldOracle, rendered in full.
+// The enriched table is canonical (rows and references ascend by node
+// ID), so the engine's renders must equal it cell for cell.
 func oracleTable(t testing.TB, g *tgm.InstanceGraph, p *Pattern) (*Presentation, *Result) {
 	t.Helper()
 	ref, err := MatchNaive(g, p)
 	if err != nil {
 		t.Fatalf("oracle (%s): %v", p, err)
 	}
-	pr, err := Prepare(g, p, ref)
+	pr, err := foldOracle(g, p, ref)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,10 +179,50 @@ func oracleTable(t testing.TB, g *tgm.InstanceGraph, p *Pattern) (*Presentation,
 	return pr, res
 }
 
-// BenchmarkAblation_JoinPlanner compares the planned match against the
-// oracle's declaration order on the Figure 7 pattern, where the naive
-// order starts at the unfiltered Authors side and the planner starts
-// at the single SIGMOD conference.
+// foldOracle is the fold oracle: the presentation of a matched
+// relation folded the way the format transformation defines it, with
+// maps and sorts and no kernel of the engine — rows are the distinct
+// primary nodes ascending, and each participating cell the distinct
+// nodes co-occurring with its row, ascending.
+func foldOracle(g *tgm.InstanceGraph, p *Pattern, matched *graphrel.Relation) (*Presentation, error) {
+	prim := matched.ColumnNamed(p.Primary)
+	rows := slices.Clone(prim)
+	slices.Sort(rows)
+	pr := &Presentation{g: g, pattern: p, primType: g.Schema().NodeType(p.PrimaryNode().Type), rowIDs: slices.Compact(rows)}
+	var parts []groupSource
+	for _, n := range p.Nodes {
+		if n.Key == p.Primary {
+			continue
+		}
+		vals := matched.ColumnNamed(n.Key)
+		groups := mapGroups{}
+		for i, r := range prim {
+			groups[r] = append(groups[r], vals[i])
+		}
+		for r, ids := range groups {
+			slices.Sort(ids)
+			groups[r] = slices.Compact(ids)
+		}
+		parts = append(parts, groups)
+	}
+	if err := pr.layoutColumns(p, parts); err != nil {
+		return nil, err
+	}
+	return pr, nil
+}
+
+// mapGroups is the fold oracle's grouping: a map from row to its
+// sorted distinct related nodes.
+type mapGroups map[tgm.NodeID][]tgm.NodeID
+
+func (m mapGroups) Count(id tgm.NodeID) int { return len(m[id]) }
+
+func (m mapGroups) Refs(_ *[]tgm.NodeID, id tgm.NodeID) ([]tgm.NodeID, error) { return m[id], nil }
+
+// BenchmarkAblation_JoinPlanner compares the engine's match — reduced
+// sets, then enumerated from them — against the oracle's declared join
+// order on the Figure 7 pattern, where the naive order starts at the
+// unfiltered Authors side.
 func BenchmarkAblation_JoinPlanner(b *testing.B) {
 	tr := planFixture(b)
 	p := figure7PlanPattern(b, tr)

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/exec"
-	"repro/internal/graphrel"
 	"repro/internal/value"
 )
 
@@ -181,14 +180,10 @@ func TestCacheMixedParallelSerialSingleflight(t *testing.T) {
 // live (or nil) context of its own, the lookup must retry and compute
 // the value instead of surfacing another request's cancellation.
 func TestGetOrComputeLiveRetriesForeignCancellation(t *testing.T) {
-	tr := planFixture(t)
-	rel, err := graphrel.Base(tr.Instance, "Papers")
-	if err != nil {
-		t.Fatal(err)
-	}
+	rel := dummyRel()
 	cache := NewCache(8)
 	calls := 0
-	got, err := getOrComputeLive(context.Background(), cache, "k", func() (*graphrel.Relation, error) {
+	got, err := getOrComputeLive(context.Background(), cache, "k", func() (*Reduced, error) {
 		calls++
 		if calls == 1 {
 			return nil, context.Canceled // the canceled leader's error
@@ -196,7 +191,7 @@ func TestGetOrComputeLiveRetriesForeignCancellation(t *testing.T) {
 		return rel, nil
 	})
 	if err != nil || got != rel {
-		t.Fatalf("got %v, %v; want the relation after retry", got, err)
+		t.Fatalf("got %v, %v; want the value after retry", got, err)
 	}
 	if calls != 2 {
 		t.Fatalf("compute ran %d times, want 2 (one foreign failure + one retry)", calls)
@@ -205,7 +200,7 @@ func TestGetOrComputeLiveRetriesForeignCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	calls = 0
-	_, err = getOrComputeLive(ctx, cache, "k2", func() (*graphrel.Relation, error) {
+	_, err = getOrComputeLive(ctx, cache, "k2", func() (*Reduced, error) {
 		calls++
 		return nil, context.Canceled
 	})

@@ -181,26 +181,3 @@ func TestPlannerExecuteEquivalence(t *testing.T) {
 		}
 	}
 }
-
-// TestPlannerStartsAtMostSelectiveNode pins the join order's choice:
-// on Figure 7 the SIGMOD-filtered Conferences base (exactly one node
-// once selected) must be the join start, not the primary Authors node
-// the naive order uses.
-func TestPlannerStartsAtMostSelectiveNode(t *testing.T) {
-	tr := planFixture(t)
-	p := figure7PlanPattern(t, tr)
-	bases := selectedBases(t, tr.Instance, p)
-	if n := bases["Conferences"].Len(); n != 1 {
-		t.Fatalf("fixture drifted: %d SIGMOD conferences, want 1", n)
-	}
-	start, steps, err := orderJoins(tr.Instance, p, baseUnits(p, bases))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(start.keys) != 1 || start.keys[0] != "Conferences" {
-		t.Errorf("join start = %q, want Conferences", start.keys)
-	}
-	if len(steps) != len(p.Nodes)-1 {
-		t.Errorf("ordered %d steps, want %d", len(steps), len(p.Nodes)-1)
-	}
-}

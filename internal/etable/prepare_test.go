@@ -106,10 +106,11 @@ func assertCellsMatchRelation(t *testing.T, label string, res *Result, p *Patter
 
 // TestPrepareScatteredIDs is the one-Prepare-kernel equivalence where
 // dense indexing could go wrong (ID runs starting at distinct non-zero
-// IDs, a repeated type, a selection leaving gaps): PrepareOpts,
-// prepareFromSource at batch 7 and the default under budgets 1 and 4,
-// and a spill demotion tripping after the first tuple, mid-stream and
-// one short of the end all render the oracle's table cell for cell. Run under -race by scripts/check.sh.
+// IDs, a repeated type, a selection leaving gaps): PrepareOpts, the
+// executor's miss (reduced sets) at batch 7 and the default under
+// budgets 1 and 4, and a spilled prepare at caps after the first
+// tuple, mid-match and one short of the end all render the oracle's
+// table cell for cell. Run under -race by scripts/check.sh.
 func TestPrepareScatteredIDs(t *testing.T) {
 	rng := rand.New(rand.NewSource(20261004))
 	pool := exec.NewPool(4)
@@ -162,18 +163,18 @@ func TestPrepareScatteredIDs(t *testing.T) {
 				withSmallStreamBatches(t, batch)
 				for _, budget := range []int{1, 4} {
 					opt := ExecOptions{Ctx: context.Background(), Pool: pool, Parallelism: budget}
-					pr, rel, err := prepareStreamed(g, p, opt)
+					pr, red, err := prepareMiss(g, p, opt)
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
-					sub := fmt.Sprintf("prepareFromSource batch=%d budget=%d", batch, budget)
-					assertSameRelations(t, label+"/"+sub, rel, matched)
+					sub := fmt.Sprintf("reduced batch=%d budget=%d", batch, budget)
+					assertReducedMatches(t, label+"/"+sub, red, matched)
 					render(sub, pr)
 				}
 			}
 
-			// Demotion: the cap trips mid-stream and the retained batches
-			// replay through the external folds.
+			// Spilling: past the cap the match is enumerated into the
+			// external folds.
 			n := matched.Len()
 			withSmallStreamBatches(t, 7)
 			for _, maxRows := range []int{1, n / 2, n - 1} {
@@ -182,13 +183,12 @@ func TestPrepareScatteredIDs(t *testing.T) {
 				}
 				pol, metrics := testSpillPolicy(t, 5)
 				opt := ExecOptions{MaxRows: maxRows, Spill: pol}
-				pr, rel, err := prepareStreamed(g, p, opt)
+				pr, _, err := prepareMiss(g, p, opt)
 				if err != nil {
 					t.Fatalf("%s MaxRows=%d: %v", label, maxRows, err)
 				}
-				if rel != nil || metrics.Snapshot().Spills == 0 {
-					t.Fatalf("%s MaxRows=%d of %d: prepare did not demote (relation %v, %+v)",
-						label, maxRows, n, rel != nil, metrics.Snapshot())
+				if metrics.Snapshot().Spills == 0 {
+					t.Fatalf("%s MaxRows=%d of %d: prepare did not spill (%+v)", label, maxRows, n, metrics.Snapshot())
 				}
 				render(fmt.Sprintf("demoted at MaxRows=%d", maxRows), pr)
 				if err := pr.Close(); err != nil {

@@ -272,7 +272,7 @@ func TestSortKernelMatchesStableSortFuzz(t *testing.T) {
 		assertSortsLikeOracle(t, form.name+"/spilled", rng, func() *Presentation {
 			pol, metrics := testSpillPolicy(t, 32)
 			opt := ExecOptions{MaxRows: 100, Spill: pol}
-			pr, _, err := prepareStreamed(g, joined, opt)
+			pr, _, err := prepareMiss(g, joined, opt)
 			if err != nil {
 				t.Fatal(err)
 			}

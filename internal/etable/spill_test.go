@@ -49,7 +49,7 @@ func TestSpilledPrepareEquivalenceRandomized(t *testing.T) {
 		if oracleMatched.Len() < 8 {
 			continue // too selective to force a spill meaningfully
 		}
-		oraclePr, err := Prepare(tr.Instance, p, oracleMatched)
+		oraclePr, err := foldOracle(tr.Instance, p, oracleMatched)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,12 +62,9 @@ func TestSpilledPrepareEquivalenceRandomized(t *testing.T) {
 		pol, metrics := testSpillPolicy(t, 1+rng.Intn(32))
 		trigger := 1 + rng.Intn(oracleMatched.Len()-1)
 		opt := ExecOptions{MaxRows: trigger, Spill: pol}
-		pr, matched, err := prepareStreamed(tr.Instance, p, opt)
+		pr, _, err := prepareMiss(tr.Instance, p, opt)
 		if err != nil {
 			t.Fatalf("trial %d (year>%d trigger=%d): %v", trial, year, trigger, err)
-		}
-		if matched != nil {
-			t.Fatalf("trial %d: spilled prepare returned a heap relation", trial)
 		}
 		if st := metrics.Snapshot(); st.Spills == 0 || st.RunBytes == 0 {
 			t.Fatalf("trial %d: %d match rows > trigger %d but nothing spilled: %+v",
@@ -140,10 +137,10 @@ func TestSpilledPrepareEquivalenceRandomized(t *testing.T) {
 }
 
 // TestSpilledExecutorBrowsable pins the executor contract for spilled
-// results: the prepare succeeds past MaxRows, is never cached (each
-// caller owns its own disk-backed presentation and its Close), and an
-// uncapped prepare of the same pattern still computes and caches the
-// heap form.
+// results: the prepare succeeds past MaxRows, the presentation is never
+// shared (each caller owns its own disk-backed presentation and its
+// Close — only the reduced sets are cached), and an uncapped prepare
+// of the same pattern prepares on the heap.
 func TestSpilledExecutorBrowsable(t *testing.T) {
 	tr := planFixture(t)
 	p := figure7PlanPattern(t, tr)
@@ -195,7 +192,7 @@ func TestSpilledExecutorBrowsable(t *testing.T) {
 		t.Fatalf("uncapped rows = %d, want %d", pr3.NumRows(), full.NumRows())
 	}
 	if _, ok := e.Cache().Get(matchPrefix + Signature(p)); !ok {
-		t.Fatal("uncapped prepare did not cache the heap relation")
+		t.Fatal("the reduced match is not cached")
 	}
 }
 

@@ -22,18 +22,19 @@ func withSmallStreamBatches(t *testing.T, rows int) {
 	t.Cleanup(func() { streamBatchRows = old })
 }
 
-// prepareStreamed is the executor's compute-leader prepare without a
-// cache: the engine's stream (a joinless pattern's base streamed as
-// is) folded by prepareFromSource.
-func prepareStreamed(g *tgm.InstanceGraph, p *Pattern, opt ExecOptions) (*Presentation, *graphrel.Relation, error) {
-	rel, src, err := matchPipeline(g, p, opt, nil)
+// prepareMiss is the executor's miss without a cache: the reduced
+// match, prepared under the options' row cap.
+func prepareMiss(g *tgm.InstanceGraph, p *Pattern, opt ExecOptions) (*Presentation, *Reduced, error) {
+	t, err := treeOf(g, p)
 	if err != nil {
 		return nil, nil, err
 	}
-	if src == nil {
-		src = graphrel.StreamRelationBatch(rel, streamBatchRows)
+	red, err := matchPipeline(g, p, t, opt, nil)
+	if err != nil {
+		return nil, nil, err
 	}
-	return prepareFromSource(g, p, src, opt)
+	pr, err := prepareReduced(g, p, t, red, opt)
+	return pr, red, err
 }
 
 // assertSameRelations asserts exact row-for-row equality through the
@@ -133,11 +134,11 @@ func TestStreamMatchEquivalenceRandomized(t *testing.T) {
 	}
 }
 
-// TestPrepareFromSourceEquivalence asserts the presentation folded off
-// the engine's stream (prepareFromSource) renders the oracle's enriched table cell for
+// TestPrepareFromSetsEquivalence asserts the presentation prepared
+// from the reduced match renders the oracle's enriched table cell for
 // cell — full renders and windows — under budgets 1 and 4, and that the
-// relation the fold splices is the one MatchOpts returns.
-func TestPrepareFromSourceEquivalence(t *testing.T) {
+// reduced sets are the oracle's projections.
+func TestPrepareFromSetsEquivalence(t *testing.T) {
 	tr := planFixture(t)
 	pool := exec.NewPool(4)
 	withSmallStreamBatches(t, 11)
@@ -146,7 +147,7 @@ func TestPrepareFromSourceEquivalence(t *testing.T) {
 		"figure7": figure7PlanPattern(t, tr),
 	} {
 		oraclePr, want := oracleTable(t, tr.Instance, p)
-		drained, err := MatchOpts(tr.Instance, p, ExecOptions{})
+		naive, err := MatchNaive(tr.Instance, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,11 +156,11 @@ func TestPrepareFromSourceEquivalence(t *testing.T) {
 			if budget > 1 {
 				opt.Ctx, opt.Pool, opt.Parallelism = context.Background(), pool, budget
 			}
-			pr, matched, err := prepareStreamed(tr.Instance, p, opt)
+			pr, red, err := prepareMiss(tr.Instance, p, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertSameRelations(t, name+"/matched", matched, drained)
+			assertReducedMatches(t, name+"/reduced", red, naive)
 			if pr.NumRows() != oraclePr.NumRows() {
 				t.Fatalf("%s: %d rows, want %d", name, pr.NumRows(), oraclePr.NumRows())
 			}
@@ -185,10 +186,10 @@ func TestPrepareFromSourceEquivalence(t *testing.T) {
 }
 
 // TestExecutorStreamingPrepareCached asserts the executor's prepare
-// path: the compute leader folds the presentation off the stream and
-// it renders the oracle's table, the cached relation holds the oracle's
-// tuples, and a second prepare (cache hit, PrepareOpts over the cached
-// relation) yields an identical presentation.
+// path: the compute leader's presentation renders the oracle's table,
+// the cached sets are the oracle's projections, and a second prepare
+// (a cache hit, prepared from the cached sets) yields an identical
+// presentation.
 func TestExecutorStreamingPrepareCached(t *testing.T) {
 	tr := planFixture(t)
 	withSmallStreamBatches(t, 17)
@@ -206,14 +207,18 @@ func TestExecutorStreamingPrepareCached(t *testing.T) {
 	}
 	assertSameResults(t, "streamed-vs-oracle", got, want)
 
-	// The cached relation is the match.
-	rel, ok := e.Cache().Get(matchPrefix + Signature(p))
+	// The cached sets are the match's projections.
+	red, ok := e.Cache().Get(matchPrefix + Signature(p))
 	if !ok {
-		t.Fatal("streamed match not cached")
+		t.Fatal("reduced match not cached")
 	}
-	assertMatchesOracle(t, "cached", rel, oracleTuples(t, tr.Instance, p))
+	naive, err := MatchNaive(tr.Instance, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertReducedMatches(t, "cached", red, naive)
 
-	// Cache hit: prepares from the cached relation, same output.
+	// Cache hit: prepares from the cached sets, same output.
 	if misses := e.Misses(); misses == 0 {
 		t.Fatal("expected at least one miss")
 	}
@@ -229,7 +234,7 @@ func TestExecutorStreamingPrepareCached(t *testing.T) {
 }
 
 // TestExecutorStreamingMatchCached asserts the executor caches the
-// drained relation and serves later prepares of the signature from it
+// reduced match and serves later prepares of the signature from it
 // without recomputation.
 func TestExecutorStreamingMatchCached(t *testing.T) {
 	tr := planFixture(t)
@@ -242,7 +247,7 @@ func TestExecutorStreamingMatchCached(t *testing.T) {
 	key := matchPrefix + Signature(p)
 	first, ok := e.Cache().Get(key)
 	if !ok {
-		t.Fatal("streamed match not cached")
+		t.Fatal("reduced match not cached")
 	}
 	misses := e.Misses()
 	if _, err := e.PrepareWithOpts(p, ExecOptions{}); err != nil {
@@ -252,9 +257,13 @@ func TestExecutorStreamingMatchCached(t *testing.T) {
 		t.Error("second prepare recomputed the match")
 	}
 	if second, _ := e.Cache().Get(key); second != first {
-		t.Error("cache hit returned a different relation")
+		t.Error("cache hit returned a different value")
 	}
-	assertMatchesOracle(t, "cached-stream-match", first, oracleTuples(t, tr.Instance, p))
+	naive, err := MatchNaive(tr.Instance, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertReducedMatches(t, "cached-match", first, naive)
 }
 
 // TestMaxRowsGuard asserts the MaxRows cap fails oversized

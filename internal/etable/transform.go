@@ -3,6 +3,7 @@ package etable
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/graphrel"
@@ -11,51 +12,25 @@ import (
 )
 
 // This file is the presentation pipeline: the format transformation of
-// §5.4.2 rebuilt as a prepared, windowed kernel.
-//
-// The transformation has two phases with very different costs:
-//
-//   - Prepare computes everything that depends on the whole matched
-//     relation — the distinct primary rows, the column layout, and the
-//     per-column neighbor groupings — but materializes no cells.
-//   - A Cursor reads any [lo, hi) row range of the presentation, over
-//     any subset of its columns, on the caller's goroutine: per row the
-//     primary node ID, per cell a base value or the reference IDs. It
-//     has two consumers. The server's state encoder writes the cells
-//     straight to response bytes, and transformRange (Window,
-//     WindowOpts, WindowColumns) materializes them as a Result for
-//     cmd/etable, render, the examples and the tests. The serving
-//     path's windows are pages — at most 100 rows on every benchmark
-//     workload (PERFORMANCE.md §17) — so there is no morsel to fan out.
-//
-// Splitting the phases is what makes paging cheap: a session prepares
-// a Presentation once, then each page fetch pays only for the rows it
-// returns — O(window), not O(table). Hidden columns are skipped before
-// anything is read: a cursor pins and reads only the columns it lists.
-// A Presentation owns everything its windows read; the matched
-// relation is an input of Prepare and is not referenced afterwards.
-//
-// Allocation discipline: a cursor over a memory-resident graph
-// allocates nothing, and reads a spilled grouping into one buffer it
-// reuses for every cell. transformRange allocates exactly what its
-// Result holds: all cells of a window share one backing array, its
-// entity references are carved from one arena, empty reference lists
-// share a single package-level slice, and non-string labels are
-// interned per window so N references to one node share one rendered
-// string (string labels are the stored strings themselves).
-//
-// Label reads: the cursor reads no label. transformRange, the only
-// reader of label columns, binds every reference column to its target
-// type's label column and first node ID (labelCol): a type's node IDs
-// are one run, so a reference's label is vals[id-lo] — no node lookup,
-// no map probe.
+// §5.4.2 as a prepared, windowed kernel (the package doc's "Windowed
+// presentation"). A prepare computes what depends on the whole match —
+// the rows, the column layout, the per-column groupings — and no cells;
+// a Cursor then reads any [lo, hi) row range over any subset of the
+// columns on the caller's goroutine, so a page pays O(window), not
+// O(table), and a cursor over a memory-resident graph allocates
+// nothing. Its consumers are the server's state encoder and
+// transformRange (Window, WindowOpts, WindowColumns), which allocates
+// exactly what its Result holds — one cell array, one reference arena,
+// labels interned per window — and is the only reader of label
+// columns: a reference's label is its target type's label column at
+// id − lo (labelCol).
 
-// Presentation is a prepared format transformation over one matched
-// relation: the canonical row order, the column layout, and the
-// per-column groupings, ready to materialize any row window.
+// Presentation is a prepared format transformation over one match:
+// the canonical row order, the column layout, and the per-column
+// groupings, ready to materialize any row window.
 //
 // The zero value is unusable; build one with Prepare/PrepareOpts (or
-// Executor.PrepareWithOpts, which takes the matched relation from the
+// Executor.PrepareWithOpts, which takes the reduced match from the
 // shared cache). A prepared Presentation is immutable: SortedView
 // returns a reordered copy, so any number of goroutines may Window a
 // presentation and its views concurrently.
@@ -276,46 +251,75 @@ func Prepare(g *tgm.InstanceGraph, p *Pattern, matched *graphrel.Relation) (*Pre
 	return PrepareOpts(g, p, matched, ExecOptions{})
 }
 
-// PrepareOpts builds the presentation: rows are the distinct primary
-// nodes of the matched relation ordered ascending by ID (the canonical
-// order — independent of the join plan), columns are the base
-// attributes A_b, participating node columns A_t, and neighbor node
-// columns A_h of §5.4.2. It is the one Prepare kernel: a streamed match
-// is drained and prepared here too (prepareFromSource), so the rows and
-// the per-column groupings (the bulk Π_type σ_{τa=r}(m(Q)) evaluation,
-// graphrel.GroupNeighbors) have a single heap implementation.
+// PrepareOpts builds the presentation over a matched relation: rows are
+// the distinct primary nodes ascending by ID, columns the base
+// attributes A_b, participating node columns A_t and neighbor node
+// columns A_h of §5.4.2. It prepares the projections π_k(matched) —
+// for matched = m(Q), exactly the engine's reduced sets — through the
+// one set prepare (prepareSets).
 func PrepareOpts(g *tgm.InstanceGraph, p *Pattern, matched *graphrel.Relation, opt ExecOptions) (*Presentation, error) {
+	red := &Reduced{rows: matched.Len()}
+	for _, n := range p.Nodes {
+		col := matched.ColumnNamed(n.Key)
+		if col == nil && matched.AttrIndex(n.Key) < 0 {
+			return nil, fmt.Errorf("etable: matched relation has no attribute %q", n.Key)
+		}
+		red.keys, red.sets = append(red.keys, n.Key), append(red.sets, graphrel.SetOf(col))
+	}
+	t, err := treeOf(g, p)
+	if err != nil {
+		return nil, err
+	}
+	return prepareSets(g, p, t, red, opt)
+}
+
+// prepareReduced prepares a reduced match under the row cap: past
+// MaxRows a pattern with edges fails with the exact |m(Q)| or, under a
+// spill policy, spills (prepareSpilled). A joinless match is never
+// capped.
+func prepareReduced(g *tgm.InstanceGraph, p *Pattern, t *patternTree, red *Reduced, opt ExecOptions) (*Presentation, error) {
+	if len(p.Nodes) > 1 && opt.MaxRows > 0 && red.rows > opt.MaxRows {
+		if opt.Spill == nil {
+			return nil, graphrel.LimitExceeded(opt.MaxRows, red.rows)
+		}
+		return prepareSpilled(g, p, t, red, opt)
+	}
+	return prepareSets(g, p, t, red, opt)
+}
+
+// prepareSets builds the presentation from a reduced match: rows are
+// the primary's set ascending (the type's node list itself when the set
+// holds every node), and each participating column groups its tree
+// path's adjacency inside the sets (graphrel.GroupPath).
+func prepareSets(g *tgm.InstanceGraph, p *Pattern, t *patternTree, red *Reduced, opt ExecOptions) (*Presentation, error) {
 	if err := ctxErr(opt.Ctx); err != nil {
 		return nil, err
 	}
-	prim := p.PrimaryNode()
-	if prim == nil {
-		return nil, fmt.Errorf("etable: pattern has no primary node")
-	}
-	pr := &Presentation{g: g, pattern: p, primType: g.Schema().NodeType(prim.Type)}
-
-	// Rows: Π_τa of the matched relation, canonically ordered. A
-	// joinless match is its selected base, whose one column is already
-	// ascending and distinct (a type's node list, filtered in order):
-	// the rows are that column, shared, not a copy of it.
-	if col := matched.ColumnNamed(prim.Key); len(p.Nodes) == 1 && strictlyAscending(col) {
-		pr.rowIDs = col
-	} else {
-		var err error
-		if pr.rowIDs, err = graphrel.DistinctSorted(matched, prim.Key); err != nil {
-			return nil, err
+	sets := make([]graphrel.NodeSet, len(t.keys))
+	for i, k := range t.keys {
+		var ok bool
+		if sets[i], ok = red.Set(k); !ok {
+			return nil, fmt.Errorf("etable: reduced match has no set for pattern node %q", k)
 		}
 	}
-
-	// One grouping per participating node, keyed by the rows just
-	// computed. GroupNeighbors returns each group ID-ascending by
-	// contract, so the cell order is canonical regardless of join order.
+	prim := t.nodes[0]
+	pr := &Presentation{g: g, pattern: p, primType: g.Schema().NodeType(prim.Type)}
+	if all := g.NodesOfType(prim.Type); sets[0].Len() == len(all) {
+		pr.rowIDs = all
+	} else {
+		pr.rowIDs = sets[0].IDs()
+	}
 	parts := make([]groupSource, 0, len(p.Nodes)-1)
 	for _, n := range p.Nodes {
 		if n.Key == prim.Key {
 			continue
 		}
-		groups, err := graphrel.GroupNeighbors(opt.Ctx, matched, pr.rowIDs, prim.Key, n.Key)
+		var path []graphrel.NodeSet
+		var up, down []tgm.Adjacency
+		for i := slices.Index(t.keys, n.Key); i != 0; i = t.edges[i].Parent {
+			path, up, down = append(path, sets[i]), append(up, t.edges[i].Up), append(down, t.edges[i].Down)
+		}
+		groups, err := graphrel.GroupPath(opt.Ctx, pr.rowIDs, append(path, sets[0]), up, down)
 		if err != nil {
 			return nil, err
 		}
@@ -327,20 +331,10 @@ func PrepareOpts(g *tgm.InstanceGraph, p *Pattern, matched *graphrel.Relation, o
 	return pr, nil
 }
 
-// strictlyAscending reports whether ids ascend with no repeats.
-func strictlyAscending(ids []tgm.NodeID) bool {
-	for i := 1; i < len(ids); i++ {
-		if ids[i] <= ids[i-1] {
-			return false
-		}
-	}
-	return true
-}
-
 // layoutColumns lays out the columns of §5.4.2 — base attributes A_b,
 // participating node columns A_t, neighbor node columns A_h — and
 // finishes the prepare. parts holds the grouping of every pattern node
-// except the primary, in pattern order; the heap prepare (PrepareOpts)
+// except the primary, in pattern order; the heap prepare (prepareSets)
 // and the spilled one (prepareSpilled) both end here, so the layout
 // cannot differ between residencies.
 func (pr *Presentation) layoutColumns(p *Pattern, parts []groupSource) error {

@@ -1,13 +1,19 @@
 package graphrel
 
-import "repro/internal/tgm"
+import (
+	"fmt"
+	"math/bits"
+	"slices"
+
+	"repro/internal/tgm"
+)
 
 // Bitset is a fixed-size bit set over dense non-negative IDs. Node IDs
 // are dense ordinals assigned at insertion (tgm.NodeID), so a bitset
-// over a column's ID span replaces hash-map dedup (DistinctSorted): one
-// bit per node instead of one map entry per distinct ID, no hashing, no
-// per-entry allocation, and reading the words back in order yields the
-// members ascending.
+// over an ID span replaces hash-map membership: one bit per node
+// instead of one map entry per distinct ID, no hashing, no per-entry
+// allocation, and reading the words back in order yields the members
+// ascending.
 type Bitset []uint64
 
 // NewBitset returns a bitset able to hold IDs in [0, n).
@@ -33,4 +39,125 @@ func (b Bitset) TestAndSet(i tgm.NodeID) bool {
 	}
 	b[w] |= mask
 	return false
+}
+
+// NodeSet is an immutable set of node IDs: a bitset over the span
+// [lo, lo+64·len(bits)) holding its members. A set built from IDs
+// (SetOf) spans exactly its own [min, max] and a trimmed one the words
+// holding its members, so a one-node set is one word whatever its
+// type's size. It is what the semi-join
+// reduction (Reduce) reads and returns, and what a reduced match is
+// cached as.
+type NodeSet struct {
+	lo   tgm.NodeID
+	bits Bitset
+	n    int
+}
+
+// SetOf returns the set of ids, in any order, repeats allowed.
+func SetOf(ids []tgm.NodeID) NodeSet {
+	if len(ids) == 0 {
+		return NodeSet{}
+	}
+	lo, hi := ids[0], ids[0]
+	for _, id := range ids {
+		lo, hi = min(lo, id), max(hi, id)
+	}
+	s := NodeSet{lo: lo, bits: NewBitset(int(hi-lo) + 1)}
+	for _, id := range ids {
+		if !s.bits.TestAndSet(id - lo) {
+			s.n++
+		}
+	}
+	return s
+}
+
+// Len returns the number of members.
+func (s NodeSet) Len() int { return s.n }
+
+// Has reports whether id is a member.
+func (s NodeSet) Has(id tgm.NodeID) bool {
+	d := uint(id - s.lo)
+	return d < uint(len(s.bits))<<6 && s.bits[d>>6]&(1<<(d&63)) != 0
+}
+
+// span is the length of the ID range the set's bitset covers: the size
+// of an array indexed by id − lo over it.
+func (s NodeSet) span() int { return len(s.bits) << 6 }
+
+// each calls fn on every member, ascending.
+func (s NodeSet) each(fn func(tgm.NodeID)) {
+	for w, word := range s.bits {
+		for ; word != 0; word &= word - 1 {
+			fn(s.lo + tgm.NodeID(w<<6+bits.TrailingZeros64(word)))
+		}
+	}
+}
+
+// ranks returns, per word, the members before it (see rank).
+func (s NodeSet) ranks() []int32 {
+	r, n := make([]int32, len(s.bits)), int32(0)
+	for w, word := range s.bits {
+		r[w], n = n, n+int32(bits.OnesCount64(word))
+	}
+	return r
+}
+
+// rank returns member id's ordinal among s's members, so an array
+// over the members needs no span.
+func (s NodeSet) rank(ranks []int32, id tgm.NodeID) int32 {
+	d := uint(id - s.lo)
+	return ranks[d>>6] + int32(bits.OnesCount64(s.bits[d>>6]&(1<<(d&63)-1)))
+}
+
+// IDs returns the members ascending, in a fresh slice.
+func (s NodeSet) IDs() []tgm.NodeID {
+	out := make([]tgm.NodeID, 0, s.n)
+	s.each(func(id tgm.NodeID) { out = append(out, id) })
+	return out
+}
+
+// SizeBytes is the set's resident size: its bitset words.
+func (s NodeSet) SizeBytes() int64 { return int64(len(s.bits)) * 8 }
+
+// add inserts id, which must lie in s's span and not be a member.
+func (s *NodeSet) add(id tgm.NodeID) {
+	d := id - s.lo
+	s.bits[d>>6] |= 1 << (uint(d) & 63)
+	s.n++
+}
+
+// trim returns s over the words that hold its members: s itself when
+// its end words hold members, else a copy of the inner words.
+func (s NodeSet) trim() NodeSet {
+	first, last := 0, len(s.bits)-1
+	for first <= last && s.bits[first] == 0 {
+		first++
+	}
+	for last >= first && s.bits[last] == 0 {
+		last--
+	}
+	if first == 0 && last == len(s.bits)-1 {
+		return s
+	}
+	if first > last {
+		return NodeSet{}
+	}
+	return NodeSet{lo: s.lo + tgm.NodeID(first<<6), bits: slices.Clone(s.bits[first : last+1]), n: s.n}
+}
+
+// SetRelation returns the set as a one-attribute relation of type
+// typeName named attrName, its column ascending: the input StreamJoin
+// reads when a reduced match is enumerated. A set holding every node of
+// the type aliases the type's node list, like BaseNamed.
+func SetRelation(g *tgm.InstanceGraph, typeName, attrName string, s NodeSet) (*Relation, error) {
+	nt := g.Schema().NodeType(typeName)
+	if nt == nil {
+		return nil, fmt.Errorf("graphrel: unknown node type %q", typeName)
+	}
+	if ids := g.NodesOfType(typeName); s.n == len(ids) {
+		return BaseNamed(g, typeName, attrName)
+	}
+	ids := s.IDs()
+	return &Relation{g: g, Attrs: []Attr{{Name: attrName, Type: nt}}, cols: [][]tgm.NodeID{ids}, n: len(ids)}, nil
 }

@@ -1,59 +1,37 @@
 // Package graphrel implements the paper's graph relation algebra
 // (§5.4.1): base graph relations over node types of a TGDB instance
 // graph, and the Selection (σ), Join (∗, over an edge type), and
-// Projection (Π) operators. The ETable instance-matching function m(Q)
-// (Definition 4) is composed from these operators in internal/etable.
+// Projection (Π) operators — plus the semi-join kernels over node sets
+// (semijoin.go) from which internal/etable computes the instance
+// matching function m(Q) (Definition 4) without materializing it.
 //
 // A graph relation is like a relation in the relational model, except
 // that each attribute's domain is the node set of one node type: a tuple
-// is a list of node IDs. Node attribute values stay in the instance
-// graph; a selection condition is compiled to kernels that scan those
-// attribute columns directly (expr.Compile), and Select runs it over a
-// relation's ID column without touching a node.
-//
-// Relations are stored column-major: one node-ID column per attribute,
-// all columns of a relation carved from a single shared arena. Operators
-// build row-index lists and gather whole columns at once, so the cost of
-// a join is two index slices plus one arena allocation instead of one
-// tuple slice per output row.
+// is a list of node IDs, stored column-major, every column of a
+// relation carved from one arena. A selection condition is compiled to
+// kernels that scan the attribute columns directly (expr.Compile).
 //
 // Node IDs are dense int32 ordinals and a type's nodes lie in one ID
-// span (tgm.TypeIDRange), so no kernel hashes them. The join's build
-// side is a counting-sort index keyed by id − lo over the build
-// column's type span (joinIndex), probed through a tgm.Adjacency handle
-// that is resolved and loaded once per join; the distinct rows of a
-// column are a bitset read back in order (DistinctSorted); a grouping
-// is a counting sort into CSR arrays (GroupNeighbors → Groups). The
-// ID-indexed arrays are transient — they live for the join's stream or
-// the grouping call — and what is returned is sized by the result.
+// span (tgm.TypeIDRange), so no kernel hashes them: a join's build side
+// is a counting-sort index keyed by id − lo (joinIndex), a node set is
+// a bitset over its own span (NodeSet), and a grouping a counting sort
+// into CSR arrays (GroupPath → Groups). ID-indexed scratch arrays live
+// for one call; what is returned is sized by the result.
 //
 // # Immutability and sharing contract
 //
-// A Relation is immutable once an operator returns it, and every
-// operator treats its inputs as read-only. This is what makes cached
-// relations shareable across concurrent sessions (etable.Cache):
-//
-//   - Base/BaseNamed alias the instance graph's per-type node list;
-//     safe because the graph is frozen after translation
-//     (tgm.InstanceGraph.Freeze).
-//   - Retain re-slices its input's columns (zero copy) into a fresh
-//     header; neither the new nor the old relation can observe a write
-//     through the other, because no code path writes a column after
-//     newRelation's gather pass completes.
-//   - gather/joinOutput write only into freshly allocated arenas before
-//     the result escapes, so a relation's arena is never shared until
-//     it is complete.
-//
-// Consequently all read accessors (Len, At, Column, ColumnNamed, Tuple)
-// and all operators are safe to call concurrently on shared relations
-// with no synchronization. Callers must uphold the documented "must not
-// be modified" rule on slices returned by Column/ColumnNamed.
+// Relations and node sets are immutable once an operator returns them,
+// and every operator treats its inputs as read-only: Base/BaseNamed
+// alias the frozen graph's per-type node list, Retain re-slices its
+// input's columns, and gather/joinOutput write only into fresh arenas
+// before the result escapes. So all read accessors and operators are
+// safe to call concurrently on shared values with no synchronization;
+// callers must not modify the slices Column/ColumnNamed return.
 package graphrel
 
 import (
 	"context"
 	"fmt"
-	"slices"
 
 	"repro/internal/exec"
 	"repro/internal/expr"
@@ -109,18 +87,6 @@ func (r *Relation) AttrIndex(name string) int {
 
 // Len returns the number of tuples.
 func (r *Relation) Len() int { return r.n }
-
-// SizeBytes estimates the relation's resident memory: 4 bytes per
-// stored ID (tgm.NodeID is an int32-backed dense ordinal) plus the
-// header. Columns shared with other relations or aliasing the instance
-// graph's node lists (Base, Retain, zero-copy windows) are counted as
-// if owned — the estimate answers "how much memory does this relation
-// address", which is the conservative number the server's memory
-// telemetry wants, not "how much would freeing it reclaim".
-func (r *Relation) SizeBytes() int64 {
-	const idBytes = 4
-	return int64(r.n)*int64(len(r.cols))*idBytes + int64(len(r.Attrs))*48
-}
 
 // Column returns the column of the attribute at ordinal ai. The returned
 // slice must not be modified.
@@ -428,11 +394,4 @@ func (ix joinIndex) probe(adj tgm.Adjacency, lcol []tgm.NodeID) (lrows, rrows []
 		}
 	}
 	return lrows, rrows
-}
-
-// sortDedup sorts ids ascending and removes adjacent duplicates in
-// place, returning the compacted slice.
-func sortDedup(ids []tgm.NodeID) []tgm.NodeID {
-	slices.Sort(ids)
-	return slices.Compact(ids)
 }

@@ -96,11 +96,13 @@ func TestGroupNeighborsCancellation(t *testing.T) {
 	}
 }
 
-// BenchmarkGroups measures the presentation's two pipeline breakers at
-// the size of study_mix's largest pivot: 17k groups over 170k (group,
-// value) tuples, values few enough that the dedup pass has work to do.
+// BenchmarkGroups measures the presentation's grouping kernel at the
+// size of study_mix's largest pivot: 17k groups over 170k (group,
+// value) edges, values few enough that every group holds many. by_value
+// groups the 17k rows from the 200 values' side (the counting sort by
+// row), by_row the 200 rows from their own side.
 func BenchmarkGroups(b *testing.B) {
-	const groups, rows, values = 17_000, 170_000, 200
+	const groups, edges, values = 17_000, 170_000, 200
 	s := tgm.NewSchemaGraph()
 	for _, name := range []string{"G", "V"} {
 		if _, err := s.AddNodeType(tgm.NodeType{Name: name, Label: "id",
@@ -108,27 +110,47 @@ func BenchmarkGroups(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	g := tgm.NewInstanceGraph(s)
-	rng := rand.New(rand.NewSource(1))
-	rel := newRelation(g, []Attr{{Name: "G", Type: s.NodeType("G")}, {Name: "V", Type: s.NodeType("V")}}, rows)
-	for i := 0; i < rows; i++ {
-		rel.cols[0][i] = tgm.NodeID(rng.Intn(groups))
-		rel.cols[1][i] = tgm.NodeID(groups + rng.Intn(values))
+	if _, err := s.AddBidirectional(tgm.EdgeType{Name: "G→V", Source: "G", Target: "V", Kind: tgm.EdgeManyToMany}); err != nil {
+		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		keys, err := DistinctSorted(rel, "G")
-		if err != nil {
+	g := tgm.NewInstanceGraph(s)
+	for i := 0; i < groups+values; i++ {
+		typ := "G"
+		if i >= groups {
+			typ = "V"
+		}
+		if _, err := g.AddNode(typ, []value.V{value.Int(int64(i))}); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := GroupNeighbors(context.Background(), rel, keys, "G", "V"); err != nil {
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < edges; i++ {
+		if err := g.AddEdge("G→V", tgm.NodeID(i%groups), tgm.NodeID(groups+rng.Intn(values))); err != nil {
 			b.Fatal(err)
 		}
+	}
+	g.Freeze()
+	gs, vs := SetOf(g.NodesOfType("G")), SetOf(g.NodesOfType("V"))
+	down, up := g.Adjacency("G→V"), g.Adjacency("G→V_rev")
+	for _, arm := range []struct {
+		name       string
+		rows, vals NodeSet
+		up, down   tgm.Adjacency
+	}{{"by_value", gs, vs, up, down}, {"by_row", vs, gs, down, up}} {
+		b.Run(arm.name, func(b *testing.B) {
+			rows := arm.rows.IDs()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := GroupPath(context.Background(), rows, []NodeSet{arm.vals, arm.rows},
+					[]tgm.Adjacency{arm.up}, []tgm.Adjacency{arm.down}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
-// TestBitset pins the dense-ID dedup primitive DistinctSorted uses
+// TestBitset pins the dense-ID dedup primitive node sets are built on
 // instead of a hash set.
 func TestBitset(t *testing.T) {
 	b := NewBitset(130)

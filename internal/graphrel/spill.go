@@ -18,8 +18,8 @@ import (
 // reads back is written — the matched batches themselves are folded and
 // dropped:
 //
-//   - ExternalGroupFold is the sort-merge external form of
-//     GroupNeighbors: pair chunks are sorted, written as sorted runs,
+//   - ExternalGroupFold is the sort-merge external form of a
+//     column's Groups: pair chunks are sorted, written as sorted runs,
 //     and k-way merged with dedup into a values file plus an in-memory
 //     group directory (SpilledGroups) — Count is memory-only, Refs
 //     faults. The merge visits groups in ascending order, so Finish
@@ -91,7 +91,7 @@ type groupLoc struct {
 }
 
 // SpilledGroups is the external form of a per-column grouping
-// (GroupNeighbors' Groups): an in-memory directory from group node to its
+// (Groups): an in-memory directory from group node to its
 // value span, and a values file read through the pager. Count is
 // memory-only (the sort layer pays no IO); Refs faults in the covering
 // runs.
@@ -109,7 +109,7 @@ func (sg *SpilledGroups) Count(id tgm.NodeID) int { return int(sg.dir[id].n) }
 func (sg *SpilledGroups) Groups() int { return len(sg.dir) }
 
 // Refs reads id's values (ascending, deduplicated — the same contract
-// as GroupNeighbors' groups) from the values file into *buf, growing it
+// as Groups) from the values file into *buf, growing it
 // as needed, and returns them. A caller that passes the same buffer
 // back for every cell reads a window's groups without allocating once
 // the buffer has grown to the largest group.
@@ -138,7 +138,7 @@ func (sg *SpilledGroups) Refs(buf *[]tgm.NodeID, id tgm.NodeID) ([]tgm.NodeID, e
 // Close releases the values file.
 func (sg *SpilledGroups) Close() error { return sg.rf.Close() }
 
-// ExternalGroupFold is the sort-merge external form of GroupNeighbors:
+// ExternalGroupFold is the sort-merge external form of Groups:
 // (group, value) pairs accumulate in a bounded chunk, each full chunk
 // is sorted and written as one sorted run, and Finish k-way merges the
 // runs with duplicate elimination into a SpilledGroups. Single-writer.

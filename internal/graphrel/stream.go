@@ -7,33 +7,16 @@ import (
 	"repro/internal/tgm"
 )
 
-// Streaming kernels: the pull-based, morsel-batched join the execution
-// pipeline is composed of. A RowSource yields a relation's tuples as a
-// sequence of bounded batches (MorselRows rows each), so a chain of
-// StreamJoin stages holds one batch per stage in memory instead of
-// every intermediate relation in full.
-//
-// Three properties hold for every pipeline:
-//
-//   - Row identity: StreamJoin runs the same per-range phases as the
-//     reference Join (joinIndex.probe + joinOutput) over batches that are
-//     contiguous input runs consumed in order, so concatenating a
-//     stream's batches reproduces Join's output row for row — not
-//     merely set-equal — whatever the batch size. MaterializeMax is
-//     that concatenation.
-//   - Early termination: a consumer that stops pulling stops all
-//     upstream production, and Close propagates upstream (MaterializeMax
-//     closes the pipeline the moment its row cap trips).
-//   - Bounded buffering: a stage buffers the output of one input batch,
-//     re-split into morsel-sized slices. Genuine pipeline breakers —
-//     sort, GroupNeighbors, DistinctSorted — are not stream operators;
-//     consumers that need them materialize first (see the etable
-//     executor's prepare), or fold batches into their external forms
-//     (spill.go).
-//
-// Cancellation is checked between batches: a canceled context fails the
-// next Next call, and every operator propagates Close upstream so an
-// abandoned pipeline releases its batch references promptly.
+// Streaming kernels: the pull-based, morsel-batched join that
+// enumerates a match. A RowSource yields a relation's tuples in bounded
+// batches (MorselRows rows each), so a chain of StreamJoin stages holds
+// one batch per stage in memory. StreamJoin runs the reference Join's
+// per-range phases (joinIndex.probe + joinOutput) over contiguous input
+// runs consumed in order, so a stream's batches concatenate to Join's
+// output row for row, whatever the batch size (MaterializeMax is that
+// concatenation). A consumer that stops pulling stops all upstream
+// production, Close propagates upstream, and cancellation is checked
+// between batches.
 
 // RowSource is a pull-based stream of relation tuples in bounded
 // batches. Next returns the next batch, or (nil, nil) once the stream
@@ -207,10 +190,9 @@ func StreamJoin(ctx context.Context, src RowSource, right *Relation, edgeType, l
 type RowLimitError struct {
 	// Limit is the row cap that was exceeded.
 	Limit int
-	// Rows is the row count observed when the cap tripped (0 when the
-	// producing layer does not track it). It is a lower bound on the
-	// result's true size: every enforcement point stops producing as
-	// soon as the cap is exceeded.
+	// Rows is the row count observed when the cap tripped: the exact
+	// size of a match the engine counted, a lower bound where a drain
+	// stopped producing at the cap (0 when the layer does not track it).
 	Rows int
 }
 
@@ -222,8 +204,8 @@ func (e *RowLimitError) Error() string {
 }
 
 // LimitExceeded builds the row-cap error every enforcement point — the
-// drain's per-batch check and the session's pre-window check — routes
-// through, so the surfaced payload (cap, observed rows) is identical no
+// engine's count check, MaterializeMax's drain and the session's
+// pre-window check — routes through, so the surfaced payload (cap, observed rows) is identical no
 // matter which layer tripped.
 func LimitExceeded(limit, rows int) *RowLimitError {
 	return &RowLimitError{Limit: limit, Rows: rows}

@@ -1,9 +1,14 @@
 package pager
 
 import (
+	"errors"
 	"fmt"
 	"os"
+	"sync/atomic"
 )
+
+// ErrClosed reports a read of a File after its Close.
+var ErrClosed = errors.New("pager: file is closed")
 
 // File is a read-only random-access view of a snapshot file. On
 // platforms with mmap support (linux, darwin) the whole file is mapped
@@ -11,9 +16,10 @@ import (
 // Slice falls back to allocate-and-ReadAt. Either way the returned
 // bytes must be treated as immutable.
 type File struct {
-	f    *os.File
-	data []byte // the mmap view; nil when using the ReadAt fallback
-	size int64
+	f      *os.File
+	data   []byte // the mmap view; nil when using the ReadAt fallback
+	size   int64
+	closed atomic.Bool
 }
 
 // OpenFile opens path for random access.
@@ -48,6 +54,9 @@ func (pf *File) Mapped() bool { return pf.data != nil }
 // zero-copy sub-slice of the mapping; the fallback allocates and reads.
 // The caller must not modify the returned bytes.
 func (pf *File) Slice(off, n int64) ([]byte, error) {
+	if pf.closed.Load() {
+		return nil, ErrClosed
+	}
 	if off < 0 || n < 0 || off+n > pf.size {
 		return nil, fmt.Errorf("pager: slice [%d, %d) outside file of %d bytes", off, off+n, pf.size)
 	}
@@ -61,10 +70,16 @@ func (pf *File) Slice(off, n int64) ([]byte, error) {
 	return buf, nil
 }
 
+// Closed reports whether Close was called: a reader holding slices of
+// the mapping checks it before touching them.
+func (pf *File) Closed() bool { return pf.closed.Load() }
+
 // Close unmaps and closes the file. Slices previously returned from an
-// mmap view become invalid: callers must not use them after Close.
-// (Decoded columns are unaffected — decoding copies what it needs.)
+// mmap view become invalid: callers must not use them after Close, and
+// Slice returns ErrClosed. (Decoded columns are unaffected — decoding
+// copies what it needs.)
 func (pf *File) Close() error {
+	pf.closed.Store(true)
 	var errUnmap error
 	if pf.data != nil {
 		errUnmap = munmap(pf.data)

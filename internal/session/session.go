@@ -34,8 +34,8 @@
 // ordinary value that stays valid after later calls, evictions and
 // Close, for as long as the caller holds it. A presentation owns
 // everything its windows read, so the session holds at most
-// memoEntries prepared presentations and no relation — matched
-// relations are held by the shared cache alone, under its LRU. Every
+// memoEntries prepared presentations and no match — reduced matches
+// are held by the shared cache alone, under its LRU. Every
 // memo is an lru.Cache, so a presentation the user keeps re-reading
 // stays while newer ones come and go.
 //
@@ -193,10 +193,9 @@ func NewWithExec(schema *tgm.SchemaGraph, graph *tgm.InstanceGraph, cache *etabl
 
 // SetMaxRows caps the rows any single request on this session may
 // materialize (0 = unbounded, the default). Oversized matches fail
-// mid-execution with a *graphrel.RowLimitError — as soon as the
-// result's drain crosses the cap, before the full relation exists —
-// and oversized explicit window requests are rejected before any cell
-// is transformed. The cap guards the server
+// with a *graphrel.RowLimitError carrying their exact size, counted
+// before any tuple exists, and oversized explicit window requests are
+// rejected before any cell is transformed. The cap guards the server
 // against a single pathological query (a high-fanout join chain, or an
 // unbounded read of a huge table) holding result-sized memory; paging
 // within the cap is unaffected. Call before serving requests.

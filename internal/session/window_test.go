@@ -132,8 +132,8 @@ func TestWindowOutlivesMatchedRelation(t *testing.T) {
 
 	// Evict everything the prepare left in the cache.
 	for i := 0; i < 1024; i++ {
-		if _, err := cache.GetOrCompute(fmt.Sprintf("filler-%d", i), func() (*graphrel.Relation, error) {
-			return &graphrel.Relation{}, nil
+		if _, err := cache.GetOrCompute(fmt.Sprintf("filler-%d", i), func() (*etable.Reduced, error) {
+			return &etable.Reduced{}, nil
 		}); err != nil {
 			t.Fatal(err)
 		}

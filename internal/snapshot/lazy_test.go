@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/pager"
 	"repro/internal/stats"
 	"repro/internal/tgm"
 )
@@ -119,6 +120,15 @@ func TestLazyLoadStats(t *testing.T) {
 	}
 	if st, _ := ls.PagerStats(); st.Misses != 0 {
 		t.Fatalf("attaching statistics faulted %d columns", st.Misses)
+	}
+	// An edge type first traversed after Close fails with a typed
+	// error; it must not read the unmapped file.
+	if err := ls.Close(); err != nil {
+		t.Fatal(err)
+	}
+	et := ls.Schema.EdgeTypes()[0].Name
+	if err := ls.Graph.Adjacency(et).Ensure(); !errors.Is(err, pager.ErrClosed) {
+		t.Fatalf("Ensure(%q) after Close = %v, want pager.ErrClosed", et, err)
 	}
 }
 

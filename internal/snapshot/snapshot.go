@@ -330,7 +330,15 @@ func open(data []byte, file *pager.File, budget int) (*Snapshot, *columnSource, 
 			return nil, nil, corrupt(secSkel, "attaching column source: %v", err)
 		}
 		for _, e := range edges {
-			if err := graph.InstallAdjacencyDeferred(e.name, e.targets, e.load); err != nil {
+			// The loader reads the mapping: after LazySnapshot.Close
+			// it fails with pager.ErrClosed instead of faulting.
+			load := func() ([]tgm.NodeID, []int32, []tgm.NodeID, error) {
+				if file.Closed() {
+					return nil, nil, nil, fmt.Errorf("snapshot: edge type %q: %w", e.name, pager.ErrClosed)
+				}
+				return e.load()
+			}
+			if err := graph.InstallAdjacencyDeferred(e.name, e.targets, load); err != nil {
 				return nil, nil, corrupt(secEdges, "registering %q adjacency: %v", e.name, err)
 			}
 		}

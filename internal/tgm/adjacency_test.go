@@ -184,8 +184,8 @@ func (r *refAdjacency) insert(edgeType string, src, dst NodeID) bool {
 // after its forward edge, AddEdge after a read of the unfrozen graph
 // (which packs, so the next read re-packs), edge types whose source or
 // target type has no nodes, and an edge type the schema does not know.
-// Every read — both Neighbors, both Degrees, NumEdges, EdgeTypeCount,
-// AvgOutDegree — is compared before and after Freeze, over IDs below,
+// Every read — both Neighbors, both Degrees, NumEdges, EdgeTypeCount —
+// is compared before and after Freeze, over IDs below,
 // inside and above every type's run.
 func TestAddEdgeMatchesReference(t *testing.T) {
 	const nPapers, nAuthors = 10, 6 // papers 0–9, authors 10–15; no conferences or keywords
@@ -226,13 +226,6 @@ func TestAddEdgeMatchesReference(t *testing.T) {
 			total += count
 			if got := g.EdgeTypeCount(et); got != count {
 				t.Errorf("%s: EdgeTypeCount(%q) = %d, want %d", when, et, got, count)
-			}
-			var wantAvg float64
-			if et := g.Schema().EdgeType(et); et != nil && len(g.NodesOfType(et.Source)) > 0 {
-				wantAvg = float64(count) / float64(len(g.NodesOfType(et.Source)))
-			}
-			if got := g.AvgOutDegree(et); got != wantAvg {
-				t.Errorf("%s: AvgOutDegree(%q) = %v, want %v", when, et, got, wantAvg)
 			}
 		}
 		if g.NumEdges() != total || g.ComputeStats().Edges != total {
@@ -281,5 +274,49 @@ func TestAddEdgeMatchesReference(t *testing.T) {
 	}
 	if err := g2.InstallAdjacency(rev, []NodeID{2}, []int32{0, 1}, []NodeID{0}); err == nil {
 		t.Error("InstallAdjacency over AddEdge's reverse edges accepted")
+	}
+}
+
+// TestAddEdgeRefusesInstalledAdjacency: an edge type installed
+// wholesale — eagerly or deferred, forward or through its reverse — has
+// no build log, so AddEdge over it fails before anything changes: the
+// installed edges and the reverse type stay as they were, also after a
+// read and after Freeze.
+func TestAddEdgeRefusesInstalledAdjacency(t *testing.T) {
+	const fwd, rev = "Papers→Authors", "Papers→Authors_rev"
+	for _, tc := range []struct {
+		name    string
+		install func(g *InstanceGraph) error
+	}{
+		{"eager forward", func(g *InstanceGraph) error {
+			return g.InstallAdjacency(fwd, []NodeID{0}, []int32{0, 1}, []NodeID{2})
+		}},
+		{"deferred forward", func(g *InstanceGraph) error {
+			return g.InstallAdjacencyDeferred(fwd, 1, func() ([]NodeID, []int32, []NodeID, error) {
+				return []NodeID{0}, []int32{0, 1}, []NodeID{2}, nil
+			})
+		}},
+		{"eager reverse", func(g *InstanceGraph) error {
+			return g.InstallAdjacency(rev, []NodeID{2}, []int32{0, 1}, []NodeID{0})
+		}},
+	} {
+		g := adjacencyGraph(t, 2, 2)
+		if err := tc.install(g); err != nil {
+			t.Fatal(err)
+		}
+		before := func() [4][]NodeID {
+			return [4][]NodeID{g.Neighbors(0, fwd), g.Neighbors(1, fwd), g.Neighbors(2, rev), g.Neighbors(3, rev)}
+		}
+		want := before()
+		if err := g.AddEdge(fwd, 1, 3); err == nil {
+			t.Errorf("%s: AddEdge over installed adjacency accepted", tc.name)
+		}
+		if got := before(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: refused AddEdge changed the graph: %v, was %v", tc.name, got, want)
+		}
+		g.Freeze()
+		if got := before(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: frozen graph: %v, was %v", tc.name, got, want)
+		}
 	}
 }

@@ -139,7 +139,7 @@ func (b *colBlock) builders() []value.Builder {
 // row as ID − lo with no per-node lookup. Freeze marks the end
 // of the build phase: after Freeze, mutators fail and every read
 // accessor — Node, NodesOfType, Neighbors, Degree, Adjacency,
-// AvgOutDegree, EdgeTypeCount, ComputeStats, FindNode, AttrColumn,
+// EdgeTypeCount, ComputeStats, FindNode, AttrColumn,
 // AttrRank, Derive, Peek — is safe for unsynchronized concurrent use.
 // Before Freeze a graph belongs to one goroutine: a read packs the
 // edges AddEdge logged since the previous read. Freeze packs what is
@@ -568,7 +568,10 @@ func (g *InstanceGraph) NodesOfType(typeName string) []NodeID {
 // AddEdge inserts a directed edge of the named type and, when the type
 // has a registered reverse, the corresponding reverse edge. Duplicate
 // edges are ignored. Node types of the endpoints are checked. The pair
-// goes to the type's build log; the next read or Freeze packs it.
+// goes to the type's build log; the next read or Freeze packs it. An
+// edge type (or its reverse) whose adjacency was installed wholesale
+// (InstallAdjacency*) has no log to extend: AddEdge refuses it and
+// changes nothing.
 func (g *InstanceGraph) AddEdge(edgeType string, src, dst NodeID) error {
 	if g.frozen.Load() {
 		return fmt.Errorf("tgm: graph is frozen; cannot add edge of type %q", edgeType)
@@ -586,6 +589,11 @@ func (g *InstanceGraph) AddEdge(edgeType string, src, dst NodeID) error {
 	}
 	if dn.Type.Name != et.Target {
 		return fmt.Errorf("tgm: edge %q target must be %q, got %q", edgeType, et.Target, dn.Type.Name)
+	}
+	for _, name := range []string{et.Name, et.Reverse} {
+		if a := g.adj[name]; name != "" && a != nil && a.log == nil {
+			return fmt.Errorf("tgm: edge type %q adjacency was installed; AddEdge cannot extend it", name)
+		}
 	}
 	g.logEdge(et.Name, src, dst)
 	if et.Reverse != "" {
@@ -652,7 +660,7 @@ type AdjacencyLoader func() (srcs []NodeID, offs []int32, targets []NodeID, err 
 // the type, instead of at install time — the out-of-core open's bulk
 // alternative to InstallAdjacency. targetCount is the type's edge
 // count (known from the snapshot directory without decoding the
-// arrays), so NumEdges, EdgeTypeCount, and AvgOutDegree are exact
+// arrays), so NumEdges and EdgeTypeCount are exact
 // before any traversal. The loaded arrays pass exactly the validation
 // InstallAdjacency applies; a load or validation failure is cached and
 // leaves the type with empty adjacency — the name-keyed accessors
@@ -737,23 +745,6 @@ func (g *InstanceGraph) TypeIDRange(name string) (lo, hi NodeID) {
 // EdgeTypeCount returns the number of edges of the named type.
 func (g *InstanceGraph) EdgeTypeCount(edgeType string) int {
 	return g.adjOf(edgeType).n
-}
-
-// AvgOutDegree returns the mean out-degree of the named edge type over
-// all nodes of its source type (0 for unknown types or empty sources).
-// It is the fan-out factor the etable engine orders pattern joins by,
-// and it is exact before any adjacency loads: deferred edge types know
-// their totals from the snapshot directory.
-func (g *InstanceGraph) AvgOutDegree(edgeType string) float64 {
-	et := g.schema.EdgeType(edgeType)
-	if et == nil {
-		return 0
-	}
-	n := len(g.byType[et.Source])
-	if n == 0 {
-		return 0
-	}
-	return float64(g.EdgeTypeCount(edgeType)) / float64(n)
 }
 
 // Neighbors returns the targets of the given node's out-edges of the

@@ -159,15 +159,26 @@ if grep -rnwE 'decodeEdges|decodeEdgesDeferred|lazyDecode|AddDirectedEdge|Extern
 	exit 1
 fi
 
-# One join loop: a derived match (a resident ancestor's match as one
-# join unit) and a match from the bases run the same StreamJoin chain
-# in matchPipeline, not a fork of it (ROADMAP 3).
+# One enumeration: m(Q) is streamed from its reduced node sets in one
+# place (enumerate), for MatchOpts and the spill tier alike; a derived
+# and a from-bases match reduce the same way (ROADMAP 3, 18).
 echo "==> one join loop"
 calls=$(grep -rnE 'graphrel\.StreamJoin\(' --include='*.go' --exclude='*_test.go' internal/etable |
 	grep -vE '^[^:]*:[0-9]+:[[:space:]]*//' || true)
 if [ "$(printf '%s' "$calls" | grep -c .)" -ne 1 ]; then
 	echo "graphrel.StreamJoin must have exactly one non-test call site in internal/etable:" >&2
 	echo "$calls" >&2
+	exit 1
+fi
+
+# Semi-join, don't join: a miss computes reduced node sets, so the
+# join planner, its cost model, the fold kernels over m(Q) and the
+# spilled-prepare hand-off stay deleted (ROADMAP 18, 20b). The fold
+# kernels survive only as test oracles.
+echo "==> no join planner, no fold over m(Q)"
+if grep -rnE 'orderJoins|AvgOutDegree|GroupNeighbors|DistinctSorted|errSpilled' \
+	--include='*.go' --exclude='*_test.go' internal; then
+	echo "a join planner or a fold over m(Q) reappeared (see above)" >&2
 	exit 1
 fi
 
