@@ -27,9 +27,6 @@ type Reduced struct {
 	rows int
 }
 
-// Rows returns |m(Q)|.
-func (r *Reduced) Rows() int { return r.rows }
-
 // Set returns pattern node key's reduced set.
 func (r *Reduced) Set(key string) (graphrel.NodeSet, bool) {
 	for i, k := range r.keys {

@@ -10,8 +10,10 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/etable"
+	"repro/internal/relational"
 	"repro/internal/storage"
 	"repro/internal/translate"
+	"repro/internal/value"
 )
 
 // TestDerivedMatchesOracles is the derivation oracle: random operator
@@ -93,6 +95,9 @@ func TestDerivedMatchesOracles(t *testing.T) {
 func TestReducedMatchesOracles(t *testing.T) {
 	t.Run("scratch_is_span_sized", etable.ScratchIsSpanSized)
 	db, err := dataset.Generate(dataset.Config{Papers: 90, Authors: 45, Institutions: 12, Seed: 5})
+	if err == nil {
+		err = addReferees(db, 40)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,11 +126,17 @@ func TestReducedMatchesOracles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	mentors := selfLoopStates(t, tr)
 	for _, size := range []int{1, 2, 1024} {
 		t.Run(fmt.Sprintf("cache%d", size), func(t *testing.T) {
 			ex := etable.NewSharedExecutor(tr.Instance, etable.NewCache(size))
 			if err := checkState(ex, tr, st, &stMu, empty); err != nil {
 				t.Fatalf("empty: %v", err)
+			}
+			for _, p := range mentors {
+				if err := checkState(ex, tr, st, &stMu, p); err != nil {
+					t.Fatalf("self-loop: %s: %v", p, err)
+				}
 			}
 			var wg sync.WaitGroup
 			for w := 0; w < 2; w++ {
@@ -148,6 +159,69 @@ func TestReducedMatchesOracles(t *testing.T) {
 	}
 }
 
+// addReferees adds n referees to db, each reviewing a paper and
+// mentored by an earlier referee (the first by itself): a
+// self-referencing foreign key, which translates to a self-loop edge
+// type stored one way only, with no reverse to walk it back.
+func addReferees(db *relational.DB, n int) error {
+	refs, err := db.CreateTable(relational.Schema{
+		Name: "Referees",
+		Columns: []relational.Column{{Name: "id", Type: value.KindInt}, {Name: "name", Type: value.KindString},
+			{Name: "paper_id", Type: value.KindInt}, {Name: "mentor_id", Type: value.KindInt}},
+		PrimaryKey: []string{"id"},
+		ForeignKeys: []relational.ForeignKey{{Col: "paper_id", RefTable: "Papers", RefCol: "id"},
+			{Col: "mentor_id", RefTable: "Referees", RefCol: "id"}},
+	})
+	for i := 0; err == nil && i < n; i++ {
+		_, err = refs.InsertValues(value.Int(int64(i+1)), value.Str(fmt.Sprintf("%c%d", 'a'+i%3, i)),
+			value.Int(int64(1+i*7%90)), value.Int(int64(1+i/3)))
+	}
+	return err
+}
+
+// selfLoopStates walks the referees' one-way mentor edge both ways: Add
+// makes the mentor primary, so its rows reach their mentees against the
+// stored direction, and Shift turns that back; a grand-mentor added
+// beyond, conditioned, then puts the primary at either end and between.
+func selfLoopStates(t *testing.T, tr *translate.Result) []*etable.Pattern {
+	t.Helper()
+	var mentor string
+	for _, et := range tr.Schema.OutEdges("Referees") {
+		if et.Target == "Referees" {
+			mentor = et.Name
+		}
+	}
+	if mentor == "" || tr.Schema.EdgeType(mentor).Reverse != "" {
+		t.Fatalf("fixture: no one-way Referees self-loop (%q)", mentor)
+	}
+	p, err := etable.Initiate(tr.Schema, "Referees")
+	if err == nil {
+		p, err = etable.Add(tr.Schema, p, mentor)
+	}
+	states := []*etable.Pattern{p}
+	for _, step := range []func(*etable.Pattern) (*etable.Pattern, error){
+		func(p *etable.Pattern) (*etable.Pattern, error) { return etable.Shift(p, p.Nodes[0].Key) },
+		func(p *etable.Pattern) (*etable.Pattern, error) {
+			q, _, err := etable.AddBetween(tr.Schema, p, p.Nodes[1].Key, mentor)
+			return q, err
+		},
+		func(p *etable.Pattern) (*etable.Pattern, error) {
+			return etable.SelectNode(p, p.Nodes[2].Key, "id < 20")
+		},
+		func(p *etable.Pattern) (*etable.Pattern, error) { return etable.Shift(p, p.Nodes[2].Key) },
+		func(p *etable.Pattern) (*etable.Pattern, error) { return etable.Shift(p, p.Nodes[1].Key) },
+	} {
+		if err == nil {
+			p, err = step(p)
+			states = append(states, p)
+		}
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return states
+}
+
 // randomSequence applies steps random operators from a random Open and
 // returns every state, in order, each cloned from the one before.
 func randomSequence(rng *rand.Rand, tr *translate.Result, steps, maxNodes int) []*etable.Pattern {
@@ -157,8 +231,14 @@ func randomSequence(rng *rand.Rand, tr *translate.Result, steps, maxNodes int) [
 		"Authors":      {"name like '%a%'", "id < 100"},
 		"Conferences":  {"acronym = 'SIGMOD'", "acronym like '%D%'"},
 		"Institutions": {"country like '%Korea%'", "country = 'USA'", "country like '%a%'"},
+		"Referees":     {"id < 20", "name like 'b%'"},
 	}
-	starts := []string{"Papers", "Authors", "Conferences", "Institutions"}
+	var starts []string
+	for _, typ := range []string{"Papers", "Authors", "Conferences", "Institutions", "Referees"} {
+		if schema.NodeType(typ) != nil {
+			starts = append(starts, typ)
+		}
+	}
 	p, err := etable.Initiate(schema, starts[rng.Intn(len(starts))])
 	if err != nil {
 		panic(err)

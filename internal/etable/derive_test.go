@@ -22,7 +22,7 @@ func CachedRows(c *Cache, p *Pattern) (int, bool) {
 	if !ok {
 		return 0, false
 	}
-	return red.Rows(), true
+	return red.rows, true
 }
 
 // FoldTable renders p's table from a matched relation with the fold

@@ -131,22 +131,21 @@ func MatchOpts(g *tgm.InstanceGraph, p *Pattern, opt ExecOptions) (*graphrel.Rel
 var errDisconnected = errors.New("etable: pattern is disconnected")
 
 // orientEdge decides whether a pattern edge can extend the joined set:
-// if exactly one endpoint is joined, it returns the join anchored at it,
-// using the reverse edge type when traversing against the stored
-// orientation. Self-paired edge types (no reverse) traverse by the same
-// name both ways.
-func orientEdge(schema *tgm.SchemaGraph, e PatternEdge, joined map[string]bool) (anchorKey, newKey, edgeName string, ok bool) {
+// if exactly one endpoint is joined, it returns the step anchored at it,
+// along edgeName oriented anchor → new. Against the stored orientation
+// that is the reverse edge type, or, for a type stored one way only (a
+// self-loop without a reverse), the type itself walked against it.
+func orientEdge(schema *tgm.SchemaGraph, e PatternEdge, joined map[string]bool) (anchorKey, newKey, edgeName string, against, ok bool) {
 	switch {
 	case joined[e.From] && !joined[e.To]:
-		return e.From, e.To, e.EdgeType, true
+		return e.From, e.To, e.EdgeType, false, true
 	case joined[e.To] && !joined[e.From]:
-		et := schema.EdgeType(e.EdgeType)
-		if et == nil || et.Reverse == "" {
-			return e.To, e.From, e.EdgeType, true
+		if et := schema.EdgeType(e.EdgeType); et != nil && et.Reverse != "" {
+			return e.To, e.From, et.Reverse, false, true
 		}
-		return e.To, e.From, et.Reverse, true
+		return e.To, e.From, e.EdgeType, true, true
 	default:
-		return "", "", "", false
+		return "", "", "", false, false
 	}
 }
 

@@ -28,20 +28,20 @@ func MatchNaive(g *tgm.InstanceGraph, p *Pattern) (*graphrel.Relation, error) {
 	bases := make(map[string]*graphrel.Relation, len(p.Nodes))
 	for i := range p.Nodes {
 		n := &p.Nodes[i]
-		r, err := graphrel.BaseNamed(g, n.Type, n.Key)
+		var pred *expr.Pred
+		if n.Cond != nil {
+			var err error
+			if pred, err = expr.Compile(n.Cond, g.Schema().NodeType(n.Type)); err != nil {
+				return nil, err
+			}
+		}
+		set, err := graphrel.SelectSet(nil, nil, 1, g, g.NodesOfType(n.Type), pred)
+		if err == nil {
+			bases[n.Key], err = graphrel.SetRelation(g, n.Type, n.Key, set)
+		}
 		if err != nil {
 			return nil, err
 		}
-		if n.Cond != nil {
-			pred, err := expr.Compile(n.Cond, g.Schema().NodeType(n.Type))
-			if err != nil {
-				return nil, err
-			}
-			if r, err = graphrel.Select(nil, nil, 1, r, n.Key, pred); err != nil {
-				return nil, err
-			}
-		}
-		bases[n.Key] = r
 	}
 	start, steps, err := declaredSteps(g.Schema(), p)
 	if err != nil {
@@ -49,7 +49,7 @@ func MatchNaive(g *tgm.InstanceGraph, p *Pattern) (*graphrel.Relation, error) {
 	}
 	cur := bases[start]
 	for _, st := range steps {
-		if cur, err = graphrel.Join(cur, bases[st.NewKey], st.EdgeName, st.AnchorKey, st.NewKey); err != nil {
+		if cur, err = st.join(cur, bases[st.NewKey]); err != nil {
 			return nil, err
 		}
 	}
@@ -58,9 +58,26 @@ func MatchNaive(g *tgm.InstanceGraph, p *Pattern) (*graphrel.Relation, error) {
 
 // joinStep is one join of the oracle: extend the joined relation from
 // AnchorKey (already joined) to NewKey along EdgeName, which is
-// oriented anchor → new.
+// oriented anchor → new, or, Against, new → anchor (a type stored one
+// way only).
 type joinStep struct {
 	AnchorKey, NewKey, EdgeName string
+	Against                     bool
+}
+
+// join extends cur by base along the step, joining in the edge type's
+// stored direction: against it, base is the left operand (the tuple
+// set, not the attribute order, is the answer).
+func (st joinStep) join(cur, base *graphrel.Relation) (*graphrel.Relation, error) {
+	left, right, la, ra := cur, base, st.AnchorKey, st.NewKey
+	if st.Against {
+		left, right, la, ra = base, cur, st.NewKey, st.AnchorKey
+	}
+	src, err := graphrel.StreamJoin(nil, graphrel.StreamRelationBatch(left, 0), right, st.EdgeName, false, la, ra)
+	if err != nil {
+		return nil, err
+	}
+	return graphrel.MaterializeMax(src, 0)
 }
 
 // declaredSteps is the oracle's join order: start at the primary node
@@ -73,11 +90,11 @@ func declaredSteps(schema *tgm.SchemaGraph, p *Pattern) (startKey string, steps 
 	for remaining > 0 {
 		progressed := false
 		for _, e := range p.Edges {
-			anchorKey, newKey, edgeName, ok := orientEdge(schema, e, joined)
+			anchorKey, newKey, edgeName, against, ok := orientEdge(schema, e, joined)
 			if !ok {
 				continue
 			}
-			steps = append(steps, joinStep{AnchorKey: anchorKey, NewKey: newKey, EdgeName: edgeName})
+			steps = append(steps, joinStep{AnchorKey: anchorKey, NewKey: newKey, EdgeName: edgeName, Against: against})
 			joined[newKey] = true
 			remaining--
 			progressed = true
@@ -110,7 +127,7 @@ func planIntermediates(t testing.TB, g *tgm.InstanceGraph, p *Pattern) []int {
 	}
 	cur, rows := bases[start], make([]int, 0, len(steps))
 	for _, st := range steps {
-		if cur, err = graphrel.Join(cur, bases[st.NewKey], st.EdgeName, st.AnchorKey, st.NewKey); err != nil {
+		if cur, err = st.join(cur, bases[st.NewKey]); err != nil {
 			t.Fatal(err)
 		}
 		rows = append(rows, cur.Len())
@@ -142,8 +159,8 @@ func assertMatchesOracle(t testing.TB, label string, got *graphrel.Relation, wan
 // distinct nodes of its column.
 func assertReducedMatches(t testing.TB, label string, red *Reduced, want *graphrel.Relation) {
 	t.Helper()
-	if red.Rows() != want.Len() {
-		t.Fatalf("%s: |m(Q)| = %d, oracle %d", label, red.Rows(), want.Len())
+	if red.rows != want.Len() {
+		t.Fatalf("%s: |m(Q)| = %d, oracle %d", label, red.rows, want.Len())
 	}
 	for _, a := range want.Attrs {
 		set, ok := red.Set(a.Name)

@@ -159,3 +159,71 @@ func mustPlan(t *testing.T, tr *translate.Result, p *Pattern) *Plan {
 	}
 	return pl
 }
+
+// TestReductionLoadsOnlyWhatItWalks: one X node's thousand Ys are
+// reduced and grouped from the X side under either primary, so the
+// reverse edge type, whose deferred load fails, is never loaded and
+// both prepares succeed; a direction is loaded by the kernel that
+// walks it, not for every pattern edge up front.
+func TestReductionLoadsOnlyWhatItWalks(t *testing.T) {
+	s := tgm.NewSchemaGraph()
+	for _, name := range []string{"X", "Y"} {
+		if _, err := s.AddNodeType(tgm.NodeType{Name: name, Kind: tgm.NodeEntity, Label: "id",
+			Attrs: []tgm.Attr{{Name: "id", Type: value.KindInt}}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.AddBidirectional(tgm.EdgeType{Name: "X→Y", Source: "X", Target: "Y", Kind: tgm.EdgeManyToMany}); err != nil {
+		t.Fatal(err)
+	}
+	g := tgm.NewInstanceGraph(s)
+	var ys []tgm.NodeID
+	for i := 0; i < 1002; i++ {
+		typ := "Y"
+		if i < 2 {
+			typ = "X"
+		}
+		id, err := g.AddNode(typ, []value.V{value.Int(int64(i))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if typ == "Y" {
+			ys = append(ys, id)
+		}
+	}
+	if err := g.InstallAdjacencyDeferred("X→Y", len(ys), func() ([]tgm.NodeID, []int32, []tgm.NodeID, error) {
+		return []tgm.NodeID{0}, []int32{0, int32(len(ys))}, ys, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("reverse direction loaded")
+	if err := g.InstallAdjacencyDeferred("X→Y_rev", len(ys), func() ([]tgm.NodeID, []int32, []tgm.NodeID, error) {
+		return nil, nil, nil, boom
+	}); err != nil {
+		t.Fatal(err)
+	}
+	g.Freeze()
+	p, err := Initiate(s, "X")
+	if err == nil {
+		p, err = Select(p, "id = 0")
+	}
+	if err == nil {
+		p, _, err = AddBetween(s, p, "X", "X→Y")
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex := NewExecutor(g)
+	for _, primary := range []string{"X", p.Nodes[1].Key} {
+		q, err := Shift(p, primary)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ex.PrepareWithOpts(q, ExecOptions{}); err != nil {
+			t.Fatalf("primary %s: %v", primary, err)
+		}
+		if n, _ := CachedRows(ex.Cache(), q); n != len(ys) {
+			t.Fatalf("primary %s: |m(Q)| = %d, want %d", primary, n, len(ys))
+		}
+	}
+}

@@ -23,49 +23,44 @@ var streamBatchRows = 0
 
 // patternTree is a pattern rooted at its primary node: keys and nodes
 // in tree order (the primary first, every parent before its children),
-// and per node its place in the tree — the edge to its parent, loaded
-// both ways — and the edge type oriented parent → node (down).
+// and per node its place in the tree — the edge to its parent, both
+// ways — and the join step parent → node (down, against: orientEdge).
 type patternTree struct {
-	keys  []string
-	nodes []*PatternNode
-	edges []graphrel.TreeEdge
-	down  []string
+	keys    []string
+	nodes   []*PatternNode
+	edges   []graphrel.TreeEdge
+	down    []string
+	against []bool
 }
 
 // treeOf roots p at its primary node. Edges are taken in declaration
 // order as they become connected, oriented as orientEdge orients a
-// join; every adjacency the tree walks is loaded here, so a deferred
-// load's failure is this call's typed error rather than "no neighbors".
+// join. It loads nothing: a kernel ensures the direction it walks, so a
+// deferred load's failure is that kernel's typed error rather than "no
+// neighbors", and a direction no kernel picks stays unloaded.
 func treeOf(g *tgm.InstanceGraph, p *Pattern) (*patternTree, error) {
 	prim := p.PrimaryNode()
 	if prim == nil {
 		return nil, fmt.Errorf("etable: pattern has no primary node")
 	}
-	schema := g.Schema()
 	t := &patternTree{keys: []string{prim.Key}, nodes: []*PatternNode{prim},
-		edges: make([]graphrel.TreeEdge, 1), down: []string{""}}
+		edges: make([]graphrel.TreeEdge, 1), down: []string{""}, against: []bool{false}}
 	at := map[string]int{prim.Key: 0}
 	joined := map[string]bool{prim.Key: true}
 	for len(t.keys) < len(p.Nodes) {
 		progressed := false
 		for _, e := range p.Edges {
-			anchor, key, down, ok := orientEdge(schema, e, joined)
+			anchor, key, down, against, ok := orientEdge(g.Schema(), e, joined)
 			if !ok {
 				continue
 			}
-			up := e.EdgeType
-			if et := schema.EdgeType(up); key == e.To && et != nil && et.Reverse != "" {
-				up = et.Reverse
+			te := graphrel.TreeEdge{Parent: at[anchor], Down: g.Adjacency(down), Up: g.Inverse(down)}
+			if against {
+				te.Down, te.Up = te.Up, te.Down
 			}
-			for _, name := range []string{down, up} {
-				if err := g.Adjacency(name).Ensure(); err != nil {
-					return nil, fmt.Errorf("etable: edge %q adjacency: %w", name, err)
-				}
-			}
-			te := graphrel.TreeEdge{Parent: at[anchor], Down: g.Adjacency(down), Up: g.Adjacency(up)}
 			at[key], joined[key] = len(t.keys), true
 			t.keys, t.nodes = append(t.keys, key), append(t.nodes, p.Node(key))
-			t.edges, t.down = append(t.edges, te), append(t.down, down)
+			t.edges, t.down, t.against = append(t.edges, te), append(t.down, down), append(t.against, against)
 			progressed = true
 		}
 		if !progressed {
@@ -143,20 +138,11 @@ func selectSet(g *tgm.InstanceGraph, opt ExecOptions, n *PatternNode, from *grap
 	if from != nil && pred == nil {
 		return *from, nil
 	}
-	var rel *graphrel.Relation
-	var err error
-	if from != nil {
-		rel, err = graphrel.SetRelation(g, n.Type, n.Key, *from)
-	} else {
-		rel, err = graphrel.BaseNamed(g, n.Type, n.Key)
+	ids := g.NodesOfType(n.Type)
+	if from != nil && from.Len() < len(ids) {
+		ids = from.IDs()
 	}
-	if err == nil {
-		rel, err = graphrel.Select(opt.Ctx, opt.Pool, opt.Parallelism, rel, n.Key, pred)
-	}
-	if err != nil {
-		return graphrel.NodeSet{}, err
-	}
-	return graphrel.SetOf(rel.Column(0)), nil
+	return graphrel.SelectSet(opt.Ctx, opt.Pool, opt.Parallelism, g, ids, pred)
 }
 
 // enumerate streams m(Q) from its reduced sets: the primary's set,
@@ -179,7 +165,7 @@ func enumerate(g *tgm.InstanceGraph, t *patternTree, red *Reduced, opt ExecOptio
 			src = graphrel.StreamRelationBatch(rel, streamBatchRows)
 			continue
 		}
-		if src, err = graphrel.StreamJoin(opt.Ctx, src, rel, t.down[i], t.keys[t.edges[i].Parent], n.Key); err != nil {
+		if src, err = graphrel.StreamJoin(opt.Ctx, src, rel, t.down[i], t.against[i], t.keys[t.edges[i].Parent], n.Key); err != nil {
 			return nil, err
 		}
 	}

@@ -254,23 +254,32 @@ func Prepare(g *tgm.InstanceGraph, p *Pattern, matched *graphrel.Relation) (*Pre
 // PrepareOpts builds the presentation over a matched relation: rows are
 // the distinct primary nodes ascending by ID, columns the base
 // attributes A_b, participating node columns A_t and neighbor node
-// columns A_h of §5.4.2. It prepares the projections π_k(matched) —
-// for matched = m(Q), exactly the engine's reduced sets — through the
-// one set prepare (prepareSets).
+// columns A_h of §5.4.2. matched must be m(Q): the presentation is
+// prepared from its projections π_k(matched), which for m(Q) are
+// exactly the engine's reduced sets (prepareSets). A relation that is
+// not — a subset, a capped drain — counts fewer tuples than the full
+// reduction over its projections, and is refused.
 func PrepareOpts(g *tgm.InstanceGraph, p *Pattern, matched *graphrel.Relation, opt ExecOptions) (*Presentation, error) {
-	red := &Reduced{rows: matched.Len()}
-	for _, n := range p.Nodes {
-		col := matched.ColumnNamed(n.Key)
-		if col == nil && matched.AttrIndex(n.Key) < 0 {
-			return nil, fmt.Errorf("etable: matched relation has no attribute %q", n.Key)
-		}
-		red.keys, red.sets = append(red.keys, n.Key), append(red.sets, graphrel.SetOf(col))
-	}
 	t, err := treeOf(g, p)
 	if err != nil {
 		return nil, err
 	}
-	return prepareSets(g, p, t, red, opt)
+	sets := make([]graphrel.NodeSet, len(t.keys))
+	for i, k := range t.keys {
+		col := matched.ColumnNamed(k)
+		if col == nil && matched.AttrIndex(k) < 0 {
+			return nil, fmt.Errorf("etable: matched relation has no attribute %q", k)
+		}
+		sets[i] = graphrel.SetOf(col)
+	}
+	reduced, rows, err := graphrel.Reduce(opt.Ctx, sets, t.edges)
+	if err != nil {
+		return nil, err
+	}
+	if rows != matched.Len() {
+		return nil, fmt.Errorf("etable: matched relation holds %d tuples, not the %d matches over its projections: PrepareOpts needs m(Q)", matched.Len(), rows)
+	}
+	return prepareSets(g, p, t, &Reduced{keys: t.keys, sets: reduced, rows: rows}, opt)
 }
 
 // prepareReduced prepares a reduced match under the row cap: past

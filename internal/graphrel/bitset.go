@@ -59,15 +59,17 @@ func SetOf(ids []tgm.NodeID) NodeSet {
 	if len(ids) == 0 {
 		return NodeSet{}
 	}
-	lo, hi := ids[0], ids[0]
-	for _, id := range ids {
-		lo, hi = min(lo, id), max(hi, id)
+	lo, hi := ids[0], ids[len(ids)-1]
+	if !slices.IsSorted(ids) {
+		lo, hi = slices.Min(ids), slices.Max(ids)
 	}
 	s := NodeSet{lo: lo, bits: NewBitset(int(hi-lo) + 1)}
 	for _, id := range ids {
-		if !s.bits.TestAndSet(id - lo) {
-			s.n++
-		}
+		d := uint(id - lo)
+		s.bits[d>>6] |= 1 << (d & 63)
+	}
+	for _, w := range s.bits {
+		s.n += bits.OnesCount64(w)
 	}
 	return s
 }
@@ -112,8 +114,8 @@ func (s NodeSet) rank(ranks []int32, id tgm.NodeID) int32 {
 
 // IDs returns the members ascending, in a fresh slice.
 func (s NodeSet) IDs() []tgm.NodeID {
-	out := make([]tgm.NodeID, 0, s.n)
-	s.each(func(id tgm.NodeID) { out = append(out, id) })
+	out, i := make([]tgm.NodeID, s.n), 0
+	s.each(func(id tgm.NodeID) { out[i], i = id, i+1 })
 	return out
 }
 

@@ -1,9 +1,10 @@
 // Package graphrel implements the paper's graph relation algebra
 // (§5.4.1): base graph relations over node types of a TGDB instance
-// graph, and the Selection (σ), Join (∗, over an edge type), and
-// Projection (Π) operators — plus the semi-join kernels over node sets
-// (semijoin.go) from which internal/etable computes the instance
-// matching function m(Q) (Definition 4) without materializing it.
+// graph, the Selection (σ, over a node set: SelectSet) and the streamed
+// Join (∗, over an edge type: StreamJoin) — plus the semi-join kernels
+// over node sets (semijoin.go) from which internal/etable computes the
+// instance matching function m(Q) (Definition 4) without materializing
+// it.
 //
 // A graph relation is like a relation in the relational model, except
 // that each attribute's domain is the node set of one node type: a tuple
@@ -22,9 +23,8 @@
 //
 // Relations and node sets are immutable once an operator returns them,
 // and every operator treats its inputs as read-only: Base/BaseNamed
-// alias the frozen graph's per-type node list, Retain re-slices its
-// input's columns, and gather/joinOutput write only into fresh arenas
-// before the result escapes. So all read accessors and operators are
+// alias the frozen graph's per-type node list, and joinOutput writes
+// only into fresh arenas before the result escapes. So all read accessors and operators are
 // safe to call concurrently on shared values with no synchronization;
 // callers must not modify the slices Column/ColumnNamed return.
 package graphrel
@@ -51,7 +51,7 @@ type Attr struct {
 // attribute, a column of node IDs. All columns have equal length; the
 // tuple at row i is (cols[0][i], …, cols[k-1][i]). Columns are immutable
 // once built and may be shared between relations (Base aliases the
-// instance graph's node lists; Retain re-slices its input).
+// instance graph's node lists).
 type Relation struct {
 	g     *tgm.InstanceGraph
 	Attrs []Attr
@@ -104,37 +104,10 @@ func (r *Relation) ColumnNamed(name string) []tgm.NodeID {
 // At returns the node at (row, attribute ordinal).
 func (r *Relation) At(row, ai int) tgm.NodeID { return r.cols[ai][row] }
 
-// gather materializes the listed rows into a fresh relation, copying
-// column-wise from the source.
-func (r *Relation) gather(rows []int32) *Relation {
-	out := newRelation(r.g, r.Attrs, len(rows))
-	for c, col := range r.cols {
-		gatherInto(out.cols[c], col, rows)
-	}
-	return out
-}
-
 func gatherInto(dst, src []tgm.NodeID, rows []int32) {
 	for j, ri := range rows {
 		dst[j] = src[ri]
 	}
-}
-
-// Retain returns r restricted to the named attributes without duplicate
-// elimination. Columns are shared with r (zero copy).
-func (r *Relation) Retain(attrNames ...string) (*Relation, error) {
-	out := &Relation{g: r.g, n: r.n,
-		Attrs: make([]Attr, len(attrNames)),
-		cols:  make([][]tgm.NodeID, len(attrNames))}
-	for i, name := range attrNames {
-		ai := r.AttrIndex(name)
-		if ai < 0 {
-			return nil, fmt.Errorf("graphrel: no attribute %q", name)
-		}
-		out.Attrs[i] = r.Attrs[ai]
-		out.cols[i] = r.cols[ai]
-	}
-	return out, nil
 }
 
 // Base returns the base graph relation of a node type: one
@@ -161,90 +134,72 @@ func BaseNamed(g *tgm.InstanceGraph, typeName, attrName string) (*Relation, erro
 	}, nil
 }
 
-// Select returns the tuples whose node at the named attribute satisfies
-// pred (σ_Ci applied to attribute A_i), a condition already compiled
-// against that attribute's node type (expr.Compile) — callers that keep
+// SelectSet is the selection σ over a node set: the members of ids —
+// nodes of pred's type, strictly ascending, like a type's node list or
+// a NodeSet's IDs — whose node satisfies pred, a condition already
+// compiled against that type (expr.Compile), so callers that keep
 // compiled conditions across executions (the etable plan) never pay a
-// per-call compile. A nil pred returns r unchanged.
+// per-call compile. A nil pred keeps them all.
 //
-// The condition runs a column at a time: Select pins the attribute
-// columns pred reads once (expr.Pred.Bind), every row range scans them
-// directly, and every pin is released before Select returns. A column
-// that fails to fault in fails the selection with the column source's
-// typed error; it never reads as NULL.
-//
-// Relations of more than one morsel fan out over pool under budget
-// (see parallel.go for the three-phase splice); a nil pool, a budget
-// <= 1, or a single-morsel input runs over [0, n) on the calling
-// goroutine. Either way the output is the same relation, row for row,
-// and ctx is checked between morsels.
-func Select(ctx context.Context, pool *exec.Pool, budget int, r *Relation, attrName string, pred *expr.Pred) (*Relation, error) {
-	if pred == nil {
-		return r, nil
+// The condition runs a column at a time: SelectSet pins the attribute
+// columns pred reads once (expr.Pred.Bind), every ID range scans them
+// directly, and every pin is released before SelectSet returns. A
+// column that fails to fault in fails the selection with the column
+// source's typed error; it never reads as NULL. The kept members' bits
+// are set straight from the scan's keep lists: no tuple is gathered.
+// More than one morsel of ids fans out over pool under budget (see
+// parallel.go); the set is the same either way, and ctx is checked
+// between morsels.
+func SelectSet(ctx context.Context, pool *exec.Pool, budget int, g *tgm.InstanceGraph, ids []tgm.NodeID, pred *expr.Pred) (NodeSet, error) {
+	if pred == nil || len(ids) == 0 {
+		return SetOf(ids), nil
 	}
-	ai := r.AttrIndex(attrName)
-	if ai < 0 {
-		return nil, fmt.Errorf("graphrel: no attribute %q", attrName)
-	}
-	if nt := r.Attrs[ai].Type; nt.Name != pred.NodeType().Name {
-		return nil, fmt.Errorf("graphrel: condition compiled for %q selects attribute %q of type %q",
-			pred.NodeType().Name, attrName, nt.Name)
+	if lo, hi := g.TypeIDRange(pred.NodeType().Name); ids[0] < lo || ids[len(ids)-1] > hi {
+		return NodeSet{}, fmt.Errorf("graphrel: condition compiled for %q selects nodes of another type", pred.NodeType().Name)
 	}
 	if err := ctxErr(ctx); err != nil {
-		return nil, err
+		return NodeSet{}, err
 	}
-	bound, err := pred.Bind(r.g)
+	bound, err := pred.Bind(g)
 	if err != nil {
-		return nil, err
+		return NodeSet{}, err
 	}
 	defer bound.Release()
-	col := r.cols[ai]
-	if pool == nil || budget <= 1 || r.n <= MorselRows {
-		keep, err := bound.Select(col, 0, r.n)
+	var keeps [][]int32
+	if pool == nil || budget <= 1 || len(ids) <= MorselRows {
+		keep, err := bound.Select(ids, 0, len(ids))
 		if err != nil {
-			return nil, err
+			return NodeSet{}, err
 		}
-		return r.gather(keep), nil
-	}
-	bounds := morselBounds(r.n, MorselRows)
-
-	// Phase 1: each morsel filters into its own keep list.
-	keeps := make([][]int32, len(bounds))
-	if err := pool.Map(ctx, len(bounds), budget, func(m int) error {
-		keep, err := bound.Select(col, bounds[m][0], bounds[m][1])
-		if err != nil {
+		keeps = [][]int32{keep}
+	} else {
+		bounds := morselBounds(len(ids), MorselRows)
+		keeps = make([][]int32, len(bounds))
+		if err := pool.Map(ctx, len(bounds), budget, func(m int) (err error) {
+			keeps[m], err = bound.Select(ids, bounds[m][0], bounds[m][1])
 			return err
+		}); err != nil {
+			return NodeSet{}, err
 		}
-		keeps[m] = keep
-		return nil
-	}); err != nil {
-		return nil, err
 	}
-
-	// Phase 2: prefix-sum morsel counts into disjoint output offsets.
-	offs, total := prefixOffsets(keeps)
-
-	// Phase 3: gather every morsel into its disjoint output window.
-	out := newRelation(r.g, r.Attrs, total)
-	if err := pool.Map(ctx, len(bounds), budget, func(m int) error {
-		rows := keeps[m]
-		lo := offs[m]
-		for c, src := range r.cols {
-			gatherInto(out.cols[c][lo:lo+len(rows)], src, rows)
+	s := NodeSet{lo: ids[0], bits: NewBitset(int(ids[len(ids)-1]-ids[0]) + 1)}
+	for _, keep := range keeps {
+		for _, k := range keep {
+			d := uint(ids[k] - s.lo)
+			s.bits[d>>6] |= 1 << (d & 63)
 		}
-		return nil
-	}); err != nil {
-		return nil, err
+		s.n += len(keep)
 	}
-	return out, nil
+	return s.trim(), nil
 }
 
 // checkJoin validates a join's edge type and attributes, returning the
-// resolved column ordinals and the edge type's adjacency handle, loaded:
-// a deferred adjacency that fails to load fails the join with the
-// loader's typed error instead of probing as "no neighbors" — an empty
-// relation that would then be cached for every session.
-func checkJoin(r1, r2 *Relation, edgeType, leftAttr, rightAttr string) (li, ri int, adj tgm.Adjacency, err error) {
+// resolved column ordinals and the adjacency handle it walks — the edge
+// type's, or against it its inverse (tgm.InstanceGraph.Inverse) —
+// loaded: a deferred adjacency that fails to load fails the join with
+// the loader's typed error instead of probing as "no neighbors" — an
+// empty relation that would then be cached for every session.
+func checkJoin(r1, r2 *Relation, edgeType string, against bool, leftAttr, rightAttr string) (li, ri int, adj tgm.Adjacency, err error) {
 	fail := func(format string, args ...any) (int, int, tgm.Adjacency, error) {
 		return 0, 0, tgm.Adjacency{}, fmt.Errorf("graphrel: "+format, args...)
 	}
@@ -255,6 +210,10 @@ func checkJoin(r1, r2 *Relation, edgeType, leftAttr, rightAttr string) (li, ri i
 	if et == nil {
 		return fail("unknown edge type %q", edgeType)
 	}
+	source, target, adj := et.Source, et.Target, r1.g.Adjacency(edgeType)
+	if against {
+		source, target, adj = et.Target, et.Source, r1.g.Inverse(edgeType)
+	}
 	li, ri = r1.AttrIndex(leftAttr), r2.AttrIndex(rightAttr)
 	if li < 0 {
 		return fail("left relation has no attribute %q", leftAttr)
@@ -262,15 +221,14 @@ func checkJoin(r1, r2 *Relation, edgeType, leftAttr, rightAttr string) (li, ri i
 	if ri < 0 {
 		return fail("right relation has no attribute %q", rightAttr)
 	}
-	if r1.Attrs[li].Type.Name != et.Source {
+	if r1.Attrs[li].Type.Name != source {
 		return fail("edge %q requires source type %q, attribute %q has %q",
-			edgeType, et.Source, leftAttr, r1.Attrs[li].Type.Name)
+			edgeType, source, leftAttr, r1.Attrs[li].Type.Name)
 	}
-	if r2.Attrs[ri].Type.Name != et.Target {
+	if r2.Attrs[ri].Type.Name != target {
 		return fail("edge %q requires target type %q, attribute %q has %q",
-			edgeType, et.Target, rightAttr, r2.Attrs[ri].Type.Name)
+			edgeType, target, rightAttr, r2.Attrs[ri].Type.Name)
 	}
-	adj = r1.g.Adjacency(edgeType)
 	if err := adj.Ensure(); err != nil {
 		return fail("edge %q adjacency: %w", edgeType, err)
 	}
@@ -289,26 +247,6 @@ func joinOutput(r1, r2 *Relation, lrows, rrows []int32) *Relation {
 		gatherInto(out.cols[len(r1.cols)+c], col, rrows)
 	}
 	return out
-}
-
-// Join computes r1 ∗_ρ r2: the tuples (t1, t2) such that an edge of type
-// edgeType connects t1's node at leftAttr to t2's node at rightAttr. It
-// walks the instance graph's adjacency on the left side and a dense
-// index over r2 on the right, so cost is O(|r1|·deg + |r2| + |type|)
-// with no hashing. The output is materialized column-wise: matching
-// first collects row-index pairs, then each attribute column is
-// gathered in one pass.
-//
-// Join is the algebra's reference join: the execution pipeline runs
-// StreamJoin, which applies the same joinIndex.probe + joinOutput phases
-// per batch and is tested row for row against this operator.
-func Join(r1, r2 *Relation, edgeType, leftAttr, rightAttr string) (*Relation, error) {
-	li, ri, adj, err := checkJoin(r1, r2, edgeType, leftAttr, rightAttr)
-	if err != nil {
-		return nil, err
-	}
-	lrows, rrows := buildJoinIndex(r2, ri).probe(adj, r1.cols[li])
-	return joinOutput(r1, r2, lrows, rrows), nil
 }
 
 // joinIndex is the build side of the graph join: a relation's rows

@@ -92,7 +92,9 @@ func assertIdenticalRelations(t *testing.T, label string, got, want *Relation) {
 
 // TestSelectParEquivalence asserts Select under a pool and budgets 1–8
 // returns exactly the serial Select's relation, on a base relation and
-// on a joined one whose attribute column repeats nodes.
+// on a joined one whose attribute column repeats nodes, and SelectSet
+// under the same pools exactly the set of the base's selected nodes;
+// a condition compiled for another type is refused.
 func TestSelectParEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	g := bigChainGraph(t, rng)
@@ -132,7 +134,20 @@ func TestSelectParEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			assertIdenticalRelations(t, fmt.Sprintf("%s/budget=%d", tc.name, budget), got, want)
+			if tc.rel != as {
+				continue
+			}
+			set, err := SelectSet(ctx, pool, budget, g, as.Column(0), pred)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ids, wantIDs := set.IDs(), want.Column(0); !slices.Equal(ids, wantIDs) || set.Len() != len(wantIDs) {
+				t.Fatalf("SelectSet budget=%d: %d members, Select kept %d rows", budget, set.Len(), len(wantIDs))
+			}
 		}
+	}
+	if _, err := SelectSet(ctx, pool, 4, g, bs.Column(0), mustPred(t, as, "id = 1")); err == nil {
+		t.Error("SelectSet ran an A condition over B nodes")
 	}
 	// A nil predicate returns the input unchanged on the pooled path too.
 	same, err := Select(ctx, pool, 4, as, "A", nil)
@@ -165,7 +180,7 @@ func TestJoinParEquivalence(t *testing.T) {
 	}
 	streamed := func(batch int, left, right *Relation, edge, la, ra string) *Relation {
 		t.Helper()
-		src, err := StreamJoin(ctx, StreamRelationBatch(left, batch), right, edge, la, ra)
+		src, err := StreamJoin(ctx, StreamRelationBatch(left, batch), right, edge, false, la, ra)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,9 +206,9 @@ func TestJoinParEquivalence(t *testing.T) {
 }
 
 // TestSmallInputsRunSerial pins what lets the engine pass a request's
-// budget through unchanged: a Select over one morsel takes the serial
-// path under a pool and budget 8 — the same allocations as the
-// pool-less call and the same rows — while a many-morsel Select under
+// budget through unchanged: a SelectSet over one morsel takes the
+// serial path under a pool and budget 8 — the same allocations as the
+// pool-less call and the same set — while a many-morsel SelectSet under
 // the same budget does fan out.
 func TestSmallInputsRunSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
@@ -204,13 +219,10 @@ func TestSmallInputsRunSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	morsel := as.slice(0, MorselRows)
-	pred, err := compileCond(as, "A", expr.MustParse("id % 3 = 1"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sel := func(p *exec.Pool, budget int, r *Relation) *Relation {
-		got, err := Select(ctx, p, budget, r, "A", pred)
+	all, morsel := as.Column(0), as.Column(0)[:MorselRows]
+	pred := mustPred(t, as, "id % 3 = 1")
+	sel := func(p *exec.Pool, budget int, ids []tgm.NodeID) NodeSet {
+		got, err := SelectSet(ctx, p, budget, g, ids, pred)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,13 +230,15 @@ func TestSmallInputsRunSerial(t *testing.T) {
 	}
 	allocs := func(f func()) float64 { return testing.AllocsPerRun(20, f) }
 
-	assertIdenticalRelations(t, "one-morsel select", sel(pool, 8, morsel), sel(nil, 1, morsel))
+	if got, want := sel(pool, 8, morsel), sel(nil, 1, morsel); !slices.Equal(got.IDs(), want.IDs()) {
+		t.Fatal("one-morsel SelectSet differs under a pool")
+	}
 	if pooled, serial := allocs(func() { sel(pool, 8, morsel) }), allocs(func() { sel(nil, 1, morsel) }); pooled != serial {
-		t.Errorf("one-morsel Select: %v allocs under pool+budget 8, %v serial — it fanned out", pooled, serial)
+		t.Errorf("one-morsel SelectSet: %v allocs under pool+budget 8, %v serial — it fanned out", pooled, serial)
 	}
 	// The control: the measurement sees a real fan-out.
-	if pooled, serial := allocs(func() { sel(pool, 8, as) }), allocs(func() { sel(nil, 1, as) }); pooled <= serial {
-		t.Errorf("%d-row Select: %v allocs under pool+budget 8, %v serial — expected the fan-out's extra allocations", as.Len(), pooled, serial)
+	if pooled, serial := allocs(func() { sel(pool, 8, all) }), allocs(func() { sel(nil, 1, all) }); pooled <= serial {
+		t.Errorf("%d-node SelectSet: %v allocs under pool+budget 8, %v serial — expected the fan-out's extra allocations", len(all), pooled, serial)
 	}
 }
 
@@ -235,16 +249,13 @@ func TestParallelKernelCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	as, _ := Base(g, "A")
-	pred, err := compileCond(as, "A", expr.MustParse("id > 3"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Select(ctx, pool, 4, as, "A", pred); !errors.Is(err, context.Canceled) {
-		t.Errorf("pooled Select err = %v, want Canceled", err)
+	pred := mustPred(t, as, "id > 3")
+	if _, err := SelectSet(ctx, pool, 4, g, as.Column(0), pred); !errors.Is(err, context.Canceled) {
+		t.Errorf("pooled SelectSet err = %v, want Canceled", err)
 	}
 	// The serial path must honor cancellation too.
-	if _, err := Select(ctx, nil, 1, as, "A", pred); !errors.Is(err, context.Canceled) {
-		t.Errorf("serial Select err = %v, want Canceled", err)
+	if _, err := SelectSet(ctx, nil, 1, g, as.Column(0), pred); !errors.Is(err, context.Canceled) {
+		t.Errorf("serial SelectSet err = %v, want Canceled", err)
 	}
 }
 
@@ -366,4 +377,14 @@ func TestGroupNeighborsDeterministicOrder(t *testing.T) {
 			t.Fatalf("group %v not ID-ascending: %v", gf.keys[k], ids)
 		}
 	}
+}
+
+// mustPred compiles cond for r's first attribute.
+func mustPred(t *testing.T, r *Relation, cond string) *expr.Pred {
+	t.Helper()
+	pred, err := compileCond(r, r.Attrs[0].Name, expr.MustParse(cond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pred
 }

@@ -228,7 +228,7 @@ func TestJoinScatteredIDs(t *testing.T) {
 			}
 			assertSameTuples(t, trial, tc.name, want, scan)
 			for _, batch := range []int{7, 0} {
-				src, err := StreamJoin(ctx, StreamRelationBatch(tc.left, batch), tc.right, tc.edge, tc.la, tc.r)
+				src, err := StreamJoin(ctx, StreamRelationBatch(tc.left, batch), tc.right, tc.edge, false, tc.la, tc.r)
 				if err != nil {
 					t.Fatal(err)
 				}

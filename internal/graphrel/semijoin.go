@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sync"
 
 	"repro/internal/tgm"
 )
@@ -18,10 +19,39 @@ import (
 // TreeEdge places one node of a tree pattern whose nodes are numbered
 // root first, every parent before its children: Parent is the parent's
 // number (unused for the root), Down the adjacency oriented parent →
-// node and Up node → parent. Both handles must be loaded (Ensure).
+// node and Up node → parent. A kernel loads (Ensure) the handle it
+// walks and returns its load error; the other may stay unloaded.
 type TreeEdge struct {
 	Parent   int
 	Down, Up tgm.Adjacency
+}
+
+// scratch recycles one element type's kernel arrays: the weights a
+// reduction counts and the pairs a grouping walks are garbage once its
+// sets and groups are built, so a stream of misses reuses them instead
+// of feeding the collector. What a kernel returns is never scratch.
+type scratch[T any] struct{ p sync.Pool }
+
+var (
+	weights  scratch[uint64]
+	ordinals scratch[int32]
+	members  scratch[tgm.NodeID]
+)
+
+// get returns n zeroed elements.
+func (sc *scratch[T]) get(n int) []T {
+	if s, ok := sc.p.Get().(*[]T); ok && cap(*s) >= n {
+		clear((*s)[:n])
+		return (*s)[:n]
+	}
+	return make([]T, n)
+}
+
+// put recycles s, which nothing may use afterwards.
+func (sc *scratch[T]) put(s []T) {
+	if cap(s) > 0 {
+		sc.p.Put(&s)
+	}
 }
 
 // maxRows is where the match-size count saturates.
@@ -62,7 +92,10 @@ func Reduce(ctx context.Context, sets []NodeSet, tree []TreeEdge) ([]NodeSet, in
 		}
 		p := tree[c].Parent
 		var w []uint64
-		if out[p], w = semiJoin(out[p], out[c], tree[c].Down, tree[c].Up, true, counts[c]); out[p].n == 0 {
+		var err error
+		if out[p], w, err = semiJoin(out[p], out[c], tree[c].Down, tree[c].Up, true, counts[c]); err != nil {
+			return nil, 0, err
+		} else if out[p].n == 0 {
 			return empty()
 		}
 		if counts[p] == nil {
@@ -71,17 +104,23 @@ func Reduce(ctx context.Context, sets []NodeSet, tree []TreeEdge) ([]NodeSet, in
 			for i, x := range w {
 				counts[p][i] = satMul(counts[p][i], x)
 			}
+			weights.put(w)
 		}
+		weights.put(counts[c])
 	}
 	rows := uint64(out[0].n)
 	if counts[0] != nil {
 		rows = 0
 		out[0].each(func(id tgm.NodeID) { rows = satAdd(rows, counts[0][id-out[0].lo]) })
+		weights.put(counts[0])
 	}
 	out[0] = out[0].trim()
 	for c := 1; c < len(out); c++ {
-		kept, _ := semiJoin(out[c], out[tree[c].Parent], tree[c].Up, tree[c].Down, false, nil)
-		out[c] = kept.trim()
+		var err error
+		if out[c], _, err = semiJoin(out[c], out[tree[c].Parent], tree[c].Up, tree[c].Down, false, nil); err != nil {
+			return nil, 0, err
+		}
+		out[c] = out[c].trim()
 	}
 	return out, int(rows), nil
 }
@@ -90,12 +129,19 @@ func Reduce(ctx context.Context, sets []NodeSet, tree []TreeEdge) ([]NodeSet, in
 // adj (oriented s → t; rev is its reverse), over s's span. counting
 // also returns, over s's span, each member's weight in t: the sum of
 // tw (nil: 1 each, indexed like t's bitset) over those neighbors. It
-// walks from the side with fewer members.
-func semiJoin(s, t NodeSet, adj, rev tgm.Adjacency, counting bool, tw []uint64) (NodeSet, []uint64) {
+// walks from the side with fewer members, loading only that side's
+// adjacency.
+func semiJoin(s, t NodeSet, adj, rev tgm.Adjacency, counting bool, tw []uint64) (NodeSet, []uint64, error) {
+	if s.n > t.n {
+		adj = rev
+	}
+	if err := adj.Ensure(); err != nil {
+		return NodeSet{}, nil, err
+	}
 	kept := NodeSet{lo: s.lo, bits: make(Bitset, len(s.bits))}
 	var w []uint64
 	if counting {
-		w = make([]uint64, s.span())
+		w = weights.get(s.span())
 	}
 	weight := func(y tgm.NodeID) uint64 {
 		if tw == nil {
@@ -120,10 +166,10 @@ func semiJoin(s, t NodeSet, adj, rev tgm.Adjacency, counting bool, tw []uint64) 
 				}
 			}
 		})
-		return kept, w
+		return kept, w, nil
 	}
 	t.each(func(y tgm.NodeID) {
-		for _, x := range rev.Neighbors(y) {
+		for _, x := range adj.Neighbors(y) {
 			if !s.Has(x) {
 				continue
 			}
@@ -135,7 +181,7 @@ func semiJoin(s, t NodeSet, adj, rev tgm.Adjacency, counting bool, tw []uint64) 
 			}
 		}
 	})
-	return kept, w
+	return kept, w, nil
 }
 
 // GroupPath groups one participating column of a reduced match by its
@@ -149,6 +195,7 @@ func semiJoin(s, t NodeSet, adj, rev tgm.Adjacency, counting bool, tw []uint64) 
 // dropped. With fewer rows than values the pairs are gathered from the
 // row side instead and, unless each row's values already ascend, put
 // in value order first by a stable counting sort over the values' span.
+// Only the walking side's adjacency is loaded.
 func GroupPath(ctx context.Context, rows []tgm.NodeID, path []NodeSet, up, down []tgm.Adjacency) (*Groups, error) {
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
@@ -158,26 +205,31 @@ func GroupPath(ctx context.Context, rows []tgm.NodeID, path []NodeSet, up, down 
 		return &Groups{keys: rows, offs: offs}, nil
 	}
 	v0, rs := path[0], path[len(path)-1]
-	w := &pathWalk{path: path, rows: rs, ranks: rs.ranks(), at: make([]int32, len(rows)), ascending: true}
+	fromRows := len(rows) < v0.n
+	w := &pathWalk{path: path, adj: up, rows: rs, ranks: rs.ranks(), at: ordinals.get(len(rows)), ascending: true}
+	if fromRows {
+		w.adj = down
+	}
+	for _, a := range w.adj {
+		if err := a.Ensure(); err != nil {
+			return nil, err
+		}
+	}
 	hint := 0 // the walking side's first-step edges size the pair buffers
-	if len(rows) < v0.n {
+	if fromRows {
 		for _, r := range rows {
 			hint += down[len(down)-1].Degree(r)
 		}
-		w.adj, w.prs, w.vls = down, make([]int32, 0, hint), make([]tgm.NodeID, 0, hint)
+		w.prs, w.vls = ordinals.get(hint)[:0], members.get(hint)[:0]
 		for k, r := range rows {
 			w.down(len(down), r, int32(k))
 		}
-		if w.ascending {
-			for k, c := range w.at {
-				offs[k+1] = offs[k] + c
-			}
-			return &Groups{keys: rows, offs: offs, vals: slices.Clip(w.vls)}, nil
+		if !w.ascending {
+			w.byValue(v0)
 		}
-		w.byValue(v0)
 	} else {
 		v0.each(func(v tgm.NodeID) { hint += up[0].Degree(v) })
-		w.adj, w.prs, w.vls = up, make([]int32, 0, hint), make([]tgm.NodeID, 0, hint)
+		w.prs, w.vls = ordinals.get(hint)[:0], members.get(hint)[:0]
 		for wi, word := range v0.bits {
 			for ; word != 0; word &= word - 1 {
 				v := v0.lo + tgm.NodeID(wi<<6+bits.TrailingZeros64(word))
@@ -185,16 +237,19 @@ func GroupPath(ctx context.Context, rows []tgm.NodeID, path []NodeSet, up, down 
 			}
 		}
 	}
-	// Counts become start offsets, and the pairs scatter stably.
+	// Counts become start offsets, and unless the pairs are already in
+	// row order they scatter stably.
 	for k, c := range w.at {
 		offs[k+1] = offs[k] + c
 		w.at[k] = offs[k]
 	}
-	n := offs[len(rows)]
-	vals := make([]tgm.NodeID, n)
-	for i, r := range w.prs {
-		vals[w.at[r]] = w.vls[i]
-		w.at[r]++
+	vals, scattered := w.vls, !fromRows || !w.ascending
+	if scattered {
+		vals = members.get(len(w.vls))
+		for i, r := range w.prs {
+			vals[w.at[r]] = w.vls[i]
+			w.at[r]++
+		}
 	}
 	// Drop adjacent repeats within each group, sliding it down over the
 	// repeats dropped before it.
@@ -210,10 +265,14 @@ func GroupPath(ctx context.Context, rows []tgm.NodeID, path []NodeSet, up, down 
 		}
 	}
 	offs[len(rows)] = end
-	if end < n {
-		vals = append(make([]tgm.NodeID, 0, end), vals[:end]...)
+	out := slices.Clone(vals[:end])
+	if scattered {
+		members.put(vals)
 	}
-	return &Groups{keys: rows, offs: offs, vals: vals}, nil
+	ordinals.put(w.at)
+	ordinals.put(w.prs)
+	members.put(w.vls)
+	return &Groups{keys: rows, offs: offs, vals: out}, nil
 }
 
 // pathWalk collects one GroupPath's (row, value) pairs, a row as its
@@ -270,18 +329,21 @@ func (w *pathWalk) down(i int, x tgm.NodeID, r int32) {
 // byValue reorders the pairs by value with a stable counting sort over
 // col's span, so they reach the row scatter in ascending value order.
 func (w *pathWalk) byValue(col NodeSet) {
-	at := make([]int32, col.span()+1)
+	at := ordinals.get(col.span() + 1)
 	for _, v := range w.vls {
 		at[v-col.lo+1]++
 	}
 	for i := 1; i < len(at); i++ {
 		at[i] += at[i-1]
 	}
-	prs, vls := make([]int32, len(w.prs)), make([]tgm.NodeID, len(w.vls))
+	prs, vls := ordinals.get(len(w.prs)), members.get(len(w.vls))
 	for i, v := range w.vls {
 		k := at[v-col.lo]
 		prs[k], vls[k] = w.prs[i], v
 		at[v-col.lo]++
 	}
+	ordinals.put(at)
+	ordinals.put(w.prs)
+	members.put(w.vls)
 	w.prs, w.vls = prs, vls
 }

@@ -167,10 +167,12 @@ func header(src RowSource) *Relation {
 // streamed output concatenates to exactly Join(left, right, …). The
 // right side is the join's build side — in the execution pipeline it is
 // a cached base relation — so only the probe side streams; the index
-// lives as long as the stream does.
-func StreamJoin(ctx context.Context, src RowSource, right *Relation, edgeType, leftAttr, rightAttr string) (RowSource, error) {
+// lives as long as the stream does. against walks edgeType from its
+// target (at leftAttr) to its source (at rightAttr): the one way to
+// join against a type stored one way only.
+func StreamJoin(ctx context.Context, src RowSource, right *Relation, edgeType string, against bool, leftAttr, rightAttr string) (RowSource, error) {
 	hdr := header(src)
-	li, ri, adj, err := checkJoin(hdr, right, edgeType, leftAttr, rightAttr)
+	li, ri, adj, err := checkJoin(hdr, right, edgeType, against, leftAttr, rightAttr)
 	if err != nil {
 		return nil, err
 	}

@@ -43,7 +43,7 @@ func streamPipeline(t *testing.T, ctx context.Context, pool *exec.Pool, budget i
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := StreamJoin(ctx, StreamRelationBatch(sel, batch), bs, "A-B", "A", "B")
+	src, err := StreamJoin(ctx, StreamRelationBatch(sel, batch), bs, "A-B", false, "A", "B")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestStreamBatchBounds(t *testing.T) {
 	g := bigChainGraph(t, rng)
 	as, _ := Base(g, "A")
 	bs, _ := Base(g, "B")
-	src, err := StreamJoin(nil, StreamRelationBatch(as, 256), bs, "A-B", "A", "B")
+	src, err := StreamJoin(nil, StreamRelationBatch(as, 256), bs, "A-B", false, "A", "B")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestStreamCancellation(t *testing.T) {
 	bs, _ := Base(g, "B")
 	ctx, cancel := context.WithCancel(context.Background())
 	counter := &countingSource{src: StreamRelationBatch(as, 64)}
-	src, err := StreamJoin(ctx, counter, bs, "A-B", "A", "B")
+	src, err := StreamJoin(ctx, counter, bs, "A-B", false, "A", "B")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestStreamCancellation(t *testing.T) {
 	// MaterializeMax surfaces cancellation from a canceled-at-start stream.
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	cancel2()
-	src2, err := StreamJoin(ctx2, StreamRelationBatch(as, 64), bs, "A-B", "A", "B")
+	src2, err := StreamJoin(ctx2, StreamRelationBatch(as, 64), bs, "A-B", false, "A", "B")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestStreamConstructionErrors(t *testing.T) {
 		{"unknown right attribute", "A-B", "A", "Nope"},
 		{"edge against its orientation", "A-B_rev", "A", "B"},
 	} {
-		if _, err := StreamJoin(nil, src, bs, tc.edge, tc.left, tc.right); err == nil {
+		if _, err := StreamJoin(nil, src, bs, tc.edge, false, tc.left, tc.right); err == nil {
 			t.Errorf("StreamJoin accepted %s", tc.name)
 		}
 	}
@@ -246,7 +246,7 @@ func TestJoinOverUnreadableAdjacency(t *testing.T) {
 	if r, err := Join(as, bs, "A-B", "A", "B"); !errors.Is(err, boom) {
 		t.Errorf("Join over the failed load: relation %v, err %v; want the loader's error", r, err)
 	}
-	if src, err := StreamJoin(context.Background(), StreamRelationBatch(as, 0), bs, "A-B", "A", "B"); !errors.Is(err, boom) {
+	if src, err := StreamJoin(context.Background(), StreamRelationBatch(as, 0), bs, "A-B", false, "A", "B"); !errors.Is(err, boom) {
 		t.Errorf("StreamJoin over the failed load: source %v, err %v; want the loader's error at construction", src, err)
 	}
 	rev, err := Join(bs, as, "A-B_rev", "B", "A")
@@ -268,7 +268,7 @@ func TestMaterializeEmptyAndMax(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	empty, err := StreamJoin(nil, StreamRelationBatch(none, 0), bs, "A-B", "A", "B")
+	empty, err := StreamJoin(nil, StreamRelationBatch(none, 0), bs, "A-B", false, "A", "B")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestMaterializeEmptyAndMax(t *testing.T) {
 	}
 
 	join := func() RowSource {
-		src, err := StreamJoin(nil, StreamRelationBatch(as, 128), bs, "A-B", "A", "B")
+		src, err := StreamJoin(nil, StreamRelationBatch(as, 128), bs, "A-B", false, "A", "B")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -292,7 +292,7 @@ func TestMaterializeEmptyAndMax(t *testing.T) {
 		t.Fatal(err)
 	}
 	counter := &countingSource{src: StreamRelationBatch(as, 128)}
-	capped, err := StreamJoin(nil, counter, bs, "A-B", "A", "B")
+	capped, err := StreamJoin(nil, counter, bs, "A-B", false, "A", "B")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +330,7 @@ func TestGroupFoldEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, batch := range []int{777, 0} {
-		src, err := StreamJoin(context.Background(), StreamRelationBatch(as, batch), bs, "A-B", "A", "B")
+		src, err := StreamJoin(context.Background(), StreamRelationBatch(as, batch), bs, "A-B", false, "A", "B")
 		if err != nil {
 			t.Fatal(err)
 		}

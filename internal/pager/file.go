@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"sync"
 	"sync/atomic"
 )
 
@@ -16,9 +17,12 @@ var ErrClosed = errors.New("pager: file is closed")
 // Slice falls back to allocate-and-ReadAt. Either way the returned
 // bytes must be treated as immutable.
 type File struct {
-	f      *os.File
-	data   []byte // the mmap view; nil when using the ReadAt fallback
-	size   int64
+	f    *os.File
+	data []byte // the mmap view; nil when using the ReadAt fallback
+	size int64
+	// mu holds Close off while a Read is in flight, so an unmap never
+	// pulls the mapping from under a reader; closed is set under it.
+	mu     sync.RWMutex
 	closed atomic.Bool
 }
 
@@ -70,15 +74,26 @@ func (pf *File) Slice(off, n int64) ([]byte, error) {
 	return buf, nil
 }
 
-// Closed reports whether Close was called: a reader holding slices of
-// the mapping checks it before touching them.
-func (pf *File) Closed() bool { return pf.closed.Load() }
+// Read runs fn, which reads the file through Slice and uses the bytes,
+// and holds Close off until fn returns: a reader that may race a Close
+// reads inside Read. After Close it returns ErrClosed without running
+// fn.
+func (pf *File) Read(fn func() error) error {
+	pf.mu.RLock()
+	defer pf.mu.RUnlock()
+	if pf.closed.Load() {
+		return ErrClosed
+	}
+	return fn()
+}
 
-// Close unmaps and closes the file. Slices previously returned from an
-// mmap view become invalid: callers must not use them after Close, and
-// Slice returns ErrClosed. (Decoded columns are unaffected — decoding
-// copies what it needs.)
+// Close waits for the Reads in flight, then unmaps and closes the file.
+// Slices previously returned from an mmap view become invalid: callers
+// must not use them after Close, and Slice and Read return ErrClosed.
+// (Decoded columns are unaffected — decoding copies what it needs.)
 func (pf *File) Close() error {
+	pf.mu.Lock()
+	defer pf.mu.Unlock()
 	pf.closed.Store(true)
 	var errUnmap error
 	if pf.data != nil {

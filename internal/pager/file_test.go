@@ -2,10 +2,12 @@ package pager
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
+	"time"
 )
 
 // TestFileSliceAndWriteVisibility: Slice returns the file's bytes, and
@@ -82,5 +84,49 @@ func TestFileEmpty(t *testing.T) {
 	}
 	if _, err := pf.Slice(0, 1); err == nil {
 		t.Fatal("Slice(0,1) succeeded on an empty file")
+	}
+}
+
+// TestFileCloseWaitsForRead: a Close that races a Read waits until the
+// Read's fn has finished with the bytes it sliced, and a Read after
+// Close returns ErrClosed without running its fn.
+func TestFileCloseWaitsForRead(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "f")
+	if err := os.WriteFile(path, []byte("abcdef"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	pf, err := OpenFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inRead, release, closed := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	var got []byte
+	go func() {
+		pf.Read(func() error {
+			close(inRead)
+			<-release
+			b, err := pf.Slice(0, 6)
+			got = append([]byte(nil), b...)
+			return err
+		})
+	}()
+	<-inRead
+	go func() {
+		pf.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a Read was in flight")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	<-closed
+	if string(got) != "abcdef" {
+		t.Fatalf("the Read in flight read %q", got)
+	}
+	ran := false
+	if err := pf.Read(func() error { ran = true; return nil }); !errors.Is(err, ErrClosed) || ran {
+		t.Fatalf("Read after Close = %v (fn ran: %v), want ErrClosed", err, ran)
 	}
 }

@@ -93,10 +93,11 @@ func (ls *LazySnapshot) ResidentBytes() int64 {
 	return n
 }
 
-// Close releases the snapshot file (and any mmap view). The graph must
-// not be queried after Close: columns and adjacency already decoded
-// remain valid, but faulting in a new column — or first-traversing an
-// edge type — would read a closed file.
+// Close releases the snapshot file (and any mmap view), waiting for the
+// column faults and edge loads in flight. The graph should not be
+// queried after Close: columns and adjacency already decoded remain
+// valid, but faulting in a new column — or first-traversing an edge
+// type — fails with pager.ErrClosed.
 func (ls *LazySnapshot) Close() error {
 	return ls.src.file.Close()
 }
@@ -120,15 +121,27 @@ type columnSource struct {
 // Column implements tgm.ColumnSource.
 func (cs *columnSource) Column(typeName string, ai int) (value.Column, error) {
 	return cs.pool.Get(pager.Key{Type: typeName, Attr: ai}, func() (value.Column, error) {
-		return cs.load(typeName, ai)
+		return cs.fault(typeName, ai)
 	})
 }
 
 // PinColumn implements tgm.ColumnSource.
 func (cs *columnSource) PinColumn(typeName string, ai int) (value.Column, func(), error) {
 	return cs.pool.Pin(pager.Key{Type: typeName, Attr: ai}, func() (value.Column, error) {
-		return cs.load(typeName, ai)
+		return cs.fault(typeName, ai)
 	})
+}
+
+// fault loads a column from the paged file inside file.Read, so a
+// concurrent Close waits until its bytes are checksummed and decoded.
+func (cs *columnSource) fault(typeName string, ai int) (col value.Column, err error) {
+	if rerr := cs.file.Read(func() error {
+		col, err = cs.load(typeName, ai)
+		return err
+	}); rerr != nil && err == nil {
+		err = rerr
+	}
+	return col, err
 }
 
 // load is the one route from a directory entry to a column, on both

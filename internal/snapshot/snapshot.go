@@ -330,13 +330,17 @@ func open(data []byte, file *pager.File, budget int) (*Snapshot, *columnSource, 
 			return nil, nil, corrupt(secSkel, "attaching column source: %v", err)
 		}
 		for _, e := range edges {
-			// The loader reads the mapping: after LazySnapshot.Close
-			// it fails with pager.ErrClosed instead of faulting.
-			load := func() ([]tgm.NodeID, []int32, []tgm.NodeID, error) {
-				if file.Closed() {
-					return nil, nil, nil, fmt.Errorf("snapshot: edge type %q: %w", e.name, pager.ErrClosed)
+			// The loader reads the mapping inside file.Read: a
+			// concurrent LazySnapshot.Close waits for it, and after
+			// Close it fails with pager.ErrClosed instead of faulting.
+			load := func() (srcs []tgm.NodeID, offs []int32, targets []tgm.NodeID, err error) {
+				if rerr := file.Read(func() error {
+					srcs, offs, targets, err = e.load()
+					return err
+				}); rerr != nil && err == nil {
+					err = fmt.Errorf("snapshot: edge type %q: %w", e.name, rerr)
 				}
-				return e.load()
+				return srcs, offs, targets, err
 			}
 			if err := graph.InstallAdjacencyDeferred(e.name, e.targets, load); err != nil {
 				return nil, nil, corrupt(secEdges, "registering %q adjacency: %v", e.name, err)

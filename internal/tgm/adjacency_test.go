@@ -320,3 +320,58 @@ func TestAddEdgeRefusesInstalledAdjacency(t *testing.T) {
 		}
 	}
 }
+
+// TestInverseTransposes checks Inverse against the forward lists: a
+// type with a registered reverse resolves to it, and a one-way
+// self-loop (citations) to its transpose — each cited paper's citing
+// papers ascending, none for a paper nobody cites — built at the
+// handle's first Ensure, once on a frozen graph, and failing with the
+// forward type's deferred-load error.
+func TestInverseTransposes(t *testing.T) {
+	const cites = "Papers→Papers"
+	const nPapers = 40
+	g := adjacencyGraph(t, nPapers, 3)
+	rng := rand.New(rand.NewSource(3))
+	want := map[NodeID][]NodeID{}
+	for x := NodeID(0); x < nPapers; x++ {
+		for _, y := range rng.Perm(nPapers)[:rng.Intn(4)] {
+			if y < nPapers/2 && NodeID(y) != x { // papers past the middle are never cited
+				if err := g.AddEdge(cites, x, NodeID(y)); err != nil {
+					t.Fatal(err)
+				}
+				want[NodeID(y)] = append(want[NodeID(y)], x)
+			}
+		}
+	}
+	if err := g.AddEdge("Papers→Authors", 5, nPapers+1); err != nil {
+		t.Fatal(err)
+	}
+	g.Freeze()
+	inv := g.Inverse(cites)
+	if err := inv.Ensure(); err != nil {
+		t.Fatal(err)
+	}
+	for y := NodeID(0); y < nPapers+3; y++ {
+		if got := inv.Neighbors(y); !reflect.DeepEqual(got, want[y]) {
+			t.Fatalf("papers citing %d = %v, want %v", y, got, want[y])
+		}
+	}
+	if g.Inverse(cites).csr != inv.csr {
+		t.Error("a frozen graph's transpose was built twice")
+	}
+	if got := g.Inverse("Papers→Authors").Neighbors(nPapers + 1); !reflect.DeepEqual(got, []NodeID{5}) {
+		t.Errorf("Inverse of a type with a reverse = %v, want its reverse's [5]", got)
+	}
+
+	boom := errors.New("section unreadable")
+	g2 := adjacencyGraph(t, 2, 0)
+	if err := g2.InstallAdjacencyDeferred(cites, 1, func() ([]NodeID, []int32, []NodeID, error) {
+		return nil, nil, nil, boom
+	}); err != nil {
+		t.Fatal(err)
+	}
+	g2.Freeze()
+	if err := g2.Inverse(cites).Ensure(); !errors.Is(err, boom) {
+		t.Fatalf("Inverse over a failed load: Ensure = %v, want the loader's error", err)
+	}
+}

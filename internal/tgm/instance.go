@@ -793,6 +793,57 @@ func (a Adjacency) Neighbors(id NodeID) []NodeID { return a.csr.neighbors(id) }
 // Degree returns the number of out-neighbors of id.
 func (a Adjacency) Degree(id NodeID) int { return len(a.Neighbors(id)) }
 
+// inverseKey is the derived-state key of a one-way edge type's
+// transposed adjacency.
+type inverseKey string
+
+// Inverse resolves the adjacency oriented against edgeType: its
+// registered reverse's, or, for a type stored one way only (a
+// self-loop: AddBidirectional and a self-referencing foreign key
+// register no reverse), edgeType's own arrays transposed. Like
+// Adjacency it loads nothing: the transpose is built at the handle's
+// first Ensure, fails with edgeType's load error, and on a frozen graph
+// is built once and kept (Derive).
+func (g *InstanceGraph) Inverse(edgeType string) Adjacency {
+	if et := g.schema.EdgeType(edgeType); et != nil && et.Reverse != "" {
+		return g.Adjacency(et.Reverse)
+	}
+	inv, _ := Derive(g, inverseKey(edgeType), func() (*csrAdj, error) {
+		fwd := g.adjOf(edgeType)
+		return &csrAdj{n: fwd.n, load: fwd.transpose}, nil
+	})
+	return Adjacency{inv}
+}
+
+// transpose returns a's arrays reversed, in InstallAdjacency's form: a
+// counting sort of the edges by target over the targets' span (each
+// target a source of the result, edgeless ones included), so every
+// target's sources ascend.
+func (a *csrAdj) transpose() ([]NodeID, []int32, []NodeID, error) {
+	if err := a.ensure(); err != nil || len(a.targets) == 0 {
+		return nil, nil, nil, err
+	}
+	lo, hi := a.targets[0], a.targets[0]
+	for _, t := range a.targets {
+		lo, hi = min(lo, t), max(hi, t)
+	}
+	srcs, offs := make([]NodeID, int(hi-lo)+1), make([]int32, int(hi-lo)+2)
+	for _, t := range a.targets {
+		offs[t-lo+1]++
+	}
+	for i := range srcs {
+		srcs[i], offs[i+1] = lo+NodeID(i), offs[i+1]+offs[i]
+	}
+	at, out := append([]int32(nil), offs[:len(srcs)]...), make([]NodeID, len(a.targets))
+	for i := 0; i+1 < len(a.offs); i++ {
+		for _, t := range a.targets[a.offs[i]:a.offs[i+1]] {
+			out[at[t-lo]] = a.base + NodeID(i)
+			at[t-lo]++
+		}
+	}
+	return srcs, offs, out, nil
+}
+
 // FindNode returns the first node of the named type whose attribute
 // equals v. It scans the type's nodes; callers needing repeated lookups
 // should build their own index. Column fault failures report "not
