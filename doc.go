@@ -83,11 +83,11 @@
 //     server-wide bound on helper goroutines — 100 concurrent sessions
 //     cannot spawn 100×Ncores workers. Each session additionally
 //     carries one parallelism budget, fixed when it is built.
-//   - internal/graphrel: relations chunk into fixed 2048-row morsels;
-//     Select — the one kernel that fans out — sends morsels to the pool
-//     and splices per-morsel outputs in input order through disjoint
-//     windows — no locks on the hot path, and output row-for-row
-//     identical to a serial run (property-tested under -race). A
+//   - internal/graphrel: a selection's input IDs chunk into fixed
+//     2048-ID morsels; SelectSet — the one kernel that fans out — sends
+//     morsels to the pool, each filtering into its own keep list, and
+//     sets the kept members' bits morsel by morsel — no locks on the
+//     hot path, and the same set as a serial run (tested under -race). A
 //     StreamJoin stage probes one batch at a time, and a window is one
 //     serial pass: a census of the four benchmark workloads found their
 //     fan-outs idle or unpaid (PERFORMANCE.md §17). The kernels never
@@ -105,7 +105,7 @@
 //     is written by internal/snapshot alone and read by nothing.
 //   - internal/etable: Execute takes an ExecOptions{Ctx, Pool,
 //     Parallelism} struct and hands the budget to the selections as
-//     given; a Select whose input is one morsel runs serially, so
+//     given; a SelectSet whose input is one morsel runs serially, so
 //     interactive clicks never pay fan-out overhead without any
 //     estimate deciding it.
 //   - internal/session + internal/server: the session's budget (the
@@ -129,7 +129,11 @@
 // bottom-up and a top-down pass of bitset semi-joins) and counts
 // |m(Q)| exactly by a saturating product-sum; the cache holds those
 // node sets, and a prepare groups each column's adjacency along its
-// tree path inside them (graphrel.GroupPath). m(Q) is enumerated only
+// tree path inside them (graphrel.GroupPath). Each kernel loads only
+// the adjacency direction it walks, and an edge type stored one way
+// only (a self-loop without a reverse) is walked back through its
+// transpose (tgm.InstanceGraph.Inverse). The kernels' scratch arrays
+// are pooled across misses. m(Q) is enumerated only
 // where tuples are the product — etable.MatchOpts, and the spill tier
 // past -max-rows — by a StreamJoin chain over the reduced sets; without
 // a spill policy a result past -max-rows fails with its exact size

@@ -28,19 +28,27 @@
 // fails before any enumeration, with the exact count. A pattern
 // without edges never derives: its selected base is its match.
 // ExecOptions.Parallelism reaches only the base selections
-// (graphrel.Select, the one kernel that fans out).
+// (graphrel.SelectSet, the one kernel that fans out).
+//
+// A pattern edge is walked parent → child and child → parent: through
+// its type and the type's reverse, or, for a type stored one way only
+// (a self-loop, which AddBidirectional and a self-referencing foreign
+// key leave without a reverse), through its type and its transpose
+// (tgm.InstanceGraph.Inverse); orientEdge marks such a step as walked
+// against the type.
 //
 // The engine's reference is the test-only oracle MatchNaive
 // (match_oracle_test.go): conditions compiled on the spot, declaration
-// join order, the algebra's materializing Join at every step, and a
-// map-based fold (foldOracle).
+// join order, a materialized join at every step — in the edge type's
+// stored direction, so it never reads a transpose — and a map-based
+// fold (foldOracle).
 //
 // # Planning
 //
 // A Plan holds per node the condition its starting set still has to
 // apply (the whole condition over a base, the added conjuncts over a
 // derived ancestor's set), compiled to column kernels (expr.Compile →
-// *expr.Pred) that graphrel.Select runs over the node type's pinned
+// *expr.Pred) that graphrel.SelectSet runs over the node type's pinned
 // attribute columns. matchPipeline builds it (buildPlan) on the miss
 // that needs it; plans are not cached (PERFORMANCE.md §18, §19, §21).
 // There is no join order and no cost model: the reduction visits the
@@ -119,7 +127,8 @@
 // window calls Ensure, so preparing over an out-of-core graph faults no
 // adjacency in. A failed deferred load is returned from
 // SortedView/Window as the loader's typed error — and from the
-// match itself when a pattern edge's type is the one that fails
-// (treeOf loads both directions of every edge), so an unreadable
-// section never reads as an empty, cacheable table.
+// match itself when a kernel walks a pattern edge whose adjacency is
+// the one that fails, so an unreadable section never reads as an
+// empty, cacheable table. The reduction and the grouping load only the
+// direction they walk: a pattern edge's other direction stays unloaded.
 package etable

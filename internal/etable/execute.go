@@ -30,7 +30,7 @@ type ExecOptions struct {
 	// Parallelism is this query's worker budget (the session's, fixed
 	// when it is built): at most this many workers — the calling
 	// goroutine plus helpers drawn from Pool — cooperate on a base
-	// selection (graphrel.Select, the one kernel that fans out). Values
+	// selection (graphrel.SelectSet, the one kernel that fans out). Values
 	// <= 1 are serial, and so is a selection whose input is one morsel,
 	// so tiny interactive queries never pay fan-out overhead.
 	// cold_explore and study_mix are the workloads whose cache-miss

@@ -9,7 +9,7 @@ import (
 
 // Plan is, per node, the selection condition its starting set still has
 // to apply, compiled to column kernels (expr.Compile) that
-// graphrel.Select runs: the whole condition over a node's base, or the
+// graphrel.SelectSet runs: the whole condition over a node's base, or the
 // conjuncts a resident ancestor's match lacks (deriveFrom). It holds no
 // join order. A plan is built on the miss that needs it and is not
 // cached: a repeated query hits its cached match or bases first.

@@ -1,6 +1,6 @@
 // Package exec provides the shared worker pool behind intra-query
 // parallelism, after the morsel-driven parallelism line of modern
-// analytical engines. Its one user is graphrel.Select, the only kernel
+// analytical engines. Its one user is graphrel.SelectSet, the only kernel
 // that fans out.
 //
 // Design:

@@ -24,23 +24,6 @@ func NewBitset(n int) Bitset {
 	return make(Bitset, (n+63)/64)
 }
 
-// TestAndSet sets bit i and reports whether it was already set. IDs
-// outside the allocated range report true (treated as "seen") rather
-// than panicking, so a mis-sized bitset degrades to dropping rows, not
-// crashing.
-func (b Bitset) TestAndSet(i tgm.NodeID) bool {
-	w := int(i) >> 6
-	if i < 0 || w >= len(b) {
-		return true
-	}
-	mask := uint64(1) << (uint(i) & 63)
-	if b[w]&mask != 0 {
-		return true
-	}
-	b[w] |= mask
-	return false
-}
-
 // NodeSet is an immutable set of node IDs: a bitset over the span
 // [lo, lo+64·len(bits)) holding its members. A set built from IDs
 // (SetOf) spans exactly its own [min, max] and a trimmed one the words

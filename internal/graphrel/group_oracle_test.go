@@ -207,3 +207,20 @@ func sortDedup(ids []tgm.NodeID) []tgm.NodeID {
 	slices.Sort(ids)
 	return slices.Compact(ids)
 }
+
+// TestAndSet sets bit i and reports whether it was already set. IDs
+// outside the allocated range report true (treated as "seen") rather
+// than panicking, so a mis-sized bitset degrades to dropping rows, not
+// crashing.
+func (b Bitset) TestAndSet(i tgm.NodeID) bool {
+	w := int(i) >> 6
+	if i < 0 || w >= len(b) {
+		return true
+	}
+	mask := uint64(1) << (uint(i) & 63)
+	if b[w]&mask != 0 {
+		return true
+	}
+	b[w] |= mask
+	return false
+}
