@@ -278,16 +278,16 @@
 // from disk); the spill tier bounds it on the way *out*: a query whose
 // result crosses the row cap (ExecOptions.MaxRows, etable-server
 // -max-rows) no longer fails with 413 result_too_large — its prepare
-// folds through internal/spill into temporary run files (snapshot NCOL
+// writes through internal/spill into temporary run files (snapshot NCOL
 // column encoding, per-run CRC-32C, anonymous O_TMPFILE/unlink-on-open
-// so a crash leaks nothing) and pages back through a pager.Key-keyed
+// so a crash leaks nothing) that page back through a pager.Key-keyed
 // lru.Cache like lazy columns. Only what a presentation
-// reads back is written: internal/graphrel's ExternalGroupFold, one
-// per participating column, grouped by the primary — sort-merge folds
-// whose sorted-run flushes merge with cross-run deduplication, so
-// grouping results far past the cap compute in bounded memory, and the
-// first fold's group keys, ascending, are the presentation's rows; the matched batches themselves are folded
-// and dropped, and -max-spill-bytes is charged for the folds alone.
+// reads back is written: the prepare is the heap one (the same rows,
+// the same graphrel.GroupPath grouping per participating column), and
+// graphrel.SpillGroups writes each grouping's values to disk as soon as
+// it is built, keeping its keys and offsets on the heap, so counts and
+// sorts pay no IO and -max-spill-bytes is charged for the values alone.
+// m(Q) is never enumerated on this path.
 // Policy is per-dataset (graphrel.SpillPolicy via server
 // Options{SpillDir, MaxSpillBytes}; flags -spill-dir and
 // -max-spill-bytes; "off" restores strict 413s), the byte budget
@@ -296,7 +296,7 @@
 // surface as typed *spill.CorruptError values with the session
 // surviving, and files are reaped on session close, LRU eviction, and
 // a boot-time sweep of named spill directories. /api/v1/stats reports
-// a per-dataset spill block (spills, runBytes, mergePasses, faults);
+// a per-dataset spill block (spills, runBytes, faults);
 // PERFORMANCE.md §11 records the first-page cost of a spilled result
 // (≤1.6× in-memory at 53k and 313k rows, BenchmarkSpilledFirstPage),
 // and CI's spill-smoke job browses a capped pivot end to end under

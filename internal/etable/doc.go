@@ -21,12 +21,12 @@
 // (graphrel.GroupPath). The derivation links set by Pattern.Clone are a
 // hint; an ancestor is used only after a structural sub-pattern check.
 //
-// m(Q) is enumerated only where tuples are the product: MatchOpts, and
-// a prepare past MaxRows under a spill policy, whose external folds
-// read tuples. Both run the StreamJoin chain over the reduced sets from
-// the primary (enumerate); without a policy a prepare past MaxRows
-// fails before any enumeration, with the exact count. A pattern
-// without edges never derives: its selected base is its match.
+// m(Q) is enumerated only where tuples are the product: MatchOpts runs
+// the StreamJoin chain over the reduced sets from the primary
+// (enumerate). No prepare enumerates it: past MaxRows a prepare fails
+// with the exact count or, under a spill policy, runs the heap prepare
+// with its groupings' values written to disk. A pattern without edges
+// never derives: its selected base is its match.
 // ExecOptions.Parallelism reaches only the base selections
 // (graphrel.SelectSet, the one kernel that fans out).
 //
@@ -73,17 +73,20 @@
 // SortedView returns a copy owning a fresh row-ID slice, and a view of
 // a view stacks sorts — so any number of cursors may read one
 // concurrently.
-// There is one heap prepare, prepareSets: the rows are the primary's
+// There is one prepare, prepareSets: the rows are the primary's
 // reduced set read ascending (the type's node list itself when the set
 // holds every node), and each participating column a graphrel.Groups
 // in CSR form — the row IDs as keys, shared by every column, plus
 // offsets and one values array — so a presentation retains O(rows +
 // deduplicated pairs), nothing sized by a node type. PrepareOpts
 // prepares a matched relation through it, from the relation's
-// projections. A spilled prepare holds graphrel.SpilledGroups instead;
-// groupSource has those two implementations. Nothing reads the reduced
-// match after the prepare, so a presentation stays valid after the
-// cache evicts it.
+// projections. Past MaxRows under a spill policy the same loop hands
+// each grouping to graphrel.SpillGroups, which writes its values to a
+// run file and keeps its keys and offsets (graphrel.SpilledGroups), so
+// a spilled and a heap presentation cannot differ in layout or
+// content; groupSource has those two implementations. Nothing reads
+// the reduced match after the prepare, so a presentation stays valid
+// after the cache evicts it.
 //
 // Caching. Cache is one lru.Cache of exactly its capacity, shared by
 // every executor over a graph, holding node sets (Reduced) for base
@@ -97,9 +100,9 @@
 // Sort contract (sort.go). A sort is extract-then-sort: one pass over
 // the current row order fills an []int64 key vector, and the keys —
 // never the graph — are what the sort compares. A reference column's
-// key is its count: on the prepared order the heap grouping's group i
-// is row i, so the count is two offset loads; a view of a view (or a
-// spilled grouping) looks the row up. A base attribute's key is the
+// key is its count: on the prepared order the grouping's group i is
+// row i, so the count is two offset loads (CountAt, on either
+// residency); a view of a view looks the row up. A base attribute's key is the
 // row's rank in its column (tgm.InstanceGraph.AttrRank): the column's
 // value.Compare order, built on the graph's first sort by that
 // attribute and kept for the graph's lifetime, so no sort compares a

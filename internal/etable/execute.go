@@ -44,8 +44,9 @@ type ExecOptions struct {
 	// Errors are never cached. outofcore_mix runs at -max-rows 5000.
 	MaxRows int
 	// Spill turns MaxRows from a failure into a trigger for the
-	// browsable prepare path: a prepare past MaxRows enumerates its
-	// match into external folds over temp-file runs (internal/spill).
+	// browsable prepare path: a prepare past MaxRows writes each
+	// participating column's grouped values to temp-file runs
+	// (graphrel.SpillGroups, internal/spill).
 	// The policy's MaxBytes stays a hard cap — exceeding it fails with
 	// the same *graphrel.RowLimitError. nil disables spilling.
 	// outofcore_mix runs with it (-spill-dir); BenchmarkSpilledFirstPage

@@ -212,13 +212,13 @@ func foldOracle(g *tgm.InstanceGraph, p *Pattern, matched *graphrel.Relation) (*
 			continue
 		}
 		vals := matched.ColumnNamed(n.Key)
-		groups := mapGroups{}
+		groups := mapGroups{rows: pr.rowIDs, m: map[tgm.NodeID][]tgm.NodeID{}}
 		for i, r := range prim {
-			groups[r] = append(groups[r], vals[i])
+			groups.m[r] = append(groups.m[r], vals[i])
 		}
-		for r, ids := range groups {
+		for r, ids := range groups.m {
 			slices.Sort(ids)
-			groups[r] = slices.Compact(ids)
+			groups.m[r] = slices.Compact(ids)
 		}
 		parts = append(parts, groups)
 	}
@@ -229,12 +229,17 @@ func foldOracle(g *tgm.InstanceGraph, p *Pattern, matched *graphrel.Relation) (*
 }
 
 // mapGroups is the fold oracle's grouping: a map from row to its
-// sorted distinct related nodes.
-type mapGroups map[tgm.NodeID][]tgm.NodeID
+// sorted distinct related nodes, and the rows in prepared order.
+type mapGroups struct {
+	rows []tgm.NodeID
+	m    map[tgm.NodeID][]tgm.NodeID
+}
 
-func (m mapGroups) Count(id tgm.NodeID) int { return len(m[id]) }
+func (g mapGroups) Count(id tgm.NodeID) int { return len(g.m[id]) }
 
-func (m mapGroups) Refs(_ *[]tgm.NodeID, id tgm.NodeID) ([]tgm.NodeID, error) { return m[id], nil }
+func (g mapGroups) CountAt(k int) int { return len(g.m[g.rows[k]]) }
+
+func (g mapGroups) Refs(_ *[]tgm.NodeID, id tgm.NodeID) ([]tgm.NodeID, error) { return g.m[id], nil }
 
 // BenchmarkAblation_JoinPlanner compares the engine's match — reduced
 // sets, then enumerated from them — against the oracle's declared join

@@ -173,8 +173,8 @@ func TestPrepareScatteredIDs(t *testing.T) {
 				}
 			}
 
-			// Spilling: past the cap the match is enumerated into the
-			// external folds.
+			// Spilling: past the cap each grouping's values are written
+			// to run files.
 			n := matched.Len()
 			withSmallStreamBatches(t, 7)
 			for _, maxRows := range []int{1, n / 2, n - 1} {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 
-	"repro/internal/graphrel"
 	"repro/internal/tgm"
 )
 
@@ -135,9 +134,9 @@ func (pr *Presentation) sorted(spec SortSpec) ([]tgm.NodeID, error) {
 	case sc.part != nil:
 		// On the prepared order the rows are the grouping's keys, so row
 		// i's count is group i's size; a view of a view looks rows up.
-		if gs, ok := sc.part.(*graphrel.Groups); ok && !pr.reordered {
+		if !pr.reordered {
 			for i := range keys {
-				keys[i] = int64(gs.CountAt(i))
+				keys[i] = int64(sc.part.CountAt(i))
 			}
 		} else {
 			for i, id := range ids {

@@ -217,58 +217,43 @@ func TestSpillByteBudgetExceeded(t *testing.T) {
 }
 
 // TestSpillBudgetChargesOnlyWhatIsReadBack: -max-spill-bytes pays for
-// the state a spilled presentation reads back — the external folds,
-// whose group keys are its rows — and nothing else. The folds' cost is measured by
-// running graphrel's external operators by hand over the same match;
-// a capped, spilling prepare under exactly that budget succeeds and
-// renders the oracle's table (a second on-disk copy of the matched
-// relation would not fit), and one byte less still fails with the row
-// cap's typed error.
+// the state a spilled presentation reads back — the values of its
+// groupings — and nothing else. The expected bytes come from the heap
+// prepare of the same pattern: per participating column, its values at
+// 4 bytes each plus one 16-byte header per four-value run. A capped,
+// spilling prepare under exactly that budget succeeds and renders the
+// oracle's table (a second on-disk copy of the match would not fit),
+// and one byte less still fails with the row cap's typed error.
 func TestSpillBudgetChargesOnlyWhatIsReadBack(t *testing.T) {
 	tr := planFixture(t)
 	p := figure7PlanPattern(t, tr)
 	_, want := oracleTable(t, tr.Instance, p)
-	// MaxRows 2 under the default batch size: the first batch already
-	// crosses the cap, so the prepare demotes empty heap state and every
-	// row reaches the external operators through Append/Add — the same
-	// calls, in the same order, as the hand-run below.
-	matched, err := MatchOpts(tr.Instance, p, ExecOptions{})
+	const runRows = 4
+	heap, err := NewExecutor(tr.Instance).PrepareWithOpts(p, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	prim := p.PrimaryNode().Key
-	pol, metrics := testSpillPolicy(t, 4)
-	for _, n := range p.Nodes {
-		if n.Key == prim {
-			continue
+	var groupBytes int64
+	for _, pc := range heap.parts {
+		vals := 0
+		for k := range heap.rowIDs {
+			vals += pc.src.CountAt(k)
 		}
-		f, err := graphrel.NewExternalGroupFold(pol, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Append(matched, prim, n.Key); err != nil {
-			t.Fatal(err)
-		}
-		sg, _, err := f.Finish()
-		if err != nil {
-			t.Fatal(err)
-		}
-		sg.Close()
+		groupBytes += int64(4*vals + 16*((vals+runRows-1)/runRows))
 	}
-	foldBytes := metrics.Snapshot().RunBytes
-	if foldBytes == 0 {
-		t.Fatal("fixture folds spill nothing")
+	if groupBytes == 0 {
+		t.Fatal("fixture groupings hold no values")
 	}
 
-	pol, metrics = testSpillPolicy(t, 4)
-	pol.MaxBytes = foldBytes
+	pol, metrics := testSpillPolicy(t, runRows)
+	pol.MaxBytes = groupBytes
 	pr, err := NewExecutor(tr.Instance).PrepareWithOpts(p, ExecOptions{MaxRows: 2, Spill: pol})
 	if err != nil {
-		t.Fatalf("prepare under the folds' own budget (%d bytes): %v", foldBytes, err)
+		t.Fatalf("prepare under the groupings' own budget (%d bytes): %v", groupBytes, err)
 	}
 	defer pr.Close()
-	if got := metrics.Snapshot().RunBytes; got != foldBytes {
-		t.Fatalf("prepare spilled %d bytes, its folds need %d", got, foldBytes)
+	if got := metrics.Snapshot().RunBytes; got != groupBytes {
+		t.Fatalf("prepare spilled %d bytes, its groupings need %d", got, groupBytes)
 	}
 	got, err := pr.Window(0, -1)
 	if err != nil {
@@ -276,11 +261,11 @@ func TestSpillBudgetChargesOnlyWhatIsReadBack(t *testing.T) {
 	}
 	assertSameResults(t, "budgeted", got, want)
 
-	pol, _ = testSpillPolicy(t, 4)
-	pol.MaxBytes = foldBytes - 1
+	pol, _ = testSpillPolicy(t, runRows)
+	pol.MaxBytes = groupBytes - 1
 	_, err = NewExecutor(tr.Instance).PrepareWithOpts(p, ExecOptions{MaxRows: 2, Spill: pol})
 	var rle *graphrel.RowLimitError
 	if !errors.As(err, &rle) || rle.Limit != 2 {
-		t.Fatalf("one byte under the folds' budget: err = %v, want RowLimitError{Limit: 2}", err)
+		t.Fatalf("one byte under the groupings' budget: err = %v, want RowLimitError{Limit: 2}", err)
 	}
 }

@@ -1,20 +1,17 @@
 package etable
 
 import (
-	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/expr"
 	"repro/internal/graphrel"
-	"repro/internal/spill"
 	"repro/internal/tgm"
 )
 
 // The match engine (the package doc's "Execution"): a miss computes a
 // pattern's reduced node sets and the exact |m(Q)| (matchPipeline), and
 // m(Q) itself is enumerated from them only where tuples are the
-// product — MatchOpts and the spill tier (enumerate).
+// product: MatchOpts (enumerate).
 
 // streamBatchRows overrides the enumeration's batch size; 0 uses
 // graphrel.MorselRows. Tests shrink it to exercise multi-batch
@@ -170,85 +167,4 @@ func enumerate(g *tgm.InstanceGraph, t *patternTree, red *Reduced, opt ExecOptio
 		}
 	}
 	return src, nil
-}
-
-// spillErr translates a spill-layer write failure into the execution
-// layer's vocabulary: budget exhaustion (-max-spill-bytes) becomes the
-// row cap's typed *RowLimitError — the same 413 the row threshold
-// produces without spilling — and everything else passes through.
-func spillErr(err error, limit, rows int) error {
-	var be *spill.BudgetError
-	if errors.As(err, &be) {
-		return graphrel.LimitExceeded(limit, rows)
-	}
-	return err
-}
-
-// prepareSpilled is the disk-resident prepare of a match past MaxRows:
-// m(Q), enumerated from its reduced sets, folds batch by batch into one
-// external fold per participating column, grouped by the primary — what
-// the windows read back, and nothing else — so the heap never holds
-// more than a batch of tuples. Every tuple carries the primary, so the
-// first fold's group keys, ascending, are the rows. All files share one
-// byte budget. The groupings fault through the policy's pager pool and
-// the caller owns the presentation's Close.
-func prepareSpilled(g *tgm.InstanceGraph, p *Pattern, t *patternTree, red *Reduced, opt ExecOptions) (*Presentation, error) {
-	pr := &Presentation{g: g, pattern: p, primType: g.Schema().NodeType(p.PrimaryNode().Type), closeOnce: new(sync.Once)}
-	budget := opt.Spill.NewBudget()
-	var keys []string
-	var folds []*graphrel.ExternalGroupFold
-	// fail releases both sides: the folds still open and the files
-	// already handed to the presentation (run-file Close is idempotent).
-	fail := func(err error) (*Presentation, error) {
-		for _, f := range folds {
-			f.Abort()
-		}
-		pr.Close()
-		return nil, spillErr(err, opt.MaxRows, red.rows)
-	}
-	for _, n := range p.Nodes {
-		if n.Key == p.Primary {
-			continue
-		}
-		f, err := graphrel.NewExternalGroupFold(opt.Spill, budget)
-		if err != nil {
-			return fail(err)
-		}
-		keys, folds = append(keys, n.Key), append(folds, f)
-	}
-	src, err := enumerate(g, t, red, opt)
-	if err != nil {
-		return fail(err)
-	}
-	defer src.Close()
-	for {
-		b, err := src.Next()
-		if err != nil {
-			return fail(err)
-		}
-		if b == nil {
-			break
-		}
-		for i, k := range keys {
-			if err := folds[i].Append(b, p.Primary, k); err != nil {
-				return fail(err)
-			}
-		}
-	}
-	parts := make([]groupSource, len(folds))
-	for i, f := range folds {
-		sg, rows, err := f.Finish()
-		if err != nil {
-			return fail(err)
-		}
-		if i == 0 {
-			pr.rowIDs = rows
-		}
-		pr.closers = append(pr.closers, sg)
-		parts[i] = sg
-	}
-	if err := pr.layoutColumns(p, parts); err != nil {
-		return fail(err)
-	}
-	return pr, nil
 }

@@ -2,11 +2,13 @@ package etable
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
 
 	"repro/internal/graphrel"
+	"repro/internal/spill"
 	"repro/internal/tgm"
 	"repro/internal/value"
 )
@@ -52,8 +54,8 @@ type Presentation struct {
 	// the pager budget instead of by presentation lifetime.
 	view *colView
 	// closers are the spilled groupings whose run files Close releases,
-	// when the streamed prepare overflowed its spill threshold; nil on
-	// the heap path.
+	// when the prepare crossed MaxRows under a spill policy; nil on the
+	// heap path.
 	closers []*graphrel.SpilledGroups
 	// closeOnce is shared by every SortedView of one prepare, so the
 	// spill files behind a family of views release exactly once no
@@ -62,7 +64,7 @@ type Presentation struct {
 }
 
 // Close releases any spill-backed state behind the presentation (the
-// run files of the external group folds). Idempotent, shared across
+// run files of its spilled groupings). Idempotent, shared across
 // SortedViews, and a no-op for heap-resident presentations. Windows
 // already materialized stay valid; new Window calls after Close fail on
 // their first fault.
@@ -185,14 +187,16 @@ func (pr *Presentation) pinLabels(cols []int, p *pins) (*colView, error) {
 
 // groupSource is a participating column's row → related-nodes
 // grouping, abstracted over residency: *graphrel.Groups (CSR arrays on
-// the heap) for in-memory prepares, *graphrel.SpilledGroups (a
-// directory over a values file) when the prepare overflowed to disk.
-// Count is IO-free on both forms — it is what the sort key and the
-// window's arena-sizing pass read — while Refs may fault runs back in
-// and can therefore fail with a typed error. Refs returns the heap
-// form's CSR segment itself and reads the spilled form into *buf.
+// the heap) for in-memory prepares, *graphrel.SpilledGroups (the same
+// keys and offsets over a values file) when the prepare spilled. Both
+// come from one GroupPath call, and Count and CountAt are the same
+// offset reads on both — what the sort key and the window's
+// arena-sizing pass read — while Refs may fault runs back in and can
+// therefore fail with a typed error. Refs returns the heap form's CSR
+// segment itself and reads the spilled form into *buf.
 type groupSource interface {
 	Count(id tgm.NodeID) int
+	CountAt(k int) int
 	Refs(buf *[]tgm.NodeID, id tgm.NodeID) ([]tgm.NodeID, error)
 }
 
@@ -279,28 +283,33 @@ func PrepareOpts(g *tgm.InstanceGraph, p *Pattern, matched *graphrel.Relation, o
 	if rows != matched.Len() {
 		return nil, fmt.Errorf("etable: matched relation holds %d tuples, not the %d matches over its projections: PrepareOpts needs m(Q)", matched.Len(), rows)
 	}
-	return prepareSets(g, p, t, &Reduced{keys: t.keys, sets: reduced, rows: rows}, opt)
+	return prepareSets(g, p, t, &Reduced{keys: t.keys, sets: reduced, rows: rows}, opt, nil)
 }
 
 // prepareReduced prepares a reduced match under the row cap: past
 // MaxRows a pattern with edges fails with the exact |m(Q)| or, under a
-// spill policy, spills (prepareSpilled). A joinless match is never
-// capped.
+// spill policy, prepares with its groupings spilled. A joinless match
+// is never capped.
 func prepareReduced(g *tgm.InstanceGraph, p *Pattern, t *patternTree, red *Reduced, opt ExecOptions) (*Presentation, error) {
 	if len(p.Nodes) > 1 && opt.MaxRows > 0 && red.rows > opt.MaxRows {
 		if opt.Spill == nil {
 			return nil, graphrel.LimitExceeded(opt.MaxRows, red.rows)
 		}
-		return prepareSpilled(g, p, t, red, opt)
+		return prepareSets(g, p, t, red, opt, opt.Spill)
 	}
-	return prepareSets(g, p, t, red, opt)
+	return prepareSets(g, p, t, red, opt, nil)
 }
 
 // prepareSets builds the presentation from a reduced match: rows are
 // the primary's set ascending (the type's node list itself when the set
 // holds every node), and each participating column groups its tree
-// path's adjacency inside the sets (graphrel.GroupPath).
-func prepareSets(g *tgm.InstanceGraph, p *Pattern, t *patternTree, red *Reduced, opt ExecOptions) (*Presentation, error) {
+// path's adjacency inside the sets (graphrel.GroupPath). Under a spill
+// policy (pol non-nil) each grouping's values are written to disk as
+// soon as it is built (graphrel.SpillGroups), so the heap holds one
+// column's values at a time; all files share one byte budget, whose
+// exhaustion is the row cap's *RowLimitError, and the caller owns the
+// presentation's Close.
+func prepareSets(g *tgm.InstanceGraph, p *Pattern, t *patternTree, red *Reduced, opt ExecOptions, pol *graphrel.SpillPolicy) (*Presentation, error) {
 	if err := ctxErr(opt.Ctx); err != nil {
 		return nil, err
 	}
@@ -318,6 +327,20 @@ func prepareSets(g *tgm.InstanceGraph, p *Pattern, t *patternTree, red *Reduced,
 	} else {
 		pr.rowIDs = sets[0].IDs()
 	}
+	var budget *spill.Budget
+	if pol != nil {
+		pr.closeOnce, budget = new(sync.Once), pol.NewBudget()
+	}
+	// fail releases the groupings already spilled (a no-op on the heap).
+	// A spill past -max-spill-bytes fails as the row cap does, with the
+	// typed *RowLimitError.
+	fail := func(err error) (*Presentation, error) {
+		pr.Close()
+		if be := (*spill.BudgetError)(nil); errors.As(err, &be) {
+			err = graphrel.LimitExceeded(opt.MaxRows, red.rows)
+		}
+		return nil, err
+	}
 	parts := make([]groupSource, 0, len(p.Nodes)-1)
 	for _, n := range p.Nodes {
 		if n.Key == prim.Key {
@@ -330,12 +353,20 @@ func prepareSets(g *tgm.InstanceGraph, p *Pattern, t *patternTree, red *Reduced,
 		}
 		groups, err := graphrel.GroupPath(opt.Ctx, pr.rowIDs, append(path, sets[0]), up, down)
 		if err != nil {
-			return nil, err
+			return fail(err)
 		}
-		parts = append(parts, groups)
+		if pol == nil {
+			parts = append(parts, groups)
+			continue
+		}
+		sg, err := graphrel.SpillGroups(groups, pol, budget)
+		if err != nil {
+			return fail(err)
+		}
+		pr.closers, parts = append(pr.closers, sg), append(parts, sg)
 	}
 	if err := pr.layoutColumns(p, parts); err != nil {
-		return nil, err
+		return fail(err)
 	}
 	return pr, nil
 }
@@ -343,9 +374,8 @@ func prepareSets(g *tgm.InstanceGraph, p *Pattern, t *patternTree, red *Reduced,
 // layoutColumns lays out the columns of §5.4.2 — base attributes A_b,
 // participating node columns A_t, neighbor node columns A_h — and
 // finishes the prepare. parts holds the grouping of every pattern node
-// except the primary, in pattern order; the heap prepare (prepareSets)
-// and the spilled one (prepareSpilled) both end here, so the layout
-// cannot differ between residencies.
+// except the primary, in pattern order; prepareSets ends here on either
+// residency, and the test oracle (foldOracle) with its own groupings.
 func (pr *Presentation) layoutColumns(p *Pattern, parts []groupSource) error {
 	schema := pr.g.Schema()
 	for _, a := range pr.primType.Attrs {

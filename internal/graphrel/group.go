@@ -20,17 +20,22 @@ type Groups struct {
 	vals []tgm.NodeID
 }
 
-// segment returns id's value run, empty for a node that is not a key.
-func (gs *Groups) segment(id tgm.NodeID) []tgm.NodeID {
+// span returns id's value run as offsets into vals, empty for a node
+// that is not a key. It reads no value, so a SpilledGroups, which keeps
+// the keys and offsets but not the values, shares it.
+func (gs *Groups) span(id tgm.NodeID) (lo, hi int) {
 	k, ok := slices.BinarySearch(gs.keys, id)
 	if !ok {
-		return nil
+		return 0, 0
 	}
-	return gs.vals[gs.offs[k]:gs.offs[k+1]:gs.offs[k+1]]
+	return int(gs.offs[k]), int(gs.offs[k+1])
 }
 
 // Count returns the number of distinct values grouped under id.
-func (gs *Groups) Count(id tgm.NodeID) int { return len(gs.segment(id)) }
+func (gs *Groups) Count(id tgm.NodeID) int {
+	lo, hi := gs.span(id)
+	return hi - lo
+}
 
 // CountAt returns the number of distinct values grouped under keys[k],
 // the k-th group in key order: two loads, where Count searches for the
@@ -42,5 +47,6 @@ func (gs *Groups) CountAt(k int) int { return int(gs.offs[k+1] - gs.offs[k]) }
 // error is always nil: the signature is SpilledGroups.Refs', so a
 // consumer reads a grouping of either residency through one interface.
 func (gs *Groups) Refs(_ *[]tgm.NodeID, id tgm.NodeID) ([]tgm.NodeID, error) {
-	return gs.segment(id), nil
+	lo, hi := gs.span(id)
+	return gs.vals[lo:hi:hi], nil
 }

@@ -1,7 +1,6 @@
 package graphrel
 
 import (
-	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -45,63 +44,61 @@ func joined(t *testing.T, rng *rand.Rand) *Relation {
 	return j
 }
 
-// TestExternalGroupFoldEquivalence folds a relation's batches through
-// the external sort-merge form and asserts identical counts and refs
-// for every group against the map oracle — and against the heap kernel,
-// the other residency a presentation reads — and group keys equal to
-// the distinct oracle, ascending, over multi-run merges and one run.
-func TestExternalGroupFoldEquivalence(t *testing.T) {
+// TestSpillGroupsRoundTrip writes groupings through SpillGroups at
+// four values per run and asserts Count, CountAt and Refs equal the
+// heap Groups' for every key and for a node that is no key: a joined
+// relation's grouping (many groups straddling runs), a hand-built one
+// with empty groups between straddling ones, and empty groupings. The
+// bytes written are the values plus one header per run.
+func TestSpillGroupsRoundTrip(t *testing.T) {
+	const runRows = 4
 	rng := rand.New(rand.NewSource(24))
-	rel := joined(t, rng)
-	want, err := GroupNeighborsOracle(rel, "A", "B")
-	if err != nil {
-		t.Fatal(err)
+	cases := map[string]*Groups{
+		"joined": groupBoth(t, "joined", joined(t, rng), "A", "B"),
+		"hand": {keys: []tgm.NodeID{2, 5, 9, 11, 12}, offs: []int32{0, 3, 3, 8, 9, 9},
+			vals: []tgm.NodeID{1, 4, 7, 3, 6, 8, 10, 12, 2}},
+		"no values": {keys: []tgm.NodeID{3, 4}, offs: []int32{0, 0, 0}},
+		"no keys":   {offs: []int32{0}},
 	}
-	heap := groupBoth(t, "heap", rel, "A", "B")
-	distinctKeys := distinctOracle(rel.ColumnNamed("A"))
-	for trial := 0; trial < 4; trial++ {
-		batch := 1 + rng.Intn(2*MorselRows)
-		runRows := 32 + rng.Intn(256)
-		if trial == 3 {
-			runRows = 1 << 20 // one run: no merge pass
+	for label, heap := range cases {
+		straddles := false
+		for k := range heap.keys {
+			if lo, hi := heap.offs[k], heap.offs[k+1]; hi > lo && lo/runRows != (hi-1)/runRows {
+				straddles = true
+			}
+		}
+		if (label == "joined" || label == "hand") && !straddles {
+			t.Fatalf("%s: no group straddles a run boundary", label)
 		}
 		pol := testPolicy(t, runRows)
-		ext, err := NewExternalGroupFold(pol, pol.NewBudget())
+		sg, err := SpillGroups(heap, pol, pol.NewBudget())
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", label, err)
 		}
-		for _, b := range batches(t, rel, batch) {
-			if err := ext.Append(b, "A", "B"); err != nil {
-				t.Fatal(err)
+		n := len(heap.vals)
+		runs := (n + runRows - 1) / runRows
+		if st := pol.Metrics.Snapshot(); st.Spills != 1 || st.RunBytes != int64(4*n+16*runs) {
+			t.Fatalf("%s: %+v, want 1 spill of %d values in %d runs", label, st, n, runs)
+		}
+		buf := new([]tgm.NodeID)
+		for k, id := range append(slices.Clone(heap.keys), 1<<30) {
+			want, _ := heap.Refs(nil, id)
+			if k < len(heap.keys) && (sg.CountAt(k) != heap.CountAt(k) || sg.CountAt(k) != len(want)) {
+				t.Fatalf("%s: CountAt(%d) = %d, want %d", label, k, sg.CountAt(k), len(want))
 			}
-		}
-		sg, keys, err := ext.Finish()
-		if err != nil {
-			t.Fatal(err)
-		}
-		label := fmt.Sprintf("trial=%d batch=%d runRows=%d", trial, batch, runRows)
-		if !slices.Equal(keys, distinctKeys) {
-			t.Fatalf("%s: group keys %v, want %v", label, keys, distinctKeys)
-		}
-		if sg.Groups() != len(want) {
-			t.Fatalf("%s: %d groups, want %d", label, sg.Groups(), len(want))
-		}
-		for gid, wantRefs := range want {
-			if got := sg.Count(gid); got != len(wantRefs) || got != heap.Count(gid) {
-				t.Fatalf("%s: Count(%d) = %d, want %d (heap %d)", label, gid, got, len(wantRefs), heap.Count(gid))
+			if sg.Count(id) != heap.Count(id) || sg.Count(id) != len(want) {
+				t.Fatalf("%s: Count(%d) = %d, want %d", label, id, sg.Count(id), len(want))
 			}
-			gotRefs, err := sg.Refs(new([]tgm.NodeID), gid)
+			got, err := sg.Refs(buf, id)
 			if err != nil {
-				t.Fatalf("%s: Refs(%d): %v", label, gid, err)
+				t.Fatalf("%s: Refs(%d): %v", label, id, err)
 			}
-			for i := range wantRefs {
-				if gotRefs[i] != wantRefs[i] {
-					t.Fatalf("%s: Refs(%d)[%d] = %d, want %d", label, gid, i, gotRefs[i], wantRefs[i])
-				}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s: Refs(%d) = %v, want %v", label, id, got, want)
 			}
 		}
-		if refs, err := sg.Refs(new([]tgm.NodeID), tgm.NodeID(1<<30)); err != nil || refs != nil {
-			t.Fatalf("%s: absent group: refs=%v err=%v", label, refs, err)
+		if st := pol.Metrics.Snapshot(); (n > 0) != (st.Faults > 0) {
+			t.Fatalf("%s: %d values read back with %d faults", label, n, st.Faults)
 		}
 		if err := sg.Close(); err != nil {
 			t.Fatalf("%s: Close: %v", label, err)

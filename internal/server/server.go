@@ -546,16 +546,14 @@ type pagerJSON struct {
 	FaultMs          float64 `json:"faultMs"`
 }
 
-// spillJSON is one dataset's spill-to-disk telemetry: how many
-// executions overflowed MaxRows onto disk, how many bytes of run
-// files they wrote, how many external merge passes the breaker folds
-// needed, and how many run pages were faulted back through the pool
-// while browsing.
+// spillJSON is one dataset's spill-to-disk telemetry: how many run
+// files prepares past MaxRows opened (one per spilled grouping), how
+// many bytes they wrote, and how many run pages were faulted back
+// through the pool while browsing.
 type spillJSON struct {
-	Spills      int64 `json:"spills"`
-	RunBytes    int64 `json:"runBytes"`
-	MergePasses int64 `json:"mergePasses"`
-	Faults      int64 `json:"faults"`
+	Spills   int64 `json:"spills"`
+	RunBytes int64 `json:"runBytes"`
+	Faults   int64 `json:"faults"`
 }
 
 // memoryJSON is the memory telemetry block of /api/v1/stats: process
@@ -684,10 +682,9 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		}
 		if sst := ds.SpillMetrics().Snapshot(); sst.Spills > 0 {
 			d.Spill = &spillJSON{
-				Spills:      sst.Spills,
-				RunBytes:    sst.RunBytes,
-				MergePasses: sst.MergePasses,
-				Faults:      sst.Faults,
+				Spills:   sst.Spills,
+				RunBytes: sst.RunBytes,
+				Faults:   sst.Faults,
 			}
 		}
 		out.Datasets = append(out.Datasets, d)

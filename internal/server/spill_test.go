@@ -78,10 +78,9 @@ func TestServerSpillPagingAndStats(t *testing.T) {
 		Datasets []struct {
 			Name  string `json:"name"`
 			Spill *struct {
-				Spills      int64 `json:"spills"`
-				RunBytes    int64 `json:"runBytes"`
-				MergePasses int64 `json:"mergePasses"`
-				Faults      int64 `json:"faults"`
+				Spills   int64 `json:"spills"`
+				RunBytes int64 `json:"runBytes"`
+				Faults   int64 `json:"faults"`
 			} `json:"spill"`
 		} `json:"datasets"`
 	}

@@ -207,7 +207,7 @@ func (s *Session) SetMaxRows(n int) {
 
 // SetSpill enables spill-to-disk execution for this session's queries:
 // with a policy set, a browsable prepare whose match crosses the
-// max-rows threshold overflows its breaker folds to temp-file runs and
+// max-rows threshold writes its groupings' values to temp-file runs and
 // stays pageable, instead of failing with the 413 row-cap error. The
 // policy's MaxBytes remains a hard cap (its exhaustion fails with the
 // same *graphrel.RowLimitError), and explicit window requests larger

@@ -1,7 +1,9 @@
 // Package spill is the disk tier behind spill-to-disk execution: when
-// a presentation fold outgrows the row budget, its state overflows to
-// runs in a temp file and faults back through the same bounded buffer
-// pool (internal/pager) that serves out-of-core snapshot columns.
+// a presentation outgrows the row budget, the values of each of its
+// groupings (graphrel.SpillGroups) are written as runs to a temp file
+// and fault back through the same bounded buffer pool (internal/pager)
+// that serves out-of-core snapshot columns. Runs are written once, in
+// order, and only read back: nothing sorts or merges them.
 //
 // A run is one self-contained chunk of ID columns — a fixed 16-byte
 // header (rows, columns, payload length, CRC-32C of the payload)
@@ -36,13 +38,11 @@ import (
 // a zero Metrics is ready to use. A nil *Metrics is accepted
 // everywhere and counts nothing.
 type Metrics struct {
-	// Spills counts spill events: group folds that overflowed to
-	// disk.
+	// Spills counts spill events: run files created, one per
+	// grouping a prepare past the row threshold wrote to disk.
 	Spills atomic.Int64
 	// RunBytes counts bytes written to spill runs (headers included).
 	RunBytes atomic.Int64
-	// MergePasses counts k-way merge passes over sorted runs.
-	MergePasses atomic.Int64
 	// Faults counts run payloads read (and CRC-verified) back from
 	// disk. Pool-resident re-reads do not count.
 	Faults atomic.Int64
@@ -50,10 +50,9 @@ type Metrics struct {
 
 // Stats is a point-in-time copy of Metrics.
 type Stats struct {
-	Spills      int64
-	RunBytes    int64
-	MergePasses int64
-	Faults      int64
+	Spills   int64
+	RunBytes int64
+	Faults   int64
 }
 
 // Snapshot returns the current counter values. Safe on nil (all
@@ -63,10 +62,9 @@ func (m *Metrics) Snapshot() Stats {
 		return Stats{}
 	}
 	return Stats{
-		Spills:      m.Spills.Load(),
-		RunBytes:    m.RunBytes.Load(),
-		MergePasses: m.MergePasses.Load(),
-		Faults:      m.Faults.Load(),
+		Spills:   m.Spills.Load(),
+		RunBytes: m.RunBytes.Load(),
+		Faults:   m.Faults.Load(),
 	}
 }
 

@@ -160,8 +160,9 @@ if grep -rnwE 'decodeEdges|decodeEdgesDeferred|lazyDecode|AddDirectedEdge|Extern
 fi
 
 # One enumeration: m(Q) is streamed from its reduced node sets in one
-# place (enumerate), for MatchOpts and the spill tier alike; a derived
-# and a from-bases match reduce the same way (ROADMAP 3, 18).
+# place (enumerate), which serves MatchOpts only — no prepare, heap or
+# spilled, enumerates it; a derived and a from-bases match reduce the
+# same way (ROADMAP 3, 18).
 echo "==> one join loop"
 calls=$(grep -rnE 'graphrel\.StreamJoin\(' --include='*.go' --exclude='*_test.go' internal/etable |
 	grep -vE '^[^:]*:[0-9]+:[[:space:]]*//' || true)
@@ -172,11 +173,13 @@ if [ "$(printf '%s' "$calls" | grep -c .)" -ne 1 ]; then
 fi
 
 # Semi-join, don't join: a miss computes reduced node sets, so the
-# join planner, its cost model, the fold kernels over m(Q) and the
-# spilled-prepare hand-off stay deleted (ROADMAP 18, 20b). The fold
-# kernels survive only as test oracles.
+# join planner, its cost model, the fold kernels over m(Q), the
+# spilled-prepare hand-off and the spill tier's external sort-merge of
+# m(Q) stay deleted (ROADMAP 18, 19, 20b): a spilled prepare writes
+# GroupPath's groupings (graphrel.SpillGroups). The fold kernels
+# survive only as test oracles.
 echo "==> no join planner, no fold over m(Q)"
-if grep -rnE 'orderJoins|AvgOutDegree|GroupNeighbors|DistinctSorted|errSpilled' \
+if grep -rnE 'orderJoins|AvgOutDegree|GroupNeighbors|DistinctSorted|errSpilled|ExternalGroupFold|mergeRuns|prepareSpilled' \
 	--include='*.go' --exclude='*_test.go' internal; then
 	echo "a join planner or a fold over m(Q) reappeared (see above)" >&2
 	exit 1
