@@ -13,27 +13,20 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
-	"strconv"
 	"sync"
 	"testing"
 
 	"repro/internal/dataset"
 	"repro/internal/etable"
 	"repro/internal/exec"
-	"repro/internal/graphrel"
-	"repro/internal/lru"
 	"repro/internal/ops"
-	"repro/internal/pager"
 	"repro/internal/relational"
 	"repro/internal/server"
 	"repro/internal/snapshot"
-	"repro/internal/spill"
 	"repro/internal/sqlexec"
 	"repro/internal/storage"
 	"repro/internal/study"
-	"repro/internal/tgm"
 	"repro/internal/translate"
 )
 
@@ -679,32 +672,6 @@ func (g *globalMutexHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	g.h.ServeHTTP(w, r)
 }
 
-// streamScalePatterns builds the spill benchmark's two join chains
-// over the scale corpus: Papers⋈Authors (~3 rows per paper) and
-// Papers⋈Authors⋈Keywords (~5× that) — two result scales over the same
-// base relations, so "flat across relation sizes" isolates the join
-// result's size from the base scans'.
-func streamScalePatterns(b *testing.B, tr *translate.Result) (*etable.Pattern, *etable.Pattern) {
-	b.Helper()
-	p, err := etable.Initiate(tr.Schema, "Papers")
-	if err != nil {
-		b.Fatal(err)
-	}
-	p1, err := etable.Add(tr.Schema, p, "Paper_Authors")
-	if err != nil {
-		b.Fatal(err)
-	}
-	back, err := etable.Shift(p1, "Papers")
-	if err != nil {
-		b.Fatal(err)
-	}
-	p2, err := etable.Add(tr.Schema, back, "Papers→Paper_Keywords: keyword")
-	if err != nil {
-		b.Fatal(err)
-	}
-	return p1, p2
-}
-
 // corpusAt memoizes translated corpora by paper count for the
 // benchmarks that size their corpus to the workload they model.
 var (
@@ -870,89 +837,6 @@ func BenchmarkColdWindowFault(b *testing.B) {
 	}
 	b.ReportMetric(float64(resident), "resident-sections")
 	b.ReportMetric(float64(total), "total-sections")
-}
-
-// BenchmarkSpilledFirstPage measures the spill tier's cost: time to
-// the first 10-row page of a large join result when the
-// materialization spills to disk behind the pager, against the same
-// prepare kept entirely on the heap. Both arms are a cold
-// Executor.PrepareWithOpts — the server's path, bases selected and the
-// match folded fresh — plus one window (the spilled arm additionally
-// writes its runs, folds its groupings externally, and faults the first
-// window's runs back); acceptance is spilled ≤ 3× in-memory, recorded
-// in PERFORMANCE.md §11.
-func BenchmarkSpilledFirstPage(b *testing.B) {
-	tr := scaleFixtures(b)
-	const window = 10
-	p1, p2 := streamScalePatterns(b, tr)
-
-	for _, p := range []*etable.Pattern{p1, p2} {
-		full, err := etable.MatchOpts(tr.Instance, p, etable.ExecOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		n := full.Len()
-
-		b.Run(fmt.Sprintf("inmemory/rows=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				pr, err := etable.NewExecutor(tr.Instance).PrepareWithOpts(p, etable.ExecOptions{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := pr.Window(0, window)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.NumRows() != window {
-					b.Fatalf("first page of %d rows, want %d", res.NumRows(), window)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("spilled/rows=%d", n), func(b *testing.B) {
-			// ETABLE_SPILL_DIR redirects the runs to a specific device
-			// (bench.sh stamps it into BenchEnv); default is a per-run
-			// temp dir. ETABLE_MAX_SPILL_BYTES caps the spill.
-			dir := os.Getenv("ETABLE_SPILL_DIR")
-			if dir == "" {
-				dir = b.TempDir()
-			}
-			var maxBytes int64
-			if v := os.Getenv("ETABLE_MAX_SPILL_BYTES"); v != "" {
-				if parsed, err := strconv.ParseInt(v, 10, 64); err == nil {
-					maxBytes = parsed
-				}
-			}
-			var metrics spill.Metrics
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				pol := &graphrel.SpillPolicy{
-					Dir:      dir,
-					MaxBytes: maxBytes,
-					Pool:     lru.New[pager.Key, [][]tgm.NodeID](64),
-					Metrics:  &metrics,
-				}
-				opt := etable.ExecOptions{MaxRows: 4096, Spill: pol}
-				pr, err := etable.NewExecutor(tr.Instance).PrepareWithOpts(p, opt)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if metrics.Snapshot().Spills == 0 {
-					b.Fatal("prepare did not spill")
-				}
-				res, err := pr.Window(0, window)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.NumRows() != window {
-					b.Fatalf("first page of %d rows, want %d", res.NumRows(), window)
-				}
-				if err := pr.Close(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // pageScanRows is the corpus the sort and encode benchmarks run at: the

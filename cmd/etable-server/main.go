@@ -57,9 +57,9 @@ func main() {
 	pageSize := flag.Int("page-size", 0, "default result rows per response (0 = all; clients may page with offset/limit)")
 	maxWorkers := flag.Int("max-workers", 0, "server-wide worker cap for intra-query parallelism (0 = GOMAXPROCS, negative = serial)")
 	parallelism := flag.Int("parallelism", 0, "every session's parallelism budget for its base selections (0 = min(4, GOMAXPROCS), negative = serial)")
-	maxRows := flag.Int("max-rows", 0, "row threshold past which a result spills to disk, or fails with 413 result_too_large when spilling is off (0 = unbounded)")
-	spillDir := flag.String("spill-dir", "", "directory for spill run files (empty = system temp dir; \"off\" disables spilling and restores strict -max-rows rejection)")
-	maxSpillBytes := flag.Int64("max-spill-bytes", 0, "maximum bytes one query may spill to disk (0 = unbounded; exceeding fails with 413 result_too_large)")
+	maxRows := flag.Int("max-rows", 0, "match size past which a result fails with 413 result_too_large unless -spill-dir is on, and the widest window one request may read (0 = unbounded)")
+	spillDir := flag.String("spill-dir", "", "serve a match past -max-rows instead of failing (empty = on, system temp dir; \"off\" restores strict -max-rows rejection); nothing is written to it")
+	maxSpillBytes := flag.Int64("max-spill-bytes", 0, "accepted and unused: no result is written to disk")
 	flag.Parse()
 
 	reg := registry.New(registry.Options{CacheEntries: *cacheEntries})

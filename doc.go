@@ -93,9 +93,8 @@
 //     fan-outs idle or unpaid (PERFORMANCE.md §17). The kernels never
 //     hash a node ID: IDs are dense ordinals, so the
 //     join's build side is a counting-sort index over the build
-//     column's type span probed through a tgm.Adjacency handle, and
-//     the presentation's groupings are a serial counting sort into CSR
-//     arrays (graphrel.Groups).
+//     column's type span probed through a tgm.Adjacency handle, and a
+//     node set is a bitset over its own span (graphrel.NodeSet).
 //   - internal/stats: per-edge-type out-degree histograms, read
 //     through one tgm.Adjacency handle per edge type — derived state
 //     in the frozen graph's one registry (tgm.Derive), built on first
@@ -128,16 +127,16 @@
 // reduction over the tree (Yannakakis 1981; graphrel.Reduce: a
 // bottom-up and a top-down pass of bitset semi-joins) and counts
 // |m(Q)| exactly by a saturating product-sum; the cache holds those
-// node sets, and a prepare groups each column's adjacency along its
-// tree path inside them (graphrel.GroupPath). Each kernel loads only
-// the adjacency direction it walks, and an edge type stored one way
-// only (a self-loop without a reverse) is walked back through its
+// node sets, and a row's cell in a participating column is its
+// adjacency along the column's tree path filtered by them
+// (graphrel.Path), computed when a window reads it. The reduction loads
+// only the adjacency direction it walks, and an edge type stored one
+// way only (a self-loop without a reverse) is walked back through its
 // transpose (tgm.InstanceGraph.Inverse). The kernels' scratch arrays
-// are pooled across misses. m(Q) is enumerated only
-// where tuples are the product — etable.MatchOpts, and the spill tier
-// past -max-rows — by a StreamJoin chain over the reduced sets; without
-// a spill policy a result past -max-rows fails with its exact size
-// before anything is enumerated. The server's one path is
+// are pooled. m(Q) is enumerated only where tuples are the product —
+// etable.MatchOpts — by a StreamJoin chain over the reduced sets;
+// without a spill policy a result past -max-rows fails with its exact
+// size before anything is enumerated. The server's one path is
 // Executor.PrepareWithOpts plus a window. A plan is the pattern's
 // compiled node predicates, built on the miss that needs it and not
 // cached. A miss derived through the §5.3 operators from a pattern
@@ -152,22 +151,27 @@
 // # Windowed presentation
 //
 // The format transformation (§5.4.2) is prepared and windowed rather
-// than monolithic: a prepare computes the row set, column layout,
-// and per-column groupings without materializing a single cell, and etable.Presentation.Window materializes any [offset,
+// than monolithic, and a presentation is its reduced sets held
+// factorised (Olteanu & Závodný, TODS 2015): a prepare keeps the
+// primary's set as the rows (with a rank directory over its words) and
+// each participating column's tree path of reduced sets, and stores no
+// cell. A cursor seeks its first row once and computes each cell it
+// reads; etable.Presentation.Window materializes any [offset,
 // offset+limit) row range on demand, in one serial transformRange pass
 // — a window is a page, never a morsel's worth of rows.
 //
-// Ownership: a Presentation owns everything its windows read — row
-// IDs, column layout, groupings, adjacency handles. The reduced match
-// is an input of the prepare (Executor.PrepareWithOpts takes it from
-// the shared execution cache) and is never read again, so the cache
-// may evict it at any time: a page fetch costs O(window), never a re-match or a
-// full re-render. The session layer prepares one Presentation per
-// pattern, and sort variants of one pattern share that single
-// prepared presentation: Presentation.SortedView — the one sort —
-// reorders only the row IDs while sharing the column layout and
-// neighbor groupings, so toggling sort direction never re-prepares and
-// a prepared presentation is immutable. Sorting happens on the row
+// Ownership: a Presentation owns everything its windows read — the
+// reduced sets, column layout, adjacency handles. The cache entry the
+// sets came from (Executor.PrepareWithOpts takes it from the shared
+// execution cache) is never read again, so the cache may evict it at
+// any time: a page fetch costs O(window), never a re-match or a full
+// re-render. The session layer prepares one Presentation per pattern,
+// and sort variants of one pattern share that single prepared
+// presentation: Presentation.SortedView — the one sort — owns only a
+// row permutation while sharing the sets, the column layout and the
+// count vectors a sort by a participating column builds once, so
+// toggling sort direction never re-prepares and a prepared
+// presentation is immutable. Sorting happens on the row
 // order (no cells), so sort-then-page equals full-render-then-slice by
 // construction.
 //
@@ -210,12 +214,12 @@
 // and base sets resident, whatever the session count.
 //
 // Allocation discipline in the transform: all cells of a window share
-// one backing array, entity references are carved from one arena
-// (empty lists share a single slice), the rows come out of the
-// primary's reduced bitset already ordered, and each column's grouping
-// is three flat arrays filled by a counting sort. Each reference column reads its target type's
-// label column directly — at id-lo when the type's node IDs are one
-// contiguous run, through the node's row otherwise — and non-string
+// one backing array, entity references are carved from one arena sized
+// by one gather of every cell into pooled scratch (empty lists share a
+// single slice), and the rows come out of the primary's reduced bitset
+// already ordered. Each reference column reads its target type's
+// label column directly at id-lo (a type's node IDs are one
+// contiguous run), and non-string
 // labels are interned per window so N references to one node share one
 // rendered string. PERFORMANCE.md §6 records the page-fetch
 // measurements (BenchmarkFigure7Pipeline), §20 the label and encoder
@@ -272,34 +276,18 @@
 // BenchmarkColdWindowFault); a lazy-vs-eager fuzz and a GOMEMLIMIT
 // smoke job in CI hold the equivalence and memory-bound claims.
 //
-// # Spill-to-disk execution
+// # Past the row cap
 //
 // The out-of-core tier bounds memory on the way *in* (base columns page
-// from disk); the spill tier bounds it on the way *out*: a query whose
-// result crosses the row cap (ExecOptions.MaxRows, etable-server
-// -max-rows) no longer fails with 413 result_too_large — its prepare
-// writes through internal/spill into temporary run files (snapshot NCOL
-// column encoding, per-run CRC-32C, anonymous O_TMPFILE/unlink-on-open
-// so a crash leaks nothing) that page back through a pager.Key-keyed
-// lru.Cache like lazy columns. Only what a presentation
-// reads back is written: the prepare is the heap one (the same rows,
-// the same graphrel.GroupPath grouping per participating column), and
-// graphrel.SpillGroups writes each grouping's values to disk as soon as
-// it is built, keeping its keys and offsets on the heap, so counts and
-// sorts pay no IO and -max-spill-bytes is charged for the values alone.
-// m(Q) is never enumerated on this path.
-// Policy is per-dataset (graphrel.SpillPolicy via server
-// Options{SpillDir, MaxSpillBytes}; flags -spill-dir and
-// -max-spill-bytes; "off" restores strict 413s), the byte budget
-// rejects with the same unified {code, limit, rows} envelope as every
-// other cap layer, damaged runs
-// surface as typed *spill.CorruptError values with the session
-// surviving, and files are reaped on session close, LRU eviction, and
-// a boot-time sweep of named spill directories. /api/v1/stats reports
-// a per-dataset spill block (spills, runBytes, faults);
-// PERFORMANCE.md §11 records the first-page cost of a spilled result
-// (≤1.6× in-memory at 53k and 313k rows, BenchmarkSpilledFirstPage),
-// and CI's spill-smoke job browses a capped pivot end to end under
-// GOMEMLIMIT=32MiB. A randomized spilled≡in-memory fuzz under -race
-// holds the equivalence claim.
+// from disk). On the way *out* nothing grows with the result: a
+// prepare holds the reduced sets whatever |m(Q)| is, so under a spill
+// policy (server Options{SpillDir}, flag -spill-dir; "off" restores
+// strict 413s) a query whose match crosses the row cap
+// (ExecOptions.MaxRows, etable-server -max-rows) is served like any
+// other, and without one it fails with 413 result_too_large carrying
+// the exact |m(Q)|. Nothing is written to the spill directory:
+// internal/spill, -max-spill-bytes and the /api/v1/stats spill block
+// remain only until the benchmark harness stops passing the flags. An
+// explicit window wider than the cap is still refused. CI's spill-smoke
+// job browses a capped pivot end to end under GOMEMLIMIT=32MiB.
 package repro

@@ -87,11 +87,15 @@ func TestDerivedMatchesOracles(t *testing.T) {
 // and the primary anywhere, run by two goroutines through one shared
 // Executor at cache sizes 1, 2 and 1024, so derivation from resident
 // reduced sets fires. Every table must equal, cell for cell, the one
-// the fold oracle renders over MatchNaive and the SQL backend's, and
-// the cached |m(Q)| must equal MatchNaive's tuple count; an empty
-// selection joined in empties the table. The scratch arrays behind it
-// are span-sized (ScratchIsSpanSized). Run under -race by
-// scripts/check.sh.
+// the fold oracle renders over MatchNaive and the SQL backend's — as a
+// materialized window and read cell by cell through a Cursor, the
+// server's path, references and counts alike — and the cached |m(Q)|
+// must equal MatchNaive's tuple count; a sort by a participating
+// column's count, concurrent on one presentation and stacked on a view
+// of a view, orders rows as a stable sort of the oracle's table does
+// and builds the column's count vector once. An empty selection joined
+// in empties the table. The scratch arrays behind it are span-sized
+// (ScratchIsSpanSized). Run under -race by scripts/check.sh.
 func TestReducedMatchesOracles(t *testing.T) {
 	t.Run("scratch_is_span_sized", etable.ScratchIsSpanSized)
 	db, err := dataset.Generate(dataset.Config{Papers: 90, Authors: 45, Institutions: 12, Seed: 5})
@@ -312,6 +316,123 @@ func checkState(ex *etable.Executor, tr *translate.Result, st *storage.Store, st
 	}
 	if err := sameCells(engineCells(got), sqlCells(sql)); err != nil {
 		return fmt.Errorf("table differs from the SQL backend's: %v", err)
+	}
+	read, err := cursorCells(pr, want)
+	if err != nil {
+		return err
+	}
+	if err := sameCells(read, sqlCells(sql)); err != nil {
+		return fmt.Errorf("cursor cells differ from the SQL backend's: %v", err)
+	}
+	return checkCountSorts(pr, want)
+}
+
+// cursorCells reads every row's cells through a Cursor and checks each
+// reference cell against the oracle's: the same IDs in the same
+// (ascending) order, so the same count. It returns the cells read.
+func cursorCells(pr *etable.Presentation, want *etable.Result) (cells, error) {
+	c, err := pr.Cursor(0, pr.NumRows(), nil)
+	if err != nil {
+		return nil, err
+	}
+	defer c.Close()
+	res := &etable.Result{Columns: pr.Columns()}
+	for r := 0; c.Next(); r++ {
+		w := want.Rows[r]
+		if c.Node() != w.Node {
+			return nil, fmt.Errorf("cursor row %d is node %d, oracle %d", r, c.Node(), w.Node)
+		}
+		row := etable.Row{Node: c.Node(), Cells: make([]etable.Cell, len(res.Columns))}
+		for _, ci := range c.Columns() {
+			col := res.Columns[ci]
+			if !col.IsEntityRef() {
+				continue
+			}
+			ids, wc := c.Refs(ci), w.Cells[ci]
+			if len(ids) != wc.Count() {
+				return nil, fmt.Errorf("row %d column %s: cursor reads %d refs, oracle count %d", w.Node, col.Name, len(ids), wc.Count())
+			}
+			for k, id := range ids {
+				if id != wc.Refs[k].ID {
+					return nil, fmt.Errorf("row %d column %s: cursor ref %d is %d, oracle %d", w.Node, col.Name, k, id, wc.Refs[k].ID)
+				}
+				row.Cells[ci].Refs = append(row.Cells[ci].Refs, etable.EntityRef{ID: id})
+			}
+		}
+		res.Rows = append(res.Rows, row)
+	}
+	return engineCells(res), nil
+}
+
+// checkCountSorts sorts pr by its first participating column's count
+// from two goroutines at once, then a view by the first base attribute
+// by the same count descending, and checks the orders against stable
+// sorts of the oracle's table and that every sort read one count
+// vector.
+func checkCountSorts(pr *etable.Presentation, want *etable.Result) error {
+	ci := -1
+	for i, c := range want.Columns {
+		if c.Kind == etable.ColParticipating {
+			ci = i
+			break
+		}
+	}
+	if ci < 0 || want.NumRows() == 0 {
+		return nil
+	}
+	byCount := etable.SortSpec{Column: want.Columns[ci].Name}
+	views := make([]*etable.Presentation, 2)
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for i := range views {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			views[i], errs[i] = pr.SortedView(byCount)
+		}(i)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	counts := etable.CountVector(pr, byCount.Column)
+	byAttr, err := pr.SortedView(etable.SortSpec{Attr: want.Columns[0].Attr})
+	if err != nil {
+		return err
+	}
+	stacked, err := byAttr.SortedView(etable.SortSpec{Column: byCount.Column, Desc: true})
+	if err != nil {
+		return err
+	}
+	if again := etable.CountVector(pr, byCount.Column); len(counts) != want.NumRows() || len(again) != len(counts) || &again[0] != &counts[0] {
+		return fmt.Errorf("sort by %s: %d counts for %d rows, or a later sort rebuilt them", byCount.Column, len(counts), want.NumRows())
+	}
+	count := func(r etable.Row) int { return r.Cells[ci].Count() }
+	rows := append([]etable.Row(nil), want.Rows...)
+	sort.SliceStable(rows, func(a, b int) bool { return count(rows[a]) < count(rows[b]) })
+	for _, v := range views {
+		if err := sameOrder(v, rows, "count"); err != nil {
+			return err
+		}
+	}
+	rows = append(rows[:0], want.Rows...)
+	sort.SliceStable(rows, func(a, b int) bool { return value.Compare(rows[a].Cells[0].Value, rows[b].Cells[0].Value) < 0 })
+	sort.SliceStable(rows, func(a, b int) bool { return count(rows[a]) > count(rows[b]) })
+	return sameOrder(stacked, rows, "attribute then count")
+}
+
+// sameOrder checks a view's row order against the oracle's rows.
+func sameOrder(v *etable.Presentation, rows []etable.Row, label string) error {
+	res, err := v.Window(0, -1)
+	if err != nil {
+		return err
+	}
+	for i, r := range res.Rows {
+		if r.Node != rows[i].Node {
+			return fmt.Errorf("sort by %s: row %d is node %d, oracle %d", label, i, r.Node, rows[i].Node)
+		}
 	}
 	return nil
 }

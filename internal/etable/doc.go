@@ -16,17 +16,18 @@
 // lacks: derive.go) reduced by a bottom-up and a top-down semi-join
 // pass over the tree (graphrel.Reduce, Yannakakis 1981) — plus the
 // exact |m(Q)| from a saturating product-sum. After a full reduction
-// every member of a set extends to a full match, so a prepare groups
-// each column's adjacency along its tree path inside the sets
-// (graphrel.GroupPath). The derivation links set by Pattern.Clone are a
-// hint; an ancestor is used only after a structural sub-pattern check.
+// every member of a set extends to a full match, so a row's cell is its
+// adjacency along the column's tree path filtered by the sets
+// (graphrel.Path), computed when a window reads it. The derivation links
+// set by Pattern.Clone are a hint; an ancestor is used only after a
+// structural sub-pattern check.
 //
 // m(Q) is enumerated only where tuples are the product: MatchOpts runs
 // the StreamJoin chain over the reduced sets from the primary
 // (enumerate). No prepare enumerates it: past MaxRows a prepare fails
-// with the exact count or, under a spill policy, runs the heap prepare
-// with its groupings' values written to disk. A pattern without edges
-// never derives: its selected base is its match.
+// with the exact count or, under a spill policy, is served as any other
+// prepare — it holds the reduced sets whatever |m(Q)| is. A pattern
+// without edges never derives: its selected base is its match.
 // ExecOptions.Parallelism reaches only the base selections
 // (graphrel.SelectSet, the one kernel that fans out).
 //
@@ -58,35 +59,39 @@
 //
 // # Windowed presentation
 //
-// Prepare computes what depends on the whole matched relation (row set,
-// column layout, per-column groupings) and no cells. A Cursor reads any
-// row range of it, over any subset of its columns, in one serial pass —
-// per row the primary node ID, per cell a base value or the reference
-// IDs (a CSR segment, an adjacency list, or a spilled run read into one
-// reused buffer) — pinning only the primary type's base columns it
-// reads and no label column. Its two consumers are the server's state
-// encoder, which writes bytes straight from it, and Window (WindowOpts,
-// WindowColumns), which materializes a Result the caller owns for as
-// long as it likes, allocating exactly the rows, cells and references
-// it fills and reading the label columns. SortedView reorders the row
-// IDs between the two phases. A prepared Presentation is immutable —
-// SortedView returns a copy owning a fresh row-ID slice, and a view of
-// a view stacks sorts — so any number of cursors may read one
-// concurrently.
-// There is one prepare, prepareSets: the rows are the primary's
-// reduced set read ascending (the type's node list itself when the set
-// holds every node), and each participating column a graphrel.Groups
-// in CSR form — the row IDs as keys, shared by every column, plus
-// offsets and one values array — so a presentation retains O(rows +
-// deduplicated pairs), nothing sized by a node type. PrepareOpts
-// prepares a matched relation through it, from the relation's
-// projections. Past MaxRows under a spill policy the same loop hands
-// each grouping to graphrel.SpillGroups, which writes its values to a
-// run file and keeps its keys and offsets (graphrel.SpilledGroups), so
-// a spilled and a heap presentation cannot differ in layout or
-// content; groupSource has those two implementations. Nothing reads
-// the reduced match after the prepare, so a presentation stays valid
-// after the cache evicts it.
+// A presentation is its reduced sets, held factorised and enumerated on
+// demand (Olteanu & Závodný, TODS 2015). There is one prepare,
+// prepareSets, and it stores no cell: the rows are the primary's
+// reduced set with a rank directory over its words (one int32 per 64
+// IDs; none when the set holds every node of the type, whose row i is
+// then the type's first ID + i), and each participating column keeps
+// its tree path from the primary — the reduced set and the adjacency
+// into it at every hop (graphrel.Path). A presentation retains
+// O(set words + columns), nothing per row and nothing sized by |m(Q)|.
+// PrepareOpts prepares a matched relation through it, from the
+// relation's projections. Nothing reads the cache entry after the
+// prepare, so a presentation stays valid after the cache evicts it.
+//
+// A Cursor reads any row range, over any subset of the columns, in one
+// serial pass. It seeks its first row once (a binary search over the
+// rank directory) and then walks the set's bits; a sorted view walks
+// its permutation. Per cell it yields a base value or the reference IDs:
+// a neighbor column's adjacency list as it is, or a participating
+// cell computed by graphrel.Path.Refs into one pooled buffer the cursor
+// reuses — r's adjacency hop by hop, keeping each hop's set members.
+// A one-hop cell is sorted only when its segment is insertion-ordered
+// (Paper_Authors' is); a deeper one, which can reach a node twice, is
+// always ordered and deduplicated, by a sort when short and through a
+// two-level bitset over the column set's span when long. A cursor pins
+// only the primary type's base columns it reads and no label column.
+// Its two consumers are the server's state encoder, which writes bytes
+// straight from it, and Window (WindowOpts, WindowColumns), which
+// materializes a Result the caller owns, gathering every cell once into
+// pooled scratch and then allocating exactly the rows, cells and
+// references it fills. A
+// prepared Presentation is immutable — SortedView returns a copy owning
+// a fresh permutation, and a view of a view stacks sorts — so any
+// number of cursors may read one concurrently.
 //
 // Caching. Cache is one lru.Cache of exactly its capacity, shared by
 // every executor over a graph, holding node sets (Reduced) for base
@@ -99,10 +104,13 @@
 //
 // Sort contract (sort.go). A sort is extract-then-sort: one pass over
 // the current row order fills an []int64 key vector, and the keys —
-// never the graph — are what the sort compares. A reference column's
-// key is its count: on the prepared order the grouping's group i is
-// row i, so the count is two offset loads (CountAt, on either
-// residency); a view of a view looks the row up. A base attribute's key is the
+// never the graph — are what the sort compares. A participating
+// column's key is its count, read from the column's count vector: every
+// row's cell size indexed by the row's rank in the primary's set, built
+// by the first sort by the column (once, shared by every view of the
+// prepare), so a view of a view reads it at the row's rank with one
+// popcount. A neighbor column's key is the row's degree. A base
+// attribute's key is the
 // row's rank in its column (tgm.InstanceGraph.AttrRank): the column's
 // value.Compare order, built on the graph's first sort by that
 // attribute and kept for the graph's lifetime, so no sort compares a
@@ -125,13 +133,14 @@
 // column names only; the rank, its column and any deferred adjacency
 // are left for SortedView.
 //
-// Adjacency. Neighbor columns hold a tgm.Adjacency handle resolved at
-// Prepare; it loads nothing until a sort by that column or a non-empty
+// Adjacency. Reference columns hold tgm.Adjacency handles resolved at
+// Prepare; they load nothing until a sort by that column or a non-empty
 // window calls Ensure, so preparing over an out-of-core graph faults no
 // adjacency in. A failed deferred load is returned from
 // SortedView/Window as the loader's typed error — and from the
 // match itself when a kernel walks a pattern edge whose adjacency is
 // the one that fails, so an unreadable section never reads as an
-// empty, cacheable table. The reduction and the grouping load only the
-// direction they walk: a pattern edge's other direction stays unloaded.
+// empty, cacheable table. The reduction loads only the direction it
+// walks; a participating cell walks each edge of its path from the
+// primary down.
 package etable

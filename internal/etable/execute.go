@@ -43,14 +43,10 @@ type ExecOptions struct {
 	// server's -max-rows guard). A joinless match is never capped.
 	// Errors are never cached. outofcore_mix runs at -max-rows 5000.
 	MaxRows int
-	// Spill turns MaxRows from a failure into a trigger for the
-	// browsable prepare path: a prepare past MaxRows writes each
-	// participating column's grouped values to temp-file runs
-	// (graphrel.SpillGroups, internal/spill).
-	// The policy's MaxBytes stays a hard cap — exceeding it fails with
-	// the same *graphrel.RowLimitError. nil disables spilling.
-	// outofcore_mix runs with it (-spill-dir); BenchmarkSpilledFirstPage
-	// measures it.
+	// Spill, when set, lets a prepare past MaxRows be served instead of
+	// failing: a prepare stores no cell, so it holds the same reduced
+	// sets whatever |m(Q)| is, and nothing is written to disk. nil keeps
+	// MaxRows a hard cap. outofcore_mix runs with it (-spill-dir).
 	Spill *graphrel.SpillPolicy
 	// NoPlanCache is ignored.
 	//
@@ -88,7 +84,6 @@ func ExecuteOpts(g *tgm.InstanceGraph, p *Pattern, opt ExecOptions) (*Result, er
 	if err != nil {
 		return nil, err
 	}
-	defer pr.Close()
 	return pr.WindowOpts(0, -1, opt)
 }
 

@@ -116,8 +116,7 @@ func getOrComputeLive(ctx context.Context, c *Cache, key string, compute func() 
 // computes the reduced match (matchPipeline) and caches it whatever
 // MaxRows says; the cap is decided after the lookup (prepareReduced).
 // The presentation owns everything its windows read, so it outlives
-// the cache entry. A spilled one is owned by this caller alone, who
-// must Close it; Close is a no-op on heap-resident presentations.
+// the cache entry.
 func (e *Executor) PrepareWithOpts(p *Pattern, opt ExecOptions) (*Presentation, error) {
 	if err := p.Validate(e.g.Schema()); err != nil {
 		return nil, err

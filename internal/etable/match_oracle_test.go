@@ -1,6 +1,7 @@
 package etable
 
 import (
+	"cmp"
 	"fmt"
 	"reflect"
 	"slices"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/expr"
 	"repro/internal/graphrel"
 	"repro/internal/tgm"
+	"repro/internal/value"
 )
 
 // MatchNaive is the match oracle: m(Q) with no reduction and no
@@ -175,71 +177,148 @@ func assertReducedMatches(t testing.TB, label string, red *Reduced, want *graphr
 	}
 }
 
-// oracleTable is the oracle's enriched table for p: the presentation
-// folded from MatchNaive's relation by foldOracle, rendered in full.
-// The enriched table is canonical (rows and references ascend by node
-// ID), so the engine's renders must equal it cell for cell.
-func oracleTable(t testing.TB, g *tgm.InstanceGraph, p *Pattern) (*Presentation, *Result) {
+// oracleTable is the oracle's enriched table for p: MatchNaive's
+// relation folded by foldOracle, in full and as the view the tests
+// window and sort. The enriched table is canonical (rows and references
+// ascend by node ID), so the engine's renders must equal it cell for
+// cell.
+func oracleTable(t testing.TB, g *tgm.InstanceGraph, p *Pattern) (oracleView, *Result) {
 	t.Helper()
 	ref, err := MatchNaive(g, p)
 	if err != nil {
 		t.Fatalf("oracle (%s): %v", p, err)
 	}
-	pr, err := foldOracle(g, p, ref)
+	res, err := foldOracle(g, p, ref)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := pr.Window(0, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return pr, res
+	return oracleView{res}, res
 }
 
-// foldOracle is the fold oracle: the presentation of a matched
+// foldOracle is the fold oracle: the enriched table of a matched
 // relation folded the way the format transformation defines it, with
 // maps and sorts and no kernel of the engine — rows are the distinct
-// primary nodes ascending, and each participating cell the distinct
-// nodes co-occurring with its row, ascending.
-func foldOracle(g *tgm.InstanceGraph, p *Pattern, matched *graphrel.Relation) (*Presentation, error) {
+// primary nodes ascending, each participating cell the distinct nodes
+// co-occurring with its row, ascending, and each neighbor cell the
+// row's adjacency; values and labels are read off the attribute
+// columns node by node. Only the column layout is the engine's.
+func foldOracle(g *tgm.InstanceGraph, p *Pattern, matched *graphrel.Relation) (*Result, error) {
+	lay := &Presentation{g: g, pattern: p, primType: g.Schema().NodeType(p.PrimaryNode().Type)}
+	if err := lay.layoutColumns(p, make([]graphrel.Path, len(p.Nodes)-1)); err != nil {
+		return nil, err
+	}
 	prim := matched.ColumnNamed(p.Primary)
 	rows := slices.Clone(prim)
 	slices.Sort(rows)
-	pr := &Presentation{g: g, pattern: p, primType: g.Schema().NodeType(p.PrimaryNode().Type), rowIDs: slices.Compact(rows)}
-	var parts []groupSource
-	for _, n := range p.Nodes {
-		if n.Key == p.Primary {
+	rows = slices.Compact(rows)
+	groups := map[string]map[tgm.NodeID][]tgm.NodeID{}
+	for _, c := range lay.columns {
+		if c.Kind != ColParticipating {
 			continue
 		}
-		vals := matched.ColumnNamed(n.Key)
-		groups := mapGroups{rows: pr.rowIDs, m: map[tgm.NodeID][]tgm.NodeID{}}
-		for i, r := range prim {
-			groups.m[r] = append(groups.m[r], vals[i])
+		m := map[tgm.NodeID][]tgm.NodeID{}
+		for i, v := range matched.ColumnNamed(c.NodeKey) {
+			m[prim[i]] = append(m[prim[i]], v)
 		}
-		for r, ids := range groups.m {
+		for r, ids := range m {
 			slices.Sort(ids)
-			groups.m[r] = slices.Compact(ids)
+			m[r] = slices.Compact(ids)
 		}
-		parts = append(parts, groups)
+		groups[c.NodeKey] = m
 	}
-	if err := pr.layoutColumns(p, parts); err != nil {
-		return nil, err
+	res := &Result{Pattern: p, PrimaryType: lay.primType, Columns: lay.columns, TotalRows: len(rows), Rows: make([]Row, 0, len(rows))}
+	for _, id := range rows {
+		row := Row{Node: id, Label: oracleLabel(g, id), Cells: make([]Cell, len(lay.columns))}
+		for ci, c := range lay.columns {
+			var ids []tgm.NodeID
+			switch c.Kind {
+			case ColBase:
+				col, err := g.AttrColumn(lay.primType.Name, lay.primType.AttrIndex(c.Attr))
+				if err != nil {
+					return nil, err
+				}
+				lo, _ := g.TypeIDRange(lay.primType.Name)
+				row.Cells[ci].Value = col.At(int(id - lo))
+				continue
+			case ColParticipating:
+				ids = groups[c.NodeKey][id]
+			default:
+				ids = g.Neighbors(id, c.EdgeType)
+			}
+			row.Cells[ci].Refs = make([]EntityRef, len(ids))
+			for k, ref := range ids {
+				row.Cells[ci].Refs[k] = EntityRef{ID: ref, Label: oracleLabel(g, ref)}
+			}
+		}
+		res.Rows = append(res.Rows, row)
 	}
-	return pr, nil
+	return res, nil
 }
 
-// mapGroups is the fold oracle's grouping: a map from row to its
-// sorted distinct related nodes, and the rows in prepared order.
-type mapGroups struct {
-	rows []tgm.NodeID
-	m    map[tgm.NodeID][]tgm.NodeID
+// oracleLabel renders node id's label from its type's label column.
+func oracleLabel(g *tgm.InstanceGraph, id tgm.NodeID) string {
+	nt := g.Node(id).Type
+	col, err := g.AttrColumn(nt.Name, nt.LabelIndex())
+	if err != nil {
+		panic(err)
+	}
+	lo, _ := g.TypeIDRange(nt.Name)
+	v := col.At(int(id - lo))
+	if v.Kind() == value.KindString {
+		return v.AsString()
+	}
+	return v.Format()
 }
 
-func (g mapGroups) Count(id tgm.NodeID) int { return len(g.m[id]) }
+// oracleView is the fold oracle's table in one row order: what a test
+// windows and sorts beside a Presentation, with a plain stable sort by
+// value.Compare or by cell size instead of the engine's rank and count
+// kernels.
+type oracleView struct{ res *Result }
 
-func (g mapGroups) CountAt(k int) int { return len(g.m[g.rows[k]]) }
+// NumRows returns the table's row count.
+func (v oracleView) NumRows() int { return len(v.res.Rows) }
 
-func (g mapGroups) Refs(_ *[]tgm.NodeID, id tgm.NodeID) ([]tgm.NodeID, error) { return g.m[id], nil }
+// Window returns the [offset, offset+limit) window as a Presentation's
+// Window does.
+func (v oracleView) Window(offset, limit int) (*Result, error) {
+	lo := min(offset, len(v.res.Rows))
+	hi := len(v.res.Rows)
+	if limit >= 0 && limit < hi-lo {
+		hi = lo + limit
+	}
+	w := *v.res
+	w.Offset, w.Rows = lo, slices.Clone(v.res.Rows[lo:hi])
+	if w.Rows == nil {
+		w.Rows = make([]Row, 0)
+	}
+	return &w, nil
+}
+
+// SortedView returns the view stably reordered per spec: a base
+// attribute by value.Compare, a reference column by its cell size.
+func (v oracleView) SortedView(spec SortSpec) (oracleView, error) {
+	ci := slices.IndexFunc(v.res.Columns, func(c Column) bool {
+		return (spec.Attr != "" && c.Kind == ColBase && c.Attr == spec.Attr) ||
+			(spec.Column != "" && c.Kind != ColBase && c.Name == spec.Column)
+	})
+	if ci < 0 {
+		return oracleView{}, fmt.Errorf("oracle: no column for %+v", spec)
+	}
+	sorted := *v.res
+	sorted.Rows = slices.Clone(v.res.Rows)
+	slices.SortStableFunc(sorted.Rows, func(a, b Row) int {
+		c := cmp.Compare(a.Cells[ci].Count(), b.Cells[ci].Count())
+		if spec.Attr != "" {
+			c = value.Compare(a.Cells[ci].Value, b.Cells[ci].Value)
+		}
+		if spec.Desc {
+			c = -c
+		}
+		return c
+	})
+	return oracleView{&sorted}, nil
+}
 
 // BenchmarkAblation_JoinPlanner compares the engine's match — reduced
 // sets, then enumerated from them — against the oracle's declared join

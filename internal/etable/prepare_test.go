@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"slices"
 	"testing"
 
@@ -108,9 +107,10 @@ func assertCellsMatchRelation(t *testing.T, label string, res *Result, p *Patter
 // dense indexing could go wrong (ID runs starting at distinct non-zero
 // IDs, a repeated type, a selection leaving gaps): PrepareOpts, the
 // executor's miss (reduced sets) at batch 7 and the default under
-// budgets 1 and 4, and a spilled prepare at caps after the first
-// tuple, mid-match and one short of the end all render the oracle's
-// table cell for cell. Run under -race by scripts/check.sh.
+// budgets 1 and 4, and a prepare past caps after the first tuple,
+// mid-match and one short of the end under a spill policy all render
+// the oracle's table cell for cell. Run under -race by
+// scripts/check.sh.
 func TestPrepareScatteredIDs(t *testing.T) {
 	rng := rand.New(rand.NewSource(20261004))
 	pool := exec.NewPool(4)
@@ -173,37 +173,30 @@ func TestPrepareScatteredIDs(t *testing.T) {
 				}
 			}
 
-			// Spilling: past the cap each grouping's values are written
-			// to run files.
+			// Past the cap under a spill policy the prepare is served.
 			n := matched.Len()
-			withSmallStreamBatches(t, 7)
 			for _, maxRows := range []int{1, n / 2, n - 1} {
 				if maxRows < 1 {
 					continue
 				}
-				pol, metrics := testSpillPolicy(t, 5)
-				opt := ExecOptions{MaxRows: maxRows, Spill: pol}
+				opt := ExecOptions{MaxRows: maxRows, Spill: testSpillPolicy(t)}
 				pr, _, err := prepareMiss(g, p, opt)
 				if err != nil {
 					t.Fatalf("%s MaxRows=%d: %v", label, maxRows, err)
 				}
-				if metrics.Snapshot().Spills == 0 {
-					t.Fatalf("%s MaxRows=%d of %d: prepare did not spill (%+v)", label, maxRows, n, metrics.Snapshot())
-				}
-				render(fmt.Sprintf("demoted at MaxRows=%d", maxRows), pr)
-				if err := pr.Close(); err != nil {
-					t.Fatal(err)
-				}
+				render(fmt.Sprintf("past MaxRows=%d", maxRows), pr)
 			}
 		}
 	}
 }
 
-// TestPresentationRetainsResultSizedState: what a heap presentation
-// keeps is O(rows + deduplicated pairs) — a pivot that narrows 5,000
-// papers to a handful of rows holds one offset per row and no array
-// anywhere near the size of a node type, so a server full of sessions
-// does not inherit a per-type array per column.
+// TestPresentationRetainsResultSizedState: what a presentation keeps
+// is its reduced sets and a rank directory over the rows' set — a pivot
+// that narrows 5,000 papers to a handful of rows holds a few set words
+// and no array anywhere near the size of a node type, and nothing per
+// participating cell until a sort by the column builds its count
+// vector, one entry per row — so a server full of sessions does not
+// inherit a per-type array per column.
 func TestPresentationRetainsResultSizedState(t *testing.T) {
 	db, err := dataset.Generate(dataset.Config{Papers: 5000, Seed: 1})
 	if err != nil {
@@ -226,31 +219,23 @@ func TestPresentationRetainsResultSizedState(t *testing.T) {
 	if rows == 0 || rows > 40 || typeSize < 1000 {
 		t.Fatalf("fixture drifted: %d rows of %d %s", rows, typeSize, pr.primType.Name)
 	}
+	// One rank per word of the rows' set: at most one per 64 IDs of the
+	// type, never one per node.
+	if words := int(pr.rows.SizeBytes() / 8); len(pr.ranks) != words || words > typeSize/64+1 {
+		t.Errorf("rank directory holds %d entries over a %d-word set of %d rows (type of %d)", len(pr.ranks), words, rows, typeSize)
+	}
 	if len(pr.parts) != 1 {
 		t.Fatalf("%d participating columns, want 1", len(pr.parts))
 	}
-	groups, ok := pr.parts[0].src.(*graphrel.Groups)
-	if !ok {
-		t.Fatalf("heap prepare holds a %T", pr.parts[0].src)
+	if pr.parts[0].counts.v != nil {
+		t.Fatal("the prepare built a count vector")
 	}
-	fields := reflect.ValueOf(groups).Elem()
-	for i := 0; i < fields.NumField(); i++ {
-		name, f := fields.Type().Field(i).Name, fields.Field(i)
-		if f.Kind() != reflect.Slice {
-			t.Fatalf("Groups.%s is a %s: every retained field should be a result-sized slice", name, f.Kind())
-		}
-		if f.Cap() >= typeSize {
-			t.Errorf("Groups.%s holds %d slots for %d rows: sized by the node type (%d)", name, f.Cap(), rows, typeSize)
-		}
+	v, err := pr.SortedView(SortSpec{Column: pr.columns[pr.parts[0].col].Name})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if n := fields.FieldByName("offs").Len(); n != rows+1 {
-		t.Errorf("len(offs) = %d, want rows+1 = %d", n, rows+1)
-	}
-	if n := fields.FieldByName("vals").Len(); n != matched.Len() {
-		t.Errorf("len(vals) = %d, want the %d distinct (author, paper) pairs", n, matched.Len())
-	}
-	if fields.FieldByName("keys").Pointer() != reflect.ValueOf(pr.rowIDs).Pointer() {
-		t.Error("the grouping copied the row IDs instead of sharing them")
+	if n := len(pr.parts[0].counts.v); n != rows || len(v.perm) != rows {
+		t.Errorf("a count sort kept %d counts and %d row IDs, want one per row (%d)", n, len(v.perm), rows)
 	}
 }
 
@@ -277,5 +262,50 @@ func TestMatchPrepareAllocGuard(t *testing.T) {
 	const ceiling = 240
 	if allocs > ceiling {
 		t.Errorf("match + prepare allocate %.0f objects, ceiling %d", allocs, ceiling)
+	}
+}
+
+// BenchmarkPrepareFirstWindow times what a pivot's response costs the
+// engine once its match is resident: the prepare of the cached reduced
+// sets plus the first 50-row window, materialized. depth1 pivots Papers
+// to Authors (a Papers column one hop from the rows); depth2 continues
+// through Authors to Institutions (Authors one hop away, Papers two).
+func BenchmarkPrepareFirstWindow(b *testing.B) {
+	db, err := dataset.Generate(dataset.Config{Papers: 6000, Seed: 7})
+	if err != nil {
+		b.Fatal(err)
+	}
+	tr, err := translate.Translate(db, translate.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, arm := range []struct {
+		name string
+		p    *Pattern
+	}{
+		{"depth1", buildPattern(b, tr, "Papers", opAdd(tr, "Paper_Authors"))},
+		{"depth2", buildPattern(b, tr, "Papers", opAdd(tr, "Paper_Authors"), opAdd(tr, "Authors→Institutions"))},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
+			ex := NewExecutor(tr.Instance)
+			if _, err := ex.PrepareWithOpts(arm.p, ExecOptions{}); err != nil {
+				b.Fatal(err)
+			}
+			misses := ex.Misses()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pr, err := ex.PrepareWithOpts(arm.p, ExecOptions{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res, err := pr.Window(0, 50); err != nil || res.NumRows() != 50 {
+					b.Fatalf("first window: %v", err)
+				}
+			}
+			if ex.Misses() != misses {
+				b.Fatal("the prepare missed the cache")
+			}
+		})
 	}
 }

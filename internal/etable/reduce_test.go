@@ -141,7 +141,7 @@ func ScratchIsSpanSized(t *testing.T) {
 			t.Fatalf("rows %d, err %v", rows, err)
 		}
 		red := &Reduced{keys: tree.keys, sets: reduced, rows: rows}
-		if _, err := prepareSets(tr.Instance, p, tree, red, ExecOptions{}, nil); err != nil {
+		if _, err := prepareSets(tr.Instance, p, tree, red, ExecOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}

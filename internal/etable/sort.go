@@ -14,7 +14,8 @@ import (
 // sortInts orders the (key, position) pairs. Every key is an integer:
 //
 //   - a reference column's key is its count (the participating
-//     column's group size, or the neighbor column's degree);
+//     column's cell size, from the column's count vector, or the
+//     neighbor column's degree);
 //   - a base attribute's key is the row's rank in its column
 //     (tgm.InstanceGraph.AttrRank): the column's value.Compare order,
 //     computed once per graph on the first sort by that attribute, so a
@@ -50,7 +51,7 @@ type SortSpec struct {
 // forms, or, when neither is set, the base attribute at ordinal attr.
 type sortColumn struct {
 	attr     int
-	part     groupSource // a participating column's grouping
+	part     *partCol // a participating column
 	neighbor *tgm.Adjacency
 }
 
@@ -67,9 +68,9 @@ func (pr *Presentation) resolveSort(spec SortSpec) (sortColumn, error) {
 		}
 		return sortColumn{}, fmt.Errorf("etable: no base attribute %q to sort by", spec.Attr)
 	case spec.Column != "":
-		for _, pc := range pr.parts {
-			if pr.columns[pc.col].Name == spec.Column {
-				return sortColumn{part: pc.src}, nil
+		for i := range pr.parts {
+			if pr.columns[pr.parts[i].col].Name == spec.Column {
+				return sortColumn{part: &pr.parts[i]}, nil
 			}
 		}
 		for i := range pr.neighbors {
@@ -101,11 +102,12 @@ func (pr *Presentation) ValidateSort(spec SortSpec) error {
 // header describes. The first sort by an attribute builds that
 // column's rank (and, on an out-of-core graph, faults the column in;
 // a fault is the sort's typed error); later sorts by it only read the
-// rank. The view shares the receiver's columns, per-column groupings,
-// and neighbor layout — the expensive products of Prepare — and owns
-// only a fresh row-ID slice, so every sort variant of one pattern
-// costs one key extraction and one integer sort on top of a single
-// Prepare. Views and their base are immutable and may Window
+// rank, and the first sort by a participating column builds its count
+// vector. The view shares the receiver's columns, reduced sets, count
+// vectors and neighbor layout — everything Prepare and earlier sorts
+// built — and owns only a fresh row-ID slice, so every sort variant of
+// one pattern costs one key extraction and one integer sort on top of
+// a single Prepare. Views and their base are immutable and may Window
 // concurrently.
 func (pr *Presentation) SortedView(spec SortSpec) (*Presentation, error) {
 	ids, err := pr.sorted(spec)
@@ -113,34 +115,64 @@ func (pr *Presentation) SortedView(spec SortSpec) (*Presentation, error) {
 		return nil, err
 	}
 	cp := *pr
-	cp.rowIDs = ids
-	cp.reordered = true
+	cp.perm = ids
 	return &cp, nil
 }
 
+// order returns the presentation's row IDs in their current order: a
+// view's permutation, or the prepared order's set read out ascending —
+// the type's node list itself when the set holds every node, else a
+// fresh slice.
+func (pr *Presentation) order() []tgm.NodeID {
+	switch {
+	case pr.perm != nil:
+		return pr.perm
+	case pr.ranks == nil:
+		return pr.g.NodesOfType(pr.primType.Name)
+	default:
+		return pr.rows.IDs()
+	}
+}
+
+// rank returns row id's rank in the primary's set: its position in the
+// prepared order.
+func (pr *Presentation) rank(id tgm.NodeID) int {
+	if pr.ranks == nil {
+		return int(id - pr.idLo)
+	}
+	return pr.rows.Rank(pr.ranks, id)
+}
+
+// countsOf returns pc's count vector, building it on first use.
+func (pr *Presentation) countsOf(pc *partCol) ([]int32, error) {
+	pc.counts.once.Do(func() { pc.counts.v, pc.counts.err = pc.path.Counts(pr.rows) })
+	return pc.counts.v, pc.counts.err
+}
+
 // sorted returns the presentation's row IDs reordered per spec, in a
-// fresh slice. Reference counts are IO-free on every groupSource form,
-// so sorting by a participating column never faults spilled runs; a
-// neighbor column's deferred adjacency materializes here, and its load
-// error is the sort's error.
+// fresh slice. A participating column's key is its count vector's entry
+// at the row's rank; a neighbor column's deferred adjacency
+// materializes here, and its load error is the sort's error.
 func (pr *Presentation) sorted(spec SortSpec) ([]tgm.NodeID, error) {
 	sc, err := pr.resolveSort(spec)
 	if err != nil {
 		return nil, err
 	}
-	ids := pr.rowIDs
+	ids := pr.order()
 	keys := make([]int64, len(ids))
 	switch {
 	case sc.part != nil:
-		// On the prepared order the rows are the grouping's keys, so row
-		// i's count is group i's size; a view of a view looks rows up.
-		if !pr.reordered {
+		counts, err := pr.countsOf(sc.part)
+		if err != nil {
+			return nil, err
+		}
+		if pr.perm == nil {
 			for i := range keys {
-				keys[i] = int64(sc.part.CountAt(i))
+				keys[i] = int64(counts[i])
 			}
 		} else {
 			for i, id := range ids {
-				keys[i] = int64(sc.part.Count(id))
+				keys[i] = int64(counts[pr.rank(id)])
 			}
 		}
 	case sc.neighbor != nil:
@@ -155,9 +187,8 @@ func (pr *Presentation) sorted(spec SortSpec) ([]tgm.NodeID, error) {
 		if err != nil {
 			return nil, err
 		}
-		lo, _ := pr.g.TypeIDRange(pr.primType.Name)
 		for i, id := range ids {
-			keys[i] = int64(rank[id-lo])
+			keys[i] = int64(rank[id-pr.idLo])
 		}
 	}
 	return sortInts(ids, keys, spec.Desc), nil

@@ -167,16 +167,16 @@ func assertSortsLikeOracle(t *testing.T, label string, rng *rand.Rand, build fun
 			if err := want.Sort(spec); err != nil {
 				t.Fatal(err)
 			}
-			before := append([]tgm.NodeID(nil), pr.rowIDs...)
+			before := append([]tgm.NodeID(nil), pr.order()...)
 			v, err := pr.SortedView(spec)
 			if err != nil {
 				t.Fatalf("%s: sort %+v: %v", label, spec, err)
 			}
-			if !reflect.DeepEqual(v.rowIDs, nodesOf(want)) {
+			if !reflect.DeepEqual(v.order(), nodesOf(want)) {
 				t.Fatalf("%s: sort %+v then %+v, step %d: kernel order differs from sort.SliceStable + value.Compare",
 					label, first, second, step)
 			}
-			if !reflect.DeepEqual(pr.rowIDs, before) {
+			if !reflect.DeepEqual(pr.order(), before) {
 				t.Fatalf("%s: SortedView(%+v) reordered its receiver", label, spec)
 			}
 			pr = v
@@ -248,7 +248,7 @@ func TestSortKernelMatchesStableSortFuzz(t *testing.T) {
 		}
 		first, _ := g.TypeIDRange("Rows")
 		lo, hi := int32(len(rank)), int32(-1)
-		for _, id := range pr.rowIDs {
+		for _, id := range pr.order() {
 			r := rank[id-first]
 			lo, hi = min(lo, r), max(hi, r)
 		}
@@ -258,8 +258,8 @@ func TestSortKernelMatchesStableSortFuzz(t *testing.T) {
 		assertSortsLikeOracle(t, form.name+"/filtered", rng, prepare(filtered))
 
 		// Rows joined to Tags, pivoted back: Tags is a participating
-		// column, counted from the prepared grouping — on the heap, and
-		// from a spilled directory.
+		// column, counted from its count vector — on a fresh prepare,
+		// and past the row cap under a spill policy.
 		joined, err := Add(g.Schema(), open, "Rows→Tags")
 		if err != nil {
 			t.Fatal(err)
@@ -268,18 +268,12 @@ func TestSortKernelMatchesStableSortFuzz(t *testing.T) {
 			t.Fatal(err)
 		}
 		assertSortsLikeOracle(t, form.name+"/joined", rng, prepare(joined))
-		withSmallStreamBatches(t, 64)
-		assertSortsLikeOracle(t, form.name+"/spilled", rng, func() *Presentation {
-			pol, metrics := testSpillPolicy(t, 32)
-			opt := ExecOptions{MaxRows: 100, Spill: pol}
+		assertSortsLikeOracle(t, form.name+"/past-cap", rng, func() *Presentation {
+			opt := ExecOptions{MaxRows: 100, Spill: testSpillPolicy(t)}
 			pr, _, err := prepareMiss(g, joined, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if metrics.Snapshot().Spills == 0 {
-				t.Fatal("prepare did not spill")
-			}
-			t.Cleanup(func() { pr.Close() })
 			return pr
 		})
 	}
@@ -394,7 +388,7 @@ func TestSortNaNKeepsOrder(t *testing.T) {
 		}
 		var got, nans, want []tgm.NodeID
 		first, last := -1, -1
-		for i, id := range v.rowIDs {
+		for i, id := range v.order() {
 			if isNaN(id) {
 				nans = append(nans, id)
 				if first < 0 {
@@ -405,7 +399,7 @@ func TestSortNaNKeepsOrder(t *testing.T) {
 				got = append(got, id)
 			}
 		}
-		for _, id := range pr.rowIDs {
+		for _, id := range pr.order() {
 			if !isNaN(id) {
 				want = append(want, id)
 			}
@@ -448,7 +442,7 @@ func TestConcurrentFirstSortsShareOneRank(t *testing.T) {
 				errs[i] = err
 				return
 			}
-			views[i] = v.rowIDs
+			views[i] = v.order()
 			ranks[i], errs[i] = g.AttrRank("Rows", ai)
 		}()
 	}

@@ -2,25 +2,25 @@ package etable
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"slices"
 	"sync"
 
 	"repro/internal/graphrel"
-	"repro/internal/spill"
 	"repro/internal/tgm"
 	"repro/internal/value"
 )
 
 // This file is the presentation pipeline: the format transformation of
 // §5.4.2 as a prepared, windowed kernel (the package doc's "Windowed
-// presentation"). A prepare computes what depends on the whole match —
-// the rows, the column layout, the per-column groupings — and no cells;
-// a Cursor then reads any [lo, hi) row range over any subset of the
-// columns on the caller's goroutine, so a page pays O(window), not
-// O(table), and a cursor over a memory-resident graph allocates
-// nothing. Its consumers are the server's state encoder and
+// presentation"). A prepare keeps the reduced match — the primary's
+// set as the rows, with a rank directory over its words, and per
+// participating column its tree path of reduced sets — plus the column
+// layout, and stores no cell; a Cursor then reads any [lo, hi) row
+// range over any subset of the columns on the caller's goroutine,
+// computing each participating cell as it reads it, so a page pays
+// O(window), not O(table), and a cursor over a memory-resident graph
+// allocates nothing. Its consumers are the server's state encoder and
 // transformRange (Window, WindowOpts, WindowColumns), which allocates
 // exactly what its Result holds — one cell array, one reference arena,
 // labels interned per window — and is the only reader of label
@@ -28,8 +28,9 @@ import (
 // id − lo (labelCol).
 
 // Presentation is a prepared format transformation over one match:
-// the canonical row order, the column layout, and the per-column
-// groupings, ready to materialize any row window.
+// the canonical row order, the column layout, and per participating
+// column the reduced sets its cells are read from, ready to materialize
+// any row window.
 //
 // The zero value is unusable; build one with Prepare/PrepareOpts (or
 // Executor.PrepareWithOpts, which takes the reduced match from the
@@ -37,12 +38,19 @@ import (
 // returns a reordered copy, so any number of goroutines may Window a
 // presentation and its views concurrently.
 type Presentation struct {
-	g         *tgm.InstanceGraph
-	pattern   *Pattern
-	primType  *tgm.NodeType
-	columns   []Column
-	rowIDs    []tgm.NodeID // row order; ID-ascending unless reordered
-	reordered bool         // a SortedView: rowIDs no longer match the groupings' keys
+	g        *tgm.InstanceGraph
+	pattern  *Pattern
+	primType *tgm.NodeType
+	columns  []Column
+	// rows is the primary's reduced set, the prepared order's rows
+	// ascending. ranks is its rank directory, nil when the set holds
+	// every node of the type: the type's IDs are one run from idLo, so
+	// row i is then idLo + i.
+	rows  graphrel.NodeSet
+	ranks []int32
+	idLo  tgm.NodeID
+	// perm is a SortedView's row order; nil on the prepared order.
+	perm      []tgm.NodeID
 	parts     []partCol
 	neighbors []neighborCol
 	// allCols lists every column ordinal, the cursor's nil column list.
@@ -53,35 +61,14 @@ type Presentation struct {
 	// view (see pinColumns), keeping steady-state residency bounded by
 	// the pager budget instead of by presentation lifetime.
 	view *colView
-	// closers are the spilled groupings whose run files Close releases,
-	// when the prepare crossed MaxRows under a spill policy; nil on the
-	// heap path.
-	closers []*graphrel.SpilledGroups
-	// closeOnce is shared by every SortedView of one prepare, so the
-	// spill files behind a family of views release exactly once no
-	// matter which copy is closed. nil when nothing spilled.
-	closeOnce *sync.Once
 }
 
-// Close releases any spill-backed state behind the presentation (the
-// run files of its spilled groupings). Idempotent, shared across
-// SortedViews, and a no-op for heap-resident presentations. Windows
-// already materialized stay valid; new Window calls after Close fail on
-// their first fault.
-func (pr *Presentation) Close() error {
-	if pr.closeOnce == nil {
-		return nil
-	}
-	var err error
-	pr.closeOnce.Do(func() {
-		for _, c := range pr.closers {
-			if e := c.Close(); e != nil && err == nil {
-				err = e
-			}
-		}
-	})
-	return err
-}
+// Close does nothing: a presentation holds no file, pin or pooled
+// buffer, so there is nothing to release.
+//
+// Deprecated: there is nothing to close. The method stays because the
+// benchmark harness in cmd/etable-load still calls it.
+func (pr *Presentation) Close() error { return nil }
 
 // colView is the set of resolved attribute columns a materialized
 // window reads: the primary type's base columns (indexed [attr][row]),
@@ -185,26 +172,24 @@ func (pr *Presentation) pinLabels(cols []int, p *pins) (*colView, error) {
 	return view, nil
 }
 
-// groupSource is a participating column's row → related-nodes
-// grouping, abstracted over residency: *graphrel.Groups (CSR arrays on
-// the heap) for in-memory prepares, *graphrel.SpilledGroups (the same
-// keys and offsets over a values file) when the prepare spilled. Both
-// come from one GroupPath call, and Count and CountAt are the same
-// offset reads on both — what the sort key and the window's
-// arena-sizing pass read — while Refs may fault runs back in and can
-// therefore fail with a typed error. Refs returns the heap form's CSR
-// segment itself and reads the spilled form into *buf.
-type groupSource interface {
-	Count(id tgm.NodeID) int
-	CountAt(k int) int
-	Refs(buf *[]tgm.NodeID, id tgm.NodeID) ([]tgm.NodeID, error)
+// partCol is one participating node column (A_t): its tree path in the
+// reduced match, which a cell is read from (graphrel.Path.Refs), and the
+// count vector a sort by the column builds on first use.
+type partCol struct {
+	col    int
+	path   graphrel.Path
+	counts *countVec
 }
 
-// partCol is one participating node column (A_t) with its precomputed
-// row → related-nodes grouping.
-type partCol struct {
-	col int
-	src groupSource
+// countVec is a participating column's cell sizes indexed by the row's
+// rank in the primary's set (graphrel.Path.Counts). It is built once,
+// by the first sort by the column, however many SortedViews of one
+// prepare sort concurrently, and shared by all of them; a failed
+// adjacency load is kept beside it.
+type countVec struct {
+	once sync.Once
+	v    []int32
+	err  error
 }
 
 // neighborCol is one neighbor node column (A_h): references are read
@@ -217,15 +202,20 @@ type neighborCol struct {
 	adj tgm.Adjacency
 }
 
-// ensureNeighbors materializes the adjacency behind every neighbor
-// column in cols (column ordinals), returning a deferred load's typed
-// error instead of letting a failed load read as "no neighbors".
-func (pr *Presentation) ensureNeighbors(cols []int) error {
+// ensureRefs materializes the adjacency behind every reference column
+// in cols (column ordinals) — a participating column's path, a neighbor
+// column's edge type — returning a deferred load's typed error instead
+// of letting a failed load read as "no references".
+func (pr *Presentation) ensureRefs(cols []int) error {
 	for _, ci := range cols {
-		if nc := pr.neighborAt(ci); nc != nil {
-			if err := nc.adj.Ensure(); err != nil {
-				return err
-			}
+		var err error
+		if pc := pr.partAt(ci); pc != nil {
+			err = pc.path.Ensure()
+		} else if nc := pr.neighborAt(ci); nc != nil {
+			err = nc.adj.Ensure()
+		}
+		if err != nil {
+			return err
 		}
 	}
 	return nil
@@ -283,33 +273,28 @@ func PrepareOpts(g *tgm.InstanceGraph, p *Pattern, matched *graphrel.Relation, o
 	if rows != matched.Len() {
 		return nil, fmt.Errorf("etable: matched relation holds %d tuples, not the %d matches over its projections: PrepareOpts needs m(Q)", matched.Len(), rows)
 	}
-	return prepareSets(g, p, t, &Reduced{keys: t.keys, sets: reduced, rows: rows}, opt, nil)
+	return prepareSets(g, p, t, &Reduced{keys: t.keys, sets: reduced, rows: rows}, opt)
 }
 
 // prepareReduced prepares a reduced match under the row cap: past
-// MaxRows a pattern with edges fails with the exact |m(Q)| or, under a
-// spill policy, prepares with its groupings spilled. A joinless match
-// is never capped.
+// MaxRows a pattern with edges fails with the exact |m(Q)|, unless a
+// spill policy is set. A prepare stores no cell, so what it holds does
+// not grow with |m(Q)|, and past the cap under a policy it is the same
+// prepare. A joinless match is never capped.
 func prepareReduced(g *tgm.InstanceGraph, p *Pattern, t *patternTree, red *Reduced, opt ExecOptions) (*Presentation, error) {
-	if len(p.Nodes) > 1 && opt.MaxRows > 0 && red.rows > opt.MaxRows {
-		if opt.Spill == nil {
-			return nil, graphrel.LimitExceeded(opt.MaxRows, red.rows)
-		}
-		return prepareSets(g, p, t, red, opt, opt.Spill)
+	if len(p.Nodes) > 1 && opt.MaxRows > 0 && red.rows > opt.MaxRows && opt.Spill == nil {
+		return nil, graphrel.LimitExceeded(opt.MaxRows, red.rows)
 	}
-	return prepareSets(g, p, t, red, opt, nil)
+	return prepareSets(g, p, t, red, opt)
 }
 
 // prepareSets builds the presentation from a reduced match: rows are
-// the primary's set ascending (the type's node list itself when the set
-// holds every node), and each participating column groups its tree
-// path's adjacency inside the sets (graphrel.GroupPath). Under a spill
-// policy (pol non-nil) each grouping's values are written to disk as
-// soon as it is built (graphrel.SpillGroups), so the heap holds one
-// column's values at a time; all files share one byte budget, whose
-// exhaustion is the row cap's *RowLimitError, and the caller owns the
-// presentation's Close.
-func prepareSets(g *tgm.InstanceGraph, p *Pattern, t *patternTree, red *Reduced, opt ExecOptions, pol *graphrel.SpillPolicy) (*Presentation, error) {
+// the primary's set, addressed through its rank directory (arithmetic
+// when the set holds every node of the type), and each participating
+// column keeps its tree path from the primary down to its node — the
+// reduced set and the adjacency into it at every hop. Nothing is read
+// per row: a cell is computed when a window reads it.
+func prepareSets(g *tgm.InstanceGraph, p *Pattern, t *patternTree, red *Reduced, opt ExecOptions) (*Presentation, error) {
 	if err := ctxErr(opt.Ctx); err != nil {
 		return nil, err
 	}
@@ -321,62 +306,37 @@ func prepareSets(g *tgm.InstanceGraph, p *Pattern, t *patternTree, red *Reduced,
 		}
 	}
 	prim := t.nodes[0]
-	pr := &Presentation{g: g, pattern: p, primType: g.Schema().NodeType(prim.Type)}
-	if all := g.NodesOfType(prim.Type); sets[0].Len() == len(all) {
-		pr.rowIDs = all
-	} else {
-		pr.rowIDs = sets[0].IDs()
+	pr := &Presentation{g: g, pattern: p, primType: g.Schema().NodeType(prim.Type), rows: sets[0]}
+	pr.idLo, _ = g.TypeIDRange(prim.Type)
+	if sets[0].Len() < len(g.NodesOfType(prim.Type)) {
+		pr.ranks = sets[0].Ranks()
 	}
-	var budget *spill.Budget
-	if pol != nil {
-		pr.closeOnce, budget = new(sync.Once), pol.NewBudget()
-	}
-	// fail releases the groupings already spilled (a no-op on the heap).
-	// A spill past -max-spill-bytes fails as the row cap does, with the
-	// typed *RowLimitError.
-	fail := func(err error) (*Presentation, error) {
-		pr.Close()
-		if be := (*spill.BudgetError)(nil); errors.As(err, &be) {
-			err = graphrel.LimitExceeded(opt.MaxRows, red.rows)
-		}
-		return nil, err
-	}
-	parts := make([]groupSource, 0, len(p.Nodes)-1)
+	paths := make([]graphrel.Path, 0, len(p.Nodes)-1)
 	for _, n := range p.Nodes {
 		if n.Key == prim.Key {
 			continue
 		}
-		var path []graphrel.NodeSet
-		var up, down []tgm.Adjacency
+		var hops []graphrel.NodeSet
+		var down, up []tgm.Adjacency
 		for i := slices.Index(t.keys, n.Key); i != 0; i = t.edges[i].Parent {
-			path, up, down = append(path, sets[i]), append(up, t.edges[i].Up), append(down, t.edges[i].Down)
+			hops, down, up = append(hops, sets[i]), append(down, t.edges[i].Down), append(up, t.edges[i].Up)
 		}
-		groups, err := graphrel.GroupPath(opt.Ctx, pr.rowIDs, append(path, sets[0]), up, down)
-		if err != nil {
-			return fail(err)
-		}
-		if pol == nil {
-			parts = append(parts, groups)
-			continue
-		}
-		sg, err := graphrel.SpillGroups(groups, pol, budget)
-		if err != nil {
-			return fail(err)
-		}
-		pr.closers, parts = append(pr.closers, sg), append(parts, sg)
+		slices.Reverse(hops)
+		slices.Reverse(down)
+		slices.Reverse(up)
+		paths = append(paths, graphrel.NewPath(hops, down, up))
 	}
-	if err := pr.layoutColumns(p, parts); err != nil {
-		return fail(err)
+	if err := pr.layoutColumns(p, paths); err != nil {
+		return nil, err
 	}
 	return pr, nil
 }
 
 // layoutColumns lays out the columns of §5.4.2 — base attributes A_b,
 // participating node columns A_t, neighbor node columns A_h — and
-// finishes the prepare. parts holds the grouping of every pattern node
-// except the primary, in pattern order; prepareSets ends here on either
-// residency, and the test oracle (foldOracle) with its own groupings.
-func (pr *Presentation) layoutColumns(p *Pattern, parts []groupSource) error {
+// finishes the prepare. paths holds the tree path of every pattern node
+// except the primary, in pattern order.
+func (pr *Presentation) layoutColumns(p *Pattern, paths []graphrel.Path) error {
 	schema := pr.g.Schema()
 	for _, a := range pr.primType.Attrs {
 		pr.columns = append(pr.columns, Column{Kind: ColBase, Name: a.Name, Attr: a.Name})
@@ -391,7 +351,7 @@ func (pr *Presentation) layoutColumns(p *Pattern, parts []groupSource) error {
 			Kind: ColParticipating, Name: n.Key, NodeKey: n.Key,
 			EdgeType: primEdges[n.Key], TargetType: n.Type,
 		})
-		pr.parts = append(pr.parts, partCol{col: len(pr.columns) - 1, src: parts[len(pr.parts)]})
+		pr.parts = append(pr.parts, partCol{col: len(pr.columns) - 1, path: paths[len(pr.parts)], counts: new(countVec)})
 	}
 
 	// Neighbor columns are the schema out-edges of the primary type,
@@ -445,7 +405,7 @@ func (pr *Presentation) PrimaryType() *tgm.NodeType { return pr.primType }
 
 // NumRows returns the full table's row count (no rows need be
 // materialized to know it).
-func (pr *Presentation) NumRows() int { return len(pr.rowIDs) }
+func (pr *Presentation) NumRows() int { return pr.rows.Len() }
 
 // Columns returns the column layout. The returned slice must not be
 // modified; materialized Results alias it.
@@ -456,7 +416,7 @@ func (pr *Presentation) Columns() []Column { return pr.columns }
 // to an empty window at the end — paging past a table that shrank is
 // not an error. offset must not be negative.
 func (pr *Presentation) Bounds(offset, limit int) (lo, hi int) {
-	total := len(pr.rowIDs)
+	total := pr.NumRows()
 	lo = min(offset, total)
 	hi = total
 	if limit >= 0 && limit < total-lo {
@@ -500,7 +460,7 @@ func (pr *Presentation) WindowColumns(offset, limit int, visible []int, opt Exec
 	}
 	res := &Result{
 		Pattern: pr.pattern, PrimaryType: pr.primType, Columns: cols,
-		TotalRows: len(pr.rowIDs), Offset: lo,
+		TotalRows: pr.NumRows(), Offset: lo,
 	}
 	if lo == hi {
 		res.Rows = make([]Row, 0)
@@ -526,9 +486,7 @@ func (pr *Presentation) WindowColumns(offset, limit int, visible []int, opt Exec
 	if err := ctxErr(opt.Ctx); err != nil {
 		return nil, err
 	}
-	if res.Rows, err = pr.transformRange(&c, view); err != nil {
-		return nil, err
-	}
+	res.Rows = pr.transformRange(&c, view)
 	return res, nil
 }
 
@@ -541,8 +499,9 @@ func (pr *Presentation) WindowColumns(offset, limit int, visible []int, opt Exec
 // A cursor pins only the primary type's base columns that its columns
 // read, and reads no label: a consumer that renders labels resolves
 // them itself. On memory-resident graphs opening, reading and closing
-// a cursor allocate nothing; a spilled grouping's references are read
-// into one buffer the cursor reuses for every cell.
+// a cursor allocate nothing: the prepared order's rows are walked off
+// the set's bitset, and participating cells are computed into one
+// pooled buffer the cursor reuses for every cell.
 type Cursor struct {
 	pr   *Presentation
 	cols []int
@@ -555,34 +514,37 @@ type Cursor struct {
 	// idLo is the primary type's first node ID: node id's column row is
 	// id − idLo.
 	idLo tgm.NodeID
-	buf  *[]tgm.NodeID // spilled groupings' read buffer; nil when nothing spilled
+	// members walks the prepared order's rows when the set does not hold
+	// the whole type.
+	members graphrel.Members
+	scr     *graphrel.Scratch // participating cells' buffer, lent on the first Refs
 }
 
 // Cursor opens a cursor over rows [lo, hi), which must lie within
 // [0, NumRows()] (see Bounds), reading the columns whose ordinals
 // visible lists (nil = every column; the slice is retained, not
-// copied). A non-empty window faults its base columns in and loads the
-// adjacency behind its neighbor columns here, so a corrupt section or a
-// failed load is this call's typed error and nothing is left pinned.
+// copied). A non-empty window seeks row lo once (a binary search over
+// the rank directory), faults its base columns in and loads the
+// adjacency behind its reference columns here, so a corrupt section or
+// a failed load is this call's typed error and nothing is left pinned.
 // The caller must Close the cursor.
 func (pr *Presentation) Cursor(lo, hi int, visible []int) (Cursor, error) {
-	if lo < 0 || lo > hi || hi > len(pr.rowIDs) {
-		return Cursor{}, fmt.Errorf("etable: cursor range [%d, %d) outside %d rows", lo, hi, len(pr.rowIDs))
+	if lo < 0 || lo > hi || hi > pr.NumRows() {
+		return Cursor{}, fmt.Errorf("etable: cursor range [%d, %d) outside %d rows", lo, hi, pr.NumRows())
 	}
 	if visible == nil {
 		visible = pr.allCols
 	}
-	c := Cursor{pr: pr, cols: visible, pos: lo - 1, hi: hi}
+	c := Cursor{pr: pr, cols: visible, pos: lo - 1, hi: hi, idLo: pr.idLo}
 	if lo == hi {
 		return c, nil
 	}
-	c.idLo, _ = pr.g.TypeIDRange(pr.primType.Name)
-	if len(pr.closers) > 0 {
-		c.buf = new([]tgm.NodeID)
+	if pr.perm == nil && pr.ranks != nil {
+		c.members = pr.rows.Seek(pr.ranks, lo)
 	}
 	base, err := pr.pinBase(visible, &c.pins)
 	if err == nil {
-		err = pr.ensureNeighbors(visible)
+		err = pr.ensureRefs(visible)
 	}
 	if err != nil {
 		c.pins.release()
@@ -601,7 +563,14 @@ func (c *Cursor) Next() bool {
 	if c.pos >= c.hi {
 		return false
 	}
-	c.id = c.pr.rowIDs[c.pos]
+	switch {
+	case c.pr.perm != nil:
+		c.id = c.pr.perm[c.pos]
+	case c.pr.ranks == nil:
+		c.id = c.idLo + tgm.NodeID(c.pos)
+	default:
+		c.id = c.members.Next()
+	}
 	c.row = int32(c.id - c.idLo)
 	return true
 }
@@ -613,40 +582,40 @@ func (c *Cursor) Node() tgm.NodeID { return c.id }
 func (c *Cursor) Value(ci int) value.V { return c.base[ci].At(int(c.row)) }
 
 // Refs returns the current row's references in reference column ci:
-// ascending for a participating column, in adjacency order for a
-// neighbor column. The slice is the grouping's CSR segment or the
-// adjacency list itself, or, for a spilled grouping, the cursor's
-// buffer; it must not be modified and is valid until the next Refs
-// call. Reading a spilled run can fail with its typed error.
-func (c *Cursor) Refs(ci int) ([]tgm.NodeID, error) {
-	if pc := c.pr.partAt(ci); pc != nil {
-		return pc.src.Refs(c.buf, c.id)
+// ascending and deduplicated for a participating column, computed from
+// its path into the cursor's buffer; the adjacency list itself, in
+// adjacency order, for a neighbor column. The slice must not be
+// modified and is valid until the next Refs call.
+func (c *Cursor) Refs(ci int) []tgm.NodeID {
+	pc := c.pr.partAt(ci)
+	if pc == nil {
+		return c.pr.neighborAt(ci).adj.Neighbors(c.id)
 	}
-	return c.pr.neighborAt(ci).adj.Neighbors(c.id), nil
+	if c.scr == nil {
+		c.scr = graphrel.GetScratch()
+	}
+	c.scr.IDs = pc.path.Refs(c.scr.IDs[:0], c.id, c.scr)
+	return c.scr.IDs
 }
 
-// refCount returns node id's reference count in reference column ci
-// without reading the references: IO-free on every grouping.
-func (pr *Presentation) refCount(ci int, id tgm.NodeID) int {
-	if pc := pr.partAt(ci); pc != nil {
-		return pc.src.Count(id)
-	}
-	return pr.neighborAt(ci).adj.Degree(id)
-}
-
-// Close releases the cursor's pins. Idempotent.
+// Close releases the cursor's pins and buffer. Idempotent.
 func (c *Cursor) Close() {
 	c.pins.release()
 	c.pins = nil
+	if c.scr != nil {
+		graphrel.PutScratch(c.scr)
+		c.scr = nil
+	}
 }
 
 // transformRange is the row-range transform kernel (§5.4.2 restricted
 // to the cursor's rows and columns), the cursor's Result consumer and
 // the only reader of label columns. It allocates exactly what the range
 // fills: the rows, one cell array they all slice, and one
-// entity-reference arena. A failed refs fault (a corrupt spill run, a
-// closed file) aborts the range with its typed error.
-func (pr *Presentation) transformRange(c *Cursor, view *colView) ([]Row, error) {
+// entity-reference arena. One pass gathers every reference cell's IDs
+// into pooled scratch with its end offset, so no cell is walked twice
+// and the arena is allocated once, at its exact size.
+func (pr *Presentation) transformRange(c *Cursor, view *colView) []Row {
 	ncols := len(c.cols)
 	nrows := c.hi - c.pos - 1
 	rows := make([]Row, 0, nrows)
@@ -654,39 +623,38 @@ func (pr *Presentation) transformRange(c *Cursor, view *colView) ([]Row, error) 
 	// its own disjoint piece (full-capacity sub-slices, so no append can
 	// cross row boundaries).
 	cells := make([]Cell, nrows*ncols)
-
-	// Count the range's entity references first, then carve every cell's
-	// Refs from one arena sized to them. Counts are IO-free on every
-	// groupSource form — only the refs reads below can fault spilled runs.
-	refTotal := 0
-	for _, id := range pr.rowIDs[c.pos+1 : c.hi] {
-		for _, ci := range c.cols {
-			if pr.columns[ci].Kind != ColBase {
-				refTotal += pr.refCount(ci, id)
-			}
-		}
-	}
-	arena := make([]EntityRef, 0, refTotal)
+	scr := graphrel.GetScratch()
+	defer graphrel.PutScratch(scr)
 	intern := labelInterner{}
 	for r := 0; c.Next(); r++ {
-		id := c.Node()
 		cs := cells[r*ncols : (r+1)*ncols : (r+1)*ncols]
 		for k, ci := range c.cols {
-			if pr.columns[ci].Kind == ColBase {
+			switch pc := pr.partAt(ci); {
+			case pr.columns[ci].Kind == ColBase:
 				cs[k] = Cell{Value: c.Value(ci)}
 				continue
+			case pc != nil:
+				scr.IDs = pc.path.Refs(scr.IDs, c.id, scr)
+			default:
+				scr.IDs = append(scr.IDs, pr.neighborAt(ci).adj.Neighbors(c.id)...)
 			}
-			ids, err := c.Refs(ci)
-			if err != nil {
-				return nil, err
-			}
-			var refs []EntityRef
-			arena, refs = appendRefs(arena, &view.refs[ci], intern, ids)
-			cs[k] = Cell{Refs: refs}
+			scr.Offs = append(scr.Offs, int32(len(scr.IDs)))
 		}
-		rows = append(rows, Row{Node: id, Label: intern.label(id, &view.prim, int(c.row)), Cells: cs})
+		rows = append(rows, Row{Node: c.id, Label: intern.label(c.id, &view.prim, int(c.row)), Cells: cs})
 	}
-	return rows, nil
+	arena := make([]EntityRef, 0, len(scr.IDs))
+	start, cell := int32(0), 0
+	for _, row := range rows {
+		for k, ci := range c.cols {
+			if pr.columns[ci].Kind == ColBase {
+				continue
+			}
+			end := scr.Offs[cell]
+			arena, row.Cells[k].Refs = appendRefs(arena, &view.refs[ci], intern, scr.IDs[start:end])
+			start, cell = end, cell+1
+		}
+	}
+	return rows
 }
 
 // emptyRefs is the shared zero-length reference list: cells with no

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/exec"
-	"repro/internal/graphrel"
 	"repro/internal/tgm"
 	"repro/internal/value"
 )
@@ -331,9 +330,10 @@ func TestPresentationCancellation(t *testing.T) {
 }
 
 // TestSortedViewSharesPreparedState: SortedView is an O(rows) reorder
-// over the base presentation's prepared state — the columns, groupings,
-// and neighbor layout are shared by identity, only the row-ID
-// order is private — and building one never mutates the base.
+// over the base presentation's prepared state — the columns, reduced
+// sets, count vectors and neighbor layout are shared by identity, only
+// the row-ID order is private — and building one never mutates the
+// base.
 func TestSortedViewSharesPreparedState(t *testing.T) {
 	tr := planFixture(t)
 	p := figure1PlanPattern(t, tr)
@@ -345,28 +345,28 @@ func TestSortedViewSharesPreparedState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseOrder := append([]tgm.NodeID(nil), pres.rowIDs...)
+	baseOrder := append([]tgm.NodeID(nil), pres.order()...)
 
 	v, err := pres.SortedView(SortSpec{Attr: "year", Desc: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(pres.rowIDs, baseOrder) {
+	if !reflect.DeepEqual(pres.order(), baseOrder) {
 		t.Fatal("SortedView reordered the base presentation's rows")
 	}
 	if len(v.parts) != len(pres.parts) {
 		t.Fatalf("view has %d participating columns, base %d", len(v.parts), len(pres.parts))
 	}
 	for i := range v.parts {
-		if _, heap := pres.parts[i].src.(*graphrel.Groups); !heap || v.parts[i].src != pres.parts[i].src {
-			t.Fatalf("participating column %d: view rebuilt the grouping (%T) instead of sharing the base's *graphrel.Groups", i, pres.parts[i].src)
+		if v.parts[i].counts != pres.parts[i].counts {
+			t.Fatalf("participating column %d: view has its own count vector instead of sharing the base's", i)
 		}
 	}
 	if len(v.columns) != len(pres.columns) || len(v.neighbors) != len(pres.neighbors) {
 		t.Fatal("view's column layout differs from the base's")
 	}
-	if len(v.rowIDs) != len(baseOrder) {
-		t.Fatalf("view has %d rows, base %d", len(v.rowIDs), len(baseOrder))
+	if len(v.order()) != len(baseOrder) {
+		t.Fatalf("view has %d rows, base %d", len(v.order()), len(baseOrder))
 	}
 
 	// The view renders exactly what sorting the full render renders.
@@ -377,7 +377,7 @@ func TestSortedViewSharesPreparedState(t *testing.T) {
 	if err := want.Sort(SortSpec{Attr: "year", Desc: true}); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(v.rowIDs, nodesOf(want)) {
+	if !reflect.DeepEqual(v.order(), nodesOf(want)) {
 		t.Fatal("view's row order differs from the sorted full render")
 	}
 }

@@ -79,8 +79,10 @@ func (s NodeSet) each(fn func(tgm.NodeID)) {
 	}
 }
 
-// ranks returns, per word, the members before it (see rank).
-func (s NodeSet) ranks() []int32 {
+// Ranks returns the set's rank directory: per bitset word, the members
+// before it. It is one int32 per 64 IDs of the set's span, and with it
+// Rank is a popcount and Seek a binary search over the words.
+func (s NodeSet) Ranks() []int32 {
 	r, n := make([]int32, len(s.bits)), int32(0)
 	for w, word := range s.bits {
 		r[w], n = n, n+int32(bits.OnesCount64(word))
@@ -88,11 +90,41 @@ func (s NodeSet) ranks() []int32 {
 	return r
 }
 
-// rank returns member id's ordinal among s's members, so an array
-// over the members needs no span.
-func (s NodeSet) rank(ranks []int32, id tgm.NodeID) int32 {
+// Rank returns member id's ordinal among s's members, read from s's
+// rank directory, so an array over the members needs no span.
+func (s NodeSet) Rank(ranks []int32, id tgm.NodeID) int {
 	d := uint(id - s.lo)
-	return ranks[d>>6] + int32(bits.OnesCount64(s.bits[d>>6]&(1<<(d&63)-1)))
+	return int(ranks[d>>6]) + bits.OnesCount64(s.bits[d>>6]&(1<<(d&63)-1))
+}
+
+// Members walks a set's members ascending from a position (Seek).
+type Members struct {
+	s    NodeSet
+	w    int
+	word uint64 // word w's members not yet returned
+}
+
+// Seek returns a walk whose first Next is member i, 0 ≤ i < Len: the
+// word holding it is the last whose rank is at most i.
+func (s NodeSet) Seek(ranks []int32, i int) Members {
+	w, _ := slices.BinarySearch(ranks, int32(i+1))
+	w--
+	word := s.bits[w]
+	for k := i - int(ranks[w]); k > 0; k-- {
+		word &= word - 1
+	}
+	return Members{s: s, w: w, word: word}
+}
+
+// Next returns the next member. The walk must not pass the last one.
+func (m *Members) Next() tgm.NodeID {
+	for m.word == 0 {
+		m.w++
+		m.word = m.s.bits[m.w]
+	}
+	id := m.s.lo + tgm.NodeID(m.w<<6+bits.TrailingZeros64(m.word))
+	m.word &= m.word - 1
+	return id
 }
 
 // IDs returns the members ascending, in a fresh slice.

@@ -15,9 +15,10 @@
 // Node IDs are dense int32 ordinals and a type's nodes lie in one ID
 // span (tgm.TypeIDRange), so no kernel hashes them: a join's build side
 // is a counting-sort index keyed by id − lo (joinIndex), a node set is
-// a bitset over its own span (NodeSet), and a grouping a counting sort
-// into CSR arrays (GroupPath → Groups). ID-indexed scratch arrays live
-// for one call; what is returned is sized by the result.
+// a bitset over its own span (NodeSet), and a row's related nodes its
+// adjacency filtered by the sets on a tree path (Path). ID-indexed
+// scratch arrays live for one call; what is returned is sized by the
+// result.
 //
 // # Immutability and sharing contract
 //
@@ -282,8 +283,8 @@ func buildJoinIndex(r *Relation, ai int) joinIndex {
 }
 
 // endOffsets turns per-key counts into each key's end offset in place
-// (inclusive prefix sums) — the middle step of both counting sorts, the
-// join index and the grouping. Filling backwards from the ends leaves
+// (inclusive prefix sums) — the middle step of the join index's
+// counting sort. Filling backwards from the ends leaves
 // each key's start offset behind and keeps equal keys in input order.
 func endOffsets(counts []int32) {
 	var end int32

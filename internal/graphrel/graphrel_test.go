@@ -281,7 +281,7 @@ func TestGroupNeighbors(t *testing.T) {
 	if groups.Count(ids["p4"]) != 3 {
 		t.Errorf("p4 has %d authors, want 3", groups.Count(ids["p4"]))
 	}
-	if refs, _ := groups.Refs(new([]tgm.NodeID), ids["p1"]); len(refs) != 1 || refs[0] != ids["bob"] {
+	if refs := groups.Refs(ids["p1"]); len(refs) != 1 || refs[0] != ids["bob"] {
 		t.Errorf("p1 authors = %v", refs)
 	}
 	if groups.Count(ids["p9"]) != 0 { // p9 has no authors: not a row

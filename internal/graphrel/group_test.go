@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/tgm"
@@ -96,60 +97,6 @@ func TestGroupNeighborsCancellation(t *testing.T) {
 	}
 }
 
-// BenchmarkGroups measures the presentation's grouping kernel at the
-// size of study_mix's largest pivot: 17k groups over 170k (group,
-// value) edges, values few enough that every group holds many. by_value
-// groups the 17k rows from the 200 values' side (the counting sort by
-// row), by_row the 200 rows from their own side.
-func BenchmarkGroups(b *testing.B) {
-	const groups, edges, values = 17_000, 170_000, 200
-	s := tgm.NewSchemaGraph()
-	for _, name := range []string{"G", "V"} {
-		if _, err := s.AddNodeType(tgm.NodeType{Name: name, Label: "id",
-			Attrs: []tgm.Attr{{Name: "id", Type: value.KindInt}}}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if _, err := s.AddBidirectional(tgm.EdgeType{Name: "G→V", Source: "G", Target: "V", Kind: tgm.EdgeManyToMany}); err != nil {
-		b.Fatal(err)
-	}
-	g := tgm.NewInstanceGraph(s)
-	for i := 0; i < groups+values; i++ {
-		typ := "G"
-		if i >= groups {
-			typ = "V"
-		}
-		if _, err := g.AddNode(typ, []value.V{value.Int(int64(i))}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < edges; i++ {
-		if err := g.AddEdge("G→V", tgm.NodeID(i%groups), tgm.NodeID(groups+rng.Intn(values))); err != nil {
-			b.Fatal(err)
-		}
-	}
-	g.Freeze()
-	gs, vs := SetOf(g.NodesOfType("G")), SetOf(g.NodesOfType("V"))
-	down, up := g.Adjacency("G→V"), g.Adjacency("G→V_rev")
-	for _, arm := range []struct {
-		name       string
-		rows, vals NodeSet
-		up, down   tgm.Adjacency
-	}{{"by_value", gs, vs, up, down}, {"by_row", vs, gs, down, up}} {
-		b.Run(arm.name, func(b *testing.B) {
-			rows := arm.rows.IDs()
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := GroupPath(context.Background(), rows, []NodeSet{arm.vals, arm.rows},
-					[]tgm.Adjacency{arm.up}, []tgm.Adjacency{arm.down}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // TestBitset pins the dense-ID dedup primitive node sets are built on
 // instead of a hash set.
 func TestBitset(t *testing.T) {
@@ -187,5 +134,156 @@ func TestSortDedup(t *testing.T) {
 	}
 	if out := sortDedup(nil); len(out) != 0 {
 		t.Errorf("nil input: got %v", out)
+	}
+}
+
+// TestSetSeekAndRank: from every position of sets with empty words, a
+// full word and a span starting at a non-zero ID, Seek then Next walks
+// the members ascending, and Rank inverts it.
+func TestSetSeekAndRank(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	for trial := 0; trial < 50; trial++ {
+		lo := tgm.NodeID(rng.Intn(200))
+		var ids []tgm.NodeID
+		for id := lo; id < lo+tgm.NodeID(1+rng.Intn(400)); id++ {
+			if d := id - lo; (d >= 64 && d < 128) || (d >= 256 && d < 320 && trial%2 == 0) || rng.Intn(3) == 0 {
+				ids = append(ids, id)
+			}
+		}
+		s := SetOf(ids)
+		ranks := s.Ranks()
+		for i := range ids {
+			m := s.Seek(ranks, i)
+			for k := i; k < len(ids); k++ {
+				if got := m.Next(); got != ids[k] {
+					t.Fatalf("trial %d: Seek(%d) then %d Next = %d, want %d", trial, i, k-i+1, got, ids[k])
+				}
+			}
+			if r := s.Rank(ranks, ids[i]); r != i {
+				t.Fatalf("trial %d: Rank(%d) = %d, want %d", trial, ids[i], r, i)
+			}
+		}
+	}
+}
+
+// TestPathRefs holds Path.Refs to a map oracle — walk every hop's
+// adjacency, keep the set members, sort and deduplicate — for every row
+// of a random subset of the primary type in random two-hop graphs whose
+// edges are added in random order (so adjacency segments are not
+// ascending) and whose second hop reaches a node through several
+// intermediate ones. Cells run from empty to hundreds of IDs, so both
+// orderings (sort and bitset) and the ascending shortcut are read, and
+// one Scratch is reused across every row. Counts must equal the cells'
+// lengths, from either side of the first hop.
+func TestPathRefs(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for trial := 0; trial < 20; trial++ {
+		s := tgm.NewSchemaGraph()
+		for _, name := range []string{"F", "A", "B", "C"} {
+			if _, err := s.AddNodeType(tgm.NodeType{Name: name, Label: "id",
+				Attrs: []tgm.Attr{{Name: "id", Type: value.KindInt}}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, et := range []tgm.EdgeType{{Name: "A→B", Source: "A", Target: "B"}, {Name: "B→C", Source: "B", Target: "C"}} {
+			et.Kind = tgm.EdgeManyToMany
+			if _, err := s.AddBidirectional(et); err != nil {
+				t.Fatal(err)
+			}
+		}
+		g := tgm.NewInstanceGraph(s)
+		ids := map[string][]tgm.NodeID{}
+		for _, run := range []struct {
+			name string
+			n    int
+		}{{"F", 1 + rng.Intn(5)}, {"A", 5 + rng.Intn(20)}, {"B", 10 + rng.Intn(60)}, {"C", 50 + rng.Intn(3000)}} {
+			for i := 0; i < run.n; i++ {
+				id, err := g.AddNode(run.name, []value.V{value.Int(int64(i))})
+				if err != nil {
+					t.Fatal(err)
+				}
+				ids[run.name] = append(ids[run.name], id)
+			}
+		}
+		type edge struct {
+			et       string
+			from, to tgm.NodeID
+		}
+		var edges []edge
+		for _, a := range ids["A"] {
+			for _, b := range ids["B"] {
+				if rng.Intn(4) == 0 {
+					edges = append(edges, edge{"A→B", a, b})
+				}
+			}
+		}
+		for _, b := range ids["B"] {
+			for k := rng.Intn(40); k > 0; k-- {
+				edges = append(edges, edge{"B→C", b, ids["C"][rng.Intn(len(ids["C"]))]})
+			}
+		}
+		rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+		for _, e := range edges {
+			if err := g.AddEdge(e.et, e.from, e.to); err != nil {
+				t.Fatal(err)
+			}
+		}
+		g.Freeze()
+		subset := func(all []tgm.NodeID) NodeSet {
+			var keep []tgm.NodeID
+			for _, id := range all {
+				if rng.Intn(5) != 0 {
+					keep = append(keep, id)
+				}
+			}
+			return SetOf(keep)
+		}
+		rows, setB, setC := subset(ids["A"]), subset(ids["B"]), subset(ids["C"])
+		narrow := SetOf(setB.IDs()[:1+rng.Intn(2)])
+		ab, ba, bc, cb := g.Adjacency("A→B"), g.Adjacency("A→B_rev"), g.Adjacency("B→C"), g.Adjacency("B→C_rev")
+		sc := GetScratch()
+		for _, path := range []struct {
+			name string
+			p    Path
+		}{
+			{"depth1", NewPath([]NodeSet{setB}, []tgm.Adjacency{ab}, []tgm.Adjacency{ba})},
+			{"depth1-narrow", NewPath([]NodeSet{narrow}, []tgm.Adjacency{ab}, []tgm.Adjacency{ba})},
+			{"depth2", NewPath([]NodeSet{setB, setC}, []tgm.Adjacency{ab, bc}, []tgm.Adjacency{ba, cb})},
+		} {
+			if err := path.p.Ensure(); err != nil {
+				t.Fatal(err)
+			}
+			counts, err := path.p.Counts(rows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for ai, a := range rows.IDs() {
+				var want []tgm.NodeID
+				for _, b := range ab.Neighbors(a) {
+					if !path.p.sets[0].Has(b) {
+						continue
+					}
+					if path.name != "depth2" {
+						want = append(want, b)
+						continue
+					}
+					for _, c := range bc.Neighbors(b) {
+						if setC.Has(c) {
+							want = append(want, c)
+						}
+					}
+				}
+				slices.Sort(want)
+				want = slices.Compact(want)
+				sc.IDs = path.p.Refs(append(sc.IDs[:0], -7), a, sc)
+				if got := sc.IDs[1:]; sc.IDs[0] != -7 || !slices.Equal(got, want) {
+					t.Fatalf("trial %d %s: row %d = %v, want %v", trial, path.name, a, got, want)
+				}
+				if int(counts[ai]) != len(want) {
+					t.Fatalf("trial %d %s: row %d counts %d, want %d", trial, path.name, a, counts[ai], len(want))
+				}
+			}
+		}
+		PutScratch(sc)
 	}
 }

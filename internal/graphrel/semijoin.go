@@ -13,7 +13,7 @@ import (
 // Semi-join kernels: a tree pattern's match held as node sets. After a
 // full reduction (Yannakakis, VLDB 1981) every member of a node's set
 // extends to a full match, so a row's related nodes along a tree path
-// are that path's adjacency filtered by the reduced sets. Scratch
+// are that path's adjacency filtered by the reduced sets (Path). Scratch
 // arrays are sized by a set's members or span, never by a node type.
 
 // TreeEdge places one node of a tree pattern whose nodes are numbered
@@ -27,16 +27,12 @@ type TreeEdge struct {
 }
 
 // scratch recycles one element type's kernel arrays: the weights a
-// reduction counts and the pairs a grouping walks are garbage once its
-// sets and groups are built, so a stream of misses reuses them instead
-// of feeding the collector. What a kernel returns is never scratch.
+// reduction counts are garbage once its sets are built, so a stream of
+// misses reuses them instead of feeding the collector. What a kernel
+// returns is never scratch.
 type scratch[T any] struct{ p sync.Pool }
 
-var (
-	weights  scratch[uint64]
-	ordinals scratch[int32]
-	members  scratch[tgm.NodeID]
-)
+var weights scratch[uint64]
 
 // get returns n zeroed elements.
 func (sc *scratch[T]) get(n int) []T {
@@ -184,166 +180,194 @@ func semiJoin(s, t NodeSet, adj, rev tgm.Adjacency, counting bool, tw []uint64) 
 	return kept, w, nil
 }
 
-// GroupPath groups one participating column of a reduced match by its
-// rows, path[len−1]'s members ascending (shared as the keys): path is
-// the tree path of reduced sets from the column's node (path[0]) to
-// the primary, up[i] is oriented path[i] → path[i+1] and down[i] is its
-// reverse. The (row, value) pairs are walked from the value side in
-// ascending value order, inside the sets; a stable counting sort by row
-// over the rows' span keeps each row's values ascending, and adjacent
-// repeats (one value reached through two intermediate nodes) are
-// dropped. With fewer rows than values the pairs are gathered from the
-// row side instead and, unless each row's values already ascend, put
-// in value order first by a stable counting sort over the values' span.
-// Only the walking side's adjacency is loaded.
-func GroupPath(ctx context.Context, rows []tgm.NodeID, path []NodeSet, up, down []tgm.Adjacency) (*Groups, error) {
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
-	}
-	offs := make([]int32, len(rows)+1)
-	if len(rows) == 0 {
-		return &Groups{keys: rows, offs: offs}, nil
-	}
-	v0, rs := path[0], path[len(path)-1]
-	fromRows := len(rows) < v0.n
-	w := &pathWalk{path: path, adj: up, rows: rs, ranks: rs.ranks(), at: ordinals.get(len(rows)), ascending: true}
-	if fromRows {
-		w.adj = down
-	}
-	for _, a := range w.adj {
+// Path is one participating column of a reduced match: the tree path
+// from the primary down to the column's node, as the reduced set at
+// each hop (sets[i], i+1 hops below the primary; the last is the
+// column's own), the adjacency into it (down[i], oriented from hop i,
+// the primary at 0) and its reverse (up[i]). After a full reduction a
+// row's related nodes are its adjacency along the path filtered by the
+// sets, so a cell is computed when it is read and nothing is stored
+// per row.
+type Path struct {
+	sets     []NodeSet
+	down, up []tgm.Adjacency
+}
+
+// NewPath returns the path through sets along down, with up the
+// reverse of each hop (see Path), one entry per hop in each.
+func NewPath(sets []NodeSet, down, up []tgm.Adjacency) Path {
+	return Path{sets: sets, down: down, up: up}
+}
+
+// Ensure loads every adjacency Refs walks, returning a deferred load's
+// typed error.
+func (p Path) Ensure() error {
+	for _, a := range p.down {
 		if err := a.Ensure(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Refs appends row r's related nodes to dst, ascending and
+// deduplicated, and returns the extended slice; a cell's count is the
+// length it appends. The gather walks r's adjacency hop by hop, keeping
+// each hop's set members. A one-hop gather is put in order only when it
+// does not already ascend strictly (an insertion-ordered adjacency
+// segment); a longer one, which reaches a node once through each of
+// its intermediate nodes, always is — by a sort when it is short, else
+// through sc's two-level bitset over the column set's span
+// (sortedCells) — and its repeats are dropped. The path must be loaded
+// (Ensure).
+func (p Path) Refs(dst []tgm.NodeID, r tgm.NodeID, sc *Scratch) []tgm.NodeID {
+	start := len(dst)
+	dst = p.gather(dst, 0, r)
+	cell := dst[start:]
+	switch {
+	case len(p.sets) == 1 && ascending(cell):
+		return dst
+	case len(cell) < sortedCells:
+		slices.Sort(cell)
+		return dst[:start+len(slices.Compact(cell))]
+	default:
+		set := &p.sets[len(p.sets)-1]
+		return dst[:start+sc.ascend(cell, set.lo, len(set.bits))]
+	}
+}
+
+// ascending reports whether ids ascend strictly.
+func ascending(ids []tgm.NodeID) bool {
+	for k := 1; k < len(ids); k++ {
+		if ids[k] <= ids[k-1] {
+			return false
+		}
+	}
+	return true
+}
+
+// Counts returns the size of every row's cell — the length Refs
+// appends — in the order of rows, the primary's set the path hangs
+// from. One hop is counted from its side with fewer members: each
+// row's neighbors in the set, or each set member's neighbors among the
+// rows (an adjacency list holds no repeats: Freeze drops them, and a
+// snapshot stores a frozen graph's lists), loading only the adjacency
+// it walks. A longer path counts each row's cell ordered by Refs.
+func (p Path) Counts(rows NodeSet) ([]int32, error) {
+	counts, set := make([]int32, rows.n), p.sets[0]
+	if len(p.sets) == 1 && set.n < rows.n {
+		if err := p.up[0].Ensure(); err != nil {
 			return nil, err
 		}
+		ranks := rows.Ranks()
+		set.each(func(v tgm.NodeID) {
+			for _, y := range p.up[0].Neighbors(v) {
+				if rows.Has(y) {
+					counts[rows.Rank(ranks, y)]++
+				}
+			}
+		})
+		return counts, nil
 	}
-	hint := 0 // the walking side's first-step edges size the pair buffers
-	if fromRows {
-		for _, r := range rows {
-			hint += down[len(down)-1].Degree(r)
-		}
-		w.prs, w.vls = ordinals.get(hint)[:0], members.get(hint)[:0]
-		for k, r := range rows {
-			w.down(len(down), r, int32(k))
-		}
-		if !w.ascending {
-			w.byValue(v0)
-		}
-	} else {
-		v0.each(func(v tgm.NodeID) { hint += up[0].Degree(v) })
-		w.prs, w.vls = ordinals.get(hint)[:0], members.get(hint)[:0]
-		for wi, word := range v0.bits {
-			for ; word != 0; word &= word - 1 {
-				v := v0.lo + tgm.NodeID(wi<<6+bits.TrailingZeros64(word))
-				w.up(0, v, v)
+	if err := p.Ensure(); err != nil {
+		return nil, err
+	}
+	sc := GetScratch()
+	defer PutScratch(sc)
+	i := 0
+	rows.each(func(r tgm.NodeID) {
+		if len(p.sets) > 1 {
+			sc.IDs = p.Refs(sc.IDs[:0], r, sc)
+			counts[i] = int32(len(sc.IDs))
+		} else {
+			for _, y := range p.down[0].Neighbors(r) {
+				if set.Has(y) {
+					counts[i]++
+				}
 			}
 		}
+		i++
+	})
+	return counts, nil
+}
+
+// sortedCells is the gather length below which a sort orders a cell
+// faster than the bitset: on 2 CPUs, sorting 8 IDs and the bitset cost
+// the same, and from 20 IDs on the bitset is 2–3× faster, over a
+// 64-word span or a 600-word one alike (the summary level skips empty
+// words).
+const sortedCells = 16
+
+// ascend rewrites cell, whose IDs lie in [lo, lo+64·words), as its
+// distinct IDs ascending and returns their number: each ID sets its bit
+// and its word's summary bit, so the read-back visits only the words
+// that hold an ID. Both levels are left zeroed.
+func (sc *Scratch) ascend(cell []tgm.NodeID, lo tgm.NodeID, words int) int {
+	if cap(sc.bits) < words {
+		sc.bits, sc.sum = make(Bitset, words), make(Bitset, (words+63)>>6)
 	}
-	// Counts become start offsets, and unless the pairs are already in
-	// row order they scatter stably.
-	for k, c := range w.at {
-		offs[k+1] = offs[k] + c
-		w.at[k] = offs[k]
+	b, sum := sc.bits[:words], sc.sum[:(words+63)>>6]
+	for _, id := range cell {
+		d := uint(id - lo)
+		b[d>>6] |= 1 << (d & 63)
+		sum[d>>12] |= 1 << ((d >> 6) & 63)
 	}
-	vals, scattered := w.vls, !fromRows || !w.ascending
-	if scattered {
-		vals = members.get(len(w.vls))
-		for i, r := range w.prs {
-			vals[w.at[r]] = w.vls[i]
-			w.at[r]++
-		}
-	}
-	// Drop adjacent repeats within each group, sliding it down over the
-	// repeats dropped before it.
-	end := int32(0)
-	for k := range rows {
-		seg := vals[offs[k]:offs[k+1]]
-		offs[k] = end
-		for _, v := range seg {
-			if end == offs[k] || vals[end-1] != v {
-				vals[end] = v
-				end++
+	n := 0
+	for s, sw := range sum {
+		for ; sw != 0; sw &= sw - 1 {
+			w := s<<6 + bits.TrailingZeros64(sw)
+			for word := b[w]; word != 0; word &= word - 1 {
+				cell[n] = lo + tgm.NodeID(w<<6+bits.TrailingZeros64(word))
+				n++
 			}
+			b[w] = 0
 		}
+		sum[s] = 0
 	}
-	offs[len(rows)] = end
-	out := slices.Clone(vals[:end])
-	if scattered {
-		members.put(vals)
-	}
-	ordinals.put(w.at)
-	ordinals.put(w.prs)
-	members.put(w.vls)
-	return &Groups{keys: rows, offs: offs, vals: out}, nil
+	return n
 }
 
-// pathWalk collects one GroupPath's (row, value) pairs, a row as its
-// ordinal among the rows (at counts each row's pairs), along the up or
-// down adjacency.
-type pathWalk struct {
-	path  []NodeSet
-	adj   []tgm.Adjacency
-	rows  NodeSet
-	ranks []int32
-	at    []int32
-	prs   []int32
-	vls   []tgm.NodeID
-	// ascending: every row's values so far, gathered from the row side,
-	// strictly ascend; last is the current row's latest value.
-	ascending bool
-	last      tgm.NodeID
-}
-
-func (w *pathWalk) pair(r int32, v tgm.NodeID) {
-	w.at[r], w.prs, w.vls = w.at[r]+1, append(w.prs, r), append(w.vls, v)
-}
-
-// up follows adj[i] from x, a member of path[i], on behalf of value v.
-func (w *pathWalk) up(i int, x, v tgm.NodeID) {
-	next := &w.path[i+1]
-	for _, y := range w.adj[i].Neighbors(x) {
+// gather appends the members of sets[i] adjacent to x or, before the
+// last hop, what each of them gathers in turn.
+func (p Path) gather(dst []tgm.NodeID, i int, x tgm.NodeID) []tgm.NodeID {
+	set, last := &p.sets[i], i == len(p.sets)-1
+	for _, y := range p.down[i].Neighbors(x) {
 		switch {
-		case !next.Has(y):
-		case i+2 < len(w.path):
-			w.up(i+1, y, v)
+		case !set.Has(y):
+		case last:
+			dst = append(dst, y)
 		default:
-			w.pair(w.rows.rank(w.ranks, y), v)
+			dst = p.gather(dst, i+1, y)
 		}
 	}
+	return dst
 }
 
-// down follows adj[i−1] from x, a member of path[i], on behalf of row r.
-func (w *pathWalk) down(i int, x tgm.NodeID, r int32) {
-	next := &w.path[i-1]
-	for _, y := range w.adj[i-1].Neighbors(x) {
-		switch {
-		case !next.Has(y):
-		case i > 1:
-			w.down(i-1, y, r)
-		default:
-			w.ascending = w.ascending && (w.at[r] == 0 || y > w.last)
-			w.last = y
-			w.pair(r, y)
-		}
-	}
+// Scratch is a caller's buffers around Path.Refs: IDs for gathered
+// nodes, Offs for offsets into them, and the two-level bitset Refs
+// orders a long gather through. GetScratch lends one from a pool and
+// PutScratch returns it. The pointer travels through the pool, so
+// neither call allocates once the pool is warm, and the buffers grow to
+// what their readers gather — the bitset to a column set's span —
+// never to a node type.
+type Scratch struct {
+	IDs       []tgm.NodeID
+	Offs      []int32
+	bits, sum Bitset
 }
 
-// byValue reorders the pairs by value with a stable counting sort over
-// col's span, so they reach the row scatter in ascending value order.
-func (w *pathWalk) byValue(col NodeSet) {
-	at := ordinals.get(col.span() + 1)
-	for _, v := range w.vls {
-		at[v-col.lo+1]++
+var scratchPool sync.Pool
+
+// GetScratch lends an empty Scratch.
+func GetScratch() *Scratch {
+	if s, ok := scratchPool.Get().(*Scratch); ok {
+		return s
 	}
-	for i := 1; i < len(at); i++ {
-		at[i] += at[i-1]
-	}
-	prs, vls := ordinals.get(len(w.prs)), members.get(len(w.vls))
-	for i, v := range w.vls {
-		k := at[v-col.lo]
-		prs[k], vls[k] = w.prs[i], v
-		at[v-col.lo]++
-	}
-	ordinals.put(at)
-	ordinals.put(w.prs)
-	members.put(w.vls)
-	w.prs, w.vls = prs, vls
+	return new(Scratch)
+}
+
+// PutScratch returns s, which nothing may use afterwards.
+func PutScratch(s *Scratch) {
+	s.IDs, s.Offs = s.IDs[:0], s.Offs[:0]
+	scratchPool.Put(s)
 }

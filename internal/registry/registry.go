@@ -30,7 +30,6 @@ import (
 
 	"repro/internal/etable"
 	"repro/internal/lru"
-	"repro/internal/pager"
 	"repro/internal/snapshot"
 	"repro/internal/spill"
 	"repro/internal/tgm"
@@ -211,43 +210,14 @@ type Dataset struct {
 	snapshotBytes int64
 	loadDuration  time.Duration
 
-	// Spill serving state, created on first use (spillOnce): telemetry
-	// counters and the bounded buffer pool every session's spilled runs
-	// fault through. Per dataset for the same isolation reason as the
-	// execution cache — one dataset's oversized results cannot evict
-	// another's resident runs.
-	spillOnce    sync.Once
-	spillMetrics *spill.Metrics
-	spillPool    *lru.Cache[pager.Key, [][]tgm.NodeID]
+	// spillMetrics are the telemetry counters behind the stats block's
+	// spill entry; nothing spills, so they stay zero until the block
+	// goes with the spill flags.
+	spillMetrics spill.Metrics
 }
 
-// spillRunPoolEntries bounds each dataset's decoded spill-run
-// residency, counted in runs. At the default run size (32768 rows × 4
-// bytes per column) a full pool of three-column runs stays under
-// ~13 MiB — small against any serving host, large enough that paging a
-// window repeatedly faults nothing.
-const spillRunPoolEntries = 32
-
-func (d *Dataset) initSpill() {
-	d.spillOnce.Do(func() {
-		d.spillMetrics = &spill.Metrics{}
-		d.spillPool = lru.New[pager.Key, [][]tgm.NodeID](spillRunPoolEntries)
-	})
-}
-
-// SpillMetrics returns the dataset's spill telemetry, shared by every
-// session executing against it.
-func (d *Dataset) SpillMetrics() *spill.Metrics {
-	d.initSpill()
-	return d.spillMetrics
-}
-
-// SpillPool returns the buffer pool the dataset's spilled runs fault
-// through, bounding total decoded-run residency across all sessions.
-func (d *Dataset) SpillPool() *lru.Cache[pager.Key, [][]tgm.NodeID] {
-	d.initSpill()
-	return d.spillPool
-}
+// SpillMetrics returns the dataset's spill telemetry.
+func (d *Dataset) SpillMetrics() *spill.Metrics { return &d.spillMetrics }
 
 // loadAttempt is one singleflight load: the elected loader closes done
 // after recording err; waiters read err only after done is closed.

@@ -223,7 +223,7 @@ const maxStackCols = 16
 // dst: its text (digits, sign, '.', 'e', NaN, ±Inf, true, false, NULL)
 // is never empty and never needs escaping. The fragment tables are
 // resolved once per window, before the cursor pins anything; a table
-// build's fault or a spilled run's read error aborts the window.
+// build's fault or a failed adjacency load aborts the window.
 func appendRows(dst []byte, w *session.Window, g *tgm.InstanceGraph) ([]byte, error) {
 	if w.Lo == w.Hi {
 		return dst, nil
@@ -280,10 +280,7 @@ func appendRows(dst []byte, w *session.Window, g *tgm.InstanceGraph) ([]byte, er
 				dst = append(dst, `"count":0}`...)
 				continue
 			}
-			ids, err := c.Refs(ci)
-			if err != nil {
-				return dst, err
-			}
+			ids := c.Refs(ci)
 			if len(ids) > 0 {
 				dst = append(dst, `"refs":`...)
 				for ri, id := range ids {

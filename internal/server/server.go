@@ -98,22 +98,19 @@ type Options struct {
 	// min(4, GOMAXPROCS); negative forces serial), bounded by the pool.
 	Parallelism int
 	// MaxRows caps the rows any single request may materialize (0 =
-	// unbounded): a match growing past the cap aborts mid-execution and
-	// an unbounded read of a larger table is rejected up front, both as
-	// 413 result_too_large. Paging within the cap is unaffected — set it
-	// above PageSize.
+	// unbounded): with spilling off a match past the cap fails from its
+	// exact count, and with it on or off an unbounded read of a larger
+	// table is rejected up front, both as 413 result_too_large. Paging
+	// within the cap is unaffected — set it above PageSize.
 	MaxRows int
-	// SpillDir is where oversized browsable results spill to temp-file
-	// runs instead of failing at MaxRows: "" (the default) uses the
-	// system temp directory, "off" disables spilling entirely (the
-	// strict pre-spill MaxRows semantics). Spilling is active only when
-	// MaxRows > 0 — without a trigger nothing overflows. Stale run
-	// files under the directory are swept at boot.
+	// SpillDir turns on the spill policy, under which a match past
+	// MaxRows is served instead of failing: "" (the default) uses the
+	// system temp directory, "off" keeps the strict MaxRows rejection.
+	// The policy is active only when MaxRows > 0. A prepare stores no
+	// cell, so nothing is written here; stale run files left by older
+	// servers are swept at boot.
 	SpillDir string
-	// MaxSpillBytes caps the bytes one query may spill (0 = unbounded).
-	// Exhausting it fails the query with 413 result_too_large, exactly
-	// like the row cap did before spilling — the disk tier is bounded
-	// too.
+	// MaxSpillBytes is accepted and unused: nothing spills.
 	MaxSpillBytes int64
 }
 
@@ -525,7 +522,7 @@ type datasetStatsJSON struct {
 	// lazy (paged) datasets that have loaded.
 	Pager *pagerJSON `json:"pager,omitempty"`
 	// Spill is the spill-to-disk telemetry, present once a query on
-	// this dataset has spilled.
+	// this dataset has spilled; no prepare spills any more.
 	Spill *spillJSON `json:"spill,omitempty"`
 }
 
@@ -547,9 +544,8 @@ type pagerJSON struct {
 }
 
 // spillJSON is one dataset's spill-to-disk telemetry: how many run
-// files prepares past MaxRows opened (one per spilled grouping), how
-// many bytes they wrote, and how many run pages were faulted back
-// through the pool while browsing.
+// files were opened, how many bytes they wrote, and how many run pages
+// were faulted back. No prepare writes one, so the block is never sent.
 type spillJSON struct {
 	Spills   int64 `json:"spills"`
 	RunBytes int64 `json:"runBytes"`
@@ -802,7 +798,7 @@ func (s *Server) createSession(ctx context.Context, w http.ResponseWriter, r *ht
 	}
 	sess := session.NewWithExec(ds.Schema(), ds.Graph(), ds.Cache(), s.pool, s.defaultBudget())
 	sess.SetMaxRows(s.opts.MaxRows)
-	sess.SetSpill(s.spillPolicy(ds))
+	sess.SetSpill(s.spillPolicy())
 	if len(initial) > 0 {
 		if err := sess.ApplyPipelineCtx(ctx, initial); err != nil {
 			return 0, nil, err
@@ -817,21 +813,13 @@ func (s *Server) createSession(ctx context.Context, w http.ResponseWriter, r *ht
 	return id, e, nil
 }
 
-// spillPolicy builds the spill-to-disk policy a new session on ds
-// runs under, or nil when spilling is disabled. The run pool and the
-// metrics are per dataset — like the execution cache — so one
-// dataset's spill working set can never evict another's and
-// /api/v1/stats can attribute the telemetry.
-func (s *Server) spillPolicy(ds *registry.Dataset) *graphrel.SpillPolicy {
+// spillPolicy builds the spill policy a new session runs under —
+// a match past MaxRows is served — or nil when spilling is disabled.
+func (s *Server) spillPolicy() *graphrel.SpillPolicy {
 	if !s.opts.spillEnabled() {
 		return nil
 	}
-	return &graphrel.SpillPolicy{
-		Dir:      s.opts.SpillDir,
-		MaxBytes: s.opts.MaxSpillBytes,
-		Pool:     ds.SpillPool(),
-		Metrics:  ds.SpillMetrics(),
-	}
+	return &graphrel.SpillPolicy{Dir: s.opts.SpillDir}
 }
 
 // handleCreateSession serves POST /api/v1/sessions (and its

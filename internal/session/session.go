@@ -22,11 +22,11 @@
 // server (NewShared).
 //
 // Presentation is windowed: the session keeps a small LRU memo of
-// prepared presentations (etable.Presentation — row order, groupings,
+// prepared presentations (etable.Presentation — the reduced sets and
 // column layout; no cells) plus, per presentation, an LRU memo of
 // sorted views. A page fetch therefore costs O(window): the row order
-// and groupings come from the prepared presentation and only the
-// requested rows are read. No window is memoized: ReadWindow hands its
+// comes from the prepared presentation and only the requested rows'
+// cells are computed. No window is memoized: ReadWindow hands its
 // caller the current window — the sorted view, the visible column
 // ordinals and the clamped row range — to read through an
 // etable.Cursor under the session lock (the server encodes it straight
@@ -89,11 +89,10 @@ const memoEntries = 8
 // presEntry is one memoized presentation state: the prepared base
 // presentation (canonical ID-ascending row order) and the bounded memo
 // of sorted views over that base. Sort variants are etable.SortedView
-// shallow copies — they share the base's columns, groupings, and
-// neighbor layout and own only their row order — so switching sorts
-// re-prepares nothing, and closing the base releases the spill files
-// behind every variant. Hidden columns are not part of the entry: a
-// window reads only the visible columns' ordinals.
+// shallow copies — they share the base's columns, reduced sets, count
+// vectors and neighbor layout and own only their row order — so
+// switching sorts re-prepares nothing. Hidden columns are not part of
+// the entry: a window reads only the visible columns' ordinals.
 type presEntry struct {
 	base   *etable.Presentation
 	sorted *lru.Cache[string, *etable.Presentation]
@@ -139,10 +138,9 @@ type Session struct {
 	// (or mid-stream) with *graphrel.RowLimitError, and windowLocked
 	// rejects oversized window requests before reading a cell.
 	maxRows int
-	// spill enables spill-to-disk execution (see SetSpill): when set,
-	// maxRows becomes the spill trigger for the browsable prepare path
-	// instead of a hard failure, and oversized results page from
-	// temp-file runs. nil keeps the strict pre-spill cap.
+	// spill is the session's spill policy (see SetSpill): when set, a
+	// prepare past maxRows is served instead of failing. nil keeps the
+	// strict cap.
 	spill *graphrel.SpillPolicy
 
 	// mu serializes all state-changing actions and snapshot reads on
@@ -155,7 +153,7 @@ type Session struct {
 
 	// memo caches prepared presentations keyed by pattern alone
 	// (sorting is a memoized view per entry, hiding picks the columns a
-	// window reads); evicted entries release their spill files.
+	// window reads).
 	memo *lru.Cache[string, *presEntry]
 }
 
@@ -205,13 +203,12 @@ func (s *Session) SetMaxRows(n int) {
 	s.maxRows = n
 }
 
-// SetSpill enables spill-to-disk execution for this session's queries:
-// with a policy set, a browsable prepare whose match crosses the
-// max-rows threshold writes its groupings' values to temp-file runs and
-// stays pageable, instead of failing with the 413 row-cap error. The
-// policy's MaxBytes remains a hard cap (its exhaustion fails with the
-// same *graphrel.RowLimitError), and explicit window requests larger
-// than max-rows are still rejected — spilling bounds memory, it does
+// SetSpill sets this session's spill policy: with a policy set, a
+// prepare whose match crosses the max-rows threshold is served and
+// stays pageable, instead of failing with the 413 row-cap error. A
+// prepare stores no cell, so it holds the same reduced sets whatever
+// the match's size, and nothing is written to disk. Explicit window
+// requests larger than max-rows are still rejected: the policy does
 // not unbound a single read. nil (the default) keeps the strict cap.
 // Call before serving requests.
 func (s *Session) SetSpill(pol *graphrel.SpillPolicy) {
@@ -301,10 +298,9 @@ type Window struct {
 
 // ReadWindow calls read with the current state's [offset,
 // offset+limit) row window (limit < 0 = all rows from offset) under the
-// session lock, so the state cannot change, and no Close can release
-// the presentation's spill files, while read runs. read must not call
-// back into the session. The window's errors — no open table, a
-// failed prepare or sort, the row cap, a done ctx — are returned
+// session lock, so the state cannot change while read runs. read must
+// not call back into the session. The window's errors — no open table,
+// a failed prepare or sort, the row cap, a done ctx — are returned
 // without calling read.
 func (s *Session) ReadWindow(ctx context.Context, offset, limit int, read func(Window) error) error {
 	s.mu.Lock()
@@ -764,12 +760,11 @@ func (s *Session) ReplayCtx(ctx context.Context, log Log) error {
 // presentationKey identifies a prepared presentation: the pattern
 // alone (String covers nodes, conditions, primary, and edges).
 // Neither sort nor hiding is part of the key — a Presentation's
-// prepared state (distinct rows, groupings, column layout) is
-// independent of both. Sort variants are memoized per entry as
-// SortedView row orders over the one shared base (presEntry.variant),
-// and hiding selects the column ordinals a window reads. The result:
-// one Prepare and one set of groupings per pattern across every
-// sort/hide combination a session toggles through.
+// prepared state (reduced sets, column layout) is independent of both.
+// Sort variants are memoized per entry as SortedView row orders over
+// the one shared base (presEntry.variant), and hiding selects the
+// column ordinals a window reads. The result: one Prepare per pattern
+// across every sort/hide combination a session toggles through.
 func presentationKey(e Entry) string {
 	return e.Pattern.String()
 }
@@ -820,9 +815,7 @@ func (s *Session) presentationLocked(ctx context.Context, cur Entry) (*presEntry
 		return nil, err
 	}
 	pe := &presEntry{base: pres, sorted: lru.New[string, *etable.Presentation](sortMemoEntries)}
-	for _, old := range s.memo.Add(key, pe) {
-		old.base.Close()
-	}
+	s.memo.Add(key, pe)
 	return pe, nil
 }
 
@@ -912,18 +905,15 @@ func findColumn(cols []etable.Column, name string) int {
 	return -1
 }
 
-// Close empties the presentation memo, releasing every spill file it
-// holds. History is untouched, so a later read still works: it
-// re-prepares what it needs (a request racing the server's eviction of
-// this session reads its own fresh presentation; a spilled one's
-// anonymous run files are reclaimed by the descriptors' finalizers).
-// Servers must Close a session when evicting it; Close is idempotent.
+// Close empties the presentation memo. History is untouched, so a
+// later read still works: it re-prepares what it needs (a request
+// racing the server's eviction of this session reads its own fresh
+// presentation). Servers Close a session when evicting it; Close is
+// idempotent.
 func (s *Session) Close() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, pe := range s.memo.RemoveFunc(func(string, *presEntry) bool { return true }) {
-		pe.base.Close()
-	}
+	s.memo.RemoveFunc(func(string, *presEntry) bool { return true })
 }
 
 // EntityTypes lists the node types shown in the default table list:

@@ -5,23 +5,18 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/etable"
 	"repro/internal/graphrel"
-	"repro/internal/lru"
-	"repro/internal/pager"
-	"repro/internal/spill"
 	"repro/internal/testdb"
-	"repro/internal/tgm"
 	"repro/internal/value"
 )
 
-// spillSession builds a session over the Figure 3 corpus whose every
-// result larger than trigger rows spills to named run files in a
-// per-test directory (named so tests can corrupt and count them).
+// spillSession builds a session over the Figure 3 corpus capped at
+// trigger rows under a spill policy over a per-test directory, so every
+// result larger than the cap is served past it.
 func spillSession(t testing.TB, trigger int) (*Session, *graphrel.SpillPolicy) {
 	t.Helper()
 	res, err := testdb.Figure3Translation()
@@ -29,13 +24,7 @@ func spillSession(t testing.TB, trigger int) (*Session, *graphrel.SpillPolicy) {
 		t.Fatal(err)
 	}
 	s := New(res.Schema, res.Instance)
-	pol := &graphrel.SpillPolicy{
-		Dir:     t.TempDir(),
-		Pool:    lru.New[pager.Key, [][]tgm.NodeID](4),
-		Metrics: &spill.Metrics{},
-		Named:   true,
-		RunRows: 2,
-	}
+	pol := &graphrel.SpillPolicy{Dir: t.TempDir()}
 	s.SetMaxRows(trigger)
 	s.SetSpill(pol)
 	return s, pol
@@ -67,30 +56,31 @@ func renderWindow(res *etable.Result) string {
 	return sb.String()
 }
 
-// runFiles lists the named spill run files currently in dir.
-func runFiles(t testing.TB, dir string) []string {
+// runFiles lists the entries of the spill directory dir: nothing
+// writes one, whatever the cap.
+func runFiles(t testing.TB, dir string) []os.DirEntry {
 	t.Helper()
-	matches, err := filepath.Glob(filepath.Join(dir, "etspill-*"))
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return matches
+	return entries
 }
 
-// TestSessionSpillEquivalence drives one spilled and one unbounded
-// session through the same interaction — open, sort, hide, seeall —
-// and asserts every rendered window is identical. The spilled session
-// pages in windows at most trigger rows wide (the pre-window guard
-// still caps single reads); the plain session renders the same
-// windows from the heap.
+// TestSessionSpillEquivalence drives one capped session under a spill
+// policy and one unbounded session through the same interaction —
+// open, sort, hide, seeall — and asserts every rendered window is
+// identical. The capped session pages in windows at most trigger rows
+// wide (the pre-window guard still caps single reads), and nothing is
+// written to its spill directory.
 func TestSessionSpillEquivalence(t *testing.T) {
 	spilled, pol := spillSession(t, 2)
 	plain := newSession(t)
 	ctx := context.Background()
 
 	// The pivot to Authors adds the join whose pair count crosses the
-	// 2-row trigger; the joinless open stays on the heap by design (no
-	// join, no amplification — the pre-window guard alone caps reads).
+	// 2-row trigger; a joinless open is never capped (no join, no
+	// amplification — the pre-window guard alone caps reads).
 	steps := []struct {
 		name  string
 		apply func(s *Session) error
@@ -131,14 +121,8 @@ func TestSessionSpillEquivalence(t *testing.T) {
 			}
 		}
 	}
-	if st := pol.Metrics.Snapshot(); st.Spills == 0 || st.RunBytes == 0 {
-		t.Fatalf("no spill recorded across the walk: %+v", st)
-	}
-
-	// Closing the session removes every named run file.
-	spilled.Close()
 	if left := runFiles(t, pol.Dir); len(left) != 0 {
-		t.Fatalf("run files left after Close: %v", left)
+		t.Fatalf("the walk wrote %d spill entries", len(left))
 	}
 }
 
@@ -157,101 +141,11 @@ func TestSessionSpillOversizedWindowStillRejected(t *testing.T) {
 	}
 }
 
-// TestSessionSpillCorruption is the robustness drill: a run file
-// damaged mid-browse surfaces a typed *spill.CorruptError (no panic),
-// the session keeps serving other queries, and Close still removes
-// the damaged file.
-func TestSessionSpillCorruption(t *testing.T) {
-	s, pol := spillSession(t, 2)
-	ctx := context.Background()
-	if err := s.Open("Papers"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Pivot("Authors"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.WindowCtx(ctx, 0, 2); err != nil {
-		t.Fatalf("first page before corruption: %v", err)
-	}
-	files := runFiles(t, pol.Dir)
-	if len(files) == 0 {
-		t.Fatal("no named run files to corrupt")
-	}
-
-	// Byte-flip the tail of every run file: the last run's payload no
-	// longer matches its CRC.
-	for _, name := range files {
-		buf, err := os.ReadFile(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(buf) == 0 {
-			t.Fatalf("empty run file %s", name)
-		}
-		buf[len(buf)-1] ^= 0xFF
-		if err := os.WriteFile(name, buf, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// Runs resident in the shared pool from the first page keep serving
-	// — corruption surfaces only at the next disk fault. Churn the
-	// 4-entry pool with other spilling presentations (each filter keeps
-	// the join, so each spills and faults its own runs) until the
-	// damaged runs are evicted. Stay under the presentation memo so the
-	// revert below reuses the damaged files instead of re-preparing.
-	for i := 0; i < 4; i++ {
-		if err := s.Filter(fmt.Sprintf("id < %d", 2000+i)); err != nil {
-			t.Fatalf("churn filter %d: %v", i, err)
-		}
-		if _, err := s.WindowCtx(ctx, 0, 2); err != nil {
-			t.Fatalf("churn window %d: %v", i, err)
-		}
-	}
-
-	// Reverting to the damaged presentation and faulting a fresh window
-	// fails with the typed corruption error — never a panic.
-	if err := s.Revert(1); err != nil {
-		t.Fatal(err)
-	}
-	meta, err := s.WindowCtx(ctx, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	failOff := -1
-	for off := 2; off < meta.Total(); off += 2 {
-		if _, err := s.WindowCtx(ctx, off, 2); err != nil {
-			var ce *spill.CorruptError
-			if !errors.As(err, &ce) {
-				t.Fatalf("window %d over corrupt run: err = %v, want *spill.CorruptError", off, err)
-			}
-			failOff = off
-			break
-		}
-	}
-	if failOff < 0 {
-		t.Fatal("corrupted tail run never surfaced while paging to the end")
-	}
-
-	// The session survives: a new query works (spilling to fresh,
-	// undamaged files).
-	if err := s.Filter("name like '%a%'"); err != nil {
-		t.Fatalf("session dead after corruption: %v", err)
-	}
-	if _, err := s.WindowCtx(ctx, 0, 2); err != nil {
-		t.Fatalf("window after corruption on fresh query: %v", err)
-	}
-
-	// Eviction path: Close removes the files, damaged or not.
-	s.Close()
-	if left := runFiles(t, pol.Dir); len(left) != 0 {
-		t.Fatalf("run files left after Close: %v", left)
-	}
-}
-
-// TestSessionSpillMemoEviction: cycling through more presentation
-// states than the memo holds releases the evicted entries' spill
-// files — disk usage is bounded by the memo, not by session history.
+// TestSessionSpillMemoEviction: cycling through more capped states
+// than the presentation memo holds, each past the row cap under the
+// spill policy, serves every first page, evicts without releasing
+// anything and writes nothing to the spill directory — what a session
+// holds is bounded by the memo, not by session history.
 func TestSessionSpillMemoEviction(t *testing.T) {
 	s, pol := spillSession(t, 2)
 	ctx := context.Background()
@@ -261,16 +155,13 @@ func TestSessionSpillMemoEviction(t *testing.T) {
 	if err := s.Pivot("Authors"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.WindowCtx(ctx, 0, 2); err != nil {
+	first, err := s.WindowCtx(ctx, 0, 2)
+	if err != nil {
 		t.Fatal(err)
 	}
-	perPres := len(runFiles(t, pol.Dir))
-	if perPres == 0 {
-		t.Fatal("pivot did not spill")
+	if first.Total() <= 2 {
+		t.Fatalf("pivot has %d rows: not past the 2-row cap", first.Total())
 	}
-	// Each distinct filter over the join is a distinct spilled
-	// presentation; cycling through more than the memo holds must
-	// release the evicted entries' run files.
 	const extra = memoEntries + 3
 	for i := 0; i < extra; i++ {
 		if err := s.Filter(fmt.Sprintf("id < %d", 1000+i)); err != nil {
@@ -280,13 +171,21 @@ func TestSessionSpillMemoEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	live := len(runFiles(t, pol.Dir))
-	if max := perPres * memoEntries; live > max {
-		t.Fatalf("%d run files on disk after %d spilled states, memo holds %d (≤%d files) — evicted entries leak spill files",
-			live, extra+1, memoEntries, max)
+	if n := s.memo.Len(); n > memoEntries {
+		t.Fatalf("memo holds %d presentations after %d states, bound %d", n, extra+1, memoEntries)
 	}
-	s.Close()
+	// The first state was evicted; reading it again re-prepares it.
+	if err := s.Revert(1); err != nil {
+		t.Fatal(err)
+	}
+	again, err := s.WindowCtx(ctx, 0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := renderWindow(again), renderWindow(first); got != want {
+		t.Fatalf("re-prepared window differs\ngot:\n%s\nwant:\n%s", got, want)
+	}
 	if left := runFiles(t, pol.Dir); len(left) != 0 {
-		t.Fatalf("run files left after Close: %v", left)
+		t.Fatalf("%d spill entries after %d capped states", len(left), extra+1)
 	}
 }

@@ -1,9 +1,11 @@
-// Package spill is the disk tier behind spill-to-disk execution: when
-// a presentation outgrows the row budget, the values of each of its
-// groupings (graphrel.SpillGroups) are written as runs to a temp file
-// and fault back through the same bounded buffer pool (internal/pager)
-// that serves out-of-core snapshot columns. Runs are written once, in
-// order, and only read back: nothing sorts or merges them.
+// Package spill is a disk tier of ID-column runs: runs are written to a
+// temp file and fault back through the same bounded buffer pool
+// (internal/pager) that serves out-of-core snapshot columns. Runs are
+// written once, in order, and only read back: nothing sorts or merges
+// them. The engine no longer writes any — a presentation stores no
+// cell, so nothing it holds outgrows the row budget — and the package
+// stays, with the server's spill flags and stats block, until those go
+// in the same change.
 //
 // A run is one self-contained chunk of ID columns — a fixed 16-byte
 // header (rows, columns, payload length, CRC-32C of the payload)
@@ -38,8 +40,7 @@ import (
 // a zero Metrics is ready to use. A nil *Metrics is accepted
 // everywhere and counts nothing.
 type Metrics struct {
-	// Spills counts spill events: run files created, one per
-	// grouping a prepare past the row threshold wrote to disk.
+	// Spills counts spill events: run files created.
 	Spills atomic.Int64
 	// RunBytes counts bytes written to spill runs (headers included).
 	RunBytes atomic.Int64

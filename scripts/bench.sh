@@ -47,14 +47,9 @@ txt="BENCH_${stamp}.txt"
 numcpu="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo unknown)"
 gomaxprocs="${GOMAXPROCS:-$numcpu}"
 goversion="$(go version | awk '{print $3}')"
-# The spill-tier benchmarks (BenchmarkSpilledFirstPage) are sensitive
-# to the heap target and the device backing the spill directory, so the
-# stamp records both: GOMEMLIMIT (the Go soft heap limit, "off" when
-# unset) and the spill envelope (ETABLE_SPILL_DIR overrides the
-# benchmarks' per-run temp dir; ETABLE_MAX_SPILL_BYTES a byte cap).
+# The stamp also records GOMEMLIMIT (the Go soft heap limit, "off" when
+# unset): the out-of-core benchmarks are sensitive to the heap target.
 gomemlimit="${GOMEMLIMIT:-off}"
-spilldir="${ETABLE_SPILL_DIR:-tmp}"
-maxspillbytes="${ETABLE_MAX_SPILL_BYTES:-unbounded}"
 
 # extract_bench turns a `go test -json` event stream into the plain
 # benchmark text benchstat consumes. The stream emits a result line as
@@ -76,15 +71,14 @@ extract_bench() {
 prev="$(ls -1 BENCH_*.json 2>/dev/null | grep -v "^${out}\$" | sort | tail -n 1 || true)"
 
 status=0
-printf '{"BenchEnv":{"gomaxprocs":"%s","numcpu":"%s","go":"%s","gomemlimit":"%s","spillDir":"%s","maxSpillBytes":"%s"}}\n' \
-	"$gomaxprocs" "$numcpu" "$goversion" "$gomemlimit" "$spilldir" "$maxspillbytes" >"$out"
+printf '{"BenchEnv":{"gomaxprocs":"%s","numcpu":"%s","go":"%s","gomemlimit":"%s"}}\n' \
+	"$gomaxprocs" "$numcpu" "$goversion" "$gomemlimit" >"$out"
 go test -run '^$' -bench "$pattern" -benchmem -json . >>"$out" || status=$?
 
 {
 	printf 'gomaxprocs: %s\nnumcpu: %s\ngo-version: %s\n' \
 		"$gomaxprocs" "$numcpu" "$goversion"
-	printf 'gomemlimit: %s\nspill-dir: %s\nmax-spill-bytes: %s\n' \
-		"$gomemlimit" "$spilldir" "$maxspillbytes"
+	printf 'gomemlimit: %s\n' "$gomemlimit"
 	extract_bench "$out"
 } >"$txt"
 grep -o '"Output":"[^"]*"' "$out" |

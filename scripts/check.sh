@@ -175,13 +175,23 @@ fi
 # Semi-join, don't join: a miss computes reduced node sets, so the
 # join planner, its cost model, the fold kernels over m(Q), the
 # spilled-prepare hand-off and the spill tier's external sort-merge of
-# m(Q) stay deleted (ROADMAP 18, 19, 20b): a spilled prepare writes
-# GroupPath's groupings (graphrel.SpillGroups). The fold kernels
-# survive only as test oracles.
+# m(Q) stay deleted (ROADMAP 18, 19, 20b). The fold kernels survive
+# only as test oracles.
 echo "==> no join planner, no fold over m(Q)"
 if grep -rnE 'orderJoins|AvgOutDegree|GroupNeighbors|DistinctSorted|errSpilled|ExternalGroupFold|mergeRuns|prepareSpilled' \
 	--include='*.go' --exclude='*_test.go' internal; then
 	echo "a join planner or a fold over m(Q) reappeared (see above)" >&2
+	exit 1
+fi
+
+# A presentation is its reduced sets: a prepare stores no cell, and a
+# participating cell is computed when a window reads it
+# (graphrel.Path). The per-prepare grouping, its spilled form and the
+# interface over the two stay deleted (ROADMAP 21).
+echo "==> cells on read"
+if grep -rnwE 'GroupPath|SpillGroups|SpilledGroups|groupSource' \
+	--include='*.go' --exclude='*_test.go' internal; then
+	echo "a per-prepare grouping reappeared (see above)" >&2
 	exit 1
 fi
 
