@@ -59,7 +59,7 @@ func main() {
 	parallelism := flag.Int("parallelism", 0, "every session's parallelism budget for its base selections (0 = min(4, GOMAXPROCS), negative = serial)")
 	maxRows := flag.Int("max-rows", 0, "match size past which a result fails with 413 result_too_large unless -spill-dir is on, and the widest window one request may read (0 = unbounded)")
 	spillDir := flag.String("spill-dir", "", "serve a match past -max-rows instead of failing (empty = on, system temp dir; \"off\" restores strict -max-rows rejection); nothing is written to it")
-	maxSpillBytes := flag.Int64("max-spill-bytes", 0, "accepted and unused: no result is written to disk")
+	flag.Int64("max-spill-bytes", 0, "ignored: nothing is written to disk (kept so older command lines still parse)")
 	flag.Parse()
 
 	reg := registry.New(registry.Options{CacheEntries: *cacheEntries})
@@ -119,15 +119,14 @@ func main() {
 	}
 
 	srv := server.NewFromRegistry(reg, server.Options{
-		CacheEntries:  *cacheEntries,
-		SessionTTL:    *sessionTTL,
-		MaxSessions:   *maxSessions,
-		PageSize:      *pageSize,
-		MaxWorkers:    *maxWorkers,
-		Parallelism:   *parallelism,
-		MaxRows:       *maxRows,
-		SpillDir:      *spillDir,
-		MaxSpillBytes: *maxSpillBytes,
+		CacheEntries: *cacheEntries,
+		SessionTTL:   *sessionTTL,
+		MaxSessions:  *maxSessions,
+		PageSize:     *pageSize,
+		MaxWorkers:   *maxWorkers,
+		Parallelism:  *parallelism,
+		MaxRows:      *maxRows,
+		SpillDir:     *spillDir,
 	})
 	spillInfo := "off"
 	if *maxRows > 0 && *spillDir != "off" {

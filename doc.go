@@ -285,9 +285,10 @@
 // strict 413s) a query whose match crosses the row cap
 // (ExecOptions.MaxRows, etable-server -max-rows) is served like any
 // other, and without one it fails with 413 result_too_large carrying
-// the exact |m(Q)|. Nothing is written to the spill directory:
-// internal/spill, -max-spill-bytes and the /api/v1/stats spill block
-// remain only until the benchmark harness stops passing the flags. An
+// the exact |m(Q)|. Nothing is written to the spill directory, and
+// /api/v1/stats has no spill block: internal/spill's run files and the
+// ignored -max-spill-bytes remain only until the benchmark harness
+// stops passing the flags. An
 // explicit window wider than the cap is still refused. CI's spill-smoke
 // job browses a capped pivot end to end under GOMEMLIMIT=32MiB.
 package repro

@@ -80,10 +80,12 @@
 // cell computed by graphrel.Path.Refs into one pooled buffer the cursor
 // reuses — r's adjacency hop by hop, keeping each hop's set members.
 // A one-hop cell is sorted only when its segment is insertion-ordered
-// (Paper_Authors' is); a deeper one, which can reach a node twice, is
-// always ordered and deduplicated, by a sort when short and through a
-// two-level bitset over the column set's span when long. A cursor pins
-// only the primary type's base columns it reads and no label column.
+// (Paper_Authors' is); a deeper one, which can reach a node twice,
+// marks each node it keeps in a two-level bitset over the column set's
+// span, which orders and deduplicates it, and reads the marks back. A
+// long insertion-ordered one-hop cell goes through the bitset too. A
+// cursor pins only the primary type's base columns it reads and no
+// label column.
 // Its two consumers are the server's state encoder, which writes bytes
 // straight from it, and Window (WindowOpts, WindowColumns), which
 // materializes a Result the caller owns, gathering every cell once into

@@ -212,27 +212,58 @@ func (p Path) Ensure() error {
 
 // Refs appends row r's related nodes to dst, ascending and
 // deduplicated, and returns the extended slice; a cell's count is the
-// length it appends. The gather walks r's adjacency hop by hop, keeping
-// each hop's set members. A one-hop gather is put in order only when it
-// does not already ascend strictly (an insertion-ordered adjacency
-// segment); a longer one, which reaches a node once through each of
-// its intermediate nodes, always is — by a sort when it is short, else
-// through sc's two-level bitset over the column set's span
-// (sortedCells) — and its repeats are dropped. The path must be loaded
-// (Ensure).
+// length it appends. A one-hop cell is r's adjacency filtered by the
+// column's set, kept as it is when it ascends strictly and sorted when
+// it is short (sortedCells); an adjacency list holds no repeats. A
+// longer one-hop cell that does not ascend (an insertion-ordered
+// segment) and every deeper cell, which reaches a node once through
+// each of its intermediate nodes, are walked again marking each kept
+// node in sc's bitset over the column set's span, which orders and
+// deduplicates them, and the marks are read back. The path must be
+// loaded (Ensure).
 func (p Path) Refs(dst []tgm.NodeID, r tgm.NodeID, sc *Scratch) []tgm.NodeID {
-	start := len(dst)
-	dst = p.gather(dst, 0, r)
-	cell := dst[start:]
-	switch {
-	case len(p.sets) == 1 && ascending(cell):
-		return dst
-	case len(cell) < sortedCells:
-		slices.Sort(cell)
-		return dst[:start+len(slices.Compact(cell))]
-	default:
-		set := &p.sets[len(p.sets)-1]
-		return dst[:start+sc.ascend(cell, set.lo, len(set.bits))]
+	set := &p.sets[len(p.sets)-1]
+	if len(p.sets) == 1 {
+		start := len(dst)
+		for _, y := range p.down[0].Neighbors(r) {
+			if set.Has(y) {
+				dst = append(dst, y)
+			}
+		}
+		switch cell := dst[start:]; {
+		case ascending(cell):
+			return dst
+		case len(cell) < sortedCells:
+			slices.Sort(cell)
+			return dst
+		}
+		dst = dst[:start]
+	}
+	b, sum := sc.bitsFor(len(set.bits))
+	p.mark(0, r, b, sum)
+	return drain(dst, set.lo, b, sum)
+}
+
+// mark walks x's adjacency at hop i and below, keeping each hop's set
+// members, and marks the last hop's in b (and its word in sum), which
+// lie over the last set's span.
+func (p Path) mark(i int, x tgm.NodeID, b, sum Bitset) {
+	set := &p.sets[i]
+	if i < len(p.sets)-1 {
+		for _, y := range p.down[i].Neighbors(x) {
+			if set.Has(y) {
+				p.mark(i+1, y, b, sum)
+			}
+		}
+		return
+	}
+	lo, sb := set.lo, set.bits
+	for _, y := range p.down[i].Neighbors(x) {
+		d := uint(y - lo)
+		if w := d >> 6; w < uint(len(sb)) {
+			b[w] |= sb[w] & (1 << (d & 63))
+			sum[w>>6] |= 1 << (w & 63)
+		}
 	}
 }
 
@@ -291,54 +322,35 @@ func (p Path) Counts(rows NodeSet) ([]int32, error) {
 	return counts, nil
 }
 
-// sortedCells is the gather length below which a sort orders a cell
-// faster than the bitset: on 2 CPUs, sorting 8 IDs and the bitset cost
-// the same, and from 20 IDs on the bitset is 2–3× faster, over a
-// 64-word span or a 600-word one alike (the summary level skips empty
-// words).
+// sortedCells is the one-hop cell length below which a sort orders an
+// insertion-ordered cell faster than the bitset: on 2 CPUs, sorting 8
+// IDs and the bitset cost the same, and from 20 IDs on the bitset is
+// 2–3× faster, over a 64-word span or a 600-word one alike (the summary
+// level skips empty words).
 const sortedCells = 16
 
-// ascend rewrites cell, whose IDs lie in [lo, lo+64·words), as its
-// distinct IDs ascending and returns their number: each ID sets its bit
-// and its word's summary bit, so the read-back visits only the words
-// that hold an ID. Both levels are left zeroed.
-func (sc *Scratch) ascend(cell []tgm.NodeID, lo tgm.NodeID, words int) int {
+// bitsFor returns sc's two-level bitset over words words — a bit per
+// ID and a summary bit per word — zeroed, growing it if it is shorter.
+func (sc *Scratch) bitsFor(words int) (b, sum Bitset) {
 	if cap(sc.bits) < words {
 		sc.bits, sc.sum = make(Bitset, words), make(Bitset, (words+63)>>6)
 	}
-	b, sum := sc.bits[:words], sc.sum[:(words+63)>>6]
-	for _, id := range cell {
-		d := uint(id - lo)
-		b[d>>6] |= 1 << (d & 63)
-		sum[d>>12] |= 1 << ((d >> 6) & 63)
-	}
-	n := 0
+	return sc.bits[:words], sc.sum[:(words+63)>>6]
+}
+
+// drain appends the IDs marked in b, lo the ID of its first bit, to dst
+// ascending and returns the extended slice. It visits only the words
+// sum marks and leaves both levels zeroed.
+func drain(dst []tgm.NodeID, lo tgm.NodeID, b, sum Bitset) []tgm.NodeID {
 	for s, sw := range sum {
 		for ; sw != 0; sw &= sw - 1 {
 			w := s<<6 + bits.TrailingZeros64(sw)
 			for word := b[w]; word != 0; word &= word - 1 {
-				cell[n] = lo + tgm.NodeID(w<<6+bits.TrailingZeros64(word))
-				n++
+				dst = append(dst, lo+tgm.NodeID(w<<6+bits.TrailingZeros64(word)))
 			}
 			b[w] = 0
 		}
 		sum[s] = 0
-	}
-	return n
-}
-
-// gather appends the members of sets[i] adjacent to x or, before the
-// last hop, what each of them gathers in turn.
-func (p Path) gather(dst []tgm.NodeID, i int, x tgm.NodeID) []tgm.NodeID {
-	set, last := &p.sets[i], i == len(p.sets)-1
-	for _, y := range p.down[i].Neighbors(x) {
-		switch {
-		case !set.Has(y):
-		case last:
-			dst = append(dst, y)
-		default:
-			dst = p.gather(dst, i+1, y)
-		}
 	}
 	return dst
 }

@@ -31,7 +31,6 @@ import (
 	"repro/internal/etable"
 	"repro/internal/lru"
 	"repro/internal/snapshot"
-	"repro/internal/spill"
 	"repro/internal/tgm"
 )
 
@@ -209,15 +208,7 @@ type Dataset struct {
 	// Load metrics for /api/v1/stats.
 	snapshotBytes int64
 	loadDuration  time.Duration
-
-	// spillMetrics are the telemetry counters behind the stats block's
-	// spill entry; nothing spills, so they stay zero until the block
-	// goes with the spill flags.
-	spillMetrics spill.Metrics
 }
-
-// SpillMetrics returns the dataset's spill telemetry.
-func (d *Dataset) SpillMetrics() *spill.Metrics { return &d.spillMetrics }
 
 // loadAttempt is one singleflight load: the elected loader closes done
 // after recording err; waiters read err only after done is closed.

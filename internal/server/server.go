@@ -110,8 +110,6 @@ type Options struct {
 	// cell, so nothing is written here; stale run files left by older
 	// servers are swept at boot.
 	SpillDir string
-	// MaxSpillBytes is accepted and unused: nothing spills.
-	MaxSpillBytes int64
 }
 
 func (o Options) withDefaults() Options {
@@ -137,9 +135,10 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// spillEnabled reports whether sessions spill oversized results to
-// disk instead of failing at MaxRows. Without a row cap nothing ever
-// overflows, so spilling needs both a trigger and a directory.
+// spillEnabled reports whether sessions serve a match past MaxRows
+// instead of failing with its exact count. Without a row cap nothing
+// overflows, so the policy needs both a cap and a directory that is
+// not "off".
 func (o Options) spillEnabled() bool {
 	return o.MaxRows > 0 && o.SpillDir != "off"
 }
@@ -385,8 +384,7 @@ type errorJSON struct {
 	// Limit and Rows accompany code result_too_large: the server's row
 	// cap and the rows the query had observed when it was cut off. The
 	// payload is identical whichever path rejected the query — the
-	// eager per-step check, the streamed per-batch check, the spill
-	// byte budget, or the session's pre-window guard.
+	// exact-count check at prepare or the session's pre-window guard.
 	Limit int `json:"limit,omitempty"`
 	Rows  int `json:"rows,omitempty"`
 }
@@ -521,9 +519,6 @@ type datasetStatsJSON struct {
 	// Pager is the out-of-core buffer-pool telemetry, present only for
 	// lazy (paged) datasets that have loaded.
 	Pager *pagerJSON `json:"pager,omitempty"`
-	// Spill is the spill-to-disk telemetry, present once a query on
-	// this dataset has spilled; no prepare spills any more.
-	Spill *spillJSON `json:"spill,omitempty"`
 }
 
 // pagerJSON is one lazy dataset's buffer-pool telemetry: how many
@@ -541,15 +536,6 @@ type pagerJSON struct {
 	Faults           int64   `json:"faults"`
 	Evictions        int64   `json:"evictions"`
 	FaultMs          float64 `json:"faultMs"`
-}
-
-// spillJSON is one dataset's spill-to-disk telemetry: how many run
-// files were opened, how many bytes they wrote, and how many run pages
-// were faulted back. No prepare writes one, so the block is never sent.
-type spillJSON struct {
-	Spills   int64 `json:"spills"`
-	RunBytes int64 `json:"runBytes"`
-	Faults   int64 `json:"faults"`
 }
 
 // memoryJSON is the memory telemetry block of /api/v1/stats: process
@@ -674,13 +660,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 				Faults:           pst.Misses,
 				Evictions:        pst.Evictions,
 				FaultMs:          float64(pst.LoadNanos) / 1e6,
-			}
-		}
-		if sst := ds.SpillMetrics().Snapshot(); sst.Spills > 0 {
-			d.Spill = &spillJSON{
-				Spills:   sst.Spills,
-				RunBytes: sst.RunBytes,
-				Faults:   sst.Faults,
 			}
 		}
 		out.Datasets = append(out.Datasets, d)

@@ -3,9 +3,10 @@
 // (internal/pager) that serves out-of-core snapshot columns. Runs are
 // written once, in order, and only read back: nothing sorts or merges
 // them. The engine no longer writes any — a presentation stores no
-// cell, so nothing it holds outgrows the row budget — and the package
-// stays, with the server's spill flags and stats block, until those go
-// in the same change.
+// cell, so nothing it holds outgrows the row budget — and the server
+// calls only SweepDir, at boot under -spill-dir. The run files, their
+// byte budget and their counters go with the spill flags, in one
+// change with the package's tests.
 //
 // A run is one self-contained chunk of ID columns — a fixed 16-byte
 // header (rows, columns, payload length, CRC-32C of the payload)

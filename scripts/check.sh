@@ -1,7 +1,8 @@
 #!/bin/sh
 # check.sh — the repo's full verification gate: build everything, vet,
 # and run all tests with the race detector (the serving core is
-# concurrent; -race is not optional). CI runs exactly this script.
+# concurrent; -race is not optional), then the allocation guards that
+# -race cannot measure without it. CI runs exactly this script.
 #
 # Usage: scripts/check.sh [go-test-run-regexp]
 set -eu
@@ -234,5 +235,11 @@ fi
 
 echo "==> go test -race ./..."
 go test -race -run "$pattern" ./...
+
+# Allocation guards skip under -race: its instrumentation allocates,
+# and its sync.Pool drops a share of what is put back on purpose, so a
+# pooled buffer reads as an allocation. They run here without it.
+echo "==> allocation guards (without -race)"
+go test -count=1 -run 'TestCursorRefsAllocs|TestMatchPrepareAllocGuard|TestReducedMatchesOracles' ./internal/etable
 
 echo "OK"
