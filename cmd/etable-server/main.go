@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"log"
 	"net/http"
-	"os"
 	"strings"
 	"time"
 
@@ -57,9 +56,9 @@ func main() {
 	pageSize := flag.Int("page-size", 0, "default result rows per response (0 = all; clients may page with offset/limit)")
 	maxWorkers := flag.Int("max-workers", 0, "server-wide worker cap for intra-query parallelism (0 = GOMAXPROCS, negative = serial)")
 	parallelism := flag.Int("parallelism", 0, "every session's parallelism budget for its base selections (0 = min(4, GOMAXPROCS), negative = serial)")
-	maxRows := flag.Int("max-rows", 0, "match size past which a result fails with 413 result_too_large unless -spill-dir is on, and the widest window one request may read (0 = unbounded)")
-	spillDir := flag.String("spill-dir", "", "serve a match past -max-rows instead of failing (empty = on, system temp dir; \"off\" restores strict -max-rows rejection); nothing is written to it")
-	flag.Int64("max-spill-bytes", 0, "ignored: nothing is written to disk (kept so older command lines still parse)")
+	maxRows := flag.Int("max-rows", 0, "widest window one request may read; a wider one fails with 413 result_too_large (0 = unbounded); a match is never refused for its size")
+	flag.String("spill-dir", "", "ignored: nothing spills (kept so older command lines still parse)")
+	flag.Int64("max-spill-bytes", 0, "ignored: nothing spills (kept so older command lines still parse)")
 	flag.Parse()
 
 	reg := registry.New(registry.Options{CacheEntries: *cacheEntries})
@@ -126,17 +125,9 @@ func main() {
 		MaxWorkers:   *maxWorkers,
 		Parallelism:  *parallelism,
 		MaxRows:      *maxRows,
-		SpillDir:     *spillDir,
 	})
-	spillInfo := "off"
-	if *maxRows > 0 && *spillDir != "off" {
-		spillInfo = *spillDir
-		if spillInfo == "" {
-			spillInfo = os.TempDir()
-		}
-	}
-	fmt.Printf("ETable serving on http://%s/ (cache %d, ttl %s, max sessions %d, page size %d, workers %d, parallelism %d, max rows %d, spill %s)\n",
-		*addr, *cacheEntries, *sessionTTL, *maxSessions, *pageSize, *maxWorkers, *parallelism, *maxRows, spillInfo)
+	fmt.Printf("ETable serving on http://%s/ (cache %d, ttl %s, max sessions %d, page size %d, workers %d, parallelism %d, max rows %d)\n",
+		*addr, *cacheEntries, *sessionTTL, *maxSessions, *pageSize, *maxWorkers, *parallelism, *maxRows)
 	fmt.Printf("API: /api/v1 (declarative ops; see docs/API.md)\n")
 	log.Fatal(http.ListenAndServe(*addr, srv))
 }

@@ -125,18 +125,16 @@
 // one thing per participating column: each row's related nodes. So a
 // miss selects each node's starting set, runs a full semi-join
 // reduction over the tree (Yannakakis 1981; graphrel.Reduce: a
-// bottom-up and a top-down pass of bitset semi-joins) and counts
-// |m(Q)| exactly by a saturating product-sum; the cache holds those
-// node sets, and a row's cell in a participating column is its
+// bottom-up and a top-down pass of bitset semi-joins); the cache holds
+// those node sets, and a row's cell in a participating column is its
 // adjacency along the column's tree path filtered by them
 // (graphrel.Path), computed when a window reads it. The reduction loads
 // only the adjacency direction it walks, and an edge type stored one
 // way only (a self-loop without a reverse) is walked back through its
 // transpose (tgm.InstanceGraph.Inverse). The kernels' scratch arrays
 // are pooled. m(Q) is enumerated only where tuples are the product —
-// etable.MatchOpts — by a StreamJoin chain over the reduced sets;
-// without a spill policy a result past -max-rows fails with its exact
-// size before anything is enumerated. The server's one path is
+// etable.MatchOpts — by a StreamJoin chain over the reduced sets. No
+// match is refused for its size. The server's one path is
 // Executor.PrepareWithOpts plus a window. A plan is the pattern's
 // compiled node predicates, built on the miss that needs it and not
 // cached. A miss derived through the §5.3 operators from a pattern
@@ -276,19 +274,16 @@
 // BenchmarkColdWindowFault); a lazy-vs-eager fuzz and a GOMEMLIMIT
 // smoke job in CI hold the equivalence and memory-bound claims.
 //
-// # Past the row cap
+// # The row cap
 //
 // The out-of-core tier bounds memory on the way *in* (base columns page
 // from disk). On the way *out* nothing grows with the result: a
-// prepare holds the reduced sets whatever |m(Q)| is, so under a spill
-// policy (server Options{SpillDir}, flag -spill-dir; "off" restores
-// strict 413s) a query whose match crosses the row cap
-// (ExecOptions.MaxRows, etable-server -max-rows) is served like any
-// other, and without one it fails with 413 result_too_large carrying
-// the exact |m(Q)|. Nothing is written to the spill directory, and
-// /api/v1/stats has no spill block: internal/spill's run files and the
-// ignored -max-spill-bytes remain only until the benchmark harness
-// stops passing the flags. An
-// explicit window wider than the cap is still refused. CI's spill-smoke
-// job browses a capped pivot end to end under GOMEMLIMIT=32MiB.
+// prepare holds the reduced sets whatever |m(Q)| is, so no match is
+// refused for its size and nothing spills to disk. The row cap
+// (server Options.MaxRows, etable-server -max-rows) is the widest
+// window one request may read: a wider one fails with 413
+// result_too_large carrying the cap and the window's row count.
+// -spill-dir and -max-spill-bytes are parsed and ignored, so older
+// command lines still boot. CI's max-rows-smoke job browses a pivot
+// past the cap end to end under GOMEMLIMIT=32MiB.
 package repro

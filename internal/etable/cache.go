@@ -19,12 +19,10 @@ type Cache struct {
 
 // Reduced is a pattern's match held as its fully reduced node sets —
 // per pattern node its projection π_k(m(Q)), a bitset over the set's
-// own ID span — and the exact |m(Q)|, saturating at math.MaxInt64. A
-// filtered base is the one-node case.
+// own ID span. A filtered base is the one-node case.
 type Reduced struct {
 	keys []string
 	sets []graphrel.NodeSet
-	rows int
 }
 
 // Set returns pattern node key's reduced set.

@@ -1,7 +1,6 @@
 package etable
 
 import (
-	"errors"
 	"reflect"
 	"testing"
 
@@ -16,15 +15,6 @@ import (
 // ancestor in c rather than from the bases (for the external oracle
 // test in derive_oracle_test.go).
 func Derives(p *Pattern, c *Cache) bool { return deriveFrom(p, c) != nil }
-
-// CachedRows returns the |m(Q)| of p's match resident in c.
-func CachedRows(c *Cache, p *Pattern) (int, bool) {
-	red, ok := c.Get(matchPrefix + Signature(p))
-	if !ok {
-		return 0, false
-	}
-	return red.rows, true
-}
 
 // CountVector returns the count vector a sort by participating column
 // name built on pr (nil before the first such sort).
@@ -169,11 +159,10 @@ func residualStrings(d *derived) map[string]string {
 	return out
 }
 
-// TestDerivedMatchSpillsLikeFromBases: a derived match is capped and
-// served past the cap under a spill policy exactly like one from the
-// bases — also when the ancestor covers every node and the pattern only
-// adds a condition (no join step is left, but the pattern has edges, so
-// its match is still capped).
+// TestDerivedMatchSpillsLikeFromBases: a derived match is served
+// exactly like one from the bases — also when the ancestor covers every
+// node and the pattern only adds a condition (no join step is left, but
+// the pattern has edges, so its match is still reduced).
 func TestDerivedMatchSpillsLikeFromBases(t *testing.T) {
 	tr := planFixture(t)
 	full := figure7PlanPattern(t, tr)
@@ -202,11 +191,7 @@ func TestDerivedMatchSpillsLikeFromBases(t *testing.T) {
 		if deriveFrom(p, ex.Cache()) == nil {
 			t.Fatalf("%s: not derived", p)
 		}
-		var rle *graphrel.RowLimitError
-		if _, err := ex.PrepareWithOpts(p, ExecOptions{MaxRows: 2}); !errors.As(err, &rle) || rle.Rows < 3 {
-			t.Fatalf("%s: capped prepare err = %v, want RowLimitError past 2 rows", p, err)
-		}
-		pr, err := ex.PrepareWithOpts(p, ExecOptions{MaxRows: 2, Spill: testSpillPolicy(t)})
+		pr, err := ex.PrepareWithOpts(p, ExecOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", p, err)
 		}
@@ -219,12 +204,12 @@ func TestDerivedMatchSpillsLikeFromBases(t *testing.T) {
 }
 
 // TestJoinlessSelectAfterOpenUnderSpill: a Select after Open has no
-// edges, so it never derives and its match is its selected base — not
-// capped, whatever MaxRows and the policy say.
+// edges, so it never derives and its match is its selected base,
+// rendered as the oracle's table.
 func TestJoinlessSelectAfterOpenUnderSpill(t *testing.T) {
 	tr := planFixture(t)
 	ex := NewExecutor(tr.Instance)
-	opt := ExecOptions{MaxRows: 2}
+	var opt ExecOptions
 	open := buildPattern(t, tr, "Papers")
 	if _, err := ex.PrepareWithOpts(open, opt); err != nil {
 		t.Fatal(err)
@@ -245,7 +230,7 @@ func TestJoinlessSelectAfterOpenUnderSpill(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, want := oracleTable(t, tr.Instance, p)
-	if got.NumRows() <= opt.MaxRows {
+	if got.NumRows() < 3 {
 		t.Fatalf("fixture too small: %d rows", got.NumRows())
 	}
 	assertSameResults(t, "joinless", got, want)
@@ -302,7 +287,7 @@ func BenchmarkDerivedMatch(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := prepareReduced(tr.Instance, arm.p, t, red, ExecOptions{}); err != nil {
+				if _, err := prepareSets(tr.Instance, arm.p, t, red, ExecOptions{}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -14,8 +14,9 @@
 // node's starting set (its selected base or, when an ancestor's match
 // is resident, the ancestor's reduced set narrowed by the conjuncts it
 // lacks: derive.go) reduced by a bottom-up and a top-down semi-join
-// pass over the tree (graphrel.Reduce, Yannakakis 1981) — plus the
-// exact |m(Q)| from a saturating product-sum. After a full reduction
+// pass over the tree (graphrel.Reduce, Yannakakis 1981). Nothing counts
+// |m(Q)|: no option caps a match, because what a presentation holds
+// does not grow with it. After a full reduction
 // every member of a set extends to a full match, so a row's cell is its
 // adjacency along the column's tree path filtered by the sets
 // (graphrel.Path), computed when a window reads it. The derivation links
@@ -24,10 +25,10 @@
 //
 // m(Q) is enumerated only where tuples are the product: MatchOpts runs
 // the StreamJoin chain over the reduced sets from the primary
-// (enumerate). No prepare enumerates it: past MaxRows a prepare fails
-// with the exact count or, under a spill policy, is served as any other
-// prepare — it holds the reduced sets whatever |m(Q)| is. A pattern
-// without edges never derives: its selected base is its match.
+// (enumerate), and PrepareOpts drains that chain, retaining no batch,
+// to check that its input is m(Q). No served prepare enumerates it: a
+// prepare holds the reduced sets whatever |m(Q)| is. A pattern without
+// edges never derives: its selected base is its match.
 // ExecOptions.Parallelism reaches only the base selections
 // (graphrel.SelectSet, the one kernel that fans out).
 //

@@ -9,9 +9,11 @@ import (
 	"repro/internal/tgm"
 )
 
-// ExecOptions configures one execution: the cancellation context, the
-// intra-query parallelism budget, and the row cap and its spill policy.
-// The zero value is serial, uncancellable, uncapped execution. Each
+// ExecOptions configures one execution: the cancellation context and
+// the intra-query parallelism budget. The zero value is serial,
+// uncancellable execution. No option caps a match: a presentation
+// holds its reduced sets whatever |m(Q)| is, and the widest window a
+// request may read is the session's guard (session.SetMaxRows). Each
 // field names what exercises it — a bench/run.sh workload (the server
 // sets the field from a flag or per request) or a benchmark in
 // bench_test.go.
@@ -36,18 +38,6 @@ type ExecOptions struct {
 	// cold_explore and study_mix are the workloads whose cache-miss
 	// matches spend it; BenchmarkParallelScaling sweeps it.
 	Parallelism int
-	// MaxRows caps |m(Q)|, the rows a match may have; 0 is unbounded.
-	// The cap applies to the result, whose exact size the reduction
-	// counts before anything is enumerated: past it a match or a
-	// prepare fails with *graphrel.RowLimitError carrying that size (the
-	// server's -max-rows guard). A joinless match is never capped.
-	// Errors are never cached. outofcore_mix runs at -max-rows 5000.
-	MaxRows int
-	// Spill, when set, lets a prepare past MaxRows be served instead of
-	// failing: a prepare stores no cell, so it holds the same reduced
-	// sets whatever |m(Q)| is, and nothing is written to disk. nil keeps
-	// MaxRows a hard cap. outofcore_mix runs with it (-spill-dir).
-	Spill *graphrel.SpillPolicy
 	// NoPlanCache is ignored.
 	//
 	// Deprecated: there is no plan cache; every match miss compiles its
@@ -64,10 +54,9 @@ func Execute(g *tgm.InstanceGraph, p *Pattern) (*Result, error) {
 }
 
 // ExecuteOpts is Execute under execution options, which affect only
-// latency, cancellation and the row cap: the prepare of the reduced
-// match rendered in full (WindowOpts(0, -1)). The enriched table is
-// canonical: rows and the references of participating cells ascend by
-// node ID.
+// latency and cancellation: the prepare of the reduced match rendered
+// in full (WindowOpts(0, -1)). The enriched table is canonical: rows
+// and the references of participating cells ascend by node ID.
 func ExecuteOpts(g *tgm.InstanceGraph, p *Pattern, opt ExecOptions) (*Result, error) {
 	if err := p.Validate(g.Schema()); err != nil {
 		return nil, err
@@ -80,7 +69,7 @@ func ExecuteOpts(g *tgm.InstanceGraph, p *Pattern, opt ExecOptions) (*Result, er
 	if err != nil {
 		return nil, err
 	}
-	pr, err := prepareReduced(g, p, t, red, opt)
+	pr, err := prepareSets(g, p, t, red, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -98,8 +87,7 @@ func Match(g *tgm.InstanceGraph, p *Pattern) (*graphrel.Relation, error) {
 
 // MatchOpts is Match under execution options: the reduced match (see
 // stream.go), enumerated into one relation from the primary in tree
-// order, under the options' budget and cancellation. Past MaxRows it
-// fails before enumerating, with the exact count.
+// order, under the options' budget and cancellation.
 func MatchOpts(g *tgm.InstanceGraph, p *Pattern, opt ExecOptions) (*graphrel.Relation, error) {
 	t, err := treeOf(g, p)
 	if err != nil {
@@ -112,9 +100,6 @@ func MatchOpts(g *tgm.InstanceGraph, p *Pattern, opt ExecOptions) (*graphrel.Rel
 	if len(p.Nodes) == 1 {
 		return graphrel.SetRelation(g, t.nodes[0].Type, t.keys[0], red.sets[0])
 	}
-	if opt.MaxRows > 0 && red.rows > opt.MaxRows {
-		return nil, graphrel.LimitExceeded(opt.MaxRows, red.rows)
-	}
 	src, err := enumerate(g, t, red, opt)
 	if err != nil {
 		return nil, err
@@ -126,16 +111,17 @@ func MatchOpts(g *tgm.InstanceGraph, p *Pattern, opt ExecOptions) (*graphrel.Rel
 // (Validate catches this earlier for user-built patterns).
 var errDisconnected = errors.New("etable: pattern is disconnected")
 
-// orientEdge decides whether a pattern edge can extend the joined set:
-// if exactly one endpoint is joined, it returns the step anchored at it,
-// along edgeName oriented anchor → new. Against the stored orientation
-// that is the reverse edge type, or, for a type stored one way only (a
-// self-loop without a reverse), the type itself walked against it.
-func orientEdge(schema *tgm.SchemaGraph, e PatternEdge, joined map[string]bool) (anchorKey, newKey, edgeName string, against, ok bool) {
+// orientEdge decides whether a pattern edge can extend the joined set,
+// whose membership joined reports: if exactly one endpoint is joined,
+// it returns the step anchored at it, along edgeName oriented anchor →
+// new. Against the stored orientation that is the reverse edge type,
+// or, for a type stored one way only (a self-loop without a reverse),
+// the type itself walked against it.
+func orientEdge(schema *tgm.SchemaGraph, e PatternEdge, joined func(key string) bool) (anchorKey, newKey, edgeName string, against, ok bool) {
 	switch {
-	case joined[e.From] && !joined[e.To]:
+	case joined(e.From) && !joined(e.To):
 		return e.From, e.To, e.EdgeType, false, true
-	case joined[e.To] && !joined[e.From]:
+	case joined(e.To) && !joined(e.From):
 		if et := schema.EdgeType(e.EdgeType); et != nil && et.Reverse != "" {
 			return e.To, e.From, et.Reverse, false, true
 		}

@@ -113,9 +113,8 @@ func getOrComputeLive(ctx context.Context, c *Cache, key string, compute func() 
 }
 
 // PrepareWithOpts builds the windowed presentation of a pattern. A miss
-// computes the reduced match (matchPipeline) and caches it whatever
-// MaxRows says; the cap is decided after the lookup (prepareReduced).
-// The presentation owns everything its windows read, so it outlives
+// computes the reduced match (matchPipeline) and caches it. The
+// presentation owns everything its windows read, so it outlives
 // the cache entry.
 func (e *Executor) PrepareWithOpts(p *Pattern, opt ExecOptions) (*Presentation, error) {
 	if err := p.Validate(e.g.Schema()); err != nil {
@@ -134,5 +133,5 @@ func (e *Executor) PrepareWithOpts(p *Pattern, opt ExecOptions) (*Presentation, 
 	if err != nil {
 		return nil, err
 	}
-	return prepareReduced(e.g, p, t, red, opt)
+	return prepareSets(e.g, p, t, red, opt)
 }

@@ -334,3 +334,30 @@ func itoa(n int) string {
 	}
 	return string(b[i:])
 }
+
+// TestSpilledExecutorBrowsable pins the executor's contract for a
+// match of any size: a prepare renders the oracle's table, so does a
+// second one (a cache hit), and only the reduced sets are cached.
+func TestSpilledExecutorBrowsable(t *testing.T) {
+	tr := planFixture(t)
+	p := figure7PlanPattern(t, tr)
+	_, full := oracleTable(t, tr.Instance, p)
+	if full.NumRows() < 4 {
+		t.Fatalf("fixture too small: %d rows", full.NumRows())
+	}
+	e := NewExecutor(tr.Instance)
+	for range 2 {
+		pr, err := e.PrepareWithOpts(p, ExecOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := pr.Window(0, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameResults(t, "prepared", got, full)
+	}
+	if _, ok := e.Cache().Get(matchPrefix + Signature(p)); !ok {
+		t.Fatal("the reduced match is not cached")
+	}
+}

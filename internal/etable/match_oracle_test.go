@@ -92,7 +92,7 @@ func declaredSteps(schema *tgm.SchemaGraph, p *Pattern) (startKey string, steps 
 	for remaining > 0 {
 		progressed := false
 		for _, e := range p.Edges {
-			anchorKey, newKey, edgeName, against, ok := orientEdge(schema, e, joined)
+			anchorKey, newKey, edgeName, against, ok := orientEdge(schema, e, func(k string) bool { return joined[k] })
 			if !ok {
 				continue
 			}
@@ -106,35 +106,6 @@ func declaredSteps(schema *tgm.SchemaGraph, p *Pattern) (startKey string, steps 
 		}
 	}
 	return prim.Key, steps, nil
-}
-
-// planIntermediates materializes the oracle's declared join steps one
-// by one with the reference operators and returns each step's output
-// cardinality — the intermediates of a join-then-fold engine, which the
-// reduction never builds.
-func planIntermediates(t testing.TB, g *tgm.InstanceGraph, p *Pattern) []int {
-	t.Helper()
-	bases := make(map[string]*graphrel.Relation, len(p.Nodes))
-	for i := range p.Nodes {
-		n := &p.Nodes[i]
-		r, err := MatchNaive(g, &Pattern{Nodes: []PatternNode{*n}, Primary: n.Key})
-		if err != nil {
-			t.Fatal(err)
-		}
-		bases[n.Key] = r
-	}
-	start, steps, err := declaredSteps(g.Schema(), p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cur, rows := bases[start], make([]int, 0, len(steps))
-	for _, st := range steps {
-		if cur, err = st.join(cur, bases[st.NewKey]); err != nil {
-			t.Fatal(err)
-		}
-		rows = append(rows, cur.Len())
-	}
-	return rows
 }
 
 // oracleTuples is the oracle's answer for p as a canonical tuple set.
@@ -157,13 +128,10 @@ func assertMatchesOracle(t testing.TB, label string, got *graphrel.Relation, wan
 }
 
 // assertReducedMatches asserts a cached reduced match holds exactly
-// what the oracle's m(Q) projects: |m(Q)| rows, and per attribute the
-// distinct nodes of its column.
+// what the oracle's m(Q) projects: per attribute the distinct nodes of
+// its column.
 func assertReducedMatches(t testing.TB, label string, red *Reduced, want *graphrel.Relation) {
 	t.Helper()
-	if red.rows != want.Len() {
-		t.Fatalf("%s: |m(Q)| = %d, oracle %d", label, red.rows, want.Len())
-	}
 	for _, a := range want.Attrs {
 		set, ok := red.Set(a.Name)
 		if !ok {

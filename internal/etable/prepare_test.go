@@ -107,9 +107,8 @@ func assertCellsMatchRelation(t *testing.T, label string, res *Result, p *Patter
 // dense indexing could go wrong (ID runs starting at distinct non-zero
 // IDs, a repeated type, a selection leaving gaps): PrepareOpts, the
 // executor's miss (reduced sets) at batch 7 and the default under
-// budgets 1 and 4, and a prepare past caps after the first tuple,
-// mid-match and one short of the end under a spill policy all render
-// the oracle's table cell for cell. Run under -race by
+// budgets 1 and 4 all render the oracle's table cell for cell. Run
+// under -race by
 // scripts/check.sh.
 func TestPrepareScatteredIDs(t *testing.T) {
 	rng := rand.New(rand.NewSource(20261004))
@@ -171,20 +170,6 @@ func TestPrepareScatteredIDs(t *testing.T) {
 					assertReducedMatches(t, label+"/"+sub, red, matched)
 					render(sub, pr)
 				}
-			}
-
-			// Past the cap under a spill policy the prepare is served.
-			n := matched.Len()
-			for _, maxRows := range []int{1, n / 2, n - 1} {
-				if maxRows < 1 {
-					continue
-				}
-				opt := ExecOptions{MaxRows: maxRows, Spill: testSpillPolicy(t)}
-				pr, _, err := prepareMiss(g, p, opt)
-				if err != nil {
-					t.Fatalf("%s MaxRows=%d: %v", label, maxRows, err)
-				}
-				render(fmt.Sprintf("past MaxRows=%d", maxRows), pr)
 			}
 		}
 	}

@@ -191,7 +191,7 @@ func assertSortsLikeOracle(t *testing.T, label string, rng *rand.Rand, build fun
 // value.Compare — on the graph as built (map adjacency), eagerly loaded
 // from a snapshot (CSR) and lazily loaded (deferred CSR, out-of-core
 // columns), for neighbor counts and for participating-column counts
-// over heap and spilled groupings, and over a filtered table whose
+// of a joined table, and over a filtered table whose
 // ranks are too sparse for the counting sort.
 func TestSortKernelMatchesStableSortFuzz(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
@@ -258,8 +258,7 @@ func TestSortKernelMatchesStableSortFuzz(t *testing.T) {
 		assertSortsLikeOracle(t, form.name+"/filtered", rng, prepare(filtered))
 
 		// Rows joined to Tags, pivoted back: Tags is a participating
-		// column, counted from its count vector — on a fresh prepare,
-		// and past the row cap under a spill policy.
+		// column, counted from its count vector.
 		joined, err := Add(g.Schema(), open, "Rows→Tags")
 		if err != nil {
 			t.Fatal(err)
@@ -268,14 +267,6 @@ func TestSortKernelMatchesStableSortFuzz(t *testing.T) {
 			t.Fatal(err)
 		}
 		assertSortsLikeOracle(t, form.name+"/joined", rng, prepare(joined))
-		assertSortsLikeOracle(t, form.name+"/past-cap", rng, func() *Presentation {
-			opt := ExecOptions{MaxRows: 100, Spill: testSpillPolicy(t)}
-			pr, _, err := prepareMiss(g, joined, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return pr
-		})
 	}
 }
 

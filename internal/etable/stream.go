@@ -2,6 +2,7 @@ package etable
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/expr"
 	"repro/internal/graphrel"
@@ -9,9 +10,9 @@ import (
 )
 
 // The match engine (the package doc's "Execution"): a miss computes a
-// pattern's reduced node sets and the exact |m(Q)| (matchPipeline), and
-// m(Q) itself is enumerated from them only where tuples are the
-// product: MatchOpts (enumerate).
+// pattern's reduced node sets (matchPipeline), and m(Q) itself is
+// enumerated from them only where tuples are the product: MatchOpts
+// and PrepareOpts's check of its input (enumerate).
 
 // streamBatchRows overrides the enumeration's batch size; 0 uses
 // graphrel.MorselRows. Tests shrink it to exercise multi-batch
@@ -40,22 +41,22 @@ func treeOf(g *tgm.InstanceGraph, p *Pattern) (*patternTree, error) {
 	if prim == nil {
 		return nil, fmt.Errorf("etable: pattern has no primary node")
 	}
-	t := &patternTree{keys: []string{prim.Key}, nodes: []*PatternNode{prim},
-		edges: make([]graphrel.TreeEdge, 1), down: []string{""}, against: []bool{false}}
-	at := map[string]int{prim.Key: 0}
-	joined := map[string]bool{prim.Key: true}
-	for len(t.keys) < len(p.Nodes) {
+	n := len(p.Nodes)
+	t := &patternTree{keys: make([]string, 1, n), nodes: make([]*PatternNode, 1, n),
+		edges: make([]graphrel.TreeEdge, 1, n), down: make([]string, 1, n), against: make([]bool, 1, n)}
+	t.keys[0], t.nodes[0] = prim.Key, prim
+	joined := func(key string) bool { return slices.Contains(t.keys, key) }
+	for len(t.keys) < n {
 		progressed := false
 		for _, e := range p.Edges {
 			anchor, key, down, against, ok := orientEdge(g.Schema(), e, joined)
 			if !ok {
 				continue
 			}
-			te := graphrel.TreeEdge{Parent: at[anchor], Down: g.Adjacency(down), Up: g.Inverse(down)}
+			te := graphrel.TreeEdge{Parent: slices.Index(t.keys, anchor), Down: g.Adjacency(down), Up: g.Inverse(down)}
 			if against {
 				te.Down, te.Up = te.Up, te.Down
 			}
-			at[key], joined[key] = len(t.keys), true
 			t.keys, t.nodes = append(t.keys, key), append(t.nodes, p.Node(key))
 			t.edges, t.down, t.against = append(t.edges, te), append(t.down, down), append(t.against, against)
 			progressed = true
@@ -73,8 +74,8 @@ func treeOf(g *tgm.InstanceGraph, p *Pattern) (*patternTree, error) {
 // (deriveFrom), or else its selected base (buildPlan's predicate; cached
 // under the base key when the caller has a cache and the pattern
 // joins). The full semi-join reduction (graphrel.Reduce) over t then
-// yields the reduced sets and |m(Q)|. A pattern without edges has
-// nothing to reduce: its selected base is its match.
+// yields the reduced sets. A pattern without edges has nothing to
+// reduce: its selected base is its match.
 func matchPipeline(g *tgm.InstanceGraph, p *Pattern, t *patternTree, opt ExecOptions, cache *Cache) (*Reduced, error) {
 	if err := ctxErr(opt.Ctx); err != nil {
 		return nil, err
@@ -102,7 +103,7 @@ func matchPipeline(g *tgm.InstanceGraph, p *Pattern, t *patternTree, opt ExecOpt
 			if err != nil {
 				return nil, err
 			}
-			return &Reduced{keys: []string{n.Key}, sets: []graphrel.NodeSet{s}, rows: s.Len()}, nil
+			return &Reduced{keys: []string{n.Key}, sets: []graphrel.NodeSet{s}}, nil
 		}
 		// A joinless pattern's base is its match, which the caller
 		// caches under the match key: a second entry under the base
@@ -121,11 +122,11 @@ func matchPipeline(g *tgm.InstanceGraph, p *Pattern, t *patternTree, opt ExecOpt
 		}
 		sets[i] = base.sets[0]
 	}
-	reduced, rows, err := graphrel.Reduce(opt.Ctx, sets, t.edges)
+	reduced, err := graphrel.Reduce(opt.Ctx, sets, t.edges)
 	if err != nil {
 		return nil, err
 	}
-	return &Reduced{keys: t.keys, sets: reduced, rows: rows}, nil
+	return &Reduced{keys: t.keys, sets: reduced}, nil
 }
 
 // selectSet applies n's planned condition to its starting set: from

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"repro/internal/exec"
@@ -33,7 +32,7 @@ func prepareMiss(g *tgm.InstanceGraph, p *Pattern, opt ExecOptions) (*Presentati
 	if err != nil {
 		return nil, nil, err
 	}
-	pr, err := prepareReduced(g, p, t, red, opt)
+	pr, err := prepareSets(g, p, t, red, opt)
 	return pr, red, err
 }
 
@@ -266,9 +265,10 @@ func TestExecutorStreamingMatchCached(t *testing.T) {
 	assertReducedMatches(t, "cached-match", first, naive)
 }
 
-// TestMaxRowsGuard asserts the MaxRows cap fails oversized
-// materializations with *graphrel.RowLimitError and admits results at
-// or under the cap.
+// TestMaxRowsGuard: a row cap is a drain's, never the engine's.
+// MaterializeMax over the match's enumeration fails past its cap with
+// *graphrel.RowLimitError and admits the match at its size, and a
+// prepare of the same pattern is not refused for its size.
 func TestMaxRowsGuard(t *testing.T) {
 	tr := planFixture(t)
 	withSmallStreamBatches(t, 9)
@@ -283,85 +283,37 @@ func TestMaxRowsGuard(t *testing.T) {
 	if full.Len() < 10 {
 		t.Fatalf("fixture too small: %d match rows", full.Len())
 	}
-	_, err = MatchOpts(tr.Instance, p, ExecOptions{MaxRows: 5})
+	drain := func(max int) (*graphrel.Relation, error) {
+		tree, err := treeOf(tr.Instance, p)
+		if err != nil {
+			return nil, err
+		}
+		red, err := matchPipeline(tr.Instance, p, tree, ExecOptions{}, nil)
+		if err != nil {
+			return nil, err
+		}
+		src, err := enumerate(tr.Instance, tree, red, ExecOptions{})
+		if err != nil {
+			return nil, err
+		}
+		return graphrel.MaterializeMax(src, max)
+	}
+	_, err = drain(5)
 	var rle *graphrel.RowLimitError
 	if !errors.As(err, &rle) || rle.Limit != 5 {
 		t.Fatalf("err = %v, want RowLimitError{5}", err)
 	}
-	ok, err := MatchOpts(tr.Instance, p, ExecOptions{MaxRows: full.Len()})
+	ok, err := drain(full.Len())
 	if err != nil {
 		t.Fatalf("at-cap: %v", err)
 	}
 	assertSameRelations(t, "at-cap", ok, full)
-	// The prepare fold enforces the cap too, and errors are never
-	// cached (a later uncapped prepare succeeds).
-	e := NewExecutor(tr.Instance)
-	_, err = e.PrepareWithOpts(p, ExecOptions{MaxRows: 5})
-	rle = nil
-	if !errors.As(err, &rle) {
-		t.Fatalf("capped prepare err = %v, want RowLimitError", err)
-	}
-	pr, err := e.PrepareWithOpts(p, ExecOptions{})
+	pr, err := NewExecutor(tr.Instance).PrepareWithOpts(p, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if pr.NumRows() == 0 {
-		t.Error("uncapped prepare after capped failure returned no rows")
-	}
-}
-
-// TestMaxRowsCapsTheResult is the -max-rows contract: the cap is on
-// the result, never on an intermediate, so the same query at the same
-// cap gets the same answer on every corpus size. Figure 7 on this
-// fixture has 14 result rows behind a wider intermediate; the engine
-// admits it at 14 and refuses it at 13, serial and pooled, match and
-// prepare. With a spill policy the same cap is a trigger, not a
-// failure: the capped prepare comes back disk-resident and renders the
-// oracle's table.
-func TestMaxRowsCapsTheResult(t *testing.T) {
-	tr := planFixture(t)
-	p := figure7PlanPattern(t, tr)
-	_, want := oracleTable(t, tr.Instance, p)
-	oracle := oracleTuples(t, tr.Instance, p)
-	widest := slices.Max(planIntermediates(t, tr.Instance, p))
-	if len(oracle) != 14 || widest <= len(oracle) {
-		t.Fatalf("fixture drifted: %d result rows, widest intermediate %d (want 14 < widest)", len(oracle), widest)
-	}
-	withSmallStreamBatches(t, 5)
-	for label, opt := range map[string]ExecOptions{
-		"serial": {},
-		"pooled": {Ctx: context.Background(), Pool: exec.NewPool(4), Parallelism: 4},
-	} {
-		opt.MaxRows = 14
-		got, err := MatchOpts(tr.Instance, p, opt)
-		if err != nil {
-			t.Fatalf("%s: match at the result's size: %v", label, err)
-		}
-		assertMatchesOracle(t, label, got, oracle)
-		if _, err := NewExecutor(tr.Instance).PrepareWithOpts(p, opt); err != nil {
-			t.Fatalf("%s: prepare at the result's size: %v", label, err)
-		}
-
-		opt.MaxRows = 13
-		var rle *graphrel.RowLimitError
-		if _, err := MatchOpts(tr.Instance, p, opt); !errors.As(err, &rle) || rle.Limit != 13 {
-			t.Fatalf("%s: match err = %v, want RowLimitError{Limit: 13}", label, err)
-		}
-		rle = nil
-		if _, err := NewExecutor(tr.Instance).PrepareWithOpts(p, opt); !errors.As(err, &rle) || rle.Limit != 13 {
-			t.Fatalf("%s: prepare err = %v, want RowLimitError{Limit: 13}", label, err)
-		}
-
-		opt.Spill = testSpillPolicy(t)
-		served, err := NewExecutor(tr.Instance).PrepareWithOpts(p, opt)
-		if err != nil {
-			t.Fatalf("%s: capped prepare with a spill policy: %v", label, err)
-		}
-		res, err := served.Window(0, -1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertSameResults(t, label+"/past the cap", res, want)
+		t.Error("prepare returned no rows")
 	}
 }
 

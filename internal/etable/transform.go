@@ -251,8 +251,8 @@ func Prepare(g *tgm.InstanceGraph, p *Pattern, matched *graphrel.Relation) (*Pre
 // columns A_h of §5.4.2. matched must be m(Q): the presentation is
 // prepared from its projections π_k(matched), which for m(Q) are
 // exactly the engine's reduced sets (prepareSets). A relation that is
-// not — a subset, a capped drain — counts fewer tuples than the full
-// reduction over its projections, and is refused.
+// not — a subset, a capped drain — holds fewer tuples than the full
+// reduction over its projections enumerates, and is refused.
 func PrepareOpts(g *tgm.InstanceGraph, p *Pattern, matched *graphrel.Relation, opt ExecOptions) (*Presentation, error) {
 	t, err := treeOf(g, p)
 	if err != nil {
@@ -266,24 +266,29 @@ func PrepareOpts(g *tgm.InstanceGraph, p *Pattern, matched *graphrel.Relation, o
 		}
 		sets[i] = graphrel.SetOf(col)
 	}
-	reduced, rows, err := graphrel.Reduce(opt.Ctx, sets, t.edges)
+	reduced, err := graphrel.Reduce(opt.Ctx, sets, t.edges)
 	if err != nil {
 		return nil, err
 	}
-	if rows != matched.Len() {
-		return nil, fmt.Errorf("etable: matched relation holds %d tuples, not the %d matches over its projections: PrepareOpts needs m(Q)", matched.Len(), rows)
+	red := &Reduced{keys: t.keys, sets: reduced}
+	src, err := enumerate(g, t, red, opt)
+	if err != nil {
+		return nil, err
 	}
-	return prepareSets(g, p, t, &Reduced{keys: t.keys, sets: reduced, rows: rows}, opt)
-}
-
-// prepareReduced prepares a reduced match under the row cap: past
-// MaxRows a pattern with edges fails with the exact |m(Q)|, unless a
-// spill policy is set. A prepare stores no cell, so what it holds does
-// not grow with |m(Q)|, and past the cap under a policy it is the same
-// prepare. A joinless match is never capped.
-func prepareReduced(g *tgm.InstanceGraph, p *Pattern, t *patternTree, red *Reduced, opt ExecOptions) (*Presentation, error) {
-	if len(p.Nodes) > 1 && opt.MaxRows > 0 && red.rows > opt.MaxRows && opt.Spill == nil {
-		return nil, graphrel.LimitExceeded(opt.MaxRows, red.rows)
+	defer src.Close()
+	n := 0
+	for {
+		b, err := src.Next()
+		if err != nil {
+			return nil, err
+		}
+		if b == nil {
+			break
+		}
+		n += b.Len()
+	}
+	if n != matched.Len() {
+		return nil, fmt.Errorf("etable: matched relation holds %d tuples, not the %d matches over its projections: PrepareOpts needs m(Q)", matched.Len(), n)
 	}
 	return prepareSets(g, p, t, red, opt)
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/exec"
+	"repro/internal/graphrel"
 	"repro/internal/tgm"
 	"repro/internal/value"
 )
@@ -379,5 +380,27 @@ func TestSortedViewSharesPreparedState(t *testing.T) {
 	}
 	if !reflect.DeepEqual(v.order(), nodesOf(want)) {
 		t.Fatal("view's row order differs from the sorted full render")
+	}
+}
+
+// TestPrepareOptsRefusesNonMatch: PrepareOpts prepares m(Q) and
+// refuses a relation whose tuples are not m(Q) — here every tuple
+// twice, whose projections are m(Q)'s.
+func TestPrepareOptsRefusesNonMatch(t *testing.T) {
+	tr := planFixture(t)
+	p := figure7PlanPattern(t, tr)
+	matched, err := Match(tr.Instance, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := PrepareOpts(tr.Instance, p, matched, ExecOptions{}); err != nil {
+		t.Fatalf("m(Q) refused: %v", err)
+	}
+	twice, err := graphrel.Concat(matched, matched)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := PrepareOpts(tr.Instance, p, twice, ExecOptions{}); err == nil {
+		t.Fatal("a relation holding every tuple twice was prepared as m(Q)")
 	}
 }

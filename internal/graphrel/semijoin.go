@@ -2,7 +2,6 @@ package graphrel
 
 import (
 	"context"
-	"math"
 	"math/bits"
 	"slices"
 	"sync"
@@ -26,158 +25,75 @@ type TreeEdge struct {
 	Down, Up tgm.Adjacency
 }
 
-// scratch recycles one element type's kernel arrays: the weights a
-// reduction counts are garbage once its sets are built, so a stream of
-// misses reuses them instead of feeding the collector. What a kernel
-// returns is never scratch.
-type scratch[T any] struct{ p sync.Pool }
-
-var weights scratch[uint64]
-
-// get returns n zeroed elements.
-func (sc *scratch[T]) get(n int) []T {
-	if s, ok := sc.p.Get().(*[]T); ok && cap(*s) >= n {
-		clear((*s)[:n])
-		return (*s)[:n]
-	}
-	return make([]T, n)
-}
-
-// put recycles s, which nothing may use afterwards.
-func (sc *scratch[T]) put(s []T) {
-	if cap(s) > 0 {
-		sc.p.Put(&s)
-	}
-}
-
-// maxRows is where the match-size count saturates.
-const maxRows = math.MaxInt64
-
-func satAdd(a, b uint64) uint64 { return min(a+b, maxRows) }
-
-func satMul(a, b uint64) uint64 {
-	hi, lo := bits.Mul64(a, b)
-	if hi != 0 || lo > maxRows {
-		return maxRows
-	}
-	return lo
-}
-
 // Reduce runs the full reducer over a tree pattern: sets[i] is node i's
 // starting set (any superset of its projection of the match, within its
 // selected base) and tree places node i. The bottom-up pass keeps each
-// parent member with a neighbor in every child's set and counts, per
-// member, the matches of the subtree below it; the top-down pass keeps
-// each child member with a neighbor in its parent's reduced set. It
-// returns every node's reduced set, trimmed, and the exact size of the
-// match, saturating at math.MaxInt64; an empty set empties them all.
-func Reduce(ctx context.Context, sets []NodeSet, tree []TreeEdge) ([]NodeSet, int, error) {
+// parent member with a neighbor in every child's set; the top-down pass
+// keeps each child member with a neighbor in its parent's reduced set.
+// It returns every node's reduced set, trimmed; an empty set empties
+// them all. Nothing is counted: a presentation holds the sets whatever
+// |m(Q)| is.
+func Reduce(ctx context.Context, sets []NodeSet, tree []TreeEdge) ([]NodeSet, error) {
 	out := slices.Clone(sets)
-	empty := func() ([]NodeSet, int, error) { return make([]NodeSet, len(sets)), 0, nil }
 	for _, s := range out {
 		if s.n == 0 {
-			return empty()
+			return make([]NodeSet, len(sets)), nil
 		}
 	}
-	// counts[i][x − lo]: the matches of node i's subtree with i at x;
-	// nil for a leaf, whose members count 1 each.
-	counts := make([][]uint64, len(out))
 	for c := len(out) - 1; c > 0; c-- {
 		if err := ctxErr(ctx); err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 		p := tree[c].Parent
-		var w []uint64
 		var err error
-		if out[p], w, err = semiJoin(out[p], out[c], tree[c].Down, tree[c].Up, true, counts[c]); err != nil {
-			return nil, 0, err
+		if out[p], err = semiJoin(out[p], out[c], tree[c].Down, tree[c].Up); err != nil {
+			return nil, err
 		} else if out[p].n == 0 {
-			return empty()
+			return make([]NodeSet, len(sets)), nil
 		}
-		if counts[p] == nil {
-			counts[p] = w
-		} else {
-			for i, x := range w {
-				counts[p][i] = satMul(counts[p][i], x)
-			}
-			weights.put(w)
-		}
-		weights.put(counts[c])
-	}
-	rows := uint64(out[0].n)
-	if counts[0] != nil {
-		rows = 0
-		out[0].each(func(id tgm.NodeID) { rows = satAdd(rows, counts[0][id-out[0].lo]) })
-		weights.put(counts[0])
 	}
 	out[0] = out[0].trim()
 	for c := 1; c < len(out); c++ {
 		var err error
-		if out[c], _, err = semiJoin(out[c], out[tree[c].Parent], tree[c].Up, tree[c].Down, false, nil); err != nil {
-			return nil, 0, err
+		if out[c], err = semiJoin(out[c], out[tree[c].Parent], tree[c].Up, tree[c].Down); err != nil {
+			return nil, err
 		}
 		out[c] = out[c].trim()
 	}
-	return out, int(rows), nil
+	return out, nil
 }
 
 // semiJoin returns s ⋉ t: the members of s with a neighbor in t along
-// adj (oriented s → t; rev is its reverse), over s's span. counting
-// also returns, over s's span, each member's weight in t: the sum of
-// tw (nil: 1 each, indexed like t's bitset) over those neighbors. It
-// walks from the side with fewer members, loading only that side's
+// adj (oriented s → t; rev is its reverse), over s's span. It walks
+// from the side with fewer members, loading only that side's
 // adjacency.
-func semiJoin(s, t NodeSet, adj, rev tgm.Adjacency, counting bool, tw []uint64) (NodeSet, []uint64, error) {
+func semiJoin(s, t NodeSet, adj, rev tgm.Adjacency) (NodeSet, error) {
 	if s.n > t.n {
 		adj = rev
 	}
 	if err := adj.Ensure(); err != nil {
-		return NodeSet{}, nil, err
+		return NodeSet{}, err
 	}
 	kept := NodeSet{lo: s.lo, bits: make(Bitset, len(s.bits))}
-	var w []uint64
-	if counting {
-		w = weights.get(s.span())
-	}
-	weight := func(y tgm.NodeID) uint64 {
-		if tw == nil {
-			return 1
-		}
-		return tw[y-t.lo]
-	}
 	if s.n <= t.n {
 		s.each(func(x tgm.NodeID) {
-			var sum uint64
 			for _, y := range adj.Neighbors(x) {
 				if t.Has(y) {
-					if sum = satAdd(sum, weight(y)); w == nil {
-						break
-					}
-				}
-			}
-			if sum > 0 {
-				kept.add(x)
-				if w != nil {
-					w[x-s.lo] = sum
+					kept.add(x)
+					break
 				}
 			}
 		})
-		return kept, w, nil
+		return kept, nil
 	}
 	t.each(func(y tgm.NodeID) {
 		for _, x := range adj.Neighbors(y) {
-			if !s.Has(x) {
-				continue
-			}
-			if !kept.Has(x) {
+			if s.Has(x) && !kept.Has(x) {
 				kept.add(x)
-			}
-			if w != nil {
-				w[x-s.lo] = satAdd(w[x-s.lo], weight(y))
 			}
 		}
 	})
-	return kept, w, nil
+	return kept, nil
 }
 
 // Path is one participating column of a reduced match: the tree path

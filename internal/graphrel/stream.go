@@ -184,17 +184,16 @@ func StreamJoin(ctx context.Context, src RowSource, right *Relation, edgeType st
 	}, nil
 }
 
-// RowLimitError reports a streamed materialization that exceeded the
-// caller's row cap (MaterializeMax, or the execution layer's MaxRows
-// guard). The pipeline is terminated early — the guard exists so a
+// RowLimitError reports a read that exceeded the caller's row cap: a
+// streamed materialization (MaterializeMax), terminated early so a
 // pathological result fails fast and bounded instead of allocating
-// without limit.
+// without limit, or a window wider than the session's cap.
 type RowLimitError struct {
 	// Limit is the row cap that was exceeded.
 	Limit int
-	// Rows is the row count observed when the cap tripped: the exact
-	// size of a match the engine counted, a lower bound where a drain
-	// stopped producing at the cap (0 when the layer does not track it).
+	// Rows is the row count observed when the cap tripped: a window's
+	// exact width, a lower bound where a drain stopped producing at the
+	// cap (0 when the layer does not track it).
 	Rows int
 }
 
@@ -205,9 +204,9 @@ func (e *RowLimitError) Error() string {
 	return fmt.Sprintf("graphrel: result exceeds %d rows", e.Limit)
 }
 
-// LimitExceeded builds the row-cap error every enforcement point — the
-// engine's count check, MaterializeMax's drain and the session's
-// pre-window check — routes through, so the surfaced payload (cap, observed rows) is identical no
+// LimitExceeded builds the row-cap error every enforcement point —
+// MaterializeMax's drain and the session's pre-window check — routes
+// through, so the surfaced payload (cap, observed rows) is identical no
 // matter which layer tripped.
 func LimitExceeded(limit, rows int) *RowLimitError {
 	return &RowLimitError{Limit: limit, Rows: rows}

@@ -1,7 +1,7 @@
 // Package lru is the one least-recently-used cache the server's caches
-// share: the execution cache of relations, each graph's plan cache, the
-// pager pools of lazy columns and spill-run pages, the session table and
-// every session's presentation, sorted-view and window memos.
+// share: the execution cache of reduced node sets, the pager pools of
+// lazy columns, the session table and every session's presentation and
+// sorted-view memos.
 //
 // A Cache holds at most its capacity of entries, least recently used
 // evicted first. Get and Pin load a missing key through a caller-supplied
@@ -13,7 +13,7 @@
 //
 // Values a cache drops are handed back to whoever caused the drop — Add
 // and RemoveFunc return them — so a caller whose values own resources
-// (spill files, pooled arenas, sessions) releases them itself, outside
+// (sessions) releases them itself, outside
 // any lock it must not hold. Get, Pin and a pin's release drop what they
 // evict: use them only for values that need no release.
 //

@@ -1,10 +1,10 @@
 // Package pager holds what out-of-core reads share: File, a read-only
 // random-access view of a snapshot file, and Key, the name of one
-// faultable section. The buffer pools in front of them — a lazy
-// snapshot's decoded columns, a dataset's spill-run pages — are
-// lru.Caches keyed by Key: a fixed budget of resident sections, faulted
-// in on first touch, evicted least recently used first, and pinnable for
-// the duration of a window materialization.
+// faultable section. The buffer pool in front of them — a lazy
+// snapshot's decoded columns — is an lru.Cache keyed by Key: a fixed
+// budget of resident sections, faulted in on first touch, evicted least
+// recently used first, and pinnable for the duration of a window
+// materialization.
 //
 // A pool bounds *residency*, not validity: evicting a section only drops
 // the pool's reference to the decoded column, so slices already loaned
@@ -16,11 +16,10 @@
 package pager
 
 // Key identifies one faultable section: an attribute column of a node
-// type, or a run of a spill file.
+// type.
 type Key struct {
-	// Type is the owning node type's name (or the spill file's
-	// namespace).
+	// Type is the owning node type's name.
 	Type string
-	// Attr is the attribute ordinal within the type (or the run index).
+	// Attr is the attribute ordinal within the type.
 	Attr int
 }

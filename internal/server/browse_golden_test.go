@@ -29,7 +29,7 @@ const browseGolden = "testdata/browse.golden"
 // op lists — the cold_explore script, the six study tasks with a
 // hide/revert detour and a history hand-over, a page_scan re-sort with
 // cursor pages, and the study tasks again over a paged snapshot whose
-// joins pass a small -max-rows under a spill policy — replayed by one
+// joins pass a small -max-rows — replayed by one
 // client through httptest on a generated 2,000-paper corpus. Every
 // response is recorded as its status, the FNV-64 of its body and its
 // totalRows, one line per request, and the whole record must equal
@@ -58,7 +58,7 @@ func TestBrowseGolden(t *testing.T) {
 		runBrowse(t, ts.URL, name, reqs, &out)
 	}
 	// The harness's server flags: -page-size 50, and on the paged tier
-	// a row cap with a spill policy, which serves a prepare past the cap.
+	// a row cap, which bounds a window and never a match.
 	mem := func() http.Handler { return NewWithOptions(tr.Schema, tr.Instance, Options{PageSize: 50}) }
 	replay("cold_explore", mem(), coldScript(pl))
 	replay("study", mem(), studyScript(pl))
@@ -72,7 +72,7 @@ func TestBrowseGolden(t *testing.T) {
 	if _, err := reg.AddSnapshotOpts("default", path, registry.SnapshotOptions{Lazy: true, PoolSections: 2}); err != nil {
 		t.Fatal(err)
 	}
-	srv := NewFromRegistry(reg, Options{PageSize: 50, MaxRows: 300, SpillDir: t.TempDir()})
+	srv := NewFromRegistry(reg, Options{PageSize: 50, MaxRows: 300})
 	replay("paged", srv, studyScript(pl))
 
 	got := out.String()

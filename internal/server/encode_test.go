@@ -308,9 +308,9 @@ func (c *stateClient) create(ops string) (int64, []byte) {
 
 // TestEncoderMatchesEncodingJSON is the independent byte oracle of the
 // state encoder. Over generated graphs (oracleGraph), served eager and
-// lazily behind a two-section pager, with a 40-row cap that a spill
-// policy lets results pass, a session walks through sorts by every kind of key, hidden
-// columns, and pivots onto the other types, reading random
+// lazily behind a two-section pager, with a 40-row window cap that
+// results pass, a session walks through sorts by every kind of key,
+// hidden columns, and pivots onto the other types, reading random
 // windows; every response — rows from label fragments and the cursor —
 // must equal encoding/json over the reference structs of the window
 // the Result consumer materializes for the same state.
@@ -331,7 +331,7 @@ func TestEncoderMatchesEncodingJSON(t *testing.T) {
 			g    *tgm.InstanceGraph
 		}{{"eager", g}, {"lazy", ls.Graph}} {
 			t.Run(fmt.Sprintf("seed=%d/%s", seed, served.name), func(t *testing.T) {
-				srv := NewWithOptions(served.g.Schema(), served.g, Options{PageSize: 10, MaxRows: 40, SpillDir: t.TempDir()})
+				srv := NewWithOptions(served.g.Schema(), served.g, Options{PageSize: 10, MaxRows: 40})
 				walkOracleStates(newStateClient(t, srv), rand.New(rand.NewSource(seed)))
 			})
 		}

@@ -55,7 +55,6 @@ import (
 	"io"
 	"log"
 	"net/http"
-	"os"
 	"runtime"
 	"runtime/metrics"
 	"sort"
@@ -71,7 +70,6 @@ import (
 	"repro/internal/ops"
 	"repro/internal/registry"
 	"repro/internal/session"
-	"repro/internal/spill"
 	"repro/internal/stats"
 	"repro/internal/tgm"
 )
@@ -97,19 +95,11 @@ type Options struct {
 	// Parallelism is every session's worker budget (default
 	// min(4, GOMAXPROCS); negative forces serial), bounded by the pool.
 	Parallelism int
-	// MaxRows caps the rows any single request may materialize (0 =
-	// unbounded): with spilling off a match past the cap fails from its
-	// exact count, and with it on or off an unbounded read of a larger
-	// table is rejected up front, both as 413 result_too_large. Paging
-	// within the cap is unaffected — set it above PageSize.
+	// MaxRows is the widest window one request may read (0 =
+	// unbounded): a wider read is rejected up front as 413
+	// result_too_large. A match is never refused for its size, and
+	// paging within the cap is unaffected — set it above PageSize.
 	MaxRows int
-	// SpillDir turns on the spill policy, under which a match past
-	// MaxRows is served instead of failing: "" (the default) uses the
-	// system temp directory, "off" keeps the strict MaxRows rejection.
-	// The policy is active only when MaxRows > 0. A prepare stores no
-	// cell, so nothing is written here; stale run files left by older
-	// servers are swept at boot.
-	SpillDir string
 }
 
 func (o Options) withDefaults() Options {
@@ -129,18 +119,7 @@ func (o Options) withDefaults() Options {
 	if o.Parallelism == 0 {
 		o.Parallelism = min(4, runtime.GOMAXPROCS(0))
 	}
-	if o.SpillDir == "" {
-		o.SpillDir = os.TempDir()
-	}
 	return o
-}
-
-// spillEnabled reports whether sessions serve a match past MaxRows
-// instead of failing with its exact count. Without a row cap nothing
-// overflows, so the policy needs both a cap and a directory that is
-// not "off".
-func (o Options) spillEnabled() bool {
-	return o.MaxRows > 0 && o.SpillDir != "off"
 }
 
 // sessionEntry pairs a session with the dataset it is bound to and its
@@ -221,15 +200,6 @@ func NewFromRegistry(reg *registry.Registry, opts Options) *Server {
 	}
 	if opts.MaxWorkers > 0 {
 		s.pool = exec.NewPool(opts.MaxWorkers)
-	}
-	if opts.spillEnabled() {
-		// A previous process that died mid-query may have left named run
-		// files behind; anonymous (O_TMPFILE) runs never need this.
-		if n, err := spill.SweepDir(opts.SpillDir); err != nil {
-			s.logf("server: sweeping stale spill runs in %s: %v", opts.SpillDir, err)
-		} else if n > 0 {
-			s.logf("server: removed %d stale spill run(s) from %s", n, opts.SpillDir)
-		}
 	}
 	s.mux.HandleFunc("GET /", s.handleIndex)
 	// Versioned API (the canonical surface; see docs/API.md).
@@ -332,7 +302,7 @@ const (
 	codeBadBody         = "bad_body"          // 400: malformed request body
 	codeBodyTooLarge    = "body_too_large"    // 413: body exceeds maxBodyBytes
 	codeCanceled        = "request_canceled"  // 499: client went away mid-query
-	codeResultTooLarge  = "result_too_large"  // 413: result exceeds Options.MaxRows
+	codeResultTooLarge  = "result_too_large"  // 413: window wider than Options.MaxRows
 	codeInternal        = "internal"          // 500
 
 	codeDatasetNotFound   = "dataset_not_found"   // 404: unknown dataset name
@@ -382,9 +352,9 @@ type errorJSON struct {
 	Message string `json:"message"`
 	OpIndex *int   `json:"op_index,omitempty"`
 	// Limit and Rows accompany code result_too_large: the server's row
-	// cap and the rows the query had observed when it was cut off. The
-	// payload is identical whichever path rejected the query — the
-	// exact-count check at prepare or the session's pre-window guard.
+	// cap and the rows the rejected window would have read. The
+	// session's pre-window guard is the only path that rejects; a
+	// match is never refused for its size.
 	Limit int `json:"limit,omitempty"`
 	Rows  int `json:"rows,omitempty"`
 }
@@ -402,9 +372,9 @@ func (s *Server) writeErr(w http.ResponseWriter, err error) {
 		case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 			ae = apiErr(statusClientClosedRequest, codeCanceled, "request canceled: %v", err)
 		case errors.As(err, &rl):
-			// Checked before the ops mapping: a row-limit abort inside an
-			// op pipeline arrives wrapped in an *ops.Error, but the
-			// client-actionable signal is the cap, not the op index.
+			// Checked before the ops mapping: should a row-limit error
+			// arrive wrapped in an *ops.Error, the client-actionable
+			// signal is the cap, not the op index.
 			ae = apiErr(http.StatusRequestEntityTooLarge, codeResultTooLarge,
 				"result exceeds the server's %d-row limit; narrow the query or page with limit=", rl.Limit)
 			ae.limit, ae.rows = rl.Limit, rl.Rows
@@ -777,7 +747,6 @@ func (s *Server) createSession(ctx context.Context, w http.ResponseWriter, r *ht
 	}
 	sess := session.NewWithExec(ds.Schema(), ds.Graph(), ds.Cache(), s.pool, s.defaultBudget())
 	sess.SetMaxRows(s.opts.MaxRows)
-	sess.SetSpill(s.spillPolicy())
 	if len(initial) > 0 {
 		if err := sess.ApplyPipelineCtx(ctx, initial); err != nil {
 			return 0, nil, err
@@ -790,15 +759,6 @@ func (s *Server) createSession(ctx context.Context, w http.ResponseWriter, r *ht
 	id := s.lastID.Add(1)
 	closeSessions(append(evicted, s.sessions.Add(id, e)...))
 	return id, e, nil
-}
-
-// spillPolicy builds the spill policy a new session runs under —
-// a match past MaxRows is served — or nil when spilling is disabled.
-func (s *Server) spillPolicy() *graphrel.SpillPolicy {
-	if !s.opts.spillEnabled() {
-		return nil
-	}
-	return &graphrel.SpillPolicy{Dir: s.opts.SpillDir}
 }
 
 // handleCreateSession serves POST /api/v1/sessions (and its

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"strings"
 	"testing"
 
@@ -14,24 +13,22 @@ import (
 	"repro/internal/value"
 )
 
-// spillSession builds a session over the Figure 3 corpus capped at
-// trigger rows under a spill policy over a per-test directory, so every
-// result larger than the cap is served past it.
-func spillSession(t testing.TB, trigger int) (*Session, *graphrel.SpillPolicy) {
+// cappedSession builds a session over the Figure 3 corpus whose
+// windows are at most maxRows wide. Its matches are not capped: every
+// result larger than the cap is served and paged.
+func cappedSession(t testing.TB, maxRows int) *Session {
 	t.Helper()
 	res, err := testdb.Figure3Translation()
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := New(res.Schema, res.Instance)
-	pol := &graphrel.SpillPolicy{Dir: t.TempDir()}
-	s.SetMaxRows(trigger)
-	s.SetSpill(pol)
-	return s, pol
+	s.SetMaxRows(maxRows)
+	return s
 }
 
-// renderWindow serializes one windowed result canonically so spilled
-// and heap sessions can be compared byte for byte.
+// renderWindow serializes one windowed result canonically so capped
+// and uncapped sessions can be compared byte for byte.
 func renderWindow(res *etable.Result) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "total=%d offset=%d\n", res.Total(), res.Offset)
@@ -56,31 +53,17 @@ func renderWindow(res *etable.Result) string {
 	return sb.String()
 }
 
-// runFiles lists the entries of the spill directory dir: nothing
-// writes one, whatever the cap.
-func runFiles(t testing.TB, dir string) []os.DirEntry {
-	t.Helper()
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return entries
-}
-
-// TestSessionSpillEquivalence drives one capped session under a spill
-// policy and one unbounded session through the same interaction —
+// TestSessionSpillEquivalence drives one session capped at 2-row
+// windows and one unbounded session through the same interaction —
 // open, sort, hide, seeall — and asserts every rendered window is
-// identical. The capped session pages in windows at most trigger rows
-// wide (the pre-window guard still caps single reads), and nothing is
-// written to its spill directory.
+// identical. The capped session serves every match, however large,
+// and pages it in windows at most 2 rows wide.
 func TestSessionSpillEquivalence(t *testing.T) {
-	spilled, pol := spillSession(t, 2)
+	capped := cappedSession(t, 2)
 	plain := newSession(t)
 	ctx := context.Background()
 
-	// The pivot to Authors adds the join whose pair count crosses the
-	// 2-row trigger; a joinless open is never capped (no join, no
-	// amplification — the pre-window guard alone caps reads).
+	// The pivot to Authors has more matches than the 2-row cap.
 	steps := []struct {
 		name  string
 		apply func(s *Session) error
@@ -98,39 +81,37 @@ func TestSessionSpillEquivalence(t *testing.T) {
 		}},
 	}
 	for _, step := range steps {
-		for _, s := range []*Session{spilled, plain} {
+		for _, s := range []*Session{capped, plain} {
 			if err := step.apply(s); err != nil {
 				t.Fatalf("%s: %v", step.name, err)
 			}
 		}
-		meta, err := spilled.WindowCtx(ctx, 0, 0)
+		meta, err := capped.WindowCtx(ctx, 0, 0)
 		if err != nil {
 			t.Fatalf("%s: window metadata: %v", step.name, err)
 		}
 		for off := 0; off < meta.Total(); off += 2 {
-			got, err := spilled.WindowCtx(ctx, off, 2)
+			got, err := capped.WindowCtx(ctx, off, 2)
 			if err != nil {
-				t.Fatalf("%s: spilled window %d: %v", step.name, off, err)
+				t.Fatalf("%s: capped window %d: %v", step.name, off, err)
 			}
 			want, err := plain.WindowCtx(ctx, off, 2)
 			if err != nil {
 				t.Fatalf("%s: plain window %d: %v", step.name, off, err)
 			}
 			if rg, rw := renderWindow(got), renderWindow(want); rg != rw {
-				t.Fatalf("%s: window %d differs\nspilled:\n%s\nplain:\n%s", step.name, off, rg, rw)
+				t.Fatalf("%s: window %d differs\ncapped:\n%s\nplain:\n%s", step.name, off, rg, rw)
 			}
 		}
 	}
-	if left := runFiles(t, pol.Dir); len(left) != 0 {
-		t.Fatalf("the walk wrote %d spill entries", len(left))
-	}
 }
 
-// TestSessionSpillOversizedWindowStillRejected: spilling bounds
-// memory, it does not unbound a single read — an explicit window wider
-// than max-rows is still a RowLimitError with the unified payload.
+// TestSessionSpillOversizedWindowStillRejected: a match is served
+// whatever its size, but a single read is not unbounded — an explicit
+// window wider than max-rows is a RowLimitError with the unified
+// payload.
 func TestSessionSpillOversizedWindowStillRejected(t *testing.T) {
-	s, _ := spillSession(t, 2)
+	s := cappedSession(t, 2)
 	if err := s.Open("Papers"); err != nil {
 		t.Fatal(err)
 	}
@@ -141,13 +122,12 @@ func TestSessionSpillOversizedWindowStillRejected(t *testing.T) {
 	}
 }
 
-// TestSessionSpillMemoEviction: cycling through more capped states
-// than the presentation memo holds, each past the row cap under the
-// spill policy, serves every first page, evicts without releasing
-// anything and writes nothing to the spill directory — what a session
-// holds is bounded by the memo, not by session history.
+// TestSessionSpillMemoEviction: cycling through more states than the
+// presentation memo holds, each larger than the 2-row window cap,
+// serves every first page and evicts without releasing anything —
+// what a session holds is bounded by the memo, not by session history.
 func TestSessionSpillMemoEviction(t *testing.T) {
-	s, pol := spillSession(t, 2)
+	s := cappedSession(t, 2)
 	ctx := context.Background()
 	if err := s.Open("Papers"); err != nil {
 		t.Fatal(err)
@@ -184,8 +164,5 @@ func TestSessionSpillMemoEviction(t *testing.T) {
 	}
 	if got, want := renderWindow(again), renderWindow(first); got != want {
 		t.Fatalf("re-prepared window differs\ngot:\n%s\nwant:\n%s", got, want)
-	}
-	if left := runFiles(t, pol.Dir); len(left) != 0 {
-		t.Fatalf("%d spill entries after %d capped states", len(left), extra+1)
 	}
 }

@@ -133,15 +133,10 @@ type Session struct {
 	// mu while executing never blocks on another session's work.
 	pool        *exec.Pool
 	parallelism int
-	// maxRows caps the rows any single request may materialize (0 =
-	// unbounded): the execution core aborts oversized matches mid-join
-	// (or mid-stream) with *graphrel.RowLimitError, and windowLocked
-	// rejects oversized window requests before reading a cell.
+	// maxRows is the widest window one request may read (0 =
+	// unbounded): windowLocked rejects a wider one with
+	// *graphrel.RowLimitError before reading a cell.
 	maxRows int
-	// spill is the session's spill policy (see SetSpill): when set, a
-	// prepare past maxRows is served instead of failing. nil keeps the
-	// strict cap.
-	spill *graphrel.SpillPolicy
 
 	// mu serializes all state-changing actions and snapshot reads on
 	// this session. Lock ordering: session.mu may be held while the
@@ -189,32 +184,17 @@ func NewWithExec(schema *tgm.SchemaGraph, graph *tgm.InstanceGraph, cache *etabl
 	}
 }
 
-// SetMaxRows caps the rows any single request on this session may
-// materialize (0 = unbounded, the default). Oversized matches fail
-// with a *graphrel.RowLimitError carrying their exact size, counted
-// before any tuple exists, and oversized explicit window requests are
-// rejected before any cell is transformed. The cap guards the server
-// against a single pathological query (a high-fanout join chain, or an
-// unbounded read of a huge table) holding result-sized memory; paging
-// within the cap is unaffected. Call before serving requests.
+// SetMaxRows sets the widest window one request on this session may
+// read (0 = unbounded, the default): a wider window fails with a
+// *graphrel.RowLimitError carrying its row count before any cell is
+// read. A match is never refused for its size — a presentation holds
+// its reduced sets whatever |m(Q)| is — so the cap guards only against
+// an unbounded read of a huge table; paging within it is unaffected.
+// Call before serving requests.
 func (s *Session) SetMaxRows(n int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.maxRows = n
-}
-
-// SetSpill sets this session's spill policy: with a policy set, a
-// prepare whose match crosses the max-rows threshold is served and
-// stays pageable, instead of failing with the 413 row-cap error. A
-// prepare stores no cell, so it holds the same reduced sets whatever
-// the match's size, and nothing is written to disk. Explicit window
-// requests larger than max-rows are still rejected: the policy does
-// not unbound a single read. nil (the default) keeps the strict cap.
-// Call before serving requests.
-func (s *Session) SetSpill(pol *graphrel.SpillPolicy) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.spill = pol
 }
 
 // SetWindowRecycling does nothing: every *etable.Result a session
@@ -226,16 +206,10 @@ func (s *Session) SetSpill(pol *graphrel.SpillPolicy) {
 func (s *Session) SetWindowRecycling(bool) {}
 
 // execOptions resolves the execution options for one request: the
-// request context (cancellation) plus the session's worker pool,
-// budget, row cap and spill policy.
+// request context (cancellation) plus the session's worker pool and
+// budget.
 func (s *Session) execOptions(ctx context.Context) etable.ExecOptions {
-	return etable.ExecOptions{
-		Ctx:         ctx,
-		Pool:        s.pool,
-		Parallelism: s.parallelism,
-		MaxRows:     s.maxRows,
-		Spill:       s.spill,
-	}
+	return etable.ExecOptions{Ctx: ctx, Pool: s.pool, Parallelism: s.parallelism}
 }
 
 // Schema returns the schema graph (the "default table list" of Figure 9
@@ -840,11 +814,9 @@ func (s *Session) windowLocked(ctx context.Context, offset, limit int) (Window, 
 	}
 	w := Window{Pres: pres, Columns: pres.Columns()}
 	w.Lo, w.Hi = pres.Bounds(offset, limit)
-	// The max-rows guard, window side: the match itself passed (or was
-	// computed under) the cap, but an unbounded read of a huge table
-	// would still read result-sized cells — reject it before reading
-	// anything. Computed from the prepared presentation's row count, so
-	// the check is O(1).
+	// The max-rows guard: an unbounded read of a huge table would read
+	// result-sized cells — reject it before reading anything. Computed
+	// from the prepared presentation's row count, so the check is O(1).
 	if n := w.Hi - w.Lo; s.maxRows > 0 && n > s.maxRows {
 		return Window{}, graphrel.LimitExceeded(s.maxRows, n)
 	}

@@ -9,7 +9,6 @@ import (
 	"encoding/binary"
 	"math"
 
-	"repro/internal/snapshot/idcol"
 	"repro/internal/stats"
 	"repro/internal/tgm"
 	"repro/internal/value"
@@ -469,10 +468,21 @@ func decodeEdgeDir(buf []byte, order []*tgm.EdgeType) ([]edgeLoader, error) {
 			for i := range offs {
 				offs[i] = int32(binary.LittleEndian.Uint32(offBytes[4*i:]))
 			}
-			return idcol.Decode(srcBytes, nSrc), offs, idcol.Decode(tgtBytes, nTgt), nil
+			return decodeIDs(srcBytes, nSrc), offs, decodeIDs(tgtBytes, nTgt), nil
 		}})
 	}
 	return out, d.done()
+}
+
+// decodeIDs converts n node IDs stored as fixed-width little-endian
+// uint32 — the EDGE section's CSR arrays — into a fresh slice. buf
+// holds at least 4*n bytes: the caller checked the lengths.
+func decodeIDs(buf []byte, n int) []tgm.NodeID {
+	ids := make([]tgm.NodeID, n)
+	for i := range ids {
+		ids[i] = tgm.NodeID(binary.LittleEndian.Uint32(buf[4*i:]))
+	}
+	return ids
 }
 
 // decodeStats rebuilds the edge statistics and publishes them as the

@@ -196,6 +196,18 @@ if grep -rnwE 'GroupPath|SpillGroups|SpilledGroups|groupSource' \
 	exit 1
 fi
 
+# A match is never refused for its size: a presentation holds its
+# reduced sets whatever |m(Q)| is, so the spill tier, its policy, the
+# ID codec it shared with the snapshot and the reduction's saturating
+# count pass stay deleted; -max-rows bounds a window only (ROADMAP 21;
+# the harness module is exempt).
+echo "==> no spill tier, no match count"
+if grep -rnE 'repro/internal/spill|SpillPolicy|SetSpill|SpillDir|satAdd|satMul|internal/snapshot/idcol' \
+	--include='*.go' --exclude='*_test.go' --exclude-dir=etable-load --exclude-dir=.bench_build .; then
+	echo "the spill tier or the match count reappeared (see above)" >&2
+	exit 1
+fi
+
 # Derived state is one mechanism: an attribute rank, a label fragment
 # table and the graph statistics are each built once per frozen graph
 # through tgm.Derive, the graph's one registry (internal/tgm/derived.go).
