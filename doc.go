@@ -87,14 +87,12 @@
 //     2048-ID morsels; SelectSet — the one kernel that fans out — sends
 //     morsels to the pool, each filtering into its own keep list, and
 //     sets the kept members' bits morsel by morsel — no locks on the
-//     hot path, and the same set as a serial run (tested under -race). A
-//     StreamJoin stage probes one batch at a time, and a window is one
-//     serial pass: a census of the four benchmark workloads found their
-//     fan-outs idle or unpaid (PERFORMANCE.md §17). The kernels never
-//     hash a node ID: IDs are dense ordinals, so the
-//     join's build side is a counting-sort index over the build
-//     column's type span probed through a tgm.Adjacency handle, and a
-//     node set is a bitset over its own span (graphrel.NodeSet).
+//     hot path, and the same set as a serial run (tested under -race).
+//     The semi-join kernels and a window are serial passes: a census of
+//     the four benchmark workloads found their fan-outs idle or unpaid
+//     (PERFORMANCE.md §17). The kernels never hash a node ID: IDs are
+//     dense ordinals, so a node set is a bitset over its own span
+//     (graphrel.NodeSet), walked through tgm.Adjacency handles.
 //   - internal/stats: per-edge-type out-degree histograms, read
 //     through one tgm.Adjacency handle per edge type — derived state
 //     in the frozen graph's one registry (tgm.Derive), built on first
@@ -133,7 +131,8 @@
 // way only (a self-loop without a reverse) is walked back through its
 // transpose (tgm.InstanceGraph.Inverse). The kernels' scratch arrays
 // are pooled. m(Q) is enumerated only where tuples are the product —
-// etable.MatchOpts — by a StreamJoin chain over the reduced sets. No
+// etable.MatchOpts — by one depth-first walk of the tree's adjacency
+// through the reduced sets (graphrel.Enumerate). No
 // match is refused for its size. The server's one path is
 // Executor.PrepareWithOpts plus a window. A plan is the pattern's
 // compiled node predicates, built on the miss that needs it and not

@@ -23,10 +23,10 @@
 // set by Pattern.Clone are a hint; an ancestor is used only after a
 // structural sub-pattern check.
 //
-// m(Q) is enumerated only where tuples are the product: MatchOpts runs
-// the StreamJoin chain over the reduced sets from the primary
-// (enumerate), and PrepareOpts drains that chain, retaining no batch,
-// to check that its input is m(Q). No served prepare enumerates it: a
+// m(Q) is enumerated only where tuples are the product: MatchOpts walks
+// the tree's adjacency through the reduced sets from the primary
+// (graphrel.Enumerate), and PrepareOpts counts that walk, storing no
+// tuple, to check that its input is m(Q). No served prepare enumerates it: a
 // prepare holds the reduced sets whatever |m(Q)| is. A pattern without
 // edges never derives: its selected base is its match.
 // ExecOptions.Parallelism reaches only the base selections
@@ -41,9 +41,9 @@
 //
 // The engine's reference is the test-only oracle MatchNaive
 // (match_oracle_test.go): conditions compiled on the spot, declaration
-// join order, a materialized join at every step — in the edge type's
-// stored direction, so it never reads a transpose — and a map-based
-// fold (foldOracle).
+// join order, a materialized nested-loop join of its own at every step
+// — in the edge type's stored direction, so it never reads a transpose
+// — into a tuple type of its own, and a map-based fold (foldOracle).
 //
 // # Planning
 //

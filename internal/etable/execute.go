@@ -18,9 +18,10 @@ import (
 // sets the field from a flag or per request) or a benchmark in
 // bench_test.go.
 type ExecOptions struct {
-	// Ctx cancels execution between morsels and join steps; nil never
-	// cancels. An abandoned HTTP request propagates its context here so
-	// a heavy join stops mid-flight instead of computing for nobody.
+	// Ctx cancels execution between morsels and semi-join steps; nil
+	// never cancels. An abandoned HTTP request propagates its context
+	// here so a heavy match stops mid-flight instead of computing for
+	// nobody.
 	// Set on every request of all four workloads.
 	Ctx context.Context
 	// Pool supplies helper workers. nil executes serially. The pool is
@@ -86,8 +87,8 @@ func Match(g *tgm.InstanceGraph, p *Pattern) (*graphrel.Relation, error) {
 }
 
 // MatchOpts is Match under execution options: the reduced match (see
-// stream.go), enumerated into one relation from the primary in tree
-// order, under the options' budget and cancellation.
+// stream.go), walked into one relation from the primary in tree order
+// (graphrel.Enumerate), under the options' budget and cancellation.
 func MatchOpts(g *tgm.InstanceGraph, p *Pattern, opt ExecOptions) (*graphrel.Relation, error) {
 	t, err := treeOf(g, p)
 	if err != nil {
@@ -97,14 +98,11 @@ func MatchOpts(g *tgm.InstanceGraph, p *Pattern, opt ExecOptions) (*graphrel.Rel
 	if err != nil {
 		return nil, err
 	}
-	if len(p.Nodes) == 1 {
-		return graphrel.SetRelation(g, t.nodes[0].Type, t.keys[0], red.sets[0])
+	attrs := make([]graphrel.Attr, len(t.nodes))
+	for i, n := range t.nodes {
+		attrs[i] = graphrel.Attr{Name: n.Key, Type: g.Schema().NodeType(n.Type)}
 	}
-	src, err := enumerate(g, t, red, opt)
-	if err != nil {
-		return nil, err
-	}
-	return graphrel.MaterializeMax(src, 0)
+	return graphrel.Enumerate(opt.Ctx, g, attrs, red.sets, t.edges)
 }
 
 // errDisconnected reports a pattern whose edges do not connect all nodes

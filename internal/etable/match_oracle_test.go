@@ -13,21 +13,21 @@ import (
 	"repro/internal/value"
 )
 
-// MatchNaive is the match oracle: m(Q) with no reduction and no
-// streamed pipeline. Every node's condition is compiled on the spot and
-// applied with the serial Select, and the pattern's edges are joined in
-// declaration order, starting at the primary node, with the algebra's
-// reference Join — each step a fully materialized intermediate. It
-// shares no code with matchPipeline beyond graphrel's per-range phases,
-// so the engine (whatever batch size, budget, or sink it ran under) is
-// tested against it as a canonical tuple set (canonMatch), and
-// BenchmarkAblation_JoinPlanner measures what the reduction buys over
-// it.
-func MatchNaive(g *tgm.InstanceGraph, p *Pattern) (*graphrel.Relation, error) {
+// MatchNaive is the match oracle: m(Q) with no reduction and none of
+// graphrel's kernels past the base selections. Every node's condition
+// is compiled on the spot and selected from its type's nodes, and the
+// pattern's edges are joined in declaration order, starting at the
+// primary node, each step a nested-loop join over the edge type's
+// stored adjacency (joinStep.join) into a fully materialized
+// intermediate. Its tuples are naiveMatch's, not graphrel's, so the
+// engine (whatever budget it ran under) is tested against it as a
+// canonical tuple set (canonMatch), and BenchmarkAblation_JoinPlanner
+// measures what the reduction buys over it.
+func MatchNaive(g *tgm.InstanceGraph, p *Pattern) (*naiveMatch, error) {
 	if p.PrimaryNode() == nil {
 		return nil, fmt.Errorf("etable: pattern has no primary node")
 	}
-	bases := make(map[string]*graphrel.Relation, len(p.Nodes))
+	bases := make(map[string][]tgm.NodeID, len(p.Nodes))
 	for i := range p.Nodes {
 		n := &p.Nodes[i]
 		var pred *expr.Pred
@@ -38,24 +38,41 @@ func MatchNaive(g *tgm.InstanceGraph, p *Pattern) (*graphrel.Relation, error) {
 			}
 		}
 		set, err := graphrel.SelectSet(nil, nil, 1, g, g.NodesOfType(n.Type), pred)
-		if err == nil {
-			bases[n.Key], err = graphrel.SetRelation(g, n.Type, n.Key, set)
-		}
 		if err != nil {
 			return nil, err
 		}
+		bases[n.Key] = set.IDs()
 	}
 	start, steps, err := declaredSteps(g.Schema(), p)
 	if err != nil {
 		return nil, err
 	}
-	cur := bases[start]
+	cur := &naiveMatch{cols: map[string][]tgm.NodeID{start: bases[start]}, n: len(bases[start])}
 	for _, st := range steps {
-		if cur, err = st.join(cur, bases[st.NewKey]); err != nil {
-			return nil, err
-		}
+		cur = st.join(g, cur, bases[st.NewKey])
 	}
 	return cur, nil
+}
+
+// naiveMatch is the oracle's m(Q): per pattern node key a column of
+// node IDs, n long; row i is the i-th tuple.
+type naiveMatch struct {
+	cols map[string][]tgm.NodeID
+	n    int
+}
+
+// Len returns the number of tuples.
+func (m *naiveMatch) Len() int { return m.n }
+
+// ColumnNamed returns the column of the node keyed key, or nil.
+func (m *naiveMatch) ColumnNamed(key string) []tgm.NodeID { return m.cols[key] }
+
+// matchColumns is what the oracles read of a matched relation — the
+// engine's *graphrel.Relation or MatchNaive's *naiveMatch: its tuple
+// count and a column per pattern node key.
+type matchColumns interface {
+	Len() int
+	ColumnNamed(key string) []tgm.NodeID
 }
 
 // joinStep is one join of the oracle: extend the joined relation from
@@ -67,19 +84,30 @@ type joinStep struct {
 	Against                     bool
 }
 
-// join extends cur by base along the step, joining in the edge type's
-// stored direction: against it, base is the left operand (the tuple
-// set, not the attribute order, is the answer).
-func (st joinStep) join(cur, base *graphrel.Relation) (*graphrel.Relation, error) {
-	left, right, la, ra := cur, base, st.AnchorKey, st.NewKey
-	if st.Against {
-		left, right, la, ra = base, cur, st.NewKey, st.AnchorKey
+// join extends cur by the new node's selected base (ascending IDs),
+// reading the step's edge type only in its stored direction: each
+// tuple pairs with every base node its anchor node's adjacency lists,
+// or, against the type, every base node whose own adjacency lists the
+// anchor node.
+func (st joinStep) join(g *tgm.InstanceGraph, cur *naiveMatch, base []tgm.NodeID) *naiveMatch {
+	out := &naiveMatch{cols: make(map[string][]tgm.NodeID, len(cur.cols)+1)}
+	for i, a := range cur.cols[st.AnchorKey] {
+		for _, b := range base {
+			from, to := a, b
+			if st.Against {
+				from, to = b, a
+			}
+			if !slices.Contains(g.Neighbors(from, st.EdgeName), to) {
+				continue
+			}
+			for k, col := range cur.cols {
+				out.cols[k] = append(out.cols[k], col[i])
+			}
+			out.cols[st.NewKey] = append(out.cols[st.NewKey], b)
+			out.n++
+		}
 	}
-	src, err := graphrel.StreamJoin(nil, graphrel.StreamRelationBatch(left, 0), right, st.EdgeName, false, la, ra)
-	if err != nil {
-		return nil, err
-	}
-	return graphrel.MaterializeMax(src, 0)
+	return out
 }
 
 // declaredSteps is the oracle's join order: start at the primary node
@@ -115,14 +143,14 @@ func oracleTuples(t testing.TB, g *tgm.InstanceGraph, p *Pattern) []string {
 	if err != nil {
 		t.Fatalf("oracle (%s): %v", p, err)
 	}
-	return canonMatch(ref)
+	return canonMatch(p, ref)
 }
 
 // assertMatchesOracle asserts got holds exactly the oracle's tuples
-// (order-insensitively: the engine's row order follows its plan).
-func assertMatchesOracle(t testing.TB, label string, got *graphrel.Relation, want []string) {
+// for p (order-insensitively: the engine's row order is its tree's).
+func assertMatchesOracle(t testing.TB, label string, p *Pattern, got *graphrel.Relation, want []string) {
 	t.Helper()
-	if !reflect.DeepEqual(canonMatch(got), want) {
+	if !reflect.DeepEqual(canonMatch(p, got), want) {
 		t.Fatalf("%s: tuple set diverges from the oracle (%d rows, oracle %d)", label, got.Len(), len(want))
 	}
 }
@@ -130,17 +158,13 @@ func assertMatchesOracle(t testing.TB, label string, got *graphrel.Relation, wan
 // assertReducedMatches asserts a cached reduced match holds exactly
 // what the oracle's m(Q) projects: per attribute the distinct nodes of
 // its column.
-func assertReducedMatches(t testing.TB, label string, red *Reduced, want *graphrel.Relation) {
+func assertReducedMatches(t testing.TB, label string, red *Reduced, want matchColumns) {
 	t.Helper()
-	for _, a := range want.Attrs {
-		set, ok := red.Set(a.Name)
-		if !ok {
-			t.Fatalf("%s: no set for %q", label, a.Name)
-		}
-		proj := slices.Clone(want.ColumnNamed(a.Name))
+	for i, k := range red.keys {
+		proj := slices.Clone(want.ColumnNamed(k))
 		slices.Sort(proj)
-		if got, wantIDs := set.IDs(), slices.Compact(proj); !slices.Equal(got, wantIDs) {
-			t.Fatalf("%s: set %q = %d nodes, oracle projects %d", label, a.Name, len(got), len(wantIDs))
+		if got, wantIDs := red.sets[i].IDs(), slices.Compact(proj); !slices.Equal(got, wantIDs) {
+			t.Fatalf("%s: set %q = %d nodes, oracle projects %d", label, k, len(got), len(wantIDs))
 		}
 	}
 }
@@ -170,7 +194,7 @@ func oracleTable(t testing.TB, g *tgm.InstanceGraph, p *Pattern) (oracleView, *R
 // co-occurring with its row, ascending, and each neighbor cell the
 // row's adjacency; values and labels are read off the attribute
 // columns node by node. Only the column layout is the engine's.
-func foldOracle(g *tgm.InstanceGraph, p *Pattern, matched *graphrel.Relation) (*Result, error) {
+func foldOracle(g *tgm.InstanceGraph, p *Pattern, matched matchColumns) (*Result, error) {
 	lay := &Presentation{g: g, pattern: p, primType: g.Schema().NodeType(p.PrimaryNode().Type)}
 	if err := lay.layoutColumns(p, make([]graphrel.Path, len(p.Nodes)-1)); err != nil {
 		return nil, err

@@ -14,8 +14,7 @@ import (
 // TestParallelExecuteEquivalence asserts the full execution path under
 // a pool returns the oracle's enriched table on the paper's Figure 1
 // and Figure 7 patterns — through ExecuteOpts and through the caching
-// executor's prepare plus full window — at the default batch size and
-// at 16-row batches, where the join stages refill many times.
+// executor's prepare plus full window — under budgets 2 and 4.
 func TestParallelExecuteEquivalence(t *testing.T) {
 	tr := planFixture(t)
 	pool := exec.NewPool(4)
@@ -31,7 +30,6 @@ func TestParallelExecuteEquivalence(t *testing.T) {
 		}
 		assertSameResults(t, name+"/one-morsel", got, want)
 		t.Run(name, func(t *testing.T) {
-			withSmallStreamBatches(t, 16)
 			for _, budget := range []int{2, 4} {
 				opt := ExecOptions{Ctx: context.Background(), Pool: pool, Parallelism: budget}
 				got, err := ExecuteOpts(tr.Instance, p, opt)

@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
-	"repro/internal/graphrel"
+	"repro/internal/tgm"
 	"repro/internal/translate"
 	"repro/internal/value"
 )
@@ -81,23 +81,24 @@ func figure7PlanPattern(t testing.TB, tr *translate.Result) *Pattern {
 	)
 }
 
-// canonMatch renders a matched relation as a sorted multiset of
-// attribute-name→node bindings, so join order cannot affect equality.
-func canonMatch(r *graphrel.Relation) []string {
-	names := make([]string, len(r.Attrs))
-	for i, a := range r.Attrs {
-		names[i] = a.Name
+// canonMatch renders a matched relation of p as a sorted multiset of
+// key→node bindings over p's node keys, so neither the row order nor
+// the relation's type can affect equality.
+func canonMatch(p *Pattern, r matchColumns) []string {
+	keys := make([]string, len(p.Nodes))
+	for i, n := range p.Nodes {
+		keys[i] = n.Key
 	}
-	order := make([]int, len(names))
-	for i := range order {
-		order[i] = i
+	sort.Strings(keys)
+	cols := make([][]tgm.NodeID, len(keys))
+	for i, k := range keys {
+		cols[i] = r.ColumnNamed(k)
 	}
-	sort.Slice(order, func(i, j int) bool { return names[order[i]] < names[order[j]] })
 	out := make([]string, r.Len())
-	for i := 0; i < r.Len(); i++ {
+	for i := range out {
 		key := ""
-		for _, ai := range order {
-			key += names[ai] + "=" + strconv.Itoa(int(r.At(i, ai))) + ";"
+		for ki, k := range keys {
+			key += k + "=" + strconv.Itoa(int(cols[ki][i])) + ";"
 		}
 		out[i] = key
 	}
@@ -126,7 +127,7 @@ func TestPlannerMatchEquivalence(t *testing.T) {
 		if planned.Len() == 0 {
 			t.Fatalf("%s: empty match", name)
 		}
-		cp, cn := canonMatch(planned), canonMatch(naive)
+		cp, cn := canonMatch(p, planned), canonMatch(p, naive)
 		if len(cp) != len(cn) {
 			t.Fatalf("%s: %d vs %d tuples", name, len(cp), len(cn))
 		}

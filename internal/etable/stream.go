@@ -11,24 +11,17 @@ import (
 
 // The match engine (the package doc's "Execution"): a miss computes a
 // pattern's reduced node sets (matchPipeline), and m(Q) itself is
-// enumerated from them only where tuples are the product: MatchOpts
-// and PrepareOpts's check of its input (enumerate).
-
-// streamBatchRows overrides the enumeration's batch size; 0 uses
-// graphrel.MorselRows. Tests shrink it to exercise multi-batch
-// pipelines on hand-checkable fixtures.
-var streamBatchRows = 0
+// walked from them (graphrel.Enumerate) only where tuples are the
+// product: MatchOpts and PrepareOpts's check of its input.
 
 // patternTree is a pattern rooted at its primary node: keys and nodes
 // in tree order (the primary first, every parent before its children),
-// and per node its place in the tree — the edge to its parent, both
-// ways — and the join step parent → node (down, against: orientEdge).
+// and per node its place in the tree: the edge to its parent, both
+// ways.
 type patternTree struct {
-	keys    []string
-	nodes   []*PatternNode
-	edges   []graphrel.TreeEdge
-	down    []string
-	against []bool
+	keys  []string
+	nodes []*PatternNode
+	edges []graphrel.TreeEdge
 }
 
 // treeOf roots p at its primary node. Edges are taken in declaration
@@ -42,8 +35,7 @@ func treeOf(g *tgm.InstanceGraph, p *Pattern) (*patternTree, error) {
 		return nil, fmt.Errorf("etable: pattern has no primary node")
 	}
 	n := len(p.Nodes)
-	t := &patternTree{keys: make([]string, 1, n), nodes: make([]*PatternNode, 1, n),
-		edges: make([]graphrel.TreeEdge, 1, n), down: make([]string, 1, n), against: make([]bool, 1, n)}
+	t := &patternTree{keys: make([]string, 1, n), nodes: make([]*PatternNode, 1, n), edges: make([]graphrel.TreeEdge, 1, n)}
 	t.keys[0], t.nodes[0] = prim.Key, prim
 	joined := func(key string) bool { return slices.Contains(t.keys, key) }
 	for len(t.keys) < n {
@@ -57,8 +49,7 @@ func treeOf(g *tgm.InstanceGraph, p *Pattern) (*patternTree, error) {
 			if against {
 				te.Down, te.Up = te.Up, te.Down
 			}
-			t.keys, t.nodes = append(t.keys, key), append(t.nodes, p.Node(key))
-			t.edges, t.down, t.against = append(t.edges, te), append(t.down, down), append(t.against, against)
+			t.keys, t.nodes, t.edges = append(t.keys, key), append(t.nodes, p.Node(key)), append(t.edges, te)
 			progressed = true
 		}
 		if !progressed {
@@ -141,31 +132,4 @@ func selectSet(g *tgm.InstanceGraph, opt ExecOptions, n *PatternNode, from *grap
 		ids = from.IDs()
 	}
 	return graphrel.SelectSet(opt.Ctx, opt.Pool, opt.Parallelism, g, ids, pred)
-}
-
-// enumerate streams m(Q) from its reduced sets: the primary's set,
-// joined along the tree in tree order, each step probing the child's
-// set through StreamJoin. The sets are fully reduced, so every tuple
-// a step produces extends to a full match. The caller must drain or
-// Close the stream.
-func enumerate(g *tgm.InstanceGraph, t *patternTree, red *Reduced, opt ExecOptions) (graphrel.RowSource, error) {
-	var src graphrel.RowSource
-	for i, n := range t.nodes {
-		s, ok := red.Set(n.Key)
-		if !ok {
-			return nil, fmt.Errorf("etable: reduced match has no set for pattern node %q", n.Key)
-		}
-		rel, err := graphrel.SetRelation(g, n.Type, n.Key, s)
-		if err != nil {
-			return nil, err
-		}
-		if i == 0 {
-			src = graphrel.StreamRelationBatch(rel, streamBatchRows)
-			continue
-		}
-		if src, err = graphrel.StreamJoin(opt.Ctx, src, rel, t.down[i], t.against[i], t.keys[t.edges[i].Parent], n.Key); err != nil {
-			return nil, err
-		}
-	}
-	return src, nil
 }

@@ -12,15 +12,6 @@ import (
 	"repro/internal/tgm"
 )
 
-// withSmallStreamBatches shrinks the streamed pipeline's batch size so
-// the test corpus spans many batches, restoring it on cleanup.
-func withSmallStreamBatches(t *testing.T, rows int) {
-	t.Helper()
-	old := streamBatchRows
-	streamBatchRows = rows
-	t.Cleanup(func() { streamBatchRows = old })
-}
-
 // prepareMiss is the executor's miss without a cache: the reduced
 // match, prepared under the options' row cap.
 func prepareMiss(g *tgm.InstanceGraph, p *Pattern, opt ExecOptions) (*Presentation, *Reduced, error) {
@@ -51,7 +42,7 @@ func assertSameRelations(t *testing.T, label string, got, want *graphrel.Relatio
 		if got.Attrs[ai] != want.Attrs[ai] {
 			t.Fatalf("%s: attr %d = %v, want %v", label, ai, got.Attrs[ai], want.Attrs[ai])
 		}
-		gc, wc := got.Column(ai), want.Column(ai)
+		gc, wc := got.ColumnNamed(want.Attrs[ai].Name), want.ColumnNamed(want.Attrs[ai].Name)
 		for i := range wc {
 			if gc[i] != wc[i] {
 				t.Fatalf("%s: col %d row %d = %v, want %v", label, ai, i, gc[i], wc[i])
@@ -62,9 +53,9 @@ func assertSameRelations(t *testing.T, label string, got, want *graphrel.Relatio
 
 // TestStreamMatchEquivalence asserts the engine's match equals the
 // oracle's tuple set on the paper's figure patterns, and that it is the
-// same relation row for row whether the pipeline ran in 7-row batches
-// or morsels, serial or with its selections under a pool — the identity
-// that keeps responses byte-stable across budgets.
+// same relation row for row whether its selections ran serial or under
+// a pool — the identity that keeps responses byte-stable across
+// budgets.
 func TestStreamMatchEquivalence(t *testing.T) {
 	tr := planFixture(t)
 	pool := exec.NewPool(4)
@@ -76,19 +67,16 @@ func TestStreamMatchEquivalence(t *testing.T) {
 		var first *graphrel.Relation
 		for _, tc := range []struct {
 			label string
-			batch int
 			opt   ExecOptions
 		}{
-			{"serial_morsel", 0, ExecOptions{}},
-			{"serial_small_batches", 7, ExecOptions{}},
-			{"pooled", 13, ExecOptions{Ctx: context.Background(), Pool: pool, Parallelism: 4}},
+			{"serial", ExecOptions{}},
+			{"pooled", ExecOptions{Ctx: context.Background(), Pool: pool, Parallelism: 4}},
 		} {
-			withSmallStreamBatches(t, tc.batch)
 			got, err := MatchOpts(tr.Instance, p, tc.opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertMatchesOracle(t, name+"/"+tc.label, got, oracle)
+			assertMatchesOracle(t, name+"/"+tc.label, p, got, oracle)
 			if first == nil {
 				first = got
 			}
@@ -98,10 +86,9 @@ func TestStreamMatchEquivalence(t *testing.T) {
 }
 
 // TestStreamMatchEquivalenceRandomized fuzzes the engine against the
-// oracle: random year thresholds vary the selectivity, random batch
-// sizes vary the pipeline's chunking, and random budgets vary the
-// selections' fan-out — the tuple set must be the oracle's, and the
-// rows identical to the serial default-batch run, throughout.
+// oracle: random year thresholds vary the selectivity and random
+// budgets the selections' fan-out — the tuple set must be the
+// oracle's, and the rows identical to the serial run, throughout.
 func TestStreamMatchEquivalenceRandomized(t *testing.T) {
 	tr := planFixture(t)
 	pool := exec.NewPool(4)
@@ -114,17 +101,12 @@ func TestStreamMatchEquivalenceRandomized(t *testing.T) {
 			opAdd(tr, "Authors→Institutions"),
 		)
 		label := fmt.Sprintf("trial=%d year>%d", trial, year)
-		withSmallStreamBatches(t, 0)
 		want, err := MatchOpts(tr.Instance, p, ExecOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertMatchesOracle(t, label, want, oracleTuples(t, tr.Instance, p))
-		withSmallStreamBatches(t, 1+rng.Intn(64))
-		var opt ExecOptions
-		if rng.Intn(2) == 0 {
-			opt.Ctx, opt.Pool, opt.Parallelism = context.Background(), pool, 2+rng.Intn(4)
-		}
+		assertMatchesOracle(t, label, p, want, oracleTuples(t, tr.Instance, p))
+		opt := ExecOptions{Ctx: context.Background(), Pool: pool, Parallelism: 2 + rng.Intn(4)}
 		got, err := MatchOpts(tr.Instance, p, opt)
 		if err != nil {
 			t.Fatal(err)
@@ -140,7 +122,6 @@ func TestStreamMatchEquivalenceRandomized(t *testing.T) {
 func TestPrepareFromSetsEquivalence(t *testing.T) {
 	tr := planFixture(t)
 	pool := exec.NewPool(4)
-	withSmallStreamBatches(t, 11)
 	for name, p := range map[string]*Pattern{
 		"figure1": figure1PlanPattern(t, tr),
 		"figure7": figure7PlanPattern(t, tr),
@@ -191,7 +172,6 @@ func TestPrepareFromSetsEquivalence(t *testing.T) {
 // presentation.
 func TestExecutorStreamingPrepareCached(t *testing.T) {
 	tr := planFixture(t)
-	withSmallStreamBatches(t, 17)
 	p := figure7PlanPattern(t, tr)
 	_, want := oracleTable(t, tr.Instance, p)
 
@@ -204,7 +184,7 @@ func TestExecutorStreamingPrepareCached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameResults(t, "streamed-vs-oracle", got, want)
+	assertSameResults(t, "miss-vs-oracle", got, want)
 
 	// The cached sets are the match's projections.
 	red, ok := e.Cache().Get(matchPrefix + Signature(p))
@@ -237,7 +217,6 @@ func TestExecutorStreamingPrepareCached(t *testing.T) {
 // without recomputation.
 func TestExecutorStreamingMatchCached(t *testing.T) {
 	tr := planFixture(t)
-	withSmallStreamBatches(t, 9)
 	p := figure1PlanPattern(t, tr)
 	e := NewExecutor(tr.Instance)
 	if _, err := e.PrepareWithOpts(p, ExecOptions{}); err != nil {
@@ -265,13 +244,12 @@ func TestExecutorStreamingMatchCached(t *testing.T) {
 	assertReducedMatches(t, "cached-match", first, naive)
 }
 
-// TestMaxRowsGuard: a row cap is a drain's, never the engine's.
-// MaterializeMax over the match's enumeration fails past its cap with
-// *graphrel.RowLimitError and admits the match at its size, and a
-// prepare of the same pattern is not refused for its size.
+// TestMaxRowsGuard: no row cap is the engine's. A match and the
+// prepare of the same pattern are not refused for their size: the
+// widest read a request may make is the session's window guard
+// (session.SetMaxRows).
 func TestMaxRowsGuard(t *testing.T) {
 	tr := planFixture(t)
-	withSmallStreamBatches(t, 9)
 	p := buildPattern(t, tr, "Papers",
 		opAdd(tr, "Paper_Authors"),
 		opAdd(tr, "Authors→Institutions"),
@@ -283,31 +261,6 @@ func TestMaxRowsGuard(t *testing.T) {
 	if full.Len() < 10 {
 		t.Fatalf("fixture too small: %d match rows", full.Len())
 	}
-	drain := func(max int) (*graphrel.Relation, error) {
-		tree, err := treeOf(tr.Instance, p)
-		if err != nil {
-			return nil, err
-		}
-		red, err := matchPipeline(tr.Instance, p, tree, ExecOptions{}, nil)
-		if err != nil {
-			return nil, err
-		}
-		src, err := enumerate(tr.Instance, tree, red, ExecOptions{})
-		if err != nil {
-			return nil, err
-		}
-		return graphrel.MaterializeMax(src, max)
-	}
-	_, err = drain(5)
-	var rle *graphrel.RowLimitError
-	if !errors.As(err, &rle) || rle.Limit != 5 {
-		t.Fatalf("err = %v, want RowLimitError{5}", err)
-	}
-	ok, err := drain(full.Len())
-	if err != nil {
-		t.Fatalf("at-cap: %v", err)
-	}
-	assertSameRelations(t, "at-cap", ok, full)
 	pr, err := NewExecutor(tr.Instance).PrepareWithOpts(p, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -318,10 +271,9 @@ func TestMaxRowsGuard(t *testing.T) {
 }
 
 // TestStreamingCancellation asserts a canceled context surfaces
-// through the match's drain and the prepare fold.
+// through the match and the prepare.
 func TestStreamingCancellation(t *testing.T) {
 	tr := planFixture(t)
-	withSmallStreamBatches(t, 9)
 	p := figure7PlanPattern(t, tr)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

@@ -251,8 +251,9 @@ func Prepare(g *tgm.InstanceGraph, p *Pattern, matched *graphrel.Relation) (*Pre
 // columns A_h of §5.4.2. matched must be m(Q): the presentation is
 // prepared from its projections π_k(matched), which for m(Q) are
 // exactly the engine's reduced sets (prepareSets). A relation that is
-// not — a subset, a capped drain — holds fewer tuples than the full
-// reduction over its projections enumerates, and is refused.
+// not — a subset, a tuple repeated — holds another number of tuples
+// than the full reduction over its projections enumerates (counted by
+// graphrel.Enumerate, storing none), and is refused.
 func PrepareOpts(g *tgm.InstanceGraph, p *Pattern, matched *graphrel.Relation, opt ExecOptions) (*Presentation, error) {
 	t, err := treeOf(g, p)
 	if err != nil {
@@ -260,36 +261,23 @@ func PrepareOpts(g *tgm.InstanceGraph, p *Pattern, matched *graphrel.Relation, o
 	}
 	sets := make([]graphrel.NodeSet, len(t.keys))
 	for i, k := range t.keys {
-		col := matched.ColumnNamed(k)
-		if col == nil && matched.AttrIndex(k) < 0 {
+		if matched.AttrIndex(k) < 0 {
 			return nil, fmt.Errorf("etable: matched relation has no attribute %q", k)
 		}
-		sets[i] = graphrel.SetOf(col)
+		sets[i] = graphrel.SetOf(matched.ColumnNamed(k))
 	}
 	reduced, err := graphrel.Reduce(opt.Ctx, sets, t.edges)
 	if err != nil {
 		return nil, err
 	}
-	red := &Reduced{keys: t.keys, sets: reduced}
-	src, err := enumerate(g, t, red, opt)
+	all, err := graphrel.Enumerate(opt.Ctx, g, nil, reduced, t.edges)
 	if err != nil {
 		return nil, err
 	}
-	defer src.Close()
-	n := 0
-	for {
-		b, err := src.Next()
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			break
-		}
-		n += b.Len()
+	if all.Len() != matched.Len() {
+		return nil, fmt.Errorf("etable: matched relation holds %d tuples, not the %d matches over its projections: PrepareOpts needs m(Q)", matched.Len(), all.Len())
 	}
-	if n != matched.Len() {
-		return nil, fmt.Errorf("etable: matched relation holds %d tuples, not the %d matches over its projections: PrepareOpts needs m(Q)", matched.Len(), n)
-	}
+	red := &Reduced{keys: t.keys, sets: reduced}
 	return prepareSets(g, p, t, red, opt)
 }
 

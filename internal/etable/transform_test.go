@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/exec"
-	"repro/internal/graphrel"
 	"repro/internal/tgm"
 	"repro/internal/value"
 )
@@ -384,8 +383,10 @@ func TestSortedViewSharesPreparedState(t *testing.T) {
 }
 
 // TestPrepareOptsRefusesNonMatch: PrepareOpts prepares m(Q) and
-// refuses a relation whose tuples are not m(Q) — here every tuple
-// twice, whose projections are m(Q)'s.
+// refuses a relation whose tuples are not m(Q) — here m(Q) of the
+// pattern plus one leaf edge from its Authors to their papers, which
+// repeats every tuple once per paper of its author while its
+// projections stay m(Q)'s.
 func TestPrepareOptsRefusesNonMatch(t *testing.T) {
 	tr := planFixture(t)
 	p := figure7PlanPattern(t, tr)
@@ -396,11 +397,18 @@ func TestPrepareOptsRefusesNonMatch(t *testing.T) {
 	if _, err := PrepareOpts(tr.Instance, p, matched, ExecOptions{}); err != nil {
 		t.Fatalf("m(Q) refused: %v", err)
 	}
-	twice, err := graphrel.Concat(matched, matched)
+	wider, err := Add(tr.Schema, p, "Paper_Authors_rev")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := PrepareOpts(tr.Instance, p, twice, ExecOptions{}); err == nil {
-		t.Fatal("a relation holding every tuple twice was prepared as m(Q)")
+	repeated, err := MatchOpts(tr.Instance, wider, ExecOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if repeated.Len() <= matched.Len() {
+		t.Fatalf("fixture: the leaf edge repeats no tuple (%d rows, m(Q) %d)", repeated.Len(), matched.Len())
+	}
+	if _, err := PrepareOpts(tr.Instance, p, repeated, ExecOptions{}); err == nil {
+		t.Fatalf("a relation repeating m(Q)'s tuples (%d rows, m(Q) %d) was prepared as m(Q)", repeated.Len(), matched.Len())
 	}
 }

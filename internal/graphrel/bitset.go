@@ -1,7 +1,6 @@
 package graphrel
 
 import (
-	"fmt"
 	"math/bits"
 	"slices"
 
@@ -161,20 +160,4 @@ func (s NodeSet) trim() NodeSet {
 		return NodeSet{}
 	}
 	return NodeSet{lo: s.lo + tgm.NodeID(first<<6), bits: slices.Clone(s.bits[first : last+1]), n: s.n}
-}
-
-// SetRelation returns the set as a one-attribute relation of type
-// typeName named attrName, its column ascending: the input StreamJoin
-// reads when a reduced match is enumerated. A set holding every node of
-// the type aliases the type's node list, like BaseNamed.
-func SetRelation(g *tgm.InstanceGraph, typeName, attrName string, s NodeSet) (*Relation, error) {
-	nt := g.Schema().NodeType(typeName)
-	if nt == nil {
-		return nil, fmt.Errorf("graphrel: unknown node type %q", typeName)
-	}
-	if ids := g.NodesOfType(typeName); s.n == len(ids) {
-		return BaseNamed(g, typeName, attrName)
-	}
-	ids := s.IDs()
-	return &Relation{g: g, Attrs: []Attr{{Name: attrName, Type: nt}}, cols: [][]tgm.NodeID{ids}, n: len(ids)}, nil
 }

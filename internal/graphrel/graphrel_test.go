@@ -82,33 +82,63 @@ func figure8Graph(t testing.TB) (*tgm.InstanceGraph, map[string]tgm.NodeID) {
 	return g, ids
 }
 
-func TestBase(t *testing.T) {
-	g, _ := figure8Graph(t)
-	r, err := Base(g, "Papers")
+// attrsOf names one attribute per node type, by the type's name.
+func attrsOf(g *tgm.InstanceGraph, types ...string) []Attr {
+	out := make([]Attr, len(types))
+	for i, name := range types {
+		out[i] = Attr{Name: name, Type: g.Schema().NodeType(name)}
+	}
+	return out
+}
+
+// edgeTo places a tree node under parent, walked from it along
+// edgeType (Down) and back along the type's transpose (Up).
+func edgeTo(g *tgm.InstanceGraph, parent int, edgeType string) TreeEdge {
+	return TreeEdge{Parent: parent, Down: g.Adjacency(edgeType), Up: g.Inverse(edgeType)}
+}
+
+// selected is the set of typeName's nodes satisfying cond (every node
+// for an empty cond).
+func selected(t testing.TB, g *tgm.InstanceGraph, typeName, cond string) NodeSet {
+	t.Helper()
+	var pred *expr.Pred
+	if cond != "" {
+		var err error
+		if pred, err = expr.Compile(expr.MustParse(cond), g.Schema().NodeType(typeName)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, err := SelectSet(nil, nil, 1, g, g.NodesOfType(typeName), pred)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Len() != 5 || len(r.Attrs) != 1 || r.Attrs[0].Name != "Papers" {
+	return s
+}
+
+// TestBase: a one-node Enumerate over a type's every node is its base
+// relation — one single-attribute tuple per node, ascending, under the
+// given name — and its count form holds as many tuples and no column.
+func TestBase(t *testing.T) {
+	g, _ := figure8Graph(t)
+	r, err := base(g, "Papers", "Papers#2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Len() != 5 || len(r.Attrs) != 1 || r.Attrs[0].Name != "Papers#2" || !slices.Equal(r.ColumnNamed("Papers#2"), g.NodesOfType("Papers")) {
 		t.Errorf("base = %d tuples, attrs %v", r.Len(), r.Attrs)
 	}
-	if _, err := Base(g, "Nope"); err == nil {
-		t.Error("unknown type accepted")
+	if r.AttrIndex("Papers#2") != 0 || r.AttrIndex("zzz") != -1 || r.ColumnNamed("zzz") != nil {
+		t.Error("AttrIndex/ColumnNamed")
 	}
-	named, _ := BaseNamed(g, "Papers", "Papers#2")
-	if named.Attrs[0].Name != "Papers#2" || named.AttrIndex("Papers#2") != 0 {
-		t.Error("BaseNamed")
-	}
-	if named.AttrIndex("zzz") != -1 {
-		t.Error("AttrIndex miss")
-	}
-	if named.Graph() != g {
-		t.Error("Graph()")
+	counted, err := Enumerate(nil, g, nil, []NodeSet{selected(t, g, "Papers", "")}, []TreeEdge{{}})
+	if err != nil || counted.Len() != 5 || len(counted.Attrs) != 0 {
+		t.Errorf("count form = %v, err %v; want 5 tuples, no attribute", counted, err)
 	}
 }
 
 func TestSelect(t *testing.T) {
 	g, _ := figure8Graph(t)
-	papers, _ := Base(g, "Papers")
+	papers, _ := base(g, "Papers", "Papers")
 	recent, err := selectCond(papers, "Papers", expr.MustParse("year > 2005"))
 	if err != nil {
 		t.Fatal(err)
@@ -140,13 +170,14 @@ func TestSelect(t *testing.T) {
 	}
 }
 
+// TestJoin walks the first joins of Figure 8:
+// σ_{acronym='SIGMOD'}(Conferences) ∗ Papers, then on to Authors with
+// the papers after 2005.
 func TestJoin(t *testing.T) {
 	g, ids := figure8Graph(t)
-	confs, _ := Base(g, "Conferences")
-	sigmod, _ := selectCond(confs, "Conferences", expr.MustParse("acronym = 'SIGMOD'"))
-	papers, _ := Base(g, "Papers")
-
-	j, err := Join(sigmod, papers, "Conf-Papers", "Conferences", "Papers")
+	sigmod := selected(t, g, "Conferences", "acronym = 'SIGMOD'")
+	tree := []TreeEdge{{}, edgeTo(g, 0, "Conf-Papers")}
+	j, err := Enumerate(nil, g, attrsOf(g, "Conferences", "Papers"), []NodeSet{sigmod, selected(t, g, "Papers", "")}, tree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,53 +187,55 @@ func TestJoin(t *testing.T) {
 	if len(j.Attrs) != 2 || j.Attrs[0].Name != "Conferences" || j.Attrs[1].Name != "Papers" {
 		t.Errorf("join attrs = %v", j.Attrs)
 	}
-	for _, id := range j.Column(0) {
+	for _, id := range j.ColumnNamed("Conferences") {
 		if id != ids["sigmod"] {
 			t.Errorf("joined tuple with wrong conference: %v", id)
 		}
 	}
-	// Chain: filter papers by year, join to authors (Figure 8).
-	recent, _ := selectCond(j, "Papers", expr.MustParse("year > 2005"))
-	authors, _ := Base(g, "Authors")
-	j2, err := Join(recent, authors, "Papers-Authors", "Papers", "Authors")
+	sets := []NodeSet{sigmod, selected(t, g, "Papers", "year > 2005"), selected(t, g, "Authors", "")}
+	j2, err := Enumerate(nil, g, attrsOf(g, "Conferences", "Papers", "Authors"), sets, append(tree, edgeTo(g, 1, "Papers-Authors")))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// p1→bob, p4→bob/mark/chad, p5→bob = 5 tuples.
-	if j2.Len() != 5 {
-		t.Errorf("paper-author tuples = %d, want 5", j2.Len())
+	// p1→bob, p4→bob/mark/chad, p5→bob = 5 tuples, in tree order.
+	want := []tgm.NodeID{ids["p1"], ids["p4"], ids["p4"], ids["p4"], ids["p5"]}
+	if !slices.Equal(j2.ColumnNamed("Papers"), want) {
+		t.Errorf("paper column = %v, want %v", j2.ColumnNamed("Papers"), want)
 	}
 }
 
+// TestJoinErrors: Enumerate refuses arguments that do not describe one
+// tree — attributes, sets and tree nodes of different counts, or a node
+// whose parent does not come before it.
 func TestJoinErrors(t *testing.T) {
 	g, _ := figure8Graph(t)
-	confs, _ := Base(g, "Conferences")
-	papers, _ := Base(g, "Papers")
-	if _, err := Join(confs, papers, "nope", "Conferences", "Papers"); err == nil {
-		t.Error("unknown edge type accepted")
-	}
-	if _, err := Join(confs, papers, "Conf-Papers", "nope", "Papers"); err == nil {
-		t.Error("bad left attr accepted")
-	}
-	if _, err := Join(confs, papers, "Conf-Papers", "Conferences", "nope"); err == nil {
-		t.Error("bad right attr accepted")
-	}
-	// Type mismatch: edge source must match left attr type.
-	if _, err := Join(papers, confs, "Conf-Papers", "Papers", "Conferences"); err == nil {
-		t.Error("source type mismatch accepted")
-	}
-	other := tgm.NewInstanceGraph(g.Schema())
-	otherPapers, _ := Base(other, "Papers")
-	if _, err := Join(confs, otherPapers, "Conf-Papers", "Conferences", "Papers"); err == nil {
-		t.Error("cross-graph join accepted")
+	confs, papers := selected(t, g, "Conferences", ""), selected(t, g, "Papers", "")
+	sets := []NodeSet{confs, papers}
+	for name, tc := range map[string]struct {
+		attrs []Attr
+		sets  []NodeSet
+		tree  []TreeEdge
+	}{
+		"attrs short":      {attrsOf(g, "Conferences"), sets, []TreeEdge{{}, edgeTo(g, 0, "Conf-Papers")}},
+		"tree short":       {attrsOf(g, "Conferences", "Papers"), sets, []TreeEdge{{}}},
+		"parent itself":    {nil, sets, []TreeEdge{{}, edgeTo(g, 1, "Conf-Papers")}},
+		"parent negative":  {nil, sets, []TreeEdge{{}, edgeTo(g, -1, "Conf-Papers")}},
+		"count tree short": {nil, sets, []TreeEdge{{}}},
+	} {
+		if r, err := Enumerate(nil, g, tc.attrs, tc.sets, tc.tree); err == nil {
+			t.Errorf("%s: accepted, %d tuples", name, r.Len())
+		}
 	}
 }
 
+// TestJoinScanEquivalence: Enumerate over Conferences ∗ Papers holds
+// the nested-loop oracle's tuples.
 func TestJoinScanEquivalence(t *testing.T) {
 	g, _ := figure8Graph(t)
-	confs, _ := Base(g, "Conferences")
-	papers, _ := Base(g, "Papers")
-	a, err := Join(confs, papers, "Conf-Papers", "Conferences", "Papers")
+	confs, _ := base(g, "Conferences", "Conferences")
+	papers, _ := base(g, "Papers", "Papers")
+	a, err := Enumerate(nil, g, attrsOf(g, "Conferences", "Papers"),
+		[]NodeSet{SetOf(confs.cols[0]), SetOf(papers.cols[0])}, []TreeEdge{{}, edgeTo(g, 0, "Conf-Papers")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,15 +243,10 @@ func TestJoinScanEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ca, cb := canonTuples(a), canonTuples(b)
-	if len(ca) != len(cb) {
-		t.Fatalf("lengths differ: %d vs %d", len(ca), len(cb))
+	if a.Len() == 0 {
+		t.Fatal("empty join")
 	}
-	for i := range ca {
-		if ca[i] != cb[i] {
-			t.Fatalf("tuple %d differs", i)
-		}
-	}
+	assertSameTuples(t, 0, "Conferences*Papers", a, b)
 }
 
 // distinctCount is the number of distinct IDs in ids.
@@ -236,7 +264,7 @@ func canonTuples(r *Relation) []string {
 	for i := 0; i < r.Len(); i++ {
 		key := ""
 		for c := range r.Attrs {
-			key += string(rune(r.At(i, c))) + ","
+			key += string(rune(r.cols[c][i])) + ","
 		}
 		out[i] = key
 	}
@@ -246,9 +274,9 @@ func canonTuples(r *Relation) []string {
 
 func TestDistinctNodes(t *testing.T) {
 	g, ids := figure8Graph(t)
-	papers, _ := Base(g, "Papers")
-	authors, _ := Base(g, "Authors")
-	j, _ := Join(papers, authors, "Papers-Authors", "Papers", "Authors")
+	papers, _ := base(g, "Papers", "Papers")
+	authors, _ := base(g, "Authors", "Authors")
+	j, _ := JoinScan(papers, authors, "Papers-Authors", "Papers", "Authors")
 	rows, err := DistinctSorted(j, "Papers")
 	if err != nil {
 		t.Fatal(err)
@@ -263,7 +291,7 @@ func TestDistinctNodes(t *testing.T) {
 		t.Errorf("rows = %v, oracle %v", rows, distinctOracle(j.ColumnNamed("Papers")))
 	}
 	// The reverse join reaches the same papers in another row order.
-	rev, _ := Join(authors, papers, "Papers-Authors_rev", "Authors", "Papers")
+	rev, _ := JoinScan(authors, papers, "Papers-Authors_rev", "Authors", "Papers")
 	if back, _ := DistinctSorted(rev, "Papers"); !slices.Equal(back, rows) {
 		t.Errorf("reverse join rows = %v, want %v", back, rows)
 	}
@@ -274,9 +302,9 @@ func TestDistinctNodes(t *testing.T) {
 
 func TestGroupNeighbors(t *testing.T) {
 	g, ids := figure8Graph(t)
-	papers, _ := Base(g, "Papers")
-	authors, _ := Base(g, "Authors")
-	j, _ := Join(papers, authors, "Papers-Authors", "Papers", "Authors")
+	papers, _ := base(g, "Papers", "Papers")
+	authors, _ := base(g, "Authors", "Authors")
+	j, _ := JoinScan(papers, authors, "Papers-Authors", "Papers", "Authors")
 	groups := groupBoth(t, "papers→authors", j, "Papers", "Authors")
 	if groups.Count(ids["p4"]) != 3 {
 		t.Errorf("p4 has %d authors, want 3", groups.Count(ids["p4"]))
@@ -295,59 +323,74 @@ func TestGroupNeighbors(t *testing.T) {
 	}
 }
 
+// TestFigure8Pipeline runs the full Figure 8 instance matching:
+// σ_{acronym='SIGMOD'}(Conf) ∗ σ_{year>2005}(Papers) ∗ Authors
+// ∗ σ_{country like '%Korea%'}(Inst) — selected sets, reduced, then
+// enumerated — and checks it against the JoinScan chain over the
+// reference selections.
 func TestFigure8Pipeline(t *testing.T) {
-	// The full Figure 8 instance-matching chain:
-	// σ_{acronym='SIGMOD'}(Conf) ∗ σ_{year>2005}(Papers) ∗ Authors
-	// ∗ σ_{country like '%Korea%'}(Inst)
-	g, ids := figure8Graph(t)
-	confs, _ := Base(g, "Conferences")
-	sigmod, _ := selectCond(confs, "Conferences", expr.MustParse("acronym = 'SIGMOD'"))
-	papers, _ := Base(g, "Papers")
-	recent, _ := selectCond(papers, "Papers", expr.MustParse("year > 2005"))
-	j1, err := Join(sigmod, recent, "Conf-Papers", "Conferences", "Papers")
+	g, _ := figure8Graph(t)
+	types := []string{"Conferences", "Papers", "Authors", "Institutions"}
+	conds := []string{"acronym = 'SIGMOD'", "year > 2005", "", "country like '%Korea%'"}
+	edges := []string{"", "Conf-Papers", "Papers-Authors", "Authors-Inst"}
+	sets, tree := make([]NodeSet, 4), make([]TreeEdge, 4)
+	var chain *Relation
+	for i, typ := range types {
+		sets[i] = selected(t, g, typ, conds[i])
+		rel, _ := base(g, typ, typ)
+		if conds[i] != "" {
+			rel, _ = selectCond(rel, typ, expr.MustParse(conds[i]))
+		}
+		if i == 0 {
+			chain = rel
+			continue
+		}
+		tree[i] = edgeTo(g, i-1, edges[i])
+		var err error
+		if chain, err = JoinScan(chain, rel, edges[i], types[i-1], typ); err != nil {
+			t.Fatal(err)
+		}
+	}
+	red, err := Reduce(context.Background(), sets, tree)
 	if err != nil {
 		t.Fatal(err)
 	}
-	authors, _ := Base(g, "Authors")
-	j2, err := Join(j1, authors, "Papers-Authors", "Papers", "Authors")
+	got, err := Enumerate(context.Background(), g, attrsOf(g, types...), red, tree)
 	if err != nil {
 		t.Fatal(err)
 	}
-	insts, _ := Base(g, "Institutions")
-	korea, _ := selectCond(insts, "Institutions", expr.MustParse("country like '%Korea%'"))
-	j3, err := Join(j2, korea, "Authors-Inst", "Authors", "Institutions")
-	if err != nil {
-		t.Fatal(err)
-	}
+	assertSameTuples(t, 0, "figure 8", got, chain)
 	// Authors in Korea with recent SIGMOD papers: bob (p1, p4, p5) and
 	// mark (p4) — chad is at UW.
-	got, _ := DistinctSorted(j3, "Authors")
+	got2, _ := DistinctSorted(got, "Authors")
 	names := map[string]bool{}
-	for _, id := range got {
+	for _, id := range got2 {
 		names[g.Node(id).Label()] = true
 	}
 	if len(names) != 2 || !names["Bob"] || !names["Mark"] {
 		t.Errorf("Korea authors = %v", names)
 	}
-	_ = ids
 }
 
-// TestConcurrentOperatorsOnSharedRelation runs Select/Join/Retain
-// from many goroutines over the same shared relations; with
-// -race this verifies the package's immutability and sharing contract
-// (cached relations are handed to every session without copying).
+// TestConcurrentOperatorsOnSharedRelation runs SelectSet, Reduce,
+// Enumerate and the reference Select and Retain from many goroutines
+// over the same shared relation and node sets; with -race this
+// verifies the package's immutability and sharing contract (cached
+// sets are handed to every session without copying).
 func TestConcurrentOperatorsOnSharedRelation(t *testing.T) {
 	g, _ := figure8Graph(t)
 	g.Freeze()
-	papers, err := Base(g, "Papers")
+	papers, err := base(g, "Papers", "Papers")
 	if err != nil {
 		t.Fatal(err)
 	}
-	authors, err := Base(g, "Authors")
-	if err != nil {
-		t.Fatal(err)
-	}
+	authors := selected(t, g, "Authors", "")
+	tree := []TreeEdge{{}, edgeTo(g, 0, "Papers-Authors")}
 	cond := expr.MustParse("year > 2005")
+	pred, err := compileCond(papers, "Papers", cond)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var wg sync.WaitGroup
 	lens := make([]int, 8)
 	for w := 0; w < 8; w++ {
@@ -360,7 +403,17 @@ func TestConcurrentOperatorsOnSharedRelation(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				joined, err := Join(recent, authors, "Papers-Authors", "Papers", "Authors")
+				set, err := SelectSet(nil, nil, 1, g, papers.ColumnNamed("Papers"), pred)
+				if err != nil || set.Len() != recent.Len() {
+					t.Errorf("SelectSet: %d members (err %v), Select kept %d", set.Len(), err, recent.Len())
+					return
+				}
+				red, err := Reduce(nil, []NodeSet{set, authors}, tree)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				joined, err := Enumerate(nil, g, attrsOf(g, "Papers", "Authors"), red, tree)
 				if err != nil {
 					t.Error(err)
 					return

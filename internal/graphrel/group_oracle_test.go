@@ -211,7 +211,9 @@ func GroupNeighbors(ctx context.Context, r *Relation, keys []tgm.NodeID, groupAt
 		}
 		offs[ord[d]]++
 	}
-	endOffsets(offs)
+	for k := 1; k < len(offs); k++ { // each key's end offset
+		offs[k] += offs[k-1]
+	}
 	vals := make([]tgm.NodeID, len(gcol))
 	for i := len(gcol) - 1; i >= 0; i-- {
 		k := ord[gcol[i]-lo]

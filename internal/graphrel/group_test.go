@@ -20,15 +20,7 @@ import (
 func TestGroupNeighborsEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := bigChainGraph(t, rng)
-	a, err := Base(g, "A")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Base(g, "B")
-	if err != nil {
-		t.Fatal(err)
-	}
-	joined, err := Join(a, b, "A-B", "A", "B")
+	joined, err := pairs(g, "A", "B", "A-B")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +40,7 @@ func TestGroupNeighborsEquivalence(t *testing.T) {
 	}
 
 	// An empty relation groups to nothing.
-	empty := newRelation(g, joined.Attrs, 0)
+	empty := &Relation{g: g, Attrs: joined.Attrs, cols: make([][]tgm.NodeID, len(joined.Attrs))}
 	if gs := groupBoth(t, "empty", empty, "A", "B"); len(gs.keys) != 0 {
 		t.Fatalf("empty relation: %d keys", len(gs.keys))
 	}
@@ -80,9 +72,7 @@ func TestGroupNeighborsEquivalence(t *testing.T) {
 func TestGroupNeighborsCancellation(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	g := bigChainGraph(t, rng)
-	a, _ := Base(g, "A")
-	b, _ := Base(g, "B")
-	joined, err := Join(a, b, "A-B", "A", "B")
+	joined, err := pairs(g, "A", "B", "A-B")
 	if err != nil {
 		t.Fatal(err)
 	}

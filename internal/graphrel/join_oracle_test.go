@@ -2,20 +2,18 @@ package graphrel
 
 import (
 	"fmt"
-	"math/rand"
 	"slices"
-	"testing"
 
 	"repro/internal/expr"
+	"repro/internal/tgm"
 )
 
-// JoinScan is the join oracle: Join without the adjacency index or the
-// hash side. It nested-loops over both relations, scanning the left
-// node's Neighbors for each pair, so it shares no code with
-// probeRange/buildJoinIndex and must
-// return the same tuples as Join (possibly in a different order). The
-// join operators are tested against it and
-// BenchmarkAblation_AdjacencyIndex measures what the index buys.
+// JoinScan is the join oracle, r1 ∗_ρ r2: the tuples (t1, t2) such that
+// an edge of type edgeType connects t1's node at leftAttr to t2's node
+// at rightAttr. It nested-loops over both relations, scanning the left
+// node's Neighbors for each pair, so it shares no code with Enumerate's
+// walk and must return the same tuples (in left-row, then right-row
+// order).
 func JoinScan(r1, r2 *Relation, edgeType, leftAttr, rightAttr string) (*Relation, error) {
 	if r1.g.Schema().EdgeType(edgeType) == nil {
 		return nil, fmt.Errorf("graphrel: unknown edge type %q", edgeType)
@@ -24,16 +22,23 @@ func JoinScan(r1, r2 *Relation, edgeType, leftAttr, rightAttr string) (*Relation
 	if li < 0 || ri < 0 {
 		return nil, fmt.Errorf("graphrel: bad join attributes %q, %q", leftAttr, rightAttr)
 	}
-	var lrows, rrows []int32
+	out := &Relation{g: r1.g, Attrs: append(slices.Clone(r1.Attrs), r2.Attrs...),
+		cols: make([][]tgm.NodeID, len(r1.cols)+len(r2.cols))}
 	for i, lid := range r1.cols[li] {
 		for j, rid := range r2.cols[ri] {
-			if slices.Contains(r1.g.Neighbors(lid, edgeType), rid) {
-				lrows = append(lrows, int32(i))
-				rrows = append(rrows, int32(j))
+			if !slices.Contains(r1.g.Neighbors(lid, edgeType), rid) {
+				continue
 			}
+			for c, col := range r1.cols {
+				out.cols[c] = append(out.cols[c], col[i])
+			}
+			for c, col := range r2.cols {
+				out.cols[len(r1.cols)+c] = append(out.cols[len(r1.cols)+c], col[j])
+			}
+			out.n++
 		}
 	}
-	return joinOutput(r1, r2, lrows, rrows), nil
+	return out, nil
 }
 
 // selectCond is the tests' reference selection: cond compiled against
@@ -57,40 +62,4 @@ func compileCond(r *Relation, attrName string, cond expr.Expr) (*expr.Pred, erro
 		return nil, fmt.Errorf("graphrel: no attribute %q", attrName)
 	}
 	return expr.Compile(cond, r.Attrs[ai].Type)
-}
-
-// BenchmarkAblation_AdjacencyIndex contrasts the adjacency-indexed Join
-// with the nested-loop oracle: what the index buys on a many-to-many
-// step. The scan arm is O(|left|·|right|), so the left side is narrowed
-// first to keep one iteration in the low millions of probes.
-func BenchmarkAblation_AdjacencyIndex(b *testing.B) {
-	g := bigChainGraph(b, rand.New(rand.NewSource(1)))
-	as, err := Base(g, "A")
-	if err != nil {
-		b.Fatal(err)
-	}
-	bs, err := Base(g, "B")
-	if err != nil {
-		b.Fatal(err)
-	}
-	left, err := selectCond(as, "A", expr.MustParse("id % 16 = 0"))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("indexed", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := Join(left, bs, "A-B", "A", "B"); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("scan", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := JoinScan(left, bs, "A-B", "A", "B"); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }

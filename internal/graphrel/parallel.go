@@ -12,8 +12,8 @@ import "context"
 // with ctx.Err(). The kernel runs serially when the input is a single
 // morsel, the budget is <= 1, or the pool is nil — tiny interactive
 // queries never pay the fan-out overhead. SelectSet is the only kernel
-// that fans out: StreamJoin (stream.go) probes one batch at a time and
-// the semi-join kernels (semijoin.go) run serial.
+// that fans out: the semi-join kernels (semijoin.go) — Reduce, Path
+// and Enumerate — run serial.
 
 // ctxErr reports a canceled or expired context (nil ctx = no error).
 func ctxErr(ctx context.Context) error {

@@ -81,7 +81,7 @@ func assertIdenticalRelations(t *testing.T, label string, got, want *Relation) {
 		if got.Attrs[ai] != want.Attrs[ai] {
 			t.Fatalf("%s: attr %d = %v, want %v", label, ai, got.Attrs[ai], want.Attrs[ai])
 		}
-		gc, wc := got.Column(ai), want.Column(ai)
+		gc, wc := got.cols[ai], want.cols[ai]
 		for i := range wc {
 			if gc[i] != wc[i] {
 				t.Fatalf("%s: col %d row %d = %v, want %v", label, ai, i, gc[i], wc[i])
@@ -100,15 +100,15 @@ func TestSelectParEquivalence(t *testing.T) {
 	g := bigChainGraph(t, rng)
 	pool := exec.NewPool(4)
 	ctx := context.Background()
-	as, err := Base(g, "A")
+	as, err := base(g, "A", "A")
 	if err != nil {
 		t.Fatal(err)
 	}
-	bs, err := Base(g, "B")
+	bs, err := base(g, "B", "B")
 	if err != nil {
 		t.Fatal(err)
 	}
-	joined, err := Join(as, bs, "A-B", "A", "B")
+	joined, err := pairs(g, "A", "B", "A-B")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,16 +137,16 @@ func TestSelectParEquivalence(t *testing.T) {
 			if tc.rel != as {
 				continue
 			}
-			set, err := SelectSet(ctx, pool, budget, g, as.Column(0), pred)
+			set, err := SelectSet(ctx, pool, budget, g, as.cols[0], pred)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if ids, wantIDs := set.IDs(), want.Column(0); !slices.Equal(ids, wantIDs) || set.Len() != len(wantIDs) {
+			if ids, wantIDs := set.IDs(), want.cols[0]; !slices.Equal(ids, wantIDs) || set.Len() != len(wantIDs) {
 				t.Fatalf("SelectSet budget=%d: %d members, Select kept %d rows", budget, set.Len(), len(wantIDs))
 			}
 		}
 	}
-	if _, err := SelectSet(ctx, pool, 4, g, bs.Column(0), mustPred(t, as, "id = 1")); err == nil {
+	if _, err := SelectSet(ctx, pool, 4, g, bs.cols[0], mustPred(t, as, "id = 1")); err == nil {
 		t.Error("SelectSet ran an A condition over B nodes")
 	}
 	// A nil predicate returns the input unchanged on the pooled path too.
@@ -163,48 +163,6 @@ func TestSelectParEquivalence(t *testing.T) {
 	}
 }
 
-// TestJoinParEquivalence asserts the streamed join — StreamJoin over
-// probe batches of 1 row to past a morsel — materializes to exactly the
-// reference Join's relation, in both edge directions.
-func TestJoinParEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	g := bigChainGraph(t, rng)
-	ctx := context.Background()
-	as, err := Base(g, "A")
-	if err != nil {
-		t.Fatal(err)
-	}
-	bs, err := Base(g, "B")
-	if err != nil {
-		t.Fatal(err)
-	}
-	streamed := func(batch int, left, right *Relation, edge, la, ra string) *Relation {
-		t.Helper()
-		src, err := StreamJoin(ctx, StreamRelationBatch(left, batch), right, edge, false, la, ra)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := MaterializeMax(src, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return got
-	}
-	want, err := Join(as, bs, "A-B", "A", "B")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, batch := range []int{1, 100, 0, 3 * MorselRows} {
-		assertIdenticalRelations(t, fmt.Sprintf("batch=%d", batch), streamed(batch, as, bs, "A-B", "A", "B"), want)
-	}
-	// The reverse direction joins through the bidirectional pair.
-	wantRev, err := Join(bs, as, "A-B_rev", "B", "A")
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertIdenticalRelations(t, "reverse", streamed(0, bs, as, "A-B_rev", "B", "A"), wantRev)
-}
-
 // TestSmallInputsRunSerial pins what lets the engine pass a request's
 // budget through unchanged: a SelectSet over one morsel takes the
 // serial path under a pool and budget 8 — the same allocations as the
@@ -215,11 +173,11 @@ func TestSmallInputsRunSerial(t *testing.T) {
 	g := bigChainGraph(t, rng)
 	pool := exec.NewPool(4)
 	ctx := context.Background()
-	as, err := Base(g, "A")
+	as, err := base(g, "A", "A")
 	if err != nil {
 		t.Fatal(err)
 	}
-	all, morsel := as.Column(0), as.Column(0)[:MorselRows]
+	all, morsel := as.cols[0], as.cols[0][:MorselRows]
 	pred := mustPred(t, as, "id % 3 = 1")
 	sel := func(p *exec.Pool, budget int, ids []tgm.NodeID) NodeSet {
 		got, err := SelectSet(ctx, p, budget, g, ids, pred)
@@ -248,104 +206,41 @@ func TestParallelKernelCancellation(t *testing.T) {
 	pool := exec.NewPool(2)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	as, _ := Base(g, "A")
+	as, _ := base(g, "A", "A")
 	pred := mustPred(t, as, "id > 3")
-	if _, err := SelectSet(ctx, pool, 4, g, as.Column(0), pred); !errors.Is(err, context.Canceled) {
+	if _, err := SelectSet(ctx, pool, 4, g, as.cols[0], pred); !errors.Is(err, context.Canceled) {
 		t.Errorf("pooled SelectSet err = %v, want Canceled", err)
 	}
 	// The serial path must honor cancellation too.
-	if _, err := SelectSet(ctx, nil, 1, g, as.Column(0), pred); !errors.Is(err, context.Canceled) {
+	if _, err := SelectSet(ctx, nil, 1, g, as.cols[0], pred); !errors.Is(err, context.Canceled) {
 		t.Errorf("serial SelectSet err = %v, want Canceled", err)
 	}
 }
 
-// batches drains r through the pipeline's leaf source in batchRows-row
-// partitions.
-func batches(t *testing.T, r *Relation, batchRows int) []*Relation {
-	t.Helper()
-	var parts []*Relation
-	src := StreamRelationBatch(r, batchRows)
-	for {
-		b, err := src.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if b == nil {
-			return parts
-		}
-		parts = append(parts, b)
-	}
-}
-
-// TestPartitionsConcatRoundtrip: partitioning a relation into the leaf
-// source's batches and splicing them back with Concat reproduces it
-// exactly, for batch sizes below, at, and above the row count.
-func TestPartitionsConcatRoundtrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	g := bigChainGraph(t, rng)
-	as, _ := Base(g, "A")
-	bs, _ := Base(g, "B")
-	j, err := Join(as, bs, "A-B", "A", "B")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, size := range []int{1000, MorselRows, 0, j.Len() / 3, j.Len(), j.Len() + 5} {
-		parts := batches(t, j, size)
-		total := 0
-		for _, p := range parts {
-			if len(p.Attrs) != len(j.Attrs) {
-				t.Fatalf("size=%d: partition attrs %d", size, len(p.Attrs))
-			}
-			total += p.Len()
-		}
-		if total != j.Len() {
-			t.Fatalf("size=%d: partitions cover %d rows, want %d", size, total, j.Len())
-		}
-		back, err := Concat(parts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertIdenticalRelations(t, fmt.Sprintf("roundtrip size=%d", size), back, j)
-	}
-}
-
+// TestPartitionsEdgeCases pins the morsel partition SelectSet fans out
+// over: contiguous runs covering [0, n) in order, each at most size long
+// and only the last shorter, for sizes below, at and above n, and none
+// for an empty input or a non-positive size.
 func TestPartitionsEdgeCases(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	g := bigChainGraph(t, rng)
-	as, _ := Base(g, "A")
-	empty, err := selectCond(as, "A", expr.MustParse("id < 0"))
-	if err != nil {
-		t.Fatal(err)
+	for _, n := range []int{1, MorselRows - 1, MorselRows, 3*MorselRows + 5} {
+		for _, size := range []int{1000, MorselRows, n, n + 5} {
+			bounds := morselBounds(n, size)
+			next := 0
+			for i, b := range bounds {
+				if b[0] != next || b[1] <= b[0] || b[1]-b[0] > size || (i < len(bounds)-1 && b[1]-b[0] != size) {
+					t.Fatalf("n=%d size=%d: run %d = %v after %d", n, size, i, b, next)
+				}
+				next = b[1]
+			}
+			if next != n {
+				t.Fatalf("n=%d size=%d: runs cover [0, %d)", n, size, next)
+			}
+		}
 	}
-	if parts := batches(t, empty, 4); len(parts) != 0 {
-		t.Errorf("empty relation yields %d partitions", len(parts))
-	}
-	// A non-positive batch size means one morsel per batch.
-	parts := batches(t, as, 0)
-	if parts[0].Len() != MorselRows {
-		t.Errorf("default batch = %d rows, want %d", parts[0].Len(), MorselRows)
-	}
-	// Partitions are zero-copy windows of the parent's columns.
-	if &parts[0].Column(0)[0] != &as.Column(0)[0] || &parts[1].Column(0)[0] != &as.Column(0)[MorselRows] {
-		t.Error("partitions do not alias the parent column")
-	}
-}
-
-func TestConcatErrors(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	g := bigChainGraph(t, rng)
-	as, _ := Base(g, "A")
-	bs, _ := Base(g, "B")
-	if _, err := Concat(); err == nil {
-		t.Error("empty Concat accepted")
-	}
-	if _, err := Concat(as, bs); err == nil {
-		t.Error("Concat with mismatched attrs accepted")
-	}
-	g2 := bigChainGraph(t, rand.New(rand.NewSource(8)))
-	as2, _ := Base(g2, "A")
-	if _, err := Concat(as, as2); err == nil {
-		t.Error("Concat across graphs accepted")
+	for _, nb := range [][2]int{{0, 4}, {-1, 4}, {5, 0}, {5, -1}} {
+		if b := morselBounds(nb[0], nb[1]); b != nil {
+			t.Errorf("morselBounds(%d, %d) = %v, want none", nb[0], nb[1], b)
+		}
 	}
 }
 
@@ -356,15 +251,13 @@ func TestConcatErrors(t *testing.T) {
 func TestGroupNeighborsDeterministicOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	g := bigChainGraph(t, rng)
-	as, _ := Base(g, "A")
-	bs, _ := Base(g, "B")
-	fwd, err := Join(as, bs, "A-B", "A", "B")
+	fwd, err := pairs(g, "A", "B", "A-B")
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The reverse join yields the same tuple set in a different row
 	// order (B-major instead of A-major).
-	rev, err := Join(bs, as, "A-B_rev", "B", "A")
+	rev, err := pairs(g, "B", "A", "A-B_rev")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,9 @@
 package graphrel
 
 import (
-	"context"
-	"fmt"
 	"math/rand"
 	"testing"
 
-	"repro/internal/expr"
 	"repro/internal/tgm"
 	"repro/internal/value"
 )
@@ -56,54 +53,6 @@ func randomGraph(t *testing.T, rng *rand.Rand) *tgm.InstanceGraph {
 	addEdges("A-B", "A", "B")
 	addEdges("B-C", "B", "C")
 	return g
-}
-
-// TestJoinScanEquivalenceRandomized asserts Join ≡ JoinScan (as tuple
-// sets) on randomized graphs and randomized selection patterns,
-// including joins whose left side is itself a join result.
-func TestJoinScanEquivalenceRandomized(t *testing.T) {
-	rng := rand.New(rand.NewSource(20260728))
-	for trial := 0; trial < 30; trial++ {
-		g := randomGraph(t, rng)
-		as, err := Base(g, "A")
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Random selection on A thins the left side.
-		cond := expr.MustParse(fmt.Sprintf("id %% %d = %d", 2+rng.Intn(3), rng.Intn(2)))
-		if as, err = selectCond(as, "A", cond); err != nil {
-			t.Fatal(err)
-		}
-		bs, err := Base(g, "B")
-		if err != nil {
-			t.Fatal(err)
-		}
-		j1, err := Join(as, bs, "A-B", "A", "B")
-		if err != nil {
-			t.Fatal(err)
-		}
-		j1Scan, err := JoinScan(as, bs, "A-B", "A", "B")
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertSameTuples(t, trial, "A*B", j1, j1Scan)
-
-		// Second hop: the left operand is a join result with repeated
-		// B nodes, exercising multi-row index fan-out.
-		cs, err := Base(g, "C")
-		if err != nil {
-			t.Fatal(err)
-		}
-		j2, err := Join(j1, cs, "B-C", "B", "C")
-		if err != nil {
-			t.Fatal(err)
-		}
-		j2Scan, err := JoinScan(j1, cs, "B-C", "B", "C")
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertSameTuples(t, trial, "A*B*C", j2, j2Scan)
-	}
 }
 
 func assertSameTuples(t *testing.T, trial int, label string, a, b *Relation) {
@@ -173,70 +122,69 @@ func scatteredGraph(t *testing.T, rng *rand.Rand) *tgm.InstanceGraph {
 // Y nodes sharing an X, so each column repeats its nodes heavily.
 func scatteredJoin(t *testing.T, g *tgm.InstanceGraph) *Relation {
 	t.Helper()
-	xs, _ := Base(g, "X")
-	ys, _ := Base(g, "Y")
-	ys2, _ := BaseNamed(g, "Y", "Y#2")
-	xy, err := Join(xs, ys, "X-Y", "X", "Y")
+	xs, _ := base(g, "X", "X")
+	ys, _ := base(g, "Y", "Y")
+	ys2, _ := base(g, "Y", "Y#2")
+	xy, err := JoinScan(xs, ys, "X-Y", "X", "Y")
 	if err != nil {
 		t.Fatal(err)
 	}
-	xyy, err := Join(xy, ys2, "X-Y", "X", "Y#2")
+	xyy, err := JoinScan(xy, ys2, "X-Y", "X", "Y#2")
 	if err != nil {
 		t.Fatal(err)
 	}
 	return xyy
 }
 
-// TestJoinScatteredIDs pins the dense join index where it could go
-// wrong: ID runs starting at distinct non-zero IDs, a type with no
-// nodes, and a multi-column build side whose join column repeats nodes.
-// StreamJoin must equal Join row for row at every batch size, and Join
-// must hold JoinScan's tuples.
+// TestJoinScatteredIDs pins Enumerate where dense IDs could go wrong:
+// ID runs starting at distinct non-zero IDs, a type with no nodes, a
+// type repeated in one tree and a root with two children. From the
+// selected and the reduced sets alike it must hold JoinScan's tuples.
 func TestJoinScatteredIDs(t *testing.T) {
 	rng := rand.New(rand.NewSource(20261004))
-	ctx := context.Background()
 	for trial := 0; trial < 25; trial++ {
 		g := scatteredGraph(t, rng)
-		xs, _ := Base(g, "X")
-		ys, _ := Base(g, "Y")
-		zs, _ := Base(g, "Z")
-		xs2, _ := BaseNamed(g, "X", "X#2")
-		// Build side (Y, X#2): two columns, Y repeating once per X#2.
-		build, err := Join(ys, xs2, "X-Y_rev", "Y", "X#2")
-		if err != nil {
-			t.Fatal(err)
+		attr := func(typ, name string) Attr { return Attr{Name: name, Type: g.Schema().NodeType(typ)} }
+		xs, _ := base(g, "X", "X")
+		ys, _ := base(g, "Y", "Y")
+		zs, _ := base(g, "Z", "Z")
+		xs2, _ := base(g, "X", "X#2")
+		join := func(r1, r2 *Relation, edge, la, ra string) *Relation {
+			t.Helper()
+			j, err := JoinScan(r1, r2, edge, la, ra)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return j
 		}
+		setX, setY, setZ := selected(t, g, "X", ""), selected(t, g, "Y", ""), selected(t, g, "Z", "")
+		xy, yx := edgeTo(g, 0, "X-Y"), edgeTo(g, 0, "X-Y_rev")
 		for _, tc := range []struct {
-			name        string
-			left, right *Relation
-			edge, la, r string
+			name  string
+			attrs []Attr
+			sets  []NodeSet
+			tree  []TreeEdge
+			want  *Relation
 		}{
-			{"X*Y", xs, ys, "X-Y", "X", "Y"},
-			{"Y*X", ys, xs, "X-Y_rev", "Y", "X"},
-			{"X*(Y,X#2)", xs, build, "X-Y", "X", "Y"},
-			{"(Y,X#2)*X", build, xs, "X-Y_rev", "Y", "X"},
-			{"Y*Z empty type", ys, zs, "Y-Z", "Y", "Z"},
-			{"Z*Y empty type", zs, ys, "Y-Z_rev", "Z", "Y"},
+			{"X*Y", []Attr{attr("X", "X"), attr("Y", "Y")}, []NodeSet{setX, setY}, []TreeEdge{{}, xy}, join(xs, ys, "X-Y", "X", "Y")},
+			{"Y*X", []Attr{attr("Y", "Y"), attr("X", "X")}, []NodeSet{setY, setX}, []TreeEdge{{}, yx}, join(ys, xs, "X-Y_rev", "Y", "X")},
+			{"X*Y*X#2", []Attr{attr("X", "X"), attr("Y", "Y"), attr("X", "X#2")}, []NodeSet{setX, setY, setX},
+				[]TreeEdge{{}, xy, edgeTo(g, 1, "X-Y_rev")}, join(join(xs, ys, "X-Y", "X", "Y"), xs2, "X-Y_rev", "Y", "X#2")},
+			{"Y*(X#2,X)", []Attr{attr("Y", "Y"), attr("X", "X#2"), attr("X", "X")}, []NodeSet{setY, setX, setX},
+				[]TreeEdge{{}, yx, yx}, join(join(ys, xs2, "X-Y_rev", "Y", "X#2"), xs, "X-Y_rev", "Y", "X")},
+			{"Y*Z empty type", []Attr{attr("Y", "Y"), attr("Z", "Z")}, []NodeSet{setY, setZ}, []TreeEdge{{}, edgeTo(g, 0, "Y-Z")}, join(ys, zs, "Y-Z", "Y", "Z")},
+			{"Z*Y empty type", []Attr{attr("Z", "Z"), attr("Y", "Y")}, []NodeSet{setZ, setY}, []TreeEdge{{}, edgeTo(g, 0, "Y-Z_rev")}, join(zs, ys, "Y-Z_rev", "Z", "Y")},
 		} {
-			want, err := Join(tc.left, tc.right, tc.edge, tc.la, tc.r)
+			red, err := Reduce(nil, tc.sets, tc.tree)
 			if err != nil {
 				t.Fatal(err)
 			}
-			scan, err := JoinScan(tc.left, tc.right, tc.edge, tc.la, tc.r)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertSameTuples(t, trial, tc.name, want, scan)
-			for _, batch := range []int{7, 0} {
-				src, err := StreamJoin(ctx, StreamRelationBatch(tc.left, batch), tc.right, tc.edge, false, tc.la, tc.r)
+			for name, sets := range map[string][]NodeSet{"selected": tc.sets, "reduced": red} {
+				got, err := Enumerate(nil, g, tc.attrs, sets, tc.tree)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := MaterializeMax(src, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertIdenticalRelations(t, fmt.Sprintf("trial=%d %s batch=%d", trial, tc.name, batch), got, want)
+				assertSameTuples(t, trial, tc.name+" "+name, got, tc.want)
 			}
 		}
 	}

@@ -9,10 +9,30 @@ import (
 	"repro/internal/tgm"
 )
 
-// The relational operators over tuples that the engine no longer runs
-// — Select over a relation, the materialized Join, Retain — kept as the
-// references the kernels are tested against: SelectSet against Select,
-// StreamJoin against Join, which JoinScan checks in turn.
+// The relational operators over tuples that the engine does not run —
+// Select over a relation and Retain — kept as references and fixtures:
+// SelectSet is tested against Select, and Enumerate against JoinScan
+// (join_oracle_test.go). base and pairs build the tests' relations.
+
+// base is a node type's base graph relation, its attribute named attr:
+// every node of the type, ascending (a one-node Enumerate).
+func base(g *tgm.InstanceGraph, typeName, attr string) (*Relation, error) {
+	nt := g.Schema().NodeType(typeName)
+	if nt == nil {
+		return nil, fmt.Errorf("graphrel: unknown node type %q", typeName)
+	}
+	return Enumerate(nil, g, []Attr{{Name: attr, Type: nt}}, []NodeSet{SetOf(g.NodesOfType(typeName))}, []TreeEdge{{}})
+}
+
+// pairs is the join of two node types' every node along edgeType,
+// oriented from → to (a two-node Enumerate): rows ascend by the from
+// node, each one's to nodes in adjacency order. Unlike JoinScan it
+// costs what it returns, so it builds the fixtures that span morsels.
+func pairs(g *tgm.InstanceGraph, from, to, edgeType string) (*Relation, error) {
+	attrs := []Attr{{Name: from, Type: g.Schema().NodeType(from)}, {Name: to, Type: g.Schema().NodeType(to)}}
+	sets := []NodeSet{SetOf(g.NodesOfType(from)), SetOf(g.NodesOfType(to))}
+	return Enumerate(nil, g, attrs, sets, []TreeEdge{{}, {Down: g.Adjacency(edgeType)}})
+}
 
 // Select returns the tuples whose node at the named attribute satisfies
 // pred (σ_Ci applied to attribute A_i); a nil pred returns r unchanged.
@@ -68,12 +88,15 @@ func Select(ctx context.Context, pool *exec.Pool, budget int, r *Relation, attrN
 	offs, total := prefixOffsets(keeps)
 
 	// Phase 3: gather every morsel into its disjoint output window.
-	out := newRelation(r.g, r.Attrs, total)
+	out := r.sized(total)
 	if err := pool.Map(ctx, len(bounds), budget, func(m int) error {
 		rows := keeps[m]
 		lo := offs[m]
 		for c, src := range r.cols {
-			gatherInto(out.cols[c][lo:lo+len(rows)], src, rows)
+			dst := out.cols[c][lo:]
+			for j, ri := range rows {
+				dst[j] = src[ri]
+			}
 		}
 		return nil
 	}); err != nil {
@@ -96,31 +119,22 @@ func prefixOffsets(parts [][]int32) (offs []int, total int) {
 // gather materializes the listed rows into a fresh relation, copying
 // column-wise from the source.
 func (r *Relation) gather(rows []int32) *Relation {
-	out := newRelation(r.g, r.Attrs, len(rows))
+	out := r.sized(len(rows))
 	for c, col := range r.cols {
-		gatherInto(out.cols[c], col, rows)
+		for j, ri := range rows {
+			out.cols[c][j] = col[ri]
+		}
 	}
 	return out
 }
 
-// Join computes r1 ∗_ρ r2: the tuples (t1, t2) such that an edge of type
-// edgeType connects t1's node at leftAttr to t2's node at rightAttr. It
-// walks the instance graph's adjacency on the left side and a dense
-// index over r2 on the right, so cost is O(|r1|·deg + |r2| + |type|)
-// with no hashing. The output is materialized column-wise: matching
-// first collects row-index pairs, then each attribute column is
-// gathered in one pass.
-//
-// Join is the algebra's reference join: the execution pipeline runs
-// StreamJoin, which applies the same joinIndex.probe + joinOutput phases
-// per batch and is tested row for row against this operator.
-func Join(r1, r2 *Relation, edgeType, leftAttr, rightAttr string) (*Relation, error) {
-	li, ri, adj, err := checkJoin(r1, r2, edgeType, false, leftAttr, rightAttr)
-	if err != nil {
-		return nil, err
+// sized returns a relation with r's attributes and n zeroed rows.
+func (r *Relation) sized(n int) *Relation {
+	out := &Relation{g: r.g, Attrs: r.Attrs, cols: make([][]tgm.NodeID, len(r.cols)), n: n}
+	for c := range out.cols {
+		out.cols[c] = make([]tgm.NodeID, n)
 	}
-	lrows, rrows := buildJoinIndex(r2, ri).probe(adj, r1.cols[li])
-	return joinOutput(r1, r2, lrows, rrows), nil
+	return out
 }
 
 // Retain returns r restricted to the named attributes without duplicate

@@ -175,8 +175,8 @@ func (e truthOf) Columns(dst []string) []string { return e.col.Columns(dst) }
 func interpretedRows(t *testing.T, r *Relation, ai int, cond expr.Expr) []int32 {
 	t.Helper()
 	var keep []int32
-	for i, id := range r.Column(ai) {
-		n := r.Graph().Node(id)
+	for i, id := range r.cols[ai] {
+		n := r.g.Node(id)
 		env := expr.MapEnv{}
 		for a, attr := range n.Type.Attrs {
 			env[attr.Name] = n.AttrAt(a)
@@ -214,13 +214,13 @@ func FuzzSelectParity(f *testing.F) {
 	g := parityGraph(f)
 	bases := map[string]*Relation{}
 	for _, name := range []string{"I", "C", "U"} {
-		r, err := Base(g, name)
+		r, err := base(g, name, name)
 		if err != nil {
 			f.Fatal(err)
 		}
 		bases[name] = r
 	}
-	joined, err := Join(bases["I"], bases["U"], "I-U", "I", "U")
+	joined, err := pairs(g, "I", "U", "I-U")
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func FuzzSelectParity(f *testing.F) {
 				t.Fatal(err)
 			}
 			var got []int32
-			col, n := bases[name].Column(0), bases[name].Len()
+			col, n := bases[name].cols[0], bases[name].Len()
 			for lo, step := 0, 1; lo < n; lo, step = lo+step, step*3 {
 				keep, err := b.Select(col, lo, min(lo+step, n))
 				if err != nil {
@@ -317,7 +317,7 @@ func TestSelectCorruptColumn(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ls.Close()
-	as, err := Base(ls.Graph, "A")
+	as, err := base(ls.Graph, "A", "A")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +383,7 @@ func BenchmarkSelect(b *testing.B) {
 		}
 	}
 	g.Freeze()
-	r, err := Base(g, "Papers")
+	r, err := base(g, "Papers", "Papers")
 	if err != nil {
 		b.Fatal(err)
 	}

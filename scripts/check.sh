@@ -160,16 +160,16 @@ if grep -rnwE 'decodeEdges|decodeEdgesDeferred|lazyDecode|AddDirectedEdge|Extern
 	exit 1
 fi
 
-# One enumeration: m(Q) is streamed from its reduced node sets in one
-# place (enumerate), which serves MatchOpts only — no prepare, heap or
-# spilled, enumerates it; a derived and a from-bases match reduce the
-# same way (ROADMAP 3, 18).
-echo "==> one join loop"
-calls=$(grep -rnE 'graphrel\.StreamJoin\(' --include='*.go' --exclude='*_test.go' internal/etable |
-	grep -vE '^[^:]*:[0-9]+:[[:space:]]*//' || true)
-if [ "$(printf '%s' "$calls" | grep -c .)" -ne 1 ]; then
-	echo "graphrel.StreamJoin must have exactly one non-test call site in internal/etable:" >&2
-	echo "$calls" >&2
+# m(Q) is one walk: it is enumerated from its reduced node sets by
+# graphrel.Enumerate alone, for MatchOpts and PrepareOpts's check of
+# its input — no served prepare enumerates it. The streamed join engine
+# that walk replaced (batched sources, the counting-sort join index,
+# the drain and its splicing, the base-relation constructors) stays
+# deleted (ROADMAP 22).
+echo "==> m(Q) is one walk"
+if grep -rnwE 'StreamJoin|RowSource|StreamRelationBatch|MaterializeMax|ConcatAll|joinIndex|streamBatchRows|BaseNamed' \
+	--include='*.go' --exclude='*_test.go' internal; then
+	echo "the streamed join engine reappeared (see above): m(Q) is graphrel.Enumerate's walk" >&2
 	exit 1
 fi
 
