@@ -53,16 +53,8 @@ func (s *Server) respondState(ctx context.Context, w http.ResponseWriter, status
 			stateBufs.Put(buf)
 		}
 	}()
-	e.mu.Lock()
 	var err error
-	if apply != nil {
-		err = apply()
-	}
-	if err == nil {
-		*buf, err = s.appendState(ctx, (*buf)[:0], id, e.sess, p)
-	}
-	e.mu.Unlock()
-	if err != nil {
+	if *buf, err = s.applyAndEncode(ctx, (*buf)[:0], e, id, p, apply); err != nil {
 		s.writeErr(w, err)
 		return
 	}
@@ -72,6 +64,20 @@ func (s *Server) respondState(ctx context.Context, w http.ResponseWriter, status
 	if _, err := w.Write(*buf); err != nil {
 		s.logf("server: writing response: %v", err)
 	}
+}
+
+// applyAndEncode is respondState's locked half. The entry lock is
+// released by defer, so a panic in apply or the encoder (answered 500
+// by ServeHTTP) leaves the session usable for its next request.
+func (s *Server) applyAndEncode(ctx context.Context, dst []byte, e *sessionEntry, id int64, p page, apply func() error) ([]byte, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if apply != nil {
+		if err := apply(); err != nil {
+			return dst, err
+		}
+	}
+	return s.appendState(ctx, dst, id, e.sess, p)
 }
 
 // appendState renders one consistent session snapshot, reading and

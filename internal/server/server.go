@@ -56,6 +56,7 @@ import (
 	"log"
 	"net/http"
 	"runtime"
+	"runtime/debug"
 	"runtime/metrics"
 	"sort"
 	"strconv"
@@ -265,8 +266,24 @@ func (s *Server) Cache() *etable.Cache {
 // Registry returns the dataset registry the server serves from.
 func (s *Server) Registry() *registry.Registry { return s.reg }
 
-// ServeHTTP implements http.Handler.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
+// ServeHTTP implements http.Handler. A panic in a handler fails its
+// request, not the process: it is answered 500 internal and logged
+// with its stack, and every lock a handler takes is released by defer,
+// so the session it ran on serves the next request.
+// http.ErrAbortHandler is re-panicked: it is net/http's way to abort a
+// response.
+func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	defer func() {
+		if v := recover(); v != nil {
+			if v == http.ErrAbortHandler {
+				panic(v)
+			}
+			s.logf("server: panic serving %s %s: %v\n%s", r.Method, r.URL.Path, v, debug.Stack())
+			s.writeErr(w, apiErr(http.StatusInternalServerError, codeInternal, "internal error"))
+		}
+	}()
+	s.mux.ServeHTTP(w, r)
+}
 
 // writeJSON encodes v first and commits the status code only once
 // encoding has succeeded, so an encode failure can still send a clean
