@@ -7,7 +7,6 @@ package repro
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -19,7 +18,6 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/etable"
-	"repro/internal/exec"
 	"repro/internal/ops"
 	"repro/internal/relational"
 	"repro/internal/server"
@@ -465,9 +463,7 @@ var (
 )
 
 // scaleFixtures is a 12k-paper corpus — big enough that the Figure 7/8
-// relations span many morsels and clear the statistics-driven serial
-// fallback gate (EstimatePattern ≥ two morsels), so the parallel
-// kernels actually fan out.
+// relations span many morsels.
 func scaleFixtures(b *testing.B) *translate.Result {
 	b.Helper()
 	scaleOnce.Do(func() {
@@ -483,50 +479,6 @@ func scaleFixtures(b *testing.B) *translate.Result {
 		b.Fatal(scaleErr)
 	}
 	return scaleTr
-}
-
-// BenchmarkParallelScaling measures morsel-driven intra-query
-// parallelism on the Figure 7/8 workload at 1/2/4/8 workers: the
-// "match" arms run instance matching m(Q) (the §5.4 hot path the
-// kernels parallelize), the "execute" arms add the serial format
-// transformation. workers=1 is the serial baseline (nil pool, zero
-// options — the exact pre-parallelism code path). Run on a multicore
-// host to observe scaling; on a single-core host the arms should be
-// within fan-out overhead of each other (PERFORMANCE.md §5 records
-// both).
-func BenchmarkParallelScaling(b *testing.B) {
-	tr := scaleFixtures(b)
-	p := figure7Pattern(b, tr)
-	for _, workers := range []int{1, 2, 4, 8} {
-		opt := etable.ExecOptions{}
-		if workers > 1 {
-			opt = etable.ExecOptions{
-				Ctx:         context.Background(),
-				Pool:        exec.NewPool(workers),
-				Parallelism: workers,
-			}
-		}
-		b.Run(fmt.Sprintf("match/workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				m, err := etable.MatchOpts(tr.Instance, p, opt)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if m.Len() == 0 {
-					b.Fatal("no matches")
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("execute/workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := etable.ExecuteOpts(tr.Instance, p, opt); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkFigure7Pipeline measures page-fetch latency on the Figure

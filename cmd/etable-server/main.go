@@ -54,8 +54,6 @@ func main() {
 	sessionTTL := flag.Duration("session-ttl", 30*time.Minute, "evict sessions idle longer than this (negative disables)")
 	maxSessions := flag.Int("max-sessions", 1024, "maximum live sessions (LRU-evicted beyond)")
 	pageSize := flag.Int("page-size", 0, "default result rows per response (0 = all; clients may page with offset/limit)")
-	maxWorkers := flag.Int("max-workers", 0, "server-wide worker cap for intra-query parallelism (0 = GOMAXPROCS, negative = serial)")
-	parallelism := flag.Int("parallelism", 0, "every session's parallelism budget for its base selections (0 = min(4, GOMAXPROCS), negative = serial)")
 	maxRows := flag.Int("max-rows", 0, "widest window one request may read; a wider one fails with 413 result_too_large (0 = unbounded); a match is never refused for its size")
 	flag.String("spill-dir", "", "ignored: nothing spills (kept so older command lines still parse)")
 	flag.Int64("max-spill-bytes", 0, "ignored: nothing spills (kept so older command lines still parse)")
@@ -122,12 +120,10 @@ func main() {
 		SessionTTL:   *sessionTTL,
 		MaxSessions:  *maxSessions,
 		PageSize:     *pageSize,
-		MaxWorkers:   *maxWorkers,
-		Parallelism:  *parallelism,
 		MaxRows:      *maxRows,
 	})
-	fmt.Printf("ETable serving on http://%s/ (cache %d, ttl %s, max sessions %d, page size %d, workers %d, parallelism %d, max rows %d)\n",
-		*addr, *cacheEntries, *sessionTTL, *maxSessions, *pageSize, *maxWorkers, *parallelism, *maxRows)
+	fmt.Printf("ETable serving on http://%s/ (cache %d, ttl %s, max sessions %d, page size %d, max rows %d)\n",
+		*addr, *cacheEntries, *sessionTTL, *maxSessions, *pageSize, *maxRows)
 	fmt.Printf("API: /api/v1 (declarative ops; see docs/API.md)\n")
 	log.Fatal(http.ListenAndServe(*addr, srv))
 }

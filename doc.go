@@ -70,29 +70,23 @@
 //     per-op builders, retry/backoff, pagination iterators, and
 //     history export/replay. docs/API.md documents every route.
 //
-// # Parallel execution
+// # Execution and cancellation
 //
-// PR 2 made sessions concurrent; this layer makes a single query
-// concurrent, following the morsel-driven parallelism design of modern
-// analytical engines:
+// PR 2 made sessions concurrent; a single query runs on its request's
+// goroutine. A morsel-driven fan-out of the selection over a shared
+// worker pool was raced against this serial loop at one and at two
+// benchmark clients and never won beyond the runs' spread, so it was
+// deleted (ROADMAP item 10, PERFORMANCE.md §31): a request uses at most
+// one CPU, and multicore speedup within a query is unmeasured and
+// absent.
 //
-//   - internal/exec: a bounded worker Pool shared process-wide. Pool
-//     admission is try-acquire, never blocking: a query that finds the
-//     pool busy degrades to serial on its own goroutine, so the pool
-//     capacity (Options.MaxWorkers, default GOMAXPROCS) is a hard
-//     server-wide bound on helper goroutines — 100 concurrent sessions
-//     cannot spawn 100×Ncores workers. Each session additionally
-//     carries one parallelism budget, fixed when it is built.
-//   - internal/graphrel: a selection's input IDs chunk into fixed
-//     2048-ID morsels; SelectSet — the one kernel that fans out — sends
-//     morsels to the pool, each filtering into its own keep list, and
-//     sets the kept members' bits morsel by morsel — no locks on the
-//     hot path, and the same set as a serial run (tested under -race).
-//     The semi-join kernels and a window are serial passes: a census of
-//     the four benchmark workloads found their fan-outs idle or unpaid
-//     (PERFORMANCE.md §17). The kernels never hash a node ID: IDs are
-//     dense ordinals, so a node set is a bitset over its own span
-//     (graphrel.NodeSet), walked through tgm.Adjacency handles.
+//   - internal/graphrel: SelectSet scans a selection's input IDs one
+//     2048-ID morsel at a time, checks the request context before each,
+//     and sets each morsel's kept members' bits straight into the set.
+//     The semi-join kernels and a window are serial passes too. The
+//     kernels never hash a node ID: IDs are dense ordinals, so a node
+//     set is a bitset over its own span (graphrel.NodeSet), walked
+//     through tgm.Adjacency handles.
 //   - internal/stats: per-edge-type out-degree histograms, read
 //     through one tgm.Adjacency handle per edge type — derived state
 //     in the frozen graph's one registry (tgm.Derive), built on first
@@ -100,21 +94,14 @@
 //     section, which a save persists. /api/v1/stats reports them as
 //     edgeStats; no planner reads them. STAT's per-attribute NDV slot
 //     is written by internal/snapshot alone and read by nothing.
-//   - internal/etable: Execute takes an ExecOptions{Ctx, Pool,
-//     Parallelism} struct and hands the budget to the selections as
-//     given; a SelectSet whose input is one morsel runs serially, so
-//     interactive clicks never pay fan-out overhead without any
-//     estimate deciding it.
-//   - internal/session + internal/server: the session's budget (the
-//     server's -parallelism) and the request context thread through
-//     ApplyCtx/ApplyPipelineCtx/WindowCtx down to the kernels; there is
-//     no per-request override (a ?parallelism= query parameter is
-//     ignored). A disconnected client cancels its context and the query
-//     stops between morsels (HTTP 499 in logs). /api/v1/stats reports
-//     the pool and the per-edge graph statistics.
-//
-// PERFORMANCE.md §5 records the scaling measurements
-// (BenchmarkParallelScaling).
+//   - internal/etable: Execute takes an ExecOptions struct whose one
+//     live field is the cancellation context (Ctx).
+//   - internal/session + internal/server: the request context threads
+//     through ApplyCtx/ApplyPipelineCtx/WindowCtx down to the kernels; a
+//     ?parallelism= query parameter is ignored. A disconnected client
+//     cancels its context and the query stops between morsels (HTTP 499
+//     in logs). A handler that panics is answered 500 internal and its
+//     session stays usable.
 //
 // # Planning
 //

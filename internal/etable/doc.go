@@ -28,9 +28,9 @@
 // (graphrel.Enumerate), and PrepareOpts counts that walk, storing no
 // tuple, to check that its input is m(Q). No served prepare enumerates it: a
 // prepare holds the reduced sets whatever |m(Q)| is. A pattern without
-// edges never derives: its selected base is its match.
-// ExecOptions.Parallelism reaches only the base selections
-// (graphrel.SelectSet, the one kernel that fans out).
+// edges never derives: its selected base is its match. Every kernel
+// runs on the caller's goroutine, checking ExecOptions.Ctx between
+// morsels and semi-join steps.
 //
 // A pattern edge is walked parent → child and child → parent: through
 // its type and the type's reverse, or, for a type stored one way only

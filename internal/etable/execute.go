@@ -9,35 +9,28 @@ import (
 	"repro/internal/tgm"
 )
 
-// ExecOptions configures one execution: the cancellation context and
-// the intra-query parallelism budget. The zero value is serial,
-// uncancellable execution. No option caps a match: a presentation
+// ExecOptions configures one execution: its cancellation context.
+// The zero value is uncancellable execution. Every execution runs on
+// its caller's goroutine. No option caps a match: a presentation
 // holds its reduced sets whatever |m(Q)| is, and the widest window a
-// request may read is the session's guard (session.SetMaxRows). Each
-// field names what exercises it — a bench/run.sh workload (the server
-// sets the field from a flag or per request) or a benchmark in
-// bench_test.go.
+// request may read is the session's guard (session.SetMaxRows).
 type ExecOptions struct {
 	// Ctx cancels execution between morsels and semi-join steps; nil
 	// never cancels. An abandoned HTTP request propagates its context
 	// here so a heavy match stops mid-flight instead of computing for
-	// nobody.
-	// Set on every request of all four workloads.
+	// nobody. The server sets it on every request.
 	Ctx context.Context
-	// Pool supplies helper workers. nil executes serially. The pool is
-	// shared process-wide (the server owns one), so its capacity is the
-	// hard cap on total helper goroutines across all concurrent queries.
-	// All four workloads run against the server's pool (-max-workers);
-	// BenchmarkParallelScaling sweeps it.
+	// Pool is ignored.
+	//
+	// Deprecated: no selection fans out; every execution runs on its
+	// caller's goroutine. The field stays because the benchmark harness
+	// in cmd/etable-load still sets it.
 	Pool *exec.Pool
-	// Parallelism is this query's worker budget (the session's, fixed
-	// when it is built): at most this many workers — the calling
-	// goroutine plus helpers drawn from Pool — cooperate on a base
-	// selection (graphrel.SelectSet, the one kernel that fans out). Values
-	// <= 1 are serial, and so is a selection whose input is one morsel,
-	// so tiny interactive queries never pay fan-out overhead.
-	// cold_explore and study_mix are the workloads whose cache-miss
-	// matches spend it; BenchmarkParallelScaling sweeps it.
+	// Parallelism is ignored.
+	//
+	// Deprecated: no selection fans out; every execution runs on its
+	// caller's goroutine. The field stays because the benchmark harness
+	// in cmd/etable-load still sets it.
 	Parallelism int
 	// NoPlanCache is ignored.
 	//
@@ -49,7 +42,7 @@ type ExecOptions struct {
 
 // Execute runs a query pattern over an instance graph: instance matching
 // (Definition 4) followed by format transformation (§5.4.2). It is
-// ExecuteOpts with zero options (serial, uncancellable).
+// ExecuteOpts with zero options (uncancellable).
 func Execute(g *tgm.InstanceGraph, p *Pattern) (*Result, error) {
 	return ExecuteOpts(g, p, ExecOptions{})
 }

@@ -1,6 +1,7 @@
 package etable
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -9,7 +10,6 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
-	"repro/internal/exec"
 	"repro/internal/graphrel"
 	"repro/internal/snapshot"
 	"repro/internal/tgm"
@@ -63,10 +63,9 @@ func randomPattern(t *testing.T, rng *rand.Rand, schema *tgm.SchemaGraph) *Patte
 // TestLazyEagerEquivalenceFuzz is the engine's randomized correctness
 // drill: randomized patterns run through the oracle on an eagerly
 // loaded graph, and through the engine twice — on that eager graph,
-// serial and pooled, and on a lazily loaded one whose pager budget
-// (2–3 sections) is far below the column count, a serial arm and two
-// pooled budgets racing each other so column faults interleave with
-// evictions. Matched tuple sets must be the oracle's and the lazy
+// and on a lazily loaded one whose pager budget (2–3 sections) is far
+// below the column count, three callers racing each other so column
+// faults interleave with evictions. Matched tuple sets must be the oracle's and the lazy
 // rendered windows byte-identical to the window over the oracle's
 // match. The CI race shard runs this under -race.
 func TestLazyEagerEquivalenceFuzz(t *testing.T) {
@@ -89,7 +88,6 @@ func TestLazyEagerEquivalenceFuzz(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := exec.NewPool(4)
 	for _, budget := range []int{2, 3} {
 		budget := budget
 		t.Run(fmt.Sprintf("pool=%d", budget), func(t *testing.T) {
@@ -103,9 +101,9 @@ func TestLazyEagerEquivalenceFuzz(t *testing.T) {
 				name string
 				opt  ExecOptions
 			}{
-				{"serial", ExecOptions{}},
-				{"budget=2", ExecOptions{Pool: pool, Parallelism: 2}},
-				{"budget=4", ExecOptions{Pool: pool, Parallelism: 4}},
+				{"nil_ctx", ExecOptions{}},
+				{"live_ctx", ExecOptions{Ctx: context.Background()}},
+				{"live_ctx#2", ExecOptions{Ctx: context.Background()}},
 			}
 			rng := rand.New(rand.NewSource(int64(100 + budget)))
 			for i := 0; i < 12; i++ {

@@ -37,7 +37,7 @@ func MatchNaive(g *tgm.InstanceGraph, p *Pattern) (*naiveMatch, error) {
 				return nil, err
 			}
 		}
-		set, err := graphrel.SelectSet(nil, nil, 1, g, g.NodesOfType(n.Type), pred)
+		set, err := graphrel.SelectSet(nil, g, g.NodesOfType(n.Type), pred)
 		if err != nil {
 			return nil, err
 		}

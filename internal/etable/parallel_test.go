@@ -7,45 +7,36 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/exec"
 	"repro/internal/value"
 )
 
 // TestParallelExecuteEquivalence asserts the full execution path under
-// a pool returns the oracle's enriched table on the paper's Figure 1
-// and Figure 7 patterns — through ExecuteOpts and through the caching
-// executor's prepare plus full window — under budgets 2 and 4.
+// a live context returns the oracle's enriched table on the paper's
+// Figure 1 and Figure 7 patterns — through ExecuteOpts and through the
+// caching executor's prepare plus full window. (Its name dates from
+// the pooled arms it used to run; every execution is serial now.)
 func TestParallelExecuteEquivalence(t *testing.T) {
 	tr := planFixture(t)
-	pool := exec.NewPool(4)
 	for name, p := range map[string]*Pattern{
 		"figure1": figure1PlanPattern(t, tr),
 		"figure7": figure7PlanPattern(t, tr),
 	} {
 		_, want := oracleTable(t, tr.Instance, p)
-		got, err := ExecuteOpts(tr.Instance, p,
-			ExecOptions{Ctx: context.Background(), Pool: pool, Parallelism: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertSameResults(t, name+"/one-morsel", got, want)
 		t.Run(name, func(t *testing.T) {
-			for _, budget := range []int{2, 4} {
-				opt := ExecOptions{Ctx: context.Background(), Pool: pool, Parallelism: budget}
-				got, err := ExecuteOpts(tr.Instance, p, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertSameResults(t, name, got, want)
-				pr, err := NewExecutor(tr.Instance).PrepareWithOpts(p, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got, err = pr.WindowOpts(0, -1, opt); err != nil {
-					t.Fatal(err)
-				}
-				assertSameResults(t, name+"/executor", got, want)
+			opt := ExecOptions{Ctx: context.Background()}
+			got, err := ExecuteOpts(tr.Instance, p, opt)
+			if err != nil {
+				t.Fatal(err)
 			}
+			assertSameResults(t, name, got, want)
+			pr, err := NewExecutor(tr.Instance).PrepareWithOpts(p, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, err = pr.WindowOpts(0, -1, opt); err != nil {
+				t.Fatal(err)
+			}
+			assertSameResults(t, name+"/executor", got, want)
 		})
 	}
 }
@@ -88,7 +79,7 @@ func TestExecuteOptsCancellation(t *testing.T) {
 	p := figure7PlanPattern(t, tr)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	opt := ExecOptions{Ctx: ctx, Pool: exec.NewPool(2), Parallelism: 4}
+	opt := ExecOptions{Ctx: ctx}
 	if _, err := ExecuteOpts(tr.Instance, p, opt); !errors.Is(err, context.Canceled) {
 		t.Errorf("ExecuteOpts err = %v, want Canceled", err)
 	}
@@ -103,15 +94,14 @@ func TestExecuteOptsCancellation(t *testing.T) {
 	}
 }
 
-// TestCacheMixedParallelSerialSingleflight is the cache satellite: a
-// signature prepared concurrently by pooled and serial callers must be
-// matched exactly once — one miss for the match and one per base, every
-// other lookup a hit — and every caller's presentation renders the same
+// TestCacheConcurrentPrepareSingleflight: a signature prepared
+// concurrently by callers with and without a context must be matched
+// exactly once — one miss for the match and one per base, every other
+// lookup a hit — and every caller's presentation renders the same
 // table.
-func TestCacheMixedParallelSerialSingleflight(t *testing.T) {
+func TestCacheConcurrentPrepareSingleflight(t *testing.T) {
 	tr := planFixture(t)
 	cache := NewCache(64)
-	pool := exec.NewPool(4)
 	p := figure7PlanPattern(t, tr)
 
 	const callers = 16
@@ -127,8 +117,7 @@ func TestCacheMixedParallelSerialSingleflight(t *testing.T) {
 			<-start
 			var opt ExecOptions
 			if i%2 == 0 {
-				// Parallel caller (identical output either way).
-				opt = ExecOptions{Ctx: context.Background(), Pool: pool, Parallelism: 4}
+				opt.Ctx = context.Background()
 			}
 			prs[i], errs[i] = ex.PrepareWithOpts(p, opt)
 		}(i)
@@ -157,7 +146,7 @@ func TestCacheMixedParallelSerialSingleflight(t *testing.T) {
 	if !ok {
 		t.Fatal("match not cached")
 	}
-	// A second, all-serial wave must be pure hits for the match key.
+	// A second wave must be pure hits for the match key.
 	preMisses := cache.Misses()
 	for i := 0; i < 4; i++ {
 		ex := NewSharedExecutor(tr.Instance, cache)

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
-	"repro/internal/exec"
 	"repro/internal/graphrel"
 	"repro/internal/tgm"
 	"repro/internal/translate"
@@ -106,11 +105,10 @@ func assertCellsMatchRelation(t *testing.T, label string, res *Result, p *Patter
 // TestPrepareScatteredIDs is the one-Prepare-kernel equivalence where
 // dense indexing could go wrong (ID runs starting at distinct non-zero
 // IDs, a repeated type, a selection leaving gaps): PrepareOpts and the
-// executor's miss (reduced sets) under budgets 1 and 4 all render the
-// oracle's table cell for cell. Run under -race by scripts/check.sh.
+// executor's miss (reduced sets) both render the oracle's table cell
+// for cell. Run under -race by scripts/check.sh.
 func TestPrepareScatteredIDs(t *testing.T) {
 	rng := rand.New(rand.NewSource(20261004))
-	pool := exec.NewPool(4)
 	for trial := 0; trial < 8; trial++ {
 		schema, g := scatteredFixture(t, rng)
 		build := func(steps ...func(*Pattern) (*Pattern, error)) *Pattern {
@@ -156,16 +154,12 @@ func TestPrepareScatteredIDs(t *testing.T) {
 			}
 			render("PrepareOpts", pr)
 
-			for _, budget := range []int{1, 4} {
-				opt := ExecOptions{Ctx: context.Background(), Pool: pool, Parallelism: budget}
-				pr, red, err := prepareMiss(g, p, opt)
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				sub := fmt.Sprintf("reduced budget=%d", budget)
-				assertReducedMatches(t, label+"/"+sub, red, matched)
-				render(sub, pr)
+			pr, red, err := prepareMiss(g, p, ExecOptions{Ctx: context.Background()})
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
 			}
+			assertReducedMatches(t, label+"/reduced", red, matched)
+			render("reduced", pr)
 		}
 	}
 }

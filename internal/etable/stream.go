@@ -131,5 +131,5 @@ func selectSet(g *tgm.InstanceGraph, opt ExecOptions, n *PatternNode, from *grap
 	if from != nil && from.Len() < len(ids) {
 		ids = from.IDs()
 	}
-	return graphrel.SelectSet(opt.Ctx, opt.Pool, opt.Parallelism, g, ids, pred)
+	return graphrel.SelectSet(opt.Ctx, g, ids, pred)
 }

@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/exec"
 	"repro/internal/graphrel"
 	"repro/internal/tgm"
 )
@@ -52,13 +51,10 @@ func assertSameRelations(t *testing.T, label string, got, want *graphrel.Relatio
 }
 
 // TestStreamMatchEquivalence asserts the engine's match equals the
-// oracle's tuple set on the paper's figure patterns, and that it is the
-// same relation row for row whether its selections ran serial or under
-// a pool — the identity that keeps responses byte-stable across
-// budgets.
+// oracle's tuple set on the paper's figure patterns, and that a live
+// context leaves it the same relation row for row.
 func TestStreamMatchEquivalence(t *testing.T) {
 	tr := planFixture(t)
-	pool := exec.NewPool(4)
 	for name, p := range map[string]*Pattern{
 		"figure1": figure1PlanPattern(t, tr),
 		"figure7": figure7PlanPattern(t, tr),
@@ -69,8 +65,8 @@ func TestStreamMatchEquivalence(t *testing.T) {
 			label string
 			opt   ExecOptions
 		}{
-			{"serial", ExecOptions{}},
-			{"pooled", ExecOptions{Ctx: context.Background(), Pool: pool, Parallelism: 4}},
+			{"nil_ctx", ExecOptions{}},
+			{"live_ctx", ExecOptions{Ctx: context.Background()}},
 		} {
 			got, err := MatchOpts(tr.Instance, p, tc.opt)
 			if err != nil {
@@ -86,12 +82,10 @@ func TestStreamMatchEquivalence(t *testing.T) {
 }
 
 // TestStreamMatchEquivalenceRandomized fuzzes the engine against the
-// oracle: random year thresholds vary the selectivity and random
-// budgets the selections' fan-out — the tuple set must be the
-// oracle's, and the rows identical to the serial run, throughout.
+// oracle: random year thresholds vary the selectivity — the tuple set
+// must be the oracle's throughout.
 func TestStreamMatchEquivalenceRandomized(t *testing.T) {
 	tr := planFixture(t)
-	pool := exec.NewPool(4)
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 8; trial++ {
 		year := 1995 + rng.Intn(20)
@@ -106,22 +100,15 @@ func TestStreamMatchEquivalenceRandomized(t *testing.T) {
 			t.Fatal(err)
 		}
 		assertMatchesOracle(t, label, p, want, oracleTuples(t, tr.Instance, p))
-		opt := ExecOptions{Ctx: context.Background(), Pool: pool, Parallelism: 2 + rng.Intn(4)}
-		got, err := MatchOpts(tr.Instance, p, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertSameRelations(t, label, got, want)
 	}
 }
 
 // TestPrepareFromSetsEquivalence asserts the presentation prepared
 // from the reduced match renders the oracle's enriched table cell for
-// cell — full renders and windows — under budgets 1 and 4, and that the
-// reduced sets are the oracle's projections.
+// cell — full renders and windows — and that the reduced sets are the
+// oracle's projections.
 func TestPrepareFromSetsEquivalence(t *testing.T) {
 	tr := planFixture(t)
-	pool := exec.NewPool(4)
 	for name, p := range map[string]*Pattern{
 		"figure1": figure1PlanPattern(t, tr),
 		"figure7": figure7PlanPattern(t, tr),
@@ -131,36 +118,30 @@ func TestPrepareFromSetsEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, budget := range []int{1, 4} {
-			var opt ExecOptions
-			if budget > 1 {
-				opt.Ctx, opt.Pool, opt.Parallelism = context.Background(), pool, budget
-			}
-			pr, red, err := prepareMiss(tr.Instance, p, opt)
+		pr, red, err := prepareMiss(tr.Instance, p, ExecOptions{Ctx: context.Background()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertReducedMatches(t, name+"/reduced", red, naive)
+		if pr.NumRows() != oraclePr.NumRows() {
+			t.Fatalf("%s: %d rows, want %d", name, pr.NumRows(), oraclePr.NumRows())
+		}
+		got, err := pr.Window(0, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameResults(t, name, got, want)
+		// Windows agree too (first page, middle page, clamped tail).
+		for _, w := range [][2]int{{0, 5}, {3, 4}, {want.NumRows() - 2, 10}} {
+			gw, err := pr.Window(w[0], w[1])
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertReducedMatches(t, name+"/reduced", red, naive)
-			if pr.NumRows() != oraclePr.NumRows() {
-				t.Fatalf("%s: %d rows, want %d", name, pr.NumRows(), oraclePr.NumRows())
-			}
-			got, err := pr.Window(0, -1)
+			ww, err := oraclePr.Window(w[0], w[1])
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertSameResults(t, fmt.Sprintf("%s/budget=%d", name, budget), got, want)
-			// Windows agree too (first page, middle page, clamped tail).
-			for _, w := range [][2]int{{0, 5}, {3, 4}, {want.NumRows() - 2, 10}} {
-				gw, err := pr.Window(w[0], w[1])
-				if err != nil {
-					t.Fatal(err)
-				}
-				ww, err := oraclePr.Window(w[0], w[1])
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertSameResults(t, fmt.Sprintf("%s/window=%v", name, w), gw, ww)
-			}
+			assertSameResults(t, fmt.Sprintf("%s/window=%v", name, w), gw, ww)
 		}
 	}
 }
@@ -277,7 +258,7 @@ func TestStreamingCancellation(t *testing.T) {
 	p := figure7PlanPattern(t, tr)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	opt := ExecOptions{Ctx: ctx, Pool: exec.NewPool(2), Parallelism: 4}
+	opt := ExecOptions{Ctx: ctx}
 	if _, err := MatchOpts(tr.Instance, p, opt); !errors.Is(err, context.Canceled) {
 		t.Errorf("MatchOpts err = %v, want Canceled", err)
 	}

@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/exec"
 	"repro/internal/tgm"
 	"repro/internal/value"
 )
@@ -56,14 +55,12 @@ func assertSameWindow(t *testing.T, label string, got, want *Result) {
 	assertSameResults(t, label, got, want)
 }
 
-// TestTransformRangeEquivalence: a window is one transformRange call
-// on the caller's goroutine whatever the options carry — under a pool
-// and budgets 2 and 4, every window (the full render, the first rows,
-// the last rows) is row- and cell-identical to the serial render, on
+// TestTransformRangeEquivalence: a window is one transformRange call —
+// under a live context every window (the full render, the first rows,
+// the last rows) is row- and cell-identical to the plain render, on
 // the Figure 1 and Figure 7 patterns.
 func TestTransformRangeEquivalence(t *testing.T) {
 	tr := planFixture(t)
-	pool := exec.NewPool(4)
 	for name, p := range map[string]*Pattern{
 		"figure1": figure1PlanPattern(t, tr),
 		"figure7": figure7PlanPattern(t, tr),
@@ -77,27 +74,24 @@ func TestTransformRangeEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		total := len(want.Rows)
-		for _, budget := range []int{2, 4} {
-			opt := ExecOptions{Ctx: context.Background(), Pool: pool, Parallelism: budget}
-			pr, err := PrepareOpts(tr.Instance, p, matched, opt)
+		opt := ExecOptions{Ctx: context.Background()}
+		pr, err := PrepareOpts(tr.Instance, p, matched, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range [][2]int{{0, -1}, {0, 3}, {max(total-3, 0), -1}} {
+			got, err := pr.WindowOpts(w[0], w[1], opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, w := range [][2]int{{0, -1}, {0, 3}, {max(total-3, 0), -1}} {
-				got, err := pr.WindowOpts(w[0], w[1], opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				end := total
-				if w[1] >= 0 {
-					end = min(w[0]+w[1], total)
-				}
-				assertSameWindow(t, fmt.Sprintf("%s/budget=%d/window=%v", name, budget, w), got, sliceOf(want, w[0], end))
+			end := total
+			if w[1] >= 0 {
+				end = min(w[0]+w[1], total)
 			}
+			assertSameWindow(t, fmt.Sprintf("%s/window=%v", name, w), got, sliceOf(want, w[0], end))
 		}
 		// The public full-render path under options must agree too.
-		got, err := ExecuteOpts(tr.Instance, p,
-			ExecOptions{Ctx: context.Background(), Pool: pool, Parallelism: 4})
+		got, err := ExecuteOpts(tr.Instance, p, opt)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -34,7 +34,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/exec"
 	"repro/internal/expr"
 	"repro/internal/tgm"
 )
@@ -93,12 +92,11 @@ func (r *Relation) ColumnNamed(name string) []tgm.NodeID {
 // columns pred reads once (expr.Pred.Bind), every ID range scans them
 // directly, and every pin is released before SelectSet returns. A
 // column that fails to fault in fails the selection with the column
-// source's typed error; it never reads as NULL. The kept members' bits
-// are set straight from the scan's keep lists: no tuple is gathered.
-// More than one morsel of ids fans out over pool under budget (see
-// parallel.go); the set is the same either way, and ctx is checked
-// between morsels.
-func SelectSet(ctx context.Context, pool *exec.Pool, budget int, g *tgm.InstanceGraph, ids []tgm.NodeID, pred *expr.Pred) (NodeSet, error) {
+// source's typed error; it never reads as NULL. ids are scanned one
+// MorselRows morsel at a time, ctx is checked before each, and each
+// morsel's kept members' bits are set straight into the set: no tuple
+// is gathered.
+func SelectSet(ctx context.Context, g *tgm.InstanceGraph, ids []tgm.NodeID, pred *expr.Pred) (NodeSet, error) {
 	if pred == nil || len(ids) == 0 {
 		return SetOf(ids), nil
 	}
@@ -113,25 +111,15 @@ func SelectSet(ctx context.Context, pool *exec.Pool, budget int, g *tgm.Instance
 		return NodeSet{}, err
 	}
 	defer bound.Release()
-	var keeps [][]int32
-	if pool == nil || budget <= 1 || len(ids) <= MorselRows {
-		keep, err := bound.Select(ids, 0, len(ids))
+	s := NodeSet{lo: ids[0], bits: NewBitset(int(ids[len(ids)-1]-ids[0]) + 1)}
+	for lo := 0; lo < len(ids); lo += MorselRows {
+		if err := ctxErr(ctx); err != nil {
+			return NodeSet{}, err
+		}
+		keep, err := bound.Select(ids, lo, min(lo+MorselRows, len(ids)))
 		if err != nil {
 			return NodeSet{}, err
 		}
-		keeps = [][]int32{keep}
-	} else {
-		bounds := morselBounds(len(ids), MorselRows)
-		keeps = make([][]int32, len(bounds))
-		if err := pool.Map(ctx, len(bounds), budget, func(m int) (err error) {
-			keeps[m], err = bound.Select(ids, bounds[m][0], bounds[m][1])
-			return err
-		}); err != nil {
-			return NodeSet{}, err
-		}
-	}
-	s := NodeSet{lo: ids[0], bits: NewBitset(int(ids[len(ids)-1]-ids[0]) + 1)}
-	for _, keep := range keeps {
 		for _, k := range keep {
 			d := uint(ids[k] - s.lo)
 			s.bits[d>>6] |= 1 << (d & 63)

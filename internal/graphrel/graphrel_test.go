@@ -108,7 +108,7 @@ func selected(t testing.TB, g *tgm.InstanceGraph, typeName, cond string) NodeSet
 			t.Fatal(err)
 		}
 	}
-	s, err := SelectSet(nil, nil, 1, g, g.NodesOfType(typeName), pred)
+	s, err := SelectSet(nil, g, g.NodesOfType(typeName), pred)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestSelect(t *testing.T) {
 	if recent2.Len() != recent.Len() {
 		t.Error("qualified condition mismatch")
 	}
-	same, err := Select(nil, nil, 1, papers, "Papers", nil)
+	same, err := Select(papers, "Papers", nil)
 	if err != nil || same != papers {
 		t.Error("nil predicate should return input")
 	}
@@ -162,11 +162,14 @@ func TestSelect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Select(nil, nil, 1, papers, "Nope", pred); err == nil {
+	if _, err := Select(papers, "Nope", pred); err == nil {
 		t.Error("bad attribute accepted")
 	}
 	if _, err := compileCond(papers, "Papers", expr.MustParse("nope = 1")); err == nil {
 		t.Error("unknown column accepted")
+	}
+	if _, err := SelectSet(nil, g, g.NodesOfType("Authors"), pred); err == nil {
+		t.Error("SelectSet ran a Papers condition over Authors")
 	}
 }
 
@@ -403,7 +406,7 @@ func TestConcurrentOperatorsOnSharedRelation(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				set, err := SelectSet(nil, nil, 1, g, papers.ColumnNamed("Papers"), pred)
+				set, err := SelectSet(nil, g, papers.ColumnNamed("Papers"), pred)
 				if err != nil || set.Len() != recent.Len() {
 					t.Errorf("SelectSet: %d members (err %v), Select kept %d", set.Len(), err, recent.Len())
 					return

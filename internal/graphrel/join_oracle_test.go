@@ -48,7 +48,7 @@ func selectCond(r *Relation, attrName string, cond expr.Expr) (*Relation, error)
 	if err != nil {
 		return nil, err
 	}
-	return Select(nil, nil, 1, r, attrName, pred)
+	return Select(r, attrName, pred)
 }
 
 // compileCond compiles cond for r's named attribute (nil cond → nil

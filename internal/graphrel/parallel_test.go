@@ -3,12 +3,10 @@ package graphrel
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
 
-	"repro/internal/exec"
 	"repro/internal/expr"
 	"repro/internal/tgm"
 	"repro/internal/value"
@@ -90,157 +88,62 @@ func assertIdenticalRelations(t *testing.T, label string, got, want *Relation) {
 	}
 }
 
-// TestSelectParEquivalence asserts Select under a pool and budgets 1–8
-// returns exactly the serial Select's relation, on a base relation and
-// on a joined one whose attribute column repeats nodes, and SelectSet
-// under the same pools exactly the set of the base's selected nodes;
-// a condition compiled for another type is refused.
-func TestSelectParEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	g := bigChainGraph(t, rng)
-	pool := exec.NewPool(4)
-	ctx := context.Background()
-	as, err := base(g, "A", "A")
-	if err != nil {
-		t.Fatal(err)
-	}
-	bs, err := base(g, "B", "B")
-	if err != nil {
-		t.Fatal(err)
-	}
-	joined, err := pairs(g, "A", "B", "A-B")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		name string
-		rel  *Relation
-		attr string
-	}{
-		{"base_single_attr", as, "A"},
-		{"joined_multi_attr", joined, "A"},
-	} {
-		for _, budget := range []int{1, 2, 4, 8} {
-			pred, err := compileCond(tc.rel, tc.attr, expr.MustParse(fmt.Sprintf("id %% %d = %d", 2+budget%3, budget%2)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := Select(nil, nil, 1, tc.rel, tc.attr, pred)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := Select(ctx, pool, budget, tc.rel, tc.attr, pred)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertIdenticalRelations(t, fmt.Sprintf("%s/budget=%d", tc.name, budget), got, want)
-			if tc.rel != as {
-				continue
-			}
-			set, err := SelectSet(ctx, pool, budget, g, as.cols[0], pred)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ids, wantIDs := set.IDs(), want.cols[0]; !slices.Equal(ids, wantIDs) || set.Len() != len(wantIDs) {
-				t.Fatalf("SelectSet budget=%d: %d members, Select kept %d rows", budget, set.Len(), len(wantIDs))
-			}
-		}
-	}
-	if _, err := SelectSet(ctx, pool, 4, g, bs.cols[0], mustPred(t, as, "id = 1")); err == nil {
-		t.Error("SelectSet ran an A condition over B nodes")
-	}
-	// A nil predicate returns the input unchanged on the pooled path too.
-	same, err := Select(ctx, pool, 4, as, "A", nil)
-	if err != nil || same != as {
-		t.Fatalf("nil pred: got %p (err %v), want input %p", same, err, as)
-	}
-	pred, err := compileCond(as, "A", expr.MustParse("id = 1"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Select(ctx, pool, 4, as, "Nope", pred); err == nil {
-		t.Error("unknown attribute accepted")
-	}
+// doneAfter is a context whose Err turns to context.Canceled once it
+// has been asked live more than live times.
+type doneAfter struct {
+	context.Context
+	live, calls int
 }
 
-// TestSmallInputsRunSerial pins what lets the engine pass a request's
-// budget through unchanged: a SelectSet over one morsel takes the
-// serial path under a pool and budget 8 — the same allocations as the
-// pool-less call and the same set — while a many-morsel SelectSet under
-// the same budget does fan out.
-func TestSmallInputsRunSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	g := bigChainGraph(t, rng)
-	pool := exec.NewPool(4)
-	ctx := context.Background()
-	as, err := base(g, "A", "A")
-	if err != nil {
-		t.Fatal(err)
+func (c *doneAfter) Err() error {
+	c.calls++
+	if c.calls > c.live {
+		return context.Canceled
 	}
-	all, morsel := as.cols[0], as.cols[0][:MorselRows]
-	pred := mustPred(t, as, "id % 3 = 1")
-	sel := func(p *exec.Pool, budget int, ids []tgm.NodeID) NodeSet {
-		got, err := SelectSet(ctx, p, budget, g, ids, pred)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return got
-	}
-	allocs := func(f func()) float64 { return testing.AllocsPerRun(20, f) }
-
-	if got, want := sel(pool, 8, morsel), sel(nil, 1, morsel); !slices.Equal(got.IDs(), want.IDs()) {
-		t.Fatal("one-morsel SelectSet differs under a pool")
-	}
-	if pooled, serial := allocs(func() { sel(pool, 8, morsel) }), allocs(func() { sel(nil, 1, morsel) }); pooled != serial {
-		t.Errorf("one-morsel SelectSet: %v allocs under pool+budget 8, %v serial — it fanned out", pooled, serial)
-	}
-	// The control: the measurement sees a real fan-out.
-	if pooled, serial := allocs(func() { sel(pool, 8, all) }), allocs(func() { sel(nil, 1, all) }); pooled <= serial {
-		t.Errorf("%d-node SelectSet: %v allocs under pool+budget 8, %v serial — expected the fan-out's extra allocations", len(all), pooled, serial)
-	}
+	return nil
 }
 
+// TestParallelKernelCancellation pins SelectSet's per-morsel context
+// check: a context that turns done after the first morsel stops the
+// scan at the second with ctx.Err(), a done context stops it before
+// any, and the same selection under a live context — the control —
+// spans more than two morsels and keeps exactly the reference Select's
+// nodes.
 func TestParallelKernelCancellation(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	g := bigChainGraph(t, rng)
-	pool := exec.NewPool(2)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
 	as, _ := base(g, "A", "A")
-	pred := mustPred(t, as, "id > 3")
-	if _, err := SelectSet(ctx, pool, 4, g, as.cols[0], pred); !errors.Is(err, context.Canceled) {
-		t.Errorf("pooled SelectSet err = %v, want Canceled", err)
+	ids := as.cols[0]
+	pred := mustPred(t, as, "id % 3 = 1")
+	if len(ids) <= 2*MorselRows {
+		t.Fatalf("%d IDs span fewer than three morsels", len(ids))
 	}
-	// The serial path must honor cancellation too.
-	if _, err := SelectSet(ctx, nil, 1, g, as.cols[0], pred); !errors.Is(err, context.Canceled) {
-		t.Errorf("serial SelectSet err = %v, want Canceled", err)
+	want, err := Select(as, "A", pred)
+	if err != nil {
+		t.Fatal(err)
 	}
-}
+	live := &doneAfter{Context: context.Background(), live: len(ids)}
+	got, err := SelectSet(live, g, ids, pred)
+	if err != nil || !slices.Equal(got.IDs(), want.cols[0]) {
+		t.Fatalf("live context: %d members (err %v), Select kept %d", got.Len(), err, want.Len())
+	}
+	// One check before the columns are pinned and one before each morsel.
+	if wantCalls := 1 + (len(ids)+MorselRows-1)/MorselRows; live.calls != wantCalls {
+		t.Fatalf("live context checked %d times, want %d", live.calls, wantCalls)
+	}
 
-// TestPartitionsEdgeCases pins the morsel partition SelectSet fans out
-// over: contiguous runs covering [0, n) in order, each at most size long
-// and only the last shorter, for sizes below, at and above n, and none
-// for an empty input or a non-positive size.
-func TestPartitionsEdgeCases(t *testing.T) {
-	for _, n := range []int{1, MorselRows - 1, MorselRows, 3*MorselRows + 5} {
-		for _, size := range []int{1000, MorselRows, n, n + 5} {
-			bounds := morselBounds(n, size)
-			next := 0
-			for i, b := range bounds {
-				if b[0] != next || b[1] <= b[0] || b[1]-b[0] > size || (i < len(bounds)-1 && b[1]-b[0] != size) {
-					t.Fatalf("n=%d size=%d: run %d = %v after %d", n, size, i, b, next)
-				}
-				next = b[1]
-			}
-			if next != n {
-				t.Fatalf("n=%d size=%d: runs cover [0, %d)", n, size, next)
-			}
-		}
+	// Live for the pin check and the first morsel's, done at the second.
+	ctx := &doneAfter{Context: context.Background(), live: 2}
+	if _, err := SelectSet(ctx, g, ids, pred); !errors.Is(err, context.Canceled) {
+		t.Fatalf("context done after the first morsel: err = %v, want Canceled", err)
 	}
-	for _, nb := range [][2]int{{0, 4}, {-1, 4}, {5, 0}, {5, -1}} {
-		if b := morselBounds(nb[0], nb[1]); b != nil {
-			t.Errorf("morselBounds(%d, %d) = %v, want none", nb[0], nb[1], b)
-		}
+	if ctx.calls != 3 {
+		t.Errorf("context checked %d times, want 3: the scan went on past the second morsel", ctx.calls)
+	}
+	done, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := SelectSet(done, g, ids, pred); !errors.Is(err, context.Canceled) {
+		t.Errorf("done context: err = %v, want Canceled", err)
 	}
 }
 

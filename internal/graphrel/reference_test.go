@@ -1,10 +1,8 @@
 package graphrel
 
 import (
-	"context"
 	"fmt"
 
-	"repro/internal/exec"
 	"repro/internal/expr"
 	"repro/internal/tgm"
 )
@@ -36,12 +34,8 @@ func pairs(g *tgm.InstanceGraph, from, to, edgeType string) (*Relation, error) {
 
 // Select returns the tuples whose node at the named attribute satisfies
 // pred (σ_Ci applied to attribute A_i); a nil pred returns r unchanged.
-// Relations of more than one morsel fan out over pool under budget in
-// three phases — each morsel filters into its own keep list, a prefix
-// sum turns their counts into disjoint output offsets, and each morsel
-// gathers its rows into its own window — so the output is the same
-// relation, row for row, as the serial run over [0, n).
-func Select(ctx context.Context, pool *exec.Pool, budget int, r *Relation, attrName string, pred *expr.Pred) (*Relation, error) {
+// One scan keeps the rows and one gather copies them out, in row order.
+func Select(r *Relation, attrName string, pred *expr.Pred) (*Relation, error) {
 	if pred == nil {
 		return r, nil
 	}
@@ -53,67 +47,16 @@ func Select(ctx context.Context, pool *exec.Pool, budget int, r *Relation, attrN
 		return nil, fmt.Errorf("graphrel: condition compiled for %q selects attribute %q of type %q",
 			pred.NodeType().Name, attrName, nt.Name)
 	}
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
-	}
 	bound, err := pred.Bind(r.g)
 	if err != nil {
 		return nil, err
 	}
 	defer bound.Release()
-	col := r.cols[ai]
-	if pool == nil || budget <= 1 || r.n <= MorselRows {
-		keep, err := bound.Select(col, 0, r.n)
-		if err != nil {
-			return nil, err
-		}
-		return r.gather(keep), nil
-	}
-	bounds := morselBounds(r.n, MorselRows)
-
-	// Phase 1: each morsel filters into its own keep list.
-	keeps := make([][]int32, len(bounds))
-	if err := pool.Map(ctx, len(bounds), budget, func(m int) error {
-		keep, err := bound.Select(col, bounds[m][0], bounds[m][1])
-		if err != nil {
-			return err
-		}
-		keeps[m] = keep
-		return nil
-	}); err != nil {
+	keep, err := bound.Select(r.cols[ai], 0, r.n)
+	if err != nil {
 		return nil, err
 	}
-
-	// Phase 2: prefix-sum morsel counts into disjoint output offsets.
-	offs, total := prefixOffsets(keeps)
-
-	// Phase 3: gather every morsel into its disjoint output window.
-	out := r.sized(total)
-	if err := pool.Map(ctx, len(bounds), budget, func(m int) error {
-		rows := keeps[m]
-		lo := offs[m]
-		for c, src := range r.cols {
-			dst := out.cols[c][lo:]
-			for j, ri := range rows {
-				dst[j] = src[ri]
-			}
-		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// prefixOffsets turns per-morsel output slices into disjoint output
-// offsets, returning the offsets and the total length.
-func prefixOffsets(parts [][]int32) (offs []int, total int) {
-	offs = make([]int, len(parts))
-	for m, p := range parts {
-		offs[m] = total
-		total += len(p)
-	}
-	return offs, total
+	return r.gather(keep), nil
 }
 
 // gather materializes the listed rows into a fresh relation, copying

@@ -10,7 +10,6 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/exec"
 	"repro/internal/expr"
 	"repro/internal/snapshot"
 	"repro/internal/tgm"
@@ -196,7 +195,7 @@ func interpretedRows(t *testing.T, r *Relation, ai int, cond expr.Expr) []int32 
 // r, in order.
 func selectedRows(t *testing.T, r *Relation, attr string, pred *expr.Pred, want []int32) {
 	t.Helper()
-	got, err := Select(nil, nil, 1, r, attr, pred)
+	got, err := Select(r, attr, pred)
 	if err != nil {
 		t.Fatalf("Select: %v", err)
 	}
@@ -263,10 +262,10 @@ func FuzzSelectParity(f *testing.F) {
 }
 
 // TestSelectCorruptColumn is the out-of-core drill: on a lazily loaded
-// snapshot whose column section is damaged, Select fails with the typed
-// *snapshot.CorruptError — serial and fanned out — rather than reading
-// the column as NULL, and leaves nothing pinned; a selection over an
-// intact column of the same type still runs.
+// snapshot whose column section is damaged, SelectSet over three
+// morsels fails with the typed *snapshot.CorruptError rather than
+// reading the column as NULL, and leaves nothing pinned; a selection
+// over an intact column of the same type still runs.
 func TestSelectCorruptColumn(t *testing.T) {
 	sg := tgm.NewSchemaGraph()
 	if _, err := sg.AddNodeType(tgm.NodeType{Name: "A", Label: "s",
@@ -321,33 +320,31 @@ func TestSelectCorruptColumn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := exec.NewPool(2)
+	ids := as.cols[0]
 	for _, src := range []string{"s = 'name 3'", "k > 3 AND s like '%1%'", "k < 0 OR s is null"} {
 		pred, err := compileCond(as, "A", expr.MustParse(src))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, budget := range []int{1, 4} {
-			_, err := Select(context.Background(), pool, budget, as, "A", pred)
-			var ce *snapshot.CorruptError
-			if !errors.As(err, &ce) {
-				t.Fatalf("%s (budget %d): err = %v, want *snapshot.CorruptError", src, budget, err)
-			}
-			if st, _ := ls.PagerStats(); st.Pinned != 0 {
-				t.Fatalf("%s (budget %d): %d columns left pinned", src, budget, st.Pinned)
-			}
+		_, err = SelectSet(context.Background(), ls.Graph, ids, pred)
+		var ce *snapshot.CorruptError
+		if !errors.As(err, &ce) {
+			t.Fatalf("%s: err = %v, want *snapshot.CorruptError", src, err)
+		}
+		if st, _ := ls.PagerStats(); st.Pinned != 0 {
+			t.Fatalf("%s: %d columns left pinned", src, st.Pinned)
 		}
 	}
 	pred, err := compileCond(as, "A", expr.MustParse("k >= 100"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Select(context.Background(), pool, 4, as, "A", pred)
+	got, err := SelectSet(context.Background(), ls.Graph, ids, pred)
 	if err != nil {
 		t.Fatalf("intact column: %v", err)
 	}
 	if got.Len() != rows-100 {
-		t.Fatalf("k >= 100 kept %d rows, want %d", got.Len(), rows-100)
+		t.Fatalf("k >= 100 kept %d nodes, want %d", got.Len(), rows-100)
 	}
 	if st, _ := ls.PagerStats(); st.Pinned != 0 {
 		t.Fatalf("%d columns left pinned after a selection", st.Pinned)
@@ -400,7 +397,7 @@ func BenchmarkSelect(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if selectSink, err = Select(nil, nil, 1, r, "Papers", pred); err != nil {
+				if selectSink, err = Select(r, "Papers", pred); err != nil {
 					b.Fatal(err)
 				}
 			}

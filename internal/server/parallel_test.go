@@ -6,11 +6,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
-
-	"repro/internal/testdb"
 )
 
 // TestParallelismQueryParam: ?parallelism= is not read. A session
@@ -74,82 +71,6 @@ func rawRequest(t *testing.T, method, url string, body any) (int, []byte) {
 		t.Fatal(err)
 	}
 	return resp.StatusCode, out
-}
-
-// TestStatsWorkers asserts /api/v1/stats reports the worker pool and
-// the planner's per-edge statistics.
-func TestStatsWorkers(t *testing.T) {
-	tr, err := testdb.Figure3Translation()
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := NewWithOptions(tr.Schema, tr.Instance, Options{MaxWorkers: 3, Parallelism: 2})
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-	var st struct {
-		Workers struct {
-			Cap                int `json:"cap"`
-			InFlight           int `json:"inFlight"`
-			DefaultParallelism int `json:"defaultParallelism"`
-		} `json:"workers"`
-		EdgeStats []struct {
-			Edge         string  `json:"edge"`
-			Count        int     `json:"count"`
-			Fanout       float64 `json:"fanout"`
-			MaxOutDegree int     `json:"maxOutDegree"`
-			P90OutDegree int     `json:"p90OutDegree"`
-		} `json:"edgeStats"`
-	}
-	if code := getJSON(t, ts.URL+"/api/v1/stats", &st); code != http.StatusOK {
-		t.Fatalf("stats status %d", code)
-	}
-	if st.Workers.Cap != 3 || st.Workers.DefaultParallelism != 2 {
-		t.Errorf("workers = %+v", st.Workers)
-	}
-	if len(st.EdgeStats) == 0 {
-		t.Fatal("no edge statistics")
-	}
-	for _, es := range st.EdgeStats {
-		if es.Count > 0 && es.Fanout <= 0 {
-			t.Errorf("edge %q: count %d but fanout %v", es.Edge, es.Count, es.Fanout)
-		}
-		if es.P90OutDegree > es.MaxOutDegree {
-			t.Errorf("edge %q: p90 %d > max %d", es.Edge, es.P90OutDegree, es.MaxOutDegree)
-		}
-	}
-}
-
-// TestSerialServerOption asserts MaxWorkers < 0 disables the pool
-// entirely and the server still serves correctly.
-func TestSerialServerOption(t *testing.T) {
-	tr, err := testdb.Figure3Translation()
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := NewWithOptions(tr.Schema, tr.Instance, Options{MaxWorkers: -1})
-	if srv.pool != nil {
-		t.Fatal("negative MaxWorkers built a pool")
-	}
-	if srv.defaultBudget() != 1 {
-		t.Errorf("serial server budget = %d", srv.defaultBudget())
-	}
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-	id := createSession(t, ts)
-	var st struct {
-		TotalRows int `json:"totalRows"`
-	}
-	url := fmt.Sprintf("%s/api/v1/sessions/%d/ops", ts.URL, id)
-	if code := postJSON(t, url, map[string]any{"op": "open", "table": "Papers"}, &st); code != http.StatusOK {
-		t.Fatalf("serial server op status %d", code)
-	}
-	if st.TotalRows == 0 {
-		t.Fatal("no rows from serial server")
-	}
-	var raw json.RawMessage
-	if code := getJSON(t, ts.URL+"/api/v1/stats", &raw); code != http.StatusOK {
-		t.Fatalf("stats status %d on serial server", code)
-	}
 }
 
 // TestCreateSessionParallelismValidation pins the create path to the

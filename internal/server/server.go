@@ -34,14 +34,13 @@
 //   - Results are paginated: offset/limit (query parameters on GET,
 //     body fields on POST) select the row window that is encoded, so a
 //     request on a huge table pays for the window, not the table.
-//   - Queries parallelize internally: one exec.Pool (capacity
-//     Options.MaxWorkers) is shared by every session, each session runs
-//     its base selections under one budget (Options.Parallelism), and
-//     the request context cancels execution mid-join when the client
-//     disconnects. Pool admission is try-acquire, so a busy pool
-//     degrades queries to serial instead of queueing them — the worker
-//     cap bounds goroutines server-wide no matter how many sessions are
-//     live.
+//   - A request's query runs on the request's own goroutine: nothing
+//     fans out, so a request uses at most one CPU and the goroutine
+//     count is the request count. The request context cancels
+//     execution between morsels and semi-join steps when the client
+//     disconnects.
+//   - A handler that panics fails its request with 500 internal, not
+//     the process (ServeHTTP), and leaves its session usable.
 package server
 
 import (
@@ -55,7 +54,6 @@ import (
 	"io"
 	"log"
 	"net/http"
-	"runtime"
 	"runtime/debug"
 	"runtime/metrics"
 	"sort"
@@ -65,7 +63,6 @@ import (
 	"time"
 
 	"repro/internal/etable"
-	"repro/internal/exec"
 	"repro/internal/graphrel"
 	"repro/internal/lru"
 	"repro/internal/ops"
@@ -88,14 +85,6 @@ type Options struct {
 	// PageSize is the default result-row window when a request names no
 	// limit (0 = return all rows unless the request pages explicitly).
 	PageSize int
-	// MaxWorkers caps the server-wide worker pool for intra-query
-	// parallelism (default GOMAXPROCS; negative disables the pool, so
-	// every query runs serially). The cap is global: N concurrent
-	// sessions share these workers, they do not multiply them.
-	MaxWorkers int
-	// Parallelism is every session's worker budget (default
-	// min(4, GOMAXPROCS); negative forces serial), bounded by the pool.
-	Parallelism int
 	// MaxRows is the widest window one request may read (0 =
 	// unbounded): a wider read is rejected up front as 413
 	// result_too_large. A match is never refused for its size, and
@@ -113,12 +102,6 @@ func (o Options) withDefaults() Options {
 	if o.MaxSessions <= 0 {
 		// There is no "unbounded" mode.
 		o.MaxSessions = 1024
-	}
-	if o.MaxWorkers == 0 {
-		o.MaxWorkers = runtime.GOMAXPROCS(0)
-	}
-	if o.Parallelism == 0 {
-		o.Parallelism = min(4, runtime.GOMAXPROCS(0))
 	}
 	return o
 }
@@ -145,10 +128,6 @@ type Server struct {
 	// unscoped routes.
 	reg  *registry.Registry
 	opts Options
-	// pool is the server-wide worker pool for intra-query parallelism,
-	// shared by every session (nil when MaxWorkers < 0). Its capacity is
-	// the hard bound on helper goroutines across all in-flight queries.
-	pool *exec.Pool
 
 	// logf and now are injection points for tests.
 	logf func(format string, args ...any)
@@ -198,9 +177,6 @@ func NewFromRegistry(reg *registry.Registry, opts Options) *Server {
 		now:      time.Now,
 		sessions: lru.New[int64, *sessionEntry](opts.MaxSessions),
 		mux:      http.NewServeMux(),
-	}
-	if opts.MaxWorkers > 0 {
-		s.pool = exec.NewPool(opts.MaxWorkers)
 	}
 	s.mux.HandleFunc("GET /", s.handleIndex)
 	// Versioned API (the canonical surface; see docs/API.md).
@@ -331,16 +307,6 @@ const (
 // nowhere; the status exists for access logs and tests.
 const statusClientClosedRequest = 499
 
-// defaultBudget resolves the server's parallelism budget against the
-// pool (no pool or negative option → serial); every session is built
-// with it.
-func (s *Server) defaultBudget() int {
-	if s.pool == nil || s.opts.Parallelism < 0 {
-		return 1
-	}
-	return s.opts.Parallelism
-}
-
 // apiError is a failure with its HTTP status, stable machine-readable
 // code, and (for batch op failures) the index of the offending op.
 type apiError struct {
@@ -462,15 +428,14 @@ func (s *Server) handleSchema(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, out)
 }
 
-// statsJSON is the /api/v1/stats payload: serving-core health counters,
-// the worker pool's state, and the per-edge graph statistics.
+// statsJSON is the /api/v1/stats payload: serving-core health counters
+// and the per-edge graph statistics.
 type statsJSON struct {
 	Sessions     int            `json:"sessions"`
 	CacheEntries int            `json:"cacheEntries"`
 	CacheHits    int64          `json:"cacheHits"`
 	CacheMisses  int64          `json:"cacheMisses"`
 	Memory       memoryJSON     `json:"memory"`
-	Workers      workerJSON     `json:"workers"`
 	EdgeStats    []edgeStatJSON `json:"edgeStats"`
 	// Datasets reports every registered dataset, loaded or not. The
 	// top-level cache/edge fields describe the default dataset
@@ -542,15 +507,6 @@ type memoryJSON struct {
 	CacheResidentBytes int64 `json:"cacheResidentBytes"`
 }
 
-type workerJSON struct {
-	// Cap is the server-wide helper-goroutine cap (0 = serial server).
-	Cap int `json:"cap"`
-	// InFlight is the instantaneous helper count (racy snapshot).
-	InFlight int `json:"inFlight"`
-	// DefaultParallelism is the budget every session runs under.
-	DefaultParallelism int `json:"defaultParallelism"`
-}
-
 // edgeStatJSON reports the degree statistics translation collected
 // (internal/stats), for capacity planning and debugging. The planner
 // reads none of them: joins are ordered by the exact sizes of the
@@ -576,11 +532,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	alloc, unused := sampleBytes(heap[0]), sampleBytes(heap[1])
 	out := statsJSON{
 		Sessions: n,
-		Workers: workerJSON{
-			Cap:                s.pool.Cap(),
-			InFlight:           s.pool.InFlight(),
-			DefaultParallelism: s.defaultBudget(),
-		},
 		Memory: memoryJSON{
 			HeapAllocBytes: alloc,
 			HeapInuseBytes: alloc + unused, // as MemStats derives HeapInuse
@@ -762,7 +713,7 @@ func (s *Server) createSession(ctx context.Context, w http.ResponseWriter, r *ht
 		}
 		initial = cb.Ops
 	}
-	sess := session.NewWithExec(ds.Schema(), ds.Graph(), ds.Cache(), s.pool, s.defaultBudget())
+	sess := session.NewShared(ds.Schema(), ds.Graph(), ds.Cache())
 	sess.SetMaxRows(s.opts.MaxRows)
 	if len(initial) > 0 {
 		if err := sess.ApplyPipelineCtx(ctx, initial); err != nil {

@@ -512,6 +512,13 @@ func TestStatsEndpoint(t *testing.T) {
 		Sessions    int   `json:"sessions"`
 		CacheHits   int64 `json:"cacheHits"`
 		CacheMisses int64 `json:"cacheMisses"`
+		EdgeStats   []struct {
+			Edge         string  `json:"edge"`
+			Count        int     `json:"count"`
+			Fanout       float64 `json:"fanout"`
+			MaxOutDegree int     `json:"maxOutDegree"`
+			P90OutDegree int     `json:"p90OutDegree"`
+		} `json:"edgeStats"`
 	}
 	if code := getJSON(t, ts.URL+"/api/v1/stats", &st); code != http.StatusOK {
 		t.Fatalf("stats status = %d", code)
@@ -521,6 +528,17 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 	if st.CacheMisses == 0 {
 		t.Error("no cache misses recorded after first execution")
+	}
+	if len(st.EdgeStats) == 0 {
+		t.Fatal("no edge statistics")
+	}
+	for _, es := range st.EdgeStats {
+		if es.Count > 0 && es.Fanout <= 0 {
+			t.Errorf("edge %q: count %d but fanout %v", es.Edge, es.Count, es.Fanout)
+		}
+		if es.P90OutDegree > es.MaxOutDegree {
+			t.Errorf("edge %q: p90 %d > max %d", es.Edge, es.P90OutDegree, es.MaxOutDegree)
+		}
 	}
 }
 

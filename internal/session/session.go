@@ -126,13 +126,6 @@ type Session struct {
 	// cache. The cache behind it is shared across sessions when the
 	// session is built with NewShared.
 	exec *etable.Executor
-	// pool and parallelism configure intra-query parallel execution:
-	// pool is the (usually server-wide) worker pool, parallelism the
-	// budget every request on this session runs under. Both zero values
-	// mean serial execution. Pool admission is try-acquire, so holding
-	// mu while executing never blocks on another session's work.
-	pool        *exec.Pool
-	parallelism int
 	// maxRows is the widest window one request may read (0 =
 	// unbounded): windowLocked rejects a wider one with
 	// *graphrel.RowLimitError before reading a cell.
@@ -160,28 +153,24 @@ func New(schema *tgm.SchemaGraph, graph *tgm.InstanceGraph) *Session {
 
 // NewShared starts an empty session whose executor is backed by a
 // shared execution cache. All sessions sharing a cache must be over the
-// same instance graph. Execution is serial; use NewWithExec to grant
-// the session a worker pool.
+// same instance graph.
 func NewShared(schema *tgm.SchemaGraph, graph *tgm.InstanceGraph, cache *etable.Cache) *Session {
-	return NewWithExec(schema, graph, cache, nil, 0)
+	return &Session{
+		schema: schema,
+		graph:  graph,
+		exec:   etable.NewSharedExecutor(graph, cache),
+		cursor: -1,
+		memo:   lru.New[string, *presEntry](memoEntries),
+	}
 }
 
-// NewWithExec is NewShared plus intra-query parallel execution: base
-// selections fan out to at most parallelism workers drawn from pool
-// (both may be zero/nil for serial execution), on every request of the
-// session. The pool is typically owned by the server and shared by
-// every session, so the pool capacity — not the session count — bounds
-// total helper goroutines.
+// NewWithExec is NewShared; pool and parallelism are ignored.
+//
+// Deprecated: every request runs on its caller's goroutine. Use
+// NewShared. The function stays because the benchmark harness in
+// cmd/etable-load still calls it.
 func NewWithExec(schema *tgm.SchemaGraph, graph *tgm.InstanceGraph, cache *etable.Cache, pool *exec.Pool, parallelism int) *Session {
-	return &Session{
-		schema:      schema,
-		graph:       graph,
-		exec:        etable.NewSharedExecutor(graph, cache),
-		pool:        pool,
-		parallelism: parallelism,
-		cursor:      -1,
-		memo:        lru.New[string, *presEntry](memoEntries),
-	}
+	return NewShared(schema, graph, cache)
 }
 
 // SetMaxRows sets the widest window one request on this session may
@@ -206,10 +195,9 @@ func (s *Session) SetMaxRows(n int) {
 func (s *Session) SetWindowRecycling(bool) {}
 
 // execOptions resolves the execution options for one request: the
-// request context (cancellation) plus the session's worker pool and
-// budget.
+// request context, which cancels it.
 func (s *Session) execOptions(ctx context.Context) etable.ExecOptions {
-	return etable.ExecOptions{Ctx: ctx, Pool: s.pool, Parallelism: s.parallelism}
+	return etable.ExecOptions{Ctx: ctx}
 }
 
 // Schema returns the schema graph (the "default table list" of Figure 9

@@ -17,7 +17,6 @@ import (
 	"testing"
 
 	"repro/internal/etable"
-	"repro/internal/exec"
 	"repro/internal/translate"
 )
 
@@ -101,21 +100,12 @@ func renderResult(res *etable.Result) string {
 
 // TestRandomRoundTripEquivalence: generate → translate → Save → Load,
 // then random patterns must render byte-identical results on the
-// loaded graph versus the fresh one, serial and under a pool.
+// loaded graph versus the fresh one.
 func TestRandomRoundTripEquivalence(t *testing.T) {
 	tr := testGraph(t)
 	snap, err := Decode(saveBytes(t, tr.Instance))
 	if err != nil {
 		t.Fatalf("Decode: %v", err)
-	}
-
-	pool := exec.NewPool(4)
-	arms := []struct {
-		name string
-		opt  etable.ExecOptions
-	}{
-		{"serial", etable.ExecOptions{}},
-		{"pooled", etable.ExecOptions{Pool: pool, Parallelism: 4}},
 	}
 
 	rng := rand.New(rand.NewSource(99))
@@ -126,46 +116,31 @@ func TestRandomRoundTripEquivalence(t *testing.T) {
 			t.Fatalf("trial %d: building pattern: %v", i, err)
 		}
 		t.Run(fmt.Sprintf("trial%02d", i), func(t *testing.T) {
-			var want string
-			for _, arm := range arms {
-				fresh, err := etable.ExecuteOpts(tr.Instance, p, arm.opt)
-				if err != nil {
-					t.Fatalf("%s on fresh graph: %v\npattern: %s", arm.name, err, p)
-				}
-				loaded, err := etable.ExecuteOpts(snap.Graph, p, arm.opt)
-				if err != nil {
-					t.Fatalf("%s on loaded graph: %v\npattern: %s", arm.name, err, p)
-				}
-				rf, rl := renderResult(fresh), renderResult(loaded)
-				if rf != rl {
-					t.Fatalf("%s: loaded result differs from fresh\npattern: %s\nfresh:\n%s\nloaded:\n%s",
-						arm.name, p, rf, rl)
-				}
-				// All arms agree with each other too (cross-arm guard —
-				// a bug that broke both graphs identically in one arm
-				// would otherwise slip through).
-				if want == "" {
-					want = rf
-				} else if rf != want {
-					t.Fatalf("%s disagrees with previous arm\npattern: %s", arm.name, p)
-				}
+			fresh, err := etable.Execute(tr.Instance, p)
+			if err != nil {
+				t.Fatalf("fresh graph: %v\npattern: %s", err, p)
+			}
+			loaded, err := etable.Execute(snap.Graph, p)
+			if err != nil {
+				t.Fatalf("loaded graph: %v\npattern: %s", err, p)
+			}
+			if rf, rl := renderResult(fresh), renderResult(loaded); rf != rl {
+				t.Fatalf("loaded result differs from fresh\npattern: %s\nfresh:\n%s\nloaded:\n%s", p, rf, rl)
 			}
 		})
 	}
 }
 
 // TestConcurrentLoadedGraphQueries hammers one loaded graph from many
-// goroutines (distinct patterns, serial and pooled) under -race: the loaded
-// graph must honor the same lock-free frozen-read contract as a
-// translated one, including its lazily-populated plan cache.
+// goroutines (distinct patterns) under -race: the loaded graph must
+// honor the same lock-free frozen-read contract as a translated one,
+// including the derived state it builds on first use.
 func TestConcurrentLoadedGraphQueries(t *testing.T) {
 	tr := testGraph(t)
 	snap, err := Decode(saveBytes(t, tr.Instance))
 	if err != nil {
 		t.Fatalf("Decode: %v", err)
 	}
-	pool := exec.NewPool(4)
-
 	// Pre-generate patterns so goroutines share no RNG.
 	rng := rand.New(rand.NewSource(4242))
 	patterns := make([]*etable.Pattern, 16)
@@ -183,11 +158,7 @@ func TestConcurrentLoadedGraphQueries(t *testing.T) {
 		wg.Add(1)
 		go func(i int, p *etable.Pattern) {
 			defer wg.Done()
-			opt := etable.ExecOptions{}
-			if i%2 == 0 {
-				opt.Pool, opt.Parallelism = pool, 2
-			}
-			if _, err := etable.ExecuteOpts(snap.Graph, p, opt); err != nil {
+			if _, err := etable.Execute(snap.Graph, p); err != nil {
 				errs <- fmt.Errorf("pattern %d: %w", i, err)
 			}
 		}(i, p)

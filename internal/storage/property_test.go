@@ -65,12 +65,13 @@ func randomPattern(rng *rand.Rand, tr *translate.Result) (*etable.Pattern, error
 // TestRandomPatternEquivalence cross-validates the graph engine against
 // the paper's §6.2 SQL backend — the monolithic and the partitioned
 // translation, an independent oracle — on randomly generated patterns
-// over a small generated corpus. The engine runs three ways: serial,
-// pooled at budget 4, and the way the server serves a table — one
-// shared executor's PrepareWithOpts plus a full window — whose cache
-// spans every trial, so later trials order their joins around bases
-// earlier trials cached and re-prepare signatures they matched. Every
-// run must match both SQL tables cell for cell.
+// over a small generated corpus. The engine runs three ways: with no
+// options, with the options the benchmark harness sets ("pooled"), and
+// the way the server serves a table — one shared executor's
+// PrepareWithOpts plus a full window — whose cache spans every trial,
+// so later trials derive from sets earlier trials cached and
+// re-prepare signatures they matched. Every run must match both SQL
+// tables cell for cell.
 func TestRandomPatternEquivalence(t *testing.T) {
 	db, err := dataset.Generate(dataset.Config{Papers: 120, Authors: 60, Institutions: 20, Seed: 5})
 	if err != nil {
@@ -87,7 +88,11 @@ func TestRandomPatternEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The "pooled" arm runs under the options the benchmark harness
+	// still sets: a live context plus the deprecated Pool and
+	// Parallelism fields, which must change nothing.
 	pooled := etable.ExecOptions{Ctx: context.Background(), Pool: exec.NewPool(4), Parallelism: 4}
+	live := etable.ExecOptions{Ctx: context.Background()}
 	shared := etable.NewSharedExecutor(tr.Instance, etable.NewCache(256))
 	rng := rand.New(rand.NewSource(1234))
 	trials := 40
@@ -114,11 +119,11 @@ func TestRandomPatternEquivalence(t *testing.T) {
 				{"pooled", func() (*etable.Result, error) { return etable.ExecuteOpts(tr.Instance, p, pooled) }},
 				{"shared", func() (*etable.Result, error) {
 					// The server's path: the cached prepare, then a window.
-					pr, err := shared.PrepareWithOpts(p, pooled)
+					pr, err := shared.PrepareWithOpts(p, live)
 					if err != nil {
 						return nil, err
 					}
-					return pr.WindowOpts(0, -1, pooled)
+					return pr.WindowOpts(0, -1, live)
 				}},
 			} {
 				t.Run(run.name, func(t *testing.T) {

@@ -42,12 +42,14 @@ if go list -deps ./internal/etable | grep -qx 'repro/internal/stats'; then
 	exit 1
 fi
 
-# One fan-out site (graphrel.Select), one way to consume the match (a
-# whole drain into Prepare), one budget per session: the window and
-# join-stage fan-out, the LIMIT first-page stream and the ?parallelism=
-# override stay deleted (ROADMAP 10; the harness module is exempt).
+# A query runs on its request's goroutine: the worker pool's admission
+# and budget (tryAcquire, defaultBudget, MaxWorkers), the selection's
+# morsel partition for the fan-out (morselBounds), the stats block that
+# reported the pool (workerJSON), the window and join-stage fan-out, the
+# LIMIT first-page stream and the ?parallelism= override stay deleted
+# (ROADMAP 10; the harness module is exempt).
 echo "==> deleted execution paths stay deleted"
-if grep -rnwE 'MapRanges|WithBudget|BudgetFrom|StreamLimit|MatchSource|bad_parallelism' \
+if grep -rnwE 'MapRanges|WithBudget|BudgetFrom|StreamLimit|MatchSource|bad_parallelism|tryAcquire|defaultBudget|MaxWorkers|morselBounds|workerJSON' \
 	--include='*.go' --exclude='*_test.go' --exclude-dir=etable-load --exclude-dir=.bench_build .; then
 	echo "a deleted execution path reappeared (see above)" >&2
 	exit 1
