@@ -72,7 +72,7 @@
 //
 // # Execution and cancellation
 //
-// PR 2 made sessions concurrent; a single query runs on its request's
+// Sessions are concurrent; a single query runs on its request's
 // goroutine. A morsel-driven fan-out of the selection over a shared
 // worker pool was raced against this serial loop at one and at two
 // benchmark clients and never won beyond the runs' spread, so it was

@@ -81,7 +81,7 @@ func Match(g *tgm.InstanceGraph, p *Pattern) (*graphrel.Relation, error) {
 
 // MatchOpts is Match under execution options: the reduced match (see
 // stream.go), walked into one relation from the primary in tree order
-// (graphrel.Enumerate), under the options' budget and cancellation.
+// (graphrel.Enumerate), under the options' cancellation.
 func MatchOpts(g *tgm.InstanceGraph, p *Pattern, opt ExecOptions) (*graphrel.Relation, error) {
 	t, err := treeOf(g, p)
 	if err != nil {

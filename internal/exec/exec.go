@@ -1,14 +1,13 @@
-// Package exec is what is left of the worker pool that used to fan a
-// selection out over goroutines. Every query now runs on its request's
-// goroutine (graphrel.SelectSet scans its morsels in a loop), so Pool
-// is an empty type kept only for callers that still build one.
+// Package exec holds an empty Pool type for callers that still build
+// one. No query fans out: every query runs on its request's goroutine
+// (graphrel.SelectSet scans its morsels in a loop).
 //
 // Deprecated: nothing reads a Pool. ROADMAP item 1(g) deletes the
 // package once its last caller, the benchmark harness, stops building
 // one.
 package exec
 
-// Pool is an empty placeholder for the deleted worker pool.
+// Pool is an empty type; nothing reads it.
 //
 // Deprecated: queries run on their caller's goroutine; a Pool changes
 // nothing.

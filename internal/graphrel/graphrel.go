@@ -19,7 +19,8 @@
 // bitset over its own span (NodeSet), and a row's related nodes its
 // adjacency filtered by the sets on a tree path (Path). Scratch arrays
 // live for one call or come from a pool; what is returned is sized by
-// the result.
+// the result. Every operator runs on its caller's goroutine and checks
+// its context between morsels or semi-join steps.
 //
 // # Immutability and sharing contract
 //

@@ -7,7 +7,6 @@ import "context"
 // goroutine, and the context is checked before each run, so an
 // abandoned request stops a scan within one morsel. 2048 4-byte IDs
 // are 8 KiB, so a morsel's IDs and keep list stay cache-resident.
-// Every kernel in this package runs on its caller's goroutine.
 const MorselRows = 2048
 
 // ctxErr reports a canceled or expired context (nil ctx = no error).
