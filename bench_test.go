@@ -673,8 +673,8 @@ func BenchmarkBootTranslate(b *testing.B) {
 }
 
 // BenchmarkSnapshotLoad boots the same 5k-paper TGDB from a snapshot
-// file: decode, rebuild the frozen graph, attach the persisted planner
-// statistics. The delta to BenchmarkBootTranslate is the whole point of
+// file: decode and rebuild the frozen graph. The delta to
+// BenchmarkBootTranslate is the whole point of
 // the persistence tier — a restart pays a disk read, not a re-run of
 // generation plus translation.
 func BenchmarkSnapshotLoad(b *testing.B) {
@@ -709,7 +709,7 @@ func BenchmarkSnapshotLoad(b *testing.B) {
 
 // BenchmarkLazyBoot boots the same 5k-paper snapshot out of core:
 // validate the header and section table, decode the skeleton (IDs,
-// column directory, CSR adjacency, statistics), and return — without
+// column directory, CSR adjacency directory), and return — without
 // reading, checksumming, or decoding a single attribute column. The
 // delta to BenchmarkSnapshotLoad is what the pager defers; the issue's
 // bar is ≥5× faster with ≥10× fewer allocations.

@@ -87,13 +87,11 @@
 //     kernels never hash a node ID: IDs are dense ordinals, so a node
 //     set is a bitset over its own span (graphrel.NodeSet), walked
 //     through tgm.Adjacency handles.
-//   - internal/stats: per-edge-type out-degree histograms, read
-//     through one tgm.Adjacency handle per edge type — derived state
-//     in the frozen graph's one registry (tgm.Derive), built on first
-//     use (stats.For) or published by a snapshot load from its STAT
-//     section, which a save persists. /api/v1/stats reports them as
-//     edgeStats; no planner reads them. STAT's per-attribute NDV slot
-//     is written by internal/snapshot alone and read by nothing.
+//   - No graph statistics are collected: the engine plans from the
+//     exact sets it selects. A snapshot's STAT section (per-attribute
+//     NDVs, per-edge degree summaries) is written by internal/snapshot
+//     alone so format version 2's bytes stay unchanged, and no load
+//     decodes it.
 //   - internal/etable: Execute takes an ExecOptions struct whose one
 //     live field is the cancellation context (Ctx).
 //   - internal/session + internal/server: the request context threads
@@ -211,15 +209,14 @@
 //
 // # Persistence and datasets
 //
-// internal/snapshot serializes a frozen TGDB — schema, node columns,
-// both adjacency directions, and the graph statistics — into a
-// versioned columnar file (.etsnap) with per-section CRC-32C
+// internal/snapshot serializes a frozen TGDB — schema, node columns
+// and both adjacency directions — into a versioned columnar file (.etsnap) with per-section CRC-32C
 // checksums; Load rebuilds a frozen graph that serves byte-identical
 // query results without re-running translation (corrupt or
 // version-skewed files fail with typed errors, never panics; see
 // docs/SNAPSHOT.md for the format). internal/registry names many such
-// datasets in one server process: each owns its own execution cache
-// and statistics, lazy snapshot datasets load on first
+// datasets in one server process: each owns its own execution
+// cache, lazy snapshot datasets load on first
 // request (singleflight), and sessions bind to one dataset at
 // creation. The HTTP surface grows /api/v1/datasets (list/inspect) and
 // /api/v1/datasets/{name}/sessions/... routing, with the unscoped

@@ -55,8 +55,8 @@
 // that needs it; plans are not cached (PERFORMANCE.md §18, §19, §21).
 // There is no join order and no cost model: the reduction visits the
 // tree the same way whatever the sets' sizes, each semi-join walking
-// from its side with fewer nodes. The package does not import
-// internal/stats.
+// from its side with fewer nodes. No graph statistics exist for it to
+// read.
 //
 // # Windowed presentation
 //

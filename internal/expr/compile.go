@@ -26,6 +26,9 @@ type Pred struct {
 	// name a column by its slot in this list.
 	attrs []int
 	root  kernel
+	// ors counts the or kernels: each keeps its merge scratch in its own
+	// slot of the batch.
+	ors int
 }
 
 // Compile binds e's column references to attribute ordinals of nt and
@@ -38,7 +41,7 @@ func Compile(e Expr, nt *tgm.NodeType) (*Pred, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Pred{nt: nt, attrs: c.attrs, root: root}, nil
+	return &Pred{nt: nt, attrs: c.attrs, root: root, ors: c.ors}, nil
 }
 
 // NodeType returns the node type p was compiled against.
@@ -58,6 +61,7 @@ func resolveAttr(nt *tgm.NodeType, name string) int {
 type compiler struct {
 	nt    *tgm.NodeType
 	attrs []int
+	ors   int
 }
 
 // slot resolves a column name to its column slot, adding one on first
@@ -83,7 +87,8 @@ func (c *compiler) compile(e Expr) (kernel, error) {
 		return and{l, r}, err
 	case Or:
 		l, r, err := c.compile2(ex.Left, ex.Right)
-		return or{l, r}, err
+		c.ors++
+		return or{l, r, c.ors - 1}, err
 	case Not:
 		if n, ok := negate(ex.Inner); ok {
 			return c.compile(n)
@@ -220,31 +225,33 @@ func consts(list []Expr) ([]value.V, bool) {
 }
 
 // Bound is a Pred bound to one graph: the columns it reads are pinned
-// resident until Release. Select may be called concurrently on
-// disjoint or overlapping row ranges.
+// resident until Release. It is used by one goroutine at a time.
 type Bound struct {
-	p        *Pred
-	cols     []value.Column
 	releases []func()
-	// lo is the type's first node ID: a node's column row is its ID − lo.
-	lo tgm.NodeID
+	// in is the batch every Select fills in: the Pred, its pinned
+	// columns and the type's first node ID (a node's column row is its
+	// ID − base), with the called range's IDs and the kernels' scratch,
+	// kept across calls.
+	in batch
 }
 
 // Bind pins every column p reads on g. A column that fails to fault in
 // returns the column source's typed error (a *snapshot.CorruptError,
 // say) with nothing left pinned. The caller must Release the Bound.
 func (p *Pred) Bind(g *tgm.InstanceGraph) (*Bound, error) {
-	b := &Bound{p: p, cols: make([]value.Column, len(p.attrs)), releases: make([]func(), 0, len(p.attrs))}
+	b := &Bound{releases: make([]func(), 0, len(p.attrs)),
+		in: batch{p: p, cols: make([]value.Column, len(p.attrs)), scratch: make([][]int32, p.ors)}}
+	b.in.env.b = &b.in
 	for s, ai := range p.attrs {
 		col, release, err := g.PinAttrColumn(p.nt.Name, ai)
 		if err != nil {
 			b.Release()
 			return nil, err
 		}
-		b.cols[s] = col
+		b.in.cols[s] = col
 		b.releases = append(b.releases, release)
 	}
-	b.lo, _ = g.TypeIDRange(p.nt.Name)
+	b.in.base, _ = g.TypeIDRange(p.nt.Name)
 	return b, nil
 }
 
@@ -258,17 +265,22 @@ func (b *Bound) Release() {
 
 // Select returns, ascending, the indexes i in [lo, hi) whose node ids[i]
 // (of the Pred's type) satisfies the condition: its value is TRUE, not
-// FALSE or NULL.
-func (b *Bound) Select(ids []tgm.NodeID, lo, hi int) ([]int32, error) {
+// FALSE or NULL. The result is written over sel, which is grown when it
+// has room for fewer than hi−lo indexes, so a caller that scans many
+// ranges passes the previous result back and allocates once.
+func (b *Bound) Select(ids []tgm.NodeID, lo, hi int, sel []int32) ([]int32, error) {
 	if hi <= lo {
-		return nil, nil
+		return sel[:0], nil
 	}
-	in := batch{p: b.p, cols: b.cols, ids: ids[lo:hi], base: b.lo}
-	sel := make([]int32, hi-lo)
+	if cap(sel) < hi-lo {
+		sel = make([]int32, hi-lo)
+	}
+	sel = sel[:hi-lo]
 	for k := range sel {
 		sel[k] = int32(k)
 	}
-	n, err := b.p.root.filter(&in, sel, sel)
+	b.in.ids = ids[lo:hi]
+	n, err := b.in.p.root.filter(&b.in, sel, sel)
 	if err != nil {
 		return nil, err
 	}

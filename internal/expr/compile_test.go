@@ -48,7 +48,7 @@ func selected(t *testing.T, pred *Pred, g *tgm.InstanceGraph, nodes ...*tgm.Node
 		t.Fatal(err)
 	}
 	defer b.Release()
-	keep, err := b.Select(ids, 0, len(ids))
+	keep, err := b.Select(ids, 0, len(ids), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,6 +14,10 @@ type batch struct {
 	cols []value.Column
 	ids  []tgm.NodeID
 	base tgm.NodeID
+	// scratch holds each or kernel's merge buffers (Pred.ors slots) and
+	// env the interpreted kernel's row environment, reused across calls.
+	scratch [][]int32
+	env     rowEnv
 }
 
 // column returns column slot s with the batch's ids and base, for a
@@ -54,12 +58,19 @@ func (k and) filter(b *batch, sel, out []int32) (int, error) {
 }
 
 // or keeps the union of the rows either side keeps, merging the two
-// ascending vectors.
-type or struct{ l, r kernel }
+// ascending vectors, which it keeps in the batch's scratch slot.
+type or struct {
+	l, r kernel
+	slot int
+}
 
 func (k or) filter(b *batch, sel, out []int32) (int, error) {
-	buf := make([]int32, 2*len(sel))
-	x, y := buf[:len(sel)], buf[len(sel):]
+	buf := b.scratch[k.slot]
+	if cap(buf) < 2*len(sel) {
+		buf = make([]int32, 2*len(sel))
+		b.scratch[k.slot] = buf
+	}
+	x, y := buf[:len(sel)], buf[len(sel):2*len(sel)]
 	nx, err := k.l.filter(b, sel, x)
 	if err != nil {
 		return 0, err
@@ -347,7 +358,7 @@ func (k isNull) filter(b *batch, sel, out []int32) (int, error) {
 type evalRows struct{ e Expr }
 
 func (k evalRows) filter(b *batch, sel, out []int32) (int, error) {
-	env := &rowEnv{b: b}
+	env := &b.env
 	n := 0
 	for _, p := range sel {
 		env.pos = p

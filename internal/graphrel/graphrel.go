@@ -94,9 +94,9 @@ func (r *Relation) ColumnNamed(name string) []tgm.NodeID {
 // directly, and every pin is released before SelectSet returns. A
 // column that fails to fault in fails the selection with the column
 // source's typed error; it never reads as NULL. ids are scanned one
-// MorselRows morsel at a time, ctx is checked before each, and each
-// morsel's kept members' bits are set straight into the set: no tuple
-// is gathered.
+// MorselRows morsel at a time into one reused selection vector, ctx is
+// checked before each, and each morsel's kept members' bits are set
+// straight into the set: no tuple is gathered.
 func SelectSet(ctx context.Context, g *tgm.InstanceGraph, ids []tgm.NodeID, pred *expr.Pred) (NodeSet, error) {
 	if pred == nil || len(ids) == 0 {
 		return SetOf(ids), nil
@@ -113,11 +113,12 @@ func SelectSet(ctx context.Context, g *tgm.InstanceGraph, ids []tgm.NodeID, pred
 	}
 	defer bound.Release()
 	s := NodeSet{lo: ids[0], bits: NewBitset(int(ids[len(ids)-1]-ids[0]) + 1)}
+	var keep []int32
 	for lo := 0; lo < len(ids); lo += MorselRows {
 		if err := ctxErr(ctx); err != nil {
 			return NodeSet{}, err
 		}
-		keep, err := bound.Select(ids, lo, min(lo+MorselRows, len(ids)))
+		keep, err = bound.Select(ids, lo, min(lo+MorselRows, len(ids)), keep)
 		if err != nil {
 			return NodeSet{}, err
 		}

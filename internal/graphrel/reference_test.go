@@ -52,7 +52,7 @@ func Select(r *Relation, attrName string, pred *expr.Pred) (*Relation, error) {
 		return nil, err
 	}
 	defer bound.Release()
-	keep, err := bound.Select(r.cols[ai], 0, r.n)
+	keep, err := bound.Select(r.cols[ai], 0, r.n, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -239,10 +239,10 @@ func FuzzSelectParity(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var got []int32
+			var got, keep []int32
 			col, n := bases[name].cols[0], bases[name].Len()
 			for lo, step := 0, 1; lo < n; lo, step = lo+step, step*3 {
-				keep, err := b.Select(col, lo, min(lo+step, n))
+				keep, err = b.Select(col, lo, min(lo+step, n), keep)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -352,6 +352,41 @@ func TestSelectCorruptColumn(t *testing.T) {
 }
 
 // selectSink keeps BenchmarkSelect's result live.
+// TestSelectSetAllocs: SelectSet reuses one selection vector across its
+// morsels, and the bound condition its OR merge buffers and interpreted
+// row environment, so a selection over 8 morsels allocates no more
+// objects than one over a single morsel.
+func TestSelectSetAllocs(t *testing.T) {
+	const rows = 8 * MorselRows
+	sg := tgm.NewSchemaGraph()
+	nt, err := sg.AddNodeType(tgm.NodeType{Name: "A", Label: "id", Attrs: []tgm.Attr{{Name: "id", Type: value.KindInt}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := tgm.NewInstanceGraph(sg)
+	for i := 0; i < rows; i++ {
+		if _, err := g.AddNode("A", []value.V{value.Int(int64(i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g.Freeze()
+	pred, err := expr.Compile(expr.MustParse("id % 3 = 0 OR id >= 5 AND id NOT IN (7, 8)"), nt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := g.NodesOfType("A")
+	allocs := func(ids []tgm.NodeID) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if _, err := SelectSet(context.Background(), g, ids, pred); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if one, eight := allocs(ids[:MorselRows]), allocs(ids); eight > one {
+		t.Fatalf("SelectSet allocates %v objects over 8 morsels, %v over one: a morsel allocates", eight, one)
+	}
+}
+
 var selectSink *Relation
 
 // BenchmarkSelect times the serial Select of one condition over a

@@ -1,7 +1,7 @@
 // Package registry holds the multi-dataset serving state: a set of
 // named datasets, each owning one frozen TGDB plus the mutable serving
-// state scoped to it — an execution cache, the graph's statistics
-// (which live on the graph itself), and snapshot load metrics. The server routes /api/v1/datasets/{name}/... through here.
+// state scoped to it — an execution cache and snapshot load metrics.
+// The server routes /api/v1/datasets/{name}/... through here.
 //
 // Datasets come in two flavors:
 //
@@ -15,10 +15,9 @@
 //     attempt's waiters only; the next request retries from scratch, so
 //     a transient I/O error does not poison the dataset forever.
 //
-// Isolation is the point: every dataset has its own etable.Cache, and
-// the statistics are attached to the dataset's own graph, so queries
-// against one dataset can never pollute another's cache or skew its
-// telemetry.
+// Isolation is the point: every dataset has its own etable.Cache and
+// its own graph, so queries against one dataset can never pollute
+// another's cache or skew its telemetry.
 package registry
 
 import (

@@ -100,7 +100,7 @@ func TestSnapshotBootServeQuery(t *testing.T) {
 // residency policies: without -lazy the graph is fully decoded, so
 // /api/v1/stats must report no pager block — an in-memory benchmark run
 // treats one as out-of-core activity — and with -lazy it reports one
-// with no fault: its edgeStats are the statistics the load published.
+// with no fault: reading /api/v1/stats touches no column.
 func TestResidentSnapshotBootHasNoPager(t *testing.T) {
 	path := snapshotFile(t, 60, 35)
 	for _, lazy := range []bool{false, true} {

@@ -68,7 +68,6 @@ import (
 	"repro/internal/ops"
 	"repro/internal/registry"
 	"repro/internal/session"
-	"repro/internal/stats"
 	"repro/internal/tgm"
 )
 
@@ -428,18 +427,17 @@ func (s *Server) handleSchema(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, out)
 }
 
-// statsJSON is the /api/v1/stats payload: serving-core health counters
-// and the per-edge graph statistics.
+// statsJSON is the /api/v1/stats payload: serving-core health
+// counters.
 type statsJSON struct {
-	Sessions     int            `json:"sessions"`
-	CacheEntries int            `json:"cacheEntries"`
-	CacheHits    int64          `json:"cacheHits"`
-	CacheMisses  int64          `json:"cacheMisses"`
-	Memory       memoryJSON     `json:"memory"`
-	EdgeStats    []edgeStatJSON `json:"edgeStats"`
+	Sessions     int        `json:"sessions"`
+	CacheEntries int        `json:"cacheEntries"`
+	CacheHits    int64      `json:"cacheHits"`
+	CacheMisses  int64      `json:"cacheMisses"`
+	Memory       memoryJSON `json:"memory"`
 	// Datasets reports every registered dataset, loaded or not. The
-	// top-level cache/edge fields describe the default dataset
-	// (the pre-registry shape, kept for compatibility).
+	// top-level cache fields describe the default dataset (the
+	// pre-registry shape, kept for compatibility).
 	Datasets []datasetStatsJSON `json:"datasets"`
 }
 
@@ -507,18 +505,6 @@ type memoryJSON struct {
 	CacheResidentBytes int64 `json:"cacheResidentBytes"`
 }
 
-// edgeStatJSON reports the degree statistics translation collected
-// (internal/stats), for capacity planning and debugging. The planner
-// reads none of them: joins are ordered by the exact sizes of the
-// selected bases.
-type edgeStatJSON struct {
-	Edge         string  `json:"edge"`
-	Count        int     `json:"count"`
-	Fanout       float64 `json:"fanout"`
-	MaxOutDegree int     `json:"maxOutDegree"`
-	P90OutDegree int     `json:"p90OutDegree"`
-}
-
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	// Per-dataset session counts from one snapshot of the table.
 	live := s.sessions.Values()
@@ -539,29 +525,14 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		Datasets: []datasetStatsJSON{},
 	}
 	def := s.reg.Default()
-	// Top-level cache/edge blocks keep their pre-registry
-	// meaning: they describe the default dataset (when it is resident).
+	// The top-level cache fields keep their pre-registry meaning: they
+	// describe the default dataset.
 	if def != nil {
 		cache := def.Cache()
 		out.CacheEntries = cache.Len()
 		out.CacheHits = cache.Hits()
 		out.CacheMisses = cache.Misses()
 		out.Memory.CacheResidentBytes = cache.ResidentBytes()
-	}
-	if def != nil && def.Loaded() {
-		st := stats.For(def.Graph())
-		names := make([]string, 0, len(st.Edges))
-		for name := range st.Edges {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			es := st.Edges[name]
-			out.EdgeStats = append(out.EdgeStats, edgeStatJSON{
-				Edge: name, Count: es.Count, Fanout: es.Fanout,
-				MaxOutDegree: es.MaxOutDegree, P90OutDegree: es.DegreeQuantile(0.9),
-			})
-		}
 	}
 	for _, name := range s.reg.Names() {
 		ds, ok := s.reg.Get(name)

@@ -9,7 +9,6 @@ import (
 	"encoding/binary"
 	"math"
 
-	"repro/internal/stats"
 	"repro/internal/tgm"
 	"repro/internal/value"
 )
@@ -72,15 +71,6 @@ func (d *dec) b() (byte, error) {
 	}
 	v := d.buf[d.off]
 	d.off++
-	return v, nil
-}
-
-func (d *dec) f64() (float64, error) {
-	if d.remaining() < 8 {
-		return 0, corrupt(d.sec, "truncated float at offset %d", d.off)
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(d.buf[d.off:]))
-	d.off += 8
 	return v, nil
 }
 
@@ -483,48 +473,4 @@ func decodeIDs(buf []byte, n int) []tgm.NodeID {
 		ids[i] = tgm.NodeID(binary.LittleEndian.Uint32(buf[4*i:]))
 	}
 	return ids
-}
-
-// decodeStats rebuilds the edge statistics and publishes them as the
-// (already frozen) graph's (stats.Attach), so no load recollects them.
-// The node part — counts and NDVs — is read past: nothing uses it.
-func decodeStats(buf []byte, g *tgm.InstanceGraph, order []*tgm.EdgeType) error {
-	d := &dec{buf: buf, sec: secStats}
-	sg := &stats.Graph{Edges: make(map[string]stats.EdgeStats)}
-	for _, nt := range g.Schema().NodeTypes() {
-		for range 1 + len(nt.Attrs) {
-			if _, err := d.u(); err != nil {
-				return err
-			}
-		}
-	}
-	for _, et := range order {
-		var es stats.EdgeStats
-		fields := []*int{&es.Count, &es.Sources, &es.SourcesWithOut, &es.MaxOutDegree}
-		for _, f := range fields {
-			v, err := d.u()
-			if err != nil {
-				return err
-			}
-			*f = int(v)
-		}
-		fan, err := d.f64()
-		if err != nil {
-			return err
-		}
-		es.Fanout = fan
-		for i := range es.Hist {
-			h, err := d.u()
-			if err != nil {
-				return err
-			}
-			es.Hist[i] = int(h)
-		}
-		sg.Edges[et.Name] = es
-	}
-	if err := d.done(); err != nil {
-		return err
-	}
-	stats.Attach(g, sg)
-	return nil
 }

@@ -11,8 +11,8 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"math"
+	"math/bits"
 
-	"repro/internal/stats"
 	"repro/internal/tgm"
 	"repro/internal/value"
 )
@@ -209,10 +209,17 @@ func encodeEdges(g *tgm.InstanceGraph) ([]byte, error) {
 	return e.buf, nil
 }
 
-// encodeStats writes the graph statistics: per node type (schema
-// order) the instance count and per-attribute NDVs (attribute order
-// implied by the type), per edge type (edgeTypeOrder) the degree
-// summary and log2 histogram.
+// histBuckets is the number of log2 out-degree buckets STAT keeps per
+// edge type: bucket b counts source nodes whose out-degree d satisfies
+// 2^b <= d < 2^(b+1), the last bucket also every larger degree.
+const histBuckets = 16
+
+// encodeStats writes STAT, which format version 2 keeps and no reader
+// decodes: per node type (schema order) the instance count and
+// per-attribute NDVs (attribute order implied by the type), then per
+// edge type (edgeTypeOrder) the edge count, the number of source
+// nodes, those with an out-edge, the largest out-degree, the mean
+// fan-out over all source nodes (0 for none) and the log2 histogram.
 func encodeStats(g *tgm.InstanceGraph) ([]byte, error) {
 	e := &enc{}
 	for _, nt := range g.Schema().NodeTypes() {
@@ -225,15 +232,34 @@ func encodeStats(g *tgm.InstanceGraph) ([]byte, error) {
 			e.u(uint64(n))
 		}
 	}
-	st := stats.For(g)
 	for _, et := range edgeTypeOrder(g.Schema()) {
-		es := st.Edges[et.Name]
-		e.u(uint64(es.Count))
-		e.u(uint64(es.Sources))
-		e.u(uint64(es.SourcesWithOut))
-		e.u(uint64(es.MaxOutDegree))
-		e.f64(es.Fanout)
-		for _, h := range es.Hist {
+		adj := g.Adjacency(et.Name)
+		if err := adj.Ensure(); err != nil {
+			return nil, err
+		}
+		srcs := g.NodesOfType(et.Source)
+		var count, withOut, maxDegree int
+		var hist [histBuckets]int
+		for _, id := range srcs {
+			d := adj.Degree(id)
+			if d == 0 {
+				continue
+			}
+			count += d
+			withOut++
+			maxDegree = max(maxDegree, d)
+			hist[min(bits.Len(uint(d))-1, histBuckets-1)]++
+		}
+		fanout := 0.0
+		if len(srcs) > 0 {
+			fanout = float64(count) / float64(len(srcs))
+		}
+		e.u(uint64(count))
+		e.u(uint64(len(srcs)))
+		e.u(uint64(withOut))
+		e.u(uint64(maxDegree))
+		e.f64(fanout)
+		for _, h := range hist {
 			e.u(uint64(h))
 		}
 	}
@@ -241,8 +267,7 @@ func encodeStats(g *tgm.InstanceGraph) ([]byte, error) {
 }
 
 // countNDV returns the number of distinct non-null values of each of
-// nt's attributes, in attribute order: STAT's node part, which format
-// version 2 keeps and no reader uses (decodeStats skips it).
+// nt's attributes, in attribute order: STAT's node part.
 func countNDV(g *tgm.InstanceGraph, nt *tgm.NodeType) ([]int, error) {
 	ndv := make([]int, len(nt.Attrs))
 	for ai := range nt.Attrs {

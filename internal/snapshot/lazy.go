@@ -2,11 +2,11 @@ package snapshot
 
 // The out-of-core load path: the paged policy of the one open (open,
 // in snapshot.go). LazyLoad maps an .etsnap file without decoding its
-// attribute columns or adjacency arrays: the header,
-// section table, and skeleton sections (META, SCHM, NSKL, EDGE, STAT)
-// are CRC-verified at open, but only the skeleton proper — node IDs,
-// column directory, statistics, and the EDGE per-type directory — is
-// decoded, O(section table + skeleton), independent of the corpus's
+// attribute columns or adjacency arrays: the header, section table,
+// and skeleton sections (META, SCHM, NSKL, EDGE, STAT) are CRC-verified
+// at open, but only the skeleton proper — node IDs, column directory,
+// and the EDGE per-type directory — is decoded (STAT is not), O(section
+// table + skeleton), independent of the corpus's
 // column and edge bytes. Every attribute column is left as an
 // unresolved handle that faults in through a bounded internal/pager
 // pool on first access, and every edge type's CSR arrays materialize

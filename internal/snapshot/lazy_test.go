@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/pager"
-	"repro/internal/stats"
 	"repro/internal/tgm"
 )
 
@@ -99,10 +98,10 @@ func TestLazyLoadFidelity(t *testing.T) {
 	}
 }
 
-// TestLazyLoadStats: the statistics section decodes on the lazy path
-// too and is published as the graph's statistics, so reading them
-// collects nothing: it faults no column and loads no edge type.
-func TestLazyLoadStats(t *testing.T) {
+// TestLazyEdgeAfterClose: opening faults no column, and an edge type
+// first traversed after Close fails with a typed error; it must not
+// read the unmapped file.
+func TestLazyEdgeAfterClose(t *testing.T) {
 	tr := testGraph(t)
 	path := saveTempSnapshot(t, tr.Instance)
 	ls, err := LazyLoad(path, LazyOptions{})
@@ -110,19 +109,9 @@ func TestLazyLoadStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ls.Close()
-	// Attach returns the statistics a graph already holds: the
-	// sentinel comes back only if the load published none.
-	if sentinel := new(stats.Graph); stats.Attach(ls.Graph, sentinel) == sentinel {
-		t.Fatal("lazy graph has no published statistics")
-	}
-	if !reflect.DeepEqual(stats.For(ls.Graph).Edges, stats.For(tr.Instance).Edges) {
-		t.Error("lazy-loaded statistics differ from fresh statistics")
-	}
 	if st, _ := ls.PagerStats(); st.Misses != 0 {
-		t.Fatalf("attaching statistics faulted %d columns", st.Misses)
+		t.Fatalf("opening faulted %d columns", st.Misses)
 	}
-	// An edge type first traversed after Close fails with a typed
-	// error; it must not read the unmapped file.
 	if err := ls.Close(); err != nil {
 		t.Fatal(err)
 	}

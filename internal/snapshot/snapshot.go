@@ -1,18 +1,18 @@
 // Package snapshot implements the persistent on-disk form of a frozen
 // TGDB: a versioned, checksummed, columnar single-file format
-// (".etsnap") holding the schema graph, the instance graph's node and
-// edge columns, and the planner's derived statistics. Save serializes a
-// frozen tgm.InstanceGraph; Load reconstructs an identical frozen graph
-// — same node IDs, same adjacency order, same statistics — without
-// re-running generation or translation, which is what lets a server
-// boot from disk and a registry serve many datasets it never paid to
-// translate. Load, Decode and LazyLoad share one open that differs
-// only in residency: Load and Decode are resident (every column and
-// edge type decoded at open, the file's bytes released); LazyLoad is
-// paged: only the skeleton (schema, node ownership, the adjacency
-// directory, statistics) is decoded at open, attribute columns fault
-// in one at a time through a bounded internal/pager buffer pool, and
-// each edge type's adjacency arrays materialize on its first traversal.
+// (".etsnap") holding the schema graph and the instance graph's node
+// and edge columns. Save serializes a frozen tgm.InstanceGraph; Load
+// reconstructs an identical frozen graph — same node IDs, same
+// adjacency order — without re-running generation or translation,
+// which is what lets a server boot from disk and a registry serve many
+// datasets it never paid to translate. Load, Decode and LazyLoad share
+// one open that differs only in residency: Load and Decode are
+// resident (every column and edge type decoded at open, the file's
+// bytes released); LazyLoad is paged: only the skeleton (schema, node
+// ownership, the adjacency directory) is decoded at open, attribute
+// columns fault in one at a time through a bounded internal/pager
+// buffer pool, and each edge type's adjacency arrays materialize on
+// its first traversal.
 //
 // # File layout
 //
@@ -50,9 +50,10 @@
 //	      array fixed-width uint32 LE so a load is a bulk conversion
 //	      with exact preallocation — at open when resident, deferred
 //	      to each edge type's first traversal when paged
-//	STAT  per-type counts and attribute NDVs (written, read by
-//	      nothing), then internal/stats' per-edge degree summaries
-//	      and histograms
+//	STAT  per-type counts and attribute NDVs, then per edge type
+//	      (EDGE's order) a degree summary and log2 histogram: written
+//	      so version-2 bytes stay unchanged, checksummed at open,
+//	      decoded by nothing
 //
 // Integrity and compatibility: a file that is not a snapshot fails with
 // ErrBadMagic; a snapshot written by a different format version fails
@@ -133,7 +134,7 @@ type Info struct {
 }
 
 // Snapshot is a TGDB reconstructed from disk: the schema graph, the
-// frozen instance graph (statistics pre-attached), and file metadata.
+// frozen instance graph, and file metadata.
 type Snapshot struct {
 	Schema *tgm.SchemaGraph
 	Graph  *tgm.InstanceGraph
@@ -242,7 +243,7 @@ func dirOf(path string) string {
 }
 
 // Load reads and decodes the snapshot at path, reconstructing a frozen
-// instance graph with its statistics attached. Failures are typed: a
+// instance graph. Failures are typed: a
 // non-snapshot file is ErrBadMagic, a version mismatch is
 // *VersionError, undecodable bytes are *CorruptError.
 func Load(path string) (*Snapshot, error) {
@@ -271,9 +272,10 @@ func Decode(data []byte) (*Snapshot, error) {
 }
 
 // open is the one decoder behind Decode, Load and LazyLoad. It verifies
-// and decodes META, SCHM, NSKL and STAT, walks the EDGE directory once
-// into one loader per edge type, and resolves a column only through
-// columnSource.load (range check, per-column CRC-32C, decodeColumn).
+// the checksums of META, SCHM, NSKL, EDGE and STAT, decodes META, SCHM
+// and NSKL, walks the EDGE directory once into one loader per edge
+// type, and resolves a column only through columnSource.load (range
+// check, per-column CRC-32C, decodeColumn). STAT is never decoded.
 // What remains is the residency policy, chosen by file:
 //
 //   - resident (file nil): NCOL's whole-section checksum is verified
@@ -370,12 +372,8 @@ func open(data []byte, file *pager.File, budget int) (*Snapshot, *columnSource, 
 		}
 		src = nil
 	}
-	// The graph is complete: freeze before attaching statistics (Attach
-	// only caches on frozen graphs) and before anyone can observe it.
+	// The graph is complete: freeze it before anyone can observe it.
 	graph.Freeze()
-	if err := decodeStats(sections[secStats], graph, edgeTypeOrder); err != nil {
-		return nil, nil, err
-	}
 	if n := graph.NumNodes(); n != m.nodes {
 		return nil, nil, corrupt(secMeta, "node count mismatch: META says %d, NSKL decoded %d", m.nodes, n)
 	}

@@ -3,6 +3,7 @@ package snapshot
 import (
 	"bytes"
 	"errors"
+	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -10,7 +11,6 @@ import (
 	"weak"
 
 	"repro/internal/dataset"
-	"repro/internal/stats"
 	"repro/internal/tgm"
 	"repro/internal/translate"
 	"repro/internal/value"
@@ -48,8 +48,8 @@ func saveBytes(t testing.TB, g *tgm.InstanceGraph) []byte {
 
 // TestRoundTripGraphFidelity checks that a loaded graph is structurally
 // identical to the saved one: schema (including out-edge order), every
-// node's type, attributes, and label, every adjacency list in order,
-// and the attached statistics.
+// node's type, attributes, and label, and every adjacency list in
+// order.
 func TestRoundTripGraphFidelity(t *testing.T) {
 	tr := testGraph(t)
 	g := tr.Instance
@@ -128,16 +128,6 @@ func TestRoundTripGraphFidelity(t *testing.T) {
 				t.Fatalf("neighbors(%d, %q) %v != %v", src, et.Name, got, want)
 			}
 		}
-	}
-
-	// Statistics: published by the load (no recollection) and
-	// identical. Attach returns the statistics a graph already holds:
-	// the sentinel comes back only if the load published none.
-	if sentinel := new(stats.Graph); stats.Attach(lg, sentinel) == sentinel {
-		t.Fatal("loaded graph has no published statistics")
-	}
-	if !reflect.DeepEqual(stats.For(g).Edges, stats.For(lg).Edges) {
-		t.Error("loaded statistics differ from fresh statistics")
 	}
 }
 
@@ -269,6 +259,46 @@ func TestTruncationDetected(t *testing.T) {
 		var ce *CorruptError
 		if !errors.As(err, &ce) && !errors.Is(err, ErrBadMagic) {
 			t.Fatalf("truncation to %d: untyped error %T: %v", n, err, err)
+		}
+	}
+}
+
+// TestStatChecksummed: no open decodes STAT, but both residency
+// policies still verify its checksum, so one flipped byte inside its
+// payload fails Load and LazyLoad with a *CorruptError naming STAT.
+func TestStatChecksummed(t *testing.T) {
+	tr := testGraph(t)
+	path := saveTempSnapshot(t, tr.Instance)
+	info, err := ReadInfo(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stat SectionInfo
+	for _, s := range info.Sections {
+		if s.Tag == secStats {
+			stat = s
+		}
+	}
+	if stat.Length == 0 {
+		t.Fatalf("no STAT payload in %v", info.Sections)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[stat.Offset+stat.Length/2] ^= 0x5a
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, loadErr := Load(path)
+	ls, lazyErr := LazyLoad(path, LazyOptions{})
+	if lazyErr == nil {
+		ls.Close()
+	}
+	for name, err := range map[string]error{"Load": loadErr, "LazyLoad": lazyErr} {
+		var ce *CorruptError
+		if !errors.As(err, &ce) || ce.Section != secStats {
+			t.Errorf("%s with a flipped STAT byte: err = %v, want a *CorruptError naming %s", name, err, secStats)
 		}
 	}
 }

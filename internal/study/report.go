@@ -22,7 +22,7 @@ func WriteFigure10(w io.Writer, rep *Report) {
 	fmt.Fprintln(w, "task  category   ETable mean ±CI95   Builder mean ±CI95   sig  p-value    paper (E/N)")
 	fmt.Fprintln(w, "----  ---------  ------------------  -------------------  ---  ---------  ------------")
 	for i, o := range rep.Outcomes {
-		sig := o.TTest.Significance()
+		sig := o.TTest.significance()
 		if sig == "" {
 			sig = "-"
 		}

@@ -10,7 +10,6 @@ import (
 	"repro/internal/relational"
 	"repro/internal/session"
 	"repro/internal/sqlexec"
-	"repro/internal/stats"
 	"repro/internal/translate"
 )
 
@@ -46,7 +45,7 @@ type TaskOutcome struct {
 	EMean     float64
 	NMean     float64
 	ECI, NCI  float64 // 95% CI half-widths
-	TTest     stats.TTestResult
+	TTest     TTestResult
 	ETimeouts int
 	NTimeouts int
 	// AnswersAgree reports that both conditions produced equivalent
@@ -196,11 +195,11 @@ func RunStudy(tr *translate.Result, db *relational.DB, cfg Config) (*Report, err
 			out.NTimes = append(out.NTimes, nt)
 		}
 
-		out.EMean = stats.Mean(out.ETimes)
-		out.NMean = stats.Mean(out.NTimes)
-		out.ECI = stats.CI95(out.ETimes)
-		out.NCI = stats.CI95(out.NTimes)
-		tt, err := stats.PairedTTest(out.ETimes, out.NTimes)
+		out.EMean = mean(out.ETimes)
+		out.NMean = mean(out.NTimes)
+		out.ECI = ci95(out.ETimes)
+		out.NCI = ci95(out.NTimes)
+		tt, err := pairedTTest(out.ETimes, out.NTimes)
 		if err != nil {
 			return nil, fmt.Errorf("study: task %d t-test: %w", task.ID, err)
 		}
@@ -336,7 +335,7 @@ func modelRatings(rep *Report, parts []*klm.Participant) []RatingRow {
 			}
 			row.Ratings = append(row.Ratings, ri)
 		}
-		row.Mean = stats.SummarizeLikert(row.Ratings).Mean
+		row.Mean = likertMean(row.Ratings)
 		rows = append(rows, row)
 	}
 	return rows

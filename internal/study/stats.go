@@ -1,17 +1,17 @@
-// Package stats provides the statistics the paper's evaluation reports:
-// means, standard deviations, 95% confidence intervals for the mean, and
-// two-tailed paired t-tests (Figure 10's error bars and significance
-// markers), plus Likert-scale aggregation for Table 3.
-package stats
+package study
+
+// The statistics the paper's evaluation reports: means, standard
+// deviations, 95% confidence intervals for the mean, and two-tailed
+// paired t-tests (Figure 10's error bars and significance markers),
+// plus the Likert-scale mean of Table 3.
 
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
-// Mean returns the arithmetic mean (0 for empty input).
-func Mean(xs []float64) float64 {
+// mean returns the arithmetic mean (0 for empty input).
+func mean(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
@@ -22,12 +22,12 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// Variance returns the sample variance (n-1 denominator).
-func Variance(xs []float64) float64 {
+// variance returns the sample variance (n-1 denominator).
+func variance(xs []float64) float64 {
 	if len(xs) < 2 {
 		return 0
 	}
-	m := Mean(xs)
+	m := mean(xs)
 	s := 0.0
 	for _, x := range xs {
 		d := x - m
@@ -36,22 +36,8 @@ func Variance(xs []float64) float64 {
 	return s / float64(len(xs)-1)
 }
 
-// StdDev returns the sample standard deviation.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
-// Median returns the median (0 for empty input).
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	n := len(s)
-	if n%2 == 1 {
-		return s[n/2]
-	}
-	return (s[n/2-1] + s[n/2]) / 2
-}
+// stdDev returns the sample standard deviation.
+func stdDev(xs []float64) float64 { return math.Sqrt(variance(xs)) }
 
 // lgamma returns the log-gamma function.
 func lgamma(x float64) float64 {
@@ -126,9 +112,9 @@ func betaCF(a, b, x float64) float64 {
 	return h
 }
 
-// TCDF returns P(T <= t) for Student's t distribution with df degrees of
+// tCDF returns P(T <= t) for Student's t distribution with df degrees of
 // freedom.
-func TCDF(t, df float64) float64 {
+func tCDF(t, df float64) float64 {
 	if df <= 0 {
 		return math.NaN()
 	}
@@ -140,14 +126,14 @@ func TCDF(t, df float64) float64 {
 	return p
 }
 
-// TQuantile returns the two-sided critical value t* with
-// P(|T| <= t*) = conf for df degrees of freedom, via bisection on TCDF.
-func TQuantile(conf, df float64) float64 {
+// tQuantile returns the two-sided critical value t* with
+// P(|T| <= t*) = conf for df degrees of freedom, via bisection on tCDF.
+func tQuantile(conf, df float64) float64 {
 	target := 1 - (1-conf)/2
 	lo, hi := 0.0, 1000.0
 	for i := 0; i < 200; i++ {
 		mid := (lo + hi) / 2
-		if TCDF(mid, df) < target {
+		if tCDF(mid, df) < target {
 			lo = mid
 		} else {
 			hi = mid
@@ -156,15 +142,15 @@ func TQuantile(conf, df float64) float64 {
 	return (lo + hi) / 2
 }
 
-// CI95 returns the half-width of the 95% confidence interval for the
+// ci95 returns the half-width of the 95% confidence interval for the
 // mean of xs (the error bars of Figure 10).
-func CI95(xs []float64) float64 {
+func ci95(xs []float64) float64 {
 	n := len(xs)
 	if n < 2 {
 		return 0
 	}
-	tcrit := TQuantile(0.95, float64(n-1))
-	return tcrit * StdDev(xs) / math.Sqrt(float64(n))
+	tcrit := tQuantile(0.95, float64(n-1))
+	return tcrit * stdDev(xs) / math.Sqrt(float64(n))
 }
 
 // TTestResult reports a paired two-tailed t-test.
@@ -174,9 +160,9 @@ type TTestResult struct {
 	P  float64 // two-tailed p-value
 }
 
-// Significance renders the paper's Figure 10 markers: "*" for p < 0.01,
+// significance renders the paper's Figure 10 markers: "*" for p < 0.01,
 // "°" for p < 0.10, "" otherwise.
-func (r TTestResult) Significance() string {
+func (r TTestResult) significance() string {
 	switch {
 	case r.P < 0.01:
 		return "*"
@@ -187,59 +173,40 @@ func (r TTestResult) Significance() string {
 	}
 }
 
-// PairedTTest runs a two-tailed paired t-test on equal-length samples,
+// pairedTTest runs a two-tailed paired t-test on equal-length samples,
 // as the paper does for per-task completion times across the 12
 // within-subject participants.
-func PairedTTest(a, b []float64) (TTestResult, error) {
+func pairedTTest(a, b []float64) (TTestResult, error) {
 	if len(a) != len(b) {
-		return TTestResult{}, fmt.Errorf("stats: paired samples differ in length (%d vs %d)", len(a), len(b))
+		return TTestResult{}, fmt.Errorf("study: paired samples differ in length (%d vs %d)", len(a), len(b))
 	}
 	if len(a) < 2 {
-		return TTestResult{}, fmt.Errorf("stats: need at least 2 pairs")
+		return TTestResult{}, fmt.Errorf("study: need at least 2 pairs")
 	}
 	diffs := make([]float64, len(a))
 	for i := range a {
 		diffs[i] = a[i] - b[i]
 	}
-	sd := StdDev(diffs)
+	sd := stdDev(diffs)
 	if sd == 0 {
-		return TTestResult{}, fmt.Errorf("stats: zero variance in differences")
+		return TTestResult{}, fmt.Errorf("study: zero variance in differences")
 	}
 	n := float64(len(diffs))
-	t := Mean(diffs) / (sd / math.Sqrt(n))
+	t := mean(diffs) / (sd / math.Sqrt(n))
 	df := n - 1
-	p := 2 * (1 - TCDF(math.Abs(t), df))
+	p := 2 * (1 - tCDF(math.Abs(t), df))
 	return TTestResult{T: t, DF: df, P: p}, nil
 }
 
-// Likert summarizes 7-point Likert responses: mean and the count of
-// responses at or above a threshold (the paper reports "11/12 rated ≥6"
-// style fractions).
-type Likert struct {
-	Mean    float64
-	N       int
-	AtLeast map[int]int
-}
-
-// SummarizeLikert aggregates integer ratings clamped to [1, 7].
-func SummarizeLikert(ratings []int) Likert {
-	l := Likert{N: len(ratings), AtLeast: map[int]int{}}
+// likertMean is the mean of 7-point Likert ratings, each clamped to
+// [1, 7] (0 for no ratings).
+func likertMean(ratings []int) float64 {
 	if len(ratings) == 0 {
-		return l
+		return 0
 	}
 	sum := 0
 	for _, r := range ratings {
-		if r < 1 {
-			r = 1
-		}
-		if r > 7 {
-			r = 7
-		}
-		sum += r
-		for t := 1; t <= r; t++ {
-			l.AtLeast[t]++
-		}
+		sum += min(max(r, 1), 7)
 	}
-	l.Mean = float64(sum) / float64(len(ratings))
-	return l
+	return float64(sum) / float64(len(ratings))
 }

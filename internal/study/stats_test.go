@@ -1,4 +1,4 @@
-package stats
+package study
 
 import (
 	"math"
@@ -10,29 +10,17 @@ func approx(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
 func TestMoments(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if Mean(xs) != 5 {
-		t.Errorf("mean = %v", Mean(xs))
+	if mean(xs) != 5 {
+		t.Errorf("mean = %v", mean(xs))
 	}
-	if !approx(Variance(xs), 32.0/7, 1e-12) {
-		t.Errorf("variance = %v", Variance(xs))
+	if !approx(variance(xs), 32.0/7, 1e-12) {
+		t.Errorf("variance = %v", variance(xs))
 	}
-	if !approx(StdDev(xs), math.Sqrt(32.0/7), 1e-12) {
-		t.Errorf("stddev = %v", StdDev(xs))
+	if !approx(stdDev(xs), math.Sqrt(32.0/7), 1e-12) {
+		t.Errorf("stddev = %v", stdDev(xs))
 	}
-	if Mean(nil) != 0 || Variance([]float64{1}) != 0 {
+	if mean(nil) != 0 || variance([]float64{1}) != 0 {
 		t.Error("degenerate inputs")
-	}
-}
-
-func TestMedian(t *testing.T) {
-	if Median([]float64{3, 1, 2}) != 2 {
-		t.Error("odd median")
-	}
-	if Median([]float64{4, 1, 2, 3}) != 2.5 {
-		t.Error("even median")
-	}
-	if Median(nil) != 0 {
-		t.Error("empty median")
 	}
 }
 
@@ -50,11 +38,11 @@ func TestTCDF(t *testing.T) {
 		{1.96, 1e6, 0.975},  // approaches normal
 	}
 	for _, c := range cases {
-		if got := TCDF(c.t, c.df); !approx(got, c.want, 5e-4) {
-			t.Errorf("TCDF(%v, %v) = %v, want %v", c.t, c.df, got, c.want)
+		if got := tCDF(c.t, c.df); !approx(got, c.want, 5e-4) {
+			t.Errorf("tCDF(%v, %v) = %v, want %v", c.t, c.df, got, c.want)
 		}
 	}
-	if !math.IsNaN(TCDF(1, 0)) {
+	if !math.IsNaN(tCDF(1, 0)) {
 		t.Error("df=0 should be NaN")
 	}
 }
@@ -68,8 +56,8 @@ func TestTQuantile(t *testing.T) {
 		{0.95, 5, 2.571},
 	}
 	for _, c := range cases {
-		if got := TQuantile(c.conf, c.df); !approx(got, c.want, 5e-3) {
-			t.Errorf("TQuantile(%v, %v) = %v, want %v", c.conf, c.df, got, c.want)
+		if got := tQuantile(c.conf, c.df); !approx(got, c.want, 5e-3) {
+			t.Errorf("tQuantile(%v, %v) = %v, want %v", c.conf, c.df, got, c.want)
 		}
 	}
 }
@@ -78,10 +66,10 @@ func TestCI95(t *testing.T) {
 	xs := []float64{10, 12, 14, 16, 18}
 	// sd = sqrt(10), n = 5, t* (df=4) = 2.776
 	want := 2.776 * math.Sqrt(10) / math.Sqrt(5)
-	if got := CI95(xs); !approx(got, want, 1e-2) {
+	if got := ci95(xs); !approx(got, want, 1e-2) {
 		t.Errorf("CI95 = %v, want %v", got, want)
 	}
-	if CI95([]float64{1}) != 0 {
+	if ci95([]float64{1}) != 0 {
 		t.Error("CI95 of singleton")
 	}
 }
@@ -90,7 +78,7 @@ func TestPairedTTest(t *testing.T) {
 	// Classic example: clearly different paired samples.
 	a := []float64{30, 31, 35, 33, 34, 32, 31, 30, 33, 32, 31, 34}
 	b := []float64{50, 55, 52, 54, 53, 51, 56, 50, 52, 55, 54, 53}
-	res, err := PairedTTest(a, b)
+	res, err := pairedTTest(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,68 +91,56 @@ func TestPairedTTest(t *testing.T) {
 	if res.DF != 11 {
 		t.Errorf("df = %v", res.DF)
 	}
-	if res.Significance() != "*" {
-		t.Errorf("significance = %q", res.Significance())
+	if res.significance() != "*" {
+		t.Errorf("significance = %q", res.significance())
 	}
 
 	// Identical-ish samples: no significance.
 	c := []float64{1, 2, 3, 4, 5}
 	d := []float64{1.1, 1.9, 3.2, 3.9, 5.1}
-	res2, err := PairedTTest(c, d)
+	res2, err := pairedTTest(c, d)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res2.P < 0.10 {
 		t.Errorf("p = %v, want not significant", res2.P)
 	}
-	if res2.Significance() != "" {
-		t.Errorf("significance = %q", res2.Significance())
+	if res2.significance() != "" {
+		t.Errorf("significance = %q", res2.significance())
 	}
 
-	if _, err := PairedTTest([]float64{1}, []float64{1, 2}); err == nil {
+	if _, err := pairedTTest([]float64{1}, []float64{1, 2}); err == nil {
 		t.Error("length mismatch accepted")
 	}
-	if _, err := PairedTTest([]float64{1}, []float64{2}); err == nil {
+	if _, err := pairedTTest([]float64{1}, []float64{2}); err == nil {
 		t.Error("n=1 accepted")
 	}
-	if _, err := PairedTTest([]float64{1, 2}, []float64{2, 3}); err == nil {
+	if _, err := pairedTTest([]float64{1, 2}, []float64{2, 3}); err == nil {
 		t.Error("zero-variance diffs accepted")
 	}
 }
 
 func TestMarginalSignificance(t *testing.T) {
 	r := TTestResult{P: 0.052}
-	if r.Significance() != "°" {
-		t.Errorf("p=0.052 marker = %q", r.Significance())
+	if r.significance() != "°" {
+		t.Errorf("p=0.052 marker = %q", r.significance())
 	}
 }
 
-func TestSummarizeLikert(t *testing.T) {
-	l := SummarizeLikert([]int{7, 6, 6, 7, 5, 6, 7, 6, 6, 7, 6, 8})
-	if l.N != 12 {
-		t.Errorf("n = %d", l.N)
-	}
+func TestLikertMean(t *testing.T) {
 	// 8 clamps to 7; mean = (7+6+6+7+5+6+7+6+6+7+6+7)/12 = 76/12
-	if !approx(l.Mean, 76.0/12, 1e-9) {
-		t.Errorf("mean = %v", l.Mean)
+	if got := likertMean([]int{7, 6, 6, 7, 5, 6, 7, 6, 6, 7, 6, 8}); !approx(got, 76.0/12, 1e-9) {
+		t.Errorf("mean = %v", got)
 	}
-	if l.AtLeast[6] != 11 {
-		t.Errorf("≥6 count = %d, want 11", l.AtLeast[6])
+	if likertMean(nil) != 0 {
+		t.Error("empty mean")
 	}
-	if l.AtLeast[1] != 12 {
-		t.Errorf("≥1 count = %d", l.AtLeast[1])
-	}
-	empty := SummarizeLikert(nil)
-	if empty.N != 0 || empty.Mean != 0 {
-		t.Error("empty summary")
-	}
-	clamped := SummarizeLikert([]int{0})
-	if clamped.Mean != 1 {
+	if likertMean([]int{0}) != 1 {
 		t.Error("low clamp")
 	}
 }
 
-// Property: TCDF is monotone in t and symmetric around 0.5.
+// Property: tCDF is monotone in t and symmetric around 0.5.
 func TestTCDFProperties(t *testing.T) {
 	f := func(a, b float64) bool {
 		ta := math.Mod(math.Abs(a), 10)
@@ -173,10 +149,10 @@ func TestTCDFProperties(t *testing.T) {
 			ta, tb = tb, ta
 		}
 		df := 7.0
-		if TCDF(ta, df) > TCDF(tb, df)+1e-12 {
+		if tCDF(ta, df) > tCDF(tb, df)+1e-12 {
 			return false
 		}
-		return approx(TCDF(ta, df)+TCDF(-ta, df), 1, 1e-9)
+		return approx(tCDF(ta, df)+tCDF(-ta, df), 1, 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

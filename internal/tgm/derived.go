@@ -7,7 +7,7 @@ import (
 
 // Derived state is what a package computes from a frozen graph and
 // keeps for the graph's lifetime — an attribute's rank, a server's label
-// fragments, the graph statistics. All of it lives in one registry on
+// fragments. All of it lives in one registry on
 // the graph (InstanceGraph.derived), so it shares the graph's lifetime
 // and is reached one way. Each value sits under a key its owning
 // package chooses: any comparable value of a type that package defines,

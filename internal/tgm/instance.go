@@ -147,9 +147,8 @@ func (b *colBlock) builders() []value.Builder {
 // out-of-core attribute columns, whose residency is owned by the
 // attached ColumnSource (which must itself be concurrency-safe),
 // deferred adjacency (built once under a sync.Once, its load error
-// kept) and derived state — attribute ranks, label fragments, graph
-// statistics — built once per key in the graph's one registry
-// (Derive).
+// kept) and derived state — attribute ranks, label fragments — built
+// once per key in the graph's one registry (Derive).
 // translate.Translate freezes the graph before returning it, which is
 // what lets the server share one execution cache of graphrel.Relations
 // (whose base columns alias these node lists) across all sessions.

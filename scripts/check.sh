@@ -34,11 +34,12 @@ else
 	echo "staticcheck not installed; skipping (go install honnef.co/go/tools/cmd/staticcheck@latest)"
 fi
 
-# The engine plans from the exact sizes of its selected bases; no
-# statistics estimate reaches it (ROADMAP 1a+b).
-echo "==> internal/etable does not depend on internal/stats"
-if go list -deps ./internal/etable | grep -qx 'repro/internal/stats'; then
-	echo "internal/etable depends on repro/internal/stats" >&2
+# The engine plans from the exact sizes of its selected bases, so no
+# graph statistics are collected: the statistics package and its
+# per-edge degree histograms stay deleted (ROADMAP 24).
+echo "==> no package repro/internal/stats"
+if go list ./... | grep -qx 'repro/internal/stats'; then
+	echo "the package repro/internal/stats reappeared" >&2
 	exit 1
 fi
 
@@ -210,9 +211,9 @@ if grep -rnE 'repro/internal/spill|SpillPolicy|SetSpill|SpillDir|satAdd|satMul|i
 	exit 1
 fi
 
-# Derived state is one mechanism: an attribute rank, a label fragment
-# table and the graph statistics are each built once per frozen graph
-# through tgm.Derive, the graph's one registry (internal/tgm/derived.go).
+# Derived state is one mechanism: an attribute rank and a label
+# fragment table are each built once per frozen graph through
+# tgm.Derive, the graph's one registry (internal/tgm/derived.go).
 # No second build-once slot may appear beside it (ROADMAP 15; the
 # harness module is exempt).
 echo "==> one derived-state mechanism"
@@ -255,5 +256,6 @@ go test -race -run "$pattern" ./...
 # pooled buffer reads as an allocation. They run here without it.
 echo "==> allocation guards (without -race)"
 go test -count=1 -run 'TestCursorRefsAllocs|TestMatchPrepareAllocGuard|TestReducedMatchesOracles' ./internal/etable
+go test -count=1 -run 'TestSelectSetAllocs' ./internal/graphrel
 
 echo "OK"
