@@ -9,6 +9,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"flag"
 	"fmt"
@@ -20,6 +21,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/registry"
 	"repro/internal/server"
+	"repro/internal/snapshot"
 	"repro/internal/translate"
 )
 
@@ -60,7 +62,13 @@ func main() {
 	flag.Parse()
 
 	reg := registry.New(registry.Options{CacheEntries: *cacheEntries})
-	snapOpt := registry.SnapshotOptions{Lazy: *lazy, PoolSections: *pagerSections}
+	// sections is each snapshot dataset's residency: 0 is resident;
+	// -lazy pages with -pager-sections, 0 meaning the default and a
+	// budget below 1 clamped to 1, as the pool clamps it.
+	sections := 0
+	if *lazy {
+		sections = max(cmp.Or(*pagerSections, snapshot.DefaultPoolSections), 1)
+	}
 	switch {
 	case *snapPath != "":
 		// Boot the default dataset from disk: no generation, no
@@ -68,7 +76,7 @@ func main() {
 		// -lazy only the skeleton decodes now and columns fault in on
 		// demand through the bounded pager.
 		start := time.Now()
-		ds, err := reg.AddSnapshotOpts("default", *snapPath, snapOpt)
+		ds, err := reg.AddSnapshot("default", *snapPath, sections)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -105,7 +113,7 @@ func main() {
 		}
 	}
 	for i, name := range extra.names {
-		if _, err := reg.AddSnapshotOpts(name, extra.paths[i], snapOpt); err != nil {
+		if _, err := reg.AddSnapshot(name, extra.paths[i], sections); err != nil {
 			log.Fatal(err)
 		}
 		mode := "deferred"

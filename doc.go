@@ -238,18 +238,21 @@
 // and every edge type's CSR arrays as a deferred conversion. Both
 // resolve a column through one routine: range check, per-column
 // CRC-32C, decode. Paged columns
-// fault in through a bounded buffer pool — an lru.Cache keyed by
-// pager.Key (budget -pager-sections, default 64) — with CRC
-// verification on first fault, LRU eviction of unpinned sections,
-// singleflight fault collapsing, and pin/unpin tied to the
-// window-materialization discipline, so
+// fault in through a bounded buffer pool inside internal/snapshot — an
+// lru.Cache of decoded columns keyed by node type and attribute ordinal
+// (budget -pager-sections, default 64) — with CRC verification on
+// first fault, LRU eviction of unpinned sections, singleflight fault
+// collapsing, and one accessor, tgm.ColumnSource.PinColumn: a window
+// holds its pins while it materializes, every other read pins and
+// releases at once, so
 // steady-state memory is the skeleton plus the pool budget regardless
 // of corpus size. Damaged columns surface as typed *CorruptError values
 // from the faulting query — never a panic, never poisoning the pool
 // (repairing the file heals the next fault in place). The registry
-// chooses the policy per dataset (registry.SnapshotOptions), and
-// etable-server -snapshot boots the default dataset through the
-// registry either way (AddSnapshotOpts + Ensure). GET
+// chooses the policy per dataset with one number, the pager budget
+// passed to registry.AddSnapshot (0 is resident), and etable-server
+// -snapshot boots the default dataset through the registry either way
+// (AddSnapshot + Ensure; -lazy alone gives 64 sections). GET
 // /api/v1/datasets describes snapshot files from their headers alone
 // (fileBytes, fileSections), and /api/v1/stats exports pager telemetry
 // for each paged dataset (a resident one has no pager block). PERFORMANCE.md §10 records the boot-latency

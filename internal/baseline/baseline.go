@@ -77,9 +77,6 @@ func (b *Builder) AddOutput(item string) { b.outputs = append(b.outputs, item) }
 // AddWhere types one predicate into the criteria grid.
 func (b *Builder) AddWhere(pred string) { b.where = append(b.where, pred) }
 
-// ClearWhere empties the criteria grid (used when debugging restarts).
-func (b *Builder) ClearWhere() { b.where = nil }
-
 // SetGroupBy sets the GROUP BY column.
 func (b *Builder) SetGroupBy(col string) { b.groupBy = col }
 
@@ -88,18 +85,6 @@ func (b *Builder) SetOrderBy(key string, desc bool) { b.orderBy, b.desc = key, d
 
 // SetLimit sets the LIMIT.
 func (b *Builder) SetLimit(n int) { b.limit = n }
-
-// Reset clears the canvas (restart-from-scratch debugging, §7.2).
-func (b *Builder) Reset() {
-	b.tables = nil
-	b.joins = nil
-	b.outputs = nil
-	b.where = nil
-	b.groupBy = ""
-	b.orderBy = ""
-	b.desc = false
-	b.limit = -1
-}
 
 // SQL renders the statement the builder's canvas state corresponds to.
 func (b *Builder) SQL() (string, error) {

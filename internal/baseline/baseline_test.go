@@ -106,24 +106,6 @@ func TestValidation(t *testing.T) {
 	}
 }
 
-func TestResetAndClearWhere(t *testing.T) {
-	b := newBuilder(t)
-	b.AddTable("Papers")
-	b.AddWhere("year = 2007")
-	b.ClearWhere()
-	sql, _ := b.SQL()
-	if strings.Contains(sql, "WHERE") {
-		t.Errorf("cleared where still present: %q", sql)
-	}
-	b.Reset()
-	if _, err := b.SQL(); err == nil {
-		t.Error("reset canvas should be empty")
-	}
-	if err := b.AddTable("Papers"); err != nil {
-		t.Errorf("re-add after reset: %v", err)
-	}
-}
-
 func TestComplexity(t *testing.T) {
 	b := newBuilder(t)
 	b.AddTable("Papers")

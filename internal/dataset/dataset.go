@@ -18,7 +18,6 @@ import (
 	"math/rand"
 
 	"repro/internal/relational"
-	"repro/internal/translate"
 	"repro/internal/value"
 )
 
@@ -414,24 +413,8 @@ func createSchema(db *relational.DB) error {
 	return nil
 }
 
-// GenerateTranslated generates the database and runs the Appendix A
-// translation with the evaluation's categorical attributes.
-func GenerateTranslated(cfg Config) (*translate.Result, error) {
-	db, err := Generate(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return translate.Translate(db, translate.Options{
-		CategoricalAttrs: []string{"Papers.year", "Institutions.country"},
-	})
-}
-
 // SmallConfig returns a configuration sized for tests: a few hundred
 // papers, generated in milliseconds.
 func SmallConfig() Config {
 	return Config{Papers: 300, Authors: 150, Institutions: 40, Seed: 7}
 }
-
-// PaperScaleConfig returns the configuration matching the paper's corpus
-// (~38k papers, 19 conferences, since 2000).
-func PaperScaleConfig() Config { return Config{} }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/etable"
 	"repro/internal/relational"
+	"repro/internal/translate"
 	"repro/internal/value"
 )
 
@@ -46,7 +47,7 @@ func TestDeterminism(t *testing.T) {
 		t.Fatal("row counts differ")
 	}
 	for i := 0; i < at.Len(); i++ {
-		ra, rb := at.Row(i), bt.Row(i)
+		ra, rb := at.Rows()[i], bt.Rows()[i]
 		for c := range ra {
 			if !value.Equal(ra[c], rb[c]) {
 				t.Fatalf("row %d col %d differs: %v vs %v", i, c, ra[c], rb[c])
@@ -63,7 +64,7 @@ func TestDeterminism(t *testing.T) {
 	ct, _ := c.Table("Papers")
 	same := true
 	for i := 0; i < minInt(ct.Len(), at.Len()) && same; i++ {
-		if !value.Equal(ct.Row(i)[2], at.Row(i)[2]) {
+		if !value.Equal(ct.Rows()[i][2], at.Rows()[i][2]) {
 			same = false
 		}
 	}
@@ -149,7 +150,13 @@ func TestUniqueAuthorNames(t *testing.T) {
 }
 
 func TestGenerateTranslated(t *testing.T) {
-	tr, err := GenerateTranslated(SmallConfig())
+	db, err := Generate(SmallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := translate.Translate(db, translate.Options{
+		CategoricalAttrs: []string{"Papers.year", "Institutions.country"},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +194,7 @@ func TestGenerateTranslated(t *testing.T) {
 }
 
 func TestConfigDefaults(t *testing.T) {
-	cfg := PaperScaleConfig()
+	cfg := Config{}
 	cfg.fill()
 	if cfg.Papers != 38000 || cfg.Authors != 19000 || cfg.YearMin != 2000 {
 		t.Errorf("defaults = %+v", cfg)

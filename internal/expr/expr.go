@@ -564,19 +564,3 @@ func Truthy(e Expr, env Env) (bool, error) {
 	}
 	return !v.IsNull() && v.AsBool(), nil
 }
-
-// Conjoin combines expressions with AND, returning nil for an empty list.
-func Conjoin(exprs ...Expr) Expr {
-	var out Expr
-	for _, e := range exprs {
-		if e == nil {
-			continue
-		}
-		if out == nil {
-			out = e
-		} else {
-			out = And{Left: out, Right: e}
-		}
-	}
-	return out
-}

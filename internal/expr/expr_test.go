@@ -331,19 +331,6 @@ func TestStringRoundTrip(t *testing.T) {
 	}
 }
 
-func TestConjoin(t *testing.T) {
-	if Conjoin() != nil {
-		t.Error("empty Conjoin should be nil")
-	}
-	a, b := MustParse("x = 1"), MustParse("y = 2")
-	if got := Conjoin(a, nil, b).String(); got != "(x = 1 AND y = 2)" {
-		t.Errorf("Conjoin = %q", got)
-	}
-	if got := Conjoin(nil, a); got.String() != "x = 1" {
-		t.Errorf("single Conjoin = %q", got.String())
-	}
-}
-
 // Property: LIKE with pattern "%s%" finds s as substring.
 func TestLikeSubstringProperty(t *testing.T) {
 	f := func(hay, needle string) bool {

@@ -102,18 +102,6 @@ func (s Script) BaseTime() float64 {
 	return t
 }
 
-// Mentals counts mental-preparation steps, a proxy for task cognitive
-// load used by the rating model.
-func (s Script) Mentals() int {
-	n := 0
-	for _, op := range s {
-		if op.Kind == M {
-			n += op.Count
-		}
-	}
-	return n
-}
-
 // Participant simulates one study participant: a skill factor scaling
 // all durations and log-normal per-task noise.
 type Participant struct {

@@ -35,14 +35,6 @@ func TestClickAndType(t *testing.T) {
 	}
 }
 
-func TestMentals(t *testing.T) {
-	var s Script
-	s = s.Click("a").Type("xy", "b").Add(M, 3, "c")
-	if got := s.Mentals(); got != 5 {
-		t.Errorf("mentals = %d", got)
-	}
-}
-
 func TestParticipantTimeScaling(t *testing.T) {
 	var s Script
 	s = s.Add(M, 10, "think")
@@ -111,7 +103,7 @@ func TestBernoulliAndUniform(t *testing.T) {
 
 func TestEmptyScript(t *testing.T) {
 	var s Script
-	if s.BaseTime() != 0 || s.Mentals() != 0 {
+	if s.BaseTime() != 0 {
 		t.Error("empty script should be free")
 	}
 }

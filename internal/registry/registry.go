@@ -8,12 +8,15 @@
 //   - Eager (AddGraph): the schema and instance graph are already in
 //     memory — the single-dataset boot path, wrapping a freshly
 //     translated corpus as the "default" dataset.
-//   - Lazy (AddSnapshot): only a snapshot path is registered; the first
-//     request that needs the graph triggers the disk load. Loads are
-//     singleflight — concurrent first requests elect one loader, the
-//     rest wait for its result. A failed load is returned to that
+//   - Deferred (AddSnapshot): only a snapshot path is registered; the
+//     first request that needs the graph triggers the disk load. Loads
+//     are singleflight — concurrent first requests elect one loader,
+//     the rest wait for its result. A failed load is returned to that
 //     attempt's waiters only; the next request retries from scratch, so
-//     a transient I/O error does not poison the dataset forever.
+//     a transient I/O error does not poison the dataset forever. One
+//     number chooses the load's residency: 0 decodes every column at
+//     load (resident); n > 0 opens the file paged, with attribute
+//     columns faulting in through a pager of n sections.
 //
 // Isolation is the point: every dataset has its own etable.Cache and
 // its own graph, so queries against one dataset can never pollute
@@ -48,16 +51,15 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Registry is the named-dataset table. Add* and SetDefault are
-// boot-time configuration; Get/Default/Names are hot-path lookups and
-// safe for concurrent use with each other and with dataset loads.
+// Registry is the named-dataset table. Add* is boot-time
+// configuration; Get/Default/Names are hot-path lookups and safe for
+// concurrent use with each other and with dataset loads.
 type Registry struct {
 	opts Options
 
 	mu       sync.RWMutex
 	datasets map[string]*Dataset
-	order    []string // insertion order, for stable listings
-	def      string   // default dataset name ("" until first Add)
+	def      string // default dataset name: the first added ("" until then)
 }
 
 // New creates an empty registry.
@@ -80,7 +82,6 @@ func (r *Registry) add(name string, ds *Dataset) (*Dataset, error) {
 		return nil, fmt.Errorf("registry: dataset %q already registered", name)
 	}
 	r.datasets[name] = ds
-	r.order = append(r.order, name)
 	if r.def == "" {
 		r.def = name
 	}
@@ -103,56 +104,31 @@ func (r *Registry) AddGraph(name string, schema *tgm.SchemaGraph, graph *tgm.Ins
 	})
 }
 
-// SnapshotOptions configures how a snapshot-backed dataset loads on
-// first use.
-type SnapshotOptions struct {
-	// Lazy selects the out-of-core load path (snapshot.LazyLoad): boot
-	// decodes only the skeleton and attribute columns fault in through
-	// a bounded pager, so resident memory tracks the working set rather
-	// than the corpus.
-	Lazy bool
-	// PoolSections is the lazy pager's resident-column budget
-	// (snapshot.DefaultPoolSections if zero). Ignored unless Lazy.
-	PoolSections int
-}
-
 // AddSnapshot registers a deferred dataset backed by an .etsnap file:
 // the graph is not loaded here — the first Ensure loads it — so a
 // server can register many datasets and pay only for the ones that get
-// traffic. The file's header IS inspected at registration (when
+// traffic. sections chooses the load's residency: 0 is resident
+// (snapshot.Load); n > 0 is paged (snapshot.LazyLoad), boot decoding
+// only the skeleton and attribute columns faulting in through a pager
+// of n sections, so resident memory tracks the working set rather than
+// the corpus. The file's header IS inspected at registration (when
 // readable) so discovery endpoints can report size, section count, and
 // graph counts before anything pays to load; a missing or damaged file
 // does not fail registration, it fails the first Ensure.
-func (r *Registry) AddSnapshot(name, path string) (*Dataset, error) {
-	return r.AddSnapshotOpts(name, path, SnapshotOptions{})
-}
-
-// AddSnapshotOpts is AddSnapshot with an explicit load mode.
-func (r *Registry) AddSnapshotOpts(name, path string, opt SnapshotOptions) (*Dataset, error) {
+func (r *Registry) AddSnapshot(name, path string, sections int) (*Dataset, error) {
 	if path == "" {
 		return nil, fmt.Errorf("registry: dataset %q: empty snapshot path", name)
 	}
 	ds := &Dataset{
-		name:    name,
-		path:    path,
-		snapOpt: opt,
-		cache:   etable.NewCache(r.opts.CacheEntries),
+		name:     name,
+		path:     path,
+		sections: sections,
+		cache:    etable.NewCache(r.opts.CacheEntries),
 	}
 	if info, err := snapshot.ReadInfo(path); err == nil {
 		ds.fileInfo, ds.fileInfoOK = info, true
 	}
 	return r.add(name, ds)
-}
-
-// SetDefault names the dataset legacy unscoped routes resolve to.
-func (r *Registry) SetDefault(name string) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.datasets[name]; !ok {
-		return fmt.Errorf("registry: dataset %q not registered", name)
-	}
-	r.def = name
-	return nil
 }
 
 // Default returns the default dataset (nil for an empty registry).
@@ -170,23 +146,25 @@ func (r *Registry) Get(name string) (*Dataset, bool) {
 	return ds, ok
 }
 
-// Names returns the registered dataset names, sorted, with the default
-// dataset's position unchanged by sorting (callers that care which is
-// default ask Default).
+// Names returns the registered dataset names, sorted (callers that care
+// which is default ask Default).
 func (r *Registry) Names() []string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	out := append([]string(nil), r.order...)
+	out := make([]string, 0, len(r.datasets))
+	for name := range r.datasets {
+		out = append(out, name)
+	}
 	sort.Strings(out)
 	return out
 }
 
 // Dataset is one named TGDB and its scoped serving state.
 type Dataset struct {
-	name    string
-	path    string // "" for eager datasets
-	snapOpt SnapshotOptions
-	cache   *etable.Cache
+	name     string
+	path     string // "" for eager datasets
+	sections int    // pager budget of a paged dataset; 0 is resident
+	cache    *etable.Cache
 
 	// Registration-time header inspection (snapshot.ReadInfo), so
 	// discovery endpoints report file size / section / graph counts
@@ -260,7 +238,7 @@ func (d *Dataset) LoadMetrics() (bytes int64, dur time.Duration) {
 
 // Lazy reports whether this dataset is configured for out-of-core
 // (paged) loading.
-func (d *Dataset) Lazy() bool { return d.snapOpt.Lazy }
+func (d *Dataset) Lazy() bool { return d.sections > 0 }
 
 // FileInfo returns the snapshot header summary captured at
 // registration (size, section count, node/edge counts), and whether
@@ -328,10 +306,8 @@ func (d *Dataset) Ensure(ctx context.Context) error {
 		lazy *snapshot.LazySnapshot
 		err  error
 	)
-	if d.snapOpt.Lazy {
-		lazy, err = snapshot.LazyLoad(d.path, snapshot.LazyOptions{
-			PoolSections: d.snapOpt.PoolSections,
-		})
+	if d.Lazy() {
+		lazy, err = snapshot.LazyLoad(d.path, snapshot.LazyOptions{PoolSections: d.sections})
 		if err == nil {
 			snap = &lazy.Snapshot
 		}

@@ -48,7 +48,7 @@ func TestRegistration(t *testing.T) {
 	if _, err := r.AddGraph("", tr.Schema, tr.Instance); err == nil {
 		t.Fatal("empty name accepted")
 	}
-	if _, err := r.AddSnapshot("x", ""); err == nil {
+	if _, err := r.AddSnapshot("x", "", 0); err == nil {
 		t.Fatal("empty path accepted")
 	}
 
@@ -59,23 +59,14 @@ func TestRegistration(t *testing.T) {
 	if _, err := r.AddGraph("alpha", tr.Schema, tr.Instance); err == nil {
 		t.Fatal("duplicate name accepted")
 	}
-	b, err := r.AddSnapshot("beta", writeSnapshot(t, tr))
+	b, err := r.AddSnapshot("beta", writeSnapshot(t, tr), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// First added is the default until overridden.
+	// The first added is the default.
 	if r.Default() != a {
 		t.Fatal("first dataset is not the default")
-	}
-	if err := r.SetDefault("beta"); err != nil {
-		t.Fatal(err)
-	}
-	if r.Default() != b {
-		t.Fatal("SetDefault did not take")
-	}
-	if err := r.SetDefault("nope"); err == nil {
-		t.Fatal("SetDefault accepted an unknown name")
 	}
 	names := r.Names()
 	if len(names) != 2 || names[0] != "alpha" || names[1] != "beta" {
@@ -100,7 +91,7 @@ func TestRegistration(t *testing.T) {
 func TestLazyLoadSingleflight(t *testing.T) {
 	tr := buildCorpus(t, 60, 2)
 	r := New(Options{})
-	ds, err := r.AddSnapshot("lazy", writeSnapshot(t, tr))
+	ds, err := r.AddSnapshot("lazy", writeSnapshot(t, tr), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +144,7 @@ func TestFailedLoadRetries(t *testing.T) {
 	}
 
 	r := New(Options{})
-	ds, err := r.AddSnapshot("flaky", link)
+	ds, err := r.AddSnapshot("flaky", link, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +212,7 @@ func TestDatasetIsolation(t *testing.T) {
 	}
 }
 
-// TestOutOfCoreDataset: a dataset registered with SnapshotOptions.Lazy
+// TestOutOfCoreDataset: a dataset registered with a pager budget
 // boots through LazyLoad — header info is available before any load,
 // pager telemetry appears once queries fault columns in, and the graph
 // serves attributes identically to an eager load of the same file.
@@ -229,7 +220,7 @@ func TestOutOfCoreDataset(t *testing.T) {
 	tr := buildCorpus(t, 60, 5)
 	path := writeSnapshot(t, tr)
 	r := New(Options{})
-	d, err := r.AddSnapshotOpts("ooc", path, SnapshotOptions{Lazy: true, PoolSections: 2})
+	d, err := r.AddSnapshot("ooc", path, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +280,7 @@ func TestOutOfCoreDataset(t *testing.T) {
 	}
 
 	// A registered-but-missing file defers its error to Ensure.
-	m, err := r.AddSnapshotOpts("ghost", filepath.Join(t.TempDir(), "missing.etsnap"), SnapshotOptions{Lazy: true})
+	m, err := r.AddSnapshot("ghost", filepath.Join(t.TempDir(), "missing.etsnap"), 64)
 	if err != nil {
 		t.Fatal(err)
 	}

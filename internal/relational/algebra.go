@@ -2,7 +2,6 @@ package relational
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/expr"
 	"repro/internal/value"
@@ -27,47 +26,6 @@ func Select(r *Rel, cond expr.Expr) (*Rel, error) {
 	return out, nil
 }
 
-// Project returns r restricted to the named columns, in order (π without
-// duplicate elimination; compose with Distinct for set semantics).
-func Project(r *Rel, cols ...string) (*Rel, error) {
-	idx := make([]int, len(cols))
-	out := &Rel{Cols: make([]ColRef, len(cols))}
-	for i, name := range cols {
-		ci := r.ColIndex(name)
-		if ci == -2 {
-			return nil, fmt.Errorf("relational: ambiguous column %q", name)
-		}
-		if ci < 0 {
-			return nil, fmt.Errorf("relational: no column %q", name)
-		}
-		idx[i] = ci
-		out.Cols[i] = r.Cols[ci]
-	}
-	out.Rows = make([]Row, len(r.Rows))
-	for ri, row := range r.Rows {
-		pr := make(Row, len(idx))
-		for i, ci := range idx {
-			pr[i] = row[ci]
-		}
-		out.Rows[ri] = pr
-	}
-	return out, nil
-}
-
-// Distinct removes duplicate rows, preserving first-occurrence order.
-func Distinct(r *Rel) *Rel {
-	out := &Rel{Cols: r.Cols}
-	seen := make(map[string]bool, len(r.Rows))
-	for _, row := range r.Rows {
-		k := RowKey(row)
-		if !seen[k] {
-			seen[k] = true
-			out.Rows = append(out.Rows, row)
-		}
-	}
-	return out
-}
-
 // AppendKey appends v's canonical key to dst, length-prefixed. A plain
 // separator byte is not enough: value keys can contain any byte
 // (including a 0x1f inside a string value), which made distinct rows
@@ -80,9 +38,9 @@ func AppendKey(dst []byte, v value.V) []byte {
 	return append(dst, k...)
 }
 
-// RowKey returns a collision-free identity key for a whole row, shared
-// by every dedup/grouping map over rows (Distinct, GROUP BY, DISTINCT
-// projection, primary-key indexes).
+// RowKey returns a collision-free identity key for a whole row: the
+// AppendKey encoding that GroupBy and the primary-key index also build
+// over their key values, here over every column (DISTINCT projection).
 func RowKey(row Row) string {
 	b := make([]byte, 0, 16*len(row))
 	for _, v := range row {
@@ -177,51 +135,6 @@ func ThetaJoin(l, r *Rel, cond expr.Expr) (*Rel, error) {
 func CrossJoin(l, r *Rel) *Rel {
 	out, _ := ThetaJoin(l, r, nil)
 	return out
-}
-
-// SortKey orders rows by a column or arbitrary expression.
-type SortKey struct {
-	Expr expr.Expr
-	Desc bool
-}
-
-// Sort returns r ordered by the given keys. The sort is stable.
-func Sort(r *Rel, keys ...SortKey) (*Rel, error) {
-	type keyed struct {
-		row  Row
-		vals []value.V
-	}
-	rows := make([]keyed, len(r.Rows))
-	for i, row := range r.Rows {
-		vals := make([]value.V, len(keys))
-		env := r.Env(row)
-		for ki, k := range keys {
-			v, err := k.Expr.Eval(env)
-			if err != nil {
-				return nil, err
-			}
-			vals[ki] = v
-		}
-		rows[i] = keyed{row: row, vals: vals}
-	}
-	sort.SliceStable(rows, func(i, j int) bool {
-		for ki := range keys {
-			d := value.Compare(rows[i].vals[ki], rows[j].vals[ki])
-			if d == 0 {
-				continue
-			}
-			if keys[ki].Desc {
-				return d > 0
-			}
-			return d < 0
-		}
-		return false
-	})
-	out := &Rel{Cols: r.Cols, Rows: make([]Row, len(rows))}
-	for i, kr := range rows {
-		out.Rows[i] = kr.row
-	}
-	return out, nil
 }
 
 // Limit returns at most n rows starting at offset. The row slice is

@@ -76,17 +76,6 @@ func (db *DB) TableNames() []string {
 	return names
 }
 
-// DropTable removes the named table.
-func (db *DB) DropTable(name string) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if _, ok := db.tables[name]; !ok {
-		return fmt.Errorf("relational: no table %q", name)
-	}
-	delete(db.tables, name)
-	return nil
-}
-
 // CheckForeignKeys verifies that every foreign-key value in every table
 // references an existing row, returning the first violation found. NULL
 // foreign keys are permitted.

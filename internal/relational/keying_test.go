@@ -3,14 +3,16 @@ package relational
 import (
 	"testing"
 
+	"repro/internal/expr"
 	"repro/internal/value"
 )
 
-// TestDistinctSeparatorCollision pins the fix for the rowKey collision:
-// under the old 0x1f-separator scheme these two distinct rows produced
-// identical keys (the second value's leading bytes mimicked a component
-// boundary), so Distinct dropped one of them.
-func TestDistinctSeparatorCollision(t *testing.T) {
+// TestGroupBySeparatorCollision pins the fix for the row-key collision:
+// under the old 0x1f-separator scheme these two distinct key tuples
+// produced identical keys (the second value's leading bytes mimicked a
+// component boundary), so GroupBy merged their groups and RowKey
+// deduplicated one of the rows away.
+func TestGroupBySeparatorCollision(t *testing.T) {
 	r := &Rel{
 		Cols: []ColRef{{Name: "a"}, {Name: "b"}},
 		Rows: []Row{
@@ -18,8 +20,13 @@ func TestDistinctSeparatorCollision(t *testing.T) {
 			{value.Str("a\x1f\x03b"), value.Str("c")},
 		},
 	}
-	if got := Distinct(r); len(got.Rows) != 2 {
-		t.Fatalf("Distinct collapsed %d distinct rows to %d", len(r.Rows), len(got.Rows))
+	got, err := GroupBy(r, []expr.Expr{expr.Col{Name: "a"}, expr.Col{Name: "b"}}, []string{"a", "b"},
+		[]Aggregate{{Func: AggCount, As: "n"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Rows) != 2 {
+		t.Fatalf("GroupBy merged %d distinct key tuples into %d groups", len(r.Rows), len(got.Rows))
 	}
 	if RowKey(r.Rows[0]) == RowKey(r.Rows[1]) {
 		t.Fatal("RowKey still collides on embedded separator bytes")

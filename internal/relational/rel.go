@@ -71,22 +71,3 @@ func (e rowEnv) Lookup(name string) (value.V, bool) {
 	}
 	return e.row[ci], true
 }
-
-// Clone deep-copies the relation's row slice (rows themselves are shared,
-// as they are treated as immutable).
-func (r *Rel) Clone() *Rel {
-	cols := make([]ColRef, len(r.Cols))
-	copy(cols, r.Cols)
-	rows := make([]Row, len(r.Rows))
-	copy(rows, r.Rows)
-	return &Rel{Cols: cols, Rows: rows}
-}
-
-// ColumnNames returns the rendered column names.
-func (r *Rel) ColumnNames() []string {
-	names := make([]string, len(r.Cols))
-	for i, c := range r.Cols {
-		names[i] = c.String()
-	}
-	return names
-}

@@ -61,10 +61,6 @@ func TestSchemaHelpers(t *testing.T) {
 	if _, ok := s.IsForeignKey("title"); ok {
 		t.Error("title is not a FK")
 	}
-	names := s.ColumnNames()
-	if len(names) != 4 || names[0] != "id" {
-		t.Errorf("ColumnNames = %v", names)
-	}
 }
 
 func newPapers(t *testing.T) *Table {
@@ -99,13 +95,6 @@ func TestInsertAndPK(t *testing.T) {
 	if _, err := tbl.Insert(Row{value.Int(9)}); err == nil {
 		t.Error("wrong arity accepted")
 	}
-	r, ok := tbl.LookupPK(value.Int(3))
-	if !ok || r[2].AsString() != "NetLens" {
-		t.Errorf("LookupPK(3) = %v, %v", r, ok)
-	}
-	if _, ok := tbl.LookupPK(value.Int(99)); ok {
-		t.Error("LookupPK(99) should miss")
-	}
 }
 
 func TestCoerce(t *testing.T) {
@@ -116,7 +105,7 @@ func TestCoerce(t *testing.T) {
 	if _, err := tbl.Insert(Row{value.Int(3), value.Float(4)}); err != nil {
 		t.Fatal(err)
 	}
-	r := tbl.Row(0)
+	r := tbl.Rows()[0]
 	if r[0].Kind() != value.KindFloat || r[1].Kind() != value.KindInt {
 		t.Errorf("coercion failed: %v %v", r[0].Kind(), r[1].Kind())
 	}
@@ -126,9 +115,6 @@ func TestIndexes(t *testing.T) {
 	tbl := newPapers(t)
 	if err := tbl.EnsureIndex("year"); err != nil {
 		t.Fatal(err)
-	}
-	if !tbl.HasIndex("year") || tbl.HasIndex("title") {
-		t.Error("HasIndex")
 	}
 	got := tbl.LookupIndex("year", value.Int(2012))
 	if len(got) != 3 {
@@ -146,15 +132,6 @@ func TestIndexes(t *testing.T) {
 	}
 	if got := tbl.LookupIndex("title", value.Str("x")); got != nil {
 		t.Error("lookup without index should return nil")
-	}
-}
-
-func TestScan(t *testing.T) {
-	tbl := newPapers(t)
-	n := 0
-	tbl.Scan(func(ord int, r Row) bool { n++; return n < 3 })
-	if n != 3 {
-		t.Errorf("scan stopped at %d", n)
 	}
 }
 
@@ -177,12 +154,6 @@ func TestDBCatalog(t *testing.T) {
 	names := db.TableNames()
 	if len(names) != 2 || names[0] != "A" || names[1] != "Papers" {
 		t.Errorf("TableNames = %v", names)
-	}
-	if err := db.DropTable("A"); err != nil {
-		t.Error(err)
-	}
-	if err := db.DropTable("A"); err == nil {
-		t.Error("double drop should error")
 	}
 	stats := db.Stats()
 	if stats["Papers"] != 0 {
@@ -231,39 +202,6 @@ func TestSelect(t *testing.T) {
 	}
 	if _, err := Select(r, expr.MustParse("nope = 1")); err == nil {
 		t.Error("unknown column should error")
-	}
-}
-
-func TestProject(t *testing.T) {
-	r := relOf(t)
-	out, err := Project(r, "title", "year")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Cols) != 2 || len(out.Rows) != 5 {
-		t.Errorf("project shape = %dx%d", len(out.Rows), len(out.Cols))
-	}
-	if out.Rows[0][0].AsString() != "Making database systems usable" {
-		t.Error("projection content wrong")
-	}
-	if _, err := Project(r, "nope"); err == nil {
-		t.Error("projecting missing column should fail")
-	}
-	// Qualified projection.
-	if _, err := Project(r, "Papers.year"); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestDistinct(t *testing.T) {
-	r := relOf(t)
-	years, _ := Project(r, "year")
-	d := Distinct(years)
-	if len(d.Rows) != 2 {
-		t.Errorf("distinct years = %d, want 2", len(d.Rows))
-	}
-	if len(Distinct(d).Rows) != len(d.Rows) {
-		t.Error("Distinct not idempotent")
 	}
 }
 
@@ -342,15 +280,7 @@ func TestThetaAndCrossJoin(t *testing.T) {
 }
 
 func TestSortAndLimit(t *testing.T) {
-	r := relOf(t)
-	s, err := Sort(r, SortKey{Expr: expr.Col{Name: "year"}, Desc: true},
-		SortKey{Expr: expr.Col{Name: "title"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Rows[0][3].AsInt() != 2012 || s.Rows[0][2].AsString() != "DataPlay" {
-		t.Errorf("sort order wrong: %v", s.Rows[0])
-	}
+	s := relOf(t)
 	top2 := Limit(s, 0, 2)
 	if len(top2.Rows) != 2 {
 		t.Error("limit")
@@ -501,18 +431,5 @@ func TestSingleValue(t *testing.T) {
 	}
 	if _, err := SingleValue(relOf(t)); err == nil {
 		t.Error("non-1x1 should error")
-	}
-}
-
-func TestRelCloneAndNames(t *testing.T) {
-	r := relOf(t)
-	c := r.Clone()
-	c.Rows = c.Rows[:1]
-	if len(r.Rows) != 5 {
-		t.Error("Clone should not share row slice length")
-	}
-	names := r.ColumnNames()
-	if names[0] != "Papers.id" {
-		t.Errorf("ColumnNames = %v", names)
 	}
 }

@@ -2,9 +2,10 @@
 // that serves as the substrate the paper runs on (the authors used
 // PostgreSQL; see DESIGN.md for the substitution rationale). It provides
 // a catalog of tables with primary- and foreign-key constraints, hash
-// indexes, and the relational algebra operators (selection, projection,
-// join, grouping/aggregation, sorting) needed by the ETable query
-// translation layer and by the SQL subset executor.
+// indexes, and the relational algebra operators (selection, join,
+// grouping/aggregation, limit, rename) needed by the ETable query
+// translation layer and by the SQL subset executor. Projection,
+// DISTINCT and ORDER BY are the SQL executor's own (internal/sqlexec).
 package relational
 
 import (
@@ -47,15 +48,6 @@ func (s *Schema) ColumnIndex(name string) int {
 
 // HasColumn reports whether the schema has the named column.
 func (s *Schema) HasColumn(name string) bool { return s.ColumnIndex(name) >= 0 }
-
-// ColumnNames returns the column names in order.
-func (s *Schema) ColumnNames() []string {
-	names := make([]string, len(s.Columns))
-	for i, c := range s.Columns {
-		names[i] = c.Name
-	}
-	return names
-}
 
 // IsForeignKey reports whether the named column participates in a foreign
 // key, and returns that key.

@@ -10,13 +10,6 @@ import (
 // the owning schema's columns.
 type Row []value.V
 
-// Clone returns a copy of the row.
-func (r Row) Clone() Row {
-	out := make(Row, len(r))
-	copy(out, r)
-	return out
-}
-
 // Table is a base relation: a schema plus its rows and indexes. Tables
 // are not safe for concurrent mutation; the DB serializes writers.
 type Table struct {
@@ -49,9 +42,6 @@ func (t *Table) Name() string { return t.schema.Name }
 
 // Len returns the number of rows.
 func (t *Table) Len() int { return len(t.rows) }
-
-// Row returns the i-th row. The returned slice must not be modified.
-func (t *Table) Row(i int) Row { return t.rows[i] }
 
 // Rows returns all rows. The returned slice must not be modified.
 func (t *Table) Rows() []Row { return t.rows }
@@ -119,22 +109,6 @@ func (t *Table) Insert(r Row) (int, error) {
 // and loaders.
 func (t *Table) InsertValues(vals ...value.V) (int, error) { return t.Insert(vals) }
 
-// LookupPK returns the row with the given primary-key values, if any.
-func (t *Table) LookupPK(keyVals ...value.V) (Row, bool) {
-	if t.pkIndex == nil || len(keyVals) != len(t.schema.PrimaryKey) {
-		return nil, false
-	}
-	var b []byte
-	for i, v := range keyVals {
-		b = AppendKey(b, coerce(v, t.schema.Columns[t.schema.ColumnIndex(t.schema.PrimaryKey[i])].Type))
-	}
-	ord, ok := t.pkIndex[string(b)]
-	if !ok {
-		return nil, false
-	}
-	return t.rows[ord], true
-}
-
 // EnsureIndex builds (or reuses) a hash index on the named column and
 // returns an error if the column does not exist.
 func (t *Table) EnsureIndex(col string) error {
@@ -154,12 +128,6 @@ func (t *Table) EnsureIndex(col string) error {
 	return nil
 }
 
-// HasIndex reports whether a hash index exists on col.
-func (t *Table) HasIndex(col string) bool {
-	_, ok := t.indexes[col]
-	return ok
-}
-
 // LookupIndex returns the ordinals of rows whose col equals v, using the
 // hash index on col. The index must exist (EnsureIndex).
 func (t *Table) LookupIndex(col string, v value.V) []int {
@@ -168,15 +136,6 @@ func (t *Table) LookupIndex(col string, v value.V) []int {
 		return nil
 	}
 	return idx[v.Key()]
-}
-
-// Scan calls fn for every row; returning false stops the scan.
-func (t *Table) Scan(fn func(ord int, r Row) bool) {
-	for ord, r := range t.rows {
-		if !fn(ord, r) {
-			return
-		}
-	}
 }
 
 // Rel returns the table's contents as a result relation with columns

@@ -1,5 +1,6 @@
 // Package render formats enriched tables, query patterns, schema
-// graphs, and relational results as text for the CLI tools and examples.
+// graphs, and translation summaries as text for the CLI tools and
+// examples.
 // Entity-reference cells render the way the paper's Figure 1 shows them:
 // a count followed by truncated labels ("H. V. Jaga…, Adriane Ch…").
 package render
@@ -11,7 +12,6 @@ import (
 	"unicode/utf8"
 
 	"repro/internal/etable"
-	"repro/internal/relational"
 	"repro/internal/tgm"
 	"repro/internal/translate"
 )
@@ -99,29 +99,6 @@ func Result(w io.Writer, res *etable.Result, o Options) {
 			} else {
 				line[ci] = RefCell(cell, o)
 			}
-		}
-		cells[ri] = line
-	}
-	writeAligned(w, headers, cells)
-	if truncated > 0 {
-		fmt.Fprintf(w, "… (%d more rows)\n", truncated)
-	}
-}
-
-// Rel writes a relational result as aligned text columns.
-func Rel(w io.Writer, r *relational.Rel, maxRows int) {
-	headers := r.ColumnNames()
-	rows := r.Rows
-	truncated := 0
-	if maxRows > 0 && len(rows) > maxRows {
-		truncated = len(rows) - maxRows
-		rows = rows[:maxRows]
-	}
-	cells := make([][]string, len(rows))
-	for ri, row := range rows {
-		line := make([]string, len(row))
-		for ci, v := range row {
-			line[ci] = Truncate(v.Format(), 40)
 		}
 		cells[ri] = line
 	}

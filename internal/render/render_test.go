@@ -5,9 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/etable"
-	"repro/internal/relational"
 	"repro/internal/testdb"
-	"repro/internal/value"
 )
 
 func TestTruncate(t *testing.T) {
@@ -113,23 +111,6 @@ func TestTable1Rendering(t *testing.T) {
 		if !strings.Contains(out, frag) {
 			t.Errorf("Table 1 missing %q:\n%s", frag, out)
 		}
-	}
-}
-
-func TestRelRendering(t *testing.T) {
-	r := &relational.Rel{
-		Cols: []relational.ColRef{{Table: "T", Name: "a"}, {Name: "b"}},
-		Rows: []relational.Row{
-			{value.Int(1), value.Str("x")},
-			{value.Int(2), value.Str("y")},
-			{value.Int(3), value.Str("z")},
-		},
-	}
-	var sb strings.Builder
-	Rel(&sb, r, 2)
-	out := sb.String()
-	if !strings.Contains(out, "T.a") || !strings.Contains(out, "(1 more rows)") {
-		t.Errorf("Rel output:\n%s", out)
 	}
 }
 

@@ -25,7 +25,7 @@ func TestSnapshotBootServeQuery(t *testing.T) {
 	// A server booted purely from the snapshot file (lazy default).
 	path := snapshotFile(t, 80, 33)
 	reg := registry.New(registry.Options{})
-	if _, err := reg.AddSnapshot("default", path); err != nil {
+	if _, err := reg.AddSnapshot("default", path, 0); err != nil {
 		t.Fatal(err)
 	}
 	bootTS := httptest.NewServer(NewFromRegistry(reg, Options{}))
@@ -96,16 +96,17 @@ func TestSnapshotBootServeQuery(t *testing.T) {
 }
 
 // TestResidentSnapshotBootHasNoPager boots the default dataset the way
-// `etable-server -snapshot` does (AddSnapshotOpts + Ensure) under both
+// `etable-server -snapshot` does (AddSnapshot + Ensure) under both
 // residency policies: without -lazy the graph is fully decoded, so
 // /api/v1/stats must report no pager block — an in-memory benchmark run
 // treats one as out-of-core activity — and with -lazy it reports one
 // with no fault: reading /api/v1/stats touches no column.
 func TestResidentSnapshotBootHasNoPager(t *testing.T) {
 	path := snapshotFile(t, 60, 35)
-	for _, lazy := range []bool{false, true} {
+	for _, sections := range []int{0, 8} {
+		lazy := sections > 0
 		reg := registry.New(registry.Options{})
-		ds, err := reg.AddSnapshotOpts("default", path, registry.SnapshotOptions{Lazy: lazy, PoolSections: 8})
+		ds, err := reg.AddSnapshot("default", path, sections)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -69,7 +69,7 @@ func TestBrowseGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := registry.New(registry.Options{})
-	if _, err := reg.AddSnapshotOpts("default", path, registry.SnapshotOptions{Lazy: true, PoolSections: 2}); err != nil {
+	if _, err := reg.AddSnapshot("default", path, 2); err != nil {
 		t.Fatal(err)
 	}
 	srv := NewFromRegistry(reg, Options{PageSize: 50, MaxRows: 300})

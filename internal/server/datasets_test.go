@@ -47,7 +47,7 @@ func newMultiServer(t testing.TB) (*httptest.Server, *Server) {
 	if _, err := reg.AddGraph("figure3", tr.Schema, tr.Instance); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := reg.AddSnapshot("papers", snapshotFile(t, 60, 21)); err != nil {
+	if _, err := reg.AddSnapshot("papers", snapshotFile(t, 60, 21), 0); err != nil {
 		t.Fatal(err)
 	}
 	srv := NewFromRegistry(reg, Options{})
@@ -269,7 +269,7 @@ func TestDatasetLoadFailure(t *testing.T) {
 	if _, err := reg.AddGraph("default", tr.Schema, tr.Instance); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := reg.AddSnapshot("broken", bad); err != nil {
+	if _, err := reg.AddSnapshot("broken", bad, 0); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(NewFromRegistry(reg, Options{}))

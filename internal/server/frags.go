@@ -37,10 +37,10 @@ func (t *fragTable) frag(id tgm.NodeID) []byte {
 func (t *fragTable) size() int64 { return int64(len(t.buf) + 4*len(t.offs)) }
 
 // buildFragTable encodes every fragment of node type nt from its label
-// column. The column is read without a pin — an out-of-core graph
-// faults it in like AttrRank does — so a failed build leaves nothing
-// pinned, and its typed error (a *snapshot.CorruptError on a damaged
-// section) is returned.
+// column. The column is read through AttrColumn — an out-of-core graph
+// faults it in and pins it only for the read, as AttrRank does — so no
+// build, failed or not, leaves it pinned, and a failed build's typed
+// error (a *snapshot.CorruptError on a damaged section) is returned.
 func buildFragTable(g *tgm.InstanceGraph, nt *tgm.NodeType) (*fragTable, error) {
 	col, err := g.AttrColumn(nt.Name, nt.LabelIndex())
 	if err != nil {

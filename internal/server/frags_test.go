@@ -123,6 +123,38 @@ func corruptLabelGraph(t *testing.T) string {
 	return path
 }
 
+// TestPagedColumnReadsReleaseTheirPins: on a paged graph behind a
+// two-section pager, AttrRank and fragTableOf each fault their column
+// in — AttrColumn pins it for the read — and leave nothing pinned once
+// they return.
+func TestPagedColumnReadsReleaseTheirPins(t *testing.T) {
+	ls, err := snapshot.LazyLoad(snapshotFile(t, 60, 36), snapshot.LazyOptions{PoolSections: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ls.Close()
+	g := ls.Graph
+	after := func(what string, faults int64) {
+		t.Helper()
+		st, _ := ls.PagerStats()
+		if st.Misses != faults {
+			t.Fatalf("after %s: %d faults, want %d", what, st.Misses, faults)
+		}
+		if st.Pinned != 0 {
+			t.Fatalf("after %s: %d columns left pinned", what, st.Pinned)
+		}
+	}
+	after("open", 0)
+	if _, err := g.AttrRank("Papers", g.Schema().NodeType("Papers").AttrIndex("year")); err != nil {
+		t.Fatal(err)
+	}
+	after("AttrRank", 1)
+	if _, err := fragTableOf(g, "Authors"); err != nil {
+		t.Fatal(err)
+	}
+	after("fragTableOf", 2)
+}
+
 // TestFragTableCorruptLabelColumn: a type's fragment table is derived
 // state in the graph's registry (tgm.Derive, whose contract
 // internal/tgm tests). On a lazy snapshot whose label column is

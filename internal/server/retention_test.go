@@ -79,7 +79,7 @@ func TestEvictedBlobsAreReleased(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := registry.New(registry.Options{})
-	ds, err := reg.AddSnapshotOpts("default", path, registry.SnapshotOptions{Lazy: true, PoolSections: 1})
+	ds, err := reg.AddSnapshot("default", path, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

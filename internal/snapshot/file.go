@@ -1,4 +1,4 @@
-package pager
+package snapshot
 
 import (
 	"errors"
@@ -8,15 +8,16 @@ import (
 	"sync/atomic"
 )
 
-// ErrClosed reports a read of a File after its Close.
-var ErrClosed = errors.New("pager: file is closed")
+// ErrClosed reports a read of a paged snapshot's file after
+// LazySnapshot.Close.
+var ErrClosed = errors.New("snapshot: file is closed")
 
-// File is a read-only random-access view of a snapshot file. On
+// snapFile is a read-only random-access view of a snapshot file. On
 // platforms with mmap support (linux, darwin) the whole file is mapped
 // and Slice returns zero-copy sub-slices of the mapping; elsewhere
 // Slice falls back to allocate-and-ReadAt. Either way the returned
 // bytes must be treated as immutable.
-type File struct {
+type snapFile struct {
 	f    *os.File
 	data []byte // the mmap view; nil when using the ReadAt fallback
 	size int64
@@ -26,8 +27,8 @@ type File struct {
 	closed atomic.Bool
 }
 
-// OpenFile opens path for random access.
-func OpenFile(path string) (*File, error) {
+// openSnapFile opens path for random access.
+func openSnapFile(path string) (*snapFile, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -37,7 +38,7 @@ func OpenFile(path string) (*File, error) {
 		f.Close()
 		return nil, err
 	}
-	pf := &File{f: f, size: st.Size()}
+	pf := &snapFile{f: f, size: st.Size()}
 	if pf.size > 0 {
 		if data, err := mmap(f, pf.size); err == nil {
 			pf.data = data
@@ -48,21 +49,17 @@ func OpenFile(path string) (*File, error) {
 }
 
 // Size returns the file's length in bytes.
-func (pf *File) Size() int64 { return pf.size }
-
-// Mapped reports whether the file is served from an mmap view
-// (zero-copy slices) rather than the ReadAt fallback.
-func (pf *File) Mapped() bool { return pf.data != nil }
+func (pf *snapFile) Size() int64 { return pf.size }
 
 // Slice returns n bytes at offset off. With an mmap view this is a
 // zero-copy sub-slice of the mapping; the fallback allocates and reads.
 // The caller must not modify the returned bytes.
-func (pf *File) Slice(off, n int64) ([]byte, error) {
+func (pf *snapFile) Slice(off, n int64) ([]byte, error) {
 	if pf.closed.Load() {
 		return nil, ErrClosed
 	}
 	if off < 0 || n < 0 || off+n > pf.size {
-		return nil, fmt.Errorf("pager: slice [%d, %d) outside file of %d bytes", off, off+n, pf.size)
+		return nil, fmt.Errorf("snapshot: slice [%d, %d) outside file of %d bytes", off, off+n, pf.size)
 	}
 	if pf.data != nil {
 		return pf.data[off : off+n : off+n], nil
@@ -78,7 +75,7 @@ func (pf *File) Slice(off, n int64) ([]byte, error) {
 // and holds Close off until fn returns: a reader that may race a Close
 // reads inside Read. After Close it returns ErrClosed without running
 // fn.
-func (pf *File) Read(fn func() error) error {
+func (pf *snapFile) Read(fn func() error) error {
 	pf.mu.RLock()
 	defer pf.mu.RUnlock()
 	if pf.closed.Load() {
@@ -91,7 +88,7 @@ func (pf *File) Read(fn func() error) error {
 // Slices previously returned from an mmap view become invalid: callers
 // must not use them after Close, and Slice and Read return ErrClosed.
 // (Decoded columns are unaffected — decoding copies what it needs.)
-func (pf *File) Close() error {
+func (pf *snapFile) Close() error {
 	pf.mu.Lock()
 	defer pf.mu.Unlock()
 	pf.closed.Store(true)

@@ -1,4 +1,4 @@
-package pager
+package snapshot
 
 import (
 	"bytes"
@@ -20,7 +20,7 @@ func TestFileSliceAndWriteVisibility(t *testing.T) {
 	if err := os.WriteFile(path, content, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	pf, err := OpenFile(path)
+	pf, err := openSnapFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestFileSliceAndWriteVisibility(t *testing.T) {
 		t.Fatalf("Size = %d, want %d", pf.Size(), len(content))
 	}
 	if runtime.GOOS == "linux" || runtime.GOOS == "darwin" {
-		if !pf.Mapped() {
+		if pf.data == nil {
 			t.Fatal("expected an mmap view on this platform")
 		}
 	}
@@ -71,7 +71,7 @@ func TestFileEmpty(t *testing.T) {
 	if err := os.WriteFile(path, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	pf, err := OpenFile(path)
+	pf, err := openSnapFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestFileCloseWaitsForRead(t *testing.T) {
 	if err := os.WriteFile(path, []byte("abcdef"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	pf, err := OpenFile(path)
+	pf, err := openSnapFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,19 +8,29 @@ package snapshot
 // and the EDGE per-type directory — is decoded (STAT is not), O(section
 // table + skeleton), independent of the corpus's
 // column and edge bytes. Every attribute column is left as an
-// unresolved handle that faults in through a bounded internal/pager
-// pool on first access, and every edge type's CSR arrays materialize
-// on the first traversal that touches them. Steady-state memory is the
-// skeleton plus traversed adjacency plus at most the pool budget of
-// decoded columns (plus whatever pinned windows require), no matter
-// how large the corpus is.
+// unresolved handle that faults in through a bounded pool on first
+// access, and every edge type's CSR arrays materialize on the first
+// traversal that touches them. Steady-state memory is the skeleton plus
+// traversed adjacency plus at most the pool budget of decoded columns
+// (plus whatever pinned windows require), no matter how large the
+// corpus is.
+//
+// The pool — the pager — is an lru.Cache of decoded columns keyed by
+// colKey over a snapFile (file.go): a fixed budget of resident
+// sections, faulted in on first touch, evicted least recently used
+// first, and pinned while read. It bounds residency, not validity:
+// evicting a section only drops the pool's reference to the decoded
+// column, so columns already handed out stay valid (the garbage
+// collector keeps them alive until the caller drops them). Pins
+// therefore exist to bound rework — a pinned section cannot be evicted
+// and re-faulted while a window is mid-materialization — not to prevent
+// use-after-free, which the runtime already rules out.
 
 import (
 	"fmt"
 	"hash/crc32"
 
 	"repro/internal/lru"
-	"repro/internal/pager"
 	"repro/internal/value"
 )
 
@@ -33,7 +43,7 @@ type LazyOptions struct {
 	// PoolSections is the pager budget: the maximum number of decoded
 	// attribute columns kept resident at once (DefaultPoolSections if
 	// zero; minimum 1). Pinned columns may push residency past the
-	// budget transiently — see package pager.
+	// budget transiently.
 	PoolSections int
 }
 
@@ -55,7 +65,7 @@ type LazySnapshot struct {
 // from that query (and is retried on the next fault, so a repaired
 // file recovers without reopening).
 func LazyLoad(path string, opt LazyOptions) (*LazySnapshot, error) {
-	f, err := pager.OpenFile(path)
+	f, err := openSnapFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: opening %s: %w", path, err)
 	}
@@ -97,7 +107,7 @@ func (ls *LazySnapshot) ResidentBytes() int64 {
 // column faults and edge loads in flight. The graph should not be
 // queried after Close: columns and adjacency already decoded remain
 // valid, but faulting in a new column — or first-traversing an edge
-// type — fails with pager.ErrClosed.
+// type — fails with ErrClosed.
 func (ls *LazySnapshot) Close() error {
 	return ls.src.file.Close()
 }
@@ -105,12 +115,12 @@ func (ls *LazySnapshot) Close() error {
 // columnSource resolves attribute columns out of NCOL: it locates a
 // column's payload via the NSKL directory, verifies its CRC-32C, and
 // decodes it. On the paged policy it implements tgm.ColumnSource over
-// the snapshot file and caches decoded columns in the pager pool; on
+// the snapshot file and caches decoded columns in the pool; on
 // the resident policy it reads the in-memory NCOL bytes once per
 // column and is dropped when the open returns.
 type columnSource struct {
-	file          *pager.File // paged: the open snapshot file
-	pool          *lru.Cache[pager.Key, value.Column]
+	file          *snapFile // paged: the open snapshot file
+	pool          *lru.Cache[colKey, value.Column]
 	ncolOff       uint64 // paged: NCOL payload's offset within the file
 	ncol          []byte // resident: the NCOL payload
 	ncolLen       uint64
@@ -118,16 +128,16 @@ type columnSource struct {
 	totalSections int
 }
 
-// Column implements tgm.ColumnSource.
-func (cs *columnSource) Column(typeName string, ai int) (value.Column, error) {
-	return cs.pool.Get(pager.Key{Type: typeName, Attr: ai}, func() (value.Column, error) {
-		return cs.fault(typeName, ai)
-	})
+// colKey names one faultable section: attribute ordinal attr of the
+// node type typeName.
+type colKey struct {
+	typeName string
+	attr     int
 }
 
 // PinColumn implements tgm.ColumnSource.
 func (cs *columnSource) PinColumn(typeName string, ai int) (value.Column, func(), error) {
-	return cs.pool.Pin(pager.Key{Type: typeName, Attr: ai}, func() (value.Column, error) {
+	return cs.pool.Pin(colKey{typeName, ai}, func() (value.Column, error) {
 		return cs.fault(typeName, ai)
 	})
 }

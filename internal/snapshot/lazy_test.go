@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/pager"
 	"repro/internal/tgm"
 )
 
@@ -116,8 +115,8 @@ func TestLazyEdgeAfterClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	et := ls.Schema.EdgeTypes()[0].Name
-	if err := ls.Graph.Adjacency(et).Ensure(); !errors.Is(err, pager.ErrClosed) {
-		t.Fatalf("Ensure(%q) after Close = %v, want pager.ErrClosed", et, err)
+	if err := ls.Graph.Adjacency(et).Ensure(); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Ensure(%q) after Close = %v, want ErrClosed", et, err)
 	}
 }
 

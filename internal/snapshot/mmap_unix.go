@@ -1,6 +1,6 @@
 //go:build linux || darwin
 
-package pager
+package snapshot
 
 import (
 	"os"

@@ -10,8 +10,8 @@
 // resident (every column and edge type decoded at open, the file's
 // bytes released); LazyLoad is paged: only the skeleton (schema, node
 // ownership, the adjacency directory) is decoded at open, attribute
-// columns fault in one at a time through a bounded internal/pager
-// buffer pool, and each edge type's adjacency arrays materialize on
+// columns fault in one at a time through a bounded buffer pool (the
+// pager, lazy.go), and each edge type's adjacency arrays materialize on
 // its first traversal.
 //
 // # File layout
@@ -78,7 +78,6 @@ import (
 	"os"
 
 	"repro/internal/lru"
-	"repro/internal/pager"
 	"repro/internal/tgm"
 	"repro/internal/value"
 )
@@ -286,7 +285,7 @@ func Decode(data []byte) (*Snapshot, error) {
 //     loader runs on its first traversal (the loaders alias data).
 //
 // The returned columnSource is nil on the resident policy.
-func open(data []byte, file *pager.File, budget int) (*Snapshot, *columnSource, error) {
+func open(data []byte, file *snapFile, budget int) (*Snapshot, *columnSource, error) {
 	paged := file != nil
 	// A paged open skips the NCOL whole-section checksum: verifying it
 	// would read every column byte, exactly the O(corpus) work paging
@@ -322,7 +321,7 @@ func open(data []byte, file *pager.File, budget int) (*Snapshot, *columnSource, 
 	}
 	if paged {
 		src.file = file
-		src.pool = lru.New[pager.Key, value.Column](budget)
+		src.pool = lru.New[colKey, value.Column](budget)
 		for _, s := range info.Sections {
 			if s.Tag == secCols {
 				src.ncolOff = s.Offset
@@ -334,7 +333,7 @@ func open(data []byte, file *pager.File, budget int) (*Snapshot, *columnSource, 
 		for _, e := range edges {
 			// The loader reads the mapping inside file.Read: a
 			// concurrent LazySnapshot.Close waits for it, and after
-			// Close it fails with pager.ErrClosed instead of faulting.
+			// Close it fails with ErrClosed instead of faulting.
 			load := func() (srcs []tgm.NodeID, offs []int32, targets []tgm.NodeID, err error) {
 				if rerr := file.Read(func() error {
 					srcs, offs, targets, err = e.load()

@@ -46,18 +46,19 @@ func (n *Node) AttrAt(i int) value.V {
 }
 
 // TryAttrAt returns the value of the attribute at ordinal i. For graphs
-// whose columns live out of core, the column is faulted in through the
-// graph's ColumnSource; a fault failure (e.g. snapshot corruption)
-// returns the source's typed error.
+// whose columns live out of core, the column is pinned through the
+// graph's ColumnSource for the read; a fault failure (e.g. snapshot
+// corruption) returns the source's typed error.
 func (n *Node) TryAttrAt(i int) (value.V, error) {
 	b := n.blk
 	if i < 0 || i >= len(b.cols) {
 		return value.Null, fmt.Errorf("tgm: type %q has no attribute ordinal %d", n.Type.Name, i)
 	}
-	col, err := b.column(i)
+	col, release, err := b.pin(i)
 	if err != nil {
 		return value.Null, err
 	}
+	defer release()
 	return col.At(int(n.ID - b.lo)), nil
 }
 
@@ -67,20 +68,19 @@ func (n *Node) Label() string {
 }
 
 // ColumnSource supplies node-attribute columns on demand for graphs
-// whose columns live out of core (internal/snapshot's lazy loader backed
-// by internal/pager). Implementations must be safe for concurrent use —
-// the serving stack reads frozen graphs without synchronization.
+// whose columns live out of core (internal/snapshot's paged open).
+// Implementations must be safe for concurrent use — the serving stack
+// reads frozen graphs without synchronization.
 type ColumnSource interface {
-	// Column returns the values of attribute ordinal ai of typeName,
-	// aligned with NodesOfType(typeName). The call may fault the column
-	// in from disk; failures carry the implementation's typed error
-	// (e.g. *snapshot.CorruptError). The column is immutable and stays
-	// valid even if the source later evicts it from residency.
-	Column(typeName string, ai int) (value.Column, error)
-	// PinColumn is Column plus a residency guarantee: until release is
-	// called, the source must keep the column resident (exempt from
-	// eviction). Windows pin the columns they render so an eviction
-	// storm cannot thrash sections out mid-materialization.
+	// PinColumn returns the values of attribute ordinal ai of typeName,
+	// aligned with NodesOfType(typeName), and keeps the column resident
+	// (exempt from eviction) until release is called. The call may fault
+	// the column in from disk; failures carry the implementation's typed
+	// error (e.g. *snapshot.CorruptError) and no release. The column is
+	// immutable and stays valid after release, even once the source
+	// evicts it. Windows hold their pins while they render, so an
+	// eviction storm cannot thrash sections out mid-materialization;
+	// every other read pins and releases at once.
 	PinColumn(typeName string, ai int) (col value.Column, release func(), err error)
 }
 
@@ -101,15 +101,23 @@ type colBlock struct {
 	src ColumnSource
 }
 
-func (b *colBlock) column(ai int) (value.Column, error) {
+// pin resolves column ai of a type that has nodes: a resident column
+// comes back as is with a no-op release, an unresolved one is pinned
+// through src. It is the one route to a column, behind
+// PinAttrColumn (and so AttrColumn, AttrRank and FindNode) and
+// Node.TryAttrAt, whose callers check ai.
+func (b *colBlock) pin(ai int) (value.Column, func(), error) {
 	if col := b.cols[ai]; col.Len() > 0 {
-		return col, nil
+		return col, noopRelease, nil
 	}
 	if b.src == nil {
-		return value.Column{}, fmt.Errorf("tgm: type %q attribute %d has no column data and no column source", b.typeName, ai)
+		return value.Column{}, nil, fmt.Errorf("tgm: type %q attribute %d has no column data and no column source", b.typeName, ai)
 	}
-	return b.src.Column(b.typeName, ai)
+	return b.src.PinColumn(b.typeName, ai)
 }
+
+// noopRelease is the shared release for columns that need no pinning.
+func noopRelease() {}
 
 // builders returns the block's AddNode builders, seeded with any column
 // installed before them.
@@ -494,30 +502,23 @@ func (g *InstanceGraph) SetColumnSource(src ColumnSource) error {
 func (g *InstanceGraph) ColumnSourceAttached() bool { return g.colSrc != nil }
 
 // AttrColumn returns the values of attribute ordinal ai of typeName,
-// aligned with NodesOfType(typeName). For out-of-core graphs the column
-// is faulted in through the ColumnSource (typed errors propagate); for
-// memory-resident graphs this returns the stored column. A type with no
-// nodes has empty columns, whatever backs the graph.
+// aligned with NodesOfType(typeName): PinAttrColumn, released at once.
+// For out-of-core graphs the column is faulted in through the
+// ColumnSource (typed errors propagate); for memory-resident graphs
+// this returns the stored column.
 func (g *InstanceGraph) AttrColumn(typeName string, ai int) (value.Column, error) {
-	nt := g.schema.NodeType(typeName)
-	if nt == nil {
-		return value.Column{}, fmt.Errorf("tgm: unknown node type %q", typeName)
+	col, release, err := g.PinAttrColumn(typeName, ai)
+	if err != nil {
+		return value.Column{}, err
 	}
-	if ai < 0 || ai >= len(nt.Attrs) {
-		return value.Column{}, fmt.Errorf("tgm: type %q has no attribute ordinal %d", typeName, ai)
-	}
-	if len(g.byType[typeName]) == 0 {
-		return value.Column{}, nil
-	}
-	return g.block(nt).column(ai)
+	release()
+	return col, nil
 }
-
-// noopRelease is the shared release for columns that need no pinning.
-func noopRelease() {}
 
 // PinAttrColumn is AttrColumn plus residency: for out-of-core graphs
 // the column stays resident (exempt from buffer-pool eviction) until
-// release is called. For memory-resident graphs release is a no-op.
+// release is called. For memory-resident graphs release is a no-op. A
+// type with no nodes has empty columns, whatever backs the graph.
 // Callers must call release exactly once.
 func (g *InstanceGraph) PinAttrColumn(typeName string, ai int) (value.Column, func(), error) {
 	nt := g.schema.NodeType(typeName)
@@ -527,14 +528,10 @@ func (g *InstanceGraph) PinAttrColumn(typeName string, ai int) (value.Column, fu
 	if ai < 0 || ai >= len(nt.Attrs) {
 		return value.Column{}, nil, fmt.Errorf("tgm: type %q has no attribute ordinal %d", typeName, ai)
 	}
-	b := g.block(nt)
-	if col := b.cols[ai]; col.Len() > 0 || len(g.byType[typeName]) == 0 {
-		return col, noopRelease, nil // resident, or empty: nothing to pin
+	if len(g.byType[typeName]) == 0 {
+		return value.Column{}, noopRelease, nil
 	}
-	if b.src == nil {
-		return value.Column{}, nil, fmt.Errorf("tgm: type %q attribute %d has no column data and no column source", typeName, ai)
-	}
-	return b.src.PinColumn(typeName, ai)
+	return g.block(nt).pin(ai)
 }
 
 // Node returns the node with the given ID, or nil if out of range.
@@ -852,19 +849,11 @@ func (g *InstanceGraph) FindNode(typeName, attr string, v value.V) (*Node, bool)
 	if nt == nil {
 		return nil, false
 	}
-	ai := nt.AttrIndex(attr)
-	if ai < 0 {
-		return nil, false
-	}
-	ids := g.byType[typeName]
-	if len(ids) == 0 {
-		return nil, false
-	}
-	col, err := g.block(nt).column(ai)
+	col, err := g.AttrColumn(typeName, nt.AttrIndex(attr))
 	if err != nil {
 		return nil, false
 	}
-	for row, id := range ids {
+	for row, id := range g.byType[typeName] {
 		if value.Equal(col.At(row), v) {
 			return g.nodes[id], true
 		}

@@ -2,7 +2,6 @@ package tgm
 
 import (
 	"cmp"
-	"fmt"
 	"math"
 	"slices"
 	"strings"
@@ -50,8 +49,9 @@ type rankKey struct {
 // mixes past 2^53 are the two exceptions, documented above.
 //
 // The rank is derived state (Derive): on a frozen graph it is built on
-// the first call — from the column, which an out-of-core graph faults
-// in unpinned — and kept for the graph's lifetime; concurrent first
+// the first call — from the column (AttrColumn: an out-of-core graph
+// pins it for the read and releases it) — and kept for the graph's
+// lifetime; concurrent first
 // calls share one build. A fault returns the column source's typed
 // error and keeps nothing. An unfrozen graph ranks on every call.
 //
@@ -60,19 +60,9 @@ type rankKey struct {
 // residency budget: the pager neither counts nor evicts it. The
 // returned slice must not be modified.
 func (g *InstanceGraph) AttrRank(typeName string, ai int) ([]int32, error) {
-	nt := g.schema.NodeType(typeName)
-	if nt == nil {
-		return nil, fmt.Errorf("tgm: unknown node type %q", typeName)
-	}
-	if ai < 0 || ai >= len(nt.Attrs) {
-		return nil, fmt.Errorf("tgm: type %q has no attribute ordinal %d", typeName, ai)
-	}
-	if len(g.byType[typeName]) == 0 {
-		return nil, nil
-	}
 	return Derive(g, rankKey{typeName, ai}, func() ([]int32, error) {
-		col, err := g.block(nt).column(ai)
-		if err != nil {
+		col, err := g.AttrColumn(typeName, ai)
+		if err != nil || col.Len() == 0 {
 			return nil, err
 		}
 		return buildRank(col), nil

@@ -188,8 +188,8 @@ func TestAttrRankBeyond2p53(t *testing.T) {
 
 var errFault = errors.New("column fault")
 
-// countingSource serves one column and counts its reads and pins; while
-// failing is set every read fails.
+// countingSource serves one column and counts its reads and live pins;
+// while failing is set every read fails.
 type countingSource struct {
 	col     value.Column
 	reads   atomic.Int32
@@ -197,19 +197,14 @@ type countingSource struct {
 	failing atomic.Bool
 }
 
-func (s *countingSource) Column(string, int) (value.Column, error) {
+func (s *countingSource) PinColumn(string, int) (value.Column, func(), error) {
 	s.reads.Add(1)
 	time.Sleep(time.Millisecond) // widen the window for concurrent first calls
 	if s.failing.Load() {
-		return value.Column{}, errFault
+		return value.Column{}, nil, errFault
 	}
-	return s.col, nil
-}
-
-func (s *countingSource) PinColumn(typeName string, ai int) (value.Column, func(), error) {
 	s.pins.Add(1)
-	col, err := s.Column(typeName, ai)
-	return col, func() { s.pins.Add(-1) }, err
+	return s.col, func() { s.pins.Add(-1) }, nil
 }
 
 // sourcedGraph is a frozen one-type graph whose column is served by src.
@@ -228,7 +223,7 @@ func sourcedGraph(t *testing.T, src *countingSource) *InstanceGraph {
 
 // TestAttrRankConcurrentFirstCallsBuildOnce: eight goroutines asking
 // for a column's rank at once share one build — one column read, one
-// backing array, the one the registry then holds — and pin nothing.
+// backing array, the one the registry then holds — and leave no pin.
 func TestAttrRankConcurrentFirstCallsBuildOnce(t *testing.T) {
 	col := make([]value.V, 500)
 	for i := range col {
@@ -274,7 +269,7 @@ func TestAttrRankConcurrentFirstCallsBuildOnce(t *testing.T) {
 // graph's registry (Derive, whose contract derived_test.go tests). A
 // failed column read is the call's error and is not kept — the next
 // call reads again and builds — while a built rank is the registry's,
-// read without a pin.
+// read without a pin, and no build leaves one.
 func TestAttrRankFaultIsNotMemoized(t *testing.T) {
 	src := &countingSource{col: value.NewColumn([]value.V{value.Int(3), value.Int(1), value.Int(2)})}
 	src.failing.Store(true)

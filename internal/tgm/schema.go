@@ -265,13 +265,3 @@ func (g *SchemaGraph) EdgeTypes() []*EdgeType {
 func (g *SchemaGraph) OutEdges(nodeType string) []*EdgeType {
 	return g.out[nodeType]
 }
-
-// EdgeBetween returns an edge type from source to target, if one exists.
-func (g *SchemaGraph) EdgeBetween(source, target string) (*EdgeType, bool) {
-	for _, et := range g.out[source] {
-		if et.Target == target {
-			return et, true
-		}
-	}
-	return nil, false
-}

@@ -72,12 +72,6 @@ func TestSchemaGraphBasics(t *testing.T) {
 	if len(outs) != 4 { // Conferences, Authors, keyword, Papers (self)
 		t.Errorf("Papers out edges = %d", len(outs))
 	}
-	if _, ok := g.EdgeBetween("Papers", "Conferences"); !ok {
-		t.Error("EdgeBetween Papers→Conferences")
-	}
-	if _, ok := g.EdgeBetween("Conferences", "Paper_Keywords: keyword"); ok {
-		t.Error("no edge Conferences→keyword expected")
-	}
 }
 
 func TestSchemaGraphValidation(t *testing.T) {

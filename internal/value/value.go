@@ -351,27 +351,3 @@ func (c *NumOrder) Order(k Kind, n uint64) (lt, gt, null bool) {
 
 // Equal reports whether two values are equal under Compare semantics.
 func Equal(v, o V) bool { return Compare(v, o) == 0 }
-
-// Parse converts a textual literal into a value, preferring INT, then
-// FLOAT, then BOOL, falling back to STRING. The empty string parses as
-// STRING "".
-func Parse(s string) V {
-	if s == "" {
-		return Str("")
-	}
-	if i, err := strconv.ParseInt(s, 10, 64); err == nil {
-		return Int(i)
-	}
-	if f, err := strconv.ParseFloat(s, 64); err == nil {
-		return Float(f)
-	}
-	switch strings.ToLower(s) {
-	case "true":
-		return Bool(true)
-	case "false":
-		return Bool(false)
-	case "null":
-		return Null
-	}
-	return Str(s)
-}

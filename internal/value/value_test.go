@@ -177,30 +177,6 @@ func TestKeyEqualityAgreement(t *testing.T) {
 	}
 }
 
-func TestParse(t *testing.T) {
-	cases := []struct {
-		in   string
-		want V
-	}{
-		{"42", Int(42)},
-		{"-3", Int(-3)},
-		{"2.5", Float(2.5)},
-		{"true", Bool(true)},
-		{"False", Bool(false)},
-		{"null", Null},
-		{"hello", Str("hello")},
-		{"", Str("")},
-	}
-	for _, c := range cases {
-		if got := Parse(c.in); !identical(got, c.want) {
-			t.Errorf("Parse(%q) = %v (%v), want %v (%v)",
-				c.in, got, got.Kind(), c.want, c.want.Kind())
-		}
-	}
-}
-
-func identical(a, b V) bool { return a.Kind() == b.Kind() && Equal(a, b) }
-
 // Property: Compare is antisymmetric and reflexive over random ints/floats.
 func TestCompareAntisymmetric(t *testing.T) {
 	f := func(a, b int64) bool {
@@ -243,17 +219,6 @@ func TestCompareTotalOrder(t *testing.T) {
 		return sort.SliceIsSorted(vals, func(i, j int) bool { return Compare(vals[i], vals[j]) < 0 })
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: Parse(Int(n).Format()) round-trips.
-func TestParseRoundTripInt(t *testing.T) {
-	f := func(n int64) bool {
-		v := Parse(Int(n).Format())
-		return v.Kind() == KindInt && v.AsInt() == n
-	}
-	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
 }

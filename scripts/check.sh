@@ -43,6 +43,14 @@ if go list ./... | grep -qx 'repro/internal/stats'; then
 	exit 1
 fi
 
+# A snapshot file is read only by internal/snapshot: its mapped file and
+# the pager's section key live there, with no package of their own.
+echo "==> no package repro/internal/pager"
+if go list ./... | grep -qx 'repro/internal/pager'; then
+	echo "the package repro/internal/pager reappeared" >&2
+	exit 1
+fi
+
 # A query runs on its request's goroutine: the worker pool's admission
 # and budget (tryAcquire, defaultBudget, MaxWorkers), the selection's
 # morsel partition for the fan-out (morselBounds), the stats block that
