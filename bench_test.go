@@ -1,8 +1,7 @@
 // Benchmarks regenerating the paper's tables and figures, plus ablations
-// of the design choices DESIGN.md calls out. One benchmark per
-// experiment; EXPERIMENTS.md records paper-vs-measured for each. The
-// corpus here is mid-sized (4000 papers) so the suite completes quickly;
-// cmd/etable-study runs the paper-scale 38k corpus.
+// of the design choices the packages document. One benchmark per
+// experiment. The corpus here is mid-sized (4000 papers) so the suite
+// completes quickly; cmd/etable-study runs the paper-scale 38k corpus.
 package repro
 
 import (

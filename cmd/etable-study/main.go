@@ -2,8 +2,8 @@
 // academic corpus and regenerates the paper's evaluation artifacts:
 // Table 2 (tasks, with answers computed in both conditions), Figure 10
 // (per-task completion times, CIs, paired t-tests), Table 3 (modelled
-// subjective ratings), and the §7.2 preference comparison. See DESIGN.md
-// for the human-participant substitution.
+// subjective ratings), and the §7.2 preference comparison. Packages klm
+// and study document the human-participant substitution.
 package main
 
 import (

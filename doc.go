@@ -4,8 +4,7 @@
 // the typed graph model it executes over, the incremental query
 // operators and user-level actions, the three-tier system architecture,
 // and the full evaluation harness that regenerates every table and
-// figure of the paper. See README.md for a tour and DESIGN.md for the
-// system inventory and experiment index.
+// figure of the paper.
 //
 // # Concurrent serving core
 //

@@ -2,8 +2,7 @@
 // evaluation corpus: an academic publication database "collected from
 // DBLP and the ACM Digital Library" with about 38,000 papers from 19 top
 // conferences in databases, data mining, and HCI since 2000, stored in
-// the 7-relation schema of Figure 3 (see DESIGN.md for the substitution
-// rationale).
+// the 7-relation schema of Figure 3.
 //
 // Generation is deterministic given a seed. Cardinality shapes follow
 // the real corpus where they matter to ETable: multi-author papers

@@ -52,18 +52,7 @@ func Execute(g *tgm.InstanceGraph, p *Pattern) (*Result, error) {
 // in full (WindowOpts(0, -1)). The enriched table is canonical: rows
 // and the references of participating cells ascend by node ID.
 func ExecuteOpts(g *tgm.InstanceGraph, p *Pattern, opt ExecOptions) (*Result, error) {
-	if err := p.Validate(g.Schema()); err != nil {
-		return nil, err
-	}
-	t, err := treeOf(g, p)
-	if err != nil {
-		return nil, err
-	}
-	red, err := matchPipeline(g, p, t, opt, nil)
-	if err != nil {
-		return nil, err
-	}
-	pr, err := prepareSets(g, p, t, red, opt)
+	pr, err := NewExecutor(g).PrepareWithOpts(p, opt)
 	if err != nil {
 		return nil, err
 	}

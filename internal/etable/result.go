@@ -82,11 +82,11 @@ type Row struct {
 }
 
 // Result is an executed enriched table, or — when produced by the
-// windowed presentation path (TransformWindow, Presentation.Window) —
-// one row window of it. Rows always holds exactly the materialized
-// window; TotalRows and Offset locate it within the full table. A
-// Result is an ordinary immutable value: it owns its rows, cells and
-// references, and stays valid for as long as anyone holds it.
+// windowed presentation path (Presentation.Window) — one row window of
+// it. Rows always holds exactly the materialized window; TotalRows and
+// Offset locate it within the full table. A Result is an ordinary
+// immutable value: it owns its rows, cells and references, and stays
+// valid for as long as anyone holds it.
 type Result struct {
 	// Pattern is the query pattern that produced this table.
 	Pattern *Pattern

@@ -58,8 +58,8 @@ type Presentation struct {
 	// view caches the resolved columns for memory-resident graphs, set
 	// once at Prepare so windows pay no column resolution at all. For
 	// out-of-core graphs it stays nil and every window pins its own
-	// view (see pinColumns), keeping steady-state residency bounded by
-	// the pager budget instead of by presentation lifetime.
+	// view (see pinBase and pinLabels), keeping steady-state residency
+	// bounded by the pager budget instead of by presentation lifetime.
 	view *colView
 }
 

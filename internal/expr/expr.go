@@ -16,9 +16,9 @@
 // into a Pred that runs a column at a time (compile.go, kernel.go):
 // NOT is pushed to the leaves, each leaf of a known shape is a loop over
 // one pinned attribute column that keeps the rows where it is TRUE, and
-// AND/OR narrow and merge those row vectors. graphrel.Select is its one
-// caller. Leaves of any other shape run Eval per row over the same
-// columns, so the two ways agree row for row, which
+// AND/OR narrow and merge those row vectors. graphrel.SelectSet is its
+// one non-test caller. Leaves of any other shape run Eval per row over
+// the same columns, so the two ways agree row for row, which
 // graphrel.FuzzSelectParity checks.
 package expr
 
@@ -553,6 +553,46 @@ func (a Arith) String() string {
 // Columns implements Expr.
 func (a Arith) Columns(dst []string) []string {
 	return a.Right.Columns(a.Left.Columns(dst))
+}
+
+// MapCols returns a copy of e in which every column reference c is
+// replaced by f(c); operators, flags and constants are kept.
+func MapCols(e Expr, f func(Col) Expr) Expr {
+	m := func(e Expr) Expr { return MapCols(e, f) }
+	switch n := e.(type) {
+	case Col:
+		return f(n)
+	case Cmp:
+		n.Left, n.Right = m(n.Left), m(n.Right)
+		return n
+	case Like:
+		n.Left, n.Pattern = m(n.Left), m(n.Pattern)
+		return n
+	case In:
+		list := make([]Expr, len(n.List))
+		for i, el := range n.List {
+			list[i] = m(el)
+		}
+		n.Left, n.List = m(n.Left), list
+		return n
+	case Between:
+		n.Left, n.Low, n.High = m(n.Left), m(n.Low), m(n.High)
+		return n
+	case IsNull:
+		n.Left = m(n.Left)
+		return n
+	case And:
+		return And{Left: m(n.Left), Right: m(n.Right)}
+	case Or:
+		return Or{Left: m(n.Left), Right: m(n.Right)}
+	case Not:
+		return Not{Inner: m(n.Inner)}
+	case Arith:
+		n.Left, n.Right = m(n.Left), m(n.Right)
+		return n
+	default:
+		return e
+	}
 }
 
 // Truthy evaluates e and reports whether the result is a non-NULL true

@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -307,6 +308,41 @@ func TestColumns(t *testing.T) {
 		if !want[c] {
 			t.Errorf("unexpected column %q", c)
 		}
+	}
+}
+
+// mapColsCond builds a condition holding every node kind, with a
+// column from col in each operand slot a column can take.
+func mapColsCond(col func(string) Expr) Expr {
+	one := Const{Val: value.Int(1)}
+	return And{
+		Left: Or{
+			Left:  Not{Inner: Cmp{Op: OpLt, Left: col("a"), Right: col("b")}},
+			Right: Like{Left: col("c"), Pattern: col("d"), CaseFold: true, Negate: true},
+		},
+		Right: And{
+			Left: In{Left: col("e"), List: []Expr{one, col("f")}, Negate: true},
+			Right: Or{
+				Left: Between{Left: col("g"), Low: col("h"), High: col("i"), Negate: true},
+				Right: And{
+					Left:  IsNull{Left: col("j"), Negate: true},
+					Right: Cmp{Op: OpGe, Left: Arith{Op: OpMul, Left: col("k"), Right: one}, Right: col("l")},
+				},
+			},
+		},
+	}
+}
+
+func TestMapCols(t *testing.T) {
+	plain := func(n string) Expr { return Col{Name: n} }
+	e := mapColsCond(plain)
+	if got := MapCols(e, func(c Col) Expr { return c }); got.String() != e.String() {
+		t.Errorf("identity map: %s, want %s", got, e)
+	}
+	renamed := MapCols(e, func(c Col) Expr { return Col{Name: "t." + c.Name} })
+	want := mapColsCond(func(n string) Expr { return plain("t." + n) })
+	if !reflect.DeepEqual(renamed, want) {
+		t.Errorf("renaming map:\n got %s\nwant %s", renamed, want)
 	}
 }
 

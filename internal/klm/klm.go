@@ -5,7 +5,6 @@
 // actions an instructed user performs in each condition, and KLM
 // operators supply per-action time costs. Per-participant skill factors
 // and log-normal noise supply the variance real participants exhibit.
-// DESIGN.md documents this substitution.
 package klm
 
 import (

@@ -94,8 +94,9 @@ func (db *DB) CheckForeignKeys() error {
 				return fmt.Errorf("relational: %s.%s references missing column %s.%s",
 					t.Name(), fk.Col, fk.RefTable, fk.RefCol)
 			}
-			if err := ref.EnsureIndex(fk.RefCol); err != nil {
-				return err
+			keys := make(map[string]struct{}, len(ref.rows))
+			for _, r := range ref.rows {
+				keys[r[refIdx].Key()] = struct{}{}
 			}
 			ci := t.schema.ColumnIndex(fk.Col)
 			for ord, r := range t.rows {
@@ -103,7 +104,7 @@ func (db *DB) CheckForeignKeys() error {
 				if v.IsNull() {
 					continue
 				}
-				if len(ref.LookupIndex(fk.RefCol, v)) == 0 {
+				if _, ok := keys[v.Key()]; !ok {
 					return fmt.Errorf("relational: %s row %d: %s=%v has no match in %s.%s",
 						t.Name(), ord, fk.Col, v, fk.RefTable, fk.RefCol)
 				}

@@ -111,30 +111,6 @@ func TestCoerce(t *testing.T) {
 	}
 }
 
-func TestIndexes(t *testing.T) {
-	tbl := newPapers(t)
-	if err := tbl.EnsureIndex("year"); err != nil {
-		t.Fatal(err)
-	}
-	got := tbl.LookupIndex("year", value.Int(2012))
-	if len(got) != 3 {
-		t.Errorf("LookupIndex(2012) = %v", got)
-	}
-	// Index stays current across later inserts.
-	if _, err := tbl.Insert(Row{value.Int(6), value.Int(1), value.Str("new"), value.Int(2012)}); err != nil {
-		t.Fatal(err)
-	}
-	if got := tbl.LookupIndex("year", value.Int(2012)); len(got) != 4 {
-		t.Errorf("index not maintained on insert: %v", got)
-	}
-	if err := tbl.EnsureIndex("nope"); err == nil {
-		t.Error("indexing a missing column should fail")
-	}
-	if got := tbl.LookupIndex("title", value.Str("x")); got != nil {
-		t.Error("lookup without index should return nil")
-	}
-}
-
 func TestDBCatalog(t *testing.T) {
 	db := NewDB()
 	db.MustCreateTable(testSchema())

@@ -1,10 +1,9 @@
 // Package relational implements the in-memory relational database engine
 // that serves as the substrate the paper runs on (the authors used
-// PostgreSQL; see DESIGN.md for the substitution rationale). It provides
-// a catalog of tables with primary- and foreign-key constraints, hash
-// indexes, and the relational algebra operators (selection, join,
-// grouping/aggregation, limit, rename) needed by the ETable query
-// translation layer and by the SQL subset executor. Projection,
+// PostgreSQL). It provides a catalog of tables with primary- and
+// foreign-key constraints and the relational algebra operators
+// (selection, join, grouping/aggregation, limit, rename) needed by the
+// ETable query translation layer and by the SQL subset executor. Projection,
 // DISTINCT and ORDER BY are the SQL executor's own (internal/sqlexec).
 package relational
 

@@ -10,13 +10,13 @@ import (
 // the owning schema's columns.
 type Row []value.V
 
-// Table is a base relation: a schema plus its rows and indexes. Tables
-// are not safe for concurrent mutation; the DB serializes writers.
+// Table is a base relation: a schema plus its rows and its primary-key
+// set. Tables are not safe for concurrent mutation; the DB serializes
+// writers.
 type Table struct {
 	schema  Schema
 	rows    []Row
-	pkIndex map[string]int              // composite PK key → row ordinal
-	indexes map[string]map[string][]int // column → value key → row ordinals
+	pkIndex map[string]int // composite PK key → row ordinal
 }
 
 // NewTable creates an empty table with the given schema.
@@ -24,10 +24,7 @@ func NewTable(schema Schema) (*Table, error) {
 	if err := schema.Validate(); err != nil {
 		return nil, err
 	}
-	t := &Table{
-		schema:  schema,
-		indexes: make(map[string]map[string][]int),
-	}
+	t := &Table{schema: schema}
 	if len(schema.PrimaryKey) > 0 {
 		t.pkIndex = make(map[string]int)
 	}
@@ -97,46 +94,12 @@ func (t *Table) Insert(r Row) (int, error) {
 	}
 	ord := len(t.rows)
 	t.rows = append(t.rows, row)
-	for col, idx := range t.indexes {
-		ci := t.schema.ColumnIndex(col)
-		key := row[ci].Key()
-		idx[key] = append(idx[key], ord)
-	}
 	return ord, nil
 }
 
 // InsertValues is Insert with variadic values, for convenience in tests
 // and loaders.
 func (t *Table) InsertValues(vals ...value.V) (int, error) { return t.Insert(vals) }
-
-// EnsureIndex builds (or reuses) a hash index on the named column and
-// returns an error if the column does not exist.
-func (t *Table) EnsureIndex(col string) error {
-	if _, ok := t.indexes[col]; ok {
-		return nil
-	}
-	ci := t.schema.ColumnIndex(col)
-	if ci < 0 {
-		return fmt.Errorf("relational: %s: no column %q to index", t.schema.Name, col)
-	}
-	idx := make(map[string][]int)
-	for ord, r := range t.rows {
-		key := r[ci].Key()
-		idx[key] = append(idx[key], ord)
-	}
-	t.indexes[col] = idx
-	return nil
-}
-
-// LookupIndex returns the ordinals of rows whose col equals v, using the
-// hash index on col. The index must exist (EnsureIndex).
-func (t *Table) LookupIndex(col string, v value.V) []int {
-	idx, ok := t.indexes[col]
-	if !ok {
-		return nil
-	}
-	return idx[v.Key()]
-}
 
 // Rel returns the table's contents as a result relation with columns
 // qualified by the table name.

@@ -73,7 +73,10 @@ import (
 
 // Options tunes the serving core. The zero value picks the defaults.
 type Options struct {
-	// CacheEntries is the shared execution cache capacity (default 1024).
+	// CacheEntries is the execution cache capacity of the one dataset
+	// NewWithOptions builds, passed to its registry (registry.Options
+	// applies the default). NewFromRegistry ignores it: the registry it
+	// is given has already sized each dataset's cache.
 	CacheEntries int
 	// SessionTTL evicts sessions idle longer than this (default 30m;
 	// negative disables TTL eviction).
@@ -92,9 +95,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.CacheEntries == 0 {
-		o.CacheEntries = 1024
-	}
 	if o.SessionTTL == 0 {
 		o.SessionTTL = 30 * time.Minute
 	}

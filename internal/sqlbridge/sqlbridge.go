@@ -148,7 +148,7 @@ func (b *Bridge) TranslateStmt(stmt *sqlparse.SelectStmt) (*etable.Pattern, erro
 
 	// Selection conditions attach to their table's pattern node.
 	for _, c := range selections {
-		alias, attr, err := b.singleTableCond(tables, c)
+		alias, err := b.singleTableCond(tables, c)
 		if err != nil {
 			return nil, err
 		}
@@ -158,7 +158,10 @@ func (b *Bridge) TranslateStmt(stmt *sqlparse.SelectStmt) (*etable.Pattern, erro
 				"(Appendix A ignores relationship attributes)", c, ft.name)
 		}
 		node := patternNode(p, ft.nodeKey)
-		cond := rewriteBare(c, attr, ft, b.tr)
+		// Strip alias qualifiers so the condition reads the node's attributes.
+		cond := expr.MapCols(c, func(col expr.Col) expr.Expr {
+			return expr.Col{Name: col.Name[strings.LastIndexByte(col.Name, '.')+1:]}
+		})
 		if node.Cond == nil {
 			node.Cond = cond
 			node.CondSrc = cond.String()
@@ -364,62 +367,23 @@ func (b *Bridge) emitRelationshipEdge(p *etable.Pattern, tables map[string]*from
 }
 
 // singleTableCond verifies a conjunct references exactly one table and
-// returns that table's alias and one referenced attribute.
-func (b *Bridge) singleTableCond(tables map[string]*fromTable, c expr.Expr) (string, string, error) {
-	var alias, attr string
+// returns that table's alias.
+func (b *Bridge) singleTableCond(tables map[string]*fromTable, c expr.Expr) (string, error) {
+	var alias string
 	for _, name := range c.Columns(nil) {
-		a, col, err := b.resolveColumn(tables, name)
+		a, _, err := b.resolveColumn(tables, name)
 		if err != nil {
-			return "", "", err
+			return "", err
 		}
 		if alias != "" && a != alias {
-			return "", "", fmt.Errorf("sqlbridge: condition %s spans multiple relations", c)
+			return "", fmt.Errorf("sqlbridge: condition %s spans multiple relations", c)
 		}
-		alias, attr = a, col
+		alias = a
 	}
 	if alias == "" {
-		return "", "", fmt.Errorf("sqlbridge: condition %s references no columns", c)
+		return "", fmt.Errorf("sqlbridge: condition %s references no columns", c)
 	}
-	return alias, attr, nil
-}
-
-// rewriteBare strips alias qualifiers from a condition so it evaluates
-// against the pattern node's attributes.
-func rewriteBare(e expr.Expr, _ string, ft *fromTable, tr *translate.Result) expr.Expr {
-	switch n := e.(type) {
-	case expr.Col:
-		name := n.Name
-		if i := strings.LastIndexByte(name, '.'); i >= 0 {
-			name = name[i+1:]
-		}
-		return expr.Col{Name: name}
-	case expr.Cmp:
-		return expr.Cmp{Op: n.Op, Left: rewriteBare(n.Left, "", ft, tr), Right: rewriteBare(n.Right, "", ft, tr)}
-	case expr.Like:
-		return expr.Like{Left: rewriteBare(n.Left, "", ft, tr), Pattern: rewriteBare(n.Pattern, "", ft, tr),
-			CaseFold: n.CaseFold, Negate: n.Negate}
-	case expr.In:
-		list := make([]expr.Expr, len(n.List))
-		for i, el := range n.List {
-			list[i] = rewriteBare(el, "", ft, tr)
-		}
-		return expr.In{Left: rewriteBare(n.Left, "", ft, tr), List: list, Negate: n.Negate}
-	case expr.Between:
-		return expr.Between{Left: rewriteBare(n.Left, "", ft, tr), Low: rewriteBare(n.Low, "", ft, tr),
-			High: rewriteBare(n.High, "", ft, tr), Negate: n.Negate}
-	case expr.IsNull:
-		return expr.IsNull{Left: rewriteBare(n.Left, "", ft, tr), Negate: n.Negate}
-	case expr.And:
-		return expr.And{Left: rewriteBare(n.Left, "", ft, tr), Right: rewriteBare(n.Right, "", ft, tr)}
-	case expr.Or:
-		return expr.Or{Left: rewriteBare(n.Left, "", ft, tr), Right: rewriteBare(n.Right, "", ft, tr)}
-	case expr.Not:
-		return expr.Not{Inner: rewriteBare(n.Inner, "", ft, tr)}
-	case expr.Arith:
-		return expr.Arith{Op: n.Op, Left: rewriteBare(n.Left, "", ft, tr), Right: rewriteBare(n.Right, "", ft, tr)}
-	default:
-		return e
-	}
+	return alias, nil
 }
 
 func patternNode(p *etable.Pattern, key string) *etable.PatternNode {

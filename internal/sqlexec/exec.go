@@ -84,7 +84,7 @@ func groupAndHave(source *relational.Rel, stmt *sqlparse.SelectStmt) (*relationa
 	aggCalls := stmt.Aggregates()
 	aggs := make([]relational.Aggregate, len(aggCalls))
 	for i, a := range aggCalls {
-		aggs[i] = relational.Aggregate{Func: toRelAgg(a.Func), Arg: a.Arg, As: a.Name()}
+		aggs[i] = relational.Aggregate{Func: a.Func, Arg: a.Arg, As: a.Name()}
 	}
 	keyNames := make([]string, len(stmt.GroupBy))
 	for i, k := range stmt.GroupBy {
@@ -106,23 +106,6 @@ func groupAndHave(source *relational.Rel, stmt *sqlparse.SelectStmt) (*relationa
 		}
 	}
 	return grouped, nil
-}
-
-func toRelAgg(f sqlparse.AggFunc) relational.AggFunc {
-	switch f {
-	case sqlparse.AggCount:
-		return relational.AggCount
-	case sqlparse.AggCountDistinct:
-		return relational.AggCountDistinct
-	case sqlparse.AggSum:
-		return relational.AggSum
-	case sqlparse.AggAvg:
-		return relational.AggAvg
-	case sqlparse.AggMin:
-		return relational.AggMin
-	default:
-		return relational.AggMax
-	}
 }
 
 // project evaluates the SELECT list over source, returning the projected

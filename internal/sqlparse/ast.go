@@ -11,43 +11,13 @@ import (
 	"strings"
 
 	"repro/internal/expr"
+	"repro/internal/relational"
 )
-
-// AggFunc identifies an aggregate function in a SQL statement.
-type AggFunc uint8
-
-// Aggregate functions.
-const (
-	AggCount AggFunc = iota
-	AggCountDistinct
-	AggSum
-	AggAvg
-	AggMin
-	AggMax
-)
-
-// String returns the canonical SQL spelling.
-func (f AggFunc) String() string {
-	switch f {
-	case AggCount, AggCountDistinct:
-		return "COUNT"
-	case AggSum:
-		return "SUM"
-	case AggAvg:
-		return "AVG"
-	case AggMin:
-		return "MIN"
-	case AggMax:
-		return "MAX"
-	default:
-		return "?"
-	}
-}
 
 // AggCall is one aggregate invocation, e.g. COUNT(*) or SUM(year).
 // Arg is nil only for COUNT(*).
 type AggCall struct {
-	Func AggFunc
+	Func relational.AggFunc
 	Arg  expr.Expr
 }
 
@@ -55,14 +25,13 @@ type AggCall struct {
 // aggregate under, e.g. "count(*)" or "sum(year)". Expressions appearing
 // in HAVING and ORDER BY reference aggregates through these names.
 func (a AggCall) Name() string {
-	if a.Arg == nil {
+	switch {
+	case a.Arg == nil:
 		return "count(*)"
+	case a.Func == relational.AggCountDistinct:
+		return "count(distinct " + a.Arg.String() + ")"
 	}
-	fn := strings.ToLower(a.Func.String())
-	if a.Func == AggCountDistinct {
-		return fn + "(distinct " + a.Arg.String() + ")"
-	}
-	return fn + "(" + a.Arg.String() + ")"
+	return strings.ToLower(a.Func.String()) + "(" + a.Arg.String() + ")"
 }
 
 // SelectItem is one output column of a SELECT list. Exactly one of Star,

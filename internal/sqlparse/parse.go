@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"repro/internal/expr"
+	"repro/internal/relational"
 )
 
 // Parse parses a single SELECT statement.
@@ -295,19 +296,19 @@ func (p *parser) parseTableRef() (TableRef, error) {
 	return ref, nil
 }
 
-// aggFuncByName maps a function identifier to its AggFunc.
-func aggFuncByName(name string) (AggFunc, bool) {
+// aggFuncByName maps a function identifier to its aggregate.
+func aggFuncByName(name string) (relational.AggFunc, bool) {
 	switch strings.ToUpper(name) {
 	case "COUNT":
-		return AggCount, true
+		return relational.AggCount, true
 	case "SUM":
-		return AggSum, true
+		return relational.AggSum, true
 	case "AVG":
-		return AggAvg, true
+		return relational.AggAvg, true
 	case "MIN":
-		return AggMin, true
+		return relational.AggMin, true
 	case "MAX":
-		return AggMax, true
+		return relational.AggMax, true
 	default:
 		return 0, false
 	}
@@ -335,15 +336,15 @@ func (p *parser) tryParseAggCall() (*AggCall, bool, error) {
 	}
 	call := &AggCall{Func: fn}
 	if p.acceptOp("*") {
-		if fn != AggCount {
+		if fn != relational.AggCount {
 			return nil, false, p.errf("* argument is only valid in COUNT")
 		}
 	} else {
 		if p.acceptKeyword("DISTINCT") {
-			if fn != AggCount {
+			if fn != relational.AggCount {
 				return nil, false, p.errf("DISTINCT is only supported in COUNT")
 			}
-			call.Func = AggCountDistinct
+			call.Func = relational.AggCountDistinct
 		}
 		arg, err := expr.ParseWith(p.lex)
 		if err != nil {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/expr"
+	"repro/internal/relational"
 )
 
 func TestBasicSelect(t *testing.T) {
@@ -68,16 +69,16 @@ func TestExplicitJoin(t *testing.T) {
 func TestAggregates(t *testing.T) {
 	s := MustParse(`SELECT name, COUNT(*) AS n, SUM(year), COUNT(DISTINCT title)
 		FROM Papers GROUP BY name`)
-	if s.Items[1].Agg == nil || s.Items[1].Agg.Func != AggCount || s.Items[1].Agg.Arg != nil {
+	if s.Items[1].Agg == nil || s.Items[1].Agg.Func != relational.AggCount || s.Items[1].Agg.Arg != nil {
 		t.Errorf("count(*) = %+v", s.Items[1])
 	}
 	if s.Items[1].Alias != "n" {
 		t.Error("agg alias")
 	}
-	if s.Items[2].Agg == nil || s.Items[2].Agg.Func != AggSum {
+	if s.Items[2].Agg == nil || s.Items[2].Agg.Func != relational.AggSum {
 		t.Errorf("sum = %+v", s.Items[2])
 	}
-	if s.Items[3].Agg == nil || s.Items[3].Agg.Func != AggCountDistinct {
+	if s.Items[3].Agg == nil || s.Items[3].Agg.Func != relational.AggCountDistinct {
 		t.Errorf("count distinct = %+v", s.Items[3])
 	}
 	aggs := s.Aggregates()
@@ -151,10 +152,10 @@ func TestSemicolonAndCase(t *testing.T) {
 
 func TestMinMaxAvg(t *testing.T) {
 	s := MustParse("SELECT MIN(year), MAX(year), AVG(year) FROM Papers")
-	if s.Items[0].Agg.Func != AggMin || s.Items[1].Agg.Func != AggMax || s.Items[2].Agg.Func != AggAvg {
+	if s.Items[0].Agg.Func != relational.AggMin || s.Items[1].Agg.Func != relational.AggMax || s.Items[2].Agg.Func != relational.AggAvg {
 		t.Error("min/max/avg")
 	}
-	if s.Items[0].Agg.Func.String() != "MIN" || AggCount.String() != "COUNT" {
+	if s.Items[0].Agg.Func.String() != "MIN" || relational.AggCount.String() != "COUNT" {
 		t.Error("AggFunc.String")
 	}
 }

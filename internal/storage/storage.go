@@ -2,7 +2,7 @@
 // TGDB schema and instance graphs persisted in relational tables, with
 // ETable query patterns translated into SQL that runs on the relational
 // engine (the paper used PostgreSQL; internal/relational+sqlexec stand in
-// for it, see DESIGN.md).
+// for it).
 //
 // The paper stores the TGDB in four tables (nodes, edges, node types,
 // edge types). We use five: node attribute values move into a separate
@@ -164,19 +164,6 @@ func FromGraph(g *tgm.InstanceGraph) (*Store, error) {
 			}
 		}
 	}
-	// Indexes the translated queries rely on.
-	if err := nodes.EnsureIndex("type"); err != nil {
-		return nil, err
-	}
-	if err := edges.EnsureIndex("src"); err != nil {
-		return nil, err
-	}
-	if err := edges.EnsureIndex("dst"); err != nil {
-		return nil, err
-	}
-	if err := attrs.EnsureIndex("node_id"); err != nil {
-		return nil, err
-	}
 	return st, nil
 }
 
@@ -212,63 +199,22 @@ func (b *sqlBuilder) sql(selectList string, distinct bool) string {
 
 func quoteStr(s string) string { return "'" + strings.ReplaceAll(s, "'", "''") + "'" }
 
+// attrName strips any qualifier from a column name.
+func attrName(c string) string { return c[strings.LastIndexByte(c, '.')+1:] }
+
 // condAttrs returns the distinct attribute names referenced by a node
 // condition, with any qualification stripped.
 func condAttrs(e expr.Expr) []string {
 	seen := map[string]bool{}
 	var out []string
 	for _, c := range e.Columns(nil) {
-		if i := strings.LastIndexByte(c, '.'); i >= 0 {
-			c = c[i+1:]
-		}
+		c = attrName(c)
 		if !seen[c] {
 			seen[c] = true
 			out = append(out, c)
 		}
 	}
 	return out
-}
-
-// rewriteCond replaces attribute references in a node condition with the
-// val column of the joined node_attrs alias.
-func rewriteCond(e expr.Expr, attrAlias map[string]string) expr.Expr {
-	switch n := e.(type) {
-	case expr.Col:
-		name := n.Name
-		if i := strings.LastIndexByte(name, '.'); i >= 0 {
-			name = name[i+1:]
-		}
-		if a, ok := attrAlias[name]; ok {
-			return expr.Col{Name: a + ".val"}
-		}
-		return n
-	case expr.Cmp:
-		return expr.Cmp{Op: n.Op, Left: rewriteCond(n.Left, attrAlias), Right: rewriteCond(n.Right, attrAlias)}
-	case expr.Like:
-		return expr.Like{Left: rewriteCond(n.Left, attrAlias), Pattern: rewriteCond(n.Pattern, attrAlias),
-			CaseFold: n.CaseFold, Negate: n.Negate}
-	case expr.In:
-		list := make([]expr.Expr, len(n.List))
-		for i, el := range n.List {
-			list[i] = rewriteCond(el, attrAlias)
-		}
-		return expr.In{Left: rewriteCond(n.Left, attrAlias), List: list, Negate: n.Negate}
-	case expr.Between:
-		return expr.Between{Left: rewriteCond(n.Left, attrAlias), Low: rewriteCond(n.Low, attrAlias),
-			High: rewriteCond(n.High, attrAlias), Negate: n.Negate}
-	case expr.IsNull:
-		return expr.IsNull{Left: rewriteCond(n.Left, attrAlias), Negate: n.Negate}
-	case expr.And:
-		return expr.And{Left: rewriteCond(n.Left, attrAlias), Right: rewriteCond(n.Right, attrAlias)}
-	case expr.Or:
-		return expr.Or{Left: rewriteCond(n.Left, attrAlias), Right: rewriteCond(n.Right, attrAlias)}
-	case expr.Not:
-		return expr.Not{Inner: rewriteCond(n.Inner, attrAlias)}
-	case expr.Arith:
-		return expr.Arith{Op: n.Op, Left: rewriteCond(n.Left, attrAlias), Right: rewriteCond(n.Right, attrAlias)}
-	default:
-		return e
-	}
 }
 
 // addPatternNode emits the FROM/WHERE clauses for one pattern node:
@@ -289,7 +235,14 @@ func (st *Store) addPatternNode(b *sqlBuilder, n *etable.PatternNode, alias stri
 		b.cond("%s.node_id = %s.id", aa, alias)
 		b.cond("%s.name = %s", aa, quoteStr(a))
 	}
-	b.cond("(%s)", rewriteCond(n.Cond, attrAlias).String())
+	// Each attribute reference reads the val column of its node_attrs alias.
+	cond := expr.MapCols(n.Cond, func(c expr.Col) expr.Expr {
+		if a, ok := attrAlias[attrName(c.Name)]; ok {
+			return expr.Col{Name: a + ".val"}
+		}
+		return c
+	})
+	b.cond("(%s)", cond.String())
 }
 
 // TranslateMonolithic translates a query pattern into one SQL statement

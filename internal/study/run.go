@@ -295,7 +295,7 @@ func topKValid(counts map[string]int, ans []string, k int) bool {
 // table3Questions are the paper's ten Table 3 prompts with per-question
 // sensitivities to the two measured quantities the model uses: the mean
 // speedup over the builder and the builder error rate. The mapping is a
-// modelled substitution for human Likert responses; see EXPERIMENTS.md.
+// modelled substitution for human Likert responses.
 var table3Questions = []struct {
 	Question    string
 	SpeedWeight float64 // how much relative speed drives the rating

@@ -2,8 +2,8 @@
 // database querying tasks of Table 2, executed for real in both
 // conditions (ETable sessions vs. the Navicat-style graphical query
 // builder), with task completion times simulated through the
-// keystroke-level model and an SQL error/retry model (see DESIGN.md for
-// the substitution rationale). Its outputs regenerate Figure 10,
+// keystroke-level model and an SQL error/retry model (package klm states
+// the substitution). Its outputs regenerate Figure 10,
 // Table 2's correctness, Table 3's ratings, and the §7.2 preference
 // comparison.
 package study

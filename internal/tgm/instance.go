@@ -158,8 +158,8 @@ func (b *colBlock) builders() []value.Builder {
 // kept) and derived state — attribute ranks, label fragments — built
 // once per key in the graph's one registry (Derive).
 // translate.Translate freezes the graph before returning it, which is
-// what lets the server share one execution cache of graphrel.Relations
-// (whose base columns alias these node lists) across all sessions.
+// what lets the server share one execution cache of reduced node sets
+// (etable.Reduced) across all sessions.
 //
 // # Storage layout
 //
