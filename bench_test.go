@@ -156,33 +156,42 @@ func BenchmarkFigure7_OperatorPipeline(b *testing.B) {
 }
 
 // BenchmarkFigure8_InstanceMatching measures the first execution step of
-// §5.4 alone: matching instances through the graph relation algebra.
+// §5.4 alone: matching instances through the graph relation algebra,
+// as a cache miss computes them (the pattern's reduced node sets).
 func BenchmarkFigure8_InstanceMatching(b *testing.B) {
 	_, tr, _ := fixtures(b)
 	p := figure7Pattern(b, tr)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m, err := etable.Match(tr.Instance, p)
+		m, err := etable.MatchOpts(tr.Instance, p, etable.ExecOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if m.Len() == 0 {
+		if s, _ := m.Set(p.Primary); s.Len() == 0 {
 			b.Fatal("no matches")
 		}
 	}
 }
 
-// BenchmarkFigure8_FormatTransformation measures the second step: the
-// full Execute minus matching is dominated by the transformation, so the
-// difference between this and InstanceMatching isolates it.
+// BenchmarkFigure8_FormatTransformation measures the second step alone:
+// the presentation prepared from one match (PrepareOpts) and rendered
+// in full.
 func BenchmarkFigure8_FormatTransformation(b *testing.B) {
 	_, tr, _ := fixtures(b)
 	p := figure7Pattern(b, tr)
+	m, err := etable.MatchOpts(tr.Instance, p, etable.ExecOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := etable.Execute(tr.Instance, p); err != nil {
+		pr, err := etable.PrepareOpts(tr.Instance, p, m, etable.ExecOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := pr.WindowOpts(0, -1, etable.ExecOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -500,14 +509,14 @@ func scaleFixtures(b *testing.B) *translate.Result {
 func BenchmarkFigure7Pipeline(b *testing.B) {
 	tr := scaleFixtures(b)
 	p := figure7Pattern(b, tr)
-	matched, err := etable.Match(tr.Instance, p)
+	matched, err := etable.MatchOpts(tr.Instance, p, etable.ExecOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	if matched.Len() == 0 {
 		b.Fatal("no matches")
 	}
-	pres, err := etable.Prepare(tr.Instance, p, matched)
+	pres, err := etable.PrepareOpts(tr.Instance, p, matched, etable.ExecOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -548,7 +557,7 @@ func BenchmarkFigure7Pipeline(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			pr, err := etable.Prepare(tr.Instance, p, matched)
+			pr, err := etable.PrepareOpts(tr.Instance, p, matched, etable.ExecOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -569,11 +578,11 @@ func BenchmarkFigure7Pipeline(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	mPapers, err := etable.Match(tr.Instance, pPapers)
+	mPapers, err := etable.MatchOpts(tr.Instance, pPapers, etable.ExecOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	presPapers, err := etable.Prepare(tr.Instance, pPapers, mPapers)
+	presPapers, err := etable.PrepareOpts(tr.Instance, pPapers, mPapers, etable.ExecOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -839,11 +848,11 @@ func BenchmarkSortedView(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			matched, err := etable.Match(g, p)
+			matched, err := etable.MatchOpts(g, p, etable.ExecOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}
-			if pres, err = etable.Prepare(g, p, matched); err != nil {
+			if pres, err = etable.PrepareOpts(g, p, matched, etable.ExecOptions{}); err != nil {
 				b.Fatal(err)
 			}
 			prepared[arm.table] = pres

@@ -133,11 +133,12 @@ func main() {
 		case "show":
 			err = sess.ShowColumn(rest)
 		case "history":
+			entries, cur := sess.Entries()
 			var acts []string
-			for _, e := range sess.History() {
+			for _, e := range entries {
 				acts = append(acts, e.Action)
 			}
-			render.History(os.Stdout, acts, sess.Cursor())
+			render.History(os.Stdout, acts, cur)
 			show = false
 		case "revert":
 			var n int

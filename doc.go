@@ -114,10 +114,11 @@
 // only the adjacency direction it walks, and an edge type stored one
 // way only (a self-loop without a reverse) is walked back through its
 // transpose (tgm.InstanceGraph.Inverse). The kernels' scratch arrays
-// are pooled. m(Q) is enumerated only where tuples are the product —
-// etable.MatchOpts — by one depth-first walk of the tree's adjacency
-// through the reduced sets (graphrel.Enumerate). No
-// match is refused for its size. The server's one path is
+// are pooled. The reduced sets are the match's one form
+// (graphrel.Relation): no tuple of m(Q) is stored, and |m(Q)| is
+// counted, on request only, by one depth-first walk of the tree's
+// adjacency through the sets (Relation.Len). No match is refused for
+// its size. The server's one path is
 // Executor.PrepareWithOpts plus a window. A plan is the pattern's
 // compiled node predicates, built on the miss that needs it and not
 // cached. A miss derived through the §5.3 operators from a pattern

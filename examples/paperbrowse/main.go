@@ -85,11 +85,12 @@ func main() {
 
 	// The history view.
 	fmt.Println("\nHistory:")
+	entries, cur := s.Entries()
 	var acts []string
-	for _, e := range s.History() {
+	for _, e := range entries {
 		acts = append(acts, e.Action)
 	}
-	render.History(os.Stdout, acts, s.Cursor())
+	render.History(os.Stdout, acts, cur)
 }
 
 func must(err error) {

@@ -58,12 +58,13 @@ func main() {
 	for i, q := range queries {
 		fmt.Printf("== Query %d =============================================\n%s\n\n", i+1, q)
 
-		// The flat SQL result, with its duplicated rows.
+		// The SQL result: one row per group of the entity's key, and
+		// only the columns the SELECT list names.
 		rel, err := sqlexec.ExecSQL(db, q)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("SQL executed directly: %d result rows (duplicates included)\n", len(rel.Rows))
+		fmt.Printf("SQL executed directly: %d result rows\n", len(rel.Rows))
 
 		// Translated into an ETable pattern (§8's three steps).
 		p, err := bridge.Translate(q)

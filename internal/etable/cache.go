@@ -6,42 +6,15 @@ import (
 )
 
 // Cache is a shared execution cache for intermediate matching results:
-// filtered base node sets σ_C(R^G) and reduced matches, both as
-// *Reduced, keyed by canonical signatures — the cross-session form of
-// the reuse §9's future-work item 2 asks for. It is one lru.Cache of
-// exactly its capacity; concurrent misses on one key share one compute
+// filtered base node sets σ_C(R^G) (one-node relations) and reduced
+// matches, both as *graphrel.Relation, keyed by canonical signatures —
+// the cross-session form of the reuse §9's future-work item 2 asks for.
+// It is one lru.Cache of exactly its capacity; concurrent misses on one key share one compute
 // (singleflight), and waiters count as hits. Values are immutable and
 // shared without copying. A Cache must only be shared by executors over
 // the same instance graph; signatures do not encode graph identity.
 type Cache struct {
-	lru *lru.Cache[string, *Reduced]
-}
-
-// Reduced is a pattern's match held as its fully reduced node sets —
-// per pattern node its projection π_k(m(Q)), a bitset over the set's
-// own ID span. A filtered base is the one-node case.
-type Reduced struct {
-	keys []string
-	sets []graphrel.NodeSet
-}
-
-// Set returns pattern node key's reduced set.
-func (r *Reduced) Set(key string) (graphrel.NodeSet, bool) {
-	for i, k := range r.keys {
-		if k == key {
-			return r.sets[i], true
-		}
-	}
-	return graphrel.NodeSet{}, false
-}
-
-// SizeBytes is the resident size of the sets.
-func (r *Reduced) SizeBytes() int64 {
-	var n int64
-	for _, s := range r.sets {
-		n += s.SizeBytes()
-	}
-	return n
+	lru *lru.Cache[string, *graphrel.Relation]
 }
 
 // DefaultCacheEntries is the capacity used by NewExecutor's private
@@ -51,7 +24,7 @@ const DefaultCacheEntries = 256
 // NewCache returns a cache holding at most maxEntries values (minimum
 // 1).
 func NewCache(maxEntries int) *Cache {
-	return &Cache{lru: lru.New[string, *Reduced](maxEntries)}
+	return &Cache{lru: lru.New[string, *graphrel.Relation](maxEntries)}
 }
 
 // GetOrCompute returns the cached value for key, or runs compute to
@@ -59,7 +32,7 @@ func NewCache(maxEntries int) *Cache {
 // call (singleflight); errors are returned to every waiter and are not
 // cached. If compute panics, the panic propagates to its caller and the
 // waiters get an error.
-func (c *Cache) GetOrCompute(key string, compute func() (*Reduced, error)) (*Reduced, error) {
+func (c *Cache) GetOrCompute(key string, compute func() (*graphrel.Relation, error)) (*graphrel.Relation, error) {
 	return c.lru.Get(key, compute)
 }
 
@@ -77,7 +50,7 @@ func (c *Cache) ResidentBytes() int64 {
 // derivation walk's lookup for a resident ancestor match (deriveFrom),
 // and tests. It loads nothing and counts neither a hit nor a miss; a
 // found entry becomes the most recently used.
-func (c *Cache) Get(key string) (*Reduced, bool) { return c.lru.Lookup(key) }
+func (c *Cache) Get(key string) (*graphrel.Relation, bool) { return c.lru.Lookup(key) }
 
 // Len returns the number of cached values.
 func (c *Cache) Len() int { return c.lru.Len() }

@@ -7,18 +7,20 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/graphrel"
 )
 
 // dummyRel returns a distinct non-nil cache value for cache tests;
 // the cache never inspects the value.
-func dummyRel() *Reduced { return &Reduced{} }
+func dummyRel() *graphrel.Relation { return &graphrel.Relation{} }
 
 // TestCacheExactCapacity: NewCache(n) holds exactly n relations and
 // evicts the least recently used key of the whole cache, whatever the
 // keys hash to.
 func TestCacheExactCapacity(t *testing.T) {
 	c := NewCache(3)
-	compute := func() (*Reduced, error) { return dummyRel(), nil }
+	compute := func() (*graphrel.Relation, error) { return dummyRel(), nil }
 	for _, k := range []string{"a", "b", "c"} {
 		if _, err := c.GetOrCompute(k, compute); err != nil {
 			t.Fatal(err)
@@ -44,7 +46,7 @@ func TestCacheGetOrComputeHitMiss(t *testing.T) {
 	c := NewCache(64)
 	r := dummyRel()
 	calls := 0
-	compute := func() (*Reduced, error) { calls++; return r, nil }
+	compute := func() (*graphrel.Relation, error) { calls++; return r, nil }
 
 	got, err := c.GetOrCompute("k", compute)
 	if err != nil || got != r {
@@ -66,14 +68,14 @@ func TestCacheErrorsNotCached(t *testing.T) {
 	c := NewCache(64)
 	boom := errors.New("boom")
 	calls := 0
-	if _, err := c.GetOrCompute("k", func() (*Reduced, error) {
+	if _, err := c.GetOrCompute("k", func() (*graphrel.Relation, error) {
 		calls++
 		return nil, boom
 	}); !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
 	r := dummyRel()
-	got, err := c.GetOrCompute("k", func() (*Reduced, error) { calls++; return r, nil })
+	got, err := c.GetOrCompute("k", func() (*graphrel.Relation, error) { calls++; return r, nil })
 	if err != nil || got != r {
 		t.Fatalf("retry = %v, %v", got, err)
 	}
@@ -94,13 +96,13 @@ func TestCacheSingleflight(t *testing.T) {
 	var start, done sync.WaitGroup
 	start.Add(workers)
 	done.Add(workers)
-	results := make([]*Reduced, workers)
+	results := make([]*graphrel.Relation, workers)
 	for i := 0; i < workers; i++ {
 		go func(i int) {
 			defer done.Done()
 			start.Done()
 			start.Wait() // all workers release together
-			rel, err := c.GetOrCompute("shared", func() (*Reduced, error) {
+			rel, err := c.GetOrCompute("shared", func() (*graphrel.Relation, error) {
 				computes.Add(1)
 				time.Sleep(50 * time.Millisecond) // hold the flight open
 				return r, nil
@@ -140,7 +142,7 @@ func TestCacheConcurrentHammer(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				key := fmt.Sprintf("k%d", (w+i)%48)
-				rel, err := c.GetOrCompute(key, func() (*Reduced, error) {
+				rel, err := c.GetOrCompute(key, func() (*graphrel.Relation, error) {
 					return dummyRel(), nil
 				})
 				if err != nil || rel == nil {

@@ -1,6 +1,9 @@
 package etable
 
-import "repro/internal/expr"
+import (
+	"repro/internal/expr"
+	"repro/internal/graphrel"
+)
 
 // Derivation: the operators of §5.3 are pattern deltas — Select
 // conjoins a condition, Add joins one node — so a pattern's match is
@@ -19,7 +22,7 @@ const maxDeriveLinks = 8
 // reduced match, and per ancestor key the conjuncts the pattern adds
 // to that node's condition (nil when the condition is unchanged).
 type derived struct {
-	red      *Reduced
+	red      *graphrel.Relation
 	residual map[string]expr.Expr
 }
 

@@ -89,8 +89,8 @@ func TestDerivedMatchesOracles(t *testing.T) {
 // reduced sets fires. Every table must equal, cell for cell, the one
 // the fold oracle renders over MatchNaive and the SQL backend's — as a
 // materialized window and read cell by cell through a Cursor, the
-// server's path, references and counts alike — and MatchOpts' tuple
-// set must be MatchNaive's; a sort by a participating
+// server's path, references and counts alike — and MatchOpts' every set
+// must be π_k(MatchNaive) and its Len |MatchNaive|; a sort by a participating
 // column's count, concurrent on one presentation and stacked on a view
 // of a view, orders rows as a stable sort of the oracle's table does
 // and builds the column's count vector once. An empty selection joined
@@ -283,7 +283,8 @@ func randomSequence(rng *rand.Rand, tr *translate.Result, steps, maxNodes int) [
 
 // checkState renders p through the shared executor and compares it
 // with the table the fold oracle renders over MatchNaive and with the
-// SQL backend's, and MatchOpts' tuple set with MatchNaive's.
+// SQL backend's; MatchOpts' every set must be π_k(MatchNaive) and its
+// Len |MatchNaive|.
 func checkState(ex *etable.Executor, tr *translate.Result, st *storage.Store, stMu *sync.Mutex, p *etable.Pattern) error {
 	pr, err := ex.PrepareWithOpts(p, etable.ExecOptions{})
 	if err != nil {
@@ -305,8 +306,8 @@ func checkState(ex *etable.Executor, tr *translate.Result, st *storage.Store, st
 	if err != nil {
 		return err
 	}
-	if !etable.SameTuples(p, rel, naive) {
-		return fmt.Errorf("MatchOpts' tuple set differs from MatchNaive's (%d vs %d tuples)", rel.Len(), naive.Len())
+	if err := etable.SameMatch(p, rel, naive); err != nil {
+		return fmt.Errorf("MatchOpts against MatchNaive: %v", err)
 	}
 	if g, w := fmt.Sprintf("%+v|%+v", got.Columns, got.Rows), fmt.Sprintf("%+v|%+v", want.Columns, want.Rows); g != w {
 		return fmt.Errorf("table differs from the one folded over MatchNaive (%d vs %d rows)", got.NumRows(), want.NumRows())

@@ -2,11 +2,11 @@ package etable
 
 import (
 	"reflect"
-	"slices"
 	"testing"
 
 	"repro/internal/dataset"
 	"repro/internal/expr"
+	"repro/internal/graphrel"
 	"repro/internal/tgm"
 	"repro/internal/translate"
 )
@@ -29,14 +29,14 @@ func CountVector(pr *Presentation, name string) []int32 {
 
 // FoldTable renders p's table from a matched relation with the fold
 // oracle (foldOracle), sharing no kernel with the engine's prepare.
-func FoldTable(g *tgm.InstanceGraph, p *Pattern, matched matchColumns) (*Result, error) {
+func FoldTable(g *tgm.InstanceGraph, p *Pattern, matched *naiveMatch) (*Result, error) {
 	return foldOracle(g, p, matched)
 }
 
-// SameTuples reports whether a and b, matched relations of p, hold the
-// same tuple set (canonMatch).
-func SameTuples(p *Pattern, a, b matchColumns) bool {
-	return slices.Equal(canonMatch(p, a), canonMatch(p, b))
+// SameMatch reports how rel, p's match as MatchOpts returns it, differs
+// from the oracle's m(Q) naive (sameMatch), or nil.
+func SameMatch(p *Pattern, rel *graphrel.Relation, naive *naiveMatch) error {
+	return sameMatch(p, rel, naive)
 }
 
 func TestExtraConjuncts(t *testing.T) {

@@ -8,29 +8,28 @@
 // # Execution
 //
 // The matching core has one engine (stream.go, matchPipeline), and it
-// does not build m(Q). Patterns are trees, and the format
+// does not build m(Q)'s tuples. Patterns are trees, and the format
 // transformation reads one thing per participating column: the nodes
 // related to each row. So a miss computes reduced node sets — each
 // node's starting set (its selected base or, when an ancestor's match
 // is resident, the ancestor's reduced set narrowed by the conjuncts it
 // lacks: derive.go) reduced by a bottom-up and a top-down semi-join
-// pass over the tree (graphrel.Reduce, Yannakakis 1981). Nothing counts
-// |m(Q)|: no option caps a match, because what a presentation holds
-// does not grow with it. After a full reduction
-// every member of a set extends to a full match, so a row's cell is its
-// adjacency along the column's tree path filtered by the sets
-// (graphrel.Path), computed when a window reads it. The derivation links
-// set by Pattern.Clone are a hint; an ancestor is used only after a
-// structural sub-pattern check.
+// pass over the tree (graphrel.Reduce, Yannakakis 1981) into one
+// graphrel.Relation, the match's only form. No option caps a match,
+// because what a presentation holds does not grow with it. After a full
+// reduction every member of a set extends to a full match, so a row's
+// cell is its adjacency along the column's tree path filtered by the
+// sets (graphrel.Path), computed when a window reads it. The derivation
+// links set by Pattern.Clone are a hint; an ancestor is used only after
+// a structural sub-pattern check.
 //
-// m(Q) is enumerated only where tuples are the product: MatchOpts walks
-// the tree's adjacency through the reduced sets from the primary
-// (graphrel.Enumerate), and PrepareOpts counts that walk, storing no
-// tuple, to check that its input is m(Q). No served prepare enumerates it: a
-// prepare holds the reduced sets whatever |m(Q)| is. A pattern without
-// edges never derives: its selected base is its match. Every kernel
-// runs on the caller's goroutine, checking ExecOptions.Ctx between
-// morsels and semi-join steps.
+// No tuple of m(Q) is stored: |m(Q)| is counted on request only, by
+// Relation.Len's walk through the reduced sets. MatchOpts is a miss
+// without a cache and PrepareOpts the prepare of its relation, so the
+// benchmark harness's traced twin times what a request runs. A pattern
+// without edges never derives: its selected base is its match. Every
+// kernel runs on the caller's goroutine, checking ExecOptions.Ctx
+// between morsels and semi-join steps.
 //
 // A pattern edge is walked parent → child and child → parent: through
 // its type and the type's reverse, or, for a type stored one way only
@@ -69,9 +68,9 @@
 // its tree path from the primary — the reduced set and the adjacency
 // into it at every hop (graphrel.Path). A presentation retains
 // O(set words + columns), nothing per row and nothing sized by |m(Q)|.
-// PrepareOpts prepares a matched relation through it, from the
-// relation's projections. Nothing reads the cache entry after the
-// prepare, so a presentation stays valid after the cache evicts it.
+// PrepareOpts prepares MatchOpts' relation through it. Nothing reads
+// the cache entry after the prepare, so a presentation stays valid
+// after the cache evicts it.
 //
 // A Cursor reads any row range, over any subset of the columns, in one
 // serial pass. It seeks its first row once (a binary search over the
@@ -97,10 +96,10 @@
 // number of cursors may read one concurrently.
 //
 // Caching. Cache is one lru.Cache of exactly its capacity, shared by
-// every executor over a graph, holding node sets (Reduced) for base
-// and match keys alike: a few words per node instead of a tuple per
-// match. The least recently used entry of the whole cache is evicted
-// first, and concurrent misses on one key share one computation (its
+// every executor over a graph, holding node sets (*graphrel.Relation)
+// for base and match keys alike — a base is the one-node case: a few
+// words per node instead of a tuple per match. The least recently used
+// entry of the whole cache is evicted first, and concurrent misses on one key share one computation (its
 // waiters count as hits; an error or a panic caches nothing). A
 // resident match also serves as an ancestor: the derivation walk finds
 // it with a lookup that loads and counts nothing.

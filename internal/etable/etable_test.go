@@ -467,12 +467,17 @@ func TestMatchRelationShape(t *testing.T) {
 	p, _ := Initiate(schema, "Conferences")
 	p, _ = Select(p, "acronym = 'SIGMOD'")
 	p, _ = Add(schema, p, "Papers→Conferences_rev")
-	m, err := Match(res.Instance, p)
+	m, err := MatchOpts(res.Instance, p, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(m.Attrs) != 2 {
-		t.Errorf("attrs = %v", m.Attrs)
+	for _, n := range p.Nodes {
+		if s, ok := m.Set(n.Key); !ok || s.Len() == 0 {
+			t.Errorf("set %q: %d members, found %v", n.Key, s.Len(), ok)
+		}
+	}
+	if _, ok := m.Set("Authors"); ok {
+		t.Error("a set for a key outside the pattern")
 	}
 	if m.Len() != 4 {
 		t.Errorf("matched tuples = %d, want 4", m.Len())

@@ -59,32 +59,25 @@ func ExecuteOpts(g *tgm.InstanceGraph, p *Pattern, opt ExecOptions) (*Result, er
 	return pr.WindowOpts(0, -1, opt)
 }
 
-// Match implements the instance matching function m(Q): the tuples of
-// the per-node base graph relations (with their selection conditions
-// pushed down) joined along the pattern's tree edges. The resulting
-// graph relation has one attribute per pattern node, named by the
-// node's key. It is MatchOpts with zero options.
-func Match(g *tgm.InstanceGraph, p *Pattern) (*graphrel.Relation, error) {
-	return MatchOpts(g, p, ExecOptions{})
-}
-
-// MatchOpts is Match under execution options: the reduced match (see
-// stream.go), walked into one relation from the primary in tree order
-// (graphrel.Enumerate), under the options' cancellation.
+// MatchOpts implements the instance matching function m(Q)
+// (Definition 4) as an uncached miss computes it (matchPipeline): one
+// reduced set per pattern node, keyed by its key. It loads every tree
+// edge's Down for Len, returning a failed deferred load's error.
 func MatchOpts(g *tgm.InstanceGraph, p *Pattern, opt ExecOptions) (*graphrel.Relation, error) {
 	t, err := treeOf(g, p)
 	if err != nil {
 		return nil, err
 	}
-	red, err := matchPipeline(g, p, t, opt, nil)
+	rel, err := matchPipeline(g, p, t, opt, nil)
 	if err != nil {
 		return nil, err
 	}
-	attrs := make([]graphrel.Attr, len(t.nodes))
-	for i, n := range t.nodes {
-		attrs[i] = graphrel.Attr{Name: n.Key, Type: g.Schema().NodeType(n.Type)}
+	for _, e := range t.edges[1:] {
+		if err := e.Down.Ensure(); err != nil {
+			return nil, err
+		}
 	}
-	return graphrel.Enumerate(opt.Ctx, g, attrs, red.sets, t.edges)
+	return rel, nil
 }
 
 // errDisconnected reports a pattern whose edges do not connect all nodes

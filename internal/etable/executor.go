@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/graphrel"
 	"repro/internal/tgm"
 )
 
@@ -102,7 +103,7 @@ func computeSignature(p *Pattern) string {
 // (a singleflight leader's client disconnected mid-compute, this
 // caller's did not) is retried — the error is never cached, and with
 // the canceled leader gone the caller computes the value itself.
-func getOrComputeLive(ctx context.Context, c *Cache, key string, compute func() (*Reduced, error)) (*Reduced, error) {
+func getOrComputeLive(ctx context.Context, c *Cache, key string, compute func() (*graphrel.Relation, error)) (*graphrel.Relation, error) {
 	for {
 		red, err := c.GetOrCompute(key, compute)
 		canceled := errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
@@ -127,7 +128,7 @@ func (e *Executor) PrepareWithOpts(p *Pattern, opt ExecOptions) (*Presentation, 
 	if err != nil {
 		return nil, err
 	}
-	red, err := getOrComputeLive(opt.Ctx, e.cache, matchPrefix+Signature(p), func() (*Reduced, error) {
+	red, err := getOrComputeLive(opt.Ctx, e.cache, matchPrefix+Signature(p), func() (*graphrel.Relation, error) {
 		return matchPipeline(e.g, p, t, opt, e.cache)
 	})
 	if err != nil {

@@ -2,6 +2,8 @@ package etable
 
 import (
 	"testing"
+
+	"repro/internal/graphrel"
 )
 
 // executeCached is the caching executor's full render — the prepared
@@ -187,7 +189,7 @@ func TestExecutorDerivesFromAncestor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertReducedMatches(t, "derived", rel, naive)
+	assertReducedMatches(t, "derived", d, rel, naive)
 	_, want := oracleTable(t, res.Instance, d)
 	assertSameResults(t, "derived", got, want)
 }
@@ -278,7 +280,7 @@ func TestPresentationOutlivesRelation(t *testing.T) {
 
 	key := matchPrefix + Signature(p)
 	for i := 0; i < 16; i++ {
-		if _, err := cache.GetOrCompute("filler-"+itoa(i), func() (*Reduced, error) { return dummyRel(), nil }); err != nil {
+		if _, err := cache.GetOrCompute("filler-"+itoa(i), func() (*graphrel.Relation, error) { return dummyRel(), nil }); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -3,7 +3,6 @@ package etable
 import (
 	"cmp"
 	"fmt"
-	"reflect"
 	"slices"
 	"testing"
 
@@ -19,10 +18,10 @@ import (
 // pattern's edges are joined in declaration order, starting at the
 // primary node, each step a nested-loop join over the edge type's
 // stored adjacency (joinStep.join) into a fully materialized
-// intermediate. Its tuples are naiveMatch's, not graphrel's, so the
-// engine (whatever budget it ran under) is tested against it as a
-// canonical tuple set (canonMatch), and BenchmarkAblation_JoinPlanner
-// measures what the reduction buys over it.
+// intermediate. Its tuples are naiveMatch's: the engine holds no tuple,
+// so it is tested against the oracle's projections and tuple count
+// (sameMatch), and BenchmarkAblation_JoinPlanner measures what the
+// reduction buys over it.
 func MatchNaive(g *tgm.InstanceGraph, p *Pattern) (*naiveMatch, error) {
 	if p.PrimaryNode() == nil {
 		return nil, fmt.Errorf("etable: pattern has no primary node")
@@ -66,14 +65,6 @@ func (m *naiveMatch) Len() int { return m.n }
 
 // ColumnNamed returns the column of the node keyed key, or nil.
 func (m *naiveMatch) ColumnNamed(key string) []tgm.NodeID { return m.cols[key] }
-
-// matchColumns is what the oracles read of a matched relation — the
-// engine's *graphrel.Relation or MatchNaive's *naiveMatch: its tuple
-// count and a column per pattern node key.
-type matchColumns interface {
-	Len() int
-	ColumnNamed(key string) []tgm.NodeID
-}
 
 // joinStep is one join of the oracle: extend the joined relation from
 // AnchorKey (already joined) to NewKey along EdgeName, which is
@@ -136,36 +127,35 @@ func declaredSteps(schema *tgm.SchemaGraph, p *Pattern) (startKey string, steps 
 	return prim.Key, steps, nil
 }
 
-// oracleTuples is the oracle's answer for p as a canonical tuple set.
-func oracleTuples(t testing.TB, g *tgm.InstanceGraph, p *Pattern) []string {
-	t.Helper()
-	ref, err := MatchNaive(g, p)
-	if err != nil {
-		t.Fatalf("oracle (%s): %v", p, err)
-	}
-	return canonMatch(p, ref)
-}
-
-// assertMatchesOracle asserts got holds exactly the oracle's tuples
-// for p (order-insensitively: the engine's row order is its tree's).
-func assertMatchesOracle(t testing.TB, label string, p *Pattern, got *graphrel.Relation, want []string) {
-	t.Helper()
-	if !reflect.DeepEqual(canonMatch(p, got), want) {
-		t.Fatalf("%s: tuple set diverges from the oracle (%d rows, oracle %d)", label, got.Len(), len(want))
-	}
-}
-
-// assertReducedMatches asserts a cached reduced match holds exactly
-// what the oracle's m(Q) projects: per attribute the distinct nodes of
-// its column.
-func assertReducedMatches(t testing.TB, label string, red *Reduced, want matchColumns) {
-	t.Helper()
-	for i, k := range red.keys {
+// sameMatch reports how rel, p's match as the engine holds it,
+// differs from the oracle's m(Q) want: every pattern node's set must be
+// π_k(want), the distinct nodes of the node's column, and rel's Len
+// must be |want|. rel's tree must be loaded (MatchOpts loads it).
+func sameMatch(p *Pattern, rel *graphrel.Relation, want *naiveMatch) error {
+	for i := range p.Nodes {
+		k := p.Nodes[i].Key
+		set, ok := rel.Set(k)
+		if !ok {
+			return fmt.Errorf("no set for pattern node %q", k)
+		}
 		proj := slices.Clone(want.ColumnNamed(k))
 		slices.Sort(proj)
-		if got, wantIDs := red.sets[i].IDs(), slices.Compact(proj); !slices.Equal(got, wantIDs) {
-			t.Fatalf("%s: set %q = %d nodes, oracle projects %d", label, k, len(got), len(wantIDs))
+		if got, wantIDs := set.IDs(), slices.Compact(proj); !slices.Equal(got, wantIDs) {
+			return fmt.Errorf("set %q = %d nodes, the oracle projects %d", k, len(got), len(wantIDs))
 		}
+	}
+	if rel.Len() != want.Len() {
+		return fmt.Errorf("Len = %d, the oracle holds %d tuples", rel.Len(), want.Len())
+	}
+	return nil
+}
+
+// assertReducedMatches fails t unless rel is the oracle's m(Q) for p
+// (sameMatch).
+func assertReducedMatches(t testing.TB, label string, p *Pattern, rel *graphrel.Relation, want *naiveMatch) {
+	t.Helper()
+	if err := sameMatch(p, rel, want); err != nil {
+		t.Fatalf("%s: %v", label, err)
 	}
 }
 
@@ -194,7 +184,7 @@ func oracleTable(t testing.TB, g *tgm.InstanceGraph, p *Pattern) (oracleView, *R
 // co-occurring with its row, ascending, and each neighbor cell the
 // row's adjacency; values and labels are read off the attribute
 // columns node by node. Only the column layout is the engine's.
-func foldOracle(g *tgm.InstanceGraph, p *Pattern, matched matchColumns) (*Result, error) {
+func foldOracle(g *tgm.InstanceGraph, p *Pattern, matched *naiveMatch) (*Result, error) {
 	lay := &Presentation{g: g, pattern: p, primType: g.Schema().NodeType(p.PrimaryNode().Type)}
 	if err := lay.layoutColumns(p, make([]graphrel.Path, len(p.Nodes)-1)); err != nil {
 		return nil, err
@@ -312,17 +302,22 @@ func (v oracleView) SortedView(spec SortSpec) (oracleView, error) {
 	return oracleView{&sorted}, nil
 }
 
-// BenchmarkAblation_JoinPlanner compares the engine's match — reduced
-// sets, then enumerated from them — against the oracle's declared join
-// order on the Figure 7 pattern, where the naive order starts at the
-// unfiltered Authors side.
+// BenchmarkAblation_JoinPlanner compares the engine's match and
+// prepare — reduced sets, then the presentation over them, as a served
+// miss computes them — against the oracle's declared join order on the
+// Figure 7 pattern, where the naive order starts at the unfiltered
+// Authors side.
 func BenchmarkAblation_JoinPlanner(b *testing.B) {
 	tr := planFixture(b)
 	p := figure7PlanPattern(b, tr)
 	b.Run("planned", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := Match(tr.Instance, p); err != nil {
+			rel, err := MatchOpts(tr.Instance, p, ExecOptions{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := PrepareOpts(tr.Instance, p, rel, ExecOptions{}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/graphrel"
 	"repro/internal/value"
 )
 
@@ -170,7 +171,7 @@ func TestGetOrComputeLiveRetriesForeignCancellation(t *testing.T) {
 	rel := dummyRel()
 	cache := NewCache(8)
 	calls := 0
-	got, err := getOrComputeLive(context.Background(), cache, "k", func() (*Reduced, error) {
+	got, err := getOrComputeLive(context.Background(), cache, "k", func() (*graphrel.Relation, error) {
 		calls++
 		if calls == 1 {
 			return nil, context.Canceled // the canceled leader's error
@@ -187,7 +188,7 @@ func TestGetOrComputeLiveRetriesForeignCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	calls = 0
-	_, err = getOrComputeLive(ctx, cache, "k2", func() (*Reduced, error) {
+	_, err = getOrComputeLive(ctx, cache, "k2", func() (*graphrel.Relation, error) {
 		calls++
 		return nil, context.Canceled
 	})

@@ -4,11 +4,9 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"repro/internal/dataset"
-	"repro/internal/graphrel"
 	"repro/internal/tgm"
 	"repro/internal/translate"
 	"repro/internal/value"
@@ -60,53 +58,12 @@ func scatteredFixture(t *testing.T, rng *rand.Rand) (*tgm.SchemaGraph, *tgm.Inst
 	return s, g
 }
 
-// assertCellsMatchRelation checks a rendered table against its matched
-// relation by brute force, sharing nothing with the grouping kernels:
-// the rows are the distinct primary nodes ascending, and every
-// participating cell holds exactly the distinct nodes co-occurring with
-// its row, ascending.
-func assertCellsMatchRelation(t *testing.T, label string, res *Result, p *Pattern, matched *graphrel.Relation) {
-	t.Helper()
-	prim := matched.ColumnNamed(p.Primary)
-	rows := slices.Clone(prim)
-	slices.Sort(rows)
-	rows = slices.Compact(rows)
-	if len(res.Rows) != len(rows) {
-		t.Fatalf("%s: %d rows, want %d", label, len(res.Rows), len(rows))
-	}
-	for ci, c := range res.Columns {
-		if c.Kind != ColParticipating {
-			continue
-		}
-		vcol := matched.ColumnNamed(c.NodeKey)
-		for ri, row := range res.Rows {
-			if row.Node != rows[ri] {
-				t.Fatalf("%s: row %d is node %d, want %d", label, ri, row.Node, rows[ri])
-			}
-			var want []tgm.NodeID
-			for i, id := range prim {
-				if id == row.Node {
-					want = append(want, vcol[i])
-				}
-			}
-			slices.Sort(want)
-			want = slices.Compact(want)
-			got := make([]tgm.NodeID, len(row.Cells[ci].Refs))
-			for i, ref := range row.Cells[ci].Refs {
-				got[i] = ref.ID
-			}
-			if !slices.Equal(got, want) {
-				t.Fatalf("%s: row %d column %q = %v, want %v", label, ri, c.Name, got, want)
-			}
-		}
-	}
-}
-
 // TestPrepareScatteredIDs is the one-Prepare-kernel equivalence where
 // dense indexing could go wrong (ID runs starting at distinct non-zero
-// IDs, a repeated type, a selection leaving gaps): PrepareOpts and the
-// executor's miss (reduced sets) both render the oracle's table cell
-// for cell. Run under -race by scripts/check.sh.
+// IDs, a repeated type, a selection leaving gaps): MatchOpts and the
+// executor's miss hold the oracle's projections and tuple count, and
+// PrepareOpts and the miss both render the oracle's table cell for
+// cell. Run under -race by scripts/check.sh.
 func TestPrepareScatteredIDs(t *testing.T) {
 	rng := rand.New(rand.NewSource(20261004))
 	for trial := 0; trial < 8; trial++ {
@@ -135,11 +92,15 @@ func TestPrepareScatteredIDs(t *testing.T) {
 		} {
 			label := fmt.Sprintf("trial=%d %s", trial, name)
 			_, want := oracleTable(t, g, p)
+			naive, err := MatchNaive(g, p)
+			if err != nil {
+				t.Fatal(err)
+			}
 			matched, err := MatchOpts(g, p, ExecOptions{})
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
-			assertCellsMatchRelation(t, label, want, p, matched)
+			assertReducedMatches(t, label, p, matched, naive)
 			render := func(sub string, pr *Presentation) {
 				t.Helper()
 				got, err := pr.Window(0, -1)
@@ -158,7 +119,7 @@ func TestPrepareScatteredIDs(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
-			assertReducedMatches(t, label+"/reduced", red, matched)
+			assertReducedMatches(t, label+"/reduced", p, red, naive)
 			render("reduced", pr)
 		}
 	}
@@ -181,11 +142,11 @@ func TestPresentationRetainsResultSizedState(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := buildPattern(t, tr, "Papers", opSelect("id <= 4"), opAdd(tr, "Paper_Authors"))
-	matched, err := Match(tr.Instance, p)
+	matched, err := MatchOpts(tr.Instance, p, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr, err := Prepare(tr.Instance, p, matched)
+	pr, err := PrepareOpts(tr.Instance, p, matched, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,12 +175,13 @@ func TestPresentationRetainsResultSizedState(t *testing.T) {
 }
 
 // TestMatchPrepareAllocGuard catches a slide back to hashing or
-// batching: Figure 7's match and prepare allocate about a hundred
-// arrays and headers (123 measured with m(Q) walked from the reduced
-// sets; the streamed join's batches paid 230 and the hash-map kernels
-// 866 on the same query and fixture, most of them map buckets and
-// per-node row lists). The ceiling sits about a fifth above the measured
-// count, below what the batches cost.
+// batching: Figure 7's match and prepare allocate well under a hundred
+// arrays and headers (79 measured for the reduced sets and the prepare
+// over them; 123 while m(Q) was also walked into tuples, and the
+// streamed join's batches paid 230 and the hash-map kernels 866 on the
+// same query and fixture, most of them map buckets and per-node row
+// lists). The ceiling, set when the count was 123, stays below what the
+// batches cost.
 func TestMatchPrepareAllocGuard(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -227,11 +189,11 @@ func TestMatchPrepareAllocGuard(t *testing.T) {
 	tr := planFixture(t)
 	p := figure7PlanPattern(t, tr)
 	allocs := testing.AllocsPerRun(20, func() {
-		matched, err := Match(tr.Instance, p)
+		matched, err := MatchOpts(tr.Instance, p, ExecOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Prepare(tr.Instance, p, matched); err != nil {
+		if _, err := PrepareOpts(tr.Instance, p, matched, ExecOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -132,7 +132,10 @@ func ScratchIsSpanSized(t *testing.T) {
 		if err != nil || reduced[0].Len() != 1 {
 			t.Fatalf("reduced %v, err %v", reduced, err)
 		}
-		red := &Reduced{keys: tree.keys, sets: reduced}
+		red, err := graphrel.NewRelation(tree.keys, reduced, tree.edges)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if _, err := prepareSets(tr.Instance, p, tree, red, ExecOptions{}); err != nil {
 			t.Fatal(err)
 		}

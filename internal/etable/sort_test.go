@@ -217,11 +217,11 @@ func TestSortKernelMatchesStableSortFuzz(t *testing.T) {
 		g := form.g
 		prepare := func(p *Pattern) func() *Presentation {
 			return func() *Presentation {
-				matched, err := Match(g, p)
+				matched, err := MatchOpts(g, p, ExecOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				pr, err := Prepare(g, p, matched)
+				pr, err := PrepareOpts(g, p, matched, ExecOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -337,11 +337,11 @@ func prepareOpen(t *testing.T, g *tgm.InstanceGraph, typeName string) *Presentat
 	if err != nil {
 		t.Fatal(err)
 	}
-	matched, err := Match(g, p)
+	matched, err := MatchOpts(g, p, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr, err := Prepare(g, p, matched)
+	pr, err := PrepareOpts(g, p, matched, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,9 +10,8 @@ import (
 )
 
 // The match engine (the package doc's "Execution"): a miss computes a
-// pattern's reduced node sets (matchPipeline), and m(Q) itself is
-// walked from them (graphrel.Enumerate) only where tuples are the
-// product: MatchOpts and PrepareOpts's check of its input.
+// pattern's reduced node sets (matchPipeline), held with the pattern's
+// tree as one graphrel.Relation; no tuple of m(Q) is stored.
 
 // patternTree is a pattern rooted at its primary node: keys and nodes
 // in tree order (the primary first, every parent before its children),
@@ -67,7 +66,7 @@ func treeOf(g *tgm.InstanceGraph, p *Pattern) (*patternTree, error) {
 // joins). The full semi-join reduction (graphrel.Reduce) over t then
 // yields the reduced sets. A pattern without edges has nothing to
 // reduce: its selected base is its match.
-func matchPipeline(g *tgm.InstanceGraph, p *Pattern, t *patternTree, opt ExecOptions, cache *Cache) (*Reduced, error) {
+func matchPipeline(g *tgm.InstanceGraph, p *Pattern, t *patternTree, opt ExecOptions, cache *Cache) (*graphrel.Relation, error) {
 	if err := ctxErr(opt.Ctx); err != nil {
 		return nil, err
 	}
@@ -89,35 +88,31 @@ func matchPipeline(g *tgm.InstanceGraph, p *Pattern, t *patternTree, opt ExecOpt
 			}
 			continue
 		}
-		selectBase := func() (*Reduced, error) {
-			s, err := selectSet(g, opt, n, nil, pl)
-			if err != nil {
-				return nil, err
-			}
-			return &Reduced{keys: []string{n.Key}, sets: []graphrel.NodeSet{s}}, nil
-		}
 		// A joinless pattern's base is its match, which the caller
 		// caches under the match key: a second entry under the base
 		// key would hold the same set twice.
 		if cache == nil || len(p.Nodes) == 1 {
-			base, err := selectBase()
-			if err != nil || len(p.Nodes) == 1 {
-				return base, err
+			if sets[i], err = selectSet(g, opt, n, nil, pl); err != nil {
+				return nil, err
 			}
-			sets[i] = base.sets[0]
 			continue
 		}
-		base, err := getOrComputeLive(opt.Ctx, cache, basePrefix+nodeSignature(n), selectBase)
+		base, err := getOrComputeLive(opt.Ctx, cache, basePrefix+nodeSignature(n), func() (*graphrel.Relation, error) {
+			s, err := selectSet(g, opt, n, nil, pl)
+			if err != nil {
+				return nil, err
+			}
+			return graphrel.NewRelation([]string{n.Key}, []graphrel.NodeSet{s}, []graphrel.TreeEdge{{}})
+		})
 		if err != nil {
 			return nil, err
 		}
-		sets[i] = base.sets[0]
+		sets[i], _ = base.Set(n.Key)
 	}
-	reduced, err := graphrel.Reduce(opt.Ctx, sets, t.edges)
-	if err != nil {
+	if sets, err = graphrel.Reduce(opt.Ctx, sets, t.edges); err != nil {
 		return nil, err
 	}
-	return &Reduced{keys: t.keys, sets: reduced}, nil
+	return graphrel.NewRelation(t.keys, sets, t.edges)
 }
 
 // selectSet applies n's planned condition to its starting set: from

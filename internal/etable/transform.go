@@ -239,46 +239,17 @@ func (pr *Presentation) neighborAt(ci int) *neighborCol {
 	return nil
 }
 
-// Prepare builds the presentation over a matched relation serially.
-// See PrepareOpts.
-func Prepare(g *tgm.InstanceGraph, p *Pattern, matched *graphrel.Relation) (*Presentation, error) {
-	return PrepareOpts(g, p, matched, ExecOptions{})
-}
-
-// PrepareOpts builds the presentation over a matched relation: rows are
-// the distinct primary nodes ascending by ID, columns the base
+// PrepareOpts builds the presentation of a pattern's match, as
+// MatchOpts returns it, the way a cache hit does (prepareSets): rows
+// are the distinct primary nodes ascending by ID, columns the base
 // attributes A_b, participating node columns A_t and neighbor node
-// columns A_h of §5.4.2. matched must be m(Q): the presentation is
-// prepared from its projections π_k(matched), which for m(Q) are
-// exactly the engine's reduced sets (prepareSets). A relation that is
-// not — a subset, a tuple repeated — holds another number of tuples
-// than the full reduction over its projections enumerates (counted by
-// graphrel.Enumerate, storing none), and is refused.
+// columns A_h of §5.4.2.
 func PrepareOpts(g *tgm.InstanceGraph, p *Pattern, matched *graphrel.Relation, opt ExecOptions) (*Presentation, error) {
 	t, err := treeOf(g, p)
 	if err != nil {
 		return nil, err
 	}
-	sets := make([]graphrel.NodeSet, len(t.keys))
-	for i, k := range t.keys {
-		if matched.AttrIndex(k) < 0 {
-			return nil, fmt.Errorf("etable: matched relation has no attribute %q", k)
-		}
-		sets[i] = graphrel.SetOf(matched.ColumnNamed(k))
-	}
-	reduced, err := graphrel.Reduce(opt.Ctx, sets, t.edges)
-	if err != nil {
-		return nil, err
-	}
-	all, err := graphrel.Enumerate(opt.Ctx, g, nil, reduced, t.edges)
-	if err != nil {
-		return nil, err
-	}
-	if all.Len() != matched.Len() {
-		return nil, fmt.Errorf("etable: matched relation holds %d tuples, not the %d matches over its projections: PrepareOpts needs m(Q)", matched.Len(), all.Len())
-	}
-	red := &Reduced{keys: t.keys, sets: reduced}
-	return prepareSets(g, p, t, red, opt)
+	return prepareSets(g, p, t, matched, opt)
 }
 
 // prepareSets builds the presentation from a reduced match: rows are
@@ -287,7 +258,7 @@ func PrepareOpts(g *tgm.InstanceGraph, p *Pattern, matched *graphrel.Relation, o
 // column keeps its tree path from the primary down to its node — the
 // reduced set and the adjacency into it at every hop. Nothing is read
 // per row: a cell is computed when a window reads it.
-func prepareSets(g *tgm.InstanceGraph, p *Pattern, t *patternTree, red *Reduced, opt ExecOptions) (*Presentation, error) {
+func prepareSets(g *tgm.InstanceGraph, p *Pattern, t *patternTree, red *graphrel.Relation, opt ExecOptions) (*Presentation, error) {
 	if err := ctxErr(opt.Ctx); err != nil {
 		return nil, err
 	}

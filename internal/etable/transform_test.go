@@ -17,7 +17,7 @@ func windowFixture(t *testing.T) (*Presentation, *Result) {
 	t.Helper()
 	tr := planFixture(t)
 	p := figure7PlanPattern(t, tr)
-	matched, err := Match(tr.Instance, p)
+	matched, err := MatchOpts(tr.Instance, p, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +25,7 @@ func windowFixture(t *testing.T) (*Presentation, *Result) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr, err := Prepare(tr.Instance, p, matched)
+	pr, err := PrepareOpts(tr.Instance, p, matched, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestTransformRangeEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		matched, err := Match(tr.Instance, p)
+		matched, err := MatchOpts(tr.Instance, p, ExecOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,7 +140,7 @@ func TestPresentationWindowEdgeCases(t *testing.T) {
 func TestSortThenPageEquivalence(t *testing.T) {
 	tr := planFixture(t)
 	p := figure7PlanPattern(t, tr)
-	matched, err := Match(tr.Instance, p)
+	matched, err := MatchOpts(tr.Instance, p, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestSortThenPageEquivalence(t *testing.T) {
 		if err := want.Sort(spec); err != nil {
 			t.Fatal(err)
 		}
-		pr, err := Prepare(tr.Instance, p, matched)
+		pr, err := PrepareOpts(tr.Instance, p, matched, ExecOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,7 +198,7 @@ func TestSortThenPageEquivalence(t *testing.T) {
 	}
 	// Invalid specs fail identically to the result-level validator.
 	for _, spec := range []SortSpec{{}, {Attr: "nope"}, {Column: "nope"}} {
-		pr, err := Prepare(tr.Instance, p, matched)
+		pr, err := PrepareOpts(tr.Instance, p, matched, ExecOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -240,7 +240,7 @@ func TestRefsEmptyZeroAlloc(t *testing.T) {
 func TestTransformWindowOneShot(t *testing.T) {
 	tr := planFixture(t)
 	p := figure7PlanPattern(t, tr)
-	matched, err := Match(tr.Instance, p)
+	matched, err := MatchOpts(tr.Instance, p, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestTransformWindowOneShot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr, err := Prepare(tr.Instance, p, matched)
+	pr, err := PrepareOpts(tr.Instance, p, matched, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +305,7 @@ func TestLabelInterner(t *testing.T) {
 func TestPresentationCancellation(t *testing.T) {
 	tr := planFixture(t)
 	p := figure7PlanPattern(t, tr)
-	matched, err := Match(tr.Instance, p)
+	matched, err := MatchOpts(tr.Instance, p, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +314,7 @@ func TestPresentationCancellation(t *testing.T) {
 	if _, err := PrepareOpts(tr.Instance, p, matched, ExecOptions{Ctx: ctx}); err == nil {
 		t.Error("canceled Prepare: want error")
 	}
-	pr, err := Prepare(tr.Instance, p, matched)
+	pr, err := PrepareOpts(tr.Instance, p, matched, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,11 +331,11 @@ func TestPresentationCancellation(t *testing.T) {
 func TestSortedViewSharesPreparedState(t *testing.T) {
 	tr := planFixture(t)
 	p := figure1PlanPattern(t, tr)
-	matched, err := Match(tr.Instance, p)
+	matched, err := MatchOpts(tr.Instance, p, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pres, err := Prepare(tr.Instance, p, matched)
+	pres, err := PrepareOpts(tr.Instance, p, matched, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,36 +373,5 @@ func TestSortedViewSharesPreparedState(t *testing.T) {
 	}
 	if !reflect.DeepEqual(v.order(), nodesOf(want)) {
 		t.Fatal("view's row order differs from the sorted full render")
-	}
-}
-
-// TestPrepareOptsRefusesNonMatch: PrepareOpts prepares m(Q) and
-// refuses a relation whose tuples are not m(Q) — here m(Q) of the
-// pattern plus one leaf edge from its Authors to their papers, which
-// repeats every tuple once per paper of its author while its
-// projections stay m(Q)'s.
-func TestPrepareOptsRefusesNonMatch(t *testing.T) {
-	tr := planFixture(t)
-	p := figure7PlanPattern(t, tr)
-	matched, err := Match(tr.Instance, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := PrepareOpts(tr.Instance, p, matched, ExecOptions{}); err != nil {
-		t.Fatalf("m(Q) refused: %v", err)
-	}
-	wider, err := Add(tr.Schema, p, "Paper_Authors_rev")
-	if err != nil {
-		t.Fatal(err)
-	}
-	repeated, err := MatchOpts(tr.Instance, wider, ExecOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if repeated.Len() <= matched.Len() {
-		t.Fatalf("fixture: the leaf edge repeats no tuple (%d rows, m(Q) %d)", repeated.Len(), matched.Len())
-	}
-	if _, err := PrepareOpts(tr.Instance, p, repeated, ExecOptions{}); err == nil {
-		t.Fatalf("a relation repeating m(Q)'s tuples (%d rows, m(Q) %d) was prepared as m(Q)", repeated.Len(), matched.Len())
 	}
 }

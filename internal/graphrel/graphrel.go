@@ -1,23 +1,18 @@
 // Package graphrel implements the paper's graph relation algebra
-// (§5.4.1) over a TGDB instance graph as node sets: the Selection (σ,
-// SelectSet), the semi-join reduction of a tree pattern (Reduce), and
-// the two readings of a reduced match — a row's related nodes along a
-// tree path (Path), which is what the format transformation needs, and
-// the instance matching function m(Q) itself (Definition 4,
-// Enumerate), a walk of the tree's adjacency filtered by the sets. The
-// relational join over tuples is kept only as a test reference
-// (JoinScan).
-//
-// A graph relation is like a relation in the relational model, except
-// that each attribute's domain is the node set of one node type: a tuple
-// is a list of node IDs, stored column-major. A selection condition is
-// compiled to kernels that scan the attribute columns directly
-// (expr.Compile).
+// (§5.4.1) over a TGDB instance graph as node sets. A selection σ keeps
+// the members of a set whose node satisfies a condition compiled to
+// column kernels (SelectSet, expr.Compile). A tree pattern's match is
+// reduced by a bottom-up and a top-down semi-join pass (Reduce, after
+// Yannakakis) to, per pattern node, exactly the nodes that extend to a
+// full match. A Relation holds those sets with the tree: m(Q)
+// (Definition 4) is never stored as tuples. A row's related nodes along
+// a tree path are its adjacency filtered by the sets (Path), and |m(Q)|
+// is a walk through them (Relation.Len). Operators over tuples — the
+// join, the selection over a relation, the fold — are test references.
 //
 // Node IDs are dense int32 ordinals and a type's nodes lie in one ID
 // span (tgm.TypeIDRange), so no kernel hashes them: a node set is a
-// bitset over its own span (NodeSet), and a row's related nodes its
-// adjacency filtered by the sets on a tree path (Path). Scratch arrays
+// bitset over its own span (NodeSet). Scratch arrays
 // live for one call or come from a pool; what is returned is sized by
 // the result. Every operator runs on its caller's goroutine and checks
 // its context between morsels or semi-join steps.
@@ -28,7 +23,7 @@
 // and every operator treats its inputs as read-only. So all read
 // accessors and operators are safe to call concurrently on shared
 // values with no synchronization; callers must not modify the slices
-// ColumnNamed and NodeSet.IDs return.
+// NewRelation takes or NodeSet.IDs returns.
 package graphrel
 
 import (
@@ -39,48 +34,54 @@ import (
 	"repro/internal/tgm"
 )
 
-// Attr is one attribute of a graph relation: a node type plus a unique
-// name distinguishing repeated occurrences of the same type.
-type Attr struct {
-	// Name is unique within the relation ("Papers", "Papers#2", …).
-	Name string
-	// Type is the node type defining the attribute's domain.
-	Type *tgm.NodeType
-}
-
-// Relation is a graph relation R^G: an attribute list and, per
-// attribute, a column of node IDs. All columns have equal length; the
-// tuple at row i is (cols[0][i], …, cols[k-1][i]). Enumerate builds
-// one; columns are immutable once built.
+// Relation is a tree pattern's match m(Q) held as its fully reduced
+// node sets: per tree node its key and its projection π_k(m(Q)), and
+// the tree edges joining them, numbered as Reduce numbers them. A
+// filtered base is the one-node case.
 type Relation struct {
-	g     *tgm.InstanceGraph
-	Attrs []Attr
-	cols  [][]tgm.NodeID
-	n     int
+	keys []string
+	sets []NodeSet
+	tree []TreeEdge
 }
 
-// AttrIndex returns the ordinal of the named attribute, or -1.
-func (r *Relation) AttrIndex(name string) int {
-	for i, a := range r.Attrs {
-		if a.Name == name {
-			return i
+// NewRelation holds sets[i] as node i, keyed keys[i] and placed by
+// tree[i]. It refuses no nodes, keys, sets and tree nodes of different
+// counts, and a node whose parent does not come before it.
+func NewRelation(keys []string, sets []NodeSet, tree []TreeEdge) (*Relation, error) {
+	if len(sets) == 0 || len(keys) != len(sets) || len(tree) != len(sets) {
+		return nil, fmt.Errorf("graphrel: %d keys and %d sets over %d tree nodes", len(keys), len(sets), len(tree))
+	}
+	for i := 1; i < len(tree); i++ {
+		if p := tree[i].Parent; p < 0 || p >= i {
+			return nil, fmt.Errorf("graphrel: tree node %d has parent %d, not an earlier node", i, p)
 		}
 	}
-	return -1
+	return &Relation{keys: keys, sets: sets, tree: tree}, nil
 }
 
-// Len returns the number of tuples.
-func (r *Relation) Len() int { return r.n }
-
-// ColumnNamed returns the named attribute's column, or nil (a relation
-// with no tuples may hold nil columns too: AttrIndex tells them apart).
-// The returned slice must not be modified.
-func (r *Relation) ColumnNamed(name string) []tgm.NodeID {
-	if ai := r.AttrIndex(name); ai >= 0 {
-		return r.cols[ai]
+// Set returns the reduced set of the node keyed key.
+func (r *Relation) Set(key string) (NodeSet, bool) {
+	for i, k := range r.keys {
+		if k == key {
+			return r.sets[i], true
+		}
 	}
-	return nil
+	return NodeSet{}, false
 }
+
+// SizeBytes is the resident size of the sets' bitsets.
+func (r *Relation) SizeBytes() int64 {
+	var n int64
+	for _, s := range r.sets {
+		n += s.SizeBytes()
+	}
+	return n
+}
+
+// Len returns |m(Q)|, counted by a depth-first walk that stores no
+// tuple. Every tree edge's Down must be loaded (tgm.Adjacency.Ensure):
+// an unloaded deferred adjacency reads as no neighbors.
+func (r *Relation) Len() int { return walk(r.sets, r.tree) }
 
 // SelectSet is the selection σ over a node set: the members of ids —
 // nodes of pred's type, strictly ascending, like a type's node list or

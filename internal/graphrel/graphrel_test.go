@@ -83,10 +83,10 @@ func figure8Graph(t testing.TB) (*tgm.InstanceGraph, map[string]tgm.NodeID) {
 }
 
 // attrsOf names one attribute per node type, by the type's name.
-func attrsOf(g *tgm.InstanceGraph, types ...string) []Attr {
-	out := make([]Attr, len(types))
+func attrsOf(g *tgm.InstanceGraph, types ...string) []attr {
+	out := make([]attr, len(types))
 	for i, name := range types {
-		out[i] = Attr{Name: name, Type: g.Schema().NodeType(name)}
+		out[i] = attr{Name: name, Type: g.Schema().NodeType(name)}
 	}
 	return out
 }
@@ -115,9 +115,9 @@ func selected(t testing.TB, g *tgm.InstanceGraph, typeName, cond string) NodeSet
 	return s
 }
 
-// TestBase: a one-node Enumerate over a type's every node is its base
-// relation — one single-attribute tuple per node, ascending, under the
-// given name — and its count form holds as many tuples and no column.
+// TestBase: a one-node relation over a type's every node is its base
+// relation — one tuple per node, which Len counts — and the fixtures'
+// walk lists them ascending under the given name.
 func TestBase(t *testing.T) {
 	g, _ := figure8Graph(t)
 	r, err := base(g, "Papers", "Papers#2")
@@ -130,9 +130,8 @@ func TestBase(t *testing.T) {
 	if r.AttrIndex("Papers#2") != 0 || r.AttrIndex("zzz") != -1 || r.ColumnNamed("zzz") != nil {
 		t.Error("AttrIndex/ColumnNamed")
 	}
-	counted, err := Enumerate(nil, g, nil, []NodeSet{selected(t, g, "Papers", "")}, []TreeEdge{{}})
-	if err != nil || counted.Len() != 5 || len(counted.Attrs) != 0 {
-		t.Errorf("count form = %v, err %v; want 5 tuples, no attribute", counted, err)
+	if n := relationOf(t, []string{"Papers#2"}, []NodeSet{selected(t, g, "Papers", "")}, []TreeEdge{{}}).Len(); n != 5 {
+		t.Errorf("one-node relation: Len %d, want 5", n)
 	}
 }
 
@@ -175,18 +174,24 @@ func TestSelect(t *testing.T) {
 
 // TestJoin walks the first joins of Figure 8:
 // σ_{acronym='SIGMOD'}(Conferences) ∗ Papers, then on to Authors with
-// the papers after 2005.
+// the papers after 2005, reduced and counted by Len; the tuples are
+// read through the fixtures' walk.
 func TestJoin(t *testing.T) {
 	g, ids := figure8Graph(t)
 	sigmod := selected(t, g, "Conferences", "acronym = 'SIGMOD'")
 	tree := []TreeEdge{{}, edgeTo(g, 0, "Conf-Papers")}
-	j, err := Enumerate(nil, g, attrsOf(g, "Conferences", "Papers"), []NodeSet{sigmod, selected(t, g, "Papers", "")}, tree)
+	j, err := enumerate(g, attrsOf(g, "Conferences", "Papers"), []NodeSet{sigmod, selected(t, g, "Papers", "")}, tree)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if j.Len() != 4 {
 		t.Errorf("SIGMOD papers = %d, want 4", j.Len())
 	}
+	red, err := Reduce(nil, []NodeSet{sigmod, selected(t, g, "Papers", "")}, tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertReduced(t, "SIGMOD papers", relationOf(t, []string{"Conferences", "Papers"}, red, tree), j)
 	if len(j.Attrs) != 2 || j.Attrs[0].Name != "Conferences" || j.Attrs[1].Name != "Papers" {
 		t.Errorf("join attrs = %v", j.Attrs)
 	}
@@ -196,7 +201,7 @@ func TestJoin(t *testing.T) {
 		}
 	}
 	sets := []NodeSet{sigmod, selected(t, g, "Papers", "year > 2005"), selected(t, g, "Authors", "")}
-	j2, err := Enumerate(nil, g, attrsOf(g, "Conferences", "Papers", "Authors"), sets, append(tree, edgeTo(g, 1, "Papers-Authors")))
+	j2, err := enumerate(g, attrsOf(g, "Conferences", "Papers", "Authors"), sets, append(tree, edgeTo(g, 1, "Papers-Authors")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,40 +210,51 @@ func TestJoin(t *testing.T) {
 	if !slices.Equal(j2.ColumnNamed("Papers"), want) {
 		t.Errorf("paper column = %v, want %v", j2.ColumnNamed("Papers"), want)
 	}
+	tree2 := append(tree, edgeTo(g, 1, "Papers-Authors"))
+	if n := relationOf(t, []string{"Conferences", "Papers", "Authors"}, sets, tree2).Len(); n != 5 {
+		t.Errorf("Len = %d, want 5", n)
+	}
 }
 
-// TestJoinErrors: Enumerate refuses arguments that do not describe one
-// tree — attributes, sets and tree nodes of different counts, or a node
-// whose parent does not come before it.
+// TestJoinErrors: NewRelation refuses arguments that do not describe
+// one tree — no nodes, keys, sets and tree nodes of different counts,
+// or a node whose parent does not come before it — so Len never walks
+// them.
 func TestJoinErrors(t *testing.T) {
 	g, _ := figure8Graph(t)
 	confs, papers := selected(t, g, "Conferences", ""), selected(t, g, "Papers", "")
-	sets := []NodeSet{confs, papers}
+	sets, keys := []NodeSet{confs, papers}, []string{"Conferences", "Papers"}
 	for name, tc := range map[string]struct {
-		attrs []Attr
-		sets  []NodeSet
-		tree  []TreeEdge
+		keys []string
+		sets []NodeSet
+		tree []TreeEdge
 	}{
-		"attrs short":      {attrsOf(g, "Conferences"), sets, []TreeEdge{{}, edgeTo(g, 0, "Conf-Papers")}},
-		"tree short":       {attrsOf(g, "Conferences", "Papers"), sets, []TreeEdge{{}}},
-		"parent itself":    {nil, sets, []TreeEdge{{}, edgeTo(g, 1, "Conf-Papers")}},
-		"parent negative":  {nil, sets, []TreeEdge{{}, edgeTo(g, -1, "Conf-Papers")}},
-		"count tree short": {nil, sets, []TreeEdge{{}}},
+		"no nodes":        {nil, nil, nil},
+		"keys short":      {keys[:1], sets, []TreeEdge{{}, edgeTo(g, 0, "Conf-Papers")}},
+		"tree short":      {keys, sets, []TreeEdge{{}}},
+		"sets short":      {keys, sets[:1], []TreeEdge{{}, edgeTo(g, 0, "Conf-Papers")}},
+		"parent itself":   {keys, sets, []TreeEdge{{}, edgeTo(g, 1, "Conf-Papers")}},
+		"parent negative": {keys, sets, []TreeEdge{{}, edgeTo(g, -1, "Conf-Papers")}},
 	} {
-		if r, err := Enumerate(nil, g, tc.attrs, tc.sets, tc.tree); err == nil {
+		if r, err := NewRelation(tc.keys, tc.sets, tc.tree); err == nil {
 			t.Errorf("%s: accepted, %d tuples", name, r.Len())
 		}
 	}
 }
 
-// TestJoinScanEquivalence: Enumerate over Conferences ∗ Papers holds
-// the nested-loop oracle's tuples.
+// TestJoinScanEquivalence: the reduction of Conferences ∗ Papers holds
+// the nested-loop oracle's projections and tuple count, and the join
+// walked through it its tuples.
 func TestJoinScanEquivalence(t *testing.T) {
 	g, _ := figure8Graph(t)
 	confs, _ := base(g, "Conferences", "Conferences")
 	papers, _ := base(g, "Papers", "Papers")
-	a, err := Enumerate(nil, g, attrsOf(g, "Conferences", "Papers"),
-		[]NodeSet{SetOf(confs.cols[0]), SetOf(papers.cols[0])}, []TreeEdge{{}, edgeTo(g, 0, "Conf-Papers")})
+	tree := []TreeEdge{{}, edgeTo(g, 0, "Conf-Papers")}
+	red, err := Reduce(nil, []NodeSet{SetOf(confs.cols[0]), SetOf(papers.cols[0])}, tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := enumerate(g, attrsOf(g, "Conferences", "Papers"), red, tree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,19 +266,11 @@ func TestJoinScanEquivalence(t *testing.T) {
 		t.Fatal("empty join")
 	}
 	assertSameTuples(t, 0, "Conferences*Papers", a, b)
-}
-
-// distinctCount is the number of distinct IDs in ids.
-func distinctCount(ids []tgm.NodeID) int {
-	seen := map[tgm.NodeID]bool{}
-	for _, id := range ids {
-		seen[id] = true
-	}
-	return len(seen)
+	assertReduced(t, "Conferences*Papers", relationOf(t, []string{"Conferences", "Papers"}, red, tree), b)
 }
 
 // canonTuples renders a relation's tuple set order-insensitively.
-func canonTuples(r *Relation) []string {
+func canonTuples(r *tuples) []string {
 	out := make([]string, r.Len())
 	for i := 0; i < r.Len(); i++ {
 		key := ""
@@ -328,16 +336,16 @@ func TestGroupNeighbors(t *testing.T) {
 
 // TestFigure8Pipeline runs the full Figure 8 instance matching:
 // σ_{acronym='SIGMOD'}(Conf) ∗ σ_{year>2005}(Papers) ∗ Authors
-// ∗ σ_{country like '%Korea%'}(Inst) — selected sets, reduced, then
-// enumerated — and checks it against the JoinScan chain over the
-// reference selections.
+// ∗ σ_{country like '%Korea%'}(Inst) — selected sets, reduced — and
+// checks the reduced sets, Len and the join walked through them as
+// tuples against the JoinScan chain over the reference selections.
 func TestFigure8Pipeline(t *testing.T) {
 	g, _ := figure8Graph(t)
 	types := []string{"Conferences", "Papers", "Authors", "Institutions"}
 	conds := []string{"acronym = 'SIGMOD'", "year > 2005", "", "country like '%Korea%'"}
 	edges := []string{"", "Conf-Papers", "Papers-Authors", "Authors-Inst"}
 	sets, tree := make([]NodeSet, 4), make([]TreeEdge, 4)
-	var chain *Relation
+	var chain *tuples
 	for i, typ := range types {
 		sets[i] = selected(t, g, typ, conds[i])
 		rel, _ := base(g, typ, typ)
@@ -358,11 +366,12 @@ func TestFigure8Pipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Enumerate(context.Background(), g, attrsOf(g, types...), red, tree)
+	got, err := enumerate(g, attrsOf(g, types...), red, tree)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertSameTuples(t, 0, "figure 8", got, chain)
+	assertReduced(t, "figure 8", relationOf(t, types, red, tree), chain)
 	// Authors in Korea with recent SIGMOD papers: bob (p1, p4, p5) and
 	// mark (p4) — chad is at UW.
 	got2, _ := DistinctSorted(got, "Authors")
@@ -376,10 +385,10 @@ func TestFigure8Pipeline(t *testing.T) {
 }
 
 // TestConcurrentOperatorsOnSharedRelation runs SelectSet, Reduce,
-// Enumerate and the reference Select and Retain from many goroutines
-// over the same shared relation and node sets; with -race this
+// Relation.Len and Set, and the reference Select from many goroutines
+// over the same shared relations and node sets; with -race this
 // verifies the package's immutability and sharing contract (cached
-// sets are handed to every session without copying).
+// relations are handed to every session without copying).
 func TestConcurrentOperatorsOnSharedRelation(t *testing.T) {
 	g, _ := figure8Graph(t)
 	g.Freeze()
@@ -395,7 +404,8 @@ func TestConcurrentOperatorsOnSharedRelation(t *testing.T) {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
-	lens := make([]int, 8)
+	type seen struct{ authors, tuples int }
+	lens := make([]seen, 8)
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -416,24 +426,20 @@ func TestConcurrentOperatorsOnSharedRelation(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				joined, err := Enumerate(nil, g, attrsOf(g, "Papers", "Authors"), red, tree)
+				rel, err := NewRelation([]string{"Papers", "Authors"}, red, tree)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				narrowed, err := joined.Retain("Authors")
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				lens[w] = distinctCount(narrowed.ColumnNamed("Authors"))
+				authors, _ := rel.Set("Authors")
+				lens[w] = seen{authors.Len(), rel.Len()}
 			}
 		}(w)
 	}
 	wg.Wait()
 	for w := 1; w < 8; w++ {
 		if lens[w] != lens[0] {
-			t.Errorf("goroutine %d saw %d distinct authors, goroutine 0 saw %d", w, lens[w], lens[0])
+			t.Errorf("goroutine %d saw %+v, goroutine 0 saw %+v", w, lens[w], lens[0])
 		}
 	}
 }

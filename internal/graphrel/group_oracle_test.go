@@ -47,7 +47,7 @@ func (gs *Groups) Refs(id tgm.NodeID) []tgm.NodeID {
 // every co-occurring value per group node into a map and sorts and
 // compacts each list, so it shares no code with the CSR kernel and must
 // agree with it group for group, value for value.
-func GroupNeighborsOracle(r *Relation, groupAttr, valueAttr string) (map[tgm.NodeID][]tgm.NodeID, error) {
+func GroupNeighborsOracle(r *tuples, groupAttr, valueAttr string) (map[tgm.NodeID][]tgm.NodeID, error) {
 	gi, vi := r.AttrIndex(groupAttr), r.AttrIndex(valueAttr)
 	if gi < 0 || vi < 0 {
 		return nil, fmt.Errorf("graphrel: bad group attributes %q, %q", groupAttr, valueAttr)
@@ -80,7 +80,7 @@ func distinctOracle(col []tgm.NodeID) []tgm.NodeID {
 // groupBoth runs the kernel pair the presentation runs — DistinctSorted
 // for the keys, GroupNeighbors under them — and checks both against
 // their oracles before returning the grouping.
-func groupBoth(t *testing.T, label string, r *Relation, groupAttr, valueAttr string) *Groups {
+func groupBoth(t *testing.T, label string, r *tuples, groupAttr, valueAttr string) *Groups {
 	t.Helper()
 	keys, err := DistinctSorted(r, groupAttr)
 	if err != nil {
@@ -135,7 +135,7 @@ func assertGroupsMatchOracle(t *testing.T, label string, got *Groups, want map[t
 // of the presentation. One pass sets a transient bitset over the
 // column's [min, max]; reading it back in word order yields the IDs
 // already sorted.
-func DistinctSorted(r *Relation, attrName string) ([]tgm.NodeID, error) {
+func DistinctSorted(r *tuples, attrName string) ([]tgm.NodeID, error) {
 	ai := r.AttrIndex(attrName)
 	if ai < 0 {
 		return nil, fmt.Errorf("graphrel: no attribute %q", attrName)
@@ -181,7 +181,7 @@ func DistinctSorted(r *Relation, attrName string) ([]tgm.NodeID, error) {
 // the keys' ID span places every row's value in its group's segment of
 // one values array, then each segment is sorted and compacted in place
 // and the array is cut to the deduplicated pairs.
-func GroupNeighbors(ctx context.Context, r *Relation, keys []tgm.NodeID, groupAttr, valueAttr string) (*Groups, error) {
+func GroupNeighbors(ctx context.Context, r *tuples, keys []tgm.NodeID, groupAttr, valueAttr string) (*Groups, error) {
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}

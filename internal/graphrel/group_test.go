@@ -40,7 +40,7 @@ func TestGroupNeighborsEquivalence(t *testing.T) {
 	}
 
 	// An empty relation groups to nothing.
-	empty := &Relation{g: g, Attrs: joined.Attrs, cols: make([][]tgm.NodeID, len(joined.Attrs))}
+	empty := &tuples{g: g, Attrs: joined.Attrs, cols: make([][]tgm.NodeID, len(joined.Attrs))}
 	if gs := groupBoth(t, "empty", empty, "A", "B"); len(gs.keys) != 0 {
 		t.Fatalf("empty relation: %d keys", len(gs.keys))
 	}

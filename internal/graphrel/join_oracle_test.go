@@ -11,10 +11,10 @@ import (
 // JoinScan is the join oracle, r1 ∗_ρ r2: the tuples (t1, t2) such that
 // an edge of type edgeType connects t1's node at leftAttr to t2's node
 // at rightAttr. It nested-loops over both relations, scanning the left
-// node's Neighbors for each pair, so it shares no code with Enumerate's
-// walk and must return the same tuples (in left-row, then right-row
-// order).
-func JoinScan(r1, r2 *Relation, edgeType, leftAttr, rightAttr string) (*Relation, error) {
+// node's Neighbors for each pair, so it shares no code with Reduce,
+// Relation.Len or the test walk (enumerate), which must agree with it
+// (its tuples come in left-row, then right-row order).
+func JoinScan(r1, r2 *tuples, edgeType, leftAttr, rightAttr string) (*tuples, error) {
 	if r1.g.Schema().EdgeType(edgeType) == nil {
 		return nil, fmt.Errorf("graphrel: unknown edge type %q", edgeType)
 	}
@@ -22,7 +22,7 @@ func JoinScan(r1, r2 *Relation, edgeType, leftAttr, rightAttr string) (*Relation
 	if li < 0 || ri < 0 {
 		return nil, fmt.Errorf("graphrel: bad join attributes %q, %q", leftAttr, rightAttr)
 	}
-	out := &Relation{g: r1.g, Attrs: append(slices.Clone(r1.Attrs), r2.Attrs...),
+	out := &tuples{g: r1.g, Attrs: append(slices.Clone(r1.Attrs), r2.Attrs...),
 		cols: make([][]tgm.NodeID, len(r1.cols)+len(r2.cols))}
 	for i, lid := range r1.cols[li] {
 		for j, rid := range r2.cols[ri] {
@@ -43,7 +43,7 @@ func JoinScan(r1, r2 *Relation, edgeType, leftAttr, rightAttr string) (*Relation
 
 // selectCond is the tests' reference selection: cond compiled against
 // the named attribute's node type, then the serial Select.
-func selectCond(r *Relation, attrName string, cond expr.Expr) (*Relation, error) {
+func selectCond(r *tuples, attrName string, cond expr.Expr) (*tuples, error) {
 	pred, err := compileCond(r, attrName, cond)
 	if err != nil {
 		return nil, err
@@ -53,7 +53,7 @@ func selectCond(r *Relation, attrName string, cond expr.Expr) (*Relation, error)
 
 // compileCond compiles cond for r's named attribute (nil cond → nil
 // pred, which Select passes through).
-func compileCond(r *Relation, attrName string, cond expr.Expr) (*expr.Pred, error) {
+func compileCond(r *tuples, attrName string, cond expr.Expr) (*expr.Pred, error) {
 	if cond == nil {
 		return nil, nil
 	}

@@ -67,7 +67,7 @@ func bigChainGraph(t testing.TB, rng *rand.Rand) *tgm.InstanceGraph {
 // assertIdenticalRelations asserts exact row-for-row, column-for-column
 // equality — the parallel kernels promise identical output, not merely
 // an equal tuple set.
-func assertIdenticalRelations(t *testing.T, label string, got, want *Relation) {
+func assertIdenticalRelations(t *testing.T, label string, got, want *tuples) {
 	t.Helper()
 	if got.Len() != want.Len() {
 		t.Fatalf("%s: %d rows, want %d", label, got.Len(), want.Len())
@@ -176,7 +176,7 @@ func TestGroupNeighborsDeterministicOrder(t *testing.T) {
 }
 
 // mustPred compiles cond for r's first attribute.
-func mustPred(t *testing.T, r *Relation, cond string) *expr.Pred {
+func mustPred(t *testing.T, r *tuples, cond string) *expr.Pred {
 	t.Helper()
 	pred, err := compileCond(r, r.Attrs[0].Name, expr.MustParse(cond))
 	if err != nil {

@@ -1,6 +1,7 @@
 package graphrel
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -55,7 +56,7 @@ func randomGraph(t *testing.T, rng *rand.Rand) *tgm.InstanceGraph {
 	return g
 }
 
-func assertSameTuples(t *testing.T, trial int, label string, a, b *Relation) {
+func assertSameTuples(t *testing.T, trial int, label string, a, b *tuples) {
 	t.Helper()
 	ca, cb := canonTuples(a), canonTuples(b)
 	if len(ca) != len(cb) {
@@ -120,7 +121,7 @@ func scatteredGraph(t *testing.T, rng *rand.Rand) *tgm.InstanceGraph {
 
 // scatteredJoin is X ∗ Y ∗ Y#2 over the scattered graph: every pair of
 // Y nodes sharing an X, so each column repeats its nodes heavily.
-func scatteredJoin(t *testing.T, g *tgm.InstanceGraph) *Relation {
+func scatteredJoin(t *testing.T, g *tgm.InstanceGraph) *tuples {
 	t.Helper()
 	xs, _ := base(g, "X", "X")
 	ys, _ := base(g, "Y", "Y")
@@ -136,20 +137,22 @@ func scatteredJoin(t *testing.T, g *tgm.InstanceGraph) *Relation {
 	return xyy
 }
 
-// TestJoinScatteredIDs pins Enumerate where dense IDs could go wrong:
-// ID runs starting at distinct non-zero IDs, a type with no nodes, a
-// type repeated in one tree and a root with two children. From the
-// selected and the reduced sets alike it must hold JoinScan's tuples.
+// TestJoinScatteredIDs pins Reduce and Relation.Len where dense IDs
+// could go wrong: ID runs starting at distinct non-zero IDs, a type
+// with no nodes, a type repeated in one tree and a root with two
+// children. The reduced sets must be JoinScan's projections and Len
+// its tuple count, and the join walked through the selected and the
+// reduced sets alike must hold JoinScan's tuples.
 func TestJoinScatteredIDs(t *testing.T) {
 	rng := rand.New(rand.NewSource(20261004))
 	for trial := 0; trial < 25; trial++ {
 		g := scatteredGraph(t, rng)
-		attr := func(typ, name string) Attr { return Attr{Name: name, Type: g.Schema().NodeType(typ)} }
+		at := func(typ, name string) attr { return attr{Name: name, Type: g.Schema().NodeType(typ)} }
 		xs, _ := base(g, "X", "X")
 		ys, _ := base(g, "Y", "Y")
 		zs, _ := base(g, "Z", "Z")
 		xs2, _ := base(g, "X", "X#2")
-		join := func(r1, r2 *Relation, edge, la, ra string) *Relation {
+		join := func(r1, r2 *tuples, edge, la, ra string) *tuples {
 			t.Helper()
 			j, err := JoinScan(r1, r2, edge, la, ra)
 			if err != nil {
@@ -161,31 +164,36 @@ func TestJoinScatteredIDs(t *testing.T) {
 		xy, yx := edgeTo(g, 0, "X-Y"), edgeTo(g, 0, "X-Y_rev")
 		for _, tc := range []struct {
 			name  string
-			attrs []Attr
+			attrs []attr
 			sets  []NodeSet
 			tree  []TreeEdge
-			want  *Relation
+			want  *tuples
 		}{
-			{"X*Y", []Attr{attr("X", "X"), attr("Y", "Y")}, []NodeSet{setX, setY}, []TreeEdge{{}, xy}, join(xs, ys, "X-Y", "X", "Y")},
-			{"Y*X", []Attr{attr("Y", "Y"), attr("X", "X")}, []NodeSet{setY, setX}, []TreeEdge{{}, yx}, join(ys, xs, "X-Y_rev", "Y", "X")},
-			{"X*Y*X#2", []Attr{attr("X", "X"), attr("Y", "Y"), attr("X", "X#2")}, []NodeSet{setX, setY, setX},
+			{"X*Y", []attr{at("X", "X"), at("Y", "Y")}, []NodeSet{setX, setY}, []TreeEdge{{}, xy}, join(xs, ys, "X-Y", "X", "Y")},
+			{"Y*X", []attr{at("Y", "Y"), at("X", "X")}, []NodeSet{setY, setX}, []TreeEdge{{}, yx}, join(ys, xs, "X-Y_rev", "Y", "X")},
+			{"X*Y*X#2", []attr{at("X", "X"), at("Y", "Y"), at("X", "X#2")}, []NodeSet{setX, setY, setX},
 				[]TreeEdge{{}, xy, edgeTo(g, 1, "X-Y_rev")}, join(join(xs, ys, "X-Y", "X", "Y"), xs2, "X-Y_rev", "Y", "X#2")},
-			{"Y*(X#2,X)", []Attr{attr("Y", "Y"), attr("X", "X#2"), attr("X", "X")}, []NodeSet{setY, setX, setX},
+			{"Y*(X#2,X)", []attr{at("Y", "Y"), at("X", "X#2"), at("X", "X")}, []NodeSet{setY, setX, setX},
 				[]TreeEdge{{}, yx, yx}, join(join(ys, xs2, "X-Y_rev", "Y", "X#2"), xs, "X-Y_rev", "Y", "X")},
-			{"Y*Z empty type", []Attr{attr("Y", "Y"), attr("Z", "Z")}, []NodeSet{setY, setZ}, []TreeEdge{{}, edgeTo(g, 0, "Y-Z")}, join(ys, zs, "Y-Z", "Y", "Z")},
-			{"Z*Y empty type", []Attr{attr("Z", "Z"), attr("Y", "Y")}, []NodeSet{setZ, setY}, []TreeEdge{{}, edgeTo(g, 0, "Y-Z_rev")}, join(zs, ys, "Y-Z_rev", "Z", "Y")},
+			{"Y*Z empty type", []attr{at("Y", "Y"), at("Z", "Z")}, []NodeSet{setY, setZ}, []TreeEdge{{}, edgeTo(g, 0, "Y-Z")}, join(ys, zs, "Y-Z", "Y", "Z")},
+			{"Z*Y empty type", []attr{at("Z", "Z"), at("Y", "Y")}, []NodeSet{setZ, setY}, []TreeEdge{{}, edgeTo(g, 0, "Y-Z_rev")}, join(zs, ys, "Y-Z_rev", "Z", "Y")},
 		} {
 			red, err := Reduce(nil, tc.sets, tc.tree)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for name, sets := range map[string][]NodeSet{"selected": tc.sets, "reduced": red} {
-				got, err := Enumerate(nil, g, tc.attrs, sets, tc.tree)
+				got, err := enumerate(g, tc.attrs, sets, tc.tree)
 				if err != nil {
 					t.Fatal(err)
 				}
 				assertSameTuples(t, trial, tc.name+" "+name, got, tc.want)
 			}
+			keys := make([]string, len(tc.attrs))
+			for i, a := range tc.attrs {
+				keys[i] = a.Name
+			}
+			assertReduced(t, fmt.Sprintf("trial %d %s", trial, tc.name), relationOf(t, keys, red, tc.tree), tc.want)
 		}
 	}
 }

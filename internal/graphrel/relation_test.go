@@ -28,32 +28,57 @@ func (c *cancelAfter) Err() error {
 	return nil
 }
 
-// TestStreamCancellation: Enumerate checks its context at every root
-// member, so a context canceled before the walk or during it fails
-// either form with ctx.Err() and no relation.
+// relationOf holds sets as a Relation, node i keyed keys[i].
+func relationOf(t testing.TB, keys []string, sets []NodeSet, tree []TreeEdge) *Relation {
+	t.Helper()
+	r, err := NewRelation(keys, sets, tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// assertReduced asserts rel is the match want holds as tuples: every
+// node's set is the distinct nodes of want's column of the same name,
+// and Len counts want's tuples.
+func assertReduced(t *testing.T, label string, rel *Relation, want *tuples) {
+	t.Helper()
+	for i, k := range rel.keys {
+		proj := slices.Clone(want.ColumnNamed(k))
+		slices.Sort(proj)
+		if got, w := rel.sets[i].IDs(), slices.Compact(proj); !slices.Equal(got, w) {
+			t.Fatalf("%s: set %q = %d nodes, the join projects %d", label, k, len(got), len(w))
+		}
+	}
+	if rel.Len() != want.Len() {
+		t.Fatalf("%s: Len = %d, the join holds %d tuples", label, rel.Len(), want.Len())
+	}
+}
+
+// TestStreamCancellation: Reduce checks its context before each
+// bottom-up semi-join, so a context canceled before the reduction or
+// during it fails it with ctx.Err() and no sets.
 func TestStreamCancellation(t *testing.T) {
 	g := bigChainGraph(t, rand.New(rand.NewSource(15)))
-	sets := []NodeSet{selected(t, g, "A", ""), selected(t, g, "B", "")}
-	tree := []TreeEdge{{}, edgeTo(g, 0, "A-B")}
+	sets := []NodeSet{selected(t, g, "A", ""), selected(t, g, "B", ""), selected(t, g, "A", "")}
+	tree := []TreeEdge{{}, edgeTo(g, 0, "A-B"), edgeTo(g, 1, "A-B_rev")}
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, attrs := range [][]Attr{attrsOf(g, "A", "B"), nil} {
-		for name, ctx := range map[string]context.Context{
-			"before": canceled,
-			"during": &cancelAfter{Context: context.Background(), n: 100},
-		} {
-			if r, err := Enumerate(ctx, g, attrs, sets, tree); !errors.Is(err, context.Canceled) || r != nil {
-				t.Errorf("attrs=%d canceled %s the walk: relation %v, err %v; want context.Canceled", len(attrs), name, r, err)
-			}
+	for name, ctx := range map[string]context.Context{
+		"before": canceled,
+		"during": &cancelAfter{Context: context.Background(), n: 1},
+	} {
+		if red, err := Reduce(ctx, sets, tree); !errors.Is(err, context.Canceled) || red != nil {
+			t.Errorf("canceled %s the reduction: sets %v, err %v; want context.Canceled", name, red, err)
 		}
 	}
 }
 
 // TestJoinOverUnreadableAdjacency: a deferred adjacency whose load
-// fails must not walk as "no neighbors" — an empty relation that would
-// then be taken for the match. Enumerate loads every Down before it
-// walks and returns the loader's error, in either form, while the
-// healthy reverse direction of the same edge walks.
+// fails must not walk as "no neighbors" — an empty set that would then
+// be taken for the match. Reduce and a Path over the failed direction
+// return the loader's error, while Len walks the healthy reverse
+// direction of the same edge.
 func TestJoinOverUnreadableAdjacency(t *testing.T) {
 	s := tgm.NewSchemaGraph()
 	for _, name := range []string{"A", "B"} {
@@ -66,7 +91,7 @@ func TestJoinOverUnreadableAdjacency(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := tgm.NewInstanceGraph(s)
-	for _, name := range []string{"A", "A", "B"} { // A: 0, 1; B: 2
+	for _, name := range []string{"A", "B", "B"} { // A: 0; B: 1, 2
 		if _, err := g.AddNode(name, []value.V{value.Int(0)}); err != nil {
 			t.Fatal(err)
 		}
@@ -78,50 +103,56 @@ func TestJoinOverUnreadableAdjacency(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := g.InstallAdjacencyDeferred("A-B_rev", 2, func() ([]tgm.NodeID, []int32, []tgm.NodeID, error) {
-		return []tgm.NodeID{2}, []int32{0, 2}, []tgm.NodeID{0, 1}, nil
+		return []tgm.NodeID{1, 2}, []int32{0, 1, 2}, []tgm.NodeID{0, 0}, nil
 	}); err != nil {
 		t.Fatal(err)
 	}
 	g.Freeze()
 	as, bs := selected(t, g, "A", ""), selected(t, g, "B", "")
-	for _, attrs := range [][]Attr{attrsOf(g, "A", "B"), nil} {
-		if r, err := Enumerate(nil, g, attrs, []NodeSet{as, bs}, []TreeEdge{{}, edgeTo(g, 0, "A-B")}); !errors.Is(err, boom) {
-			t.Errorf("Enumerate over the failed load: relation %v, err %v; want the loader's error", r, err)
-		}
+	// The one A member is the smaller side: the semi-join walks A-B.
+	if red, err := Reduce(nil, []NodeSet{as, bs}, []TreeEdge{{}, edgeTo(g, 0, "A-B")}); !errors.Is(err, boom) {
+		t.Errorf("Reduce over the failed load: sets %v, err %v; want the loader's error", red, err)
 	}
-	rev, err := Enumerate(nil, g, attrsOf(g, "B", "A"), []NodeSet{bs, as}, []TreeEdge{{}, edgeTo(g, 0, "A-B_rev")})
-	if err != nil || rev.Len() != 2 {
-		t.Fatalf("Enumerate over the healthy reverse: %v, err %v", rev, err)
+	path := NewPath([]NodeSet{bs}, []tgm.Adjacency{g.Adjacency("A-B")}, []tgm.Adjacency{g.Inverse("A-B")})
+	if err := path.Ensure(); !errors.Is(err, boom) {
+		t.Errorf("Path.Ensure over the failed load: %v; want the loader's error", err)
+	}
+	rev := []TreeEdge{{}, edgeTo(g, 0, "A-B_rev")}
+	if err := rev[1].Down.Ensure(); err != nil {
+		t.Fatal(err)
+	}
+	if n := relationOf(t, []string{"B", "A"}, []NodeSet{bs, as}, rev).Len(); n != 2 {
+		t.Fatalf("Len over the healthy reverse = %d, want 2", n)
 	}
 }
 
-// TestEnumerateEmpty: a reduction that empties its sets enumerates a
-// well-formed relation of no tuples carrying every attribute, and the
-// count form counts none.
-func TestEnumerateEmpty(t *testing.T) {
+// TestRelationEmpty: a reduction that empties its sets is a relation
+// of no tuples that still holds a set, empty, for every node.
+func TestRelationEmpty(t *testing.T) {
 	g := bigChainGraph(t, rand.New(rand.NewSource(17)))
 	tree := []TreeEdge{{}, edgeTo(g, 0, "A-B")}
 	red, err := Reduce(nil, []NodeSet{selected(t, g, "A", "id < 0"), selected(t, g, "B", "")}, tree)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Enumerate(nil, g, attrsOf(g, "A", "B"), red, tree)
-	if err != nil {
-		t.Fatal(err)
+	r := relationOf(t, []string{"A", "B"}, red, tree)
+	if r.Len() != 0 || r.SizeBytes() != 0 {
+		t.Fatalf("empty reduction: Len %d, %d bytes", r.Len(), r.SizeBytes())
 	}
-	if r.Len() != 0 || len(r.Attrs) != 2 || r.Attrs[0].Name != "A" || r.Attrs[1].Name != "B" ||
-		r.AttrIndex("B") != 1 || len(r.ColumnNamed("B")) != 0 {
-		t.Fatalf("empty enumeration: len=%d attrs=%v", r.Len(), r.Attrs)
+	for _, k := range []string{"A", "B"} {
+		if s, ok := r.Set(k); !ok || s.Len() != 0 {
+			t.Errorf("set %q: %d members, found %v", k, s.Len(), ok)
+		}
 	}
-	if n, err := Enumerate(nil, g, nil, red, tree); err != nil || n.Len() != 0 {
-		t.Fatalf("empty count: %v, err %v", n, err)
+	if _, ok := r.Set("C"); ok {
+		t.Error("a set for a key the relation does not hold")
 	}
 }
 
 // TestGroupFoldEquivalence: a presentation's cell is a row's adjacency
 // filtered by the reduced sets (Path), computed on read; the format
 // transformation defines it as the fold of m(Q). Both must agree: the
-// map oracle's grouping of Enumerate's relation, in either direction
+// map oracle's grouping of m(Q) as tuples, in either direction
 // of a one-hop tree over relations spanning many morsels, is every
 // row's Refs and Counts, and its keys are the primary's reduced set.
 func TestGroupFoldEquivalence(t *testing.T) {
@@ -135,13 +166,14 @@ func TestGroupFoldEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rel, err := Enumerate(nil, g, attrsOf(g, tc.from, tc.to), red, tree)
+		rel, err := enumerate(g, attrsOf(g, tc.from, tc.to), red, tree)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if rel.Len() <= MorselRows {
 			t.Fatalf("%s: %d tuples, too few to span morsels", tc.edge, rel.Len())
 		}
+		assertReduced(t, tc.edge, relationOf(t, []string{tc.from, tc.to}, red, tree), rel)
 		want, err := GroupNeighborsOracle(rel, tc.from, tc.to)
 		if err != nil {
 			t.Fatal(err)
@@ -168,11 +200,12 @@ func TestGroupFoldEquivalence(t *testing.T) {
 	}
 }
 
-// TestJoinParEquivalence pins Enumerate's row order over relations
-// spanning many morsels, in both edge directions: the root's members
-// ascending, each one's neighbors in adjacency order — the order a
-// left-deep chain of binary joins produces, read here straight off the
-// adjacency lists.
+// TestJoinParEquivalence pins the join of two whole types over
+// relations spanning many morsels, in both edge directions: Len counts
+// one tuple per adjacency entry, and the fixtures' walk (pairs) lists
+// them with the root's members ascending, each one's neighbors in
+// adjacency order — the order a left-deep chain of binary joins
+// produces, read here straight off the adjacency lists.
 func TestJoinParEquivalence(t *testing.T) {
 	g := bigChainGraph(t, rand.New(rand.NewSource(2)))
 	for _, tc := range []struct{ from, to, edge string }{{"A", "B", "A-B"}, {"B", "A", "A-B_rev"}} {
@@ -189,13 +222,20 @@ func TestJoinParEquivalence(t *testing.T) {
 		if !slices.Equal(got.ColumnNamed(tc.from), froms) || !slices.Equal(got.ColumnNamed(tc.to), tos) {
 			t.Fatalf("%s: %d rows not in adjacency order (want %d)", tc.edge, got.Len(), len(froms))
 		}
+		sets := []NodeSet{SetOf(g.NodesOfType(tc.from)), SetOf(g.NodesOfType(tc.to))}
+		if n := relationOf(t, []string{tc.from, tc.to}, sets, []TreeEdge{{}, edgeTo(g, 0, tc.edge)}).Len(); n != len(froms) {
+			t.Fatalf("%s: Len = %d, %d adjacency entries", tc.edge, n, len(froms))
+		}
 	}
 }
 
-// TestJoinScanEquivalenceRandomized asserts Enumerate ≡ a JoinScan chain
-// (as tuple sets) on randomized graphs under randomized selections, on
-// a two-node and a three-node path and on a tree whose root has two
-// children, from the selected sets and from their full reduction alike.
+// TestJoinScanEquivalenceRandomized asserts Reduce and Relation.Len
+// against a JoinScan chain on randomized graphs under randomized
+// selections, on a two-node and a three-node path and on a tree whose
+// root has two children: the reduced sets are the chain's projections,
+// Len counts its tuples from the selected sets and from their full
+// reduction alike, and the join walked through either as tuples is the
+// chain's tuple set.
 func TestJoinScanEquivalenceRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260728))
 	for trial := 0; trial < 30; trial++ {
@@ -236,7 +276,7 @@ func TestJoinScanEquivalenceRandomized(t *testing.T) {
 			types []string
 			sets  []NodeSet
 			tree  []TreeEdge
-			want  *Relation
+			want  *tuples
 		}{
 			{"A*B", []string{"A", "B"}, []NodeSet{setA, setB}, []TreeEdge{{}, edgeTo(g, 0, "A-B")}, ab},
 			{"A*B*C", []string{"A", "B", "C"}, []NodeSet{setA, setB, setC},
@@ -249,15 +289,16 @@ func TestJoinScanEquivalenceRandomized(t *testing.T) {
 				t.Fatal(err)
 			}
 			for name, sets := range map[string][]NodeSet{"selected": tc.sets, "reduced": red} {
-				got, err := Enumerate(nil, g, attrsOf(g, tc.types...), sets, tc.tree)
+				got, err := enumerate(g, attrsOf(g, tc.types...), sets, tc.tree)
 				if err != nil {
 					t.Fatal(err)
 				}
 				assertSameTuples(t, trial, tc.label+" "+name, got, tc.want)
-				if n, err := Enumerate(nil, g, nil, sets, tc.tree); err != nil || n.Len() != got.Len() {
-					t.Fatalf("trial %d %s %s: counted %v (err %v), enumerated %d", trial, tc.label, name, n, err, got.Len())
+				if n := relationOf(t, tc.types, sets, tc.tree).Len(); n != got.Len() {
+					t.Fatalf("trial %d %s %s: Len %d, the join holds %d", trial, tc.label, name, n, got.Len())
 				}
 			}
+			assertReduced(t, fmt.Sprintf("trial %d %s", trial, tc.label), relationOf(t, tc.types, red, tc.tree), tc.want)
 		}
 	}
 }

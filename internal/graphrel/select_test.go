@@ -171,7 +171,7 @@ func (e truthOf) Columns(dst []string) []string { return e.col.Columns(dst) }
 
 // interpretedRows is the reference selection: Truthy per row, over the
 // node's attributes.
-func interpretedRows(t *testing.T, r *Relation, ai int, cond expr.Expr) []int32 {
+func interpretedRows(t *testing.T, r *tuples, ai int, cond expr.Expr) []int32 {
 	t.Helper()
 	var keep []int32
 	for i, id := range r.cols[ai] {
@@ -193,7 +193,7 @@ func interpretedRows(t *testing.T, r *Relation, ai int, cond expr.Expr) []int32 
 
 // selectedRows asserts the serial Select keeps exactly the rows want of
 // r, in order.
-func selectedRows(t *testing.T, r *Relation, attr string, pred *expr.Pred, want []int32) {
+func selectedRows(t *testing.T, r *tuples, attr string, pred *expr.Pred, want []int32) {
 	t.Helper()
 	got, err := Select(r, attr, pred)
 	if err != nil {
@@ -211,7 +211,7 @@ func selectedRows(t *testing.T, r *Relation, attr string, pred *expr.Pred, want 
 // testdata/fuzz/FuzzSelectParity names one shape per file.
 func FuzzSelectParity(f *testing.F) {
 	g := parityGraph(f)
-	bases := map[string]*Relation{}
+	bases := map[string]*tuples{}
 	for _, name := range []string{"I", "C", "U"} {
 		r, err := base(g, name, name)
 		if err != nil {
@@ -387,7 +387,7 @@ func TestSelectSetAllocs(t *testing.T) {
 	}
 }
 
-var selectSink *Relation
+var selectSink *tuples
 
 // BenchmarkSelect times the serial Select of one condition over a
 // generated 38,000-row type, the size of the benchmark corpus's Papers:

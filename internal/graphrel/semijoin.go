@@ -2,7 +2,6 @@ package graphrel
 
 import (
 	"context"
-	"fmt"
 	"math/bits"
 	"slices"
 	"sync"
@@ -14,8 +13,8 @@ import (
 // full reduction (Yannakakis, VLDB 1981) every member of a node's set
 // extends to a full match, so a row's related nodes along a tree path
 // are that path's adjacency filtered by the reduced sets (Path), and
-// m(Q) is the tree's adjacency walked depth first through them
-// (Enumerate). Scratch arrays are sized by a set's members or span,
+// |m(Q)| is the tree's adjacency walked depth first through them
+// (Relation.Len). Scratch arrays are sized by a set's members or span,
 // never by a node type.
 
 // TreeEdge places one node of a tree pattern whose nodes are numbered
@@ -66,65 +65,14 @@ func Reduce(ctx context.Context, sets []NodeSet, tree []TreeEdge) ([]NodeSet, er
 	return out, nil
 }
 
-// Enumerate is the reducer's second phase: the join of sets along tree
-// as a relation, node i's column named attrs[i] — m(Q) when the sets
-// are Reduce's. A depth-first walk places the nodes in tree order, node
-// i's candidates being the members of sets[i] among the neighbors of
-// its parent's node along tree[i].Down, so the rows come
-// lexicographically in tree order: the root's members ascending, each
-// other node's in adjacency order. After a full reduction every member
-// extends to a match, so the walk costs what it returns. Every Down is
-// loaded first, so a deferred load that fails is the loader's typed
-// error, never an empty relation; ctx is checked before each word of
-// the root's set (at most 64 members) is walked. With attrs nil the
-// tuples are counted and not stored: the relation has their Len and no
-// attribute.
-func Enumerate(ctx context.Context, g *tgm.InstanceGraph, attrs []Attr, sets []NodeSet, tree []TreeEdge) (*Relation, error) {
-	if len(tree) != len(sets) || attrs != nil && len(attrs) != len(sets) {
-		return nil, fmt.Errorf("graphrel: %d attributes and %d sets over %d tree nodes", len(attrs), len(sets), len(tree))
-	}
-	r := &Relation{g: g, Attrs: attrs, cols: make([][]tgm.NodeID, len(attrs))}
-	for i := range r.cols {
-		// m(Q) holds a tuple or more per member of the reduced root set.
-		r.cols[i] = make([]tgm.NodeID, 0, sets[0].Len())
-	}
-	var emit func([]tgm.NodeID)
-	if attrs != nil {
-		emit = func(tuple []tgm.NodeID) {
-			for i, id := range tuple {
-				r.cols[i] = append(r.cols[i], id)
-			}
-		}
-	}
-	var err error
-	if r.n, err = walk(ctx, sets, tree, emit); err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
-// walk calls emit on every tuple of the join of sets along tree, in
-// Enumerate's order, and returns their number; a nil emit only counts.
-// The tuple emit sees is reused by the next one.
-func walk(ctx context.Context, sets []NodeSet, tree []TreeEdge, emit func([]tgm.NodeID)) (int, error) {
-	for i := 1; i < len(tree); i++ {
-		if p := tree[i].Parent; p < 0 || p >= i {
-			return 0, fmt.Errorf("graphrel: tree node %d has parent %d, not an earlier node", i, p)
-		}
-		if err := tree[i].Down.Ensure(); err != nil {
-			return 0, err
-		}
-	}
-	if len(sets) == 0 {
-		return 0, nil
-	}
+// walk counts the join of sets along tree, placing node i's members of
+// sets[i] among its parent's node's neighbors along tree[i].Down depth
+// first. After a full reduction it costs what it counts.
+func walk(sets []NodeSet, tree []TreeEdge) int {
 	tuple, n := make([]tgm.NodeID, len(sets)), 0
 	var place func(i int)
 	place = func(i int) {
 		if i == len(sets) {
-			if emit != nil {
-				emit(tuple)
-			}
 			n++
 			return
 		}
@@ -137,18 +85,12 @@ func walk(ctx context.Context, sets []NodeSet, tree []TreeEdge, emit func([]tgm.
 		}
 	}
 	for w, word := range sets[0].bits {
-		if word == 0 {
-			continue
-		}
-		if err := ctxErr(ctx); err != nil {
-			return 0, err
-		}
 		for ; word != 0; word &= word - 1 {
 			tuple[0] = sets[0].lo + tgm.NodeID(w<<6+bits.TrailingZeros64(word))
 			place(1)
 		}
 	}
-	return n, nil
+	return n
 }
 
 // semiJoin returns s ⋉ t: the members of s with a neighbor in t along

@@ -35,8 +35,8 @@ func TestApplyCtxCancellation(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("ApplyCtx err = %v, want Canceled", err)
 	}
-	if got := len(s.History()); got != 1 {
-		t.Errorf("history grew to %d entries after canceled op", got)
+	if h, _ := s.Entries(); len(h) != 1 {
+		t.Errorf("history grew to %d entries after canceled op", len(h))
 	}
 	// Pipelines roll back wholesale (the filter applies, then the pivot
 	// cancels).
@@ -44,8 +44,8 @@ func TestApplyCtxCancellation(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("ApplyPipelineCtx err = %v, want Canceled", err)
 	}
-	if got := len(s.History()); got != 1 {
-		t.Errorf("history grew to %d entries after canceled pipeline", got)
+	if h, _ := s.Entries(); len(h) != 1 {
+		t.Errorf("history grew to %d entries after canceled pipeline", len(h))
 	}
 	// The same op succeeds once the context is live.
 	if err := s.ApplyCtx(context.Background(), ops.Pivot("Authors")); err != nil {

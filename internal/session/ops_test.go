@@ -20,9 +20,9 @@ import (
 func renderState(t *testing.T, s *Session) string {
 	t.Helper()
 	var b strings.Builder
-	cursor := s.Cursor()
+	history, cursor := s.Entries()
 	fmt.Fprintf(&b, "cursor=%d\n", cursor)
-	for i, h := range s.History() {
+	for i, h := range history {
 		fmt.Fprintf(&b, "h%d: %s | %s\n", i, h.Action, h.Pattern)
 	}
 	if cursor < 0 {
@@ -128,7 +128,7 @@ func TestApplyErrorCodes(t *testing.T) {
 	if !errors.As(err, &oe) || oe.Code != ops.CodeOpFailed {
 		t.Fatalf("filter before open err = %v", err)
 	}
-	if len(s.History()) != 0 {
+	if h, _ := s.Entries(); len(h) != 0 {
 		t.Error("failed ops left history entries")
 	}
 }
@@ -169,8 +169,8 @@ func TestApplyPipelineAtomic(t *testing.T) {
 	if res.PrimaryType.Name != "Authors" {
 		t.Errorf("primary = %s", res.PrimaryType.Name)
 	}
-	if len(s.History()) != 4 {
-		t.Errorf("history = %d", len(s.History()))
+	if h, _ := s.Entries(); len(h) != 4 {
+		t.Errorf("history = %d", len(h))
 	}
 }
 
@@ -267,8 +267,8 @@ func TestRevertEdgeCases(t *testing.T) {
 
 			// Branch: a new action from entry 2 truncates entry 3.
 			do(ops.Filter("year = 2011"), func() error { return s.Filter("year = 2011") })
-			if got := len(s.History()); got != 4 {
-				t.Fatalf("history after branch = %d", got)
+			if h, _ := s.Entries(); len(h) != 4 {
+				t.Fatalf("history after branch = %d", len(h))
 			}
 			if err := s.Revert(4); err == nil {
 				t.Error("revert past truncated history accepted")
@@ -405,7 +405,7 @@ func TestReplayRejectsBadLogs(t *testing.T) {
 	if err := s.Replay(Log{Cursor: -1}); err != nil {
 		t.Fatal(err)
 	}
-	if len(s.History()) != 0 || s.Cursor() != -1 {
+	if h, cur := s.Entries(); len(h) != 0 || cur != -1 {
 		t.Error("empty-log replay did not reset")
 	}
 }

@@ -207,21 +207,6 @@ func (s *Session) Schema() *tgm.SchemaGraph { return s.schema }
 // Graph returns the instance graph.
 func (s *Session) Graph() *tgm.InstanceGraph { return s.graph }
 
-// History returns a copy of all history entries, oldest first. (A copy,
-// because a concurrent action may append in place.)
-func (s *Session) History() []Entry {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]Entry(nil), s.history...)
-}
-
-// Cursor returns the index of the current history entry (-1 when empty).
-func (s *Session) Cursor() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cursor
-}
-
 // Pattern returns the current query pattern, or nil before any Open.
 func (s *Session) Pattern() *etable.Pattern {
 	s.mu.Lock()
@@ -663,9 +648,9 @@ func (s *Session) Export() Log {
 	return log
 }
 
-// Entries returns a copy of the history and the cursor under one lock
-// acquisition (unlike History+Cursor, which could interleave with a
-// concurrent action).
+// Entries returns a copy of the history, oldest first, and the current
+// entry's index (-1 when empty) under one lock, so no concurrent action
+// lands between them or appends into the copy.
 func (s *Session) Entries() ([]Entry, int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -47,11 +47,12 @@ func TestOpenAndResult(t *testing.T) {
 	if err := s.Open("Nope"); err == nil {
 		t.Error("unknown table accepted")
 	}
-	if len(s.History()) != 1 || s.Cursor() != 0 {
-		t.Errorf("history = %d entries, cursor %d", len(s.History()), s.Cursor())
+	h, cur := s.Entries()
+	if len(h) != 1 || cur != 0 {
+		t.Fatalf("history = %d entries, cursor %d", len(h), cur)
 	}
-	if s.History()[0].Action != "Open 'Papers' table" {
-		t.Errorf("action = %q", s.History()[0].Action)
+	if h[0].Action != "Open 'Papers' table" {
+		t.Errorf("action = %q", h[0].Action)
 	}
 }
 
@@ -89,8 +90,8 @@ func TestFilterAndHistory(t *testing.T) {
 	if err := s.Filter("year = 2014"); err != nil {
 		t.Fatal(err)
 	}
-	if len(s.History()) != 3 {
-		t.Errorf("history after truncation = %d, want 3", len(s.History()))
+	if h, _ := s.Entries(); len(h) != 3 {
+		t.Errorf("history after truncation = %d, want 3", len(h))
 	}
 	if err := s.Revert(99); err == nil {
 		t.Error("bad revert index accepted")
@@ -385,7 +386,7 @@ func TestHistoryDescriptions(t *testing.T) {
 	s.Open("Papers")
 	s.Filter("year > 2005")
 	s.SortBy(etable.SortSpec{Column: "Authors", Desc: true})
-	h := s.History()
+	h, _ := s.Entries()
 	if len(h) != 3 {
 		t.Fatalf("history = %d", len(h))
 	}
@@ -473,8 +474,7 @@ func TestConcurrentSessionActions(t *testing.T) {
 				case 4:
 					// No action here reverts, so the history only
 					// grows: a cursor read before it stays inside it.
-					cursor := s.Cursor()
-					history := s.History()
+					history, cursor := s.Entries()
 					res, err := s.WindowCtx(context.Background(), 0, -1)
 					if err != nil {
 						t.Error(err)

@@ -132,8 +132,8 @@ func TestWindowOutlivesMatchedRelation(t *testing.T) {
 
 	// Evict everything the prepare left in the cache.
 	for i := 0; i < 1024; i++ {
-		if _, err := cache.GetOrCompute(fmt.Sprintf("filler-%d", i), func() (*etable.Reduced, error) {
-			return &etable.Reduced{}, nil
+		if _, err := cache.GetOrCompute(fmt.Sprintf("filler-%d", i), func() (*graphrel.Relation, error) {
+			return &graphrel.Relation{}, nil
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -196,8 +196,11 @@ func TestCloseReleasesSpillFilesAndReprepares(t *testing.T) {
 // are consistent, and a session with no open table has no window.
 func TestWindowCtxHistory(t *testing.T) {
 	s, _ := newSharedSession(t)
-	if _, err := s.WindowCtx(context.Background(), 0, 5); err == nil || s.Cursor() != -1 {
-		t.Fatalf("empty session: window err %v, cursor %d", err, s.Cursor())
+	if _, err := s.WindowCtx(context.Background(), 0, 5); err == nil {
+		t.Fatalf("empty session: window err %v", err)
+	}
+	if _, cur := s.Entries(); cur != -1 {
+		t.Fatalf("empty session: cursor %d", cur)
 	}
 	if err := s.Open("Papers"); err != nil {
 		t.Fatal(err)
@@ -212,8 +215,8 @@ func TestWindowCtxHistory(t *testing.T) {
 	if res.Offset != 1 || len(res.Rows) > 2 {
 		t.Fatalf("window: %+v", res)
 	}
-	if h := s.History(); len(h) != 2 || s.Cursor() != 1 {
-		t.Fatalf("history %d entries, cursor %d", len(h), s.Cursor())
+	if h, cur := s.Entries(); len(h) != 2 || cur != 1 {
+		t.Fatalf("history %d entries, cursor %d", len(h), cur)
 	}
 }
 

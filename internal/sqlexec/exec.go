@@ -38,7 +38,7 @@ func Exec(db *relational.DB, stmt *sqlparse.SelectStmt) (*relational.Rel, error)
 	}
 
 	if stmt.HasAggregates() {
-		source, err = groupAndHave(source, stmt)
+		source, err = groupAndHave(p, source, stmt)
 		if err != nil {
 			return nil, err
 		}
@@ -80,23 +80,24 @@ func keyColRef(e expr.Expr) relational.ColRef {
 
 // groupAndHave groups the source relation per the statement, computes
 // every aggregate under its canonical name, and applies HAVING.
-func groupAndHave(source *relational.Rel, stmt *sqlparse.SelectStmt) (*relational.Rel, error) {
+func groupAndHave(p *planner, source *relational.Rel, stmt *sqlparse.SelectStmt) (*relational.Rel, error) {
 	aggCalls := stmt.Aggregates()
 	aggs := make([]relational.Aggregate, len(aggCalls))
 	for i, a := range aggCalls {
 		aggs[i] = relational.Aggregate{Func: a.Func, Arg: a.Arg, As: a.Name()}
 	}
-	keyNames := make([]string, len(stmt.GroupBy))
-	for i, k := range stmt.GroupBy {
+	keys := p.groupKeys(stmt.GroupBy)
+	keyNames := make([]string, len(keys))
+	for i, k := range keys {
 		keyNames[i] = k.String()
 	}
-	grouped, err := relational.GroupBy(source, stmt.GroupBy, keyNames, aggs)
+	grouped, err := relational.GroupBy(source, keys, keyNames, aggs)
 	if err != nil {
 		return nil, err
 	}
 	// Restore table qualifiers on key columns so that both bare and
 	// qualified references resolve downstream.
-	for i, k := range stmt.GroupBy {
+	for i, k := range keys {
 		grouped.Cols[i] = keyColRef(k)
 	}
 	if stmt.Having != nil {

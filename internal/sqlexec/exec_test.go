@@ -1,6 +1,8 @@
 package sqlexec
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/relational"
@@ -188,6 +190,43 @@ func TestGroupByHavingOrder(t *testing.T) {
 	}
 	if r.Rows[2][0].AsString() != "Nandi" || r.Rows[2][1].AsInt() != 2 {
 		t.Errorf("third = %v", r.Rows[2])
+	}
+}
+
+// TestGroupByPrimaryKeyDeterminesColumns: grouped by a table's whole
+// primary key, a non-aggregated column of that table may be read — in
+// the SELECT list, HAVING and ORDER BY, bare or qualified — and holds
+// its group's row's value; a column of a table not grouped by its key
+// is still an error.
+func TestGroupByPrimaryKeyDeterminesColumns(t *testing.T) {
+	db := miniDB(t)
+	r := mustExec(t, db, `SELECT Papers.title, year, COUNT(*) AS n
+		FROM Papers, Paper_Authors
+		WHERE Papers.id = Paper_Authors.paper_id
+		GROUP BY Papers.id
+		HAVING Papers.year = 2012
+		ORDER BY title`)
+	var got []string
+	for _, row := range r.Rows {
+		got = append(got, fmt.Sprintf("%s/%d/%d", row[0].AsString(), row[1].AsInt(), row[2].AsInt()))
+	}
+	if want := []string{"DataPlay/2012/2", "GraphTrail views/2012/1", "SkewTune/2012/1"}; !slices.Equal(got, want) {
+		t.Errorf("rows = %v, want %v", got, want)
+	}
+	if len(r.Cols) != 3 || r.Cols[0].Name != "title" || r.Cols[1].Name != "year" {
+		t.Errorf("cols = %v", r.Cols)
+	}
+	// Paper_Authors' key is (paper_id, author_id): paper_id alone does
+	// not determine author_id, nor does Papers.id a conference's acronym.
+	for _, src := range []string{
+		`SELECT Paper_Authors.author_id FROM Paper_Authors GROUP BY Paper_Authors.paper_id`,
+		`SELECT Conferences.acronym FROM Papers, Conferences
+			WHERE Papers.conference_id = Conferences.id GROUP BY Papers.id`,
+		`SELECT title FROM Papers GROUP BY year`,
+	} {
+		if _, err := ExecSQL(db, src); err == nil {
+			t.Errorf("ExecSQL(%q) read a column its groups do not determine", src)
+		}
 	}
 }
 

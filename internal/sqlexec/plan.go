@@ -13,6 +13,7 @@ package sqlexec
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/expr"
@@ -105,6 +106,36 @@ func (p *planner) resolveColumn(name string) (alias string, err error) {
 		return "", fmt.Errorf("sqlexec: unknown column %q", name)
 	}
 	return found, nil
+}
+
+// groupKeys returns the GROUP BY columns followed by every other column
+// of each table whose whole primary key is among them: PostgreSQL's
+// rule that a primary key determines its row. One group holds one row
+// of such a table, so grouping by its other columns too splits no
+// group, and each group carries its first row's values. A column of a
+// table not grouped by its key stays unreadable after grouping.
+func (p *planner) groupKeys(groupBy []expr.Expr) []expr.Expr {
+	grouped := map[string]bool{}
+	for _, k := range groupBy {
+		if c, ok := k.(expr.Col); ok {
+			if alias, err := p.resolveColumn(c.Name); err == nil && alias != "" {
+				grouped[alias+"."+c.Name[strings.LastIndexByte(c.Name, '.')+1:]] = true
+			}
+		}
+	}
+	keys := slices.Clip(groupBy)
+	for _, ref := range p.tables {
+		alias, s := ref.EffectiveAlias(), p.schemas[ref.EffectiveAlias()]
+		if len(s.PrimaryKey) == 0 || slices.ContainsFunc(s.PrimaryKey, func(c string) bool { return !grouped[alias+"."+c] }) {
+			continue
+		}
+		for _, c := range s.Columns {
+			if name := alias + "." + c.Name; !grouped[name] {
+				keys = append(keys, expr.Col{Name: name})
+			}
+		}
+	}
+	return keys
 }
 
 // analyze computes the alias set referenced by an expression.

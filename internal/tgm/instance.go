@@ -159,7 +159,7 @@ func (b *colBlock) builders() []value.Builder {
 // once per key in the graph's one registry (Derive).
 // translate.Translate freezes the graph before returning it, which is
 // what lets the server share one execution cache of reduced node sets
-// (etable.Reduced) across all sessions.
+// (graphrel.Relation) across all sessions.
 //
 // # Storage layout
 //

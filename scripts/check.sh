@@ -171,16 +171,27 @@ if grep -rnwE 'decodeEdges|decodeEdgesDeferred|lazyDecode|AddDirectedEdge|Extern
 	exit 1
 fi
 
-# m(Q) is one walk: it is enumerated from its reduced node sets by
-# graphrel.Enumerate alone, for MatchOpts and PrepareOpts's check of
-# its input — no served prepare enumerates it. The streamed join engine
-# that walk replaced (batched sources, the counting-sort join index,
-# the drain and its splicing, the base-relation constructors) stays
-# deleted (ROADMAP 22).
+# m(Q) is one walk: no tuple of it is stored, and |m(Q)| is counted by
+# one depth-first walk through the reduced node sets
+# (graphrel.Relation.Len). The streamed join engine that walk replaced
+# (batched sources, the counting-sort join index, the drain and its
+# splicing, the base-relation constructors) stays deleted (ROADMAP 22).
 echo "==> m(Q) is one walk"
 if grep -rnwE 'StreamJoin|RowSource|StreamRelationBatch|MaterializeMax|ConcatAll|joinIndex|streamBatchRows|BaseNamed' \
 	--include='*.go' --exclude='*_test.go' internal; then
-	echo "the streamed join engine reappeared (see above): m(Q) is graphrel.Enumerate's walk" >&2
+	echo "the streamed join engine reappeared (see above): m(Q) is counted by graphrel.Relation.Len's walk" >&2
+	exit 1
+fi
+
+# A match is its reduced sets, in one type: graphrel.Relation holds a
+# pattern's reduced node sets for the cache, every prepare and the
+# harness alike. The tuple form of m(Q) — its enumeration, its
+# attribute list and column accessor — and the second reduced-match
+# type stay deleted (ROADMAP 22). Comment lines are exempt.
+echo "==> one reduced-match type"
+if grep -rnE '\bEnumerate\b|\bColumnNamed\b|\bgraphrel\.Attr\b|^type Reduced\b' \
+	--include='*.go' --exclude='*_test.go' internal | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'; then
+	echo "a tuple form of m(Q) or a second reduced-match type reappeared (see above)" >&2
 	exit 1
 fi
 
