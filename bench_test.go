@@ -6,6 +6,7 @@ package repro
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -24,6 +25,7 @@ import (
 	"repro/internal/sqlexec"
 	"repro/internal/storage"
 	"repro/internal/study"
+	"repro/internal/tgm"
 	"repro/internal/translate"
 )
 
@@ -323,11 +325,11 @@ func BenchmarkStorage_FromGraph(b *testing.B) {
 	}
 }
 
-// executeCached is the caching executor's full render — the prepared
+// executeCached is the cache's full render — the prepared
 // presentation's all-rows window, which is what the server serves for
 // an unpaged read.
-func executeCached(ex *etable.Executor, p *etable.Pattern) (*etable.Result, error) {
-	pr, err := ex.PrepareWithOpts(p, etable.ExecOptions{})
+func executeCached(c *etable.Cache, g *tgm.InstanceGraph, p *etable.Pattern) (*etable.Result, error) {
+	pr, err := c.Prepare(context.Background(), g, p)
 	if err != nil {
 		return nil, err
 	}
@@ -335,7 +337,7 @@ func executeCached(ex *etable.Executor, p *etable.Pattern) (*etable.Result, erro
 }
 
 // BenchmarkAblation_MatchCache compares plain re-execution against the
-// Executor's intermediate-result reuse (§9 future work 2) on the access
+// cache's intermediate-result reuse (§9 future work 2) on the access
 // pattern a session produces: the same query re-executed after
 // presentation-only actions (Sort, Hide, Revert). The cached arm is the
 // server's path: a prepare over the cached match, then a full window.
@@ -350,9 +352,9 @@ func BenchmarkAblation_MatchCache(b *testing.B) {
 		}
 	})
 	b.Run("cached", func(b *testing.B) {
-		ex := etable.NewExecutor(tr.Instance)
+		ex := etable.NewCache(etable.DefaultCacheEntries)
 		for i := 0; i < b.N; i++ {
-			if _, err := executeCached(ex, p); err != nil {
+			if _, err := executeCached(ex, tr.Instance, p); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -524,14 +526,14 @@ func BenchmarkFigure7Pipeline(b *testing.B) {
 	const window = 10
 
 	b.Run("page_full_render", func(b *testing.B) {
-		ex := etable.NewExecutor(tr.Instance)
-		if _, err := executeCached(ex, p); err != nil { // warm the match cache
+		ex := etable.NewCache(etable.DefaultCacheEntries)
+		if _, err := executeCached(ex, tr.Instance, p); err != nil { // warm the match cache
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			res, err := executeCached(ex, p)
+			res, err := executeCached(ex, tr.Instance, p)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -588,14 +590,14 @@ func BenchmarkFigure7Pipeline(b *testing.B) {
 	}
 	offPapers := presPapers.NumRows() / 2
 	b.Run("bigtable_full_render", func(b *testing.B) {
-		ex := etable.NewExecutor(tr.Instance)
-		if _, err := executeCached(ex, pPapers); err != nil {
+		ex := etable.NewCache(etable.DefaultCacheEntries)
+		if _, err := executeCached(ex, tr.Instance, pPapers); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			res, err := executeCached(ex, pPapers)
+			res, err := executeCached(ex, tr.Instance, pPapers)
 			if err != nil {
 				b.Fatal(err)
 			}

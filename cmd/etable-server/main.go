@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"repro/internal/dataset"
+	"repro/internal/etable"
 	"repro/internal/registry"
 	"repro/internal/server"
 	"repro/internal/snapshot"
@@ -52,7 +53,7 @@ func main() {
 	pagerSections := flag.Int("pager-sections", 0, "decoded column sections each paged dataset keeps at once (0 = default 64; ignored without -lazy)")
 	var extra datasetFlag
 	flag.Var(&extra, "dataset", "register a named snapshot dataset as name=path (repeatable; loaded on first request)")
-	cacheEntries := flag.Int("cache", 1024, "reduced matches each dataset's execution cache holds, least recently used evicted beyond (minimum 1)")
+	cacheEntries := flag.Int("cache", etable.DefaultCacheEntries, "reduced matches each dataset's execution cache holds, least recently used evicted beyond (minimum 1)")
 	sessionTTL := flag.Duration("session-ttl", 30*time.Minute, "evict sessions idle longer than this (negative disables)")
 	maxSessions := flag.Int("max-sessions", 1024, "maximum live sessions (LRU-evicted beyond)")
 	pageSize := flag.Int("page-size", 0, "default result rows per response (0 = all; clients may page with offset/limit)")

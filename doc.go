@@ -23,8 +23,8 @@
 //   - internal/etable: one etable.Cache — an LRU of exactly -cache
 //     reduced matches and base node sets with singleflight
 //     deduplication — is shared by every session, so N users executing
-//     the same pattern signature compute it once. Executor is a thin
-//     per-session view over the cache.
+//     the same pattern signature compute it once. Cache.Prepare is
+//     the one entry a session prepares a pattern through.
 //   - internal/session: each Session has its own mutex and small LRU
 //     memos of presentations, sorted views and windows, so concurrent
 //     requests on one session serialize per session, not per server.
@@ -91,8 +91,10 @@
 //     NDVs, per-edge degree summaries) is written by internal/snapshot
 //     alone so format version 2's bytes stay unchanged, and no load
 //     decodes it.
-//   - internal/etable: Execute takes an ExecOptions struct whose one
-//     live field is the cancellation context (Ctx).
+//   - internal/etable: Cache.Prepare and Presentation.WindowColumns
+//     take the request context; ExecOptions, whose one live field is
+//     that context (Ctx), is left only on the entries the benchmark
+//     harness calls.
 //   - internal/session + internal/server: the request context threads
 //     through ApplyCtx/ApplyPipelineCtx/WindowCtx down to the kernels; a
 //     ?parallelism= query parameter is ignored. A disconnected client
@@ -119,7 +121,7 @@
 // counted, on request only, by one depth-first walk of the tree's
 // adjacency through the sets (Relation.Len). No match is refused for
 // its size. The server's one path is
-// Executor.PrepareWithOpts plus a window. A plan is the pattern's
+// Cache.Prepare plus a window. A plan is the pattern's
 // compiled node predicates, built on the miss that needs it and not
 // cached. A miss derived through the §5.3 operators from a pattern
 // whose match is resident reuses that intermediate result (§9, future
@@ -144,8 +146,8 @@
 //
 // Ownership: a Presentation owns everything its windows read — the
 // reduced sets, column layout, adjacency handles. The cache entry the
-// sets came from (Executor.PrepareWithOpts takes it from the shared
-// execution cache) is never read again, so the cache may evict it at
+// sets came from (Cache.Prepare takes it from the shared execution
+// cache) is never read again, so the cache may evict it at
 // any time: a page fetch costs O(window), never a re-match or a full
 // re-render. The session layer prepares one Presentation per pattern,
 // and sort variants of one pattern share that single prepared

@@ -173,7 +173,6 @@ func TestCacheConcurrentExecutors(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			ex := NewSharedExecutor(res.Instance, shared)
 			for i := 0; i < 20; i++ {
 				p, err := Initiate(res.Schema, "Papers")
 				if err != nil {
@@ -184,7 +183,7 @@ func TestCacheConcurrentExecutors(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				r, err := executeCached(ex, p)
+				r, err := executeCached(shared, res.Instance, p)
 				if err != nil {
 					t.Error(err)
 					return

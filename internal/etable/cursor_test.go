@@ -1,6 +1,7 @@
 package etable
 
 import (
+	"context"
 	"testing"
 )
 
@@ -19,7 +20,7 @@ func TestCursorRefsAllocs(t *testing.T) {
 		opAdd(tr, "Paper_Authors"),
 		opAdd(tr, "Authors→Institutions"),
 	)
-	heap, err := NewExecutor(tr.Instance).PrepareWithOpts(p, ExecOptions{})
+	heap, err := NewCache(DefaultCacheEntries).Prepare(context.Background(), tr.Instance, p)
 	if err != nil {
 		t.Fatal(err)
 	}

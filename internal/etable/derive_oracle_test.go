@@ -1,6 +1,7 @@
 package etable_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -19,7 +20,7 @@ import (
 // TestDerivedMatchesOracles is the derivation oracle: random operator
 // sequences — Select, SelectNode, Add, AddBetween and Shift, conditions
 // landing on any node after joins — run by two goroutines through one
-// shared Executor at cache sizes 1, 2 and 1024. Every state's table
+// shared Cache at cache sizes 1, 2 and 1024. Every state's table
 // must equal, cell for cell, the one prepared over MatchNaive and the
 // §6.2 SQL backend's (storage.ExecutePattern), whether it derived from
 // a resident ancestor, found it evicted mid-sequence, or matched from
@@ -47,7 +48,6 @@ func TestDerivedMatchesOracles(t *testing.T) {
 	for _, size := range []int{1, 2, 1024} {
 		t.Run(fmt.Sprintf("cache%d", size), func(t *testing.T) {
 			cache := etable.NewCache(size)
-			ex := etable.NewSharedExecutor(tr.Instance, cache)
 			var derived atomic.Int64
 			var wg sync.WaitGroup
 			for w := 0; w < 2; w++ {
@@ -65,7 +65,7 @@ func TestDerivedMatchesOracles(t *testing.T) {
 							if etable.Derives(p, cache) {
 								derived.Add(1)
 							}
-							if err := checkState(ex, tr, st, &stMu, p); err != nil {
+							if err := checkState(cache, tr, st, &stMu, p); err != nil {
 								t.Errorf("cache %d, seed %d: %s: %v", size, seed, p, err)
 								return
 							}
@@ -85,7 +85,7 @@ func TestDerivedMatchesOracles(t *testing.T) {
 // tree patterns of up to five nodes (depth ≤ 4), built by Select,
 // SelectNode, Add, AddBetween and Shift with conditions on random nodes
 // and the primary anywhere, run by two goroutines through one shared
-// Executor at cache sizes 1, 2 and 1024, so derivation from resident
+// Cache at cache sizes 1, 2 and 1024, so derivation from resident
 // reduced sets fires. Every table must equal, cell for cell, the one
 // the fold oracle renders over MatchNaive and the SQL backend's — as a
 // materialized window and read cell by cell through a Cursor, the
@@ -133,12 +133,12 @@ func TestReducedMatchesOracles(t *testing.T) {
 	mentors := selfLoopStates(t, tr)
 	for _, size := range []int{1, 2, 1024} {
 		t.Run(fmt.Sprintf("cache%d", size), func(t *testing.T) {
-			ex := etable.NewSharedExecutor(tr.Instance, etable.NewCache(size))
-			if err := checkState(ex, tr, st, &stMu, empty); err != nil {
+			cache := etable.NewCache(size)
+			if err := checkState(cache, tr, st, &stMu, empty); err != nil {
 				t.Fatalf("empty: %v", err)
 			}
 			for _, p := range mentors {
-				if err := checkState(ex, tr, st, &stMu, p); err != nil {
+				if err := checkState(cache, tr, st, &stMu, p); err != nil {
 					t.Fatalf("self-loop: %s: %v", p, err)
 				}
 			}
@@ -150,7 +150,7 @@ func TestReducedMatchesOracles(t *testing.T) {
 					rng := rand.New(rand.NewSource(seed))
 					for s := 0; s < sequences; s++ {
 						for _, p := range randomSequence(rng, tr, steps, 5) {
-							if err := checkState(ex, tr, st, &stMu, p); err != nil {
+							if err := checkState(cache, tr, st, &stMu, p); err != nil {
 								t.Errorf("cache %d, seed %d: %s: %v", size, seed, p, err)
 								return
 							}
@@ -281,12 +281,12 @@ func randomSequence(rng *rand.Rand, tr *translate.Result, steps, maxNodes int) [
 	return states
 }
 
-// checkState renders p through the shared executor and compares it
+// checkState renders p through the shared cache and compares it
 // with the table the fold oracle renders over MatchNaive and with the
 // SQL backend's; MatchOpts' every set must be π_k(MatchNaive) and its
 // Len |MatchNaive|.
-func checkState(ex *etable.Executor, tr *translate.Result, st *storage.Store, stMu *sync.Mutex, p *etable.Pattern) error {
-	pr, err := ex.PrepareWithOpts(p, etable.ExecOptions{})
+func checkState(cache *etable.Cache, tr *translate.Result, st *storage.Store, stMu *sync.Mutex, p *etable.Pattern) error {
+	pr, err := cache.Prepare(context.Background(), tr.Instance, p)
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package etable
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -84,13 +85,13 @@ func TestExtraConjuncts(t *testing.T) {
 // from, and the match from the bases must equal the oracle's.
 func TestForgedDerivationLinksFallBack(t *testing.T) {
 	tr := planFixture(t)
-	ex := NewExecutor(tr.Instance)
+	ex := NewCache(DefaultCacheEntries)
 	resident := func(p *Pattern) *Pattern {
 		t.Helper()
-		if _, err := ex.PrepareWithOpts(p, ExecOptions{}); err != nil {
+		if _, err := ex.Prepare(context.Background(), tr.Instance, p); err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := ex.Cache().Get(matchPrefix + Signature(p)); !ok {
+		if _, ok := ex.Get(matchPrefix + Signature(p)); !ok {
 			t.Fatalf("%s: match not resident", p)
 		}
 		return p
@@ -119,11 +120,11 @@ func TestForgedDerivationLinksFallBack(t *testing.T) {
 	} {
 		p := tc.p.Clone()
 		p.from = tc.anc
-		if deriveFrom(p, ex.Cache()) != nil {
+		if deriveFrom(p, ex) != nil {
 			t.Errorf("%s: derived from a forged link", tc.name)
 			continue
 		}
-		pr, err := ex.PrepareWithOpts(p, ExecOptions{})
+		pr, err := ex.Prepare(context.Background(), tr.Instance, p)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -145,7 +146,7 @@ func TestForgedDerivationLinksFallBack(t *testing.T) {
 	if p, err = Shift(p, "Conferences"); err != nil {
 		t.Fatal(err)
 	}
-	d := deriveFrom(p, ex.Cache())
+	d := deriveFrom(p, ex)
 	if d == nil {
 		t.Fatal("a resident true ancestor was not derived from")
 	}
@@ -190,14 +191,14 @@ func TestDerivedMatchSpillsLikeFromBases(t *testing.T) {
 		if want.NumRows() < 3 {
 			t.Fatalf("fixture too small: %d rows", want.NumRows())
 		}
-		ex := NewExecutor(tr.Instance)
-		if _, err := ex.PrepareWithOpts(anc, ExecOptions{}); err != nil {
+		ex := NewCache(DefaultCacheEntries)
+		if _, err := ex.Prepare(context.Background(), tr.Instance, anc); err != nil {
 			t.Fatal(err)
 		}
-		if deriveFrom(p, ex.Cache()) == nil {
+		if deriveFrom(p, ex) == nil {
 			t.Fatalf("%s: not derived", p)
 		}
-		pr, err := ex.PrepareWithOpts(p, ExecOptions{})
+		pr, err := ex.Prepare(context.Background(), tr.Instance, p)
 		if err != nil {
 			t.Fatalf("%s: %v", p, err)
 		}
@@ -214,20 +215,20 @@ func TestDerivedMatchSpillsLikeFromBases(t *testing.T) {
 // rendered as the oracle's table.
 func TestJoinlessSelectAfterOpenUnderSpill(t *testing.T) {
 	tr := planFixture(t)
-	ex := NewExecutor(tr.Instance)
+	ex := NewCache(DefaultCacheEntries)
 	var opt ExecOptions
 	open := buildPattern(t, tr, "Papers")
-	if _, err := ex.PrepareWithOpts(open, opt); err != nil {
+	if _, err := ex.Prepare(opt.Ctx, tr.Instance, open); err != nil {
 		t.Fatal(err)
 	}
 	p, err := Select(open, "year > 2005")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if deriveFrom(p, ex.Cache()) != nil {
+	if deriveFrom(p, ex) != nil {
 		t.Fatal("a pattern without edges derived")
 	}
-	pr, err := ex.PrepareWithOpts(p, opt)
+	pr, err := ex.Prepare(opt.Ctx, tr.Instance, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,9 +270,9 @@ func BenchmarkDerivedMatch(b *testing.B) {
 	}
 	unlinked := p.Clone()
 	unlinked.from = nil
-	ex := NewExecutor(tr.Instance)
+	ex := NewCache(DefaultCacheEntries)
 	for _, warm := range []*Pattern{anc, unlinked} {
-		if _, err := ex.PrepareWithOpts(warm, ExecOptions{}); err != nil {
+		if _, err := ex.Prepare(context.Background(), tr.Instance, warm); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -280,7 +281,7 @@ func BenchmarkDerivedMatch(b *testing.B) {
 		p    *Pattern
 	}{{"from_bases", unlinked}, {"derived", p}} {
 		b.Run(arm.name, func(b *testing.B) {
-			if derives := deriveFrom(arm.p, ex.Cache()) != nil; derives != (arm.p == p) {
+			if derives := deriveFrom(arm.p, ex) != nil; derives != (arm.p == p) {
 				b.Fatalf("derives = %v", derives)
 			}
 			b.ReportAllocs()
@@ -289,11 +290,11 @@ func BenchmarkDerivedMatch(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				red, err := matchPipeline(tr.Instance, arm.p, t, ExecOptions{}, ex.Cache())
+				red, err := matchPipeline(context.Background(), tr.Instance, arm.p, t, ex)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := prepareSets(tr.Instance, arm.p, t, red, ExecOptions{}); err != nil {
+				if _, err := prepareSets(context.Background(), tr.Instance, arm.p, t, red); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -303,7 +304,7 @@ func BenchmarkDerivedMatch(b *testing.B) {
 		misses := ex.Misses()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := ex.PrepareWithOpts(shifted, ExecOptions{}); err != nil {
+			if _, err := ex.Prepare(context.Background(), tr.Instance, shifted); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -27,9 +27,10 @@
 // Relation.Len's walk through the reduced sets. MatchOpts is a miss
 // without a cache and PrepareOpts the prepare of its relation, so the
 // benchmark harness's traced twin times what a request runs. A pattern
-// without edges never derives: its selected base is its match. Every
-// kernel runs on the caller's goroutine, checking ExecOptions.Ctx
-// between morsels and semi-join steps.
+// without edges never derives: its selected base is its match. The one
+// served entry is Cache.Prepare, and every kernel runs on its caller's
+// goroutine, checking the request context between morsels and
+// semi-join steps.
 //
 // A pattern edge is walked parent → child and child → parent: through
 // its type and the type's reverse, or, for a type stored one way only
@@ -83,7 +84,6 @@
 // (Paper_Authors' is); a deeper one, which can reach a node twice,
 // marks each node it keeps in a two-level bitset over the column set's
 // span, which orders and deduplicates it, and reads the marks back. A
-// long insertion-ordered one-hop cell goes through the bitset too. A
 // cursor pins only the primary type's base columns it reads and no
 // label column.
 // Its two consumers are the server's state encoder, which writes bytes
@@ -96,7 +96,7 @@
 // number of cursors may read one concurrently.
 //
 // Caching. Cache is one lru.Cache of exactly its capacity, shared by
-// every executor over a graph, holding node sets (*graphrel.Relation)
+// every session over a graph, holding node sets (*graphrel.Relation)
 // for base and match keys alike — a base is the one-node case: a few
 // words per node instead of a tuple per match. The least recently used
 // entry of the whole cache is evicted first, and concurrent misses on one key share one computation (its

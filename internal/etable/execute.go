@@ -9,16 +9,16 @@ import (
 	"repro/internal/tgm"
 )
 
-// ExecOptions configures one execution: its cancellation context.
-// The zero value is uncancellable execution. Every execution runs on
-// its caller's goroutine. No option caps a match: a presentation
-// holds its reduced sets whatever |m(Q)| is, and the widest window a
-// request may read is the session's guard (session.SetMaxRows).
+// ExecOptions is the execution options of the entries the benchmark
+// harness in cmd/etable-load calls (MatchOpts, PrepareOpts, PlanForOpts
+// and WindowOpts): its cancellation context. The zero value is
+// uncancellable execution. Every other entry takes the context itself.
+// No option caps a match: a presentation holds its reduced sets
+// whatever |m(Q)| is, and the widest window a request may read is the
+// session's guard (session.SetMaxRows).
 type ExecOptions struct {
 	// Ctx cancels execution between morsels and semi-join steps; nil
-	// never cancels. An abandoned HTTP request propagates its context
-	// here so a heavy match stops mid-flight instead of computing for
-	// nobody. The server sets it on every request.
+	// never cancels.
 	Ctx context.Context
 	// Pool is ignored.
 	//
@@ -41,22 +41,16 @@ type ExecOptions struct {
 }
 
 // Execute runs a query pattern over an instance graph: instance matching
-// (Definition 4) followed by format transformation (§5.4.2). It is
-// ExecuteOpts with zero options (uncancellable).
+// (Definition 4) followed by format transformation (§5.4.2), through a
+// private cache's Prepare rendered in full. The enriched table is
+// canonical: rows and the references of participating cells ascend by
+// node ID.
 func Execute(g *tgm.InstanceGraph, p *Pattern) (*Result, error) {
-	return ExecuteOpts(g, p, ExecOptions{})
-}
-
-// ExecuteOpts is Execute under execution options, which affect only
-// latency and cancellation: the prepare of the reduced match rendered
-// in full (WindowOpts(0, -1)). The enriched table is canonical: rows
-// and the references of participating cells ascend by node ID.
-func ExecuteOpts(g *tgm.InstanceGraph, p *Pattern, opt ExecOptions) (*Result, error) {
-	pr, err := NewExecutor(g).PrepareWithOpts(p, opt)
+	pr, err := NewCache(DefaultCacheEntries).Prepare(context.Background(), g, p)
 	if err != nil {
 		return nil, err
 	}
-	return pr.WindowOpts(0, -1, opt)
+	return pr.Window(0, -1)
 }
 
 // MatchOpts implements the instance matching function m(Q)
@@ -68,7 +62,7 @@ func MatchOpts(g *tgm.InstanceGraph, p *Pattern, opt ExecOptions) (*graphrel.Rel
 	if err != nil {
 		return nil, err
 	}
-	rel, err := matchPipeline(g, p, t, opt, nil)
+	rel, err := matchPipeline(opt.Ctx, g, p, t, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -1,16 +1,18 @@
 package etable
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/graphrel"
+	"repro/internal/tgm"
 )
 
-// executeCached is the caching executor's full render — the prepared
+// executeCached is the cache's full render — the prepared
 // presentation's all-rows window, which is what the server serves for
 // an unpaged read.
-func executeCached(ex *Executor, p *Pattern) (*Result, error) {
-	pr, err := ex.PrepareWithOpts(p, ExecOptions{})
+func executeCached(c *Cache, g *tgm.InstanceGraph, p *Pattern) (*Result, error) {
+	pr, err := c.Prepare(context.Background(), g, p)
 	if err != nil {
 		return nil, err
 	}
@@ -19,7 +21,7 @@ func executeCached(ex *Executor, p *Pattern) (*Result, error) {
 
 func TestExecutorMatchesPlainExecute(t *testing.T) {
 	res := fixture(t)
-	ex := NewExecutor(res.Instance)
+	ex := NewCache(DefaultCacheEntries)
 
 	p, _ := Initiate(res.Schema, "Conferences")
 	p, _ = Select(p, "acronym = 'SIGMOD'")
@@ -30,7 +32,7 @@ func TestExecutorMatchesPlainExecute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cached, err := executeCached(ex, p)
+	cached, err := executeCached(ex, res.Instance, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,11 +48,11 @@ func TestExecutorMatchesPlainExecute(t *testing.T) {
 
 func TestExecutorCacheHits(t *testing.T) {
 	res := fixture(t)
-	ex := NewExecutor(res.Instance)
+	ex := NewCache(DefaultCacheEntries)
 	p, _ := Initiate(res.Schema, "Papers")
 	p, _ = Select(p, "year > 2005")
 
-	if _, err := executeCached(ex, p); err != nil {
+	if _, err := executeCached(ex, res.Instance, p); err != nil {
 		t.Fatal(err)
 	}
 	missesAfterFirst := ex.Misses()
@@ -58,7 +60,7 @@ func TestExecutorCacheHits(t *testing.T) {
 		t.Errorf("hits on cold cache = %d", ex.Hits())
 	}
 	// Same pattern again: full match cache hit.
-	if _, err := executeCached(ex, p); err != nil {
+	if _, err := executeCached(ex, res.Instance, p); err != nil {
 		t.Fatal(err)
 	}
 	if ex.Hits() == 0 || ex.Misses() != missesAfterFirst {
@@ -70,7 +72,7 @@ func TestExecutorCacheHits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := executeCached(ex, p2); err != nil {
+	if _, err := executeCached(ex, res.Instance, p2); err != nil {
 		t.Fatal(err)
 	}
 	shifted, err := Shift(p2, "Papers")
@@ -78,7 +80,7 @@ func TestExecutorCacheHits(t *testing.T) {
 		t.Fatal(err)
 	}
 	hitsBefore := ex.Hits()
-	if _, err := executeCached(ex, shifted); err != nil {
+	if _, err := executeCached(ex, res.Instance, shifted); err != nil {
 		t.Fatal(err)
 	}
 	if ex.Hits() <= hitsBefore {
@@ -106,12 +108,12 @@ func TestSignatureProperties(t *testing.T) {
 
 func TestExecutorBaseReuseAcrossPatterns(t *testing.T) {
 	res := fixture(t)
-	ex := NewExecutor(res.Instance)
+	ex := NewCache(DefaultCacheEntries)
 	// Two different patterns sharing the filtered Conferences branch.
 	a, _ := Initiate(res.Schema, "Conferences")
 	a, _ = Select(a, "acronym = 'SIGMOD'")
 	a, _ = Add(res.Schema, a, "Papers→Conferences_rev")
-	if _, err := executeCached(ex, a); err != nil {
+	if _, err := executeCached(ex, res.Instance, a); err != nil {
 		t.Fatal(err)
 	}
 	// The second pattern is built from Papers so that none of its
@@ -122,7 +124,7 @@ func TestExecutorBaseReuseAcrossPatterns(t *testing.T) {
 	b, key, _ := AddBetween(res.Schema, b, "Papers", "Papers→Conferences")
 	bb, _ := SelectNode(b, key, "acronym = 'SIGMOD'")
 	hitsBefore := ex.Hits()
-	if _, err := executeCached(ex, bb); err != nil {
+	if _, err := executeCached(ex, res.Instance, bb); err != nil {
 		t.Fatal(err)
 	}
 	// The σ(Conferences) base relation is shared even though the full
@@ -133,21 +135,21 @@ func TestExecutorBaseReuseAcrossPatterns(t *testing.T) {
 }
 
 // TestJoinlessMatchCachedOnce: a joinless pattern's selected base is
-// its match, so a prepare on a fresh executor caches that one set once
+// its match, so a prepare on a fresh cache caches that one set once
 // — under its match key — and the resident bytes count it once.
 func TestJoinlessMatchCachedOnce(t *testing.T) {
 	res := fixture(t)
-	ex := NewExecutor(res.Instance)
+	ex := NewCache(DefaultCacheEntries)
 	p, _ := Initiate(res.Schema, "Papers")
 	p, _ = Select(p, "year > 2005")
-	if _, err := ex.PrepareWithOpts(p, ExecOptions{}); err != nil {
+	if _, err := ex.Prepare(context.Background(), res.Instance, p); err != nil {
 		t.Fatal(err)
 	}
-	rel, ok := ex.Cache().Get(matchPrefix + Signature(p))
+	rel, ok := ex.Get(matchPrefix + Signature(p))
 	if !ok {
 		t.Fatal("joinless match not cached")
 	}
-	if n, b := ex.Cache().Len(), ex.Cache().ResidentBytes(); n != 1 || b != rel.SizeBytes() {
+	if n, b := ex.Len(), ex.ResidentBytes(); n != 1 || b != rel.SizeBytes() {
 		t.Fatalf("%d entries of %d bytes cached, want 1 of the match's %d", n, b, rel.SizeBytes())
 	}
 }
@@ -158,17 +160,17 @@ func TestJoinlessMatchCachedOnce(t *testing.T) {
 // and reduces to the oracle's projections and count.
 func TestExecutorDerivesFromAncestor(t *testing.T) {
 	res := fixture(t)
-	ex := NewExecutor(res.Instance)
+	ex := NewCache(DefaultCacheEntries)
 	a, _ := Initiate(res.Schema, "Conferences")
 	a, _ = Select(a, "acronym = 'SIGMOD'")
 	a, _ = Add(res.Schema, a, "Papers→Conferences_rev")
-	if _, err := executeCached(ex, a); err != nil {
+	if _, err := executeCached(ex, res.Instance, a); err != nil {
 		t.Fatal(err)
 	}
 	d, _ := Select(a, "year > 2005")
 	d, _ = Add(res.Schema, d, "Paper_Authors")
 	hits, misses := ex.Hits(), ex.Misses()
-	got, err := executeCached(ex, d)
+	got, err := executeCached(ex, res.Instance, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,10 +180,10 @@ func TestExecutorDerivesFromAncestor(t *testing.T) {
 		t.Errorf("hits %d → %d, misses %d → %d; want no hit and two misses",
 			hits, ex.Hits(), misses, ex.Misses())
 	}
-	if _, ok := ex.Cache().Get(basePrefix + nodeSignature(d.Node("Papers"))); ok {
+	if _, ok := ex.Get(basePrefix + nodeSignature(d.Node("Papers"))); ok {
 		t.Error("derived match selected σ(Papers) from its base")
 	}
-	rel, ok := ex.Cache().Get(matchPrefix + Signature(d))
+	rel, ok := ex.Get(matchPrefix + Signature(d))
 	if !ok {
 		t.Fatal("derived match not cached")
 	}
@@ -195,22 +197,20 @@ func TestExecutorDerivesFromAncestor(t *testing.T) {
 }
 
 // TestExecutorsShareCache is the cross-session reuse the server relies
-// on: two executors over one Cache, the second execution of the same
-// pattern hits even though it runs in a different "session".
+// on: of two prepares of one pattern through one Cache, the second
+// hits even though it runs in a different "session".
 func TestExecutorsShareCache(t *testing.T) {
 	res := fixture(t)
 	shared := NewCache(128)
-	ex1 := NewSharedExecutor(res.Instance, shared)
-	ex2 := NewSharedExecutor(res.Instance, shared)
 
 	p, _ := Initiate(res.Schema, "Papers")
 	p, _ = Select(p, "year > 2005")
-	r1, err := executeCached(ex1, p)
+	r1, err := executeCached(shared, res.Instance, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	missesAfterFirst := shared.Misses()
-	r2, err := executeCached(ex2, p)
+	r2, err := executeCached(shared, res.Instance, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,8 +231,8 @@ func TestExecutorsShareCache(t *testing.T) {
 
 func TestExecutorValidation(t *testing.T) {
 	res := fixture(t)
-	ex := NewExecutor(res.Instance)
-	if _, err := executeCached(ex, &Pattern{}); err == nil {
+	ex := NewCache(DefaultCacheEntries)
+	if _, err := executeCached(ex, res.Instance, &Pattern{}); err == nil {
 		t.Error("invalid pattern accepted")
 	}
 }
@@ -240,11 +240,11 @@ func TestExecutorValidation(t *testing.T) {
 func TestExecutorCacheBounded(t *testing.T) {
 	res := fixture(t)
 	cache := NewCache(16)
-	ex := NewSharedExecutor(res.Instance, cache)
+	ex := cache
 	for year := 2000; year < 2020; year++ {
 		p, _ := Initiate(res.Schema, "Papers")
 		p, _ = Select(p, "year > "+itoa(year))
-		if _, err := executeCached(ex, p); err != nil {
+		if _, err := executeCached(ex, res.Instance, p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -264,13 +264,13 @@ func TestPresentationOutlivesRelation(t *testing.T) {
 	p := figure7PlanPattern(t, tr)
 	oraclePr, want := oracleTable(t, tr.Instance, p)
 	cache := NewCache(16)
-	ex := NewSharedExecutor(tr.Instance, cache)
-	folded, err := ex.PrepareWithOpts(p, ExecOptions{})
+	ex := cache
+	folded, err := ex.Prepare(context.Background(), tr.Instance, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	misses := ex.Misses()
-	fromCache, err := ex.PrepareWithOpts(p, ExecOptions{})
+	fromCache, err := ex.Prepare(context.Background(), tr.Instance, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +337,7 @@ func itoa(n int) string {
 	return string(b[i:])
 }
 
-// TestSpilledExecutorBrowsable pins the executor's contract for a
+// TestSpilledExecutorBrowsable pins the cache's contract for a
 // match of any size: a prepare renders the oracle's table, so does a
 // second one (a cache hit), and only the reduced sets are cached.
 func TestSpilledExecutorBrowsable(t *testing.T) {
@@ -347,9 +347,9 @@ func TestSpilledExecutorBrowsable(t *testing.T) {
 	if full.NumRows() < 4 {
 		t.Fatalf("fixture too small: %d rows", full.NumRows())
 	}
-	e := NewExecutor(tr.Instance)
+	e := NewCache(DefaultCacheEntries)
 	for range 2 {
-		pr, err := e.PrepareWithOpts(p, ExecOptions{})
+		pr, err := e.Prepare(context.Background(), tr.Instance, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -359,7 +359,7 @@ func TestSpilledExecutorBrowsable(t *testing.T) {
 		}
 		assertSameResults(t, "prepared", got, full)
 	}
-	if _, ok := e.Cache().Get(matchPrefix + Signature(p)); !ok {
+	if _, ok := e.Get(matchPrefix + Signature(p)); !ok {
 		t.Fatal("the reduced match is not cached")
 	}
 }

@@ -13,9 +13,10 @@ import (
 
 // TestParallelExecuteEquivalence asserts the full execution path under
 // a live context returns the oracle's enriched table on the paper's
-// Figure 1 and Figure 7 patterns — through ExecuteOpts and through the
-// caching executor's prepare plus full window. (Its name dates from
-// the pooled arms it used to run; every execution is serial now.)
+// Figure 1 and Figure 7 patterns — through the harness's uncached
+// match and prepare, and through the cache's prepare plus full window.
+// (Its name dates from the pooled arms it used to run; every execution
+// is serial now.)
 func TestParallelExecuteEquivalence(t *testing.T) {
 	tr := planFixture(t)
 	for name, p := range map[string]*Pattern{
@@ -24,20 +25,23 @@ func TestParallelExecuteEquivalence(t *testing.T) {
 	} {
 		_, want := oracleTable(t, tr.Instance, p)
 		t.Run(name, func(t *testing.T) {
-			opt := ExecOptions{Ctx: context.Background()}
-			got, err := ExecuteOpts(tr.Instance, p, opt)
+			ctx := context.Background()
+			pr, _, err := prepareMiss(tr.Instance, p, ExecOptions{Ctx: ctx})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := pr.WindowColumns(ctx, 0, -1, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			assertSameResults(t, name, got, want)
-			pr, err := NewExecutor(tr.Instance).PrepareWithOpts(p, opt)
-			if err != nil {
+			if pr, err = NewCache(DefaultCacheEntries).Prepare(ctx, tr.Instance, p); err != nil {
 				t.Fatal(err)
 			}
-			if got, err = pr.WindowOpts(0, -1, opt); err != nil {
+			if got, err = pr.WindowColumns(ctx, 0, -1, nil); err != nil {
 				t.Fatal(err)
 			}
-			assertSameResults(t, name+"/executor", got, want)
+			assertSameResults(t, name+"/cache", got, want)
 		})
 	}
 }
@@ -73,24 +77,24 @@ func assertSameResults(t *testing.T, name string, got, want *Result) {
 }
 
 // TestExecuteOptsCancellation asserts a canceled request context stops
-// execution with context.Canceled through both the plain and the
-// caching executors.
+// execution with context.Canceled through both the harness's uncached
+// match and the cache's prepare.
 func TestExecuteOptsCancellation(t *testing.T) {
 	tr := planFixture(t)
 	p := figure7PlanPattern(t, tr)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	opt := ExecOptions{Ctx: ctx}
-	if _, err := ExecuteOpts(tr.Instance, p, opt); !errors.Is(err, context.Canceled) {
-		t.Errorf("ExecuteOpts err = %v, want Canceled", err)
+	if _, err := MatchOpts(tr.Instance, p, opt); !errors.Is(err, context.Canceled) {
+		t.Errorf("MatchOpts err = %v, want Canceled", err)
 	}
-	ex := NewExecutor(tr.Instance)
-	if _, err := ex.PrepareWithOpts(p, opt); !errors.Is(err, context.Canceled) {
-		t.Errorf("Executor err = %v, want Canceled", err)
+	cache := NewCache(DefaultCacheEntries)
+	if _, err := cache.Prepare(ctx, tr.Instance, p); !errors.Is(err, context.Canceled) {
+		t.Errorf("Prepare err = %v, want Canceled", err)
 	}
-	// The cancellation error must not be cached: the same executor
+	// The cancellation error must not be cached: the same cache
 	// succeeds once the context is live again.
-	if _, err := ex.PrepareWithOpts(p, ExecOptions{Ctx: context.Background()}); err != nil {
+	if _, err := cache.Prepare(context.Background(), tr.Instance, p); err != nil {
 		t.Errorf("post-cancel prepare failed: %v", err)
 	}
 }
@@ -114,13 +118,12 @@ func TestCacheConcurrentPrepareSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			ex := NewSharedExecutor(tr.Instance, cache)
 			<-start
-			var opt ExecOptions
+			var ctx context.Context
 			if i%2 == 0 {
-				opt.Ctx = context.Background()
+				ctx = context.Background()
 			}
-			prs[i], errs[i] = ex.PrepareWithOpts(p, opt)
+			prs[i], errs[i] = cache.Prepare(ctx, tr.Instance, p)
 		}(i)
 	}
 	close(start)
@@ -150,8 +153,7 @@ func TestCacheConcurrentPrepareSingleflight(t *testing.T) {
 	// A second wave must be pure hits for the match key.
 	preMisses := cache.Misses()
 	for i := 0; i < 4; i++ {
-		ex := NewSharedExecutor(tr.Instance, cache)
-		if _, err := ex.PrepareWithOpts(p, ExecOptions{}); err != nil {
+		if _, err := cache.Prepare(context.Background(), tr.Instance, p); err != nil {
 			t.Fatal(err)
 		}
 	}

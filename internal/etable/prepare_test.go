@@ -61,7 +61,7 @@ func scatteredFixture(t *testing.T, rng *rand.Rand) (*tgm.SchemaGraph, *tgm.Inst
 // TestPrepareScatteredIDs is the one-Prepare-kernel equivalence where
 // dense indexing could go wrong (ID runs starting at distinct non-zero
 // IDs, a repeated type, a selection leaving gaps): MatchOpts and the
-// executor's miss hold the oracle's projections and tuple count, and
+// cache's miss hold the oracle's projections and tuple count, and
 // PrepareOpts and the miss both render the oracle's table cell for
 // cell. Run under -race by scripts/check.sh.
 func TestPrepareScatteredIDs(t *testing.T) {
@@ -225,15 +225,15 @@ func BenchmarkPrepareFirstWindow(b *testing.B) {
 		{"depth2", buildPattern(b, tr, "Papers", opAdd(tr, "Paper_Authors"), opAdd(tr, "Authors→Institutions"))},
 	} {
 		b.Run(arm.name, func(b *testing.B) {
-			ex := NewExecutor(tr.Instance)
-			if _, err := ex.PrepareWithOpts(arm.p, ExecOptions{}); err != nil {
+			ex := NewCache(DefaultCacheEntries)
+			if _, err := ex.Prepare(context.Background(), tr.Instance, arm.p); err != nil {
 				b.Fatal(err)
 			}
 			misses := ex.Misses()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				pr, err := ex.PrepareWithOpts(arm.p, ExecOptions{})
+				pr, err := ex.Prepare(context.Background(), tr.Instance, arm.p)
 				if err != nil {
 					b.Fatal(err)
 				}

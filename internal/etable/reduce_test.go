@@ -1,6 +1,7 @@
 package etable
 
 import (
+	"context"
 	"errors"
 	"runtime"
 	"testing"
@@ -55,13 +56,13 @@ func TestHugeMatchPreparesAndReadsEveryRef(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ex := NewExecutor(g)
+	ex := NewCache(DefaultCacheEntries)
 	for _, primary := range []string{"X", p.Nodes[3].Key} {
 		q, err := Shift(p, primary)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pr, err := ex.PrepareWithOpts(q, ExecOptions{})
+		pr, err := ex.Prepare(context.Background(), g, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,7 +120,7 @@ func ScratchIsSpanSized(t *testing.T) {
 	}
 	sets := make([]graphrel.NodeSet, len(tree.keys))
 	for i, n := range tree.nodes {
-		if sets[i], err = selectSet(tr.Instance, ExecOptions{}, n, nil, mustPlan(t, tr, p)); err != nil {
+		if sets[i], err = selectSet(context.Background(), tr.Instance, n, nil, mustPlan(t, tr, p)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -136,7 +137,7 @@ func ScratchIsSpanSized(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := prepareSets(tr.Instance, p, tree, red, ExecOptions{}); err != nil {
+		if _, err := prepareSets(context.Background(), tr.Instance, p, tree, red); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -208,16 +209,16 @@ func TestReductionLoadsOnlyWhatItWalks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex := NewExecutor(g)
+	ex := NewCache(DefaultCacheEntries)
 	for _, primary := range []string{"X", p.Nodes[1].Key} {
 		q, err := Shift(p, primary)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ex.PrepareWithOpts(q, ExecOptions{}); err != nil {
+		if _, err := ex.Prepare(context.Background(), g, q); err != nil {
 			t.Fatalf("primary %s: %v", primary, err)
 		}
-		red, _ := ex.Cache().Get(matchPrefix + Signature(q))
+		red, _ := ex.Get(matchPrefix + Signature(q))
 		if set, _ := red.Set(p.Nodes[1].Key); set.Len() != len(ys) {
 			t.Fatalf("primary %s: the reduced Y set holds %d nodes, want %d", primary, set.Len(), len(ys))
 		}

@@ -1,6 +1,7 @@
 package etable
 
 import (
+	"context"
 	"fmt"
 	"slices"
 
@@ -58,16 +59,16 @@ func treeOf(g *tgm.InstanceGraph, p *Pattern) (*patternTree, error) {
 	return t, nil
 }
 
-// matchPipeline is the engine's single entry: MatchOpts, ExecuteOpts
-// and the caching Executor all call it. Each node's starting set is a
+// matchPipeline is the engine's single entry: MatchOpts and
+// Cache.Prepare both call it. Each node's starting set is a
 // resident ancestor's reduced set narrowed by the conjuncts it lacks
 // (deriveFrom), or else its selected base (buildPlan's predicate; cached
 // under the base key when the caller has a cache and the pattern
 // joins). The full semi-join reduction (graphrel.Reduce) over t then
 // yields the reduced sets. A pattern without edges has nothing to
 // reduce: its selected base is its match.
-func matchPipeline(g *tgm.InstanceGraph, p *Pattern, t *patternTree, opt ExecOptions, cache *Cache) (*graphrel.Relation, error) {
-	if err := ctxErr(opt.Ctx); err != nil {
+func matchPipeline(ctx context.Context, g *tgm.InstanceGraph, p *Pattern, t *patternTree, cache *Cache) (*graphrel.Relation, error) {
+	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
 	d := deriveFrom(p, cache)
@@ -83,7 +84,7 @@ func matchPipeline(g *tgm.InstanceGraph, p *Pattern, t *patternTree, opt ExecOpt
 	for i, n := range t.nodes {
 		if _, covered := residual[n.Key]; covered {
 			anc, _ := d.red.Set(n.Key)
-			if sets[i], err = selectSet(g, opt, n, &anc, pl); err != nil {
+			if sets[i], err = selectSet(ctx, g, n, &anc, pl); err != nil {
 				return nil, err
 			}
 			continue
@@ -92,13 +93,13 @@ func matchPipeline(g *tgm.InstanceGraph, p *Pattern, t *patternTree, opt ExecOpt
 		// caches under the match key: a second entry under the base
 		// key would hold the same set twice.
 		if cache == nil || len(p.Nodes) == 1 {
-			if sets[i], err = selectSet(g, opt, n, nil, pl); err != nil {
+			if sets[i], err = selectSet(ctx, g, n, nil, pl); err != nil {
 				return nil, err
 			}
 			continue
 		}
-		base, err := getOrComputeLive(opt.Ctx, cache, basePrefix+nodeSignature(n), func() (*graphrel.Relation, error) {
-			s, err := selectSet(g, opt, n, nil, pl)
+		base, err := getOrComputeLive(ctx, cache, basePrefix+nodeSignature(n), func() (*graphrel.Relation, error) {
+			s, err := selectSet(ctx, g, n, nil, pl)
 			if err != nil {
 				return nil, err
 			}
@@ -109,7 +110,7 @@ func matchPipeline(g *tgm.InstanceGraph, p *Pattern, t *patternTree, opt ExecOpt
 		}
 		sets[i], _ = base.Set(n.Key)
 	}
-	if sets, err = graphrel.Reduce(opt.Ctx, sets, t.edges); err != nil {
+	if sets, err = graphrel.Reduce(ctx, sets, t.edges); err != nil {
 		return nil, err
 	}
 	return graphrel.NewRelation(t.keys, sets, t.edges)
@@ -117,7 +118,7 @@ func matchPipeline(g *tgm.InstanceGraph, p *Pattern, t *patternTree, opt ExecOpt
 
 // selectSet applies n's planned condition to its starting set: from
 // (an ancestor's reduced set) when given, else the node type's base.
-func selectSet(g *tgm.InstanceGraph, opt ExecOptions, n *PatternNode, from *graphrel.NodeSet, pl *Plan) (graphrel.NodeSet, error) {
+func selectSet(ctx context.Context, g *tgm.InstanceGraph, n *PatternNode, from *graphrel.NodeSet, pl *Plan) (graphrel.NodeSet, error) {
 	pred := pl.preds[n.Key]
 	if from != nil && pred == nil {
 		return *from, nil
@@ -126,5 +127,5 @@ func selectSet(g *tgm.InstanceGraph, opt ExecOptions, n *PatternNode, from *grap
 	if from != nil && from.Len() < len(ids) {
 		ids = from.IDs()
 	}
-	return graphrel.SelectSet(opt.Ctx, g, ids, pred)
+	return graphrel.SelectSet(ctx, g, ids, pred)
 }

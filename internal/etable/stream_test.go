@@ -11,18 +11,18 @@ import (
 	"repro/internal/tgm"
 )
 
-// prepareMiss is the executor's miss without a cache: the reduced
+// prepareMiss is Cache.Prepare's miss without a cache: the reduced
 // match, prepared under the options' row cap.
 func prepareMiss(g *tgm.InstanceGraph, p *Pattern, opt ExecOptions) (*Presentation, *graphrel.Relation, error) {
 	t, err := treeOf(g, p)
 	if err != nil {
 		return nil, nil, err
 	}
-	red, err := matchPipeline(g, p, t, opt, nil)
+	red, err := matchPipeline(opt.Ctx, g, p, t, nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	pr, err := prepareSets(g, p, t, red, opt)
+	pr, err := prepareSets(opt.Ctx, g, p, t, red)
 	return pr, red, err
 }
 
@@ -118,7 +118,7 @@ func TestPrepareFromSetsEquivalence(t *testing.T) {
 	}
 }
 
-// TestExecutorStreamingPrepareCached asserts the executor's prepare
+// TestExecutorStreamingPrepareCached asserts the cache's prepare
 // path: the compute leader's presentation renders the oracle's table,
 // the cached sets are the oracle's projections, and a second prepare
 // (a cache hit, prepared from the cached sets) yields an identical
@@ -128,8 +128,8 @@ func TestExecutorStreamingPrepareCached(t *testing.T) {
 	p := figure7PlanPattern(t, tr)
 	_, want := oracleTable(t, tr.Instance, p)
 
-	e := NewExecutor(tr.Instance)
-	pr, err := e.PrepareWithOpts(p, ExecOptions{})
+	e := NewCache(DefaultCacheEntries)
+	pr, err := e.Prepare(context.Background(), tr.Instance, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestExecutorStreamingPrepareCached(t *testing.T) {
 	assertSameResults(t, "miss-vs-oracle", got, want)
 
 	// The cached sets are the match's projections.
-	red, ok := e.Cache().Get(matchPrefix + Signature(p))
+	red, ok := e.Get(matchPrefix + Signature(p))
 	if !ok {
 		t.Fatal("reduced match not cached")
 	}
@@ -154,7 +154,7 @@ func TestExecutorStreamingPrepareCached(t *testing.T) {
 	if misses := e.Misses(); misses == 0 {
 		t.Fatal("expected at least one miss")
 	}
-	pr2, err := e.PrepareWithOpts(p, ExecOptions{})
+	pr2, err := e.Prepare(context.Background(), tr.Instance, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,29 +165,29 @@ func TestExecutorStreamingPrepareCached(t *testing.T) {
 	assertSameResults(t, "hit-vs-oracle", got2, want)
 }
 
-// TestExecutorStreamingMatchCached asserts the executor caches the
+// TestExecutorStreamingMatchCached asserts the cache keeps the
 // reduced match and serves later prepares of the signature from it
 // without recomputation.
 func TestExecutorStreamingMatchCached(t *testing.T) {
 	tr := planFixture(t)
 	p := figure1PlanPattern(t, tr)
-	e := NewExecutor(tr.Instance)
-	if _, err := e.PrepareWithOpts(p, ExecOptions{}); err != nil {
+	e := NewCache(DefaultCacheEntries)
+	if _, err := e.Prepare(context.Background(), tr.Instance, p); err != nil {
 		t.Fatal(err)
 	}
 	key := matchPrefix + Signature(p)
-	first, ok := e.Cache().Get(key)
+	first, ok := e.Get(key)
 	if !ok {
 		t.Fatal("reduced match not cached")
 	}
 	misses := e.Misses()
-	if _, err := e.PrepareWithOpts(p, ExecOptions{}); err != nil {
+	if _, err := e.Prepare(context.Background(), tr.Instance, p); err != nil {
 		t.Fatal(err)
 	}
 	if e.Misses() != misses {
 		t.Error("second prepare recomputed the match")
 	}
-	if second, _ := e.Cache().Get(key); second != first {
+	if second, _ := e.Get(key); second != first {
 		t.Error("cache hit returned a different value")
 	}
 	naive, err := MatchNaive(tr.Instance, p)
@@ -214,7 +214,7 @@ func TestMaxRowsGuard(t *testing.T) {
 	if full.Len() < 10 {
 		t.Fatalf("fixture too small: %d match rows", full.Len())
 	}
-	pr, err := NewExecutor(tr.Instance).PrepareWithOpts(p, ExecOptions{})
+	pr, err := NewCache(DefaultCacheEntries).Prepare(context.Background(), tr.Instance, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestStreamingCancellation(t *testing.T) {
 	if _, err := MatchOpts(tr.Instance, p, opt); !errors.Is(err, context.Canceled) {
 		t.Errorf("MatchOpts err = %v, want Canceled", err)
 	}
-	if _, err := NewExecutor(tr.Instance).PrepareWithOpts(p, opt); !errors.Is(err, context.Canceled) {
-		t.Errorf("PrepareWithOpts err = %v, want Canceled", err)
+	if _, err := NewCache(DefaultCacheEntries).Prepare(opt.Ctx, tr.Instance, p); !errors.Is(err, context.Canceled) {
+		t.Errorf("Prepare err = %v, want Canceled", err)
 	}
 }

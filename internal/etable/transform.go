@@ -32,11 +32,11 @@ import (
 // column the reduced sets its cells are read from, ready to materialize
 // any row window.
 //
-// The zero value is unusable; build one with Prepare/PrepareOpts (or
-// Executor.PrepareWithOpts, which takes the reduced match from the
-// shared cache). A prepared Presentation is immutable: SortedView
-// returns a reordered copy, so any number of goroutines may Window a
-// presentation and its views concurrently.
+// The zero value is unusable; build one with Cache.Prepare, which
+// takes the reduced match from the cache, or PrepareOpts over
+// MatchOpts' relation. A prepared Presentation is immutable:
+// SortedView returns a reordered copy, so any number of goroutines may
+// Window a presentation and its views concurrently.
 type Presentation struct {
 	g        *tgm.InstanceGraph
 	pattern  *Pattern
@@ -249,7 +249,7 @@ func PrepareOpts(g *tgm.InstanceGraph, p *Pattern, matched *graphrel.Relation, o
 	if err != nil {
 		return nil, err
 	}
-	return prepareSets(g, p, t, matched, opt)
+	return prepareSets(opt.Ctx, g, p, t, matched)
 }
 
 // prepareSets builds the presentation from a reduced match: rows are
@@ -258,8 +258,8 @@ func PrepareOpts(g *tgm.InstanceGraph, p *Pattern, matched *graphrel.Relation, o
 // column keeps its tree path from the primary down to its node — the
 // reduced set and the adjacency into it at every hop. Nothing is read
 // per row: a cell is computed when a window reads it.
-func prepareSets(g *tgm.InstanceGraph, p *Pattern, t *patternTree, red *graphrel.Relation, opt ExecOptions) (*Presentation, error) {
-	if err := ctxErr(opt.Ctx); err != nil {
+func prepareSets(ctx context.Context, g *tgm.InstanceGraph, p *Pattern, t *patternTree, red *graphrel.Relation) (*Presentation, error) {
+	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
 	sets := make([]graphrel.NodeSet, len(t.keys))
@@ -392,13 +392,13 @@ func (pr *Presentation) Bounds(offset, limit int) (lo, hi int) {
 // Window materializes the [offset, offset+limit) row window. See
 // WindowOpts.
 func (pr *Presentation) Window(offset, limit int) (*Result, error) {
-	return pr.WindowOpts(offset, limit, ExecOptions{})
+	return pr.WindowColumns(context.Background(), offset, limit, nil)
 }
 
-// WindowOpts materializes one row window of every column. See
-// WindowColumns.
+// WindowOpts materializes one row window of every column under
+// opt.Ctx. See WindowColumns.
 func (pr *Presentation) WindowOpts(offset, limit int, opt ExecOptions) (*Result, error) {
-	return pr.WindowColumns(offset, limit, nil, opt)
+	return pr.WindowColumns(opt.Ctx, offset, limit, nil)
 }
 
 // WindowColumns materializes one row window of the presentation,
@@ -407,10 +407,10 @@ func (pr *Presentation) WindowOpts(offset, limit int, opt ExecOptions) (*Result,
 // row-less result that still carries the table metadata (columns,
 // TotalRows). The returned Result's TotalRows and Offset locate the
 // window; Rows is row- and cell-identical to the same slice of a full
-// render with the other columns dropped. Of the options only Ctx is
-// read: the window is one transformRange pass over a Cursor on the
-// caller's goroutine.
-func (pr *Presentation) WindowColumns(offset, limit int, visible []int, opt ExecOptions) (*Result, error) {
+// render with the other columns dropped. The window is one
+// transformRange pass over a Cursor on the caller's goroutine; a done
+// ctx fails it before any row is written, and nil never cancels.
+func (pr *Presentation) WindowColumns(ctx context.Context, offset, limit int, visible []int) (*Result, error) {
 	if offset < 0 {
 		return nil, fmt.Errorf("etable: negative window offset %d", offset)
 	}
@@ -428,7 +428,7 @@ func (pr *Presentation) WindowColumns(offset, limit int, visible []int, opt Exec
 	}
 	if lo == hi {
 		res.Rows = make([]Row, 0)
-		return res, ctxErr(opt.Ctx)
+		return res, ctxErr(ctx)
 	}
 	// The cursor pins the window's base columns and pinLabels its label
 	// columns for the duration of materialization: on an out-of-core
@@ -447,7 +447,7 @@ func (pr *Presentation) WindowColumns(offset, limit int, visible []int, opt Exec
 	if err != nil {
 		return nil, err
 	}
-	if err := ctxErr(opt.Ctx); err != nil {
+	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
 	res.Rows = pr.transformRange(&c, view)

@@ -90,12 +90,6 @@ func TestTransformRangeEquivalence(t *testing.T) {
 			}
 			assertSameWindow(t, fmt.Sprintf("%s/window=%v", name, w), got, sliceOf(want, w[0], end))
 		}
-		// The public full-render path under options must agree too.
-		got, err := ExecuteOpts(tr.Instance, p, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertSameResults(t, name+"/execute", got, want)
 	}
 }
 

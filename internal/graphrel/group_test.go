@@ -163,10 +163,13 @@ func TestSetSeekAndRank(t *testing.T) {
 // ascending) and whose second hop reaches a node through several
 // intermediate ones. Cells run from empty to hundreds of IDs, so both
 // orderings (sort and bitset) and the ascending shortcut are read, and
-// one Scratch is reused across every row. Counts must equal the cells'
-// lengths, from either side of the first hop.
+// one Scratch is reused across every row. The first A node links to
+// most Bs, so one-hop cells of 16 and more references out of adjacency
+// order are read, and the test fails if none was. Counts must equal the
+// cells' lengths, from either side of the first hop.
 func TestPathRefs(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
+	longUnsorted := 0
 	for trial := 0; trial < 20; trial++ {
 		s := tgm.NewSchemaGraph()
 		for _, name := range []string{"F", "A", "B", "C"} {
@@ -200,9 +203,9 @@ func TestPathRefs(t *testing.T) {
 			from, to tgm.NodeID
 		}
 		var edges []edge
-		for _, a := range ids["A"] {
+		for ai, a := range ids["A"] {
 			for _, b := range ids["B"] {
-				if rng.Intn(4) == 0 {
+				if k := rng.Intn(4); k == 0 || (ai == 0 && k != 3) {
 					edges = append(edges, edge{"A→B", a, b})
 				}
 			}
@@ -263,6 +266,9 @@ func TestPathRefs(t *testing.T) {
 						}
 					}
 				}
+				if path.name != "depth2" && len(want) >= 16 && !slices.IsSorted(want) {
+					longUnsorted++
+				}
 				slices.Sort(want)
 				want = slices.Compact(want)
 				sc.IDs = path.p.Refs(append(sc.IDs[:0], -7), a, sc)
@@ -275,5 +281,8 @@ func TestPathRefs(t *testing.T) {
 			}
 		}
 		PutScratch(sc)
+	}
+	if longUnsorted == 0 {
+		t.Fatal("no one-hop cell of 16 or more references was out of adjacency order")
 	}
 }

@@ -160,13 +160,11 @@ func (p Path) Ensure() error {
 // deduplicated, and returns the extended slice; a cell's count is the
 // length it appends. A one-hop cell is r's adjacency filtered by the
 // column's set, kept as it is when it ascends strictly and sorted when
-// it is short (sortedCells); an adjacency list holds no repeats. A
-// longer one-hop cell that does not ascend (an insertion-ordered
-// segment) and every deeper cell, which reaches a node once through
-// each of its intermediate nodes, are walked again marking each kept
-// node in sc's bitset over the column set's span, which orders and
-// deduplicates them, and the marks are read back. The path must be
-// loaded (Ensure).
+// it does not (an insertion-ordered segment); an adjacency list holds
+// no repeats. A deeper cell, which reaches a node once through each of
+// its intermediate nodes, is walked marking each kept node in sc's
+// bitset over the column set's span, which orders and deduplicates
+// them, and the marks are read back. The path must be loaded (Ensure).
 func (p Path) Refs(dst []tgm.NodeID, r tgm.NodeID, sc *Scratch) []tgm.NodeID {
 	set := &p.sets[len(p.sets)-1]
 	if len(p.sets) == 1 {
@@ -176,14 +174,10 @@ func (p Path) Refs(dst []tgm.NodeID, r tgm.NodeID, sc *Scratch) []tgm.NodeID {
 				dst = append(dst, y)
 			}
 		}
-		switch cell := dst[start:]; {
-		case ascending(cell):
-			return dst
-		case len(cell) < sortedCells:
+		if cell := dst[start:]; !ascending(cell) {
 			slices.Sort(cell)
-			return dst
 		}
-		dst = dst[:start]
+		return dst
 	}
 	b, sum := sc.bitsFor(len(set.bits))
 	p.mark(0, r, b, sum)
@@ -225,11 +219,11 @@ func ascending(ids []tgm.NodeID) bool {
 
 // Counts returns the size of every row's cell — the length Refs
 // appends — in the order of rows, the primary's set the path hangs
-// from. One hop is counted from its side with fewer members: each
-// row's neighbors in the set, or each set member's neighbors among the
-// rows (an adjacency list holds no repeats: Freeze drops them, and a
+// from. A one-hop path whose set has fewer members than the rows is
+// counted from the set's side, each member's neighbors among the rows
+// (an adjacency list holds no repeats: Freeze drops them, and a
 // snapshot stores a frozen graph's lists), loading only the adjacency
-// it walks. A longer path counts each row's cell ordered by Refs.
+// it walks. Otherwise each row's cell is counted as Refs gathers it.
 func (p Path) Counts(rows NodeSet) ([]int32, error) {
 	counts, set := make([]int32, rows.n), p.sets[0]
 	if len(p.sets) == 1 && set.n < rows.n {
@@ -253,27 +247,12 @@ func (p Path) Counts(rows NodeSet) ([]int32, error) {
 	defer PutScratch(sc)
 	i := 0
 	rows.each(func(r tgm.NodeID) {
-		if len(p.sets) > 1 {
-			sc.IDs = p.Refs(sc.IDs[:0], r, sc)
-			counts[i] = int32(len(sc.IDs))
-		} else {
-			for _, y := range p.down[0].Neighbors(r) {
-				if set.Has(y) {
-					counts[i]++
-				}
-			}
-		}
+		sc.IDs = p.Refs(sc.IDs[:0], r, sc)
+		counts[i] = int32(len(sc.IDs))
 		i++
 	})
 	return counts, nil
 }
-
-// sortedCells is the one-hop cell length below which a sort orders an
-// insertion-ordered cell faster than the bitset: on 2 CPUs, sorting 8
-// IDs and the bitset cost the same, and from 20 IDs on the bitset is
-// 2–3× faster, over a 64-word span or a 600-word one alike (the summary
-// level skips empty words).
-const sortedCells = 16
 
 // bitsFor returns sc's two-level bitset over words words — a bit per
 // ID and a summary bit per word — zeroed, growing it if it is shorter.
@@ -303,7 +282,7 @@ func drain(dst []tgm.NodeID, lo tgm.NodeID, b, sum Bitset) []tgm.NodeID {
 
 // Scratch is a caller's buffers around Path.Refs: IDs for gathered
 // nodes, Offs for offsets into them, and the two-level bitset Refs
-// orders a long gather through. GetScratch lends one from a pool and
+// orders a deeper cell through. GetScratch lends one from a pool and
 // PutScratch returns it. The pointer travels through the pool, so
 // neither call allocates once the pool is warm, and the buffers grow to
 // what their readers gather — the bitset to a column set's span —

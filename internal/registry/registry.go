@@ -39,14 +39,14 @@ import (
 // Options tunes per-dataset resources.
 type Options struct {
 	// CacheEntries is each dataset's execution cache capacity
-	// (default 1024). Caches are per dataset, not shared: capacity is
+	// (default etable.DefaultCacheEntries). Caches are per dataset, not shared: capacity is
 	// per-dataset so one hot dataset cannot evict another's entries.
 	CacheEntries int
 }
 
 func (o Options) withDefaults() Options {
 	if o.CacheEntries == 0 {
-		o.CacheEntries = 1024
+		o.CacheEntries = etable.DefaultCacheEntries
 	}
 	return o
 }

@@ -196,9 +196,9 @@ func TestDatasetIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex := etable.NewSharedExecutor(a.Graph(), a.Cache())
+	ex := a.Cache()
 	for i := 0; i < 2; i++ {
-		if _, err := ex.PrepareWithOpts(p, etable.ExecOptions{}); err != nil {
+		if _, err := ex.Prepare(context.Background(), a.Graph(), p); err != nil {
 			t.Fatal(err)
 		}
 	}

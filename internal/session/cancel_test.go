@@ -51,12 +51,12 @@ func TestApplyCtxCancellation(t *testing.T) {
 	if err := s.ApplyCtx(context.Background(), ops.Pivot("Authors")); err != nil {
 		t.Fatal(err)
 	}
-	// ResultCtx propagates cancellation for uncached patterns.
+	// WindowCtx propagates cancellation for uncached patterns.
 	s2 := newFigure3Session(t)
 	if err := s2.Open("Papers"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s2.ResultCtx(ctx); !errors.Is(err, context.Canceled) {
-		t.Errorf("ResultCtx err = %v, want Canceled", err)
+	if _, err := s2.WindowCtx(ctx, 0, -1); !errors.Is(err, context.Canceled) {
+		t.Errorf("WindowCtx err = %v, want Canceled", err)
 	}
 }

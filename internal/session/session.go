@@ -17,9 +17,9 @@
 // A Session is safe for concurrent use: one mutex serializes actions and
 // snapshots per session, so the application server can admit overlapping
 // requests for the same session without a global lock. Expensive
-// execution state is NOT per-session — matching runs through an
-// etable.Executor whose cache may be shared across every session of a
-// server (NewShared).
+// execution state is NOT per-session — a pattern is prepared through
+// an etable.Cache that may be shared across every session of a server
+// (NewShared).
 //
 // Presentation is windowed: the session keeps a small LRU memo of
 // prepared presentations (etable.Presentation — the reduced sets and
@@ -121,11 +121,11 @@ func (pe *presEntry) variant(e Entry) (*etable.Presentation, error) {
 type Session struct {
 	schema *tgm.SchemaGraph
 	graph  *tgm.InstanceGraph
-	// exec reuses intermediate match results (the paper's §9 future-work
-	// item 2): Sort, Hide, Shift, and Revert re-executions hit its
-	// cache. The cache behind it is shared across sessions when the
-	// session is built with NewShared.
-	exec *etable.Executor
+	// cache reuses intermediate match results (the paper's §9
+	// future-work item 2): Sort, Hide, Shift, and Revert re-executions
+	// hit it. It is shared across sessions when the session is built
+	// with NewShared.
+	cache *etable.Cache
 	// maxRows is the widest window one request may read (0 =
 	// unbounded): windowLocked rejects a wider one with
 	// *graphrel.RowLimitError before reading a cell.
@@ -133,8 +133,8 @@ type Session struct {
 
 	// mu serializes all state-changing actions and snapshot reads on
 	// this session. Lock ordering: session.mu may be held while the
-	// memos and the executor take their lru.Cache locks, never the
-	// reverse.
+	// memos and the execution cache take their lru.Cache locks, never
+	// the reverse.
 	mu      sync.Mutex
 	history []Entry
 	cursor  int // index into history of the current state; -1 = empty
@@ -151,14 +151,14 @@ func New(schema *tgm.SchemaGraph, graph *tgm.InstanceGraph) *Session {
 	return NewShared(schema, graph, etable.NewCache(etable.DefaultCacheEntries))
 }
 
-// NewShared starts an empty session whose executor is backed by a
-// shared execution cache. All sessions sharing a cache must be over the
+// NewShared starts an empty session that prepares through a shared
+// execution cache. All sessions sharing a cache must be over the
 // same instance graph.
 func NewShared(schema *tgm.SchemaGraph, graph *tgm.InstanceGraph, cache *etable.Cache) *Session {
 	return &Session{
 		schema: schema,
 		graph:  graph,
-		exec:   etable.NewSharedExecutor(graph, cache),
+		cache:  cache,
 		cursor: -1,
 		memo:   lru.New[string, *presEntry](memoEntries),
 	}
@@ -193,12 +193,6 @@ func (s *Session) SetMaxRows(n int) {
 // Deprecated: window arenas are no longer recycled. The method stays
 // because the benchmark harness in cmd/etable-load still calls it.
 func (s *Session) SetWindowRecycling(bool) {}
-
-// execOptions resolves the execution options for one request: the
-// request context, which cancels it.
-func (s *Session) execOptions(ctx context.Context) etable.ExecOptions {
-	return etable.ExecOptions{Ctx: ctx}
-}
 
 // Schema returns the schema graph (the "default table list" of Figure 9
 // is its entity node types).
@@ -333,15 +327,21 @@ func (s *Session) ApplyPipelineCtx(ctx context.Context, p ops.Pipeline) error {
 	// push appends into history[:cursor+1], which can overwrite entries
 	// of the shared backing array past the cursor — the rollback
 	// snapshot must be a full copy.
-	savedHistory := append([]Entry(nil), s.history...)
-	savedCursor := s.cursor
+	savedHistory, savedCursor := append([]Entry(nil), s.history...), s.cursor
+	return s.applyAllLocked(ctx, compiled, func() { s.history, s.cursor = savedHistory, savedCursor })
+}
+
+// applyAllLocked applies compiled ops in order with s.mu held. On the
+// first op that fails, or finds ctx done, it calls restore and returns
+// an *ops.Error carrying that op's index.
+func (s *Session) applyAllLocked(ctx context.Context, compiled []ops.Compiled, restore func()) error {
 	for i, c := range compiled {
-		if err := ctxErr(ctx); err != nil {
-			s.history, s.cursor = savedHistory, savedCursor
-			return ops.Failed(err, i)
+		err := ctxErr(ctx)
+		if err == nil {
+			err = s.applyLocked(ctx, c)
 		}
-		if err := s.applyLocked(ctx, c); err != nil {
-			s.history, s.cursor = savedHistory, savedCursor
+		if err != nil {
+			restore()
 			return ops.Failed(err, i)
 		}
 	}
@@ -382,15 +382,10 @@ func (s *Session) applyLocked(ctx context.Context, c ops.Compiled) error {
 		if err != nil {
 			return err
 		}
-		cols, err := s.visibleColumnsLocked(ctx)
+		col, err := s.columnLocked(ctx, cur, op.Column)
 		if err != nil {
 			return err
 		}
-		ci := findColumn(cols, op.Column)
-		if ci < 0 {
-			return fmt.Errorf("session: no column %q", op.Column)
-		}
-		col := cols[ci]
 		if col.Kind != etable.ColNeighbor {
 			return fmt.Errorf("session: column %q is not a neighbor column", op.Column)
 		}
@@ -410,24 +405,11 @@ func (s *Session) applyLocked(ctx context.Context, c ops.Compiled) error {
 		if err != nil {
 			return err
 		}
-		cols, err := s.visibleColumnsLocked(ctx)
+		col, err := s.columnLocked(ctx, cur, op.Column)
 		if err != nil {
 			return err
 		}
-		ci := findColumn(cols, op.Column)
-		if ci < 0 {
-			return fmt.Errorf("session: no column %q", op.Column)
-		}
-		col := cols[ci]
-		var p *etable.Pattern
-		switch col.Kind {
-		case etable.ColNeighbor:
-			p, err = etable.Add(s.schema, cur.Pattern, col.EdgeType)
-		case etable.ColParticipating:
-			p, err = etable.Shift(cur.Pattern, col.NodeKey)
-		default:
-			return fmt.Errorf("session: cannot pivot on base attribute %q", op.Column)
-		}
+		p, err := s.through(cur.Pattern, col, "pivot")
 		if err != nil {
 			return err
 		}
@@ -464,29 +446,16 @@ func (s *Session) applyLocked(ctx context.Context, c ops.Compiled) error {
 			return fmt.Errorf("session: node %q is not of the primary type %q",
 				n.Label(), cur.Pattern.PrimaryNode().Type)
 		}
-		cols, err := s.visibleColumnsLocked(ctx)
+		col, err := s.columnLocked(ctx, cur, op.Column)
 		if err != nil {
 			return err
 		}
-		ci := findColumn(cols, op.Column)
-		if ci < 0 {
-			return fmt.Errorf("session: no column %q", op.Column)
-		}
-		col := cols[ci]
 		cond, condSrc := keyCondition(n)
 		p, err := etable.SelectExpr(cur.Pattern, cond, condSrc)
 		if err != nil {
 			return err
 		}
-		switch col.Kind {
-		case etable.ColNeighbor:
-			p, err = etable.Add(s.schema, p, col.EdgeType)
-		case etable.ColParticipating:
-			p, err = etable.Shift(p, col.NodeKey)
-		default:
-			return fmt.Errorf("session: cannot see-all on base attribute %q", op.Column)
-		}
-		if err != nil {
+		if p, err = s.through(p, col, "see-all"); err != nil {
 			return err
 		}
 		s.push(op, fmt.Sprintf("See all '%s' of '%s'", op.Column, n.Label()), p, nil, nil)
@@ -524,39 +493,32 @@ func (s *Session) applyLocked(ctx context.Context, c ops.Compiled) error {
 		}
 		s.push(op, fmt.Sprintf("Sort table by %s (%s)", what, dir), cur.Pattern, &spec, cur.Hidden)
 
-	case ops.KindHide:
+	case ops.KindHide, ops.KindShow:
+		// Hide names a visible column, Show a hidden one; each edits a
+		// copy of the hidden set, which history entries share.
 		cur, err := s.current()
 		if err != nil {
 			return err
 		}
-		cols, err := s.visibleColumnsLocked(ctx)
-		if err != nil {
-			return err
-		}
-		if findColumn(cols, op.Column) < 0 {
-			return fmt.Errorf("session: no column %q", op.Column)
-		}
-		hidden := map[string]bool{op.Column: true}
-		for k := range cur.Hidden {
-			hidden[k] = true
-		}
-		s.push(op, fmt.Sprintf("Hide column '%s'", op.Column), cur.Pattern, cur.Sort, hidden)
-
-	case ops.KindShow:
-		cur, err := s.current()
-		if err != nil {
-			return err
-		}
-		if !cur.Hidden[op.Column] {
+		hide := op.Op == ops.KindHide
+		if hide {
+			if _, err := s.columnLocked(ctx, cur, op.Column); err != nil {
+				return err
+			}
+		} else if !cur.Hidden[op.Column] {
 			return fmt.Errorf("session: column %q is not hidden", op.Column)
 		}
-		hidden := map[string]bool{}
+		hidden := make(map[string]bool, len(cur.Hidden)+1)
 		for k := range cur.Hidden {
 			if k != op.Column {
 				hidden[k] = true
 			}
 		}
-		s.push(op, fmt.Sprintf("Show column '%s'", op.Column), cur.Pattern, cur.Sort, hidden)
+		verb := "Show"
+		if hide {
+			hidden[op.Column], verb = true, "Hide"
+		}
+		s.push(op, fmt.Sprintf("%s column '%s'", verb, op.Column), cur.Pattern, cur.Sort, hidden)
 
 	case ops.KindRevert:
 		if op.Index < 0 || op.Index >= len(s.history) {
@@ -568,6 +530,19 @@ func (s *Session) applyLocked(ctx context.Context, c ops.Compiled) error {
 		return fmt.Errorf("session: unknown op kind %q", op.Op)
 	}
 	return nil
+}
+
+// through extends p through a visible column: Add for a neighbor
+// column, Shift for a participating one (Pivot and Seeall). A base
+// attribute leads nowhere; verb names the action in its error.
+func (s *Session) through(p *etable.Pattern, col etable.Column, verb string) (*etable.Pattern, error) {
+	switch col.Kind {
+	case etable.ColNeighbor:
+		return etable.Add(s.schema, p, col.EdgeType)
+	case etable.ColParticipating:
+		return etable.Shift(p, col.NodeKey)
+	}
+	return nil, fmt.Errorf("session: cannot %s on base attribute %q", verb, col.Name)
 }
 
 // keyCondition builds the "this exact node" condition used by Single and
@@ -679,15 +654,8 @@ func (s *Session) ReplayCtx(ctx context.Context, log Log) error {
 	// Starting from nil history, pushes allocate a fresh backing array,
 	// so the saved slice cannot be clobbered.
 	s.history, s.cursor = nil, -1
-	for i, c := range compiled {
-		if err := ctxErr(ctx); err != nil {
-			restore()
-			return ops.Failed(err, i)
-		}
-		if err := s.applyLocked(ctx, c); err != nil {
-			restore()
-			return ops.Failed(err, i)
-		}
+	if err := s.applyAllLocked(ctx, compiled, restore); err != nil {
+		return err
 	}
 	if len(s.history) == 0 {
 		if log.Cursor != -1 {
@@ -729,15 +697,7 @@ func sortKey(sp *etable.SortSpec) string {
 // presentation states are served from the session's memo without
 // re-preparing or re-sorting; paged readers should prefer WindowCtx.
 func (s *Session) Result() (*etable.Result, error) {
-	return s.ResultCtx(context.Background())
-}
-
-// ResultCtx is Result under a request context: rendering may execute
-// the current pattern, which honors ctx's cancellation.
-func (s *Session) ResultCtx(ctx context.Context) (*etable.Result, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.resultLocked(ctx, 0, -1)
+	return s.WindowCtx(context.Background(), 0, -1)
 }
 
 // resultLocked materializes one row window of the current presentation
@@ -747,7 +707,7 @@ func (s *Session) resultLocked(ctx context.Context, offset, limit int) (*etable.
 	if err != nil {
 		return nil, err
 	}
-	return w.Pres.WindowColumns(w.Lo, w.Hi-w.Lo, w.Visible, s.execOptions(ctx))
+	return w.Pres.WindowColumns(ctx, w.Lo, w.Hi-w.Lo, w.Visible)
 }
 
 // presentationLocked returns the memoized presentation for the current
@@ -757,7 +717,7 @@ func (s *Session) presentationLocked(ctx context.Context, cur Entry) (*presEntry
 	if pe, ok := s.memo.Lookup(key); ok {
 		return pe, nil
 	}
-	pres, err := s.exec.PrepareWithOpts(cur.Pattern, s.execOptions(ctx))
+	pres, err := s.cache.Prepare(ctx, s.graph, cur.Pattern)
 	if err != nil {
 		return nil, err
 	}
@@ -794,11 +754,11 @@ func (s *Session) windowLocked(ctx context.Context, offset, limit int) (Window, 
 		return Window{}, graphrel.LimitExceeded(s.maxRows, n)
 	}
 	if len(cur.Hidden) > 0 {
-		w.Columns = visibleColumns(w.Columns, cur.Hidden)
-		w.Visible = make([]int, 0, len(w.Columns))
+		w.Columns = make([]etable.Column, 0, len(w.Columns))
+		w.Visible = make([]int, 0, cap(w.Columns))
 		for ci, c := range pres.Columns() {
 			if !cur.Hidden[c.Name] {
-				w.Visible = append(w.Visible, ci)
+				w.Columns, w.Visible = append(w.Columns, c), append(w.Visible, ci)
 			}
 		}
 	}
@@ -810,44 +770,24 @@ func (s *Session) windowLocked(ctx context.Context, offset, limit int) (Window, 
 	return w, nil
 }
 
-// visibleColumnsLocked returns the current entry's presented column
-// layout (hidden columns removed) without materializing any rows —
-// what ops that only need to resolve a column (pivot, seeall, sort,
-// hide) read instead of rendering the table. Caller holds s.mu.
-func (s *Session) visibleColumnsLocked(ctx context.Context) ([]etable.Column, error) {
-	cur, err := s.current()
-	if err != nil {
-		return nil, err
-	}
+// columnLocked resolves the visible column named name in cur's
+// presentation without materializing any rows — what ops that only
+// need to resolve a column (filter_neighbor, pivot, seeall, hide) read
+// instead of rendering the table. Hiding is by name, so a hidden name
+// resolves to nothing. Caller holds s.mu.
+func (s *Session) columnLocked(ctx context.Context, cur Entry, name string) (etable.Column, error) {
 	pe, err := s.presentationLocked(ctx, cur)
 	if err != nil {
-		return nil, err
+		return etable.Column{}, err
 	}
-	return visibleColumns(pe.base.Columns(), cur.Hidden), nil
-}
-
-// visibleColumns filters hidden columns out of a column layout.
-func visibleColumns(cols []etable.Column, hidden map[string]bool) []etable.Column {
-	if len(hidden) == 0 {
-		return cols
-	}
-	out := make([]etable.Column, 0, len(cols))
-	for _, c := range cols {
-		if !hidden[c.Name] {
-			out = append(out, c)
+	if !cur.Hidden[name] {
+		for _, c := range pe.base.Columns() {
+			if c.Name == name {
+				return c, nil
+			}
 		}
 	}
-	return out
-}
-
-// findColumn returns the ordinal of the named column, or -1.
-func findColumn(cols []etable.Column, name string) int {
-	for i := range cols {
-		if cols[i].Name == name {
-			return i
-		}
-	}
-	return -1
+	return etable.Column{}, fmt.Errorf("session: no column %q", name)
 }
 
 // Close empties the presentation memo. History is untouched, so a

@@ -421,7 +421,7 @@ func TestDisjunctiveFilter(t *testing.T) {
 }
 
 // TestExecutorReuseAcrossRevert checks that reverting and re-running a
-// query is served from the session executor's match cache (the §9
+// query is served from the session's match cache (the §9
 // future-work extension) — the result is identical, and fast.
 func TestExecutorReuseAcrossRevert(t *testing.T) {
 	s := newSession(t)

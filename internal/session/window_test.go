@@ -148,7 +148,7 @@ func TestWindowOutlivesMatchedRelation(t *testing.T) {
 	sameWindow("reverted", 1, 2)
 
 	misses := cache.Misses()
-	if _, err := etable.NewSharedExecutor(s.Graph(), cache).PrepareWithOpts(s.Pattern(), etable.ExecOptions{}); err != nil {
+	if _, err := cache.Prepare(context.Background(), s.Graph(), s.Pattern()); err != nil {
 		t.Fatal(err)
 	}
 	if cache.Misses() == misses {
@@ -406,7 +406,7 @@ func TestSortVariantsShareOnePreparedPresentation(t *testing.T) {
 // TestPresentationMemoIsLRU: a presentation the user keeps re-reading
 // stays memoized while newer patterns come and go. Eight new patterns,
 // with the first re-read after each, never evict it, so no re-read
-// prepares it again and the executor's cache sees no lookup.
+// prepares it again and the execution cache sees no lookup.
 func TestPresentationMemoIsLRU(t *testing.T) {
 	s, cache := newSharedSession(t)
 	ctx := context.Background()

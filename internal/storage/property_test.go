@@ -67,8 +67,8 @@ func randomPattern(rng *rand.Rand, tr *translate.Result) (*etable.Pattern, error
 // translation, an independent oracle — on randomly generated patterns
 // over a small generated corpus. The engine runs three ways: with no
 // options, with the options the benchmark harness sets ("pooled"), and
-// the way the server serves a table — one shared executor's
-// PrepareWithOpts plus a full window — whose cache spans every trial,
+// the way the server serves a table — one shared cache's Prepare plus
+// a full window — whose cache spans every trial,
 // so later trials derive from sets earlier trials cached and
 // re-prepare signatures they matched. Every run must match both SQL
 // tables cell for cell.
@@ -92,8 +92,7 @@ func TestRandomPatternEquivalence(t *testing.T) {
 	// still sets: a live context plus the deprecated Pool and
 	// Parallelism fields, which must change nothing.
 	pooled := etable.ExecOptions{Ctx: context.Background(), Pool: exec.NewPool(4), Parallelism: 4}
-	live := etable.ExecOptions{Ctx: context.Background()}
-	shared := etable.NewSharedExecutor(tr.Instance, etable.NewCache(256))
+	shared := etable.NewCache(256)
 	rng := rand.New(rand.NewSource(1234))
 	trials := 40
 	for i := 0; i < trials; i++ {
@@ -116,14 +115,26 @@ func TestRandomPatternEquivalence(t *testing.T) {
 				exec func() (*etable.Result, error)
 			}{
 				{"serial", func() (*etable.Result, error) { return etable.Execute(tr.Instance, p) }},
-				{"pooled", func() (*etable.Result, error) { return etable.ExecuteOpts(tr.Instance, p, pooled) }},
-				{"shared", func() (*etable.Result, error) {
-					// The server's path: the cached prepare, then a window.
-					pr, err := shared.PrepareWithOpts(p, live)
+				{"pooled", func() (*etable.Result, error) {
+					// The harness's path: an uncached match, its prepare
+					// and a window, each under the harness's options.
+					rel, err := etable.MatchOpts(tr.Instance, p, pooled)
 					if err != nil {
 						return nil, err
 					}
-					return pr.WindowOpts(0, -1, live)
+					pr, err := etable.PrepareOpts(tr.Instance, p, rel, pooled)
+					if err != nil {
+						return nil, err
+					}
+					return pr.WindowOpts(0, -1, pooled)
+				}},
+				{"shared", func() (*etable.Result, error) {
+					// The server's path: the cached prepare, then a window.
+					pr, err := shared.Prepare(context.Background(), tr.Instance, p)
+					if err != nil {
+						return nil, err
+					}
+					return pr.Window(0, -1)
 				}},
 			} {
 				t.Run(run.name, func(t *testing.T) {
