@@ -166,11 +166,11 @@ func residualStrings(d *derived) map[string]string {
 	return out
 }
 
-// TestDerivedMatchSpillsLikeFromBases: a derived match is served
+// TestDerivedMatchServedLikeFromBases: a derived match is served
 // exactly like one from the bases — also when the ancestor covers every
 // node and the pattern only adds a condition (no join step is left, but
 // the pattern has edges, so its match is still reduced).
-func TestDerivedMatchSpillsLikeFromBases(t *testing.T) {
+func TestDerivedMatchServedLikeFromBases(t *testing.T) {
 	tr := planFixture(t)
 	full := figure7PlanPattern(t, tr)
 	chain := []*Pattern{}
@@ -210,29 +210,24 @@ func TestDerivedMatchSpillsLikeFromBases(t *testing.T) {
 	}
 }
 
-// TestJoinlessSelectAfterOpenUnderSpill: a Select after Open has no
+// TestJoinlessSelectNeverDerives: a Select after Open has no
 // edges, so it never derives and its match is its selected base,
 // rendered as the oracle's table.
-func TestJoinlessSelectAfterOpenUnderSpill(t *testing.T) {
+func TestJoinlessSelectNeverDerives(t *testing.T) {
 	tr := planFixture(t)
-	ex := NewCache(DefaultCacheEntries)
-	var opt ExecOptions
+	cache := NewCache(DefaultCacheEntries)
 	open := buildPattern(t, tr, "Papers")
-	if _, err := ex.Prepare(opt.Ctx, tr.Instance, open); err != nil {
+	if _, err := cache.Prepare(context.Background(), tr.Instance, open); err != nil {
 		t.Fatal(err)
 	}
 	p, err := Select(open, "year > 2005")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if deriveFrom(p, ex) != nil {
+	if deriveFrom(p, cache) != nil {
 		t.Fatal("a pattern without edges derived")
 	}
-	pr, err := ex.Prepare(opt.Ctx, tr.Instance, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := pr.Window(0, -1)
+	got, err := executeCached(cache, tr.Instance, p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -159,32 +159,7 @@ func TestAddShift(t *testing.T) {
 func TestFigure7_IncrementalConstruction(t *testing.T) {
 	res := fixture(t)
 	schema := res.Schema
-
-	p, err := Initiate(schema, "Conferences") // P1
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p, err = Select(p, "acronym = 'SIGMOD'"); err != nil { // P2
-		t.Fatal(err)
-	}
-	if p, err = Add(schema, p, "Papers→Conferences_rev"); err != nil { // P3
-		t.Fatal(err)
-	}
-	if p, err = Select(p, "year > 2005"); err != nil { // P4
-		t.Fatal(err)
-	}
-	if p, err = Add(schema, p, "Paper_Authors"); err != nil { // P5
-		t.Fatal(err)
-	}
-	if p, err = Add(schema, p, "Authors→Institutions"); err != nil { // P6
-		t.Fatal(err)
-	}
-	if p, err = Select(p, "country like '%Korea%'"); err != nil { // P7
-		t.Fatal(err)
-	}
-	if p, err = Shift(p, "Authors"); err != nil { // P8
-		t.Fatal(err)
-	}
+	p := figure7PlanPattern(t, res) // P1–P8
 
 	if err := p.Validate(schema); err != nil {
 		t.Fatal(err)
@@ -215,29 +190,7 @@ func TestFigure7_IncrementalConstruction(t *testing.T) {
 // keyword like '%user%' at SIGMOD, as an enriched table.
 func TestFigure1_EnrichedTable(t *testing.T) {
 	res := fixture(t)
-	schema := res.Schema
-
-	p, _ := Initiate(schema, "Papers")
-	// Join to the keyword attribute node type and filter there.
-	p, err := Add(schema, p, "Papers→Paper_Keywords: keyword")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p, err = Select(p, "keyword like '%user%'"); err != nil {
-		t.Fatal(err)
-	}
-	if p, err = Shift(p, "Papers"); err != nil {
-		t.Fatal(err)
-	}
-	if p, err = Add(schema, p, "Papers→Conferences"); err != nil {
-		t.Fatal(err)
-	}
-	if p, err = Select(p, "acronym = 'SIGMOD'"); err != nil {
-		t.Fatal(err)
-	}
-	if p, err = Shift(p, "Papers"); err != nil {
-		t.Fatal(err)
-	}
+	p := figure1PlanPattern(t, res)
 	out, err := Execute(res.Instance, p)
 	if err != nil {
 		t.Fatal(err)

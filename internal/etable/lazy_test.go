@@ -64,9 +64,9 @@ func randomPattern(t *testing.T, rng *rand.Rand, schema *tgm.SchemaGraph) *Patte
 // loaded graph, and through the engine twice — on that eager graph,
 // and on a lazily loaded one whose pager budget (2–3 sections) is far
 // below the column count, three callers racing each other so column
-// faults interleave with evictions. Matched tuple sets must be the oracle's and the lazy
-// rendered windows byte-identical to the window over the oracle's
-// match. The CI race shard runs this under -race.
+// faults interleave with evictions. Every match must be the oracle's
+// and every lazy window byte-identical to the eager one. The CI race
+// shard runs this under -race.
 func TestLazyEagerEquivalenceFuzz(t *testing.T) {
 	db, err := dataset.Generate(dataset.Config{Papers: 120, Seed: 11})
 	if err != nil {
@@ -96,14 +96,6 @@ func TestLazyEagerEquivalenceFuzz(t *testing.T) {
 			}
 			defer lazy.Close()
 
-			arms := []struct {
-				name string
-				opt  ExecOptions
-			}{
-				{"nil_ctx", ExecOptions{}},
-				{"live_ctx", ExecOptions{Ctx: context.Background()}},
-				{"live_ctx#2", ExecOptions{Ctx: context.Background()}},
-			}
 			rng := rand.New(rand.NewSource(int64(100 + budget)))
 			for i := 0; i < 12; i++ {
 				p := randomPattern(t, rng, tr.Schema)
@@ -111,41 +103,31 @@ func TestLazyEagerEquivalenceFuzz(t *testing.T) {
 				if err != nil {
 					t.Fatalf("pattern %d (%s): oracle on the eager load: %v", i, p, err)
 				}
-				var wantWindow string
-				for _, arm := range arms {
-					got, err := MatchOpts(eager.Graph, p, arm.opt)
-					if err != nil {
-						t.Fatalf("pattern %d (%s): eager arm %s: %v", i, p, arm.name, err)
-					}
-					assertReducedMatches(t, fmt.Sprintf("pattern %d (%s) eager arm %s", i, p, arm.name), p, got, ref)
-					if wantWindow == "" {
-						wantWindow = renderWindow(t, eager.Graph, p, got, ExecOptions{})
-					}
+				got, err := MatchOpts(eager.Graph, p, ExecOptions{})
+				if err != nil {
+					t.Fatalf("pattern %d (%s): eager: %v", i, p, err)
 				}
+				assertReducedMatches(t, fmt.Sprintf("pattern %d (%s) eager", i, p), p, got, ref)
+				wantWindow := renderWindow(t, eager.Graph, p, got)
 
-				// The three lazy arms run concurrently so their faults
+				// Three lazy callers run concurrently so their faults
 				// contend for the tiny pool while evictions churn it.
 				var wg sync.WaitGroup
-				errs := make([]error, len(arms))
-				for ai, arm := range arms {
+				errs := make([]error, 3)
+				for c := range errs {
 					wg.Add(1)
-					go func(ai int, name string, opt ExecOptions) {
+					go func() {
 						defer wg.Done()
-						got, err := MatchOpts(lazy.Graph, p, opt)
+						got, err := MatchOpts(lazy.Graph, p, ExecOptions{Ctx: context.Background()})
+						if err == nil {
+							err = sameMatch(p, got, ref)
+						}
 						if err != nil {
-							errs[ai] = fmt.Errorf("arm %s: %v", name, err)
-							return
+							errs[c] = fmt.Errorf("caller %d: %v", c, err)
+						} else if window := renderWindow(t, lazy.Graph, p, got); window != wantWindow {
+							errs[c] = fmt.Errorf("caller %d: rendered window diverges:\n lazy: %s\neager: %s", c, window, wantWindow)
 						}
-						if err := sameMatch(p, got, ref); err != nil {
-							errs[ai] = fmt.Errorf("arm %s: %v", name, err)
-							return
-						}
-						window := renderWindow(t, lazy.Graph, p, got, opt)
-						if window != wantWindow {
-							errs[ai] = fmt.Errorf("arm %s: rendered window diverges:\n lazy: %s\neager: %s",
-								name, window, wantWindow)
-						}
-					}(ai, arm.name, arm.opt)
+					}()
 				}
 				wg.Wait()
 				for _, err := range errs {
@@ -168,15 +150,15 @@ func TestLazyEagerEquivalenceFuzz(t *testing.T) {
 // renderWindow prepares the presentation over a matched relation and
 // renders its first rows into a canonical string (the byte-identity
 // witness for lazy-vs-eager comparisons).
-func renderWindow(t *testing.T, g *tgm.InstanceGraph, p *Pattern, rel *graphrel.Relation, opt ExecOptions) string {
+func renderWindow(t *testing.T, g *tgm.InstanceGraph, p *Pattern, rel *graphrel.Relation) string {
 	t.Helper()
-	pr, err := PrepareOpts(g, p, rel, opt)
+	pr, err := PrepareOpts(g, p, rel, ExecOptions{})
 	if err != nil {
 		t.Fatalf("PrepareOpts: %v", err)
 	}
-	res, err := pr.WindowOpts(0, 10, opt)
+	res, err := pr.Window(0, 10)
 	if err != nil {
-		t.Fatalf("WindowOpts: %v", err)
+		t.Fatalf("Window: %v", err)
 	}
 	return fmt.Sprintf("cols=%+v total=%d rows=%+v", res.Columns, res.Total(), res.Rows)
 }

@@ -21,28 +21,14 @@ import (
 // from an AddNode-built graph, which has no column to label it with.)
 func scatteredFixture(t *testing.T, rng *rand.Rand) (*tgm.SchemaGraph, *tgm.InstanceGraph) {
 	t.Helper()
-	s := tgm.NewSchemaGraph()
-	for _, name := range []string{"F", "X", "Y"} {
-		if _, err := s.AddNodeType(tgm.NodeType{Name: name, Kind: tgm.NodeEntity, Label: "id",
-			Attrs: []tgm.Attr{{Name: "id", Type: value.KindInt}}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := s.AddBidirectional(tgm.EdgeType{Name: "X→Y", Source: "X", Target: "Y", Kind: tgm.EdgeManyToMany}); err != nil {
-		t.Fatal(err)
-	}
-	g := tgm.NewInstanceGraph(s)
+	s, g := xyGraph(t, "F", "X", "Y")
 	ids := map[string][]tgm.NodeID{}
 	for _, run := range []struct {
 		name string
 		n    int
 	}{{"F", 1 + rng.Intn(3)}, {"X", 5 + rng.Intn(20)}, {"Y", 5 + rng.Intn(20)}} {
 		for i := 0; i < run.n; i++ {
-			id, err := g.AddNode(run.name, []value.V{value.Int(int64(i))})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ids[run.name] = append(ids[run.name], id)
+			ids[run.name] = append(ids[run.name], addID(t, g, run.name, i))
 		}
 	}
 	for _, x := range ids["X"] {
@@ -60,10 +46,9 @@ func scatteredFixture(t *testing.T, rng *rand.Rand) (*tgm.SchemaGraph, *tgm.Inst
 
 // TestPrepareScatteredIDs is the one-Prepare-kernel equivalence where
 // dense indexing could go wrong (ID runs starting at distinct non-zero
-// IDs, a repeated type, a selection leaving gaps): MatchOpts and the
-// cache's miss hold the oracle's projections and tuple count, and
-// PrepareOpts and the miss both render the oracle's table cell for
-// cell. Run under -race by scripts/check.sh.
+// IDs, a repeated type, a selection leaving gaps): MatchOpts holds the
+// oracle's projections and tuple count, and PrepareOpts and a cache's
+// Prepare both render the oracle's table cell for cell. Run under -race by scripts/check.sh.
 func TestPrepareScatteredIDs(t *testing.T) {
 	rng := rand.New(rand.NewSource(20261004))
 	for trial := 0; trial < 8; trial++ {
@@ -101,26 +86,20 @@ func TestPrepareScatteredIDs(t *testing.T) {
 				t.Fatalf("%s: %v", label, err)
 			}
 			assertReducedMatches(t, label, p, matched, naive)
-			render := func(sub string, pr *Presentation) {
-				t.Helper()
-				got, err := pr.Window(0, -1)
-				if err != nil {
-					t.Fatalf("%s/%s: %v", label, sub, err)
-				}
-				assertSameResults(t, label+"/"+sub, got, want)
-			}
 			pr, err := PrepareOpts(g, p, matched, ExecOptions{})
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
-			render("PrepareOpts", pr)
-
-			pr, red, err := prepareMiss(g, p, ExecOptions{Ctx: context.Background()})
+			got, err := pr.Window(0, -1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameResults(t, label+"/PrepareOpts", got, want)
+			got, err = executeCached(NewCache(DefaultCacheEntries), g, p)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
-			assertReducedMatches(t, label+"/reduced", p, red, naive)
-			render("reduced", pr)
+			assertSameResults(t, label+"/cache", got, want)
 		}
 	}
 }
@@ -246,4 +225,32 @@ func BenchmarkPrepareFirstWindow(b *testing.B) {
 			}
 		})
 	}
+}
+
+// xyGraph returns an empty graph over the named entity types, each
+// with one integer attribute, id, that is also its label, and the
+// many-to-many edge type X→Y with its reverse.
+func xyGraph(t testing.TB, types ...string) (*tgm.SchemaGraph, *tgm.InstanceGraph) {
+	t.Helper()
+	s := tgm.NewSchemaGraph()
+	for _, name := range types {
+		if _, err := s.AddNodeType(tgm.NodeType{Name: name, Kind: tgm.NodeEntity, Label: "id",
+			Attrs: []tgm.Attr{{Name: "id", Type: value.KindInt}}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.AddBidirectional(tgm.EdgeType{Name: "X→Y", Source: "X", Target: "Y", Kind: tgm.EdgeManyToMany}); err != nil {
+		t.Fatal(err)
+	}
+	return s, tgm.NewInstanceGraph(s)
+}
+
+// addID adds a node of typ whose id is i and returns its ID.
+func addID(t testing.TB, g *tgm.InstanceGraph, typ string, i int) tgm.NodeID {
+	t.Helper()
+	id, err := g.AddNode(typ, []value.V{value.Int(int64(i))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return id
 }

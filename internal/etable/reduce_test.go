@@ -10,7 +10,6 @@ import (
 	"repro/internal/graphrel"
 	"repro/internal/tgm"
 	"repro/internal/translate"
-	"repro/internal/value"
 )
 
 // TestHugeMatchPreparesAndReadsEveryRef: a star of seven leaves over
@@ -19,29 +18,12 @@ import (
 // from its reduced sets, and a window reads every leaf's thousand
 // references.
 func TestHugeMatchPreparesAndReadsEveryRef(t *testing.T) {
-	s := tgm.NewSchemaGraph()
-	for _, name := range []string{"F", "X", "Y"} {
-		if _, err := s.AddNodeType(tgm.NodeType{Name: name, Kind: tgm.NodeEntity, Label: "id",
-			Attrs: []tgm.Attr{{Name: "id", Type: value.KindInt}}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := s.AddBidirectional(tgm.EdgeType{Name: "X→Y", Source: "X", Target: "Y", Kind: tgm.EdgeManyToMany}); err != nil {
-		t.Fatal(err)
-	}
-	g := tgm.NewInstanceGraph(s)
-	add := func(typ string, i int) tgm.NodeID {
-		id, err := g.AddNode(typ, []value.V{value.Int(int64(i))})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return id
-	}
-	add("F", 0)
-	x := add("X", 0)
+	s, g := xyGraph(t, "F", "X", "Y")
+	addID(t, g, "F", 0)
+	x := addID(t, g, "X", 0)
 	var ys []tgm.NodeID
 	for i := 0; i < 1000; i++ {
-		ys = append(ys, add("Y", i))
+		ys = append(ys, addID(t, g, "Y", i))
 		if err := g.AddEdge("X→Y", x, ys[i]); err != nil {
 			t.Fatal(err)
 		}
@@ -162,30 +144,12 @@ func mustPlan(t *testing.T, tr *translate.Result, p *Pattern) *Plan {
 // both prepares succeed; a direction is loaded by the kernel that
 // walks it, not for every pattern edge up front.
 func TestReductionLoadsOnlyWhatItWalks(t *testing.T) {
-	s := tgm.NewSchemaGraph()
-	for _, name := range []string{"X", "Y"} {
-		if _, err := s.AddNodeType(tgm.NodeType{Name: name, Kind: tgm.NodeEntity, Label: "id",
-			Attrs: []tgm.Attr{{Name: "id", Type: value.KindInt}}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := s.AddBidirectional(tgm.EdgeType{Name: "X→Y", Source: "X", Target: "Y", Kind: tgm.EdgeManyToMany}); err != nil {
-		t.Fatal(err)
-	}
-	g := tgm.NewInstanceGraph(s)
+	s, g := xyGraph(t, "X", "Y")
+	addID(t, g, "X", 0)
+	addID(t, g, "X", 1)
 	var ys []tgm.NodeID
-	for i := 0; i < 1002; i++ {
-		typ := "Y"
-		if i < 2 {
-			typ = "X"
-		}
-		id, err := g.AddNode(typ, []value.V{value.Int(int64(i))})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if typ == "Y" {
-			ys = append(ys, id)
-		}
+	for i := 2; i < 1002; i++ {
+		ys = append(ys, addID(t, g, "Y", i))
 	}
 	if err := g.InstallAdjacencyDeferred("X→Y", len(ys), func() ([]tgm.NodeID, []int32, []tgm.NodeID, error) {
 		return []tgm.NodeID{0}, []int32{0, int32(len(ys))}, ys, nil

@@ -2,7 +2,6 @@ package etable
 
 import (
 	"context"
-	"fmt"
 	"reflect"
 	"testing"
 
@@ -53,44 +52,6 @@ func assertSameWindow(t *testing.T, label string, got, want *Result) {
 			got.Offset, len(got.Rows), got.TotalRows, want.Offset, len(want.Rows), want.TotalRows)
 	}
 	assertSameResults(t, label, got, want)
-}
-
-// TestTransformRangeEquivalence: a window is one transformRange call —
-// under a live context every window (the full render, the first rows,
-// the last rows) is row- and cell-identical to the plain render, on
-// the Figure 1 and Figure 7 patterns.
-func TestTransformRangeEquivalence(t *testing.T) {
-	tr := planFixture(t)
-	for name, p := range map[string]*Pattern{
-		"figure1": figure1PlanPattern(t, tr),
-		"figure7": figure7PlanPattern(t, tr),
-	} {
-		want, err := Execute(tr.Instance, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		matched, err := MatchOpts(tr.Instance, p, ExecOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		total := len(want.Rows)
-		opt := ExecOptions{Ctx: context.Background()}
-		pr, err := PrepareOpts(tr.Instance, p, matched, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, w := range [][2]int{{0, -1}, {0, 3}, {max(total-3, 0), -1}} {
-			got, err := pr.WindowOpts(w[0], w[1], opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			end := total
-			if w[1] >= 0 {
-				end = min(w[0]+w[1], total)
-			}
-			assertSameWindow(t, fmt.Sprintf("%s/window=%v", name, w), got, sliceOf(want, w[0], end))
-		}
-	}
 }
 
 // TestPresentationWindowEdgeCases pins the window clamping rules:
@@ -226,32 +187,6 @@ func TestRefsEmptyZeroAlloc(t *testing.T) {
 	if w == nil || len(w) != 0 || cap(w) != 0 {
 		t.Error("empty refs must be the shared zero-length slice, not nil")
 	}
-}
-
-// TestTransformWindowOneShot covers the one-window caller: a single
-// window over a freshly prepared match is identical to the full
-// render's slice.
-func TestTransformWindowOneShot(t *testing.T) {
-	tr := planFixture(t)
-	p := figure7PlanPattern(t, tr)
-	matched, err := MatchOpts(tr.Instance, p, ExecOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := Execute(tr.Instance, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pr, err := PrepareOpts(tr.Instance, p, matched, ExecOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := pr.Window(1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	end := min(3, len(full.Rows))
-	assertSameWindow(t, "one-shot", got, sliceOf(full, min(1, len(full.Rows)), end))
 }
 
 // TestLabelInterner pins the interning rules: string labels pass

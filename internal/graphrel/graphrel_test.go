@@ -172,50 +172,6 @@ func TestSelect(t *testing.T) {
 	}
 }
 
-// TestJoin walks the first joins of Figure 8:
-// σ_{acronym='SIGMOD'}(Conferences) ∗ Papers, then on to Authors with
-// the papers after 2005, reduced and counted by Len; the tuples are
-// read through the fixtures' walk.
-func TestJoin(t *testing.T) {
-	g, ids := figure8Graph(t)
-	sigmod := selected(t, g, "Conferences", "acronym = 'SIGMOD'")
-	tree := []TreeEdge{{}, edgeTo(g, 0, "Conf-Papers")}
-	j, err := enumerate(g, attrsOf(g, "Conferences", "Papers"), []NodeSet{sigmod, selected(t, g, "Papers", "")}, tree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if j.Len() != 4 {
-		t.Errorf("SIGMOD papers = %d, want 4", j.Len())
-	}
-	red, err := Reduce(nil, []NodeSet{sigmod, selected(t, g, "Papers", "")}, tree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertReduced(t, "SIGMOD papers", relationOf(t, []string{"Conferences", "Papers"}, red, tree), j)
-	if len(j.Attrs) != 2 || j.Attrs[0].Name != "Conferences" || j.Attrs[1].Name != "Papers" {
-		t.Errorf("join attrs = %v", j.Attrs)
-	}
-	for _, id := range j.ColumnNamed("Conferences") {
-		if id != ids["sigmod"] {
-			t.Errorf("joined tuple with wrong conference: %v", id)
-		}
-	}
-	sets := []NodeSet{sigmod, selected(t, g, "Papers", "year > 2005"), selected(t, g, "Authors", "")}
-	j2, err := enumerate(g, attrsOf(g, "Conferences", "Papers", "Authors"), sets, append(tree, edgeTo(g, 1, "Papers-Authors")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// p1→bob, p4→bob/mark/chad, p5→bob = 5 tuples, in tree order.
-	want := []tgm.NodeID{ids["p1"], ids["p4"], ids["p4"], ids["p4"], ids["p5"]}
-	if !slices.Equal(j2.ColumnNamed("Papers"), want) {
-		t.Errorf("paper column = %v, want %v", j2.ColumnNamed("Papers"), want)
-	}
-	tree2 := append(tree, edgeTo(g, 1, "Papers-Authors"))
-	if n := relationOf(t, []string{"Conferences", "Papers", "Authors"}, sets, tree2).Len(); n != 5 {
-		t.Errorf("Len = %d, want 5", n)
-	}
-}
-
 // TestJoinErrors: NewRelation refuses arguments that do not describe
 // one tree — no nodes, keys, sets and tree nodes of different counts,
 // or a node whose parent does not come before it — so Len never walks
@@ -242,33 +198,6 @@ func TestJoinErrors(t *testing.T) {
 	}
 }
 
-// TestJoinScanEquivalence: the reduction of Conferences ∗ Papers holds
-// the nested-loop oracle's projections and tuple count, and the join
-// walked through it its tuples.
-func TestJoinScanEquivalence(t *testing.T) {
-	g, _ := figure8Graph(t)
-	confs, _ := base(g, "Conferences", "Conferences")
-	papers, _ := base(g, "Papers", "Papers")
-	tree := []TreeEdge{{}, edgeTo(g, 0, "Conf-Papers")}
-	red, err := Reduce(nil, []NodeSet{SetOf(confs.cols[0]), SetOf(papers.cols[0])}, tree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := enumerate(g, attrsOf(g, "Conferences", "Papers"), red, tree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := JoinScan(confs, papers, "Conf-Papers", "Conferences", "Papers")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Len() == 0 {
-		t.Fatal("empty join")
-	}
-	assertSameTuples(t, 0, "Conferences*Papers", a, b)
-	assertReduced(t, "Conferences*Papers", relationOf(t, []string{"Conferences", "Papers"}, red, tree), b)
-}
-
 // canonTuples renders a relation's tuple set order-insensitively.
 func canonTuples(r *tuples) []string {
 	out := make([]string, r.Len())
@@ -281,57 +210,6 @@ func canonTuples(r *tuples) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-func TestDistinctNodes(t *testing.T) {
-	g, ids := figure8Graph(t)
-	papers, _ := base(g, "Papers", "Papers")
-	authors, _ := base(g, "Authors", "Authors")
-	j, _ := JoinScan(papers, authors, "Papers-Authors", "Papers", "Authors")
-	rows, err := DistinctSorted(j, "Papers")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 4 { // p9 has no authors
-		t.Errorf("papers with authors = %d, want 4", len(rows))
-	}
-	if !slices.IsSorted(rows) || rows[0] != ids["p1"] {
-		t.Errorf("rows = %v, want ascending from p1", rows)
-	}
-	if !slices.Equal(rows, distinctOracle(j.ColumnNamed("Papers"))) {
-		t.Errorf("rows = %v, oracle %v", rows, distinctOracle(j.ColumnNamed("Papers")))
-	}
-	// The reverse join reaches the same papers in another row order.
-	rev, _ := JoinScan(authors, papers, "Papers-Authors_rev", "Authors", "Papers")
-	if back, _ := DistinctSorted(rev, "Papers"); !slices.Equal(back, rows) {
-		t.Errorf("reverse join rows = %v, want %v", back, rows)
-	}
-	if _, err := DistinctSorted(j, "Nope"); err == nil {
-		t.Error("bad attribute accepted")
-	}
-}
-
-func TestGroupNeighbors(t *testing.T) {
-	g, ids := figure8Graph(t)
-	papers, _ := base(g, "Papers", "Papers")
-	authors, _ := base(g, "Authors", "Authors")
-	j, _ := JoinScan(papers, authors, "Papers-Authors", "Papers", "Authors")
-	groups := groupBoth(t, "papers→authors", j, "Papers", "Authors")
-	if groups.Count(ids["p4"]) != 3 {
-		t.Errorf("p4 has %d authors, want 3", groups.Count(ids["p4"]))
-	}
-	if refs := groups.Refs(ids["p1"]); len(refs) != 1 || refs[0] != ids["bob"] {
-		t.Errorf("p1 authors = %v", refs)
-	}
-	if groups.Count(ids["p9"]) != 0 { // p9 has no authors: not a row
-		t.Errorf("p9 has %d authors, want none", groups.Count(ids["p9"]))
-	}
-	if _, err := GroupNeighbors(context.Background(), j, groups.keys, "Nope", "Authors"); err == nil {
-		t.Error("bad group attr accepted")
-	}
-	if _, err := GroupNeighbors(context.Background(), j, groups.keys, "Papers", "Nope"); err == nil {
-		t.Error("bad value attr accepted")
-	}
 }
 
 // TestFigure8Pipeline runs the full Figure 8 instance matching:
@@ -374,9 +252,8 @@ func TestFigure8Pipeline(t *testing.T) {
 	assertReduced(t, "figure 8", relationOf(t, types, red, tree), chain)
 	// Authors in Korea with recent SIGMOD papers: bob (p1, p4, p5) and
 	// mark (p4) — chad is at UW.
-	got2, _ := DistinctSorted(got, "Authors")
 	names := map[string]bool{}
-	for _, id := range got2 {
+	for _, id := range red[2].IDs() {
 		names[g.Node(id).Label()] = true
 	}
 	if len(names) != 2 || !names["Bob"] || !names["Mark"] {

@@ -13,32 +13,11 @@ import (
 // and node counts drawn from rng.
 func randomGraph(t *testing.T, rng *rand.Rand) *tgm.InstanceGraph {
 	t.Helper()
-	s := tgm.NewSchemaGraph()
-	for _, name := range []string{"A", "B", "C"} {
-		if _, err := s.AddNodeType(tgm.NodeType{Name: name, Label: "id",
-			Attrs: []tgm.Attr{{Name: "id", Type: value.KindInt}}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, e := range []tgm.EdgeType{
-		{Name: "A-B", Source: "A", Target: "B"},
-		{Name: "B-C", Source: "B", Target: "C"},
-	} {
-		if _, err := s.AddBidirectional(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	g := tgm.NewInstanceGraph(s)
+	g := idGraph(t, []string{"A", "B", "C"},
+		tgm.EdgeType{Name: "A-B", Source: "A", Target: "B"}, tgm.EdgeType{Name: "B-C", Source: "B", Target: "C"})
 	counts := map[string][]tgm.NodeID{}
 	for _, name := range []string{"A", "B", "C"} {
-		n := 1 + rng.Intn(20)
-		for i := 0; i < n; i++ {
-			id, err := g.AddNode(name, []value.V{value.Int(int64(i))})
-			if err != nil {
-				t.Fatal(err)
-			}
-			counts[name] = append(counts[name], id)
-		}
+		counts[name] = addIDs(t, g, name, 1+rng.Intn(20))
 	}
 	addEdges := func(et, from, to string) {
 		for _, src := range counts[from] {
@@ -77,34 +56,14 @@ func assertSameTuples(t *testing.T, trial int, label string, a, b *tuples) {
 // many-to-many.
 func scatteredGraph(t *testing.T, rng *rand.Rand) *tgm.InstanceGraph {
 	t.Helper()
-	s := tgm.NewSchemaGraph()
-	for _, name := range []string{"F", "X", "Y", "Z"} {
-		if _, err := s.AddNodeType(tgm.NodeType{Name: name, Label: "id",
-			Attrs: []tgm.Attr{{Name: "id", Type: value.KindInt}}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, e := range []tgm.EdgeType{
-		{Name: "X-Y", Source: "X", Target: "Y"},
-		{Name: "Y-Z", Source: "Y", Target: "Z"},
-	} {
-		if _, err := s.AddBidirectional(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	g := tgm.NewInstanceGraph(s)
+	g := idGraph(t, []string{"F", "X", "Y", "Z"},
+		tgm.EdgeType{Name: "X-Y", Source: "X", Target: "Y"}, tgm.EdgeType{Name: "Y-Z", Source: "Y", Target: "Z"})
 	ids := map[string][]tgm.NodeID{}
 	for _, run := range []struct {
 		name string
 		n    int
 	}{{"F", 1 + rng.Intn(3)}, {"Y", 4 + rng.Intn(30)}, {"X", 4 + rng.Intn(30)}} {
-		for i := 0; i < run.n; i++ {
-			id, err := g.AddNode(run.name, []value.V{value.Int(int64(i))})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ids[run.name] = append(ids[run.name], id)
-		}
+		ids[run.name] = addIDs(t, g, run.name, run.n)
 	}
 	for _, x := range ids["X"] {
 		for _, y := range ids["Y"] {
@@ -117,24 +76,6 @@ func scatteredGraph(t *testing.T, rng *rand.Rand) *tgm.InstanceGraph {
 	}
 	g.Freeze()
 	return g
-}
-
-// scatteredJoin is X ∗ Y ∗ Y#2 over the scattered graph: every pair of
-// Y nodes sharing an X, so each column repeats its nodes heavily.
-func scatteredJoin(t *testing.T, g *tgm.InstanceGraph) *tuples {
-	t.Helper()
-	xs, _ := base(g, "X", "X")
-	ys, _ := base(g, "Y", "Y")
-	ys2, _ := base(g, "Y", "Y#2")
-	xy, err := JoinScan(xs, ys, "X-Y", "X", "Y")
-	if err != nil {
-		t.Fatal(err)
-	}
-	xyy, err := JoinScan(xy, ys2, "X-Y", "X", "Y#2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return xyy
 }
 
 // TestJoinScatteredIDs pins Reduce and Relation.Len where dense IDs
@@ -196,4 +137,38 @@ func TestJoinScatteredIDs(t *testing.T) {
 			assertReduced(t, fmt.Sprintf("trial %d %s", trial, tc.name), relationOf(t, keys, red, tc.tree), tc.want)
 		}
 	}
+}
+
+// idGraph returns an empty graph over the named node types, each with
+// one integer attribute, id, that is also its label, and each edge
+// type added with its reverse.
+func idGraph(t testing.TB, types []string, edges ...tgm.EdgeType) *tgm.InstanceGraph {
+	t.Helper()
+	s := tgm.NewSchemaGraph()
+	for _, name := range types {
+		if _, err := s.AddNodeType(tgm.NodeType{Name: name, Label: "id",
+			Attrs: []tgm.Attr{{Name: "id", Type: value.KindInt}}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, et := range edges {
+		if _, err := s.AddBidirectional(et); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return tgm.NewInstanceGraph(s)
+}
+
+// addIDs adds n nodes of typ, their ids 0…n−1, and returns their IDs.
+func addIDs(t testing.TB, g *tgm.InstanceGraph, typ string, n int) []tgm.NodeID {
+	t.Helper()
+	ids := make([]tgm.NodeID, n)
+	for i := range ids {
+		id, err := g.AddNode(typ, []value.V{value.Int(int64(i))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = id
+	}
+	return ids
 }

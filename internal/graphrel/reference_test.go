@@ -2,6 +2,7 @@ package graphrel
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/expr"
 	"repro/internal/tgm"
@@ -159,4 +160,25 @@ func (r *tuples) sized(n int) *tuples {
 		out.cols[c] = make([]tgm.NodeID, n)
 	}
 	return out
+}
+
+// GroupNeighborsOracle is the grouping oracle, the fold the format
+// transformation defines a participating cell by: every co-occurring
+// value per group node collected into a map, each list sorted and
+// compacted. It shares no code with Path, which must agree with it row
+// for row.
+func GroupNeighborsOracle(r *tuples, groupAttr, valueAttr string) (map[tgm.NodeID][]tgm.NodeID, error) {
+	gi, vi := r.AttrIndex(groupAttr), r.AttrIndex(valueAttr)
+	if gi < 0 || vi < 0 {
+		return nil, fmt.Errorf("graphrel: bad group attributes %q, %q", groupAttr, valueAttr)
+	}
+	groups := make(map[tgm.NodeID][]tgm.NodeID)
+	for i, g := range r.cols[gi] {
+		groups[g] = append(groups[g], r.cols[vi][i])
+	}
+	for g, ids := range groups {
+		slices.Sort(ids)
+		groups[g] = slices.Compact(ids)
+	}
+	return groups, nil
 }

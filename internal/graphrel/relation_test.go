@@ -10,23 +10,7 @@ import (
 
 	"repro/internal/expr"
 	"repro/internal/tgm"
-	"repro/internal/value"
 )
-
-// cancelAfter is a context whose Err turns to context.Canceled after n
-// calls have returned nil: a cancellation that lands mid-walk.
-type cancelAfter struct {
-	context.Context
-	n int
-}
-
-func (c *cancelAfter) Err() error {
-	if c.n == 0 {
-		return context.Canceled
-	}
-	c.n--
-	return nil
-}
 
 // relationOf holds sets as a Relation, node i keyed keys[i].
 func relationOf(t testing.TB, keys []string, sets []NodeSet, tree []TreeEdge) *Relation {
@@ -55,10 +39,10 @@ func assertReduced(t *testing.T, label string, rel *Relation, want *tuples) {
 	}
 }
 
-// TestStreamCancellation: Reduce checks its context before each
+// TestReduceCancellation: Reduce checks its context before each
 // bottom-up semi-join, so a context canceled before the reduction or
 // during it fails it with ctx.Err() and no sets.
-func TestStreamCancellation(t *testing.T) {
+func TestReduceCancellation(t *testing.T) {
 	g := bigChainGraph(t, rand.New(rand.NewSource(15)))
 	sets := []NodeSet{selected(t, g, "A", ""), selected(t, g, "B", ""), selected(t, g, "A", "")}
 	tree := []TreeEdge{{}, edgeTo(g, 0, "A-B"), edgeTo(g, 1, "A-B_rev")}
@@ -66,7 +50,7 @@ func TestStreamCancellation(t *testing.T) {
 	cancel()
 	for name, ctx := range map[string]context.Context{
 		"before": canceled,
-		"during": &cancelAfter{Context: context.Background(), n: 1},
+		"during": &doneAfter{Context: context.Background(), live: 1},
 	} {
 		if red, err := Reduce(ctx, sets, tree); !errors.Is(err, context.Canceled) || red != nil {
 			t.Errorf("canceled %s the reduction: sets %v, err %v; want context.Canceled", name, red, err)
@@ -80,22 +64,9 @@ func TestStreamCancellation(t *testing.T) {
 // return the loader's error, while Len walks the healthy reverse
 // direction of the same edge.
 func TestJoinOverUnreadableAdjacency(t *testing.T) {
-	s := tgm.NewSchemaGraph()
-	for _, name := range []string{"A", "B"} {
-		if _, err := s.AddNodeType(tgm.NodeType{Name: name, Label: "id",
-			Attrs: []tgm.Attr{{Name: "id", Type: value.KindInt}}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := s.AddBidirectional(tgm.EdgeType{Name: "A-B", Source: "A", Target: "B"}); err != nil {
-		t.Fatal(err)
-	}
-	g := tgm.NewInstanceGraph(s)
-	for _, name := range []string{"A", "B", "B"} { // A: 0; B: 1, 2
-		if _, err := g.AddNode(name, []value.V{value.Int(0)}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	g := idGraph(t, []string{"A", "B"}, tgm.EdgeType{Name: "A-B", Source: "A", Target: "B"})
+	addIDs(t, g, "A", 1) // A: 0; B: 1, 2
+	addIDs(t, g, "B", 2)
 	boom := errors.New("adjacency section unreadable")
 	if err := g.InstallAdjacencyDeferred("A-B", 2, func() ([]tgm.NodeID, []int32, []tgm.NodeID, error) {
 		return nil, nil, nil, boom
@@ -197,35 +168,6 @@ func TestGroupFoldEquivalence(t *testing.T) {
 			}
 		}
 		PutScratch(sc)
-	}
-}
-
-// TestJoinParEquivalence pins the join of two whole types over
-// relations spanning many morsels, in both edge directions: Len counts
-// one tuple per adjacency entry, and the fixtures' walk (pairs) lists
-// them with the root's members ascending, each one's neighbors in
-// adjacency order — the order a left-deep chain of binary joins
-// produces, read here straight off the adjacency lists.
-func TestJoinParEquivalence(t *testing.T) {
-	g := bigChainGraph(t, rand.New(rand.NewSource(2)))
-	for _, tc := range []struct{ from, to, edge string }{{"A", "B", "A-B"}, {"B", "A", "A-B_rev"}} {
-		got, err := pairs(g, tc.from, tc.to, tc.edge)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var froms, tos []tgm.NodeID
-		for _, x := range g.NodesOfType(tc.from) {
-			for _, y := range g.Neighbors(x, tc.edge) {
-				froms, tos = append(froms, x), append(tos, y)
-			}
-		}
-		if !slices.Equal(got.ColumnNamed(tc.from), froms) || !slices.Equal(got.ColumnNamed(tc.to), tos) {
-			t.Fatalf("%s: %d rows not in adjacency order (want %d)", tc.edge, got.Len(), len(froms))
-		}
-		sets := []NodeSet{SetOf(g.NodesOfType(tc.from)), SetOf(g.NodesOfType(tc.to))}
-		if n := relationOf(t, []string{tc.from, tc.to}, sets, []TreeEdge{{}, edgeTo(g, 0, tc.edge)}).Len(); n != len(froms) {
-			t.Fatalf("%s: Len = %d, %d adjacency entries", tc.edge, n, len(froms))
-		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
@@ -199,7 +200,9 @@ func selectedRows(t *testing.T, r *tuples, attr string, pred *expr.Pred, want []
 	if err != nil {
 		t.Fatalf("Select: %v", err)
 	}
-	assertIdenticalRelations(t, attr, got, r.gather(want))
+	if w := r.gather(want); got.Len() != w.Len() || !slices.EqualFunc(got.cols, w.cols, slices.Equal[[]tgm.NodeID]) {
+		t.Fatalf("%s: Select kept %d rows, the reference %d", attr, got.Len(), w.Len())
+	}
 }
 
 // FuzzSelectParity checks the column-at-a-time selection against the
@@ -439,4 +442,101 @@ func BenchmarkSelect(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
 		})
 	}
+}
+
+// bigChainGraph builds an A→B chain large enough that relations span
+// many morsels (|A| ≈ 4×MorselRows), with skewed fan-out so morsel
+// workloads are unbalanced.
+func bigChainGraph(t testing.TB, rng *rand.Rand) *tgm.InstanceGraph {
+	t.Helper()
+	g := idGraph(t, []string{"A", "B"}, tgm.EdgeType{Name: "A-B", Source: "A", Target: "B"})
+	nA := 4*MorselRows + rng.Intn(MorselRows)
+	nB := MorselRows + rng.Intn(MorselRows)
+	as, bs := addIDs(t, g, "A", nA), addIDs(t, g, "B", nB)
+	for i, src := range as {
+		// Skew: early A nodes fan out to many B nodes, the long tail to
+		// at most one.
+		deg := 1
+		if i < 64 {
+			deg = 1 + rng.Intn(48)
+		} else if rng.Intn(3) == 0 {
+			deg = 0
+		}
+		for d := 0; d < deg; d++ {
+			if err := g.AddEdge("A-B", src, bs[rng.Intn(nB)]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	g.Freeze()
+	return g
+}
+
+// doneAfter is a context whose Err turns to context.Canceled once it
+// has been asked live more than live times.
+type doneAfter struct {
+	context.Context
+	live, calls int
+}
+
+func (c *doneAfter) Err() error {
+	c.calls++
+	if c.calls > c.live {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestSelectSetCancellation pins SelectSet's per-morsel context
+// check: a context that turns done after the first morsel stops the
+// scan at the second with ctx.Err(), a done context stops it before
+// any, and the same selection under a live context — the control —
+// spans more than two morsels and keeps exactly the reference Select's
+// nodes.
+func TestSelectSetCancellation(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	g := bigChainGraph(t, rng)
+	as, _ := base(g, "A", "A")
+	ids := as.cols[0]
+	pred := mustPred(t, as, "id % 3 = 1")
+	if len(ids) <= 2*MorselRows {
+		t.Fatalf("%d IDs span fewer than three morsels", len(ids))
+	}
+	want, err := Select(as, "A", pred)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := &doneAfter{Context: context.Background(), live: len(ids)}
+	got, err := SelectSet(live, g, ids, pred)
+	if err != nil || !slices.Equal(got.IDs(), want.cols[0]) {
+		t.Fatalf("live context: %d members (err %v), Select kept %d", got.Len(), err, want.Len())
+	}
+	// One check before the columns are pinned and one before each morsel.
+	if wantCalls := 1 + (len(ids)+MorselRows-1)/MorselRows; live.calls != wantCalls {
+		t.Fatalf("live context checked %d times, want %d", live.calls, wantCalls)
+	}
+
+	// Live for the pin check and the first morsel's, done at the second.
+	ctx := &doneAfter{Context: context.Background(), live: 2}
+	if _, err := SelectSet(ctx, g, ids, pred); !errors.Is(err, context.Canceled) {
+		t.Fatalf("context done after the first morsel: err = %v, want Canceled", err)
+	}
+	if ctx.calls != 3 {
+		t.Errorf("context checked %d times, want 3: the scan went on past the second morsel", ctx.calls)
+	}
+	done, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := SelectSet(done, g, ids, pred); !errors.Is(err, context.Canceled) {
+		t.Errorf("done context: err = %v, want Canceled", err)
+	}
+}
+
+// mustPred compiles cond for r's first attribute.
+func mustPred(t *testing.T, r *tuples, cond string) *expr.Pred {
+	t.Helper()
+	pred, err := compileCond(r, r.Attrs[0].Name, expr.MustParse(cond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pred
 }

@@ -1,129 +1,29 @@
 package graphrel
 
 import (
-	"context"
-	"errors"
-	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
 
 	"repro/internal/tgm"
-	"repro/internal/value"
 )
 
-// TestGroupNeighborsEquivalence asserts the CSR grouping kernel agrees
-// with the map oracle group for group: on a joined relation spanning
-// many morsels (in both row orders, with heavy duplication once the
-// pair is projected from a wider join), and on the scattered-ID graph
-// whose ID runs start at distinct non-zero IDs.
-func TestGroupNeighborsEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	g := bigChainGraph(t, rng)
-	joined, err := pairs(g, "A", "B", "A-B")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if joined.Len() <= MorselRows {
-		t.Fatalf("joined relation too small to span morsels: %d rows", joined.Len())
-	}
-	groupBoth(t, "A→B", joined, "A", "B")
-	groupBoth(t, "B→A", joined, "B", "A")
-	groupBoth(t, "A→A", joined, "A", "A")
-
-	for trial := 0; trial < 20; trial++ {
-		sg := scatteredGraph(t, rng)
-		rel := scatteredJoin(t, sg)
-		for _, pair := range [][2]string{{"X", "Y"}, {"Y", "X"}, {"X", "Y#2"}, {"Y#2", "Y"}} {
-			groupBoth(t, fmt.Sprintf("scattered trial=%d %v", trial, pair), rel, pair[0], pair[1])
-		}
-	}
-
-	// An empty relation groups to nothing.
-	empty := &tuples{g: g, Attrs: joined.Attrs, cols: make([][]tgm.NodeID, len(joined.Attrs))}
-	if gs := groupBoth(t, "empty", empty, "A", "B"); len(gs.keys) != 0 {
-		t.Fatalf("empty relation: %d keys", len(gs.keys))
-	}
-
-	// Attribute errors surface, and keys that miss a group node are a
-	// reported error rather than a silently misfiled value.
-	keys, _ := DistinctSorted(joined, "A")
-	if _, err := GroupNeighbors(context.Background(), joined, keys, "nope", "B"); err == nil {
-		t.Error("bad group attribute: want error")
-	}
-	if _, err := GroupNeighbors(context.Background(), joined, keys, "A", "nope"); err == nil {
-		t.Error("bad value attribute: want error")
-	}
-	if _, err := DistinctSorted(joined, "nope"); err == nil {
-		t.Error("DistinctSorted: bad attribute accepted")
-	}
-	for name, bad := range map[string][]tgm.NodeID{
-		"none": nil, "first missing": keys[1:], "last missing": keys[:len(keys)-1],
-		"inner missing": append(append([]tgm.NodeID(nil), keys[:5]...), keys[6:]...),
-	} {
-		if _, err := GroupNeighbors(context.Background(), joined, bad, "A", "B"); err == nil {
-			t.Errorf("keys with %s: want error", name)
-		}
-	}
-}
-
-// TestGroupNeighborsCancellation: a canceled context stops the kernel
-// before it touches the relation.
-func TestGroupNeighborsCancellation(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	g := bigChainGraph(t, rng)
-	joined, err := pairs(g, "A", "B", "A-B")
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys, err := DistinctSorted(joined, "A")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := GroupNeighbors(ctx, joined, keys, "A", "B"); !errors.Is(err, context.Canceled) {
-		t.Errorf("canceled grouping: err = %v, want context.Canceled", err)
-	}
-}
-
-// TestBitset pins the dense-ID dedup primitive node sets are built on
-// instead of a hash set.
+// TestBitset pins the dense-ID set node sets are built on instead of a
+// hash set: NewBitset sizes whole words and a set over a span starting
+// at a non-zero ID holds exactly its members, across word boundaries.
 func TestBitset(t *testing.T) {
-	b := NewBitset(130)
-	for _, id := range []tgm.NodeID{0, 1, 63, 64, 129} {
-		if b.TestAndSet(id) {
-			t.Errorf("fresh bit %d reported set", id)
+	if len(NewBitset(130)) != 3 || NewBitset(0) != nil || NewBitset(-3) != nil {
+		t.Error("NewBitset: 130 bits take 3 words, an empty bitset is nil")
+	}
+	ids := []tgm.NodeID{7, 8, 70, 71, 136}
+	s := SetOf(ids)
+	if s.Len() != len(ids) || !slices.Equal(s.IDs(), ids) {
+		t.Fatalf("SetOf(%v) holds %v", ids, s.IDs())
+	}
+	for id := tgm.NodeID(0); id < 200; id++ {
+		if s.Has(id) != slices.Contains(ids, id) {
+			t.Errorf("Has(%d) = %v", id, s.Has(id))
 		}
-		if !b.TestAndSet(id) {
-			t.Errorf("bit %d lost after set", id)
-		}
-	}
-	// IDs beyond the allocated words degrade to "seen", never panic
-	// (capacity is word-granular: 130 bits allocate 3 words = 192 bits).
-	if !b.TestAndSet(192) || !b.TestAndSet(-1) {
-		t.Error("out-of-range IDs must report seen")
-	}
-	if NewBitset(0) != nil || NewBitset(-3) != nil {
-		t.Error("empty bitsets should be nil")
-	}
-}
-
-// TestSortDedup pins the in-place sort+compact shared by the grouping
-// kernels.
-func TestSortDedup(t *testing.T) {
-	got := sortDedup([]tgm.NodeID{5, 3, 5, 1, 3, 3, 9, 1})
-	want := []tgm.NodeID{1, 3, 5, 9}
-	if len(got) != len(want) {
-		t.Fatalf("len = %d, want %d (%v)", len(got), len(want), got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v, want %v", got, want)
-		}
-	}
-	if out := sortDedup(nil); len(out) != 0 {
-		t.Errorf("nil input: got %v", out)
 	}
 }
 
@@ -171,32 +71,15 @@ func TestPathRefs(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	longUnsorted := 0
 	for trial := 0; trial < 20; trial++ {
-		s := tgm.NewSchemaGraph()
-		for _, name := range []string{"F", "A", "B", "C"} {
-			if _, err := s.AddNodeType(tgm.NodeType{Name: name, Label: "id",
-				Attrs: []tgm.Attr{{Name: "id", Type: value.KindInt}}}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for _, et := range []tgm.EdgeType{{Name: "A→B", Source: "A", Target: "B"}, {Name: "B→C", Source: "B", Target: "C"}} {
-			et.Kind = tgm.EdgeManyToMany
-			if _, err := s.AddBidirectional(et); err != nil {
-				t.Fatal(err)
-			}
-		}
-		g := tgm.NewInstanceGraph(s)
+		g := idGraph(t, []string{"F", "A", "B", "C"},
+			tgm.EdgeType{Name: "A→B", Source: "A", Target: "B", Kind: tgm.EdgeManyToMany},
+			tgm.EdgeType{Name: "B→C", Source: "B", Target: "C", Kind: tgm.EdgeManyToMany})
 		ids := map[string][]tgm.NodeID{}
 		for _, run := range []struct {
 			name string
 			n    int
 		}{{"F", 1 + rng.Intn(5)}, {"A", 5 + rng.Intn(20)}, {"B", 10 + rng.Intn(60)}, {"C", 50 + rng.Intn(3000)}} {
-			for i := 0; i < run.n; i++ {
-				id, err := g.AddNode(run.name, []value.V{value.Int(int64(i))})
-				if err != nil {
-					t.Fatal(err)
-				}
-				ids[run.name] = append(ids[run.name], id)
-			}
+			ids[run.name] = addIDs(t, g, run.name, run.n)
 		}
 		type edge struct {
 			et       string

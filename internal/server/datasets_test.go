@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/registry"
@@ -39,6 +40,12 @@ func snapshotFile(t testing.TB, papers int, seed int64) string {
 // snapshot-backed dataset ("papers").
 func newMultiServer(t testing.TB) (*httptest.Server, *Server) {
 	t.Helper()
+	return newMultiServerOpts(t, Options{})
+}
+
+// newMultiServerOpts is newMultiServer with the server's options.
+func newMultiServerOpts(t testing.TB, opts Options) (*httptest.Server, *Server) {
+	t.Helper()
 	tr, err := testdb.Figure3Translation()
 	if err != nil {
 		t.Fatal(err)
@@ -50,7 +57,7 @@ func newMultiServer(t testing.TB) (*httptest.Server, *Server) {
 	if _, err := reg.AddSnapshot("papers", snapshotFile(t, 60, 21), 0); err != nil {
 		t.Fatal(err)
 	}
-	srv := NewFromRegistry(reg, Options{})
+	srv := NewFromRegistry(reg, opts)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	return ts, srv
@@ -187,6 +194,33 @@ func TestSessionDatasetBinding(t *testing.T) {
 	// dataset.
 	if code := getJSON(t, fmt.Sprintf("%s/api/v1/sessions/%d", ts.URL, id), &st); code != http.StatusOK || st.ID != id {
 		t.Fatalf("unscoped get = %d %+v", code, st)
+	}
+}
+
+// TestWrongDatasetProbeKeepsTTL: a request that reaches a session
+// through another dataset's URL is a 404 and does not renew the
+// session, which expires a TTL after the last request it served.
+func TestWrongDatasetProbeKeepsTTL(t *testing.T) {
+	ttl := time.Minute
+	ts, srv := newMultiServerOpts(t, Options{SessionTTL: ttl})
+	clock := time.Unix(1000, 0)
+	srv.now = func() time.Time { return clock }
+
+	var created struct {
+		ID int64 `json:"id"`
+	}
+	if code := postJSON(t, ts.URL+"/api/v1/datasets/papers/sessions", nil, &created); code != http.StatusCreated {
+		t.Fatalf("create status = %d", code)
+	}
+	url := fmt.Sprintf("%s/api/v1/datasets/%%s/sessions/%d", ts.URL, created.ID)
+	var body map[string]any
+	clock = clock.Add(ttl * 9 / 10)
+	if code := getJSON(t, fmt.Sprintf(url, "figure3"), &body); code != http.StatusNotFound {
+		t.Fatalf("wrong-dataset probe = %d, want 404", code)
+	}
+	clock = clock.Add(ttl * 6 / 10) // 1.5 TTL after creation, 0.6 after the probe
+	if code := getJSON(t, fmt.Sprintf(url, "papers"), &body); code != http.StatusGone {
+		t.Errorf("request 1.5 TTL after the last one served = %d, want 410: the probe renewed the session", code)
 	}
 }
 

@@ -745,15 +745,16 @@ func (s *Server) entry(r *http.Request) (*sessionEntry, int64, error) {
 		}
 		return nil, 0, apiErr(http.StatusNotFound, codeSessionNotFound, "no session %d", id)
 	}
-	// The stamp follows the lookup outside the table's lock: a TTL sweep
-	// landing in between sees the old stamp and may evict the session,
-	// which still serves this request (a closed session re-prepares what
-	// it reads) and is 410 from the next one on.
-	e.lastUsed.Store(s.now().UnixNano())
 	if name := r.PathValue("ds"); name != "" && e.ds.Name() != name {
 		return nil, 0, apiErr(http.StatusNotFound, codeSessionNotFound,
 			"no session %d in dataset %q", id, name)
 	}
+	// Only a request the session serves renews it, so the stamp follows
+	// the dataset check. It also follows the lookup outside the table's
+	// lock: a TTL sweep landing in between sees the old stamp and may
+	// evict the session, which still serves this request (a closed
+	// session re-prepares what it reads) and is 410 from the next one on.
+	e.lastUsed.Store(s.now().UnixNano())
 	return e, id, nil
 }
 
